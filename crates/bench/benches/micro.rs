@@ -101,6 +101,38 @@ fn bench_ddpg_step(c: &mut Criterion) {
     c.bench_function("ddpg_train_step_3x128_batch32", |b| {
         b.iter(|| black_box(agent.train_step()))
     });
+
+    // The same update where a tuning run spends most of its missions: varied
+    // transitions and 1500 steps behind it, so ReLU units have died and the
+    // Adam moments of their weights have had time to decay towards zero (the
+    // regime a subnormal moment would slow down severalfold).
+    let mut agent = Ddpg::new(DdpgConfig::paper_default(6, 1));
+    let mut lcg = 13u32;
+    let mut draw_state = move || -> Vec<f32> {
+        (0..6)
+            .map(|_| {
+                lcg = lcg.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (lcg >> 8) as f32 / (1u32 << 24) as f32
+            })
+            .collect()
+    };
+    let mut state = draw_state();
+    for _ in 0..1500 {
+        let next_state = draw_state();
+        let action = agent.act_explore(&state);
+        agent.observe(Transition {
+            reward: -(action[0] - state[0]).abs(),
+            state,
+            action,
+            next_state: next_state.clone(),
+            done: false,
+        });
+        agent.train_step();
+        state = next_state;
+    }
+    c.bench_function("ddpg_train_step_after_1500_steps", |b| {
+        b.iter(|| black_box(agent.train_step()))
+    });
 }
 
 fn bench_flush_admit(c: &mut Criterion) {

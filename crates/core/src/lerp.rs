@@ -324,11 +324,21 @@ impl Tuner for Lerp {
                         agent.train_step();
                     }
                 }
+                // One actor forward pass yields both the greedy action and,
+                // unless ε-greedy overrides it, the exploratory one.
+                let (greedy, action) = if rand::Rng::gen::<f32>(&mut self.rng) < self.epsilon {
+                    // ε-greedy: a uniformly random ΔK, encoded as a
+                    // representative continuous action for the replay.
+                    let delta: i32 = rand::Rng::gen_range(&mut self.rng, -1..=1);
+                    (agent.act(&state), vec![delta as f32 * 0.8])
+                } else {
+                    agent.act_both(&state)
+                };
                 // Convergence is judged on the actor's *greedy* preference
                 // (its exploration-free policy target), so ε-greedy and OU
                 // noise do not mask a converged policy.
                 let current_k = obs.policies[level];
-                let greedy_delta = action_to_delta(agent.act(&state)[0]);
+                let greedy_delta = action_to_delta(greedy[0]);
                 let greedy_target =
                     (current_k as i64 + greedy_delta as i64).clamp(1, obs.size_ratio as i64) as u32;
                 self.greedy_targets.push_back(greedy_target);
@@ -336,14 +346,6 @@ impl Tuner for Lerp {
                     self.greedy_targets.pop_front();
                 }
 
-                let action = if rand::Rng::gen::<f32>(&mut self.rng) < self.epsilon {
-                    // ε-greedy: a uniformly random ΔK, encoded as a
-                    // representative continuous action for the replay.
-                    let delta: i32 = rand::Rng::gen_range(&mut self.rng, -1..=1);
-                    vec![delta as f32 * 0.8]
-                } else {
-                    agent.act_explore(&state)
-                };
                 let sigma = (agent.noise_sigma() * self.cfg.noise_decay).max(self.cfg.min_noise);
                 agent.set_noise_sigma(sigma);
                 self.epsilon = (self.epsilon * self.cfg.epsilon_decay).max(self.cfg.epsilon_min);

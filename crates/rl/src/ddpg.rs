@@ -85,6 +85,21 @@ pub struct Ddpg {
     noise: OuNoise,
     rng: StdRng,
     train_steps: u64,
+    batch: BatchBuf,
+}
+
+/// The sampled batch packed feature-major (`[dim][batch]`), reused across
+/// training steps.
+#[derive(Default)]
+struct BatchBuf {
+    /// `[s, a]` rows; the leading `state_dim` rows are `[s]` on their own.
+    sa: Vec<f32>,
+    /// `[s']` rows.
+    s2: Vec<f32>,
+    reward: Vec<f32>,
+    done: Vec<bool>,
+    /// Loss gradient at a network's output.
+    grad: Vec<f32>,
 }
 
 impl Ddpg {
@@ -135,6 +150,7 @@ impl Ddpg {
             noise,
             rng,
             train_steps: 0,
+            batch: BatchBuf::default(),
         }
     }
 
@@ -160,11 +176,20 @@ impl Ddpg {
 
     /// Exploratory action: `clip(μ(s) + OU noise, -1, 1)`.
     pub fn act_explore(&mut self, state: &[f32]) -> Vec<f32> {
-        let mut a = self.actor.forward(state);
-        for (ai, ni) in a.iter_mut().zip(self.noise.next(&mut self.rng)) {
-            *ai = (*ai + ni).clamp(-1.0, 1.0);
-        }
-        a
+        self.act_both(state).1
+    }
+
+    /// The greedy action `μ(s)` and the exploratory action derived from it,
+    /// from one actor forward pass.
+    pub fn act_both(&mut self, state: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let greedy = self.actor.forward(state);
+        let noise = self.noise.next(&mut self.rng);
+        let explored = greedy
+            .iter()
+            .zip(noise)
+            .map(|(a, n)| (a + n).clamp(-1.0, 1.0))
+            .collect();
+        (greedy, explored)
     }
 
     /// Scales exploration noise (decay schedules, workload-shift restarts).
@@ -178,9 +203,18 @@ impl Ddpg {
     }
 
     /// Stores an experience sample.
+    ///
+    /// # Panics
+    /// If a vector of the transition does not have the configured dimension.
     pub fn observe(&mut self, t: Transition) {
-        debug_assert_eq!(t.state.len(), self.cfg.state_dim);
-        debug_assert_eq!(t.action.len(), self.cfg.action_dim);
+        let (sd, ad) = (self.cfg.state_dim, self.cfg.action_dim);
+        assert!(
+            t.state.len() == sd && t.action.len() == ad && t.next_state.len() == sd,
+            "transition has {} state, {} action and {} next-state values, the agent takes {sd}, {ad} and {sd}",
+            t.state.len(),
+            t.action.len(),
+            t.next_state.len()
+        );
         self.replay.push(t);
     }
 
@@ -197,52 +231,71 @@ impl Ddpg {
         if self.replay.len() < self.cfg.warmup.max(1) {
             return None;
         }
-        let batch: Vec<Transition> = self
-            .replay
-            .sample(&mut self.rng, self.cfg.batch_size)
-            .into_iter()
-            .cloned()
-            .collect();
-        let n = batch.len() as f32;
+        let k = self.cfg.batch_size;
+        let (sd, ad) = (self.cfg.state_dim, self.cfg.action_dim);
+        let n = k as f32;
+        let buf = &mut self.batch;
+        buf.sa.resize((sd + ad) * k, 0.0);
+        buf.s2.resize(sd * k, 0.0);
+        buf.reward.resize(k, 0.0);
+        buf.done.resize(k, false);
+        buf.grad.resize(k, 0.0);
+        for (b, t) in self.replay.sample(&mut self.rng, k).enumerate() {
+            for (i, (&s, &s2)) in t.state.iter().zip(&t.next_state).enumerate() {
+                buf.sa[i * k + b] = s;
+                buf.s2[i * k + b] = s2;
+            }
+            for (i, &a) in t.action.iter().enumerate() {
+                buf.sa[(sd + i) * k + b] = a;
+            }
+            buf.reward[b] = t.reward;
+            buf.done[b] = t.done;
+        }
+        let states = sd * k; // the `[s]` rows of an `[s, a]` buffer
 
         // ---- Critic update: minimize (Q(s,a) − y)², y = r + γ Q'(s',μ'(s')).
-        self.critic.zero_grad();
+        self.target_actor.input_mut(k).copy_from_slice(&buf.s2);
+        let a_next = self.target_actor.forward_batch();
+        let sa_next = self.target_critic.input_mut(k);
+        sa_next[..states].copy_from_slice(&buf.s2);
+        sa_next[states..].copy_from_slice(a_next);
+        let q_next = self.target_critic.forward_batch();
+        self.critic.input_mut(k).copy_from_slice(&buf.sa);
+        let q = self.critic.forward_batch();
         let mut critic_loss = 0.0f32;
-        for t in &batch {
-            let a_next = self.target_actor.forward(&t.next_state);
-            let mut sa_next = t.next_state.clone();
-            sa_next.extend_from_slice(&a_next);
-            let q_next = self.target_critic.forward(&sa_next)[0];
-            let y = t.reward + if t.done { 0.0 } else { self.cfg.gamma * q_next };
-
-            let mut sa = t.state.clone();
-            sa.extend_from_slice(&t.action);
-            let q = self.critic.forward(&sa)[0];
-            let td = q - y;
+        for b in 0..k {
+            let bootstrap = if buf.done[b] {
+                0.0
+            } else {
+                self.cfg.gamma * q_next[b]
+            };
+            let td = q[b] - (buf.reward[b] + bootstrap);
             critic_loss += td * td;
-            self.critic.backward(&[2.0 * td]);
+            buf.grad[b] = 2.0 * td;
         }
+        self.critic.zero_grad();
+        self.critic.accumulate_grads(&buf.grad);
         self.adam_critic.step(&mut self.critic, 1.0 / n);
         critic_loss /= n;
 
         // ---- Actor update: maximize Q(s, μ(s)) — gradient ascent through
-        // the critic's input gradient w.r.t. the action.
-        self.actor.zero_grad();
-        self.critic.zero_grad(); // critic params must not drift here
+        // the critic's input gradient w.r.t. the action. The critic's own
+        // parameter gradients are not formed, so it cannot drift here.
+        self.actor.input_mut(k).copy_from_slice(&buf.sa[..states]);
+        let a = self.actor.forward_batch();
+        let sa = self.critic.input_mut(k);
+        sa[..states].copy_from_slice(&buf.sa[..states]);
+        sa[states..].copy_from_slice(a);
         let mut actor_loss = 0.0f32;
-        for t in &batch {
-            let a = self.actor.forward(&t.state);
-            let mut sa = t.state.clone();
-            sa.extend_from_slice(&a);
-            let q = self.critic.forward(&sa)[0];
+        for &q in self.critic.forward_batch() {
             actor_loss += -q;
-            // dL/dQ = -1 (ascent); critic input grad gives dQ/d[s,a].
-            let g_in = self.critic.backward(&[-1.0]);
-            let g_action = &g_in[self.cfg.state_dim..];
-            self.actor.backward(g_action);
         }
+        // dL/dQ = -1 (ascent); critic input grad gives dQ/d[s,a].
+        buf.grad.fill(-1.0);
+        let g_in = self.critic.input_grads(&buf.grad);
+        self.actor.zero_grad();
+        self.actor.accumulate_grads(&g_in[states..]);
         self.adam_actor.step(&mut self.actor, 1.0 / n);
-        self.critic.zero_grad(); // discard pollution from the actor pass
         actor_loss /= n;
 
         // ---- Target tracking.
@@ -262,7 +315,163 @@ impl Ddpg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nn::oracle;
     use rand::Rng;
+
+    impl Ddpg {
+        /// The training step the batched one replaced: one sample at a time
+        /// through the per-sample oracle, on textbook Adam. Same batch, same
+        /// RNG draws.
+        fn train_step_oracle(&mut self) -> Option<TrainMetrics> {
+            if self.replay.len() < self.cfg.warmup.max(1) {
+                return None;
+            }
+            let batch: Vec<Transition> = self
+                .replay
+                .sample(&mut self.rng, self.cfg.batch_size)
+                .cloned()
+                .collect();
+            let n = batch.len() as f32;
+
+            self.critic.zero_grad();
+            let mut critic_loss = 0.0f32;
+            for t in &batch {
+                let a_next = oracle::forward(&self.target_actor, &t.next_state);
+                let sa_next = [&t.next_state[..], a_next.output()].concat();
+                let q_next = oracle::forward(&self.target_critic, &sa_next).output()[0];
+                let y = t.reward + if t.done { 0.0 } else { self.cfg.gamma * q_next };
+
+                let tape = oracle::forward(&self.critic, &[&t.state[..], &t.action].concat());
+                let td = tape.output()[0] - y;
+                critic_loss += td * td;
+                oracle::backward(&mut self.critic, &tape, &[2.0 * td]);
+            }
+            self.adam_critic.step_unflushed(&mut self.critic, 1.0 / n);
+            critic_loss /= n;
+
+            self.actor.zero_grad();
+            let mut actor_loss = 0.0f32;
+            for t in &batch {
+                let actor_tape = oracle::forward(&self.actor, &t.state);
+                let sa = [&t.state[..], actor_tape.output()].concat();
+                let critic_tape = oracle::forward(&self.critic, &sa);
+                actor_loss += -critic_tape.output()[0];
+                let g_in = oracle::backward(&mut self.critic, &critic_tape, &[-1.0]);
+                oracle::backward(&mut self.actor, &actor_tape, &g_in[self.cfg.state_dim..]);
+            }
+            self.adam_actor.step_unflushed(&mut self.actor, 1.0 / n);
+            actor_loss /= n;
+
+            self.target_actor
+                .soft_update_from(&self.actor, self.cfg.tau);
+            self.target_critic
+                .soft_update_from(&self.critic, self.cfg.tau);
+            self.train_steps += 1;
+            Some(TrainMetrics {
+                critic_loss,
+                actor_loss,
+            })
+        }
+
+        fn param_bits(&mut self) -> Vec<u32> {
+            let nets = [
+                &mut self.actor,
+                &mut self.critic,
+                &mut self.target_actor,
+                &mut self.target_critic,
+            ];
+            nets.into_iter()
+                .flat_map(|net| net.params_and_grads().0.iter().map(|p| p.to_bits()))
+                .collect()
+        }
+
+        fn subnormal_moments(&self) -> usize {
+            [&self.adam_actor, &self.adam_critic]
+                .into_iter()
+                .flat_map(|adam| {
+                    let (m, v) = adam.moments();
+                    m.iter().chain(v)
+                })
+                .filter(|x| x.is_subnormal())
+                .count()
+        }
+    }
+
+    #[test]
+    fn moments_never_go_subnormal_and_the_flush_is_invisible() {
+        // Feature 3 carries signal for 200 steps and is exactly zero from
+        // then on, so every first-layer weight reading it (and every unit
+        // that dies on the way) has an exactly-zero gradient for the
+        // remaining 1600 steps: its first moment decays as 0.9^t through
+        // the subnormal range.
+        let cfg = DdpgConfig {
+            hidden: vec![24, 24],
+            batch_size: 16,
+            warmup: 16,
+            seed: 5,
+            ..DdpgConfig::paper_default(4, 1)
+        };
+        let mut agent = Ddpg::new(cfg.clone());
+        let mut reference = Ddpg::new(cfg);
+        let mut env = StdRng::seed_from_u64(8);
+        let mut trained = 0;
+        for step in 0..1800 {
+            if step == 200 {
+                agent.clear_replay();
+                reference.clear_replay();
+            }
+            let state = |env: &mut StdRng| -> Vec<f32> {
+                let last = if step < 200 { env.gen::<f32>() } else { 0.0 };
+                vec![env.gen(), env.gen::<f32>() - 0.5, env.gen(), last]
+            };
+            let t = Transition {
+                state: state(&mut env),
+                action: vec![env.gen::<f32>() * 2.0 - 1.0],
+                reward: -env.gen::<f32>(),
+                next_state: state(&mut env),
+                done: step % 11 == 0,
+            };
+            agent.observe(t.clone());
+            reference.observe(t);
+            let got = agent.train_step();
+            let want = reference.train_step_oracle();
+            let bits = |m: TrainMetrics| (m.critic_loss.to_bits(), m.actor_loss.to_bits());
+            assert_eq!(got.map(bits), want.map(bits), "step {step}");
+            trained += got.is_some() as usize;
+            assert_eq!(agent.subnormal_moments(), 0, "step {step}");
+        }
+        assert!(trained >= 1500);
+        assert!(
+            reference.subnormal_moments() > 0,
+            "the problem never drove a textbook moment subnormal: the test is vacuous"
+        );
+        assert!(agent.param_bits() == reference.param_bits());
+    }
+
+    #[test]
+    fn act_both_is_act_and_act_explore_from_one_forward() {
+        let mut one = Ddpg::new(small_cfg(9));
+        let mut two = Ddpg::new(small_cfg(9));
+        for i in 0..20 {
+            let s = [i as f32 / 10.0 - 1.0];
+            let (greedy, explored) = one.act_both(&s);
+            assert_eq!(greedy, two.act(&s));
+            assert_eq!(explored, two.act_explore(&s));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transition has 2 state, 1 action and 1 next-state values")]
+    fn observe_rejects_a_wrong_length_state_in_every_build() {
+        let mut agent = Ddpg::new(small_cfg(1));
+        agent.observe(Transition {
+            state: vec![0.0, 0.0],
+            action: vec![0.0],
+            reward: 0.0,
+            next_state: vec![0.0],
+            done: false,
+        });
+    }
 
     fn small_cfg(seed: u64) -> DdpgConfig {
         DdpgConfig {

@@ -75,6 +75,11 @@ pub struct Dqn {
     rng: StdRng,
     epsilon: f32,
     train_steps: u64,
+    /// Per-sample rewards and taken actions, and the `[n_actions][batch]`
+    /// loss gradient; reused across training steps.
+    reward: Vec<f32>,
+    taken: Vec<usize>,
+    grad: Vec<f32>,
 }
 
 impl Dqn {
@@ -100,6 +105,9 @@ impl Dqn {
             rng,
             epsilon,
             train_steps: 0,
+            reward: Vec::new(),
+            taken: Vec::new(),
+            grad: Vec::new(),
         }
     }
 
@@ -152,8 +160,19 @@ impl Dqn {
 
     /// Stores an experience sample. The action index is carried in
     /// `Transition::action[0]` (as a float).
+    ///
+    /// # Panics
+    /// If a state does not have the configured dimension or the action is
+    /// out of range.
     pub fn observe(&mut self, state: Vec<f32>, action: usize, reward: f32, next_state: Vec<f32>) {
-        debug_assert!(action < self.cfg.n_actions);
+        let sd = self.cfg.state_dim;
+        assert!(
+            state.len() == sd && next_state.len() == sd && action < self.cfg.n_actions,
+            "transition has {} state and {} next-state values and action {action}, the agent takes {sd}, {sd} and an action below {}",
+            state.len(),
+            next_state.len(),
+            self.cfg.n_actions
+        );
         self.replay.push(Transition {
             state,
             action: vec![action as f32],
@@ -168,28 +187,41 @@ impl Dqn {
         if self.replay.len() < self.cfg.warmup.max(1) {
             return None;
         }
-        let batch: Vec<Transition> = self
-            .replay
-            .sample(&mut self.rng, self.cfg.batch_size)
-            .into_iter()
-            .cloned()
-            .collect();
-        let n = batch.len() as f32;
-        self.q.zero_grad();
-        let mut loss = 0.0f32;
-        for t in &batch {
-            let q_next = self.target.forward(&t.next_state);
-            let max_next = q_next.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let y = t.reward + self.cfg.gamma * max_next;
-            let qs = self.q.forward(&t.state);
-            let a = t.action[0] as usize;
-            let td = qs[a] - y;
-            loss += td * td;
-            // Gradient only flows through the taken action's Q-value.
-            let mut g = vec![0.0f32; qs.len()];
-            g[a] = 2.0 * td;
-            self.q.backward(&g);
+        let k = self.cfg.batch_size;
+        let n = k as f32;
+        // Pack the batch feature-major straight into the networks' inputs.
+        self.reward.resize(k, 0.0);
+        self.taken.resize(k, 0);
+        let s_next = self.target.input_mut(k);
+        let s = self.q.input_mut(k);
+        for (b, t) in self.replay.sample(&mut self.rng, k).enumerate() {
+            for (i, (&x, &x2)) in t.state.iter().zip(&t.next_state).enumerate() {
+                s[i * k + b] = x;
+                s_next[i * k + b] = x2;
+            }
+            self.reward[b] = t.reward;
+            self.taken[b] = t.action[0] as usize;
         }
+        let q_next = self.target.forward_batch();
+        let qs = self.q.forward_batch();
+        // Gradient only flows through the taken action's Q-value.
+        self.grad.clear();
+        self.grad.resize(self.cfg.n_actions * k, 0.0);
+        let mut loss = 0.0f32;
+        for b in 0..k {
+            let max_next = q_next[b..]
+                .iter()
+                .step_by(k)
+                .copied()
+                .fold(f32::NEG_INFINITY, f32::max);
+            let y = self.reward[b] + self.cfg.gamma * max_next;
+            let taken = self.taken[b] * k + b;
+            let td = qs[taken] - y;
+            loss += td * td;
+            self.grad[taken] = 2.0 * td;
+        }
+        self.q.zero_grad();
+        self.q.accumulate_grads(&self.grad);
         self.adam.step(&mut self.q, 1.0 / n);
         self.target.soft_update_from(&self.q, self.cfg.tau);
         self.train_steps += 1;
@@ -200,7 +232,7 @@ impl Dqn {
 fn argmax(xs: &[f32]) -> usize {
     xs.iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+        .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(i, _)| i)
         .unwrap_or(0)
 }
@@ -223,6 +255,21 @@ mod tests {
     fn argmax_works() {
         assert_eq!(argmax(&[1.0, 3.0, 2.0]), 1);
         assert_eq!(argmax(&[-1.0]), 0);
+    }
+
+    #[test]
+    fn argmax_survives_a_nan_q_value() {
+        // A diverged network must not take the tuner down with it.
+        assert_eq!(argmax(&[1.0, f32::NAN, 2.0]), 1);
+        assert_eq!(argmax(&[f32::NAN, f32::NAN]), 1);
+        assert_eq!(argmax(&[-f32::NAN, 0.5]), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "transition has 1 state and 3 next-state values and action 0")]
+    fn observe_rejects_a_wrong_length_state_in_every_build() {
+        let mut agent = Dqn::new(small_cfg(1));
+        agent.observe(vec![0.0], 0, 0.0, vec![0.0; 3]);
     }
 
     #[test]

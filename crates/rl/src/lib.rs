@@ -5,10 +5,11 @@
 //! Rust RL ecosystem is thin, so this crate implements the whole stack from
 //! scratch, exactly at the scale the paper needs:
 //!
-//! * [`nn`] — dense layers and multilayer perceptrons with manual
-//!   backpropagation, including input gradients (required by DDPG's actor
-//!   update, which differentiates the critic with respect to the action);
-//! * [`adam`] — the Adam optimizer;
+//! * [`nn`] — multilayer perceptrons with manual backpropagation over a
+//!   whole batch per call, including input gradients (required by DDPG's
+//!   actor update, which differentiates the critic with respect to the
+//!   action);
+//! * [`adam`] — the Adam optimizer, whose moments are never subnormal;
 //! * [`replay`] — a ring replay buffer with uniform sampling;
 //! * [`noise`] — Ornstein–Uhlenbeck and Gaussian exploration noise;
 //! * [`ddpg`] — Deep Deterministic Policy Gradient (Lillicrap et al., 2015):
@@ -17,7 +18,15 @@
 //!   learner the paper argues DDPG improves upon (§5.1.4).
 //!
 //! Everything is deterministic given a seed, so experiments reproduce
-//! bit-for-bit.
+//! bit-for-bit — and stay so across kernel rewrites: [`nn`] fixes the order
+//! in which every sum is accumulated (ascending input index forward, batch
+//! order for parameter gradients, ascending output index for input
+//! gradients) and rounds every product before adding it (no fused
+//! multiply-add), so a batched, vectorised kernel yields the same bits as a
+//! per-sample scalar loop. There is one training path: an agent's
+//! `train_step` packs its sampled batch feature-major into buffers it keeps,
+//! and runs batched forward and backward passes over them without
+//! allocating.
 
 #![warn(missing_docs)]
 

@@ -67,12 +67,15 @@ impl ReplayBuffer {
         self.next = (self.next + 1) % self.capacity;
     }
 
-    /// Uniformly samples `k` transitions (with replacement).
-    pub fn sample<'a>(&'a self, rng: &mut impl Rng, k: usize) -> Vec<&'a Transition> {
+    /// Uniformly samples `k` transitions (with replacement); each index is
+    /// drawn from `rng` as the iterator advances.
+    pub fn sample<'a>(
+        &'a self,
+        rng: &'a mut impl Rng,
+        k: usize,
+    ) -> impl Iterator<Item = &'a Transition> {
         assert!(!self.buf.is_empty(), "cannot sample an empty buffer");
-        (0..k)
-            .map(|_| &self.buf[rng.gen_range(0..self.buf.len())])
-            .collect()
+        (0..k).map(move |_| &self.buf[rng.gen_range(0..self.buf.len())])
     }
 
     /// Drops all stored transitions (used when the workload shifts and old
@@ -120,7 +123,7 @@ mod tests {
             rb.push(t(i as f32));
         }
         let mut rng = StdRng::seed_from_u64(1);
-        let s = rb.sample(&mut rng, 32);
+        let s: Vec<&Transition> = rb.sample(&mut rng, 32).collect();
         assert_eq!(s.len(), 32);
         for x in s {
             assert!(x.reward >= 0.0 && x.reward < 5.0);
