@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the RusKey paper.
 //!
 //! ```text
-//! repro <experiment> [--scale small|full] [--csv DIR] [--json PATH]
+//! repro <experiment> [--scale tiny|small|full] [--csv DIR] [--json PATH]
 //!
 //! experiments:
 //!   table2  fig6  fig7  table3  fig8  fig9  fig10  fig11  fig12  fig13
@@ -10,63 +10,109 @@
 //! ```
 //!
 //! Results print as aligned text tables; `--csv DIR` additionally writes
-//! the per-mission series as CSV files for plotting. The `shard_scaling`
-//! experiment (also part of `all`) writes its rows as JSON — to `--json
-//! PATH` when given, else to `shard_scaling.json` — so the engine's
-//! throughput trajectory is machine-comparable across PRs.
+//! the per-mission series as CSV files for plotting. The scaling and
+//! engine experiments (`shard_scaling` … `tuning`) also write their rows
+//! as JSON — to `--json PATH` when the experiment was named (under `all`
+//! the path goes to `shard_scaling`), else to `<experiment>.json` — so
+//! the engine's trajectory is machine-comparable across PRs. An unknown
+//! experiment, flag or scale, or a flag without its value, prints the
+//! valid choices and exits with status 2.
 
 use std::io::Write;
 
 use ruskey::runner::ExperimentScale;
 use ruskey_bench::*;
 
-struct Args {
-    experiment: String,
+/// What every experiment runner gets.
+struct Ctx {
     scale: ExperimentScale,
+    /// The scale's name in the JSON documents.
+    label: &'static str,
     csv_dir: Option<String>,
+    /// Where this experiment's JSON goes, if the caller said.
     json_path: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+/// One experiment: its name, whether `all` includes it, and its runner.
+type Experiment = (&'static str, bool, fn(&Ctx));
+
+/// Every experiment by name. `table3` is `fig7` under its other name;
+/// `ablations` and `lab` only run when asked for.
+const EXPERIMENTS: &[Experiment] = &[
+    ("table2", true, run_table2),
+    ("fig6", true, |c| {
+        run_comparisons("fig6_static_uniform", &fig6(&c.scale), c)
+    }),
+    ("fig7", true, run_fig7_table3),
+    ("table3", false, run_fig7_table3),
+    ("fig8", true, |c| {
+        run_comparisons("fig8_static_monkey", &fig8(&c.scale), c)
+    }),
+    ("fig9", true, run_fig9),
+    ("fig10", true, run_fig10),
+    ("fig11", true, |c| {
+        run_comparisons("fig11_ycsb", &fig11_abc(&c.scale), c);
+        run_comparisons("fig11d_range", &[fig11_range(&c.scale)], c);
+    }),
+    ("fig12", true, run_fig12),
+    ("fig13", true, run_fig13),
+    ("bruteforce", true, run_bruteforce),
+    ("shard_scaling", true, run_shard_scaling),
+    ("durability", true, run_durability),
+    ("persistence", true, run_persistence),
+    ("read_path", true, run_read_path),
+    ("compaction", true, run_compaction),
+    ("serve", true, run_serve),
+    ("tuning", true, run_tuning),
+    ("ablations", false, run_ablations),
+    ("lab", false, run_lab),
+];
+
+/// Reports a command-line mistake with the valid choices and exits 2.
+fn usage_error(problem: &str) -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+    eprintln!("repro: {problem}");
+    eprintln!("usage: repro <experiment> [--scale tiny|small|full] [--csv DIR] [--json PATH]");
+    eprintln!("experiments: {} all", names.join(" "));
+    std::process::exit(2);
+}
+
+/// Parses the command line into the experiment name and its context.
+fn parse_args() -> (String, Ctx) {
+    let mut argv = std::env::args().skip(1);
     let mut experiment = String::from("all");
-    let mut scale = repro_scale();
+    let mut scale = "small".to_string();
     let mut csv_dir = None;
     let mut json_path = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--json" => {
-                i += 1;
-                json_path = argv.get(i).cloned();
-            }
-            "--scale" => {
-                i += 1;
-                scale = match argv.get(i).map(String::as_str) {
-                    Some("full") => full_scale(),
-                    Some("small") | None => repro_scale(),
-                    Some("tiny") => ExperimentScale::tiny(),
-                    Some(other) => {
-                        eprintln!("unknown scale '{other}', using small");
-                        repro_scale()
-                    }
-                };
-            }
-            "--csv" => {
-                i += 1;
-                csv_dir = argv.get(i).cloned();
-            }
-            other if !other.starts_with('-') => experiment = other.to_string(),
-            other => eprintln!("ignoring unknown flag {other}"),
+    while let Some(arg) = argv.next() {
+        let mut value = || {
+            argv.next()
+                .unwrap_or_else(|| usage_error(&format!("{arg} needs a value")))
+        };
+        match arg.as_str() {
+            "--json" => json_path = Some(value()),
+            "--csv" => csv_dir = Some(value()),
+            "--scale" => scale = value(),
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag}")),
+            name => experiment = name.to_string(),
         }
-        i += 1;
     }
-    Args {
-        experiment,
+    if experiment != "all" && !EXPERIMENTS.iter().any(|e| e.0 == experiment) {
+        usage_error(&format!("unknown experiment '{experiment}'"));
+    }
+    let (label, scale) = match scale.as_str() {
+        "tiny" => ("tiny", ExperimentScale::tiny()),
+        "small" => ("small", repro_scale()),
+        "full" => ("full", full_scale()),
+        other => usage_error(&format!("unknown scale '{other}' (tiny, small, full)")),
+    };
+    let ctx = Ctx {
         scale,
+        label,
         csv_dir,
         json_path,
-    }
+    };
+    (experiment, ctx)
 }
 
 /// The default reproduction scale (a few minutes for `all`).
@@ -89,8 +135,22 @@ fn full_scale() -> ExperimentScale {
     }
 }
 
-fn write_csv(dir: &Option<String>, name: &str, content: &str) {
-    if let Some(dir) = dir {
+/// Writes an experiment's JSON document to the caller's `--json` path,
+/// or to `<experiment>.json`.
+fn write_json(c: &Ctx, experiment: &str, json: String) {
+    let path = c
+        .json_path
+        .clone()
+        .unwrap_or_else(|| format!("{experiment}.json"));
+    match std::fs::write(&path, json) {
+        Ok(()) => println!("  [json] {path}"),
+        Err(e) => eprintln!("  [json] could not write {path}: {e}"),
+    }
+    println!();
+}
+
+fn write_csv(c: &Ctx, name: &str, content: &str) {
+    if let Some(dir) = &c.csv_dir {
         std::fs::create_dir_all(dir).expect("create csv dir");
         let path = format!("{dir}/{name}.csv");
         let mut f = std::fs::File::create(&path).expect("create csv");
@@ -99,14 +159,14 @@ fn write_csv(dir: &Option<String>, name: &str, content: &str) {
     }
 }
 
-fn run_table2(scale: &ExperimentScale) {
+fn run_table2(c: &Ctx) {
     println!("== Table 2: transition costs and delays ==");
     println!("(analytic case study: T=10, B=4096, E=1024, C=1024000, f=0.01, K=5->4, x=gamma=1/2)");
     println!(
         "{:<12}{:>16}{:>26}{:>26}",
         "strategy", "analytic I/Os", "measured immediate pages", "measured additional pages"
     );
-    for row in table2(scale) {
+    for row in table2(&c.scale) {
         println!(
             "{:<12}{:>16.2}{:>26}{:>26}",
             row.strategy,
@@ -118,12 +178,12 @@ fn run_table2(scale: &ExperimentScale) {
     println!();
 }
 
-fn run_comparisons(name: &str, comparisons: &[Comparison], csv: &Option<String>) {
+fn run_comparisons(name: &str, comparisons: &[Comparison], ctx: &Ctx) {
     println!("== {name} ==");
     for c in comparisons {
         print!("{}", comparison_summary(c, 0.4));
         write_csv(
-            csv,
+            ctx,
             &format!("{name}_{}", c.workload),
             &series_csv(&c.series),
         );
@@ -141,10 +201,10 @@ fn run_comparisons(name: &str, comparisons: &[Comparison], csv: &Option<String>)
     println!();
 }
 
-fn run_fig7_table3(scale: &ExperimentScale, csv: &Option<String>) {
+fn run_fig7_table3(c: &Ctx) {
     println!("== Fig 7: dynamic workload (5 sessions) + Table 3 ranking ==");
-    let series = fig7(scale);
-    write_csv(csv, "fig7", &series_csv(&series));
+    let series = fig7(&c.scale);
+    write_csv(c, "fig7", &series_csv(&series));
     if let Some(rk) = series.iter().find(|s| s.method == "RusKey") {
         let trace: Vec<(usize, u32)> = rk
             .records
@@ -159,9 +219,9 @@ fn run_fig7_table3(scale: &ExperimentScale, csv: &Option<String>) {
     println!();
 }
 
-fn run_fig9(scale: &ExperimentScale) {
+fn run_fig9(c: &Ctx) {
     println!("== Fig 9: per-level policies vs Lazy-Leveling (Monkey, balanced) ==");
-    for r in fig9(scale) {
+    for r in fig9(&c.scale) {
         println!(
             "  {:<16} end-to-end {:.4} ms/op  policies {:?}",
             r.method, r.end_to_end_ms_per_op, r.policies
@@ -177,11 +237,11 @@ fn run_fig9(scale: &ExperimentScale) {
     println!();
 }
 
-fn run_fig10(scale: &ExperimentScale, csv: &Option<String>) {
+fn run_fig10(c: &Ctx) {
     println!("== Fig 10: transition methods micro-benchmark (K=1 -> K=10 at midpoint) ==");
-    let series = fig10(scale);
-    write_csv(csv, "fig10", &series_csv(&series));
-    let half = scale.missions / 2;
+    let series = fig10(&c.scale);
+    write_csv(c, "fig10", &series_csv(&series));
+    let half = c.scale.missions / 2;
     println!(
         "{:<12}{:>22}{:>22}{:>20}{:>16}",
         "strategy",
@@ -209,16 +269,16 @@ fn run_fig10(scale: &ExperimentScale, csv: &Option<String>) {
     println!();
 }
 
-fn run_fig12(scale: &ExperimentScale, csv: &Option<String>) {
+fn run_fig12(c: &Ctx) {
     println!("== Fig 12: greedy threshold heuristics vs RusKey ==");
-    let series = fig12(scale);
-    write_csv(csv, "fig12", &series_csv(&series));
+    let series = fig12(&c.scale);
+    write_csv(c, "fig12", &series_csv(&series));
     let table = ranking_from_series(&series, FIG7_SESSIONS.len());
     println!("{}", ranking_table(&table, &FIG7_SESSIONS));
     println!();
 }
 
-fn run_fig13(scale: &ExperimentScale) {
+fn run_fig13(c: &Ctx) {
     println!("== Fig 13: model update time vs LSM time per mission ==");
     println!(
         "{:<16}{:>18}{:>16}{:>18}{:>12}{:>20}",
@@ -229,7 +289,7 @@ fn run_fig13(scale: &ExperimentScale) {
         "model/LSM",
         "@50k-op missions"
     );
-    for r in fig13(scale) {
+    for r in fig13(&c.scale) {
         println!(
             "{:<16}{:>18.4}{:>16.4}{:>18.6}{:>11.2}%{:>19.3}%",
             r.label,
@@ -247,7 +307,8 @@ fn run_fig13(scale: &ExperimentScale) {
     println!();
 }
 
-fn run_ablations(scale: &ExperimentScale) {
+fn run_ablations(c: &Ctx) {
+    let scale = &c.scale;
     println!("== Ablation: DDPG vs DQN as Lerp's learner ==");
     for (workload, rows) in ablation_learner(scale) {
         println!("  {workload}:");
@@ -320,28 +381,20 @@ fn print_scaling_rows(rows: &[ShardScalingRow]) {
     }
 }
 
-fn run_shard_scaling(scale: &ExperimentScale, scale_label: &str, json_path: &Option<String>) {
+fn run_shard_scaling(c: &Ctx) {
     println!("== Shard scaling: throughput vs shard count (balanced workload) ==");
-    let mut rows = shard_scaling(scale, &[1, 2, 4, 8]);
+    let mut rows = shard_scaling(&c.scale, &[1, 2, 4, 8]);
     // The real-file variant: one FileDisk directory (independent file
     // handles + manifest + WAL) per shard, so real wall time scales with
     // the shard count instead of serializing on one device handle.
-    rows.extend(shard_scaling_filedisk(scale, &[1, 2, 4]));
+    rows.extend(shard_scaling_filedisk(&c.scale, &[1, 2, 4]));
     print_scaling_rows(&rows);
-    let path = json_path
-        .clone()
-        .unwrap_or_else(|| "shard_scaling.json".to_string());
-    let json = shard_scaling_json(scale_label, &rows);
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json] {path}"),
-        Err(e) => eprintln!("  [json] could not write {path}: {e}"),
-    }
-    println!();
+    write_json(c, "shard_scaling", shard_scaling_json(c.label, &rows));
 }
 
-fn run_persistence(scale: &ExperimentScale, scale_label: &str, json_path: &Option<String>) {
+fn run_persistence(c: &Ctx) {
     println!("== Persistence: manifest + on-disk run recovery over FileDisk ==");
-    let rows = persistence(scale, &[1, 2, 4]);
+    let rows = persistence(&c.scale, &[1, 2, 4]);
     println!(
         "{:<8}{:>12}{:>10}{:>16}{:>16}{:>15}{:>14}{:>8}{:>10}{:>10}{:>9}{:>10}",
         "shards",
@@ -374,20 +427,12 @@ fn run_persistence(scale: &ExperimentScale, scale_label: &str, json_path: &Optio
             r.power_ok
         );
     }
-    let path = json_path
-        .clone()
-        .unwrap_or_else(|| "persistence.json".to_string());
-    let json = persistence_json(scale_label, &rows);
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json] {path}"),
-        Err(e) => eprintln!("  [json] could not write {path}: {e}"),
-    }
-    println!();
+    write_json(c, "persistence", persistence_json(c.label, &rows));
 }
 
-fn run_durability(scale: &ExperimentScale, scale_label: &str, json_path: &Option<String>) {
+fn run_durability(c: &Ctx) {
     println!("== Durability: WAL + cross-shard group commit ==");
-    let rows = durability(scale, &[1, 2, 4]);
+    let rows = durability(&c.scale, &[1, 2, 4]);
     println!(
         "{:<8}{:>12}{:>14}{:>12}{:>12}{:>12}{:>22}{:>22}{:>8}",
         "shards",
@@ -414,20 +459,12 @@ fn run_durability(scale: &ExperimentScale, scale_label: &str, json_path: &Option
             r.ok
         );
     }
-    let path = json_path
-        .clone()
-        .unwrap_or_else(|| "durability.json".to_string());
-    let json = durability_json(scale_label, &rows);
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json] {path}"),
-        Err(e) => eprintln!("  [json] could not write {path}: {e}"),
-    }
-    println!();
+    write_json(c, "durability", durability_json(c.label, &rows));
 }
 
-fn run_read_path(scale: &ExperimentScale, scale_label: &str, json_path: &Option<String>) {
+fn run_read_path(c: &Ctx) {
     println!("== Read path: real ns/op through cache + FileDisk + bound fast paths ==");
-    let rows = read_path(scale);
+    let rows = read_path(&c.scale);
     println!(
         "{:<10}{:>10}{:>14}{:>14}{:>16}{:>12}{:>12}{:>11}{:>8}{:>8}{:>8}",
         "variant",
@@ -458,20 +495,12 @@ fn run_read_path(scale: &ExperimentScale, scale_label: &str, json_path: &Option<
             r.ok
         );
     }
-    let path = json_path
-        .clone()
-        .unwrap_or_else(|| "read_path.json".to_string());
-    let json = read_path_json(scale_label, &rows);
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json] {path}"),
-        Err(e) => eprintln!("  [json] could not write {path}: {e}"),
-    }
-    println!();
+    write_json(c, "read_path", read_path_json(c.label, &rows));
 }
 
-fn run_compaction(scale: &ExperimentScale, scale_label: &str, json_path: &Option<String>) {
+fn run_compaction(c: &Ctx) {
     println!("== Compaction: per-op virtual latency, structural work inline vs background ==");
-    let rows = compaction(scale);
+    let rows = compaction(&c.scale);
     println!(
         "{:<12}{:>10}{:>12}{:>12}{:>14}{:>10}{:>10}{:>14}{:>14}{:>10}{:>8}",
         "variant",
@@ -502,20 +531,12 @@ fn run_compaction(scale: &ExperimentScale, scale_label: &str, json_path: &Option
             r.ok
         );
     }
-    let path = json_path
-        .clone()
-        .unwrap_or_else(|| "compaction.json".to_string());
-    let json = compaction_json(scale_label, &rows);
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json] {path}"),
-        Err(e) => eprintln!("  [json] could not write {path}: {e}"),
-    }
-    println!();
+    write_json(c, "compaction", compaction_json(c.label, &rows));
 }
 
-fn run_serve(scale: &ExperimentScale, scale_label: &str, json_path: &Option<String>) {
+fn run_serve(c: &Ctx) {
     println!("== Serving: concurrent closed-loop clients over the shard workers ==");
-    let v = serve(scale);
+    let v = serve(&c.scale);
     println!(
         "{:<9}{:<8}{:>10}{:>10}{:>8}{:>12}{:>12}{:>12}{:>12}{:>8}{:>8}{:>8}",
         "clients",
@@ -552,20 +573,12 @@ fn run_serve(scale: &ExperimentScale, scale_label: &str, json_path: &Option<Stri
         "  crash leg: acked={} ok={}   admission leg: rejections={} ok={}   serve_ok={}",
         v.crash_acked, v.crash_ok, v.admission_rejections, v.admission_ok, v.ok
     );
-    let path = json_path
-        .clone()
-        .unwrap_or_else(|| "serve.json".to_string());
-    let json = serve_json(scale_label, &v);
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json] {path}"),
-        Err(e) => eprintln!("  [json] could not write {path}: {e}"),
-    }
-    println!();
+    write_json(c, "serve", serve_json(c.label, &v));
 }
 
-fn run_tuning(scale: &ExperimentScale, scale_label: &str, json_path: &Option<String>) {
+fn run_tuning(c: &Ctx) {
     println!("== Tuning: per-shard vs global Lerp + hot-shard mitigation ==");
-    let v = tuning(scale);
+    let v = tuning(&c.scale);
     println!(
         "{:<10}{:<11}{:<8}{:>10}{:>12}{:>18}{:>10}{:>18}{:>10}",
         "workload",
@@ -612,20 +625,12 @@ fn run_tuning(scale: &ExperimentScale, scale_label: &str, json_path: &Option<Str
         "  parity_ok={} (uniform ratio {:.3})   skew_ok={}   mitigation_ok={}   tuned_ok={}   tuning_ok={}",
         v.parity_ok, v.uniform_ratio, v.skew_ok, v.mitigation_ok, v.tuned_ok, v.ok
     );
-    let path = json_path
-        .clone()
-        .unwrap_or_else(|| "tuning.json".to_string());
-    let json = tuning_json(scale_label, &v);
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json] {path}"),
-        Err(e) => eprintln!("  [json] could not write {path}: {e}"),
-    }
-    println!();
+    write_json(c, "tuning", tuning_json(c.label, &v));
 }
 
-fn run_bruteforce(scale: &ExperimentScale) {
+fn run_bruteforce(c: &Ctx) {
     println!("== Brute-force learning comparison (write-heavy workload) ==");
-    for r in bruteforce(scale) {
+    for r in bruteforce(&c.scale) {
         println!(
             "  {:<36} converged: {:<5} at mission {:<8} tail latency {:.4} ms/op, model time {:.3}s",
             r.method,
@@ -640,7 +645,8 @@ fn run_bruteforce(scale: &ExperimentScale) {
 
 /// Development aid: runs RusKey alone on one static workload, printing the
 /// policy trace and latency every 10 missions. Not part of the paper.
-fn run_lab(scale: &ExperimentScale) {
+fn run_lab(c: &Ctx) {
+    let scale = &c.scale;
     use ruskey::lerp::{Lerp, LerpConfig, PropagationScheme};
     use ruskey::runner::run_static;
     use ruskey_workload::OpMix;
@@ -669,121 +675,21 @@ fn run_lab(scale: &ExperimentScale) {
 }
 
 fn main() {
-    let args = parse_args();
-    let scale = &args.scale;
-    let csv = &args.csv_dir;
+    let (experiment, mut ctx) = parse_args();
     println!(
         "RusKey reproduction harness | load={} entries, mission={} ops, missions={}\n",
-        scale.load_entries, scale.mission_size, scale.missions
+        ctx.scale.load_entries, ctx.scale.mission_size, ctx.scale.missions
     );
     let t0 = std::time::Instant::now();
-    let want = |name: &str| args.experiment == name || args.experiment == "all";
-
-    if want("table2") {
-        run_table2(scale);
-    }
-    if want("fig6") {
-        run_comparisons("fig6_static_uniform", &fig6(scale), csv);
-    }
-    if want("fig7") || want("table3") {
-        run_fig7_table3(scale, csv);
-    }
-    if want("fig8") {
-        run_comparisons("fig8_static_monkey", &fig8(scale), csv);
-    }
-    if want("fig9") {
-        run_fig9(scale);
-    }
-    if want("fig10") {
-        run_fig10(scale, csv);
-    }
-    if want("fig11") {
-        run_comparisons("fig11_ycsb", &fig11_abc(scale), csv);
-        let range = fig11_range(scale);
-        run_comparisons("fig11d_range", std::slice::from_ref(&range), csv);
-    }
-    if want("fig12") {
-        run_fig12(scale, csv);
-    }
-    if want("fig13") {
-        run_fig13(scale);
-    }
-    if want("bruteforce") {
-        run_bruteforce(scale);
-    }
-    if want("shard_scaling")
-        || want("durability")
-        || want("persistence")
-        || want("read_path")
-        || want("compaction")
-        || want("serve")
-        || want("tuning")
-    {
-        let label = match scale.load_entries {
-            n if n >= 200_000 => "full",
-            n if n <= 2_000 => "tiny",
-            _ => "small",
-        };
-        if want("shard_scaling") {
-            run_shard_scaling(scale, label, &args.json_path);
+    let json_path = ctx.json_path.take();
+    for &(name, in_all, run) in EXPERIMENTS {
+        if experiment == name || (experiment == "all" && in_all) {
+            // Under `all` one path cannot serve seven documents: it goes
+            // to `shard_scaling`, the rest use their default file names.
+            let named = experiment == name || name == "shard_scaling";
+            ctx.json_path = json_path.clone().filter(|_| named);
+            run(&ctx);
         }
-        if want("durability") {
-            // Under `all` the shard-scaling run already claimed --json;
-            // durability falls back to its default file name instead of
-            // overwriting that output.
-            let json = if args.experiment == "durability" {
-                &args.json_path
-            } else {
-                &None
-            };
-            run_durability(scale, label, json);
-        }
-        if want("persistence") {
-            let json = if args.experiment == "persistence" {
-                &args.json_path
-            } else {
-                &None
-            };
-            run_persistence(scale, label, json);
-        }
-        if want("read_path") {
-            let json = if args.experiment == "read_path" {
-                &args.json_path
-            } else {
-                &None
-            };
-            run_read_path(scale, label, json);
-        }
-        if want("compaction") {
-            let json = if args.experiment == "compaction" {
-                &args.json_path
-            } else {
-                &None
-            };
-            run_compaction(scale, label, json);
-        }
-        if want("serve") {
-            let json = if args.experiment == "serve" {
-                &args.json_path
-            } else {
-                &None
-            };
-            run_serve(scale, label, json);
-        }
-        if want("tuning") {
-            let json = if args.experiment == "tuning" {
-                &args.json_path
-            } else {
-                &None
-            };
-            run_tuning(scale, label, json);
-        }
-    }
-    if args.experiment == "ablations" {
-        run_ablations(scale);
-    }
-    if args.experiment == "lab" {
-        run_lab(scale);
     }
     println!("done in {:.1}s", t0.elapsed().as_secs_f64());
 }

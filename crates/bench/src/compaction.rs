@@ -8,9 +8,10 @@
 //!   full level cascades) inside the `put` that tripped it, so the
 //!   structural spike lands on that operation's latency;
 //! * **background**: `background_maintenance` enabled — flushes and
-//!   compactions run as bounded [`FlsmTree::maintain`] steps at mission
-//!   boundaries (every [`BOUNDARY_OPS`] operations), off every
-//!   operation's path, exactly as the shard workers interleave them.
+//!   compactions run as the tree's bounded boundary grant
+//!   ([`FlsmTree::maintain_boundary`]) at mission boundaries (every
+//!   [`BOUNDARY_OPS`] operations), off every operation's path, exactly
+//!   as the shard workers interleave them.
 //!
 //! Every operation's latency is read off the tree's virtual clock, so
 //! the comparison is deterministic and device-model-exact. Both variants
@@ -32,9 +33,6 @@ use ruskey_workload::encode_key;
 /// Operations between maintenance boundaries in the background variant —
 /// the bench's stand-in for the shard workers' per-mission lane.
 const BOUNDARY_OPS: u64 = 32;
-
-/// Maintenance steps granted per boundary (matches the shard workers).
-const BOUNDARY_STEPS: u64 = 4;
 
 /// One variant's measurement.
 #[derive(Debug, Clone)]
@@ -125,7 +123,7 @@ fn run_variant(
         if background && (i + 1) % BOUNDARY_OPS == 0 {
             // The mission boundary: deferred structural work runs here,
             // outside every timed operation above.
-            tree.maintain(BOUNDARY_STEPS);
+            tree.maintain_boundary();
             if tree.has_pending_compaction() {
                 // Reads racing the in-flight merge must already agree.
                 let probe = key((i + 1).wrapping_mul(7919));

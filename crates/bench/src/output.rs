@@ -77,42 +77,137 @@ pub fn ranking_table(t: &RankingTable, session_labels: &[&str]) -> String {
     out
 }
 
-/// Renders the shard-scaling experiment as a machine-readable JSON
-/// document (hand-rolled — the workspace carries no serde), the anchor of
-/// the repo's performance trajectory across PRs. Each row reports both
-/// virtual-time compositions explicitly: `virtual_wall_ns_per_op` (max
-/// over shard time domains per mission) and `virtual_busy_ns_per_op`
-/// (sum over shard time domains — total device work).
-pub fn shard_scaling_json(scale_label: &str, rows: &[ShardScalingRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"shard_scaling\",\n");
-    out.push_str(&format!("  \"scale\": \"{}\",\n", json_escape(scale_label)));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"shards\": {}, \"missions\": {}, \"ops_total\": {}, \
-             \"wall_s\": {:.6}, \
-             \"kops_per_s\": {:.3}, \"virtual_wall_ns_per_op\": {:.1}, \
-             \"virtual_busy_ns_per_op\": {:.1}, \"real_us_per_mission\": {:.1}, \
-             \"real_get_ns_per_op\": {:.1}, \"cache_hit_ratio\": {:.4}, \
-             \"parallelism\": {}}}{}\n",
-            r.backend,
-            r.shards,
-            r.missions,
-            r.ops_total,
-            r.wall_s,
-            r.kops_per_s,
-            r.virtual_wall_ns_per_op,
-            r.virtual_busy_ns_per_op,
-            r.real_us_per_mission,
-            r.real_get_ns_per_op,
-            r.cache_hit_ratio,
-            r.parallelism,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
+/// A JSON value, as far as the experiment documents need one
+/// (hand-rolled — the workspace carries no serde). Every `*_json`
+/// renderer below builds these and [`experiment_json`] writes them.
+enum Json {
+    Str(String),
+    Int(u64),
+    Bool(bool),
+    /// A float printed with a fixed number of decimals.
+    Float(f64, usize),
+    Array(Vec<Json>),
+    Object(Vec<(&'static str, Json)>),
+}
+
+use Json::{Array, Bool, Float, Object};
+
+/// Any unsigned count (`usize`, `u64`, `u32`) as a JSON integer.
+fn int<T: TryInto<u64>>(n: T) -> Json {
+    Json::Int(n.try_into().ok().expect("counts fit in u64"))
+}
+
+fn string(s: &str) -> Json {
+    Json::Str(s.to_string())
+}
+
+/// Writes `n` comma-separated items between `open` and `close`.
+fn list(
+    out: &mut String,
+    open: char,
+    close: char,
+    n: usize,
+    mut item: impl FnMut(usize, &mut String),
+) {
+    out.push(open);
+    for i in 0..n {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        item(i, out);
     }
-    out.push_str("  ]\n}\n");
+    out.push(close);
+}
+
+impl Json {
+    /// Writes the value on one line: `"key": value` members and array
+    /// items separated by `, `.
+    fn inline(&self, out: &mut String) {
+        match self {
+            Json::Str(s) => {
+                out.push('"');
+                for c in s.chars() {
+                    match c {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        '\n' => out.push_str("\\n"),
+                        c => out.push(c),
+                    }
+                }
+                out.push('"');
+            }
+            Json::Int(n) => out.push_str(&n.to_string()),
+            Bool(b) => out.push_str(&b.to_string()),
+            Float(v, decimals) => out.push_str(&format!("{v:.decimals$}")),
+            Array(items) => list(out, '[', ']', items.len(), |i, out| items[i].inline(out)),
+            Object(members) => list(out, '{', '}', members.len(), |i, out| {
+                out.push_str(&format!("\"{}\": ", members[i].0));
+                members[i].1.inline(out);
+            }),
+        }
+    }
+}
+
+/// Writes an experiment document: the envelope every experiment shares
+/// (`experiment`, `scale`), then its own verdicts and row arrays — one
+/// top-level member per line, an array member one row per line,
+/// everything below inline.
+fn experiment_json(
+    experiment: &str,
+    scale_label: &str,
+    members: Vec<(&'static str, Json)>,
+) -> String {
+    let mut doc = vec![
+        ("experiment", string(experiment)),
+        ("scale", string(scale_label)),
+    ];
+    doc.extend(members);
+    let mut out = String::from("{\n");
+    for (m, (key, value)) in doc.iter().enumerate() {
+        out.push_str(&format!("  \"{key}\": "));
+        match value {
+            Array(rows) => {
+                out.push_str("[\n");
+                for (i, row) in rows.iter().enumerate() {
+                    out.push_str("    ");
+                    row.inline(&mut out);
+                    out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+                }
+                out.push_str("  ]");
+            }
+            scalar => scalar.inline(&mut out),
+        }
+        out.push_str(if m + 1 < doc.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("}\n");
     out
+}
+
+/// Renders the shard-scaling experiment as a machine-readable JSON
+/// document, the anchor of the repo's performance trajectory across PRs.
+/// Each row reports both virtual-time compositions explicitly:
+/// `virtual_wall_ns_per_op` (max over shard time domains per mission)
+/// and `virtual_busy_ns_per_op` (sum over shard time domains — total
+/// device work).
+pub fn shard_scaling_json(scale_label: &str, rows: &[ShardScalingRow]) -> String {
+    let row = |r: &ShardScalingRow| {
+        Object(vec![
+            ("backend", string(r.backend)),
+            ("shards", int(r.shards)),
+            ("missions", int(r.missions)),
+            ("ops_total", int(r.ops_total)),
+            ("wall_s", Float(r.wall_s, 6)),
+            ("kops_per_s", Float(r.kops_per_s, 3)),
+            ("virtual_wall_ns_per_op", Float(r.virtual_wall_ns_per_op, 1)),
+            ("virtual_busy_ns_per_op", Float(r.virtual_busy_ns_per_op, 1)),
+            ("real_us_per_mission", Float(r.real_us_per_mission, 1)),
+            ("real_get_ns_per_op", Float(r.real_get_ns_per_op, 1)),
+            ("cache_hit_ratio", Float(r.cache_hit_ratio, 4)),
+            ("parallelism", int(r.parallelism)),
+        ])
+    };
+    let rows = Array(rows.iter().map(row).collect());
+    experiment_json("shard_scaling", scale_label, vec![("rows", rows)])
 }
 
 /// Renders the read-path experiment as machine-readable JSON. Each row
@@ -125,56 +220,36 @@ pub fn shard_scaling_json(scale_label: &str, rows: &[ShardScalingRow]) -> String
 /// reads for out-of-bounds keys). `speedup_hot_vs_uncached` is the
 /// cached variant's hot-phase advantage over the bare `FileDisk` path.
 pub fn read_path_json(scale_label: &str, rows: &[ReadPathRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"read_path\",\n");
-    out.push_str(&format!("  \"scale\": \"{}\",\n", json_escape(scale_label)));
-    out.push_str(&format!(
-        "  \"read_path_ok\": {},\n",
-        rows.iter().all(|r| r.ok)
-    ));
-    let cached_hot = rows
-        .iter()
-        .find(|r| r.variant == "cached")
-        .map(|r| r.hot_ns_per_op);
-    let uncached_hot = rows
-        .iter()
-        .find(|r| r.variant == "uncached")
-        .map(|r| r.hot_ns_per_op);
-    if let (Some(c), Some(u)) = (cached_hot, uncached_hot) {
-        out.push_str(&format!(
-            "  \"speedup_hot_vs_uncached\": {:.2},\n",
-            if c > 0.0 { u / c } else { 0.0 }
-        ));
+    let mut doc = vec![("read_path_ok", Bool(rows.iter().all(|r| r.ok)))];
+    let hot = |variant: &str| {
+        let row = rows.iter().find(|r| r.variant == variant);
+        row.map(|r| r.hot_ns_per_op)
+    };
+    if let (Some(c), Some(u)) = (hot("cached"), hot("uncached")) {
+        let speedup = if c > 0.0 { u / c } else { 0.0 };
+        doc.push(("speedup_hot_vs_uncached", Float(speedup, 2)));
     }
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"variant\": \"{}\", \"entries\": {}, \"ops_per_phase\": {}, \
-             \"hot_ns_per_op\": {:.1}, \"cold_ns_per_op\": {:.1}, \
-             \"missing_ns_per_op\": {:.1}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"cache_hit_ratio\": {:.4}, \"fds_opened\": {}, \"buffer_grows\": {}, \
-             \"hot_device_reads\": {}, \"missing_device_reads\": {}, \
-             \"missing_probes\": {}, \"ok\": {}}}{}\n",
-            r.variant,
-            r.entries,
-            r.ops_per_phase,
-            r.hot_ns_per_op,
-            r.cold_ns_per_op,
-            r.missing_ns_per_op,
-            r.cache_hits,
-            r.cache_misses,
-            r.cache_hit_ratio,
-            r.fds_opened,
-            r.buffer_grows,
-            r.hot_device_reads,
-            r.missing_device_reads,
-            r.missing_probes,
-            r.ok,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let row = |r: &ReadPathRow| {
+        Object(vec![
+            ("variant", string(r.variant)),
+            ("entries", int(r.entries)),
+            ("ops_per_phase", int(r.ops_per_phase)),
+            ("hot_ns_per_op", Float(r.hot_ns_per_op, 1)),
+            ("cold_ns_per_op", Float(r.cold_ns_per_op, 1)),
+            ("missing_ns_per_op", Float(r.missing_ns_per_op, 1)),
+            ("cache_hits", int(r.cache_hits)),
+            ("cache_misses", int(r.cache_misses)),
+            ("cache_hit_ratio", Float(r.cache_hit_ratio, 4)),
+            ("fds_opened", int(r.fds_opened)),
+            ("buffer_grows", int(r.buffer_grows)),
+            ("hot_device_reads", int(r.hot_device_reads)),
+            ("missing_device_reads", int(r.missing_device_reads)),
+            ("missing_probes", int(r.missing_probes)),
+            ("ok", Bool(r.ok)),
+        ])
+    };
+    doc.push(("rows", Array(rows.iter().map(row).collect())));
+    experiment_json("read_path", scale_label, doc)
 }
 
 /// Renders the background-compaction experiment as machine-readable
@@ -189,49 +264,32 @@ pub fn read_path_json(scale_label: &str, rows: &[ReadPathRow]) -> String {
 /// row's — the tail-latency win of moving structural work off the hot
 /// path.
 pub fn compaction_json(scale_label: &str, rows: &[CompactionRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"compaction\",\n");
-    out.push_str(&format!("  \"scale\": \"{}\",\n", json_escape(scale_label)));
-    out.push_str(&format!(
-        "  \"compaction_ok\": {},\n",
-        rows.iter().all(|r| r.ok)
-    ));
-    let inline_p99 = rows
-        .iter()
-        .find(|r| r.variant == "inline")
-        .map(|r| r.p99_ns);
-    let bg_p99 = rows
-        .iter()
-        .find(|r| r.variant == "background")
-        .map(|r| r.p99_ns);
-    if let (Some(i), Some(b)) = (inline_p99, bg_p99) {
-        out.push_str(&format!(
-            "  \"p99_speedup_vs_inline\": {:.2},\n",
-            if b > 0 { i as f64 / b as f64 } else { 0.0 }
-        ));
+    let mut doc = vec![("compaction_ok", Bool(rows.iter().all(|r| r.ok)))];
+    let p99 = |variant: &str| {
+        let row = rows.iter().find(|r| r.variant == variant);
+        row.map(|r| r.p99_ns)
+    };
+    if let (Some(i), Some(b)) = (p99("inline"), p99("background")) {
+        let speedup = if b > 0 { i as f64 / b as f64 } else { 0.0 };
+        doc.push(("p99_speedup_vs_inline", Float(speedup, 2)));
     }
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"variant\": \"{}\", \"ops\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"max_ns\": {}, \"flushes\": {}, \"bg_compactions\": {}, \"stall_ns\": {}, \
-             \"pending_compaction_bytes\": {}, \"equivalence_checks\": {}, \"ok\": {}}}{}\n",
-            r.variant,
-            r.ops,
-            r.p50_ns,
-            r.p99_ns,
-            r.max_ns,
-            r.flushes,
-            r.bg_compactions,
-            r.stall_ns,
-            r.pending_compaction_bytes,
-            r.equivalence_checks,
-            r.ok,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let row = |r: &CompactionRow| {
+        Object(vec![
+            ("variant", string(r.variant)),
+            ("ops", int(r.ops)),
+            ("p50_ns", int(r.p50_ns)),
+            ("p99_ns", int(r.p99_ns)),
+            ("max_ns", int(r.max_ns)),
+            ("flushes", int(r.flushes)),
+            ("bg_compactions", int(r.bg_compactions)),
+            ("stall_ns", int(r.stall_ns)),
+            ("pending_compaction_bytes", int(r.pending_compaction_bytes)),
+            ("equivalence_checks", int(r.equivalence_checks)),
+            ("ok", Bool(r.ok)),
+        ])
+    };
+    doc.push(("rows", Array(rows.iter().map(row).collect())));
+    experiment_json("compaction", scale_label, doc)
 }
 
 /// Renders the durability experiment as machine-readable JSON. Each row
@@ -244,44 +302,34 @@ pub fn compaction_json(scale_label: &str, rows: &[CompactionRow]) -> String {
 /// its own: every row's `commit_ns_per_mission` (max over concurrent
 /// legs) stayed ≤ `commit_busy_ns_per_mission` (the sequential sum).
 pub fn durability_json(scale_label: &str, rows: &[DurabilityRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"durability\",\n");
-    out.push_str(&format!("  \"scale\": \"{}\",\n", json_escape(scale_label)));
-    out.push_str(&format!(
-        "  \"durability_ok\": {},\n",
-        rows.iter().all(|r| r.ok)
-    ));
-    out.push_str(&format!(
-        "  \"overlap_ok\": {},\n",
-        rows.iter()
-            .all(|r| r.commit_ns_per_mission <= r.commit_busy_ns_per_mission + 1e-9)
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"missions\": {}, \"ops_total\": {}, \
-             \"acknowledged_ops\": {}, \"synced_ops\": {}, \"wal_appends\": {}, \
-             \"wal_syncs\": {}, \"mean_batch\": {:.2}, \
-             \"commit_ns_per_mission\": {:.1}, \
-             \"commit_busy_ns_per_mission\": {:.1}, \"recovered_records\": {}, \
-             \"ok\": {}}}{}\n",
-            r.shards,
-            r.missions,
-            r.ops_total,
-            r.acknowledged_ops,
-            r.synced_ops,
-            r.wal_appends,
-            r.wal_syncs,
-            r.mean_batch,
-            r.commit_ns_per_mission,
-            r.commit_busy_ns_per_mission,
-            r.recovered_records,
-            r.ok,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let overlap_ok = rows
+        .iter()
+        .all(|r| r.commit_ns_per_mission <= r.commit_busy_ns_per_mission + 1e-9);
+    let row = |r: &DurabilityRow| {
+        Object(vec![
+            ("shards", int(r.shards)),
+            ("missions", int(r.missions)),
+            ("ops_total", int(r.ops_total)),
+            ("acknowledged_ops", int(r.acknowledged_ops)),
+            ("synced_ops", int(r.synced_ops)),
+            ("wal_appends", int(r.wal_appends)),
+            ("wal_syncs", int(r.wal_syncs)),
+            ("mean_batch", Float(r.mean_batch, 2)),
+            ("commit_ns_per_mission", Float(r.commit_ns_per_mission, 1)),
+            (
+                "commit_busy_ns_per_mission",
+                Float(r.commit_busy_ns_per_mission, 1),
+            ),
+            ("recovered_records", int(r.recovered_records)),
+            ("ok", Bool(r.ok)),
+        ])
+    };
+    let doc = vec![
+        ("durability_ok", Bool(rows.iter().all(|r| r.ok))),
+        ("overlap_ok", Bool(overlap_ok)),
+        ("rows", Array(rows.iter().map(row).collect())),
+    ];
+    experiment_json("durability", scale_label, doc)
 }
 
 /// Renders the persistence experiment as machine-readable JSON. Each row
@@ -296,42 +344,29 @@ pub fn durability_json(scale_label: &str, rows: &[DurabilityRow]) -> String {
 /// recovered to exactly the acknowledged state with the torn orphan
 /// swept — which CI greps alongside.
 pub fn persistence_json(scale_label: &str, rows: &[PersistenceRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"persistence\",\n");
-    out.push_str(&format!("  \"scale\": \"{}\",\n", json_escape(scale_label)));
-    out.push_str(&format!(
-        "  \"persistence_ok\": {},\n",
-        rows.iter().all(|r| r.ok)
-    ));
-    out.push_str(&format!(
-        "  \"power_failure_ok\": {},\n",
-        rows.iter().all(|r| r.power_ok)
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"missions\": {}, \"ops_total\": {}, \"flushes\": {}, \
-             \"manifest_edits\": {}, \"runs_recovered\": {}, \"replayed_tail\": {}, \
-             \"checked_keys\": {}, \"ok\": {}, \"extent_syncs\": {}, \"dir_syncs\": {}, \
-             \"orphans_collected\": {}, \"power_ok\": {}}}{}\n",
-            r.shards,
-            r.missions,
-            r.ops_total,
-            r.flushes,
-            r.manifest_edits,
-            r.runs_recovered,
-            r.replayed_tail,
-            r.checked_keys,
-            r.ok,
-            r.extent_syncs,
-            r.dir_syncs,
-            r.orphans_collected,
-            r.power_ok,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let row = |r: &PersistenceRow| {
+        Object(vec![
+            ("shards", int(r.shards)),
+            ("missions", int(r.missions)),
+            ("ops_total", int(r.ops_total)),
+            ("flushes", int(r.flushes)),
+            ("manifest_edits", int(r.manifest_edits)),
+            ("runs_recovered", int(r.runs_recovered)),
+            ("replayed_tail", int(r.replayed_tail)),
+            ("checked_keys", int(r.checked_keys)),
+            ("ok", Bool(r.ok)),
+            ("extent_syncs", int(r.extent_syncs)),
+            ("dir_syncs", int(r.dir_syncs)),
+            ("orphans_collected", int(r.orphans_collected)),
+            ("power_ok", Bool(r.power_ok)),
+        ])
+    };
+    let doc = vec![
+        ("persistence_ok", Bool(rows.iter().all(|r| r.ok))),
+        ("power_failure_ok", Bool(rows.iter().all(|r| r.power_ok))),
+        ("rows", Array(rows.iter().map(row).collect())),
+    ];
+    experiment_json("persistence", scale_label, doc)
 }
 
 /// Renders the concurrent-serving experiment as machine-readable JSON.
@@ -344,46 +379,35 @@ pub fn persistence_json(scale_label: &str, rows: &[PersistenceRow]) -> String {
 /// as a smoke check. `crash_ok` and `admission_ok` are also reported on
 /// their own.
 pub fn serve_json(scale_label: &str, v: &ServeVerdict) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"serve\",\n");
-    out.push_str(&format!("  \"scale\": \"{}\",\n", json_escape(scale_label)));
-    out.push_str(&format!("  \"serve_ok\": {},\n", v.ok));
-    out.push_str(&format!("  \"crash_ok\": {},\n", v.crash_ok));
-    out.push_str(&format!("  \"crash_acked\": {},\n", v.crash_acked));
-    out.push_str(&format!("  \"admission_ok\": {},\n", v.admission_ok));
-    out.push_str(&format!(
-        "  \"admission_rejections\": {},\n",
-        v.admission_rejections
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in v.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"clients\": {}, \"shards\": {}, \"ops_total\": {}, \
-             \"acked_writes\": {}, \"stalls\": {}, \"throughput_kops\": {:.3}, \
-             \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}, \
-             \"mean_batch\": {:.2}, \"ryw_checks\": {}, \"ryw_violations\": {}, \
-             \"final_mismatches\": {}, \"client_errors\": {}, \"ok\": {}}}{}\n",
-            r.clients,
-            r.shards,
-            r.ops_total,
-            r.acked_writes,
-            r.stalls,
-            r.throughput_kops,
-            r.p50_ns,
-            r.p99_ns,
-            r.p999_ns,
-            r.max_ns,
-            r.mean_batch,
-            r.ryw_checks,
-            r.ryw_violations,
-            r.final_mismatches,
-            r.client_errors,
-            r.ok,
-            if i + 1 < v.rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let row = |r: &crate::serve::ServeRow| {
+        Object(vec![
+            ("clients", int(r.clients)),
+            ("shards", int(r.shards)),
+            ("ops_total", int(r.ops_total)),
+            ("acked_writes", int(r.acked_writes)),
+            ("stalls", int(r.stalls)),
+            ("throughput_kops", Float(r.throughput_kops, 3)),
+            ("p50_ns", int(r.p50_ns)),
+            ("p99_ns", int(r.p99_ns)),
+            ("p999_ns", int(r.p999_ns)),
+            ("max_ns", int(r.max_ns)),
+            ("mean_batch", Float(r.mean_batch, 2)),
+            ("ryw_checks", int(r.ryw_checks)),
+            ("ryw_violations", int(r.ryw_violations)),
+            ("final_mismatches", int(r.final_mismatches)),
+            ("client_errors", int(r.client_errors)),
+            ("ok", Bool(r.ok)),
+        ])
+    };
+    let doc = vec![
+        ("serve_ok", Bool(v.ok)),
+        ("crash_ok", Bool(v.crash_ok)),
+        ("crash_acked", int(v.crash_acked)),
+        ("admission_ok", Bool(v.admission_ok)),
+        ("admission_rejections", int(v.admission_rejections)),
+        ("rows", Array(v.rows.iter().map(row).collect())),
+    ];
+    experiment_json("serve", scale_label, doc)
 }
 
 /// Renders the per-shard-tuning experiment as machine-readable JSON.
@@ -395,64 +419,46 @@ pub fn serve_json(scale_label: &str, v: &ServeVerdict) -> String {
 /// `mitigation_ok`, `tuned_ok` — conjoin into the top-level
 /// `tuning_ok` flag CI greps as a smoke check.
 pub fn tuning_json(scale_label: &str, v: &TuningVerdict) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"tuning\",\n");
-    out.push_str(&format!("  \"scale\": \"{}\",\n", json_escape(scale_label)));
-    out.push_str(&format!("  \"tuning_ok\": {},\n", v.ok));
-    out.push_str(&format!("  \"parity_ok\": {},\n", v.parity_ok));
-    out.push_str(&format!("  \"skew_ok\": {},\n", v.skew_ok));
-    out.push_str(&format!("  \"mitigation_ok\": {},\n", v.mitigation_ok));
-    out.push_str(&format!("  \"tuned_ok\": {},\n", v.tuned_ok));
-    out.push_str(&format!("  \"uniform_ratio\": {:.4},\n", v.uniform_ratio));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in v.rows.iter().enumerate() {
-        let k1: Vec<String> = r.final_k1.iter().map(|k| k.to_string()).collect();
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"strategy\": \"{}\", \"shards\": {}, \
-             \"missions\": {}, \"ops_total\": {}, \"tail_ns_per_op\": {:.1}, \
-             \"tuned_missions\": {}, \"final_k1\": [{}], \
-             \"distinct_policies\": {}}}{}\n",
-            r.workload,
-            r.strategy,
-            r.shards,
-            r.missions,
-            r.ops_total,
-            r.tail_ns_per_op,
-            r.tuned_missions,
-            k1.join(", "),
-            r.distinct_policies,
-            if i + 1 < v.rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"mitigation\": [\n");
-    for (i, r) in v.mitigation.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"balanced\": {}, \"mean_imbalance\": {:.4}, \
-             \"peak_imbalance\": {:.4}, \"final_imbalance\": {:.4}, \
-             \"rebalances\": {}, \"rehomed_keys\": {}}}{}\n",
-            r.balanced,
-            r.mean_imbalance,
-            r.peak_imbalance,
-            r.final_imbalance,
-            r.rebalances,
-            r.rehomed_keys,
-            if i + 1 < v.mitigation.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+    let row = |r: &crate::tuning::TuningRow| {
+        Object(vec![
+            ("workload", string(r.workload)),
+            ("strategy", string(r.strategy)),
+            ("shards", int(r.shards)),
+            ("missions", int(r.missions)),
+            ("ops_total", int(r.ops_total)),
+            ("tail_ns_per_op", Float(r.tail_ns_per_op, 1)),
+            ("tuned_missions", int(r.tuned_missions)),
+            (
+                "final_k1",
+                Array(r.final_k1.iter().map(|&k| int(k)).collect()),
+            ),
+            ("distinct_policies", int(r.distinct_policies)),
+        ])
+    };
+    let mitigation = |r: &crate::tuning::MitigationRow| {
+        Object(vec![
+            ("balanced", Bool(r.balanced)),
+            ("mean_imbalance", Float(r.mean_imbalance, 4)),
+            ("peak_imbalance", Float(r.peak_imbalance, 4)),
+            ("final_imbalance", Float(r.final_imbalance, 4)),
+            ("rebalances", int(r.rebalances)),
+            ("rehomed_keys", int(r.rehomed_keys)),
+        ])
+    };
+    let doc = vec![
+        ("tuning_ok", Bool(v.ok)),
+        ("parity_ok", Bool(v.parity_ok)),
+        ("skew_ok", Bool(v.skew_ok)),
+        ("mitigation_ok", Bool(v.mitigation_ok)),
+        ("tuned_ok", Bool(v.tuned_ok)),
+        ("uniform_ratio", Float(v.uniform_ratio, 4)),
+        ("rows", Array(v.rows.iter().map(row).collect())),
+        (
+            "mitigation",
+            Array(v.mitigation.iter().map(mitigation).collect()),
+        ),
+    ];
+    experiment_json("tuning", scale_label, doc)
 }
 
 /// Simple aligned two-column table.

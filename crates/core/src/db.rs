@@ -8,7 +8,9 @@ use ruskey_lsm::{BloomScheme, ConfigError, FlsmTree, LsmConfig, TransitionStrate
 use ruskey_storage::Storage;
 use ruskey_workload::Operation;
 
+use crate::exec::{run_batch, Door};
 use crate::lerp::{Lerp, LerpConfig, PropagationScheme};
+use crate::sharded::MissionError;
 use crate::stats::{MissionReport, StatsCollector};
 use crate::tuner::{NoOpTuner, TreeObservation, Tuner};
 
@@ -57,27 +59,6 @@ pub struct RusKey {
     last_report: Option<MissionReport>,
 }
 
-/// Executes one workload operation against a tree, discarding read
-/// results (mission semantics: reads are performed for their cost, the
-/// caller does not consume their output). Shared by [`RusKey`] and the
-/// per-shard workers of [`crate::sharded::ShardedRusKey`].
-pub(crate) fn execute_op(tree: &mut FlsmTree, op: &Operation) {
-    match op {
-        Operation::Get { key } => {
-            tree.get(key);
-        }
-        Operation::Put { key, value } => {
-            tree.put(key.clone(), value.clone());
-        }
-        Operation::Delete { key } => {
-            tree.delete(key.clone());
-        }
-        Operation::Scan { start, end, limit } => {
-            tree.scan(start, end, *limit);
-        }
-    }
-}
-
 /// Lets a tuner act on a finished mission: runs it on the aggregated
 /// report and observation, applies its `(level, K)` changes through
 /// `apply`, and records the model-update time on the report. Shared by
@@ -114,16 +95,6 @@ impl RusKey {
         })
     }
 
-    /// Creates a store tuned by Lerp, rejecting invalid configurations
-    /// instead of panicking.
-    pub fn try_with_lerp(
-        cfg: RusKeyConfig,
-        storage: Arc<dyn Storage>,
-    ) -> Result<Self, ConfigError> {
-        let lerp = Lerp::new(cfg.lerp.clone());
-        Self::try_with_tuner(cfg, storage, Box::new(lerp))
-    }
-
     /// Creates a store driven by an arbitrary tuner (fixed baselines,
     /// greedy heuristics, …).
     ///
@@ -138,10 +109,10 @@ impl RusKey {
     /// Creates a store tuned by Lerp (the RusKey system of the paper).
     ///
     /// # Panics
-    /// Panics if the configuration is invalid; use
-    /// [`RusKey::try_with_lerp`] for fallible construction.
+    /// Panics if the configuration is invalid.
     pub fn with_lerp(cfg: RusKeyConfig, storage: Arc<dyn Storage>) -> Self {
-        Self::try_with_lerp(cfg, storage).unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"))
+        let lerp = Lerp::new(cfg.lerp.clone());
+        Self::with_tuner(cfg, storage, Box::new(lerp))
     }
 
     /// Creates an untuned store (whatever policies the tree starts with).
@@ -220,40 +191,43 @@ impl RusKey {
 
     /// Snapshot of the tree structure for tuners.
     pub fn observe(&self) -> TreeObservation {
-        let n = self.tree.level_count();
-        TreeObservation {
-            policies: self.tree.policies(),
-            fills: (0..n).map(|i| self.tree.level_fill(i)).collect(),
-            run_counts: (0..n).map(|i| self.tree.level_run_count(i)).collect(),
-            size_ratio: self.tree.config().size_ratio,
-            level_count: n,
-        }
+        TreeObservation::of(&self.tree)
     }
 
     /// Processes one mission: executes the operations, builds the mission
     /// report, lets the tuner act, and applies its policy changes via the
     /// configured transition.
+    ///
+    /// # Panics
+    /// Panics on [`MissionError`] (a WAL I/O failure); use
+    /// [`RusKey::try_run_mission`] for fallible operation.
     pub fn run_mission(&mut self, ops: &[Operation]) -> MissionReport {
+        self.try_run_mission(ops)
+            .unwrap_or_else(|e| panic!("mission failed: {e}"))
+    }
+
+    /// Fallible form of [`RusKey::run_mission`]: a WAL I/O failure in the
+    /// mission-boundary commit surfaces as [`MissionError::Wal`] (shard 0)
+    /// instead of a panic. The mission's operations were applied but are
+    /// not acknowledged, and no report is cut for them.
+    pub fn try_run_mission(&mut self, ops: &[Operation]) -> Result<MissionReport, MissionError> {
         let t0 = Instant::now();
-        for op in ops {
-            execute_op(&mut self.tree, op);
+        // The same path a shard worker runs for its lane (`crate::exec`):
+        // operations, boundary grant, one commit leg. With a WAL attached
+        // (via [`FlsmTree::attach_wal`]) that leg acknowledges the batch
+        // with a single fsync; with one tree the barrier's latency and its
+        // total sync work are the same value.
+        let commit = run_batch(&mut self.tree, ops.iter().cloned(), Door::Lane).commit;
+        if let Some(error) = commit.error {
+            // Rebaseline so a later mission's report does not count this
+            // mission's work twice.
+            self.collector.baseline(self.tree.stats());
+            return Err(MissionError::Wal { shard: 0, error });
         }
-        // Mission boundary is where deferred structural work runs: a few
-        // bounded maintenance steps per batch keep flushes and
-        // compactions off the operations above.
-        if self.tree.config().background_maintenance {
-            self.tree.maintain(4);
-        }
-        // Mission-boundary commit: with a WAL attached (via
-        // [`FlsmTree::attach_wal`]) the batch is acknowledged with a
-        // single fsync, mirroring the sharded store's group-commit
-        // barrier at N = 1 (one shard: barrier latency == total sync
-        // work, so both compositions carry the same value).
-        let (_, commit_ns) = self.tree.commit_wal_timed().expect("WAL commit failed");
         let process_ns = t0.elapsed().as_nanos() as u64;
         let mut report = self.collector.report_mission(self.tree.stats(), process_ns);
-        report.commit_ns = commit_ns;
-        report.commit_busy_ns = commit_ns;
+        report.commit_ns = commit.ns;
+        report.commit_busy_ns = commit.ns;
 
         let obs = self.observe();
         tune_mission(self.tuner.as_mut(), &mut report, &obs, |level, k| {
@@ -262,7 +236,7 @@ impl RusKey {
         report.policies_after = self.tree.policies();
         report.shard_policies_after = vec![self.tree.policies()];
         self.last_report = Some(report.clone());
-        report
+        Ok(report)
     }
 }
 
@@ -288,13 +262,13 @@ mod tests {
     fn try_constructors_reject_invalid_configs() {
         let mut cfg = small_cfg();
         cfg.lsm.size_ratio = 1;
-        assert!(RusKey::try_with_lerp(cfg.clone(), disk()).is_err());
+        assert!(RusKey::try_with_tuner(cfg.clone(), disk(), Box::new(NoOpTuner)).is_err());
         let err = RusKey::try_with_tuner(cfg, disk(), Box::new(FixedPolicy::moderate()))
             .err()
             .expect("must reject T < 2");
         assert!(err.to_string().contains("size_ratio"));
         // Valid configs still construct.
-        assert!(RusKey::try_with_lerp(small_cfg(), disk()).is_ok());
+        assert!(RusKey::try_with_tuner(small_cfg(), disk(), Box::new(NoOpTuner)).is_ok());
     }
 
     #[test]
@@ -366,6 +340,46 @@ mod tests {
             r.end_to_end_ns < 50 * 1_000_000,
             "bulk load leaked into mission"
         );
+    }
+
+    /// A WAL I/O error at the mission boundary is a typed error, not a
+    /// panic, and the failed mission's work is folded out of the next
+    /// report. `/dev/full` opens fine and fails every write with ENOSPC.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn wal_failure_is_a_typed_error_and_rebaselines() {
+        let mut db = RusKey::untuned(small_cfg(), disk());
+        let wal = ruskey_lsm::Wal::open_with_sync_every("/dev/full", 0).expect("open /dev/full");
+        db.tree_mut().attach_wal(wal);
+        let puts: Vec<Operation> = (0..20u64)
+            .map(|i| Operation::Put {
+                key: ruskey_workload::encode_key(i, 16),
+                value: Bytes::from(vec![7u8; 48]),
+            })
+            .collect();
+        let err = db
+            .try_run_mission(&puts)
+            .expect_err("the commit leg cannot write to /dev/full");
+        assert!(
+            matches!(err, MissionError::Wal { shard: 0, .. }),
+            "unexpected error: {err}"
+        );
+        assert!(db.last_report().is_none(), "no report is cut for a failure");
+        // Swap in a log that works: the next report covers its own mission
+        // only, although the failed mission's puts were applied.
+        let path = std::env::temp_dir().join(format!("ruskey-db-wal-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let wal = ruskey_lsm::Wal::open_with_sync_every(&path, 0).expect("open temp WAL");
+        db.tree_mut().attach_wal(wal);
+        let gets: Vec<Operation> = (0..5u64)
+            .map(|i| Operation::Get {
+                key: ruskey_workload::encode_key(i, 16),
+            })
+            .collect();
+        let r = db.try_run_mission(&gets).expect("healthy log");
+        assert_eq!((r.ops, r.updates), (5, 0), "failed mission leaked in");
+        assert!(db.get(&ruskey_workload::encode_key(3, 16)).is_some());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

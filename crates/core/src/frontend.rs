@@ -9,16 +9,21 @@
 //! 1. block for the first request, then greedily drain up to
 //!    `batch_ops` more without blocking — whatever concurrent clients
 //!    enqueued while the previous batch was executing or committing;
-//! 2. execute the batch (reads reply immediately; FIFO order per shard
-//!    makes read-your-writes per client structural, not probabilistic);
-//! 3. interleave bounded background maintenance
-//!    ([`FlsmTree::maintain`]) between batches, exactly as the mission
-//!    path interleaves it at lane boundaries;
-//! 4. if the batch contained writes, run **one** commit leg
-//!    ([`FlsmTree::commit_wal_timed`]) covering all of them, then send
-//!    the write acknowledgements — ack-after-commit, so an acknowledged
-//!    write is always covered by an fsync (or superseded by a flush)
-//!    before its client unblocks.
+//! 2. run every request's [`Operation`] through `execute` — the same
+//!    executor a mission lane and an ad-hoc call use. A read's result is
+//!    sent back at once (FIFO order per shard makes read-your-writes per
+//!    client structural, not probabilistic); a write's reply is held;
+//! 3. the batch's end is a maintenance boundary:
+//!    [`FlsmTree::maintain_boundary`], the same grant a mission lane
+//!    gets between its operations and its commit;
+//! 4. if the batch contained writes, run **one** `commit_leg` covering
+//!    all of them, then send the held replies — ack-after-commit, so an
+//!    acknowledged write is always covered by an fsync (or superseded by
+//!    a flush) before its client unblocks.
+//!
+//! Steps 2–4 are the one path of `exec`; a served batch is the
+//! door that replies per operation, always grants the boundary, and
+//! commits only when it wrote.
 //!
 //! Step 4 is the cross-client group commit: the ≤ 1-fsync-per-shard-
 //! per-batch bound that mission barriers provide for one caller now
@@ -71,8 +76,10 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use ruskey_lsm::FlsmTree;
 use ruskey_workload::routing::RoutingTable;
+use ruskey_workload::Operation;
 
-use crate::sharded::merge_sorted_scans;
+use crate::exec::{commit_leg, execute, OpResult};
+use crate::sharded::{merge_sorted_scans, InFlight};
 
 /// Relaxed is enough everywhere here: every counter is a monotonic
 /// statistic, never a synchronization edge.
@@ -88,9 +95,6 @@ pub struct ServingConfig {
     /// Maximum requests a shard worker drains into one batch (and so the
     /// most writes one commit leg can cover).
     pub batch_ops: usize,
-    /// Background-maintenance steps granted between batches (only with
-    /// `background_maintenance` enabled; mirrors the mission lanes).
-    pub maintain_steps: u64,
     /// Token-bucket refill rate in requests per second across all
     /// clients; 0 disables admission control entirely.
     pub rate_limit_per_sec: u64,
@@ -105,7 +109,6 @@ impl Default for ServingConfig {
         Self {
             queue_depth: 64,
             batch_ops: 64,
-            maintain_steps: 4,
             rate_limit_per_sec: 0,
             burst: 64,
         }
@@ -488,50 +491,24 @@ impl MetricsSnapshot {
 
 /// One request on a shard's serving queue.
 pub(crate) enum ShardRequest {
-    /// Point lookup; replies [`Reply::Value`] immediately.
-    Get {
-        key: Bytes,
+    /// Execute `op` and answer on `reply`: a read as soon as it ran, a
+    /// write after its batch's commit leg.
+    Op {
+        op: Operation,
         reply: mpsc::Sender<Reply>,
-    },
-    /// Insert/overwrite; acknowledged after the batch's commit leg.
-    Put {
-        key: Bytes,
-        value: Bytes,
-        reply: mpsc::Sender<Reply>,
-        enqueued: Instant,
-    },
-    /// Tombstone write; acknowledged after the batch's commit leg.
-    Delete {
-        key: Bytes,
-        reply: mpsc::Sender<Reply>,
-        enqueued: Instant,
-    },
-    /// One shard's leg of a broadcast range scan.
-    Scan {
-        start: Bytes,
-        end: Bytes,
-        limit: usize,
-        reply: mpsc::Sender<Reply>,
+        /// When a write was submitted (its queue wait is attributed to
+        /// the shard); reads carry no clock reading.
+        enqueued: Option<Instant>,
     },
     /// Stop serving after the current batch (sent once per shard by
     /// `finish_serving`).
     Shutdown,
 }
 
-/// A shard worker's reply to one request.
-pub(crate) enum Reply {
-    /// Lookup result.
-    Value(Option<Bytes>),
-    /// Write acknowledged: its batch's commit leg ran and the tree is
-    /// alive — the record is fsync-covered (or flush-superseded).
-    Ack,
-    /// One shard's sorted scan leg.
-    Scan(Vec<(Bytes, Bytes)>),
-    /// The shard's log simulated a crash: the write is unacknowledged.
-    Crashed,
-    /// The shard's WAL hit a real I/O error: the write is unacknowledged.
-    Wal,
-}
+/// A shard worker's answer to one request. `Ok(OpResult::Written)` is an
+/// acknowledgement: the write's batch committed and the tree is alive, so
+/// the record is fsync-covered (or flush-superseded).
+pub(crate) type Reply = Result<OpResult, ServingError>;
 
 /// State shared by every client and shard worker of one serving session.
 pub(crate) struct ServeShared {
@@ -570,111 +547,68 @@ pub(crate) fn serve_shard(
     let m = &shared.metrics;
     let batch_max = shared.cfg.batch_ops.max(1);
     let mut acks: Vec<mpsc::Sender<Reply>> = Vec::new();
-    loop {
+    let mut stop = false;
+    while !stop {
         // Block for the first request; drain greedily after it. The
         // greedy drain is what forms cross-client batches: everything
         // enqueued while the previous batch executed or committed.
         let Ok(first) = rx.recv() else { break };
         let mut batch = Vec::with_capacity(batch_max);
         batch.push(first);
-        while batch.len() < batch_max {
-            match rx.try_recv() {
-                Ok(req) => batch.push(req),
-                Err(_) => break,
-            }
-        }
-        let mut stop = false;
-        let mut writes = 0u64;
+        batch.extend(rx.try_iter().take(batch_max - 1));
         for req in batch {
-            match req {
-                ShardRequest::Get { key, reply } => {
-                    m.queue_depth[shard].fetch_sub(1, RLX);
-                    m.shard_ops[shard].fetch_add(1, RLX);
-                    let _ = reply.send(Reply::Value(tree.get(&key)));
+            let ShardRequest::Op {
+                op,
+                reply,
+                enqueued,
+            } = req
+            else {
+                stop = true;
+                continue;
+            };
+            m.queue_depth[shard].fetch_sub(1, RLX);
+            m.shard_ops[shard].fetch_add(1, RLX);
+            if let Some(enqueued) = enqueued {
+                tree.note_queue_stall_ns(enqueued.elapsed().as_nanos() as u64);
+            }
+            match execute(tree, op) {
+                OpResult::Written => acks.push(reply),
+                read => {
+                    let _ = reply.send(Ok(read));
                 }
-                ShardRequest::Scan {
-                    start,
-                    end,
-                    limit,
-                    reply,
-                } => {
-                    m.queue_depth[shard].fetch_sub(1, RLX);
-                    m.shard_ops[shard].fetch_add(1, RLX);
-                    let _ = reply.send(Reply::Scan(tree.scan(&start, &end, limit)));
-                }
-                ShardRequest::Put {
-                    key,
-                    value,
-                    reply,
-                    enqueued,
-                } => {
-                    m.queue_depth[shard].fetch_sub(1, RLX);
-                    m.shard_ops[shard].fetch_add(1, RLX);
-                    tree.note_queue_stall_ns(enqueued.elapsed().as_nanos() as u64);
-                    tree.put(key, value);
-                    writes += 1;
-                    acks.push(reply);
-                }
-                ShardRequest::Delete {
-                    key,
-                    reply,
-                    enqueued,
-                } => {
-                    m.queue_depth[shard].fetch_sub(1, RLX);
-                    m.shard_ops[shard].fetch_add(1, RLX);
-                    tree.note_queue_stall_ns(enqueued.elapsed().as_nanos() as u64);
-                    tree.delete(key);
-                    writes += 1;
-                    acks.push(reply);
-                }
-                ShardRequest::Shutdown => stop = true,
             }
         }
-        // Deferred structural work runs between batches, off every
-        // request's path — the serving twin of the mission lanes'
-        // boundary maintenance.
-        if tree.config().background_maintenance {
-            tree.maintain(shared.cfg.maintain_steps);
-        }
-        if writes > 0 {
+        tree.maintain_boundary();
+        if !acks.is_empty() {
             // The cross-client group commit: one leg covers every write
             // of the batch; acks only go out after it.
-            let commit = tree.commit_wal_timed();
+            let writes = acks.len() as u64;
+            let leg = commit_leg(tree);
             m.batches.fetch_add(1, RLX);
             m.batch_writes.observe(writes);
-            match commit {
-                Ok((synced, ns)) => {
-                    if synced {
-                        m.commit_ns.observe(ns);
-                    }
-                    if tree.crashed() {
-                        // The log died mid-batch (fault injection): the
-                        // batch is not acknowledged; recovery decides
-                        // what survives. Stop serving a dead shard.
-                        for a in acks.drain(..) {
-                            let _ = a.send(Reply::Crashed);
-                        }
-                        stop = true;
-                    } else {
-                        m.acked_writes.fetch_add(writes, RLX);
-                        for a in acks.drain(..) {
-                            let _ = a.send(Reply::Ack);
-                        }
-                    }
-                }
-                Err(_) => {
-                    for a in acks.drain(..) {
-                        let _ = a.send(Reply::Wal);
-                    }
-                    stop = true;
-                }
+            if leg.synced {
+                m.commit_ns.observe(leg.ns);
             }
-        } else if tree.crashed() {
-            stop = true;
+            // A log that failed with a real I/O error, or died mid-batch
+            // (fault injection), acknowledges nothing; recovery decides
+            // what survives.
+            let (failed, crashed) = (leg.error.is_some(), tree.crashed());
+            if !failed && !crashed {
+                m.acked_writes.fetch_add(writes, RLX);
+            }
+            for ack in acks.drain(..) {
+                let _ = ack.send(if failed {
+                    Err(ServingError::Wal)
+                } else if crashed {
+                    Err(ServingError::Crashed)
+                } else {
+                    Ok(OpResult::Written)
+                });
+            }
+            stop |= failed;
         }
-        if stop {
-            break;
-        }
+        // Stop serving a dead shard.
+        stop |= tree.crashed();
     }
 }
 
@@ -689,13 +623,10 @@ pub(crate) fn serve_shard(
 pub struct ServingFrontend {
     pub(crate) senders: Vec<SyncSender<ShardRequest>>,
     pub(crate) shared: Arc<ServeShared>,
-    /// The workers' tree-return channel, collected by `finish_serving`.
-    /// Wrapped in a mutex only to keep the handle `Sync`; it is read
-    /// exactly once, at session end.
-    pub(crate) done_rx: Mutex<Receiver<crate::sharded::Done>>,
-    /// Shards actually dispatched (always the full shard count today;
-    /// kept explicit so `finish_serving` never over-waits).
-    pub(crate) dispatched: usize,
+    /// The shipped trees, collected by `finish_serving`. Wrapped in a
+    /// mutex only to keep the handle `Sync`; it is taken exactly once,
+    /// at session end.
+    pub(crate) in_flight: Mutex<InFlight>,
 }
 
 impl ServingFrontend {
@@ -740,19 +671,39 @@ impl ServingClient {
         self.id
     }
 
-    fn admit(&self) -> Result<(), ServingError> {
-        match self.shared.bucket.try_take() {
-            Ok(()) => Ok(()),
-            Err(retry_after) => {
-                self.shared.metrics.rejections.fetch_add(1, RLX);
-                self.counters.rejections.fetch_add(1, RLX);
-                Err(ServingError::Rejected { retry_after })
-            }
+    /// Pays the token bucket and counts the request, store-wide and for
+    /// this client. A rejected request is counted only as a rejection.
+    fn admit(&self, op: &Operation) -> Result<(), ServingError> {
+        let (m, c) = (&self.shared.metrics, &self.counters);
+        if let Err(retry_after) = self.shared.bucket.try_take() {
+            m.rejections.fetch_add(1, RLX);
+            c.rejections.fetch_add(1, RLX);
+            return Err(ServingError::Rejected { retry_after });
         }
+        let (all, mine) = match op {
+            Operation::Get { .. } => (&m.gets, &c.gets),
+            Operation::Put { .. } => (&m.puts, &c.puts),
+            Operation::Delete { .. } => (&m.deletes, &c.deletes),
+            Operation::Scan { .. } => (&m.scans, &c.scans),
+        };
+        all.fetch_add(1, RLX);
+        mine.fetch_add(1, RLX);
+        Ok(())
     }
 
-    fn submit(&self, shard: usize, req: ShardRequest) -> Result<(), ServingError> {
+    /// Enqueues one admitted operation on a shard's queue.
+    fn submit(
+        &self,
+        shard: usize,
+        op: Operation,
+        reply: mpsc::Sender<Reply>,
+    ) -> Result<(), ServingError> {
         let m = &self.shared.metrics;
+        let req = ShardRequest::Op {
+            enqueued: op.is_write().then(Instant::now),
+            op,
+            reply,
+        };
         match self.senders[shard].try_send(req) {
             Ok(()) => {}
             Err(TrySendError::Full(req)) => {
@@ -772,77 +723,42 @@ impl ServingClient {
         Ok(())
     }
 
+    /// The shard owning `key` under the session's frozen routing table.
+    fn owner(&self, key: &[u8]) -> usize {
+        self.shared.routes.shard_for(key, self.senders.len())
+    }
+
+    /// One point operation, start to finish: admit, enqueue on the owning
+    /// shard's queue, wait for the reply.
+    fn point(&self, shard: usize, op: Operation) -> Result<OpResult, ServingError> {
+        self.admit(&op)?;
+        let (tx, rx) = mpsc::channel();
+        self.submit(shard, op, tx)?;
+        rx.recv().unwrap_or(Err(ServingError::Stopped))
+    }
+
     /// Point lookup, routed to the owning shard's queue.
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>, ServingError> {
-        self.admit()?;
-        self.shared.metrics.gets.fetch_add(1, RLX);
-        self.counters.gets.fetch_add(1, RLX);
-        let shard = self.shared.routes.shard_for(key, self.senders.len());
-        let (tx, rx) = mpsc::channel();
-        self.submit(
-            shard,
-            ShardRequest::Get {
-                key: Bytes::copy_from_slice(key),
-                reply: tx,
-            },
-        )?;
-        match rx.recv() {
-            Ok(Reply::Value(v)) => Ok(v),
-            Ok(Reply::Crashed) => Err(ServingError::Crashed),
-            Ok(Reply::Wal) => Err(ServingError::Wal),
-            _ => Err(ServingError::Stopped),
-        }
+        let key = Bytes::copy_from_slice(key);
+        self.point(self.owner(&key), Operation::Get { key })
+            .map(OpResult::value)
     }
 
     /// Insert or overwrite. `Ok` means the write is **acknowledged**:
     /// its batch's commit leg ran before the reply (fsync-covered or
     /// flush-superseded), so it survives a crash.
     pub fn put(&self, key: impl Into<Bytes>, value: impl Into<Bytes>) -> Result<(), ServingError> {
-        self.admit()?;
-        self.shared.metrics.puts.fetch_add(1, RLX);
-        self.counters.puts.fetch_add(1, RLX);
-        let key = key.into();
-        let shard = self.shared.routes.shard_for(&key, self.senders.len());
-        let (tx, rx) = mpsc::channel();
-        self.submit(
-            shard,
-            ShardRequest::Put {
-                key,
-                value: value.into(),
-                reply: tx,
-                enqueued: Instant::now(),
-            },
-        )?;
-        self.write_ack(rx)
+        let (key, value) = (key.into(), value.into());
+        self.point(self.owner(&key), Operation::Put { key, value })
+            .map(drop)
     }
 
     /// Deletes a key, with the same acknowledgement contract as
     /// [`ServingClient::put`].
     pub fn delete(&self, key: impl Into<Bytes>) -> Result<(), ServingError> {
-        self.admit()?;
-        self.shared.metrics.deletes.fetch_add(1, RLX);
-        self.counters.deletes.fetch_add(1, RLX);
         let key = key.into();
-        let shard = self.shared.routes.shard_for(&key, self.senders.len());
-        let (tx, rx) = mpsc::channel();
-        self.submit(
-            shard,
-            ShardRequest::Delete {
-                key,
-                reply: tx,
-                enqueued: Instant::now(),
-            },
-        )?;
-        self.write_ack(rx)
-    }
-
-    fn write_ack(&self, rx: mpsc::Receiver<Reply>) -> Result<(), ServingError> {
-        match rx.recv() {
-            Ok(Reply::Ack) => Ok(()),
-            Ok(Reply::Crashed) => Err(ServingError::Crashed),
-            Ok(Reply::Wal) => Err(ServingError::Wal),
-            _ => Err(ServingError::Stopped),
-        }
+        self.point(self.owner(&key), Operation::Delete { key })
+            .map(drop)
     }
 
     /// Range scan over `[start, end)` with a result limit: broadcast to
@@ -855,32 +771,22 @@ impl ServingClient {
         end: &[u8],
         limit: usize,
     ) -> Result<Vec<(Bytes, Bytes)>, ServingError> {
-        self.admit()?;
-        self.shared.metrics.scans.fetch_add(1, RLX);
-        self.counters.scans.fetch_add(1, RLX);
-        let (s, e) = (Bytes::copy_from_slice(start), Bytes::copy_from_slice(end));
+        let op = Operation::Scan {
+            start: Bytes::copy_from_slice(start),
+            end: Bytes::copy_from_slice(end),
+            limit,
+        };
+        self.admit(&op)?;
         let (tx, rx) = mpsc::channel();
         let n = self.senders.len();
         for shard in 0..n {
-            self.submit(
-                shard,
-                ShardRequest::Scan {
-                    start: s.clone(),
-                    end: e.clone(),
-                    limit,
-                    reply: tx.clone(),
-                },
-            )?;
+            self.submit(shard, op.clone(), tx.clone())?;
         }
         drop(tx);
         let mut per_shard = Vec::with_capacity(n);
         for _ in 0..n {
-            match rx.recv() {
-                Ok(Reply::Scan(rows)) => per_shard.push(rows),
-                Ok(Reply::Crashed) => return Err(ServingError::Crashed),
-                Ok(Reply::Wal) => return Err(ServingError::Wal),
-                _ => return Err(ServingError::Stopped),
-            }
+            let leg = rx.recv().unwrap_or(Err(ServingError::Stopped))?;
+            per_shard.push(leg.rows());
         }
         Ok(merge_sorted_scans(per_shard, limit))
     }

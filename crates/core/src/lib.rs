@@ -11,8 +11,8 @@
 //! The engine core is **sharded**: [`sharded::ShardedRusKey`] hash-partitions
 //! the key space onto `N` independent [FLSM-trees](ruskey_lsm::FlsmTree)
 //! (each with its own memtable and levels) sharing one storage device.
-//! Missions execute in parallel — one scoped OS thread per shard, operations
-//! routed by the stable key hash of [`ruskey_workload::routing`]; cross-shard
+//! Missions execute in parallel — one persistent worker thread per shard,
+//! operations routed by the stable key hash of [`ruskey_workload::routing`]; cross-shard
 //! range scans are k-way merged. Tuning stays global and works exactly as in
 //! the paper:
 //!
@@ -31,6 +31,15 @@
 //! over shards, [`stats::MissionReport::end_to_end_ns`]) and the
 //! **device-busy time** (sum over shards,
 //! [`stats::MissionReport::device_busy_ns`]).
+//!
+//! Every way into a shard's tree — a mission lane, the group-commit
+//! barrier, an ad-hoc `get`/`put`/`delete`/`scan`, a batch served by the
+//! [`frontend`], and [`db::RusKey::run_mission`] — runs the same three
+//! calls in the same order: one executor over
+//! [`ruskey_workload::Operation`], the boundary grant the tree owns
+//! ([`ruskey_lsm::FlsmTree::maintain_boundary`]), and the shard's commit
+//! leg. The doors differ only in whether results come home, whether the
+//! batch's end is a boundary, and whether it commits.
 //!
 //! [`db::RusKey`] is the single-tree engine — the `N = 1` case the paper
 //! evaluates — and remains the harness used by all paper experiments. An
@@ -70,6 +79,7 @@
 
 pub mod db;
 pub mod dqn_lerp;
+mod exec;
 pub mod frontend;
 pub mod lerp;
 pub mod runner;

@@ -14,7 +14,7 @@
 //! into one store-wide view, a single [`Tuner`] (Lerp or a baseline)
 //! observes the aggregated [`MissionReport`]/[`TreeObservation`], and
 //! its policy changes fan out to every shard. **Per-shard**
-//! ([`ShardedRusKey::try_with_per_shard_lerp`]): every shard owns its
+//! ([`ShardedRusKey::with_per_shard_lerp`]): every shard owns its
 //! own tuner, fed by that shard's *own* reward slice (its time-domain
 //! delta, not an ops-weighted average that lets idle siblings mask a
 //! saturated shard) and its own observation, with policy changes
@@ -36,20 +36,37 @@
 //! the original is tombstoned, and recovery settles half-finished moves
 //! from the routes file (all three crash states are idempotent).
 //!
-//! ## The worker pool: lifecycle, shutdown, panic policy
+//! ## The worker pool: one job shape, ship and collect
 //!
 //! Each shard owns one worker thread (named `ruskey-shard-<i>`) with a
-//! private job queue, spawned when the store is constructed and alive
-//! until it drops — thread spawn cost is paid once, not once per mission,
-//! and `tests/pool_stress.rs` pins that the same OS threads serve
-//! consecutive missions. Trees move, they are not shared: between
-//! missions every [`FlsmTree`] lives on the store (so the plain KV
-//! interface, introspection, and test harnesses keep direct access);
-//! dispatching a job sends the tree into the shard's worker, and the
-//! reply returns it. Exactly one side owns a tree at any instant, so no
-//! locks guard the hot path. `N = 1` runs through the same pool code
-//! path as any other shard count — there is no inline special case to
-//! drift from the parallel one.
+//! private job queue, spawned when the store is opened and alive until it
+//! drops — thread spawn cost is paid once, not once per mission, and
+//! `tests/pool_stress.rs` pins that the same OS threads serve consecutive
+//! missions. Trees move, they are not shared: between jobs every
+//! [`FlsmTree`] lives on the store (so introspection and test harnesses
+//! keep direct access). Exactly one side owns a tree at any instant, so
+//! no locks guard the hot path, and `N = 1` runs through the same pool
+//! code path as any other shard count.
+//!
+//! A **job** is always the same three things: a shard's tree, the work
+//! to run on it, and the channel that sends the tree home with the
+//! work's outcome. The work is one of two cases — a *batch* of
+//! [`Operation`]s run through the one execution path of `exec`
+//! (execute each, grant the boundary, run the commit leg; the batch's
+//! `Door` says which of the last two apply and whether results come
+//! home), or *serve*, which parks the worker in the serving loop of
+//! [`crate::frontend`] (the same three calls per served batch). The
+//! worker's loop has a single arm that touches a tree.
+//!
+//! The store talks to the pool through one pair of functions. **Ship**
+//! checks liveness, sends each listed shard's tree and work to its
+//! worker, and takes back the tree of any worker that turns out to be
+//! gone. **Collect** waits for the shipped jobs, restores the returned
+//! trees, and classifies failures. A mission is ship + collect of one
+//! lane per shard; the group-commit barrier, of one empty batch per
+//! shard; an ad-hoc call, of a batch of one on the owning shard (or on
+//! every shard, for a scan); `serve` is the ship alone and
+//! `finish_serving` the collect.
 //!
 //! **Shutdown**: dropping the store closes every job queue; each worker's
 //! receive loop ends and the threads are joined (a drop never leaves
@@ -58,13 +75,13 @@
 //! **Panics**: a panicking worker (an engine bug — or the
 //! `inject_worker_panic` test hook) unwinds through its run loop: the
 //! in-flight tree and the shard's queue die with the thread, the dropped
-//! reply channel surfaces as [`MissionError::WorkerPanicked`] on the
-//! mission thread (never a hang), and every later dispatch fails fast
-//! with [`MissionError::WorkerUnavailable`] *before* enqueuing anything —
+//! reply channel surfaces at collect as [`MissionError::WorkerPanicked`]
+//! (never a hang), and every later ship fails fast with
+//! [`MissionError::WorkerUnavailable`] *before* enqueuing anything —
 //! the engine is permanently dead, it does not limp on with a missing
-//! shard. One caveat is inherent to fan-out dispatch: the single dispatch
-//! that *discovers* the death may already have enqueued sibling shards'
-//! jobs, so those lanes execute (and, on a durable store, commit) — a
+//! shard. One caveat is inherent to fan-out: the single ship that
+//! *discovers* the death may already have enqueued sibling shards' jobs,
+//! so those lanes execute (and, on a durable store, commit) — a
 //! partially applied batch, which is why a failed store must be rebuilt
 //! via [`ShardedRusKey::recover`] rather than retried in place.
 //! [`ShardedRusKey::run_mission`] converts these errors into a panic with
@@ -143,21 +160,36 @@
 //! ## Ad-hoc operations and serving
 //!
 //! The plain KV interface (`get`/`put`/`delete`/`scan` between missions)
-//! routes through the same shard workers as mission lanes: each call
-//! ships the owning shard's tree to its worker, executes there, and ad-hoc
-//! *writes* earn periodic boundary maintenance on the worker (every
-//! [`ADHOC_BOUNDARY_OPS`] writes per shard, the same bounded
-//! [`FlsmTree::maintain`] grant a mission lane gets) — so a put-heavy
-//! ad-hoc caller sees the exact backpressure and `stall_ns` attribution
-//! a mission would, and an ad-hoc scan's per-shard charges land in the
-//! shards' own time domains, in parallel, exactly as on the mission
-//! path. For *many concurrent callers*, [`ShardedRusKey::serve`] parks
-//! every shard in a serving loop behind bounded MPSC queues — see
+//! goes through the same door as a mission lane: each call ships the
+//! owning shard's tree to its worker with a batch of one
+//! (`Door::Adhoc`: the result comes home, no commit leg — durability
+//! waits for the next barrier), so its charges land in the shard's own
+//! time domain, and an ad-hoc scan's per-shard legs run in parallel
+//! exactly as on the mission path. Every 32nd ad-hoc *write* per shard
+//! (`ADHOC_BOUNDARY_OPS`) is a boundary — the one place that decides
+//! when an ad-hoc write earns the grant every lane and served batch ends
+//! with. *What* a boundary grants is written once, in the tree
+//! ([`FlsmTree::maintain_boundary`], a no-op with inline maintenance) —
+//! so a put-heavy ad-hoc caller sees the exact backpressure and
+//! `stall_ns` attribution a mission would. For *many concurrent
+//! callers*, [`ShardedRusKey::serve`] ships every tree with the serve
+//! work and parks the shards behind bounded MPSC queues — see
 //! [`crate::frontend`] for the scheduler, admission control, and live
 //! metrics.
+//!
+//! ## Opening a store
+//!
+//! Every public constructor is a thin call into one private opener,
+//! `open(cfg, shards, backend, tuning, recover)`, over the three
+//! backends (volatile: views of one shared device; durable: the same
+//! plus a WAL per shard; persistent: a directory per shard). It
+//! validates once, wipes or checks the previous incarnation, builds each
+//! shard's tree with its logs attached or recovered, and — recovering —
+//! settles the routes file and baselines the collector.
 
 use std::collections::{BinaryHeap, HashSet};
-use std::path::PathBuf;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle, ThreadId};
@@ -169,7 +201,8 @@ use ruskey_storage::{BlockCache, CostModel, FileDisk, ShardStorage, Storage};
 use ruskey_workload::routing::{shard_for_key, BalanceConfig, LoadSketch, RoutingTable};
 use ruskey_workload::Operation;
 
-use crate::db::{execute_op, RusKeyConfig};
+use crate::db::RusKeyConfig;
+use crate::exec::{run_batch, Door, OpResult, Outcome};
 use crate::frontend::{
     self, MetricsSnapshot, ServeShared, ServingConfig, ServingFrontend, ShardRequest,
 };
@@ -260,7 +293,7 @@ impl PersistenceConfig {
 
     /// Builds one shard's storage stack: a [`FileDisk`] over `data`,
     /// served through a [`BlockCache`] when `cache_pages > 0`.
-    fn open_disk(&self, data: &std::path::Path) -> std::io::Result<Arc<dyn Storage>> {
+    fn open_disk(&self, data: &Path) -> std::io::Result<Arc<dyn Storage>> {
         let disk = FileDisk::new(data, self.page_size, self.cost)?;
         Ok(if self.cache_pages > 0 {
             BlockCache::new(disk, self.cache_pages)
@@ -292,23 +325,7 @@ impl PersistenceConfig {
     /// Number of shards the on-disk layout describes (highest `shard-<i>`
     /// directory index + 1), or 0 for a fresh root.
     pub fn shards_described(&self) -> std::io::Result<usize> {
-        let mut described = 0usize;
-        let entries = match std::fs::read_dir(&self.root) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e),
-        };
-        for entry in entries {
-            let name = entry?.file_name();
-            if let Some(idx) = name
-                .to_string_lossy()
-                .strip_prefix("shard-")
-                .and_then(|s| s.parse::<usize>().ok())
-            {
-                described = described.max(idx + 1);
-            }
-        }
-        Ok(described)
+        shards_described(&self.root, "")
     }
 }
 
@@ -468,68 +485,35 @@ struct Balancer {
     sketch: LoadSketch,
 }
 
-/// Ad-hoc writes per shard between boundary maintenance grants on the
-/// worker — the serving/ad-hoc twin of a mission lane's boundary (the
-/// compaction bench pins lane boundaries at the same order of magnitude).
-pub(crate) const ADHOC_BOUNDARY_OPS: u64 = 32;
+/// Ad-hoc writes per shard between boundary grants — the one place that
+/// decides *when* an ad-hoc write is a boundary (a mission lane and a
+/// served batch end in one by construction). What a boundary grants is
+/// the tree's business: [`FlsmTree::maintain_boundary`].
+const ADHOC_BOUNDARY_OPS: u64 = 32;
 
-/// Bounded maintenance steps per boundary grant, identical to the grant a
-/// mission lane gets between its operations and its commit leg.
-const BOUNDARY_MAINTAIN_STEPS: u64 = 4;
-
-/// One ad-hoc operation executed on the owning shard's worker.
-enum AdhocOp {
-    Get(Bytes),
-    Put(Bytes, Bytes),
-    Delete(Bytes),
-    Scan {
-        start: Bytes,
-        end: Bytes,
-        limit: usize,
-    },
-}
-
-/// The payload an ad-hoc job sends home with its tree.
-enum AdhocOut {
-    Value(Option<Bytes>),
-    Written,
-    Scan(Vec<(Bytes, Bytes)>),
-}
-
-/// One unit of work for a shard worker. Every variant that executes
-/// carries the shard's tree in and returns it with the reply — trees are
-/// owned by exactly one side at any instant.
-enum Job {
-    /// Execute a mission lane, then run the shard's group-commit leg
-    /// (fsync overlapped with the sibling shards' legs).
-    Lane {
-        tree: FlsmTree,
-        ops: Vec<Operation>,
-        reply: Sender<Done>,
-    },
-    /// A standalone commit-barrier leg ([`ShardedRusKey::group_commit`]
-    /// outside a mission).
-    Commit { tree: FlsmTree, reply: Sender<Done> },
-    /// One ad-hoc op from the plain KV interface, executed on the shard's
-    /// worker so its charges land in the shard's own time domain and
-    /// (for writes) boundary maintenance interleaves exactly as on the
-    /// mission path. No commit leg: durability still comes from the
-    /// group-commit barrier.
-    Adhoc {
-        tree: FlsmTree,
-        op: AdhocOp,
-        /// Grant boundary maintenance after the op (every
-        /// [`ADHOC_BOUNDARY_OPS`]th write per shard).
-        maintain: bool,
-        reply: Sender<Done>,
-    },
-    /// Park the shard in the serving loop ([`crate::frontend`]): the
-    /// worker drains the session's bounded request queue in batches until
-    /// shutdown, then ships the tree home.
+/// What a job runs on its shard's tree.
+enum Work {
+    /// A batch of operations through the one path of [`crate::exec`]:
+    /// a mission lane, the barrier's empty batch, an ad-hoc batch of one.
+    Batch { ops: Vec<Operation>, door: Door },
+    /// Park in the serving loop ([`crate::frontend`]): drain the
+    /// session's bounded request queue in batches until shutdown.
     Serve {
-        tree: FlsmTree,
         requests: Receiver<ShardRequest>,
         shared: Arc<ServeShared>,
+    },
+}
+
+/// One unit of work for a shard worker: the shard's tree, what to run on
+/// it, and where to send it home. Trees are owned by exactly one side at
+/// any instant.
+// Every real job carries a tree; boxing it to shrink the test hook's
+// variant would add an allocation to each ship.
+#[allow(clippy::large_enum_variant)]
+enum Job {
+    Run {
+        tree: FlsmTree,
+        work: Work,
         reply: Sender<Done>,
     },
     /// Test hook: panic on the worker thread (`tests/pool_stress.rs`
@@ -537,204 +521,85 @@ enum Job {
     Panic,
 }
 
-impl Job {
-    /// Recovers the tree from a job that could not be dispatched (the
-    /// worker's queue is gone).
-    fn into_tree(self) -> Option<FlsmTree> {
-        match self {
-            Job::Lane { tree, .. }
-            | Job::Commit { tree, .. }
-            | Job::Adhoc { tree, .. }
-            | Job::Serve { tree, .. } => Some(tree),
-            Job::Panic => None,
-        }
-    }
-}
-
-/// Outcome of one shard's commit leg.
-#[derive(Debug, Default)]
-struct CommitLeg {
-    /// Whether an fsync was issued (idle shards skip theirs).
-    synced: bool,
-    /// Virtual ns the leg added to the shard's time domain.
-    ns: u64,
-    /// A real I/O failure, surfaced as [`MissionError::Wal`].
-    error: Option<std::io::Error>,
-}
-
 /// A worker's reply: the tree comes home together with what happened.
-/// `pub(crate)` so [`crate::frontend::ServingFrontend`] can hold the
-/// serving session's tree-return channel; the fields stay module-private.
 pub(crate) struct Done {
     shard: usize,
+    worker: ThreadId,
     tree: FlsmTree,
-    worker: ThreadId,
-    commit: CommitLeg,
-    /// An ad-hoc job's result payload ([`Job::Adhoc`] only).
-    adhoc: Option<AdhocOut>,
+    outcome: Outcome,
 }
 
-/// A completed shard job after its tree has been restored to the store.
-struct ShardDone {
-    shard: usize,
-    worker: ThreadId,
-    commit: CommitLeg,
-    adhoc: Option<AdhocOut>,
+/// Jobs shipped to the workers and not yet collected. `pub(crate)` so
+/// [`crate::frontend::ServingFrontend`] can hold a serving session's
+/// trees-in-flight; the fields stay module-private.
+pub(crate) struct InFlight {
+    replies: Receiver<Done>,
+    /// Jobs actually enqueued: the replies to wait for.
+    shipped: usize,
+    /// The first shard whose worker was already gone at send time.
+    unsent: Option<usize>,
 }
 
-/// Runs one shard's commit leg, measured on the tree's own time domain.
-fn commit_leg(tree: &mut FlsmTree) -> CommitLeg {
-    match tree.commit_wal_timed() {
-        Ok((synced, ns)) => CommitLeg {
-            synced,
-            ns,
-            error: None,
-        },
-        Err(error) => CommitLeg {
-            synced: false,
-            ns: 0,
-            error: Some(error),
-        },
-    }
-}
-
-/// The run loop of one shard worker: executes jobs until the store drops
-/// the shard's queue (shutdown), returning every tree with its reply. A
+/// The run loop of one shard worker: runs jobs until the store drops the
+/// shard's queue (shutdown), returning every tree with its reply. A
 /// panic unwinds through the loop — the in-flight tree and the queue die
 /// with the thread, which is exactly the signal the mission thread turns
 /// into [`MissionError::WorkerPanicked`].
 fn worker_loop(shard: usize, jobs: Receiver<Job>) {
     while let Ok(job) = jobs.recv() {
-        match job {
-            Job::Lane {
-                mut tree,
-                ops,
-                reply,
-            } => {
-                for op in &ops {
-                    execute_op(&mut tree, op);
-                }
-                // The shard's background maintenance lane: deferred
-                // flushes and compactions run here, between the lane's
-                // operations and its commit leg — off every op's path,
-                // overlapped with the sibling shards' lanes.
-                if tree.config().background_maintenance {
-                    tree.maintain(BOUNDARY_MAINTAIN_STEPS);
-                }
-                // The commit leg runs as soon as this shard's lane is
-                // done — overlapped with siblings still executing theirs.
-                let commit = commit_leg(&mut tree);
-                let _ = reply.send(Done {
-                    shard,
-                    tree,
-                    worker: thread::current().id(),
-                    commit,
-                    adhoc: None,
-                });
-            }
-            Job::Commit { mut tree, reply } => {
-                let commit = commit_leg(&mut tree);
-                let _ = reply.send(Done {
-                    shard,
-                    tree,
-                    worker: thread::current().id(),
-                    commit,
-                    adhoc: None,
-                });
-            }
-            Job::Adhoc {
-                mut tree,
-                op,
-                maintain,
-                reply,
-            } => {
-                let out = match op {
-                    AdhocOp::Get(key) => AdhocOut::Value(tree.get(&key)),
-                    AdhocOp::Put(key, value) => {
-                        tree.put(key, value);
-                        AdhocOut::Written
-                    }
-                    AdhocOp::Delete(key) => {
-                        tree.delete(key);
-                        AdhocOut::Written
-                    }
-                    AdhocOp::Scan { start, end, limit } => {
-                        AdhocOut::Scan(tree.scan(&start, &end, limit))
-                    }
-                };
-                // Every ADHOC_BOUNDARY_OPS-th write is a boundary: the
-                // same bounded maintenance grant a mission lane gets, so
-                // an ad-hoc write burst pays down its deferred work
-                // instead of deferring it forever.
-                if maintain && tree.config().background_maintenance {
-                    tree.maintain(BOUNDARY_MAINTAIN_STEPS);
-                }
-                let _ = reply.send(Done {
-                    shard,
-                    tree,
-                    worker: thread::current().id(),
-                    commit: CommitLeg::default(),
-                    adhoc: Some(out),
-                });
-            }
-            Job::Serve {
-                mut tree,
-                requests,
-                shared,
-                reply,
-            } => {
+        let Job::Run {
+            mut tree,
+            work,
+            reply,
+        } = job
+        else {
+            panic!("injected shard-worker panic (test hook)");
+        };
+        let outcome = match work {
+            Work::Batch { ops, door } => run_batch(&mut tree, ops, door),
+            Work::Serve { requests, shared } => {
                 frontend::serve_shard(shard, &mut tree, &requests, &shared);
-                let _ = reply.send(Done {
-                    shard,
-                    tree,
-                    worker: thread::current().id(),
-                    commit: CommitLeg::default(),
-                    adhoc: None,
-                });
+                Outcome::default()
             }
-            Job::Panic => panic!("injected shard-worker panic (test hook)"),
-        }
+        };
+        let _ = reply.send(Done {
+            shard,
+            worker: thread::current().id(),
+            tree,
+            outcome,
+        });
     }
 }
 
-/// One shard's worker: its job queue and join handle. `tx` is dropped
-/// first at shutdown so the worker's receive loop ends before the join.
-struct PoolWorker {
-    tx: Option<Sender<Job>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// The persistent worker pool: one long-lived thread per shard.
+/// The persistent worker pool: one long-lived thread per shard, each
+/// behind its own job queue.
 struct WorkerPool {
-    workers: Vec<PoolWorker>,
+    queues: Vec<Sender<Job>>,
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
     /// Spawns one named worker thread per shard.
     fn spawn(shards: usize) -> Self {
-        let workers = (0..shards)
+        let (queues, handles) = (0..shards)
             .map(|i| {
                 let (tx, rx) = mpsc::channel();
                 let handle = thread::Builder::new()
                     .name(format!("ruskey-shard-{i}"))
                     .spawn(move || worker_loop(i, rx))
                     .expect("spawn shard worker thread");
-                PoolWorker {
-                    tx: Some(tx),
-                    handle: Some(handle),
-                }
+                (tx, handle)
             })
-            .collect();
-        Self { workers }
+            .unzip();
+        Self { queues, handles }
     }
 
-    /// Enqueues a job on one shard's worker; returns the job (boxed, so
-    /// its tree can be recovered) if the worker is gone.
+    /// Enqueues a job on one shard's worker; returns the job (boxed), and
+    /// with it the tree, if the worker is gone.
     fn send(&self, shard: usize, job: Job) -> Result<(), Box<Job>> {
-        match &self.workers[shard].tx {
-            Some(tx) => tx.send(job).map_err(|mpsc::SendError(job)| Box::new(job)),
-            None => Err(Box::new(job)),
-        }
+        self.queues[shard]
+            .send(job)
+            .map_err(|mpsc::SendError(job)| Box::new(job))
     }
 }
 
@@ -743,13 +608,9 @@ impl Drop for WorkerPool {
         // Close every queue first so all workers wind down concurrently,
         // then join. A worker that panicked reports its error through the
         // mission path; the join here must not double-panic during drop.
-        for w in &mut self.workers {
-            w.tx = None;
-        }
-        for w in &mut self.workers {
-            if let Some(handle) = w.handle.take() {
-                let _ = handle.join();
-            }
+        self.queues.clear();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
     }
 }
@@ -799,98 +660,161 @@ pub struct ShardedRusKey {
     routes_path: Option<PathBuf>,
 }
 
+/// Where a store's shards keep their state.
+enum Backend<'a> {
+    /// Trees on private views of one shared device; nothing survives.
+    Volatile(Arc<dyn Storage>),
+    /// The same, plus one WAL file per shard under the config's `dir`.
+    Durable(Arc<dyn Storage>, &'a DurabilityConfig),
+    /// One directory per shard: file disk, manifest and WAL.
+    Persistent(&'a PersistenceConfig),
+}
+
+/// Number of shards a directory describes: the highest
+/// `shard-<i><suffix>` entry index + 1, or 0 if there is none (or no
+/// directory).
+fn shards_described(dir: &Path, suffix: &str) -> std::io::Result<usize> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(e) => e,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => return Err(e),
+    };
+    let mut described = 0usize;
+    for entry in entries {
+        let name = entry?.file_name();
+        let idx = name
+            .to_string_lossy()
+            .strip_prefix("shard-")
+            .and_then(|s| s.strip_suffix(suffix))
+            .and_then(|s| s.parse::<usize>().ok());
+        if let Some(idx) = idx {
+            described = described.max(idx + 1);
+        }
+    }
+    Ok(described)
+}
+
+/// Removes a file or directory tree; one that is already absent is fine.
+fn wipe(path: &Path) -> std::io::Result<()> {
+    let removed = if path.is_dir() {
+        std::fs::remove_dir_all(path)
+    } else {
+        std::fs::remove_file(path)
+    };
+    match removed {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    }
+}
+
 impl ShardedRusKey {
-    /// Creates a sharded store driven by an arbitrary tuner, rejecting
-    /// invalid configurations instead of panicking. The per-shard worker
-    /// pool is spawned here and lives until the store drops.
-    ///
-    /// All shards share `storage` for data and device-level accounting,
-    /// but each runs on its own [`ShardStorage`] view — a private time
-    /// domain — so per-shard time and I/O attribution stays exact under
-    /// parallel missions.
+    /// The one way a store is opened; every public constructor is a call
+    /// into it. Validates the configuration, then either **wipes** the
+    /// backend's previous incarnation (`recover == false`: a fresh store
+    /// restarts sequence numbers at 1 and routes by hash, so leftover
+    /// logs, shard directories beyond the new count, and re-homed-key
+    /// routes must all go) or **checks** that it describes `shards`
+    /// shards; builds each shard's tree with its WAL/manifest attached or
+    /// recovered; spawns the worker pool; and, recovering, settles the
+    /// persisted routes and baselines the collector so the first mission
+    /// report excludes recovery work.
     ///
     /// # Panics
     /// Panics if `shards` is zero — a shard count is a structural choice
     /// made in code, not runtime input.
-    pub fn try_with_tuner(
+    fn open(
         cfg: RusKeyConfig,
         shards: usize,
-        storage: Arc<dyn Storage>,
-        tuner: Box<dyn Tuner>,
-    ) -> Result<Self, ConfigError> {
+        backend: Backend<'_>,
+        tuning: Tuning,
+        recover: bool,
+    ) -> Result<Self, OpenError> {
         assert!(shards >= 1, "a store needs at least one shard");
-        let trees = (0..shards)
-            .map(|_| {
-                let view: Arc<dyn Storage> = ShardStorage::new(Arc::clone(&storage));
-                FlsmTree::try_new(cfg.lsm.clone(), view).map(Some)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::assemble(trees, Tuning::Global(tuner)))
-    }
-
-    /// Creates a sharded store with **one tuner per shard** — one shard
-    /// per element of `tuners`, in shard order. Each tuner sees only its
-    /// own shard's reward slice and observation, and its policy changes
-    /// apply only to that shard.
-    ///
-    /// # Panics
-    /// Panics if `tuners` is empty.
-    pub fn try_with_tuners(
-        cfg: RusKeyConfig,
-        storage: Arc<dyn Storage>,
-        tuners: Vec<Box<dyn Tuner>>,
-    ) -> Result<Self, ConfigError> {
-        assert!(!tuners.is_empty(), "a store needs at least one shard");
-        let trees = (0..tuners.len())
-            .map(|_| {
-                let view: Arc<dyn Storage> = ShardStorage::new(Arc::clone(&storage));
-                FlsmTree::try_new(cfg.lsm.clone(), view).map(Some)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::assemble(trees, Tuning::PerShard(tuners)))
-    }
-
-    /// Creates a sharded store with an independent Lerp instance per
-    /// shard. Shard 0 keeps `cfg.lerp.seed` unchanged — which is what
-    /// makes a one-shard per-shard store bit-identical to the global
-    /// [`ShardedRusKey::try_with_lerp`] path — and shard `i` derives its
-    /// seed as `seed + i·104729` (the same prime-stride idiom as
-    /// [`crate::tuner::PerLevelNoPropagation`]), so sibling agents
-    /// explore independently.
-    pub fn try_with_per_shard_lerp(
-        cfg: RusKeyConfig,
-        shards: usize,
-        storage: Arc<dyn Storage>,
-    ) -> Result<Self, ConfigError> {
-        assert!(shards >= 1, "a store needs at least one shard");
-        let tuners = (0..shards)
-            .map(|i| {
-                let mut lc = cfg.lerp.clone();
-                lc.seed = lc.seed.wrapping_add(i as u64 * 104_729);
-                Box::new(Lerp::new(lc)) as Box<dyn Tuner>
-            })
-            .collect();
-        Self::try_with_tuners(cfg, storage, tuners)
-    }
-
-    /// Panicking form of [`ShardedRusKey::try_with_per_shard_lerp`].
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid or `shards` is zero.
-    pub fn with_per_shard_lerp(
-        cfg: RusKeyConfig,
-        shards: usize,
-        storage: Arc<dyn Storage>,
-    ) -> Self {
-        Self::try_with_per_shard_lerp(cfg, shards, storage)
-            .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"))
-    }
-
-    /// Assembles the store around its trees and tuning, spawning the
-    /// worker pool.
-    fn assemble(trees: Vec<Option<FlsmTree>>, tuning: Tuning) -> Self {
-        let shards = trees.len();
-        Self {
+        cfg.lsm.validate()?;
+        let (routes_path, described) = match &backend {
+            Backend::Volatile(_) => (None, 0),
+            Backend::Durable(_, d) => {
+                std::fs::create_dir_all(&d.dir)?;
+                let routes = d.dir.join(ROUTES_FILE);
+                (Some(routes), shards_described(&d.dir, ".wal")?)
+            }
+            Backend::Persistent(p) => (Some(p.root.join(ROUTES_FILE)), p.shards_described()?),
+        };
+        if recover {
+            // The routing hash keys on the shard count. Fewer shards than
+            // described would drop acknowledged writes. A persistent root
+            // always holds every shard's directory, so there more shards
+            // is refused too: it would misroute keys and hide durable
+            // data behind empty shards.
+            let exact = matches!(backend, Backend::Persistent(_));
+            if described > shards || (exact && described != 0 && described != shards) {
+                return Err(OpenError::ShardCountMismatch {
+                    logs: described,
+                    shards,
+                });
+            }
+        } else {
+            for i in 0..shards.max(described) {
+                match &backend {
+                    Backend::Volatile(_) => {}
+                    Backend::Durable(_, d) => wipe(&d.shard_wal_path(i))?,
+                    Backend::Persistent(p) => wipe(&p.shard_dir(i))?,
+                }
+            }
+            if let Some(routes) = &routes_path {
+                wipe(routes)?;
+            }
+        }
+        let mut trees = Vec::with_capacity(shards);
+        for i in 0..shards {
+            // A backend is a storage stack plus the logs kept beside it:
+            // (WAL path, sync cadence), (manifest path, checkpoint cadence).
+            let (storage, wal, manifest) = match &backend {
+                Backend::Volatile(s) => (ShardStorage::new(Arc::clone(s)) as _, None, None),
+                Backend::Durable(s, d) => (
+                    ShardStorage::new(Arc::clone(s)) as _,
+                    Some((d.shard_wal_path(i), d.sync_every)),
+                    None,
+                ),
+                Backend::Persistent(p) => {
+                    let data = p.data_dir(i);
+                    std::fs::create_dir_all(&data)?;
+                    (
+                        p.open_disk(&data)?,
+                        Some((p.wal_path(i), p.sync_every)),
+                        Some((p.manifest_path(i), p.checkpoint_every)),
+                    )
+                }
+            };
+            let lsm = cfg.lsm.clone();
+            trees.push(Some(match (recover, wal, manifest) {
+                (false, wal, manifest) => {
+                    let mut tree = FlsmTree::try_new(lsm, storage)?;
+                    if let Some((path, checkpoint_every)) = manifest {
+                        tree.attach_manifest(Manifest::create(path, checkpoint_every)?);
+                    }
+                    if let Some((path, sync_every)) = wal {
+                        tree.attach_wal(Wal::open_with_sync_every(path, sync_every)?);
+                    }
+                    tree
+                }
+                (true, Some((wal, sync_every)), None) => {
+                    FlsmTree::recover(lsm, storage, wal, sync_every)?
+                }
+                (true, Some((wal, sync_every)), Some((manifest, checkpoint_every))) => {
+                    FlsmTree::recover_persistent(
+                        lsm,
+                        storage,
+                        manifest,
+                        wal,
+                        sync_every,
+                        checkpoint_every,
+                    )?
+                }
+                (true, None, _) => unreachable!("only a backend with logs is recovered"),
+            }));
+        }
+        let mut store = Self {
             shards: trees,
             pool: WorkerPool::spawn(shards),
             tuning,
@@ -904,8 +828,69 @@ impl ShardedRusKey {
             route_sources: std::collections::HashMap::new(),
             balancer: None,
             rebalances: 0,
-            routes_path: None,
+            routes_path,
+        };
+        if recover {
+            if let Some(routes) = &store.routes_path {
+                let entries = load_routes(routes)?;
+                store.settle_routes(entries)?;
+            }
+            store.collector.baseline_shards(store.shard_snapshots());
         }
+        Ok(store)
+    }
+
+    /// Creates a sharded store driven by an arbitrary tuner, rejecting
+    /// invalid configurations instead of panicking. The per-shard worker
+    /// pool is spawned here and lives until the store drops.
+    ///
+    /// All shards share `storage` for data and device-level accounting,
+    /// but each runs on its own [`ShardStorage`] view — a private time
+    /// domain — so per-shard time and I/O attribution stays exact under
+    /// parallel missions.
+    ///
+    /// # Panics
+    /// Panics if `shards` is zero.
+    pub fn try_with_tuner(
+        cfg: RusKeyConfig,
+        shards: usize,
+        storage: Arc<dyn Storage>,
+        tuner: Box<dyn Tuner>,
+    ) -> Result<Self, ConfigError> {
+        let backend = Backend::Volatile(storage);
+        Self::open(cfg, shards, backend, Tuning::Global(tuner), false).map_err(|e| match e {
+            OpenError::Config(e) => e,
+            other => unreachable!("a volatile store does no I/O: {other}"),
+        })
+    }
+
+    /// Creates a sharded store with **one Lerp agent per shard**: each
+    /// sees only its own shard's reward slice and observation, and its
+    /// policy changes apply only to that shard. Shard 0 keeps
+    /// `cfg.lerp.seed` unchanged — which is what makes a one-shard
+    /// per-shard store bit-identical to the global
+    /// [`ShardedRusKey::with_lerp`] path — and shard `i` derives its seed
+    /// as `seed + i·104729` (the same prime-stride idiom as
+    /// [`crate::tuner::PerLevelNoPropagation`]), so sibling agents
+    /// explore independently.
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid or `shards` is zero.
+    pub fn with_per_shard_lerp(
+        cfg: RusKeyConfig,
+        shards: usize,
+        storage: Arc<dyn Storage>,
+    ) -> Self {
+        let tuners = (0..shards)
+            .map(|i| {
+                let mut lc = cfg.lerp.clone();
+                lc.seed = lc.seed.wrapping_add(i as u64 * 104_729);
+                Box::new(Lerp::new(lc)) as Box<dyn Tuner>
+            })
+            .collect();
+        let backend = Backend::Volatile(storage);
+        Self::open(cfg, shards, backend, Tuning::PerShard(tuners), false)
+            .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"))
     }
 
     /// Creates a *durable* sharded store: every shard gets its own WAL
@@ -913,6 +898,10 @@ impl ShardedRusKey {
     /// truncated on flush), and missions end with an overlapped
     /// cross-shard group-commit barrier — at most one fsync per shard per
     /// mission, run concurrently on the shard workers.
+    ///
+    /// Logs and routes left by a previous incarnation are wiped first;
+    /// [`ShardedRusKey::recover`] is the explicit path for continuing
+    /// from them.
     pub fn try_with_tuner_durable(
         cfg: RusKeyConfig,
         shards: usize,
@@ -920,35 +909,8 @@ impl ShardedRusKey {
         tuner: Box<dyn Tuner>,
         durability: &DurabilityConfig,
     ) -> Result<Self, OpenError> {
-        std::fs::create_dir_all(&durability.dir)?;
-        let mut store = Self::try_with_tuner(cfg, shards, storage, tuner)?;
-        // Index by shard *slot*, not by position after a flatten: the WAL
-        // file ↔ shard mapping must never shift past an empty slot.
-        for (i, slot) in store.shards.iter_mut().enumerate() {
-            let tree = slot.as_mut().expect("freshly constructed shard");
-            let path = durability.shard_wal_path(i);
-            // A fresh store starts from empty logs: leftovers from a
-            // previous incarnation would otherwise merge into a later
-            // recovery with colliding sequence numbers (this store's seq
-            // restarts at 1). [`ShardedRusKey::recover`] is the explicit
-            // path for continuing from existing logs.
-            match std::fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-            tree.attach_wal(Wal::open_with_sync_every(path, durability.sync_every)?);
-        }
-        // A fresh store starts from hash routing: a previous
-        // incarnation's re-homed keys no longer exist.
-        let routes = durability.dir.join(ROUTES_FILE);
-        match std::fs::remove_file(&routes) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-        store.routes_path = Some(routes);
-        Ok(store)
+        let backend = Backend::Durable(storage, durability);
+        Self::open(cfg, shards, backend, Tuning::Global(tuner), false)
     }
 
     /// Creates a **fully persistent** sharded store: every shard gets its
@@ -960,53 +922,17 @@ impl ShardedRusKey {
     /// store survives a full restart — flushed runs included — through
     /// [`ShardedRusKey::recover_persistent`].
     ///
-    /// Any previous incarnation under the same root is wiped first (a
-    /// fresh store restarts sequence numbers at 1; `recover_persistent`
-    /// is the explicit path for continuing).
+    /// Any previous incarnation under the same root is wiped first,
+    /// shard directories beyond the new count included;
+    /// `recover_persistent` is the explicit path for continuing.
     pub fn try_with_tuner_persistent(
         cfg: RusKeyConfig,
         shards: usize,
         tuner: Box<dyn Tuner>,
         persistence: &PersistenceConfig,
     ) -> Result<Self, OpenError> {
-        assert!(shards >= 1, "a store needs at least one shard");
-        cfg.lsm.validate()?;
-        // Wipe the *whole* previous incarnation, including shard dirs
-        // beyond the new count — a leftover higher-index directory would
-        // make every later `recover_persistent` refuse the store as a
-        // shard-count mismatch.
-        for i in 0..shards.max(persistence.shards_described()?) {
-            match std::fs::remove_dir_all(persistence.shard_dir(i)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        let mut trees = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let data = persistence.data_dir(i);
-            std::fs::create_dir_all(&data)?;
-            let disk = persistence.open_disk(&data)?;
-            let mut tree = FlsmTree::try_new(cfg.lsm.clone(), disk)?;
-            tree.attach_manifest(Manifest::create(
-                persistence.manifest_path(i),
-                persistence.checkpoint_every,
-            )?);
-            tree.attach_wal(Wal::open_with_sync_every(
-                persistence.wal_path(i),
-                persistence.sync_every,
-            )?);
-            trees.push(Some(tree));
-        }
-        let mut store = Self::assemble(trees, Tuning::Global(tuner));
-        let routes = persistence.root.join(ROUTES_FILE);
-        match std::fs::remove_file(&routes) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-        store.routes_path = Some(routes);
-        Ok(store)
+        let backend = Backend::Persistent(persistence);
+        Self::open(cfg, shards, backend, Tuning::Global(tuner), false)
     }
 
     /// Recovers a fully persistent sharded store after a restart: each
@@ -1021,49 +947,15 @@ impl ShardedRusKey {
     /// surface through [`TreeStatsSnapshot`] and [`MissionReport`].
     ///
     /// The same `shards` count that produced the layout must be passed
-    /// (the routing hash keys on it); recovering fewer shards than the
-    /// root describes is refused.
+    /// (the routing hash keys on it); any other count is refused.
     pub fn recover_persistent(
         cfg: RusKeyConfig,
         shards: usize,
         tuner: Box<dyn Tuner>,
         persistence: &PersistenceConfig,
     ) -> Result<Self, OpenError> {
-        assert!(shards >= 1, "a store needs at least one shard");
-        cfg.lsm.validate()?;
-        // A persistent store always creates every shard directory, so the
-        // layout describes its exact creation count: recovery must match
-        // it in *both* directions — fewer shards would drop acknowledged
-        // writes, more would misroute them (the hash keys on the count)
-        // and silently hide durable data behind empty shards.
-        let described = persistence.shards_described()?;
-        if described != 0 && described != shards {
-            return Err(OpenError::ShardCountMismatch {
-                logs: described,
-                shards,
-            });
-        }
-        let mut trees = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let data = persistence.data_dir(i);
-            std::fs::create_dir_all(&data)?;
-            let disk = persistence.open_disk(&data)?;
-            trees.push(Some(FlsmTree::recover_persistent(
-                cfg.lsm.clone(),
-                disk,
-                persistence.manifest_path(i),
-                persistence.wal_path(i),
-                persistence.sync_every,
-                persistence.checkpoint_every,
-            )?));
-        }
-        let mut store = Self::assemble(trees, Tuning::Global(tuner));
-        let routes = persistence.root.join(ROUTES_FILE);
-        let entries = load_routes(&routes)?;
-        store.routes_path = Some(routes);
-        store.settle_routes(entries)?;
-        store.collector.baseline_shards(store.shard_snapshots());
-        Ok(store)
+        let backend = Backend::Persistent(persistence);
+        Self::open(cfg, shards, backend, Tuning::Global(tuner), true)
     }
 
     /// Recovers a durable sharded store after a crash: each shard's WAL
@@ -1074,7 +966,7 @@ impl ShardedRusKey {
     ///
     /// Per-shard WALs recover independently, which is exactly why the
     /// routing hash must stay stable: the same `shards` count must be
-    /// passed that produced the logs.
+    /// passed that produced the logs, and fewer is refused.
     pub fn recover(
         cfg: RusKeyConfig,
         shards: usize,
@@ -1082,57 +974,8 @@ impl ShardedRusKey {
         tuner: Box<dyn Tuner>,
         durability: &DurabilityConfig,
     ) -> Result<Self, OpenError> {
-        assert!(shards >= 1, "a store needs at least one shard");
-        cfg.lsm.validate()?;
-        std::fs::create_dir_all(&durability.dir)?;
-        // Refuse to recover fewer shards than the directory describes:
-        // the extra logs hold acknowledged writes that would otherwise
-        // vanish silently (the routing hash keys on the shard count).
-        let mut logs = 0usize;
-        for entry in std::fs::read_dir(&durability.dir)? {
-            let name = entry?.file_name();
-            let idx = name
-                .to_string_lossy()
-                .strip_prefix("shard-")
-                .and_then(|s| s.strip_suffix(".wal"))
-                .and_then(|s| s.parse::<usize>().ok());
-            if let Some(idx) = idx {
-                logs = logs.max(idx + 1);
-            }
-        }
-        if logs > shards {
-            return Err(OpenError::ShardCountMismatch { logs, shards });
-        }
-        let trees = (0..shards)
-            .map(|i| {
-                let view: Arc<dyn Storage> = ShardStorage::new(Arc::clone(&storage));
-                FlsmTree::recover(
-                    cfg.lsm.clone(),
-                    view,
-                    durability.shard_wal_path(i),
-                    durability.sync_every,
-                )
-                .map(Some)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut store = Self::assemble(trees, Tuning::Global(tuner));
-        let routes = durability.dir.join(ROUTES_FILE);
-        let entries = load_routes(&routes)?;
-        store.routes_path = Some(routes);
-        store.settle_routes(entries)?;
-        store.collector.baseline_shards(store.shard_snapshots());
-        Ok(store)
-    }
-
-    /// Creates a sharded store tuned by Lerp, rejecting invalid
-    /// configurations instead of panicking.
-    pub fn try_with_lerp(
-        cfg: RusKeyConfig,
-        shards: usize,
-        storage: Arc<dyn Storage>,
-    ) -> Result<Self, ConfigError> {
-        let lerp = Lerp::new(cfg.lerp.clone());
-        Self::try_with_tuner(cfg, shards, storage, Box::new(lerp))
+        let backend = Backend::Durable(storage, durability);
+        Self::open(cfg, shards, backend, Tuning::Global(tuner), true)
     }
 
     /// Creates a sharded store driven by an arbitrary tuner.
@@ -1155,8 +998,8 @@ impl ShardedRusKey {
     /// # Panics
     /// Panics if the configuration is invalid or `shards` is zero.
     pub fn with_lerp(cfg: RusKeyConfig, shards: usize, storage: Arc<dyn Storage>) -> Self {
-        Self::try_with_lerp(cfg, shards, storage)
-            .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"))
+        let lerp = Lerp::new(cfg.lerp.clone());
+        Self::with_tuner(cfg, shards, storage, Box::new(lerp))
     }
 
     /// Creates an untuned sharded store.
@@ -1172,33 +1015,25 @@ impl ShardedRusKey {
         self.shards.len()
     }
 
-    /// One shard's tree, which lives on the store between missions.
+    /// Read access to one shard's tree, which lives on the store between
+    /// missions (experiments and introspection).
     ///
     /// # Panics
     /// Panics if the shard's worker panicked and took the tree with it
-    /// (the engine is dead; see [`MissionError`]).
-    fn tree(&self, idx: usize) -> &FlsmTree {
+    /// (the engine is dead; see [`MissionError`]), or while the store is
+    /// serving.
+    pub fn shard(&self, idx: usize) -> &FlsmTree {
         self.shards[idx]
             .as_ref()
             .unwrap_or_else(|| panic!("shard {idx}'s worker died; the engine is unavailable"))
     }
 
-    /// Mutable counterpart of [`ShardedRusKey::tree`].
-    fn tree_mut(&mut self, idx: usize) -> &mut FlsmTree {
+    /// Mutable counterpart of [`ShardedRusKey::shard`] (test harnesses
+    /// arm WAL crash points through this).
+    pub fn shard_mut(&mut self, idx: usize) -> &mut FlsmTree {
         self.shards[idx]
             .as_mut()
             .unwrap_or_else(|| panic!("shard {idx}'s worker died; the engine is unavailable"))
-    }
-
-    /// Read access to one shard's tree (experiments and introspection).
-    pub fn shard(&self, idx: usize) -> &FlsmTree {
-        self.tree(idx)
-    }
-
-    /// Mutable access to one shard's tree (test harnesses arm WAL crash
-    /// points through this).
-    pub fn shard_mut(&mut self, idx: usize) -> &mut FlsmTree {
-        self.tree_mut(idx)
     }
 
     /// True if any shard's WAL *or manifest* simulated a process crash
@@ -1219,69 +1054,82 @@ impl ShardedRusKey {
         let _ = self.pool.send(shard, Job::Panic);
     }
 
-    /// Dispatches one job per shard onto the worker pool and collects the
-    /// replies, restoring every returned tree to its slot. This is the
-    /// single synchronization point of the engine: worker death (queue
-    /// gone or reply never sent) surfaces here as a [`MissionError`], and
-    /// per-shard worker threads/commit legs are recorded from the
-    /// replies.
-    fn dispatch(
-        &mut self,
-        mut job_for: impl FnMut(usize, FlsmTree, Sender<Done>) -> Job,
-    ) -> Result<Vec<ShardDone>, MissionError> {
-        // Fail fast on a known-dead engine *before* enqueuing anything:
-        // only the dispatch that discovers a death executes partially.
-        if let Some(shard) = self.dead_worker {
+    /// **Ship**: sends each listed shard's tree to its worker with the
+    /// work to run on it. Fails fast — before enqueuing anything — on an
+    /// engine already known dead or a tree that is not home, so only the
+    /// ship that *discovers* a death executes partially: a worker whose
+    /// queue is gone hands its tree straight back and is recorded as
+    /// `unsent`, while the shards already shipped still run.
+    fn ship(&mut self, work: Vec<(usize, Work)>) -> Result<InFlight, MissionError> {
+        let away = work
+            .iter()
+            .map(|(i, _)| *i)
+            .find(|&i| self.shards[i].is_none());
+        if let Some(shard) = self.dead_worker.or(away) {
             return Err(MissionError::WorkerUnavailable { shard });
         }
-        if let Some(shard) = self.shards.iter().position(Option::is_none) {
-            return Err(MissionError::WorkerUnavailable { shard });
-        }
-        let n = self.shards.len();
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut dispatched = 0usize;
-        let mut dead_shard = None;
-        for i in 0..n {
-            let tree = self.shards[i].take().expect("all trees checked present");
-            match self.pool.send(i, job_for(i, tree, reply_tx.clone())) {
-                Ok(()) => dispatched += 1,
+        let (reply, replies) = mpsc::channel();
+        let mut flight = InFlight {
+            replies,
+            shipped: 0,
+            unsent: None,
+        };
+        for (i, work) in work {
+            let tree = self.shards[i].take().expect("checked home above");
+            let job = Job::Run {
+                tree,
+                work,
+                reply: reply.clone(),
+            };
+            match self.pool.send(i, job) {
+                Ok(()) => flight.shipped += 1,
                 Err(job) => {
-                    // The worker's queue is gone (it panicked earlier):
-                    // recover the tree from the unsent job and keep
-                    // collecting the shards already dispatched.
-                    self.shards[i] = job.into_tree();
-                    dead_shard.get_or_insert(i);
+                    if let Job::Run { tree, .. } = *job {
+                        self.shards[i] = Some(tree);
+                    }
+                    flight.unsent.get_or_insert(i);
                 }
             }
         }
-        drop(reply_tx);
-        let mut dones = Vec::with_capacity(dispatched);
-        for _ in 0..dispatched {
-            // recv() cannot hang: every reply sender lives inside a job,
-            // and a worker either sends it or drops it by panicking — in
-            // which case the channel closes once the remaining workers
-            // finish.
-            let Ok(done) = reply_rx.recv() else { break };
-            let Done {
-                shard,
-                tree,
-                worker,
-                commit,
-                adhoc,
-            } = done;
-            self.shards[shard] = Some(tree);
-            dones.push(ShardDone {
-                shard,
-                worker,
-                commit,
-                adhoc,
-            });
+        Ok(flight)
+    }
+
+    /// **Collect**: waits for every shipped job, restores the returned
+    /// trees to their slots, and classifies what went wrong — the single
+    /// synchronization point of the engine. A worker that was gone at
+    /// ship time is [`MissionError::WorkerUnavailable`]; a reply that
+    /// never comes (its worker panicked, taking the tree with it) is
+    /// [`MissionError::WorkerPanicked`]; either marks the engine dead. A
+    /// failed commit leg is [`MissionError::Wal`] (lowest failing shard),
+    /// with every tree home. Otherwise: the outcomes, in shard order.
+    fn collect(&mut self, flight: InFlight) -> Result<Vec<Outcome>, MissionError> {
+        let InFlight {
+            replies,
+            shipped,
+            unsent,
+        } = flight;
+        // Cannot hang: every reply sender lives inside a shipped job, and
+        // a worker either sends it or drops it by panicking — in which
+        // case the channel closes once the remaining workers finish.
+        let mut dones: Vec<Done> = replies.iter().take(shipped).collect();
+        dones.sort_by_key(|d| d.shard);
+        let mut workers = Vec::with_capacity(dones.len());
+        let mut outcomes = Vec::with_capacity(dones.len());
+        let mut wal_failure = None;
+        for mut done in dones {
+            self.shards[done.shard] = Some(done.tree);
+            workers.push(done.worker);
+            if let Some(error) = done.outcome.commit.error.take() {
+                let shard = done.shard;
+                wal_failure.get_or_insert(MissionError::Wal { shard, error });
+            }
+            outcomes.push(done.outcome);
         }
-        if let Some(shard) = dead_shard {
+        if let Some(shard) = unsent {
             self.dead_worker = Some(shard);
             return Err(MissionError::WorkerUnavailable { shard });
         }
-        if dones.len() < dispatched {
+        if outcomes.len() < shipped {
             let shard = self
                 .shards
                 .iter()
@@ -1290,23 +1138,30 @@ impl ShardedRusKey {
             self.dead_worker = Some(shard);
             return Err(MissionError::WorkerPanicked { shard });
         }
-        // Every shard replied: the dispatch fully executed, so the worker
-        // introspection is current even if a commit leg failed below.
-        let mut workers = vec![None; n];
-        for d in &dones {
-            workers[d.shard] = Some(d.worker);
+        // Every shard replied: the worker introspection is current even
+        // if a commit leg failed.
+        if workers.len() == self.shards.len() {
+            self.last_workers = workers;
         }
-        self.last_workers = workers
-            .into_iter()
-            .map(|w| w.expect("every shard replied exactly once"))
+        wal_failure.map_or(Ok(outcomes), Err)
+    }
+
+    /// Ships one batch per shard — `ops_for(shard)` through `door` — and
+    /// collects the outcomes, in shard order.
+    fn run_batches(
+        &mut self,
+        shards: Range<usize>,
+        door: Door,
+        mut ops_for: impl FnMut(usize) -> Vec<Operation>,
+    ) -> Result<Vec<Outcome>, MissionError> {
+        let work = shards
+            .map(|i| {
+                let ops = ops_for(i);
+                (i, Work::Batch { ops, door })
+            })
             .collect();
-        if let Some(d) = dones.iter_mut().find(|d| d.commit.error.is_some()) {
-            return Err(MissionError::Wal {
-                shard: d.shard,
-                error: d.commit.error.take().expect("checked present"),
-            });
-        }
-        Ok(dones)
+        let flight = self.ship(work)?;
+        self.collect(flight)
     }
 
     /// The overlapped cross-shard group-commit barrier: every shard's
@@ -1329,8 +1184,9 @@ impl ShardedRusKey {
 
     /// Fallible form of [`ShardedRusKey::group_commit`].
     pub fn try_group_commit(&mut self) -> Result<CommitStats, MissionError> {
-        let dones = self.dispatch(|_, tree, reply| Job::Commit { tree, reply })?;
-        Ok(commit_stats(&dones))
+        let n = self.shards.len();
+        let outcomes = self.run_batches(0..n, Door::Commit, |_| Vec::new())?;
+        Ok(commit_stats(&outcomes))
     }
 
     /// The store's tuning strategy.
@@ -1399,7 +1255,7 @@ impl ShardedRusKey {
     /// exactly that shard's time domain.
     pub fn shard_snapshots(&self) -> Vec<TreeStatsSnapshot> {
         (0..self.shards.len())
-            .map(|i| self.tree(i).stats())
+            .map(|i| self.shard(i).stats())
             .collect()
     }
 
@@ -1407,67 +1263,48 @@ impl ShardedRusKey {
     // Plain KV interface (outside missions)
     // ------------------------------------------------------------------
 
-    fn owner(&self, key: &[u8]) -> usize {
-        self.routes.shard_for(key, self.shards.len())
-    }
-
-    /// Feeds one routed point op into the balancer's sketch (no-op while
-    /// balancing is off).
-    fn observe_point_op(&mut self, key: &[u8], shard: usize) {
+    /// The shard owning `key`, noting the access in the balancer's sketch
+    /// (if balancing is armed).
+    fn route_point(&mut self, key: &[u8]) -> usize {
+        let shard = self.routes.shard_for(key, self.shards.len());
         if let Some(bal) = &mut self.balancer {
             bal.sketch.record(key, shard);
         }
+        shard
     }
 
-    /// Ships one ad-hoc op to the owning shard's worker and waits for the
-    /// tree (and result) to come home. Worker death keeps the exact
-    /// semantics the inline path had: a panic with the shard named, and a
-    /// permanently dead engine.
-    fn adhoc_one(&mut self, shard: usize, op: AdhocOp) -> AdhocOut {
-        if let Some(s) = self.dead_worker {
-            panic!("shard {s}'s worker died; the engine is unavailable");
-        }
-        let maintain = matches!(op, AdhocOp::Put(..) | AdhocOp::Delete(..)) && {
+    /// Runs one ad-hoc operation on each of `shards`, on the shards' own
+    /// workers: a batch of one per shard that keeps its result and leaves
+    /// durability to the next barrier. Worker death keeps the semantics
+    /// the plain interface always had: a panic with the shard named, and
+    /// a permanently dead engine.
+    fn adhoc(&mut self, shards: Range<usize>, op: &Operation, boundary: bool) -> Vec<OpResult> {
+        self.run_batches(shards, Door::Adhoc { boundary }, |_| vec![op.clone()])
+            .unwrap_or_else(|e| panic!("ad-hoc operation failed: {e}"))
+            .into_iter()
+            .map(|mut outcome| outcome.results.pop().expect("a kept batch of one"))
+            .collect()
+    }
+
+    /// One ad-hoc point operation on `key`'s owning shard. Every
+    /// [`ADHOC_BOUNDARY_OPS`]-th write per shard is a boundary, so an
+    /// ad-hoc write burst pays down its deferred work — and sees the
+    /// backpressure and `stall_ns` attribution — exactly as a mission's
+    /// writes would.
+    fn adhoc_point(&mut self, shard: usize, op: Operation) -> OpResult {
+        let boundary = op.is_write() && {
             self.adhoc_writes[shard] += 1;
             self.adhoc_writes[shard].is_multiple_of(ADHOC_BOUNDARY_OPS)
         };
-        let tree = self.shards[shard]
-            .take()
-            .unwrap_or_else(|| panic!("shard {shard}'s worker died; the engine is unavailable"));
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if let Err(job) = self.pool.send(
-            shard,
-            Job::Adhoc {
-                tree,
-                op,
-                maintain,
-                reply: reply_tx,
-            },
-        ) {
-            self.shards[shard] = job.into_tree();
-            self.dead_worker = Some(shard);
-            panic!("shard {shard}'s worker died; the engine is unavailable");
-        }
-        match reply_rx.recv() {
-            Ok(done) => {
-                self.shards[done.shard] = Some(done.tree);
-                done.adhoc.expect("an ad-hoc job replies with its result")
-            }
-            Err(_) => {
-                self.dead_worker = Some(shard);
-                panic!("shard {shard}'s worker died; the engine is unavailable");
-            }
-        }
+        let mut results = self.adhoc(shard..shard + 1, &op, boundary);
+        results.pop().expect("one shard, one result")
     }
 
     /// Point lookup, routed to the owning shard's worker.
     pub fn get(&mut self, key: &[u8]) -> Option<Bytes> {
-        let s = self.owner(key);
-        self.observe_point_op(key, s);
-        match self.adhoc_one(s, AdhocOp::Get(Bytes::copy_from_slice(key))) {
-            AdhocOut::Value(v) => v,
-            _ => unreachable!("get replies with a value"),
-        }
+        let shard = self.route_point(key);
+        let key = Bytes::copy_from_slice(key);
+        self.adhoc_point(shard, Operation::Get { key }).value()
     }
 
     /// Insert or overwrite, routed to the owning shard's worker (which
@@ -1475,19 +1312,17 @@ impl ShardedRusKey {
     /// an ad-hoc write burst gets the same L0 backpressure and
     /// `stall_ns` attribution a mission would).
     pub fn put(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) {
-        let key = key.into();
-        let s = self.owner(&key);
-        self.observe_point_op(&key, s);
-        self.adhoc_one(s, AdhocOp::Put(key, value.into()));
+        let (key, value) = (key.into(), value.into());
+        let shard = self.route_point(&key);
+        self.adhoc_point(shard, Operation::Put { key, value });
     }
 
     /// Delete, routed to the owning shard's worker (same maintenance
     /// interleaving as [`ShardedRusKey::put`]).
     pub fn delete(&mut self, key: impl Into<Bytes>) {
         let key = key.into();
-        let s = self.owner(&key);
-        self.observe_point_op(&key, s);
-        self.adhoc_one(s, AdhocOp::Delete(key));
+        let shard = self.route_point(&key);
+        self.adhoc_point(shard, Operation::Delete { key });
     }
 
     /// Range scan over `[start, end)` with a result limit: every shard
@@ -1497,27 +1332,13 @@ impl ShardedRusKey {
     /// merged into one globally sorted result.
     pub fn scan(&mut self, start: &[u8], end: &[u8], limit: usize) -> Vec<(Bytes, Bytes)> {
         self.adhoc_scans += 1;
-        let n = self.shards.len();
-        let (s, e) = (Bytes::copy_from_slice(start), Bytes::copy_from_slice(end));
-        let dones = self
-            .dispatch(|_, tree, reply| Job::Adhoc {
-                tree,
-                op: AdhocOp::Scan {
-                    start: s.clone(),
-                    end: e.clone(),
-                    limit,
-                },
-                maintain: false,
-                reply,
-            })
-            .unwrap_or_else(|e| panic!("ad-hoc scan failed: {e}"));
-        let mut per_shard: Vec<Vec<(Bytes, Bytes)>> = vec![Vec::new(); n];
-        for d in dones {
-            if let Some(AdhocOut::Scan(rows)) = d.adhoc {
-                per_shard[d.shard] = rows;
-            }
-        }
-        merge_sorted_scans(per_shard, limit)
+        let op = Operation::Scan {
+            start: Bytes::copy_from_slice(start),
+            end: Bytes::copy_from_slice(end),
+            limit,
+        };
+        let legs = self.adhoc(0..self.shards.len(), &op, false);
+        merge_sorted_scans(legs.into_iter().map(OpResult::rows).collect(), limit)
     }
 
     // ------------------------------------------------------------------
@@ -1540,50 +1361,31 @@ impl ShardedRusKey {
     /// frontend without finishing leaves the engine permanently
     /// unavailable.
     pub fn serve(&mut self, cfg: ServingConfig) -> Result<ServingFrontend, MissionError> {
-        if let Some(shard) = self.dead_worker {
-            return Err(MissionError::WorkerUnavailable { shard });
-        }
-        if let Some(shard) = self.shards.iter().position(Option::is_none) {
-            return Err(MissionError::WorkerUnavailable { shard });
-        }
         let n = self.shards.len();
         let shared = Arc::new(ServeShared::new(cfg, n, self.routes.clone()));
-        let (done_tx, done_rx) = mpsc::channel();
         let mut senders = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tx, rx) = mpsc::sync_channel(shared.cfg.queue_depth.max(1));
-            let tree = self.shards[i].take().expect("all trees checked present");
-            match self.pool.send(
-                i,
-                Job::Serve {
-                    tree,
-                    requests: rx,
-                    shared: Arc::clone(&shared),
-                    reply: done_tx.clone(),
-                },
-            ) {
-                Ok(()) => senders.push(tx),
-                Err(job) => {
-                    // Worker i is gone: recover its tree from the unsent
-                    // job, wind down the shards already serving (dropping
-                    // their queue senders ends their loops), and fail.
-                    self.shards[i] = job.into_tree();
-                    self.dead_worker = Some(i);
-                    drop(senders);
-                    drop(done_tx);
-                    while let Ok(done) = done_rx.recv() {
-                        self.shards[done.shard] = Some(done.tree);
-                    }
-                    return Err(MissionError::WorkerUnavailable { shard: i });
-                }
-            }
+        let work = (0..n)
+            .map(|i| {
+                let (tx, requests) = mpsc::sync_channel(shared.cfg.queue_depth.max(1));
+                senders.push(tx);
+                let shared = Arc::clone(&shared);
+                (i, Work::Serve { requests, shared })
+            })
+            .collect();
+        let flight = self.ship(work)?;
+        if flight.unsent.is_some() {
+            // A worker is gone: wind down the shards that did start
+            // serving (dropping their queue senders ends their loops) and
+            // let the collect bring their trees home and name the dead one.
+            drop(senders);
+            return Err(self
+                .collect(flight)
+                .expect_err("an unsent job fails its collect"));
         }
-        drop(done_tx);
         Ok(ServingFrontend {
             senders,
             shared,
-            done_rx: Mutex::new(done_rx),
-            dispatched: n,
+            in_flight: Mutex::new(flight),
         })
     }
 
@@ -1605,26 +1407,15 @@ impl ShardedRusKey {
         let ServingFrontend {
             senders,
             shared,
-            done_rx,
-            dispatched,
+            in_flight,
         } = frontend;
-        let done_rx = done_rx.into_inner().expect("serving done-channel poisoned");
         for tx in &senders {
             // A shard that already stopped serving has dropped its queue;
             // the failed send *is* the confirmation, not an error.
             let _ = tx.send(ShardRequest::Shutdown);
         }
         drop(senders);
-        for _ in 0..dispatched {
-            // Cannot hang: every worker either sends its Done (tree home)
-            // or panicked — closing the channel once the rest finish.
-            let Ok(done) = done_rx.recv() else { break };
-            self.shards[done.shard] = Some(done.tree);
-        }
-        if let Some(shard) = self.shards.iter().position(Option::is_none) {
-            self.dead_worker = Some(shard);
-            return Err(MissionError::WorkerPanicked { shard });
-        }
+        self.collect(in_flight.into_inner().expect("serving session poisoned"))?;
         // Snapshot after every loop stopped, so the final batches are in.
         let snapshot = shared.metrics.snapshot();
         self.collector.baseline_shards(self.shard_snapshots());
@@ -1647,7 +1438,7 @@ impl ShardedRusKey {
         }
         for (i, shard_pairs) in per_shard.into_iter().enumerate() {
             if !shard_pairs.is_empty() {
-                self.tree_mut(i).bulk_load(shard_pairs);
+                self.shard_mut(i).bulk_load(shard_pairs);
             }
         }
         self.collector.baseline_shards(self.shard_snapshots());
@@ -1667,17 +1458,20 @@ impl ShardedRusKey {
     /// For a one-shard store this equals
     /// [`RusKey::observe`](crate::db::RusKey::observe).
     pub fn observe(&self) -> TreeObservation {
-        let trees: Vec<&FlsmTree> = (0..self.shards.len()).map(|i| self.tree(i)).collect();
-        let level_count = trees.iter().map(|t| t.level_count()).max().unwrap_or(0);
+        let shards: Vec<TreeObservation> = (0..self.shards.len())
+            .map(|i| self.observe_shard(i))
+            .collect();
+        let level_count = shards.iter().map(|o| o.level_count).max().unwrap_or(0);
         let mut policies = Vec::with_capacity(level_count);
         let mut fills = Vec::with_capacity(level_count);
         let mut run_counts = Vec::with_capacity(level_count);
         for i in 0..level_count {
-            let holders: Vec<&&FlsmTree> = trees.iter().filter(|t| t.level_count() > i).collect();
-            let held: Vec<u32> = holders.iter().map(|t| t.policy(i)).collect();
+            let holders: Vec<&TreeObservation> =
+                shards.iter().filter(|o| o.level_count > i).collect();
+            let held: Vec<u32> = holders.iter().map(|o| o.policies[i]).collect();
             policies.push(modal_policy(&held));
-            fills.push(holders.iter().map(|t| t.level_fill(i)).sum::<f64>() / holders.len() as f64);
-            let mean_runs = holders.iter().map(|t| t.level_run_count(i)).sum::<usize>() as f64
+            fills.push(holders.iter().map(|o| o.fills[i]).sum::<f64>() / holders.len() as f64);
+            let mean_runs = holders.iter().map(|o| o.run_counts[i]).sum::<usize>() as f64
                 / holders.len() as f64;
             run_counts.push(mean_runs.round() as usize);
         }
@@ -1685,24 +1479,16 @@ impl ShardedRusKey {
             policies,
             fills,
             run_counts,
-            size_ratio: trees[0].config().size_ratio,
+            size_ratio: shards[0].size_ratio,
             level_count,
         }
     }
 
     /// One shard's structure snapshot, built from that shard's levels
-    /// only — the observation a per-shard tuner acts on. Mirrors
-    /// [`RusKey::observe`](crate::db::RusKey::observe) exactly.
+    /// only — the observation a per-shard tuner acts on, and exactly what
+    /// [`RusKey::observe`](crate::db::RusKey::observe) reads off its tree.
     pub fn observe_shard(&self, idx: usize) -> TreeObservation {
-        let tree = self.tree(idx);
-        let n = tree.level_count();
-        TreeObservation {
-            policies: tree.policies(),
-            fills: (0..n).map(|i| tree.level_fill(i)).collect(),
-            run_counts: (0..n).map(|i| tree.level_run_count(i)).collect(),
-            size_ratio: tree.config().size_ratio,
-            level_count: n,
-        }
+        TreeObservation::of(self.shard(idx))
     }
 
     /// Store-wide per-level policies: the modal policy across the shards
@@ -1710,25 +1496,14 @@ impl ShardedRusKey {
     /// shards agree, which is always the case under global tuning. The
     /// per-shard truth is [`ShardedRusKey::shard_policies`].
     pub fn policies(&self) -> Vec<u32> {
-        let trees: Vec<&FlsmTree> = (0..self.shards.len()).map(|i| self.tree(i)).collect();
-        let level_count = trees.iter().map(|t| t.level_count()).max().unwrap_or(0);
-        (0..level_count)
-            .map(|i| {
-                let held: Vec<u32> = trees
-                    .iter()
-                    .filter(|t| t.level_count() > i)
-                    .map(|t| t.policy(i))
-                    .collect();
-                modal_policy(&held)
-            })
-            .collect()
+        self.observe().policies
     }
 
     /// Every shard's true per-level policies, in shard order — exact
     /// even when per-shard tuners have diverged.
     pub fn shard_policies(&self) -> Vec<Vec<u32>> {
         (0..self.shards.len())
-            .map(|i| self.tree(i).policies())
+            .map(|i| self.shard(i).policies())
             .collect()
     }
 
@@ -1770,8 +1545,7 @@ impl ShardedRusKey {
                     Operation::Get { key }
                     | Operation::Put { key, .. }
                     | Operation::Delete { key } => {
-                        let s = self.routes.shard_for(key, n);
-                        self.observe_point_op(key, s);
+                        self.route_point(key);
                     }
                     Operation::Scan { .. } => {
                         if let Some(bal) = &mut self.balancer {
@@ -1783,18 +1557,10 @@ impl ShardedRusKey {
                 }
             }
         }
-        let mut lanes: Vec<Option<Vec<Operation>>> = self
-            .routes
-            .partition_ops_owned(ops, n)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let dones = match self.dispatch(|i, tree, reply| Job::Lane {
-            tree,
-            ops: lanes[i].take().expect("one lane per shard"),
-            reply,
-        }) {
-            Ok(dones) => dones,
+        let mut lanes = self.routes.partition_ops_owned(ops, n);
+        let lanes = self.run_batches(0..n, Door::Lane, |i| std::mem::take(&mut lanes[i]));
+        let outcomes = match lanes {
+            Ok(outcomes) => outcomes,
             Err(e) => {
                 // A WAL commit failure leaves the engine alive with every
                 // lane already applied but no report cut for it: rebaseline
@@ -1812,13 +1578,7 @@ impl ShardedRusKey {
         // The commit barrier ran inside the workers, overlapped: the
         // mission's durability latency is the slowest shard's leg, the
         // total sync work the sum of all legs.
-        let commit = commit_stats(&dones);
-        // Per-shard commit legs, kept for the per-shard reward slices: a
-        // shard's tuner must price *its* fsync, not the barrier max.
-        let mut legs = vec![0u64; n];
-        for d in &dones {
-            legs[d.shard] = d.commit.ns;
-        }
+        let commit = commit_stats(&outcomes);
         let process_ns = t0.elapsed().as_nanos() as u64;
         let (mut report, mut slices) = self
             .collector
@@ -1874,8 +1634,11 @@ impl ShardedRusKey {
                     unreachable!("strategy checked above")
                 };
                 for (i, tuner) in tuners.iter_mut().enumerate() {
-                    slices[i].commit_ns = legs[i];
-                    slices[i].commit_busy_ns = legs[i];
+                    // A shard's tuner must price *its* fsync, not the
+                    // barrier max (the outcomes are in shard order).
+                    let leg_ns = outcomes[i].commit.ns;
+                    slices[i].commit_ns = leg_ns;
+                    slices[i].commit_busy_ns = leg_ns;
                     if slices[i].ops == 0 {
                         continue;
                     }
@@ -2035,12 +1798,10 @@ impl ShardedRusKey {
         // 2. Copy each key to its new home (a key with no live value —
         // deleted or never written — moves by route alone).
         for key in &moves {
-            let v = match self.adhoc_one(hot, AdhocOp::Get(key.clone())) {
-                AdhocOut::Value(v) => v,
-                _ => unreachable!("get replies with a value"),
-            };
-            if let Some(v) = v {
-                self.adhoc_one(cold, AdhocOp::Put(key.clone(), v));
+            let key = key.clone();
+            let get = Operation::Get { key: key.clone() };
+            if let Some(value) = self.adhoc_point(hot, get).value() {
+                self.adhoc_point(cold, Operation::Put { key, value });
             }
         }
         // 3. Copies durable before the originals go away.
@@ -2052,7 +1813,7 @@ impl ShardedRusKey {
             // re-runs the migration idempotently, converging on the
             // same state.
             for key in &moves {
-                self.adhoc_one(cold, AdhocOp::Delete(key.clone()));
+                self.adhoc_point(cold, Operation::Delete { key: key.clone() });
             }
             rollback(self);
             let _ = self.persist_routes();
@@ -2060,7 +1821,7 @@ impl ShardedRusKey {
         }
         // 4. Tombstone the originals; the re-homed copies are durable.
         for key in &moves {
-            self.adhoc_one(hot, AdhocOp::Delete(key.clone()));
+            self.adhoc_point(hot, Operation::Delete { key: key.clone() });
         }
         self.rebalances += 1;
         Ok(())
@@ -2129,11 +1890,9 @@ impl ShardedRusKey {
                 self.routes.set(key.clone(), target);
                 self.route_sources.insert(key.clone(), source);
             }
-            let get = |this: &mut Self, shard: usize| match this
-                .adhoc_one(shard, AdhocOp::Get(key.clone()))
-            {
-                AdhocOut::Value(v) => v,
-                _ => unreachable!("get replies with a value"),
+            let get = |this: &mut Self, shard: usize| {
+                let key = key.clone();
+                this.adhoc_point(shard, Operation::Get { key }).value()
             };
             let at_target = get(self, target);
             if at_target.is_none() {
@@ -2142,8 +1901,9 @@ impl ShardedRusKey {
                     None if home != source => get(self, home),
                     None => None,
                 };
-                if let Some(v) = rescued {
-                    self.adhoc_one(target, AdhocOp::Put(key.clone(), v));
+                if let Some(value) = rescued {
+                    let key = key.clone();
+                    self.adhoc_point(target, Operation::Put { key, value });
                     settled += 1;
                 }
             }
@@ -2151,7 +1911,7 @@ impl ShardedRusKey {
             // lives at the target (or the key is simply dead).
             for shard in 0..n {
                 if shard != target && get(self, shard).is_some() {
-                    self.adhoc_one(shard, AdhocOp::Delete(key.clone()));
+                    self.adhoc_point(shard, Operation::Delete { key: key.clone() });
                     settled += 1;
                 }
             }
@@ -2197,7 +1957,7 @@ fn modal_policy(held: &[u32]) -> u32 {
 /// lines). A missing file is an empty table; the atomic-rename write
 /// protocol means the file is never torn, so malformed lines are a
 /// corruption signal surfaced as an error rather than skipped silently.
-fn load_routes(path: &std::path::Path) -> Result<Vec<(Bytes, usize, usize)>, OpenError> {
+fn load_routes(path: &Path) -> Result<Vec<(Bytes, usize, usize)>, OpenError> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -2237,11 +1997,12 @@ fn load_routes(path: &std::path::Path) -> Result<Vec<(Bytes, usize, usize)>, Ope
 
 /// Folds per-shard commit legs into the barrier composition: latency is
 /// the max (the legs ran concurrently), work the sum.
-fn commit_stats(dones: &[ShardDone]) -> CommitStats {
+fn commit_stats(outcomes: &[Outcome]) -> CommitStats {
+    let legs = || outcomes.iter().map(|o| &o.commit);
     CommitStats {
-        barrier_ns: dones.iter().map(|d| d.commit.ns).max().unwrap_or(0),
-        busy_ns: dones.iter().map(|d| d.commit.ns).sum(),
-        syncs: dones.iter().filter(|d| d.commit.synced).count() as u64,
+        barrier_ns: legs().map(|leg| leg.ns).max().unwrap_or(0),
+        busy_ns: legs().map(|leg| leg.ns).sum(),
+        syncs: legs().filter(|leg| leg.synced).count() as u64,
     }
 }
 

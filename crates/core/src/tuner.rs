@@ -3,6 +3,7 @@
 
 use std::time::Instant;
 
+use ruskey_lsm::FlsmTree;
 use ruskey_rl::{Ddpg, DdpgConfig, Transition};
 
 use crate::state::{full_state, LEVEL_STATE_DIM};
@@ -21,6 +22,21 @@ pub struct TreeObservation {
     pub size_ratio: u32,
     /// Number of materialized levels.
     pub level_count: usize,
+}
+
+impl TreeObservation {
+    /// Observes one tree's levels: the single place an observation is
+    /// read off a tree, for the single-tree store and every shard alike.
+    pub(crate) fn of(tree: &FlsmTree) -> Self {
+        let n = tree.level_count();
+        Self {
+            policies: tree.policies(),
+            fills: (0..n).map(|i| tree.level_fill(i)).collect(),
+            run_counts: (0..n).map(|i| tree.level_run_count(i)).collect(),
+            size_ratio: tree.config().size_ratio,
+            level_count: n,
+        }
+    }
 }
 
 /// A tuning model: observes each finished mission and proposes per-level

@@ -1080,6 +1080,23 @@ impl FlsmTree {
         steps
     }
 
+    /// Maintenance steps one boundary grant may run.
+    pub const BOUNDARY_MAINTAIN_STEPS: u64 = 4;
+
+    /// The boundary grant: the bounded share of deferred structural work
+    /// a caller owes the tree whenever a batch of operations ends (a
+    /// mission lane, a served batch, every n-th ad-hoc write). With
+    /// `background_maintenance` off the write path already did the work
+    /// inline and the grant is a no-op. Callers decide *when* a boundary
+    /// falls; how much it grants is decided here, once.
+    pub fn maintain_boundary(&mut self) -> u64 {
+        if self.cfg.background_maintenance {
+            self.maintain(Self::BOUNDARY_MAINTAIN_STEPS)
+        } else {
+            0
+        }
+    }
+
     /// Picker thresholds derived from the tree's configuration. The
     /// grandparent bound follows the classic 10× write-buffer ratio.
     fn picker_config(&self) -> PickerConfig {

@@ -19,7 +19,18 @@
 //! Trees move between the store and the workers over channels — exactly
 //! one side owns a shard's tree at any instant, so the hot path carries
 //! no locks — and `N = 1` runs through the same pool path as any other
-//! shard count. A panicking worker surfaces as a clean
+//! shard count. There is **one way to run an operation**: a job is a
+//! shard's tree, the work to run on it, and the channel that brings it
+//! home, and the work is a batch of [`workload::Operation`]s through one
+//! executor — execute each, grant the maintenance boundary
+//! ([`lsm::FlsmTree::maintain_boundary`]), run the shard's commit leg.
+//! A mission lane, the standalone group commit (the empty batch), an
+//! ad-hoc `get`/`put`/`delete`/`scan` (a batch of one that keeps its
+//! result and leaves the commit to the next barrier), a served batch,
+//! and [`ruskey::db::RusKey::run_mission`] all go through it; the store
+//! ships jobs and collects them through one pair of functions, and every
+//! constructor is a thin call into one private opener. A panicking
+//! worker surfaces as a clean
 //! [`ruskey::sharded::MissionError`] (never a hang); dropping the store
 //! joins every worker. Each shard accounts on its own **time domain** (a
 //! [`storage::ShardStorage`] view with a private virtual clock), so
@@ -176,8 +187,11 @@
 //! and compactions leave the write path: `put`/`delete` only append to
 //! the WAL and the memtable, and the structural work runs as **bounded,
 //! explicit steps** ([`lsm::FlsmTree::step_maintenance`] /
-//! [`lsm::FlsmTree::maintain`]) that each shard worker interleaves at
-//! mission boundaries. The pieces compose as follows:
+//! [`lsm::FlsmTree::maintain`]). The tree owns the one rule for how many
+//! a boundary grants ([`lsm::FlsmTree::maintain_boundary`]); callers only
+//! decide where a boundary falls — the end of a mission lane, the end of
+//! a served batch, every 32nd ad-hoc write to a shard. The pieces
+//! compose as follows:
 //!
 //! * **Shared run handles** — every on-disk run is an immutable
 //!   `Arc<Run>`. [`lsm::FlsmTree::snapshot`] clones the current run-set
@@ -228,13 +242,14 @@
 //! turns the store into a `Send + Sync` service handle: any number of
 //! [`ruskey::frontend::ServingClient`]s submit get/put/delete/scan
 //! concurrently through **bounded per-shard MPSC queues**, and each
-//! shard's persistent worker drains its queue in batches — reads reply
-//! immediately (per-shard FIFO makes read-your-writes structural),
-//! writes in a batch share **one** WAL commit leg, and bounded
-//! maintenance steps interleave between batches exactly as on the
-//! mission path. The batch commit is the cross-*client* group commit:
-//! requests arriving while a commit leg runs form the next batch, so
-//! under concurrency the fsync amortizes over clients (mean writes per
+//! shard's persistent worker drains its queue in batches through the
+//! same executor, boundary grant and commit leg as a mission lane —
+//! reads reply as soon as they ran (per-shard FIFO makes
+//! read-your-writes structural), the batch's end is a maintenance
+//! boundary, and the writes in a batch share **one** WAL commit leg,
+//! acknowledged only after it. The batch commit is the cross-*client*
+//! group commit: requests arriving while a commit leg runs form the next
+//! batch, so under concurrency the fsync amortizes over clients (mean writes per
 //! commit > 1 at clients ≫ shards, pinned by `repro serve`).
 //! Overload is handled at admission, not by unbounded queues: a token
 //! bucket ([`ruskey::frontend::ServingConfig`]) rejects with a
@@ -245,13 +260,15 @@
 //! ([`ruskey::frontend::MetricsSnapshot::render_prometheus`]).
 //!
 //! Ad-hoc operations on the store itself (`get`/`put`/`delete`/`scan`
-//! outside missions and serving sessions) route through the same shard
-//! workers, so they share the mission path's time-domain attribution
-//! and — the backpressure contract — interleave bounded maintenance on
-//! write boundaries; an ad-hoc write burst in background mode keeps L0
-//! bounded by `l0_stall_runs` and records its waits as `stall_ns`
-//! (`tests/background_maintenance.rs`), and ad-hoc scans fan out on the
-//! workers with exact per-shard accounting (`tests/time_domains.rs`).
+//! outside missions and serving sessions) are batches of one on the
+//! same shard workers, so they share the mission path's time-domain
+//! attribution and — the backpressure contract — every 32nd write to a
+//! shard is a maintenance boundary; an ad-hoc write burst in background
+//! mode keeps L0 bounded by `l0_stall_runs` and records its waits as
+//! `stall_ns` (`tests/background_maintenance.rs`), and ad-hoc scans fan
+//! out on the workers with exact per-shard accounting
+//! (`tests/time_domains.rs`). `tests/sharded_equivalence.rs` pins that
+//! the mission, ad-hoc and serving doors leave identical stores.
 //!
 //! The serving contract is pinned by `tests/serving.rs` — K-client
 //! equivalence to a single-threaded replay at `N ∈ {1, 2, 4}`,

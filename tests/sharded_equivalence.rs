@@ -16,8 +16,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ruskey_repro::ruskey::db::{RusKey, RusKeyConfig};
-use ruskey_repro::ruskey::sharded::ShardedRusKey;
-use ruskey_repro::ruskey::tuner::FixedPolicy;
+use ruskey_repro::ruskey::frontend::ServingConfig;
+use ruskey_repro::ruskey::sharded::{DurabilityConfig, ShardedRusKey};
+use ruskey_repro::ruskey::tuner::{FixedPolicy, NoOpTuner};
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_repro::workload::routing::shard_for_key;
 use ruskey_repro::workload::{
@@ -161,6 +162,106 @@ fn n_shard_store_is_observationally_equivalent() {
                 }
             }
         }
+    }
+}
+
+/// The three doors into a shard — mission lanes, ad-hoc calls closed by a
+/// group commit, and a serving client — are one execution path: the same
+/// seeded operation sequence through each leaves `N = 2` durable stores
+/// with identical contents and identical per-shard lifetime counters.
+#[test]
+fn the_three_doors_agree() {
+    const SHARDS: usize = 2;
+    let open = |door: &str| {
+        let dir = std::env::temp_dir().join(format!("ruskey-doors-{}-{door}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durability = DurabilityConfig::group_commit(&dir);
+        let db = ShardedRusKey::try_with_tuner_durable(
+            small_cfg(),
+            SHARDS,
+            disk(),
+            Box::new(NoOpTuner),
+            &durability,
+        )
+        .expect("open durable store");
+        (db, dir)
+    };
+    let ops = OpGenerator::new(mixed_spec(400), 17).take_ops(900);
+
+    let (mut missions, dir_m) = open("missions");
+    for mission in ops.chunks(300) {
+        missions.run_mission(mission);
+    }
+
+    let (mut adhoc, dir_a) = open("adhoc");
+    for op in ops.iter().cloned() {
+        match op {
+            Operation::Get { key } => drop(adhoc.get(&key)),
+            Operation::Put { key, value } => adhoc.put(key, value),
+            Operation::Delete { key } => adhoc.delete(key),
+            Operation::Scan { start, end, limit } => drop(adhoc.scan(&start, &end, limit)),
+        }
+    }
+    adhoc.group_commit();
+
+    let (mut served, dir_s) = open("served");
+    let frontend = served.serve(ServingConfig::default()).expect("serve");
+    let client = frontend.client();
+    for op in ops.iter().cloned() {
+        match op {
+            Operation::Get { key } => drop(client.get(&key).expect("served get")),
+            Operation::Put { key, value } => client.put(key, value).expect("served put"),
+            Operation::Delete { key } => client.delete(key).expect("served delete"),
+            Operation::Scan { start, end, limit } => {
+                drop(client.scan(&start, &end, limit).expect("served scan"))
+            }
+        }
+    }
+    drop(client);
+    served.finish_serving(frontend).expect("finish serving");
+
+    // Counters first: the read-back below adds lookups of its own.
+    let counters = |db: &ShardedRusKey| -> Vec<(u64, u64, u64, u64)> {
+        db.shard_snapshots()
+            .iter()
+            .map(|s| (s.lookups, s.updates, s.scans, s.wal_appends))
+            .collect()
+    };
+    let expected = counters(&missions);
+    assert!(
+        expected
+            .iter()
+            .all(|c| c.0 > 0 && c.1 > 0 && c.2 > 0 && c.3 > 0),
+        "every shard must see every kind of work: {expected:?}"
+    );
+    assert_eq!(
+        counters(&adhoc),
+        expected,
+        "ad-hoc door: per-shard counters"
+    );
+    assert_eq!(
+        counters(&served),
+        expected,
+        "serving door: per-shard counters"
+    );
+
+    let (lo, hi) = (encode_key(0, 16), encode_key(400, 16));
+    let full = missions.scan(&lo, &hi, usize::MAX);
+    assert!(!full.is_empty());
+    assert_eq!(adhoc.scan(&lo, &hi, usize::MAX), full, "ad-hoc door: scan");
+    assert_eq!(
+        served.scan(&lo, &hi, usize::MAX),
+        full,
+        "serving door: scan"
+    );
+    for i in 0..400 {
+        let key = encode_key(i, 16);
+        let want = missions.get(&key);
+        assert_eq!(adhoc.get(&key), want, "ad-hoc door: key {i}");
+        assert_eq!(served.get(&key), want, "serving door: key {i}");
+    }
+    for dir in [dir_m, dir_a, dir_s] {
+        let _ = std::fs::remove_dir_all(dir);
     }
 }
 
