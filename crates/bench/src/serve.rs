@@ -12,7 +12,7 @@
 //!   last acknowledged write mid-flight and the final store state
 //!   matches every client's shadow model (zero violations);
 //! * **cross-client group commit** — at 16 clients ≫ 4 shards the mean
-//!   writes-per-commit-leg exceeds 1: concurrent clients' writes
+//!   records-per-fsync exceeds 1: concurrent clients' writes
 //!   coalesced into shared fsyncs (at 1 client it cannot exceed 1);
 //! * **crash durability** — a [`CrashPoint`] armed on one shard fires
 //!   mid-serve; every write acknowledged before the crash must survive
@@ -42,15 +42,14 @@ use crate::percentile::{max_ns, percentile_ns};
 pub struct ServeRow {
     /// Closed-loop client threads.
     pub clients: usize,
-    /// Shards (= shard workers serving).
+    /// Shards (each behind its own lock while serving).
     pub shards: usize,
     /// Requests admitted (client ops + mid-flight read-your-writes
     /// rereads).
     pub ops_total: u64,
-    /// Writes acknowledged after a group-commit leg.
+    /// Writes acknowledged after the fsync covering them.
     pub acked_writes: u64,
-    /// Times a client blocked on a full shard queue (queue-depth
-    /// watermark backpressure).
+    /// Times a client found its shard's lock taken and blocked for it.
     pub stalls: u64,
     /// Real throughput over the serving window (kops/s).
     pub throughput_kops: f64,
@@ -62,8 +61,8 @@ pub struct ServeRow {
     pub p999_ns: u64,
     /// Slowest request (real ns).
     pub max_ns: u64,
-    /// Mean writes per commit leg — cross-client group-commit
-    /// coalescing; > 1 means concurrent clients shared fsyncs.
+    /// Mean records per fsync — cross-client group-commit coalescing;
+    /// > 1 means concurrent clients shared fsyncs.
     pub mean_batch: f64,
     /// Mid-flight read-your-writes rereads performed.
     pub ryw_checks: u64,
@@ -153,8 +152,8 @@ fn run_client(client: &ServingClient, script: &[Operation]) -> ClientOutcome {
         }
         out.latencies.push(t0.elapsed().as_nanos() as u64);
         // Mid-flight read-your-writes: every 8th op, reread this
-        // client's last acknowledged write — FIFO per-shard queues must
-        // make it visible no matter what the other clients are doing.
+        // client's last acknowledged write — the per-shard lock's order
+        // must make it visible no matter what the other clients are doing.
         if i % 8 == 7 {
             if let Some(key) = &last_write {
                 out.ryw_checks += 1;
@@ -292,12 +291,7 @@ fn crash_leg(scale: &ExperimentScale) -> (u64, bool) {
         .expect("durable shard has a WAL")
         .arm_crash(CrashPoint::PostAppend, 24);
 
-    let frontend = db
-        .serve(ServingConfig {
-            batch_ops: 8,
-            ..ServingConfig::default()
-        })
-        .expect("start serving");
+    let frontend = db.serve(ServingConfig::default()).expect("start serving");
     let acked: Vec<(Bytes, Bytes)> = thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
@@ -351,7 +345,6 @@ fn admission_leg(scale: &ExperimentScale) -> (u64, bool) {
         .serve(ServingConfig {
             rate_limit_per_sec: 500,
             burst: 8,
-            ..ServingConfig::default()
         })
         .expect("start serving");
     let (acked, rejected): (Vec<Bytes>, Vec<Bytes>) = thread::scope(|s| {
@@ -406,9 +399,9 @@ pub fn serve(scale: &ExperimentScale) -> ServeVerdict {
         .collect();
     let (crash_acked, crash_ok) = crash_leg(scale);
     let (admission_rejections, admission_ok) = admission_leg(scale);
-    // Cross-client coalescing: at clients ≫ shards the mean commit batch
-    // must exceed a single write — fsync latency under concurrent
-    // closed-loop clients forms multi-write batches.
+    // Cross-client coalescing: at clients ≫ shards the mean fsync must
+    // cover more than a single write — writers that arrive while an fsync
+    // is in flight share the next one.
     let coalesced = rows
         .iter()
         .filter(|r| r.clients > r.shards)

@@ -1,7 +1,7 @@
 //! The one way an operation runs against a shard's tree.
 //!
 //! Every door into a tree — a mission lane, the standalone group-commit
-//! barrier, an ad-hoc `get`/`put`/`delete`/`scan`, a served batch, and
+//! barrier, an ad-hoc `get`/`put`/`delete`/`scan`, a served request, and
 //! [`RusKey::run_mission`](crate::db::RusKey::run_mission) — is the same
 //! three calls in the same order:
 //!
@@ -9,20 +9,25 @@
 //!    operation kind onto `FlsmTree::{get, put, delete, scan}`);
 //! 2. the boundary grant, [`FlsmTree::maintain_boundary`] (the tree owns
 //!    how much deferred structural work a boundary pays down);
-//! 3. [`commit_leg`], the shard's at-most-one-fsync group commit.
+//! 3. the commit leg, the shard's at-most-one-fsync group commit:
+//!    [`FlsmTree::commit_wal`], which is `begin_commit`, the fsync and
+//!    `finish_commit` back to back.
 //!
 //! A [`Door`] names the caller and so which of the optional parts it takes:
 //!
-//! | door                    | keep results | boundary grant      | commit leg        |
-//! |-------------------------|--------------|---------------------|-------------------|
-//! | mission lane, `RusKey`  | no           | yes                 | yes               |
-//! | `group_commit`          | — (no ops)   | no                  | yes               |
-//! | ad-hoc op               | yes (one)    | every 32nd write    | no                |
-//! | served batch            | replied      | yes                 | iff it had writes |
+//! | door                    | keep results | boundary grant      | commit leg                   |
+//! |-------------------------|--------------|---------------------|------------------------------|
+//! | mission lane, `RusKey`  | no           | yes                 | yes ([`commit_leg`])         |
+//! | `group_commit`          | — (no ops)   | no                  | yes ([`commit_leg`])         |
+//! | ad-hoc op               | yes (one)    | every 32nd write    | no                           |
+//! | served request          | yes (one)    | yes                 | iff a write; halves split    |
 //!
-//! The first three run through [`run_batch`]; the serve loop
-//! ([`crate::frontend`]) makes the same three calls itself because it
-//! replies to reads between steps 1 and 2.
+//! The first three run through [`run_batch`] on the shard's pool worker.
+//! A served request runs on its client's thread under the shard's lock
+//! ([`crate::frontend`]) and makes the same three calls itself, because it
+//! takes the commit leg in its two halves: `begin_commit` before the
+//! unlock, the fsync — shared with every writer waiting on the shard —
+//! and `finish_commit` after it.
 
 use bytes::Bytes;
 use ruskey_lsm::FlsmTree;

@@ -1,40 +1,77 @@
 //! The concurrent serving frontend: many clients, one sharded engine.
 //!
 //! [`ServingFrontend`] turns a [`ShardedRusKey`](crate::sharded::ShardedRusKey)
-//! into a `Send + Sync` service handle. While the store is serving, every
-//! shard's tree lives on its persistent worker (the same pool thread that
-//! executes mission lanes), which drains a **bounded per-shard MPSC
-//! queue** in batches:
+//! into a `Send + Sync` service handle. For the length of a session the
+//! frontend holds every shard's tree behind a **per-shard lock**, and a
+//! request is **served on its caller's thread**: there is no serving
+//! thread, no request queue and no reply channel, so a request costs no
+//! thread wake-up and a [`ServingClient`] sleeps only when its shard is
+//! contended or, for a write, for the fsync that covers it. One request
+//! is:
 //!
-//! 1. block for the first request, then greedily drain up to
-//!    `batch_ops` more without blocking — whatever concurrent clients
-//!    enqueued while the previous batch was executing or committing;
-//! 2. run every request's [`Operation`] through `execute` — the same
-//!    executor a mission lane and an ad-hoc call use. A read's result is
-//!    sent back at once (FIFO order per shard makes read-your-writes per
-//!    client structural, not probabilistic); a write's reply is held;
-//! 3. the batch's end is a maintenance boundary:
-//!    [`FlsmTree::maintain_boundary`], the same grant a mission lane
-//!    gets between its operations and its commit;
-//! 4. if the batch contained writes, run **one** `commit_leg` covering
-//!    all of them, then send the held replies — ack-after-commit, so an
-//!    acknowledged write is always covered by an fsync (or superseded by
-//!    a flush) before its client unblocks.
+//! 1. **lock** the owning shard (a `try_lock` that fails is counted as a
+//!    stall before the client blocks);
+//! 2. **execute** the [`Operation`] through `execute` — the same executor
+//!    a mission lane and an ad-hoc call use;
+//! 3. **boundary**: [`FlsmTree::maintain_boundary`], the same grant a
+//!    mission lane gets between its operations and its commit. A write
+//!    then runs the first half of the commit leg
+//!    ([`FlsmTree::begin_commit`]): its WAL record goes from the buffer to
+//!    the file and the client takes a [`SyncTicket`] for the fsync;
+//! 4. **unlock**. A read returns here — it never waits on an fsync, its
+//!    own shard's or anyone's;
+//! 5. **group commit**, a write only, with the tree lock released. Each
+//!    shard keeps a commit state beside its tree — how far the log is
+//!    known durable, whether an fsync is in flight, a condition variable.
+//!    A writer whose record a finished fsync already covers returns;
+//!    otherwise, if no fsync is in flight, it becomes the **syncer** for
+//!    everything any writer has flushed so far — `sync_data` under no
+//!    lock, then the second half of the commit leg
+//!    ([`FlsmTree::finish_commit`]: the log's accounting and the fsync's
+//!    virtual cost) under the tree lock for the few hundred ns that takes
+//!    — and wakes the waiters; otherwise it waits for the syncer in
+//!    flight and looks again.
 //!
-//! Steps 2–4 are the one path of `exec`; a served batch is the
-//! door that replies per operation, always grants the boundary, and
-//! commits only when it wrote.
+//! Steps 2, 3 and 5 are the three calls of `exec` (execute, boundary
+//! grant, commit leg) made by the served door, with the commit leg split
+//! around the unlock; [`FlsmTree::commit_wal`] is the same two halves
+//! back to back, so there is one sync path.
 //!
-//! Step 4 is the cross-client group commit: the ≤ 1-fsync-per-shard-
-//! per-batch bound that mission barriers provide for one caller now
-//! amortizes over every connected client — requests that arrive during a
-//! commit form the next batch, so under concurrency the mean writes per
-//! fsync exceeds one (the `repro serve` experiment pins this).
+//! ## The contract
 //!
-//! ## Admission control and backpressure
+//! * **Ack after fsync.** `Ok` from a write means a `sync_data` that
+//!   *started after* the record reached the log file has *returned* — or
+//!   a memtable flush superseded the record (the flushed run is durable
+//!   before the log is truncated; a syncer whose ticket predates the
+//!   truncation counts nothing twice). A log that dies (fault injection)
+//!   or fails with a real I/O error acknowledges nothing further, to the
+//!   syncer or to any writer waiting on it, and the shard refuses every
+//!   later request with [`ServingError::Stopped`].
+//! * **Order.** Operations on one shard are serialized by its lock, in
+//!   the order the lock was won; a client's own requests are ordered
+//!   because it issues one at a time. So read-your-writes per client is
+//!   structural: a client's write is in the memtable before its `put`
+//!   returns, and its next `get` takes the same lock.
+//! * **Visibility before acknowledgement.** A write is visible to other
+//!   clients' reads from its unlock, which is before its fsync — exactly
+//!   as, inside one batch of the queue-based frontend this replaces, a
+//!   read executed after a write saw it before the batch committed. What
+//!   is promised about an unacknowledged write is unchanged: nothing,
+//!   until `Ok`.
+//! * **Group commit.** Writers that reach step 5 while a syncer's fsync
+//!   is in flight are all covered by the next one, so at clients ≫ shards
+//!   the mean records per fsync exceeds one (the `repro serve` experiment
+//!   and `tests/serving.rs` pin this) — the ≤ 1-fsync-per-shard-per-batch
+//!   bound that mission barriers give one caller, amortized over every
+//!   connected client.
 //!
-//! Two mechanisms keep an overloaded frontend honest instead of letting
-//! queues grow without bound:
+//! The tree lock is never held across a WAL `sync_data` (with
+//! `sync_every > 0` the log's own auto-sync still runs inside an append;
+//! group-commit-only logs, the default, have none). Structural work a
+//! write absorbs — a memtable flush, backpressure — does run under the
+//! lock, as it ran on the shard's worker before.
+//!
+//! ## Admission control and contention
 //!
 //! * a **token bucket** ([`ServingConfig::rate_limit_per_sec`] /
 //!   [`ServingConfig::burst`]) rejects requests once the bucket drains —
@@ -42,24 +79,27 @@
 //!   rejected operation was **not** executed (the proptest in
 //!   `tests/serving.rs` pins that rejections never drop an acknowledged
 //!   op);
-//! * the bounded queue itself: when a shard's queue is at
-//!   [`ServingConfig::queue_depth`], the submitting client blocks until
-//!   the worker drains — the wait is surfaced as `stall_ns` (and a
-//!   `stalls` count) in the metrics, and the per-write queue wait is
-//!   attributed to the shard tree via [`FlsmTree::note_queue_stall_ns`]
-//!   so it reaches the mission report's `queue_stall_ns`.
+//! * a closed-loop client has one request outstanding, so at most
+//!   *clients* requests exist at once and nothing queues without bound.
+//!   Time a client spends blocked on a taken shard lock is surfaced as
+//!   `stall_ns` (and a `stalls` count) in the metrics, and a write's lock
+//!   wait is attributed to the shard tree via
+//!   [`FlsmTree::note_queue_stall_ns`] so it reaches the mission report's
+//!   `queue_stall_ns`.
 //!
 //! ## Live metrics
 //!
 //! [`ServingMetrics`] is a registry of atomics — request counters by
-//! kind, rejections, stalls, per-shard queue-depth gauges, power-of-two
-//! histograms for writes-per-commit and commit latency, and per-client
-//! counters (CAMAL's motivation: keep per-client workload composition
-//! live so a tuner can eventually see it). [`ServingFrontend::metrics`]
-//! snapshots it without stopping the world — readers never take a lock
-//! the serving path holds — and
-//! [`MetricsSnapshot::render_prometheus`] renders the classic
-//! text exposition format.
+//! kind, rejections, stalls, per-shard in-flight gauges, power-of-two
+//! histograms for records-per-fsync and commit latency, three more that
+//! split every request's real time into **lock wait / execute / commit
+//! wait** ("why was that put slow" has an answer in the system's own
+//! output), and per-client counters (CAMAL's motivation: keep per-client
+//! workload composition live so a tuner can eventually see it).
+//! [`ServingFrontend::metrics`] snapshots it without stopping the world —
+//! readers never take a lock the serving path holds — and
+//! [`MetricsSnapshot::render_prometheus`] renders the classic text
+//! exposition format.
 //!
 //! Serving sessions bracket missions: start with
 //! [`ShardedRusKey::serve`](crate::sharded::ShardedRusKey::serve), hand
@@ -68,33 +108,25 @@
 //! to stop, restore the trees, and fold the serving work out of the next
 //! mission's statistics delta.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use ruskey_lsm::FlsmTree;
+use ruskey_lsm::{FlsmTree, SyncTicket};
 use ruskey_workload::routing::RoutingTable;
 use ruskey_workload::Operation;
 
-use crate::exec::{commit_leg, execute, OpResult};
-use crate::sharded::{merge_sorted_scans, InFlight};
+use crate::exec::{execute, OpResult};
+use crate::sharded::merge_sorted_scans;
 
 /// Relaxed is enough everywhere here: every counter is a monotonic
 /// statistic, never a synchronization edge.
 const RLX: Ordering = Ordering::Relaxed;
 
-/// Tuning knobs of a serving session.
+/// Tuning knobs of a serving session: the admission token bucket.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServingConfig {
-    /// Bounded per-shard request-queue capacity. A full queue blocks the
-    /// submitting client (surfaced as `stall_ns`), which is the
-    /// queue-depth watermark backpressure.
-    pub queue_depth: usize,
-    /// Maximum requests a shard worker drains into one batch (and so the
-    /// most writes one commit leg can cover).
-    pub batch_ops: usize,
     /// Token-bucket refill rate in requests per second across all
     /// clients; 0 disables admission control entirely.
     pub rate_limit_per_sec: u64,
@@ -107,8 +139,6 @@ pub struct ServingConfig {
 impl Default for ServingConfig {
     fn default() -> Self {
         Self {
-            queue_depth: 64,
-            batch_ops: 64,
             rate_limit_per_sec: 0,
             burst: 64,
         }
@@ -116,26 +146,27 @@ impl Default for ServingConfig {
 }
 
 /// Why a serving request failed.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub enum ServingError {
-    /// Admission control rejected the request before it was enqueued:
+    /// Admission control rejected the request before it ran:
     /// the token bucket is empty. The operation did **not** execute;
     /// retry no sooner than `retry_after`.
     Rejected {
         /// Estimated wait until the bucket holds a token again.
         retry_after: Duration,
     },
-    /// The serving session has stopped (the store is shutting the
-    /// frontend down, or the shard's serve loop already exited); the
-    /// request was not executed — or, for a write, was executed but
-    /// never acknowledged.
+    /// The session has ended (`finish_serving` took the trees home) or
+    /// the shard is dead — it crashed, its log failed, or a client
+    /// panicked inside it; the request was not executed — or, for a
+    /// write, was executed but never acknowledged.
     Stopped,
     /// The shard's log simulated a process crash mid-serve (fault
-    /// injection): the write batch was executed but is **not**
-    /// acknowledged — recovery decides what survives.
+    /// injection): the write was executed but is **not** acknowledged —
+    /// recovery decides what survives.
     Crashed,
-    /// The shard's WAL failed with a real I/O error during the commit
-    /// leg: the batch is not acknowledged.
+    /// The shard's WAL failed with a real I/O error during the commit:
+    /// the write, and every write waiting on the same fsync, is not
+    /// acknowledged.
     Wal,
 }
 
@@ -312,8 +343,8 @@ pub struct ClientSnapshot {
 }
 
 /// The live metrics registry of one serving session: plain atomics,
-/// updated by clients and shard workers, snapshotted by anyone without
-/// stopping the world.
+/// updated by the clients, snapshotted by anyone without stopping the
+/// world.
 #[derive(Debug)]
 pub struct ServingMetrics {
     gets: AtomicU64,
@@ -329,6 +360,9 @@ pub struct ServingMetrics {
     shard_ops: Vec<AtomicU64>,
     batch_writes: Histogram,
     commit_ns: Histogram,
+    lock_wait_ns: Histogram,
+    execute_ns: Histogram,
+    commit_wait_ns: Histogram,
     next_client: AtomicU64,
     /// Locked only at client registration and snapshot time — never on
     /// the per-request path.
@@ -351,6 +385,9 @@ impl ServingMetrics {
             shard_ops: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             batch_writes: Histogram::new(),
             commit_ns: Histogram::new(),
+            lock_wait_ns: Histogram::new(),
+            execute_ns: Histogram::new(),
+            commit_wait_ns: Histogram::new(),
             next_client: AtomicU64::new(0),
             clients: Mutex::new(Vec::new()),
         }
@@ -383,6 +420,9 @@ impl ServingMetrics {
             shard_ops: self.shard_ops.iter().map(|d| d.load(RLX)).collect(),
             batch_writes: self.batch_writes.snapshot(),
             commit_ns: self.commit_ns.snapshot(),
+            lock_wait_ns: self.lock_wait_ns.snapshot(),
+            execute_ns: self.execute_ns.snapshot(),
+            commit_wait_ns: self.commit_wait_ns.snapshot(),
             clients: self
                 .clients
                 .lock()
@@ -414,25 +454,36 @@ pub struct MetricsSnapshot {
     pub scans: u64,
     /// Requests the token bucket rejected (never executed).
     pub rejections: u64,
-    /// Times a client blocked on a full shard queue (the queue-depth
-    /// watermark).
+    /// Times a client found its shard's lock taken (`try_lock` failed)
+    /// and blocked for it.
     pub stalls: u64,
-    /// Total real ns clients spent blocked on full shard queues.
+    /// Total real ns clients spent blocked on taken shard locks.
     pub stall_ns: u64,
-    /// Writes acknowledged after their batch's commit leg.
+    /// Writes acknowledged: covered by a returned fsync, or superseded
+    /// by a memtable flush, before their client unblocked.
     pub acked_writes: u64,
-    /// Write batches committed (one commit leg each).
+    /// Fsyncs finished by a syncer (one group commit each).
     pub batches: u64,
-    /// Per-shard queue depth at snapshot time.
+    /// Per shard, the requests inside or waiting for the shard at
+    /// snapshot time — at most the number of clients.
     pub queue_depth: Vec<u64>,
     /// Requests executed per shard since the session started (scan legs
     /// count once per shard they touch) — the hot-shard skew signal.
     pub shard_ops: Vec<u64>,
-    /// Writes covered per commit leg — the cross-client group-commit
-    /// coalescing histogram; `mean()` > 1 means coalescing happened.
+    /// Records each finished fsync newly covered — the cross-client
+    /// group-commit coalescing histogram; `mean()` > 1 means writers
+    /// shared fsyncs.
     pub batch_writes: HistogramSnapshot,
-    /// Commit-leg latency histogram (virtual ns, fsyncs only).
+    /// Commit latency histogram (virtual ns, one observation per fsync).
     pub commit_ns: HistogramSnapshot,
+    /// Real ns each request waited for its shard's lock.
+    pub lock_wait_ns: HistogramSnapshot,
+    /// Real ns each request held the lock: execute, boundary grant and,
+    /// for a write, the WAL buffer's trip to the file.
+    pub execute_ns: HistogramSnapshot,
+    /// Real ns each write waited, lock released, for the fsync covering
+    /// it (its own as syncer, or the one in flight).
+    pub commit_wait_ns: HistogramSnapshot,
     /// Per-client workload counters, in client-creation order.
     pub clients: Vec<ClientSnapshot>,
 }
@@ -443,8 +494,8 @@ impl MetricsSnapshot {
         self.gets + self.puts + self.deletes + self.scans
     }
 
-    /// Mean writes covered per commit leg (the group-commit batch size
-    /// observed across clients; 0 when no batch committed).
+    /// Mean records newly covered per fsync (the group-commit batch size
+    /// observed across clients; 0 when nothing was synced).
     pub fn mean_batch_writes(&self) -> f64 {
         self.batch_writes.mean()
     }
@@ -483,160 +534,110 @@ impl MetricsSnapshot {
         }
         counter("batch_writes_sum", "", self.batch_writes.sum);
         counter("batch_writes_count", "", self.batch_writes.count);
-        counter("commit_ns_sum", "", self.commit_ns.sum);
-        counter("commit_ns_count", "", self.commit_ns.count);
+        for (name, h) in [
+            ("commit_ns", &self.commit_ns),
+            ("lock_wait_ns", &self.lock_wait_ns),
+            ("execute_ns", &self.execute_ns),
+            ("commit_wait_ns", &self.commit_wait_ns),
+        ] {
+            counter(&format!("{name}_sum"), "", h.sum);
+            counter(&format!("{name}_count"), "", h.count);
+        }
         out
     }
 }
 
-/// One request on a shard's serving queue.
-pub(crate) enum ShardRequest {
-    /// Execute `op` and answer on `reply`: a read as soon as it ran, a
-    /// write after its batch's commit leg.
-    Op {
-        op: Operation,
-        reply: mpsc::Sender<Reply>,
-        /// When a write was submitted (its queue wait is attributed to
-        /// the shard); reads carry no clock reading.
-        enqueued: Option<Instant>,
-    },
-    /// Stop serving after the current batch (sent once per shard by
-    /// `finish_serving`).
-    Shutdown,
+/// One shard of a serving session: its tree behind the lock a client
+/// holds while it executes, and beside it the state of the shard's group
+/// commit, which runs with that lock released.
+struct ShardSlot {
+    /// `None` once `finish_serving` took the tree home.
+    tree: Mutex<Option<FlsmTree>>,
+    /// Set when the shard died serving (crash injection or a WAL I/O
+    /// error): every later request is refused.
+    stopped: AtomicBool,
+    commit: Mutex<CommitState>,
+    /// Signalled whenever a syncer finishes.
+    synced: Condvar,
 }
 
-/// A shard worker's answer to one request. `Ok(OpResult::Written)` is an
-/// acknowledgement: the write's batch committed and the tree is alive, so
-/// the record is fsync-covered (or flush-superseded).
-pub(crate) type Reply = Result<OpResult, ServingError>;
+/// Where a shard's log stands, in lifetime appends
+/// ([`SyncTicket::appended`]).
+#[derive(Default)]
+struct CommitState {
+    /// The newest ticket a writer brought out from under the tree lock:
+    /// every record up to it is in the file.
+    flushed: Option<SyncTicket>,
+    /// Every record up to here is covered by an fsync that returned.
+    durable: u64,
+    /// A syncer's fsync is in flight; there is one at a time.
+    syncing: bool,
+    /// Why the log acknowledges nothing further.
+    dead: Option<ServingError>,
+}
 
-/// State shared by every client and shard worker of one serving session.
-pub(crate) struct ServeShared {
-    pub(crate) cfg: ServingConfig,
-    pub(crate) metrics: Arc<ServingMetrics>,
-    pub(crate) bucket: Arc<TokenBucket>,
+/// State shared by the frontend and every client of one serving session.
+struct ServeShared {
+    slots: Vec<ShardSlot>,
+    metrics: ServingMetrics,
+    bucket: TokenBucket,
     /// Frozen copy of the store's key re-homing overrides: clients must
     /// route exactly like the mission path or re-homed keys would read
     /// from the wrong shard.
-    pub(crate) routes: RoutingTable,
+    routes: RoutingTable,
 }
 
-impl ServeShared {
-    pub(crate) fn new(cfg: ServingConfig, shards: usize, routes: RoutingTable) -> Self {
-        let bucket = Arc::new(TokenBucket::new(cfg.rate_limit_per_sec, cfg.burst));
-        Self {
-            cfg,
-            metrics: Arc::new(ServingMetrics::new(shards)),
-            bucket,
-            routes,
-        }
-    }
-}
-
-/// The serve loop of one shard, run on the shard's persistent pool
-/// worker while a serving session is active (see the module docs for the
-/// batch/maintain/commit/ack cycle). Returns when the session shuts down,
-/// every sender is gone, or the shard dies (crash or WAL error) —
-/// the worker then ships the tree home.
-pub(crate) fn serve_shard(
-    shard: usize,
-    tree: &mut FlsmTree,
-    rx: &Receiver<ShardRequest>,
-    shared: &ServeShared,
-) {
-    let m = &shared.metrics;
-    let batch_max = shared.cfg.batch_ops.max(1);
-    let mut acks: Vec<mpsc::Sender<Reply>> = Vec::new();
-    let mut stop = false;
-    while !stop {
-        // Block for the first request; drain greedily after it. The
-        // greedy drain is what forms cross-client batches: everything
-        // enqueued while the previous batch executed or committed.
-        let Ok(first) = rx.recv() else { break };
-        let mut batch = Vec::with_capacity(batch_max);
-        batch.push(first);
-        batch.extend(rx.try_iter().take(batch_max - 1));
-        for req in batch {
-            let ShardRequest::Op {
-                op,
-                reply,
-                enqueued,
-            } = req
-            else {
-                stop = true;
-                continue;
-            };
-            m.queue_depth[shard].fetch_sub(1, RLX);
-            m.shard_ops[shard].fetch_add(1, RLX);
-            if let Some(enqueued) = enqueued {
-                tree.note_queue_stall_ns(enqueued.elapsed().as_nanos() as u64);
-            }
-            match execute(tree, op) {
-                OpResult::Written => acks.push(reply),
-                read => {
-                    let _ = reply.send(Ok(read));
-                }
-            }
-        }
-        tree.maintain_boundary();
-        if !acks.is_empty() {
-            // The cross-client group commit: one leg covers every write
-            // of the batch; acks only go out after it.
-            let writes = acks.len() as u64;
-            let leg = commit_leg(tree);
-            m.batches.fetch_add(1, RLX);
-            m.batch_writes.observe(writes);
-            if leg.synced {
-                m.commit_ns.observe(leg.ns);
-            }
-            // A log that failed with a real I/O error, or died mid-batch
-            // (fault injection), acknowledges nothing; recovery decides
-            // what survives.
-            let (failed, crashed) = (leg.error.is_some(), tree.crashed());
-            if !failed && !crashed {
-                m.acked_writes.fetch_add(writes, RLX);
-            }
-            for ack in acks.drain(..) {
-                let _ = ack.send(if failed {
-                    Err(ServingError::Wal)
-                } else if crashed {
-                    Err(ServingError::Crashed)
-                } else {
-                    Ok(OpResult::Written)
-                });
-            }
-            stop |= failed;
-        }
-        // Stop serving a dead shard.
-        stop |= tree.crashed();
-    }
-}
-
-/// A `Send + Sync` handle over a store that is currently serving:
-/// produces [`ServingClient`]s for worker threads and snapshots the live
-/// metrics. Obtained from
+/// A `Send + Sync` handle over a store that is currently serving: holds
+/// the shard trees for the length of the session, produces
+/// [`ServingClient`]s for worker threads and snapshots the live metrics.
+/// Obtained from
 /// [`ShardedRusKey::serve`](crate::sharded::ShardedRusKey::serve); must
 /// be returned to
 /// [`ShardedRusKey::finish_serving`](crate::sharded::ShardedRusKey::finish_serving)
-/// — dropping it instead leaves the shard trees on the workers and the
-/// engine permanently unavailable.
+/// — dropping it instead drops the trees with it and leaves the engine
+/// permanently unavailable.
 pub struct ServingFrontend {
-    pub(crate) senders: Vec<SyncSender<ShardRequest>>,
-    pub(crate) shared: Arc<ServeShared>,
-    /// The shipped trees, collected by `finish_serving`. Wrapped in a
-    /// mutex only to keep the handle `Sync`; it is taken exactly once,
-    /// at session end.
-    pub(crate) in_flight: Mutex<InFlight>,
+    shared: Arc<ServeShared>,
 }
 
 impl ServingFrontend {
+    /// Starts a session over the store's trees, in shard order.
+    pub(crate) fn new(cfg: &ServingConfig, trees: Vec<FlsmTree>, routes: RoutingTable) -> Self {
+        let shared = ServeShared {
+            metrics: ServingMetrics::new(trees.len()),
+            bucket: TokenBucket::new(cfg.rate_limit_per_sec, cfg.burst),
+            routes,
+            slots: trees
+                .into_iter()
+                .map(|tree| ShardSlot {
+                    tree: Mutex::new(Some(tree)),
+                    stopped: AtomicBool::new(false),
+                    commit: Mutex::default(),
+                    synced: Condvar::new(),
+                })
+                .collect(),
+        };
+        Self {
+            shared: Arc::new(shared),
+        }
+    }
+
+    /// Ends the session: waits out the operation inside each shard and
+    /// takes its tree, in shard order. A client that still holds a handle
+    /// finds the slot empty and gets [`ServingError::Stopped`]. `None`
+    /// for a shard whose lock is poisoned — a client panicked inside it,
+    /// and the tree it left half-changed is not handed back.
+    pub(crate) fn take_trees(&self) -> Vec<Option<FlsmTree>> {
+        let take = |slot: &ShardSlot| slot.tree.lock().ok().and_then(|mut tree| tree.take());
+        self.shared.slots.iter().map(take).collect()
+    }
+
     /// Creates a client handle for one connection/thread. Clients are
     /// `Send` (move one into each thread) and register a live counter
     /// set in the metrics registry.
     pub fn client(&self) -> ServingClient {
         let (id, counters) = self.shared.metrics.register_client();
         ServingClient {
-            senders: self.senders.clone(),
             shared: Arc::clone(&self.shared),
             counters,
             id,
@@ -645,7 +646,7 @@ impl ServingFrontend {
 
     /// Number of shards being served.
     pub fn shard_count(&self) -> usize {
-        self.senders.len()
+        self.shared.slots.len()
     }
 
     /// Snapshots the live metrics registry without stopping the world.
@@ -654,12 +655,11 @@ impl ServingFrontend {
     }
 }
 
-/// One client's handle on a serving session: submits requests through
-/// the per-shard queues, pays the token bucket, and blocks only on its
-/// own replies (plus the queue-watermark stall when a shard is
-/// saturated).
+/// One client's handle on a serving session: pays the token bucket, then
+/// runs each request on its own thread under the owning shard's lock. It
+/// sleeps only when that lock is taken (surfaced as a stall) and, for a
+/// write, for the fsync that covers it.
 pub struct ServingClient {
-    senders: Vec<SyncSender<ShardRequest>>,
     shared: Arc<ServeShared>,
     counters: Arc<ClientCounters>,
     id: u64,
@@ -691,62 +691,175 @@ impl ServingClient {
         Ok(())
     }
 
-    /// Enqueues one admitted operation on a shard's queue.
-    fn submit(
-        &self,
-        shard: usize,
-        op: Operation,
-        reply: mpsc::Sender<Reply>,
-    ) -> Result<(), ServingError> {
-        let m = &self.shared.metrics;
-        let req = ShardRequest::Op {
-            enqueued: op.is_write().then(Instant::now),
-            op,
-            reply,
-        };
-        match self.senders[shard].try_send(req) {
-            Ok(()) => {}
-            Err(TrySendError::Full(req)) => {
-                // Queue-depth watermark: the shard is saturated. Block
-                // until the worker drains, surfacing the wait as a stall.
-                let t0 = Instant::now();
-                let sent = self.senders[shard].send(req);
+    /// One admitted operation on one shard, counted in the shard's gauge
+    /// from before it asks for the lock until it has its answer — the
+    /// same thread adds and subtracts, so the gauge never exceeds the
+    /// number of clients.
+    fn run(&self, shard: usize, op: Operation) -> Result<OpResult, ServingError> {
+        let gauge = &self.shared.metrics.queue_depth[shard];
+        gauge.fetch_add(1, RLX);
+        let result = self.run_locked(shard, op);
+        gauge.fetch_sub(1, RLX);
+        result
+    }
+
+    /// The client path (module docs): lock, execute, boundary grant,
+    /// unlock; a write then waits — lock released — for its group commit.
+    fn run_locked(&self, shard: usize, op: Operation) -> Result<OpResult, ServingError> {
+        let (slot, m) = (&self.shared.slots[shard], &self.shared.metrics);
+        let asked = Instant::now();
+        let mut guard = match slot.tree.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::WouldBlock) => {
+                let guard = slot.tree.lock().map_err(|_| ServingError::Stopped)?;
                 m.stalls.fetch_add(1, RLX);
-                m.stall_ns.fetch_add(t0.elapsed().as_nanos() as u64, RLX);
-                if sent.is_err() {
-                    return Err(ServingError::Stopped);
-                }
+                m.stall_ns.fetch_add(asked.elapsed().as_nanos() as u64, RLX);
+                guard
             }
-            Err(TrySendError::Disconnected(_)) => return Err(ServingError::Stopped),
+            Err(TryLockError::Poisoned(_)) => return Err(ServingError::Stopped),
+        };
+        let locked = Instant::now();
+        let waited = (locked - asked).as_nanos() as u64;
+        m.lock_wait_ns.observe(waited);
+        let tree = match guard.as_mut() {
+            Some(tree) if !slot.stopped.load(Ordering::SeqCst) => tree,
+            _ => return Err(ServingError::Stopped),
+        };
+        m.shard_ops[shard].fetch_add(1, RLX);
+        if op.is_write() {
+            tree.note_queue_stall_ns(waited);
         }
-        m.queue_depth[shard].fetch_add(1, RLX);
+        let result = execute(tree, op);
+        tree.maintain_boundary();
+        // A write leaves the lock with its record in the file and a
+        // ticket for the fsync; the fsync itself waits for the unlock.
+        let begun = (result == OpResult::Written).then(|| tree.begin_commit());
+        let crashed = tree.crashed();
+        if crashed {
+            slot.stopped.store(true, Ordering::SeqCst);
+        }
+        drop(guard);
+        let unlocked = Instant::now();
+        m.execute_ns.observe((unlocked - locked).as_nanos() as u64);
+        let Some(begun) = begun else {
+            return Ok(result);
+        };
+        let acked = match begun {
+            // A log that died (fault injection) or failed with a real I/O
+            // error acknowledges nothing; recovery decides what survives.
+            _ if crashed => Err(ServingError::Crashed),
+            Err(_) => Err(ServingError::Wal),
+            // Nothing left to sync: the store keeps no log, or a memtable
+            // flush superseded the record.
+            Ok(None) => Ok(()),
+            Ok(Some(ticket)) => self.group_commit(shard, ticket),
+        };
+        m.commit_wait_ns
+            .observe(unlocked.elapsed().as_nanos() as u64);
+        if let Err(e) = acked {
+            slot.stopped.store(true, Ordering::SeqCst);
+            return Err(e);
+        }
+        m.acked_writes.fetch_add(1, RLX);
+        Ok(result)
+    }
+
+    /// Leader group commit, tree lock released: returns once an fsync
+    /// that **started after** `ticket`'s record reached the file has
+    /// returned. A writer whose record is already covered returns at
+    /// once; otherwise it becomes the syncer for everything flushed so
+    /// far, or waits for the syncer in flight and looks again.
+    fn group_commit(&self, shard: usize, ticket: SyncTicket) -> Result<(), ServingError> {
+        let slot = &self.shared.slots[shard];
+        let poisoned = |_| ServingError::Stopped;
+        let mine = ticket.appended();
+        let mut state = slot.commit.lock().map_err(poisoned)?;
+        if state.flushed.as_ref().is_none_or(|f| f.appended() < mine) {
+            state.flushed = Some(ticket);
+        }
+        loop {
+            if state.durable >= mine {
+                return Ok(());
+            }
+            if let Some(dead) = state.dead {
+                return Err(dead);
+            }
+            if !state.syncing {
+                break;
+            }
+            state = slot.synced.wait(state).map_err(poisoned)?;
+        }
+        state.syncing = true;
+        let target = state.flushed.clone().expect("registered above");
+        drop(state);
+        let synced = self.sync_leg(shard, &target);
+        let mut state = slot.commit.lock().map_err(poisoned)?;
+        state.syncing = false;
+        match synced {
+            Ok(()) => state.durable = state.durable.max(target.appended()),
+            Err(e) => state.dead = Some(e),
+        }
+        drop(state);
+        slot.synced.notify_all();
+        synced
+    }
+
+    /// The syncer's leg: the fsync under no lock at all, then its
+    /// accounting under the tree lock ([`FlsmTree::finish_commit`]).
+    fn sync_leg(&self, shard: usize, target: &SyncTicket) -> Result<(), ServingError> {
+        let (slot, m) = (&self.shared.slots[shard], &self.shared.metrics);
+        target.sync_data().map_err(|_| ServingError::Wal)?;
+        let mut guard = slot.tree.lock().map_err(|_| ServingError::Stopped)?;
+        let tree = guard.as_mut().ok_or(ServingError::Stopped)?;
+        let before = tree.storage().clock().now_ns();
+        let newly = tree.finish_commit(target);
+        let virtual_ns = tree.storage().clock().now_ns() - before;
+        let crashed = tree.crashed();
+        drop(guard);
+        if crashed {
+            return Err(ServingError::Crashed);
+        }
+        // `None`: a memtable flush superseded the log while the fsync was
+        // in flight and has already counted its records.
+        if let Some(newly) = newly {
+            m.batches.fetch_add(1, RLX);
+            m.batch_writes.observe(newly);
+            m.commit_ns.observe(virtual_ns);
+        }
         Ok(())
+    }
+
+    /// Test hook (`tests/serving.rs`): panics while holding `shard`'s
+    /// lock, as an engine bug inside an operation would.
+    #[doc(hidden)]
+    pub fn panic_inside_shard(&self, shard: usize) -> ! {
+        let _guard = self.shared.slots[shard].tree.lock();
+        panic!("injected client panic (test hook)");
     }
 
     /// The shard owning `key` under the session's frozen routing table.
     fn owner(&self, key: &[u8]) -> usize {
-        self.shared.routes.shard_for(key, self.senders.len())
+        self.shared.routes.shard_for(key, self.shared.slots.len())
     }
 
-    /// One point operation, start to finish: admit, enqueue on the owning
-    /// shard's queue, wait for the reply.
+    /// One point operation, start to finish: admit, then run on the
+    /// owning shard.
     fn point(&self, shard: usize, op: Operation) -> Result<OpResult, ServingError> {
         self.admit(&op)?;
-        let (tx, rx) = mpsc::channel();
-        self.submit(shard, op, tx)?;
-        rx.recv().unwrap_or(Err(ServingError::Stopped))
+        self.run(shard, op)
     }
 
-    /// Point lookup, routed to the owning shard's queue.
+    /// Point lookup on the owning shard.
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>, ServingError> {
         let key = Bytes::copy_from_slice(key);
         self.point(self.owner(&key), Operation::Get { key })
             .map(OpResult::value)
     }
 
-    /// Insert or overwrite. `Ok` means the write is **acknowledged**:
-    /// its batch's commit leg ran before the reply (fsync-covered or
-    /// flush-superseded), so it survives a crash.
+    /// Insert or overwrite. `Ok` means the write is **acknowledged**: an
+    /// fsync that started after its record reached the log file returned
+    /// before the reply (or a memtable flush superseded the record), so
+    /// it survives a crash.
     pub fn put(&self, key: impl Into<Bytes>, value: impl Into<Bytes>) -> Result<(), ServingError> {
         let (key, value) = (key.into(), value.into());
         self.point(self.owner(&key), Operation::Put { key, value })
@@ -761,10 +874,10 @@ impl ServingClient {
             .map(drop)
     }
 
-    /// Range scan over `[start, end)` with a result limit: broadcast to
-    /// every shard's queue (each leg is atomic within its shard; there
-    /// is no cross-shard point-in-time, exactly as on the mission path),
-    /// k-way merged into one sorted result.
+    /// Range scan over `[start, end)` with a result limit: one leg per
+    /// shard, one after the other on this thread (each leg is atomic
+    /// within its shard; there is no cross-shard point-in-time, exactly
+    /// as on the mission path), k-way merged into one sorted result.
     pub fn scan(
         &self,
         start: &[u8],
@@ -777,17 +890,9 @@ impl ServingClient {
             limit,
         };
         self.admit(&op)?;
-        let (tx, rx) = mpsc::channel();
-        let n = self.senders.len();
-        for shard in 0..n {
-            self.submit(shard, op.clone(), tx.clone())?;
-        }
-        drop(tx);
-        let mut per_shard = Vec::with_capacity(n);
-        for _ in 0..n {
-            let leg = rx.recv().unwrap_or(Err(ServingError::Stopped))?;
-            per_shard.push(leg.rows());
-        }
+        let per_shard = (0..self.shared.slots.len())
+            .map(|shard| self.run(shard, op.clone()).map(OpResult::rows))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(merge_sorted_scans(per_shard, limit))
     }
 }
@@ -865,6 +970,10 @@ mod tests {
         m.shard_ops[0].fetch_add(1, RLX);
         m.shard_ops[1].fetch_add(5, RLX);
         m.batch_writes.observe(4);
+        m.lock_wait_ns.observe(30);
+        m.execute_ns.observe(2000);
+        m.execute_ns.observe(500);
+        m.commit_wait_ns.observe(80_000);
         let (id, c) = m.register_client();
         c.puts.fetch_add(2, RLX);
         let s = m.snapshot();
@@ -881,6 +990,13 @@ mod tests {
         assert!(text.contains("ruskey_serving_queue_depth{shard=\"1\"} 7"));
         assert!(text.contains("ruskey_serving_shard_ops_total{shard=\"0\"} 1"));
         assert!(text.contains("ruskey_serving_batch_writes_sum 4"));
+        // Where a request's time went, from the system's own output.
+        assert_eq!(s.execute_ns.count, 2);
+        assert!(text.contains("ruskey_serving_lock_wait_ns_sum 30\n"));
+        assert!(text.contains("ruskey_serving_execute_ns_sum 2500\n"));
+        assert!(text.contains("ruskey_serving_execute_ns_count 2\n"));
+        assert!(text.contains("ruskey_serving_commit_wait_ns_sum 80000\n"));
+        assert!(text.contains("ruskey_serving_commit_ns_count 0\n"));
     }
 
     #[test]
@@ -891,8 +1007,7 @@ mod tests {
     #[test]
     fn serving_config_defaults_are_sane() {
         let cfg = ServingConfig::default();
-        assert!(cfg.queue_depth > 0);
-        assert!(cfg.batch_ops > 1, "batching requires room to coalesce");
         assert_eq!(cfg.rate_limit_per_sec, 0, "admission off by default");
+        assert!(cfg.burst > 0);
     }
 }

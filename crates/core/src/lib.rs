@@ -33,13 +33,15 @@
 //! [`stats::MissionReport::device_busy_ns`]).
 //!
 //! Every way into a shard's tree — a mission lane, the group-commit
-//! barrier, an ad-hoc `get`/`put`/`delete`/`scan`, a batch served by the
-//! [`frontend`], and [`db::RusKey::run_mission`] — runs the same three
+//! barrier, an ad-hoc `get`/`put`/`delete`/`scan`, a request served by
+//! the [`frontend`], and [`db::RusKey::run_mission`] — runs the same three
 //! calls in the same order: one executor over
 //! [`ruskey_workload::Operation`], the boundary grant the tree owns
 //! ([`ruskey_lsm::FlsmTree::maintain_boundary`]), and the shard's commit
 //! leg. The doors differ only in whether results come home, whether the
-//! batch's end is a boundary, and whether it commits.
+//! batch's end is a boundary, and whether it commits (a served write takes
+//! the commit leg in two halves, around the fsync it shares with the other
+//! clients).
 //!
 //! [`db::RusKey`] is the single-tree engine — the `N = 1` case the paper
 //! evaluates — and remains the harness used by all paper experiments. An

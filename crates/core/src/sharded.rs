@@ -48,25 +48,22 @@
 //! no locks guard the hot path, and `N = 1` runs through the same pool
 //! code path as any other shard count.
 //!
-//! A **job** is always the same three things: a shard's tree, the work
-//! to run on it, and the channel that sends the tree home with the
-//! work's outcome. The work is one of two cases — a *batch* of
-//! [`Operation`]s run through the one execution path of `exec`
-//! (execute each, grant the boundary, run the commit leg; the batch's
-//! `Door` says which of the last two apply and whether results come
-//! home), or *serve*, which parks the worker in the serving loop of
-//! [`crate::frontend`] (the same three calls per served batch). The
-//! worker's loop has a single arm that touches a tree.
+//! A **job** is always the same three things: a shard's tree, the
+//! *batch* of [`Operation`]s to run on it through the one execution path
+//! of `exec` (execute each, grant the boundary, run the commit leg; the
+//! batch's `Door` says which of the last two apply and whether results
+//! come home), and the channel that sends the tree home with the batch's
+//! outcome. The worker's loop has a single arm that touches a tree.
 //!
-//! The store talks to the pool through one pair of functions. **Ship**
-//! checks liveness, sends each listed shard's tree and work to its
-//! worker, and takes back the tree of any worker that turns out to be
-//! gone. **Collect** waits for the shipped jobs, restores the returned
-//! trees, and classifies failures. A mission is ship + collect of one
-//! lane per shard; the group-commit barrier, of one empty batch per
-//! shard; an ad-hoc call, of a batch of one on the owning shard (or on
-//! every shard, for a scan); `serve` is the ship alone and
-//! `finish_serving` the collect.
+//! The store talks to the pool through one function, `run_batches`, in
+//! two steps. **Ship** checks liveness, sends each listed shard's tree
+//! and batch to its worker, and takes back the tree of any worker that
+//! turns out to be gone. **Collect** waits for the shipped jobs, restores
+//! the returned trees, and classifies failures. A mission is one lane per
+//! shard; the group-commit barrier, one empty batch per shard; an ad-hoc
+//! call, a batch of one on the owning shard (or on every shard, for a
+//! scan). Serving does not use the pool: the trees move into the
+//! frontend and its clients run their own requests (below).
 //!
 //! **Shutdown**: dropping the store closes every job queue; each worker's
 //! receive loop ends and the threads are joined (a drop never leaves
@@ -167,15 +164,19 @@
 //! time domain, and an ad-hoc scan's per-shard legs run in parallel
 //! exactly as on the mission path. Every 32nd ad-hoc *write* per shard
 //! (`ADHOC_BOUNDARY_OPS`) is a boundary — the one place that decides
-//! when an ad-hoc write earns the grant every lane and served batch ends
-//! with. *What* a boundary grants is written once, in the tree
+//! when an ad-hoc write earns the grant every lane and served request
+//! ends with. *What* a boundary grants is written once, in the tree
 //! ([`FlsmTree::maintain_boundary`], a no-op with inline maintenance) —
 //! so a put-heavy ad-hoc caller sees the exact backpressure and
 //! `stall_ns` attribution a mission would. For *many concurrent
-//! callers*, [`ShardedRusKey::serve`] ships every tree with the serve
-//! work and parks the shards behind bounded MPSC queues — see
-//! [`crate::frontend`] for the scheduler, admission control, and live
-//! metrics.
+//! callers*, [`ShardedRusKey::serve`] moves every tree into a
+//! [`ServingFrontend`], behind a per-shard lock, and each client runs its
+//! requests **on its own thread**: lock, the same three calls of `exec`,
+//! unlock, with a write's fsync shared across clients outside the lock.
+//! The pool's workers idle for the length of the session, and
+//! [`ShardedRusKey::finish_serving`] takes the trees back — see
+//! [`crate::frontend`] for the client path, the group commit, admission
+//! control and live metrics.
 //!
 //! ## Opening a store
 //!
@@ -191,7 +192,7 @@ use std::collections::{BinaryHeap, HashSet};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle, ThreadId};
 use std::time::Instant;
 
@@ -203,9 +204,7 @@ use ruskey_workload::Operation;
 
 use crate::db::RusKeyConfig;
 use crate::exec::{run_batch, Door, OpResult, Outcome};
-use crate::frontend::{
-    self, MetricsSnapshot, ServeShared, ServingConfig, ServingFrontend, ShardRequest,
-};
+use crate::frontend::{MetricsSnapshot, ServingConfig, ServingFrontend};
 use crate::lerp::Lerp;
 use crate::stats::{MissionReport, StatsCollector};
 use crate::tuner::{NoOpTuner, TreeObservation, Tuner};
@@ -388,8 +387,9 @@ impl From<std::io::Error> for OpenError {
 /// dispatch fails fast before enqueuing anything.
 #[derive(Debug)]
 pub enum MissionError {
-    /// A shard's worker panicked while executing its job — the shard's
-    /// tree died with the thread, and the engine is permanently
+    /// A shard's worker panicked while executing its job — or, while
+    /// serving, a client panicked inside the shard's lock. The shard's
+    /// tree died with the panic, and the engine is permanently
     /// unavailable.
     WorkerPanicked {
         /// The shard whose worker died.
@@ -487,33 +487,22 @@ struct Balancer {
 
 /// Ad-hoc writes per shard between boundary grants — the one place that
 /// decides *when* an ad-hoc write is a boundary (a mission lane and a
-/// served batch end in one by construction). What a boundary grants is
+/// served request end in one by construction). What a boundary grants is
 /// the tree's business: [`FlsmTree::maintain_boundary`].
 const ADHOC_BOUNDARY_OPS: u64 = 32;
 
-/// What a job runs on its shard's tree.
-enum Work {
-    /// A batch of operations through the one path of [`crate::exec`]:
-    /// a mission lane, the barrier's empty batch, an ad-hoc batch of one.
-    Batch { ops: Vec<Operation>, door: Door },
-    /// Park in the serving loop ([`crate::frontend`]): drain the
-    /// session's bounded request queue in batches until shutdown.
-    Serve {
-        requests: Receiver<ShardRequest>,
-        shared: Arc<ServeShared>,
-    },
-}
-
-/// One unit of work for a shard worker: the shard's tree, what to run on
-/// it, and where to send it home. Trees are owned by exactly one side at
-/// any instant.
+/// One unit of work for a shard worker: the shard's tree, the batch to
+/// run on it through the one path of [`crate::exec`] (a mission lane, the
+/// barrier's empty batch, an ad-hoc batch of one), and where to send it
+/// home. Trees are owned by exactly one side at any instant.
 // Every real job carries a tree; boxing it to shrink the test hook's
 // variant would add an allocation to each ship.
 #[allow(clippy::large_enum_variant)]
 enum Job {
     Run {
         tree: FlsmTree,
-        work: Work,
+        ops: Vec<Operation>,
+        door: Door,
         reply: Sender<Done>,
     },
     /// Test hook: panic on the worker thread (`tests/pool_stress.rs`
@@ -522,22 +511,11 @@ enum Job {
 }
 
 /// A worker's reply: the tree comes home together with what happened.
-pub(crate) struct Done {
+struct Done {
     shard: usize,
     worker: ThreadId,
     tree: FlsmTree,
     outcome: Outcome,
-}
-
-/// Jobs shipped to the workers and not yet collected. `pub(crate)` so
-/// [`crate::frontend::ServingFrontend`] can hold a serving session's
-/// trees-in-flight; the fields stay module-private.
-pub(crate) struct InFlight {
-    replies: Receiver<Done>,
-    /// Jobs actually enqueued: the replies to wait for.
-    shipped: usize,
-    /// The first shard whose worker was already gone at send time.
-    unsent: Option<usize>,
 }
 
 /// The run loop of one shard worker: runs jobs until the store drops the
@@ -549,19 +527,14 @@ fn worker_loop(shard: usize, jobs: Receiver<Job>) {
     while let Ok(job) = jobs.recv() {
         let Job::Run {
             mut tree,
-            work,
+            ops,
+            door,
             reply,
         } = job
         else {
             panic!("injected shard-worker panic (test hook)");
         };
-        let outcome = match work {
-            Work::Batch { ops, door } => run_batch(&mut tree, ops, door),
-            Work::Serve { requests, shared } => {
-                frontend::serve_shard(shard, &mut tree, &requests, &shared);
-                Outcome::default()
-            }
-        };
+        let outcome = run_batch(&mut tree, ops, door);
         let _ = reply.send(Done {
             shard,
             worker: thread::current().id(),
@@ -1054,63 +1027,66 @@ impl ShardedRusKey {
         let _ = self.pool.send(shard, Job::Panic);
     }
 
-    /// **Ship**: sends each listed shard's tree to its worker with the
-    /// work to run on it. Fails fast — before enqueuing anything — on an
-    /// engine already known dead or a tree that is not home, so only the
-    /// ship that *discovers* a death executes partially: a worker whose
-    /// queue is gone hands its tree straight back and is recorded as
-    /// `unsent`, while the shards already shipped still run.
-    fn ship(&mut self, work: Vec<(usize, Work)>) -> Result<InFlight, MissionError> {
-        let away = work
-            .iter()
-            .map(|(i, _)| *i)
-            .find(|&i| self.shards[i].is_none());
-        if let Some(shard) = self.dead_worker.or(away) {
-            return Err(MissionError::WorkerUnavailable { shard });
+    /// Fails fast on an engine already known dead, or a listed shard
+    /// whose tree is not home — before anything is enqueued or handed out.
+    fn check_home(&self, mut shards: Range<usize>) -> Result<(), MissionError> {
+        let away = shards.find(|&i| self.shards[i].is_none());
+        match self.dead_worker.or(away) {
+            Some(shard) => Err(MissionError::WorkerUnavailable { shard }),
+            None => Ok(()),
         }
-        let (reply, replies) = mpsc::channel();
-        let mut flight = InFlight {
-            replies,
-            shipped: 0,
-            unsent: None,
-        };
-        for (i, work) in work {
-            let tree = self.shards[i].take().expect("checked home above");
-            let job = Job::Run {
-                tree,
-                work,
-                reply: reply.clone(),
-            };
-            match self.pool.send(i, job) {
-                Ok(()) => flight.shipped += 1,
-                Err(job) => {
-                    if let Job::Run { tree, .. } = *job {
-                        self.shards[i] = Some(tree);
-                    }
-                    flight.unsent.get_or_insert(i);
-                }
-            }
-        }
-        Ok(flight)
     }
 
-    /// **Collect**: waits for every shipped job, restores the returned
+    /// The one way the store talks to the pool: ships one batch per
+    /// listed shard — `ops_for(shard)` through `door` — and collects the
+    /// outcomes, in shard order.
+    ///
+    /// **Ship** sends each shard's tree to its worker with its batch. It
+    /// fails fast ([`Self::check_home`]), so only the ship that
+    /// *discovers* a death executes partially: a worker whose queue is
+    /// gone hands its tree straight back and is recorded as `unsent`,
+    /// while the shards already shipped still run.
+    ///
+    /// **Collect** waits for every shipped job, restores the returned
     /// trees to their slots, and classifies what went wrong — the single
     /// synchronization point of the engine. A worker that was gone at
     /// ship time is [`MissionError::WorkerUnavailable`]; a reply that
     /// never comes (its worker panicked, taking the tree with it) is
     /// [`MissionError::WorkerPanicked`]; either marks the engine dead. A
     /// failed commit leg is [`MissionError::Wal`] (lowest failing shard),
-    /// with every tree home. Otherwise: the outcomes, in shard order.
-    fn collect(&mut self, flight: InFlight) -> Result<Vec<Outcome>, MissionError> {
-        let InFlight {
-            replies,
-            shipped,
-            unsent,
-        } = flight;
-        // Cannot hang: every reply sender lives inside a shipped job, and
-        // a worker either sends it or drops it by panicking — in which
-        // case the channel closes once the remaining workers finish.
+    /// with every tree home.
+    fn run_batches(
+        &mut self,
+        shards: Range<usize>,
+        door: Door,
+        mut ops_for: impl FnMut(usize) -> Vec<Operation>,
+    ) -> Result<Vec<Outcome>, MissionError> {
+        self.check_home(shards.clone())?;
+        let (reply, replies) = mpsc::channel();
+        let (mut shipped, mut unsent) = (0, None);
+        for i in shards {
+            let tree = self.shards[i].take().expect("checked home above");
+            let job = Job::Run {
+                tree,
+                ops: ops_for(i),
+                door,
+                reply: reply.clone(),
+            };
+            match self.pool.send(i, job) {
+                Ok(()) => shipped += 1,
+                Err(job) => {
+                    if let Job::Run { tree, .. } = *job {
+                        self.shards[i] = Some(tree);
+                    }
+                    unsent.get_or_insert(i);
+                }
+            }
+        }
+        // Cannot hang: with this one gone every reply sender lives inside
+        // a shipped job, and a worker either sends it or drops it by
+        // panicking — in which case the channel closes once the
+        // remaining workers finish.
+        drop(reply);
         let mut dones: Vec<Done> = replies.iter().take(shipped).collect();
         dones.sort_by_key(|d| d.shard);
         let mut workers = Vec::with_capacity(dones.len());
@@ -1144,24 +1120,6 @@ impl ShardedRusKey {
             self.last_workers = workers;
         }
         wal_failure.map_or(Ok(outcomes), Err)
-    }
-
-    /// Ships one batch per shard — `ops_for(shard)` through `door` — and
-    /// collects the outcomes, in shard order.
-    fn run_batches(
-        &mut self,
-        shards: Range<usize>,
-        door: Door,
-        mut ops_for: impl FnMut(usize) -> Vec<Operation>,
-    ) -> Result<Vec<Outcome>, MissionError> {
-        let work = shards
-            .map(|i| {
-                let ops = ops_for(i);
-                (i, Work::Batch { ops, door })
-            })
-            .collect();
-        let flight = self.ship(work)?;
-        self.collect(flight)
     }
 
     /// The overlapped cross-shard group-commit barrier: every shard's
@@ -1345,79 +1303,51 @@ impl ShardedRusKey {
     // Concurrent serving
     // ------------------------------------------------------------------
 
-    /// Starts a serving session: every shard's tree ships to its worker,
-    /// which parks in the serving loop behind a bounded request queue
-    /// (capacity [`ServingConfig::queue_depth`]). The returned
-    /// [`ServingFrontend`] is `Send + Sync`: hand out
+    /// Starts a serving session: every shard's tree moves into the
+    /// returned [`ServingFrontend`], behind a per-shard lock, and stays
+    /// there until [`ShardedRusKey::finish_serving`]. The frontend is
+    /// `Send + Sync`: hand out
     /// [`ServingClient`](crate::frontend::ServingClient)s to as many
-    /// threads as you like — writes coalesce across clients into
-    /// per-shard group-commit batches, the token bucket gates admission,
-    /// and the live metrics registry tracks it all (see
-    /// [`crate::frontend`]).
+    /// threads as you like — each runs its requests on its own thread,
+    /// writes share fsyncs across clients through a per-shard group
+    /// commit, the token bucket gates admission, and the live metrics
+    /// registry tracks it all (see [`crate::frontend`]). The worker pool
+    /// idles for the length of the session.
     ///
     /// While serving, the store itself has no trees: missions, ad-hoc
-    /// ops, and introspection must wait until
-    /// [`ShardedRusKey::finish_serving`] brings them home. Dropping the
-    /// frontend without finishing leaves the engine permanently
-    /// unavailable.
+    /// ops, and introspection must wait until `finish_serving` brings
+    /// them home. Dropping the frontend without finishing drops the trees
+    /// and leaves the engine permanently unavailable.
     pub fn serve(&mut self, cfg: ServingConfig) -> Result<ServingFrontend, MissionError> {
-        let n = self.shards.len();
-        let shared = Arc::new(ServeShared::new(cfg, n, self.routes.clone()));
-        let mut senders = Vec::with_capacity(n);
-        let work = (0..n)
-            .map(|i| {
-                let (tx, requests) = mpsc::sync_channel(shared.cfg.queue_depth.max(1));
-                senders.push(tx);
-                let shared = Arc::clone(&shared);
-                (i, Work::Serve { requests, shared })
-            })
-            .collect();
-        let flight = self.ship(work)?;
-        if flight.unsent.is_some() {
-            // A worker is gone: wind down the shards that did start
-            // serving (dropping their queue senders ends their loops) and
-            // let the collect bring their trees home and name the dead one.
-            drop(senders);
-            return Err(self
-                .collect(flight)
-                .expect_err("an unsent job fails its collect"));
-        }
-        Ok(ServingFrontend {
-            senders,
-            shared,
-            in_flight: Mutex::new(flight),
-        })
+        self.check_home(0..self.shards.len())?;
+        let trees = self.shards.iter_mut().flat_map(Option::take).collect();
+        Ok(ServingFrontend::new(&cfg, trees, self.routes.clone()))
     }
 
-    /// Ends a serving session: sends each shard a shutdown request,
-    /// collects the trees back onto the store, folds the served work out
-    /// of the next mission's statistics delta (exactly like
-    /// [`ShardedRusKey::bulk_load`] — the serving traffic is not a
-    /// mission), and returns the session's final metrics snapshot.
+    /// Ends a serving session: takes the trees back onto the store
+    /// (waiting out the operation inside each shard; a client that still
+    /// holds a handle gets `ServingError::Stopped` from then on), folds
+    /// the served work out of the next mission's statistics delta
+    /// (exactly like [`ShardedRusKey::bulk_load`] — the serving traffic
+    /// is not a mission), and returns the session's final metrics
+    /// snapshot.
     ///
-    /// A shard whose serve loop already stopped (mid-serve crash
-    /// injection, WAL failure) just returns its tree — the snapshot and
+    /// A shard that died serving (mid-serve crash injection, WAL failure)
+    /// just returns its tree — the snapshot and
     /// [`ShardedRusKey::crashed`] tell the caller what happened. A shard
-    /// whose *worker* died serving returns nothing, and the engine is
-    /// dead: [`MissionError::WorkerPanicked`].
+    /// a *client panicked inside* returns nothing (its tree was left
+    /// half-changed), and the engine is dead:
+    /// [`MissionError::WorkerPanicked`], with every sibling's tree home.
     pub fn finish_serving(
         &mut self,
         frontend: ServingFrontend,
     ) -> Result<MetricsSnapshot, MissionError> {
-        let ServingFrontend {
-            senders,
-            shared,
-            in_flight,
-        } = frontend;
-        for tx in &senders {
-            // A shard that already stopped serving has dropped its queue;
-            // the failed send *is* the confirmation, not an error.
-            let _ = tx.send(ShardRequest::Shutdown);
+        self.shards = frontend.take_trees();
+        if let Some(shard) = self.shards.iter().position(Option::is_none) {
+            self.dead_worker = Some(shard);
+            return Err(MissionError::WorkerPanicked { shard });
         }
-        drop(senders);
-        self.collect(in_flight.into_inner().expect("serving session poisoned"))?;
-        // Snapshot after every loop stopped, so the final batches are in.
-        let snapshot = shared.metrics.snapshot();
+        let snapshot = frontend.metrics();
         self.collector.baseline_shards(self.shard_snapshots());
         self.adhoc_scans = 0;
         Ok(snapshot)

@@ -105,9 +105,9 @@ pub struct MissionReport {
     /// (inline flushes/cascades, background-mode backpressure stalls;
     /// summed over shards).
     pub stall_ns: u64,
-    /// Real wall-clock ns acknowledged writes spent waiting in a serving
-    /// frontend's per-shard admission queue before a shard executed them
-    /// (summed over shards; 0 outside serving).
+    /// Real wall-clock ns writes spent waiting for a serving frontend's
+    /// per-shard lock before a shard executed them (summed over shards;
+    /// 0 outside serving).
     pub queue_stall_ns: u64,
     /// Background maintenance steps (applied merges and trivial moves)
     /// completed during the mission (summed over shards; 0 for an

@@ -68,4 +68,4 @@ pub use stats::{LevelStatsSnapshot, TreeStatsSnapshot};
 pub use transition::TransitionStrategy;
 pub use tree::{FlsmTree, TreeSnapshot};
 pub use types::{Key, KvEntry, OpKind, SeqNo, Value};
-pub use wal::{CrashPoint, Wal};
+pub use wal::{CrashPoint, SyncTicket, Wal};

@@ -187,10 +187,10 @@ pub struct TreeStatsSnapshot {
     /// backstop plus L0 backpressure stalls in background mode. Measured
     /// elapsed time on the tree's clock, never an extra charge.
     pub stall_ns: u64,
-    /// Real wall-clock ns acknowledged writes spent waiting in a serving
-    /// frontend's per-shard admission queue before the tree executed them
-    /// (0 outside serving). Kept apart from the virtual `stall_ns`:
-    /// queue wait is scheduling delay, not device work.
+    /// Real wall-clock ns writes spent waiting for a serving frontend's
+    /// per-shard lock before the tree executed them (0 outside serving).
+    /// Kept apart from the virtual `stall_ns`: lock wait is scheduling
+    /// delay, not device work.
     pub queue_stall_ns: u64,
     /// Background maintenance steps that restructured the tree (deferred
     /// merges applied and trivial moves committed).

@@ -15,7 +15,7 @@ use crate::run::{ProbeOutcome, Run, RunBuilder, RunId};
 use crate::stats::{LevelStats, TreeStatsSnapshot};
 use crate::transition::TransitionStrategy;
 use crate::types::{Key, KvEntry, SeqNo, Value};
-use crate::wal::Wal;
+use crate::wal::{SyncTicket, Wal};
 
 /// A deferred merge built by a background maintenance step and applied
 /// by a later one: the merged batch waits in memory while the input runs
@@ -166,8 +166,8 @@ pub struct FlsmTree {
     /// Virtual ns the write path spent blocked on structural work
     /// (flushes triggered by `put`/`delete`, backpressure stalls).
     stall_ns: u64,
-    /// Real ns acknowledged writes spent queued before this tree executed
-    /// them (serving-frontend admission queues; 0 outside serving). A
+    /// Real ns writes spent waiting before this tree executed them (the
+    /// serving frontend's per-shard lock; 0 outside serving). A
     /// wall-clock reading, kept apart from the virtual `stall_ns` so the
     /// device model's accounting stays exact.
     queue_stall_ns: u64,
@@ -453,22 +453,42 @@ impl FlsmTree {
     /// records exist (an idle shard pays nothing), so a batch costs at
     /// most one sync per shard. The fsync's virtual cost is charged to
     /// this tree's storage time domain. Returns whether a sync was issued.
+    ///
+    /// This is [`FlsmTree::begin_commit`], the ticket's fsync and
+    /// [`FlsmTree::finish_commit`] back to back — the one sync path; the
+    /// serving frontend makes the three calls itself so that it holds the
+    /// tree only for the first and the last.
     pub fn commit_wal(&mut self) -> std::io::Result<bool> {
-        let Some(wal) = &mut self.wal else {
+        let Some(ticket) = self.begin_commit()? else {
             return Ok(false);
         };
-        if wal.unsynced() == 0 || wal.is_crashed() {
-            return Ok(false);
+        ticket.sync_data()?;
+        Ok(self.finish_commit(&ticket).is_some())
+    }
+
+    /// First half of a commit leg: if the WAL holds unacknowledged records,
+    /// writes its buffer to the file and returns the ticket whose fsync
+    /// covers them ([`Wal::begin_sync`]). `None`: nothing to sync — no log,
+    /// an idle or dead one, or a memtable flush already superseded every
+    /// record.
+    pub fn begin_commit(&mut self) -> std::io::Result<Option<SyncTicket>> {
+        match &mut self.wal {
+            Some(wal) if wal.unsynced() > 0 => wal.begin_sync(),
+            _ => Ok(None),
         }
-        wal.sync()?;
-        if wal.is_crashed() {
-            // The (simulated) process died during the sync: nothing was
-            // acknowledged and no cost accrues to a dead domain.
-            return Ok(false);
-        }
+    }
+
+    /// Second half of a commit leg, after the ticket's fsync returned:
+    /// the log's accounting ([`Wal::finish_sync`]) and, when it counted,
+    /// the fsync's virtual cost on this tree's time domain. Returns the
+    /// records newly acknowledged; `None` when the call acknowledged
+    /// nothing and charged nothing — a stale ticket, or a (simulated)
+    /// process that died: no cost accrues to a dead domain.
+    pub fn finish_commit(&mut self, ticket: &SyncTicket) -> Option<u64> {
+        let newly = self.wal.as_mut()?.finish_sync(ticket)?;
         self.storage
             .charge_cpu(self.storage.cost_model().wal_sync_ns);
-        Ok(true)
+        Some(newly)
     }
 
     /// [`FlsmTree::commit_wal`] with its cost measured on this tree's own
@@ -484,11 +504,11 @@ impl FlsmTree {
         Ok((synced, self.storage.clock().now_ns() - before))
     }
 
-    /// Attributes real wall-clock ns that acknowledged writes spent queued
-    /// before this tree executed them (the serving frontend's per-shard
-    /// admission queues). The reading flows into
+    /// Attributes real wall-clock ns that writes spent waiting before
+    /// this tree executed them (the serving frontend's per-shard lock).
+    /// The reading flows into
     /// [`TreeStatsSnapshot::queue_stall_ns`] and the mission report but
-    /// never into the virtual clock — queue wait is scheduling delay, not
+    /// never into the virtual clock — lock wait is scheduling delay, not
     /// device work.
     pub fn note_queue_stall_ns(&mut self, ns: u64) {
         self.queue_stall_ns += ns;

@@ -28,6 +28,13 @@
 //!   of all shards, and a shard that crashes mid-leg does not stop its
 //!   siblings' fsyncs from completing.
 //!
+//! [`Wal::sync`] is two halves around the fsync: [`Wal::begin_sync`] moves
+//! the buffer into the file and hands out a [`SyncTicket`],
+//! [`Wal::finish_sync`] does the accounting once the ticket's fsync has
+//! returned. A caller that shares the log behind a lock (the serving
+//! frontend) makes the two calls under the lock and the fsync outside it,
+//! so appends and reads go on while the device works.
+//!
 //! A record is *acknowledged* only once a sync covering it succeeds;
 //! [`Wal::durable_records`] counts exactly those. After a successful
 //! memtable flush the log's contents are superseded by the flushed run and
@@ -71,6 +78,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -117,10 +125,37 @@ struct ArmedCrash {
     after: u64,
 }
 
+/// One fsync of the log, split so that it can run without the log: taken
+/// by [`Wal::begin_sync`] once the buffer is in the file, it carries the
+/// file handle, the lifetime append count the fsync will cover, and the log
+/// generation it belongs to. The holder calls [`SyncTicket::sync_data`] —
+/// under no lock the log's owner holds — and hands the ticket back to
+/// [`Wal::finish_sync`].
+#[derive(Debug, Clone)]
+pub struct SyncTicket {
+    file: Arc<File>,
+    generation: u64,
+    appended: u64,
+}
+
+impl SyncTicket {
+    /// Lifetime appends ([`Wal::appended`]) in the file when the ticket was
+    /// taken: an fsync started later covers every one of them.
+    pub fn appended(&self) -> u64 {
+        self.appended
+    }
+
+    /// The fsync itself.
+    pub fn sync_data(&self) -> std::io::Result<()> {
+        self.file.sync_data()
+    }
+}
+
 /// An append-only write-ahead log.
 pub struct Wal {
     path: PathBuf,
-    file: File,
+    /// Shared with the [`SyncTicket`]s in flight.
+    file: Arc<File>,
     /// User-space buffer: bytes appended but not yet written to the file.
     /// Dies with the process — exactly the data a crash loses.
     buf: Vec<u8>,
@@ -137,6 +172,9 @@ pub struct Wal {
     syncs: u64,
     /// Lifetime records covered by a successful fsync (never reset).
     durable: u64,
+    /// Bumped by every [`Wal::reset`]: a ticket of an older generation
+    /// syncs records a flush has already superseded (and counted).
+    generation: u64,
     /// Armed fault-injection point, if any.
     crash: Option<ArmedCrash>,
     /// True once a simulated crash fired: the handle is "dead" and every
@@ -173,7 +211,7 @@ impl Wal {
         }
         Ok(Self {
             path,
-            file,
+            file: Arc::new(file),
             buf: Vec::new(),
             records: 0,
             sync_every,
@@ -181,6 +219,7 @@ impl Wal {
             total_appends: 0,
             syncs: 0,
             durable: 0,
+            generation: 0,
             crash: None,
             crashed: false,
         })
@@ -264,25 +303,56 @@ impl Wal {
 
     /// Flushes buffered records and fsyncs the file — the group-commit
     /// primitive: one call makes every record appended so far durable
-    /// (acknowledged). The loss-window counter resets only once the fsync
-    /// *succeeds* — a failed sync leaves `unsynced()` (and the auto-sync
-    /// cadence) honest.
+    /// (acknowledged). It is [`Wal::begin_sync`], the ticket's fsync and
+    /// [`Wal::finish_sync`] back to back; a caller that must not hold the
+    /// log across the fsync makes the three calls itself.
     pub fn sync(&mut self) -> std::io::Result<()> {
+        if let Some(ticket) = self.begin_sync()? {
+            ticket.sync_data()?;
+            self.finish_sync(&ticket);
+        }
+        Ok(())
+    }
+
+    /// First half of a sync: writes the buffer to the file and hands out
+    /// the ticket whose fsync will cover every record appended so far.
+    /// `None` on a dead handle — including one a [`CrashPoint::MidFlush`]
+    /// killed inside this very flush: no sync starts, so no record becomes
+    /// acknowledged.
+    pub fn begin_sync(&mut self) -> std::io::Result<Option<SyncTicket>> {
         if self.crashed {
-            return Ok(());
+            return Ok(None);
         }
         self.flush_buf()?;
-        if self.crashed {
-            // A MidFlush crash fired inside the flush: the sync never
-            // completed, so no record becomes acknowledged.
-            return Ok(());
+        Ok((!self.crashed).then(|| SyncTicket {
+            file: Arc::clone(&self.file),
+            generation: self.generation,
+            appended: self.total_appends,
+        }))
+    }
+
+    /// Second half of a sync, called once the ticket's fsync returned
+    /// `Ok` (a failed fsync is never finished, which leaves `unsynced()`
+    /// and the auto-sync cadence honest): counts the fsync and moves the
+    /// records it newly covered out of the loss window. Tickets may finish
+    /// in any order; a record is counted by the first that covers it.
+    ///
+    /// Returns how many records that was — or `None` when nothing may be
+    /// acknowledged on the strength of this call: the handle is dead, the
+    /// ticket is from before a [`Wal::reset`] (whose flush already counted
+    /// its records; no counter moves), or [`CrashPoint::PostSync`] fired
+    /// here (the batch is counted durable, the process died before saying
+    /// so).
+    pub fn finish_sync(&mut self, ticket: &SyncTicket) -> Option<u64> {
+        if self.crashed || ticket.generation != self.generation {
+            return None;
         }
-        self.file.sync_data()?;
+        let covered = self.total_appends - self.unsynced;
+        let newly = ticket.appended.saturating_sub(covered);
         self.syncs += 1;
-        self.durable += self.unsynced;
-        self.unsynced = 0;
-        self.hit(CrashPoint::PostSync);
-        Ok(())
+        self.durable += newly;
+        self.unsynced -= newly;
+        (!self.hit(CrashPoint::PostSync)).then_some(newly)
     }
 
     /// Writes the user-space buffer to the file, honoring an armed
@@ -294,11 +364,11 @@ impl Wal {
         }
         if self.hit(CrashPoint::MidFlush) {
             let half = self.buf.len() / 2;
-            self.file.write_all(&self.buf[..half])?;
+            (&*self.file).write_all(&self.buf[..half])?;
             self.buf.clear();
             return Ok(());
         }
-        self.file.write_all(&self.buf)?;
+        (&*self.file).write_all(&self.buf)?;
         self.buf.clear();
         Ok(())
     }
@@ -352,7 +422,8 @@ impl Wal {
             .truncate(true)
             .open(&self.path)?;
         file.sync_data()?;
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
+        self.file = Arc::new(OpenOptions::new().append(true).open(&self.path)?);
+        self.generation += 1;
         self.records = 0;
         self.unsynced = 0;
         Ok(())
@@ -787,6 +858,139 @@ mod tests {
             assert_eq!(r.seq, i as u64 + 1, "prefix order broken");
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    // ------------------------------------------------------------------
+    // The split sync: begin → fsync → finish
+    // ------------------------------------------------------------------
+
+    /// A fresh log at `tmp(name)` holding `n` buffered records.
+    fn log_with(name: &str, n: u64) -> (PathBuf, Wal) {
+        let path = tmp(name);
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open(&path).unwrap();
+        for i in 1..=n {
+            wal.append(&e(&format!("key-{i}"), "value", i)).unwrap();
+        }
+        (path, wal)
+    }
+
+    fn counters(wal: &Wal) -> (u64, u64, u64) {
+        (wal.unsynced(), wal.durable_records(), wal.sync_count())
+    }
+
+    #[test]
+    fn begin_fsync_finish_equals_sync() {
+        let (whole_path, mut whole) = log_with("split-whole", 3);
+        let (halves_path, mut halves) = log_with("split-halves", 3);
+        whole.sync().unwrap();
+        let ticket = halves.begin_sync().unwrap().expect("live log");
+        assert_eq!(ticket.appended(), 3);
+        assert_eq!(halves.unsynced(), 3, "nothing is durable before finish");
+        ticket.sync_data().unwrap();
+        assert_eq!(halves.finish_sync(&ticket), Some(3));
+        assert_eq!(counters(&halves), counters(&whole));
+        assert_eq!(counters(&halves), (0, 3, 1));
+        assert_eq!(
+            std::fs::read(&halves_path).unwrap(),
+            std::fs::read(&whole_path).unwrap()
+        );
+        let _ = std::fs::remove_file(&whole_path);
+        let _ = std::fs::remove_file(&halves_path);
+    }
+
+    /// Two tickets in flight: whichever order they finish in, every record
+    /// is counted once, by the first ticket that covers it.
+    #[test]
+    fn overlapping_tickets_finish_in_either_order() {
+        for newest_first in [false, true] {
+            let (path, mut wal) = log_with("split-overlap", 2);
+            let first = wal.begin_sync().unwrap().unwrap();
+            for i in 3..=5u64 {
+                wal.append(&e(&format!("key-{i}"), "value", i)).unwrap();
+            }
+            let second = wal.begin_sync().unwrap().unwrap();
+            wal.append(&e("key-6", "value", 6)).unwrap();
+            first.sync_data().unwrap();
+            second.sync_data().unwrap();
+            let covered = if newest_first {
+                [wal.finish_sync(&second), wal.finish_sync(&first)]
+            } else {
+                [wal.finish_sync(&first), wal.finish_sync(&second)]
+            };
+            let expect = if newest_first { [5, 0] } else { [2, 3] };
+            assert_eq!(covered, expect.map(Some), "newest_first={newest_first}");
+            assert_eq!(counters(&wal), (1, 5, 2), "record 6 is still unsynced");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    /// A memtable flush between begin and finish supersedes the log: the
+    /// reset counts the records, the late finish counts nothing.
+    #[test]
+    fn finish_after_reset_changes_no_counter() {
+        let (path, mut wal) = log_with("split-reset", 4);
+        let stale = wal.begin_sync().unwrap().unwrap();
+        wal.reset().unwrap();
+        wal.append(&e("key-5", "value", 5)).unwrap();
+        let before = counters(&wal);
+        assert_eq!(before, (1, 4, 0), "the reset resolved the four records");
+        stale.sync_data().unwrap();
+        assert_eq!(wal.finish_sync(&stale), None);
+        assert_eq!(counters(&wal), before);
+        // The new generation syncs as usual.
+        wal.sync().unwrap();
+        assert_eq!(counters(&wal), (0, 5, 1));
+        assert_eq!(Wal::replay(&path).unwrap().len(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn mid_flush_crash_inside_begin_hands_out_no_ticket() {
+        let (path, mut wal) = log_with("split-midflush", 6);
+        wal.arm_crash(CrashPoint::MidFlush, 0);
+        assert!(wal.begin_sync().unwrap().is_none(), "no sync may start");
+        assert!(wal.is_crashed());
+        assert_eq!(wal.durable_records(), 0, "nothing acknowledged");
+        assert_eq!(wal.sync_count(), 0);
+        assert!(wal.begin_sync().unwrap().is_none(), "the handle stays dead");
+        assert!(Wal::replay(&path).unwrap().len() < 6, "torn tail");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn post_sync_crash_inside_finish_acknowledges_nothing() {
+        let (path, mut wal) = log_with("split-postsync", 2);
+        let ticket = wal.begin_sync().unwrap().unwrap();
+        ticket.sync_data().unwrap();
+        wal.arm_crash(CrashPoint::PostSync, 0);
+        assert_eq!(wal.finish_sync(&ticket), None, "died before saying so");
+        assert!(wal.is_crashed());
+        assert_eq!(wal.durable_records(), 2, "the fsync itself completed");
+        assert_eq!(
+            wal.finish_sync(&ticket),
+            None,
+            "a dead handle counts nothing"
+        );
+        assert_eq!(counters(&wal), (0, 2, 1));
+        assert_eq!(Wal::replay(&path).unwrap().len(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// An fsync that fails is never finished, so the loss window keeps
+    /// every record — through the halves and through `sync()` alike.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_fsync_leaves_unsynced_honest() {
+        // fsync on a character device fails with EINVAL; writes succeed.
+        let mut wal = Wal::open("/dev/null").unwrap();
+        wal.append(&e("a", "1", 1)).unwrap();
+        wal.append(&e("b", "2", 2)).unwrap();
+        let ticket = wal.begin_sync().unwrap().unwrap();
+        assert!(ticket.sync_data().is_err());
+        assert_eq!(counters(&wal), (2, 0, 0));
+        assert!(wal.sync().is_err());
+        assert_eq!(counters(&wal), (2, 0, 0));
     }
 
     // ------------------------------------------------------------------

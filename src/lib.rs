@@ -240,24 +240,26 @@
 //! [`ruskey::frontend::ServingFrontend`]
 //! ([`ShardedRusKey::serve`](ruskey::sharded::ShardedRusKey::serve))
 //! turns the store into a `Send + Sync` service handle: any number of
-//! [`ruskey::frontend::ServingClient`]s submit get/put/delete/scan
-//! concurrently through **bounded per-shard MPSC queues**, and each
-//! shard's persistent worker drains its queue in batches through the
-//! same executor, boundary grant and commit leg as a mission lane —
-//! reads reply as soon as they ran (per-shard FIFO makes
-//! read-your-writes structural), the batch's end is a maintenance
-//! boundary, and the writes in a batch share **one** WAL commit leg,
-//! acknowledged only after it. The batch commit is the cross-*client*
-//! group commit: requests arriving while a commit leg runs form the next
-//! batch, so under concurrency the fsync amortizes over clients (mean writes per
-//! commit > 1 at clients ≫ shards, pinned by `repro serve`).
-//! Overload is handled at admission, not by unbounded queues: a token
-//! bucket ([`ruskey::frontend::ServingConfig`]) rejects with a
-//! `retry_after` hint (a rejected op is never executed), and a full
-//! queue blocks the submitter with the wait recorded as `stall_ns`.
-//! Live counters, queue-depth gauges, and power-of-two histograms are
-//! snapshotted wait-free and render in the Prometheus text format
-//! ([`ruskey::frontend::MetricsSnapshot::render_prometheus`]).
+//! [`ruskey::frontend::ServingClient`]s run get/put/delete/scan
+//! concurrently, each **on its own thread under the owning shard's
+//! lock** — no serving thread, no request queue, no wake-up per request —
+//! through the same executor, boundary grant and commit leg as a mission
+//! lane. A read returns at the unlock (the lock's order makes
+//! read-your-writes structural) and never waits on an fsync; a write
+//! leaves the lock with its record in the log file and is acknowledged
+//! only after a **per-shard leader group commit** outside the lock: one
+//! writer at a time fsyncs everything flushed so far, the writers that
+//! arrive meanwhile share the next fsync, so under concurrency the fsync
+//! amortizes over clients (mean records per fsync > 1 at clients ≫
+//! shards, pinned by `repro serve`).
+//! Overload is handled at admission: a token bucket
+//! ([`ruskey::frontend::ServingConfig`]) rejects with a `retry_after`
+//! hint (a rejected op is never executed), and time blocked on a taken
+//! shard lock is recorded as `stall_ns`.
+//! Live counters, per-shard in-flight gauges, and power-of-two
+//! histograms — lock wait, execute and commit wait per request among
+//! them — are snapshotted wait-free and render in the Prometheus text
+//! format ([`ruskey::frontend::MetricsSnapshot::render_prometheus`]).
 //!
 //! Ad-hoc operations on the store itself (`get`/`put`/`delete`/`scan`
 //! outside missions and serving sessions) are batches of one on the

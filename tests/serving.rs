@@ -6,15 +6,22 @@
 //!   `K ∈ {1, 2, 4}`;
 //! * **read-your-writes** — a client immediately re-reading its own
 //!   acknowledged write sees it, no matter what the other clients are
-//!   doing (FIFO per-shard queues make this structural);
+//!   doing (the per-shard lock's order makes this structural);
 //! * **crash durability** — a [`CrashPoint`] firing mid-serve never
 //!   loses a write that was acknowledged before it;
+//! * **group commit** — many writers over few shards share fsyncs, and
+//!   every acknowledged write is on disk all the same;
+//! * **failure is typed and local** — a handle that outlives its session
+//!   gets `Stopped`; a client that panics inside a shard kills that
+//!   shard only;
+//! * **the in-flight gauge** never exceeds the number of clients;
 //! * **admission control** (proptest) — across arbitrary token-bucket
 //!   rates and bursts, a rejection never drops an acknowledged op:
 //!   every `Ok` put is readable, every `Rejected` put never executed.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use bytes::Bytes;
@@ -22,7 +29,7 @@ use proptest::prelude::*;
 
 use ruskey_repro::lsm::CrashPoint;
 use ruskey_repro::ruskey::db::RusKeyConfig;
-use ruskey_repro::ruskey::sharded::{DurabilityConfig, ShardedRusKey};
+use ruskey_repro::ruskey::sharded::{DurabilityConfig, MissionError, ShardedRusKey};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::ruskey::{ServingConfig, ServingError};
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
@@ -212,12 +219,7 @@ fn acknowledged_writes_survive_a_mid_serve_crash() {
         .expect("durable shard has a WAL")
         .arm_crash(CrashPoint::PostAppend, 20);
 
-    let frontend = db
-        .serve(ServingConfig {
-            batch_ops: 8,
-            ..ServingConfig::default()
-        })
-        .expect("serve");
+    let frontend = db.serve(ServingConfig::default()).expect("serve");
     let acked: Vec<(Bytes, Bytes)> = thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
@@ -230,8 +232,8 @@ fn acknowledged_writes_survive_a_mid_serve_crash() {
                         match client.put(key.clone(), value.clone()) {
                             Ok(()) => acked.push((key, value)),
                             // The crashed shard's clients see Crashed,
-                            // then Stopped once its worker leaves the
-                            // serve loop; neither is an acknowledgement.
+                            // then Stopped once the shard is marked
+                            // dead; neither is an acknowledgement.
                             Err(ServingError::Crashed | ServingError::Stopped) => {}
                             Err(e) => panic!("unexpected serving error: {e}"),
                         }
@@ -262,6 +264,233 @@ fn acknowledged_writes_survive_a_mid_serve_crash() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fresh durable store with the default (large) write buffer, so no
+/// flush truncates the WALs mid-test, and the directory it logs under.
+fn durable_store(name: &str, shards: usize) -> (ShardedRusKey, DurabilityConfig) {
+    let dir = std::env::temp_dir().join(format!("ruskey-serving-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durability = DurabilityConfig::group_commit(&dir);
+    let db = ShardedRusKey::try_with_tuner_durable(
+        RusKeyConfig::scaled_default(),
+        shards,
+        disk(),
+        Box::new(NoOpTuner),
+        &durability,
+    )
+    .expect("open durable store");
+    (db, durability)
+}
+
+/// Sixteen writers over two durable shards: every acknowledged put is
+/// there after the session and after recovery from the logs alone, the
+/// acknowledgement count is exact, and the writers shared fsyncs — fewer
+/// fsyncs than acknowledged writes, more than one record per fsync.
+#[test]
+fn sixteen_writers_share_fsyncs_and_lose_nothing() {
+    const SHARDS: usize = 2;
+    const CLIENTS: u64 = 16;
+    const WRITES: u64 = 40;
+    let (mut db, durability) = durable_store("group-commit", SHARDS);
+    let frontend = db.serve(ServingConfig::default()).expect("serve");
+    let start = Barrier::new(CLIENTS as usize);
+    let acked: Vec<(Bytes, Bytes)> = thread::scope(|s| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (client, start) = (frontend.client(), &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut acked = Vec::new();
+                    for i in 0..WRITES {
+                        let key = encode_key(c * 100_000 + i, 16);
+                        let value = Bytes::from(format!("gc-{c}-{i}"));
+                        client.put(key.clone(), value.clone()).expect("put");
+                        acked.push((key, value));
+                    }
+                    acked
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread panicked"))
+            .collect()
+    });
+    let metrics = db.finish_serving(frontend).expect("finish serving");
+    assert_eq!(acked.len() as u64, CLIENTS * WRITES);
+    assert_eq!(metrics.acked_writes, acked.len() as u64);
+    let syncs: u64 = (0..SHARDS)
+        .map(|i| db.shard(i).wal().expect("durable shard").sync_count())
+        .sum();
+    assert!(
+        syncs < metrics.acked_writes,
+        "{syncs} fsyncs for {} acknowledged writes: no coalescing",
+        metrics.acked_writes
+    );
+    assert_eq!(metrics.batches, syncs, "every fsync is one counted batch");
+    assert!(metrics.mean_batch_writes() > 1.0);
+    assert_eq!(metrics.commit_wait_ns.count, metrics.acked_writes);
+    for i in 0..SHARDS {
+        assert_eq!(db.shard(i).wal().unwrap().unsynced(), 0, "shard {i}");
+    }
+    for (key, value) in &acked {
+        assert_eq!(db.get(key).as_deref(), Some(value.as_ref()));
+    }
+    drop(db);
+    let cfg = RusKeyConfig::scaled_default();
+    let mut rec = ShardedRusKey::recover(cfg, SHARDS, disk(), Box::new(NoOpTuner), &durability)
+        .expect("recover");
+    for (key, value) in &acked {
+        assert_eq!(
+            rec.get(key).as_deref(),
+            Some(value.as_ref()),
+            "acknowledged write missing from the logs"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&durability.dir);
+}
+
+/// A client handle that outlives its session is refused, not hung and
+/// not panicked, on every kind of request.
+#[test]
+fn a_client_kept_past_finish_serving_is_stopped() {
+    let mut db = ShardedRusKey::untuned(small_cfg(), 2, disk());
+    let frontend = db.serve(ServingConfig::default()).expect("serve");
+    let client = frontend.client();
+    let key = encode_key(7, 16);
+    client
+        .put(key.clone(), Bytes::from_static(b"v"))
+        .expect("put");
+    db.finish_serving(frontend).expect("finish serving");
+    assert!(matches!(client.get(&key), Err(ServingError::Stopped)));
+    assert!(matches!(
+        client.put(key.clone(), Bytes::from_static(b"w")),
+        Err(ServingError::Stopped)
+    ));
+    assert!(matches!(
+        client.delete(key.clone()),
+        Err(ServingError::Stopped)
+    ));
+    assert!(matches!(
+        client.scan(&key, &[0xff; 17], 10),
+        Err(ServingError::Stopped)
+    ));
+    assert_eq!(
+        db.get(&key).as_deref(),
+        Some(&b"v"[..]),
+        "the store is home"
+    );
+}
+
+/// A client panicking inside one shard's lock kills that shard only: its
+/// other clients get `Stopped`, the sibling shard keeps serving (and
+/// keeps acknowledging), and the session's end names the dead shard.
+#[test]
+fn a_client_panic_poisons_only_its_shard() {
+    let (mut db, durability) = durable_store("client-panic", 2);
+    let frontend = db.serve(ServingConfig::default()).expect("serve");
+    // One key per shard, found by asking the store's own routing.
+    let on_shard = |shard: usize| {
+        (0..)
+            .map(|i| encode_key(i, 16))
+            .find(|k| ruskey_repro::workload::routing::shard_for_key(k, 2) == shard)
+            .unwrap()
+    };
+    let (dead_key, live_key) = (on_shard(0), on_shard(1));
+    let client = frontend.client();
+    client
+        .put(dead_key.clone(), Bytes::from_static(b"before"))
+        .expect("put");
+    let doomed = frontend.client();
+    let panicked = thread::scope(|s| s.spawn(move || doomed.panic_inside_shard(0)).join());
+    assert!(panicked.is_err(), "the hook must panic");
+    assert!(matches!(client.get(&dead_key), Err(ServingError::Stopped)));
+    assert!(matches!(
+        client.put(dead_key.clone(), Bytes::from_static(b"after")),
+        Err(ServingError::Stopped)
+    ));
+    client
+        .put(live_key.clone(), Bytes::from_static(b"alive"))
+        .expect("sibling shard serves");
+    assert_eq!(
+        client.get(&live_key).expect("get").as_deref(),
+        Some(&b"alive"[..])
+    );
+    // A scan needs every shard, so it is refused too.
+    assert!(matches!(
+        client.scan(&live_key, &[0xff; 17], 10),
+        Err(ServingError::Stopped)
+    ));
+    match db.finish_serving(frontend) {
+        Err(MissionError::WorkerPanicked { shard: 0 }) => {}
+        other => panic!("expected shard 0 reported dead, got {other:?}"),
+    }
+    // The engine is dead, not limping: a mission fails fast and typed.
+    assert!(matches!(
+        db.try_run_mission(&[]),
+        Err(MissionError::WorkerUnavailable { shard: 0 })
+    ));
+    let _ = std::fs::remove_dir_all(&durability.dir);
+}
+
+/// The per-shard gauge counts requests inside or waiting for the shard.
+/// The thread that adds is the thread that subtracts, so a concurrent
+/// snapshot can never catch it above the number of clients — let alone
+/// wrapped below zero, as a gauge decremented by another thread could be.
+#[test]
+fn in_flight_gauge_never_exceeds_the_client_count() {
+    const CLIENTS: u64 = 8;
+    const OPS: u64 = 3000;
+    let mut db = ShardedRusKey::untuned(small_cfg(), 2, disk());
+    let frontend = db.serve(ServingConfig::default()).expect("serve");
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(CLIENTS as usize + 1);
+    let (snapshots, worst) = thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (client, start) = (frontend.client(), &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..OPS {
+                        let key = encode_key(c * 10_000 + i % 64, 16);
+                        if i % 4 == 0 {
+                            client.put(key, Bytes::from_static(b"gauge")).expect("put");
+                        } else {
+                            client.get(&key).expect("get");
+                        }
+                    }
+                })
+            })
+            .collect();
+        // Snapshot for as long as the clients run; the barrier makes the
+        // two overlap from the first request on.
+        let watcher = s.spawn(|| {
+            start.wait();
+            let (mut snapshots, mut worst) = (0u64, 0u64);
+            while !done.load(Ordering::SeqCst) {
+                let depth = frontend.metrics().queue_depth;
+                worst = worst.max(depth.into_iter().max().unwrap_or(0));
+                snapshots += 1;
+            }
+            (snapshots, worst)
+        });
+        for c in clients {
+            c.join().expect("client thread panicked");
+        }
+        done.store(true, Ordering::SeqCst);
+        watcher.join().expect("watcher panicked")
+    });
+    assert!(snapshots > 0);
+    assert!(
+        worst <= CLIENTS,
+        "a shard's gauge read {worst} with {CLIENTS} clients ({snapshots} snapshots)"
+    );
+    let metrics = db.finish_serving(frontend).expect("finish serving");
+    assert_eq!(metrics.queue_depth, vec![0, 0], "idle at the end");
+    assert_eq!(metrics.requests(), CLIENTS * OPS);
+    assert_eq!(metrics.lock_wait_ns.count, metrics.requests());
+    assert_eq!(metrics.execute_ns.count, metrics.requests());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
@@ -281,7 +510,6 @@ proptest! {
             .serve(ServingConfig {
                 rate_limit_per_sec: rate,
                 burst,
-                ..ServingConfig::default()
             })
             .expect("serve");
         let client = frontend.client();
