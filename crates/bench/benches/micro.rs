@@ -1,18 +1,25 @@
 //! Component micro-benchmarks: the primitive costs underlying the paper's
 //! cost model (Bloom probes = `c_r`, merge work = `c_w`, run probes,
-//! memtable inserts, DDPG gradient steps = the Fig. 13 numerator).
+//! memtable inserts, DDPG gradient steps = the Fig. 13 numerator), and the
+//! per-unit costs of the page cursor, the merge kernel and the log append
+//! (`*_ns_per_*`, `*_us`, `*_ns` rows: printed per entry, page or call, so
+//! the layer is visible without the ledger).
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use ruskey_lsm::bloom::Bloom;
+use ruskey_lsm::compaction::{Merge, Source};
+use ruskey_lsm::entry::EntryBuf;
 use ruskey_lsm::memtable::Memtable;
-use ruskey_lsm::run::RunBuilder;
+use ruskey_lsm::run::{Run, RunBuilder};
 use ruskey_lsm::types::KvEntry;
+use ruskey_lsm::{FlsmTree, LsmConfig, Wal};
 use ruskey_rl::{Ddpg, DdpgConfig, Transition};
-use ruskey_storage::{CostModel, SimulatedDisk, Storage};
+use ruskey_storage::{BlockCache, CostModel, SimulatedDisk, Storage};
 
 fn key(i: u64) -> bytes::Bytes {
     bytes::Bytes::copy_from_slice(&i.to_be_bytes())
@@ -49,7 +56,7 @@ fn bench_run_probe(c: &mut Criterion) {
     let disk = SimulatedDisk::new(4096, CostModel::FREE);
     let mut builder = RunBuilder::new(1, 4096, 8.0);
     for i in 0..10_000u64 {
-        builder.push(KvEntry::put(key(i * 2), vec![1u8; 112], i));
+        builder.push(KvEntry::put(key(i * 2), vec![1u8; 112], i).borrowed());
     }
     let run = builder.finish(disk.as_ref(), u64::MAX).unwrap();
     let mut i = 0u64;
@@ -67,23 +74,160 @@ fn bench_run_probe(c: &mut Criterion) {
     });
 }
 
-fn bench_merge(c: &mut Criterion) {
-    use ruskey_lsm::compaction::merge_sorted;
-    c.bench_function("merge_4x1000_entries", |b| {
-        b.iter_batched(
-            || {
-                (0..4u64)
-                    .map(|s| {
-                        (0..1000u64)
-                            .map(|i| KvEntry::put(key(i * 4 + s), vec![0u8; 32], s * 1000 + i))
-                            .collect::<Vec<_>>()
-                    })
-                    .collect::<Vec<_>>()
-            },
-            |batches| black_box(merge_sorted(batches, false)),
-            BatchSize::SmallInput,
-        )
+/// Calls `routine` on fresh input from `setup` until half a second of
+/// routine time has accumulated, and prints the mean cost of one of the
+/// `units` units of work a call performs.
+fn per_unit<I, O>(
+    name: &str,
+    unit: &str,
+    units: u64,
+    mut setup: impl FnMut() -> I,
+    mut routine: impl FnMut(I) -> O,
+) {
+    routine(setup()); // warm-up
+    let (mut spent, mut calls) = (Duration::ZERO, 0u64);
+    while spent < Duration::from_millis(500) {
+        let input = setup();
+        let t0 = Instant::now();
+        let output = routine(input);
+        spent += t0.elapsed();
+        calls += 1;
+        drop(black_box(output));
+    }
+    let ns = spent.as_nanos() as f64 / (calls * units) as f64;
+    match unit {
+        "us" => println!("{name}: {:.2} us ({calls} calls)", ns / 1e3),
+        _ => println!("{name}: {ns:.0} ns ({calls} calls of {units})"),
+    }
+}
+
+/// `n` 128-byte entries with keys `first, first + step, ...`.
+fn entries_of(n: u64, first: u64, step: u64) -> Vec<KvEntry> {
+    (0..n)
+        .map(|i| KvEntry::put(key16(first + i * step), vec![3u8; 112], i + 1))
+        .collect()
+}
+
+fn run_of(storage: &dyn Storage, id: u64, entries: &[KvEntry]) -> Run {
+    let mut b = RunBuilder::new(id, storage.page_size(), 8.0);
+    entries.iter().for_each(|e| b.push(e.borrowed()));
+    b.finish(storage, u64::MAX).unwrap()
+}
+
+/// The ledger's 16-byte key.
+fn key16(i: u64) -> bytes::Bytes {
+    bytes::Bytes::copy_from_slice(&(i as u128).to_be_bytes())
+}
+
+/// The merge loop as the write path runs it, per input entry: a flush
+/// (the level's active run against a memtable, into a run builder) and a
+/// full tier (ten runs into the batch the level below admits).
+fn bench_merge(_c: &mut Criterion) {
+    let disk = SimulatedDisk::new(4096, CostModel::FREE);
+    let storage: &dyn Storage = disk.as_ref();
+
+    let active_entries = entries_of(4_000, 0, 2);
+    let active = run_of(storage, 1, &active_entries);
+    let mut mem = Memtable::new();
+    for i in 0..500u64 {
+        mem.insert(KvEntry::put(key16(i * 16 + 1), vec![5u8; 112], 10_000 + i));
+    }
+    per_unit(
+        "merge_ns_per_entry/flush_2way",
+        "ns",
+        4_500,
+        || RunBuilder::new(2, 4096, 8.0),
+        |mut builder| {
+            let sources = vec![
+                Source::Run(active.cursor(storage)),
+                Source::Mem(mem.cursor()),
+            ];
+            Merge::new(sources, false).drain_into(|e| builder.push(e));
+            builder
+        },
+    );
+
+    let tier: Vec<Run> = (0..10)
+        .map(|r| run_of(storage, 10 + r, &entries_of(500, r, 10)))
+        .collect();
+    per_unit(
+        "merge_ns_per_entry/tier_10way",
+        "ns",
+        5_000,
+        EntryBuf::default,
+        |mut batch| {
+            let sources = tier
+                .iter()
+                .map(|r| Source::Run(r.cursor(storage)))
+                .collect();
+            Merge::new(sources, false).drain_into(|e| batch.push(e));
+            batch
+        },
+    );
+
+    per_unit(
+        "run_build_ns_per_page",
+        "ns",
+        u64::from(active.page_count()),
+        || (),
+        |()| run_of(storage, 3, &active_entries).destroy(storage),
+    );
+}
+
+/// A tree over a block cache that holds all of it: three levels, twelve
+/// runs, the ledger's entry shape.
+fn cache_resident_tree() -> FlsmTree {
+    let disk = SimulatedDisk::new(4096, CostModel::FREE);
+    let cache = BlockCache::new(disk, 1 << 16);
+    let cfg = LsmConfig {
+        initial_policy: 4,
+        ..LsmConfig::scaled_default()
+    };
+    let mut tree = FlsmTree::new(cfg, cache as Arc<dyn Storage>);
+    for i in 0..40_000u64 {
+        tree.put(key16(i.wrapping_mul(0x9E37_79B9) % 50_000), vec![7u8; 112]);
+    }
+    tree
+}
+
+/// The read path on cache-resident data: a limit-100 scan (seek every
+/// overlapping run, then merge rows) and a point get that hits a run.
+fn bench_reads(_c: &mut Criterion) {
+    let mut tree = cache_resident_tree();
+    let mut next = 0u64;
+    let mut draw = || {
+        next = (next + 7_919) % 49_000;
+        next
+    };
+    per_unit("scan_limit100_us", "us", 1, &mut draw, |k| {
+        tree.scan(&key16(k), &key16(u64::MAX), 100)
     });
+    per_unit("cache_hit_get_ns", "ns", 1, &mut draw, |k| {
+        tree.get(&key16(k))
+    });
+}
+
+/// One WAL append of a 128-byte record into the user-space buffer (the
+/// reset that empties the buffer between calls is not timed).
+fn bench_wal_append(_c: &mut Criterion) {
+    let path = std::env::temp_dir().join(format!("ruskey-micro-wal-{}", std::process::id()));
+    let records: Vec<KvEntry> = (0..1_000u64)
+        .map(|i| KvEntry::put(key16(i), vec![9u8; 112], i))
+        .collect();
+    let wal = std::cell::RefCell::new(Wal::open(&path).expect("open WAL"));
+    per_unit(
+        "wal_append_ns",
+        "ns",
+        1_000,
+        || wal.borrow_mut().reset().expect("reset"),
+        |()| {
+            let mut wal = wal.borrow_mut();
+            for r in &records {
+                wal.append(r).expect("append");
+            }
+        },
+    );
+    let _ = std::fs::remove_file(&path);
 }
 
 fn bench_ddpg_step(c: &mut Criterion) {
@@ -136,7 +280,6 @@ fn bench_ddpg_step(c: &mut Criterion) {
 }
 
 fn bench_flush_admit(c: &mut Criterion) {
-    use ruskey_lsm::{FlsmTree, LsmConfig};
     c.bench_function("tree_put_with_flushes_64KiB_buffer", |b| {
         b.iter_batched(
             || {
@@ -157,6 +300,6 @@ fn bench_flush_admit(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_bloom, bench_memtable, bench_run_probe, bench_merge, bench_ddpg_step, bench_flush_admit
+    targets = bench_bloom, bench_memtable, bench_run_probe, bench_merge, bench_reads, bench_wal_append, bench_ddpg_step, bench_flush_admit
 }
 criterion_main!(micro);

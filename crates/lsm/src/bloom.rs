@@ -62,6 +62,17 @@ impl Bloom {
         n_keys: usize,
         bits_per_key: f64,
     ) -> Self {
+        let mut filter = Self::sized_for(n_keys, bits_per_key);
+        for key in keys {
+            filter.insert(key);
+        }
+        filter
+    }
+
+    /// An empty filter sized for `n_keys` keys, to be filled by
+    /// [`Bloom::insert`]: [`Bloom::build`] for a caller that meets its keys
+    /// one at a time and cannot hold them all.
+    pub fn sized_for(n_keys: usize, bits_per_key: f64) -> Self {
         if bits_per_key <= 0.0 || n_keys == 0 {
             return Self {
                 bits: Vec::new(),
@@ -72,19 +83,19 @@ impl Bloom {
         }
         let nbits = ((n_keys as f64 * bits_per_key).ceil() as u64).max(64);
         let k = ((bits_per_key * std::f64::consts::LN_2).round() as u32).clamp(1, 30);
-        let mut filter = Self {
+        Self {
             bits: vec![0u64; nbits.div_ceil(64) as usize],
             nbits,
             k,
             keys: n_keys as u64,
-        };
-        for key in keys {
-            filter.insert(key);
         }
-        filter
     }
 
-    fn insert(&mut self, key: &[u8]) {
+    /// Adds one key (a no-op on the zero-memory filter).
+    pub fn insert(&mut self, key: &[u8]) {
+        if self.nbits == 0 {
+            return;
+        }
         let h1 = fnv1a64(key, 0x51_7c_c1_b7);
         let h2 = fnv1a64(key, 0x85_eb_ca_6b) | 1;
         for i in 0..self.k as u64 {

@@ -1,50 +1,55 @@
 //! Streaming range scans.
 
-use crate::compaction::{EntrySource, MergeIterator};
-use crate::types::{Key, KvEntry, Value};
+use crate::compaction::{Merge, Source};
+use crate::types::{Key, Value};
 
 /// A streaming, merged, version-resolved range scan over `[start, end)`.
 ///
-/// Wraps a [`MergeIterator`] over per-run iterators and the memtable,
-/// excluding tombstoned keys and stopping at the end bound. Constructed by
+/// Runs the merge kernel ([`Merge`]) over per-run cursors and the
+/// memtable, excluding tombstoned keys and stopping at the end bound. A
+/// returned row's key and value are slices of the page (or clones of the
+/// memtable's handles) the winning source holds: nothing is copied, and
+/// nothing is sliced for a row the scan does not return. Constructed by
 /// [`crate::FlsmTree::scan_iter`].
-pub struct RangeScan {
-    inner: MergeIterator,
-    end: Key,
+pub struct RangeScan<'a> {
+    merge: Merge<'a>,
+    end: &'a [u8],
     remaining: usize,
 }
 
-impl RangeScan {
+impl<'a> RangeScan<'a> {
     /// Builds a scan from pre-seeked sorted sources.
-    pub fn new(sources: Vec<EntrySource>, end: Key, limit: usize) -> Self {
+    pub fn new(sources: Vec<Source<'a>>, end: &'a [u8], limit: usize) -> Self {
         Self {
-            inner: MergeIterator::new(sources, true),
+            merge: Merge::new(sources, true),
             end,
             remaining: limit,
         }
     }
 }
 
-impl Iterator for RangeScan {
+impl Iterator for RangeScan<'_> {
     type Item = (Key, Value);
 
     fn next(&mut self) -> Option<(Key, Value)> {
         if self.remaining == 0 {
             return None;
         }
-        let e: KvEntry = self.inner.next()?;
-        if e.key >= self.end {
-            self.remaining = 0;
-            return None;
-        }
-        self.remaining -= 1;
-        Some((e.key, e.value))
+        let end = self.end;
+        let row = self
+            .merge
+            .next_with(|src| src.entry().filter(|e| e.key < end).and_then(|_| src.row()))
+            .flatten();
+        self.remaining = if row.is_some() { self.remaining - 1 } else { 0 };
+        row
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::EntryBuf;
+    use crate::types::KvEntry;
     use bytes::Bytes;
 
     fn e(k: &str, v: &str, seq: u64) -> KvEntry {
@@ -55,33 +60,32 @@ mod tests {
         )
     }
 
+    fn buf(entries: &[KvEntry]) -> EntryBuf {
+        let mut buf = EntryBuf::default();
+        entries.iter().for_each(|e| buf.push(e.borrowed()));
+        buf
+    }
+
     #[test]
     fn scan_stops_at_end_and_limit() {
-        let src: EntrySource = Box::new(
-            vec![
-                e("a", "1", 1),
-                e("b", "2", 2),
-                e("c", "3", 3),
-                e("d", "4", 4),
-            ]
-            .into_iter(),
-        );
-        let got: Vec<_> = RangeScan::new(vec![src], Bytes::from_static(b"d"), 10).collect();
+        let src = buf(&[
+            e("a", "1", 1),
+            e("b", "2", 2),
+            e("c", "3", 3),
+            e("d", "4", 4),
+        ]);
+        let got: Vec<_> = RangeScan::new(vec![Source::Buf(src.cursor())], b"d", 10).collect();
         assert_eq!(got.len(), 3);
-
-        let src: EntrySource =
-            Box::new(vec![e("a", "1", 1), e("b", "2", 2), e("c", "3", 3)].into_iter());
-        let got: Vec<_> = RangeScan::new(vec![src], Bytes::from_static(b"zzz"), 2).collect();
+        let got: Vec<_> = RangeScan::new(vec![Source::Buf(src.cursor())], b"zzz", 2).collect();
         assert_eq!(got.len(), 2);
     }
 
     #[test]
     fn scan_skips_tombstones() {
-        let newer: EntrySource =
-            Box::new(vec![KvEntry::delete(Bytes::from_static(b"b"), 10)].into_iter());
-        let older: EntrySource = Box::new(vec![e("a", "1", 1), e("b", "2", 2)].into_iter());
-        let got: Vec<_> =
-            RangeScan::new(vec![newer, older], Bytes::from_static(b"zzz"), 10).collect();
+        let newer = buf(&[KvEntry::delete(Bytes::from_static(b"b"), 10)]);
+        let older = buf(&[e("a", "1", 1), e("b", "2", 2)]);
+        let sources = vec![Source::Buf(newer.cursor()), Source::Buf(older.cursor())];
+        let got: Vec<_> = RangeScan::new(sources, b"zzz", 10).collect();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0.as_ref(), b"a");
     }

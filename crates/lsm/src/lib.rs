@@ -5,7 +5,18 @@
 //!
 //! * a write-buffer [`memtable`], sorted disk-resident [`run`]s with
 //!   [`bloom`] filters and [`fence`] pointers, and k-way merging
-//!   [`compaction`];
+//!   [`compaction`] — with **one page cursor and one merge kernel** under
+//!   everything that walks a run: a flush, a merge-down, a
+//!   policy-transition merge, a scan, a point probe and recovery all read
+//!   a page as the shared handle the device or cache already holds
+//!   ([`ruskey_storage::Storage::try_read_shared`]) and walk its entries
+//!   in place ([`entry::EntryCursor`], [`run::RunCursor`]); every merge is
+//!   [`compaction::Merge`] over cursors, comparing keys where they lie;
+//!   every run is written by [`run::RunBuilder`], one buffer and one
+//!   [`ruskey_storage::Storage::write_pages`] per run. Bytes are copied
+//!   when an entry enters a new run and when a caller is handed a value;
+//!   nothing the engine retains (fence keys, run and level bounds,
+//!   manifest records) shares an allocation with a page;
 //! * per-level compaction policies `K_i` (max number of sorted runs in
 //!   level *i*, `K_i ∈ [1, T]`; `K_i = 1` is leveling, `K_i = T` is tiering),
 //!   following Dostoevsky's hybrid-policy formulation;
@@ -69,3 +80,6 @@ pub use transition::TransitionStrategy;
 pub use tree::{FlsmTree, TreeSnapshot};
 pub use types::{Key, KvEntry, OpKind, SeqNo, Value};
 pub use wal::{CrashPoint, SyncTicket, Wal};
+
+#[cfg(test)]
+mod oracle;

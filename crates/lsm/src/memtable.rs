@@ -4,10 +4,10 @@
 //! configured capacity, the engine sorts (implicit: the map is ordered) and
 //! flushes the contents as a sorted run into Level 1 (paper §2).
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Range};
 use std::ops::Bound;
 
-use crate::types::{Key, KvEntry, OpKind, SeqNo, Value};
+use crate::types::{EntryRef, Key, KvEntry, OpKind, SeqNo, Value};
 
 /// Value slot stored per key in the buffer.
 #[derive(Debug, Clone)]
@@ -57,6 +57,15 @@ impl Memtable {
         })
     }
 
+    /// What a point lookup needs of [`Memtable::get`], without building
+    /// an entry: `None` if the key is not buffered, `Some(None)` if its
+    /// latest version is a tombstone, `Some(Some(value))` otherwise.
+    pub(crate) fn lookup(&self, key: &[u8]) -> Option<Option<&Value>> {
+        self.map
+            .get(key)
+            .map(|slot| (slot.kind == OpKind::Put).then_some(&slot.value))
+    }
+
     /// Logical size in bytes (sum of encoded entry sizes).
     pub fn bytes(&self) -> u64 {
         self.bytes
@@ -72,31 +81,55 @@ impl Memtable {
         self.map.is_empty()
     }
 
-    /// Drains the buffer, returning all entries in ascending key order.
-    pub fn drain_sorted(&mut self) -> Vec<KvEntry> {
-        self.bytes = 0;
-        std::mem::take(&mut self.map)
-            .into_iter()
-            .map(|(key, slot)| KvEntry {
-                key,
-                value: slot.value,
-                seq: slot.seq,
-                kind: slot.kind,
-            })
-            .collect()
+    /// A cursor over every buffered entry in ascending key order — what a
+    /// flush merges into Level 1.
+    pub fn cursor(&self) -> MemCursor<'_> {
+        MemCursor::new(self.map.range::<[u8], _>(..))
     }
 
-    /// Returns buffered entries with keys in `[start, end)` in key order.
-    pub fn range(&self, start: &[u8], end: &[u8]) -> Vec<KvEntry> {
-        self.map
-            .range::<[u8], _>((Bound::Included(start), Bound::Excluded(end)))
-            .map(|(k, slot)| KvEntry {
-                key: k.clone(),
-                value: slot.value.clone(),
-                seq: slot.seq,
-                kind: slot.kind,
-            })
-            .collect()
+    /// A cursor over the buffered entries with keys in `[start, end)`. It
+    /// walks the map as it is advanced; nothing is copied up front.
+    pub fn range(&self, start: &[u8], end: &[u8]) -> MemCursor<'_> {
+        let bounds = (Bound::Included(start), Bound::Excluded(end));
+        MemCursor::new(self.map.range::<[u8], _>(bounds))
+    }
+}
+
+/// A lazy cursor over a key range of a [`Memtable`]: on one entry at a
+/// time, borrowed from the map.
+#[derive(Debug)]
+pub struct MemCursor<'a> {
+    current: Option<(&'a Key, &'a Slot)>,
+    rest: Range<'a, Key, Slot>,
+}
+
+impl<'a> MemCursor<'a> {
+    fn new(mut rest: Range<'a, Key, Slot>) -> Self {
+        Self {
+            current: rest.next(),
+            rest,
+        }
+    }
+
+    /// The entry the cursor is on, or `None` once past the range.
+    pub fn entry(&self) -> Option<EntryRef<'a>> {
+        self.current.map(|(key, slot)| EntryRef {
+            key,
+            value: &slot.value,
+            seq: slot.seq,
+            kind: slot.kind,
+        })
+    }
+
+    /// Key and value of the current entry as shared handles.
+    pub fn row(&self) -> Option<(Key, Value)> {
+        self.current
+            .map(|(key, slot)| (key.clone(), slot.value.clone()))
+    }
+
+    /// Moves to the next entry of the range.
+    pub fn advance(&mut self) {
+        self.current = self.rest.next();
     }
 }
 
@@ -144,20 +177,24 @@ mod tests {
         assert!(got.is_tombstone());
     }
 
+    fn keys(mut c: MemCursor<'_>) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        while let Some(e) = c.entry() {
+            assert_eq!(c.row().unwrap().0.as_ref(), e.key);
+            out.push(e.key.to_vec());
+            c.advance();
+        }
+        out
+    }
+
     #[test]
-    fn drain_is_sorted_and_resets() {
+    fn cursor_is_sorted() {
         let mut m = Memtable::new();
         for (i, k) in ["mango", "apple", "zebra"].iter().enumerate() {
             m.insert(put(k, "v", i as u64));
         }
-        let drained = m.drain_sorted();
-        let keys: Vec<&[u8]> = drained.iter().map(|e| e.key.as_ref()).collect();
-        assert_eq!(
-            keys,
-            vec![b"apple".as_ref(), b"mango".as_ref(), b"zebra".as_ref()]
-        );
-        assert!(m.is_empty());
-        assert_eq!(m.bytes(), 0);
+        assert_eq!(keys(m.cursor()), [&b"apple"[..], b"mango", b"zebra"]);
+        assert!(keys(Memtable::new().cursor()).is_empty());
     }
 
     #[test]
@@ -166,8 +203,17 @@ mod tests {
         for k in ["a", "b", "c", "d"] {
             m.insert(put(k, "v", 1));
         }
-        let got: Vec<KvEntry> = m.range(b"b", b"d");
-        let keys: Vec<&[u8]> = got.iter().map(|e| e.key.as_ref()).collect();
-        assert_eq!(keys, vec![b"b".as_ref(), b"c".as_ref()]);
+        assert_eq!(keys(m.range(b"b", b"d")), [b"b", b"c"]);
+        assert!(keys(m.range(b"x", b"z")).is_empty());
+    }
+
+    #[test]
+    fn lookup_tells_tombstone_from_absent() {
+        let mut m = Memtable::new();
+        m.insert(put("a", "1", 1));
+        m.insert(KvEntry::delete(Bytes::from_static(b"b"), 2));
+        assert_eq!(m.lookup(b"a").unwrap().unwrap().as_ref(), b"1");
+        assert_eq!(m.lookup(b"b"), Some(None));
+        assert_eq!(m.lookup(b"c"), None);
     }
 }

@@ -177,11 +177,11 @@ mod tests {
         let mut i = lo;
         let mut seq = 1;
         while i < hi {
-            b.push(KvEntry::put(key(i), Bytes::from_static(b"v"), seq));
+            b.push(KvEntry::put(key(i), Bytes::from_static(b"v"), seq).borrowed());
             seq += 1;
             i += 2;
         }
-        b.push(KvEntry::put(key(hi), Bytes::from_static(b"v"), seq));
+        b.push(KvEntry::put(key(hi), Bytes::from_static(b"v"), seq).borrowed());
         Arc::new(b.finish(storage, u64::MAX).unwrap())
     }
 

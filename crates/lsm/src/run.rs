@@ -5,16 +5,29 @@
 //! In the FLSM-tree, every run additionally carries its own *capacity*,
 //! assigned at creation from the level's policy at that moment — this is the
 //! mechanism that lets runs of different sizes coexist in one level (§4.2).
+//!
+//! There is one way to read a run and one way to write one. Reading is the
+//! [`RunCursor`]: it takes each page from [`Storage::try_read_shared`] as a
+//! shared handle and walks the entries in place ([`EntryCursor`]), so a
+//! point probe, a scan, a merge and recovery all touch the page the device
+//! or cache already holds, and nothing is copied until a caller is handed
+//! bytes to keep — a probe's value, a scan's rows. Writing is the
+//! [`RunBuilder`]: it copies each entry once into one contiguous buffer
+//! laid out page by page, puts the run down with a single
+//! [`Storage::write_pages`], and hashes the Bloom keys out of that buffer.
+//! Fence keys and the run's bounds are copies of exactly their bytes: they
+//! live as long as the run does and must not keep a 4 KiB page alive each.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
+use bytes::Bytes;
 use ruskey_storage::{Extent, Storage};
 
 use crate::bloom::Bloom;
-use crate::entry::{self, PAGE_HEADER_BYTES};
+use crate::entry::{encode_entry, CorruptPage, EntryCursor, PAGE_HEADER_BYTES};
 use crate::fence::FencePointers;
-use crate::types::{Key, KvEntry, SeqNo};
+use crate::types::{EntryRef, Key, SeqNo, Value};
 
 /// Unique run identifier within one tree.
 pub type RunId = u64;
@@ -28,8 +41,10 @@ pub enum ProbeOutcome {
     /// The Bloom filter answered positive but the page did not contain the
     /// key — a false positive costing one page read.
     FalsePositive,
-    /// The key was found.
-    Found(KvEntry),
+    /// The run holds a version of the key: a copy of its value, or `None`
+    /// for a tombstone. The copy is the only thing a hit allocates; it
+    /// does not keep the page alive.
+    Found(Option<Value>),
 }
 
 /// Statistics of one probe.
@@ -39,6 +54,20 @@ pub struct ProbeResult {
     pub outcome: ProbeOutcome,
     /// Pages read from storage during the probe (0 or 1).
     pub pages_read: u32,
+}
+
+/// The steady-state read: a page the manifest records is readable, so a
+/// failure here is a logic bug ([`Storage::read_page`]'s contract).
+fn read_shared(storage: &dyn Storage, ext: Extent, idx: u32) -> Bytes {
+    match storage.try_read_shared(ext, idx) {
+        Ok((page, _)) => page,
+        Err(e) => panic!("read page {}:{idx}: {e}", ext.id),
+    }
+}
+
+/// The steady-state answer to page contents that do not parse.
+fn corrupt_page(ext: Extent, idx: u32, e: CorruptPage) -> ! {
+    panic!("corrupt page {}:{idx}: {e}", ext.id)
 }
 
 /// An immutable sorted run.
@@ -123,49 +152,62 @@ impl Run {
     /// the storage clock.
     pub fn probe(&self, storage: &dyn Storage, key: &[u8]) -> ProbeResult {
         storage.charge_cpu(storage.cost_model().cpu_probe_ns);
+        let filtered_out = ProbeResult {
+            outcome: ProbeOutcome::FilteredOut,
+            pages_read: 0,
+        };
         if key < self.min_key.as_ref() || key > self.max_key.as_ref() {
-            return ProbeResult {
-                outcome: ProbeOutcome::FilteredOut,
-                pages_read: 0,
-            };
+            return filtered_out;
         }
         if !self.bloom.contains(key) {
-            return ProbeResult {
-                outcome: ProbeOutcome::FilteredOut,
-                pages_read: 0,
-            };
+            return filtered_out;
         }
         let Some(page_idx) = self.fences.locate(key) else {
-            return ProbeResult {
-                outcome: ProbeOutcome::FilteredOut,
-                pages_read: 0,
-            };
+            return filtered_out;
         };
-        let mut buf = Vec::with_capacity(storage.page_size());
-        storage.read_page(self.extent, page_idx, &mut buf);
-        match entry::search_page(&buf, key) {
-            Some(e) => ProbeResult {
-                outcome: ProbeOutcome::Found(e),
-                pages_read: 1,
-            },
-            None => ProbeResult {
-                outcome: ProbeOutcome::FalsePositive,
-                pages_read: 1,
-            },
+        let page = read_shared(storage, self.extent, page_idx);
+        let mut cursor =
+            EntryCursor::page(&page[..]).unwrap_or_else(|e| corrupt_page(self.extent, page_idx, e));
+        let mut outcome = ProbeOutcome::FalsePositive;
+        // Entries within a page are sorted: stop once past the key.
+        while let Some(e) = cursor.entry() {
+            match e.key.cmp(key) {
+                std::cmp::Ordering::Less => cursor
+                    .advance()
+                    .unwrap_or_else(|e| corrupt_page(self.extent, page_idx, e)),
+                std::cmp::Ordering::Equal => {
+                    let value = (!e.is_tombstone()).then(|| Value::copy_from_slice(e.value));
+                    outcome = ProbeOutcome::Found(value);
+                    break;
+                }
+                std::cmp::Ordering::Greater => break,
+            }
+        }
+        ProbeResult {
+            outcome,
+            pages_read: 1,
         }
     }
 
-    /// Sequential iterator over all entries, reading pages on demand.
-    pub fn iter(&self, storage: Arc<dyn Storage>) -> RunIterator {
-        RunIterator::new(self.extent, storage, 0)
+    /// A cursor on the run's first entry (reads the first page).
+    pub fn cursor<'a>(&self, storage: &'a dyn Storage) -> RunCursor<'a> {
+        RunCursor::open(self.extent, storage, 0)
     }
 
-    /// Iterator positioned at the first entry with key `>= start`.
-    pub fn iter_from(&self, storage: Arc<dyn Storage>, start: &[u8]) -> RunIterator {
-        let page = self.fences.seek_page(start);
-        let mut it = RunIterator::new(self.extent, storage, page);
-        it.skip_until(start);
-        it
+    /// A cursor on the first entry with key `>= start`: reads the page the
+    /// fence pointers name, and the one after it if that page ends first.
+    pub fn cursor_from<'a>(&self, storage: &'a dyn Storage, start: &[u8]) -> RunCursor<'a> {
+        let mut cursor = RunCursor::open(self.extent, storage, self.fences.seek_page(start));
+        while cursor.entry().is_some_and(|e| e.key < start) {
+            cursor.advance();
+        }
+        cursor
+    }
+
+    /// The fence pointers, for the test oracle's own seek.
+    #[cfg(test)]
+    pub(crate) fn fences(&self) -> &FencePointers {
+        &self.fences
     }
 
     /// Frees the run's pages on storage. The run must not be used afterwards.
@@ -174,19 +216,20 @@ impl Run {
     }
 
     /// Rebuilds a run from its manifest record and data pages: every page
-    /// of the recorded extent is read back, entries are decoded to
+    /// of the recorded extent is read back and walked in place to
     /// re-derive the fence pointers and an identical Bloom filter, and
     /// the result is cross-checked against the record's integrity
     /// expectations (entry count, data bytes, key bounds, max seq).
     ///
-    /// Returns `InvalidData` if the decoded pages disagree with the
+    /// Returns `InvalidData` if the pages do not parse (an entry header
+    /// running past its page, an unknown kind byte) or disagree with the
     /// record — a manifest that references pages which were never written
     /// cannot get here under the commit ordering contract (pages first,
-    /// edit after), so a mismatch means externally corrupted page
-    /// *contents*. A missing, truncated, or torn extent file surfaces the
-    /// same way: the fallible [`Storage::try_read_page`] propagates the
-    /// backend's typed error wrapped with the run's identity, so recovery
-    /// reports *which* run failed instead of panicking mid-restart.
+    /// edit after), so either means externally corrupted page *contents*.
+    /// A missing, truncated, or torn extent file surfaces the same way:
+    /// the fallible [`Storage::try_read_shared`] propagates the backend's
+    /// typed error wrapped with the run's identity, so recovery reports
+    /// *which* run failed instead of panicking mid-restart.
     pub fn recover(
         storage: &dyn Storage,
         rec: &crate::manifest::RunRecord,
@@ -196,43 +239,42 @@ impl Run {
             pages: rec.pages,
         };
         let mut first_keys: Vec<Key> = Vec::with_capacity(rec.pages as usize);
-        let mut keys: Vec<Key> = Vec::with_capacity(rec.entry_count as usize);
-        let mut data_bytes = 0u64;
-        let mut max_seq: SeqNo = 0;
-        let mut buf = Vec::with_capacity(storage.page_size());
+        let mut bloom = Bloom::sized_for(rec.entry_count as usize, rec.bloom_bits_per_key);
+        let mut last_key: Vec<u8> = Vec::new();
+        let (mut entries, mut data_bytes, mut max_seq) = (0u64, 0u64, 0 as SeqNo);
         for page in 0..rec.pages {
-            storage.try_read_page(extent, page, &mut buf).map_err(|e| {
+            let (bytes, _) = storage.try_read_shared(extent, page).map_err(|e| {
                 std::io::Error::new(
                     e.kind(),
                     format!("run {} (extent {}): {e}", rec.run_id, rec.extent_id),
                 )
             })?;
-            let entries = entry::decode_page(std::mem::take(&mut buf));
-            if let Some(first) = entries.first() {
-                first_keys.push(first.key.clone());
+            let corrupt = |e: CorruptPage| corrupt_run(rec, &format!("page {page}: {e}"));
+            let mut cursor = EntryCursor::page(&bytes[..]).map_err(corrupt)?;
+            if let Some(first) = cursor.entry() {
+                first_keys.push(Key::copy_from_slice(first.key));
             }
-            for e in entries {
-                if keys.last().is_some_and(|last| *last >= e.key) {
+            while let Some(e) = cursor.entry() {
+                if entries > 0 && last_key.as_slice() >= e.key {
                     return Err(corrupt_run(rec, "keys out of order"));
                 }
+                entries += 1;
                 data_bytes += e.encoded_size() as u64;
                 max_seq = max_seq.max(e.seq);
-                keys.push(e.key);
+                bloom.insert(e.key);
+                last_key.clear();
+                last_key.extend_from_slice(e.key);
+                cursor.advance().map_err(corrupt)?;
             }
         }
-        let bounds_ok = keys.first() == Some(&rec.min_key) && keys.last() == Some(&rec.max_key);
-        if keys.len() as u64 != rec.entry_count
+        let bounds_ok = first_keys.first() == Some(&rec.min_key) && rec.max_key == last_key;
+        if entries != rec.entry_count
             || data_bytes != rec.data_bytes
             || max_seq != rec.max_seq
             || !bounds_ok
         {
             return Err(corrupt_run(rec, "pages disagree with the manifest record"));
         }
-        let bloom = Bloom::build(
-            keys.iter().map(|k| k.as_ref()),
-            keys.len(),
-            rec.bloom_bits_per_key,
-        );
         Ok(Run {
             id: rec.run_id,
             extent,
@@ -255,78 +297,62 @@ fn corrupt_run(rec: &crate::manifest::RunRecord, what: &str) -> std::io::Error {
     )
 }
 
-/// Streams a run's entries in key order, reading one page at a time.
-pub struct RunIterator {
+/// A cursor over a run's entries in key order: on one entry at a time,
+/// borrowed from the page handle it holds. Advancing past the last entry
+/// of a page reads the next page at once, so the cursor is always either
+/// on an entry or at the end of the run.
+pub struct RunCursor<'a> {
+    storage: &'a dyn Storage,
     extent: Extent,
-    storage: Arc<dyn Storage>,
     next_page: u32,
-    current: std::vec::IntoIter<KvEntry>,
-    peeked: Option<KvEntry>,
+    page: EntryCursor<Bytes>,
 }
 
-impl RunIterator {
-    fn new(extent: Extent, storage: Arc<dyn Storage>, start_page: u32) -> Self {
-        Self {
-            extent,
+impl<'a> RunCursor<'a> {
+    fn open(extent: Extent, storage: &'a dyn Storage, start_page: u32) -> Self {
+        let mut cursor = Self {
             storage,
+            extent,
             next_page: start_page,
-            current: Vec::new().into_iter(),
-            peeked: None,
-        }
+            page: EntryCursor::page(Bytes::new()).expect("an empty page parses"),
+        };
+        cursor.load_next_page();
+        cursor
     }
 
-    fn refill(&mut self) -> bool {
-        while self.next_page < self.extent.pages {
-            let mut buf = Vec::with_capacity(self.storage.page_size());
-            self.storage
-                .read_page(self.extent, self.next_page, &mut buf);
+    /// Reads pages until one holds an entry or the run ends.
+    fn load_next_page(&mut self) {
+        while self.page.entry().is_none() && self.next_page < self.extent.pages {
+            let idx = self.next_page;
             self.next_page += 1;
-            let entries = entry::decode_page(buf);
-            if !entries.is_empty() {
-                self.current = entries.into_iter();
-                return true;
-            }
-        }
-        false
-    }
-
-    fn skip_until(&mut self, start: &[u8]) {
-        while let Some(e) = self.peek() {
-            if e.key.as_ref() >= start {
-                break;
-            }
-            self.next();
+            self.page = EntryCursor::page(read_shared(self.storage, self.extent, idx))
+                .unwrap_or_else(|e| corrupt_page(self.extent, idx, e));
         }
     }
 
-    /// Peeks at the next entry without consuming it.
-    pub fn peek(&mut self) -> Option<&KvEntry> {
-        if self.peeked.is_none() {
-            self.peeked = self.advance();
-        }
-        self.peeked.as_ref()
+    /// The entry the cursor is on, or `None` at the end of the run.
+    pub fn entry(&self) -> Option<EntryRef<'_>> {
+        self.page.entry()
     }
 
-    fn advance(&mut self) -> Option<KvEntry> {
-        loop {
-            if let Some(e) = self.current.next() {
-                return Some(e);
-            }
-            if !self.refill() {
-                return None;
-            }
-        }
+    /// Key and value of the current entry as slices of its page handle
+    /// (see [`EntryCursor::row`]).
+    pub fn row(&self) -> Option<(Key, Value)> {
+        self.page.row()
     }
-}
 
-impl Iterator for RunIterator {
-    type Item = KvEntry;
-
-    fn next(&mut self) -> Option<KvEntry> {
-        if let Some(e) = self.peeked.take() {
-            return Some(e);
-        }
-        self.advance()
+    /// Moves to the next entry, reading the next page if this one is done.
+    ///
+    /// # Panics
+    /// Panics if a page cannot be read or does not parse: on the
+    /// steady-state path both are logic bugs (recovery already walked
+    /// every recorded page).
+    pub fn advance(&mut self) {
+        let idx = self.next_page.wrapping_sub(1);
+        self.page
+            .advance()
+            .unwrap_or_else(|e| corrupt_page(self.extent, idx, e));
+        self.load_next_page();
     }
 }
 
@@ -335,13 +361,17 @@ pub struct RunBuilder {
     id: RunId,
     page_size: usize,
     bits_per_key: f64,
-    pages: Vec<Vec<u8>>,
-    current: Vec<u8>,
+    /// Every page of the run back to back, each led by its entry count.
+    out: Vec<u8>,
+    /// Where each page starts in `out`; the last one is still filling.
+    page_starts: Vec<usize>,
+    /// Entries in the page still filling.
+    page_entries: u16,
     first_keys: Vec<Key>,
-    keys: Vec<Key>,
+    entries: u64,
     data_bytes: u64,
-    min_key: Option<Key>,
-    max_key: Option<Key>,
+    /// Where the last pushed key sits in `out`.
+    last_key: Range<usize>,
     max_seq: SeqNo,
 }
 
@@ -353,51 +383,65 @@ impl RunBuilder {
             id,
             page_size,
             bits_per_key,
-            pages: Vec::new(),
-            current: Vec::new(),
+            out: Vec::new(),
+            page_starts: Vec::new(),
+            page_entries: 0,
             first_keys: Vec::new(),
-            keys: Vec::new(),
+            entries: 0,
             data_bytes: 0,
-            min_key: None,
-            max_key: None,
+            last_key: 0..0,
             max_seq: 0,
         }
     }
 
-    /// Appends an entry. Panics if keys are not strictly ascending or the
-    /// entry cannot fit in an empty page.
-    pub fn push(&mut self, e: KvEntry) {
-        if let Some(last) = &self.max_key {
-            assert!(e.key > *last, "RunBuilder keys must be strictly ascending");
+    /// Appends an entry, copying its bytes into the run's buffer. Panics if
+    /// keys are not strictly ascending or the entry cannot fit in an empty
+    /// page.
+    pub fn push(&mut self, e: EntryRef<'_>) {
+        let size = e.encoded_size();
+        assert!(
+            PAGE_HEADER_BYTES + size <= self.page_size,
+            "entry larger than a page"
+        );
+        assert!(
+            self.entries == 0 || e.key > &self.out[self.last_key.clone()],
+            "RunBuilder keys must be strictly ascending"
+        );
+        let page_full = self.page_starts.last().is_none_or(|start| {
+            self.out.len() - start + size > self.page_size || self.page_entries == u16::MAX
+        });
+        if page_full {
+            self.close_page();
+            self.page_starts.push(self.out.len());
+            self.out.extend_from_slice(&0u16.to_le_bytes());
+            self.first_keys.push(Key::copy_from_slice(e.key));
         }
-        if self.min_key.is_none() {
-            self.min_key = Some(e.key.clone());
-        }
-        self.max_key = Some(e.key.clone());
+        let key_at = self.out.len() + crate::entry::ENTRY_HEADER_BYTES;
+        encode_entry(&mut self.out, e);
+        self.last_key = key_at..key_at + e.key.len();
+        self.page_entries += 1;
+        self.entries += 1;
+        self.data_bytes += size as u64;
         self.max_seq = self.max_seq.max(e.seq);
-        self.data_bytes += e.encoded_size() as u64;
-        self.keys.push(e.key.clone());
-        if self.current.is_empty() {
-            self.first_keys.push(e.key.clone());
+    }
+
+    /// Writes the filling page's entry count into its header.
+    fn close_page(&mut self) {
+        if let Some(&start) = self.page_starts.last() {
+            self.out[start..start + PAGE_HEADER_BYTES]
+                .copy_from_slice(&self.page_entries.to_le_bytes());
         }
-        if !entry::append_entry(&mut self.current, &e, self.page_size) {
-            assert!(!self.current.is_empty(), "entry larger than a page");
-            let full = std::mem::take(&mut self.current);
-            self.pages.push(full);
-            self.first_keys.push(e.key.clone());
-            let ok = entry::append_entry(&mut self.current, &e, self.page_size);
-            assert!(ok, "entry larger than a page");
-        }
+        self.page_entries = 0;
     }
 
     /// Number of entries added so far.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.entries as usize
     }
 
     /// True if nothing was added.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.entries == 0
     }
 
     /// Logical bytes accumulated so far.
@@ -405,44 +449,43 @@ impl RunBuilder {
         self.data_bytes
     }
 
-    /// Writes the pages to `storage` (charging write I/O), builds the Bloom
-    /// filter and fence pointers, and returns the finished run.
+    /// Writes the pages to `storage` in one call (charging write I/O),
+    /// builds the Bloom filter and fence pointers, and returns the
+    /// finished run.
     ///
     /// `capacity_bytes` is the FLSM per-run capacity recorded on the run.
     /// Returns `None` if no entries were pushed.
     pub fn finish(mut self, storage: &dyn Storage, capacity_bytes: u64) -> Option<Run> {
-        if self.keys.is_empty() {
+        if self.entries == 0 {
             return None;
         }
-        if !self.current.is_empty() {
-            let last = std::mem::take(&mut self.current);
-            self.pages.push(last);
-        } else {
-            // The last first_key belongs to a page that was never started.
-            if self.first_keys.len() > self.pages.len() {
-                self.first_keys.pop();
+        self.close_page();
+        self.page_starts.push(self.out.len());
+        let pages: Vec<&[u8]> = self
+            .page_starts
+            .windows(2)
+            .map(|bounds| &self.out[bounds[0]..bounds[1]])
+            .collect();
+        let extent = storage.allocate(pages.len() as u32);
+        storage.write_pages(extent, &pages);
+        let mut bloom = Bloom::sized_for(self.entries as usize, self.bits_per_key);
+        for page in &pages {
+            let mut cursor = EntryCursor::page(*page).expect("the builder encoded this page");
+            while let Some(e) = cursor.entry() {
+                bloom.insert(e.key);
+                cursor.advance().expect("the builder encoded this page");
             }
         }
-        debug_assert_eq!(self.first_keys.len(), self.pages.len());
-        let extent = storage.allocate(self.pages.len() as u32);
-        for (i, page) in self.pages.iter().enumerate() {
-            storage.write_page(extent, i as u32, page);
-        }
-        let bloom = Bloom::build(
-            self.keys.iter().map(|k| k.as_ref()),
-            self.keys.len(),
-            self.bits_per_key,
-        );
         Some(Run {
             id: self.id,
             extent,
             bloom,
-            fences: FencePointers::new(self.first_keys),
-            entry_count: self.keys.len() as u64,
+            entry_count: self.entries,
             data_bytes: self.data_bytes,
             capacity_bytes: AtomicU64::new(capacity_bytes),
-            min_key: self.min_key.unwrap(),
-            max_key: self.max_key.unwrap(),
+            min_key: self.first_keys[0].clone(),
+            max_key: Key::copy_from_slice(&self.out[self.last_key]),
+            fences: FencePointers::new(self.first_keys),
             max_seq: self.max_seq,
         })
     }
@@ -451,7 +494,7 @@ impl RunBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
+    use crate::types::KvEntry;
     use ruskey_storage::{CostModel, SimulatedDisk};
 
     fn key(i: u64) -> Key {
@@ -465,9 +508,18 @@ mod tests {
     fn build_run(storage: &dyn Storage, n: u64, bits: f64) -> Run {
         let mut b = RunBuilder::new(1, storage.page_size(), bits);
         for i in 0..n {
-            b.push(KvEntry::put(key(i * 2), value(i), i + 1));
+            b.push(KvEntry::put(key(i * 2), value(i), i + 1).borrowed());
         }
         b.finish(storage, u64::MAX).unwrap()
+    }
+
+    fn entries(mut cursor: RunCursor<'_>) -> Vec<KvEntry> {
+        let mut out = Vec::new();
+        while let Some(e) = cursor.entry() {
+            out.push(e.to_owned());
+            cursor.advance();
+        }
+        out
     }
 
     #[test]
@@ -477,7 +529,7 @@ mod tests {
         for i in 0..100 {
             let r = run.probe(disk.as_ref(), &key(i * 2));
             match r.outcome {
-                ProbeOutcome::Found(e) => assert_eq!(e.value, value(i)),
+                ProbeOutcome::Found(v) => assert_eq!(v, Some(value(i))),
                 other => panic!("key {i} not found: {other:?}"),
             }
         }
@@ -515,7 +567,7 @@ mod tests {
     fn iterator_streams_in_order() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
         let run = build_run(disk.as_ref(), 50, 10.0);
-        let entries: Vec<KvEntry> = run.iter(disk.clone() as Arc<dyn Storage>).collect();
+        let entries = entries(run.cursor(disk.as_ref()));
         assert_eq!(entries.len(), 50);
         for w in entries.windows(2) {
             assert!(w[0].key < w[1].key);
@@ -529,12 +581,13 @@ mod tests {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
         let run = build_run(disk.as_ref(), 50, 10.0);
         // Seek to key 31 (absent): first yielded must be 32.
-        let it = run.iter_from(disk.clone() as Arc<dyn Storage>, &key(31));
-        let first = it.take(1).next().unwrap();
-        assert_eq!(first.key, key(32));
-        // Seek before the run start.
-        let it = run.iter_from(disk.clone() as Arc<dyn Storage>, &key(0));
-        assert_eq!(it.take(1).next().unwrap().key, key(0));
+        let cursor = run.cursor_from(disk.as_ref(), &key(31));
+        assert_eq!(cursor.entry().unwrap().key, key(32).as_ref());
+        assert_eq!(cursor.row().unwrap().0, key(32));
+        // Seek before the run start, and past its end.
+        let cursor = run.cursor_from(disk.as_ref(), &key(0));
+        assert_eq!(cursor.entry().unwrap().key, key(0).as_ref());
+        assert!(run.cursor_from(disk.as_ref(), &key(99)).entry().is_none());
     }
 
     #[test]
@@ -570,8 +623,8 @@ mod tests {
     #[should_panic(expected = "strictly ascending")]
     fn unsorted_push_panics() {
         let mut b = RunBuilder::new(1, 256, 8.0);
-        b.push(KvEntry::put(key(5), value(5), 1));
-        b.push(KvEntry::put(key(3), value(3), 2));
+        b.push(KvEntry::put(key(5), value(5), 1).borrowed());
+        b.push(KvEntry::put(key(3), value(3), 2).borrowed());
     }
 
     /// A run rebuilt from its manifest record and data pages is
@@ -602,9 +655,10 @@ mod tests {
             let b = rebuilt.probe(disk.as_ref(), &key(i * 2));
             assert_eq!(a, b, "probe {i} diverged after recovery");
         }
-        let before: Vec<KvEntry> = run.iter(disk.clone() as Arc<dyn Storage>).collect();
-        let after: Vec<KvEntry> = rebuilt.iter(disk.clone() as Arc<dyn Storage>).collect();
-        assert_eq!(before, after);
+        assert_eq!(
+            entries(run.cursor(disk.as_ref())),
+            entries(rebuilt.cursor(disk.as_ref()))
+        );
         // A record whose expectations disagree with the pages is rejected.
         let bad = crate::manifest::RunRecord {
             entry_count: rec.entry_count + 1,

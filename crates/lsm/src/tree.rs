@@ -5,8 +5,9 @@ use std::sync::Arc;
 
 use ruskey_storage::{Extent, Storage};
 
-use crate::compaction::{EntrySource, MergeIterator};
+use crate::compaction::{Merge, Source};
 use crate::config::LsmConfig;
+use crate::entry::EntryBuf;
 use crate::level::Level;
 use crate::manifest::{Manifest, ManifestEdit, RunRecord};
 use crate::memtable::Memtable;
@@ -30,7 +31,7 @@ struct PendingCompaction {
     /// still resident (a greedy transition may have consumed them).
     inputs: Vec<Arc<Run>>,
     /// The merged output, ready to admit into `level + 1`.
-    batch: Vec<KvEntry>,
+    batch: EntryBuf,
 }
 
 /// A cheap, immutable view of the tree's on-disk run structure.
@@ -80,8 +81,8 @@ impl TreeSnapshot {
                 continue;
             }
             for run in &level.runs {
-                if let ProbeOutcome::Found(e) = run.probe(storage, key).outcome {
-                    return (!e.is_tombstone()).then_some(e.value);
+                if let ProbeOutcome::Found(value) = run.probe(storage, key).outcome {
+                    return value;
                 }
             }
         }
@@ -96,22 +97,6 @@ impl TreeSnapshot {
     /// Total runs pinned by the snapshot.
     pub fn run_count(&self) -> usize {
         self.inner.levels.iter().map(|l| l.runs.len()).sum()
-    }
-}
-
-/// Keeps a scanned run alive for the lifetime of a streaming scan: the
-/// pin defers extent reuse until the iterator drops, extending the
-/// deferred-free contract to outstanding scans.
-struct PinnedRunIter {
-    inner: crate::run::RunIterator,
-    _pin: Arc<Run>,
-}
-
-impl Iterator for PinnedRunIter {
-    type Item = KvEntry;
-
-    fn next(&mut self) -> Option<KvEntry> {
-        self.inner.next()
     }
 }
 
@@ -156,9 +141,10 @@ pub struct FlsmTree {
     /// runs whose pages are already gone.
     pending_retire: Vec<Arc<Run>>,
     /// Runs whose removal is durable (or that never had a manifest) but
-    /// that are still pinned by a [`TreeSnapshot`] or an outstanding
-    /// scan. Their extents — and the cache pages mapping them — are
-    /// freed by [`FlsmTree::reclaim_retired`] once the last pin drops.
+    /// that are still pinned by a [`TreeSnapshot`] (a streaming scan
+    /// borrows the tree instead, so nothing is retired under it). Their
+    /// extents — and the cache pages mapping them — are freed by
+    /// [`FlsmTree::reclaim_retired`] once the last pin drops.
     retired: Vec<Arc<Run>>,
     /// A background merge built but not yet applied (see
     /// [`FlsmTree::step_maintenance`]).
@@ -628,9 +614,9 @@ impl FlsmTree {
         if self.memtable.is_empty() {
             return;
         }
-        let batch = self.memtable.drain_sorted();
+        let flushed = std::mem::take(&mut self.memtable);
         self.flushes += 1;
-        self.admit_batch(0, batch);
+        self.admit_batch(0, Source::Mem(flushed.cursor()));
         let seq = self.seq;
         self.log_edit(ManifestEdit::SeqWatermark { seq });
         self.commit_manifest();
@@ -736,8 +722,8 @@ impl FlsmTree {
         }
     }
 
-    /// Frees the extents of retired runs whose last external pin
-    /// (snapshot or outstanding scan) has dropped. Freeing through
+    /// Frees the extents of retired runs whose last external pin (a
+    /// snapshot) has dropped. Freeing through
     /// `storage` also purges any block-cache pages mapping the extent, so
     /// a pinned reader can never observe recycled pages — the extent id
     /// re-enters circulation only here.
@@ -760,8 +746,8 @@ impl FlsmTree {
     /// Point lookup. Returns the latest value, or `None` if absent/deleted.
     pub fn get(&mut self, key: &[u8]) -> Option<Value> {
         self.lookups += 1;
-        if let Some(e) = self.memtable.get(key) {
-            return (!e.is_tombstone()).then_some(e.value);
+        if let Some(buffered) = self.memtable.lookup(key) {
+            return buffered.cloned();
         }
         // O(1) bound fast paths: a key outside the aggregate range of
         // every resident run cannot exist on disk — return with zero
@@ -777,14 +763,14 @@ impl FlsmTree {
                 continue;
             }
             let t0 = self.storage.clock().now();
-            let mut found: Option<KvEntry> = None;
+            let mut found: Option<Option<Value>> = None;
             for run in self.levels[idx].probe_order() {
                 let r = run.probe(self.storage.as_ref(), key);
                 self.level_stats[idx].probes += 1;
                 self.level_stats[idx].lookup_pages += r.pages_read as u64;
                 match r.outcome {
-                    ProbeOutcome::Found(e) => {
-                        found = Some(e);
+                    ProbeOutcome::Found(value) => {
+                        found = Some(value);
                         break;
                     }
                     ProbeOutcome::FalsePositive => {
@@ -794,8 +780,8 @@ impl FlsmTree {
                 }
             }
             self.level_stats[idx].lookup_ns += self.storage.clock().elapsed_since(t0);
-            if let Some(e) = found {
-                return (!e.is_tombstone()).then_some(e.value);
+            if let Some(value) = found {
+                return value;
             }
         }
         None
@@ -804,25 +790,30 @@ impl FlsmTree {
     /// Range scan over `[start, end)`, at most `limit` results, in key order.
     /// Deleted keys are excluded; each key appears once with its latest value.
     pub fn scan(&mut self, start: &[u8], end: &[u8], limit: usize) -> Vec<(Key, Value)> {
-        self.scan_iter(start, end, limit).collect()
+        let mut rows = Vec::with_capacity(limit.min(128));
+        rows.extend(self.scan_iter(start, end, limit));
+        rows
     }
 
-    /// Streaming variant of [`FlsmTree::scan`].
-    pub fn scan_iter(&mut self, start: &[u8], end: &[u8], limit: usize) -> crate::iter::RangeScan {
+    /// Streaming variant of [`FlsmTree::scan`]. The scan borrows the tree:
+    /// the runs and the memtable it walks cannot change under it.
+    pub fn scan_iter<'a>(
+        &'a mut self,
+        start: &[u8],
+        end: &'a [u8],
+        limit: usize,
+    ) -> crate::iter::RangeScan<'a> {
         self.scans += 1;
-        let mut sources: Vec<EntrySource> = Vec::new();
-        sources.push(Box::new(self.memtable.range(start, end).into_iter()));
+        let storage: &dyn Storage = self.storage.as_ref();
+        let mut sources = vec![Source::Mem(self.memtable.range(start, end))];
         for level in &self.levels {
             for run in level.probe_order() {
                 if start <= run.max_key().as_ref() && run.min_key().as_ref() < end {
-                    sources.push(Box::new(PinnedRunIter {
-                        inner: run.iter_from(Arc::clone(&self.storage), start),
-                        _pin: Arc::clone(run),
-                    }));
+                    sources.push(Source::Run(run.cursor_from(storage, start)));
                 }
             }
         }
-        crate::iter::RangeScan::new(sources, Key::copy_from_slice(end), limit)
+        crate::iter::RangeScan::new(sources, end, limit)
     }
 
     // ------------------------------------------------------------------
@@ -873,8 +864,8 @@ impl FlsmTree {
 
     /// Admits a sorted batch (from a flush or an upper-level merge) into the
     /// active run of level `idx`, then cascades if the level became full.
-    fn admit_batch(&mut self, idx: usize, batch: Vec<KvEntry>) {
-        if batch.is_empty() {
+    fn admit_batch(&mut self, idx: usize, batch: Source<'_>) {
+        if batch.entry().is_none() {
             return;
         }
         self.ensure_level(idx);
@@ -891,19 +882,17 @@ impl FlsmTree {
         let active_cap = self.levels[idx].active_capacity();
         let old_active = self.levels[idx].active.take();
 
-        let mut sources: Vec<EntrySource> = Vec::with_capacity(2);
+        let mut sources = Vec::with_capacity(2);
         if let Some(active) = &old_active {
-            sources.push(Box::new(active.iter(Arc::clone(&self.storage))));
+            sources.push(Source::Run(active.cursor(self.storage.as_ref())));
         }
-        sources.push(Box::new(batch.into_iter()));
+        sources.push(batch);
 
-        let mut merge = MergeIterator::new(sources, is_bottom);
+        let mut merge = Merge::new(sources, is_bottom);
         let run_id = self.next_run_id;
         self.next_run_id += 1;
         let mut builder = RunBuilder::new(run_id, self.storage.page_size(), bits);
-        for e in merge.by_ref() {
-            builder.push(e);
-        }
+        merge.drain_into(|e| builder.push(e));
         let keys_processed = merge.entries_in;
         self.storage
             .charge_cpu(self.storage.cost_model().cpu_merge_per_key_ns * keys_processed);
@@ -965,15 +954,7 @@ impl FlsmTree {
         let t0 = self.storage.clock().now();
         let m0 = self.storage.metrics();
 
-        let sources: Vec<EntrySource> = runs
-            .iter()
-            .map(|r| Box::new(r.iter(Arc::clone(&self.storage))) as EntrySource)
-            .collect();
-        let mut merge = MergeIterator::new(sources, false);
-        let batch: Vec<KvEntry> = merge.by_ref().collect();
-        let keys = merge.entries_in;
-        self.storage
-            .charge_cpu(self.storage.cost_model().cpu_merge_per_key_ns * keys);
+        let (batch, keys) = self.merge_runs(&runs);
         for r in runs {
             self.log_edit(ManifestEdit::RemoveRun {
                 level: idx as u32,
@@ -995,7 +976,24 @@ impl FlsmTree {
         // empty after tombstone drops, so this cannot ride on admit_batch).
         self.refresh_bounds(idx);
         self.adopt_pending_policy(idx);
-        self.admit_batch(idx + 1, batch);
+        self.admit_batch(idx + 1, Source::Buf(batch.cursor()));
+    }
+
+    /// K-way merges `runs` into one sorted batch held in memory, charging
+    /// the page reads and the merge CPU now; returns the batch and the
+    /// number of input entries.
+    fn merge_runs(&self, runs: &[Arc<Run>]) -> (EntryBuf, u64) {
+        let sources = runs
+            .iter()
+            .map(|r| Source::Run(r.cursor(self.storage.as_ref())))
+            .collect();
+        let mut merge = Merge::new(sources, false);
+        let mut batch = EntryBuf::default();
+        merge.drain_into(|e| batch.push(e));
+        let keys = merge.entries_in;
+        self.storage
+            .charge_cpu(self.storage.cost_model().cpu_merge_per_key_ns * keys);
+        (batch, keys)
     }
 
     /// Adopts a level's pending (lazy) policy, recording the adoption in
@@ -1159,15 +1157,7 @@ impl FlsmTree {
         }
         let t0 = self.storage.clock().now();
         let m0 = self.storage.metrics();
-        let sources: Vec<EntrySource> = inputs
-            .iter()
-            .map(|r| Box::new(r.iter(Arc::clone(&self.storage))) as EntrySource)
-            .collect();
-        let mut merge = MergeIterator::new(sources, false);
-        let batch: Vec<KvEntry> = merge.by_ref().collect();
-        let keys = merge.entries_in;
-        self.storage
-            .charge_cpu(self.storage.cost_model().cpu_merge_per_key_ns * keys);
+        let (batch, keys) = self.merge_runs(&inputs);
         let dm = self.storage.metrics().delta(&m0);
         let st = &mut self.level_stats[idx];
         st.compact_ns += self.storage.clock().elapsed_since(t0);
@@ -1205,14 +1195,14 @@ impl FlsmTree {
             self.retire_run(run);
         }
         // Release the builder's own pins before the commit below tries
-        // to reclaim; outside pins (snapshots, scans) still defer.
+        // to reclaim; outside pins (snapshots) still defer.
         drop(inputs);
         self.level_stats[idx].merges_down += 1;
         self.refresh_bounds(idx);
         if self.levels[idx].run_count() == 0 {
             self.adopt_pending_policy(idx);
         }
-        self.admit_batch(idx + 1, batch);
+        self.admit_batch(idx + 1, Source::Buf(batch.cursor()));
         self.bg_compactions += 1;
         self.commit_manifest();
     }
@@ -1501,8 +1491,8 @@ impl FlsmTree {
                 let run_id = self.next_run_id;
                 self.next_run_id += 1;
                 let mut builder = RunBuilder::new(run_id, self.storage.page_size(), bits);
-                for e in bucket {
-                    builder.push(e);
+                for e in &bucket {
+                    builder.push(e.borrowed());
                 }
                 if let Some(run) = builder.finish(self.storage.as_ref(), run_cap).map(Arc::new) {
                     self.sync_new_run(run.extent());
@@ -2402,5 +2392,138 @@ mod tests {
         }
         assert_eq!(calm.stats().flushes, 0);
         assert_eq!(calm.stats().stall_ns, 0, "no structural work, no stall");
+    }
+    /// Fence keys, run bounds, level and tree bounds and the manifest's
+    /// run records own exactly their bytes. A key that was a slice of the
+    /// page it was read from would keep that 4 KiB page alive for as long
+    /// as the run lives; here every page of every run is held by the test
+    /// alone once the runs it belonged to are merged away and freed.
+    #[test]
+    fn retained_keys_pin_no_page() {
+        let path = std::env::temp_dir().join(format!("ruskey-pins-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let disk = SimulatedDisk::new(256, CostModel::FREE);
+        let cfg = LsmConfig {
+            buffer_bytes: 1024,
+            size_ratio: 4,
+            initial_policy: 2,
+            ..LsmConfig::scaled_default()
+        };
+        let mut t = FlsmTree::new(cfg, disk.clone());
+        t.attach_manifest(Manifest::create(&path, 0).unwrap());
+        for i in 0..400u64 {
+            t.put(key(i * 3), val(i));
+        }
+        let runs: Vec<Arc<Run>> = t
+            .levels
+            .iter()
+            .flat_map(Level::probe_order)
+            .cloned()
+            .collect();
+        assert!(runs.len() >= 3, "scenario must leave several merged runs");
+        let pages: Vec<Key> = runs
+            .iter()
+            .flat_map(|run| (0..run.page_count()).map(|p| (run.extent(), p)))
+            .map(|(ext, p)| disk.try_read_shared(ext, p).unwrap().0)
+            .collect();
+        assert!(pages.iter().all(|p| !p.is_unique()), "the disk holds them");
+        let old_ids: Vec<RunId> = runs.iter().map(|r| r.id()).collect();
+        drop(runs);
+
+        // A scan's rows are the one thing allowed to hold a page; a get's
+        // value is a copy.
+        let got = t.get(&key(3)).unwrap();
+        let rows = t.scan(&key(0), &key(30), 5);
+        assert_eq!((got, rows.len()), (val(1), 5));
+
+        // Churn until every one of those runs has been merged away.
+        let mut i = 400u64;
+        while t
+            .levels
+            .iter()
+            .flat_map(Level::probe_order)
+            .any(|r| old_ids.contains(&r.id()))
+        {
+            t.put(key(i * 3 + 1), val(i));
+            i += 1;
+            assert!(i < 100_000, "old runs never left the tree");
+        }
+        assert_eq!(
+            disk.live_extents(),
+            t.levels.iter().map(Level::run_count).sum::<usize>()
+        );
+        let pinned = pages.iter().filter(|p| !p.is_unique()).count();
+        assert!((1..=rows.len()).contains(&pinned), "only rows hold pages");
+        drop(rows);
+        assert!(pages.iter().all(Key::is_unique));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Damaged page *contents* — an entry count, a key or value length, a
+    /// kind byte that lies — fail recovery with `InvalidData` naming the
+    /// run; nothing indexes out of bounds and nothing panics.
+    #[test]
+    fn corrupt_page_contents_are_a_typed_recovery_error() {
+        let dir = persist_dir("corrupt-page");
+        let cfg = LsmConfig {
+            buffer_bytes: 1024,
+            size_ratio: 4,
+            ..LsmConfig::scaled_default()
+        };
+        let rec = {
+            let mut t = persistent_tree(&dir, cfg.clone());
+            for i in 0..300u64 {
+                t.put(key(i), val(i));
+            }
+            t.flush();
+            let state = t.manifest().unwrap().state();
+            let runs = state
+                .levels
+                .iter()
+                .flat_map(|l| l.sealed.iter().chain(l.active.as_ref()));
+            runs.max_by_key(|r| r.pages).unwrap().clone()
+        };
+        assert!(rec.pages >= 2);
+        let file = dir
+            .join("data")
+            .join(format!("extent-{:08}.run", rec.extent_id));
+        let pristine = std::fs::read(&file).unwrap();
+        // Offsets inside the first slot: 4 bytes of slot header, 2 of page
+        // header, then the first entry's klen (2), vlen (4), seq (8), kind.
+        let first_entry = 4 + crate::entry::PAGE_HEADER_BYTES;
+        let second_slot = 256 + 4;
+        for (what, at, byte) in [
+            ("entry count", 4 + 1, 0x7f),
+            ("klen", first_entry + 1, 0xff),
+            ("vlen", first_entry + 2 + 3, 0x10),
+            ("kind", first_entry + 14, 0x02),
+            ("kind on a later page", second_slot + first_entry + 14, 0xee),
+        ] {
+            let mut bytes = pristine.clone();
+            bytes[at] = byte;
+            std::fs::write(&file, &bytes).unwrap();
+            let recovered = std::panic::catch_unwind(|| {
+                let disk =
+                    ruskey_storage::FileDisk::new(dir.join("data"), 256, CostModel::FREE).unwrap();
+                FlsmTree::recover_persistent(
+                    cfg.clone(),
+                    disk,
+                    dir.join("MANIFEST"),
+                    dir.join("wal"),
+                    0,
+                    0,
+                )
+                .map(|_| ())
+            });
+            let err = recovered
+                .unwrap_or_else(|_| panic!("a corrupt {what} panicked recovery"))
+                .expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+            let named = format!("run {} (extent {})", rec.run_id, rec.extent_id);
+            assert!(err.to_string().contains(&named), "{what}: {err}");
+        }
+        std::fs::write(&file, &pristine).unwrap();
+        recover_persistent_tree(&dir, cfg);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

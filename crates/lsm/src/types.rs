@@ -86,7 +86,55 @@ impl KvEntry {
     /// capacity accounting (`E` in the paper's notation is the typical value
     /// of this for fixed-size workloads).
     pub fn encoded_size(&self) -> usize {
+        self.borrowed().encoded_size()
+    }
+
+    /// The entry as a borrowed view.
+    pub fn borrowed(&self) -> EntryRef<'_> {
+        EntryRef {
+            key: &self.key,
+            value: &self.value,
+            seq: self.seq,
+            kind: self.kind,
+        }
+    }
+}
+
+/// A borrowed view of one entry: what a cursor over a page, a merge batch
+/// or the memtable yields, and what a run builder consumes. Nothing is
+/// copied or reference-counted until a consumer asks for owned bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryRef<'a> {
+    /// User key.
+    pub key: &'a [u8],
+    /// User value; empty for tombstones.
+    pub value: &'a [u8],
+    /// Sequence number of the write that produced this entry.
+    pub seq: SeqNo,
+    /// Put or Delete.
+    pub kind: OpKind,
+}
+
+impl EntryRef<'_> {
+    /// True if this entry is a tombstone.
+    pub fn is_tombstone(&self) -> bool {
+        self.kind == OpKind::Delete
+    }
+
+    /// See [`KvEntry::encoded_size`].
+    pub fn encoded_size(&self) -> usize {
         crate::entry::ENTRY_HEADER_BYTES + self.key.len() + self.value.len()
+    }
+
+    /// An owned copy: key and value each in an allocation of exactly their
+    /// size.
+    pub fn to_owned(&self) -> KvEntry {
+        KvEntry {
+            key: Key::copy_from_slice(self.key),
+            value: Value::copy_from_slice(self.value),
+            seq: self.seq,
+            kind: self.kind,
+        }
     }
 }
 

@@ -84,16 +84,41 @@ use bytes::Bytes;
 
 use crate::types::{KvEntry, OpKind};
 
-/// CRC-32 (IEEE) over `data`, bitwise implementation (no table needed at
-/// these log volumes). Shared with the manifest's record framing.
+/// Slice-by-8 lookup tables for the reflected IEEE polynomial: `[0]` is the
+/// classic byte-at-a-time table, `[k]` advances a byte `k` positions further.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 8 * 256 {
+        let (k, byte) = (i / 256, i % 256);
+        t[k][byte] = if k == 0 {
+            let (mut crc, mut bit) = (byte as u32, 0);
+            while bit < 8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                bit += 1;
+            }
+            crc
+        } else {
+            let prev = t[k - 1][byte];
+            (prev >> 8) ^ t[0][(prev & 0xff) as usize]
+        };
+        i += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE) over `data`, eight bytes per step. Shared with the
+/// manifest's record framing.
 pub(crate) fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let x = u64::from_le_bytes(w.try_into().expect("8-byte chunk")) ^ crc as u64;
+        crc = (0..8).fold(0, |acc, k| acc ^ t[7 - k][(x >> (8 * k)) as u8 as usize]);
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }
@@ -264,16 +289,23 @@ impl Wal {
             self.buf.clear();
             return Ok(());
         }
-        let mut body = Vec::with_capacity(11 + e.key.len() + e.value.len());
-        body.extend_from_slice(&e.seq.to_le_bytes());
-        body.push(e.kind.to_byte());
-        body.extend_from_slice(&(e.key.len() as u16).to_le_bytes());
-        body.extend_from_slice(&e.key);
-        body.extend_from_slice(&e.value);
+        // Encode in place: header placeholder, body, then the length and
+        // the checksum of the body just written.
+        const HEADER: usize = 8;
+        let at = self.buf.len();
+        self.buf.reserve(HEADER + 11 + e.key.len() + e.value.len());
+        self.buf.extend_from_slice(&[0u8; HEADER]);
+        self.buf.extend_from_slice(&e.seq.to_le_bytes());
+        self.buf.push(e.kind.to_byte());
         self.buf
-            .extend_from_slice(&(body.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&crc32(&body).to_le_bytes());
-        self.buf.extend_from_slice(&body);
+            .extend_from_slice(&(e.key.len() as u16).to_le_bytes());
+        self.buf.extend_from_slice(&e.key);
+        self.buf.extend_from_slice(&e.value);
+        let body = at + HEADER;
+        let len = (self.buf.len() - body) as u32;
+        let crc = crc32(&self.buf[body..]);
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        self.buf[at + 4..body].copy_from_slice(&crc.to_le_bytes());
         self.records += 1;
         self.unsynced += 1;
         self.total_appends += 1;
@@ -660,6 +692,86 @@ mod tests {
     fn crc_detects_changes() {
         assert_ne!(crc32(b"hello"), crc32(b"hellp"));
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The checksum the log was first written with: one bit at a time. The
+    /// table-driven [`crc32`] must agree with it on every input, or logs
+    /// and manifests written before it stop replaying.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    /// One record as the log first framed it: body in a buffer of its own,
+    /// then length, checksum and body appended.
+    fn frame_with_body_buffer(out: &mut Vec<u8>, e: &KvEntry) {
+        let mut body = Vec::new();
+        body.extend_from_slice(&e.seq.to_le_bytes());
+        body.push(e.kind.to_byte());
+        body.extend_from_slice(&(e.key.len() as u16).to_le_bytes());
+        body.extend_from_slice(&e.key);
+        body.extend_from_slice(&e.value);
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32_bitwise(&body).to_le_bytes());
+        out.extend_from_slice(&body);
+    }
+
+    #[test]
+    fn table_crc_equals_the_bitwise_crc() {
+        // The IEEE check value, then every length around the 8-byte step
+        // at every alignment, over bytes from a fixed generator.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..600)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for start in 0..9 {
+            for len in (0..70).chain([255, 256, 257, 511, 590]) {
+                let slice = &data[start..start + len];
+                assert_eq!(crc32(slice), crc32_bitwise(slice), "{start}+{len}");
+            }
+        }
+    }
+
+    /// The file an append produces is, byte for byte, the file the first
+    /// framing produced — golden bytes for one record included, so both
+    /// framings changing together would still be caught.
+    #[test]
+    fn in_place_append_writes_the_same_bytes() {
+        let path = tmp("same-bytes");
+        let _ = std::fs::remove_file(&path);
+        let records = [
+            e("a", "1", 1),
+            KvEntry::delete(Bytes::from_static(b"tomb"), 2),
+            e("", "", 3),
+            KvEntry::put(Bytes::from(vec![7u8; 300]), Bytes::from(vec![9u8; 5000]), 4),
+        ];
+        let mut want = Vec::new();
+        let mut wal = Wal::open(&path).unwrap();
+        for r in &records {
+            frame_with_body_buffer(&mut want, r);
+            wal.append(r).unwrap();
+        }
+        wal.sync().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+        assert_eq!(
+            want[..21],
+            [13, 0, 0, 0, 0xbe, 0xa2, 0x66, 0x47, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, b'a', b'1']
+        );
+        assert_eq!(Wal::replay(&path).unwrap(), records);
+        let _ = std::fs::remove_file(&path);
     }
 
     /// Simulates a crash: the handle is leaked so its user-space buffer

@@ -35,6 +35,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::clock::VirtualClock;
@@ -54,7 +55,7 @@ const NIL: usize = usize::MAX;
 /// One resident page: slab slot carrying the intrusive recency links.
 struct Slot {
     key: PageKey,
-    data: Arc<[u8]>,
+    data: Bytes,
     prev: usize,
     next: usize,
 }
@@ -108,18 +109,18 @@ impl Segment {
     }
 
     /// Looks a page up, promoting it to most-recently-used on a hit.
-    fn get(&mut self, key: PageKey) -> Option<Arc<[u8]>> {
+    fn get(&mut self, key: PageKey) -> Option<Bytes> {
         let &i = self.map.get(&key)?;
         if self.head != i {
             self.unlink(i);
             self.push_front(i);
         }
-        Some(Arc::clone(&self.slab[i].data))
+        Some(self.slab[i].data.clone())
     }
 
     /// Inserts (or refreshes) a page, returning how many pages were
     /// evicted to make room (0 or 1).
-    fn insert(&mut self, key: PageKey, data: Arc<[u8]>) -> u64 {
+    fn insert(&mut self, key: PageKey, data: Bytes) -> u64 {
         if let Some(&i) = self.map.get(&key) {
             self.slab[i].data = data;
             if self.head != i {
@@ -269,7 +270,7 @@ impl<S: Storage> BlockCache<S> {
         self.segments.iter().map(|s| s.lock().len()).sum()
     }
 
-    fn insert(&self, key: PageKey, data: Arc<[u8]>) -> u64 {
+    fn insert(&self, key: PageKey, data: Bytes) -> u64 {
         let evicted = self.segment(key).lock().insert(key, data);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         evicted
@@ -287,37 +288,57 @@ impl<S: Storage> Storage for BlockCache<S> {
 
     fn write_page(&self, ext: Extent, idx: u32, data: &[u8]) -> IoCharge {
         // Write-through: keep the cache coherent and always persist.
-        let evicted = self.insert((ext.id, idx), Arc::from(data.to_vec().into_boxed_slice()));
+        let evicted = self.insert((ext.id, idx), Bytes::copy_from_slice(data));
         let mut charge = self.inner.write_page(ext, idx, data);
         charge.io.cache_evictions += evicted;
         charge
     }
 
+    /// Write-through for a whole run: the pages enter the cache in page
+    /// order (the recency order the per-page loop leaves), each copied
+    /// once, and the device sees one bulk write.
+    fn write_pages(&self, ext: Extent, pages: &[&[u8]]) -> IoCharge {
+        let evicted: u64 = (0u32..)
+            .zip(pages)
+            .map(|(idx, page)| self.insert((ext.id, idx), Bytes::copy_from_slice(page)))
+            .sum();
+        let mut charge = self.inner.write_pages(ext, pages);
+        charge.io.cache_evictions += evicted;
+        charge
+    }
+
     fn try_read_page(&self, ext: Extent, idx: u32, buf: &mut Vec<u8>) -> std::io::Result<IoCharge> {
+        let (page, charge) = self.try_read_shared(ext, idx)?;
+        buf.clear();
+        buf.extend_from_slice(&page);
+        Ok(charge)
+    }
+
+    /// A hit hands out the resident handle and copies nothing; a miss
+    /// caches the very handle the device read produced.
+    fn try_read_shared(&self, ext: Extent, idx: u32) -> std::io::Result<(Bytes, IoCharge)> {
         let cached = self.segment((ext.id, idx)).lock().get((ext.id, idx));
-        if let Some(data) = cached {
-            buf.clear();
-            buf.extend_from_slice(&data);
+        if let Some(page) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
             let probe_ns = self.inner.cost_model().cpu_probe_ns;
             self.inner.charge_cpu(probe_ns);
             // A hit performs no device I/O: only the CPU probe is charged.
-            Ok(IoCharge {
+            let charge = IoCharge {
                 ns: probe_ns,
                 io: StorageMetrics {
                     cache_hits: 1,
                     ..StorageMetrics::default()
                 },
-            })
+            };
+            Ok((page, charge))
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             // A failed device read fills nothing: the error propagates
             // typed, and the cache never holds a torn page.
-            let mut charge = self.inner.try_read_page(ext, idx, buf)?;
+            let (page, mut charge) = self.inner.try_read_shared(ext, idx)?;
             charge.io.cache_misses = 1;
-            charge.io.cache_evictions +=
-                self.insert((ext.id, idx), Arc::from(buf.clone().into_boxed_slice()));
-            Ok(charge)
+            charge.io.cache_evictions += self.insert((ext.id, idx), page.clone());
+            Ok((page, charge))
         }
     }
 
@@ -558,5 +579,54 @@ mod tests {
             }
         });
         assert_eq!(cache.hits() - h0 + (cache.misses() - m0), 800);
+    }
+
+    /// A hit hands out the handle the cache holds, not a copy of it, and
+    /// a miss caches the handle the device read produced; the handle
+    /// outlives the page's eviction and its extent.
+    #[test]
+    fn shared_reads_share_the_resident_page() {
+        let (cache, disk) = setup_lru(1);
+        let ext = cache.allocate(2);
+        cache.write_page(ext, 0, b"zero");
+        let (first, charge) = cache.try_read_shared(ext, 0).unwrap();
+        assert_eq!(
+            (charge.io.cache_hits, charge.ns),
+            (1, CostModel::NVME.cpu_probe_ns)
+        );
+        assert!(!first.is_unique(), "the cache holds the same allocation");
+        cache.write_page(ext, 1, b"one"); // evicts page 0
+        assert!(first.is_unique(), "eviction drops the cache's handle only");
+        assert_eq!(&first[..], b"zero");
+        let (missed, charge) = cache.try_read_shared(ext, 0).unwrap(); // evicts page 1
+        assert_eq!((charge.io.cache_misses, charge.io.pages_read), (1, 1));
+        let (hit, _) = cache.try_read_shared(ext, 0).unwrap();
+        assert_eq!(disk.metrics().pages_read, 1);
+        cache.free(ext);
+        assert_eq!((&missed[..], &hit[..]), (&b"zero"[..], &b"zero"[..]));
+    }
+
+    /// A bulk write leaves the cache as the per-page loop does: same
+    /// residents in the same recency order, same eviction count.
+    #[test]
+    fn bulk_write_fills_the_cache_like_page_writes() {
+        let pages: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 8]).collect();
+        let refs: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
+        let ((bulk, _), (looped, _)) = (setup_lru(3), setup_lru(3));
+        let (ext_a, ext_b) = (bulk.allocate(5), looped.allocate(5));
+        let mut want = IoCharge::default();
+        for (i, page) in refs.iter().enumerate() {
+            want += looped.write_page(ext_b, i as u32, page);
+        }
+        assert_eq!(bulk.write_pages(ext_a, &refs), want);
+        assert_eq!(want.io.cache_evictions, 2);
+        // Touch the oldest resident, insert one more page: the victim must
+        // be the same on both sides.
+        for (cache, ext) in [(&bulk, ext_a), (&looped, ext_b)] {
+            let hit = |i| cache.try_read_shared(ext, i).unwrap().1.io.cache_hits;
+            assert_eq!(hit(2), 1);
+            cache.write_page(cache.allocate(1), 0, b"new");
+            assert_eq!([hit(2), hit(4), hit(3)], [1, 1, 0], "page 3 was the victim");
+        }
     }
 }

@@ -4,6 +4,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use parking_lot::RwLock;
 
 use crate::clock::VirtualClock;
@@ -38,6 +39,13 @@ pub struct IoCharge {
     pub ns: u64,
     /// Device I/O the call performed (zero on e.g. cache hits).
     pub io: StorageMetrics,
+}
+
+impl std::ops::AddAssign for IoCharge {
+    fn add_assign(&mut self, rhs: Self) {
+        self.ns += rhs.ns;
+        self.io += rhs.io;
+    }
 }
 
 /// A simulated power-cut fault point on a durable backend.
@@ -116,6 +124,37 @@ pub trait Storage: Send + Sync {
             .unwrap_or_else(|e| panic!("read page {}:{idx}: {e}", ext.id))
     }
 
+    /// Reads page `idx` of `ext` as a shared handle: the zero-copy read the
+    /// engine's page cursor runs on. Fails like [`Storage::try_read_page`],
+    /// charges like it, and touches the same page — the default *is* that
+    /// call plus one copy into a fresh handle. A backend that already holds
+    /// the page behind a reference count (the block cache, the simulated
+    /// disk) overrides this to hand that handle out, so a hit copies
+    /// nothing; the handle keeps the page's bytes alive for as long as the
+    /// caller holds it, whatever the backend evicts or frees meanwhile.
+    fn try_read_shared(&self, ext: Extent, idx: u32) -> std::io::Result<(Bytes, IoCharge)> {
+        let mut buf = Vec::with_capacity(self.page_size());
+        let charge = self.try_read_page(ext, idx, &mut buf)?;
+        Ok((Bytes::from(buf), charge))
+    }
+
+    /// Writes `pages[i]` to page `i` of `ext` for every `i` — a whole run
+    /// at once — and returns the summed [`IoCharge`]. Equivalent to calling
+    /// [`Storage::write_page`] for each page in order, which is what the
+    /// default does; [`crate::FileDisk`] puts the pages down in large
+    /// positional writes instead of one per page.
+    ///
+    /// # Panics
+    /// Panics if `pages` outnumbers the extent or a page exceeds the page
+    /// size.
+    fn write_pages(&self, ext: Extent, pages: &[&[u8]]) -> IoCharge {
+        let mut total = IoCharge::default();
+        for (idx, page) in pages.iter().enumerate() {
+            total += self.write_page(ext, idx as u32, page);
+        }
+        total
+    }
+
     /// Durably flushes an extent's written pages (`fsync(2)` of the extent
     /// file on a real-file backend; a free no-op on volatile backends).
     /// Counts one [`StorageMetrics::extent_syncs`] when real work happens.
@@ -173,8 +212,9 @@ pub trait Storage: Send + Sync {
     fn live_pages(&self) -> u64;
 }
 
-/// Pages of one extent: each slot is `None` until written.
-type ExtentSlots = Box<[Option<Box<[u8]>>]>;
+/// Pages of one extent: each slot is `None` until written. A page is a
+/// shared handle so [`Storage::try_read_shared`] can hand it out as is.
+type ExtentSlots = Box<[Option<Bytes>]>;
 
 /// In-memory page store with exact, deterministic I/O accounting.
 pub struct SimulatedDisk {
@@ -243,7 +283,7 @@ impl Storage for SimulatedDisk {
             let slots = extents
                 .get_mut(&ext.id)
                 .unwrap_or_else(|| panic!("write to freed/unknown extent {}", ext.id));
-            slots[idx as usize] = Some(data.to_vec().into_boxed_slice());
+            slots[idx as usize] = Some(Bytes::copy_from_slice(data));
         }
         let charge = IoCharge {
             ns: self.cost.write_page_ns,
@@ -260,8 +300,14 @@ impl Storage for SimulatedDisk {
     }
 
     fn try_read_page(&self, ext: Extent, idx: u32, buf: &mut Vec<u8>) -> std::io::Result<IoCharge> {
+        let (page, charge) = self.try_read_shared(ext, idx)?;
         buf.clear();
-        {
+        buf.extend_from_slice(&page);
+        Ok(charge)
+    }
+
+    fn try_read_shared(&self, ext: Extent, idx: u32) -> std::io::Result<(Bytes, IoCharge)> {
+        let page = {
             let extents = self.extents.read();
             let slots = extents.get(&ext.id).ok_or_else(|| {
                 std::io::Error::new(
@@ -269,26 +315,25 @@ impl Storage for SimulatedDisk {
                     format!("read from freed/unknown extent {}", ext.id),
                 )
             })?;
-            let page = slots[idx as usize].as_ref().ok_or_else(|| {
+            slots[idx as usize].clone().ok_or_else(|| {
                 std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     format!("read of unwritten page {}:{idx}", ext.id),
                 )
-            })?;
-            buf.extend_from_slice(page);
-        }
+            })?
+        };
         let charge = IoCharge {
             ns: self.cost.read_page_ns,
             io: StorageMetrics {
                 pages_read: 1,
-                bytes_read: buf.len() as u64,
+                bytes_read: page.len() as u64,
                 read_ns: self.cost.read_page_ns,
                 ..StorageMetrics::default()
             },
         };
         self.metrics.add(&charge.io);
         self.clock.advance(charge.ns);
-        Ok(charge)
+        Ok((page, charge))
     }
 
     fn free(&self, ext: Extent) {
@@ -446,5 +491,67 @@ mod tests {
         );
         assert_eq!(d.live_pages(), total);
         assert_eq!(d.live_extents(), THREADS as usize);
+    }
+
+    /// A backend written before the shared read and the bulk write existed
+    /// implements only the required methods; the provided defaults then
+    /// return the same bytes for the same charges as a backend's own.
+    #[test]
+    fn provided_methods_equal_the_backends_own() {
+        struct RequiredOnly(Arc<SimulatedDisk>);
+        impl Storage for RequiredOnly {
+            fn page_size(&self) -> usize {
+                self.0.page_size()
+            }
+            fn allocate(&self, pages: u32) -> Extent {
+                self.0.allocate(pages)
+            }
+            fn write_page(&self, ext: Extent, idx: u32, data: &[u8]) -> IoCharge {
+                self.0.write_page(ext, idx, data)
+            }
+            fn try_read_page(
+                &self,
+                ext: Extent,
+                idx: u32,
+                buf: &mut Vec<u8>,
+            ) -> std::io::Result<IoCharge> {
+                self.0.try_read_page(ext, idx, buf)
+            }
+            fn free(&self, ext: Extent) {
+                self.0.free(ext)
+            }
+            fn metrics(&self) -> StorageMetrics {
+                self.0.metrics()
+            }
+            fn clock(&self) -> &VirtualClock {
+                self.0.clock()
+            }
+            fn cost_model(&self) -> CostModel {
+                self.0.cost_model()
+            }
+            fn live_pages(&self) -> u64 {
+                self.0.live_pages()
+            }
+        }
+        let (own, plain) = (disk(), RequiredOnly(disk()));
+        let pages: [&[u8]; 3] = [b"alpha", b"", b"gamma-gamma"];
+        let (ext_a, ext_b) = (own.allocate(3), plain.allocate(3));
+        assert_eq!(
+            own.write_pages(ext_a, &pages),
+            plain.write_pages(ext_b, &pages)
+        );
+        for (i, page) in pages.iter().enumerate() {
+            let a = own.try_read_shared(ext_a, i as u32).unwrap();
+            let b = plain.try_read_shared(ext_b, i as u32).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(&a.0[..], *page);
+        }
+        assert_eq!(own.metrics(), plain.metrics());
+        assert_eq!(own.clock().now_ns(), plain.clock().now_ns());
+        let freed = Extent { id: 99, pages: 1 };
+        assert_eq!(
+            plain.try_read_shared(freed, 0).unwrap_err().kind(),
+            own.try_read_shared(freed, 0).unwrap_err().kind()
+        );
     }
 }

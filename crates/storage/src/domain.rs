@@ -26,6 +26,8 @@
 
 use std::sync::Arc;
 
+use bytes::Bytes;
+
 use crate::clock::VirtualClock;
 use crate::cost::CostModel;
 use crate::disk::{Extent, IoCharge, Storage};
@@ -80,6 +82,20 @@ impl Storage for ShardStorage {
         self.metrics.add(&charge.io);
         self.clock.advance(charge.ns);
         Ok(charge)
+    }
+
+    fn try_read_shared(&self, ext: Extent, idx: u32) -> std::io::Result<(Bytes, IoCharge)> {
+        let (page, charge) = self.inner.try_read_shared(ext, idx)?;
+        self.metrics.add(&charge.io);
+        self.clock.advance(charge.ns);
+        Ok((page, charge))
+    }
+
+    fn write_pages(&self, ext: Extent, pages: &[&[u8]]) -> IoCharge {
+        let charge = self.inner.write_pages(ext, pages);
+        self.metrics.add(&charge.io);
+        self.clock.advance(charge.ns);
+        charge
     }
 
     fn sync_extent(&self, ext: Extent) -> std::io::Result<IoCharge> {

@@ -37,7 +37,19 @@
 //! primitive — it surfaces those states as typed [`std::io::Error`]s so
 //! recovery can decide, while the provided [`Storage::read_page`] keeps the
 //! infallible panic-on-corruption contract for steady-state paths that have
-//! already validated their extents. Durability barriers follow the same
+//! already validated their extents.
+//!
+//! # Shared reads and bulk writes
+//!
+//! The engine itself reads through [`Storage::try_read_shared`], which
+//! returns the page as a reference-counted handle, and writes a run with
+//! one [`Storage::write_pages`]. Both are *provided* methods written in
+//! terms of the required ones, so a backend or decorator that implements
+//! only those behaves — and charges — identically; the backends here
+//! override them to skip work: the block cache hands out the handle it
+//! holds (a hit copies nothing), [`FileDisk`] copies a missed page once
+//! into the handle the cache then keeps and puts a run down in one
+//! positional write, the simulated disk stores its pages as handles. Durability barriers follow the same
 //! split: [`Storage::sync_extent`] (fsync a run's data before its manifest
 //! commit) and [`Storage::sync_dir`] (fsync the directory so extent creation
 //! and renames survive power loss) are real `fsync`s on [`FileDisk`] and

@@ -23,22 +23,24 @@ impl AtomicMetrics {
     /// into the counters — used by storage views mirroring a shared
     /// device's accounting into their own domain.
     pub fn add(&self, d: &StorageMetrics) {
-        self.pages_read.fetch_add(d.pages_read, Ordering::Relaxed);
-        self.pages_written
-            .fetch_add(d.pages_written, Ordering::Relaxed);
-        self.bytes_read.fetch_add(d.bytes_read, Ordering::Relaxed);
-        self.bytes_written
-            .fetch_add(d.bytes_written, Ordering::Relaxed);
-        self.read_ns.fetch_add(d.read_ns, Ordering::Relaxed);
-        self.write_ns.fetch_add(d.write_ns, Ordering::Relaxed);
-        self.cache_hits.fetch_add(d.cache_hits, Ordering::Relaxed);
-        self.cache_misses
-            .fetch_add(d.cache_misses, Ordering::Relaxed);
-        self.cache_evictions
-            .fetch_add(d.cache_evictions, Ordering::Relaxed);
-        self.extent_syncs
-            .fetch_add(d.extent_syncs, Ordering::Relaxed);
-        self.dir_syncs.fetch_add(d.dir_syncs, Ordering::Relaxed);
+        // One call moves two or three counters (a cache hit: one), so the
+        // zero deltas are skipped rather than added.
+        let bump = |counter: &AtomicU64, by: u64| {
+            if by != 0 {
+                counter.fetch_add(by, Ordering::Relaxed);
+            }
+        };
+        bump(&self.pages_read, d.pages_read);
+        bump(&self.pages_written, d.pages_written);
+        bump(&self.bytes_read, d.bytes_read);
+        bump(&self.bytes_written, d.bytes_written);
+        bump(&self.read_ns, d.read_ns);
+        bump(&self.write_ns, d.write_ns);
+        bump(&self.cache_hits, d.cache_hits);
+        bump(&self.cache_misses, d.cache_misses);
+        bump(&self.cache_evictions, d.cache_evictions);
+        bump(&self.extent_syncs, d.extent_syncs);
+        bump(&self.dir_syncs, d.dir_syncs);
     }
 
     pub fn snapshot(&self) -> StorageMetrics {
@@ -89,6 +91,22 @@ pub struct StorageMetrics {
     /// Directory-handle fsyncs issued ([`crate::Storage::sync_dir`]):
     /// what makes extent creation (and renames) survive power loss.
     pub dir_syncs: u64,
+}
+
+impl std::ops::AddAssign for StorageMetrics {
+    fn add_assign(&mut self, d: Self) {
+        self.pages_read += d.pages_read;
+        self.pages_written += d.pages_written;
+        self.bytes_read += d.bytes_read;
+        self.bytes_written += d.bytes_written;
+        self.read_ns += d.read_ns;
+        self.write_ns += d.write_ns;
+        self.cache_hits += d.cache_hits;
+        self.cache_misses += d.cache_misses;
+        self.cache_evictions += d.cache_evictions;
+        self.extent_syncs += d.extent_syncs;
+        self.dir_syncs += d.dir_syncs;
+    }
 }
 
 impl StorageMetrics {

@@ -92,9 +92,9 @@
 //! The extent files a pre-commit cut strands on disk are swept by
 //! recovery ([`storage::Storage::collect_orphans`], counted as
 //! [`lsm::TreeStatsSnapshot::orphans_collected`]), and recovery reads go
-//! through the fallible [`storage::Storage::try_read_page`] — a missing,
-//! torn, or corrupt extent surfaces as a typed error naming the run, not
-//! a panic. So at every crash point either the manifest or the WAL still
+//! through the fallible [`storage::Storage::try_read_shared`] — a missing,
+//! torn, or corrupt extent, or page contents that do not parse, surface
+//! as a typed error naming the run, not a panic. So at every crash point either the manifest or the WAL still
 //! covers each acknowledged write, and the manifest never references
 //! pages that were not durably written.
 //!

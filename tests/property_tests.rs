@@ -8,10 +8,11 @@ use proptest::prelude::*;
 
 use ruskey_repro::analysis::propagation::propagate_rounded;
 use ruskey_repro::analysis::TransitionScenario;
-use ruskey_repro::lsm::compaction::merge_sorted;
+use ruskey_repro::lsm::compaction::{Merge, Source};
+use ruskey_repro::lsm::entry::EntryBuf;
 use ruskey_repro::lsm::run::RunBuilder;
 use ruskey_repro::lsm::{FlsmTree, KvEntry, LsmConfig, TransitionStrategy};
-use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
+use ruskey_repro::storage::{CostModel, SimulatedDisk};
 
 /// An operation in the random-interleaving model test.
 #[derive(Debug, Clone)]
@@ -104,10 +105,15 @@ proptest! {
             ))
             .collect();
         for e in &entries {
-            builder.push(e.clone());
+            builder.push(e.borrowed());
         }
         let run = builder.finish(disk.as_ref(), u64::MAX).unwrap();
-        let got: Vec<KvEntry> = run.iter(disk.clone() as std::sync::Arc<dyn Storage>).collect();
+        let mut cursor = run.cursor(disk.as_ref());
+        let mut got: Vec<KvEntry> = Vec::new();
+        while let Some(e) = cursor.entry() {
+            got.push(e.to_owned());
+            cursor.advance();
+        }
         prop_assert_eq!(got, entries);
     }
 
@@ -133,7 +139,17 @@ proptest! {
                     .collect()
             })
             .collect();
-        let merged = merge_sorted(sorted_batches, false);
+        let bufs: Vec<EntryBuf> = sorted_batches
+            .iter()
+            .map(|batch| {
+                let mut buf = EntryBuf::default();
+                batch.iter().for_each(|e| buf.push(e.borrowed()));
+                buf
+            })
+            .collect();
+        let sources = bufs.iter().map(|b| Source::Buf(b.cursor())).collect();
+        let mut merged: Vec<KvEntry> = Vec::new();
+        Merge::new(sources, false).drain_into(|e| merged.push(e.to_owned()));
         prop_assert_eq!(merged.len(), latest.len());
         for e in &merged {
             let k = u64::from_be_bytes(e.key.as_ref().try_into().unwrap()) as u16;
