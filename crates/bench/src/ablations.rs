@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out.
+//! Ablation studies for the reproduction's design choices.
 //!
 //! Not figures from the paper, but experiments that probe its claims:
 //!
@@ -165,7 +165,7 @@ pub fn ablation_cost_model() -> Vec<(String, u32, u32, u32)> {
 
 /// Reward mix α sweep: how strongly the level-local latency is weighted in
 /// Lerp's reward (§5.1.3; the paper uses 1/2, this reproduction 0.85 —
-/// see EXPERIMENTS.md).
+/// see [`LerpConfig::paper_default`]).
 pub fn ablation_alpha(scale: &ExperimentScale) -> Vec<AblationRow> {
     [0.25, 0.5, 0.85, 1.0]
         .iter()

@@ -11,7 +11,7 @@
 //!   compactions run as the tree's bounded boundary grant
 //!   ([`FlsmTree::maintain_boundary`]) at mission boundaries (every
 //!   [`BOUNDARY_OPS`] operations), off every operation's path, exactly
-//!   as the shard workers interleave them.
+//!   as a sharded store's mission lanes interleave them.
 //!
 //! Every operation's latency is read off the tree's virtual clock, so
 //! the comparison is deterministic and device-model-exact. Both variants
@@ -31,7 +31,7 @@ use ruskey_storage::SimulatedDisk;
 use ruskey_workload::encode_key;
 
 /// Operations between maintenance boundaries in the background variant —
-/// the bench's stand-in for the shard workers' per-mission lane.
+/// the bench's stand-in for a shard's per-mission lane.
 const BOUNDARY_OPS: u64 = 32;
 
 /// One variant's measurement.

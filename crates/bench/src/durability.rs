@@ -50,7 +50,7 @@ pub struct DurabilityRow {
     pub commit_ns_per_mission: f64,
     /// Mean total sync work per mission (ns): the sum over the shards'
     /// commit legs — what the barrier would cost if the fsyncs ran
-    /// sequentially on the mission thread (the pre-pool behavior).
+    /// one after another on the mission thread.
     pub commit_busy_ns_per_mission: f64,
     /// WAL records replayed by recovery after the simulated restart.
     pub recovered_records: u64,
@@ -117,7 +117,7 @@ pub fn durability(scale: &ExperimentScale, shard_counts: &[usize]) -> Vec<Durabi
                 // model-consistency guard on the two reported
                 // compositions, not a proof the legs ran concurrently —
                 // actual concurrency is pinned by `tests/pool_stress.rs`
-                // (distinct worker threads) and the mid-barrier crash
+                // (distinct lane threads) and the mid-barrier crash
                 // case in `tests/crash_recovery.rs` (siblings commit
                 // while one shard dies, which a sequential
                 // stop-at-first-crash barrier cannot do).

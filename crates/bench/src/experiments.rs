@@ -1,4 +1,4 @@
-//! One function per paper table/figure (see DESIGN.md §4 for the index).
+//! One function per paper table/figure (`repro`'s usage text is the index).
 
 use ruskey::db::RusKeyConfig;
 use ruskey::lerp::{Lerp, LerpConfig, PropagationScheme};

@@ -3,8 +3,7 @@
 //! Each `figN`/`tableN` function runs the corresponding experiment at a
 //! configurable scale and returns structured results; the `repro` binary
 //! prints them as aligned tables/CSV, and the Criterion benches execute
-//! reduced versions of the same code paths. See EXPERIMENTS.md for the
-//! paper-vs-measured record.
+//! reduced versions of the same code paths.
 
 #![warn(missing_docs)]
 

@@ -41,19 +41,20 @@ pub struct ShardScalingRow {
     /// the sum over the shard time domains' deltas — the total virtual
     /// work placed on the shared device.
     pub virtual_busy_ns_per_op: f64,
-    /// Mean real wall-clock time per mission (µs) — the spawn-amortization
-    /// column: with the persistent worker pool this carries no per-mission
-    /// thread spawn/teardown, only dispatch and execution.
+    /// Mean real wall-clock time per mission (µs) — the dispatch-cost
+    /// column: lane 0 runs on the caller, so this carries `N − 1` scoped
+    /// thread spawns and joins per mission (none at `N = 1`) on top of
+    /// routing and execution.
     pub real_us_per_mission: f64,
     /// Real wall-clock ns per point lookup over a post-mission sample
-    /// sweep — the read-path raw-speed column this PR trajectory tracks:
-    /// on the file backend it reflects the fd cache, positional reads,
-    /// and block cache directly.
+    /// sweep — the read-path raw-speed column: an ad-hoc `get` runs on
+    /// the caller's thread with no hand-off, so on the file backend it
+    /// reflects the fd cache, positional reads, and block cache directly.
     pub real_get_ns_per_op: f64,
     /// Block-cache hit ratio over the missions (0.0 on the simulated
     /// backend, which serves without a cache).
     pub cache_hit_ratio: f64,
-    /// Maximum distinct OS worker threads observed in one mission.
+    /// Maximum distinct OS threads observed running one mission's lanes.
     pub parallelism: usize,
 }
 

@@ -8,7 +8,7 @@ use ruskey_lsm::{BloomScheme, ConfigError, FlsmTree, LsmConfig, TransitionStrate
 use ruskey_storage::Storage;
 use ruskey_workload::Operation;
 
-use crate::exec::{run_batch, Door};
+use crate::exec::run_batch;
 use crate::lerp::{Lerp, LerpConfig, PropagationScheme};
 use crate::sharded::MissionError;
 use crate::stats::{MissionReport, StatsCollector};
@@ -24,8 +24,8 @@ pub struct RusKeyConfig {
 }
 
 impl RusKeyConfig {
-    /// Scaled-down defaults matching the experiment setup (DESIGN.md §2);
-    /// uniform Bloom scheme.
+    /// Scaled-down defaults matching the experiment setup
+    /// ([`LsmConfig::scaled_default`]); uniform Bloom scheme.
     pub fn scaled_default() -> Self {
         Self {
             lsm: LsmConfig::scaled_default(),
@@ -212,12 +212,12 @@ impl RusKey {
     /// not acknowledged, and no report is cut for them.
     pub fn try_run_mission(&mut self, ops: &[Operation]) -> Result<MissionReport, MissionError> {
         let t0 = Instant::now();
-        // The same path a shard worker runs for its lane (`crate::exec`):
+        // The same path a sharded mission runs for each lane (`crate::exec`):
         // operations, boundary grant, one commit leg. With a WAL attached
         // (via [`FlsmTree::attach_wal`]) that leg acknowledges the batch
         // with a single fsync; with one tree the barrier's latency and its
         // total sync work are the same value.
-        let commit = run_batch(&mut self.tree, ops.iter().cloned(), Door::Lane).commit;
+        let commit = run_batch(&mut self.tree, ops.iter().cloned(), true);
         if let Some(error) = commit.error {
             // Rebaseline so a later mission's report does not count this
             // mission's work twice.

@@ -13,21 +13,22 @@
 //!    [`FlsmTree::commit_wal`], which is `begin_commit`, the fsync and
 //!    `finish_commit` back to back.
 //!
-//! A [`Door`] names the caller and so which of the optional parts it takes:
+//! Which of the three a caller takes depends only on what it is:
 //!
-//! | door                    | keep results | boundary grant      | commit leg                   |
-//! |-------------------------|--------------|---------------------|------------------------------|
-//! | mission lane, `RusKey`  | no           | yes                 | yes ([`commit_leg`])         |
-//! | `group_commit`          | — (no ops)   | no                  | yes ([`commit_leg`])         |
-//! | ad-hoc op               | yes (one)    | every 32nd write    | no                           |
-//! | served request          | yes (one)    | yes                 | iff a write; halves split    |
+//! | door                   | operations | boundary grant                        | commit leg                                    |
+//! |------------------------|------------|---------------------------------------|-----------------------------------------------|
+//! | mission lane, `RusKey` | its lane   | yes                                   | yes ([`commit_leg`])                          |
+//! | `group_commit`         | none       | no                                    | yes ([`commit_leg`])                          |
+//! | ad-hoc op, served op   | one        | ad-hoc: every 32nd write; served: yes | ad-hoc: no; served: iff a write, halves split |
 //!
-//! The first three run through [`run_batch`] on the shard's pool worker.
-//! A served request runs on its client's thread under the shard's lock
-//! ([`crate::frontend`]) and makes the same three calls itself, because it
-//! takes the commit leg in its two halves: `begin_commit` before the
-//! unlock, the fsync — shared with every writer waiting on the shard —
-//! and `finish_commit` after it.
+//! The first two are [`run_batch`], run by the store's lane runner on a
+//! `&mut` borrow of the shard's tree (lane 0 on the mission's caller, the
+//! others on scoped threads). An ad-hoc call makes the calls itself on the
+//! caller's thread, because it keeps its one result and leaves durability
+//! to the next barrier. A served request does the same under the shard's
+//! lock ([`crate::frontend`]), taking the commit leg in its two halves:
+//! `begin_commit` before the unlock, the fsync — shared with every writer
+//! waiting on the shard — and `finish_commit` after it.
 
 use bytes::Bytes;
 use ruskey_lsm::FlsmTree;
@@ -79,20 +80,6 @@ pub(crate) fn execute(tree: &mut FlsmTree, op: Operation) -> OpResult {
     }
 }
 
-/// The doors that run a batch through the path, each fixing which of
-/// the optional parts it takes (module docs).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Door {
-    /// A mission lane: results dropped (reads run for their cost), then
-    /// the boundary grant, then the commit leg.
-    Lane,
-    /// The standalone barrier: the empty batch, commit leg only.
-    Commit,
-    /// An ad-hoc call: its results come home, durability waits for the
-    /// next barrier, and the caller says whether this write is a boundary.
-    Adhoc { boundary: bool },
-}
-
 /// Outcome of one shard's commit leg.
 #[derive(Debug, Default)]
 pub(crate) struct CommitLeg {
@@ -119,40 +106,22 @@ pub(crate) fn commit_leg(tree: &mut FlsmTree) -> CommitLeg {
     }
 }
 
-/// What a batch reports home: its commit leg and, for a door that keeps
-/// them, one result per operation in order.
-#[derive(Debug, Default)]
-pub(crate) struct Outcome {
-    pub(crate) commit: CommitLeg,
-    pub(crate) results: Vec<OpResult>,
-}
-
-/// Runs a batch through the path: execute every operation, grant the
-/// boundary, run the commit leg — the last two as the door asks.
+/// Runs a batch through the path: execute every operation (a lane's
+/// reads run for their cost, so results are dropped), grant the boundary
+/// if this batch ends in one, run the commit leg. The barrier is the empty
+/// batch without a boundary.
 pub(crate) fn run_batch(
     tree: &mut FlsmTree,
     ops: impl IntoIterator<Item = Operation>,
-    door: Door,
-) -> Outcome {
-    let (keep, boundary, commit) = match door {
-        Door::Lane => (false, true, true),
-        Door::Commit => (false, false, true),
-        Door::Adhoc { boundary } => (true, boundary, false),
-    };
-    let mut out = Outcome::default();
+    boundary: bool,
+) -> CommitLeg {
     for op in ops {
-        let result = execute(tree, op);
-        if keep {
-            out.results.push(result);
-        }
+        execute(tree, op);
     }
     if boundary {
         tree.maintain_boundary();
     }
-    if commit {
-        out.commit = commit_leg(tree);
-    }
-    out
+    commit_leg(tree)
 }
 
 #[cfg(test)]
@@ -200,30 +169,30 @@ mod tests {
         );
     }
 
-    /// A door that keeps results gets one per operation, in order; one
-    /// that does not gets none. Without a WAL the commit leg is free.
+    /// A batch applies every operation in order and ends in the commit
+    /// leg, which is free without a WAL; the empty batch is the barrier.
     #[test]
-    fn run_batch_keeps_results_only_when_asked() {
+    fn run_batch_applies_every_operation_then_commits() {
         let mut tree = FlsmTree::new(
             LsmConfig::scaled_default(),
             SimulatedDisk::new(512, CostModel::NVME),
         );
-        let ops = || {
-            vec![
-                Operation::Put {
-                    key: b("k"),
-                    value: b("v"),
-                },
-                Operation::Get { key: b("k") },
-            ]
-        };
-        let kept = run_batch(&mut tree, ops(), Door::Adhoc { boundary: false });
-        assert_eq!(
-            kept.results,
-            vec![OpResult::Written, OpResult::Value(Some(b("v")))]
-        );
-        let lane = run_batch(&mut tree, ops(), Door::Lane);
-        assert!(lane.results.is_empty());
-        assert!(!lane.commit.synced && lane.commit.error.is_none());
+        let ops = vec![
+            Operation::Put {
+                key: b("k"),
+                value: b("v"),
+            },
+            Operation::Put {
+                key: b("k"),
+                value: b("w"),
+            },
+            Operation::Delete { key: b("gone") },
+        ];
+        let lane = run_batch(&mut tree, ops, true);
+        assert!(!lane.synced && lane.error.is_none() && lane.ns == 0);
+        let get = Operation::Get { key: b("k") };
+        assert_eq!(execute(&mut tree, get).value(), Some(b("w")));
+        let barrier = run_batch(&mut tree, Vec::new(), false);
+        assert!(!barrier.synced && barrier.error.is_none());
     }
 }

@@ -69,7 +69,8 @@
 //! `sync_every > 0` the log's own auto-sync still runs inside an append;
 //! group-commit-only logs, the default, have none). Structural work a
 //! write absorbs — a memtable flush, backpressure — does run under the
-//! lock, as it ran on the shard's worker before.
+//! lock, on the client's thread, as it runs on a lane's thread in a
+//! mission.
 //!
 //! ## Admission control and contention
 //!
@@ -109,7 +110,7 @@
 //! mission's statistics delta.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -624,12 +625,18 @@ impl ServingFrontend {
 
     /// Ends the session: waits out the operation inside each shard and
     /// takes its tree, in shard order. A client that still holds a handle
-    /// finds the slot empty and gets [`ServingError::Stopped`]. `None`
-    /// for a shard whose lock is poisoned — a client panicked inside it,
-    /// and the tree it left half-changed is not handed back.
-    pub(crate) fn take_trees(&self) -> Vec<Option<FlsmTree>> {
-        let take = |slot: &ShardSlot| slot.tree.lock().ok().and_then(|mut tree| tree.take());
-        self.shared.slots.iter().map(take).collect()
+    /// finds the slot empty and gets [`ServingError::Stopped`]. Also names
+    /// the first shard whose lock is poisoned — a client panicked inside
+    /// it, and the tree it left half-changed goes home only to be fenced.
+    pub(crate) fn take_trees(&self) -> (Vec<FlsmTree>, Option<usize>) {
+        let slots = &self.shared.slots;
+        let take = |slot: &ShardSlot| {
+            let mut tree = slot.tree.lock().unwrap_or_else(PoisonError::into_inner);
+            tree.take().expect("a session ends once")
+        };
+        let trees = slots.iter().map(take).collect();
+        // Asked last: with its slot empty no client can die inside a shard.
+        (trees, slots.iter().position(|slot| slot.tree.is_poisoned()))
     }
 
     /// Creates a client handle for one connection/thread. Clients are

@@ -90,7 +90,7 @@ impl LerpConfig {
             // end-to-end term is dominated by deep-compaction bursts whose
             // period spans many missions, so the level-local term gets a
             // higher weight to keep the per-mission reward informative
-            // (see EXPERIMENTS.md, "Reward weighting at reduced scale").
+            // (`repro ablations` sweeps it: `ablation_alpha`).
             alpha: 0.85,
             scheme,
             stability_window: 15,

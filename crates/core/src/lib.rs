@@ -11,9 +11,11 @@
 //! The engine core is **sharded**: [`sharded::ShardedRusKey`] hash-partitions
 //! the key space onto `N` independent [FLSM-trees](ruskey_lsm::FlsmTree)
 //! (each with its own memtable and levels) sharing one storage device.
-//! Missions execute in parallel — one persistent worker thread per shard,
-//! operations routed by the stable key hash of [`ruskey_workload::routing`]; cross-shard
-//! range scans are k-way merged. Tuning stays global and works exactly as in
+//! Missions execute in parallel — one lane per shard on a `&mut` borrow of
+//! its tree, lane 0 on the caller's thread and the rest on scoped threads,
+//! operations routed by the stable key hash of
+//! [`ruskey_workload::routing`]; cross-shard range scans are k-way merged.
+//! The trees never leave the store and the store owns no thread. Tuning stays global and works exactly as in
 //! the paper:
 //!
 //! 1. per-shard statistics merge into one store-wide
@@ -38,10 +40,10 @@
 //! calls in the same order: one executor over
 //! [`ruskey_workload::Operation`], the boundary grant the tree owns
 //! ([`ruskey_lsm::FlsmTree::maintain_boundary`]), and the shard's commit
-//! leg. The doors differ only in whether results come home, whether the
-//! batch's end is a boundary, and whether it commits (a served write takes
+//! leg. The doors differ only in how many operations they bring, whether
+//! their end is a boundary, and whether they commit (a served write takes
 //! the commit leg in two halves, around the fsync it shares with the other
-//! clients).
+//! clients); all of them run on the thread that asked.
 //!
 //! [`db::RusKey`] is the single-tree engine — the `N = 1` case the paper
 //! evaluates — and remains the harness used by all paper experiments. An

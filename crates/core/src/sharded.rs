@@ -3,9 +3,9 @@
 //! [`ShardedRusKey`] scales the single-tree [`RusKey`](crate::db::RusKey)
 //! across cores: keys are hash-partitioned onto `N` independent
 //! [`FlsmTree`] shards (each with its own memtable and levels) that share
-//! one storage device, and missions execute in parallel on a **persistent
-//! worker pool** — one long-lived OS thread per shard, spawned once at
-//! construction and reused for every mission, with operations routed by
+//! one storage device, and a mission executes as one **lane** per shard, in
+//! parallel — lane 0 on the caller's thread, the others on scoped threads
+//! that live exactly as long as the mission — with operations routed by
 //! the stable key hash of [`ruskey_workload::routing`]. Cross-shard range
 //! scans are k-way merged back into one sorted result.
 //!
@@ -36,51 +36,38 @@
 //! the original is tombstoned, and recovery settles half-finished moves
 //! from the routes file (all three crash states are idempotent).
 //!
-//! ## The worker pool: one job shape, ship and collect
+//! ## Mission lanes: the tree never leaves the store
 //!
-//! Each shard owns one worker thread (named `ruskey-shard-<i>`) with a
-//! private job queue, spawned when the store is opened and alive until it
-//! drops — thread spawn cost is paid once, not once per mission, and
-//! `tests/pool_stress.rs` pins that the same OS threads serve consecutive
-//! missions. Trees move, they are not shared: between jobs every
-//! [`FlsmTree`] lives on the store (so introspection and test harnesses
-//! keep direct access). Exactly one side owns a tree at any instant, so
-//! no locks guard the hot path, and `N = 1` runs through the same pool
-//! code path as any other shard count.
+//! Outside a serving session the store is the only home of a shard's
+//! [`FlsmTree`]: the trees sit in a plain `Vec`, and whoever needs one
+//! borrows it. The store owns **no thread** — opening and dropping it
+//! spawns and joins nothing.
 //!
-//! A **job** is always the same three things: a shard's tree, the
-//! *batch* of [`Operation`]s to run on it through the one execution path
-//! of `exec` (execute each, grant the boundary, run the commit leg; the
-//! batch's `Door` says which of the last two apply and whether results
-//! come home), and the channel that sends the tree home with the batch's
-//! outcome. The worker's loop has a single arm that touches a tree.
+//! A mission is one lane per shard (an empty lane still takes its
+//! boundary grant and its commit leg), run by one function, `run_lanes`,
+//! under [`std::thread::scope`] over `shards.iter_mut()`: lanes `1..N` are
+//! spawned first, lane 0 runs on the caller's thread beside them, and the
+//! scope joins them — a one-shard store spawns nothing. Each lane is
+//! `exec::run_batch` on its `&mut FlsmTree` (execute each operation,
+//! grant the boundary, run the commit leg), so the per-shard fsyncs
+//! overlap. The group-commit barrier is the same runner with empty lanes
+//! and no boundary. Disjoint `&mut` borrows are the whole protocol:
+//! nothing is shipped, nothing is locked.
 //!
-//! The store talks to the pool through one function, `run_batches`, in
-//! two steps. **Ship** checks liveness, sends each listed shard's tree
-//! and batch to its worker, and takes back the tree of any worker that
-//! turns out to be gone. **Collect** waits for the shipped jobs, restores
-//! the returned trees, and classifies failures. A mission is one lane per
-//! shard; the group-commit barrier, one empty batch per shard; an ad-hoc
-//! call, a batch of one on the owning shard (or on every shard, for a
-//! scan). Serving does not use the pool: the trees move into the
-//! frontend and its clients run their own requests (below).
-//!
-//! **Shutdown**: dropping the store closes every job queue; each worker's
-//! receive loop ends and the threads are joined (a drop never leaves
-//! detached threads behind).
-//!
-//! **Panics**: a panicking worker (an engine bug — or the
-//! `inject_worker_panic` test hook) unwinds through its run loop: the
-//! in-flight tree and the shard's queue die with the thread, the dropped
-//! reply channel surfaces at collect as [`MissionError::WorkerPanicked`]
-//! (never a hang), and every later ship fails fast with
-//! [`MissionError::WorkerUnavailable`] *before* enqueuing anything —
-//! the engine is permanently dead, it does not limp on with a missing
-//! shard. One caveat is inherent to fan-out: the single ship that
-//! *discovers* the death may already have enqueued sibling shards' jobs,
-//! so those lanes execute (and, on a durable store, commit) — a
-//! partially applied batch, which is why a failed store must be rebuilt
-//! via [`ShardedRusKey::recover`] rather than retried in place.
+//! **Panics**: a panic inside a lane (an engine bug — or the
+//! `inject_worker_panic` test hook) is caught on the thread that ran it,
+//! the caller's included, so the sibling lanes run to the end (and, on a
+//! durable store, commit — a partially applied batch, which is why a
+//! failed store must be rebuilt via [`ShardedRusKey::recover`] rather than
+//! retried in place). The dispatch then **fences** the shard: it returns
+//! [`MissionError::WorkerPanicked`], every later mission, barrier and
+//! [`ShardedRusKey::serve`] fails fast with
+//! [`MissionError::WorkerUnavailable`] *before* touching any tree, ad-hoc
+//! calls and [`ShardedRusKey::shard`] panic naming the shard, and the
+//! half-changed tree is never read again (its siblings stay readable for
+//! the post-mortem). A client that panics inside a shard's lock while
+//! serving fences the shard the same way at
+//! [`ShardedRusKey::finish_serving`] — one death protocol.
 //! [`ShardedRusKey::run_mission`] converts these errors into a panic with
 //! the shard named; [`ShardedRusKey::try_run_mission`] returns them.
 //!
@@ -91,8 +78,8 @@
 //! [`VirtualClock`](ruskey_storage::VirtualClock) and metrics receive only
 //! that shard's charges, while the shared device underneath aggregates
 //! everything (device-busy time). The domain belongs to the view, not to
-//! a thread, so charges are exact no matter which pool thread currently
-//! owns the tree. At the store level the domains compose two ways:
+//! a thread, so charges are exact no matter which thread currently
+//! borrows the tree. At the store level the domains compose two ways:
 //!
 //! * **mission wall time** ([`MissionReport::end_to_end_ns`]) — the max
 //!   over the participating shards' per-domain deltas (the mission is as
@@ -110,12 +97,12 @@
 //!
 //! A store opened with [`ShardedRusKey::try_with_tuner_durable`] gives
 //! every shard its own WAL file ([`DurabilityConfig::shard_wal_path`]):
-//! shard workers append each put/delete to their log *before* the
-//! memtable insert, without syncing per record. Every mission ends with a
-//! **group-commit barrier**: each worker runs its shard's commit leg
+//! a put/delete is appended to its shard's log *before* the memtable
+//! insert, without syncing per record. Every mission ends with a
+//! **group-commit barrier**: each lane runs its shard's commit leg
 //! ([`FlsmTree::commit_wal_timed`] — at most one fsync) as soon as its
-//! lane finishes, so the per-shard fsyncs run *concurrently* instead of
-//! sequentially on the mission thread. The batch's records become
+//! operations finish, so the per-shard fsyncs run *concurrently* instead
+//! of one after another. The batch's records become
 //! acknowledged together at one sync per shard per mission, and the
 //! barrier costs the max over the shards' legs, not their sum:
 //! [`MissionReport::commit_ns`] is that max (the batch's durability
@@ -157,13 +144,11 @@
 //! ## Ad-hoc operations and serving
 //!
 //! The plain KV interface (`get`/`put`/`delete`/`scan` between missions)
-//! goes through the same door as a mission lane: each call ships the
-//! owning shard's tree to its worker with a batch of one
-//! (`Door::Adhoc`: the result comes home, no commit leg — durability
-//! waits for the next barrier), so its charges land in the shard's own
-//! time domain, and an ad-hoc scan's per-shard legs run in parallel
-//! exactly as on the mission path. Every 32nd ad-hoc *write* per shard
-//! (`ADHOC_BOUNDARY_OPS`) is a boundary — the one place that decides
+//! runs on the caller's thread: each call is `exec::execute` on the owning
+//! shard's tree (a scan: on every shard in turn, k-way merged), with no
+//! commit leg — durability waits for the next barrier — so its charges
+//! land in the shard's own time domain. Every 32nd ad-hoc *write* per
+//! shard (`ADHOC_BOUNDARY_OPS`) is a boundary — the one place that decides
 //! when an ad-hoc write earns the grant every lane and served request
 //! ends with. *What* a boundary grants is written once, in the tree
 //! ([`FlsmTree::maintain_boundary`], a no-op with inline maintenance) —
@@ -173,8 +158,8 @@
 //! [`ServingFrontend`], behind a per-shard lock, and each client runs its
 //! requests **on its own thread**: lock, the same three calls of `exec`,
 //! unlock, with a write's fsync shared across clients outside the lock.
-//! The pool's workers idle for the length of the session, and
-//! [`ShardedRusKey::finish_serving`] takes the trees back — see
+//! For the length of the session the store has no trees, and
+//! [`ShardedRusKey::finish_serving`] takes them back — see
 //! [`crate::frontend`] for the client path, the group commit, admission
 //! control and live metrics.
 //!
@@ -189,11 +174,10 @@
 //! settles the routes file and baselines the collector.
 
 use std::collections::{BinaryHeap, HashSet};
-use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle, ThreadId};
+use std::thread::{self, ThreadId};
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -203,7 +187,7 @@ use ruskey_workload::routing::{shard_for_key, BalanceConfig, LoadSketch, Routing
 use ruskey_workload::Operation;
 
 use crate::db::RusKeyConfig;
-use crate::exec::{run_batch, Door, OpResult, Outcome};
+use crate::exec::{execute, run_batch, CommitLeg, OpResult};
 use crate::frontend::{MetricsSnapshot, ServingConfig, ServingFrontend};
 use crate::lerp::Lerp;
 use crate::stats::{MissionReport, StatsCollector};
@@ -375,40 +359,36 @@ impl From<std::io::Error> for OpenError {
     }
 }
 
-/// Why the worker pool could not execute a mission or commit barrier.
+/// Why the store could not execute a mission or commit barrier.
 ///
-/// Worker failures are terminal: the engine reports the failure cleanly
-/// (instead of hanging or limping on with a missing shard) and refuses
-/// all further pool work. On the *first* failing dispatch — the one that
-/// discovers the death — sibling shards whose jobs were already enqueued
-/// still execute (and, on a durable store, commit) their lanes: a
-/// partially applied batch. Callers must treat the store as failed and,
+/// A panic inside a shard is terminal: the engine reports it cleanly
+/// (instead of hanging or limping on with a half-changed shard) and
+/// refuses all further work. On the dispatch that *discovers* it the
+/// sibling lanes still run to the end (and, on a durable store, commit):
+/// a partially applied batch. Callers must treat the store as failed and,
 /// if durable, rebuild it with [`ShardedRusKey::recover`]; every later
-/// dispatch fails fast before enqueuing anything.
+/// dispatch fails fast before touching any tree.
 #[derive(Debug)]
 pub enum MissionError {
-    /// A shard's worker panicked while executing its job — or, while
-    /// serving, a client panicked inside the shard's lock. The shard's
-    /// tree died with the panic, and the engine is permanently
+    /// A shard's lane panicked while executing — or, while serving, a
+    /// client panicked inside the shard's lock. The shard's tree was left
+    /// half-changed and is fenced off: the engine is permanently
     /// unavailable.
     WorkerPanicked {
-        /// The shard whose worker died.
+        /// The shard that died.
         shard: usize,
     },
-    /// A shard's worker was dead when its job was dispatched (an earlier
-    /// panic). The dead shard executed nothing — its tree is untouched
-    /// and back on the store — but siblings dispatched before the death
-    /// was observed may have executed their lanes (first failure only;
-    /// the engine fails fast afterwards).
+    /// The engine was already dead (an earlier panic fenced `shard`) or
+    /// its trees are away in a serving session (reported as shard 0).
+    /// Nothing was executed and no tree was touched.
     WorkerUnavailable {
-        /// The shard whose worker is gone.
+        /// The fenced shard.
         shard: usize,
     },
     /// A shard's WAL failed with a real I/O error during its commit leg
     /// (the first failing shard, if several failed in one barrier). The
-    /// engine itself stays alive: every tree is back on the store and the
-    /// batch's lanes were applied, but the failing shard's records are
-    /// not acknowledged.
+    /// engine itself stays alive: the batch's lanes were applied, but the
+    /// failing shard's records are not acknowledged.
     Wal {
         /// The shard whose log failed.
         shard: usize,
@@ -421,11 +401,12 @@ impl std::fmt::Display for MissionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MissionError::WorkerPanicked { shard } => {
-                write!(f, "shard {shard}'s worker panicked; the engine is dead")
+                write!(f, "shard {shard} panicked; the engine is dead")
             }
             MissionError::WorkerUnavailable { shard } => write!(
                 f,
-                "shard {shard}'s worker is gone (earlier panic); the engine is dead"
+                "shard {shard} is unavailable (an earlier panic, or the trees are \
+                 away serving); nothing was executed"
             ),
             MissionError::Wal { shard, error } => {
                 write!(f, "shard {shard}'s WAL commit failed: {error}")
@@ -491,117 +472,20 @@ struct Balancer {
 /// the tree's business: [`FlsmTree::maintain_boundary`].
 const ADHOC_BOUNDARY_OPS: u64 = 32;
 
-/// One unit of work for a shard worker: the shard's tree, the batch to
-/// run on it through the one path of [`crate::exec`] (a mission lane, the
-/// barrier's empty batch, an ad-hoc batch of one), and where to send it
-/// home. Trees are owned by exactly one side at any instant.
-// Every real job carries a tree; boxing it to shrink the test hook's
-// variant would add an allocation to each ship.
-#[allow(clippy::large_enum_variant)]
-enum Job {
-    Run {
-        tree: FlsmTree,
-        ops: Vec<Operation>,
-        door: Door,
-        reply: Sender<Done>,
-    },
-    /// Test hook: panic on the worker thread (`tests/pool_stress.rs`
-    /// asserts the panic surfaces as a clean [`MissionError`]).
-    Panic,
-}
-
-/// A worker's reply: the tree comes home together with what happened.
-struct Done {
-    shard: usize,
-    worker: ThreadId,
-    tree: FlsmTree,
-    outcome: Outcome,
-}
-
-/// The run loop of one shard worker: runs jobs until the store drops the
-/// shard's queue (shutdown), returning every tree with its reply. A
-/// panic unwinds through the loop — the in-flight tree and the queue die
-/// with the thread, which is exactly the signal the mission thread turns
-/// into [`MissionError::WorkerPanicked`].
-fn worker_loop(shard: usize, jobs: Receiver<Job>) {
-    while let Ok(job) = jobs.recv() {
-        let Job::Run {
-            mut tree,
-            ops,
-            door,
-            reply,
-        } = job
-        else {
-            panic!("injected shard-worker panic (test hook)");
-        };
-        let outcome = run_batch(&mut tree, ops, door);
-        let _ = reply.send(Done {
-            shard,
-            worker: thread::current().id(),
-            tree,
-            outcome,
-        });
-    }
-}
-
-/// The persistent worker pool: one long-lived thread per shard, each
-/// behind its own job queue.
-struct WorkerPool {
-    queues: Vec<Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawns one named worker thread per shard.
-    fn spawn(shards: usize) -> Self {
-        let (queues, handles) = (0..shards)
-            .map(|i| {
-                let (tx, rx) = mpsc::channel();
-                let handle = thread::Builder::new()
-                    .name(format!("ruskey-shard-{i}"))
-                    .spawn(move || worker_loop(i, rx))
-                    .expect("spawn shard worker thread");
-                (tx, handle)
-            })
-            .unzip();
-        Self { queues, handles }
-    }
-
-    /// Enqueues a job on one shard's worker; returns the job (boxed), and
-    /// with it the tree, if the worker is gone.
-    fn send(&self, shard: usize, job: Job) -> Result<(), Box<Job>> {
-        self.queues[shard]
-            .send(job)
-            .map_err(|mpsc::SendError(job)| Box::new(job))
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Close every queue first so all workers wind down concurrently,
-        // then join. A worker that panicked reports its error through the
-        // mission path; the join here must not double-panic during drop.
-        self.queues.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
+/// Said by every read of a tree that is not there to be read.
+const AWAY_SERVING: &str = "the trees are away serving until `finish_serving`";
 
 /// An RL-tuned key-value store over `N` hash-partitioned FLSM shards,
-/// executed by a persistent per-shard worker pool.
+/// whose missions run one lane per shard in parallel.
 pub struct ShardedRusKey {
-    /// One tree per shard. `None` only while a job holding the tree is in
-    /// flight on the shard's worker — or permanently, after that worker
-    /// panicked and took the tree with it.
-    shards: Vec<Option<FlsmTree>>,
-    pool: WorkerPool,
+    /// One tree per shard, borrowed by whoever runs an operation. Empty
+    /// only while a serving session holds the trees.
+    shards: Vec<FlsmTree>,
     tuning: Tuning,
     collector: StatsCollector,
     last_report: Option<MissionReport>,
-    /// The OS thread that served each shard in the last pool dispatch, in
-    /// shard order. `tests/pool_stress.rs` pins these stable across
-    /// missions (pool reuse, not respawn).
+    /// The OS thread that ran each shard's lane in the last mission or
+    /// barrier, in shard order; entry 0 is that dispatch's caller.
     last_workers: Vec<ThreadId>,
     /// Ad-hoc [`ShardedRusKey::scan`] calls since the last mission report
     /// (or baseline). Each one broadcast to every shard, so the next
@@ -609,13 +493,18 @@ pub struct ShardedRusKey {
     /// them keeps the broadcast invariant exact.
     adhoc_scans: u64,
     /// Lifetime ad-hoc writes per shard: every [`ADHOC_BOUNDARY_OPS`]-th
-    /// one is a maintenance boundary on the shard's worker.
+    /// one is a maintenance boundary. One entry per shard in every state,
+    /// so this is also the shard count while the trees are away.
     adhoc_writes: Vec<u64>,
-    /// Set once a dispatch observed a dead worker: every later dispatch
-    /// fails fast with [`MissionError::WorkerUnavailable`] *before*
-    /// enqueuing anything, so a dead engine applies at most one partial
-    /// batch (the dispatch that discovered the death) and never more.
-    dead_worker: Option<usize>,
+    /// The fenced shard: something panicked inside it (a lane, or a client
+    /// of a serving session) and left its tree half-changed. Every later
+    /// mission, barrier and `serve` fails fast with
+    /// [`MissionError::WorkerUnavailable`] *before* touching any tree, so
+    /// a dead engine applies at most one partial batch (the dispatch that
+    /// discovered the death) and never more.
+    dead: Option<usize>,
+    /// Test hook: the shard whose next lane panics.
+    doomed: Option<usize>,
     /// Per-key routing overrides (re-homed hot keys). Empty — pure hash
     /// routing — until the balancer moves something.
     routes: RoutingTable,
@@ -688,7 +577,7 @@ impl ShardedRusKey {
     /// logs, shard directories beyond the new count, and re-homed-key
     /// routes must all go) or **checks** that it describes `shards`
     /// shards; builds each shard's tree with its WAL/manifest attached or
-    /// recovered; spawns the worker pool; and, recovering, settles the
+    /// recovered; and, recovering, settles the
     /// persisted routes and baselines the collector so the first mission
     /// report excludes recovery work.
     ///
@@ -760,7 +649,7 @@ impl ShardedRusKey {
                 }
             };
             let lsm = cfg.lsm.clone();
-            trees.push(Some(match (recover, wal, manifest) {
+            trees.push(match (recover, wal, manifest) {
                 (false, wal, manifest) => {
                     let mut tree = FlsmTree::try_new(lsm, storage)?;
                     if let Some((path, checkpoint_every)) = manifest {
@@ -785,18 +674,18 @@ impl ShardedRusKey {
                     )?
                 }
                 (true, None, _) => unreachable!("only a backend with logs is recovered"),
-            }));
+            });
         }
         let mut store = Self {
             shards: trees,
-            pool: WorkerPool::spawn(shards),
             tuning,
             collector: StatsCollector::new(),
             last_report: None,
             last_workers: Vec::new(),
             adhoc_scans: 0,
             adhoc_writes: vec![0; shards],
-            dead_worker: None,
+            dead: None,
+            doomed: None,
             routes: RoutingTable::new(),
             route_sources: std::collections::HashMap::new(),
             balancer: None,
@@ -814,8 +703,7 @@ impl ShardedRusKey {
     }
 
     /// Creates a sharded store driven by an arbitrary tuner, rejecting
-    /// invalid configurations instead of panicking. The per-shard worker
-    /// pool is spawned here and lives until the store drops.
+    /// invalid configurations instead of panicking.
     ///
     /// All shards share `storage` for data and device-level accounting,
     /// but each runs on its own [`ShardStorage`] view — a private time
@@ -870,7 +758,7 @@ impl ShardedRusKey {
     /// file under `durability.dir` (appended before each memtable insert,
     /// truncated on flush), and missions end with an overlapped
     /// cross-shard group-commit barrier — at most one fsync per shard per
-    /// mission, run concurrently on the shard workers.
+    /// mission, run concurrently on the shards' lanes.
     ///
     /// Logs and routes left by a previous incarnation are wiped first;
     /// [`ShardedRusKey::recover`] is the explicit path for continuing
@@ -983,147 +871,136 @@ impl ShardedRusKey {
         Self::with_tuner(cfg, shards, storage, Box::new(NoOpTuner))
     }
 
-    /// Number of shards.
+    /// Number of shards — in every state, a serving session and a dead
+    /// engine included.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.adhoc_writes.len()
     }
 
-    /// Read access to one shard's tree, which lives on the store between
-    /// missions (experiments and introspection).
+    /// Panics unless shard `idx`'s tree may be read: not while a serving
+    /// session holds the trees, and never again once the shard is fenced
+    /// (its siblings stay readable for the post-mortem).
+    fn assert_readable(&self, idx: usize) {
+        if self.dead == Some(idx) {
+            panic!("shard {idx}'s worker died; the engine is unavailable");
+        }
+        assert!(!self.shards.is_empty(), "shard {idx}: {AWAY_SERVING}");
+    }
+
+    /// Read access to one shard's tree, which lives on the store outside
+    /// a serving session (experiments and introspection).
     ///
     /// # Panics
-    /// Panics if the shard's worker panicked and took the tree with it
-    /// (the engine is dead; see [`MissionError`]), or while the store is
-    /// serving.
+    /// Panics if something panicked inside the shard and left its tree
+    /// half-changed (the engine is dead; see [`MissionError`]), or while
+    /// the store is serving.
     pub fn shard(&self, idx: usize) -> &FlsmTree {
-        self.shards[idx]
-            .as_ref()
-            .unwrap_or_else(|| panic!("shard {idx}'s worker died; the engine is unavailable"))
+        self.assert_readable(idx);
+        &self.shards[idx]
     }
 
     /// Mutable counterpart of [`ShardedRusKey::shard`] (test harnesses
     /// arm WAL crash points through this).
     pub fn shard_mut(&mut self, idx: usize) -> &mut FlsmTree {
-        self.shards[idx]
-            .as_mut()
-            .unwrap_or_else(|| panic!("shard {idx}'s worker died; the engine is unavailable"))
+        self.assert_readable(idx);
+        &mut self.shards[idx]
     }
 
     /// True if any shard's WAL *or manifest* simulated a process crash
     /// (fault injection): the store is dead and the harness should
-    /// recover from the logs.
+    /// recover from the logs. A fenced shard's tree is not asked.
+    ///
+    /// # Panics
+    /// Panics while the store is serving.
     pub fn crashed(&self) -> bool {
-        self.shards.iter().flatten().any(FlsmTree::crashed)
+        assert!(!self.shards.is_empty(), "{AWAY_SERVING}");
+        let mut live = (0..self.shards.len()).filter(|&i| self.dead != Some(i));
+        live.any(|i| self.shards[i].crashed())
     }
 
-    /// Test hook (`tests/pool_stress.rs`): makes the given shard's worker
-    /// panic on its next job, simulating an engine bug on a pool thread.
-    /// The next dispatch observes the death as a clean [`MissionError`]
-    /// instead of a hang. A production store never calls this.
+    /// Test hook (`tests/pool_stress.rs`): makes the given shard's next
+    /// lane panic, simulating an engine bug inside a mission. The next
+    /// mission or barrier reports the death as a clean [`MissionError`]
+    /// instead of unwinding or hanging. A production store never calls
+    /// this.
     #[doc(hidden)]
     pub fn inject_worker_panic(&mut self, shard: usize) {
-        // Best-effort: if the worker is already gone the send fails,
-        // which is the state the hook wanted anyway.
-        let _ = self.pool.send(shard, Job::Panic);
+        self.doomed = Some(shard);
     }
 
-    /// Fails fast on an engine already known dead, or a listed shard
-    /// whose tree is not home — before anything is enqueued or handed out.
-    fn check_home(&self, mut shards: Range<usize>) -> Result<(), MissionError> {
-        let away = shards.find(|&i| self.shards[i].is_none());
-        match self.dead_worker.or(away) {
+    /// Fails fast — before anything touches a tree or any other state —
+    /// on an engine with a fenced shard, or one whose trees are away
+    /// serving (reported as shard 0).
+    fn check_alive(&self) -> Result<(), MissionError> {
+        match self.dead.or(self.shards.is_empty().then_some(0)) {
             Some(shard) => Err(MissionError::WorkerUnavailable { shard }),
             None => Ok(()),
         }
     }
 
-    /// The one way the store talks to the pool: ships one batch per
-    /// listed shard — `ops_for(shard)` through `door` — and collects the
-    /// outcomes, in shard order.
+    /// The one way a mission or barrier reaches the trees: runs one lane
+    /// per shard — `lanes[i]` through `exec::run_batch` on shard `i`'s
+    /// tree, ending in a boundary grant iff `boundary` and always in the
+    /// shard's commit leg — and returns the legs in shard order.
     ///
-    /// **Ship** sends each shard's tree to its worker with its batch. It
-    /// fails fast ([`Self::check_home`]), so only the ship that
-    /// *discovers* a death executes partially: a worker whose queue is
-    /// gone hands its tree straight back and is recorded as `unsent`,
-    /// while the shards already shipped still run.
-    ///
-    /// **Collect** waits for every shipped job, restores the returned
-    /// trees to their slots, and classifies what went wrong — the single
-    /// synchronization point of the engine. A worker that was gone at
-    /// ship time is [`MissionError::WorkerUnavailable`]; a reply that
-    /// never comes (its worker panicked, taking the tree with it) is
-    /// [`MissionError::WorkerPanicked`]; either marks the engine dead. A
-    /// failed commit leg is [`MissionError::Wal`] (lowest failing shard),
-    /// with every tree home.
-    fn run_batches(
+    /// Lanes `1..N` are spawned on scoped threads, lane 0 runs on the
+    /// caller's thread beside them, and the scope joins them: the single
+    /// synchronization point of the engine. A lane's panic is caught
+    /// where it ran — by the join, or on the caller for lane 0 — so the
+    /// siblings of a lane that dies run to the end; the lowest such shard
+    /// is fenced and reported as
+    /// [`MissionError::WorkerPanicked`]. A failed commit leg is
+    /// [`MissionError::Wal`] (lowest failing shard) on a live engine.
+    fn run_lanes(
         &mut self,
-        shards: Range<usize>,
-        door: Door,
-        mut ops_for: impl FnMut(usize) -> Vec<Operation>,
-    ) -> Result<Vec<Outcome>, MissionError> {
-        self.check_home(shards.clone())?;
-        let (reply, replies) = mpsc::channel();
-        let (mut shipped, mut unsent) = (0, None);
-        for i in shards {
-            let tree = self.shards[i].take().expect("checked home above");
-            let job = Job::Run {
-                tree,
-                ops: ops_for(i),
-                door,
-                reply: reply.clone(),
-            };
-            match self.pool.send(i, job) {
-                Ok(()) => shipped += 1,
-                Err(job) => {
-                    if let Job::Run { tree, .. } = *job {
-                        self.shards[i] = Some(tree);
-                    }
-                    unsent.get_or_insert(i);
+        lanes: Vec<Vec<Operation>>,
+        boundary: bool,
+    ) -> Result<Vec<CommitLeg>, MissionError> {
+        self.check_alive()?;
+        let doomed = self.doomed.take();
+        let mut work = self
+            .shards
+            .iter_mut()
+            .zip(lanes)
+            .enumerate()
+            .map(|(shard, (tree, ops))| {
+                move || {
+                    assert!(doomed != Some(shard), "injected lane panic (test hook)");
+                    (thread::current().id(), run_batch(tree, ops, boundary))
                 }
-            }
-        }
-        // Cannot hang: with this one gone every reply sender lives inside
-        // a shipped job, and a worker either sends it or drops it by
-        // panicking — in which case the channel closes once the
-        // remaining workers finish.
-        drop(reply);
-        let mut dones: Vec<Done> = replies.iter().take(shipped).collect();
-        dones.sort_by_key(|d| d.shard);
-        let mut workers = Vec::with_capacity(dones.len());
-        let mut outcomes = Vec::with_capacity(dones.len());
+            });
+        let first = work.next().expect("a store has at least one shard");
+        // Per lane: the thread that ran it and its commit leg, or the
+        // payload of the panic that ended it.
+        let results: Vec<_> = thread::scope(|s| {
+            let spawned: Vec<_> = work.map(|lane| s.spawn(lane)).collect();
+            let first = catch_unwind(AssertUnwindSafe(first));
+            let joined = spawned.into_iter().map(|lane| lane.join());
+            std::iter::once(first).chain(joined).collect()
+        });
+        let mut workers = Vec::with_capacity(results.len());
+        let mut legs = Vec::with_capacity(results.len());
         let mut wal_failure = None;
-        for mut done in dones {
-            self.shards[done.shard] = Some(done.tree);
-            workers.push(done.worker);
-            if let Some(error) = done.outcome.commit.error.take() {
-                let shard = done.shard;
+        for (shard, result) in results.into_iter().enumerate() {
+            let Ok((worker, mut leg)) = result else {
+                self.dead.get_or_insert(shard);
+                continue;
+            };
+            if let Some(error) = leg.error.take() {
                 wal_failure.get_or_insert(MissionError::Wal { shard, error });
             }
-            outcomes.push(done.outcome);
+            workers.push(worker);
+            legs.push(leg);
         }
-        if let Some(shard) = unsent {
-            self.dead_worker = Some(shard);
-            return Err(MissionError::WorkerUnavailable { shard });
-        }
-        if outcomes.len() < shipped {
-            let shard = self
-                .shards
-                .iter()
-                .position(Option::is_none)
-                .expect("a missing reply leaves its tree unreturned");
-            self.dead_worker = Some(shard);
+        if let Some(shard) = self.dead {
             return Err(MissionError::WorkerPanicked { shard });
         }
-        // Every shard replied: the worker introspection is current even
-        // if a commit leg failed.
-        if workers.len() == self.shards.len() {
-            self.last_workers = workers;
-        }
-        wal_failure.map_or(Ok(outcomes), Err)
+        self.last_workers = workers;
+        wal_failure.map_or(Ok(legs), Err)
     }
 
-    /// The overlapped cross-shard group-commit barrier: every shard's
-    /// worker syncs its WAL at most once, concurrently with its siblings,
+    /// The overlapped cross-shard group-commit barrier: every shard
+    /// syncs its WAL at most once, concurrently with its siblings,
     /// acknowledging every record logged since the previous barrier —
     /// one fsync per shard per batch instead of one per record. Shards
     /// with nothing unacknowledged skip their fsync; a shard whose WAL
@@ -1142,9 +1019,8 @@ impl ShardedRusKey {
 
     /// Fallible form of [`ShardedRusKey::group_commit`].
     pub fn try_group_commit(&mut self) -> Result<CommitStats, MissionError> {
-        let n = self.shards.len();
-        let outcomes = self.run_batches(0..n, Door::Commit, |_| Vec::new())?;
-        Ok(commit_stats(&outcomes))
+        let legs = self.run_lanes(vec![Vec::new(); self.shard_count()], false)?;
+        Ok(commit_stats(&legs))
     }
 
     /// The store's tuning strategy.
@@ -1187,16 +1063,17 @@ impl ShardedRusKey {
         self.last_report.as_ref()
     }
 
-    /// Distinct OS worker threads used by the last pool dispatch (one per
-    /// shard: `N` for an `N`-shard store, 1 when it has a single shard).
+    /// Distinct OS threads that ran the last mission's or barrier's lanes
+    /// (one per shard: the caller plus `N − 1` scoped threads).
     pub fn last_parallelism(&self) -> usize {
         self.last_workers.iter().collect::<HashSet<_>>().len()
     }
 
-    /// The OS thread that served each shard in the last pool dispatch, in
-    /// shard order (empty before the first mission). The pool is
-    /// persistent, so consecutive missions report identical IDs —
-    /// `tests/pool_stress.rs` pins this.
+    /// The OS thread that ran each shard's lane in the last mission or
+    /// barrier, in shard order (empty before the first). Entry 0 is the
+    /// thread that called it; the others lived only as long as the
+    /// dispatch — `tests/pool_stress.rs` pins both. Ad-hoc operations run
+    /// on their caller and leave this alone.
     pub fn last_worker_threads(&self) -> &[ThreadId] {
         &self.last_workers
     }
@@ -1212,7 +1089,7 @@ impl ShardedRusKey {
     /// One statistics snapshot per shard, in shard order — each covering
     /// exactly that shard's time domain.
     pub fn shard_snapshots(&self) -> Vec<TreeStatsSnapshot> {
-        (0..self.shards.len())
+        (0..self.shard_count())
             .map(|i| self.shard(i).stats())
             .collect()
     }
@@ -1224,70 +1101,69 @@ impl ShardedRusKey {
     /// The shard owning `key`, noting the access in the balancer's sketch
     /// (if balancing is armed).
     fn route_point(&mut self, key: &[u8]) -> usize {
-        let shard = self.routes.shard_for(key, self.shards.len());
+        let shard = self.routes.shard_for(key, self.shard_count());
         if let Some(bal) = &mut self.balancer {
             bal.sketch.record(key, shard);
         }
         shard
     }
 
-    /// Runs one ad-hoc operation on each of `shards`, on the shards' own
-    /// workers: a batch of one per shard that keeps its result and leaves
-    /// durability to the next barrier. Worker death keeps the semantics
-    /// the plain interface always had: a panic with the shard named, and
-    /// a permanently dead engine.
-    fn adhoc(&mut self, shards: Range<usize>, op: &Operation, boundary: bool) -> Vec<OpResult> {
-        self.run_batches(shards, Door::Adhoc { boundary }, |_| vec![op.clone()])
-            .unwrap_or_else(|e| panic!("ad-hoc operation failed: {e}"))
-            .into_iter()
-            .map(|mut outcome| outcome.results.pop().expect("a kept batch of one"))
-            .collect()
-    }
-
-    /// One ad-hoc point operation on `key`'s owning shard. Every
+    /// One ad-hoc operation on one shard, on the caller's thread: the
+    /// result comes home and durability waits for the next barrier. Every
     /// [`ADHOC_BOUNDARY_OPS`]-th write per shard is a boundary, so an
     /// ad-hoc write burst pays down its deferred work — and sees the
     /// backpressure and `stall_ns` attribution — exactly as a mission's
     /// writes would.
-    fn adhoc_point(&mut self, shard: usize, op: Operation) -> OpResult {
+    ///
+    /// # Panics
+    /// A dead engine keeps the semantics the plain interface always had:
+    /// a panic with the fenced shard named. So does a store that is
+    /// serving.
+    fn adhoc(&mut self, shard: usize, op: Operation) -> OpResult {
+        // A dead engine refuses every shard, not only the fenced one.
+        self.assert_readable(self.dead.unwrap_or(shard));
         let boundary = op.is_write() && {
             self.adhoc_writes[shard] += 1;
             self.adhoc_writes[shard].is_multiple_of(ADHOC_BOUNDARY_OPS)
         };
-        let mut results = self.adhoc(shard..shard + 1, &op, boundary);
-        results.pop().expect("one shard, one result")
+        let tree = &mut self.shards[shard];
+        let result = execute(tree, op);
+        if boundary {
+            tree.maintain_boundary();
+        }
+        result
     }
 
-    /// Point lookup, routed to the owning shard's worker.
+    /// Point lookup on the owning shard.
     pub fn get(&mut self, key: &[u8]) -> Option<Bytes> {
         let shard = self.route_point(key);
         let key = Bytes::copy_from_slice(key);
-        self.adhoc_point(shard, Operation::Get { key }).value()
+        self.adhoc(shard, Operation::Get { key }).value()
     }
 
-    /// Insert or overwrite, routed to the owning shard's worker (which
-    /// interleaves boundary maintenance exactly as mission lanes do —
-    /// an ad-hoc write burst gets the same L0 backpressure and
-    /// `stall_ns` attribution a mission would).
+    /// Insert or overwrite on the owning shard (which interleaves
+    /// boundary maintenance exactly as mission lanes do — an ad-hoc write
+    /// burst gets the same L0 backpressure and `stall_ns` attribution a
+    /// mission would).
     pub fn put(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) {
         let (key, value) = (key.into(), value.into());
         let shard = self.route_point(&key);
-        self.adhoc_point(shard, Operation::Put { key, value });
+        self.adhoc(shard, Operation::Put { key, value });
     }
 
-    /// Delete, routed to the owning shard's worker (same maintenance
-    /// interleaving as [`ShardedRusKey::put`]).
+    /// Delete on the owning shard (same maintenance interleaving as
+    /// [`ShardedRusKey::put`]).
     pub fn delete(&mut self, key: impl Into<Bytes>) {
         let key = key.into();
         let shard = self.route_point(&key);
-        self.adhoc_point(shard, Operation::Delete { key });
+        self.adhoc(shard, Operation::Delete { key });
     }
 
     /// Range scan over `[start, end)` with a result limit: every shard
-    /// scans its partition *on its own worker* — in parallel, each leg
-    /// charged to its shard's time domain exactly as on the mission
-    /// path — and the per-shard results (sorted, disjoint) are k-way
-    /// merged into one globally sorted result.
+    /// scans its partition in turn — each leg charged to its shard's time
+    /// domain exactly as on the mission path — and the per-shard results
+    /// (sorted, disjoint) are k-way merged into one globally sorted
+    /// result.
     pub fn scan(&mut self, start: &[u8], end: &[u8], limit: usize) -> Vec<(Bytes, Bytes)> {
         self.adhoc_scans += 1;
         let op = Operation::Scan {
@@ -1295,8 +1171,10 @@ impl ShardedRusKey {
             end: Bytes::copy_from_slice(end),
             limit,
         };
-        let legs = self.adhoc(0..self.shards.len(), &op, false);
-        merge_sorted_scans(legs.into_iter().map(OpResult::rows).collect(), limit)
+        let legs = (0..self.shard_count())
+            .map(|shard| self.adhoc(shard, op.clone()).rows())
+            .collect();
+        merge_sorted_scans(legs, limit)
     }
 
     // ------------------------------------------------------------------
@@ -1311,16 +1189,15 @@ impl ShardedRusKey {
     /// threads as you like — each runs its requests on its own thread,
     /// writes share fsyncs across clients through a per-shard group
     /// commit, the token bucket gates admission, and the live metrics
-    /// registry tracks it all (see [`crate::frontend`]). The worker pool
-    /// idles for the length of the session.
+    /// registry tracks it all (see [`crate::frontend`]).
     ///
     /// While serving, the store itself has no trees: missions, ad-hoc
     /// ops, and introspection must wait until `finish_serving` brings
     /// them home. Dropping the frontend without finishing drops the trees
     /// and leaves the engine permanently unavailable.
     pub fn serve(&mut self, cfg: ServingConfig) -> Result<ServingFrontend, MissionError> {
-        self.check_home(0..self.shards.len())?;
-        let trees = self.shards.iter_mut().flat_map(Option::take).collect();
+        self.check_alive()?;
+        let trees = std::mem::take(&mut self.shards);
         Ok(ServingFrontend::new(&cfg, trees, self.routes.clone()))
     }
 
@@ -1335,16 +1212,15 @@ impl ShardedRusKey {
     /// A shard that died serving (mid-serve crash injection, WAL failure)
     /// just returns its tree — the snapshot and
     /// [`ShardedRusKey::crashed`] tell the caller what happened. A shard
-    /// a *client panicked inside* returns nothing (its tree was left
+    /// a *client panicked inside* comes home fenced (its tree was left
     /// half-changed), and the engine is dead:
     /// [`MissionError::WorkerPanicked`], with every sibling's tree home.
     pub fn finish_serving(
         &mut self,
         frontend: ServingFrontend,
     ) -> Result<MetricsSnapshot, MissionError> {
-        self.shards = frontend.take_trees();
-        if let Some(shard) = self.shards.iter().position(Option::is_none) {
-            self.dead_worker = Some(shard);
+        (self.shards, self.dead) = frontend.take_trees();
+        if let Some(shard) = self.dead {
             return Err(MissionError::WorkerPanicked { shard });
         }
         let snapshot = frontend.metrics();
@@ -1361,7 +1237,7 @@ impl ShardedRusKey {
     /// shards) and resets the statistics baseline so mission reports
     /// exclude the load.
     pub fn bulk_load(&mut self, pairs: Vec<(Bytes, Bytes)>) {
-        let n = self.shards.len();
+        let n = self.shard_count();
         let mut per_shard: Vec<Vec<(Bytes, Bytes)>> = vec![Vec::new(); n];
         for (k, v) in pairs {
             per_shard[self.routes.shard_for(&k, n)].push((k, v));
@@ -1388,7 +1264,7 @@ impl ShardedRusKey {
     /// For a one-shard store this equals
     /// [`RusKey::observe`](crate::db::RusKey::observe).
     pub fn observe(&self) -> TreeObservation {
-        let shards: Vec<TreeObservation> = (0..self.shards.len())
+        let shards: Vec<TreeObservation> = (0..self.shard_count())
             .map(|i| self.observe_shard(i))
             .collect();
         let level_count = shards.iter().map(|o| o.level_count).max().unwrap_or(0);
@@ -1432,33 +1308,36 @@ impl ShardedRusKey {
     /// Every shard's true per-level policies, in shard order — exact
     /// even when per-shard tuners have diverged.
     pub fn shard_policies(&self) -> Vec<Vec<u32>> {
-        (0..self.shards.len())
+        (0..self.shard_count())
             .map(|i| self.shard(i).policies())
             .collect()
     }
 
     /// Processes one mission: routes the operations into per-shard lanes,
-    /// dispatches them onto the persistent worker pool (every shard
-    /// count, `N = 1` included, runs the same code path), lets each
-    /// worker run its shard's group-commit leg as soon as its lane
-    /// finishes (overlapped fsyncs), builds the aggregated mission
-    /// report, lets the global tuner act, and fans its policy changes out
-    /// to every shard.
+    /// runs them in parallel — lane 0 on this thread, the others on
+    /// scoped threads; every shard count, `N = 1` included, runs the same
+    /// code path — with each lane running its shard's group-commit leg as
+    /// soon as its operations finish (overlapped fsyncs), builds the
+    /// aggregated mission report, lets the global tuner act, and fans its
+    /// policy changes out to every shard.
     ///
     /// # Panics
-    /// Panics on [`MissionError`] (a dead worker or a WAL I/O failure);
+    /// Panics on [`MissionError`] (a dead engine or a WAL I/O failure);
     /// use [`ShardedRusKey::try_run_mission`] for fallible operation.
     pub fn run_mission(&mut self, ops: &[Operation]) -> MissionReport {
         self.try_run_mission(ops)
             .unwrap_or_else(|e| panic!("mission failed: {e}"))
     }
 
-    /// Fallible form of [`ShardedRusKey::run_mission`]: worker panics and
+    /// Fallible form of [`ShardedRusKey::run_mission`]: lane panics and
     /// WAL I/O failures surface as [`MissionError`] instead of a panic
     /// (and never as a hang).
     pub fn try_run_mission(&mut self, ops: &[Operation]) -> Result<MissionReport, MissionError> {
         let t0 = Instant::now();
-        let n = self.shards.len();
+        // A dead engine changes no state on a call it refuses — the
+        // balancer's sketch below included.
+        self.check_alive()?;
+        let n = self.shard_count();
         // Logical scan count, taken at routing time: a range scan
         // broadcasts to every shard, so the shards' counters will see it
         // `N` times while the mission contains it once.
@@ -1487,15 +1366,14 @@ impl ShardedRusKey {
                 }
             }
         }
-        let mut lanes = self.routes.partition_ops_owned(ops, n);
-        let lanes = self.run_batches(0..n, Door::Lane, |i| std::mem::take(&mut lanes[i]));
-        let outcomes = match lanes {
-            Ok(outcomes) => outcomes,
+        let lanes = self.routes.partition_ops_owned(ops, n);
+        let legs = match self.run_lanes(lanes, true) {
+            Ok(legs) => legs,
             Err(e) => {
                 // A WAL commit failure leaves the engine alive with every
                 // lane already applied but no report cut for it: rebaseline
                 // so a later mission's report does not double-count this
-                // mission's work. (Worker deaths need no rebaseline — the
+                // mission's work. (A panic needs no rebaseline — the
                 // engine is marked dead and no further report can be
                 // built.)
                 if matches!(e, MissionError::Wal { .. }) {
@@ -1505,10 +1383,10 @@ impl ShardedRusKey {
                 return Err(e);
             }
         };
-        // The commit barrier ran inside the workers, overlapped: the
+        // The commit barrier ran inside the lanes, overlapped: the
         // mission's durability latency is the slowest shard's leg, the
         // total sync work the sum of all legs.
-        let commit = commit_stats(&outcomes);
+        let commit = commit_stats(&legs);
         let process_ns = t0.elapsed().as_nanos() as u64;
         let (mut report, mut slices) = self
             .collector
@@ -1544,7 +1422,7 @@ impl ShardedRusKey {
                     unreachable!("strategy checked above")
                 };
                 crate::db::tune_mission(tuner.as_mut(), &mut report, &obs, |level, k| {
-                    for tree in self.shards.iter_mut().flatten() {
+                    for tree in &mut self.shards {
                         tree.set_policy(level, k);
                     }
                 });
@@ -1565,16 +1443,14 @@ impl ShardedRusKey {
                 };
                 for (i, tuner) in tuners.iter_mut().enumerate() {
                     // A shard's tuner must price *its* fsync, not the
-                    // barrier max (the outcomes are in shard order).
-                    let leg_ns = outcomes[i].commit.ns;
+                    // barrier max (the legs are in shard order).
+                    let leg_ns = legs[i].ns;
                     slices[i].commit_ns = leg_ns;
                     slices[i].commit_busy_ns = leg_ns;
                     if slices[i].ops == 0 {
                         continue;
                     }
-                    let tree = self.shards[i]
-                        .as_mut()
-                        .expect("every tree is home after dispatch");
+                    let tree = &mut self.shards[i];
                     crate::db::tune_mission(tuner.as_mut(), &mut slices[i], &obs[i], |level, k| {
                         tree.set_policy(level, k);
                     });
@@ -1601,7 +1477,7 @@ impl ShardedRusKey {
     /// empty, so mitigation reacts only to load observed *after* this
     /// call.
     pub fn enable_balancing(&mut self, cfg: BalanceConfig) {
-        let n = self.shards.len();
+        let n = self.shard_count();
         self.balancer = Some(Balancer {
             sketch: LoadSketch::new(n, cfg.capacity),
             cfg,
@@ -1651,7 +1527,7 @@ impl ShardedRusKey {
     /// [`ShardedRusKey::recover`]/[`recover_persistent`](ShardedRusKey::recover_persistent)
     /// settle any half-finished pass from the routes file alone.
     fn maybe_rebalance(&mut self) -> Result<(), MissionError> {
-        let n = self.shards.len();
+        let n = self.shard_count();
         let Some(bal) = &self.balancer else {
             return Ok(());
         };
@@ -1730,8 +1606,8 @@ impl ShardedRusKey {
         for key in &moves {
             let key = key.clone();
             let get = Operation::Get { key: key.clone() };
-            if let Some(value) = self.adhoc_point(hot, get).value() {
-                self.adhoc_point(cold, Operation::Put { key, value });
+            if let Some(value) = self.adhoc(hot, get).value() {
+                self.adhoc(cold, Operation::Put { key, value });
             }
         }
         // 3. Copies durable before the originals go away.
@@ -1743,7 +1619,7 @@ impl ShardedRusKey {
             // re-runs the migration idempotently, converging on the
             // same state.
             for key in &moves {
-                self.adhoc_point(cold, Operation::Delete { key: key.clone() });
+                self.adhoc(cold, Operation::Delete { key: key.clone() });
             }
             rollback(self);
             let _ = self.persist_routes();
@@ -1751,7 +1627,7 @@ impl ShardedRusKey {
         }
         // 4. Tombstone the originals; the re-homed copies are durable.
         for key in &moves {
-            self.adhoc_point(hot, Operation::Delete { key: key.clone() });
+            self.adhoc(hot, Operation::Delete { key: key.clone() });
         }
         self.rebalances += 1;
         Ok(())
@@ -1765,7 +1641,7 @@ impl ShardedRusKey {
         let Some(path) = &self.routes_path else {
             return Ok(());
         };
-        let n = self.shards.len();
+        let n = self.shard_count();
         let mut buf = String::new();
         for (key, shard) in self.routes.iter() {
             let source = self
@@ -1806,7 +1682,7 @@ impl ShardedRusKey {
     /// including intermediates of a migration chain whose tombstones
     /// were not yet durable — is scrubbed. Every step is idempotent.
     fn settle_routes(&mut self, entries: Vec<(Bytes, usize, usize)>) -> Result<(), OpenError> {
-        let n = self.shards.len();
+        let n = self.shard_count();
         let mut settled = 0u64;
         for (key, target, source) in entries {
             if target >= n || source >= n {
@@ -1822,7 +1698,7 @@ impl ShardedRusKey {
             }
             let get = |this: &mut Self, shard: usize| {
                 let key = key.clone();
-                this.adhoc_point(shard, Operation::Get { key }).value()
+                this.adhoc(shard, Operation::Get { key }).value()
             };
             let at_target = get(self, target);
             if at_target.is_none() {
@@ -1833,7 +1709,7 @@ impl ShardedRusKey {
                 };
                 if let Some(value) = rescued {
                     let key = key.clone();
-                    self.adhoc_point(target, Operation::Put { key, value });
+                    self.adhoc(target, Operation::Put { key, value });
                     settled += 1;
                 }
             }
@@ -1841,7 +1717,7 @@ impl ShardedRusKey {
             // lives at the target (or the key is simply dead).
             for shard in 0..n {
                 if shard != target && get(self, shard).is_some() {
-                    self.adhoc_point(shard, Operation::Delete { key: key.clone() });
+                    self.adhoc(shard, Operation::Delete { key: key.clone() });
                     settled += 1;
                 }
             }
@@ -1927,12 +1803,11 @@ fn load_routes(path: &Path) -> Result<Vec<(Bytes, usize, usize)>, OpenError> {
 
 /// Folds per-shard commit legs into the barrier composition: latency is
 /// the max (the legs ran concurrently), work the sum.
-fn commit_stats(outcomes: &[Outcome]) -> CommitStats {
-    let legs = || outcomes.iter().map(|o| &o.commit);
+fn commit_stats(legs: &[CommitLeg]) -> CommitStats {
     CommitStats {
-        barrier_ns: legs().map(|leg| leg.ns).max().unwrap_or(0),
-        busy_ns: legs().map(|leg| leg.ns).sum(),
-        syncs: legs().filter(|leg| leg.synced).count() as u64,
+        barrier_ns: legs.iter().map(|leg| leg.ns).max().unwrap_or(0),
+        busy_ns: legs.iter().map(|leg| leg.ns).sum(),
+        syncs: legs.iter().filter(|leg| leg.synced).count() as u64,
     }
 }
 
@@ -2183,6 +2058,53 @@ mod tests {
             .try_run_mission(&g.take_ops(50))
             .expect_err("the engine must stay dead");
         assert!(err2.to_string().contains("shard 1"), "{err2}");
+    }
+
+    /// The store says which of its three states it is in: home, serving
+    /// (reads name the session, not a death), or dead (a refused call
+    /// changes nothing — the balancer's sketch included). The shard count
+    /// is the same in all three.
+    #[test]
+    fn a_store_says_where_its_trees_are() {
+        let panic_of = |read: &dyn Fn()| -> String {
+            let payload = catch_unwind(AssertUnwindSafe(read)).expect_err("must panic");
+            payload.downcast_ref::<String>().expect("formatted").clone()
+        };
+        let mut db = ShardedRusKey::untuned(small_cfg(), 2, disk());
+        db.enable_balancing(BalanceConfig::default());
+        let frontend = db.serve(ServingConfig::default()).expect("serve");
+        assert_eq!(db.shard_count(), 2, "serving");
+        let reads: [&dyn Fn(); 5] = [
+            &|| drop(db.shard(1).stats()),
+            &|| drop(db.stats()),
+            &|| drop(db.observe()),
+            &|| drop(db.policies()),
+            &|| assert!(!db.crashed()),
+        ];
+        for read in reads {
+            let said = panic_of(read);
+            assert!(said.contains("away serving"), "{said}");
+        }
+        assert!(matches!(
+            db.try_run_mission(&[]),
+            Err(MissionError::WorkerUnavailable { shard: 0 })
+        ));
+        db.finish_serving(frontend).expect("finish serving");
+        assert!(!db.crashed(), "home again");
+
+        db.inject_worker_panic(1);
+        assert!(db.try_group_commit().is_err());
+        assert_eq!(db.shard_count(), 2, "dead");
+        assert!(panic_of(&|| drop(db.stats())).contains("shard 1's worker died"));
+        assert_eq!(db.shard(0).stats().lookups, 0, "the sibling stays readable");
+        let key = ruskey_workload::encode_key(1, 16);
+        let gets = vec![Operation::Get { key }; 64];
+        assert!(db.try_run_mission(&gets).is_err());
+        assert_eq!(
+            db.load_imbalance(),
+            0.0,
+            "a refused mission feeds no sketch"
+        );
     }
 
     /// The full-store persistence path at the store level: flushed runs

@@ -67,15 +67,15 @@ pub struct MissionReport {
     /// durable store.
     pub wal_synced: u64,
     /// Barrier latency of the mission's group commit (virtual ns): the
-    /// **max** over the shards' commit legs. The legs run concurrently on
-    /// the persistent shard workers, so the batch waits only for the
+    /// **max** over the shards' commit legs. The legs run concurrently,
+    /// each inside its shard's lane, so the batch waits only for the
     /// slowest shard's fsync.
     pub commit_ns: u64,
     /// Total sync work of the group commit (virtual ns): the **sum** over
     /// the shards' commit legs — what a sequential barrier would have
     /// cost, and the share of `device_busy_ns` durability is responsible
-    /// for. Equals `commit_ns` for a single-shard store; the pool-rewrite
-    /// proptest pins `commit_ns <= commit_busy_ns` for any op mix.
+    /// for. Equals `commit_ns` for a single-shard store; the
+    /// `tests/pool_stress.rs` proptest pins `commit_ns <= commit_busy_ns` for any op mix.
     pub commit_busy_ns: u64,
     /// Lifetime structural edits through the shards' manifests (replayed
     /// at recovery plus committed since; summed over shards). Unlike the

@@ -124,7 +124,8 @@ pub struct LsmConfig {
 }
 
 impl LsmConfig {
-    /// Scaled-down defaults used across the experiments (see DESIGN.md §2).
+    /// Scaled-down defaults used across the experiments: the paper's
+    /// settings ([`LsmConfig::paper_default`]) with a 64 KiB buffer.
     pub fn scaled_default() -> Self {
         Self {
             buffer_bytes: 64 * 1024,

@@ -481,8 +481,8 @@ impl FlsmTree {
     /// storage time domain: returns whether a sync was issued and the
     /// virtual ns the commit leg added to the domain. This is the entry
     /// point the engine's commit barriers call — from the mission thread
-    /// for a single tree, or from a persistent shard worker whose legs
-    /// run concurrently with its siblings' (the per-domain clock makes
+    /// for a single tree, or from a sharded mission's lane, whose leg
+    /// runs concurrently with its siblings' (the per-domain clock makes
     /// the reading exact either way).
     pub fn commit_wal_timed(&mut self) -> std::io::Result<(bool, u64)> {
         let before = self.storage.clock().now_ns();
@@ -1562,8 +1562,8 @@ mod tests {
         Bytes::from(format!("value-{i:08}"))
     }
 
-    /// Shards execute missions on worker threads, so the tree (and
-    /// everything it owns) must stay `Send`. Compile-time assertion.
+    /// A sharded mission lends each tree to a scoped thread, so the tree
+    /// (and everything it owns) must stay `Send`. Compile-time assertion.
     #[test]
     fn tree_is_send() {
         fn assert_send<T: Send>() {}

@@ -23,8 +23,8 @@
 //! * **group commit** (the sharded store): one [`Wal::sync`] per shard per
 //!   batch at a mission-level commit barrier, so the fsync cost is
 //!   amortized over the whole batch instead of paid per record. The
-//!   per-shard sync legs run *concurrently* on the engine's persistent
-//!   shard workers — the barrier waits for the slowest shard, not the sum
+//!   per-shard sync legs run *concurrently*, each inside its shard's
+//!   mission lane — the barrier waits for the slowest shard, not the sum
 //!   of all shards, and a shard that crashes mid-leg does not stop its
 //!   siblings' fsyncs from completing.
 //!

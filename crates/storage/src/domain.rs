@@ -18,11 +18,12 @@
 //! the domains' clocks, *wall time* of a parallel mission is the max over
 //! the participating domains' deltas.
 //!
-//! A domain belongs to its view, not to any OS thread: the engine's
-//! persistent shard workers charge the same domain from whichever pool
-//! thread currently owns the shard's tree, and the accounting stays exact
-//! because exactly one job holds that tree at a time (clock and metrics
-//! are atomic, so even concurrent charging would only race, not corrupt).
+//! A domain belongs to its view, not to any OS thread: a mission lane, an
+//! ad-hoc call and a served request charge the same domain from whichever
+//! thread currently borrows the shard's tree, and the accounting stays
+//! exact because exactly one of them holds that tree at a time (clock and
+//! metrics are atomic, so even concurrent charging would only race, not
+//! corrupt).
 
 use std::sync::Arc;
 

@@ -61,8 +61,8 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Scaled-down defaults (see DESIGN.md §2): 16-byte keys, 112-byte
-    /// values, uniform keys, balanced mix.
+    /// Scaled-down defaults: 16-byte keys, 112-byte values, uniform keys,
+    /// balanced mix.
     pub fn scaled_default(key_space: u64) -> Self {
         Self {
             key_space,

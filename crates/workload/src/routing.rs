@@ -73,11 +73,11 @@ pub fn partition_ops(ops: &[Operation], shards: usize) -> Vec<Vec<&Operation>> {
     out
 }
 
-/// Owned variant of [`partition_ops`] for executors whose workers outlive
-/// the mission borrow — e.g. a persistent shard worker pool, where lanes
-/// are sent over a channel to long-lived threads. Each operation is cloned
-/// into its lane(s); keys and values are refcounted [`bytes::Bytes`], so
-/// the clone is a pointer bump, not a copy of the payload.
+/// Owned variant of [`partition_ops`] for executors that consume their
+/// lanes (the engine's executor takes operations by value). Each
+/// operation is cloned into its lane(s); keys and values are refcounted
+/// [`bytes::Bytes`], so the clone is a pointer bump, not a copy of the
+/// payload.
 pub fn partition_ops_owned(ops: &[Operation], shards: usize) -> Vec<Vec<Operation>> {
     partition_ops(ops, shards)
         .into_iter()

@@ -10,29 +10,30 @@
 //! The store's engine is sharded for multi-core scaling:
 //! [`ruskey::sharded::ShardedRusKey`] hash-partitions keys onto `N`
 //! independent FLSM-trees ([`lsm`]) that share one storage device
-//! ([`storage`], whose accounting is atomic and `Sync`). Missions execute
-//! in parallel on a **persistent worker pool**: one long-lived OS thread
-//! per shard, spawned when the store is constructed and reused for every
-//! mission (spawn cost is amortized across the store's lifetime, not paid
-//! per mission), with operations routed by the stable FNV-1a hash in
+//! ([`storage`], whose accounting is atomic and `Sync`). A mission
+//! executes as one **lane** per shard, in parallel under
+//! `std::thread::scope`: lane 0 on the caller's thread, lanes `1..N` on
+//! scoped threads that live as long as the mission (a one-shard store
+//! spawns nothing), with operations routed by the stable FNV-1a hash in
 //! [`workload::routing`]; cross-shard range scans are k-way merged.
-//! Trees move between the store and the workers over channels — exactly
-//! one side owns a shard's tree at any instant, so the hot path carries
-//! no locks — and `N = 1` runs through the same pool path as any other
-//! shard count. There is **one way to run an operation**: a job is a
-//! shard's tree, the work to run on it, and the channel that brings it
-//! home, and the work is a batch of [`workload::Operation`]s through one
-//! executor — execute each, grant the maintenance boundary
+//! A shard's tree never leaves the store: the trees sit in a plain `Vec`
+//! and a lane is a `&mut` borrow of one, so the hot path carries no
+//! locks and no channels, a store that is not inside a mission owns no
+//! OS thread, and `N = 1` runs through the same path as any other shard
+//! count. There is **one way to run an operation**: execute each
+//! [`workload::Operation`], grant the maintenance boundary
 //! ([`lsm::FlsmTree::maintain_boundary`]), run the shard's commit leg.
-//! A mission lane, the standalone group commit (the empty batch), an
-//! ad-hoc `get`/`put`/`delete`/`scan` (a batch of one that keeps its
-//! result and leaves the commit to the next barrier), a served batch,
-//! and [`ruskey::db::RusKey::run_mission`] all go through it; the store
-//! ships jobs and collects them through one pair of functions, and every
-//! constructor is a thin call into one private opener. A panicking
-//! worker surfaces as a clean
-//! [`ruskey::sharded::MissionError`] (never a hang); dropping the store
-//! joins every worker. Each shard accounts on its own **time domain** (a
+//! A mission lane, the standalone group commit (empty lanes, no
+//! boundary), an ad-hoc `get`/`put`/`delete`/`scan` (one operation on the
+//! caller's thread that keeps its result and leaves the commit to the
+//! next barrier), a served request, and
+//! [`ruskey::db::RusKey::run_mission`] all make those calls; missions
+//! and barriers share one lane runner, and every constructor is a thin
+//! call into one private opener. A panic inside a lane — the caller's
+//! included — surfaces as a clean [`ruskey::sharded::MissionError`]
+//! (never an unwind, never a hang) and fences the shard, exactly as a
+//! client panicking inside a served shard does: one death protocol.
+//! Each shard accounts on its own **time domain** (a
 //! [`storage::ShardStorage`] view with a private virtual clock), so
 //! per-shard and per-level time attribution is exact under parallelism;
 //! domains compose store-wide into mission wall time (max) and
@@ -46,9 +47,9 @@
 //! used by all paper experiments; `tests/sharded_equivalence.rs` asserts
 //! the two are observationally equivalent, `tests/time_domains.rs`
 //! asserts per-shard accounting exactness at `N ∈ {2, 4}`, and
-//! `tests/pool_stress.rs` pins pool reuse (stable worker threads across
-//! missions), single-threaded-replay determinism, and clean panic
-//! propagation.
+//! `tests/pool_stress.rs` pins the lanes' thread identity (lane 0 is the
+//! caller, `N` distinct threads per mission), single-threaded-replay
+//! determinism, and clean panic propagation from any lane.
 //!
 //! # Durability & recovery: the two-log contract
 //!
@@ -61,7 +62,7 @@
 //!   dominate write cost, so the sharded store runs a **cross-shard group
 //!   commit**: every mission ends with a commit barrier that fsyncs each
 //!   shard's log at most once, with the per-shard legs running
-//!   *concurrently* on the persistent shard workers — the barrier costs
+//!   *concurrently* inside the shards' lanes — the barrier costs
 //!   the slowest shard's fsync, not the sum, and a shard crashing mid-leg
 //!   cannot stop its siblings' batches from committing;
 //! * the **manifest** ([`lsm::Manifest`]) protects the *tree structure*:
@@ -262,13 +263,14 @@
 //! format ([`ruskey::frontend::MetricsSnapshot::render_prometheus`]).
 //!
 //! Ad-hoc operations on the store itself (`get`/`put`/`delete`/`scan`
-//! outside missions and serving sessions) are batches of one on the
-//! same shard workers, so they share the mission path's time-domain
-//! attribution and — the backpressure contract — every 32nd write to a
-//! shard is a maintenance boundary; an ad-hoc write burst in background
-//! mode keeps L0 bounded by `l0_stall_runs` and records its waits as
-//! `stall_ns` (`tests/background_maintenance.rs`), and ad-hoc scans fan
-//! out on the workers with exact per-shard accounting
+//! outside missions and serving sessions) run on the caller's thread,
+//! straight on the owning shard's tree through the same executor, so
+//! they share the mission path's time-domain attribution and — the
+//! backpressure contract — every 32nd write to a shard is a maintenance
+//! boundary; an ad-hoc write burst in background mode keeps L0 bounded
+//! by `l0_stall_runs` and records its waits as `stall_ns`
+//! (`tests/background_maintenance.rs`), and ad-hoc scans visit the
+//! shards in turn with exact per-shard accounting
 //! (`tests/time_domains.rs`). `tests/sharded_equivalence.rs` pins that
 //! the mission, ad-hoc and serving doors leave identical stores.
 //!

@@ -1,26 +1,28 @@
-//! Deterministic concurrency stress suite for the persistent shard
-//! worker pool.
+//! Deterministic concurrency stress suite for the sharded store's
+//! mission lanes.
 //!
-//! The pool rewrite (one long-lived worker per shard, reused across
-//! missions, with the group-commit legs overlapped on the workers) makes
-//! three guarantees that must be *tested*, not assumed from the spawn
-//! structure:
+//! A mission runs one lane per shard under `std::thread::scope` — lane 0
+//! on the caller's thread, lanes `1..N` on scoped threads, the group-commit
+//! legs overlapped inside the lanes — on `&mut` borrows of trees that
+//! never leave the store. That makes three guarantees that must be
+//! *tested*, not assumed from the spawn structure:
 //!
-//! 1. **Pool reuse**: the same OS threads serve every mission — worker
-//!    thread IDs are stable across ≥ 10 consecutive missions at
-//!    `N ∈ {1, 2, 4, 8}`, and `N` distinct threads participate.
-//! 2. **Determinism**: pooled parallel execution is bit-identical to a
+//! 1. **Thread identity**: lane 0 is the caller, every mission and every
+//!    barrier; `N` distinct OS threads participate at `N ∈ {1, 2, 4, 8}`;
+//!    and an ad-hoc operation runs on its caller without a dispatch.
+//! 2. **Determinism**: parallel lane execution is bit-identical to a
 //!    single-threaded replay of each shard's lane (results *and* the
 //!    per-domain virtual-time accounting).
-//! 3. **Clean failure**: a panicking shard worker surfaces as a
-//!    [`MissionError`] on the mission thread — never a hang, never a
-//!    store that limps on with a missing shard.
+//! 3. **Clean failure**: a panic inside a lane — a spawned one or the
+//!    caller's own — surfaces as a [`MissionError`] on the mission thread:
+//!    never an unwind into the caller, never a hang, never a store that
+//!    limps on with a half-changed shard.
 //!
 //! A proptest additionally pins the overlapped-barrier composition
 //! (`commit_ns` = max over concurrent legs ≤ `commit_busy_ns` = their
 //! sum) and that the WAL traffic counters (`wal_appends`, `wal_syncs`)
-//! are invariant under the pool rewrite for any op mix: they must equal
-//! the ground truth derived from routing alone.
+//! do not depend on the executor for any op mix: they must equal the
+//! ground truth derived from routing alone.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -74,45 +76,48 @@ fn mixed_spec(key_space: u64) -> WorkloadSpec {
     })
 }
 
-/// Acceptance: across ≥ 10 consecutive missions the pool serves every
-/// shard from the *same* OS thread (reuse, not respawn), with exactly
-/// `N` distinct worker threads participating, at `N ∈ {1, 2, 4, 8}`.
+/// Acceptance: across ≥ 10 consecutive missions and a standalone barrier,
+/// lane 0 runs on the *calling* thread and the dispatch uses exactly `N`
+/// distinct OS threads, at `N ∈ {1, 2, 4, 8}` — a one-shard store never
+/// leaves its caller — and an ad-hoc `get` is not a dispatch at all.
 #[test]
-fn worker_threads_are_stable_across_missions() {
+fn lane_zero_is_the_caller_and_lanes_are_distinct_threads() {
     const MISSIONS: usize = 12;
+    let me = std::thread::current().id();
     for &n in &[1usize, 2, 4, 8] {
         let mut db = ShardedRusKey::untuned(small_cfg(), n, disk());
         db.bulk_load(bulk_load_pairs(2000, 16, 48, 31));
         let mut g = OpGenerator::new(mixed_spec(2000), 33);
         assert!(
             db.last_worker_threads().is_empty(),
-            "no dispatch yet, no worker IDs"
+            "no dispatch yet, no lane threads"
         );
-        db.run_mission(&g.take_ops(200));
-        let first = db.last_worker_threads().to_vec();
-        assert_eq!(first.len(), n, "{n} shards: one worker per shard");
-        assert_eq!(
-            first.iter().collect::<HashSet<_>>().len(),
-            n,
-            "{n} shards: workers must be distinct OS threads"
-        );
-        for mission in 1..MISSIONS {
-            db.run_mission(&g.take_ops(200));
+        let check = |db: &ShardedRusKey, what: &str| {
+            let lanes = db.last_worker_threads();
+            assert_eq!(lanes.len(), n, "{n} shards, {what}: one lane per shard");
+            assert_eq!(lanes[0], me, "{n} shards, {what}: lane 0 left its caller");
             assert_eq!(
-                db.last_worker_threads(),
-                &first[..],
-                "{n} shards, mission {mission}: worker threads changed — the \
-                 pool respawned instead of reusing its threads"
+                lanes.iter().collect::<HashSet<_>>().len(),
+                n,
+                "{n} shards, {what}: lanes must be distinct OS threads"
             );
-            assert_eq!(db.last_parallelism(), n);
+            assert_eq!(db.last_parallelism(), n, "{n} shards, {what}");
+        };
+        for mission in 0..MISSIONS {
+            db.run_mission(&g.take_ops(200));
+            check(&db, &format!("mission {mission}"));
+            if n == 1 {
+                // An ad-hoc call runs where it is called and reports no
+                // dispatch: the introspection still describes the mission.
+                let before = db.last_worker_threads().to_vec();
+                db.get(&encode_key(mission as u64, 16));
+                assert_eq!(db.last_worker_threads(), &before[..]);
+                assert_eq!(db.last_parallelism(), 1);
+            }
         }
-        // The standalone commit barrier runs on the same workers too.
+        // The standalone commit barrier is the same runner.
         db.group_commit();
-        assert_eq!(
-            db.last_worker_threads(),
-            &first[..],
-            "{n} shards: the commit barrier must reuse the mission workers"
-        );
+        check(&db, "group_commit");
     }
 }
 
@@ -206,6 +211,78 @@ fn worker_panic_surfaces_as_clean_error_not_a_hang() {
         assert!(db.try_run_mission(&g.take_ops(50)).is_err());
         assert!(db.try_group_commit().is_err());
         drop(db); // must join without hanging or double-panicking
+    }
+}
+
+/// Acceptance: lane 0 runs on the mission's caller, and a panic there is
+/// as clean as one on a spawned lane. The caller gets a typed error, not
+/// an unwind; the sibling lane ran to the end and its WAL records are
+/// acknowledged; the fenced shard is never read again while its sibling
+/// stays readable for the post-mortem; and every later door — mission,
+/// barrier, serving session — fails fast naming the shard.
+#[test]
+fn a_panic_on_the_callers_lane_is_a_clean_error_too() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    for &n in &[1usize, 2] {
+        let dir = wal_dir("caller-panic");
+        let dur = DurabilityConfig::group_commit(&dir);
+        let mut db = ShardedRusKey::try_with_tuner_durable(
+            small_cfg(),
+            n,
+            disk(),
+            Box::new(NoOpTuner),
+            &dur,
+        )
+        .expect("open durable store");
+        let puts = |from: u64| -> Vec<Operation> {
+            (from..from + 40)
+                .map(|i| Operation::Put {
+                    key: encode_key(i, 16),
+                    value: bytes::Bytes::from(vec![i as u8; 8]),
+                })
+                .collect()
+        };
+        db.try_run_mission(&puts(0)).expect("healthy store");
+        let acked_before: Vec<u64> = (0..n).map(|i| db.shard(i).stats().wal_synced).collect();
+
+        db.inject_worker_panic(0);
+        let err = db
+            .try_run_mission(&puts(100))
+            .expect_err("a panicked lane must fail the mission");
+        assert!(
+            matches!(err, MissionError::WorkerPanicked { shard: 0 }),
+            "n={n}: {err}"
+        );
+        if n == 2 {
+            let sibling = db.shard(1).stats();
+            assert!(
+                sibling.wal_synced > acked_before[1],
+                "the sibling lane must have run its writes and its commit leg"
+            );
+            assert_eq!(
+                sibling.wal_synced, sibling.wal_appends,
+                "every record the sibling logged is acknowledged"
+            );
+        }
+        let read_dead = catch_unwind(AssertUnwindSafe(|| db.shard(0).stats()));
+        let payload = read_dead.expect_err("a fenced shard's tree is never read again");
+        let said = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(said.contains("shard 0"), "n={n}: {said}");
+
+        let post_mortem = (n == 2).then(|| db.shard(1).stats());
+        let gone = |e: MissionError| matches!(e, MissionError::WorkerUnavailable { shard: 0 });
+        assert!(gone(db.try_run_mission(&puts(200)).expect_err("dead")));
+        assert!(gone(db.try_group_commit().expect_err("dead")));
+        assert!(gone(db.serve(Default::default()).err().expect("dead")));
+        if let Some(before) = post_mortem {
+            assert_eq!(
+                db.shard(1).stats(),
+                before,
+                "a refused call touches no tree"
+            );
+        }
+        drop(db); // nothing to join, nothing to double-panic
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

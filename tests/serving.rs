@@ -14,6 +14,8 @@
 //! * **failure is typed and local** — a handle that outlives its session
 //!   gets `Stopped`; a client that panics inside a shard kills that
 //!   shard only;
+//! * **sessions bracket missions** — a store alternates missions and
+//!   sessions, each hand-over keeping state, statistics and policies;
 //! * **the in-flight gauge** never exceeds the number of clients;
 //! * **admission control** (proptest) — across arbitrary token-bucket
 //!   rates and bursts, a rejection never drops an acknowledged op:
@@ -30,11 +32,11 @@ use proptest::prelude::*;
 use ruskey_repro::lsm::CrashPoint;
 use ruskey_repro::ruskey::db::RusKeyConfig;
 use ruskey_repro::ruskey::sharded::{DurabilityConfig, MissionError, ShardedRusKey};
-use ruskey_repro::ruskey::tuner::NoOpTuner;
+use ruskey_repro::ruskey::tuner::{FixedPolicy, NoOpTuner};
 use ruskey_repro::ruskey::{ServingConfig, ServingError};
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_repro::workload::{
-    bulk_load_pairs, client_scripts, encode_key, OpMix, Operation, WorkloadSpec,
+    bulk_load_pairs, client_scripts, encode_key, OpGenerator, OpMix, Operation, WorkloadSpec,
 };
 
 fn small_cfg() -> RusKeyConfig {
@@ -430,6 +432,112 @@ fn a_client_panic_poisons_only_its_shard() {
         Err(MissionError::WorkerUnavailable { shard: 0 })
     ));
     let _ = std::fs::remove_dir_all(&durability.dir);
+}
+
+/// Applies a script's writes to the model of everything acknowledged.
+fn apply_to_model(model: &mut BTreeMap<Bytes, Bytes>, script: &[Operation]) {
+    for op in script {
+        match op {
+            Operation::Put { key, value } => {
+                model.insert(key.clone(), value.clone());
+            }
+            Operation::Delete { key } => {
+                model.remove(key);
+            }
+            Operation::Get { .. } | Operation::Scan { .. } => {}
+        }
+    }
+}
+
+/// Missions and serving sessions alternate on one durable store: the
+/// trees move into the frontend and come home again three times over, and
+/// every hand-over keeps what it must. A mission's report counts that
+/// mission's operations only (the served work, and the ad-hoc reads
+/// before it, are folded out of the delta); the mission runs — gets
+/// included — on the state the session left; policies and each shard's
+/// lifetime clock only move forward; and the store ends equal to a replay
+/// of everything acknowledged.
+#[test]
+fn sessions_and_missions_alternate_on_one_store() {
+    const SHARDS: usize = 2;
+    const KEY_SPACE: u64 = 1500;
+    let dir = std::env::temp_dir().join(format!("ruskey-serving-alt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durability = DurabilityConfig::group_commit(&dir);
+    // A small buffer, so levels exist for the fixed tuner to set K = 4 on.
+    let mut db = ShardedRusKey::try_with_tuner_durable(
+        small_cfg(),
+        SHARDS,
+        disk(),
+        Box::new(FixedPolicy::new(4)),
+        &durability,
+    )
+    .expect("open durable store");
+    let pairs = bulk_load_pairs(KEY_SPACE, 16, 48, 21);
+    let mut model: BTreeMap<Bytes, Bytes> = pairs.iter().cloned().collect();
+    db.bulk_load(pairs);
+    let matches_model = |db: &mut ShardedRusKey, model: &BTreeMap<Bytes, Bytes>, at: &str| {
+        for i in 0..KEY_SPACE {
+            let key = encode_key(i, 16);
+            assert_eq!(db.get(&key).as_ref(), model.get(&key), "{at}: key {i}");
+        }
+    };
+
+    let mut g = OpGenerator::new(mixed_spec(KEY_SPACE), 23);
+    for round in 0..3u64 {
+        let mission = g.take_ops(300);
+        let report = db.try_run_mission(&mission).expect("mission");
+        assert_eq!(
+            report.ops,
+            mission.len() as u64,
+            "round {round}: the report counts this mission and nothing else"
+        );
+        apply_to_model(&mut model, &mission);
+        // The mission ran on the trees the last session handed back.
+        matches_model(
+            &mut db,
+            &model,
+            &format!("round {round}, after the mission"),
+        );
+        assert!(
+            db.shard_policies().iter().flatten().all(|&k| k == 4),
+            "round {round}: the tuner's policy is in force"
+        );
+
+        let policies = db.shard_policies();
+        let clocks: Vec<u64> = (0..SHARDS).map(|i| db.shard(i).stats().clock_ns).collect();
+        let scripts = client_scripts(&mixed_spec(KEY_SPACE), 2, 150, 29 + round);
+        let frontend = db.serve(ServingConfig::default()).expect("serve");
+        thread::scope(|s| {
+            for script in &scripts {
+                let client = frontend.client();
+                s.spawn(move || drive_script(&client, script));
+            }
+        });
+        let metrics = db.finish_serving(frontend).expect("finish serving");
+        assert_eq!(metrics.requests(), 300, "round {round}");
+        // Disjoint key slices: any interleaving equals the replay.
+        for script in &scripts {
+            apply_to_model(&mut model, script);
+        }
+        assert_eq!(db.shard_policies(), policies, "round {round}: policies");
+        for (i, before) in clocks.iter().enumerate() {
+            let after = db.shard(i).stats().clock_ns;
+            assert!(
+                after > *before,
+                "round {round}: shard {i}'s clock went {before} -> {after} serving"
+            );
+        }
+    }
+    // One more mission after the last session, then the full comparison.
+    let mission = g.take_ops(300);
+    let report = db.try_run_mission(&mission).expect("mission");
+    assert_eq!(report.ops, mission.len() as u64, "after the last session");
+    apply_to_model(&mut model, &mission);
+    matches_model(&mut db, &model, "at the end");
+    let rows = db.scan(&encode_key(0, 16), &[0xff; 17], usize::MAX);
+    assert_eq!(rows, model.into_iter().collect::<Vec<_>>(), "full scan");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The per-shard gauge counts requests inside or waiting for the shard.
