@@ -2,8 +2,6 @@
 //!
 //! Not figures from the paper, but experiments that probe its claims:
 //!
-//! * **DDPG vs DQN** — §5.1.4 argues DDPG is more effective than DQN; we
-//!   swap Lerp's learner and compare convergence and final latency.
 //! * **Block cache** — §1.2 motivates black-box tuning partly because
 //!   caches defeat white-box formulas; we measure how a page cache shifts
 //!   the optimal policy.
@@ -16,10 +14,9 @@
 use std::sync::Arc;
 
 use ruskey::db::{RusKey, RusKeyConfig};
-use ruskey::dqn_lerp::DqnLerp;
 use ruskey::lerp::{Lerp, LerpConfig, PropagationScheme};
 use ruskey::runner::{converged_mean_latency, run_static, ExperimentScale};
-use ruskey::tuner::{FixedPolicy, Tuner};
+use ruskey::tuner::FixedPolicy;
 use ruskey_analysis::cost::{optimal_k_int, CostParams};
 use ruskey_lsm::bloom::fpr_for_bits;
 use ruskey_storage::{BlockCache, CostModel, SimulatedDisk, Storage};
@@ -36,60 +33,6 @@ pub struct AblationRow {
     pub converged_at: Option<usize>,
     /// Final Level-1 policy.
     pub final_k1: u32,
-}
-
-/// DDPG vs DQN as Lerp's inner learner, per workload mix.
-///
-/// RL outcomes are seed-sensitive at this scale, so each learner is run
-/// with several seeds and the row reports the mean tail latency, the
-/// number of converged runs, and the median converged policy.
-pub fn ablation_learner(scale: &ExperimentScale) -> Vec<(String, Vec<AblationRow>)> {
-    const SEEDS: [u64; 3] = [11, 42, 1309];
-    let mixes = [
-        ("read-heavy", OpMix::read_heavy()),
-        ("write-heavy", OpMix::write_heavy()),
-        ("balanced", OpMix::balanced()),
-    ];
-    mixes
-        .iter()
-        .map(|(wl, mix)| {
-            let spec = scale.spec().with_mix(*mix);
-            let mut rows = Vec::new();
-            for learner in ["DDPG (paper)", "DQN"] {
-                let mut latencies = Vec::new();
-                let mut converged_missions = Vec::new();
-                let mut final_ks = Vec::new();
-                for &seed in &SEEDS {
-                    let tuner: Box<dyn Tuner> = match learner {
-                        "DDPG (paper)" => Box::new(Lerp::new(LerpConfig {
-                            seed,
-                            ..LerpConfig::paper_default(PropagationScheme::Uniform)
-                        })),
-                        _ => Box::new(DqnLerp::new(seed)),
-                    };
-                    let records =
-                        run_static(RusKeyConfig::scaled_default(), scale, tuner, spec.clone());
-                    latencies.push(converged_mean_latency(&records, 0.3));
-                    if let Some(m) = records.iter().position(|r| r.converged) {
-                        converged_missions.push(m);
-                    }
-                    final_ks.push(records.last().map_or(1, |r| r.policy_l1));
-                }
-                final_ks.sort_unstable();
-                rows.push(AblationRow {
-                    label: format!(
-                        "{learner} ({}/{} seeds converged)",
-                        converged_missions.len(),
-                        SEEDS.len()
-                    ),
-                    tail_latency_ms: latencies.iter().sum::<f64>() / latencies.len() as f64,
-                    converged_at: converged_missions.iter().min().copied(),
-                    final_k1: final_ks[final_ks.len() / 2],
-                });
-            }
-            (wl.to_string(), rows)
-        })
-        .collect()
 }
 
 /// Effect of an LRU block cache on the read/write trade-off: the same

@@ -309,20 +309,6 @@ fn run_fig13(c: &Ctx) {
 
 fn run_ablations(c: &Ctx) {
     let scale = &c.scale;
-    println!("== Ablation: DDPG vs DQN as Lerp's learner ==");
-    for (workload, rows) in ablation_learner(scale) {
-        println!("  {workload}:");
-        for r in rows {
-            println!(
-                "    {:<14} tail {:.4} ms/op, converged at {:<8} final K(L1)={}",
-                r.label,
-                r.tail_latency_ms,
-                r.converged_at.map_or("never".into(), |m| m.to_string()),
-                r.final_k1
-            );
-        }
-    }
-    println!();
     println!("== Ablation: block cache vs fixed policies (balanced workload) ==");
     for r in ablation_cache(scale) {
         println!("  {:<22} {:.4} ms/op", r.label, r.tail_latency_ms);

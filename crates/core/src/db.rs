@@ -1,17 +1,31 @@
 //! The RusKey store: FLSM-tree + tuner + statistics collector (paper §3).
+//!
+//! [`RusKey`] is a facade over a **one-shard**
+//! [`ShardedRusKey`]: the paper's single-tree loop
+//! (mission → statistics collector → tuner → FLSM transition, Fig. 1) is
+//! the store's one mission loop at `N = 1` — one lane, run on the caller's
+//! thread, one global tuner seat — not a second copy of it. Every method
+//! here forwards; [`RusKey::tree`] is shard 0.
+//!
+//! One consequence for accounting: the tree sits on a
+//! [`ShardStorage`](ruskey_storage::ShardStorage) view of the `storage`
+//! it was opened on. The view's clock is the tree's time domain and
+//! **starts at 0**, while the device underneath keeps the device-busy
+//! total of everything ever run on it — so on a fresh disk
+//! `tree().stats().clock_ns` and the disk's own clock agree, and on a
+//! *reused* disk absolute readings differ by what ran before: compare
+//! deltas, as [`MissionReport`]s do.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
 use ruskey_lsm::{BloomScheme, ConfigError, FlsmTree, LsmConfig, TransitionStrategy};
 use ruskey_storage::Storage;
 use ruskey_workload::Operation;
 
-use crate::exec::run_batch;
 use crate::lerp::{Lerp, LerpConfig, PropagationScheme};
-use crate::sharded::MissionError;
-use crate::stats::{MissionReport, StatsCollector};
+use crate::sharded::{MissionError, ShardedRusKey};
+use crate::stats::MissionReport;
 use crate::tuner::{NoOpTuner, TreeObservation, Tuner};
 
 /// Configuration of a [`RusKey`] instance.
@@ -51,32 +65,10 @@ impl RusKeyConfig {
     }
 }
 
-/// An RL-tuned LSM-tree key-value store.
+/// An RL-tuned LSM-tree key-value store: the paper's single-tree system,
+/// as a one-shard [`ShardedRusKey`].
 pub struct RusKey {
-    tree: FlsmTree,
-    tuner: Box<dyn Tuner>,
-    collector: StatsCollector,
-    last_report: Option<MissionReport>,
-}
-
-/// Lets a tuner act on a finished mission: runs it on the aggregated
-/// report and observation, applies its `(level, K)` changes through
-/// `apply`, and records the model-update time on the report. Shared by
-/// [`RusKey`] (applying to its one tree) and
-/// [`crate::sharded::ShardedRusKey`] (fanning out to every shard) so
-/// tuning bookkeeping cannot diverge between the two.
-pub(crate) fn tune_mission(
-    tuner: &mut dyn Tuner,
-    report: &mut MissionReport,
-    obs: &TreeObservation,
-    mut apply: impl FnMut(usize, u32),
-) {
-    let model_before = tuner.model_update_ns();
-    let changes = tuner.tune(report, obs);
-    for (level, k) in changes {
-        apply(level, k);
-    }
-    report.model_update_ns = tuner.model_update_ns().saturating_sub(model_before);
+    store: ShardedRusKey,
 }
 
 impl RusKey {
@@ -87,12 +79,8 @@ impl RusKey {
         storage: Arc<dyn Storage>,
         tuner: Box<dyn Tuner>,
     ) -> Result<Self, ConfigError> {
-        Ok(Self {
-            tree: FlsmTree::try_new(cfg.lsm, storage)?,
-            tuner,
-            collector: StatsCollector::new(),
-            last_report: None,
-        })
+        let store = ShardedRusKey::try_with_tuner(cfg, 1, storage, tuner)?;
+        Ok(Self { store })
     }
 
     /// Creates a store driven by an arbitrary tuner (fixed baselines,
@@ -125,57 +113,59 @@ impl RusKey {
 
     /// The tuner's display name.
     pub fn tuner_name(&self) -> String {
-        self.tuner.name()
+        self.store.tuner_name()
     }
 
     /// Whether the tuner reports convergence.
     pub fn tuner_converged(&self) -> bool {
-        self.tuner.converged()
+        self.store.tuner_converged()
     }
 
     /// Cumulative model-update time (Fig. 13).
     pub fn model_update_ns(&self) -> u64 {
-        self.tuner.model_update_ns()
+        self.store.model_update_ns()
     }
 
     /// Direct access to the underlying tree.
     pub fn tree(&self) -> &FlsmTree {
-        &self.tree
+        self.store.shard(0)
     }
 
     /// Mutable access to the underlying tree (experiments toggling
     /// transition strategies etc.).
     pub fn tree_mut(&mut self) -> &mut FlsmTree {
-        &mut self.tree
+        self.store.shard_mut(0)
     }
 
     /// The report of the last processed mission.
     pub fn last_report(&self) -> Option<&MissionReport> {
-        self.last_report.as_ref()
+        self.store.last_report()
     }
 
     // ------------------------------------------------------------------
-    // Plain KV interface (outside missions)
+    // Plain KV interface (outside missions): the store's ad-hoc path, so
+    // every 32nd write is a maintenance boundary (a no-op with inline
+    // maintenance).
     // ------------------------------------------------------------------
 
     /// Point lookup.
     pub fn get(&mut self, key: &[u8]) -> Option<Bytes> {
-        self.tree.get(key)
+        self.store.get(key)
     }
 
     /// Insert or overwrite.
     pub fn put(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) {
-        self.tree.put(key, value);
+        self.store.put(key, value);
     }
 
     /// Delete.
     pub fn delete(&mut self, key: impl Into<Bytes>) {
-        self.tree.delete(key);
+        self.store.delete(key);
     }
 
     /// Range scan over `[start, end)` with a result limit.
     pub fn scan(&mut self, start: &[u8], end: &[u8], limit: usize) -> Vec<(Bytes, Bytes)> {
-        self.tree.scan(start, end, limit)
+        self.store.scan(start, end, limit)
     }
 
     // ------------------------------------------------------------------
@@ -185,13 +175,12 @@ impl RusKey {
     /// Bulk-loads the store and resets the statistics baseline so mission
     /// reports exclude the load.
     pub fn bulk_load(&mut self, pairs: Vec<(Bytes, Bytes)>) {
-        self.tree.bulk_load(pairs);
-        self.collector.baseline(self.tree.stats());
+        self.store.bulk_load(pairs);
     }
 
     /// Snapshot of the tree structure for tuners.
     pub fn observe(&self) -> TreeObservation {
-        TreeObservation::of(&self.tree)
+        self.store.observe()
     }
 
     /// Processes one mission: executes the operations, builds the mission
@@ -202,41 +191,17 @@ impl RusKey {
     /// Panics on [`MissionError`] (a WAL I/O failure); use
     /// [`RusKey::try_run_mission`] for fallible operation.
     pub fn run_mission(&mut self, ops: &[Operation]) -> MissionReport {
-        self.try_run_mission(ops)
-            .unwrap_or_else(|e| panic!("mission failed: {e}"))
+        self.store.run_mission(ops)
     }
 
     /// Fallible form of [`RusKey::run_mission`]: a WAL I/O failure in the
-    /// mission-boundary commit surfaces as [`MissionError::Wal`] (shard 0)
-    /// instead of a panic. The mission's operations were applied but are
-    /// not acknowledged, and no report is cut for them.
+    /// mission-boundary commit (with a WAL attached via
+    /// [`FlsmTree::attach_wal`], the mission's one fsync) surfaces as
+    /// [`MissionError::Wal`] (shard 0) instead of a panic. The mission's
+    /// operations were applied but are not acknowledged, and no report is
+    /// cut for them.
     pub fn try_run_mission(&mut self, ops: &[Operation]) -> Result<MissionReport, MissionError> {
-        let t0 = Instant::now();
-        // The same path a sharded mission runs for each lane (`crate::exec`):
-        // operations, boundary grant, one commit leg. With a WAL attached
-        // (via [`FlsmTree::attach_wal`]) that leg acknowledges the batch
-        // with a single fsync; with one tree the barrier's latency and its
-        // total sync work are the same value.
-        let commit = run_batch(&mut self.tree, ops.iter().cloned(), true);
-        if let Some(error) = commit.error {
-            // Rebaseline so a later mission's report does not count this
-            // mission's work twice.
-            self.collector.baseline(self.tree.stats());
-            return Err(MissionError::Wal { shard: 0, error });
-        }
-        let process_ns = t0.elapsed().as_nanos() as u64;
-        let mut report = self.collector.report_mission(self.tree.stats(), process_ns);
-        report.commit_ns = commit.ns;
-        report.commit_busy_ns = commit.ns;
-
-        let obs = self.observe();
-        tune_mission(self.tuner.as_mut(), &mut report, &obs, |level, k| {
-            self.tree.set_policy(level, k)
-        });
-        report.policies_after = self.tree.policies();
-        report.shard_policies_after = vec![self.tree.policies()];
-        self.last_report = Some(report.clone());
-        Ok(report)
+        self.store.try_run_mission(ops)
     }
 }
 

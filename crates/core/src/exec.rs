@@ -1,9 +1,10 @@
 //! The one way an operation runs against a shard's tree.
 //!
 //! Every door into a tree — a mission lane, the standalone group-commit
-//! barrier, an ad-hoc `get`/`put`/`delete`/`scan`, a served request, and
-//! [`RusKey::run_mission`](crate::db::RusKey::run_mission) — is the same
-//! three calls in the same order:
+//! barrier, an ad-hoc `get`/`put`/`delete`/`scan`, a served request — is
+//! the same three calls in the same order ([`RusKey`](crate::db::RusKey)
+//! has no door of its own: it is a one-shard store, so its missions are
+//! lanes and its plain calls are ad-hoc ops):
 //!
 //! 1. [`execute`] each [`Operation`] (the only place that maps an
 //!    operation kind onto `FlsmTree::{get, put, delete, scan}`);
@@ -15,11 +16,11 @@
 //!
 //! Which of the three a caller takes depends only on what it is:
 //!
-//! | door                   | operations | boundary grant                        | commit leg                                    |
-//! |------------------------|------------|---------------------------------------|-----------------------------------------------|
-//! | mission lane, `RusKey` | its lane   | yes                                   | yes ([`commit_leg`])                          |
-//! | `group_commit`         | none       | no                                    | yes ([`commit_leg`])                          |
-//! | ad-hoc op, served op   | one        | ad-hoc: every 32nd write; served: yes | ad-hoc: no; served: iff a write, halves split |
+//! | door                 | operations | boundary grant                        | commit leg                                    |
+//! |----------------------|------------|---------------------------------------|-----------------------------------------------|
+//! | mission lane         | its lane   | yes                                   | yes ([`commit_leg`])                          |
+//! | `group_commit`       | none       | no                                    | yes ([`commit_leg`])                          |
+//! | ad-hoc op, served op | one        | ad-hoc: every 32nd write; served: yes | ad-hoc: no; served: iff a write, halves split |
 //!
 //! The first two are [`run_batch`], run by the store's lane runner on a
 //! `&mut` borrow of the shard's tree (lane 0 on the mission's caller, the
@@ -29,6 +30,12 @@
 //! lock ([`crate::frontend`]), taking the commit leg in its two halves:
 //! `begin_commit` before the unlock, the fsync — shared with every writer
 //! waiting on the shard — and `finish_commit` after it.
+//!
+//! Operations are **borrowed** all the way down: a lane is a `Vec` of
+//! references into the slice `run_mission` was given (the scoped lane
+//! threads end before that borrow does), a broadcast scan is one operation
+//! every lane points at, and [`execute`] bumps a key's or value's refcount
+//! only where the tree keeps it (a put, a delete).
 
 use bytes::Bytes;
 use ruskey_lsm::FlsmTree;
@@ -65,18 +72,18 @@ impl OpResult {
 }
 
 /// Executes one operation against a tree.
-pub(crate) fn execute(tree: &mut FlsmTree, op: Operation) -> OpResult {
+pub(crate) fn execute(tree: &mut FlsmTree, op: &Operation) -> OpResult {
     match op {
-        Operation::Get { key } => OpResult::Value(tree.get(&key)),
+        Operation::Get { key } => OpResult::Value(tree.get(key)),
         Operation::Put { key, value } => {
-            tree.put(key, value);
+            tree.put(key.clone(), value.clone());
             OpResult::Written
         }
         Operation::Delete { key } => {
-            tree.delete(key);
+            tree.delete(key.clone());
             OpResult::Written
         }
-        Operation::Scan { start, end, limit } => OpResult::Rows(tree.scan(&start, &end, limit)),
+        Operation::Scan { start, end, limit } => OpResult::Rows(tree.scan(start, end, *limit)),
     }
 }
 
@@ -110,9 +117,9 @@ pub(crate) fn commit_leg(tree: &mut FlsmTree) -> CommitLeg {
 /// reads run for their cost, so results are dropped), grant the boundary
 /// if this batch ends in one, run the commit leg. The barrier is the empty
 /// batch without a boundary.
-pub(crate) fn run_batch(
+pub(crate) fn run_batch<'a>(
     tree: &mut FlsmTree,
-    ops: impl IntoIterator<Item = Operation>,
+    ops: impl IntoIterator<Item = &'a Operation>,
     boundary: bool,
 ) -> CommitLeg {
     for op in ops {
@@ -147,13 +154,13 @@ mod tests {
                 key: b(k),
                 value: b(&format!("v-{k}")),
             };
-            assert_eq!(execute(&mut tree, put), OpResult::Written);
+            assert_eq!(execute(&mut tree, &put), OpResult::Written);
         }
-        let get = |tree: &mut FlsmTree, k: &str| execute(tree, Operation::Get { key: b(k) });
+        let get = |tree: &mut FlsmTree, k: &str| execute(tree, &Operation::Get { key: b(k) });
         assert_eq!(get(&mut tree, "b").value(), Some(b("v-b")), "hit");
         assert_eq!(get(&mut tree, "zz"), OpResult::Value(None), "miss");
         assert_eq!(
-            execute(&mut tree, Operation::Delete { key: b("b") }),
+            execute(&mut tree, &Operation::Delete { key: b("b") }),
             OpResult::Written
         );
         assert_eq!(get(&mut tree, "b"), OpResult::Value(None), "tombstoned");
@@ -163,7 +170,7 @@ mod tests {
             limit: 2,
         };
         assert_eq!(
-            execute(&mut tree, scan).rows(),
+            execute(&mut tree, &scan).rows(),
             vec![(b("a"), b("v-a")), (b("c"), b("v-c"))],
             "the limited scan skips the tombstone and stops at two rows"
         );
@@ -188,11 +195,11 @@ mod tests {
             },
             Operation::Delete { key: b("gone") },
         ];
-        let lane = run_batch(&mut tree, ops, true);
+        let lane = run_batch(&mut tree, &ops, true);
         assert!(!lane.synced && lane.error.is_none() && lane.ns == 0);
         let get = Operation::Get { key: b("k") };
-        assert_eq!(execute(&mut tree, get).value(), Some(b("w")));
-        let barrier = run_batch(&mut tree, Vec::new(), false);
+        assert_eq!(execute(&mut tree, &get).value(), Some(b("w")));
+        let barrier = run_batch(&mut tree, [], false);
         assert!(!barrier.synced && barrier.error.is_none());
     }
 }

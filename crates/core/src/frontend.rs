@@ -702,7 +702,7 @@ impl ServingClient {
     /// from before it asks for the lock until it has its answer — the
     /// same thread adds and subtracts, so the gauge never exceeds the
     /// number of clients.
-    fn run(&self, shard: usize, op: Operation) -> Result<OpResult, ServingError> {
+    fn run(&self, shard: usize, op: &Operation) -> Result<OpResult, ServingError> {
         let gauge = &self.shared.metrics.queue_depth[shard];
         gauge.fetch_add(1, RLX);
         let result = self.run_locked(shard, op);
@@ -712,7 +712,7 @@ impl ServingClient {
 
     /// The client path (module docs): lock, execute, boundary grant,
     /// unlock; a write then waits — lock released — for its group commit.
-    fn run_locked(&self, shard: usize, op: Operation) -> Result<OpResult, ServingError> {
+    fn run_locked(&self, shard: usize, op: &Operation) -> Result<OpResult, ServingError> {
         let (slot, m) = (&self.shared.slots[shard], &self.shared.metrics);
         let asked = Instant::now();
         let mut guard = match slot.tree.try_lock() {
@@ -853,7 +853,7 @@ impl ServingClient {
     /// owning shard.
     fn point(&self, shard: usize, op: Operation) -> Result<OpResult, ServingError> {
         self.admit(&op)?;
-        self.run(shard, op)
+        self.run(shard, &op)
     }
 
     /// Point lookup on the owning shard.
@@ -898,7 +898,7 @@ impl ServingClient {
         };
         self.admit(&op)?;
         let per_shard = (0..self.shared.slots.len())
-            .map(|shard| self.run(shard, op.clone()).map(OpResult::rows))
+            .map(|shard| self.run(shard, &op).map(OpResult::rows))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(merge_sorted_scans(per_shard, limit))
     }

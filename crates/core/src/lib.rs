@@ -15,15 +15,23 @@
 //! its tree, lane 0 on the caller's thread and the rest on scoped threads,
 //! operations routed by the stable key hash of
 //! [`ruskey_workload::routing`]; cross-shard range scans are k-way merged.
-//! The trees never leave the store and the store owns no thread. Tuning stays global and works exactly as in
-//! the paper:
+//! The trees never leave the store and the store owns no thread.
 //!
-//! 1. per-shard statistics merge into one store-wide
-//!    [`ruskey_lsm::TreeStatsSnapshot`], from which the [`stats`] collector
-//!    builds the mission's [`MissionReport`];
-//! 2. a single tuner observes the aggregated report and tree structure;
-//! 3. its per-level policy changes fan out to every shard, applied via the
-//!    configured flexible transition (§4).
+//! There is **one mission loop** (paper §3, Fig. 1), in
+//! [`sharded::ShardedRusKey::try_run_mission`]:
+//!
+//! 1. the operations are partitioned into lanes that *borrow* them, and
+//!    the lanes run;
+//! 2. the [`stats`] collector deltas every shard's
+//!    [`ruskey_lsm::TreeStatsSnapshot`] against its own baseline and
+//!    merges the deltas into the mission's [`MissionReport`];
+//! 3. the tuners, sitting in one **seat list**, act — the only place a
+//!    [`tuner::Tuner`] runs. Under the default global strategy the list
+//!    holds one seat: it observes the merged report and tree structure,
+//!    and its per-level policy changes land on every shard, applied via
+//!    the configured flexible transition (§4). Under the per-shard
+//!    strategy every shard has a seat that reads that shard's own slice
+//!    and changes that shard only; with one shard the two coincide.
 //!
 //! Accounting under parallelism is exact: every shard runs on its own
 //! **time domain** (a [`ruskey_storage::ShardStorage`] view with a private
@@ -36,20 +44,23 @@
 //!
 //! Every way into a shard's tree — a mission lane, the group-commit
 //! barrier, an ad-hoc `get`/`put`/`delete`/`scan`, a request served by
-//! the [`frontend`], and [`db::RusKey::run_mission`] — runs the same three
-//! calls in the same order: one executor over
-//! [`ruskey_workload::Operation`], the boundary grant the tree owns
-//! ([`ruskey_lsm::FlsmTree::maintain_boundary`]), and the shard's commit
-//! leg. The doors differ only in how many operations they bring, whether
-//! their end is a boundary, and whether they commit (a served write takes
-//! the commit leg in two halves, around the fsync it shares with the other
-//! clients); all of them run on the thread that asked.
+//! the [`frontend`] — runs the same three calls in the same order: one
+//! executor over a borrowed [`ruskey_workload::Operation`], the boundary
+//! grant the tree owns ([`ruskey_lsm::FlsmTree::maintain_boundary`]), and
+//! the shard's commit leg. The doors differ only in how many operations
+//! they bring, whether their end is a boundary, and whether they commit
+//! (a served write takes the commit leg in two halves, around the fsync
+//! it shares with the other clients); all of them run on the thread that
+//! asked.
 //!
-//! [`db::RusKey`] is the single-tree engine — the `N = 1` case the paper
-//! evaluates — and remains the harness used by all paper experiments. An
-//! `N`-shard store is observationally equivalent to it for the same
-//! operation sequence (same get/scan results; identical mission counters at
-//! `N = 1`), which the integration suite asserts property-style.
+//! [`db::RusKey`] — the single-tree store the paper evaluates and every
+//! paper experiment drives — is a thin facade over a **one-shard**
+//! `ShardedRusKey`: its missions are one-lane missions on the caller's
+//! thread with one global seat, its plain calls are ad-hoc operations.
+//! It is not a second engine, so what the integration suite pins is that
+//! a one-shard store leaves exactly the statistics of the bare
+//! [`ruskey_lsm::FlsmTree`] under it, and that an `N`-shard store returns
+//! the same get/scan results for the same operation sequence.
 //!
 //! Two tuning models matter:
 //!
@@ -82,7 +93,6 @@
 #![warn(missing_docs)]
 
 pub mod db;
-pub mod dqn_lerp;
 mod exec;
 pub mod frontend;
 pub mod lerp;
@@ -93,7 +103,6 @@ pub mod stats;
 pub mod tuner;
 
 pub use db::{RusKey, RusKeyConfig};
-pub use dqn_lerp::DqnLerp;
 pub use frontend::{MetricsSnapshot, ServingClient, ServingConfig, ServingError, ServingFrontend};
 pub use lerp::{Lerp, LerpConfig};
 pub use sharded::{DurabilityConfig, OpenError, ShardedRusKey};

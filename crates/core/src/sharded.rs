@@ -1,28 +1,33 @@
 //! The sharded engine core: hash-partitioned FLSM shards behind one store.
 //!
-//! [`ShardedRusKey`] scales the single-tree [`RusKey`](crate::db::RusKey)
-//! across cores: keys are hash-partitioned onto `N` independent
-//! [`FlsmTree`] shards (each with its own memtable and levels) that share
-//! one storage device, and a mission executes as one **lane** per shard, in
-//! parallel — lane 0 on the caller's thread, the others on scoped threads
-//! that live exactly as long as the mission — with operations routed by
-//! the stable key hash of [`ruskey_workload::routing`]. Cross-shard range
-//! scans are k-way merged back into one sorted result.
+//! [`ShardedRusKey`] is the store — the only place a mission runs. Keys
+//! are hash-partitioned onto `N` independent [`FlsmTree`] shards (each with
+//! its own memtable and levels) that share one storage device, and a
+//! mission executes as one **lane** per shard, in parallel — lane 0 on the
+//! caller's thread, the others on scoped threads that live exactly as long
+//! as the mission — with operations routed by the stable key hash of
+//! [`ruskey_workload::routing`]. Cross-shard range scans are k-way merged
+//! back into one sorted result. The paper's single-tree system,
+//! [`RusKey`](crate::db::RusKey), is this store at `N = 1` behind a
+//! facade — one lane on the caller's thread, one tuner seat — so all paper
+//! experiments run the loop below.
 //!
-//! Tuning runs under a [`TunerStrategy`]. **Global** (the default, the
-//! paper's single-tree loop): per-shard [`TreeStatsSnapshot`]s merge
-//! into one store-wide view, a single [`Tuner`] (Lerp or a baseline)
-//! observes the aggregated [`MissionReport`]/[`TreeObservation`], and
-//! its policy changes fan out to every shard. **Per-shard**
-//! ([`ShardedRusKey::with_per_shard_lerp`]): every shard owns its
-//! own tuner, fed by that shard's *own* reward slice (its time-domain
-//! delta, not an ops-weighted average that lets idle siblings mask a
-//! saturated shard) and its own observation, with policy changes
-//! applied only to the owning shard — so under skew each shard's tree
-//! converges to *its* workload. At `N = 1` the two strategies are
-//! bit-identical (`tests/tuning_equivalence.rs` pins it), and a
-//! one-shard store is behaviourally identical to
-//! [`RusKey`](crate::db::RusKey) — all paper experiments remain valid.
+//! The tuners sit in one **seat list**, walked by one loop after every
+//! mission (`tune_seats`, the only caller of [`Tuner::tune`]); a
+//! [`TunerStrategy`] says how the list is read. **Global** (the default,
+//! the paper's loop): one seat — per-shard [`TreeStatsSnapshot`]s merge
+//! into one store-wide view, the seat's [`Tuner`] (Lerp or a baseline)
+//! observes the aggregated [`MissionReport`]/[`TreeObservation`], and its
+//! policy changes land on every shard. **Per-shard**
+//! ([`ShardedRusKey::with_per_shard_lerp`]): one seat per shard, fed by
+//! that shard's *own* reward slice (its time-domain delta, not an
+//! ops-weighted average that lets idle siblings mask a saturated shard;
+//! slices are built only for a store whose seats read them) and its own
+//! observation, with policy changes landing only on the owning shard — so
+//! under skew each shard's tree converges to *its* workload. With one
+//! shard a slice is the merged report and a shard is every shard, so the
+//! two readings are bit-identical (`tests/tuning_equivalence.rs` pins
+//! it).
 //!
 //! Orthogonally, [`ShardedRusKey::enable_balancing`] arms **hot-shard
 //! mitigation**: a decayed [`LoadSketch`] (per-shard op counters + a
@@ -47,8 +52,11 @@
 //! boundary grant and its commit leg), run by one function, `run_lanes`,
 //! under [`std::thread::scope`] over `shards.iter_mut()`: lanes `1..N` are
 //! spawned first, lane 0 runs on the caller's thread beside them, and the
-//! scope joins them — a one-shard store spawns nothing. Each lane is
-//! `exec::run_batch` on its `&mut FlsmTree` (execute each operation,
+//! scope joins them — a one-shard store spawns nothing. A lane **borrows**
+//! its operations too: one [`RoutingTable`] partition hands each lane a
+//! `Vec` of references into the caller's slice (a broadcast scan is one
+//! operation every lane points at), which the scope makes legal. Each lane
+//! is `exec::run_batch` on its `&mut FlsmTree` (execute each operation,
 //! grant the boundary, run the commit leg), so the per-shard fsyncs
 //! overlap. The group-commit barrier is the same runner with empty lanes
 //! and no boundary. Disjoint `&mut` borrows are the whole protocol:
@@ -166,7 +174,7 @@
 //! ## Opening a store
 //!
 //! Every public constructor is a thin call into one private opener,
-//! `open(cfg, shards, backend, tuning, recover)`, over the three
+//! `open(cfg, shards, backend, seats, recover)`, over the three
 //! backends (volatile: views of one shared device; durable: the same
 //! plus a WAL per shard; persistent: a directory per shard). It
 //! validates once, wipes or checks the previous incarnation, builds each
@@ -453,13 +461,6 @@ pub enum TunerStrategy {
     PerShard,
 }
 
-/// The store's tuner(s), shaped by its [`TunerStrategy`].
-enum Tuning {
-    Global(Box<dyn Tuner>),
-    /// One tuner per shard, in shard order.
-    PerShard(Vec<Box<dyn Tuner>>),
-}
-
 /// Hot-shard mitigation state: the detection sketch plus its knobs.
 struct Balancer {
     cfg: BalanceConfig,
@@ -481,7 +482,12 @@ pub struct ShardedRusKey {
     /// One tree per shard, borrowed by whoever runs an operation. Empty
     /// only while a serving session holds the trees.
     shards: Vec<FlsmTree>,
-    tuning: Tuning,
+    /// How the seats below are read: one global seat, or one per shard.
+    strategy: TunerStrategy,
+    /// The tuner seats, walked by one loop after every mission
+    /// (`tune_seats`): a global store has one, acting on every shard; a
+    /// per-shard store has one per shard, in shard order.
+    seats: Vec<Box<dyn Tuner>>,
     collector: StatsCollector,
     last_report: Option<MissionReport>,
     /// The OS thread that ran each shard's lane in the last mission or
@@ -588,7 +594,7 @@ impl ShardedRusKey {
         cfg: RusKeyConfig,
         shards: usize,
         backend: Backend<'_>,
-        tuning: Tuning,
+        seats: Vec<Box<dyn Tuner>>,
         recover: bool,
     ) -> Result<Self, OpenError> {
         assert!(shards >= 1, "a store needs at least one shard");
@@ -678,7 +684,8 @@ impl ShardedRusKey {
         }
         let mut store = Self {
             shards: trees,
-            tuning,
+            strategy: TunerStrategy::Global,
+            seats,
             collector: StatsCollector::new(),
             last_report: None,
             last_workers: Vec::new(),
@@ -697,7 +704,7 @@ impl ShardedRusKey {
                 let entries = load_routes(routes)?;
                 store.settle_routes(entries)?;
             }
-            store.collector.baseline_shards(store.shard_snapshots());
+            store.rebaseline();
         }
         Ok(store)
     }
@@ -719,7 +726,7 @@ impl ShardedRusKey {
         tuner: Box<dyn Tuner>,
     ) -> Result<Self, ConfigError> {
         let backend = Backend::Volatile(storage);
-        Self::open(cfg, shards, backend, Tuning::Global(tuner), false).map_err(|e| match e {
+        Self::open(cfg, shards, backend, vec![tuner], false).map_err(|e| match e {
             OpenError::Config(e) => e,
             other => unreachable!("a volatile store does no I/O: {other}"),
         })
@@ -750,8 +757,12 @@ impl ShardedRusKey {
             })
             .collect();
         let backend = Backend::Volatile(storage);
-        Self::open(cfg, shards, backend, Tuning::PerShard(tuners), false)
-            .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"))
+        let mut store = Self::open(cfg, shards, backend, tuners, false)
+            .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"));
+        // The only constructor that seats one tuner per shard; every other
+        // one opens with the single global seat `open` assumes.
+        store.strategy = TunerStrategy::PerShard;
+        store
     }
 
     /// Creates a *durable* sharded store: every shard gets its own WAL
@@ -771,7 +782,7 @@ impl ShardedRusKey {
         durability: &DurabilityConfig,
     ) -> Result<Self, OpenError> {
         let backend = Backend::Durable(storage, durability);
-        Self::open(cfg, shards, backend, Tuning::Global(tuner), false)
+        Self::open(cfg, shards, backend, vec![tuner], false)
     }
 
     /// Creates a **fully persistent** sharded store: every shard gets its
@@ -793,7 +804,7 @@ impl ShardedRusKey {
         persistence: &PersistenceConfig,
     ) -> Result<Self, OpenError> {
         let backend = Backend::Persistent(persistence);
-        Self::open(cfg, shards, backend, Tuning::Global(tuner), false)
+        Self::open(cfg, shards, backend, vec![tuner], false)
     }
 
     /// Recovers a fully persistent sharded store after a restart: each
@@ -816,7 +827,7 @@ impl ShardedRusKey {
         persistence: &PersistenceConfig,
     ) -> Result<Self, OpenError> {
         let backend = Backend::Persistent(persistence);
-        Self::open(cfg, shards, backend, Tuning::Global(tuner), true)
+        Self::open(cfg, shards, backend, vec![tuner], true)
     }
 
     /// Recovers a durable sharded store after a crash: each shard's WAL
@@ -836,7 +847,7 @@ impl ShardedRusKey {
         durability: &DurabilityConfig,
     ) -> Result<Self, OpenError> {
         let backend = Backend::Durable(storage, durability);
-        Self::open(cfg, shards, backend, Tuning::Global(tuner), true)
+        Self::open(cfg, shards, backend, vec![tuner], true)
     }
 
     /// Creates a sharded store driven by an arbitrary tuner.
@@ -953,7 +964,7 @@ impl ShardedRusKey {
     /// [`MissionError::Wal`] (lowest failing shard) on a live engine.
     fn run_lanes(
         &mut self,
-        lanes: Vec<Vec<Operation>>,
+        lanes: Vec<Vec<&Operation>>,
         boundary: bool,
     ) -> Result<Vec<CommitLeg>, MissionError> {
         self.check_alive()?;
@@ -1025,37 +1036,29 @@ impl ShardedRusKey {
 
     /// The store's tuning strategy.
     pub fn tuner_strategy(&self) -> TunerStrategy {
-        match &self.tuning {
-            Tuning::Global(_) => TunerStrategy::Global,
-            Tuning::PerShard(_) => TunerStrategy::PerShard,
-        }
+        self.strategy
     }
 
     /// The tuner's display name (per-shard: the first tuner's name with
     /// the shard count, e.g. `per-shard(lerp ×4)`).
     pub fn tuner_name(&self) -> String {
-        match &self.tuning {
-            Tuning::Global(t) => t.name(),
-            Tuning::PerShard(ts) => format!("per-shard({} ×{})", ts[0].name(), ts.len()),
+        let first = self.seats[0].name();
+        match self.strategy {
+            TunerStrategy::Global => first,
+            TunerStrategy::PerShard => format!("per-shard({first} ×{})", self.seats.len()),
         }
     }
 
     /// Whether the tuner reports convergence (per-shard: *every* shard's
     /// tuner has converged).
     pub fn tuner_converged(&self) -> bool {
-        match &self.tuning {
-            Tuning::Global(t) => t.converged(),
-            Tuning::PerShard(ts) => ts.iter().all(|t| t.converged()),
-        }
+        self.seats.iter().all(|t| t.converged())
     }
 
     /// Cumulative model-update time (Fig. 13; per-shard: summed over the
     /// shard tuners).
     pub fn model_update_ns(&self) -> u64 {
-        match &self.tuning {
-            Tuning::Global(t) => t.model_update_ns(),
-            Tuning::PerShard(ts) => ts.iter().map(|t| t.model_update_ns()).sum(),
-        }
+        self.seats.iter().map(|t| t.model_update_ns()).sum()
     }
 
     /// The report of the last processed mission.
@@ -1119,7 +1122,7 @@ impl ShardedRusKey {
     /// A dead engine keeps the semantics the plain interface always had:
     /// a panic with the fenced shard named. So does a store that is
     /// serving.
-    fn adhoc(&mut self, shard: usize, op: Operation) -> OpResult {
+    fn adhoc(&mut self, shard: usize, op: &Operation) -> OpResult {
         // A dead engine refuses every shard, not only the fenced one.
         self.assert_readable(self.dead.unwrap_or(shard));
         let boundary = op.is_write() && {
@@ -1138,7 +1141,7 @@ impl ShardedRusKey {
     pub fn get(&mut self, key: &[u8]) -> Option<Bytes> {
         let shard = self.route_point(key);
         let key = Bytes::copy_from_slice(key);
-        self.adhoc(shard, Operation::Get { key }).value()
+        self.adhoc(shard, &Operation::Get { key }).value()
     }
 
     /// Insert or overwrite on the owning shard (which interleaves
@@ -1148,7 +1151,7 @@ impl ShardedRusKey {
     pub fn put(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) {
         let (key, value) = (key.into(), value.into());
         let shard = self.route_point(&key);
-        self.adhoc(shard, Operation::Put { key, value });
+        self.adhoc(shard, &Operation::Put { key, value });
     }
 
     /// Delete on the owning shard (same maintenance interleaving as
@@ -1156,7 +1159,7 @@ impl ShardedRusKey {
     pub fn delete(&mut self, key: impl Into<Bytes>) {
         let key = key.into();
         let shard = self.route_point(&key);
-        self.adhoc(shard, Operation::Delete { key });
+        self.adhoc(shard, &Operation::Delete { key });
     }
 
     /// Range scan over `[start, end)` with a result limit: every shard
@@ -1172,7 +1175,7 @@ impl ShardedRusKey {
             limit,
         };
         let legs = (0..self.shard_count())
-            .map(|shard| self.adhoc(shard, op.clone()).rows())
+            .map(|shard| self.adhoc(shard, &op).rows())
             .collect();
         merge_sorted_scans(legs, limit)
     }
@@ -1224,8 +1227,7 @@ impl ShardedRusKey {
             return Err(MissionError::WorkerPanicked { shard });
         }
         let snapshot = frontend.metrics();
-        self.collector.baseline_shards(self.shard_snapshots());
-        self.adhoc_scans = 0;
+        self.rebaseline();
         Ok(snapshot)
     }
 
@@ -1233,22 +1235,35 @@ impl ShardedRusKey {
     // Mission-driven operation
     // ------------------------------------------------------------------
 
-    /// Bulk-loads the store (pairs hash-partitioned onto their owning
-    /// shards) and resets the statistics baseline so mission reports
+    /// Folds everything the shards have done so far out of the next
+    /// mission's report (a load, a recovery, a serving session, a mission
+    /// that failed to commit — none of them is a mission).
+    fn rebaseline(&mut self) {
+        self.collector.baseline_shards(self.shard_snapshots());
+        self.adhoc_scans = 0;
+    }
+
+    /// Bulk-loads the store (pairs partitioned onto their owning shards;
+    /// a one-shard store owns every key and hands the load to its tree
+    /// whole) and resets the statistics baseline so mission reports
     /// exclude the load.
     pub fn bulk_load(&mut self, pairs: Vec<(Bytes, Bytes)>) {
         let n = self.shard_count();
-        let mut per_shard: Vec<Vec<(Bytes, Bytes)>> = vec![Vec::new(); n];
-        for (k, v) in pairs {
-            per_shard[self.routes.shard_for(&k, n)].push((k, v));
-        }
+        let per_shard = if n == 1 {
+            vec![pairs]
+        } else {
+            let mut per_shard: Vec<Vec<(Bytes, Bytes)>> = vec![Vec::new(); n];
+            for (k, v) in pairs {
+                per_shard[self.routes.shard_for(&k, n)].push((k, v));
+            }
+            per_shard
+        };
         for (i, shard_pairs) in per_shard.into_iter().enumerate() {
             if !shard_pairs.is_empty() {
                 self.shard_mut(i).bulk_load(shard_pairs);
             }
         }
-        self.collector.baseline_shards(self.shard_snapshots());
-        self.adhoc_scans = 0;
+        self.rebaseline();
     }
 
     /// Store-wide structure snapshot for tuners: per-level fill ratios
@@ -1261,38 +1276,14 @@ impl ShardedRusKey {
     /// `holders[0]`'s policy was silently wrong once per-shard tuning
     /// let policies diverge; the mode is exact whenever shards agree
     /// (the whole global-tuning regime) and representative otherwise.
-    /// For a one-shard store this equals
-    /// [`RusKey::observe`](crate::db::RusKey::observe).
+    /// For a one-shard store this is that shard's own observation.
     pub fn observe(&self) -> TreeObservation {
-        let shards: Vec<TreeObservation> = (0..self.shard_count())
-            .map(|i| self.observe_shard(i))
-            .collect();
-        let level_count = shards.iter().map(|o| o.level_count).max().unwrap_or(0);
-        let mut policies = Vec::with_capacity(level_count);
-        let mut fills = Vec::with_capacity(level_count);
-        let mut run_counts = Vec::with_capacity(level_count);
-        for i in 0..level_count {
-            let holders: Vec<&TreeObservation> =
-                shards.iter().filter(|o| o.level_count > i).collect();
-            let held: Vec<u32> = holders.iter().map(|o| o.policies[i]).collect();
-            policies.push(modal_policy(&held));
-            fills.push(holders.iter().map(|o| o.fills[i]).sum::<f64>() / holders.len() as f64);
-            let mean_runs = holders.iter().map(|o| o.run_counts[i]).sum::<usize>() as f64
-                / holders.len() as f64;
-            run_counts.push(mean_runs.round() as usize);
-        }
-        TreeObservation {
-            policies,
-            fills,
-            run_counts,
-            size_ratio: shards[0].size_ratio,
-            level_count,
-        }
+        let n = self.shard_count();
+        merge_observations((0..n).map(|i| self.observe_shard(i)).collect())
     }
 
     /// One shard's structure snapshot, built from that shard's levels
-    /// only — the observation a per-shard tuner acts on, and exactly what
-    /// [`RusKey::observe`](crate::db::RusKey::observe) reads off its tree.
+    /// only — the observation a per-shard tuner acts on.
     pub fn observe_shard(&self, idx: usize) -> TreeObservation {
         TreeObservation::of(self.shard(idx))
     }
@@ -1318,8 +1309,9 @@ impl ShardedRusKey {
     /// scoped threads; every shard count, `N = 1` included, runs the same
     /// code path — with each lane running its shard's group-commit leg as
     /// soon as its operations finish (overlapped fsyncs), builds the
-    /// aggregated mission report, lets the global tuner act, and fans its
-    /// policy changes out to every shard.
+    /// aggregated mission report, and lets the tuner seats act: a global
+    /// tuner's policy changes land on every shard, a per-shard tuner's on
+    /// its own.
     ///
     /// # Panics
     /// Panics on [`MissionError`] (a dead engine or a WAL I/O failure);
@@ -1348,25 +1340,19 @@ impl ShardedRusKey {
         // Feed the balancer's sketch from the routed stream (off unless
         // balancing is armed): point ops nominate their key on their
         // routed shard, a broadcast scan weighs every shard once.
-        if self.balancer.is_some() {
+        if let Some(bal) = &mut self.balancer {
             for op in ops {
                 match op {
                     Operation::Get { key }
                     | Operation::Put { key, .. }
                     | Operation::Delete { key } => {
-                        self.route_point(key);
+                        bal.sketch.record(key, self.routes.shard_for(key, n));
                     }
-                    Operation::Scan { .. } => {
-                        if let Some(bal) = &mut self.balancer {
-                            for s in 0..n {
-                                bal.sketch.record_bulk(s, 1);
-                            }
-                        }
-                    }
+                    Operation::Scan { .. } => (0..n).for_each(|s| bal.sketch.record_bulk(s, 1)),
                 }
             }
         }
-        let lanes = self.routes.partition_ops_owned(ops, n);
+        let lanes = self.routes.partition_ops(ops, n);
         let legs = match self.run_lanes(lanes, true) {
             Ok(legs) => legs,
             Err(e) => {
@@ -1377,8 +1363,7 @@ impl ShardedRusKey {
                 // engine is marked dead and no further report can be
                 // built.)
                 if matches!(e, MissionError::Wal { .. }) {
-                    self.collector.baseline_shards(self.shard_snapshots());
-                    self.adhoc_scans = 0;
+                    self.rebaseline();
                 }
                 return Err(e);
             }
@@ -1388,9 +1373,12 @@ impl ShardedRusKey {
         // total sync work the sum of all legs.
         let commit = commit_stats(&legs);
         let process_ns = t0.elapsed().as_nanos() as u64;
-        let (mut report, mut slices) = self
+        // Only per-shard seats read slice reports; a global store builds none.
+        let split = self.strategy == TunerStrategy::PerShard;
+        let ends = self.shard_snapshots();
+        let (mut report, slices) = self
             .collector
-            .report_mission_shards_split(self.shard_snapshots(), process_ns);
+            .report_mission_shards_split(ends, process_ns, split);
         report.commit_ns = commit.barrier_ns;
         report.commit_busy_ns = commit.busy_ns;
         // Report the *logical* scan composition (one scan per mission
@@ -1415,54 +1403,54 @@ impl ShardedRusKey {
             report.scans = logical_scans;
         }
 
-        match &self.tuning {
-            Tuning::Global(_) => {
-                let obs = self.observe();
-                let Tuning::Global(tuner) = &mut self.tuning else {
-                    unreachable!("strategy checked above")
-                };
-                crate::db::tune_mission(tuner.as_mut(), &mut report, &obs, |level, k| {
-                    for tree in &mut self.shards {
-                        tree.set_policy(level, k);
-                    }
-                });
-            }
-            Tuning::PerShard(_) => {
-                // Each shard's tuner sees its own reward slice (that
-                // shard's time-domain delta, with *its* commit leg — the
-                // slice's physical scan count stays: the shard really ran
-                // its broadcast leg) and its own observation, and its
-                // policy changes land only on the owning shard. Idle
-                // shards are skipped entirely: a zero-op slice carries no
-                // signal (the common case under skew), and skipping keeps
-                // the shard's agent replay clean instead of feeding it
-                // degenerate rewards.
-                let obs: Vec<TreeObservation> = (0..n).map(|i| self.observe_shard(i)).collect();
-                let Tuning::PerShard(tuners) = &mut self.tuning else {
-                    unreachable!("strategy checked above")
-                };
-                for (i, tuner) in tuners.iter_mut().enumerate() {
-                    // A shard's tuner must price *its* fsync, not the
-                    // barrier max (the legs are in shard order).
-                    let leg_ns = legs[i].ns;
-                    slices[i].commit_ns = leg_ns;
-                    slices[i].commit_busy_ns = leg_ns;
-                    if slices[i].ops == 0 {
-                        continue;
-                    }
-                    let tree = &mut self.shards[i];
-                    crate::db::tune_mission(tuner.as_mut(), &mut slices[i], &obs[i], |level, k| {
-                        tree.set_policy(level, k);
-                    });
-                    report.model_update_ns += slices[i].model_update_ns;
-                }
-            }
-        }
+        report.model_update_ns = self.tune_seats(&report, slices, &legs);
         report.policies_after = self.policies();
         report.shard_policies_after = self.shard_policies();
         self.last_report = Some(report.clone());
         self.maybe_rebalance()?;
         Ok(report)
+    }
+
+    /// Lets every tuner seat act on the finished mission — the one place a
+    /// tuner runs — and returns the model-update time they spent.
+    ///
+    /// The single global seat reads the merged `report` and the merged
+    /// observation, and its `(level, K)` changes land on every shard.
+    /// Per-shard seat `i` reads slice `i` — that shard's time-domain
+    /// delta, priced with *its* commit leg, not the barrier max (the
+    /// slice's physical scan count stays: the shard really ran its
+    /// broadcast leg) — and shard `i`'s own observation, and its changes
+    /// land on shard `i` only; an idle shard's seat is skipped, since a
+    /// zero-op slice carries no signal (the common case under skew) and
+    /// would feed its agent's replay degenerate rewards. With one shard
+    /// the two readings are the same thing.
+    fn tune_seats(
+        &mut self,
+        report: &MissionReport,
+        mut slices: Vec<MissionReport>,
+        legs: &[CommitLeg],
+    ) -> u64 {
+        let mut model_ns = 0;
+        for (i, tuner) in self.seats.iter_mut().enumerate() {
+            let (report, trees) = match slices.get_mut(i) {
+                Some(slice) if slice.ops == 0 => continue,
+                Some(slice) => {
+                    slice.commit_ns = legs[i].ns;
+                    slice.commit_busy_ns = legs[i].ns;
+                    (&*slice, &mut self.shards[i..=i])
+                }
+                None => (report, &mut self.shards[..]),
+            };
+            let obs = merge_observations(trees.iter().map(TreeObservation::of).collect());
+            let model_before = tuner.model_update_ns();
+            for (level, k) in tuner.tune(report, &obs) {
+                for tree in trees.iter_mut() {
+                    tree.set_policy(level, k);
+                }
+            }
+            model_ns += tuner.model_update_ns().saturating_sub(model_before);
+        }
+        model_ns
     }
 
     // ------------------------------------------------------------------
@@ -1528,37 +1516,24 @@ impl ShardedRusKey {
     /// settle any half-finished pass from the routes file alone.
     fn maybe_rebalance(&mut self) -> Result<(), MissionError> {
         let n = self.shard_count();
-        let Some(bal) = &self.balancer else {
+        let Some(bal) = &mut self.balancer else {
             return Ok(());
         };
-        let (threshold, min_ops, max_moves, decay) = (
-            bal.cfg.imbalance_threshold,
-            bal.cfg.min_ops,
-            bal.cfg.max_moves,
-            bal.cfg.decay,
-        );
+        // Read the sketch, then age it: every pass decays, acting or not.
         let acting = n >= 2
-            && bal.sketch.total_ops() >= min_ops as f64
-            && bal.sketch.imbalance() > threshold;
-        if !acting {
-            if let Some(bal) = &mut self.balancer {
-                bal.sketch.decay(decay);
-            }
-            return Ok(());
-        }
-        let bal = self.balancer.as_ref().expect("checked above");
-        let hot = bal.sketch.hottest_shard();
-        let cold = bal.sketch.coldest_shard();
-        let candidates = bal.sketch.heavy_hitters();
+            && bal.sketch.total_ops() >= bal.cfg.min_ops as f64
+            && bal.sketch.imbalance() > bal.cfg.imbalance_threshold;
+        let (hot, cold) = (bal.sketch.hottest_shard(), bal.sketch.coldest_shard());
+        let candidates = acting.then(|| bal.sketch.heavy_hitters());
+        let max_moves = bal.cfg.max_moves;
+        bal.sketch.decay(bal.cfg.decay);
         let moves: Vec<Bytes> = candidates
             .into_iter()
+            .flatten()
             .map(|(k, _)| k)
             .filter(|k| self.routes.shard_for(k, n) == hot)
             .take(max_moves)
             .collect();
-        if let Some(bal) = &mut self.balancer {
-            bal.sketch.decay(decay);
-        }
         if moves.is_empty() || hot == cold {
             return Ok(());
         }
@@ -1606,8 +1581,8 @@ impl ShardedRusKey {
         for key in &moves {
             let key = key.clone();
             let get = Operation::Get { key: key.clone() };
-            if let Some(value) = self.adhoc(hot, get).value() {
-                self.adhoc(cold, Operation::Put { key, value });
+            if let Some(value) = self.adhoc(hot, &get).value() {
+                self.adhoc(cold, &Operation::Put { key, value });
             }
         }
         // 3. Copies durable before the originals go away.
@@ -1619,7 +1594,7 @@ impl ShardedRusKey {
             // re-runs the migration idempotently, converging on the
             // same state.
             for key in &moves {
-                self.adhoc(cold, Operation::Delete { key: key.clone() });
+                self.adhoc(cold, &Operation::Delete { key: key.clone() });
             }
             rollback(self);
             let _ = self.persist_routes();
@@ -1627,7 +1602,7 @@ impl ShardedRusKey {
         }
         // 4. Tombstone the originals; the re-homed copies are durable.
         for key in &moves {
-            self.adhoc(hot, Operation::Delete { key: key.clone() });
+            self.adhoc(hot, &Operation::Delete { key: key.clone() });
         }
         self.rebalances += 1;
         Ok(())
@@ -1698,7 +1673,7 @@ impl ShardedRusKey {
             }
             let get = |this: &mut Self, shard: usize| {
                 let key = key.clone();
-                this.adhoc(shard, Operation::Get { key }).value()
+                this.adhoc(shard, &Operation::Get { key }).value()
             };
             let at_target = get(self, target);
             if at_target.is_none() {
@@ -1709,7 +1684,7 @@ impl ShardedRusKey {
                 };
                 if let Some(value) = rescued {
                     let key = key.clone();
-                    self.adhoc(target, Operation::Put { key, value });
+                    self.adhoc(target, &Operation::Put { key, value });
                     settled += 1;
                 }
             }
@@ -1717,7 +1692,7 @@ impl ShardedRusKey {
             // lives at the target (or the key is simply dead).
             for shard in 0..n {
                 if shard != target && get(self, shard).is_some() {
-                    self.adhoc(shard, Operation::Delete { key: key.clone() });
+                    self.adhoc(shard, &Operation::Delete { key: key.clone() });
                     settled += 1;
                 }
             }
@@ -1739,6 +1714,31 @@ impl ShardedRusKey {
 /// durability dir / persistence root. Must not match the `shard-`
 /// prefixes the recovery scans parse.
 const ROUTES_FILE: &str = "ROUTES";
+
+/// Merges per-shard observations into the store-wide one (see
+/// [`ShardedRusKey::observe`]); one observation merges into itself.
+fn merge_observations(shards: Vec<TreeObservation>) -> TreeObservation {
+    let level_count = shards.iter().map(|o| o.level_count).max().unwrap_or(0);
+    let mut policies = Vec::with_capacity(level_count);
+    let mut fills = Vec::with_capacity(level_count);
+    let mut run_counts = Vec::with_capacity(level_count);
+    for i in 0..level_count {
+        let holders: Vec<&TreeObservation> = shards.iter().filter(|o| o.level_count > i).collect();
+        let held: Vec<u32> = holders.iter().map(|o| o.policies[i]).collect();
+        policies.push(modal_policy(&held));
+        fills.push(holders.iter().map(|o| o.fills[i]).sum::<f64>() / holders.len() as f64);
+        let mean_runs =
+            holders.iter().map(|o| o.run_counts[i]).sum::<usize>() as f64 / holders.len() as f64;
+        run_counts.push(mean_runs.round() as usize);
+    }
+    TreeObservation {
+        policies,
+        fills,
+        run_counts,
+        size_ratio: shards[0].size_ratio,
+        level_count,
+    }
+}
 
 /// The most common policy among the shards holding a level, ties broken
 /// toward the smaller (more leveled, read-safer) K. Deterministic, and

@@ -128,8 +128,8 @@ pub struct MissionReport {
     pub policies_after: Vec<u32>,
     /// *Physical* operations executed per shard during the mission, in
     /// shard order (a broadcast scan counts once on every shard it
-    /// touched). Empty for reports built outside the sharded collector
-    /// path. The hot-shard balancer's detection signal.
+    /// touched) — one entry for a one-shard store. The hot-shard
+    /// balancer's detection signal.
     pub shard_ops: Vec<u64>,
     /// Per-shard policies in force after the tuner acted, in shard
     /// order — exact even when per-shard tuners have diverged (the
@@ -194,8 +194,8 @@ impl MissionReport {
 
     /// Hot-shard imbalance of the mission: max over `shard_ops` divided
     /// by the mean. 1.0 means perfectly balanced; `n` means a single
-    /// shard absorbed all traffic. 0.0 when `shard_ops` is empty or no
-    /// shard did any work (a report from a non-sharded path).
+    /// shard absorbed all traffic. 0.0 when `shard_ops` is empty (a
+    /// default-built report) or no shard did any work.
     pub fn shard_imbalance(&self) -> f64 {
         let total: u64 = self.shard_ops.iter().sum();
         if self.shard_ops.is_empty() || total == 0 {
@@ -210,7 +210,7 @@ impl MissionReport {
 /// Builds [`MissionReport`]s from tree-statistics snapshots.
 ///
 /// The collector keeps one baseline snapshot *per shard time domain*
-/// (a single `RusKey` is the one-domain case). Each mission, every
+/// (a `RusKey` is the one-domain case). Each mission, every
 /// shard's snapshot is deltaed against its own baseline and the deltas
 /// are merged — wall time as the max over domains, device-busy time as
 /// the sum — which is exact under parallel shard execution. Deltaing a
@@ -223,8 +223,8 @@ pub struct StatsCollector {
 }
 
 impl StatsCollector {
-    /// Creates a collector; call [`StatsCollector::baseline`] (or
-    /// [`StatsCollector::baseline_shards`]) once before the first mission.
+    /// Creates a collector; call [`StatsCollector::baseline_shards`] once
+    /// before the first mission.
     pub fn new() -> Self {
         Self::default()
     }
@@ -234,54 +234,30 @@ impl StatsCollector {
         self.missions
     }
 
-    /// Records the pre-experiment statistics baseline of a single-tree
-    /// store (e.g. after bulk load) so the first mission's delta excludes
-    /// setup work.
-    pub fn baseline(&mut self, snapshot: TreeStatsSnapshot) {
-        self.baseline_shards(vec![snapshot]);
-    }
-
-    /// Records the per-shard baselines of a sharded store, one snapshot
-    /// per shard time domain, in shard order.
+    /// Records the store's baselines (e.g. after bulk load, so the first
+    /// mission's delta excludes setup work): one snapshot per shard time
+    /// domain, in shard order.
     pub fn baseline_shards(&mut self, snapshots: Vec<TreeStatsSnapshot>) {
         self.last_snapshots = snapshots;
-    }
-
-    /// Builds the report for the mission that just finished, given the
-    /// single tree's snapshot at its end.
-    pub fn report_mission(
-        &mut self,
-        end_snapshot: TreeStatsSnapshot,
-        real_process_ns: u64,
-    ) -> MissionReport {
-        self.report_mission_shards(vec![end_snapshot], real_process_ns)
     }
 
     /// Builds the report for the mission that just finished from every
     /// shard's end snapshot (in the same shard order as the baseline).
     /// Each domain is deltaed against its own baseline; the deltas merge
     /// into wall (max) and device-busy (sum) mission times.
-    pub fn report_mission_shards(
-        &mut self,
-        end_snapshots: Vec<TreeStatsSnapshot>,
-        real_process_ns: u64,
-    ) -> MissionReport {
-        self.report_mission_shards_split(end_snapshots, real_process_ns)
-            .0
-    }
-
-    /// Like [`StatsCollector::report_mission_shards`] but also returns
-    /// one *slice* report per shard, each built from that shard's own
-    /// domain delta only — the per-shard reward signal for per-shard
-    /// tuners. A slice's `ops`/`scans` are the shard's **physical**
-    /// counts (a broadcast scan appears on every shard it ran on —
-    /// that is the work the shard's tuner must price). Both the merged
-    /// report and all slices carry the same `mission_idx`; the mission
-    /// counter advances once.
+    ///
+    /// With `split`, also returns one *slice* report per shard (empty
+    /// otherwise — only per-shard tuner seats read them), each built from
+    /// that shard's own domain delta only: the per-shard reward signal. A
+    /// slice's `ops`/`scans` are the shard's **physical** counts (a
+    /// broadcast scan appears on every shard it ran on — that is the work
+    /// the shard's tuner must price). The merged report and all slices
+    /// carry the same `mission_idx`; the mission counter advances once.
     pub fn report_mission_shards_split(
         &mut self,
         end_snapshots: Vec<TreeStatsSnapshot>,
         real_process_ns: u64,
+        split: bool,
     ) -> (MissionReport, Vec<MissionReport>) {
         let zero = TreeStatsSnapshot::default();
         let deltas: Vec<TreeStatsSnapshot> = end_snapshots
@@ -290,7 +266,8 @@ impl StatsCollector {
             .map(|(i, s)| s.delta(self.last_snapshots.get(i).unwrap_or(&zero)))
             .collect();
         let merged = Self::build_report(&deltas, &end_snapshots, self.missions, real_process_ns);
-        let slices = (0..deltas.len())
+        let sliced = if split { deltas.len() } else { 0 };
+        let slices = (0..sliced)
             .map(|i| {
                 Self::build_report(
                     std::slice::from_ref(&deltas[i]),
@@ -394,8 +371,8 @@ mod tests {
     #[test]
     fn reports_are_deltas() {
         let mut c = StatsCollector::new();
-        c.baseline(snap(10, 10, 1000, 100));
-        let r = c.report_mission(snap(15, 25, 4000, 400), 7);
+        c.baseline_shards(vec![snap(10, 10, 1000, 100)]);
+        let (r, _) = c.report_mission_shards_split(vec![snap(15, 25, 4000, 400)], 7, false);
         assert_eq!(r.ops, 20);
         assert_eq!(r.lookups, 5);
         assert_eq!(r.updates, 15);
@@ -405,7 +382,7 @@ mod tests {
         assert_eq!(r.real_process_ns, 7);
         assert_eq!(r.mission_idx, 0);
         // Second mission starts from the last snapshot.
-        let r2 = c.report_mission(snap(16, 26, 4100, 410), 3);
+        let (r2, _) = c.report_mission_shards_split(vec![snap(16, 26, 4100, 410)], 3, false);
         assert_eq!(r2.ops, 2);
         assert_eq!(r2.mission_idx, 1);
     }
@@ -416,7 +393,9 @@ mod tests {
         // Two shards whose domains sit at different absolute times.
         c.baseline_shards(vec![snap(10, 0, 1000, 0), snap(0, 0, 200, 0)]);
         // Shard 0 advances 500 ns, shard 1 advances 2000 ns.
-        let r = c.report_mission_shards(vec![snap(12, 0, 1500, 0), snap(3, 0, 2200, 0)], 1);
+        let ends = vec![snap(12, 0, 1500, 0), snap(3, 0, 2200, 0)];
+        let (r, slices) = c.report_mission_shards_split(ends, 1, false);
+        assert!(slices.is_empty(), "no seat asked for slices");
         assert_eq!(r.ops, 5);
         assert_eq!(r.lookups, 5);
         assert_eq!(r.end_to_end_ns, 2000, "wall = max(500, 2000)");
@@ -431,12 +410,12 @@ mod tests {
         before.wal_appends = 10;
         before.wal_syncs = 1;
         before.wal_synced = 10;
-        c.baseline(before);
+        c.baseline_shards(vec![before]);
         let mut after = snap(0, 35, 400, 0);
         after.wal_appends = 35;
         after.wal_syncs = 2;
         after.wal_synced = 35;
-        let r = c.report_mission(after, 1);
+        let (r, _) = c.report_mission_shards_split(vec![after], 1, false);
         assert_eq!(r.wal_appends, 25);
         assert_eq!(r.wal_syncs, 1);
         assert_eq!(r.wal_synced, 25);
@@ -452,12 +431,12 @@ mod tests {
         before.stall_ns = 40;
         before.bg_compactions = 3;
         before.pending_compaction_bytes = 9999;
-        c.baseline(before);
+        c.baseline_shards(vec![before]);
         let mut after = snap(0, 35, 400, 0);
         after.stall_ns = 100;
         after.bg_compactions = 7;
         after.pending_compaction_bytes = 4096;
-        let r = c.report_mission(after, 1);
+        let (r, _) = c.report_mission_shards_split(vec![after], 1, false);
         assert_eq!(r.stall_ns, 60);
         assert_eq!(r.bg_compactions, 4);
         assert_eq!(
@@ -470,10 +449,10 @@ mod tests {
     fn split_reports_slice_per_shard() {
         let mut c = StatsCollector::new();
         c.baseline_shards(vec![snap(10, 0, 1000, 0), snap(0, 0, 200, 0)]);
-        let (merged, slices) =
-            c.report_mission_shards_split(vec![snap(12, 4, 1500, 0), snap(3, 0, 2200, 0)], 1);
+        let ends = vec![snap(12, 4, 1500, 0), snap(3, 0, 2200, 0)];
+        let (merged, slices) = c.report_mission_shards_split(ends, 1, true);
         assert_eq!(slices.len(), 2);
-        // The merged view is unchanged from report_mission_shards.
+        // The merged view is what an unsplit report carries.
         assert_eq!(merged.ops, 9);
         assert_eq!(merged.end_to_end_ns, 2000);
         assert_eq!(merged.device_busy_ns, 2500);

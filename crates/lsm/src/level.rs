@@ -140,14 +140,6 @@ impl Level {
         })
     }
 
-    /// O(1) out-of-range rejection: whether `key` falls inside the
-    /// level's aggregate bounds (false for an empty level).
-    pub fn key_in_bounds(&self, key: &[u8]) -> bool {
-        self.bounds
-            .as_ref()
-            .is_some_and(|(lo, hi)| lo.as_ref() <= key && key <= hi.as_ref())
-    }
-
     /// Applies the flexible transition for a new policy `k` (§4.2): change
     /// the policy, retarget the active run's capacity, and seal it
     /// immediately if it already exceeds the new capacity.

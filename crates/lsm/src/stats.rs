@@ -5,55 +5,8 @@
 //! This module accumulates both, along with the I/O and false-positive
 //! counters used by the experiments.
 
-/// Mutable accumulators for one level.
-#[derive(Debug, Default, Clone)]
-pub struct LevelStats {
-    /// Virtual ns spent probing this level during lookups.
-    pub lookup_ns: u64,
-    /// Pages read by lookups in this level.
-    pub lookup_pages: u64,
-    /// Run probes performed in this level.
-    pub probes: u64,
-    /// Bloom false positives observed in this level.
-    pub false_positives: u64,
-    /// Virtual ns spent on compaction work attributed to this level.
-    pub compact_ns: u64,
-    /// Pages read by compactions attributed to this level.
-    pub compact_pages_read: u64,
-    /// Pages written by compactions attributed to this level.
-    pub compact_pages_written: u64,
-    /// Entries processed by compactions attributed to this level.
-    pub compact_keys: u64,
-    /// Number of full-level merges pushed down from this level.
-    pub merges_down: u64,
-    /// Number of policy transitions applied at this level.
-    pub transitions: u64,
-}
-
-impl LevelStats {
-    /// Total level-based latency `t_i` (lookup + compaction time).
-    pub fn total_ns(&self) -> u64 {
-        self.lookup_ns + self.compact_ns
-    }
-
-    /// Immutable snapshot.
-    pub fn snapshot(&self) -> LevelStatsSnapshot {
-        LevelStatsSnapshot {
-            lookup_ns: self.lookup_ns,
-            lookup_pages: self.lookup_pages,
-            probes: self.probes,
-            false_positives: self.false_positives,
-            compact_ns: self.compact_ns,
-            compact_pages_read: self.compact_pages_read,
-            compact_pages_written: self.compact_pages_written,
-            compact_keys: self.compact_keys,
-            merges_down: self.merges_down,
-            transitions: self.transitions,
-        }
-    }
-}
-
-/// Point-in-time copy of [`LevelStats`]; supports deltas.
+/// One level's counters: the tree accumulates into it, and a copy taken
+/// at any moment is that moment's snapshot (supports deltas and merges).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LevelStatsSnapshot {
     /// Virtual ns spent probing this level during lookups.
@@ -320,13 +273,12 @@ mod tests {
 
     #[test]
     fn level_total_combines_lookup_and_compact() {
-        let s = LevelStats {
+        let s = LevelStatsSnapshot {
             lookup_ns: 10,
             compact_ns: 32,
             ..Default::default()
         };
         assert_eq!(s.total_ns(), 42);
-        assert_eq!(s.snapshot().total_ns(), 42);
     }
 
     #[test]

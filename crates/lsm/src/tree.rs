@@ -13,7 +13,7 @@ use crate::manifest::{Manifest, ManifestEdit, RunRecord};
 use crate::memtable::Memtable;
 use crate::picker::{CompactionPicker, PickerConfig, SCORE_SCALE};
 use crate::run::{ProbeOutcome, Run, RunBuilder, RunId};
-use crate::stats::{LevelStats, TreeStatsSnapshot};
+use crate::stats::{LevelStatsSnapshot, TreeStatsSnapshot};
 use crate::transition::TransitionStrategy;
 use crate::types::{Key, KvEntry, SeqNo, Value};
 use crate::wal::{SyncTicket, Wal};
@@ -63,30 +63,14 @@ struct SnapshotLevel {
 
 impl TreeSnapshot {
     /// Point lookup against the pinned structure. Returns the latest
-    /// flushed value, or `None` if absent/deleted. Probes in the same
-    /// order as [`FlsmTree::get`], with the same O(1) bound rejections;
-    /// I/O is charged to `storage` as usual, but no tree statistics are
+    /// flushed value, or `None` if absent/deleted. The same probe loop as
+    /// [`FlsmTree::get`] below the memtable (`probe_levels`), so I/O is
+    /// charged to `storage` identically, but no tree statistics are
     /// recorded (the snapshot is immutable).
     pub fn get(&self, storage: &dyn Storage, key: &[u8]) -> Option<Value> {
-        match &self.inner.bounds {
-            Some((lo, hi)) if lo.as_ref() <= key && key <= hi.as_ref() => {}
-            _ => return None,
-        }
-        for level in &self.inner.levels {
-            let in_bounds = level
-                .bounds
-                .as_ref()
-                .is_some_and(|(lo, hi)| lo.as_ref() <= key && key <= hi.as_ref());
-            if !in_bounds {
-                continue;
-            }
-            for run in &level.runs {
-                if let ProbeOutcome::Found(value) = run.probe(storage, key).outcome {
-                    return value;
-                }
-            }
-        }
-        None
+        let inner = &*self.inner;
+        let levels = inner.levels.iter().map(|l| (&l.bounds, l.runs.iter()));
+        probe_levels(storage, key, &inner.bounds, levels, None)
     }
 
     /// Number of levels captured.
@@ -98,6 +82,66 @@ impl TreeSnapshot {
     pub fn run_count(&self) -> usize {
         self.inner.levels.iter().map(|l| l.runs.len()).sum()
     }
+}
+
+/// Whether `key` falls inside aggregate `bounds` (false for none: an empty
+/// level or tree).
+fn in_bounds(bounds: &Option<(Key, Key)>, key: &[u8]) -> bool {
+    bounds
+        .as_ref()
+        .is_some_and(|(lo, hi)| lo.as_ref() <= key && key <= hi.as_ref())
+}
+
+/// The one probe loop below the memtable, under [`FlsmTree::get`] and
+/// [`TreeSnapshot::get`]: `levels` yields each level's aggregate bounds and
+/// its runs in probe order (newest data first).
+///
+/// O(1) bound fast paths: a key outside the aggregate range of every
+/// resident run cannot exist on disk — return with zero probes, zero Bloom
+/// checks, and zero page I/O. The tree-wide check rejects in one comparison
+/// pair; a level whose own bounds exclude the key is skipped the same way.
+/// Each probed level's counters land in `sink` (indexed by level) when
+/// there is one; the charges to `storage` are the same either way.
+fn probe_levels<'a>(
+    storage: &dyn Storage,
+    key: &[u8],
+    tree_bounds: &Option<(Key, Key)>,
+    levels: impl Iterator<Item = (&'a Option<(Key, Key)>, impl Iterator<Item = &'a Arc<Run>>)>,
+    mut sink: Option<&mut [LevelStatsSnapshot]>,
+) -> Option<Value> {
+    if !in_bounds(tree_bounds, key) {
+        return None;
+    }
+    let mut unrecorded = LevelStatsSnapshot::default();
+    for (idx, (bounds, runs)) in levels.enumerate() {
+        if !in_bounds(bounds, key) {
+            continue;
+        }
+        let st = match &mut sink {
+            Some(stats) => &mut stats[idx],
+            None => &mut unrecorded,
+        };
+        let t0 = storage.clock().now();
+        let mut found: Option<Option<Value>> = None;
+        for run in runs {
+            let r = run.probe(storage, key);
+            st.probes += 1;
+            st.lookup_pages += r.pages_read as u64;
+            match r.outcome {
+                ProbeOutcome::Found(value) => {
+                    found = Some(value);
+                    break;
+                }
+                ProbeOutcome::FalsePositive => st.false_positives += 1,
+                ProbeOutcome::FilteredOut => {}
+            }
+        }
+        st.lookup_ns += storage.clock().elapsed_since(t0);
+        if let Some(value) = found {
+            return value;
+        }
+    }
+    None
 }
 
 /// A flexible LSM-tree.
@@ -118,7 +162,7 @@ pub struct FlsmTree {
     cfg: LsmConfig,
     memtable: Memtable,
     levels: Vec<Level>,
-    level_stats: Vec<LevelStats>,
+    level_stats: Vec<LevelStatsSnapshot>,
     seq: SeqNo,
     next_run_id: RunId,
     lookups: u64,
@@ -749,42 +793,9 @@ impl FlsmTree {
         if let Some(buffered) = self.memtable.lookup(key) {
             return buffered.cloned();
         }
-        // O(1) bound fast paths: a key outside the aggregate range of
-        // every resident run cannot exist on disk — return with zero
-        // probes, zero Bloom checks, and zero page I/O. The tree-wide
-        // check rejects in one comparison pair; a level whose own bounds
-        // exclude the key is skipped the same way.
-        match &self.bounds {
-            Some((lo, hi)) if lo.as_ref() <= key && key <= hi.as_ref() => {}
-            _ => return None,
-        }
-        for idx in 0..self.levels.len() {
-            if !self.levels[idx].key_in_bounds(key) {
-                continue;
-            }
-            let t0 = self.storage.clock().now();
-            let mut found: Option<Option<Value>> = None;
-            for run in self.levels[idx].probe_order() {
-                let r = run.probe(self.storage.as_ref(), key);
-                self.level_stats[idx].probes += 1;
-                self.level_stats[idx].lookup_pages += r.pages_read as u64;
-                match r.outcome {
-                    ProbeOutcome::Found(value) => {
-                        found = Some(value);
-                        break;
-                    }
-                    ProbeOutcome::FalsePositive => {
-                        self.level_stats[idx].false_positives += 1;
-                    }
-                    ProbeOutcome::FilteredOut => {}
-                }
-            }
-            self.level_stats[idx].lookup_ns += self.storage.clock().elapsed_since(t0);
-            if let Some(value) = found {
-                return value;
-            }
-        }
-        None
+        let levels = self.levels.iter().map(|l| (&l.bounds, l.probe_order()));
+        let sink = Some(&mut self.level_stats[..]);
+        probe_levels(self.storage.as_ref(), key, &self.bounds, levels, sink)
     }
 
     /// Range scan over `[start, end)`, at most `limit` results, in key order.
@@ -828,7 +839,7 @@ impl FlsmTree {
                 self.cfg.level_capacity(i),
                 self.cfg.initial_policy,
             ));
-            self.level_stats.push(LevelStats::default());
+            self.level_stats.push(LevelStatsSnapshot::default());
         }
     }
 
@@ -1389,7 +1400,7 @@ impl FlsmTree {
             queue_stall_ns: self.queue_stall_ns,
             bg_compactions: self.bg_compactions,
             pending_compaction_bytes: self.pending_compaction_bytes(),
-            levels: self.level_stats.iter().map(LevelStats::snapshot).collect(),
+            levels: self.level_stats.clone(),
         }
     }
 
@@ -2362,6 +2373,39 @@ mod tests {
         for i in (0..2000u64).step_by(37) {
             assert_eq!(t.get(&key(i)), Some(val(i)));
         }
+
+        // On a quiescent tree the pinned view and the tree run the same
+        // probe loop: key by key (hits, Bloom-guarded misses inside the
+        // bounds, rejections outside them) the same value for the same
+        // virtual time and the same page reads.
+        let disk = SimulatedDisk::new(256, CostModel::NVME);
+        let cfg = LsmConfig {
+            buffer_bytes: 1024,
+            size_ratio: 4,
+            initial_policy: 2,
+            ..LsmConfig::scaled_default()
+        };
+        let mut q = FlsmTree::new(cfg, disk.clone());
+        for i in 0..2000u64 {
+            q.put(key(i * 2), val(i));
+        }
+        q.flush();
+        let snap = q.snapshot();
+        let charged = |read: &mut dyn FnMut() -> Option<Value>| {
+            let (ns, pages) = (disk.clock().now_ns(), disk.metrics().pages_read);
+            let value = read();
+            let pages = disk.metrics().pages_read - pages;
+            (value, disk.clock().now_ns() - ns, pages)
+        };
+        let (mut hits, mut paid) = (0, 0);
+        for i in (0..4100u64).step_by(37) {
+            let pinned = charged(&mut || snap.get(disk.as_ref(), &key(i)));
+            let live = charged(&mut || q.get(&key(i)));
+            assert_eq!(pinned, live, "key {i}: (value, virtual ns, page reads)");
+            hits += live.0.is_some() as u64;
+            paid += live.1;
+        }
+        assert!(hits > 20 && paid > 0, "the comparison must not be vacuous");
     }
 
     /// `stall_ns` attributes structural time to the writes that waited:

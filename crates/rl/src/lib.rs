@@ -13,9 +13,8 @@
 //! * [`replay`] — a ring replay buffer with uniform sampling;
 //! * [`noise`] — Ornstein–Uhlenbeck and Gaussian exploration noise;
 //! * [`ddpg`] — Deep Deterministic Policy Gradient (Lillicrap et al., 2015):
-//!   actor–critic with target networks and soft updates;
-//! * [`dqn`] — Deep Q-Network over discrete actions, as the comparison
-//!   learner the paper argues DDPG improves upon (§5.1.4).
+//!   actor–critic with target networks and soft updates — the paper's one
+//!   learner (§5.1.4 argues it over DQN, which nothing here evaluates).
 //!
 //! Everything is deterministic given a seed, so experiments reproduce
 //! bit-for-bit — and stay so across kernel rewrites: [`nn`] fixes the order
@@ -32,14 +31,12 @@
 
 pub mod adam;
 pub mod ddpg;
-pub mod dqn;
 pub mod nn;
 pub mod noise;
 pub mod replay;
 
 pub use adam::Adam;
 pub use ddpg::{Ddpg, DdpgConfig, TrainMetrics};
-pub use dqn::{Dqn, DqnConfig};
 pub use nn::{Activation, Mlp};
 pub use noise::{GaussianNoise, OuNoise};
 pub use replay::{ReplayBuffer, Transition};

@@ -4,7 +4,9 @@
 //! FLSM shards. Routing lives in the workload crate because it is a
 //! property of the *operation stream*, not of any one engine: benchmarks
 //! pre-partition missions with [`partition_ops`], and the engine routes
-//! single operations with [`shard_for_key`].
+//! single operations with [`shard_for_key`] — both through a
+//! [`RoutingTable`] once keys have been re-homed. Lanes borrow the mission's
+//! operations; nothing is cloned on the way to a shard.
 //!
 //! The hash is FNV-1a over the key bytes — stable across runs, platforms,
 //! and releases, so a store's partitioning never silently changes.
@@ -51,38 +53,10 @@ pub fn route_op(op: &Operation, shards: usize) -> Route {
     }
 }
 
-/// Partitions a mission into per-shard operation streams, preserving each
-/// shard's relative operation order. Point operations land on exactly one
-/// shard; scans are appended to every shard's stream at their position.
+/// Partitions a mission by the key hash alone: [`RoutingTable::partition_ops`]
+/// under an empty table, what a store without re-homed keys runs.
 pub fn partition_ops(ops: &[Operation], shards: usize) -> Vec<Vec<&Operation>> {
-    assert!(shards > 0, "a store needs at least one shard");
-    // Vec::clone drops capacity, so build each lane's allocation directly.
-    let mut out: Vec<Vec<&Operation>> = (0..shards)
-        .map(|_| Vec::with_capacity(ops.len() / shards + 1))
-        .collect();
-    for op in ops {
-        match route_op(op, shards) {
-            Route::Shard(s) => out[s].push(op),
-            Route::Broadcast => {
-                for lane in &mut out {
-                    lane.push(op);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Owned variant of [`partition_ops`] for executors that consume their
-/// lanes (the engine's executor takes operations by value). Each
-/// operation is cloned into its lane(s); keys and values are refcounted
-/// [`bytes::Bytes`], so the clone is a pointer bump, not a copy of the
-/// payload.
-pub fn partition_ops_owned(ops: &[Operation], shards: usize) -> Vec<Vec<Operation>> {
-    partition_ops(ops, shards)
-        .into_iter()
-        .map(|lane| lane.into_iter().cloned().collect())
-        .collect()
+    RoutingTable::new().partition_ops(ops, shards)
 }
 
 /// A per-key routing override table: the hot-shard balancer's output.
@@ -144,23 +118,26 @@ impl RoutingTable {
         self.overrides.iter().map(|(k, &s)| (k, s))
     }
 
-    /// [`partition_ops_owned`] with this table's overrides applied to
-    /// point operations. Scans still broadcast.
-    pub fn partition_ops_owned(&self, ops: &[Operation], shards: usize) -> Vec<Vec<Operation>> {
+    /// Partitions a mission into per-shard lanes that borrow the caller's
+    /// operations, preserving each shard's relative operation order: a
+    /// point operation lands on the one shard owning its key under this
+    /// table, a scan is appended to every lane at its position.
+    pub fn partition_ops<'a>(
+        &self,
+        ops: &'a [Operation],
+        shards: usize,
+    ) -> Vec<Vec<&'a Operation>> {
         assert!(shards > 0, "a store needs at least one shard");
-        let mut out: Vec<Vec<Operation>> = (0..shards)
+        // Vec::clone drops capacity, so build each lane's allocation directly.
+        let mut out: Vec<Vec<&Operation>> = (0..shards)
             .map(|_| Vec::with_capacity(ops.len() / shards + 1))
             .collect();
         for op in ops {
             match op {
                 Operation::Get { key } | Operation::Put { key, .. } | Operation::Delete { key } => {
-                    out[self.shard_for(key, shards)].push(op.clone());
+                    out[self.shard_for(key, shards)].push(op);
                 }
-                Operation::Scan { .. } => {
-                    for lane in &mut out {
-                        lane.push(op.clone());
-                    }
-                }
+                Operation::Scan { .. } => out.iter_mut().for_each(|lane| lane.push(op)),
             }
         }
         out
@@ -226,9 +203,7 @@ impl LoadSketch {
 
     /// Records one point operation on `key`, executed by `shard`.
     pub fn record(&mut self, key: &[u8], shard: usize) {
-        if let Some(c) = self.shard_ops.get_mut(shard) {
-            *c += 1.0;
-        }
+        self.record_bulk(shard, 1);
         if let Some(c) = self.counters.get_mut(key) {
             *c += 1.0;
             return;
@@ -421,30 +396,6 @@ mod tests {
         }
     }
 
-    /// The owned partition is element-for-element the borrowed one: the
-    /// pool's lanes carry exactly what scoped-thread execution saw.
-    #[test]
-    fn owned_partition_equals_borrowed_partition() {
-        let spec = WorkloadSpec::scaled_default(300).with_mix(OpMix {
-            lookup: 0.4,
-            update: 0.4,
-            delete: 0.1,
-            scan: 0.1,
-        });
-        let ops = OpGenerator::new(spec, 23).take_ops(500);
-        for shards in [1usize, 3, 4] {
-            let borrowed = partition_ops(&ops, shards);
-            let owned = partition_ops_owned(&ops, shards);
-            assert_eq!(owned.len(), borrowed.len());
-            for (lane_owned, lane_borrowed) in owned.iter().zip(&borrowed) {
-                assert_eq!(lane_owned.len(), lane_borrowed.len());
-                for (a, b) in lane_owned.iter().zip(lane_borrowed) {
-                    assert_eq!(a, *b, "{shards} shards: owned lane diverged");
-                }
-            }
-        }
-    }
-
     #[test]
     fn routing_table_overrides_point_ops_only() {
         let mut table = RoutingTable::new();
@@ -468,7 +419,7 @@ mod tests {
                 limit: 10,
             },
         ];
-        let lanes = table.partition_ops_owned(&ops, 4);
+        let lanes = table.partition_ops(&ops, 4);
         assert_eq!(lanes[target].len(), 2, "get routed to override + scan");
         assert_eq!(lanes[home].len(), 1, "home shard sees only the scan");
         // Removal restores hash routing.
@@ -500,10 +451,17 @@ mod tests {
         let ops = OpGenerator::new(spec, 23).take_ops(500);
         let table = RoutingTable::new();
         for shards in [1usize, 3, 4] {
-            assert_eq!(
-                table.partition_ops_owned(&ops, shards),
-                partition_ops_owned(&ops, shards)
-            );
+            // The plain partition runs through an empty table too, so the
+            // oracle is the per-operation router, one operation at a time.
+            let mut routed: Vec<Vec<&Operation>> = vec![Vec::new(); shards];
+            for op in &ops {
+                match route_op(op, shards) {
+                    Route::Shard(s) => routed[s].push(op),
+                    Route::Broadcast => routed.iter_mut().for_each(|lane| lane.push(op)),
+                }
+            }
+            assert_eq!(table.partition_ops(&ops, shards), routed);
+            assert_eq!(partition_ops(&ops, shards), routed);
         }
     }
 

@@ -26,30 +26,39 @@
 //! A mission lane, the standalone group commit (empty lanes, no
 //! boundary), an ad-hoc `get`/`put`/`delete`/`scan` (one operation on the
 //! caller's thread that keeps its result and leaves the commit to the
-//! next barrier), a served request, and
-//! [`ruskey::db::RusKey::run_mission`] all make those calls; missions
+//! next barrier) and a served request all make those calls; missions
 //! and barriers share one lane runner, and every constructor is a thin
-//! call into one private opener. A panic inside a lane — the caller's
-//! included — surfaces as a clean [`ruskey::sharded::MissionError`]
-//! (never an unwind, never a hang) and fences the shard, exactly as a
-//! client panicking inside a served shard does: one death protocol.
+//! call into one private opener. Operations are **borrowed** on the way:
+//! a lane is a `Vec` of references into the slice `run_mission` was
+//! given, a broadcast scan is one operation every lane points at, and
+//! nothing is cloned before the tree keeps a key or a value. A panic
+//! inside a lane — the caller's included — surfaces as a clean
+//! [`ruskey::sharded::MissionError`] (never an unwind, never a hang) and
+//! fences the shard, exactly as a client panicking inside a served shard
+//! does: one death protocol.
 //! Each shard accounts on its own **time domain** (a
 //! [`storage::ShardStorage`] view with a private virtual clock), so
 //! per-shard and per-level time attribution is exact under parallelism;
 //! domains compose store-wide into mission wall time (max) and
-//! device-busy time (sum). Tuning follows a
-//! [`ruskey::sharded::TunerStrategy`]: `Global` keeps the paper's loop —
-//! one agent ([`ruskey::lerp`] or a baseline) observes the shard-merged
-//! statistics and fans its per-level policy changes out to every shard —
-//! while `PerShard` gives every shard its own agent fed by that shard's
-//! exact signal (see the tuning section below).
-//! [`ruskey::db::RusKey`] remains the single-tree `N = 1` case
-//! used by all paper experiments; `tests/sharded_equivalence.rs` asserts
-//! the two are observationally equivalent, `tests/time_domains.rs`
-//! asserts per-shard accounting exactness at `N ∈ {2, 4}`, and
-//! `tests/pool_stress.rs` pins the lanes' thread identity (lane 0 is the
-//! caller, `N` distinct threads per mission), single-threaded-replay
-//! determinism, and clean panic propagation from any lane.
+//! device-busy time (sum). There is **one mission loop** — lanes,
+//! statistics collector, tuner seats, FLSM transition (paper §3, Fig. 1) —
+//! and the tuners sit in one **seat list** read under a
+//! [`ruskey::sharded::TunerStrategy`]: `Global` is one seat that observes
+//! the shard-merged statistics and whose per-level policy changes land on
+//! every shard (the paper's loop, with [`ruskey::lerp`] or a baseline in
+//! the seat), `PerShard` is one seat per shard fed by that shard's exact
+//! signal (see the tuning section below); with one shard the two are the
+//! same thing. [`ruskey::db::RusKey`], the single-tree store every paper
+//! experiment drives, is a facade over a **one-shard** store — not a
+//! second engine: its missions are one-lane missions, its plain calls are
+//! ad-hoc operations. `tests/sharded_equivalence.rs` pins that a one-shard
+//! store adds nothing to the accounting of the bare tree under it and
+//! that `N` shards are observationally equivalent to one,
+//! `tests/time_domains.rs` asserts per-shard accounting exactness at
+//! `N ∈ {2, 4}`, and `tests/pool_stress.rs` pins the lanes' thread
+//! identity (lane 0 is the caller, `N` distinct threads per mission),
+//! single-threaded-replay determinism, and clean panic propagation from
+//! any lane.
 //!
 //! # Durability & recovery: the two-log contract
 //!
@@ -300,10 +309,11 @@
 //! and [`ruskey::stats::MissionReport::shard_policies_after`] expose the
 //! per-shard result). Idle shards are skipped — a zero-op slice carries
 //! no signal, and skipping keeps a cold shard's replay buffer clean
-//! under skew. At `N = 1` the per-shard strategy is **bit-identical**
-//! to the global one (same seed, same slice, same observation), so it
-//! is a strict generalization of the paper's loop, not a second code
-//! path.
+//! under skew. Both strategies are the same loop over the seat list —
+//! only what a seat reads and where its changes land differ — and at
+//! `N = 1` they are **bit-identical** (same seed, same slice, same
+//! observation): a strict generalization of the paper's loop, not a
+//! second code path.
 //!
 //! Skew is also attacked structurally: hot-shard **mitigation**
 //! ([`ruskey::sharded::ShardedRusKey::enable_balancing`]) feeds the

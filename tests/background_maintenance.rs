@@ -191,8 +191,9 @@ fn in_flight_merges_are_read_equivalent_at_each_shard_count() {
 /// Regression for the ad-hoc backpressure bypass: an *ad-hoc* write
 /// burst in background mode — no missions, no explicit maintenance —
 /// is subject to the same backpressure as the mission path. L0 stays
-/// bounded by `l0_stall_runs`, boundary maintenance actually runs on
-/// the workers, and the time writes spent stalled (backstop flushes and
+/// bounded by `l0_stall_runs`, boundary maintenance actually runs (on
+/// the caller's thread, every 32nd write per shard), and the time writes
+/// spent stalled (backstop flushes and
 /// stall-loop drains) is recorded as `stall_ns`, never lost.
 #[test]
 fn adhoc_write_burst_in_background_mode_is_backpressured() {
@@ -205,7 +206,7 @@ fn adhoc_write_burst_in_background_mode_is_backpressured() {
     // must be measurable for the recording assertion to mean anything.
     let disk = SimulatedDisk::new(256, CostModel::NVME);
     let shards = 2;
-    let mut db = ShardedRusKey::untuned(cfg, shards, disk);
+    let mut db = ShardedRusKey::untuned(cfg.clone(), shards, disk);
     // Values big enough that a shard's memtable passes the 2x-buffer
     // backstop *between* worker maintenance boundaries — the burst must
     // actually hit the write-path backpressure, not just the boundaries.
@@ -232,6 +233,27 @@ fn adhoc_write_burst_in_background_mode_is_backpressured() {
     assert!(
         stats.stall_ns > 0,
         "backpressured ad-hoc writes must record their stall time"
+    );
+
+    // A `RusKey` is a one-shard store: its plain puts are the same ad-hoc
+    // path, every 32nd one a boundary grant, under the same backpressure.
+    let mut single = RusKey::untuned(cfg, SimulatedDisk::new(256, CostModel::NVME));
+    for i in 0u16..3000 {
+        let k = i % 997;
+        single.put(key(k), big_value(k, (i % 251) as u8));
+    }
+    assert!(
+        single.tree().level_run_count(0) <= 4,
+        "RusKey: an ad-hoc burst must not grow L0 past l0_stall_runs"
+    );
+    let stats = single.tree().stats();
+    assert!(
+        stats.bg_compactions > 0,
+        "RusKey: boundary maintenance must run on the ad-hoc path"
+    );
+    assert!(
+        stats.stall_ns > 0,
+        "RusKey: backpressured ad-hoc writes must record their stall time"
     );
 }
 

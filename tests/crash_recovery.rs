@@ -9,7 +9,7 @@
 //!    restore exactly the acknowledged prefix (and, for the torn
 //!    mid-flush sync, a strict per-shard prefix of the batch). The
 //!    group-commit barrier is *overlapped* — every shard's commit leg
-//!    runs concurrently on its persistent worker — so a shard crashing
+//!    runs concurrently inside its own mission lane — so a shard crashing
 //!    mid-barrier does not stop its siblings' fsyncs: sync-time crash
 //!    points leave the sibling shards' batches durable, and a dedicated
 //!    overlapped-commit case pins that under mission-driven operation.

@@ -4,10 +4,12 @@
 //! `N`, and identical mission-report counters at `N = 1` — plus routing
 //! determinism and real OS-thread parallelism.
 //!
-//! `N = 1` is *not* an inline special case: it dispatches through the
-//! same persistent worker pool as every other shard count (a single
-//! worker thread), and the counter-equality test below is what pins that
-//! the pooled path reproduces the pre-pool seed behavior exactly.
+//! `N = 1` is *not* an inline special case: it runs the same lane runner
+//! as every other shard count (one lane, on the caller's thread), and
+//! [`RusKey`] is itself a one-shard store — so the counter-equality test
+//! below compares the lane runner with itself, and the bare-tree test
+//! beside it is what pins that the runner adds nothing to the accounting
+//! of the tree under it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -15,6 +17,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use ruskey_repro::lsm::FlsmTree;
 use ruskey_repro::ruskey::db::{RusKey, RusKeyConfig};
 use ruskey_repro::ruskey::frontend::ServingConfig;
 use ruskey_repro::ruskey::sharded::{DurabilityConfig, ShardedRusKey};
@@ -52,10 +55,10 @@ fn mixed_spec(key_space: u64) -> WorkloadSpec {
 }
 
 /// Acceptance: for identical op sequences, `ShardedRusKey` with `N = 1` —
-/// running on the worker pool, not an inline fast path — produces the
-/// same mission-report counters (ops, updates, gamma, and the full
-/// virtual-time accounting) as `RusKey`, and serves every mission from
-/// one stable pool thread.
+/// one lane through the lane runner, not an inline fast path — produces
+/// the same mission-report counters (ops, updates, gamma, and the full
+/// virtual-time accounting) as `RusKey`, and runs every mission's lane on
+/// one stable thread: the caller's.
 #[test]
 fn single_shard_mission_counters_equal_ruskey() {
     let mut single = RusKey::with_tuner(small_cfg(), disk(), Box::new(FixedPolicy::moderate()));
@@ -75,7 +78,7 @@ fn single_shard_mission_counters_equal_ruskey() {
         assert_eq!(ops1, ops2, "generators must agree");
         let r1 = single.run_mission(&ops1);
         let r2 = sharded.run_mission(&ops2);
-        // The pooled N = 1 path: exactly one worker thread, the same one
+        // The N = 1 lane: exactly one thread (the caller), the same one
         // every mission.
         assert_eq!(sharded.last_parallelism(), 1, "mission {mission}");
         let ids = sharded.last_worker_threads().to_vec();
@@ -112,6 +115,43 @@ fn single_shard_mission_counters_equal_ruskey() {
         assert_eq!(r1.levels, r2.levels, "mission {mission}: per-level stats");
         assert_eq!(r1.policies_after, r2.policies_after, "mission {mission}");
     }
+}
+
+/// The one-shard store against the tree it wraps: the same six missions
+/// applied to a bare [`FlsmTree`] by hand — each operation through
+/// `put`/`get`/`delete`/`scan`, then the mission's commit leg — must leave
+/// tree statistics equal to the store's shard 0, field for field (time
+/// domain, per-level counters, WAL and cache counters included). Since
+/// `RusKey` is a one-shard store too, this is the oracle the test above no
+/// longer is.
+#[test]
+fn one_shard_store_equals_a_bare_tree() {
+    let mut store = ShardedRusKey::untuned(small_cfg(), 1, disk());
+    let mut bare = FlsmTree::new(small_cfg().lsm, disk());
+    let pairs = bulk_load_pairs(2000, 16, 48, 7);
+    store.bulk_load(pairs.clone());
+    bare.bulk_load(pairs);
+
+    let mut g = OpGenerator::new(mixed_spec(2000), 9);
+    for mission in 0..6 {
+        let ops = g.take_ops(300);
+        store.run_mission(&ops);
+        for op in &ops {
+            match op {
+                Operation::Get { key } => drop(bare.get(key)),
+                Operation::Put { key, value } => bare.put(key.clone(), value.clone()),
+                Operation::Delete { key } => bare.delete(key.clone()),
+                Operation::Scan { start, end, limit } => drop(bare.scan(start, end, *limit)),
+            }
+        }
+        bare.commit_wal_timed().expect("no WAL, no I/O");
+        assert_eq!(
+            bare.stats(),
+            store.shard(0).stats(),
+            "mission {mission}: the lane runner must add nothing to the tree's accounting"
+        );
+    }
+    assert!(bare.stats().flushes > 0 && bare.stats().clock_ns > 0);
 }
 
 /// Acceptance: `N ∈ {2, 4}` produces identical get/scan results to the
@@ -316,7 +356,7 @@ fn shard_routing_is_deterministic() {
 }
 
 /// Acceptance: parallel mission execution across shards uses ≥ 2 OS
-/// threads (one persistent pool worker per shard).
+/// threads (one lane per shard: the caller plus a scoped thread each).
 #[test]
 fn parallel_missions_run_on_multiple_os_threads() {
     let mut db = ShardedRusKey::untuned(small_cfg(), 4, disk());
