@@ -15,6 +15,7 @@
 //!   formulas of Table 2 for greedy, lazy, and flexible transitions.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cost;
 pub mod propagation;

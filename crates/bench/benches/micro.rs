@@ -1,6 +1,7 @@
 //! Component micro-benchmarks: the primitive costs underlying the paper's
 //! cost model (Bloom probes = `c_r`, merge work = `c_w`, run probes,
-//! memtable inserts, DDPG gradient steps = the Fig. 13 numerator), and the
+//! memtable inserts, DDPG gradient steps = the Fig. 13 numerator, and the
+//! three network passes a step is made of), and the
 //! per-unit costs of the page cursor, the merge kernel and the log append
 //! (`*_ns_per_*`, `*_us`, `*_ns` rows: printed per entry, page or call, so
 //! the layer is visible without the ledger).
@@ -11,6 +12,8 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use ruskey_lsm::bloom::Bloom;
 use ruskey_lsm::compaction::{Merge, Source};
 use ruskey_lsm::entry::EntryBuf;
@@ -18,7 +21,7 @@ use ruskey_lsm::memtable::Memtable;
 use ruskey_lsm::run::{Run, RunBuilder};
 use ruskey_lsm::types::KvEntry;
 use ruskey_lsm::{FlsmTree, LsmConfig, Wal};
-use ruskey_rl::{Ddpg, DdpgConfig, Transition};
+use ruskey_rl::{Activation, Ddpg, DdpgConfig, Mlp, Transition};
 use ruskey_storage::{BlockCache, CostModel, SimulatedDisk, Storage};
 
 fn key(i: u64) -> bytes::Bytes {
@@ -279,6 +282,42 @@ fn bench_ddpg_step(c: &mut Criterion) {
     });
 }
 
+/// The three passes a training step is made of, on the critic of the agent
+/// above (`[s, a]` = 7 inputs, 3×128 ReLU, one Q value) over a replay batch
+/// of 32, at the kernel width this CPU gets.
+fn bench_mlp_passes(_c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut net = Mlp::new(
+        &[7, 128, 128, 128, 1],
+        Activation::Relu,
+        Activation::Identity,
+        &mut rng,
+    );
+    net.input_mut(32).fill_with(|| rng.gen());
+    let grad = [-1.0f32; 32];
+    per_unit(
+        "mlp_forward_3x128_batch32",
+        "us",
+        1,
+        || (),
+        |()| net.forward_batch()[0],
+    );
+    per_unit(
+        "mlp_accumulate_grads_3x128_batch32",
+        "us",
+        1,
+        || (),
+        |()| net.accumulate_grads(&grad),
+    );
+    per_unit(
+        "mlp_input_grads_3x128_batch32",
+        "us",
+        1,
+        || (),
+        |()| net.input_grads(&grad)[0],
+    );
+}
+
 fn bench_flush_admit(c: &mut Criterion) {
     c.bench_function("tree_put_with_flushes_64KiB_buffer", |b| {
         b.iter_batched(
@@ -300,6 +339,6 @@ fn bench_flush_admit(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_bloom, bench_memtable, bench_run_probe, bench_merge, bench_reads, bench_wal_append, bench_ddpg_step, bench_flush_admit
+    targets = bench_bloom, bench_memtable, bench_run_probe, bench_merge, bench_reads, bench_wal_append, bench_ddpg_step, bench_mlp_passes, bench_flush_admit
 }
 criterion_main!(micro);

@@ -18,6 +18,8 @@
 //! experiment, flag or scale, or a flag without its value, prints the
 //! valid choices and exits with status 2.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 
 use ruskey::runner::ExperimentScale;

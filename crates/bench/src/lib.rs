@@ -6,6 +6,7 @@
 //! reduced versions of the same code paths.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ablations;
 pub mod compaction;

@@ -53,6 +53,7 @@
 //! engine runs identically on the simulated device and on real files.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bloom;
 pub mod compaction;

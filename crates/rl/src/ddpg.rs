@@ -315,7 +315,7 @@ impl Ddpg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nn::oracle;
+    use crate::nn::{oracle, Tier};
     use rand::Rng;
 
     impl Ddpg {
@@ -446,6 +446,59 @@ mod tests {
             "the problem never drove a textbook moment subnormal: the test is vacuous"
         );
         assert!(agent.param_bits() == reference.param_bits());
+    }
+
+    #[test]
+    fn every_kernel_tier_trains_the_same_agent_to_the_bit() {
+        // Lerp's shape (6 features, one action, 3×128, batch 32), one seed,
+        // one environment: only the kernel width differs between the runs.
+        let run = |tier: Tier| {
+            let cfg = DdpgConfig {
+                warmup: 16,
+                ..DdpgConfig::paper_default(6, 1)
+            };
+            let mut agent = Ddpg::new(cfg);
+            for net in [
+                &mut agent.actor,
+                &mut agent.critic,
+                &mut agent.target_actor,
+                &mut agent.target_critic,
+            ] {
+                oracle::force_tier(net, tier);
+            }
+            let mut env = StdRng::seed_from_u64(21);
+            let state = |env: &mut StdRng| -> Vec<f32> {
+                (0..6)
+                    .map(|i| if i % 3 == 2 { 0.0 } else { env.gen() })
+                    .collect()
+            };
+            for step in 0..300 {
+                let s = state(&mut env);
+                let action = agent.act_explore(&s);
+                agent.observe(Transition {
+                    reward: -(action[0] - s[0]).abs(),
+                    state: s,
+                    action,
+                    next_state: state(&mut env),
+                    done: step % 17 == 0,
+                });
+                agent.train_step();
+            }
+            assert!(agent.train_steps() > 250);
+            let moments: Vec<u32> = [&agent.adam_actor, &agent.adam_critic]
+                .into_iter()
+                .flat_map(|adam| {
+                    let (m, v) = adam.moments();
+                    m.iter().chain(v).map(|x| x.to_bits())
+                })
+                .collect();
+            (agent.param_bits(), moments)
+        };
+        let tiers = oracle::tiers();
+        let want = run(Tier::Portable);
+        for &tier in &tiers[1..] {
+            assert!(run(tier) == want, "{tier:?} trained a different agent");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   action);
 //! * [`adam`] — the Adam optimizer, whose moments are never subnormal;
 //! * [`replay`] — a ring replay buffer with uniform sampling;
-//! * [`noise`] — Ornstein–Uhlenbeck and Gaussian exploration noise;
+//! * [`noise`] — Ornstein–Uhlenbeck exploration noise;
 //! * [`ddpg`] — Deep Deterministic Policy Gradient (Lillicrap et al., 2015):
 //!   actor–critic with target networks and soft updates — the paper's one
 //!   learner (§5.1.4 argues it over DQN, which nothing here evaluates).
@@ -26,8 +26,17 @@
 //! `train_step` packs its sampled batch feature-major into buffers it keeps,
 //! and runs batched forward and backward passes over them without
 //! allocating.
+//!
+//! Those passes are one register-tiled kernel, compiled three times: for
+//! AVX-512, for AVX2 and portably. Each [`Mlp`] picks the widest one the
+//! CPU has when it is built; nothing outside the crate can choose, and the
+//! choice changes no bit (the [`nn`] docs say why, its tests check every
+//! tier the CPU runs against the per-sample oracle). Calling a wide kernel
+//! is the workspace's one `unsafe` block, hence `deny` rather than
+//! `forbid` here.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod adam;
 pub mod ddpg;
@@ -38,5 +47,5 @@ pub mod replay;
 pub use adam::Adam;
 pub use ddpg::{Ddpg, DdpgConfig, TrainMetrics};
 pub use nn::{Activation, Mlp};
-pub use noise::{GaussianNoise, OuNoise};
+pub use noise::OuNoise;
 pub use replay::{ReplayBuffer, Transition};

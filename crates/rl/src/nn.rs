@@ -18,12 +18,27 @@
 //!   ascending.
 //!
 //! That is the order a per-sample loop produces. No sum here crosses the
-//! batch dimension, so the kernels walk each sum in that order and run the
+//! batch dimension, so the kernel walks each sum in that order and runs the
 //! independent dimension (samples, or input features for `gw`) through the
 //! inner loop, where the compiler may vectorise it without changing a bit.
 //! Every product is rounded before it is added: no `mul_add`, no fused
 //! multiply-add, no reassociation. A per-sample reference implementation
 //! lives in this file's tests and is compared with `f32::to_bits`.
+//!
+//! # One kernel, three widths
+//!
+//! All three passes are one register-tiled kernel, `tiled::<T, L>`: it
+//! keeps `T` accumulator rows × `L = 32` columns in registers, each row with
+//! its own coefficients, so every slice it loads from the shared matrix is
+//! used `T` times. [`Mlp::new`] picks the width once from what the CPU
+//! reports: AVX-512 (`T = 4`), AVX2 (`T = 2`) or the portable body
+//! (`T = 1`, the only one off x86). The three are the same Rust, with no
+//! intrinsics, compiled under different target features, and they give the
+//! same bits: a vector lane only ever holds an independent column, the
+//! kernel writes a multiply and then an add, which Rust never fuses into
+//! one instruction, and an IEEE `f32` multiply or add rounds the same in a
+//! 4-, 8- or 16-wide register as alone. The tests run every width the CPU
+//! offers against the oracle.
 
 use rand::Rng;
 
@@ -64,42 +79,114 @@ impl Activation {
     }
 }
 
-/// Columns a kernel keeps in registers at once: eight 4-wide vectors, half
-/// of the baseline x86-64 register file, leaving room for the operands.
+/// Columns a kernel keeps in registers per accumulator row: two AVX-512,
+/// four AVX2 or eight SSE vectors.
 const LANES: usize = 32;
 
-/// `acc[j] += coeffs[k] * rows[k * stride + j]` for `k` ascending: every
-/// column sums its terms in `k` order, one rounded product and one add per
-/// term. `rows` holds one `stride`-wide row per coefficient. Columns are
-/// independent, so [`LANES`] of them at a time stay in registers while `k`
-/// runs; a narrower tail accumulates in memory, in the same order.
-#[inline]
-fn accumulate(
-    acc: &mut [f32],
-    coeffs: impl Iterator<Item = f32> + Clone,
-    rows: &[f32],
-    stride: usize,
-) {
-    let mut blocks = acc.chunks_exact_mut(LANES);
-    let mut col = 0;
-    for block in &mut blocks {
-        let mut sums = [0.0f32; LANES];
-        sums.copy_from_slice(block);
-        for (k, c) in coeffs.clone().enumerate() {
-            let row = &rows[k * stride + col..][..LANES];
-            for (s, x) in sums.iter_mut().zip(row) {
+/// The instruction set the kernel runs at; see the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tier {
+    Portable,
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    Avx2,
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    Avx512,
+}
+
+impl Tier {
+    /// The widest tier this CPU runs.
+    fn detect() -> Self {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if is_x86_feature_detected!("avx512f") {
+            return Tier::Avx512;
+        } else if is_x86_feature_detected!("avx2") {
+            return Tier::Avx2;
+        }
+        Tier::Portable
+    }
+
+    /// [`tiled`] at this tier's width. (Off x86 the block holds no unsafe
+    /// call, hence `unused_unsafe`.)
+    #[allow(unsafe_code, unused_unsafe)]
+    fn accumulate(self, acc: &mut [f32], w: usize, c: Coeffs, x: &[f32]) {
+        // SAFETY: an `Mlp`'s tier is the one `detect` found on this CPU, or
+        // one the test-only `oracle::force_tier` checked this CPU runs.
+        unsafe {
+            match self {
+                Tier::Portable => tiled::<1, LANES>(acc, w, c, x),
+                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                Tier::Avx2 => avx2(acc, w, c, x),
+                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                Tier::Avx512 => avx512(acc, w, c, x),
+            }
+        }
+    }
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f")]
+fn avx512(acc: &mut [f32], w: usize, c: Coeffs, x: &[f32]) {
+    tiled::<4, LANES>(acc, w, c, x)
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn avx2(acc: &mut [f32], w: usize, c: Coeffs, x: &[f32]) {
+    tiled::<2, LANES>(acc, w, c, x)
+}
+
+/// The coefficients of a product, `c(r, k) = .0[r * .1 + k * .2]`: the
+/// weight of term `k` in accumulator row `r`.
+#[derive(Clone, Copy)]
+struct Coeffs<'a>(&'a [f32], usize, usize);
+
+/// `acc[r][j] += c(r, k) * x[k][j]` over the `w`-wide rows of `acc` and `x`,
+/// `k` ascending: every element sums its terms in `k` order, one rounded
+/// product and one add per term. `T` rows at a time share each slice of
+/// `x` they load; rows past the last whole tile run one at a time.
+#[inline(always)]
+fn tiled<const T: usize, const L: usize>(acc: &mut [f32], w: usize, c: Coeffs, x: &[f32]) {
+    let whole = acc.len() / w / T * T;
+    let (tiles, rest) = acc.split_at_mut(whole * w);
+    for (i, tile) in tiles.chunks_exact_mut(T * w).enumerate() {
+        columns::<T, L>(tile, w, Coeffs(&c.0[i * T * c.1..], c.1, c.2), x);
+    }
+    for (i, row) in rest.chunks_exact_mut(w).enumerate() {
+        columns::<1, L>(row, w, Coeffs(&c.0[(whole + i) * c.1..], c.1, c.2), x);
+    }
+}
+
+/// The `T` rows of `acc`, `L` columns at a time while that many are left,
+/// then one at a time.
+#[inline(always)]
+fn columns<const T: usize, const L: usize>(acc: &mut [f32], w: usize, c: Coeffs, x: &[f32]) {
+    let whole = w / L * L;
+    for j in (0..whole).step_by(L) {
+        block::<T, L>(&mut acc[j..], w, c, &x[j..]);
+    }
+    for j in whole..w {
+        block::<T, 1>(&mut acc[j..], w, c, &x[j..]);
+    }
+}
+
+/// The first `N` columns of the `T` rows of `acc`, held in registers while
+/// every term is added.
+#[inline(always)]
+fn block<const T: usize, const N: usize>(acc: &mut [f32], w: usize, c: Coeffs, x: &[f32]) {
+    let mut sums = [[0.0f32; N]; T];
+    for (t, s) in sums.iter_mut().enumerate() {
+        s.copy_from_slice(&acc[t * w..][..N]);
+    }
+    for (k, x) in x.chunks(w).enumerate() {
+        for (t, s) in sums.iter_mut().enumerate() {
+            let c = c.0[t * c.1 + k * c.2];
+            for (s, x) in s.iter_mut().zip(&x[..N]) {
                 *s += c * x;
             }
         }
-        block.copy_from_slice(&sums);
-        col += LANES;
     }
-    let tail = blocks.into_remainder();
-    for (k, c) in coeffs.enumerate() {
-        let row = &rows[k * stride + col..][..tail.len()];
-        for (s, x) in tail.iter_mut().zip(row) {
-            *s += c * x;
-        }
+    for (t, s) in sums.iter().enumerate() {
+        acc[t * w..][..N].copy_from_slice(s);
     }
 }
 
@@ -127,15 +214,14 @@ impl Dense {
         start..start + self.out_dim
     }
 
-    fn forward(&mut self, params: &[f32], x: &[f32], batch: usize) {
+    fn forward(&mut self, tier: Tier, params: &[f32], x: &[f32], batch: usize) {
         let (w, b) = (&params[self.weights()], &params[self.biases()]);
-        for (o, y) in self.out.chunks_exact_mut(batch).enumerate() {
-            y.fill(b[o]);
-            let row = &w[o * self.in_dim..(o + 1) * self.in_dim];
-            accumulate(y, row.iter().copied(), x, batch);
-            for v in y {
-                *v = self.act.apply(*v);
-            }
+        for (y, &bias) in self.out.chunks_exact_mut(batch).zip(b) {
+            y.fill(bias);
+        }
+        tier.accumulate(&mut self.out, batch, Coeffs(w, self.in_dim, 1), x);
+        for v in &mut self.out {
+            *v = self.act.apply(*v);
         }
     }
 }
@@ -159,6 +245,8 @@ pub struct Mlp {
     g: Vec<f32>,
     g_in: Vec<f32>,
     x_t: Vec<f32>,
+    /// The kernel width, detected once per network.
+    tier: Tier,
 }
 
 impl Mlp {
@@ -206,6 +294,7 @@ impl Mlp {
             g: Vec::new(),
             g_in: Vec::new(),
             x_t: Vec::new(),
+            tier: Tier::detect(),
         };
         net.input_mut(1);
         net
@@ -239,7 +328,7 @@ impl Mlp {
     pub fn forward_batch(&mut self) -> &[f32] {
         let mut x = &self.input;
         for layer in &mut self.layers {
-            layer.forward(&self.params, x, self.batch);
+            layer.forward(self.tier, &self.params, x, self.batch);
             x = &layer.out;
         }
         x
@@ -305,24 +394,21 @@ impl Mlp {
                     }
                 }
                 let (gw, gb) = self.grads[layer.offset..].split_at_mut(layer.weights().len());
-                for (o, dz) in self.g.chunks_exact(batch).enumerate() {
-                    let row = &mut gw[o * layer.in_dim..(o + 1) * layer.in_dim];
-                    accumulate(row, dz.iter().copied(), &self.x_t, layer.in_dim);
+                let dz = Coeffs(&self.g, batch, 1);
+                self.tier.accumulate(gw, layer.in_dim, dz, &self.x_t);
+                for (gb, dz) in gb.iter_mut().zip(self.g.chunks_exact(batch)) {
                     for d in dz {
-                        gb[o] += d;
+                        *gb += d;
                     }
                 }
             }
             if l == 0 && for_params {
                 break; // nobody reads the input gradient of a parameter pass
             }
-            let w = &self.params[layer.weights()];
             self.g_in.clear();
             self.g_in.resize(layer.in_dim * batch, 0.0);
-            for (i, gi) in self.g_in.chunks_exact_mut(batch).enumerate() {
-                let column = w[i..].iter().step_by(layer.in_dim).copied();
-                accumulate(gi, column, &self.g, batch);
-            }
+            let w_t = Coeffs(&self.params[layer.weights()], 1, layer.in_dim);
+            self.tier.accumulate(&mut self.g_in, batch, w_t, &self.g);
             std::mem::swap(&mut self.g, &mut self.g_in);
         }
     }
@@ -361,7 +447,34 @@ impl Mlp {
 /// the kernel is compared with to the bit. Test code only.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::Mlp;
+    use super::{Mlp, Tier};
+
+    /// Every kernel tier this CPU runs, widest last. On x86-64 that includes
+    /// AVX2, which every CI runner has, and `Mlp::new` must pick the widest:
+    /// a detection that quietly falls back to the portable path fails here.
+    pub(crate) fn tiers() -> Vec<Tier> {
+        #[allow(unused_mut)]
+        let mut tiers = vec![Tier::Portable];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            if is_x86_feature_detected!("avx2") {
+                tiers.push(Tier::Avx2);
+            }
+            if is_x86_feature_detected!("avx512f") {
+                tiers.push(Tier::Avx512);
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        assert!(tiers.contains(&Tier::Avx2), "AVX2 was not detected");
+        assert_eq!(Some(&Tier::detect()), tiers.last());
+        tiers
+    }
+
+    /// Makes `net` run at `tier`, which must be one this CPU runs.
+    pub(crate) fn force_tier(net: &mut Mlp, tier: Tier) {
+        assert!(tiers().contains(&tier), "this CPU does not run {tier:?}");
+        net.tier = tier;
+    }
 
     /// Activations of one sample's forward pass: the input, then every
     /// layer's output.
@@ -438,6 +551,7 @@ mod tests {
     fn batched_kernel_equals_the_per_sample_oracle_to_the_bit() {
         const DIMS: [usize; 7] = [1, 2, 7, 16, 33, 64, 130];
         const ACTS: [Activation; 3] = [Activation::Relu, Activation::Tanh, Activation::Identity];
+        let tiers = oracle::tiers();
         let mut r = StdRng::seed_from_u64(0xB17);
         for case in 0..120 {
             let depth = r.gen_range(2..=4usize);
@@ -461,7 +575,6 @@ mod tests {
                 })
                 .collect();
             let grad_out: Vec<f32> = (0..n_out * batch).map(|_| r.gen::<f32>() - 0.5).collect();
-            let what = format!("case {case}: dims {dims:?}, batch {batch}, {hidden:?}/{out:?}");
 
             let mut reference = net.clone();
             let mut want_y = vec![0.0; n_out * batch];
@@ -476,31 +589,36 @@ mod tests {
                     want_gx[i * batch + b] = *g;
                 }
             }
-
-            net.input_mut(batch).copy_from_slice(&x);
-            assert_eq!(bits(net.forward_batch()), bits(&want_y), "outputs, {what}");
-            assert_eq!(
-                bits(net.input_grads(&grad_out)),
-                bits(&want_gx),
-                "input gradients, {what}"
-            );
-            assert!(
-                net.grads.iter().all(|g| g.to_bits() == 0),
-                "input_grads touched the accumulators, {what}"
-            );
-            // Accumulate twice, as the oracle would over two batches.
-            net.accumulate_grads(&grad_out);
-            assert_eq!(bits(&net.grads), bits(&reference.grads), "gw/gb, {what}");
+            let want_once = bits(&reference.grads);
             for b in 0..batch {
                 let tape = oracle::forward(&reference, &column(&x, batch, b));
                 oracle::backward(&mut reference, &tape, &column(&grad_out, batch, b));
             }
-            net.accumulate_grads(&grad_out);
-            assert_eq!(
-                bits(&net.grads),
-                bits(&reference.grads),
-                "gw/gb second pass, {what}"
-            );
+            let want_twice = bits(&reference.grads);
+
+            for &tier in &tiers {
+                let what = format!(
+                    "{tier:?}, case {case}: dims {dims:?}, batch {batch}, {hidden:?}/{out:?}"
+                );
+                let mut net = net.clone();
+                oracle::force_tier(&mut net, tier);
+                net.input_mut(batch).copy_from_slice(&x);
+                assert_eq!(bits(net.forward_batch()), bits(&want_y), "outputs, {what}");
+                assert_eq!(
+                    bits(net.input_grads(&grad_out)),
+                    bits(&want_gx),
+                    "input gradients, {what}"
+                );
+                assert!(
+                    net.grads.iter().all(|g| g.to_bits() == 0),
+                    "input_grads touched the accumulators, {what}"
+                );
+                // Accumulate twice, as the oracle did over two batches.
+                net.accumulate_grads(&grad_out);
+                assert_eq!(bits(&net.grads), want_once, "gw/gb, {what}");
+                net.accumulate_grads(&grad_out);
+                assert_eq!(bits(&net.grads), want_twice, "gw/gb second pass, {what}");
+            }
         }
     }
 

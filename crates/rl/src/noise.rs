@@ -1,4 +1,4 @@
-//! Exploration noise processes for DDPG.
+//! Exploration noise for DDPG.
 
 use rand::Rng;
 
@@ -56,41 +56,6 @@ impl OuNoise {
     }
 }
 
-/// Uncorrelated Gaussian noise (simpler alternative to OU).
-#[derive(Debug, Clone)]
-pub struct GaussianNoise {
-    sigma: f32,
-    dim: usize,
-}
-
-impl GaussianNoise {
-    /// Creates Gaussian noise with standard deviation `sigma`.
-    pub fn new(dim: usize, sigma: f32) -> Self {
-        Self { sigma, dim }
-    }
-
-    /// Draws one noise vector.
-    pub fn next(&mut self, rng: &mut impl Rng) -> Vec<f32> {
-        (0..self.dim)
-            .map(|_| {
-                let u1: f32 = rng.gen::<f32>().max(1e-9);
-                let u2: f32 = rng.gen();
-                self.sigma * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-            })
-            .collect()
-    }
-
-    /// Scales the standard deviation.
-    pub fn set_sigma(&mut self, sigma: f32) {
-        self.sigma = sigma;
-    }
-
-    /// Current standard deviation.
-    pub fn sigma(&self) -> f32 {
-        self.sigma
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,17 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_moments() {
-        let mut noise = GaussianNoise::new(1, 0.5);
-        let mut rng = StdRng::seed_from_u64(3);
-        let samples: Vec<f32> = (0..20_000).map(|_| noise.next(&mut rng)[0]).collect();
-        let mean = samples.iter().sum::<f32>() / samples.len() as f32;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / samples.len() as f32;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var.sqrt() - 0.5).abs() < 0.02, "std {}", var.sqrt());
-    }
-
-    #[test]
     fn reset_returns_to_mu() {
         let mut noise = OuNoise::new(3, 0.15, 0.3, 0.0);
         let mut rng = StdRng::seed_from_u64(4);
@@ -145,6 +99,6 @@ mod tests {
     fn dims_match() {
         let mut rng = StdRng::seed_from_u64(5);
         assert_eq!(OuNoise::standard(4).next(&mut rng).len(), 4);
-        assert_eq!(GaussianNoise::new(7, 1.0).next(&mut rng).len(), 7);
+        assert_eq!(OuNoise::standard(7).next(&mut rng).len(), 7);
     }
 }

@@ -59,6 +59,7 @@
 //! the torn-power crash matrix.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod clock;

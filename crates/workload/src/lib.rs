@@ -23,6 +23,7 @@
 //!   replay.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod closed_loop;
 pub mod dist;

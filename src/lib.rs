@@ -341,6 +341,8 @@
 //! finish win-or-tie on skewed and shifting workloads, and armed
 //! mitigation must actually migrate and drop the observed imbalance.
 
+#![forbid(unsafe_code)]
+
 pub use ruskey;
 pub use ruskey_analysis as analysis;
 pub use ruskey_lsm as lsm;
