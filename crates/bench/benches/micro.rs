@@ -2,15 +2,14 @@
 //! cost model (Bloom probes = `c_r`, merge work = `c_w`, run probes,
 //! memtable inserts, DDPG gradient steps = the Fig. 13 numerator, and the
 //! three network passes a step is made of), and the
-//! per-unit costs of the page cursor, the merge kernel and the log append
-//! (`*_ns_per_*`, `*_us`, `*_ns` rows: printed per entry, page or call, so
-//! the layer is visible without the ledger).
+//! per-unit costs of the page cursor, the merge kernel and the log append.
+//! Every row times itself and prints its cost per probe, entry, page or
+//! call, so the layer is visible without the ledger:
+//! `cargo bench -p ruskey-bench --bench micro`.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use std::hint::black_box;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,53 +27,59 @@ fn key(i: u64) -> bytes::Bytes {
     bytes::Bytes::copy_from_slice(&i.to_be_bytes())
 }
 
-fn bench_bloom(c: &mut Criterion) {
+/// Probes per timed call of the sub-microsecond rows, so the clock read
+/// is not what they measure.
+const PROBES: u64 = 1_000;
+
+fn bench_bloom() {
     let keys: Vec<[u8; 8]> = (0..10_000u64).map(|i| i.to_be_bytes()).collect();
     let bloom = Bloom::build(keys.iter().map(|k| k.as_slice()), keys.len(), 8.0);
     let mut i = 0u64;
-    c.bench_function("bloom_probe_8bpk", |b| {
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            black_box(bloom.contains(&i.to_be_bytes()))
-        })
+    per_unit(
+        "bloom_probe_8bpk",
+        "ns",
+        PROBES,
+        || (),
+        |()| {
+            for _ in 0..PROBES {
+                i = i.wrapping_add(1);
+                black_box(bloom.contains(&i.to_be_bytes()));
+            }
+        },
+    );
+}
+
+fn bench_memtable() {
+    per_unit("memtable_insert_128B", "ns", 512, Memtable::new, |mut m| {
+        for i in 0..512u64 {
+            m.insert(KvEntry::put(key(i), vec![7u8; 112], i));
+        }
+        m
     });
 }
 
-fn bench_memtable(c: &mut Criterion) {
-    c.bench_function("memtable_insert_128B", |b| {
-        b.iter_batched(
-            Memtable::new,
-            |mut m| {
-                for i in 0..512u64 {
-                    m.insert(KvEntry::put(key(i), vec![7u8; 112], i));
-                }
-                m
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
-
-fn bench_run_probe(c: &mut Criterion) {
+fn bench_run_probe() {
     let disk = SimulatedDisk::new(4096, CostModel::FREE);
     let mut builder = RunBuilder::new(1, 4096, 8.0);
     for i in 0..10_000u64 {
         builder.push(KvEntry::put(key(i * 2), vec![1u8; 112], i).borrowed());
     }
     let run = builder.finish(disk.as_ref(), u64::MAX).unwrap();
-    let mut i = 0u64;
-    c.bench_function("run_probe_hit", |b| {
-        b.iter(|| {
-            i = (i + 1) % 10_000;
-            black_box(run.probe(disk.as_ref(), &key(i * 2)))
-        })
-    });
-    c.bench_function("run_probe_miss", |b| {
-        b.iter(|| {
-            i = (i + 1) % 10_000;
-            black_box(run.probe(disk.as_ref(), &key(i * 2 + 1)))
-        })
-    });
+    for (name, offset) in [("run_probe_hit", 0), ("run_probe_miss", 1)] {
+        let mut i = 0u64;
+        per_unit(
+            name,
+            "ns",
+            PROBES,
+            || (),
+            |()| {
+                for _ in 0..PROBES {
+                    i = (i + 1) % 10_000;
+                    black_box(run.probe(disk.as_ref(), &key(i * 2 + offset)));
+                }
+            },
+        );
+    }
 }
 
 /// Calls `routine` on fresh input from `setup` until half a second of
@@ -125,7 +130,7 @@ fn key16(i: u64) -> bytes::Bytes {
 /// The merge loop as the write path runs it, per input entry: a flush
 /// (the level's active run against a memtable, into a run builder) and a
 /// full tier (ten runs into the batch the level below admits).
-fn bench_merge(_c: &mut Criterion) {
+fn bench_merge() {
     let disk = SimulatedDisk::new(4096, CostModel::FREE);
     let storage: &dyn Storage = disk.as_ref();
 
@@ -195,7 +200,7 @@ fn cache_resident_tree() -> FlsmTree {
 
 /// The read path on cache-resident data: a limit-100 scan (seek every
 /// overlapping run, then merge rows) and a point get that hits a run.
-fn bench_reads(_c: &mut Criterion) {
+fn bench_reads() {
     let mut tree = cache_resident_tree();
     let mut next = 0u64;
     let mut draw = || {
@@ -212,7 +217,7 @@ fn bench_reads(_c: &mut Criterion) {
 
 /// One WAL append of a 128-byte record into the user-space buffer (the
 /// reset that empties the buffer between calls is not timed).
-fn bench_wal_append(_c: &mut Criterion) {
+fn bench_wal_append() {
     let path = std::env::temp_dir().join(format!("ruskey-micro-wal-{}", std::process::id()));
     let records: Vec<KvEntry> = (0..1_000u64)
         .map(|i| KvEntry::put(key16(i), vec![9u8; 112], i))
@@ -233,7 +238,7 @@ fn bench_wal_append(_c: &mut Criterion) {
     let _ = std::fs::remove_file(&path);
 }
 
-fn bench_ddpg_step(c: &mut Criterion) {
+fn bench_ddpg_step() {
     // The Fig. 13 numerator: one model update with the paper's 3x128 nets.
     let mut agent = Ddpg::new(DdpgConfig::paper_default(6, 1));
     for i in 0..256 {
@@ -245,9 +250,13 @@ fn bench_ddpg_step(c: &mut Criterion) {
             done: false,
         });
     }
-    c.bench_function("ddpg_train_step_3x128_batch32", |b| {
-        b.iter(|| black_box(agent.train_step()))
-    });
+    per_unit(
+        "ddpg_train_step_3x128_batch32",
+        "us",
+        1,
+        || (),
+        |()| agent.train_step(),
+    );
 
     // The same update where a tuning run spends most of its missions: varied
     // transitions and 1500 steps behind it, so ReLU units have died and the
@@ -277,15 +286,19 @@ fn bench_ddpg_step(c: &mut Criterion) {
         agent.train_step();
         state = next_state;
     }
-    c.bench_function("ddpg_train_step_after_1500_steps", |b| {
-        b.iter(|| black_box(agent.train_step()))
-    });
+    per_unit(
+        "ddpg_train_step_after_1500_steps",
+        "us",
+        1,
+        || (),
+        |()| agent.train_step(),
+    );
 }
 
 /// The three passes a training step is made of, on the critic of the agent
 /// above (`[s, a]` = 7 inputs, 3×128 ReLU, one Q value) over a replay batch
 /// of 32, at the kernel width this CPU gets.
-fn bench_mlp_passes(_c: &mut Criterion) {
+fn bench_mlp_passes() {
     let mut rng = StdRng::seed_from_u64(3);
     let mut net = Mlp::new(
         &[7, 128, 128, 128, 1],
@@ -318,27 +331,32 @@ fn bench_mlp_passes(_c: &mut Criterion) {
     );
 }
 
-fn bench_flush_admit(c: &mut Criterion) {
-    c.bench_function("tree_put_with_flushes_64KiB_buffer", |b| {
-        b.iter_batched(
-            || {
-                let disk = SimulatedDisk::new(4096, CostModel::FREE);
-                FlsmTree::new(LsmConfig::scaled_default(), disk as Arc<dyn Storage>)
-            },
-            |mut tree| {
-                for i in 0..2000u64 {
-                    tree.put(key(i), vec![5u8; 112]);
-                }
-                tree
-            },
-            BatchSize::SmallInput,
-        )
-    });
+fn bench_flush_admit() {
+    per_unit(
+        "tree_put_with_flushes_64KiB_buffer",
+        "ns",
+        2000,
+        || {
+            let disk = SimulatedDisk::new(4096, CostModel::FREE);
+            FlsmTree::new(LsmConfig::scaled_default(), disk as Arc<dyn Storage>)
+        },
+        |mut tree| {
+            for i in 0..2000u64 {
+                tree.put(key(i), vec![5u8; 112]);
+            }
+            tree
+        },
+    );
 }
 
-criterion_group! {
-    name = micro;
-    config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_bloom, bench_memtable, bench_run_probe, bench_merge, bench_reads, bench_wal_append, bench_ddpg_step, bench_mlp_passes, bench_flush_admit
+fn main() {
+    bench_bloom();
+    bench_memtable();
+    bench_run_probe();
+    bench_merge();
+    bench_reads();
+    bench_wal_append();
+    bench_ddpg_step();
+    bench_mlp_passes();
+    bench_flush_admit();
 }
-criterion_main!(micro);

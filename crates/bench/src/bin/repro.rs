@@ -565,26 +565,17 @@ fn run_serve(c: &Ctx) {
 }
 
 fn run_tuning(c: &Ctx) {
-    println!("== Tuning: per-shard vs global Lerp + hot-shard mitigation ==");
+    println!("== Tuning: per-shard Lerp + hot-shard mitigation ==");
     let v = tuning(&c.scale);
     println!(
-        "{:<10}{:<11}{:<8}{:>10}{:>12}{:>18}{:>10}{:>18}{:>10}",
-        "workload",
-        "strategy",
-        "shards",
-        "missions",
-        "ops",
-        "tail ns/op",
-        "tuned",
-        "final K(L1)",
-        "distinct"
+        "{:<10}{:<8}{:>10}{:>12}{:>18}{:>10}{:>18}{:>10}",
+        "workload", "shards", "missions", "ops", "tail ns/op", "tuned", "final K(L1)", "distinct"
     );
     for r in &v.rows {
         let k1: Vec<String> = r.final_k1.iter().map(|k| k.to_string()).collect();
         println!(
-            "{:<10}{:<11}{:<8}{:>10}{:>12}{:>18.1}{:>10}{:>18}{:>10}",
+            "{:<10}{:<8}{:>10}{:>12}{:>18.1}{:>10}{:>18}{:>10}",
             r.workload,
-            r.strategy,
             r.shards,
             r.missions,
             r.ops_total,
@@ -610,8 +601,8 @@ fn run_tuning(c: &Ctx) {
         );
     }
     println!(
-        "  parity_ok={} (uniform ratio {:.3})   skew_ok={}   mitigation_ok={}   tuned_ok={}   tuning_ok={}",
-        v.parity_ok, v.uniform_ratio, v.skew_ok, v.mitigation_ok, v.tuned_ok, v.ok
+        "  mitigation_ok={}   tuned_ok={}   tuning_ok={}",
+        v.mitigation_ok, v.tuned_ok, v.ok
     );
     write_json(c, "tuning", tuning_json(c.label, &v));
 }

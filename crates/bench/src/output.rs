@@ -415,14 +415,12 @@ pub fn serve_json(scale_label: &str, v: &ServeVerdict) -> String {
 /// (`tail_ns_per_op`), the non-vacuity counter (`tuned_missions`), and
 /// the visible specialization (`final_k1`, `distinct_policies`); the
 /// mitigation rows carry the imbalance trajectory and migration
-/// counters. The verdict legs — `parity_ok`, `skew_ok`,
-/// `mitigation_ok`, `tuned_ok` — conjoin into the top-level
-/// `tuning_ok` flag CI greps as a smoke check.
+/// counters. The verdict legs — `mitigation_ok`, `tuned_ok` — conjoin
+/// into the top-level `tuning_ok` flag CI greps as a smoke check.
 pub fn tuning_json(scale_label: &str, v: &TuningVerdict) -> String {
     let row = |r: &crate::tuning::TuningRow| {
         Object(vec![
             ("workload", string(r.workload)),
-            ("strategy", string(r.strategy)),
             ("shards", int(r.shards)),
             ("missions", int(r.missions)),
             ("ops_total", int(r.ops_total)),
@@ -447,11 +445,8 @@ pub fn tuning_json(scale_label: &str, v: &TuningVerdict) -> String {
     };
     let doc = vec![
         ("tuning_ok", Bool(v.ok)),
-        ("parity_ok", Bool(v.parity_ok)),
-        ("skew_ok", Bool(v.skew_ok)),
         ("mitigation_ok", Bool(v.mitigation_ok)),
         ("tuned_ok", Bool(v.tuned_ok)),
-        ("uniform_ratio", Float(v.uniform_ratio, 4)),
         ("rows", Array(v.rows.iter().map(row).collect())),
         (
             "mitigation",
@@ -785,23 +780,21 @@ mod tests {
     #[test]
     fn tuning_json_carries_all_verdict_legs() {
         use crate::tuning::{MitigationRow, TuningRow, TuningVerdict};
-        let row = |workload: &'static str, strategy: &'static str, tail: f64| TuningRow {
+        let row = |workload: &'static str, tail: f64| TuningRow {
             workload,
-            strategy,
             shards: 4,
             missions: 24,
             ops_total: 4800,
             tail_ns_per_op: tail,
             tuned_missions: 12,
             final_k1: vec![1, 1, 9, 1],
-            distinct_policies: if strategy == "per_shard" { 2 } else { 1 },
+            distinct_policies: 2,
         };
         let v = TuningVerdict {
             rows: vec![
-                row("uniform", "global", 1000.0),
-                row("uniform", "per_shard", 1020.0),
-                row("skewed", "global", 1500.0),
-                row("skewed", "per_shard", 1400.0),
+                row("uniform", 1020.0),
+                row("skewed", 1400.0),
+                row("shifting", 1450.0),
             ],
             mitigation: vec![
                 MitigationRow {
@@ -821,9 +814,6 @@ mod tests {
                     rehomed_keys: 8,
                 },
             ],
-            uniform_ratio: 1.02,
-            parity_ok: true,
-            skew_ok: true,
             mitigation_ok: true,
             tuned_ok: true,
             ok: true,
@@ -831,24 +821,21 @@ mod tests {
         let json = tuning_json("tiny", &v);
         assert!(json.contains("\"experiment\": \"tuning\""));
         assert!(json.contains("\"tuning_ok\": true"));
-        assert!(json.contains("\"parity_ok\": true"));
-        assert!(json.contains("\"skew_ok\": true"));
         assert!(json.contains("\"mitigation_ok\": true"));
-        assert!(json.contains("\"uniform_ratio\": 1.0200"));
         assert!(json.contains("\"final_k1\": [1, 1, 9, 1]"));
-        assert_eq!(json.matches("\"tail_ns_per_op\":").count(), 4);
+        assert_eq!(json.matches("\"tail_ns_per_op\":").count(), 3);
         assert_eq!(json.matches("\"mean_imbalance\":").count(), 2);
         assert_eq!(json.matches("\"rebalances\":").count(), 2);
         // A failed leg flips only the verdicts it feeds.
         let bad = TuningVerdict {
-            skew_ok: false,
+            tuned_ok: false,
             ok: false,
             ..v
         };
         let bad_json = tuning_json("tiny", &bad);
         assert!(bad_json.contains("\"tuning_ok\": false"));
-        assert!(bad_json.contains("\"skew_ok\": false"));
-        assert!(bad_json.contains("\"parity_ok\": true"));
+        assert!(bad_json.contains("\"tuned_ok\": false"));
+        assert!(bad_json.contains("\"mitigation_ok\": true"));
         // Balanced braces/brackets, no trailing comma before a close.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

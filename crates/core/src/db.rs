@@ -4,8 +4,9 @@
 //! [`ShardedRusKey`]: the paper's single-tree loop
 //! (mission → statistics collector → tuner → FLSM transition, Fig. 1) is
 //! the store's one mission loop at `N = 1` — one lane, run on the caller's
-//! thread, one global tuner seat — not a second copy of it. Every method
-//! here forwards; [`RusKey::tree`] is shard 0.
+//! thread, one tuner seat (the tuner it was opened with, on shard 0) —
+//! not a second copy of it. Every method here forwards; [`RusKey::tree`]
+//! is shard 0.
 //!
 //! One consequence for accounting: the tree sits on a
 //! [`ShardStorage`](ruskey_storage::ShardStorage) view of the `storage`
@@ -365,5 +366,19 @@ mod tests {
         assert!(total_model > 0);
         assert!(db.model_update_ns() > 0);
         assert_eq!(db.tuner_name(), "ruskey-lerp");
+    }
+
+    /// A mission without operations carries no signal: the seat is
+    /// skipped, so the agent neither trains nor moves a policy.
+    #[test]
+    fn an_empty_mission_does_not_train_the_tuner() {
+        let mut db = RusKey::with_lerp(small_cfg(), disk());
+        db.bulk_load(bulk_load_pairs(500, 16, 48, 1));
+        let start = db.observe().policies;
+        let r = db.run_mission(&[]);
+        assert_eq!((r.ops, r.model_update_ns), (0, 0));
+        assert_eq!(db.model_update_ns(), 0);
+        assert_eq!(r.policies_after, start);
+        assert_eq!(db.observe().policies, start);
     }
 }

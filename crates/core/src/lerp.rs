@@ -23,7 +23,7 @@ use ruskey_rl::{Ddpg, DdpgConfig, Transition};
 
 use crate::state::{level_state, LEVEL_STATE_DIM};
 use crate::stats::MissionReport;
-use crate::tuner::{action_to_delta, RewardScale, TreeObservation, Tuner};
+use crate::tuner::{action_to_delta, stride_seed, RewardScale, TreeObservation, Tuner};
 
 /// Which Bloom-filter scheme governs propagation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -410,6 +410,12 @@ impl Tuner for Lerp {
 
         self.update_ns += t0.elapsed().as_nanos() as u64;
         changes
+    }
+
+    fn for_shard(&self, shard: usize) -> Box<dyn Tuner> {
+        let mut cfg = self.cfg.clone();
+        cfg.seed = stride_seed(cfg.seed, shard);
+        Box::new(Lerp::new(cfg))
     }
 
     fn model_update_ns(&self) -> u64 {

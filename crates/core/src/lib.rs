@@ -25,13 +25,13 @@
 //! 2. the [`stats`] collector deltas every shard's
 //!    [`ruskey_lsm::TreeStatsSnapshot`] against its own baseline and
 //!    merges the deltas into the mission's [`MissionReport`];
-//! 3. the tuners, sitting in one **seat list**, act — the only place a
-//!    [`tuner::Tuner`] runs. Under the default global strategy the list
-//!    holds one seat: it observes the merged report and tree structure,
-//!    and its per-level policy changes land on every shard, applied via
-//!    the configured flexible transition (§4). Under the per-shard
-//!    strategy every shard has a seat that reads that shard's own slice
-//!    and changes that shard only; with one shard the two coincide.
+//! 3. the tuners, sitting in one **seat list** with one seat per shard,
+//!    act — the only place a [`tuner::Tuner`] runs. Seat 0 is the tuner
+//!    the store was opened with and seat `i` its
+//!    [`tuner::Tuner::for_shard`]`(i)`; each reads its shard's own slice
+//!    of the report and its shard's tree structure, and its per-level
+//!    policy changes land on that shard only, applied via the configured
+//!    flexible transition (§4). With one shard this is the paper's loop.
 //!
 //! Accounting under parallelism is exact: every shard runs on its own
 //! **time domain** (a [`ruskey_storage::ShardStorage`] view with a private
@@ -56,7 +56,7 @@
 //! [`db::RusKey`] — the single-tree store the paper evaluates and every
 //! paper experiment drives — is a thin facade over a **one-shard**
 //! `ShardedRusKey`: its missions are one-lane missions on the caller's
-//! thread with one global seat, its plain calls are ad-hoc operations.
+//! thread with one seat, its plain calls are ad-hoc operations.
 //! It is not a second engine, so what the integration suite pins is that
 //! a one-shard store leaves exactly the statistics of the bare
 //! [`ruskey_lsm::FlsmTree`] under it, and that an `N`-shard store returns

@@ -12,22 +12,19 @@
 //! facade — one lane on the caller's thread, one tuner seat — so all paper
 //! experiments run the loop below.
 //!
-//! The tuners sit in one **seat list**, walked by one loop after every
-//! mission (`tune_seats`, the only caller of [`Tuner::tune`]); a
-//! [`TunerStrategy`] says how the list is read. **Global** (the default,
-//! the paper's loop): one seat — per-shard [`TreeStatsSnapshot`]s merge
-//! into one store-wide view, the seat's [`Tuner`] (Lerp or a baseline)
-//! observes the aggregated [`MissionReport`]/[`TreeObservation`], and its
-//! policy changes land on every shard. **Per-shard**
-//! ([`ShardedRusKey::with_per_shard_lerp`]): one seat per shard, fed by
-//! that shard's *own* reward slice (its time-domain delta, not an
-//! ops-weighted average that lets idle siblings mask a saturated shard;
-//! slices are built only for a store whose seats read them) and its own
-//! observation, with policy changes landing only on the owning shard — so
-//! under skew each shard's tree converges to *its* workload. With one
-//! shard a slice is the merged report and a shard is every shard, so the
-//! two readings are bit-identical (`tests/tuning_equivalence.rs` pins
-//! it).
+//! The tuners sit in one **seat list**, one seat per shard, walked by one
+//! loop after every mission (`tune_seats`, the only caller of
+//! [`Tuner::tune`]): the paper's loop, once per shard. Seat 0 is the
+//! [`Tuner`] (Lerp or a baseline) the store was opened with and seat `i`
+//! is its [`Tuner::for_shard`]`(i)`. A seat reads its shard's *own*
+//! reward slice — the shard's time-domain delta priced with its own
+//! commit leg, not an ops-weighted average that lets idle siblings mask a
+//! saturated shard — and its shard's [`TreeObservation`], and its policy
+//! changes land on that shard only, so under skew each shard's tree
+//! converges to *its* workload. A seat whose shard ran no operation is
+//! skipped. With one shard the slice is the mission's [`MissionReport`],
+//! which is the paper's single-tree loop exactly
+//! (`tests/tuning_equivalence.rs` pins both shapes with goldens).
 //!
 //! Orthogonally, [`ShardedRusKey::enable_balancing`] arms **hot-shard
 //! mitigation**: a decayed [`LoadSketch`] (per-shard op counters + a
@@ -174,11 +171,12 @@
 //! ## Opening a store
 //!
 //! Every public constructor is a thin call into one private opener,
-//! `open(cfg, shards, backend, seats, recover)`, over the three
+//! `open(cfg, shards, backend, tuner, recover)`, over the three
 //! backends (volatile: views of one shared device; durable: the same
 //! plus a WAL per shard; persistent: a directory per shard). It
 //! validates once, wipes or checks the previous incarnation, builds each
-//! shard's tree with its logs attached or recovered, and — recovering —
+//! shard's tree with its logs attached or recovered, seats `tuner` on
+//! shard 0 and `tuner.for_shard(i)` on shard `i`, and — recovering —
 //! settles the routes file and baselines the collector.
 
 use std::collections::{BinaryHeap, HashSet};
@@ -447,20 +445,6 @@ pub struct CommitStats {
     pub syncs: u64,
 }
 
-/// How a sharded store's learned tuning is organized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TunerStrategy {
-    /// One tuner observes the shard-merged statistics and fans its
-    /// policy changes out to every shard — the paper's single-tree
-    /// tuning loop, unchanged.
-    #[default]
-    Global,
-    /// Every shard owns its own tuner, fed by that shard's own reward
-    /// slice and observation; policy changes apply only to the owning
-    /// shard, so per-shard policies may diverge under skew.
-    PerShard,
-}
-
 /// Hot-shard mitigation state: the detection sketch plus its knobs.
 struct Balancer {
     cfg: BalanceConfig,
@@ -482,11 +466,8 @@ pub struct ShardedRusKey {
     /// One tree per shard, borrowed by whoever runs an operation. Empty
     /// only while a serving session holds the trees.
     shards: Vec<FlsmTree>,
-    /// How the seats below are read: one global seat, or one per shard.
-    strategy: TunerStrategy,
-    /// The tuner seats, walked by one loop after every mission
-    /// (`tune_seats`): a global store has one, acting on every shard; a
-    /// per-shard store has one per shard, in shard order.
+    /// The tuner seats, one per shard in shard order, walked by one loop
+    /// after every mission (`tune_seats`).
     seats: Vec<Box<dyn Tuner>>,
     collector: StatsCollector,
     last_report: Option<MissionReport>,
@@ -583,7 +564,8 @@ impl ShardedRusKey {
     /// logs, shard directories beyond the new count, and re-homed-key
     /// routes must all go) or **checks** that it describes `shards`
     /// shards; builds each shard's tree with its WAL/manifest attached or
-    /// recovered; and, recovering, settles the
+    /// recovered; seats `tuner` on shard 0 and `tuner.for_shard(i)` on
+    /// shard `i`; and, recovering, settles the
     /// persisted routes and baselines the collector so the first mission
     /// report excludes recovery work.
     ///
@@ -594,7 +576,7 @@ impl ShardedRusKey {
         cfg: RusKeyConfig,
         shards: usize,
         backend: Backend<'_>,
-        seats: Vec<Box<dyn Tuner>>,
+        tuner: Box<dyn Tuner>,
         recover: bool,
     ) -> Result<Self, OpenError> {
         assert!(shards >= 1, "a store needs at least one shard");
@@ -682,10 +664,10 @@ impl ShardedRusKey {
                 (true, None, _) => unreachable!("only a backend with logs is recovered"),
             });
         }
+        let siblings: Vec<_> = (1..shards).map(|i| tuner.for_shard(i)).collect();
         let mut store = Self {
             shards: trees,
-            strategy: TunerStrategy::Global,
-            seats,
+            seats: std::iter::once(tuner).chain(siblings).collect(),
             collector: StatsCollector::new(),
             last_report: None,
             last_workers: Vec::new(),
@@ -726,43 +708,10 @@ impl ShardedRusKey {
         tuner: Box<dyn Tuner>,
     ) -> Result<Self, ConfigError> {
         let backend = Backend::Volatile(storage);
-        Self::open(cfg, shards, backend, vec![tuner], false).map_err(|e| match e {
+        Self::open(cfg, shards, backend, tuner, false).map_err(|e| match e {
             OpenError::Config(e) => e,
             other => unreachable!("a volatile store does no I/O: {other}"),
         })
-    }
-
-    /// Creates a sharded store with **one Lerp agent per shard**: each
-    /// sees only its own shard's reward slice and observation, and its
-    /// policy changes apply only to that shard. Shard 0 keeps
-    /// `cfg.lerp.seed` unchanged — which is what makes a one-shard
-    /// per-shard store bit-identical to the global
-    /// [`ShardedRusKey::with_lerp`] path — and shard `i` derives its seed
-    /// as `seed + i·104729` (the same prime-stride idiom as
-    /// [`crate::tuner::PerLevelNoPropagation`]), so sibling agents
-    /// explore independently.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid or `shards` is zero.
-    pub fn with_per_shard_lerp(
-        cfg: RusKeyConfig,
-        shards: usize,
-        storage: Arc<dyn Storage>,
-    ) -> Self {
-        let tuners = (0..shards)
-            .map(|i| {
-                let mut lc = cfg.lerp.clone();
-                lc.seed = lc.seed.wrapping_add(i as u64 * 104_729);
-                Box::new(Lerp::new(lc)) as Box<dyn Tuner>
-            })
-            .collect();
-        let backend = Backend::Volatile(storage);
-        let mut store = Self::open(cfg, shards, backend, tuners, false)
-            .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"));
-        // The only constructor that seats one tuner per shard; every other
-        // one opens with the single global seat `open` assumes.
-        store.strategy = TunerStrategy::PerShard;
-        store
     }
 
     /// Creates a *durable* sharded store: every shard gets its own WAL
@@ -782,7 +731,7 @@ impl ShardedRusKey {
         durability: &DurabilityConfig,
     ) -> Result<Self, OpenError> {
         let backend = Backend::Durable(storage, durability);
-        Self::open(cfg, shards, backend, vec![tuner], false)
+        Self::open(cfg, shards, backend, tuner, false)
     }
 
     /// Creates a **fully persistent** sharded store: every shard gets its
@@ -804,7 +753,7 @@ impl ShardedRusKey {
         persistence: &PersistenceConfig,
     ) -> Result<Self, OpenError> {
         let backend = Backend::Persistent(persistence);
-        Self::open(cfg, shards, backend, vec![tuner], false)
+        Self::open(cfg, shards, backend, tuner, false)
     }
 
     /// Recovers a fully persistent sharded store after a restart: each
@@ -827,7 +776,7 @@ impl ShardedRusKey {
         persistence: &PersistenceConfig,
     ) -> Result<Self, OpenError> {
         let backend = Backend::Persistent(persistence);
-        Self::open(cfg, shards, backend, vec![tuner], true)
+        Self::open(cfg, shards, backend, tuner, true)
     }
 
     /// Recovers a durable sharded store after a crash: each shard's WAL
@@ -847,7 +796,7 @@ impl ShardedRusKey {
         durability: &DurabilityConfig,
     ) -> Result<Self, OpenError> {
         let backend = Backend::Durable(storage, durability);
-        Self::open(cfg, shards, backend, vec![tuner], true)
+        Self::open(cfg, shards, backend, tuner, true)
     }
 
     /// Creates a sharded store driven by an arbitrary tuner.
@@ -865,7 +814,8 @@ impl ShardedRusKey {
     }
 
     /// Creates a sharded store tuned by Lerp (the RusKey system of the
-    /// paper, scaled across shards).
+    /// paper, scaled across shards): one agent per shard, shard 0 on
+    /// `cfg.lerp.seed` and shard `i` on `seed + i·104729`.
     ///
     /// # Panics
     /// Panics if the configuration is invalid or `shards` is zero.
@@ -1034,29 +984,18 @@ impl ShardedRusKey {
         Ok(commit_stats(&legs))
     }
 
-    /// The store's tuning strategy.
-    pub fn tuner_strategy(&self) -> TunerStrategy {
-        self.strategy
-    }
-
-    /// The tuner's display name (per-shard: the first tuner's name with
-    /// the shard count, e.g. `per-shard(lerp ×4)`).
+    /// The tuner's display name (seat 0's; every seat is the same kind).
     pub fn tuner_name(&self) -> String {
-        let first = self.seats[0].name();
-        match self.strategy {
-            TunerStrategy::Global => first,
-            TunerStrategy::PerShard => format!("per-shard({first} ×{})", self.seats.len()),
-        }
+        self.seats[0].name()
     }
 
-    /// Whether the tuner reports convergence (per-shard: *every* shard's
-    /// tuner has converged).
+    /// Whether the tuner reports convergence: *every* shard's seat has
+    /// converged.
     pub fn tuner_converged(&self) -> bool {
         self.seats.iter().all(|t| t.converged())
     }
 
-    /// Cumulative model-update time (Fig. 13; per-shard: summed over the
-    /// shard tuners).
+    /// Cumulative model-update time (Fig. 13), summed over the seats.
     pub fn model_update_ns(&self) -> u64 {
         self.seats.iter().map(|t| t.model_update_ns()).sum()
     }
@@ -1266,32 +1205,23 @@ impl ShardedRusKey {
         self.rebaseline();
     }
 
-    /// Store-wide structure snapshot for tuners: per-level fill ratios
-    /// and run counts *average* over the shards that have materialized
-    /// the level — a lookup probes exactly one shard, so the mean run
-    /// count is what the RL state's normalized `runs / T` feature
-    /// expects (summing would scale it by `N` and push the tuner out of
-    /// distribution) — and the per-level policy is the **modal** one
-    /// across those shards (ties break toward the smaller K). Reporting
-    /// `holders[0]`'s policy was silently wrong once per-shard tuning
-    /// let policies diverge; the mode is exact whenever shards agree
-    /// (the whole global-tuning regime) and representative otherwise.
-    /// For a one-shard store this is that shard's own observation.
+    /// Store-wide structure snapshot, a reporting view (each tuner seat
+    /// observes its own shard): per-level fill ratios and run counts
+    /// *average* over the shards that have materialized the level — a
+    /// lookup probes exactly one shard, so the mean is what one shard
+    /// looks like — and the per-level policy is the **modal** one across
+    /// those shards (ties break toward the smaller K): exact whenever
+    /// shards agree, representative once their seats diverge. For a
+    /// one-shard store this is that shard's own observation.
     pub fn observe(&self) -> TreeObservation {
         let n = self.shard_count();
-        merge_observations((0..n).map(|i| self.observe_shard(i)).collect())
-    }
-
-    /// One shard's structure snapshot, built from that shard's levels
-    /// only — the observation a per-shard tuner acts on.
-    pub fn observe_shard(&self, idx: usize) -> TreeObservation {
-        TreeObservation::of(self.shard(idx))
+        merge_observations((0..n).map(|i| TreeObservation::of(self.shard(i))).collect())
     }
 
     /// Store-wide per-level policies: the modal policy across the shards
     /// holding each level (ties toward the smaller K) — exact whenever
-    /// shards agree, which is always the case under global tuning. The
-    /// per-shard truth is [`ShardedRusKey::shard_policies`].
+    /// shards agree. The per-shard truth is
+    /// [`ShardedRusKey::shard_policies`].
     pub fn policies(&self) -> Vec<u32> {
         self.observe().policies
     }
@@ -1309,9 +1239,8 @@ impl ShardedRusKey {
     /// scoped threads; every shard count, `N = 1` included, runs the same
     /// code path — with each lane running its shard's group-commit leg as
     /// soon as its operations finish (overlapped fsyncs), builds the
-    /// aggregated mission report, and lets the tuner seats act: a global
-    /// tuner's policy changes land on every shard, a per-shard tuner's on
-    /// its own.
+    /// aggregated mission report, and lets each shard's tuner seat act on
+    /// its own shard.
     ///
     /// # Panics
     /// Panics on [`MissionError`] (a dead engine or a WAL I/O failure);
@@ -1373,12 +1302,8 @@ impl ShardedRusKey {
         // total sync work the sum of all legs.
         let commit = commit_stats(&legs);
         let process_ns = t0.elapsed().as_nanos() as u64;
-        // Only per-shard seats read slice reports; a global store builds none.
-        let split = self.strategy == TunerStrategy::PerShard;
         let ends = self.shard_snapshots();
-        let (mut report, slices) = self
-            .collector
-            .report_mission_shards_split(ends, process_ns, split);
+        let (mut report, slices) = self.collector.report_mission_shards_split(ends, process_ns);
         report.commit_ns = commit.barrier_ns;
         report.commit_busy_ns = commit.busy_ns;
         // Report the *logical* scan composition (one scan per mission
@@ -1403,7 +1328,7 @@ impl ShardedRusKey {
             report.scans = logical_scans;
         }
 
-        report.model_update_ns = self.tune_seats(&report, slices, &legs);
+        report.model_update_ns = self.tune_seats(slices, &legs);
         report.policies_after = self.policies();
         report.shard_policies_after = self.shard_policies();
         self.last_report = Some(report.clone());
@@ -1414,39 +1339,25 @@ impl ShardedRusKey {
     /// Lets every tuner seat act on the finished mission — the one place a
     /// tuner runs — and returns the model-update time they spent.
     ///
-    /// The single global seat reads the merged `report` and the merged
-    /// observation, and its `(level, K)` changes land on every shard.
-    /// Per-shard seat `i` reads slice `i` — that shard's time-domain
-    /// delta, priced with *its* commit leg, not the barrier max (the
-    /// slice's physical scan count stays: the shard really ran its
-    /// broadcast leg) — and shard `i`'s own observation, and its changes
-    /// land on shard `i` only; an idle shard's seat is skipped, since a
-    /// zero-op slice carries no signal (the common case under skew) and
-    /// would feed its agent's replay degenerate rewards. With one shard
-    /// the two readings are the same thing.
-    fn tune_seats(
-        &mut self,
-        report: &MissionReport,
-        mut slices: Vec<MissionReport>,
-        legs: &[CommitLeg],
-    ) -> u64 {
+    /// Seat `i` reads slice `i` — shard `i`'s time-domain delta, priced
+    /// with *its* commit leg, not the barrier max (the slice's physical
+    /// scan count stays: the shard really ran its broadcast leg) — and
+    /// shard `i`'s observation, and its `(level, K)` changes land on
+    /// shard `i` only. An idle shard's seat is skipped: a zero-op slice
+    /// carries no signal (the common case under skew) and would feed its
+    /// agent's replay degenerate rewards.
+    fn tune_seats(&mut self, slices: Vec<MissionReport>, legs: &[CommitLeg]) -> u64 {
         let mut model_ns = 0;
-        for (i, tuner) in self.seats.iter_mut().enumerate() {
-            let (report, trees) = match slices.get_mut(i) {
-                Some(slice) if slice.ops == 0 => continue,
-                Some(slice) => {
-                    slice.commit_ns = legs[i].ns;
-                    slice.commit_busy_ns = legs[i].ns;
-                    (&*slice, &mut self.shards[i..=i])
-                }
-                None => (report, &mut self.shards[..]),
-            };
-            let obs = merge_observations(trees.iter().map(TreeObservation::of).collect());
+        let seats = self.seats.iter_mut().zip(&mut self.shards);
+        for ((tuner, tree), (mut slice, leg)) in seats.zip(slices.into_iter().zip(legs)) {
+            if slice.ops == 0 {
+                continue;
+            }
+            slice.commit_ns = leg.ns;
+            slice.commit_busy_ns = leg.ns;
             let model_before = tuner.model_update_ns();
-            for (level, k) in tuner.tune(report, &obs) {
-                for tree in trees.iter_mut() {
-                    tree.set_policy(level, k);
-                }
+            for (level, k) in tuner.tune(&slice, &TreeObservation::of(tree)) {
+                tree.set_policy(level, k);
             }
             model_ns += tuner.model_update_ns().saturating_sub(model_before);
         }
@@ -1572,7 +1483,9 @@ impl ShardedRusKey {
         if self.persist_routes().is_err() {
             // Could not make the new routes durable: undo them in memory
             // (no data has moved) and skip this pass — mitigation is
-            // best-effort, correctness is not at stake.
+            // best-effort, correctness is not at stake. If the rename
+            // landed before the directory fsync failed, recovery settles
+            // the moves the routes file names, like any interrupted pass.
             rollback(self);
             return Ok(());
         }
@@ -1637,12 +1550,8 @@ impl ShardedRusKey {
             f.sync_all()?;
         }
         std::fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
     }
 
     /// Settles recovered routing overrides: installs each entry, then
@@ -1742,8 +1651,7 @@ fn merge_observations(shards: Vec<TreeObservation>) -> TreeObservation {
 
 /// The most common policy among the shards holding a level, ties broken
 /// toward the smaller (more leveled, read-safer) K. Deterministic, and
-/// the identity whenever all shards agree — i.e. always, under global
-/// tuning.
+/// the identity whenever all shards agree.
 fn modal_policy(held: &[u32]) -> u32 {
     let mut sorted = held.to_vec();
     sorted.sort_unstable();
@@ -1948,8 +1856,10 @@ mod tests {
         assert_eq!(db.last_worker_threads().len(), 4);
     }
 
+    /// Every shard gets operations, so every seat — the given tuner on
+    /// shard 0, its `for_shard` copies on the rest — sets its shard.
     #[test]
-    fn policy_fanout_reaches_every_shard() {
+    fn every_seat_sets_its_own_shards_policy() {
         let mut db =
             ShardedRusKey::with_tuner(small_cfg(), 3, disk(), Box::new(FixedPolicy::new(4)));
         db.bulk_load(bulk_load_pairs(900, 16, 48, 3));
@@ -1966,10 +1876,31 @@ mod tests {
                 assert_eq!(
                     tree.policy(lvl),
                     4,
-                    "shard {s} level {lvl} missed the fan-out"
+                    "shard {s} level {lvl} missed its seat's policy"
                 );
             }
         }
+    }
+
+    /// A seat whose shard ran nothing is skipped: only the shard that
+    /// saw operations takes its seat's policy.
+    #[test]
+    fn an_idle_shards_seat_is_skipped() {
+        let mut db =
+            ShardedRusKey::with_tuner(small_cfg(), 4, disk(), Box::new(FixedPolicy::new(4)));
+        db.bulk_load(bulk_load_pairs(1200, 16, 48, 3));
+        let start = db.shard_policies();
+        let gets: Vec<Operation> = (0..1200u64)
+            .map(|i| ruskey_workload::encode_key(i, 16))
+            .filter(|key| shard_for_key(key, 4) == 0)
+            .take(100)
+            .map(|key| Operation::Get { key })
+            .collect();
+        let r = db.run_mission(&gets);
+        assert_eq!(r.shard_ops, vec![100, 0, 0, 0]);
+        assert!(!start[0].is_empty() && start[0].iter().all(|&k| k != 4));
+        assert!(db.shard_policies()[0].iter().all(|&k| k == 4));
+        assert_eq!(db.shard_policies()[1..], start[1..], "idle seats act");
     }
 
     /// Ad-hoc scans between missions broadcast to every shard; the next

@@ -246,18 +246,17 @@ impl StatsCollector {
     /// Each domain is deltaed against its own baseline; the deltas merge
     /// into wall (max) and device-busy (sum) mission times.
     ///
-    /// With `split`, also returns one *slice* report per shard (empty
-    /// otherwise — only per-shard tuner seats read them), each built from
-    /// that shard's own domain delta only: the per-shard reward signal. A
-    /// slice's `ops`/`scans` are the shard's **physical** counts (a
-    /// broadcast scan appears on every shard it ran on — that is the work
-    /// the shard's tuner must price). The merged report and all slices
-    /// carry the same `mission_idx`; the mission counter advances once.
+    /// Also returns one *slice* report per shard, each built from that
+    /// shard's own domain delta only: the reward signal of the shard's
+    /// tuner seat. A slice's `ops`/`scans` are the shard's **physical**
+    /// counts (a broadcast scan appears on every shard it ran on — that is
+    /// the work the shard's tuner must price). The merged report and all
+    /// slices carry the same `mission_idx`; the mission counter advances
+    /// once.
     pub fn report_mission_shards_split(
         &mut self,
         end_snapshots: Vec<TreeStatsSnapshot>,
         real_process_ns: u64,
-        split: bool,
     ) -> (MissionReport, Vec<MissionReport>) {
         let zero = TreeStatsSnapshot::default();
         let deltas: Vec<TreeStatsSnapshot> = end_snapshots
@@ -266,8 +265,7 @@ impl StatsCollector {
             .map(|(i, s)| s.delta(self.last_snapshots.get(i).unwrap_or(&zero)))
             .collect();
         let merged = Self::build_report(&deltas, &end_snapshots, self.missions, real_process_ns);
-        let sliced = if split { deltas.len() } else { 0 };
-        let slices = (0..sliced)
+        let slices = (0..deltas.len())
             .map(|i| {
                 Self::build_report(
                     std::slice::from_ref(&deltas[i]),
@@ -372,7 +370,7 @@ mod tests {
     fn reports_are_deltas() {
         let mut c = StatsCollector::new();
         c.baseline_shards(vec![snap(10, 10, 1000, 100)]);
-        let (r, _) = c.report_mission_shards_split(vec![snap(15, 25, 4000, 400)], 7, false);
+        let (r, _) = c.report_mission_shards_split(vec![snap(15, 25, 4000, 400)], 7);
         assert_eq!(r.ops, 20);
         assert_eq!(r.lookups, 5);
         assert_eq!(r.updates, 15);
@@ -382,7 +380,7 @@ mod tests {
         assert_eq!(r.real_process_ns, 7);
         assert_eq!(r.mission_idx, 0);
         // Second mission starts from the last snapshot.
-        let (r2, _) = c.report_mission_shards_split(vec![snap(16, 26, 4100, 410)], 3, false);
+        let (r2, _) = c.report_mission_shards_split(vec![snap(16, 26, 4100, 410)], 3);
         assert_eq!(r2.ops, 2);
         assert_eq!(r2.mission_idx, 1);
     }
@@ -394,8 +392,7 @@ mod tests {
         c.baseline_shards(vec![snap(10, 0, 1000, 0), snap(0, 0, 200, 0)]);
         // Shard 0 advances 500 ns, shard 1 advances 2000 ns.
         let ends = vec![snap(12, 0, 1500, 0), snap(3, 0, 2200, 0)];
-        let (r, slices) = c.report_mission_shards_split(ends, 1, false);
-        assert!(slices.is_empty(), "no seat asked for slices");
+        let (r, _) = c.report_mission_shards_split(ends, 1);
         assert_eq!(r.ops, 5);
         assert_eq!(r.lookups, 5);
         assert_eq!(r.end_to_end_ns, 2000, "wall = max(500, 2000)");
@@ -415,7 +412,7 @@ mod tests {
         after.wal_appends = 35;
         after.wal_syncs = 2;
         after.wal_synced = 35;
-        let (r, _) = c.report_mission_shards_split(vec![after], 1, false);
+        let (r, _) = c.report_mission_shards_split(vec![after], 1);
         assert_eq!(r.wal_appends, 25);
         assert_eq!(r.wal_syncs, 1);
         assert_eq!(r.wal_synced, 25);
@@ -436,7 +433,7 @@ mod tests {
         after.stall_ns = 100;
         after.bg_compactions = 7;
         after.pending_compaction_bytes = 4096;
-        let (r, _) = c.report_mission_shards_split(vec![after], 1, false);
+        let (r, _) = c.report_mission_shards_split(vec![after], 1);
         assert_eq!(r.stall_ns, 60);
         assert_eq!(r.bg_compactions, 4);
         assert_eq!(
@@ -450,9 +447,9 @@ mod tests {
         let mut c = StatsCollector::new();
         c.baseline_shards(vec![snap(10, 0, 1000, 0), snap(0, 0, 200, 0)]);
         let ends = vec![snap(12, 4, 1500, 0), snap(3, 0, 2200, 0)];
-        let (merged, slices) = c.report_mission_shards_split(ends, 1, true);
+        let (merged, slices) = c.report_mission_shards_split(ends, 1);
         assert_eq!(slices.len(), 2);
-        // The merged view is what an unsplit report carries.
+        // The merged view composes both domains.
         assert_eq!(merged.ops, 9);
         assert_eq!(merged.end_to_end_ns, 2000);
         assert_eq!(merged.device_busy_ns, 2500);

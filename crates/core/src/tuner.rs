@@ -41,6 +41,9 @@ impl TreeObservation {
 
 /// A tuning model: observes each finished mission and proposes per-level
 /// policy changes, applied by RusKey with the configured transition.
+///
+/// A store seats one tuner per shard: the one it was opened with tunes
+/// shard 0, and `for_shard(i)` tunes shard `i ≥ 1`.
 pub trait Tuner {
     /// Short name used in experiment output.
     fn name(&self) -> String;
@@ -48,6 +51,12 @@ pub trait Tuner {
     /// Observes the mission that just finished and returns `(level, K)`
     /// assignments to apply before the next mission.
     fn tune(&mut self, report: &MissionReport, obs: &TreeObservation) -> Vec<(usize, u32)>;
+
+    /// A fresh tuner of the same kind and configuration for shard
+    /// `shard`. Learned tuners derive their seed as
+    /// `seed + shard·104729`, so sibling agents explore independently;
+    /// the baselines are plain copies.
+    fn for_shard(&self, shard: usize) -> Box<dyn Tuner>;
 
     /// Cumulative real time spent updating internal models (Fig. 13).
     fn model_update_ns(&self) -> u64 {
@@ -72,6 +81,10 @@ impl Tuner for NoOpTuner {
 
     fn tune(&mut self, _report: &MissionReport, _obs: &TreeObservation) -> Vec<(usize, u32)> {
         Vec::new()
+    }
+
+    fn for_shard(&self, _shard: usize) -> Box<dyn Tuner> {
+        Box::new(self.clone())
     }
 }
 
@@ -115,6 +128,10 @@ impl Tuner for FixedPolicy {
             .map(|l| (l, self.k))
             .collect()
     }
+
+    fn for_shard(&self, _shard: usize) -> Box<dyn Tuner> {
+        Box::new(self.clone())
+    }
 }
 
 /// Dostoevsky's Lazy-Leveling: tiering (`K = T`) everywhere except the
@@ -134,6 +151,10 @@ impl Tuner for LazyLeveling {
             .map(|l| (l, if l == last { 1 } else { obs.size_ratio }))
             .filter(|&(l, k)| obs.policies[l] != k)
             .collect()
+    }
+
+    fn for_shard(&self, _shard: usize) -> Box<dyn Tuner> {
+        Box::new(self.clone())
     }
 }
 
@@ -207,6 +228,10 @@ impl Tuner for GreedyHeuristic {
         }
         out
     }
+
+    fn for_shard(&self, _shard: usize) -> Box<dyn Tuner> {
+        Box::new(self.clone())
+    }
 }
 
 /// The brute-force RL model of the §7 impracticality study: one DDPG agent
@@ -215,6 +240,7 @@ impl Tuner for GreedyHeuristic {
 pub struct BruteForceLerp {
     agent: Ddpg,
     levels: usize,
+    seed: u64,
     prev: Option<(Vec<f32>, Vec<f32>)>,
     reward_scale: RewardScale,
     update_ns: u64,
@@ -230,6 +256,7 @@ impl BruteForceLerp {
         Self {
             agent: Ddpg::new(cfg),
             levels,
+            seed,
             prev: None,
             reward_scale: RewardScale::default(),
             update_ns: 0,
@@ -278,6 +305,10 @@ impl Tuner for BruteForceLerp {
         out
     }
 
+    fn for_shard(&self, shard: usize) -> Box<dyn Tuner> {
+        Box::new(Self::new(self.levels, stride_seed(self.seed, shard)))
+    }
+
     fn model_update_ns(&self) -> u64 {
         self.update_ns
     }
@@ -295,6 +326,7 @@ impl Tuner for BruteForceLerp {
 /// from Level 3 down).
 pub struct PerLevelNoPropagation {
     agents: Vec<Ddpg>,
+    seed: u64,
     pending: Vec<Option<(Vec<f32>, Vec<f32>)>>,
     reward_scales: Vec<RewardScale>,
     alpha: f64,
@@ -307,7 +339,7 @@ impl PerLevelNoPropagation {
         let agents: Vec<Ddpg> = (0..max_levels)
             .map(|i| {
                 let mut cfg = DdpgConfig::paper_default(LEVEL_STATE_DIM, 1);
-                cfg.seed = seed.wrapping_add(i as u64 * 104_729);
+                cfg.seed = stride_seed(seed, i);
                 cfg.warmup = 16;
                 Ddpg::new(cfg)
             })
@@ -316,6 +348,7 @@ impl PerLevelNoPropagation {
             pending: vec![None; agents.len()],
             reward_scales: vec![RewardScale::default(); agents.len()],
             agents,
+            seed,
             alpha: 0.85,
             update_ns: 0,
         }
@@ -362,6 +395,10 @@ impl Tuner for PerLevelNoPropagation {
         out
     }
 
+    fn for_shard(&self, shard: usize) -> Box<dyn Tuner> {
+        Box::new(Self::new(self.agents.len(), stride_seed(self.seed, shard)))
+    }
+
     fn model_update_ns(&self) -> u64 {
         self.update_ns
     }
@@ -369,6 +406,13 @@ impl Tuner for PerLevelNoPropagation {
     fn converged(&self) -> bool {
         false
     }
+}
+
+/// The seed of the `i`-th sibling agent (a level's, or a shard's):
+/// `seed + i·104729`, a prime stride that keeps siblings' exploration
+/// independent.
+pub(crate) fn stride_seed(seed: u64, i: usize) -> u64 {
+    seed.wrapping_add(i as u64 * 104_729)
 }
 
 /// Maps a continuous action in `[-1, 1]` to `ΔK ∈ {-1, 0, +1}` (§5.1.2:
@@ -588,6 +632,25 @@ mod tests {
             assert!(t.model_update_ns() > 0 || i == 0);
         }
         assert!(!t.converged());
+    }
+
+    #[test]
+    fn for_shard_keeps_kind_and_configuration() {
+        let tuners: Vec<Box<dyn Tuner>> = vec![
+            Box::new(NoOpTuner),
+            Box::new(FixedPolicy::moderate()),
+            Box::new(LazyLeveling),
+            Box::new(GreedyHeuristic::new(25.0, 75.0)),
+            Box::new(BruteForceLerp::new(3, 1)),
+            Box::new(PerLevelNoPropagation::new(3, 9)),
+        ];
+        for t in &tuners {
+            let seat = t.for_shard(2);
+            assert_eq!(seat.name(), t.name());
+            assert_eq!(seat.model_update_ns(), 0, "{}: a fresh seat", t.name());
+        }
+        let mut fixed = FixedPolicy::new(4).for_shard(3);
+        assert_eq!(fixed.tune(&report(0.5), &obs(vec![1])), vec![(0, 4)]);
     }
 
     #[test]

@@ -42,13 +42,12 @@
 //! domains compose store-wide into mission wall time (max) and
 //! device-busy time (sum). There is **one mission loop** — lanes,
 //! statistics collector, tuner seats, FLSM transition (paper §3, Fig. 1) —
-//! and the tuners sit in one **seat list** read under a
-//! [`ruskey::sharded::TunerStrategy`]: `Global` is one seat that observes
-//! the shard-merged statistics and whose per-level policy changes land on
-//! every shard (the paper's loop, with [`ruskey::lerp`] or a baseline in
-//! the seat), `PerShard` is one seat per shard fed by that shard's exact
-//! signal (see the tuning section below); with one shard the two are the
-//! same thing. [`ruskey::db::RusKey`], the single-tree store every paper
+//! and the tuners sit in one **seat list**, one seat per shard: seat 0 is
+//! the tuner the store was opened with ([`ruskey::lerp`] or a baseline)
+//! and seat `i` its [`ruskey::tuner::Tuner::for_shard`]`(i)`. Each seat
+//! runs the paper's loop on its own shard — that shard's exact signal in,
+//! that shard's policy changes out (see the tuning section below).
+//! [`ruskey::db::RusKey`], the single-tree store every paper
 //! experiment drives, is a facade over a **one-shard** store — not a
 //! second engine: its missions are one-lane missions, its plain calls are
 //! ad-hoc operations. `tests/sharded_equivalence.rs` pins that a one-shard
@@ -297,9 +296,11 @@
 //! # Per-shard learned tuning & hot-shard balance
 //!
 //! Under skewed key popularity the shards see *different* workloads, so
-//! one store-wide policy is the wrong answer for somebody.
-//! [`ruskey::sharded::TunerStrategy::PerShard`]
-//! ([`ShardedRusKey::with_per_shard_lerp`](ruskey::sharded::ShardedRusKey::with_per_shard_lerp))
+//! one store-wide policy is the wrong answer for somebody. A store
+//! therefore seats one tuner per shard: seat `i` is the opening tuner's
+//! [`ruskey::tuner::Tuner::for_shard`]`(i)` (a Lerp agent seeded
+//! `seed + i·104729`, a baseline's plain copy), so
+//! [`ShardedRusKey::with_lerp`](ruskey::sharded::ShardedRusKey::with_lerp)
 //! runs one Lerp agent per shard, and the signal path is exact rather
 //! than averaged: each agent is rewarded from its shard's **reward
 //! slice** — the shard's own time-domain delta with its own commit leg,
@@ -309,11 +310,8 @@
 //! and [`ruskey::stats::MissionReport::shard_policies_after`] expose the
 //! per-shard result). Idle shards are skipped — a zero-op slice carries
 //! no signal, and skipping keeps a cold shard's replay buffer clean
-//! under skew. Both strategies are the same loop over the seat list —
-//! only what a seat reads and where its changes land differ — and at
-//! `N = 1` they are **bit-identical** (same seed, same slice, same
-//! observation): a strict generalization of the paper's loop, not a
-//! second code path.
+//! under skew. At `N = 1` the one seat reads the mission's whole report:
+//! the paper's loop, not a second code path.
 //!
 //! Skew is also attacked structurally: hot-shard **mitigation**
 //! ([`ruskey::sharded::ShardedRusKey::enable_balancing`]) feeds the
@@ -333,13 +331,14 @@
 //! (target, then source, then hash home) and scrubbing every stale
 //! copy, so chained migrations can never resurrect an old value.
 //!
-//! The contract is pinned by `tests/tuning_equivalence.rs` (`N = 1`
-//! bit-identity, a proptest that mitigation is observationally
-//! invisible under churn, and interrupted-migration recovery) and the
-//! `repro tuning --json` experiment, whose `tuning_ok` verdict CI
-//! greps: uniform workloads must show strategy parity, per-shard must
-//! finish win-or-tie on skewed and shifting workloads, and armed
-//! mitigation must actually migrate and drop the observed imbalance.
+//! The contract is pinned by `tests/tuning_equivalence.rs` (goldens of
+//! the seats' decisions at `N = 1` and under skew at `N = 4`, a proptest
+//! that mitigation is observationally invisible under churn, and
+//! interrupted-migration recovery) and the `repro tuning --json`
+//! experiment, whose `tuning_ok` verdict CI greps: the per-shard agents
+//! must really move policies on the uniform, skewed and shifting
+//! workloads, and armed mitigation must actually migrate and drop the
+//! observed imbalance.
 
 #![forbid(unsafe_code)]
 

@@ -2,12 +2,13 @@
 //!
 //! Three contracts are pinned here:
 //!
-//! 1. **N = 1 bit-identity**: a one-shard per-shard-Lerp store is the
-//!    global-Lerp store — same seed, same reward slice (one shard's
-//!    slice *is* the merged report), same observation, so every mission
-//!    must produce identical policies and virtual-time counters. This is
-//!    what makes `TunerStrategy::PerShard` a strict generalization of
-//!    the paper's single-agent loop rather than a second code path.
+//! 1. **The seats' decisions are pinned by goldens**: a one-shard Lerp
+//!    store (the paper's single-agent loop) and a four-shard Lerp store
+//!    under `repro tuning`'s `skewed` schedule (one agent per shard, each
+//!    on its own reward slice) must reproduce, mission by mission, the
+//!    policies recorded before the store lost its second, store-wide
+//!    reading of the seat list — and the summed virtual wall and
+//!    device-busy time with them.
 //! 2. **Mitigation is observationally invisible**: re-homing viral keys
 //!    changes *where* data lives, never *what* reads return — a
 //!    proptest drives a skewed churn of missions and ad-hoc ops against
@@ -25,8 +26,10 @@ use std::sync::Arc;
 use bytes::Bytes;
 use proptest::prelude::*;
 
+use ruskey_bench::{tuning_cfg, tuning_missions};
 use ruskey_repro::ruskey::db::RusKeyConfig;
-use ruskey_repro::ruskey::sharded::{DurabilityConfig, ShardedRusKey, TunerStrategy};
+use ruskey_repro::ruskey::runner::ExperimentScale;
+use ruskey_repro::ruskey::sharded::{DurabilityConfig, ShardedRusKey};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_repro::workload::routing::{shard_for_key, BalanceConfig};
@@ -91,62 +94,117 @@ fn eager_balance() -> BalanceConfig {
     }
 }
 
-/// Acceptance: at one shard, the per-shard strategy is **bit-identical**
-/// to the global strategy — every mission, every tuned policy, every
-/// virtual-time counter. The per-shard reward slice of a one-shard store
-/// carries exactly the merged report's signal, and shard 0 keeps the
-/// unmodified Lerp seed, so any divergence here means the per-shard
-/// plumbing distorted the signal path.
+/// `policies_after` of each of the 40 missions below, recorded before
+/// the seat list had one reading.
+const ONE_SHARD_POLICIES: [&[u32]; 40] = [
+    &[1, 1, 1],
+    &[2, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+    &[1, 1, 1],
+];
+
+/// `shard_policies_after` of each mission of `repro tuning`'s `skewed`
+/// schedule at `ExperimentScale::tiny()`, recorded before the seat list
+/// had one reading.
+const SKEWED_SHARD_POLICIES: [[&[u32]; 4]; 20] = [
+    [&[1], &[2], &[2], &[1]],
+    [&[2], &[2], &[3], &[1]],
+    [&[1], &[2], &[3], &[2]],
+    [&[1], &[2], &[3], &[1]],
+    [&[1], &[2], &[3], &[1]],
+    [&[1], &[2], &[3], &[1]],
+    [&[1], &[1], &[3], &[1]],
+    [&[1], &[2], &[3], &[1]],
+    [&[1], &[1], &[3], &[1]],
+    [&[1], &[1], &[3], &[1]],
+    [&[1], &[2], &[3], &[1]],
+    [&[1], &[1], &[3], &[1]],
+    [&[1], &[2], &[3], &[1]],
+    [&[1], &[2], &[3], &[1]],
+    [&[1], &[2], &[3], &[2]],
+    [&[1], &[2], &[3], &[3]],
+    [&[1], &[2], &[3], &[3]],
+    [&[1], &[2], &[3], &[3]],
+    [&[1], &[2], &[3], &[3]],
+    [&[1], &[2], &[3], &[3]],
+];
+
+/// Golden: a one-shard Lerp store — the paper's loop — reproduces, every
+/// mission, the recorded tuned policies and virtual time.
 #[test]
-fn per_shard_lerp_at_one_shard_is_bit_identical_to_global() {
-    let mut global = ShardedRusKey::with_lerp(tuned_cfg(), 1, disk());
-    let mut per_shard = ShardedRusKey::with_per_shard_lerp(tuned_cfg(), 1, disk());
-    assert_eq!(global.tuner_strategy(), TunerStrategy::Global);
-    assert_eq!(per_shard.tuner_strategy(), TunerStrategy::PerShard);
-
-    let pairs = bulk_load_pairs(2000, 16, 48, 7);
-    global.bulk_load(pairs.clone());
-    per_shard.bulk_load(pairs);
-
-    let mut g1 = OpGenerator::new(mixed_spec(2000), 9);
-    let mut g2 = OpGenerator::new(mixed_spec(2000), 9);
-    let mut tuned_missions = 0usize;
-    for mission in 0..40 {
-        let ops1 = g1.take_ops(250);
-        let ops2 = g2.take_ops(250);
-        assert_eq!(ops1, ops2, "generators must agree");
-        let r1 = global.run_mission(&ops1);
-        let r2 = per_shard.run_mission(&ops2);
-        assert_eq!(r1.ops, r2.ops, "mission {mission}");
-        assert_eq!(r1.lookups, r2.lookups, "mission {mission}");
-        assert_eq!(r1.updates, r2.updates, "mission {mission}");
-        assert_eq!(r1.scans, r2.scans, "mission {mission}");
-        assert_eq!(r1.gamma(), r2.gamma(), "mission {mission}");
-        assert_eq!(
-            r1.end_to_end_ns, r2.end_to_end_ns,
-            "mission {mission}: virtual time"
-        );
-        assert_eq!(
-            r1.device_busy_ns, r2.device_busy_ns,
-            "mission {mission}: device-busy time"
-        );
-        assert_eq!(r1.commit_ns, r2.commit_ns, "mission {mission}");
-        assert_eq!(
-            r1.policies_after, r2.policies_after,
-            "mission {mission}: the agents diverged"
-        );
-        assert_eq!(
-            r1.shard_policies_after, r2.shard_policies_after,
-            "mission {mission}: per-shard policy report"
-        );
-        if r1.policies_after.iter().any(|&k| k != 1) {
-            tuned_missions += 1;
-        }
+fn one_shard_lerp_reproduces_its_golden() {
+    let mut db = ShardedRusKey::with_lerp(tuned_cfg(), 1, disk());
+    db.bulk_load(bulk_load_pairs(2000, 16, 48, 7));
+    let mut g = OpGenerator::new(mixed_spec(2000), 9);
+    let (mut wall, mut busy) = (0u64, 0u64);
+    for (mission, want) in ONE_SHARD_POLICIES.iter().enumerate() {
+        let r = db.run_mission(&g.take_ops(250));
+        assert_eq!(r.policies_after, *want, "mission {mission}");
+        wall += r.end_to_end_ns;
+        busy += r.device_busy_ns;
     }
-    assert!(
-        tuned_missions > 0,
-        "the tuners never moved a policy — the equivalence was vacuous"
-    );
+    assert_eq!((wall, busy), (1_073_158_850, 1_073_158_850));
+}
+
+/// Golden: a four-shard Lerp store seats one agent per shard — seat `i`
+/// seeded `seed + i·104729`, rewarded from its own shard's slice — and
+/// under skew its shards' policies diverge exactly as recorded.
+#[test]
+fn per_shard_lerp_under_skew_reproduces_its_golden() {
+    let scale = ExperimentScale::tiny();
+    let mut db = ShardedRusKey::with_lerp(tuning_cfg(&scale), 4, scale.disk());
+    db.bulk_load(bulk_load_pairs(
+        scale.load_entries,
+        scale.key_len,
+        scale.value_len,
+        scale.seed,
+    ));
+    let missions = tuning_missions(&scale, "skewed");
+    assert_eq!(missions.len(), SKEWED_SHARD_POLICIES.len());
+    let (mut wall, mut busy) = (0u64, 0u64);
+    for (mission, (ops, want)) in missions.iter().zip(&SKEWED_SHARD_POLICIES).enumerate() {
+        let r = db.run_mission(ops);
+        assert_eq!(r.shard_policies_after, *want, "mission {mission}");
+        wall += r.end_to_end_ns;
+        busy += r.device_busy_ns;
+    }
+    assert_eq!((wall, busy), (45_906_900, 49_202_550));
 }
 
 /// Acceptance: a viral key range on one shard triggers mitigation — keys
