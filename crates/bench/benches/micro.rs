@@ -2,7 +2,8 @@
 //! cost model (Bloom probes = `c_r`, merge work = `c_w`, run probes,
 //! memtable inserts, DDPG gradient steps = the Fig. 13 numerator, and the
 //! three network passes a step is made of), and the
-//! per-unit costs of the page cursor, the merge kernel and the log append.
+//! per-unit costs of the page cursor, the merge kernel, the log append and
+//! the log's fsync on a growing and on a recycled file.
 //! Every row times itself and prints its cost per probe, entry, page or
 //! call, so the layer is visible without the ledger:
 //! `cargo bench -p ruskey-bench --bench micro`.
@@ -238,6 +239,49 @@ fn bench_wal_append() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// One 128-byte append and its `sync`: on a fresh log, whose every fsync
+/// extends the file, and on a log recycled after a 64 KiB generation,
+/// whose fsyncs overwrite blocks already allocated (the setup recycles it
+/// again, untimed, before a generation outgrows them).
+fn bench_wal_sync() {
+    const GENERATION: u64 = (64 << 10) / (8 + 11 + 128);
+    let record = |i: u64| KvEntry::put(key16(i), vec![9u8; 112], i);
+    for (name, recycled) in [
+        ("wal_sync_growing_us", false),
+        ("wal_sync_recycled_us", true),
+    ] {
+        let path = std::env::temp_dir().join(format!("ruskey-micro-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open(&path).expect("open WAL");
+        if recycled {
+            (0..GENERATION).for_each(|i| wal.append(&record(i)).expect("append"));
+            wal.sync().expect("sync");
+            wal.reset().expect("reset");
+        }
+        let wal = std::cell::RefCell::new(wal);
+        let mut seq = 0u64;
+        per_unit(
+            name,
+            "us",
+            1,
+            || {
+                let mut wal = wal.borrow_mut();
+                if recycled && wal.records() == GENERATION {
+                    wal.reset().expect("reset");
+                }
+                seq += 1;
+                seq
+            },
+            |i| {
+                let mut wal = wal.borrow_mut();
+                wal.append(&record(i)).expect("append");
+                wal.sync().expect("sync");
+            },
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 fn bench_ddpg_step() {
     // The Fig. 13 numerator: one model update with the paper's 3x128 nets.
     let mut agent = Ddpg::new(DdpgConfig::paper_default(6, 1));
@@ -356,6 +400,7 @@ fn main() {
     bench_merge();
     bench_reads();
     bench_wal_append();
+    bench_wal_sync();
     bench_ddpg_step();
     bench_mlp_passes();
     bench_flush_admit();

@@ -42,8 +42,8 @@
 //! * **Ack after fsync.** `Ok` from a write means a `sync_data` that
 //!   *started after* the record reached the log file has *returned* — or
 //!   a memtable flush superseded the record (the flushed run is durable
-//!   before the log is truncated; a syncer whose ticket predates the
-//!   truncation counts nothing twice). A log that dies (fault injection)
+//!   before the log is recycled; a syncer whose ticket predates the
+//!   recycling counts nothing twice). A log that dies (fault injection)
 //!   or fails with a real I/O error acknowledges nothing further, to the
 //!   syncer or to any writer waiting on it, and the shard refuses every
 //!   later request with [`ServingError::Stopped`].

@@ -134,7 +134,7 @@
 //! [`Manifest`] that records the shard's run/level structure as atomic
 //! per-mutation edit batches (with checkpoint compaction of the log
 //! itself), and the shard's WAL. The ordering contract — data pages,
-//! then manifest commit, then WAL truncation, with obsolete pages freed
+//! then manifest commit, then WAL recycling, with obsolete pages freed
 //! only after the commit — means [`ShardedRusKey::recover_persistent`]
 //! always rebuilds a consistent store: each manifest's longest
 //! consistent prefix is folded back into levels, every recorded run is
@@ -187,7 +187,7 @@ use std::thread::{self, ThreadId};
 use std::time::Instant;
 
 use bytes::Bytes;
-use ruskey_lsm::{ConfigError, FlsmTree, Manifest, TreeStatsSnapshot, Wal};
+use ruskey_lsm::{sync_parent_dir, ConfigError, FlsmTree, Manifest, TreeStatsSnapshot, Wal};
 use ruskey_storage::{BlockCache, CostModel, FileDisk, ShardStorage, Storage};
 use ruskey_workload::routing::{shard_for_key, BalanceConfig, LoadSketch, RoutingTable};
 use ruskey_workload::Operation;
@@ -716,7 +716,7 @@ impl ShardedRusKey {
 
     /// Creates a *durable* sharded store: every shard gets its own WAL
     /// file under `durability.dir` (appended before each memtable insert,
-    /// truncated on flush), and missions end with an overlapped
+    /// recycled in place on flush), and missions end with an overlapped
     /// cross-shard group-commit barrier — at most one fsync per shard per
     /// mission, run concurrently on the shards' lanes.
     ///
@@ -1550,8 +1550,7 @@ impl ShardedRusKey {
             f.sync_all()?;
         }
         std::fs::rename(&tmp, path)?;
-        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+        sync_parent_dir(path)
     }
 
     /// Settles recovered routing overrides: installs each entry, then

@@ -32,10 +32,10 @@
 //!   (`t_i`, the level-based latency) and the experiment harness;
 //! * a write-ahead log ([`wal`]) that an [`tree::FlsmTree`] optionally
 //!   owns: puts/deletes are logged before the memtable insert, the log
-//!   truncates on flush, and [`tree::FlsmTree::recover`] rebuilds the
-//!   write buffer from the log's valid prefix after a crash (see the
-//!   [`wal`] module docs for the durability contract and crash-injection
-//!   hooks);
+//!   is recycled in place on flush, and [`tree::FlsmTree::recover`]
+//!   rebuilds the write buffer from the log's valid prefix after a crash
+//!   (see the [`wal`] module docs for the durability contract and
+//!   crash-injection hooks);
 //! * a versioned, checksummed [`manifest`] that records every structural
 //!   edit (runs created/removed, policy transitions, flush watermarks) as
 //!   an append-only log with atomic checkpoint compaction, so
@@ -80,7 +80,7 @@ pub use stats::{LevelStatsSnapshot, TreeStatsSnapshot};
 pub use transition::TransitionStrategy;
 pub use tree::{FlsmTree, TreeSnapshot};
 pub use types::{Key, KvEntry, OpKind, SeqNo, Value};
-pub use wal::{CrashPoint, SyncTicket, Wal};
+pub use wal::{sync_parent_dir, CrashPoint, SyncTicket, Wal};
 
 #[cfg(test)]
 mod oracle;

@@ -3,8 +3,8 @@
 //! The engine runs two logs with disjoint responsibilities:
 //!
 //! * the [`crate::wal::Wal`] protects the **write buffer** — every
-//!   put/delete is logged before the memtable insert and the log truncates
-//!   once a flush supersedes it;
+//!   put/delete is logged before the memtable insert and the log is
+//!   recycled once a flush supersedes it;
 //! * the **manifest** (this module) protects the **tree structure** —
 //!   every structural edit (a run created at some level with its page
 //!   extent and fence/Bloom metadata, a run deleted by compaction, a
@@ -77,7 +77,7 @@
 //! crash kills the handle (a dead process appends nothing further) at one
 //! of the interesting instants — before the batch is appended (the
 //! crash-between-data-write-and-manifest-edit case), mid-append (a torn
-//! manifest tail), after the append (before the WAL truncates), or in the
+//! manifest tail), after the append (before the WAL is recycled), or in the
 //! middle of a checkpoint rewrite.
 
 use std::fs::{File, OpenOptions};
@@ -88,7 +88,7 @@ use bytes::Bytes;
 
 use crate::run::RunId;
 use crate::types::{Key, SeqNo};
-use crate::wal::crc32;
+use crate::wal::{crc32, sync_parent_dir};
 
 /// Magic number identifying a manifest file ("RKMF").
 pub const MANIFEST_MAGIC: u32 = 0x524B_4D46;
@@ -615,7 +615,7 @@ pub enum ManifestCrashPoint {
     /// bytes reaches the file — the torn manifest tail.
     MidCommit,
     /// After the batch is durable but before the process does anything
-    /// else (in particular before the WAL truncates).
+    /// else (in particular before the WAL is recycled).
     PostCommit,
     /// In the middle of a checkpoint rewrite: the temporary file is torn
     /// and never renamed over the log.
@@ -678,7 +678,7 @@ impl Manifest {
         file.sync_data()?;
         // The creation itself must survive power loss: fsync the
         // directory entry, not just the file contents.
-        Self::sync_parent_dir(&path)?;
+        sync_parent_dir(&path)?;
         let _ = std::fs::remove_file(Self::tmp_path(&path));
         Ok(Self {
             path,
@@ -723,7 +723,7 @@ impl Manifest {
             // creation durable like `create` does.
             file.write_all(&header_record())?;
             file.sync_data()?;
-            Self::sync_parent_dir(&path)?;
+            sync_parent_dir(&path)?;
         }
         Ok((
             Self {
@@ -839,18 +839,6 @@ impl Manifest {
         PathBuf::from(p)
     }
 
-    /// Fsyncs `path`'s parent directory: a file creation or rename is not
-    /// durable across power loss until the directory entry itself is.
-    fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-        let parent = path.parent().unwrap_or_else(|| Path::new("."));
-        let dir = if parent.as_os_str().is_empty() {
-            Path::new(".")
-        } else {
-            parent
-        };
-        File::open(dir)?.sync_all()
-    }
-
     /// The folded structure as of the last durable commit.
     pub fn state(&self) -> &ManifestState {
         &self.state
@@ -927,7 +915,7 @@ impl Manifest {
         self.commits += 1;
         if self.hit(ManifestCrashPoint::PostCommit) {
             // The batch is durable; the process dies before doing
-            // anything else (frees, WAL truncation).
+            // anything else (frees, WAL recycling).
             return Ok(true);
         }
         if self.checkpoint_every > 0 && self.edits_since_checkpoint >= self.checkpoint_every {
@@ -1019,7 +1007,7 @@ impl Manifest {
         // The rename is not durable until the directory entry is: a power
         // cut here would resurrect the old (longer) log. Both states are
         // consistent, but the barrier makes checkpointing monotone.
-        Self::sync_parent_dir(&self.path)?;
+        sync_parent_dir(&self.path)?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.file.sync_data()?;
         // Note: the checkpoint's max_run_id is the max over *live* runs,

@@ -170,7 +170,7 @@ pub struct FlsmTree {
     scans: u64,
     flushes: u64,
     /// Optional write-ahead log: when attached, every put/delete is
-    /// appended *before* the memtable insert and the log truncates after
+    /// appended *before* the memtable insert and the log is recycled after
     /// each successful memtable flush. WAL I/O is charged to this tree's
     /// storage time domain.
     wal: Option<Wal>,
@@ -300,13 +300,17 @@ impl FlsmTree {
     /// Recovers the WAL at `path`, replays its valid prefix into the
     /// memtable, and attaches the log. Deterministic replay order:
     /// ascending sequence number, so the latest version of a key wins in
-    /// the memtable regardless of how the log bytes were produced.
+    /// the memtable regardless of how the log bytes were produced. A
+    /// record at or below the recovered structure's sequence number is in
+    /// a run already (a generation whose recycling never reached the disk)
+    /// and is skipped: replayed, it could shadow a newer flushed version.
     fn replay_wal_tail(
         &mut self,
         path: impl AsRef<std::path::Path>,
         sync_every: u64,
     ) -> std::io::Result<()> {
         let (wal, mut records) = Wal::recover(path, sync_every)?;
+        records.retain(|e| e.seq > self.seq);
         records.sort_by_key(|e| e.seq);
         self.replayed_tail = records.len() as u64;
         for e in records {
@@ -332,11 +336,11 @@ impl FlsmTree {
     /// 4. the WAL tail — everything logged since the last flush — is
     ///    replayed into the memtable on top, order pinned by record seq.
     ///
-    /// Both logs stay attached for subsequent operation. A WAL tail that
-    /// was already superseded by a flush (the crash hit between the
-    /// manifest commit and the WAL truncation) replays harmlessly: the
-    /// memtable copy carries the same seq as the flushed run's entry, so
-    /// reads resolve identically.
+    /// Both logs stay attached for subsequent operation. WAL records that
+    /// a flush already superseded — the crash hit between the manifest
+    /// commit and the WAL recycling, or a power cut lost a recycling's
+    /// zero-fill — carry a seq at or below the recovered structure's and
+    /// are skipped, so an older generation never shadows a newer run.
     ///
     /// The page reads recovery performs are charged to this tree's
     /// storage time domain like any other I/O.
@@ -397,7 +401,7 @@ impl FlsmTree {
 
     /// Attaches a write-ahead log: subsequent puts/deletes append to it
     /// before entering the memtable, and each successful memtable flush
-    /// truncates it. Replaces any previously attached log.
+    /// recycles it. Replaces any previously attached log.
     pub fn attach_wal(&mut self, wal: Wal) {
         self.wal = Some(wal);
     }
@@ -650,10 +654,12 @@ impl FlsmTree {
     /// are written *and fsynced* first (extent fsync, then one directory
     /// fsync naming it), then the manifest commits the structural edits
     /// (run added, superseded runs removed, sequence watermark) as one
-    /// atomic batch, and only then is the WAL truncated — so at every
+    /// atomic batch, and only then is the WAL recycled — so at every
     /// crash or power-cut point either the manifest or the WAL still
     /// covers the flushed records, and the manifest never references
-    /// pages the device could lose.
+    /// pages the device could lose. A recycling that fails is a power
+    /// failure like a failed barrier: the committed flush already covers
+    /// every record the log held.
     pub fn flush(&mut self) {
         if self.memtable.is_empty() {
             return;
@@ -669,8 +675,8 @@ impl FlsmTree {
             // WAL must keep its records (they may be the only copy).
             return;
         }
-        if let Some(wal) = &mut self.wal {
-            wal.reset().expect("WAL reset failed");
+        if self.wal.as_mut().is_some_and(|w| w.reset().is_err()) {
+            self.power_fail();
         }
     }
 
@@ -1936,7 +1942,7 @@ mod tests {
     /// A memtable flush supersedes the log: the WAL truncates, so replay
     /// after a flush yields only post-flush writes.
     #[test]
-    fn flush_truncates_the_wal() {
+    fn flush_recycles_the_wal() {
         let path = wal_path("flush-reset");
         let _ = std::fs::remove_file(&path);
         let mut t = small_tree();

@@ -38,20 +38,50 @@
 //! A record is *acknowledged* only once a sync covering it succeeds;
 //! [`Wal::durable_records`] counts exactly those. After a successful
 //! memtable flush the log's contents are superseded by the flushed run and
-//! [`Wal::reset`] truncates the file (which also clears the unsynced-window
-//! counter — a reset log has nothing left to lose).
+//! [`Wal::reset`] **recycles** the file (which also clears the
+//! unsynced-window counter — a reset log has nothing left to lose).
+//!
+//! ## One file, recycled in place
+//!
+//! The log is one file that is never truncated while in use. Appends are
+//! positioned writes at the end of the current *generation* (the records
+//! since the last reset), and a reset zero-fills that generation and
+//! rewinds to offset 0 — no truncate, no fsync, no reopen. One invariant
+//! holds throughout: every byte past the current generation is zero or
+//! past EOF. [`Wal::reset`] keeps it by zero-filling; [`Wal::recover`] and
+//! [`Wal::open`] keep it by cutting an existing file back to its valid
+//! prefix, so a record is never written behind a gap.
+//!
+//! Why: once the file has reached its working size, every append and
+//! group commit overwrites blocks that are already allocated, so the
+//! `fdatasync` has only data to write. Extending a file (or truncating
+//! it) changes its size, and the fsync must then also wait for the file
+//! system's journal to commit that metadata.
+//!
+//! Why it is safe: replay stops at a zero header (its length is below a
+//! record's minimum), so a zero-filled log replays exactly like an empty
+//! one. A power cut may land after a reset but before the zero-fill
+//! reaches the disk; then records of *finished* generations can replay.
+//! Every one of them went into a run the manifest committed before the
+//! reset, so it carries a sequence number at or below the recovered
+//! tree's, and recovery drops it ([`crate::FlsmTree::recover_persistent`];
+//! on a volatile backend flushed runs are lost at a restart regardless).
+//! An acknowledged record of the live generation was covered by an
+//! `fdatasync` of the same file, and that fsync also wrote the zero-filled
+//! pages it lies on.
 //!
 //! ## Recovery
 //!
 //! [`Wal::replay`] parses the longest valid prefix of a log file: it stops
-//! at the first record whose length field overruns the file (torn write)
-//! or whose CRC mismatches (corruption), and never panics on arbitrary
-//! bytes. [`Wal::recover`] additionally truncates the file back to that
-//! valid prefix — so later appends extend a clean log rather than trailing
-//! garbage — and returns a handle ready for appending. Replay order is
-//! pinned by the sequence numbers in the record headers; callers sort by
-//! `seq` before reinsertion so recovery is deterministic regardless of how
-//! the log was produced.
+//! at the first record whose length field overruns the file (torn write),
+//! whose CRC mismatches (corruption) or whose header is zero (a recycled
+//! tail), and never panics on arbitrary bytes. [`Wal::recover`]
+//! additionally truncates the file back to that valid prefix — so later
+//! appends extend a clean log rather than trailing garbage — and returns a
+//! handle ready for appending. Replay order is pinned by the sequence
+//! numbers in the record headers; callers sort by `seq` before
+//! reinsertion so recovery is deterministic regardless of how the log was
+//! produced.
 //!
 //! Note the WAL protects the *write buffer* only — one half of the
 //! engine's two-log durability contract. The other half is the
@@ -60,7 +90,7 @@
 //! ([`ruskey_storage::FileDisk`]) flushed runs survive a restart too:
 //! [`crate::FlsmTree::recover_persistent`] rebuilds the structure from
 //! manifest + data pages and replays this log's tail on top. A flush
-//! truncates the WAL only *after* the manifest batch covering the
+//! recycles the WAL only *after* the manifest batch covering the
 //! flushed run is durable, so every acknowledged write is always covered
 //! by at least one of the logs. On the deliberately volatile simulated
 //! backend the WAL is the whole recovery story.
@@ -76,8 +106,9 @@
 //! that replay must tolerate.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::io::Read;
+use std::os::unix::fs::FileExt;
+use std::path::Path;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -176,14 +207,27 @@ impl SyncTicket {
     }
 }
 
-/// An append-only write-ahead log.
+/// What [`Wal::reset`] writes over a finished generation, a block at a time.
+static ZEROS: [u8; 1 << 16] = [0; 1 << 16];
+
+/// Fsyncs `path`'s parent directory (`.` for a bare file name): a file
+/// creation or rename is not durable across power loss until the
+/// directory entry itself is.
+pub fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
+/// A write-ahead log: one file, appended to and recycled in place.
 pub struct Wal {
-    path: PathBuf,
     /// Shared with the [`SyncTicket`]s in flight.
     file: Arc<File>,
     /// User-space buffer: bytes appended but not yet written to the file.
     /// Dies with the process — exactly the data a crash loses.
     buf: Vec<u8>,
+    /// Bytes of the current generation in the file: the next write lands
+    /// here, and every byte past it is zero or past EOF.
+    written: u64,
     /// Records in the current log generation (file + buffer); zeroed by
     /// [`Wal::reset`].
     records: u64,
@@ -208,7 +252,7 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Opens (creating or appending to) the log at `path`, with manual
+    /// Opens (creating or continuing) the log at `path`, with manual
     /// durability: appends buffer in user space until [`Wal::flush`] or
     /// [`Wal::sync`] is called.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
@@ -217,27 +261,41 @@ impl Wal {
 
     /// Opens the log with an automatic fsync every `sync_every` appends
     /// (0 disables auto-sync), bounding crash loss to the last
-    /// `sync_every - 1` records.
+    /// `sync_every - 1` records. An existing regular file is cut back to
+    /// its valid prefix and continued after it; a device starts at 0.
     pub fn open_with_sync_every(path: impl AsRef<Path>, sync_every: u64) -> std::io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
+        let valid = match std::fs::metadata(path) {
+            Ok(m) if m.is_file() => Self::replay_prefix(path)?.1,
+            _ => 0,
+        };
+        Self::open_at(path, sync_every, valid)
+    }
+
+    /// Opens the log for writing at `valid`, the end of its valid prefix,
+    /// truncating whatever follows it.
+    fn open_at(path: &Path, sync_every: u64, valid: u64) -> std::io::Result<Self> {
         let existed = path.exists();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(false)
+            .open(path)?;
+        let meta = file.metadata()?;
+        if meta.is_file() && meta.len() > valid {
+            file.set_len(valid)?;
+            file.sync_data()?;
+        }
         if !existed {
             // A freshly created log is not durable until its directory
             // entry is: power loss before the dir fsync would lose the
             // file — and with it every acknowledged record.
-            let parent = path.parent().unwrap_or_else(|| Path::new("."));
-            let dir = if parent.as_os_str().is_empty() {
-                Path::new(".")
-            } else {
-                parent
-            };
-            File::open(dir)?.sync_all()?;
+            sync_parent_dir(path)?;
         }
         Ok(Self {
-            path,
             file: Arc::new(file),
             buf: Vec::new(),
+            written: valid,
             records: 0,
             sync_every,
             unsynced: 0,
@@ -261,17 +319,7 @@ impl Wal {
     ) -> std::io::Result<(Self, Vec<KvEntry>)> {
         let path = path.as_ref();
         let (records, valid_bytes) = Self::replay_prefix(path)?;
-        match OpenOptions::new().write(true).open(path) {
-            Ok(f) => {
-                if f.metadata()?.len() > valid_bytes {
-                    f.set_len(valid_bytes)?;
-                    f.sync_data()?;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let mut wal = Self::open_with_sync_every(path, sync_every)?;
+        let mut wal = Self::open_at(path, sync_every, valid_bytes)?;
         wal.records = records.len() as u64;
         wal.durable = records.len() as u64;
         Ok((wal, records))
@@ -394,13 +442,13 @@ impl Wal {
         if self.buf.is_empty() {
             return Ok(());
         }
-        if self.hit(CrashPoint::MidFlush) {
-            let half = self.buf.len() / 2;
-            (&*self.file).write_all(&self.buf[..half])?;
-            self.buf.clear();
-            return Ok(());
-        }
-        (&*self.file).write_all(&self.buf)?;
+        let len = if self.hit(CrashPoint::MidFlush) {
+            self.buf.len() / 2
+        } else {
+            self.buf.len()
+        };
+        self.file.write_all_at(&self.buf[..len], self.written)?;
+        self.written += len as u64;
         self.buf.clear();
         Ok(())
     }
@@ -437,10 +485,12 @@ impl Wal {
         self.durable
     }
 
-    /// Truncates the log (after a successful memtable flush): the flushed
-    /// run supersedes the logged records, so both the file and the
-    /// user-space buffer are discarded and the unsynced window resets to
-    /// zero — a reset log has nothing left to lose.
+    /// Recycles the log (after a successful memtable flush): the flushed
+    /// run supersedes the logged records, so the user-space buffer is
+    /// discarded, the generation in the file is zero-filled in place and
+    /// the next append lands at offset 0, and the unsynced window resets
+    /// to zero — a reset log has nothing left to lose. Nothing is fsynced
+    /// here: the next sync writes the zeroed pages with its records.
     pub fn reset(&mut self) -> std::io::Result<()> {
         if self.crashed {
             return Ok(());
@@ -449,12 +499,11 @@ impl Wal {
         // Records still in the loss window are superseded by the flushed
         // run: they leave the window as acknowledged, not as lost.
         self.durable += self.unsynced;
-        let file = OpenOptions::new()
-            .write(true)
-            .truncate(true)
-            .open(&self.path)?;
-        file.sync_data()?;
-        self.file = Arc::new(OpenOptions::new().append(true).open(&self.path)?);
+        for at in (0..self.written).step_by(ZEROS.len()) {
+            let n = ZEROS.len().min((self.written - at) as usize);
+            self.file.write_all_at(&ZEROS[..n], at)?;
+        }
+        self.written = 0;
         self.generation += 1;
         self.records = 0;
         self.unsynced = 0;
@@ -561,6 +610,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ruskey-wal-{name}-{}", std::process::id()))
@@ -643,7 +693,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_truncates() {
+    fn reset_recycles_the_file_in_place() {
         let path = tmp("reset");
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(&path).unwrap();
@@ -685,6 +735,94 @@ mod tests {
         wal.append(&e("k13", "v", 13)).unwrap();
         assert_eq!(wal.unsynced(), 0, "cadence of 8 reached");
         assert_eq!(wal.sync_count(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    // ------------------------------------------------------------------
+    // Recycling: generations written over each other in one file
+    // ------------------------------------------------------------------
+
+    /// Record `i` of a generation: every record encodes to `REC` bytes,
+    /// so generations' record boundaries line up (the worst case).
+    fn rec(i: u64) -> KvEntry {
+        e(&format!("k{i:03}"), "value", i)
+    }
+    const REC: u64 = 8 + 11 + 4 + 5;
+
+    /// Appends and syncs records `seqs` as one generation.
+    fn generation(wal: &mut Wal, seqs: std::ops::RangeInclusive<u64>) -> Vec<KvEntry> {
+        let records: Vec<KvEntry> = seqs.map(rec).collect();
+        records.iter().for_each(|r| wal.append(r).unwrap());
+        wal.sync().unwrap();
+        records
+    }
+
+    #[test]
+    fn a_shorter_generation_over_a_longer_one_replays_only_itself() {
+        let path = tmp("recycle-shorter");
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open(&path).unwrap();
+        generation(&mut wal, 1..=6);
+        wal.reset().unwrap();
+        let second = generation(&mut wal, 7..=8);
+        assert_eq!(Wal::replay(&path).unwrap(), second);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_longer_generation_grows_past_the_old_end_and_replays_whole() {
+        let path = tmp("recycle-longer");
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open(&path).unwrap();
+        generation(&mut wal, 1..=2);
+        wal.reset().unwrap();
+        let second = generation(&mut wal, 3..=8);
+        assert_eq!(Wal::replay(&path).unwrap(), second);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 6 * REC);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn reset_keeps_the_length_and_zeroes_everything_past_the_generation() {
+        let path = tmp("recycle-zeroes");
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open(&path).unwrap();
+        generation(&mut wal, 1..=5);
+        wal.reset().unwrap();
+        let data = std::fs::read(&path).unwrap();
+        assert_eq!(
+            data.len() as u64,
+            5 * REC,
+            "a reset must not shrink the file"
+        );
+        assert!(
+            data.iter().all(|&b| b == 0),
+            "the finished generation is zeroed"
+        );
+        generation(&mut wal, 6..=6);
+        let data = std::fs::read(&path).unwrap();
+        assert_eq!(data.len() as u64, 5 * REC);
+        assert!(data[REC as usize..].iter().all(|&b| b == 0));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn open_continues_a_recycled_file_after_its_valid_prefix() {
+        let path = tmp("recycle-reopen");
+        let _ = std::fs::remove_file(&path);
+        let mut wal = Wal::open(&path).unwrap();
+        generation(&mut wal, 1..=5);
+        wal.reset().unwrap();
+        let mut want = generation(&mut wal, 6..=7);
+        drop(wal);
+        let mut wal = Wal::open(&path).unwrap();
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            2 * REC,
+            "open cuts the zeroed tail"
+        );
+        want.extend(generation(&mut wal, 8..=8));
+        assert_eq!(Wal::replay(&path).unwrap(), want);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -65,10 +65,10 @@
 //! responsibilities**:
 //!
 //! * the **WAL** ([`lsm::Wal`]) protects the *write buffer*: each shard
-//!   appends every put/delete *before* the memtable insert and truncates
-//!   the log whenever a flush supersedes it. Per-record fsyncs would
-//!   dominate write cost, so the sharded store runs a **cross-shard group
-//!   commit**: every mission ends with a commit barrier that fsyncs each
+//!   appends every put/delete *before* the memtable insert and recycles
+//!   the log in place whenever a flush supersedes it. Per-record fsyncs
+//!   would dominate write cost, so the sharded store runs a **cross-shard
+//!   group commit**: every mission ends with a commit barrier that fsyncs each
 //!   shard's log at most once, with the per-shard legs running
 //!   *concurrently* inside the shards' lanes — the barrier costs
 //!   the slowest shard's fsync, not the sum, and a shard crashing mid-leg
@@ -92,12 +92,16 @@
 //!    entries (and the manifest checkpoint's `rename`) survive power
 //!    loss;
 //! 3. **structure durable** — only then does the manifest batch commit,
-//!    and only after *that* does the WAL truncate (obsolete pages are
+//!    and only after *that* is the WAL recycled (obsolete pages are
 //!    freed only after the commit).
 //!
 //! A power cut between any two steps loses nothing acknowledged: the
 //! commit is aborted, the WAL keeps its records, and recovery rolls the
 //! structure back to the previous commit while the log replays the rest.
+//! Recycling zero-fills the log in place without an fsync of its own;
+//! records of a finished generation that a power cut brings back are
+//! already in a committed run, and recovery skips them by sequence
+//! number.
 //! The extent files a pre-commit cut strands on disk are swept by
 //! recovery ([`storage::Storage::collect_orphans`], counted as
 //! [`lsm::TreeStatsSnapshot::orphans_collected`]), and recovery reads go

@@ -41,7 +41,8 @@
 //! must yield exactly the acknowledged prefix, sweep the orphaned extent
 //! files a pre-commit cut left behind (safe id reuse included), and
 //! surface a *missing* referenced extent as a typed error — never a
-//! panic.
+//! panic. The WAL's own recycling is cut too: a finished generation whose
+//! zero-fill never reached the disk must not shadow the runs after it.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1153,6 +1154,156 @@ fn torn_power_matrix_recovers_exactly_the_acknowledged_prefix() {
             assert_eq!(rec2.get(&key(9999)).as_deref(), Some(val(9999).as_slice()));
             let _ = std::fs::remove_dir_all(&root);
         }
+    }
+}
+
+/// The fsync a recycled WAL no longer pays: a flush zero-fills the log's
+/// finished generation in place without syncing it, so a power cut can
+/// bring those bytes back. The test undoes the zero-fill by hand, at
+/// `N ∈ {1, 2}`, with every record the same size so the generations'
+/// record boundaries line up (the worst case):
+///
+/// * generation A is acknowledged by a barrier and flushed (its bytes on
+///   disk, the zero-fill lost);
+/// * generation B overwrites every key and is acknowledged by its own
+///   flush, so A's records must not shadow it;
+/// * in the second variant, unacknowledged records of a generation C
+///   reached the file over A's first records: recovery keeps them and
+///   skips the stale records behind them.
+///
+/// Recovery must equal that state key by key and in a full scan. The
+/// process-crash variant (the zero-fill visible, as a live page cache
+/// keeps it): a torn first write after a recycle replays a strict prefix
+/// of the new generation and nothing of the old one.
+#[test]
+fn power_cut_before_a_recycled_logs_zero_fill_loses_nothing() {
+    const KEYS: u64 = 40;
+    const UNACKED: u64 = 10;
+    let v = |generation: char, i: u64| format!("{generation}-{i:06}").into_bytes();
+    let read_logs = |p: &PersistenceConfig, shards: usize| -> Vec<Vec<u8>> {
+        (0..shards)
+            .map(|s| std::fs::read(p.wal_path(s)).unwrap())
+            .collect()
+    };
+    for shards in [1usize, 2] {
+        for unacked_on_top in [false, true] {
+            let root = persist_root("recycled");
+            let p = persist_cfg(&root, 0);
+            let mut db = persistent_store(shards, &p);
+            for i in 0..KEYS {
+                db.put(key(i), v('a', i));
+            }
+            db.group_commit();
+            let generation_a = read_logs(&p, shards);
+            for s in 0..shards {
+                db.shard_mut(s).flush();
+            }
+            for i in 0..KEYS {
+                db.put(key(i), v('b', i));
+            }
+            for s in 0..shards {
+                db.shard_mut(s).flush();
+            }
+            let mut expect: std::collections::BTreeMap<Bytes, Vec<u8>> =
+                (0..KEYS).map(|i| (key(i), v('b', i))).collect();
+            if unacked_on_top {
+                for i in 0..UNACKED {
+                    db.put(key(i), v('c', i));
+                    expect.insert(key(i), v('c', i));
+                }
+                for s in 0..shards {
+                    db.shard_mut(s).wal_mut().unwrap().flush().unwrap();
+                }
+            }
+            assert!(!db.crashed());
+            let live = read_logs(&p, shards);
+            drop(db);
+
+            // The cut: each log holds generation A's bytes, with whatever
+            // generation C wrote on top of its front. Boundaries line up,
+            // so C's records replace A's one for one and the rest of A
+            // replays behind them.
+            for s in 0..shards {
+                let c_records = Wal::replay(p.wal_path(s)).unwrap();
+                let c_len: usize = c_records.iter().map(record_size).sum();
+                let mut image = generation_a[s].clone();
+                image[..c_len].copy_from_slice(&live[s][..c_len]);
+                std::fs::write(p.wal_path(s), &image).unwrap();
+                let replayed = Wal::replay(p.wal_path(s)).unwrap();
+                let a_count = (0..KEYS)
+                    .filter(|&i| shard_for_key(&key(i), shards) == s)
+                    .count();
+                assert_eq!(replayed.len(), a_count, "shards={shards}");
+                assert_eq!(replayed[..c_records.len()], c_records);
+                assert!(
+                    replayed[c_records.len()..]
+                        .iter()
+                        .all(|r| r.value.starts_with(b"a-")),
+                    "shards={shards}: the image must replay stale generation-A records"
+                );
+            }
+
+            let mut rec = recovered_persistent(shards, &p);
+            for (k, want) in &expect {
+                assert_eq!(
+                    rec.get(k).as_deref(),
+                    Some(want.as_slice()),
+                    "shards={shards} unacked_on_top={unacked_on_top}: a stale record won"
+                );
+            }
+            let want: Vec<(Bytes, Bytes)> = expect
+                .into_iter()
+                .map(|(k, v)| (k, Bytes::from(v)))
+                .collect();
+            assert_eq!(rec.scan(&key(0), &key(KEYS), 1_000), want);
+            let _ = std::fs::remove_dir_all(&root);
+        }
+
+        // Process crash: the torn first write of generation C.
+        let root = persist_root("recycled-midflush");
+        let p = persist_cfg(&root, 0);
+        let mut db = persistent_store(shards, &p);
+        for i in 0..KEYS {
+            db.put(key(i), v('a', i));
+        }
+        db.group_commit();
+        for s in 0..shards {
+            db.shard_mut(s).flush();
+        }
+        db.shard_mut(0)
+            .wal_mut()
+            .unwrap()
+            .arm_crash(CrashPoint::MidFlush, 0);
+        let mut shard0 = Vec::new();
+        for i in 0..KEYS {
+            db.put(key(i), v('c', i));
+            if shard_for_key(&key(i), shards) == 0 {
+                shard0.push(i);
+            }
+        }
+        db.group_commit();
+        assert!(db.crashed(), "shards={shards}: the torn flush never fired");
+        drop(db);
+        let replayed = Wal::replay(p.wal_path(0)).unwrap();
+        assert!(
+            replayed.len() < shard0.len(),
+            "shards={shards}: a torn write must not persist the whole batch"
+        );
+        for (r, &i) in replayed.iter().zip(&shard0) {
+            assert_eq!((&r.key, r.value.as_ref()), (&key(i), v('c', i).as_slice()));
+        }
+        let mut rec = recovered_persistent(shards, &p);
+        for i in 0..KEYS {
+            let torn_away =
+                shard_for_key(&key(i), shards) == 0 && !replayed.iter().any(|r| r.key == key(i));
+            let want = v(if torn_away { 'a' } else { 'c' }, i);
+            assert_eq!(
+                rec.get(&key(i)).as_deref(),
+                Some(want.as_slice()),
+                "shards={shards}: key {i} after a torn first write"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
 
