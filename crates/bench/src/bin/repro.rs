@@ -5,8 +5,8 @@
 //!
 //! experiments:
 //!   table2  fig6  fig7  table3  fig8  fig9  fig10  fig11  fig12  fig13
-//!   bruteforce  shard_scaling  durability  persistence  read_path
-//!   compaction  serve  tuning  all  ablations  lab
+//!   bruteforce  shard_scaling  persistence  read_path  compaction
+//!   serve  tuning  all  ablations  lab
 //! ```
 //!
 //! Results print as aligned text tables; `--csv DIR` additionally writes
@@ -60,7 +60,6 @@ const EXPERIMENTS: &[Experiment] = &[
     ("fig13", true, run_fig13),
     ("bruteforce", true, run_bruteforce),
     ("shard_scaling", true, run_shard_scaling),
-    ("durability", true, run_durability),
     ("persistence", true, run_persistence),
     ("read_path", true, run_read_path),
     ("compaction", true, run_compaction),
@@ -415,23 +414,9 @@ fn run_persistence(c: &Ctx) {
             r.power_ok
         );
     }
-    write_json(c, "persistence", persistence_json(c.label, &rows));
-}
-
-fn run_durability(c: &Ctx) {
-    println!("== Durability: WAL + cross-shard group commit ==");
-    let rows = durability(&c.scale, &[1, 2, 4]);
+    println!("-- WAL + cross-shard group commit, missions before the restart --");
     println!(
-        "{:<8}{:>12}{:>14}{:>12}{:>12}{:>12}{:>22}{:>22}{:>8}",
-        "shards",
-        "acked ops",
-        "synced ops",
-        "appends",
-        "fsyncs",
-        "batch",
-        "commit ns (max)",
-        "commit ns (seq sum)",
-        "ok"
+        "shards     acked ops    synced ops     appends      fsyncs       batch       commit ns (max)   commit ns (seq sum)      ok"
     );
     for r in &rows {
         println!(
@@ -444,10 +429,10 @@ fn run_durability(c: &Ctx) {
             r.mean_batch,
             r.commit_ns_per_mission,
             r.commit_busy_ns_per_mission,
-            r.ok
+            r.group_commit_ok
         );
     }
-    write_json(c, "durability", durability_json(c.label, &rows));
+    write_json(c, "persistence", persistence_json(c.label, &rows));
 }
 
 fn run_read_path(c: &Ctx) {
@@ -663,7 +648,7 @@ fn main() {
     let json_path = ctx.json_path.take();
     for &(name, in_all, run) in EXPERIMENTS {
         if experiment == name || (experiment == "all" && in_all) {
-            // Under `all` one path cannot serve seven documents: it goes
+            // Under `all` one path cannot serve six documents: it goes
             // to `shard_scaling`, the rest use their default file names.
             let named = experiment == name || name == "shard_scaling";
             ctx.json_path = json_path.clone().filter(|_| named);

@@ -37,7 +37,6 @@ pub(crate) fn real_time_test_guard() -> std::sync::MutexGuard<'static, ()> {
 
 pub use ablations::*;
 pub use compaction::*;
-pub use durability::*;
 pub use experiments::*;
 pub use output::*;
 pub use percentile::*;

@@ -1,7 +1,6 @@
 //! Plain-text table, CSV, and JSON rendering for experiment results.
 
 use crate::compaction::CompactionRow;
-use crate::durability::DurabilityRow;
 use crate::experiments::{Comparison, RankingTable, Series};
 use crate::persistence::PersistenceRow;
 use crate::read_path::ReadPathRow;
@@ -292,46 +291,6 @@ pub fn compaction_json(scale_label: &str, rows: &[CompactionRow]) -> String {
     experiment_json("compaction", scale_label, doc)
 }
 
-/// Renders the durability experiment as machine-readable JSON. Each row
-/// carries the group-commit accounting (`synced_ops` vs
-/// `acknowledged_ops`, fsync counts, batch size, both commit
-/// compositions) plus a per-row `ok` verdict; the top-level
-/// `durability_ok` is the conjunction, which CI greps as a smoke check
-/// (synced ops ≥ acknowledged ops, ≤ 1 sync per shard per batch, exact
-/// replay on recovery). `overlap_ok` is the overlapped-barrier bound on
-/// its own: every row's `commit_ns_per_mission` (max over concurrent
-/// legs) stayed ≤ `commit_busy_ns_per_mission` (the sequential sum).
-pub fn durability_json(scale_label: &str, rows: &[DurabilityRow]) -> String {
-    let overlap_ok = rows
-        .iter()
-        .all(|r| r.commit_ns_per_mission <= r.commit_busy_ns_per_mission + 1e-9);
-    let row = |r: &DurabilityRow| {
-        Object(vec![
-            ("shards", int(r.shards)),
-            ("missions", int(r.missions)),
-            ("ops_total", int(r.ops_total)),
-            ("acknowledged_ops", int(r.acknowledged_ops)),
-            ("synced_ops", int(r.synced_ops)),
-            ("wal_appends", int(r.wal_appends)),
-            ("wal_syncs", int(r.wal_syncs)),
-            ("mean_batch", Float(r.mean_batch, 2)),
-            ("commit_ns_per_mission", Float(r.commit_ns_per_mission, 1)),
-            (
-                "commit_busy_ns_per_mission",
-                Float(r.commit_busy_ns_per_mission, 1),
-            ),
-            ("recovered_records", int(r.recovered_records)),
-            ("ok", Bool(r.ok)),
-        ])
-    };
-    let doc = vec![
-        ("durability_ok", Bool(rows.iter().all(|r| r.ok))),
-        ("overlap_ok", Bool(overlap_ok)),
-        ("rows", Array(rows.iter().map(row).collect())),
-    ];
-    experiment_json("durability", scale_label, doc)
-}
-
 /// Renders the persistence experiment as machine-readable JSON. Each row
 /// carries the restart-equivalence accounting (flushes before the
 /// restart, manifest edits, runs rebuilt from data pages, WAL records
@@ -342,14 +301,35 @@ pub fn durability_json(scale_label: &str, rows: &[DurabilityRow]) -> String {
 /// `power_failure_ok` is the conjunction of the per-row `power_ok`
 /// verdicts — the simulated power cut at the extent-fsync barrier was
 /// recovered to exactly the acknowledged state with the torn orphan
-/// swept — which CI greps alongside.
+/// swept. Each row also carries the group-commit accounting
+/// (`synced_ops` vs `acknowledged_ops`, fsync counts, batch size, both
+/// commit compositions): `durability_ok` conjoins the per-row
+/// `group_commit_ok` verdicts (synced ops ≥ acknowledged ops, ≤ 1 sync
+/// per shard per batch), and `overlap_ok` is the overlapped-barrier bound
+/// on its own: every row's `commit_ns_per_mission` (max over concurrent
+/// legs) stayed ≤ `commit_busy_ns_per_mission` (the sequential sum). CI
+/// greps all four verdicts.
 pub fn persistence_json(scale_label: &str, rows: &[PersistenceRow]) -> String {
+    let overlap_ok = rows
+        .iter()
+        .all(|r| r.commit_ns_per_mission <= r.commit_busy_ns_per_mission + 1e-9);
     let row = |r: &PersistenceRow| {
         Object(vec![
             ("shards", int(r.shards)),
             ("missions", int(r.missions)),
             ("ops_total", int(r.ops_total)),
             ("flushes", int(r.flushes)),
+            ("acknowledged_ops", int(r.acknowledged_ops)),
+            ("synced_ops", int(r.synced_ops)),
+            ("wal_appends", int(r.wal_appends)),
+            ("wal_syncs", int(r.wal_syncs)),
+            ("mean_batch", Float(r.mean_batch, 2)),
+            ("commit_ns_per_mission", Float(r.commit_ns_per_mission, 1)),
+            (
+                "commit_busy_ns_per_mission",
+                Float(r.commit_busy_ns_per_mission, 1),
+            ),
+            ("group_commit_ok", Bool(r.group_commit_ok)),
             ("manifest_edits", int(r.manifest_edits)),
             ("runs_recovered", int(r.runs_recovered)),
             ("replayed_tail", int(r.replayed_tail)),
@@ -364,6 +344,11 @@ pub fn persistence_json(scale_label: &str, rows: &[PersistenceRow]) -> String {
     let doc = vec![
         ("persistence_ok", Bool(rows.iter().all(|r| r.ok))),
         ("power_failure_ok", Bool(rows.iter().all(|r| r.power_ok))),
+        (
+            "durability_ok",
+            Bool(rows.iter().all(|r| r.group_commit_ok)),
+        ),
+        ("overlap_ok", Bool(overlap_ok)),
         ("rows", Array(rows.iter().map(row).collect())),
     ];
     experiment_json("persistence", scale_label, doc)
@@ -577,49 +562,40 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
-    #[test]
-    fn durability_json_reports_both_commit_compositions() {
-        let row = |shards: usize, commit: f64, busy: f64| DurabilityRow {
+    /// A passing persistence row; the commit barrier costs 50 ns per
+    /// shard sequentially and 50 ns overlapped.
+    fn persistence_row(shards: usize) -> PersistenceRow {
+        PersistenceRow {
             shards,
-            missions: 5,
-            ops_total: 500,
+            missions: 4,
+            ops_total: 400,
+            flushes: 6,
             acknowledged_ops: 200,
-            wal_appends: 200,
-            wal_syncs: 10,
             synced_ops: 200,
-            mean_batch: 20.0,
-            commit_ns_per_mission: commit,
-            commit_busy_ns_per_mission: busy,
-            recovered_records: 0,
+            wal_appends: 200,
+            wal_syncs: 8,
+            mean_batch: 25.0,
+            commit_ns_per_mission: 50.0,
+            commit_busy_ns_per_mission: 50.0 * shards as f64,
+            group_commit_ok: true,
+            manifest_edits: 30,
+            runs_recovered: 5,
+            replayed_tail: 12,
+            checked_keys: 100,
             ok: true,
-        };
-        let json = durability_json("tiny", &[row(1, 50.0, 50.0), row(4, 80.0, 200.0)]);
-        assert!(json.contains("\"durability_ok\": true"));
-        assert!(json.contains("\"overlap_ok\": true"));
-        assert_eq!(json.matches("\"commit_ns_per_mission\":").count(), 2);
-        assert_eq!(json.matches("\"commit_busy_ns_per_mission\":").count(), 2);
-        // A row whose overlapped latency exceeds the sequential sum flips
-        // the overlap verdict (the barrier max can never beat the sum).
-        let bad = durability_json("tiny", &[row(4, 300.0, 200.0)]);
-        assert!(bad.contains("\"overlap_ok\": false"));
+            extent_syncs: 7,
+            dir_syncs: 6,
+            orphans_collected: 1,
+            power_ok: true,
+        }
     }
 
     #[test]
     fn persistence_json_carries_the_verdict() {
         let row = |shards: usize, ok: bool, power_ok: bool| PersistenceRow {
-            shards,
-            missions: 4,
-            ops_total: 400,
-            flushes: 6,
-            manifest_edits: 30,
-            runs_recovered: 5,
-            replayed_tail: 12,
-            checked_keys: 100,
             ok,
-            extent_syncs: 7,
-            dir_syncs: 6,
-            orphans_collected: 1,
             power_ok,
+            ..persistence_row(shards)
         };
         let json = persistence_json("tiny", &[row(1, true, true), row(2, true, true)]);
         assert!(json.contains("\"experiment\": \"persistence\""));
@@ -640,6 +616,27 @@ mod tests {
         // Balanced braces/brackets.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn durability_json_reports_both_commit_compositions() {
+        let json = persistence_json("tiny", &[persistence_row(1), persistence_row(2)]);
+        assert!(json.contains("\"durability_ok\": true"));
+        assert!(json.contains("\"overlap_ok\": true"));
+        assert_eq!(json.matches("\"commit_ns_per_mission\":").count(), 2);
+        assert_eq!(json.matches("\"commit_busy_ns_per_mission\":").count(), 2);
+        let mut commit = persistence_row(2);
+        commit.group_commit_ok = false;
+        let bad_commit = persistence_json("tiny", &[persistence_row(1), commit]);
+        assert!(bad_commit.contains("\"durability_ok\": false"));
+        assert!(bad_commit.contains("\"persistence_ok\": true"));
+        // A row whose overlapped latency exceeds the sequential sum flips
+        // the overlap verdict (the barrier max can never beat the sum).
+        let mut overlap = persistence_row(4);
+        overlap.commit_ns_per_mission = 300.0;
+        let bad_overlap = persistence_json("tiny", &[overlap]);
+        assert!(bad_overlap.contains("\"overlap_ok\": false"));
+        assert!(bad_overlap.contains("\"durability_ok\": true"));
     }
 
     #[test]

@@ -14,6 +14,13 @@
 //! missions; the per-row verdicts conjoin into a single `persistence_ok`
 //! flag CI greps from the JSON output.
 //!
+//! The missions before the restart also measure the WAL's cross-shard
+//! group commit and check its invariants
+//! ([`group_commit_ok`](crate::durability::group_commit_ok)); the per-row
+//! `group_commit_ok` verdicts conjoin into `durability_ok`. Both barrier
+//! compositions (overlapped max, sequential sum) are reported per row,
+//! and `overlap_ok` checks their per-mission means on their own.
+//!
 //! Each row then goes one failure mode deeper: a **simulated power cut**
 //! ([`PowerCutPoint::ExtentUnsynced`]) fires at shard 0's extent-fsync
 //! barrier mid-flush, tearing the un-synced extent file and halting the
@@ -27,9 +34,10 @@ use bytes::Bytes;
 use ruskey::db::RusKeyConfig;
 use ruskey::runner::ExperimentScale;
 use ruskey::sharded::{PersistenceConfig, ShardedRusKey};
+use ruskey::stats::MissionReport;
 use ruskey::tuner::NoOpTuner;
 use ruskey_storage::PowerCutPoint;
-use ruskey_workload::{bulk_load_pairs, encode_key, OpGenerator, OpMix, Operation};
+use ruskey_workload::{bulk_load_pairs, encode_key, OpGenerator, OpMix};
 
 /// One shard count's persistence measurement.
 #[derive(Debug, Clone)]
@@ -43,6 +51,29 @@ pub struct PersistenceRow {
     /// Memtable flushes before the restart (each one moved runs to disk
     /// and committed manifest edits).
     pub flushes: u64,
+    /// Write operations (puts + deletes) before the restart — each one
+    /// acknowledged at its mission's commit barrier.
+    pub acknowledged_ops: u64,
+    /// WAL records that left the loss window: covered by a successful
+    /// fsync, or superseded by a flushed run.
+    pub synced_ops: u64,
+    /// WAL records appended across all shards.
+    pub wal_appends: u64,
+    /// WAL fsyncs issued across all shards (≤ shards × missions under
+    /// group commit).
+    pub wal_syncs: u64,
+    /// Mean group-commit batch size (records appended per fsync).
+    pub mean_batch: f64,
+    /// Mean virtual barrier latency per mission (ns): the **overlapped**
+    /// composition — per mission, the max over the shards' concurrent
+    /// commit legs. The durability latency group commit adds to a batch.
+    pub commit_ns_per_mission: f64,
+    /// Mean total sync work per mission (ns): the sum over the shards'
+    /// commit legs — what the barrier would cost if the fsyncs ran one
+    /// after another on the mission thread.
+    pub commit_busy_ns_per_mission: f64,
+    /// The group-commit invariants held after every mission.
+    pub group_commit_ok: bool,
     /// Lifetime manifest edits across all shards after recovery
     /// (replayed + committed).
     pub manifest_edits: u64,
@@ -111,11 +142,10 @@ pub fn persistence(scale: &ExperimentScale, shard_counts: &[usize]) -> Vec<Persi
             ));
             let spec = scale.spec().with_mix(OpMix::balanced());
             let mut g = OpGenerator::new(spec, scale.seed.wrapping_add(1));
-            let mut ops_total = 0u64;
-            for _ in 0..scale.missions {
-                let ops: Vec<Operation> = g.take_ops(scale.mission_size);
-                ops_total += db.run_mission(&ops).ops;
-            }
+            let reports: Vec<MissionReport> = (0..scale.missions)
+                .map(|_| db.run_mission(&g.take_ops(scale.mission_size)))
+                .collect();
+            let sum = |field: fn(&MissionReport) -> u64| reports.iter().map(field).sum::<u64>();
             let flushes = db.stats().flushes;
 
             // Reference answers from the live store: every key of the
@@ -154,7 +184,7 @@ pub fn persistence(scale: &ExperimentScale, shard_counts: &[usize]) -> Vec<Persi
             // Power-cut leg: overwrite a marked, acknowledged batch, then
             // cut the power at shard 0's extent-fsync barrier mid-flush —
             // the extent tears, the device halts, the manifest commit and
-            // WAL truncation never happen.
+            // WAL recycling never happen.
             let marked = Bytes::from(vec![0xAB; scale.value_len.max(1)]);
             for i in (0..scale.load_entries).step_by(stride as usize).take(64) {
                 rec.put(encode_key(i, scale.key_len), marked.clone());
@@ -186,11 +216,21 @@ pub fn persistence(scale: &ExperimentScale, shard_counts: &[usize]) -> Vec<Persi
             power_ok &= post2.ops >= scale.mission_size as u64;
             let _ = std::fs::remove_dir_all(&root);
 
+            let per_mission = |ns: u64| ns as f64 / scale.missions.max(1) as f64;
+            let (appends, syncs) = (sum(|r| r.wal_appends), sum(|r| r.wal_syncs));
             PersistenceRow {
                 shards: n,
                 missions: scale.missions,
-                ops_total,
+                ops_total: sum(|r| r.ops),
                 flushes,
+                acknowledged_ops: sum(|r| r.updates),
+                synced_ops: sum(|r| r.wal_synced),
+                wal_appends: appends,
+                wal_syncs: syncs,
+                mean_batch: appends as f64 / syncs.max(1) as f64,
+                commit_ns_per_mission: per_mission(sum(|r| r.commit_ns)),
+                commit_busy_ns_per_mission: per_mission(sum(|r| r.commit_busy_ns)),
+                group_commit_ok: crate::durability::group_commit_ok(&reports, n),
                 manifest_edits: stats.manifest_edits,
                 runs_recovered: stats.runs_recovered,
                 replayed_tail: stats.replayed_tail,

@@ -2,7 +2,7 @@
 //! [`ServingFrontend`](ruskey::frontend::ServingFrontend) under a
 //! closed-loop multi-client YCSB-style workload.
 //!
-//! `repro serve` drives a durable 4-shard store with K ∈ {1, 4, 16}
+//! `repro serve` drives a persistent 4-shard store with K ∈ {1, 4, 16}
 //! closed-loop clients (each issues one request, waits for the reply,
 //! issues the next) over disjoint key ranges, reporting real-time
 //! throughput and p50/p99/p999 request latency. The verdict legs CI
@@ -16,7 +16,7 @@
 //!   coalesced into shared fsyncs (at 1 client it cannot exceed 1);
 //! * **crash durability** — a [`CrashPoint`] armed on one shard fires
 //!   mid-serve; every write acknowledged before the crash must survive
-//!   [`ShardedRusKey::recover`];
+//!   [`ShardedRusKey::recover_persistent`];
 //! * **admission control** — a tight token bucket under hammering
 //!   clients must reject (backpressure observed) while every
 //!   *acknowledged* write stays durable and every *rejected* write
@@ -30,7 +30,7 @@ use bytes::Bytes;
 use ruskey::db::RusKeyConfig;
 use ruskey::frontend::{ServingClient, ServingConfig, ServingError};
 use ruskey::runner::ExperimentScale;
-use ruskey::sharded::{DurabilityConfig, ShardedRusKey};
+use ruskey::sharded::{PersistenceConfig, ShardedRusKey};
 use ruskey::tuner::NoOpTuner;
 use ruskey_lsm::CrashPoint;
 use ruskey_workload::{bulk_load_pairs, client_scripts, encode_key, OpMix, Operation};
@@ -172,22 +172,23 @@ fn run_client(client: &ServingClient, script: &[Operation]) -> ClientOutcome {
     out
 }
 
-/// Runs one client-count configuration against a fresh durable store.
+/// Runs one client-count configuration against a fresh persistent store.
 fn run_row(scale: &ExperimentScale, clients: usize, shards: usize) -> ServeRow {
     let dir = std::env::temp_dir().join(format!(
         "ruskey-serve-{}-{clients}c{shards}s",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let durability = DurabilityConfig::group_commit(&dir);
-    let mut db = ShardedRusKey::try_with_tuner_durable(
+    let mut persistence = PersistenceConfig::new(&dir);
+    persistence.page_size = scale.page_size;
+    persistence.cost = scale.cost;
+    let mut db = ShardedRusKey::try_with_tuner_persistent(
         RusKeyConfig::scaled_default(),
         shards,
-        scale.disk(),
         Box::new(NoOpTuner),
-        &durability,
+        &persistence,
     )
-    .expect("open durable store");
+    .expect("open persistent store");
     db.bulk_load(bulk_load_pairs(
         scale.load_entries,
         scale.key_len,
@@ -274,21 +275,22 @@ fn crash_leg(scale: &ExperimentScale) -> (u64, bool) {
     const WRITES_PER_CLIENT: u64 = 80;
     let dir = std::env::temp_dir().join(format!("ruskey-serve-crash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let durability = DurabilityConfig::group_commit(&dir);
+    let mut persistence = PersistenceConfig::new(&dir);
+    persistence.page_size = scale.page_size;
+    persistence.cost = scale.cost;
     let cfg = RusKeyConfig::scaled_default();
-    let mut db = ShardedRusKey::try_with_tuner_durable(
+    let mut db = ShardedRusKey::try_with_tuner_persistent(
         cfg.clone(),
         SHARDS,
-        scale.disk(),
         Box::new(NoOpTuner),
-        &durability,
+        &persistence,
     )
-    .expect("open durable store");
+    .expect("open persistent store");
     // Fire after 24 more shard-0 appends: mid-serve, well before the
     // clients run out of writes (shard 0 owns roughly half of them).
     db.shard_mut(0)
         .wal_mut()
-        .expect("durable shard has a WAL")
+        .expect("persistent shard has a WAL")
         .arm_crash(CrashPoint::PostAppend, 24);
 
     let frontend = db.serve(ServingConfig::default()).expect("start serving");
@@ -321,9 +323,8 @@ fn crash_leg(scale: &ExperimentScale) -> (u64, bool) {
     let mut ok = db.crashed();
     drop(db);
 
-    let mut rec =
-        ShardedRusKey::recover(cfg, SHARDS, scale.disk(), Box::new(NoOpTuner), &durability)
-            .expect("recover after mid-serve crash");
+    let mut rec = ShardedRusKey::recover_persistent(cfg, SHARDS, Box::new(NoOpTuner), &persistence)
+        .expect("recover after mid-serve crash");
     ok &= !acked.is_empty();
     for (key, value) in &acked {
         ok &= rec.get(key).as_deref() == Some(value.as_ref());
@@ -389,7 +390,7 @@ fn admission_leg(scale: &ExperimentScale) -> (u64, bool) {
 }
 
 /// Runs the whole serving experiment: K ∈ {1, 4, 16} clients over a
-/// 4-shard durable store, plus the crash-durability and
+/// 4-shard persistent store, plus the crash-durability and
 /// admission-control legs.
 pub fn serve(scale: &ExperimentScale) -> ServeVerdict {
     const SHARDS: usize = 4;

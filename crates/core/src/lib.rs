@@ -106,7 +106,7 @@ pub mod tuner;
 pub use db::{RusKey, RusKeyConfig};
 pub use frontend::{MetricsSnapshot, ServingClient, ServingConfig, ServingError, ServingFrontend};
 pub use lerp::{Lerp, LerpConfig};
-pub use sharded::{DurabilityConfig, OpenError, ShardedRusKey};
+pub use sharded::{OpenError, ShardedRusKey};
 pub use stats::{LevelMissionStats, MissionReport, StatsCollector};
 pub use tuner::{
     BruteForceLerp, FixedPolicy, GreedyHeuristic, LazyLeveling, NoOpTuner, PerLevelNoPropagation,

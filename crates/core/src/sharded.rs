@@ -32,7 +32,7 @@
 //! when one shard's load exceeds the configured imbalance threshold the
 //! store *re-homes* its heaviest keys to the coldest shard through a
 //! [`RoutingTable`] consulted by every point-op path (missions, ad-hoc
-//! ops, the serving frontend). Migration is crash-safe on a durable
+//! ops, the serving frontend). Migration is crash-safe on a persistent
 //! store: the routes file is written atomically *before* any data
 //! moves, each key is copied to its new home and group-committed before
 //! the original is tombstoned, and recovery settles half-finished moves
@@ -62,9 +62,9 @@
 //! **Panics**: a panic inside a lane (an engine bug — or the
 //! `inject_worker_panic` test hook) is caught on the thread that ran it,
 //! the caller's included, so the sibling lanes run to the end (and, on a
-//! durable store, commit — a partially applied batch, which is why a
-//! failed store must be rebuilt via [`ShardedRusKey::recover`] rather than
-//! retried in place). The dispatch then **fences** the shard: it returns
+//! persistent store, commit — a partially applied batch, which is why a
+//! failed store must be rebuilt via [`ShardedRusKey::recover_persistent`]
+//! rather than retried in place). The dispatch then **fences** the shard: it returns
 //! [`MissionError::WorkerPanicked`], every later mission, barrier and
 //! [`ShardedRusKey::serve`] fails fast with
 //! [`MissionError::WorkerUnavailable`] *before* touching any tree, ad-hoc
@@ -98,11 +98,18 @@
 //! (as they always have); broadcast scans among them are tracked so the
 //! report still counts every scan logically once.
 //!
-//! ## Durability: per-shard WALs + an overlapped group-commit barrier
+//! ## Full-store persistence: per-shard `FileDisk`, manifest and WAL
 //!
-//! A store opened with [`ShardedRusKey::try_with_tuner_durable`] gives
-//! every shard its own WAL file ([`DurabilityConfig::shard_wal_path`]):
-//! a put/delete is appended to its shard's log *before* the memtable
+//! A store opened with [`ShardedRusKey::try_with_tuner_persistent`] gives
+//! every shard its own directory ([`PersistenceConfig`]): an independent
+//! [`FileDisk`](ruskey_storage::FileDisk) for its data pages (private
+//! file handles — the sharded real-file path carries no shared device
+//! lock, and each disk's clock is the shard's time domain), a
+//! [`Manifest`] that records the shard's run/level structure as atomic
+//! per-mutation edit batches (with checkpoint compaction of the log
+//! itself), and the shard's WAL ([`PersistenceConfig::wal_path`]).
+//!
+//! A put/delete is appended to its shard's log *before* the memtable
 //! insert, without syncing per record. Every mission ends with a
 //! **group-commit barrier**: each lane runs its shard's commit leg
 //! ([`FlsmTree::commit_wal_timed`] — at most one fsync) as soon as its
@@ -116,34 +123,19 @@
 //! mid-leg does not stop its siblings' fsyncs — their batches commit, and
 //! the crash harness pins exactly which shards' records became durable.
 //! Outside missions, [`ShardedRusKey::group_commit`] runs the same
-//! overlapped barrier on demand. After a crash,
-//! [`ShardedRusKey::recover`] replays every shard's log (valid prefix
-//! only, order pinned by record sequence numbers) into fresh trees;
-//! `tests/crash_recovery.rs` pins the recovery contract at every
-//! [`ruskey_lsm::CrashPoint`] for `N ∈ {1, 2, 4}`.
+//! overlapped barrier on demand.
 //!
-//! ## Full-store persistence: per-shard `FileDisk` + manifest
-//!
-//! The WAL protects only the write buffer; a store opened with
-//! [`ShardedRusKey::try_with_tuner_persistent`] is durable **below** the
-//! buffer too. Every shard gets its own directory
-//! ([`PersistenceConfig`]): an independent
-//! [`FileDisk`](ruskey_storage::FileDisk) for its data pages (private
-//! file handles — the sharded real-file path carries no shared device
-//! lock, and each disk's clock is the shard's time domain), a
-//! [`Manifest`] that records the shard's run/level structure as atomic
-//! per-mutation edit batches (with checkpoint compaction of the log
-//! itself), and the shard's WAL. The ordering contract — data pages,
-//! then manifest commit, then WAL recycling, with obsolete pages freed
-//! only after the commit — means [`ShardedRusKey::recover_persistent`]
-//! always rebuilds a consistent store: each manifest's longest
-//! consistent prefix is folded back into levels, every recorded run is
-//! rebuilt from its pages (fences and Bloom filters re-derived
-//! identically), and the WAL tail replays on top, so the recovered
-//! store is get/scan-identical to the one that was dropped.
+//! The ordering contract — data pages, then manifest commit, then WAL
+//! recycling, with obsolete pages freed only after the commit — means
+//! [`ShardedRusKey::recover_persistent`] always rebuilds a consistent
+//! store: each manifest's longest consistent prefix is folded back into
+//! levels, every recorded run is rebuilt from its pages (fences and Bloom
+//! filters re-derived identically), and the WAL tail replays on top
+//! (valid prefix only, order pinned by record sequence numbers), so the
+//! recovered store is get/scan-identical to the one that was dropped.
 //! `tests/persistence_restart.rs` pins restart equivalence at
-//! `N ∈ {1, 2, 4}`; the manifest crash matrix in
-//! `tests/crash_recovery.rs` pins every
+//! `N ∈ {1, 2, 4}`; `tests/crash_recovery.rs` pins the recovery contract
+//! at every [`ruskey_lsm::CrashPoint`] for `N ∈ {1, 2, 4}` and at every
 //! [`ruskey_lsm::ManifestCrashPoint`].
 //!
 //! ## Ad-hoc operations and serving
@@ -171,9 +163,9 @@
 //! ## Opening a store
 //!
 //! Every public constructor is a thin call into one private opener,
-//! `open(cfg, shards, backend, tuner, recover)`, over the three
-//! backends (volatile: views of one shared device; durable: the same
-//! plus a WAL per shard; persistent: a directory per shard). It
+//! `open(cfg, shards, backend, tuner, recover)`, over the two backends
+//! (volatile: views of one shared device, nothing survives a drop;
+//! persistent: a directory per shard). It
 //! validates once, wipes or checks the previous incarnation, builds each
 //! shard's tree with its logs attached or recovered, seats `tuner` on
 //! shard 0 and `tuner.for_shard(i)` on shard `i`, and — recovering —
@@ -198,35 +190,6 @@ use crate::frontend::{MetricsSnapshot, ServingConfig, ServingFrontend};
 use crate::lerp::Lerp;
 use crate::stats::{MissionReport, StatsCollector};
 use crate::tuner::{NoOpTuner, TreeObservation, Tuner};
-
-/// Durability settings of a sharded store: where the per-shard WAL files
-/// live and how eagerly each shard fsyncs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurabilityConfig {
-    /// Directory holding one WAL file per shard (`shard-<i>.wal`);
-    /// created if absent.
-    pub dir: PathBuf,
-    /// Per-shard auto-fsync cadence (records); 0 relies solely on the
-    /// cross-shard group-commit barrier at mission boundaries — the
-    /// default, and the cheapest policy: one sync per shard per batch.
-    pub sync_every: u64,
-}
-
-impl DurabilityConfig {
-    /// Group-commit-only durability (no per-record auto-sync) with WALs
-    /// under `dir`.
-    pub fn group_commit(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            sync_every: 0,
-        }
-    }
-
-    /// The WAL file path of one shard.
-    pub fn shard_wal_path(&self, shard: usize) -> PathBuf {
-        self.dir.join(format!("shard-{shard}.wal"))
-    }
-}
 
 /// Full-store persistence settings: where each shard's on-disk state
 /// lives and how the two logs behave.
@@ -312,25 +275,42 @@ impl PersistenceConfig {
     }
 
     /// Number of shards the on-disk layout describes (highest `shard-<i>`
-    /// directory index + 1), or 0 for a fresh root.
+    /// directory index + 1), or 0 for a fresh root (or no root).
     pub fn shards_described(&self) -> std::io::Result<usize> {
-        shards_described(&self.root, "")
+        let entries = match std::fs::read_dir(&self.root) {
+            Ok(e) => e,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+            Err(e) => return Err(e),
+        };
+        let mut described = 0usize;
+        for entry in entries {
+            let name = entry?.file_name();
+            let idx = name
+                .to_string_lossy()
+                .strip_prefix("shard-")
+                .and_then(|s| s.parse::<usize>().ok());
+            if let Some(idx) = idx {
+                described = described.max(idx + 1);
+            }
+        }
+        Ok(described)
     }
 }
 
-/// Why a durable store could not be opened or recovered.
+/// Why a store could not be opened or recovered.
 #[derive(Debug)]
 pub enum OpenError {
     /// The LSM configuration was rejected.
     Config(ConfigError),
     /// A WAL file could not be created, read, or truncated.
     Io(std::io::Error),
-    /// Recovery found shard logs beyond the requested shard count —
-    /// proceeding would silently drop their acknowledged writes.
+    /// Recovery found a store root that describes a different shard
+    /// count than the one asked for — proceeding would drop or misroute
+    /// its acknowledged writes.
     ShardCountMismatch {
-        /// Number of shard logs the directory describes (highest
-        /// `shard-<i>.wal` index + 1).
-        logs: usize,
+        /// Number of shards the store root describes (highest
+        /// `shard-<i>` directory index + 1).
+        described: usize,
         /// The shard count recovery was asked for.
         shards: usize,
     },
@@ -341,9 +321,9 @@ impl std::fmt::Display for OpenError {
         match self {
             OpenError::Config(e) => write!(f, "invalid configuration: {e}"),
             OpenError::Io(e) => write!(f, "WAL I/O failed: {e}"),
-            OpenError::ShardCountMismatch { logs, shards } => write!(
+            OpenError::ShardCountMismatch { described, shards } => write!(
                 f,
-                "log directory describes {logs} shards but recovery was asked \
+                "store root describes {described} shards but recovery was asked \
                  for {shards}; the routing hash keys on the shard count, so a \
                  mismatch would drop or misroute acknowledged writes"
             ),
@@ -370,10 +350,11 @@ impl From<std::io::Error> for OpenError {
 /// A panic inside a shard is terminal: the engine reports it cleanly
 /// (instead of hanging or limping on with a half-changed shard) and
 /// refuses all further work. On the dispatch that *discovers* it the
-/// sibling lanes still run to the end (and, on a durable store, commit):
-/// a partially applied batch. Callers must treat the store as failed and,
-/// if durable, rebuild it with [`ShardedRusKey::recover`]; every later
-/// dispatch fails fast before touching any tree.
+/// sibling lanes still run to the end (and, on a persistent store,
+/// commit): a partially applied batch. Callers must treat the store as
+/// failed and, if persistent, rebuild it with
+/// [`ShardedRusKey::recover_persistent`]; every later dispatch fails fast
+/// before touching any tree.
 #[derive(Debug)]
 pub enum MissionError {
     /// A shard's lane panicked while executing — or, while serving, a
@@ -504,8 +485,8 @@ pub struct ShardedRusKey {
     balancer: Option<Balancer>,
     /// Balancing passes that actually migrated keys.
     rebalances: u64,
-    /// Where the routing overrides persist (durable/persistent stores
-    /// only); `None` keeps them in memory.
+    /// Where the routing overrides persist (persistent stores only);
+    /// `None` keeps them in memory.
     routes_path: Option<PathBuf>,
 }
 
@@ -513,34 +494,8 @@ pub struct ShardedRusKey {
 enum Backend<'a> {
     /// Trees on private views of one shared device; nothing survives.
     Volatile(Arc<dyn Storage>),
-    /// The same, plus one WAL file per shard under the config's `dir`.
-    Durable(Arc<dyn Storage>, &'a DurabilityConfig),
     /// One directory per shard: file disk, manifest and WAL.
     Persistent(&'a PersistenceConfig),
-}
-
-/// Number of shards a directory describes: the highest
-/// `shard-<i><suffix>` entry index + 1, or 0 if there is none (or no
-/// directory).
-fn shards_described(dir: &Path, suffix: &str) -> std::io::Result<usize> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    };
-    let mut described = 0usize;
-    for entry in entries {
-        let name = entry?.file_name();
-        let idx = name
-            .to_string_lossy()
-            .strip_prefix("shard-")
-            .and_then(|s| s.strip_suffix(suffix))
-            .and_then(|s| s.parse::<usize>().ok());
-        if let Some(idx) = idx {
-            described = described.max(idx + 1);
-        }
-    }
-    Ok(described)
 }
 
 /// Removes a file or directory tree; one that is already absent is fine.
@@ -583,85 +538,48 @@ impl ShardedRusKey {
         cfg.lsm.validate()?;
         let (routes_path, described) = match &backend {
             Backend::Volatile(_) => (None, 0),
-            Backend::Durable(_, d) => {
-                std::fs::create_dir_all(&d.dir)?;
-                let routes = d.dir.join(ROUTES_FILE);
-                (Some(routes), shards_described(&d.dir, ".wal")?)
-            }
             Backend::Persistent(p) => (Some(p.root.join(ROUTES_FILE)), p.shards_described()?),
         };
         if recover {
-            // The routing hash keys on the shard count. Fewer shards than
-            // described would drop acknowledged writes. A persistent root
-            // always holds every shard's directory, so there more shards
-            // is refused too: it would misroute keys and hide durable
-            // data behind empty shards.
-            let exact = matches!(backend, Backend::Persistent(_));
-            if described > shards || (exact && described != 0 && described != shards) {
-                return Err(OpenError::ShardCountMismatch {
-                    logs: described,
-                    shards,
-                });
+            // The routing hash keys on the shard count, and a persistent
+            // root holds every shard's directory: fewer shards than
+            // described would drop acknowledged writes, more would
+            // misroute keys and hide durable data behind empty shards.
+            if described != 0 && described != shards {
+                return Err(OpenError::ShardCountMismatch { described, shards });
             }
-        } else {
+        } else if let Backend::Persistent(p) = &backend {
             for i in 0..shards.max(described) {
-                match &backend {
-                    Backend::Volatile(_) => {}
-                    Backend::Durable(_, d) => wipe(&d.shard_wal_path(i))?,
-                    Backend::Persistent(p) => wipe(&p.shard_dir(i))?,
-                }
+                wipe(&p.shard_dir(i))?;
             }
-            if let Some(routes) = &routes_path {
-                wipe(routes)?;
-            }
+            wipe(&p.root.join(ROUTES_FILE))?;
         }
         let mut trees = Vec::with_capacity(shards);
         for i in 0..shards {
-            // A backend is a storage stack plus the logs kept beside it:
-            // (WAL path, sync cadence), (manifest path, checkpoint cadence).
-            let (storage, wal, manifest) = match &backend {
-                Backend::Volatile(s) => (ShardStorage::new(Arc::clone(s)) as _, None, None),
-                Backend::Durable(s, d) => (
-                    ShardStorage::new(Arc::clone(s)) as _,
-                    Some((d.shard_wal_path(i), d.sync_every)),
-                    None,
-                ),
+            let lsm = cfg.lsm.clone();
+            trees.push(match &backend {
+                Backend::Volatile(s) => FlsmTree::try_new(lsm, ShardStorage::new(Arc::clone(s)))?,
                 Backend::Persistent(p) => {
                     let data = p.data_dir(i);
                     std::fs::create_dir_all(&data)?;
-                    (
-                        p.open_disk(&data)?,
-                        Some((p.wal_path(i), p.sync_every)),
-                        Some((p.manifest_path(i), p.checkpoint_every)),
-                    )
-                }
-            };
-            let lsm = cfg.lsm.clone();
-            trees.push(match (recover, wal, manifest) {
-                (false, wal, manifest) => {
-                    let mut tree = FlsmTree::try_new(lsm, storage)?;
-                    if let Some((path, checkpoint_every)) = manifest {
-                        tree.attach_manifest(Manifest::create(path, checkpoint_every)?);
+                    let storage = p.open_disk(&data)?;
+                    let (manifest, wal) = (p.manifest_path(i), p.wal_path(i));
+                    if recover {
+                        FlsmTree::recover_persistent(
+                            lsm,
+                            storage,
+                            manifest,
+                            wal,
+                            p.sync_every,
+                            p.checkpoint_every,
+                        )?
+                    } else {
+                        let mut tree = FlsmTree::try_new(lsm, storage)?;
+                        tree.attach_manifest(Manifest::create(manifest, p.checkpoint_every)?);
+                        tree.attach_wal(Wal::open_with_sync_every(wal, p.sync_every)?);
+                        tree
                     }
-                    if let Some((path, sync_every)) = wal {
-                        tree.attach_wal(Wal::open_with_sync_every(path, sync_every)?);
-                    }
-                    tree
                 }
-                (true, Some((wal, sync_every)), None) => {
-                    FlsmTree::recover(lsm, storage, wal, sync_every)?
-                }
-                (true, Some((wal, sync_every)), Some((manifest, checkpoint_every))) => {
-                    FlsmTree::recover_persistent(
-                        lsm,
-                        storage,
-                        manifest,
-                        wal,
-                        sync_every,
-                        checkpoint_every,
-                    )?
-                }
-                (true, None, _) => unreachable!("only a backend with logs is recovered"),
             });
         }
         let siblings: Vec<_> = (1..shards).map(|i| tuner.for_shard(i)).collect();
@@ -714,26 +632,6 @@ impl ShardedRusKey {
         })
     }
 
-    /// Creates a *durable* sharded store: every shard gets its own WAL
-    /// file under `durability.dir` (appended before each memtable insert,
-    /// recycled in place on flush), and missions end with an overlapped
-    /// cross-shard group-commit barrier — at most one fsync per shard per
-    /// mission, run concurrently on the shards' lanes.
-    ///
-    /// Logs and routes left by a previous incarnation are wiped first;
-    /// [`ShardedRusKey::recover`] is the explicit path for continuing
-    /// from them.
-    pub fn try_with_tuner_durable(
-        cfg: RusKeyConfig,
-        shards: usize,
-        storage: Arc<dyn Storage>,
-        tuner: Box<dyn Tuner>,
-        durability: &DurabilityConfig,
-    ) -> Result<Self, OpenError> {
-        let backend = Backend::Durable(storage, durability);
-        Self::open(cfg, shards, backend, tuner, false)
-    }
-
     /// Creates a **fully persistent** sharded store: every shard gets its
     /// own directory under `persistence.root` with an independent
     /// [`FileDisk`] for its data pages, a [`Manifest`] recording its
@@ -776,26 +674,6 @@ impl ShardedRusKey {
         persistence: &PersistenceConfig,
     ) -> Result<Self, OpenError> {
         let backend = Backend::Persistent(persistence);
-        Self::open(cfg, shards, backend, tuner, true)
-    }
-
-    /// Recovers a durable sharded store after a crash: each shard's WAL
-    /// is replayed (valid prefix only, order pinned by record sequence
-    /// numbers, torn tails truncated away) into a fresh tree, and the
-    /// statistics baseline is reset so the first mission's report
-    /// excludes recovery work.
-    ///
-    /// Per-shard WALs recover independently, which is exactly why the
-    /// routing hash must stay stable: the same `shards` count must be
-    /// passed that produced the logs, and fewer is refused.
-    pub fn recover(
-        cfg: RusKeyConfig,
-        shards: usize,
-        storage: Arc<dyn Storage>,
-        tuner: Box<dyn Tuner>,
-        durability: &DurabilityConfig,
-    ) -> Result<Self, OpenError> {
-        let backend = Backend::Durable(storage, durability);
         Self::open(cfg, shards, backend, tuner, true)
     }
 
@@ -1408,7 +1286,7 @@ impl ShardedRusKey {
 
     /// One balancing pass, run at each mission boundary while armed.
     ///
-    /// Migration is ordered for crash safety on a durable store:
+    /// Migration is ordered for crash safety on a persistent store:
     ///
     /// 1. the routing overrides — including the new moves — are written
     ///    to the routes file *atomically* (tmp + fsync + rename) before
@@ -1423,8 +1301,8 @@ impl ShardedRusKey {
     ///    independently.
     ///
     /// Every step is idempotent under re-execution, which is what lets
-    /// [`ShardedRusKey::recover`]/[`recover_persistent`](ShardedRusKey::recover_persistent)
-    /// settle any half-finished pass from the routes file alone.
+    /// [`ShardedRusKey::recover_persistent`] settle any half-finished pass
+    /// from the routes file alone.
     fn maybe_rebalance(&mut self) -> Result<(), MissionError> {
         let n = self.shard_count();
         let Some(bal) = &mut self.balancer else {
@@ -1523,7 +1401,7 @@ impl ShardedRusKey {
 
     /// Writes the routing overrides to the routes file atomically (tmp +
     /// fsync + rename + directory fsync), one `<target> <source> <hex
-    /// key>` line per override. No-op for a non-durable store.
+    /// key>` line per override. No-op for a volatile store.
     fn persist_routes(&self) -> std::io::Result<()> {
         use std::io::Write as _;
         let Some(path) = &self.routes_path else {
@@ -1619,8 +1497,8 @@ impl ShardedRusKey {
 }
 
 /// File name of the persisted routing-override table, under the
-/// durability dir / persistence root. Must not match the `shard-`
-/// prefixes the recovery scans parse.
+/// persistence root. Must not match the `shard-` prefix the recovery
+/// scan parses.
 const ROUTES_FILE: &str = "ROUTES";
 
 /// Merges per-shard observations into the store-wide one (see
@@ -2100,10 +1978,12 @@ mod tests {
             .err()
             .expect("recovering fewer shards than described must fail");
         assert!(err.to_string().contains("2 shards"), "{err}");
+        assert!(err.to_string().contains("store root describes"), "{err}");
         let err = ShardedRusKey::recover_persistent(cfg, 4, Box::new(NoOpTuner), &pcfg)
             .err()
             .expect("recovering more shards than described must fail");
         assert!(err.to_string().contains("2 shards"), "{err}");
+        assert!(err.to_string().contains("store root describes"), "{err}");
         let _ = std::fs::remove_dir_all(&root);
     }
 

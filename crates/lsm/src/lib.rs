@@ -31,17 +31,17 @@
 //! * exact per-level statistics ([`stats`]) feeding the RL reward
 //!   (`t_i`, the level-based latency) and the experiment harness;
 //! * a write-ahead log ([`wal`]) that an [`tree::FlsmTree`] optionally
-//!   owns: puts/deletes are logged before the memtable insert, the log
-//!   is recycled in place on flush, and [`tree::FlsmTree::recover`]
-//!   rebuilds the write buffer from the log's valid prefix after a crash
-//!   (see the [`wal`] module docs for the durability contract and
-//!   crash-injection hooks);
+//!   owns: puts/deletes are logged before the memtable insert and the log
+//!   is recycled in place on flush (see the [`wal`] module docs for the
+//!   durability contract and crash-injection hooks);
 //! * a versioned, checksummed [`manifest`] that records every structural
 //!   edit (runs created/removed, policy transitions, flush watermarks) as
 //!   an append-only log with atomic checkpoint compaction, so
 //!   [`tree::FlsmTree::recover_persistent`] can rebuild the *full*
 //!   run/level structure from the manifest plus the data pages on a
-//!   persistent storage backend, replaying the WAL tail on top;
+//!   persistent storage backend, then rebuild the write buffer from the
+//!   WAL's valid prefix on top — the manifest and the WAL recover as one
+//!   unit;
 //! * **background maintenance**: runs are immutable shared handles
 //!   (`Arc<Run>`), so reads pin structure instead of borrowing it — a
 //!   cheap [`tree::TreeSnapshot`] stays valid across concurrent merges —

@@ -275,52 +275,6 @@ impl FlsmTree {
         })
     }
 
-    /// Recovers a tree from the write-ahead log at `path`: the log's valid
-    /// prefix is replayed into a fresh tree's memtable (replay order pinned
-    /// by the sequence numbers in the record headers), any torn tail is
-    /// truncated away, and the log stays attached for subsequent writes.
-    ///
-    /// The WAL protects the write buffer: runs flushed to `storage` before
-    /// the crash are the storage backend's durability concern and are not
-    /// reconstructed here.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid ([`LsmConfig::validate`]).
-    pub fn recover(
-        cfg: LsmConfig,
-        storage: Arc<dyn Storage>,
-        path: impl AsRef<std::path::Path>,
-        sync_every: u64,
-    ) -> std::io::Result<Self> {
-        let mut tree = Self::new(cfg, storage);
-        tree.replay_wal_tail(path, sync_every)?;
-        Ok(tree)
-    }
-
-    /// Recovers the WAL at `path`, replays its valid prefix into the
-    /// memtable, and attaches the log. Deterministic replay order:
-    /// ascending sequence number, so the latest version of a key wins in
-    /// the memtable regardless of how the log bytes were produced. A
-    /// record at or below the recovered structure's sequence number is in
-    /// a run already (a generation whose recycling never reached the disk)
-    /// and is skipped: replayed, it could shadow a newer flushed version.
-    fn replay_wal_tail(
-        &mut self,
-        path: impl AsRef<std::path::Path>,
-        sync_every: u64,
-    ) -> std::io::Result<()> {
-        let (wal, mut records) = Wal::recover(path, sync_every)?;
-        records.retain(|e| e.seq > self.seq);
-        records.sort_by_key(|e| e.seq);
-        self.replayed_tail = records.len() as u64;
-        for e in records {
-            self.seq = self.seq.max(e.seq);
-            self.memtable.insert(e);
-        }
-        self.wal = Some(wal);
-        Ok(())
-    }
-
     /// Recovers a tree from its **two** logs on a persistent storage
     /// backend — the full-store restart path:
     ///
@@ -394,7 +348,18 @@ impl FlsmTree {
             .map(|r| r.extent_id)
             .collect();
         tree.orphans_collected = tree.storage.collect_orphans(&live)?.len() as u64;
-        tree.replay_wal_tail(wal_path, sync_every)?;
+        // Replay the log's valid prefix in ascending sequence order, so the
+        // latest version of a key wins in the memtable regardless of how
+        // the log bytes were produced.
+        let (wal, mut records) = Wal::recover(wal_path, sync_every)?;
+        records.retain(|e| e.seq > tree.seq);
+        records.sort_by_key(|e| e.seq);
+        tree.replayed_tail = records.len() as u64;
+        for e in records {
+            tree.seq = tree.seq.max(e.seq);
+            tree.memtable.insert(e);
+        }
+        tree.wal = Some(wal);
         tree.manifest = Some(manifest);
         Ok(tree)
     }
@@ -1884,11 +1849,13 @@ mod tests {
 
     /// Writes are logged before the memtable insert: a tree dropped
     /// without flushing recovers its synced writes from the WAL, replayed
-    /// in sequence order.
+    /// in sequence order on top of an empty manifest.
     #[test]
     fn recover_restores_synced_writes() {
         let path = wal_path("recover");
+        let manifest = wal_path("recover-manifest");
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&manifest);
         let cfg = LsmConfig {
             buffer_bytes: 1 << 20, // large: nothing flushes
             size_ratio: 4,
@@ -1908,7 +1875,7 @@ mod tests {
             drop(t); // process death: user-space WAL buffer is lost
         }
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let mut r = FlsmTree::recover(cfg, disk, &path, 0).unwrap();
+        let mut r = FlsmTree::recover_persistent(cfg, disk, &manifest, &path, 0, 0).unwrap();
         for i in 0..50u64 {
             match i {
                 7 => assert_eq!(r.get(&key(7)), Some(val(777))),
@@ -1923,20 +1890,23 @@ mod tests {
         r.commit_wal().unwrap();
         drop(r);
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let mut r2 = FlsmTree::recover(
+        let mut r2 = FlsmTree::recover_persistent(
             LsmConfig {
                 buffer_bytes: 1 << 20,
                 size_ratio: 4,
                 ..LsmConfig::scaled_default()
             },
             disk,
+            &manifest,
             &path,
+            0,
             0,
         )
         .unwrap();
         assert_eq!(r2.get(&key(100)), Some(val(100)));
         assert_eq!(r2.get(&key(3)), Some(val(3)));
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&manifest);
     }
 
     /// A memtable flush supersedes the log: the WAL truncates, so replay

@@ -33,10 +33,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use crate::clock::VirtualClock;
 use crate::cost::CostModel;
@@ -187,6 +186,13 @@ impl Segment {
 ///
 /// Hits cost only [`CostModel::cpu_probe_ns`]; misses go to the inner
 /// device. See the module docs for the locking and eviction design.
+///
+/// Every segment lock recovers a poisoned guard
+/// (`PoisonError::into_inner`) instead of panicking: all that runs under
+/// one is a single `Segment` method, whose list surgery follows indices
+/// from the segment's own map and, short of a bug in it, cannot stop
+/// halfway — so a segment a panicking thread held is still a consistent
+/// LRU of device-page copies.
 pub struct BlockCache<S: Storage> {
     inner: Arc<S>,
     segments: Vec<Mutex<Segment>>,
@@ -267,11 +273,18 @@ impl<S: Storage> BlockCache<S> {
 
     /// Pages currently resident across all segments.
     pub fn cached_pages(&self) -> usize {
-        self.segments.iter().map(|s| s.lock().len()).sum()
+        self.segments
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
     }
 
     fn insert(&self, key: PageKey, data: Bytes) -> u64 {
-        let evicted = self.segment(key).lock().insert(key, data);
+        let evicted = self
+            .segment(key)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, data);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         evicted
     }
@@ -317,7 +330,11 @@ impl<S: Storage> Storage for BlockCache<S> {
     /// A hit hands out the resident handle and copies nothing; a miss
     /// caches the very handle the device read produced.
     fn try_read_shared(&self, ext: Extent, idx: u32) -> std::io::Result<(Bytes, IoCharge)> {
-        let cached = self.segment((ext.id, idx)).lock().get((ext.id, idx));
+        let cached = self
+            .segment((ext.id, idx))
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get((ext.id, idx));
         if let Some(page) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
             let probe_ns = self.inner.cost_model().cpu_probe_ns;
@@ -356,7 +373,9 @@ impl<S: Storage> Storage for BlockCache<S> {
         let collected = self.inner.collect_orphans(live)?;
         for id in &collected {
             for seg in &self.segments {
-                seg.lock().remove_extent(*id);
+                seg.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .remove_extent(*id);
             }
         }
         Ok(collected)
@@ -370,7 +389,9 @@ impl<S: Storage> Storage for BlockCache<S> {
         // Purge before forwarding: once the inner device reuses the id,
         // no stale page may survive here.
         for seg in &self.segments {
-            seg.lock().remove_extent(ext.id);
+            seg.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .remove_extent(ext.id);
         }
         self.inner.free(ext);
     }

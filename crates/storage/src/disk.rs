@@ -2,10 +2,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use bytes::Bytes;
-use parking_lot::RwLock;
 
 use crate::clock::VirtualClock;
 use crate::cost::CostModel;
@@ -217,6 +216,12 @@ pub trait Storage: Send + Sync {
 type ExtentSlots = Box<[Option<Bytes>]>;
 
 /// In-memory page store with exact, deterministic I/O accounting.
+///
+/// The extent map's lock recovers a poisoned guard
+/// (`PoisonError::into_inner`) instead of panicking: a writer changes the
+/// map by one insert, remove or page store, and the one panic under the
+/// write lock (a write to an unknown extent) fires before anything
+/// changes — so a map a panicking writer held is still whole.
 pub struct SimulatedDisk {
     page_size: usize,
     cost: CostModel,
@@ -249,7 +254,10 @@ impl SimulatedDisk {
 
     /// Number of live extents (≈ live run files).
     pub fn live_extents(&self) -> usize {
-        self.extents.read().len()
+        self.extents
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 }
 
@@ -261,7 +269,10 @@ impl Storage for SimulatedDisk {
     fn allocate(&self, pages: u32) -> Extent {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let slots: ExtentSlots = (0..pages).map(|_| None).collect();
-        self.extents.write().insert(id, slots);
+        self.extents
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, slots);
         self.live_pages.fetch_add(pages as u64, Ordering::Relaxed);
         Extent { id, pages }
     }
@@ -279,7 +290,7 @@ impl Storage for SimulatedDisk {
             ext.pages
         );
         {
-            let mut extents = self.extents.write();
+            let mut extents = self.extents.write().unwrap_or_else(PoisonError::into_inner);
             let slots = extents
                 .get_mut(&ext.id)
                 .unwrap_or_else(|| panic!("write to freed/unknown extent {}", ext.id));
@@ -308,7 +319,7 @@ impl Storage for SimulatedDisk {
 
     fn try_read_shared(&self, ext: Extent, idx: u32) -> std::io::Result<(Bytes, IoCharge)> {
         let page = {
-            let extents = self.extents.read();
+            let extents = self.extents.read().unwrap_or_else(PoisonError::into_inner);
             let slots = extents.get(&ext.id).ok_or_else(|| {
                 std::io::Error::new(
                     std::io::ErrorKind::NotFound,
@@ -337,7 +348,13 @@ impl Storage for SimulatedDisk {
     }
 
     fn free(&self, ext: Extent) {
-        if self.extents.write().remove(&ext.id).is_some() {
+        if self
+            .extents
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&ext.id)
+            .is_some()
+        {
             self.live_pages
                 .fetch_sub(ext.pages as u64, Ordering::Relaxed);
         }

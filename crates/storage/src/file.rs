@@ -58,10 +58,9 @@ use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use crate::clock::VirtualClock;
 use crate::cost::CostModel;
@@ -86,6 +85,11 @@ const SLOT_HEADER: usize = 4;
 const BULK_SLOTS: usize = 256;
 
 /// A [`Storage`] backend keeping each extent in one file under a directory.
+///
+/// Its three locks recover a poisoned guard (`PoisonError::into_inner`)
+/// instead of panicking: each guards a map, list or option that one
+/// insert, remove, push, take or assignment changes whole, so a thread
+/// that panicked while holding one left no half-made change behind.
 pub struct FileDisk {
     dir: PathBuf,
     page_size: usize,
@@ -176,7 +180,7 @@ impl FileDisk {
     /// erased — both present as "no such file", and only the caller (who
     /// holds the manifest) knows which ids it acknowledged.
     fn try_handle(&self, id: u64) -> std::io::Result<Arc<File>> {
-        let mut handles = self.handles.lock();
+        let mut handles = self.handles.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(f) = handles.get(&id) {
             return Ok(Arc::clone(f));
         }
@@ -209,7 +213,10 @@ impl FileDisk {
 
     /// Decrements the armed countdown at a barrier; true = fire now.
     fn power_cut_fires(&self, at: PowerCutPoint) -> bool {
-        let mut armed = self.power_cut.lock();
+        let mut armed = self
+            .power_cut
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         match *armed {
             Some((point, 0)) if point == at => {
                 *armed = None;
@@ -374,10 +381,16 @@ impl Storage for FileDisk {
         f.set_len(pages as u64 * self.slot() as u64)
             .expect("preallocate extent");
         self.fds_opened.fetch_add(1, Ordering::Relaxed);
-        self.handles.lock().insert(id, Arc::new(f));
+        self.handles
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, Arc::new(f));
         self.live_pages.fetch_add(pages as u64, Ordering::Relaxed);
         // The new directory entry is not durable until the next sync_dir.
-        self.pending_dir.lock().push(id);
+        self.pending_dir
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(id);
         Extent { id, pages }
     }
 
@@ -440,9 +453,17 @@ impl Storage for FileDisk {
         if self.power_cut_fires(PowerCutPoint::DirUnsynced) {
             // Power died before the directory entries became durable: the
             // files created since the last sync_dir vanish wholesale.
-            let pending: Vec<u64> = std::mem::take(&mut *self.pending_dir.lock());
+            let pending: Vec<u64> = std::mem::take(
+                &mut *self
+                    .pending_dir
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
             for id in pending {
-                self.handles.lock().remove(&id);
+                self.handles
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .remove(&id);
                 if let Ok(meta) = std::fs::metadata(self.path(id)) {
                     if std::fs::remove_file(self.path(id)).is_ok() {
                         self.live_pages
@@ -456,7 +477,10 @@ impl Storage for FileDisk {
             ));
         }
         self.dir_handle.sync_all()?;
-        self.pending_dir.lock().clear();
+        self.pending_dir
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
         let charge = IoCharge {
             ns: self.cost.wal_sync_ns,
             io: StorageMetrics {
@@ -488,7 +512,10 @@ impl Storage for FileDisk {
                 continue;
             }
             let pages = entry.metadata()?.len() / self.slot() as u64;
-            self.handles.lock().remove(&id);
+            self.handles
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .remove(&id);
             std::fs::remove_file(entry.path())?;
             self.live_pages.fetch_sub(pages, Ordering::Relaxed);
             collected.push(id);
@@ -504,7 +531,10 @@ impl Storage for FileDisk {
     }
 
     fn arm_power_cut(&self, point: PowerCutPoint, after: u64) {
-        *self.power_cut.lock() = Some((point, after));
+        *self
+            .power_cut
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some((point, after));
     }
 
     fn free(&self, ext: Extent) {
@@ -512,7 +542,10 @@ impl Storage for FileDisk {
             return;
         }
         // Drop the cached handle first so the fd goes with the file.
-        self.handles.lock().remove(&ext.id);
+        self.handles
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&ext.id);
         if std::fs::remove_file(self.path(ext.id)).is_ok() {
             self.live_pages
                 .fetch_sub(ext.pages as u64, Ordering::Relaxed);
@@ -585,7 +618,13 @@ mod tests {
         }
         assert_eq!(d.fds_opened(), 1, "per-read opens must be gone");
         d.free(ext);
-        assert!(d.handles.lock().is_empty(), "free must drop the handle");
+        assert!(
+            d.handles
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .is_empty(),
+            "free must drop the handle"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -120,11 +120,11 @@
 //! [`lsm::FlsmTree::recover_persistent`] for one tree) folds each
 //! manifest's longest consistent prefix, rebuilds every recorded run
 //! from its data pages (fence pointers and Bloom filters re-derived
-//! identically), and replays the WAL tail on top — get/scan-identical to
-//! the store that was dropped. On the volatile simulated disk the WAL
-//! alone still protects the write buffer
-//! ([`ruskey::sharded::ShardedRusKey::recover`], longest valid prefix,
-//! replay order pinned by record sequence numbers).
+//! identically), and replays the WAL tail on top (longest valid prefix,
+//! replay order pinned by record sequence numbers) — get/scan-identical
+//! to the store that was dropped. The persistent store is the only
+//! durable one: a store on the simulated disk is volatile, and nothing of
+//! it survives a drop.
 //!
 //! Durability traffic and recovery work are first-class metrics: WAL
 //! appends/fsyncs/acknowledged records, both barrier compositions
@@ -135,7 +135,7 @@
 //! [`ruskey::stats::MissionReport::runs_recovered`],
 //! [`ruskey::stats::MissionReport::replayed_tail`]) flow through
 //! [`lsm::TreeStatsSnapshot`] into [`ruskey::stats::MissionReport`] and
-//! the `repro durability` / `repro persistence` JSON.
+//! the `repro persistence` JSON.
 //!
 //! The contract is pinned four ways: `tests/crash_recovery.rs` runs a
 //! [`lsm::CrashPoint`] fault-injection matrix over the WAL write path
@@ -147,8 +147,9 @@
 //! acknowledged prefix and sweep the orphans);
 //! `tests/persistence_restart.rs` asserts restart equivalence at
 //! `N ∈ {1, 2, 4}` with a random-schedule proptest and a manifest replay
-//! fuzz test; and `repro persistence --json` reports `persistence_ok`
-//! and `power_failure_ok` verdicts CI greps.
+//! fuzz test; and `repro persistence --json` reports the
+//! `persistence_ok`, `power_failure_ok`, `durability_ok` (group-commit
+//! invariants) and `overlap_ok` verdicts CI greps.
 //!
 //! # The read path: serving-grade raw speed
 //!
@@ -327,7 +328,7 @@
 //! by every path (missions, ad-hoc ops, and the serving frontend, whose
 //! per-shard `shard_ops` counters and
 //! [`ruskey::frontend::MetricsSnapshot::shard_imbalance`] surface the
-//! skew live). On a durable store migration is crash-safe by ordering:
+//! skew live). On a persistent store migration is crash-safe by ordering:
 //! the override — including the shard it was moved *from* — is
 //! persisted atomically **before** any data moves, then copy, commit
 //! barrier, and only then the tombstone; recovery settles whatever a

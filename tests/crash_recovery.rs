@@ -1,4 +1,4 @@
-//! Crash-injection and recovery tests for the durable write path.
+//! Crash-injection and recovery tests for the persistent store.
 //!
 //! Three suites pin the durability contract of the WAL + cross-shard
 //! group-commit engine:
@@ -22,16 +22,17 @@
 //!    garbage over a valid log — replay never panics and yields exactly
 //!    the longest valid prefix.
 //!
-//! The WAL suites (1–3) keep their working set below `buffer_bytes` (no
-//! memtable flush), so the log alone carries their durability. Suite 4
-//! exercises the layer *below*: **manifest crash points** on a fully
-//! persistent store — the crash between a flush's data-page writes and
-//! its manifest edit, the torn manifest tail, the crash after the edit
-//! but before the WAL truncates, and the crash in the middle of a
-//! manifest checkpoint — asserting recovery always folds the longest
-//! consistent prefix, never references missing pages, and loses nothing
-//! (whatever the manifest batch misses, the untruncated WAL still
-//! covers).
+//! Every suite runs on a persistent store (manifest + WAL per shard), the
+//! only durable store there is. The WAL suites (1–3) keep their working
+//! set below `buffer_bytes` by choice, not by necessity: with no memtable
+//! flush, each scenario exercises the log and nothing else. Suite 4
+//! exercises the layer *below*: **manifest crash points** — the crash
+//! between a flush's data-page writes and its manifest edit, the torn
+//! manifest tail, the crash after the edit but before the WAL is
+//! recycled, and the crash in the middle of a manifest checkpoint —
+//! asserting recovery always folds the longest consistent prefix, never
+//! references missing pages, and loses nothing (whatever the manifest
+//! batch misses, the unrecycled WAL still covers).
 //!
 //! Suite 5 drops below even the manifest: **torn power cuts** on the
 //! storage barriers themselves ([`PowerCutPoint`]). A cut before the
@@ -53,7 +54,7 @@ use proptest::prelude::*;
 
 use ruskey_repro::lsm::{CrashPoint, KvEntry, ManifestCrashPoint, Wal};
 use ruskey_repro::ruskey::db::RusKeyConfig;
-use ruskey_repro::ruskey::sharded::{DurabilityConfig, PersistenceConfig, ShardedRusKey};
+use ruskey_repro::ruskey::sharded::{PersistenceConfig, ShardedRusKey};
 use ruskey_repro::storage::{CostModel, PowerCutPoint, SimulatedDisk, Storage};
 use ruskey_repro::workload::routing::shard_for_key;
 use ruskey_repro::workload::{
@@ -68,8 +69,8 @@ fn wal_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ruskey-crashrec-{tag}-{}-{n}", std::process::id()))
 }
 
-/// Config with a buffer large enough that nothing flushes: the WAL alone
-/// carries the durability of every scenario below.
+/// Config with a buffer large enough that nothing flushes, so the WAL
+/// suites exercise the log alone: every acknowledged write is still in it.
 fn big_buffer_cfg() -> RusKeyConfig {
     let mut cfg = RusKeyConfig::scaled_default();
     cfg.lsm.buffer_bytes = 1 << 20;
@@ -81,26 +82,31 @@ fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(512, CostModel::NVME)
 }
 
-fn durable_store(shards: usize, dur: &DurabilityConfig) -> ShardedRusKey {
-    ShardedRusKey::try_with_tuner_durable(
-        big_buffer_cfg(),
-        shards,
-        disk(),
-        Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
-        dur,
-    )
-    .expect("open durable store")
+/// The WAL suites' store under `dir`: 512-byte pages, NVMe costs.
+fn wal_suite_cfg(dir: &std::path::Path) -> PersistenceConfig {
+    let mut p = PersistenceConfig::new(dir);
+    p.page_size = 512;
+    p
 }
 
-fn recovered_store(shards: usize, dur: &DurabilityConfig) -> ShardedRusKey {
-    ShardedRusKey::recover(
+fn persistent_store(shards: usize, p: &PersistenceConfig) -> ShardedRusKey {
+    ShardedRusKey::try_with_tuner_persistent(
         big_buffer_cfg(),
         shards,
-        disk(),
         Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
-        dur,
+        p,
     )
-    .expect("recover durable store")
+    .expect("open persistent store")
+}
+
+fn recovered_persistent(shards: usize, p: &PersistenceConfig) -> ShardedRusKey {
+    ShardedRusKey::recover_persistent(
+        big_buffer_cfg(),
+        shards,
+        Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
+        p,
+    )
+    .expect("recover persistent store")
 }
 
 fn key(i: u64) -> Bytes {
@@ -130,8 +136,8 @@ fn recovery_restores_exactly_the_synced_prefix_at_every_crash_point() {
             CrashPoint::MidFlush,
         ] {
             let dir = wal_dir("matrix");
-            let dur = DurabilityConfig::group_commit(&dir);
-            let mut db = durable_store(shards, &dur);
+            let dur = wal_suite_cfg(&dir);
+            let mut db = persistent_store(shards, &dur);
 
             // Phase 1: a committed batch — durable on every shard.
             for i in 0..PHASE1 {
@@ -174,7 +180,7 @@ fn recovery_restores_exactly_the_synced_prefix_at_every_crash_point() {
             );
             drop(db); // unflushed user-space WAL buffers die here
 
-            let mut rec = recovered_store(shards, &dur);
+            let mut rec = recovered_persistent(shards, &dur);
 
             // Phase 1 was acknowledged by its barrier: always recovered.
             for i in 0..PHASE1 {
@@ -262,18 +268,17 @@ fn recovery_restores_exactly_the_synced_prefix_at_every_crash_point() {
 fn group_commit_syncs_at_most_once_per_shard_per_mission() {
     for shards in [1usize, 2, 4] {
         let dir = wal_dir("groupcommit");
-        let dur = DurabilityConfig::group_commit(&dir);
+        let dur = wal_suite_cfg(&dir);
         let mut cfg = RusKeyConfig::scaled_default();
         cfg.lsm.buffer_bytes = 4096;
         cfg.lsm.size_ratio = 4;
-        let mut db = ShardedRusKey::try_with_tuner_durable(
+        let mut db = ShardedRusKey::try_with_tuner_persistent(
             cfg,
             shards,
-            disk(),
             Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
             &dur,
         )
-        .expect("open durable store");
+        .expect("open persistent store");
         db.bulk_load(bulk_load_pairs(1200, 16, 48, 11));
         let spec = WorkloadSpec {
             key_space: 1200,
@@ -326,8 +331,8 @@ fn overlapped_commit_crash_keeps_sibling_batches_durable() {
     const BATCH: u64 = 60;
     for shards in [2usize, 4] {
         let dir = wal_dir("overlap");
-        let dur = DurabilityConfig::group_commit(&dir);
-        let mut db = durable_store(shards, &dur);
+        let dur = wal_suite_cfg(&dir);
+        let mut db = persistent_store(shards, &dur);
 
         let put = |i: u64| Operation::Put {
             key: key(i),
@@ -374,7 +379,7 @@ fn overlapped_commit_crash_keeps_sibling_batches_durable() {
         );
         drop(db); // the crashed shard's unflushed tail dies here
 
-        let mut rec = recovered_store(shards, &dur);
+        let mut rec = recovered_persistent(shards, &dur);
         // Mission 1 was acknowledged everywhere: always recovered.
         for i in 0..BATCH {
             assert_eq!(
@@ -418,69 +423,6 @@ fn overlapped_commit_crash_keeps_sibling_batches_durable() {
     }
 }
 
-/// Opening a *fresh* durable store truncates any leftover logs: a new
-/// store's sequence numbers restart at 1, so inheriting a previous
-/// incarnation's records would let stale (higher-seq) writes shadow new
-/// ones at the next recovery. `recover` is the path for continuing.
-#[test]
-fn fresh_durable_store_truncates_leftover_logs() {
-    let dir = wal_dir("freshstart");
-    let dur = DurabilityConfig::group_commit(&dir);
-    {
-        let mut db = durable_store(2, &dur);
-        db.put(key(1), val(1));
-        db.put(key(2), val(2));
-        db.group_commit();
-    }
-    {
-        // Same directory, fresh store — the old incarnation's logs must
-        // not leak into it.
-        let mut db = durable_store(2, &dur);
-        db.put(key(3), val(3));
-        db.group_commit();
-    }
-    let mut rec = recovered_store(2, &dur);
-    assert_eq!(rec.get(&key(1)), None, "stale log record resurrected");
-    assert_eq!(rec.get(&key(2)), None, "stale log record resurrected");
-    assert_eq!(rec.get(&key(3)).as_deref(), Some(val(3).as_slice()));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Recovering with fewer shards than the log directory describes is
-/// refused: the unread shard logs hold acknowledged writes that would
-/// otherwise vanish silently.
-#[test]
-fn recover_refuses_dropping_shard_logs() {
-    let dir = wal_dir("shardcount");
-    let dur = DurabilityConfig::group_commit(&dir);
-    {
-        let mut db = durable_store(4, &dur);
-        for i in 0..20u64 {
-            db.put(key(i), val(i));
-        }
-        db.group_commit();
-    }
-    let err = ShardedRusKey::recover(
-        big_buffer_cfg(),
-        2,
-        disk(),
-        Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
-        &dur,
-    )
-    .err()
-    .expect("recovery at a smaller shard count must be refused");
-    assert!(
-        err.to_string().contains("4 shards"),
-        "unhelpful error: {err}"
-    );
-    // The matching shard count still recovers everything.
-    let mut rec = recovered_store(4, &dur);
-    for i in 0..20u64 {
-        assert_eq!(rec.get(&key(i)).as_deref(), Some(val(i).as_slice()));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 // ----------------------------------------------------------------------
 // 2. Recovery equivalence proptest
 // ----------------------------------------------------------------------
@@ -522,8 +464,8 @@ proptest! {
         countdown in 0u64..12,
     ) {
         let dir = wal_dir("equiv");
-        let dur = DurabilityConfig::group_commit(&dir);
-        let mut db = durable_store(shards, &dur);
+        let dur = wal_suite_cfg(&dir);
+        let mut db = persistent_store(shards, &dur);
         let point = if pre_append { CrashPoint::PreAppend } else { CrashPoint::PostAppend };
         db.shard_mut(0)
             .wal_mut()
@@ -559,7 +501,7 @@ proptest! {
             apply(&mut reference, op);
         }
 
-        let mut rec = recovered_store(shards, &dur);
+        let mut rec = recovered_persistent(shards, &dur);
         for k in 0u64..120 {
             prop_assert_eq!(
                 rec.get(&key(k)),
@@ -709,26 +651,6 @@ fn persist_cfg(root: &PathBuf, checkpoint_every: u64) -> PersistenceConfig {
     p.cost = CostModel::FREE;
     p.checkpoint_every = checkpoint_every;
     p
-}
-
-fn persistent_store(shards: usize, p: &PersistenceConfig) -> ShardedRusKey {
-    ShardedRusKey::try_with_tuner_persistent(
-        big_buffer_cfg(),
-        shards,
-        Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
-        p,
-    )
-    .expect("open persistent store")
-}
-
-fn recovered_persistent(shards: usize, p: &PersistenceConfig) -> ShardedRusKey {
-    ShardedRusKey::recover_persistent(
-        big_buffer_cfg(),
-        shards,
-        Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
-        p,
-    )
-    .expect("recover persistent store")
 }
 
 /// Entries held by every run a shard's manifest currently records.

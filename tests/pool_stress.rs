@@ -32,7 +32,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ruskey_repro::ruskey::db::RusKeyConfig;
-use ruskey_repro::ruskey::sharded::{DurabilityConfig, MissionError, ShardedRusKey};
+use ruskey_repro::ruskey::sharded::{MissionError, PersistenceConfig, ShardedRusKey};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_repro::workload::routing::{partition_ops, shard_for_key};
@@ -59,6 +59,13 @@ fn small_cfg() -> RusKeyConfig {
 
 fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(512, CostModel::NVME)
+}
+
+/// A persistent store's settings under `dir`: 512-byte pages, NVMe costs.
+fn persistence(dir: &std::path::Path) -> PersistenceConfig {
+    let mut p = PersistenceConfig::new(dir);
+    p.page_size = 512;
+    p
 }
 
 fn mixed_spec(key_space: u64) -> WorkloadSpec {
@@ -225,15 +232,10 @@ fn a_panic_on_the_callers_lane_is_a_clean_error_too() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     for &n in &[1usize, 2] {
         let dir = wal_dir("caller-panic");
-        let dur = DurabilityConfig::group_commit(&dir);
-        let mut db = ShardedRusKey::try_with_tuner_durable(
-            small_cfg(),
-            n,
-            disk(),
-            Box::new(NoOpTuner),
-            &dur,
-        )
-        .expect("open durable store");
+        let dur = persistence(&dir);
+        let mut db =
+            ShardedRusKey::try_with_tuner_persistent(small_cfg(), n, Box::new(NoOpTuner), &dur)
+                .expect("open persistent store");
         let puts = |from: u64| -> Vec<Operation> {
             (from..from + 40)
                 .map(|i| Operation::Put {
@@ -335,21 +337,15 @@ proptest! {
         shards in 1usize..5,
     ) {
         let dir = wal_dir("proptest");
-        let dur = DurabilityConfig::group_commit(&dir);
+        let dur = persistence(&dir);
         // A buffer large enough that nothing flushes mid-mission: every
         // logged record is acknowledged by the barrier fsync, so the
         // sync ground truth is exactly "lanes with ≥ 1 write".
         let mut cfg = RusKeyConfig::scaled_default();
         cfg.lsm.buffer_bytes = 1 << 20;
         cfg.lsm.size_ratio = 4;
-        let mut db = ShardedRusKey::try_with_tuner_durable(
-            cfg,
-            shards,
-            disk(),
-            Box::new(NoOpTuner),
-            &dur,
-        )
-        .expect("open durable store");
+        let mut db = ShardedRusKey::try_with_tuner_persistent(cfg, shards, Box::new(NoOpTuner), &dur)
+            .expect("open persistent store");
 
         let mission: Vec<Operation> = ops.iter().map(to_operation).collect();
         let writes = mission

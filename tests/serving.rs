@@ -31,7 +31,7 @@ use proptest::prelude::*;
 
 use ruskey_repro::lsm::CrashPoint;
 use ruskey_repro::ruskey::db::RusKeyConfig;
-use ruskey_repro::ruskey::sharded::{DurabilityConfig, MissionError, ShardedRusKey};
+use ruskey_repro::ruskey::sharded::{MissionError, PersistenceConfig, ShardedRusKey};
 use ruskey_repro::ruskey::tuner::{FixedPolicy, NoOpTuner};
 use ruskey_repro::ruskey::{ServingConfig, ServingError};
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
@@ -195,95 +195,114 @@ fn clients_read_their_own_writes_under_concurrency() {
 
 /// A crash firing mid-serve (WAL fault injection on shard 0) never loses
 /// an acknowledged write: recovery must read back every put that
-/// returned `Ok` before the crash.
+/// returned `Ok` before the crash — from the WAL alone under the default
+/// (large) write buffer, and from the manifest's runs plus the WAL under
+/// a 4 KiB buffer, where shard 0 has flushed before the crash fires.
 #[test]
 fn acknowledged_writes_survive_a_mid_serve_crash() {
     const SHARDS: usize = 2;
     const CLIENTS: u64 = 4;
-    const WRITES: u64 = 60;
-    let dir = std::env::temp_dir().join(format!("ruskey-serving-crash-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let durability = DurabilityConfig::group_commit(&dir);
-    // Default (large) write buffer: the simulated disk dies with the
-    // store, so the crash leg must recover from the WAL alone — a flush
-    // mid-serve would truncate it and move the data onto the lost disk.
-    let cfg = RusKeyConfig::scaled_default();
-    let mut db = ShardedRusKey::try_with_tuner_durable(
-        cfg.clone(),
-        SHARDS,
-        disk(),
-        Box::new(NoOpTuner),
-        &durability,
-    )
-    .expect("open durable store");
-    db.shard_mut(0)
-        .wal_mut()
-        .expect("durable shard has a WAL")
-        .arm_crash(CrashPoint::PostAppend, 20);
+    let default_buffer = RusKeyConfig::scaled_default().lsm.buffer_bytes;
+    // (write buffer, shard-0 appends before the crash fires, writes per
+    // client, whether shard 0 flushes first)
+    for (buffer_bytes, crash_after, writes, flushes) in
+        [(default_buffer, 20, 60, false), (4096, 150, 100, true)]
+    {
+        let dir = std::env::temp_dir().join(format!("ruskey-serving-crash-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durability = persistence(&dir);
+        let mut cfg = RusKeyConfig::scaled_default();
+        cfg.lsm.buffer_bytes = buffer_bytes;
+        let mut db = ShardedRusKey::try_with_tuner_persistent(
+            cfg.clone(),
+            SHARDS,
+            Box::new(NoOpTuner),
+            &durability,
+        )
+        .expect("open persistent store");
+        db.shard_mut(0)
+            .wal_mut()
+            .expect("durable shard has a WAL")
+            .arm_crash(CrashPoint::PostAppend, crash_after);
 
-    let frontend = db.serve(ServingConfig::default()).expect("serve");
-    let acked: Vec<(Bytes, Bytes)> = thread::scope(|s| {
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                let client = frontend.client();
-                s.spawn(move || {
-                    let mut acked = Vec::new();
-                    for i in 0..WRITES {
-                        let key = encode_key(c * 100_000 + i, 16);
-                        let value = Bytes::from(format!("crash-{c}-{i}"));
-                        match client.put(key.clone(), value.clone()) {
-                            Ok(()) => acked.push((key, value)),
-                            // The crashed shard's clients see Crashed,
-                            // then Stopped once the shard is marked
-                            // dead; neither is an acknowledgement.
-                            Err(ServingError::Crashed | ServingError::Stopped) => {}
-                            Err(e) => panic!("unexpected serving error: {e}"),
+        let frontend = db.serve(ServingConfig::default()).expect("serve");
+        let acked: Vec<(Bytes, Bytes)> = thread::scope(|s| {
+            let handles: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    let client = frontend.client();
+                    s.spawn(move || {
+                        let mut acked = Vec::new();
+                        for i in 0..writes {
+                            let key = encode_key(c * 100_000 + i, 16);
+                            let value = Bytes::from(format!("crash-{c}-{i}"));
+                            match client.put(key.clone(), value.clone()) {
+                                Ok(()) => acked.push((key, value)),
+                                // The crashed shard's clients see Crashed,
+                                // then Stopped once the shard is marked
+                                // dead; neither is an acknowledgement.
+                                Err(ServingError::Crashed | ServingError::Stopped) => {}
+                                Err(e) => panic!("unexpected serving error: {e}"),
+                            }
                         }
-                    }
-                    acked
+                        acked
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread panicked"))
-            .collect()
-    });
-    db.finish_serving(frontend).expect("finish serving");
-    assert!(db.crashed(), "the armed crash must have fired mid-serve");
-    assert!(!acked.is_empty(), "some writes must precede the crash");
-    drop(db);
-
-    let mut rec = ShardedRusKey::recover(cfg, SHARDS, disk(), Box::new(NoOpTuner), &durability)
-        .expect("recover after mid-serve crash");
-    for (key, value) in &acked {
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("client thread panicked"))
+                .collect()
+        });
+        db.finish_serving(frontend).expect("finish serving");
+        assert!(db.crashed(), "the armed crash must have fired mid-serve");
+        assert!(!acked.is_empty(), "some writes must precede the crash");
+        // A crashed shard writes nothing more, so a flush it shows ran
+        // before the crash fired.
         assert_eq!(
-            rec.get(key).as_deref(),
-            Some(value.as_ref()),
-            "acknowledged write lost across the crash"
+            db.shard(0).stats().flushes > 0,
+            flushes,
+            "buffer {buffer_bytes}: shard 0 flushed before the crash"
         );
+        drop(db);
+
+        let mut rec =
+            ShardedRusKey::recover_persistent(cfg, SHARDS, Box::new(NoOpTuner), &durability)
+                .expect("recover after mid-serve crash");
+        for (key, value) in &acked {
+            assert_eq!(
+                rec.get(key).as_deref(),
+                Some(value.as_ref()),
+                "acknowledged write lost across the crash"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A fresh durable store with the default (large) write buffer, so no
-/// flush truncates the WALs mid-test, and the directory it logs under.
-fn durable_store(name: &str, shards: usize) -> (ShardedRusKey, DurabilityConfig) {
+/// A persistent store's settings under `dir`: 512-byte pages, NVMe costs.
+fn persistence(dir: &std::path::Path) -> PersistenceConfig {
+    let mut p = PersistenceConfig::new(dir);
+    p.page_size = 512;
+    p
+}
+
+/// A fresh persistent store with the default (large) write buffer, so no
+/// flush recycles the WALs mid-test, and the settings it was opened with.
+fn durable_store(name: &str, shards: usize) -> (ShardedRusKey, PersistenceConfig) {
     let dir = std::env::temp_dir().join(format!("ruskey-serving-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let durability = DurabilityConfig::group_commit(&dir);
-    let db = ShardedRusKey::try_with_tuner_durable(
+    let durability = persistence(&dir);
+    let db = ShardedRusKey::try_with_tuner_persistent(
         RusKeyConfig::scaled_default(),
         shards,
-        disk(),
         Box::new(NoOpTuner),
         &durability,
     )
-    .expect("open durable store");
+    .expect("open persistent store");
     (db, durability)
 }
 
-/// Sixteen writers over two durable shards: every acknowledged put is
+/// Sixteen writers over two persistent shards: every acknowledged put is
 /// there after the session and after recovery from the logs alone, the
 /// acknowledgement count is exact, and the writers shared fsyncs — fewer
 /// fsyncs than acknowledged writes, more than one record per fsync.
@@ -339,7 +358,7 @@ fn sixteen_writers_share_fsyncs_and_lose_nothing() {
     }
     drop(db);
     let cfg = RusKeyConfig::scaled_default();
-    let mut rec = ShardedRusKey::recover(cfg, SHARDS, disk(), Box::new(NoOpTuner), &durability)
+    let mut rec = ShardedRusKey::recover_persistent(cfg, SHARDS, Box::new(NoOpTuner), &durability)
         .expect("recover");
     for (key, value) in &acked {
         assert_eq!(
@@ -348,7 +367,7 @@ fn sixteen_writers_share_fsyncs_and_lose_nothing() {
             "acknowledged write missing from the logs"
         );
     }
-    let _ = std::fs::remove_dir_all(&durability.dir);
+    let _ = std::fs::remove_dir_all(&durability.root);
 }
 
 /// A client handle that outlives its session is refused, not hung and
@@ -431,7 +450,7 @@ fn a_client_panic_poisons_only_its_shard() {
         db.try_run_mission(&[]),
         Err(MissionError::WorkerUnavailable { shard: 0 })
     ));
-    let _ = std::fs::remove_dir_all(&durability.dir);
+    let _ = std::fs::remove_dir_all(&durability.root);
 }
 
 /// Applies a script's writes to the model of everything acknowledged.
@@ -449,7 +468,7 @@ fn apply_to_model(model: &mut BTreeMap<Bytes, Bytes>, script: &[Operation]) {
     }
 }
 
-/// Missions and serving sessions alternate on one durable store: the
+/// Missions and serving sessions alternate on one persistent store: the
 /// trees move into the frontend and come home again three times over, and
 /// every hand-over keeps what it must. A mission's report counts that
 /// mission's operations only (the served work, and the ad-hoc reads
@@ -463,16 +482,15 @@ fn sessions_and_missions_alternate_on_one_store() {
     const KEY_SPACE: u64 = 1500;
     let dir = std::env::temp_dir().join(format!("ruskey-serving-alt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let durability = DurabilityConfig::group_commit(&dir);
+    let durability = persistence(&dir);
     // A small buffer, so levels exist for the fixed tuner to set K = 4 on.
-    let mut db = ShardedRusKey::try_with_tuner_durable(
+    let mut db = ShardedRusKey::try_with_tuner_persistent(
         small_cfg(),
         SHARDS,
-        disk(),
         Box::new(FixedPolicy::new(4)),
         &durability,
     )
-    .expect("open durable store");
+    .expect("open persistent store");
     let pairs = bulk_load_pairs(KEY_SPACE, 16, 48, 21);
     let mut model: BTreeMap<Bytes, Bytes> = pairs.iter().cloned().collect();
     db.bulk_load(pairs);

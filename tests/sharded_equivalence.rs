@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use ruskey_repro::lsm::FlsmTree;
 use ruskey_repro::ruskey::db::{RusKey, RusKeyConfig};
 use ruskey_repro::ruskey::frontend::ServingConfig;
-use ruskey_repro::ruskey::sharded::{DurabilityConfig, ShardedRusKey};
+use ruskey_repro::ruskey::sharded::{PersistenceConfig, ShardedRusKey};
 use ruskey_repro::ruskey::tuner::{FixedPolicy, NoOpTuner};
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_repro::workload::routing::shard_for_key;
@@ -207,7 +207,7 @@ fn n_shard_store_is_observationally_equivalent() {
 
 /// The three doors into a shard — mission lanes, ad-hoc calls closed by a
 /// group commit, and a serving client — are one execution path: the same
-/// seeded operation sequence through each leaves `N = 2` durable stores
+/// seeded operation sequence through each leaves `N = 2` persistent stores
 /// with identical contents and identical per-shard lifetime counters.
 #[test]
 fn the_three_doors_agree() {
@@ -215,15 +215,15 @@ fn the_three_doors_agree() {
     let open = |door: &str| {
         let dir = std::env::temp_dir().join(format!("ruskey-doors-{}-{door}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let durability = DurabilityConfig::group_commit(&dir);
-        let db = ShardedRusKey::try_with_tuner_durable(
+        let mut persistence = PersistenceConfig::new(&dir);
+        persistence.page_size = 512;
+        let db = ShardedRusKey::try_with_tuner_persistent(
             small_cfg(),
             SHARDS,
-            disk(),
             Box::new(NoOpTuner),
-            &durability,
+            &persistence,
         )
-        .expect("open durable store");
+        .expect("open persistent store");
         (db, dir)
     };
     let ops = OpGenerator::new(mixed_spec(400), 17).take_ops(900);

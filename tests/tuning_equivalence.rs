@@ -29,7 +29,7 @@ use proptest::prelude::*;
 use ruskey_bench::{tuning_cfg, tuning_missions};
 use ruskey_repro::ruskey::db::RusKeyConfig;
 use ruskey_repro::ruskey::runner::ExperimentScale;
-use ruskey_repro::ruskey::sharded::{DurabilityConfig, ShardedRusKey};
+use ruskey_repro::ruskey::sharded::{PersistenceConfig, ShardedRusKey};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_repro::workload::routing::{shard_for_key, BalanceConfig};
@@ -59,9 +59,15 @@ fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(512, CostModel::NVME)
 }
 
-/// Durable-test config: the buffer never flushes, so the (real) WAL
-/// alone carries durability — the simulated data pages do not survive a
-/// drop.
+/// A persistent store's settings under `dir`: 512-byte pages, NVMe costs.
+fn persistence(dir: &std::path::Path) -> PersistenceConfig {
+    let mut p = PersistenceConfig::new(dir);
+    p.page_size = 512;
+    p
+}
+
+/// Recovery-test config: the buffer never flushes, so every
+/// acknowledged write the recovery tests check is replayed from the WAL.
 fn big_buffer_cfg() -> RusKeyConfig {
     let mut cfg = tuned_cfg();
     cfg.lsm.buffer_bytes = 1 << 20;
@@ -377,7 +383,7 @@ proptest! {
 #[test]
 fn recovery_settles_interrupted_migration() {
     let dir = wal_dir("settle");
-    let dur = DurabilityConfig::group_commit(&dir);
+    let dur = persistence(&dir);
     let shards = 2usize;
 
     // A key homed on shard 0 by hash.
@@ -388,10 +394,9 @@ fn recovery_settles_interrupted_migration() {
     let value = Bytes::from_static(b"survives-the-crash");
 
     {
-        let mut db = ShardedRusKey::try_with_tuner_durable(
+        let mut db = ShardedRusKey::try_with_tuner_persistent(
             big_buffer_cfg(),
             shards,
-            disk(),
             Box::new(NoOpTuner),
             &dur,
         )
@@ -414,7 +419,7 @@ fn recovery_settles_interrupted_migration() {
     std::fs::write(dir.join("ROUTES"), line).unwrap();
 
     let mut db =
-        ShardedRusKey::recover(big_buffer_cfg(), shards, disk(), Box::new(NoOpTuner), &dur)
+        ShardedRusKey::recover_persistent(big_buffer_cfg(), shards, Box::new(NoOpTuner), &dur)
             .unwrap();
     assert_eq!(db.rehomed_keys(), 1, "the override must be recovered");
     assert_eq!(db.get(&key), Some(value.clone()), "the value must settle");
@@ -422,7 +427,7 @@ fn recovery_settles_interrupted_migration() {
     // still reads through the override.
     drop(db);
     let mut db =
-        ShardedRusKey::recover(big_buffer_cfg(), shards, disk(), Box::new(NoOpTuner), &dur)
+        ShardedRusKey::recover_persistent(big_buffer_cfg(), shards, Box::new(NoOpTuner), &dur)
             .unwrap();
     assert_eq!(db.rehomed_keys(), 1);
     assert_eq!(db.get(&key), Some(value));
@@ -436,7 +441,7 @@ fn recovery_settles_interrupted_migration() {
 #[test]
 fn durable_mitigation_round_trips_through_recovery() {
     let dir = wal_dir("roundtrip");
-    let dur = DurabilityConfig::group_commit(&dir);
+    let dur = persistence(&dir);
     let shards = 4usize;
     let hot_shard = 1usize;
 
@@ -448,10 +453,9 @@ fn durable_mitigation_round_trips_through_recovery() {
 
     let mut expected: BTreeMap<Bytes, Bytes> = BTreeMap::new();
     {
-        let mut db = ShardedRusKey::try_with_tuner_durable(
+        let mut db = ShardedRusKey::try_with_tuner_persistent(
             big_buffer_cfg(),
             shards,
-            disk(),
             Box::new(NoOpTuner),
             &dur,
         )
@@ -485,7 +489,7 @@ fn durable_mitigation_round_trips_through_recovery() {
     }
 
     let mut db =
-        ShardedRusKey::recover(big_buffer_cfg(), shards, disk(), Box::new(NoOpTuner), &dur)
+        ShardedRusKey::recover_persistent(big_buffer_cfg(), shards, Box::new(NoOpTuner), &dur)
             .unwrap();
     assert!(db.rehomed_keys() > 0, "overrides lost in recovery");
     for (k, v) in &expected {
