@@ -550,7 +550,7 @@ fn run_serve(c: &Ctx) {
 }
 
 fn run_tuning(c: &Ctx) {
-    println!("== Tuning: per-shard Lerp + hot-shard mitigation ==");
+    println!("== Tuning: per-shard Lerp ==");
     let v = tuning(&c.scale);
     println!(
         "{:<10}{:<8}{:>10}{:>12}{:>18}{:>10}{:>18}{:>10}",
@@ -570,25 +570,7 @@ fn run_tuning(c: &Ctx) {
             r.distinct_policies
         );
     }
-    println!(
-        "{:<12}{:>16}{:>16}{:>16}{:>14}{:>12}",
-        "mitigation", "mean imbal", "peak imbal", "final imbal", "rebalances", "rehomed"
-    );
-    for r in &v.mitigation {
-        println!(
-            "{:<12}{:>16.3}{:>16.3}{:>16.3}{:>14}{:>12}",
-            if r.balanced { "armed" } else { "disarmed" },
-            r.mean_imbalance,
-            r.peak_imbalance,
-            r.final_imbalance,
-            r.rebalances,
-            r.rehomed_keys
-        );
-    }
-    println!(
-        "  mitigation_ok={}   tuned_ok={}   tuning_ok={}",
-        v.mitigation_ok, v.tuned_ok, v.ok
-    );
+    println!("  tuning_ok={}", v.ok);
     write_json(c, "tuning", tuning_json(c.label, &v));
 }
 

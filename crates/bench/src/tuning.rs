@@ -1,6 +1,5 @@
 //! Per-shard learned tuning experiment (beyond the paper): one Lerp
-//! agent per shard under skew, plus hot-shard mitigation, pinned as
-//! machine-checkable verdicts.
+//! agent per shard under skew, pinned as a machine-checkable verdict.
 //!
 //! `repro tuning` drives a 4-shard Lerp store — one seat per shard, each
 //! rewarded from its own shard's slice — over three workloads: `uniform`
@@ -9,15 +8,9 @@
 //! and `shifting` (the skew swaps shards at the midpoint). Each row
 //! reports the paper's ranking metric, mean virtual ns/op over the last
 //! third of missions, and the per-shard policies the agents settled on.
-//! Two mitigation rows then hammer a viral key set on one shard with
-//! re-homing disarmed vs armed. The verdict legs CI greps as
-//! `tuning_ok`:
-//!
-//! * **tuned** — every row saw `tuned_missions > 0`, missions in which
-//!   some shard ran a non-default policy, so the agents really moved;
-//! * **mitigation drop** — with balancing armed the viral keys
-//!   actually migrate (`rebalances > 0`, `rehomed_keys > 0`) and the
-//!   mean observed load imbalance falls below the disarmed baseline.
+//! The verdict CI greps as `tuning_ok` is non-vacuity: every row saw
+//! `tuned_missions > 0`, missions in which some shard ran a non-default
+//! policy, so the agents really moved.
 
 use std::collections::BTreeSet;
 
@@ -25,7 +18,6 @@ use bytes::Bytes;
 use ruskey::db::RusKeyConfig;
 use ruskey::runner::ExperimentScale;
 use ruskey::sharded::ShardedRusKey;
-use ruskey_workload::routing::BalanceConfig;
 use ruskey_workload::{bulk_load_pairs, encode_key, shard_for_key, OpGenerator, OpMix, Operation};
 
 /// Shards in every tuning row (matches the serving experiment).
@@ -59,39 +51,12 @@ pub struct TuningRow {
     pub distinct_policies: usize,
 }
 
-/// One mitigation leg: the viral-key workload with re-homing disarmed
-/// (`balanced = false`, sentinel threshold) or armed.
-#[derive(Debug, Clone)]
-pub struct MitigationRow {
-    /// Whether hot-shard re-homing was armed.
-    pub balanced: bool,
-    /// Mean observed load imbalance (max shard ops / mean) across
-    /// rounds.
-    pub mean_imbalance: f64,
-    /// Peak observed imbalance.
-    pub peak_imbalance: f64,
-    /// Imbalance after the final round.
-    pub final_imbalance: f64,
-    /// Balancing passes that migrated keys.
-    pub rebalances: u64,
-    /// Keys living away from their hash shard at the end.
-    pub rehomed_keys: usize,
-}
-
-/// The whole experiment: three tuning rows, two mitigation rows, and the
-/// verdict legs CI greps.
+/// The whole experiment: three tuning rows and the verdict CI greps.
 #[derive(Debug, Clone)]
 pub struct TuningVerdict {
     /// One row per workload.
     pub rows: Vec<TuningRow>,
-    /// `[disarmed, armed]` mitigation legs.
-    pub mitigation: Vec<MitigationRow>,
-    /// Mitigation leg: armed re-homing migrated keys and dropped the
-    /// mean imbalance below the disarmed baseline.
-    pub mitigation_ok: bool,
     /// Non-vacuity: every tuning row saw at least one tuned mission.
-    pub tuned_ok: bool,
-    /// The headline verdict CI greps.
     pub ok: bool,
 }
 
@@ -204,93 +169,15 @@ fn run_tuning_row(scale: &ExperimentScale, workload: &'static str) -> TuningRow 
     }
 }
 
-/// Runs the viral-key workload on an untuned store with re-homing
-/// disarmed (sentinel threshold: the sketch observes, nothing moves)
-/// or armed, and reports the observed imbalance trajectory.
-fn run_mitigation_row(scale: &ExperimentScale, balanced: bool) -> MitigationRow {
-    let hot_shard = 1usize;
-    let mut db = ShardedRusKey::untuned(RusKeyConfig::scaled_default(), SHARDS, scale.disk());
-    db.bulk_load(bulk_load_pairs(
-        scale.load_entries,
-        scale.key_len,
-        scale.value_len,
-        scale.seed,
-    ));
-    db.enable_balancing(BalanceConfig {
-        imbalance_threshold: if balanced { 1.25 } else { f64::INFINITY },
-        min_ops: (scale.mission_size as u64 / 4).max(64),
-        max_moves: 4,
-        capacity: 32,
-        decay: 0.5,
-    });
-    let viral: Vec<Bytes> = (0..scale.load_entries)
-        .map(|id| encode_key(id, scale.key_len))
-        .filter(|k| shard_for_key(k, SHARDS) == hot_shard)
-        .take(8)
-        .collect();
-    // Mitigation converges in a handful of passes; a bounded round
-    // count keeps the leg cheap at every scale.
-    let rounds = scale.missions.clamp(8, 40);
-    let (mut sum, mut peak, mut last) = (0.0f64, 0.0f64, 0.0f64);
-    for round in 0..rounds {
-        let mut ops = Vec::with_capacity(scale.mission_size);
-        for i in 0..scale.mission_size {
-            let idx = (round * scale.mission_size + i) as u64;
-            if i.is_multiple_of(10) {
-                // Cold background traffic so every shard exists in the
-                // sketch.
-                ops.push(Operation::Get {
-                    key: encode_key((idx * 31) % scale.load_entries, scale.key_len),
-                });
-            } else if i.is_multiple_of(4) {
-                ops.push(Operation::Put {
-                    key: viral[i % viral.len()].clone(),
-                    value: encode_key(idx, scale.value_len),
-                });
-            } else {
-                ops.push(Operation::Get {
-                    key: viral[i % viral.len()].clone(),
-                });
-            }
-        }
-        db.run_mission(&ops);
-        let im = db.load_imbalance();
-        sum += im;
-        peak = peak.max(im);
-        last = im;
-    }
-    MitigationRow {
-        balanced,
-        mean_imbalance: sum / rounds as f64,
-        peak_imbalance: peak,
-        final_imbalance: last,
-        rebalances: db.rebalances(),
-        rehomed_keys: db.rehomed_keys(),
-    }
-}
-
-/// Runs the whole tuning experiment: three workloads plus the two
-/// mitigation legs, folded into the `tuning_ok` verdict.
+/// Runs the whole tuning experiment: three workloads, folded into the
+/// `tuning_ok` verdict.
 pub fn tuning(scale: &ExperimentScale) -> TuningVerdict {
     let rows: Vec<TuningRow> = ["uniform", "skewed", "shifting"]
         .into_iter()
         .map(|workload| run_tuning_row(scale, workload))
         .collect();
-    let mitigation = vec![
-        run_mitigation_row(scale, false),
-        run_mitigation_row(scale, true),
-    ];
-    let (off, on) = (&mitigation[0], &mitigation[1]);
-    let mitigation_ok =
-        on.rebalances > 0 && on.rehomed_keys > 0 && on.mean_imbalance < off.mean_imbalance;
-    let tuned_ok = rows.iter().all(|r| r.tuned_missions > 0);
-    TuningVerdict {
-        rows,
-        mitigation,
-        mitigation_ok,
-        tuned_ok,
-        ok: mitigation_ok && tuned_ok,
-    }
+    let ok = rows.iter().all(|r| r.tuned_missions > 0);
+    TuningVerdict { rows, ok }
 }
 
 #[cfg(test)]
@@ -310,16 +197,9 @@ mod tests {
     fn tuning_verdict_holds_at_tiny_scale() {
         let v = tuning(&tiny());
         assert_eq!(v.rows.len(), 3);
-        assert!(v.mitigation_ok, "armed balancing must drop the imbalance");
-        assert!(v.tuned_ok, "some row never tuned — vacuous comparison");
-        let off = &v.mitigation[0];
-        let on = &v.mitigation[1];
-        assert_eq!(off.rebalances, 0, "sentinel threshold must never move");
-        assert!(on.rebalances > 0 && on.rehomed_keys > 0);
-        assert!(on.mean_imbalance < off.mean_imbalance);
         for r in &v.rows {
             assert_eq!(r.final_k1.len(), SHARDS);
         }
-        assert!(v.ok, "tuning_ok must hold");
+        assert!(v.ok, "some row never tuned — vacuous comparison");
     }
 }

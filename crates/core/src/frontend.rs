@@ -115,7 +115,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use ruskey_lsm::{FlsmTree, SyncTicket};
-use ruskey_workload::routing::RoutingTable;
+use ruskey_workload::routing::shard_for_key;
 use ruskey_workload::Operation;
 
 use crate::exec::{execute, OpResult};
@@ -582,10 +582,6 @@ struct ServeShared {
     slots: Vec<ShardSlot>,
     metrics: ServingMetrics,
     bucket: TokenBucket,
-    /// Frozen copy of the store's key re-homing overrides: clients must
-    /// route exactly like the mission path or re-homed keys would read
-    /// from the wrong shard.
-    routes: RoutingTable,
 }
 
 /// A `Send + Sync` handle over a store that is currently serving: holds
@@ -603,11 +599,10 @@ pub struct ServingFrontend {
 
 impl ServingFrontend {
     /// Starts a session over the store's trees, in shard order.
-    pub(crate) fn new(cfg: &ServingConfig, trees: Vec<FlsmTree>, routes: RoutingTable) -> Self {
+    pub(crate) fn new(cfg: &ServingConfig, trees: Vec<FlsmTree>) -> Self {
         let shared = ServeShared {
             metrics: ServingMetrics::new(trees.len()),
             bucket: TokenBucket::new(cfg.rate_limit_per_sec, cfg.burst),
-            routes,
             slots: trees
                 .into_iter()
                 .map(|tree| ShardSlot {
@@ -844,9 +839,9 @@ impl ServingClient {
         panic!("injected client panic (test hook)");
     }
 
-    /// The shard owning `key` under the session's frozen routing table.
+    /// The shard owning `key`: the key hash, as on every other path.
     fn owner(&self, key: &[u8]) -> usize {
-        self.shared.routes.shard_for(key, self.shared.slots.len())
+        shard_for_key(key, self.shared.slots.len())
     }
 
     /// One point operation, start to finish: admit, then run on the

@@ -83,7 +83,9 @@ pub struct LerpConfig {
 }
 
 impl LerpConfig {
-    /// Paper-style defaults (α = 1/2, 3×128 ReLU networks inside DDPG).
+    /// Paper-style defaults (3×128 ReLU networks inside DDPG), except
+    /// α = 0.85 where the paper uses 1/2 — the comment on `alpha` in the
+    /// body says why.
     pub fn paper_default(scheme: PropagationScheme) -> Self {
         Self {
             // The paper uses α = 1/2. At our scaled-down mission size the

@@ -26,18 +26,6 @@
 //! which is the paper's single-tree loop exactly
 //! (`tests/tuning_equivalence.rs` pins both shapes with goldens).
 //!
-//! Orthogonally, [`ShardedRusKey::enable_balancing`] arms **hot-shard
-//! mitigation**: a decayed [`LoadSketch`] (per-shard op counters + a
-//! Misra–Gries heavy-hitter summary) watches the point-op stream, and
-//! when one shard's load exceeds the configured imbalance threshold the
-//! store *re-homes* its heaviest keys to the coldest shard through a
-//! [`RoutingTable`] consulted by every point-op path (missions, ad-hoc
-//! ops, the serving frontend). Migration is crash-safe on a persistent
-//! store: the routes file is written atomically *before* any data
-//! moves, each key is copied to its new home and group-committed before
-//! the original is tombstoned, and recovery settles half-finished moves
-//! from the routes file (all three crash states are idempotent).
-//!
 //! ## Mission lanes: the tree never leaves the store
 //!
 //! Outside a serving session the store is the only home of a shard's
@@ -50,7 +38,7 @@
 //! under [`std::thread::scope`] over `shards.iter_mut()`: lanes `1..N` are
 //! spawned first, lane 0 runs on the caller's thread beside them, and the
 //! scope joins them — a one-shard store spawns nothing. A lane **borrows**
-//! its operations too: one [`RoutingTable`] partition hands each lane a
+//! its operations too: one [`partition_ops`] call hands each lane a
 //! `Vec` of references into the caller's slice (a broadcast scan is one
 //! operation every lane points at), which the scope makes legal. Each lane
 //! is `exec::run_batch` on its `&mut FlsmTree` (execute each operation,
@@ -169,7 +157,7 @@
 //! validates once, wipes or checks the previous incarnation, builds each
 //! shard's tree with its logs attached or recovered, seats `tuner` on
 //! shard 0 and `tuner.for_shard(i)` on shard `i`, and — recovering —
-//! settles the routes file and baselines the collector.
+//! baselines the collector.
 
 use std::collections::{BinaryHeap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -179,9 +167,9 @@ use std::thread::{self, ThreadId};
 use std::time::Instant;
 
 use bytes::Bytes;
-use ruskey_lsm::{sync_parent_dir, ConfigError, FlsmTree, Manifest, TreeStatsSnapshot, Wal};
+use ruskey_lsm::{ConfigError, FlsmTree, Manifest, TreeStatsSnapshot, Wal};
 use ruskey_storage::{BlockCache, CostModel, FileDisk, ShardStorage, Storage};
-use ruskey_workload::routing::{shard_for_key, BalanceConfig, LoadSketch, RoutingTable};
+use ruskey_workload::routing::{partition_ops, shard_for_key};
 use ruskey_workload::Operation;
 
 use crate::db::RusKeyConfig;
@@ -302,7 +290,9 @@ impl PersistenceConfig {
 pub enum OpenError {
     /// The LSM configuration was rejected.
     Config(ConfigError),
-    /// A WAL file could not be created, read, or truncated.
+    /// A store file (WAL, manifest, extent, directory) could not be
+    /// created, read or synced — or the root holds a file this build
+    /// refuses to recover (`ErrorKind::InvalidData`).
     Io(std::io::Error),
     /// Recovery found a store root that describes a different shard
     /// count than the one asked for — proceeding would drop or misroute
@@ -320,7 +310,7 @@ impl std::fmt::Display for OpenError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             OpenError::Config(e) => write!(f, "invalid configuration: {e}"),
-            OpenError::Io(e) => write!(f, "WAL I/O failed: {e}"),
+            OpenError::Io(e) => write!(f, "store I/O failed: {e}"),
             OpenError::ShardCountMismatch { described, shards } => write!(
                 f,
                 "store root describes {described} shards but recovery was asked \
@@ -426,12 +416,6 @@ pub struct CommitStats {
     pub syncs: u64,
 }
 
-/// Hot-shard mitigation state: the detection sketch plus its knobs.
-struct Balancer {
-    cfg: BalanceConfig,
-    sketch: LoadSketch,
-}
-
 /// Ad-hoc writes per shard between boundary grants — the one place that
 /// decides *when* an ad-hoc write is a boundary (a mission lane and a
 /// served request end in one by construction). What a boundary grants is
@@ -473,21 +457,6 @@ pub struct ShardedRusKey {
     dead: Option<usize>,
     /// Test hook: the shard whose next lane panics.
     doomed: Option<usize>,
-    /// Per-key routing overrides (re-homed hot keys). Empty — pure hash
-    /// routing — until the balancer moves something.
-    routes: RoutingTable,
-    /// For each override, the shard the key was last migrated *from*
-    /// (its previous route). Persisted alongside the override so
-    /// recovery knows where a half-copied value still lives even after
-    /// a chain of migrations has moved the key far from its hash home.
-    route_sources: std::collections::HashMap<Bytes, usize>,
-    /// Hot-shard mitigation, armed by [`ShardedRusKey::enable_balancing`].
-    balancer: Option<Balancer>,
-    /// Balancing passes that actually migrated keys.
-    rebalances: u64,
-    /// Where the routing overrides persist (persistent stores only);
-    /// `None` keeps them in memory.
-    routes_path: Option<PathBuf>,
 }
 
 /// Where a store's shards keep their state.
@@ -515,14 +484,13 @@ impl ShardedRusKey {
     /// The one way a store is opened; every public constructor is a call
     /// into it. Validates the configuration, then either **wipes** the
     /// backend's previous incarnation (`recover == false`: a fresh store
-    /// restarts sequence numbers at 1 and routes by hash, so leftover
-    /// logs, shard directories beyond the new count, and re-homed-key
-    /// routes must all go) or **checks** that it describes `shards`
-    /// shards; builds each shard's tree with its WAL/manifest attached or
-    /// recovered; seats `tuner` on shard 0 and `tuner.for_shard(i)` on
-    /// shard `i`; and, recovering, settles the
-    /// persisted routes and baselines the collector so the first mission
-    /// report excludes recovery work.
+    /// restarts sequence numbers at 1, so leftover logs, shard
+    /// directories beyond the new count, and a [`ROUTES_FILE`] must all
+    /// go) or **checks** that it describes `shards` shards and holds no
+    /// [`ROUTES_FILE`]; builds each shard's tree with its WAL/manifest
+    /// attached or recovered; seats `tuner` on shard 0 and
+    /// `tuner.for_shard(i)` on shard `i`; and, recovering, baselines the
+    /// collector so the first mission report excludes recovery work.
     ///
     /// # Panics
     /// Panics if `shards` is zero — a shard count is a structural choice
@@ -536,9 +504,9 @@ impl ShardedRusKey {
     ) -> Result<Self, OpenError> {
         assert!(shards >= 1, "a store needs at least one shard");
         cfg.lsm.validate()?;
-        let (routes_path, described) = match &backend {
-            Backend::Volatile(_) => (None, 0),
-            Backend::Persistent(p) => (Some(p.root.join(ROUTES_FILE)), p.shards_described()?),
+        let described = match &backend {
+            Backend::Volatile(_) => 0,
+            Backend::Persistent(p) => p.shards_described()?,
         };
         if recover {
             // The routing hash keys on the shard count, and a persistent
@@ -547,6 +515,19 @@ impl ShardedRusKey {
             // misroute keys and hide durable data behind empty shards.
             if described != 0 && described != shards {
                 return Err(OpenError::ShardCountMismatch { described, shards });
+            }
+            if let Backend::Persistent(p) = &backend {
+                let routes = p.root.join(ROUTES_FILE);
+                if routes.exists() {
+                    return Err(OpenError::Io(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!(
+                            "{} re-homes keys away from their hash shard; this build \
+                             routes by the key hash alone and would read stale values",
+                            routes.display()
+                        ),
+                    )));
+                }
             }
         } else if let Backend::Persistent(p) = &backend {
             for i in 0..shards.max(described) {
@@ -593,17 +574,8 @@ impl ShardedRusKey {
             adhoc_writes: vec![0; shards],
             dead: None,
             doomed: None,
-            routes: RoutingTable::new(),
-            route_sources: std::collections::HashMap::new(),
-            balancer: None,
-            rebalances: 0,
-            routes_path,
         };
         if recover {
-            if let Some(routes) = &store.routes_path {
-                let entries = load_routes(routes)?;
-                store.settle_routes(entries)?;
-            }
             store.rebaseline();
         }
         Ok(store)
@@ -666,7 +638,9 @@ impl ShardedRusKey {
     /// surface through [`TreeStatsSnapshot`] and [`MissionReport`].
     ///
     /// The same `shards` count that produced the layout must be passed
-    /// (the routing hash keys on it); any other count is refused.
+    /// (the routing hash keys on it); any other count is refused. So is
+    /// a root holding a routes file: its keys do not live on their hash
+    /// shard.
     pub fn recover_persistent(
         cfg: RusKeyConfig,
         shards: usize,
@@ -918,16 +892,6 @@ impl ShardedRusKey {
     // Plain KV interface (outside missions)
     // ------------------------------------------------------------------
 
-    /// The shard owning `key`, noting the access in the balancer's sketch
-    /// (if balancing is armed).
-    fn route_point(&mut self, key: &[u8]) -> usize {
-        let shard = self.routes.shard_for(key, self.shard_count());
-        if let Some(bal) = &mut self.balancer {
-            bal.sketch.record(key, shard);
-        }
-        shard
-    }
-
     /// One ad-hoc operation on one shard, on the caller's thread: the
     /// result comes home and durability waits for the next barrier. Every
     /// [`ADHOC_BOUNDARY_OPS`]-th write per shard is a boundary, so an
@@ -956,7 +920,7 @@ impl ShardedRusKey {
 
     /// Point lookup on the owning shard.
     pub fn get(&mut self, key: &[u8]) -> Option<Bytes> {
-        let shard = self.route_point(key);
+        let shard = shard_for_key(key, self.shard_count());
         let key = Bytes::copy_from_slice(key);
         self.adhoc(shard, &Operation::Get { key }).value()
     }
@@ -967,7 +931,7 @@ impl ShardedRusKey {
     /// mission would).
     pub fn put(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) {
         let (key, value) = (key.into(), value.into());
-        let shard = self.route_point(&key);
+        let shard = shard_for_key(&key, self.shard_count());
         self.adhoc(shard, &Operation::Put { key, value });
     }
 
@@ -975,7 +939,7 @@ impl ShardedRusKey {
     /// [`ShardedRusKey::put`]).
     pub fn delete(&mut self, key: impl Into<Bytes>) {
         let key = key.into();
-        let shard = self.route_point(&key);
+        let shard = shard_for_key(&key, self.shard_count());
         self.adhoc(shard, &Operation::Delete { key });
     }
 
@@ -1018,7 +982,7 @@ impl ShardedRusKey {
     pub fn serve(&mut self, cfg: ServingConfig) -> Result<ServingFrontend, MissionError> {
         self.check_alive()?;
         let trees = std::mem::take(&mut self.shards);
-        Ok(ServingFrontend::new(&cfg, trees, self.routes.clone()))
+        Ok(ServingFrontend::new(&cfg, trees))
     }
 
     /// Ends a serving session: takes the trees back onto the store
@@ -1071,7 +1035,7 @@ impl ShardedRusKey {
         } else {
             let mut per_shard: Vec<Vec<(Bytes, Bytes)>> = vec![Vec::new(); n];
             for (k, v) in pairs {
-                per_shard[self.routes.shard_for(&k, n)].push((k, v));
+                per_shard[shard_for_key(&k, n)].push((k, v));
             }
             per_shard
         };
@@ -1133,9 +1097,6 @@ impl ShardedRusKey {
     /// (and never as a hang).
     pub fn try_run_mission(&mut self, ops: &[Operation]) -> Result<MissionReport, MissionError> {
         let t0 = Instant::now();
-        // A dead engine changes no state on a call it refuses — the
-        // balancer's sketch below included.
-        self.check_alive()?;
         let n = self.shard_count();
         // Logical scan count, taken at routing time: a range scan
         // broadcasts to every shard, so the shards' counters will see it
@@ -1144,22 +1105,7 @@ impl ShardedRusKey {
             .iter()
             .filter(|op| matches!(op, Operation::Scan { .. }))
             .count() as u64;
-        // Feed the balancer's sketch from the routed stream (off unless
-        // balancing is armed): point ops nominate their key on their
-        // routed shard, a broadcast scan weighs every shard once.
-        if let Some(bal) = &mut self.balancer {
-            for op in ops {
-                match op {
-                    Operation::Get { key }
-                    | Operation::Put { key, .. }
-                    | Operation::Delete { key } => {
-                        bal.sketch.record(key, self.routes.shard_for(key, n));
-                    }
-                    Operation::Scan { .. } => (0..n).for_each(|s| bal.sketch.record_bulk(s, 1)),
-                }
-            }
-        }
-        let lanes = self.routes.partition_ops(ops, n);
+        let lanes = partition_ops(ops, n);
         let legs = match self.run_lanes(lanes, true) {
             Ok(legs) => legs,
             Err(e) => {
@@ -1210,7 +1156,6 @@ impl ShardedRusKey {
         report.policies_after = self.policies();
         report.shard_policies_after = self.shard_policies();
         self.last_report = Some(report.clone());
-        self.maybe_rebalance()?;
         Ok(report)
     }
 
@@ -1241,264 +1186,13 @@ impl ShardedRusKey {
         }
         model_ns
     }
-
-    // ------------------------------------------------------------------
-    // Hot-shard balancing
-    // ------------------------------------------------------------------
-
-    /// Arms hot-shard mitigation: from now on the point-op stream feeds
-    /// a [`LoadSketch`], and a mission whose recent load is imbalanced
-    /// beyond `cfg.imbalance_threshold` re-homes the hottest shard's
-    /// heaviest keys to the coldest shard (at most `cfg.max_moves` per
-    /// mission). Arming is cheap and reversible; the sketch starts
-    /// empty, so mitigation reacts only to load observed *after* this
-    /// call.
-    pub fn enable_balancing(&mut self, cfg: BalanceConfig) {
-        let n = self.shard_count();
-        self.balancer = Some(Balancer {
-            sketch: LoadSketch::new(n, cfg.capacity),
-            cfg,
-        });
-    }
-
-    /// Disarms hot-shard mitigation. Existing routing overrides remain
-    /// in force — the re-homed keys really live on their new shards.
-    pub fn disable_balancing(&mut self) {
-        self.balancer = None;
-    }
-
-    /// Balancing passes that actually migrated keys.
-    pub fn rebalances(&self) -> u64 {
-        self.rebalances
-    }
-
-    /// Number of keys currently re-homed away from their hash shard.
-    pub fn rehomed_keys(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// The balancer's current view of recent load imbalance (max shard
-    /// ops over mean; 0.0 while balancing is off or nothing was
-    /// observed).
-    pub fn load_imbalance(&self) -> f64 {
-        self.balancer.as_ref().map_or(0.0, |b| b.sketch.imbalance())
-    }
-
-    /// One balancing pass, run at each mission boundary while armed.
-    ///
-    /// Migration is ordered for crash safety on a persistent store:
-    ///
-    /// 1. the routing overrides — including the new moves — are written
-    ///    to the routes file *atomically* (tmp + fsync + rename) before
-    ///    any data moves; a crash here leaves overrides whose data still
-    ///    sits at the hash home, which recovery settles by redoing the
-    ///    copy;
-    /// 2. each key's value is read from the hot shard and put to its new
-    ///    home;
-    /// 3. one group-commit barrier makes the copies durable;
-    /// 4. only then are the originals tombstoned — so "delete durable
-    ///    but copy lost" is impossible even though per-shard WALs sync
-    ///    independently.
-    ///
-    /// Every step is idempotent under re-execution, which is what lets
-    /// [`ShardedRusKey::recover_persistent`] settle any half-finished pass
-    /// from the routes file alone.
-    fn maybe_rebalance(&mut self) -> Result<(), MissionError> {
-        let n = self.shard_count();
-        let Some(bal) = &mut self.balancer else {
-            return Ok(());
-        };
-        // Read the sketch, then age it: every pass decays, acting or not.
-        let acting = n >= 2
-            && bal.sketch.total_ops() >= bal.cfg.min_ops as f64
-            && bal.sketch.imbalance() > bal.cfg.imbalance_threshold;
-        let (hot, cold) = (bal.sketch.hottest_shard(), bal.sketch.coldest_shard());
-        let candidates = acting.then(|| bal.sketch.heavy_hitters());
-        let max_moves = bal.cfg.max_moves;
-        bal.sketch.decay(bal.cfg.decay);
-        let moves: Vec<Bytes> = candidates
-            .into_iter()
-            .flatten()
-            .map(|(k, _)| k)
-            .filter(|k| self.routes.shard_for(k, n) == hot)
-            .take(max_moves)
-            .collect();
-        if moves.is_empty() || hot == cold {
-            return Ok(());
-        }
-        // 1. Route first, durably. The reverse order could orphan a
-        // migrated key behind a stale route after a crash. Every move's
-        // source is `hot` (the filter above pinned the current route),
-        // recorded so recovery can find a half-copied value even after
-        // a chain of migrations.
-        let prior_sources: Vec<Option<usize>> = moves
-            .iter()
-            .map(|key| self.route_sources.insert(key.clone(), hot))
-            .collect();
-        for key in &moves {
-            self.routes.set(key.clone(), cold);
-        }
-        let rollback = |this: &mut Self| {
-            // Undo the overrides in memory. A chained key (already
-            // re-homed before this pass) must fall back to its *previous
-            // route* — `hot` — not to hash routing.
-            for (key, prior) in moves.iter().zip(&prior_sources) {
-                if shard_for_key(key, n) == hot {
-                    this.routes.remove(key);
-                } else {
-                    this.routes.set(key.clone(), hot);
-                }
-                match prior {
-                    Some(s) => {
-                        this.route_sources.insert(key.clone(), *s);
-                    }
-                    None => {
-                        this.route_sources.remove(key);
-                    }
-                }
-            }
-        };
-        if self.persist_routes().is_err() {
-            // Could not make the new routes durable: undo them in memory
-            // (no data has moved) and skip this pass — mitigation is
-            // best-effort, correctness is not at stake. If the rename
-            // landed before the directory fsync failed, recovery settles
-            // the moves the routes file names, like any interrupted pass.
-            rollback(self);
-            return Ok(());
-        }
-        // 2. Copy each key to its new home (a key with no live value —
-        // deleted or never written — moves by route alone).
-        for key in &moves {
-            let key = key.clone();
-            let get = Operation::Get { key: key.clone() };
-            if let Some(value) = self.adhoc(hot, &get).value() {
-                self.adhoc(cold, &Operation::Put { key, value });
-            }
-        }
-        // 3. Copies durable before the originals go away.
-        if let Err(e) = self.try_group_commit() {
-            // The barrier failed (WAL I/O): roll the pass back so reads
-            // keep a single live copy — tombstone the copies, restore
-            // the previous routes, re-persist. Recovery from the
-            // *durable* routes file (which still names the moves)
-            // re-runs the migration idempotently, converging on the
-            // same state.
-            for key in &moves {
-                self.adhoc(cold, &Operation::Delete { key: key.clone() });
-            }
-            rollback(self);
-            let _ = self.persist_routes();
-            return Err(e);
-        }
-        // 4. Tombstone the originals; the re-homed copies are durable.
-        for key in &moves {
-            self.adhoc(hot, &Operation::Delete { key: key.clone() });
-        }
-        self.rebalances += 1;
-        Ok(())
-    }
-
-    /// Writes the routing overrides to the routes file atomically (tmp +
-    /// fsync + rename + directory fsync), one `<target> <source> <hex
-    /// key>` line per override. No-op for a volatile store.
-    fn persist_routes(&self) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let Some(path) = &self.routes_path else {
-            return Ok(());
-        };
-        let n = self.shard_count();
-        let mut buf = String::new();
-        for (key, shard) in self.routes.iter() {
-            let source = self
-                .route_sources
-                .get(key)
-                .copied()
-                .unwrap_or_else(|| shard_for_key(key, n));
-            buf.push_str(&format!("{shard} {source} "));
-            for b in key.iter() {
-                buf.push_str(&format!("{b:02x}"));
-            }
-            buf.push('\n');
-        }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(buf.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        sync_parent_dir(path)
-    }
-
-    /// Settles recovered routing overrides: installs each entry, then
-    /// repairs whatever state the crash left the migration in. The
-    /// routes file is always written before data moves, so the newest
-    /// durable copy is at the first live location in priority order
-    /// **target → source → hash home** (once the routes flipped, new
-    /// writes went to the target; before the copy landed, the source —
-    /// the previous route — held the latest value; a chain whose first
-    /// hop never copied still has it at home). The authoritative copy is
-    /// moved to the target, then every *other* shard's stale copy —
-    /// including intermediates of a migration chain whose tombstones
-    /// were not yet durable — is scrubbed. Every step is idempotent.
-    fn settle_routes(&mut self, entries: Vec<(Bytes, usize, usize)>) -> Result<(), OpenError> {
-        let n = self.shard_count();
-        let mut settled = 0u64;
-        for (key, target, source) in entries {
-            if target >= n || source >= n {
-                // A table written by a wider incarnation: unreachable in
-                // practice (recovery pins the shard count), but a stale
-                // entry must not panic — hash routing stays correct.
-                continue;
-            }
-            let home = shard_for_key(&key, n);
-            if home != target {
-                self.routes.set(key.clone(), target);
-                self.route_sources.insert(key.clone(), source);
-            }
-            let get = |this: &mut Self, shard: usize| {
-                let key = key.clone();
-                this.adhoc(shard, &Operation::Get { key }).value()
-            };
-            let at_target = get(self, target);
-            if at_target.is_none() {
-                let rescued = match get(self, source) {
-                    Some(v) => Some(v),
-                    None if home != source => get(self, home),
-                    None => None,
-                };
-                if let Some(value) = rescued {
-                    let key = key.clone();
-                    self.adhoc(target, &Operation::Put { key, value });
-                    settled += 1;
-                }
-            }
-            // Scrub every non-target copy: the authoritative value now
-            // lives at the target (or the key is simply dead).
-            for shard in 0..n {
-                if shard != target && get(self, shard).is_some() {
-                    self.adhoc(shard, &Operation::Delete { key: key.clone() });
-                    settled += 1;
-                }
-            }
-        }
-        if settled > 0 {
-            // The repairs must be durable before the store reports
-            // recovered — a crash right after recovery must not resurface
-            // the half-finished state.
-            self.try_group_commit().map_err(|e| match e {
-                MissionError::Wal { error, .. } => OpenError::Io(error),
-                other => OpenError::Io(std::io::Error::other(other.to_string())),
-            })?;
-        }
-        Ok(())
-    }
 }
 
-/// File name of the persisted routing-override table, under the
-/// persistence root. Must not match the `shard-` prefix the recovery
-/// scan parses.
+/// A file under the persistence root that this build refuses to
+/// recover: earlier builds could re-home hot keys away from their hash
+/// shard and listed them here, so recovering such a root by the key hash
+/// would read stale values. A fresh open wipes it. Must not match the
+/// `shard-` prefix the recovery scan parses.
 const ROUTES_FILE: &str = "ROUTES";
 
 /// Merges per-shard observations into the store-wide one (see
@@ -1542,48 +1236,6 @@ fn modal_policy(held: &[u32]) -> u32 {
         i += run;
     }
     best.0
-}
-
-/// Loads the persisted routing overrides (`<target> <source> <hex key>`
-/// lines). A missing file is an empty table; the atomic-rename write
-/// protocol means the file is never torn, so malformed lines are a
-/// corruption signal surfaced as an error rather than skipped silently.
-fn load_routes(path: &Path) -> Result<Vec<(Bytes, usize, usize)>, OpenError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e.into()),
-    };
-    let mut out = Vec::new();
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        let parse = || -> Option<(Bytes, usize, usize)> {
-            let (target, rest) = line.split_once(' ')?;
-            let (source, hex) = rest.split_once(' ')?;
-            let target = target.parse::<usize>().ok()?;
-            let source = source.parse::<usize>().ok()?;
-            if !hex.len().is_multiple_of(2) {
-                return None;
-            }
-            let mut key = Vec::with_capacity(hex.len() / 2);
-            for i in (0..hex.len()).step_by(2) {
-                key.push(u8::from_str_radix(&hex[i..i + 2], 16).ok()?);
-            }
-            Some((Bytes::from(key), target, source))
-        };
-        match parse() {
-            Some(entry) => out.push(entry),
-            None => {
-                return Err(OpenError::Io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("corrupt routes file {}: bad line {line:?}", path.display()),
-                )))
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Folds per-shard commit legs into the barrier composition: latency is
@@ -1870,8 +1522,7 @@ mod tests {
 
     /// The store says which of its three states it is in: home, serving
     /// (reads name the session, not a death), or dead (a refused call
-    /// changes nothing — the balancer's sketch included). The shard count
-    /// is the same in all three.
+    /// changes nothing). The shard count is the same in all three.
     #[test]
     fn a_store_says_where_its_trees_are() {
         let panic_of = |read: &dyn Fn()| -> String {
@@ -1879,7 +1530,6 @@ mod tests {
             payload.downcast_ref::<String>().expect("formatted").clone()
         };
         let mut db = ShardedRusKey::untuned(small_cfg(), 2, disk());
-        db.enable_balancing(BalanceConfig::default());
         let frontend = db.serve(ServingConfig::default()).expect("serve");
         assert_eq!(db.shard_count(), 2, "serving");
         let reads: [&dyn Fn(); 5] = [
@@ -1908,11 +1558,6 @@ mod tests {
         let key = ruskey_workload::encode_key(1, 16);
         let gets = vec![Operation::Get { key }; 64];
         assert!(db.try_run_mission(&gets).is_err());
-        assert_eq!(
-            db.load_imbalance(),
-            0.0,
-            "a refused mission feeds no sketch"
-        );
     }
 
     /// The full-store persistence path at the store level: flushed runs

@@ -128,8 +128,7 @@ pub struct MissionReport {
     pub policies_after: Vec<u32>,
     /// *Physical* operations executed per shard during the mission, in
     /// shard order (a broadcast scan counts once on every shard it
-    /// touched) — one entry for a one-shard store. The hot-shard
-    /// balancer's detection signal.
+    /// touched) — one entry for a one-shard store.
     pub shard_ops: Vec<u64>,
     /// Per-shard policies in force after the tuner acted, in shard
     /// order — exact even when per-shard tuners have diverged (the

@@ -80,7 +80,7 @@ pub use stats::{LevelStatsSnapshot, TreeStatsSnapshot};
 pub use transition::TransitionStrategy;
 pub use tree::{FlsmTree, TreeSnapshot};
 pub use types::{Key, KvEntry, OpKind, SeqNo, Value};
-pub use wal::{sync_parent_dir, CrashPoint, SyncTicket, Wal};
+pub use wal::{CrashPoint, SyncTicket, Wal};
 
 #[cfg(test)]
 mod oracle;

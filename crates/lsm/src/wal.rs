@@ -213,7 +213,7 @@ static ZEROS: [u8; 1 << 16] = [0; 1 << 16];
 /// Fsyncs `path`'s parent directory (`.` for a bare file name): a file
 /// creation or rename is not durable across power loss until the
 /// directory entry itself is.
-pub fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+pub(crate) fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
     File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }

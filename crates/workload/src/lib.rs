@@ -40,4 +40,4 @@ pub use dynamic::{DynamicWorkload, Session};
 pub use generator::{bulk_load_pairs, encode_key, OpGenerator, WorkloadSpec};
 pub use mission::MissionStream;
 pub use ops::{OpMix, Operation};
-pub use routing::{partition_ops, route_op, shard_for_key, Route};
+pub use routing::{partition_ops, shard_for_key};

@@ -298,7 +298,7 @@
 //! coalescing above 1 at clients ≫ shards, crash durability, and
 //! admission accounting must all hold.
 //!
-//! # Per-shard learned tuning & hot-shard balance
+//! # Per-shard learned tuning
 //!
 //! Under skewed key popularity the shards see *different* workloads, so
 //! one store-wide policy is the wrong answer for somebody. A store
@@ -318,32 +318,17 @@
 //! under skew. At `N = 1` the one seat reads the mission's whole report:
 //! the paper's loop, not a second code path.
 //!
-//! Skew is also attacked structurally: hot-shard **mitigation**
-//! ([`ruskey::sharded::ShardedRusKey::enable_balancing`]) feeds the
-//! routed point-op stream into a Misra-Gries heavy-hitter sketch
-//! ([`workload::routing::LoadSketch`]), and a mission whose recent load
-//! imbalance crosses the configured threshold re-homes the hottest
-//! shard's heaviest keys to the coldest shard through a
-//! [`workload::routing::RoutingTable`] of per-key overrides consulted
-//! by every path (missions, ad-hoc ops, and the serving frontend, whose
-//! per-shard `shard_ops` counters and
-//! [`ruskey::frontend::MetricsSnapshot::shard_imbalance`] surface the
-//! skew live). On a persistent store migration is crash-safe by ordering:
-//! the override — including the shard it was moved *from* — is
-//! persisted atomically **before** any data moves, then copy, commit
-//! barrier, and only then the tombstone; recovery settles whatever a
-//! crash left behind by re-copying from the newest live location
-//! (target, then source, then hash home) and scrubbing every stale
-//! copy, so chained migrations can never resurrect an old value.
+//! A key's shard is its hash everywhere ([`workload::routing::shard_for_key`]):
+//! missions, ad-hoc ops, bulk load and the serving frontend. Skew shows
+//! up as measurements, not as moved keys: the per-shard `shard_ops`
+//! counters, [`ruskey::stats::MissionReport::shard_imbalance`] and
+//! [`ruskey::frontend::MetricsSnapshot::shard_imbalance`].
 //!
 //! The contract is pinned by `tests/tuning_equivalence.rs` (goldens of
-//! the seats' decisions at `N = 1` and under skew at `N = 4`, a proptest
-//! that mitigation is observationally invisible under churn, and
-//! interrupted-migration recovery) and the `repro tuning --json`
-//! experiment, whose `tuning_ok` verdict CI greps: the per-shard agents
-//! must really move policies on the uniform, skewed and shifting
-//! workloads, and armed mitigation must actually migrate and drop the
-//! observed imbalance.
+//! the seats' decisions at `N = 1` and under skew at `N = 4`) and the
+//! `repro tuning --json` experiment, whose `tuning_ok` verdict CI greps:
+//! the per-shard agents must really move policies on the uniform, skewed
+//! and shifting workloads.
 
 #![forbid(unsafe_code)]
 
