@@ -13,10 +13,10 @@
 
 use std::sync::Arc;
 
-use ruskey::db::{RusKey, RusKeyConfig};
 use ruskey::lerp::{Lerp, LerpConfig, PropagationScheme};
 use ruskey::runner::{converged_mean_latency, run_static, ExperimentScale};
 use ruskey::tuner::FixedPolicy;
+use ruskey::{Backend, RusKey, RusKeyConfig};
 use ruskey_analysis::cost::{optimal_k_int, CostParams};
 use ruskey_lsm::bloom::fpr_for_bits;
 use ruskey_storage::{BlockCache, CostModel, SimulatedDisk, Storage};
@@ -47,11 +47,13 @@ pub fn ablation_cache(scale: &ExperimentScale) -> Vec<AblationRow> {
             } else {
                 base
             };
-            let mut db = RusKey::with_tuner(
+            let mut db = RusKey::open(
                 RusKeyConfig::scaled_default(),
-                storage,
+                1,
                 Box::new(FixedPolicy::new(k)),
-            );
+                Backend::Volatile(storage),
+            )
+            .expect("open");
             db.bulk_load(bulk_load_pairs(
                 scale.load_entries,
                 scale.key_len,

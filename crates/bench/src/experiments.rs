@@ -321,7 +321,7 @@ fn per_level_latency(
 ) -> Vec<f64> {
     let mut db = prepared_store(base_cfg(monkey), scale, Box::new(NoOpTuner));
     for (l, &k) in policies.iter().enumerate() {
-        db.tree_mut().set_policy(l, k);
+        db.shard_mut(0).set_policy(l, k);
     }
     let mut g = OpGenerator::new(spec.clone(), scale.seed.wrapping_add(99));
     let missions = (scale.missions / 4).max(5);
@@ -356,7 +356,7 @@ pub fn fig10(scale: &ExperimentScale) -> Vec<Series> {
         .map(|&strategy| {
             let cfg = base_cfg(false).with_transition(strategy);
             let mut db = prepared_store(cfg, scale, Box::new(NoOpTuner));
-            db.tree_mut().set_policy_all(1);
+            db.shard_mut(0).set_policy_all(1);
             let spec = scale.spec().with_mix(OpMix::balanced());
             let mut g = OpGenerator::new(spec, scale.seed.wrapping_add(5));
             let half = scale.missions / 2;
@@ -364,9 +364,9 @@ pub fn fig10(scale: &ExperimentScale) -> Vec<Series> {
             for m in 0..scale.missions {
                 if m == half {
                     // The transition under test: K = 1 -> K = 10 everywhere.
-                    let levels = db.tree().level_count();
+                    let levels = db.shard(0).level_count();
                     for l in 0..levels {
-                        db.tree_mut().set_policy(l, 10);
+                        db.shard_mut(0).set_policy(l, 10);
                     }
                 }
                 let ops = g.take_ops(scale.mission_size);
@@ -539,7 +539,7 @@ pub fn table2(scale: &ExperimentScale) -> Vec<Table2Row> {
     let window_pages = |strategy: Option<TransitionStrategy>, k_old: u32, k_new: u32| {
         let cfg = base_cfg(false).with_transition(strategy.unwrap_or(TransitionStrategy::Flexible));
         let mut db = prepared_store(cfg, scale, Box::new(NoOpTuner));
-        db.tree_mut().set_policy_all(k_old);
+        db.shard_mut(0).set_policy_all(k_old);
         let spec = scale.spec().with_mix(OpMix::balanced());
         let mut g = OpGenerator::new(spec, scale.seed.wrapping_add(17));
         // Warm up so the structure reflects k_old.
@@ -547,17 +547,17 @@ pub fn table2(scale: &ExperimentScale) -> Vec<Table2Row> {
             let ops = g.take_ops(scale.mission_size);
             db.run_mission(&ops);
         }
-        let before = db.tree().storage().metrics();
+        let before = db.shard(0).storage().metrics();
         if strategy.is_some() {
-            db.tree_mut().set_policy_all(k_new);
+            db.shard_mut(0).set_policy_all(k_new);
         }
-        let immediate = db.tree().storage().metrics().delta(&before);
-        let m0 = db.tree().storage().metrics();
+        let immediate = db.shard(0).storage().metrics().delta(&before);
+        let m0 = db.shard(0).storage().metrics();
         for _ in 0..6 {
             let ops = g.take_ops(scale.mission_size);
             db.run_mission(&ops);
         }
-        let window = db.tree().storage().metrics().delta(&m0);
+        let window = db.shard(0).storage().metrics().delta(&m0);
         (immediate.page_ops(), window.page_ops())
     };
 

@@ -2,11 +2,11 @@
 //! equivalence of the manifest + `FileDisk` recovery path.
 //!
 //! `repro persistence` runs the balanced mixed workload on a **fully
-//! persistent** [`ShardedRusKey`] at each shard count — every shard on its
+//! persistent** [`RusKey`] at each shard count — every shard on its
 //! own `FileDisk` directory with a manifest for the run/level structure
 //! and a WAL for the write buffer — then simulates a restart: the store is
-//! dropped (losing every in-memory structure) and
-//! [`ShardedRusKey::recover_persistent`] rebuilds it from the three
+//! dropped (losing every in-memory structure) and reopening it on
+//! [`Backend::Recover`] rebuilds it from the three
 //! on-disk artifacts. Each row verifies in-process that the recovered
 //! store is **get/scan-identical** to the store that was dropped (flushed
 //! runs included, not just the WAL tail), that recovery actually rebuilt
@@ -33,7 +33,7 @@ use bytes::Bytes;
 
 use ruskey::db::RusKeyConfig;
 use ruskey::runner::ExperimentScale;
-use ruskey::sharded::{PersistenceConfig, ShardedRusKey};
+use ruskey::sharded::{Backend, PersistenceConfig, RusKey};
 use ruskey::stats::MissionReport;
 use ruskey::tuner::NoOpTuner;
 use ruskey_storage::PowerCutPoint;
@@ -127,13 +127,8 @@ pub fn persistence(scale: &ExperimentScale, shard_counts: &[usize]) -> Vec<Persi
             pcfg.page_size = scale.page_size;
             pcfg.cost = scale.cost;
 
-            let mut db = ShardedRusKey::try_with_tuner_persistent(
-                store_cfg(),
-                n,
-                Box::new(NoOpTuner),
-                &pcfg,
-            )
-            .expect("open persistent store");
+            let mut db = RusKey::open(store_cfg(), n, Box::new(NoOpTuner), Backend::Create(&pcfg))
+                .expect("open persistent store");
             db.bulk_load(bulk_load_pairs(
                 scale.load_entries,
                 scale.key_len,
@@ -162,7 +157,7 @@ pub fn persistence(scale: &ExperimentScale, shard_counts: &[usize]) -> Vec<Persi
             drop(db); // restart: every in-memory structure dies
 
             let mut rec =
-                ShardedRusKey::recover_persistent(store_cfg(), n, Box::new(NoOpTuner), &pcfg)
+                RusKey::open(store_cfg(), n, Box::new(NoOpTuner), Backend::Recover(&pcfg))
                     .expect("recover persistent store");
             let stats = rec.stats();
             let mut ok = true;
@@ -201,7 +196,7 @@ pub fn persistence(scale: &ExperimentScale, shard_counts: &[usize]) -> Vec<Persi
             drop(rec); // power loss
 
             let mut rec2 =
-                ShardedRusKey::recover_persistent(store_cfg(), n, Box::new(NoOpTuner), &pcfg)
+                RusKey::open(store_cfg(), n, Box::new(NoOpTuner), Backend::Recover(&pcfg))
                     .expect("recover after power cut");
             let power_stats = rec2.stats();
             let mut power_ok = cut_fired;

@@ -11,7 +11,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use ruskey::db::RusKeyConfig;
 use ruskey::runner::ExperimentScale;
-use ruskey::sharded::{PersistenceConfig, ShardedRusKey};
+use ruskey::sharded::{Backend, PersistenceConfig, RusKey};
 use ruskey::tuner::NoOpTuner;
 use ruskey_workload::{bulk_load_pairs, encode_key, OpGenerator, OpMix, Operation};
 
@@ -60,7 +60,7 @@ pub struct ShardScalingRow {
 
 /// Times a stride sample of point lookups against the live store,
 /// returning real ns per get.
-fn timed_get_sweep(db: &mut ShardedRusKey, scale: &ExperimentScale) -> f64 {
+fn timed_get_sweep(db: &mut RusKey, scale: &ExperimentScale) -> f64 {
     let sample: Vec<Bytes> = (0..scale.load_entries)
         .step_by((scale.load_entries / 512).max(1) as usize)
         .map(|i| encode_key(i, scale.key_len))
@@ -80,8 +80,13 @@ pub fn shard_scaling(scale: &ExperimentScale, shard_counts: &[usize]) -> Vec<Sha
         .iter()
         .map(|&n| {
             let disk = scale.disk();
-            let mut db =
-                ShardedRusKey::untuned(RusKeyConfig::scaled_default(), n, Arc::clone(&disk));
+            let mut db = RusKey::open(
+                RusKeyConfig::scaled_default(),
+                n,
+                Box::new(NoOpTuner),
+                Backend::Volatile(Arc::clone(&disk)),
+            )
+            .expect("open");
             db.bulk_load(bulk_load_pairs(
                 scale.load_entries,
                 scale.key_len,
@@ -173,11 +178,11 @@ pub fn shard_scaling_filedisk(
             let mut pcfg = PersistenceConfig::new(&root);
             pcfg.page_size = scale.page_size;
             pcfg.cost = scale.cost;
-            let mut db = ShardedRusKey::try_with_tuner_persistent(
+            let mut db = RusKey::open(
                 RusKeyConfig::scaled_default(),
                 n,
                 Box::new(NoOpTuner),
-                &pcfg,
+                Backend::Create(&pcfg),
             )
             .expect("open persistent store");
             db.bulk_load(bulk_load_pairs(

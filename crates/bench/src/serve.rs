@@ -16,7 +16,7 @@
 //!   coalesced into shared fsyncs (at 1 client it cannot exceed 1);
 //! * **crash durability** — a [`CrashPoint`] armed on one shard fires
 //!   mid-serve; every write acknowledged before the crash must survive
-//!   [`ShardedRusKey::recover_persistent`];
+//!   reopening on [`Backend::Recover`];
 //! * **admission control** — a tight token bucket under hammering
 //!   clients must reject (backpressure observed) while every
 //!   *acknowledged* write stays durable and every *rejected* write
@@ -30,7 +30,7 @@ use bytes::Bytes;
 use ruskey::db::RusKeyConfig;
 use ruskey::frontend::{ServingClient, ServingConfig, ServingError};
 use ruskey::runner::ExperimentScale;
-use ruskey::sharded::{PersistenceConfig, ShardedRusKey};
+use ruskey::sharded::{Backend, PersistenceConfig, RusKey};
 use ruskey::tuner::NoOpTuner;
 use ruskey_lsm::CrashPoint;
 use ruskey_workload::{bulk_load_pairs, client_scripts, encode_key, OpMix, Operation};
@@ -182,11 +182,11 @@ fn run_row(scale: &ExperimentScale, clients: usize, shards: usize) -> ServeRow {
     let mut persistence = PersistenceConfig::new(&dir);
     persistence.page_size = scale.page_size;
     persistence.cost = scale.cost;
-    let mut db = ShardedRusKey::try_with_tuner_persistent(
+    let mut db = RusKey::open(
         RusKeyConfig::scaled_default(),
         shards,
         Box::new(NoOpTuner),
-        &persistence,
+        Backend::Create(&persistence),
     )
     .expect("open persistent store");
     db.bulk_load(bulk_load_pairs(
@@ -279,11 +279,11 @@ fn crash_leg(scale: &ExperimentScale) -> (u64, bool) {
     persistence.page_size = scale.page_size;
     persistence.cost = scale.cost;
     let cfg = RusKeyConfig::scaled_default();
-    let mut db = ShardedRusKey::try_with_tuner_persistent(
+    let mut db = RusKey::open(
         cfg.clone(),
         SHARDS,
         Box::new(NoOpTuner),
-        &persistence,
+        Backend::Create(&persistence),
     )
     .expect("open persistent store");
     // Fire after 24 more shard-0 appends: mid-serve, well before the
@@ -323,8 +323,13 @@ fn crash_leg(scale: &ExperimentScale) -> (u64, bool) {
     let mut ok = db.crashed();
     drop(db);
 
-    let mut rec = ShardedRusKey::recover_persistent(cfg, SHARDS, Box::new(NoOpTuner), &persistence)
-        .expect("recover after mid-serve crash");
+    let mut rec = RusKey::open(
+        cfg,
+        SHARDS,
+        Box::new(NoOpTuner),
+        Backend::Recover(&persistence),
+    )
+    .expect("recover after mid-serve crash");
     ok &= !acked.is_empty();
     for (key, value) in &acked {
         ok &= rec.get(key).as_deref() == Some(value.as_ref());
@@ -341,7 +346,13 @@ fn admission_leg(scale: &ExperimentScale) -> (u64, bool) {
     const SHARDS: usize = 2;
     const CLIENTS: usize = 4;
     const WRITES_PER_CLIENT: u64 = 200;
-    let mut db = ShardedRusKey::untuned(RusKeyConfig::scaled_default(), SHARDS, scale.disk());
+    let mut db = RusKey::open(
+        RusKeyConfig::scaled_default(),
+        SHARDS,
+        Box::new(NoOpTuner),
+        Backend::Volatile(scale.disk()),
+    )
+    .expect("open");
     let frontend = db
         .serve(ServingConfig {
             rate_limit_per_sec: 500,

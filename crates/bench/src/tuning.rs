@@ -16,8 +16,9 @@ use std::collections::BTreeSet;
 
 use bytes::Bytes;
 use ruskey::db::RusKeyConfig;
+use ruskey::lerp::Lerp;
 use ruskey::runner::ExperimentScale;
-use ruskey::sharded::ShardedRusKey;
+use ruskey::sharded::{Backend, RusKey};
 use ruskey_workload::{bulk_load_pairs, encode_key, shard_for_key, OpGenerator, OpMix, Operation};
 
 /// Shards in every tuning row (matches the serving experiment).
@@ -130,7 +131,9 @@ pub fn tuning_missions(scale: &ExperimentScale, workload: &'static str) -> Vec<V
 /// Runs the per-shard Lerp store over one workload's mission schedule.
 fn run_tuning_row(scale: &ExperimentScale, workload: &'static str) -> TuningRow {
     let missions = tuning_missions(scale, workload);
-    let mut db = ShardedRusKey::with_lerp(tuning_cfg(scale), SHARDS, scale.disk());
+    let cfg = tuning_cfg(scale);
+    let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
+    let mut db = RusKey::open(cfg, SHARDS, lerp, Backend::Volatile(scale.disk())).expect("open");
     db.bulk_load(bulk_load_pairs(
         scale.load_entries,
         scale.key_len,

@@ -1,40 +1,17 @@
-//! The RusKey store: FLSM-tree + tuner + statistics collector (paper §3).
-//!
-//! [`RusKey`] is a facade over a **one-shard**
-//! [`ShardedRusKey`]: the paper's single-tree loop
-//! (mission → statistics collector → tuner → FLSM transition, Fig. 1) is
-//! the store's one mission loop at `N = 1` — one lane, run on the caller's
-//! thread, one tuner seat (the tuner it was opened with, on shard 0) —
-//! not a second copy of it. Every method here forwards; [`RusKey::tree`]
-//! is shard 0.
-//!
-//! One consequence for accounting: the tree sits on a
-//! [`ShardStorage`](ruskey_storage::ShardStorage) view of the `storage`
-//! it was opened on. The view's clock is the tree's time domain and
-//! **starts at 0**, while the device underneath keeps the device-busy
-//! total of everything ever run on it — so on a fresh disk
-//! `tree().stats().clock_ns` and the disk's own clock agree, and on a
-//! *reused* disk absolute readings differ by what ran before: compare
-//! deltas, as [`MissionReport`]s do.
+//! The store's configuration: the FLSM-tree's and Lerp's, in the one value
+//! [`RusKey::open`](crate::sharded::RusKey::open) takes.
 
-use std::sync::Arc;
+use ruskey_lsm::{BloomScheme, LsmConfig, TransitionStrategy};
 
-use bytes::Bytes;
-use ruskey_lsm::{BloomScheme, ConfigError, FlsmTree, LsmConfig, TransitionStrategy};
-use ruskey_storage::Storage;
-use ruskey_workload::Operation;
+use crate::lerp::{LerpConfig, PropagationScheme};
 
-use crate::lerp::{Lerp, LerpConfig, PropagationScheme};
-use crate::sharded::{MissionError, ShardedRusKey};
-use crate::stats::MissionReport;
-use crate::tuner::{NoOpTuner, TreeObservation, Tuner};
-
-/// Configuration of a [`RusKey`] instance.
+/// Configuration of a [`RusKey`](crate::sharded::RusKey) store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RusKeyConfig {
     /// The underlying FLSM-tree configuration.
     pub lsm: LsmConfig,
-    /// Lerp configuration (used by [`RusKey::with_lerp`]).
+    /// Lerp configuration (a Lerp-tuned store seats
+    /// `Lerp::new(cfg.lerp.clone())`).
     pub lerp: LerpConfig,
 }
 
@@ -66,152 +43,17 @@ impl RusKeyConfig {
     }
 }
 
-/// An RL-tuned LSM-tree key-value store: the paper's single-tree system,
-/// as a one-shard [`ShardedRusKey`].
-pub struct RusKey {
-    store: ShardedRusKey,
-}
-
-impl RusKey {
-    /// Creates a store driven by an arbitrary tuner, rejecting invalid
-    /// configurations instead of panicking.
-    pub fn try_with_tuner(
-        cfg: RusKeyConfig,
-        storage: Arc<dyn Storage>,
-        tuner: Box<dyn Tuner>,
-    ) -> Result<Self, ConfigError> {
-        let store = ShardedRusKey::try_with_tuner(cfg, 1, storage, tuner)?;
-        Ok(Self { store })
-    }
-
-    /// Creates a store driven by an arbitrary tuner (fixed baselines,
-    /// greedy heuristics, …).
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid; use
-    /// [`RusKey::try_with_tuner`] for fallible construction.
-    pub fn with_tuner(cfg: RusKeyConfig, storage: Arc<dyn Storage>, tuner: Box<dyn Tuner>) -> Self {
-        Self::try_with_tuner(cfg, storage, tuner)
-            .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"))
-    }
-
-    /// Creates a store tuned by Lerp (the RusKey system of the paper).
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid.
-    pub fn with_lerp(cfg: RusKeyConfig, storage: Arc<dyn Storage>) -> Self {
-        let lerp = Lerp::new(cfg.lerp.clone());
-        Self::with_tuner(cfg, storage, Box::new(lerp))
-    }
-
-    /// Creates an untuned store (whatever policies the tree starts with).
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid.
-    pub fn untuned(cfg: RusKeyConfig, storage: Arc<dyn Storage>) -> Self {
-        Self::with_tuner(cfg, storage, Box::new(NoOpTuner))
-    }
-
-    /// The tuner's display name.
-    pub fn tuner_name(&self) -> String {
-        self.store.tuner_name()
-    }
-
-    /// Whether the tuner reports convergence.
-    pub fn tuner_converged(&self) -> bool {
-        self.store.tuner_converged()
-    }
-
-    /// Cumulative model-update time (Fig. 13).
-    pub fn model_update_ns(&self) -> u64 {
-        self.store.model_update_ns()
-    }
-
-    /// Direct access to the underlying tree.
-    pub fn tree(&self) -> &FlsmTree {
-        self.store.shard(0)
-    }
-
-    /// Mutable access to the underlying tree (experiments toggling
-    /// transition strategies etc.).
-    pub fn tree_mut(&mut self) -> &mut FlsmTree {
-        self.store.shard_mut(0)
-    }
-
-    /// The report of the last processed mission.
-    pub fn last_report(&self) -> Option<&MissionReport> {
-        self.store.last_report()
-    }
-
-    // ------------------------------------------------------------------
-    // Plain KV interface (outside missions): the store's ad-hoc path, so
-    // every 32nd write is a maintenance boundary (a no-op with inline
-    // maintenance).
-    // ------------------------------------------------------------------
-
-    /// Point lookup.
-    pub fn get(&mut self, key: &[u8]) -> Option<Bytes> {
-        self.store.get(key)
-    }
-
-    /// Insert or overwrite.
-    pub fn put(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) {
-        self.store.put(key, value);
-    }
-
-    /// Delete.
-    pub fn delete(&mut self, key: impl Into<Bytes>) {
-        self.store.delete(key);
-    }
-
-    /// Range scan over `[start, end)` with a result limit.
-    pub fn scan(&mut self, start: &[u8], end: &[u8], limit: usize) -> Vec<(Bytes, Bytes)> {
-        self.store.scan(start, end, limit)
-    }
-
-    // ------------------------------------------------------------------
-    // Mission-driven operation (the paper's workflow, Fig. 1)
-    // ------------------------------------------------------------------
-
-    /// Bulk-loads the store and resets the statistics baseline so mission
-    /// reports exclude the load.
-    pub fn bulk_load(&mut self, pairs: Vec<(Bytes, Bytes)>) {
-        self.store.bulk_load(pairs);
-    }
-
-    /// Snapshot of the tree structure for tuners.
-    pub fn observe(&self) -> TreeObservation {
-        self.store.observe()
-    }
-
-    /// Processes one mission: executes the operations, builds the mission
-    /// report, lets the tuner act, and applies its policy changes via the
-    /// configured transition.
-    ///
-    /// # Panics
-    /// Panics on [`MissionError`] (a WAL I/O failure); use
-    /// [`RusKey::try_run_mission`] for fallible operation.
-    pub fn run_mission(&mut self, ops: &[Operation]) -> MissionReport {
-        self.store.run_mission(ops)
-    }
-
-    /// Fallible form of [`RusKey::run_mission`]: a WAL I/O failure in the
-    /// mission-boundary commit (with a WAL attached via
-    /// [`FlsmTree::attach_wal`], the mission's one fsync) surfaces as
-    /// [`MissionError::Wal`] (shard 0) instead of a panic. The mission's
-    /// operations were applied but are not acknowledged, and no report is
-    /// cut for them.
-    pub fn try_run_mission(&mut self, ops: &[Operation]) -> Result<MissionReport, MissionError> {
-        self.store.try_run_mission(ops)
-    }
-}
-
+/// The paper's single-tree store — [`RusKey::open`] with one shard — end
+/// to end.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuner::FixedPolicy;
+    use crate::lerp::Lerp;
+    use crate::sharded::{Backend, RusKey, StoreError};
+    use crate::tuner::{FixedPolicy, NoOpTuner, Tuner};
+    use bytes::Bytes;
     use ruskey_storage::{CostModel, SimulatedDisk};
-    use ruskey_workload::{bulk_load_pairs, OpGenerator, OpMix, WorkloadSpec};
+    use ruskey_workload::{bulk_load_pairs, OpGenerator, OpMix, Operation, WorkloadSpec};
 
     fn small_cfg() -> RusKeyConfig {
         let mut cfg = RusKeyConfig::scaled_default();
@@ -220,26 +62,34 @@ mod tests {
         cfg
     }
 
-    fn disk() -> Arc<SimulatedDisk> {
-        SimulatedDisk::new(512, CostModel::NVME)
+    /// A one-shard store on a fresh simulated disk.
+    fn open(cfg: RusKeyConfig, tuner: Box<dyn Tuner>) -> Result<RusKey, StoreError> {
+        let disk = SimulatedDisk::new(512, CostModel::NVME);
+        RusKey::open(cfg, 1, tuner, Backend::Volatile(disk))
+    }
+
+    fn lerp_store() -> RusKey {
+        let lerp = Box::new(Lerp::new(small_cfg().lerp));
+        open(small_cfg(), lerp).expect("open")
     }
 
     #[test]
     fn try_constructors_reject_invalid_configs() {
         let mut cfg = small_cfg();
         cfg.lsm.size_ratio = 1;
-        assert!(RusKey::try_with_tuner(cfg.clone(), disk(), Box::new(NoOpTuner)).is_err());
-        let err = RusKey::try_with_tuner(cfg, disk(), Box::new(FixedPolicy::moderate()))
+        assert!(open(cfg.clone(), Box::new(NoOpTuner)).is_err());
+        let err = open(cfg, Box::new(FixedPolicy::moderate()))
             .err()
             .expect("must reject T < 2");
+        assert!(matches!(err, StoreError::Config(_)), "{err}");
         assert!(err.to_string().contains("size_ratio"));
         // Valid configs still construct.
-        assert!(RusKey::try_with_tuner(small_cfg(), disk(), Box::new(NoOpTuner)).is_ok());
+        assert!(open(small_cfg(), Box::new(NoOpTuner)).is_ok());
     }
 
     #[test]
     fn kv_roundtrip() {
-        let mut db = RusKey::with_lerp(small_cfg(), disk());
+        let mut db = lerp_store();
         db.put(&b"alpha"[..], &b"1"[..]);
         db.put(&b"beta"[..], &b"2"[..]);
         assert_eq!(db.get(b"alpha").as_deref(), Some(&b"1"[..]));
@@ -250,7 +100,7 @@ mod tests {
 
     #[test]
     fn missions_report_composition_and_latency() {
-        let mut db = RusKey::with_tuner(small_cfg(), disk(), Box::new(FixedPolicy::moderate()));
+        let mut db = open(small_cfg(), Box::new(FixedPolicy::moderate())).expect("open");
         db.bulk_load(bulk_load_pairs(500, 16, 48, 1));
         let spec = WorkloadSpec {
             key_space: 500,
@@ -271,7 +121,7 @@ mod tests {
 
     #[test]
     fn fixed_tuner_applies_policy_in_first_mission() {
-        let mut db = RusKey::with_tuner(small_cfg(), disk(), Box::new(FixedPolicy::new(4)));
+        let mut db = open(small_cfg(), Box::new(FixedPolicy::new(4))).expect("open");
         db.bulk_load(bulk_load_pairs(500, 16, 48, 1));
         let spec = WorkloadSpec {
             key_space: 500,
@@ -289,7 +139,7 @@ mod tests {
 
     #[test]
     fn bulk_load_excluded_from_first_mission() {
-        let mut db = RusKey::untuned(small_cfg(), disk());
+        let mut db = open(small_cfg(), Box::new(NoOpTuner)).expect("open");
         db.bulk_load(bulk_load_pairs(2000, 16, 48, 1));
         let spec = WorkloadSpec {
             key_space: 2000,
@@ -314,9 +164,9 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn wal_failure_is_a_typed_error_and_rebaselines() {
-        let mut db = RusKey::untuned(small_cfg(), disk());
+        let mut db = open(small_cfg(), Box::new(NoOpTuner)).expect("open");
         let wal = ruskey_lsm::Wal::open_with_sync_every("/dev/full", 0).expect("open /dev/full");
-        db.tree_mut().attach_wal(wal);
+        db.shard_mut(0).attach_wal(wal);
         let puts: Vec<Operation> = (0..20u64)
             .map(|i| Operation::Put {
                 key: ruskey_workload::encode_key(i, 16),
@@ -327,7 +177,7 @@ mod tests {
             .try_run_mission(&puts)
             .expect_err("the commit leg cannot write to /dev/full");
         assert!(
-            matches!(err, MissionError::Wal { shard: 0, .. }),
+            matches!(err, StoreError::Wal { shard: 0, .. }),
             "unexpected error: {err}"
         );
         assert!(db.last_report().is_none(), "no report is cut for a failure");
@@ -336,7 +186,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("ruskey-db-wal-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let wal = ruskey_lsm::Wal::open_with_sync_every(&path, 0).expect("open temp WAL");
-        db.tree_mut().attach_wal(wal);
+        db.shard_mut(0).attach_wal(wal);
         let gets: Vec<Operation> = (0..5u64)
             .map(|i| Operation::Get {
                 key: ruskey_workload::encode_key(i, 16),
@@ -350,7 +200,7 @@ mod tests {
 
     #[test]
     fn lerp_store_tracks_model_time() {
-        let mut db = RusKey::with_lerp(small_cfg(), disk());
+        let mut db = lerp_store();
         db.bulk_load(bulk_load_pairs(500, 16, 48, 1));
         let spec = WorkloadSpec {
             key_space: 500,
@@ -372,7 +222,7 @@ mod tests {
     /// skipped, so the agent neither trains nor moves a policy.
     #[test]
     fn an_empty_mission_does_not_train_the_tuner() {
-        let mut db = RusKey::with_lerp(small_cfg(), disk());
+        let mut db = lerp_store();
         db.bulk_load(bulk_load_pairs(500, 16, 48, 1));
         let start = db.observe().policies;
         let r = db.run_mission(&[]);

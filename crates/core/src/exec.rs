@@ -2,9 +2,9 @@
 //!
 //! Every door into a tree — a mission lane, the standalone group-commit
 //! barrier, an ad-hoc `get`/`put`/`delete`/`scan`, a served request — is
-//! the same three calls in the same order ([`RusKey`](crate::db::RusKey)
-//! has no door of its own: it is a one-shard store, so its missions are
-//! lanes and its plain calls are ad-hoc ops):
+//! the same three calls in the same order (the paper's one-shard store
+//! has no door of its own: its missions are lanes and its plain calls
+//! are ad-hoc ops):
 //!
 //! 1. [`execute`] each [`Operation`] (the only place that maps an
 //!    operation kind onto `FlsmTree::{get, put, delete, scan}`);

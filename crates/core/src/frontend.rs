@@ -1,6 +1,6 @@
 //! The concurrent serving frontend: many clients, one sharded engine.
 //!
-//! [`ServingFrontend`] turns a [`ShardedRusKey`](crate::sharded::ShardedRusKey)
+//! [`ServingFrontend`] turns a [`RusKey`](crate::sharded::RusKey)
 //! into a `Send + Sync` service handle. For the length of a session the
 //! frontend holds every shard's tree behind a **per-shard lock**, and a
 //! request is **served on its caller's thread**: there is no serving
@@ -103,9 +103,9 @@
 //! exposition format.
 //!
 //! Serving sessions bracket missions: start with
-//! [`ShardedRusKey::serve`](crate::sharded::ShardedRusKey::serve), hand
+//! [`RusKey::serve`](crate::sharded::RusKey::serve), hand
 //! [`ServingClient`]s to threads, and call
-//! [`ShardedRusKey::finish_serving`](crate::sharded::ShardedRusKey::finish_serving)
+//! [`RusKey::finish_serving`](crate::sharded::RusKey::finish_serving)
 //! to stop, restore the trees, and fold the serving work out of the next
 //! mission's statistics delta.
 
@@ -588,9 +588,9 @@ struct ServeShared {
 /// the shard trees for the length of the session, produces
 /// [`ServingClient`]s for worker threads and snapshots the live metrics.
 /// Obtained from
-/// [`ShardedRusKey::serve`](crate::sharded::ShardedRusKey::serve); must
+/// [`RusKey::serve`](crate::sharded::RusKey::serve); must
 /// be returned to
-/// [`ShardedRusKey::finish_serving`](crate::sharded::ShardedRusKey::finish_serving)
+/// [`RusKey::finish_serving`](crate::sharded::RusKey::finish_serving)
 /// — dropping it instead drops the trees with it and leaves the engine
 /// permanently unavailable.
 pub struct ServingFrontend {

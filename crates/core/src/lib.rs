@@ -8,7 +8,7 @@
 //!
 //! # Architecture
 //!
-//! The engine core is **sharded**: [`sharded::ShardedRusKey`] hash-partitions
+//! The engine core is **sharded**: [`RusKey`] hash-partitions
 //! the key space onto `N` independent [FLSM-trees](ruskey_lsm::FlsmTree)
 //! (each with its own memtable and levels) sharing one storage device.
 //! Missions execute in parallel — one lane per shard on a `&mut` borrow of
@@ -18,7 +18,7 @@
 //! The trees never leave the store and the store owns no thread.
 //!
 //! There is **one mission loop** (paper §3, Fig. 1), in
-//! [`sharded::ShardedRusKey::try_run_mission`]:
+//! [`RusKey::try_run_mission`]:
 //!
 //! 1. the operations are partitioned into lanes that *borrow* them, and
 //!    the lanes run;
@@ -53,12 +53,14 @@
 //! it shares with the other clients); all of them run on the thread that
 //! asked.
 //!
-//! [`db::RusKey`] — the single-tree store the paper evaluates and every
-//! paper experiment drives — is a thin facade over a **one-shard**
-//! `ShardedRusKey`: its missions are one-lane missions on the caller's
-//! thread with one seat, its plain calls are ad-hoc operations.
-//! It is not a second engine, so what the integration suite pins is that
-//! a one-shard store leaves exactly the statistics of the bare
+//! There is **one store type and one opener**: [`RusKey::open`]`(cfg,
+//! shards, tuner, backend)` over a [`Backend`] (volatile, or a persistent
+//! store created fresh or recovered), and every failure is one
+//! [`StoreError`]. The single-tree store the paper evaluates, and every
+//! paper experiment drives, is that store opened with **one shard**: its
+//! missions are one-lane missions on the caller's thread with one seat,
+//! its plain calls are ad-hoc operations. What the integration suite pins
+//! is that a one-shard store leaves exactly the statistics of the bare
 //! [`ruskey_lsm::FlsmTree`] under it, and that an `N`-shard store returns
 //! the same get/scan results for the same operation sequence.
 //!
@@ -73,21 +75,25 @@
 //!   (Fig. 12), and brute-force RL variants (§7) for comparison.
 //!
 //! ```
-//! use ruskey::db::{RusKey, RusKeyConfig};
-//! use ruskey::sharded::ShardedRusKey;
+//! use ruskey::{Backend, Lerp, RusKey, RusKeyConfig};
 //! use ruskey_storage::{CostModel, SimulatedDisk};
 //!
 //! // The paper's single-tree store…
+//! let cfg = RusKeyConfig::scaled_default();
+//! let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
 //! let disk = SimulatedDisk::new(4096, CostModel::NVME);
-//! let mut db = RusKey::with_lerp(RusKeyConfig::scaled_default(), disk);
+//! let mut db = RusKey::open(cfg, 1, lerp, Backend::Volatile(disk))?;
 //! db.put(&b"k"[..], &b"v"[..]);
 //! assert_eq!(db.get(b"k").as_deref(), Some(&b"v"[..]));
 //!
-//! // …and the same engine hash-partitioned across four shards.
+//! // …and the same store hash-partitioned across four shards.
+//! let cfg = RusKeyConfig::scaled_default();
+//! let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
 //! let disk = SimulatedDisk::new(4096, CostModel::NVME);
-//! let mut db = ShardedRusKey::with_lerp(RusKeyConfig::scaled_default(), 4, disk);
+//! let mut db = RusKey::open(cfg, 4, lerp, Backend::Volatile(disk))?;
 //! db.put(&b"k"[..], &b"v"[..]);
 //! assert_eq!(db.get(b"k").as_deref(), Some(&b"v"[..]));
+//! # Ok::<(), ruskey::StoreError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -103,10 +109,12 @@ pub mod state;
 pub mod stats;
 pub mod tuner;
 
-pub use db::{RusKey, RusKeyConfig};
+pub use db::RusKeyConfig;
 pub use frontend::{MetricsSnapshot, ServingClient, ServingConfig, ServingError, ServingFrontend};
 pub use lerp::{Lerp, LerpConfig};
-pub use sharded::{OpenError, ShardedRusKey};
+#[allow(deprecated)]
+pub use sharded::ShardedRusKey;
+pub use sharded::{Backend, RusKey, StoreError};
 pub use stats::{LevelMissionStats, MissionReport, StatsCollector};
 pub use tuner::{
     BruteForceLerp, FixedPolicy, GreedyHeuristic, LazyLeveling, NoOpTuner, PerLevelNoPropagation,

@@ -9,7 +9,8 @@ use std::sync::Arc;
 use ruskey_storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_workload::{bulk_load_pairs, DynamicWorkload, MissionStream, OpGenerator, WorkloadSpec};
 
-use crate::db::{RusKey, RusKeyConfig};
+use crate::db::RusKeyConfig;
+use crate::sharded::{Backend, RusKey};
 use crate::stats::MissionReport;
 use crate::tuner::Tuner;
 
@@ -122,9 +123,14 @@ impl ExperimentScale {
     }
 }
 
-/// Builds a bulk-loaded store with the given tuner.
+/// Builds a bulk-loaded one-shard store with the given tuner on a fresh
+/// simulated disk.
+///
+/// # Panics
+/// Panics if the configuration is invalid.
 pub fn prepared_store(cfg: RusKeyConfig, scale: &ExperimentScale, tuner: Box<dyn Tuner>) -> RusKey {
-    let mut db = RusKey::with_tuner(cfg, scale.disk(), tuner);
+    let mut db = RusKey::open(cfg, 1, tuner, Backend::Volatile(scale.disk()))
+        .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"));
     db.bulk_load(bulk_load_pairs(
         scale.load_entries,
         scale.key_len,

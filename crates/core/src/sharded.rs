@@ -1,16 +1,15 @@
 //! The sharded engine core: hash-partitioned FLSM shards behind one store.
 //!
-//! [`ShardedRusKey`] is the store — the only place a mission runs. Keys
+//! [`RusKey`] is the store — the only place a mission runs. Keys
 //! are hash-partitioned onto `N` independent [`FlsmTree`] shards (each with
 //! its own memtable and levels) that share one storage device, and a
 //! mission executes as one **lane** per shard, in parallel — lane 0 on the
 //! caller's thread, the others on scoped threads that live exactly as long
 //! as the mission — with operations routed by the stable key hash of
 //! [`ruskey_workload::routing`]. Cross-shard range scans are k-way merged
-//! back into one sorted result. The paper's single-tree system,
-//! [`RusKey`](crate::db::RusKey), is this store at `N = 1` behind a
-//! facade — one lane on the caller's thread, one tuner seat — so all paper
-//! experiments run the loop below.
+//! back into one sorted result. The paper's single-tree system is this
+//! store opened with one shard — one lane on the caller's thread, one
+//! tuner seat — so all paper experiments run the loop below.
 //!
 //! The tuners sit in one **seat list**, one seat per shard, walked by one
 //! loop after every mission (`tune_seats`, the only caller of
@@ -51,18 +50,18 @@
 //! `inject_worker_panic` test hook) is caught on the thread that ran it,
 //! the caller's included, so the sibling lanes run to the end (and, on a
 //! persistent store, commit — a partially applied batch, which is why a
-//! failed store must be rebuilt via [`ShardedRusKey::recover_persistent`]
-//! rather than retried in place). The dispatch then **fences** the shard: it returns
-//! [`MissionError::WorkerPanicked`], every later mission, barrier and
-//! [`ShardedRusKey::serve`] fails fast with
-//! [`MissionError::WorkerUnavailable`] *before* touching any tree, ad-hoc
-//! calls and [`ShardedRusKey::shard`] panic naming the shard, and the
+//! failed store must be reopened with [`Backend::Recover`] rather than
+//! retried in place). The dispatch then **fences** the shard: it returns
+//! [`StoreError::ShardPanicked`], every later mission, barrier and
+//! [`RusKey::serve`] fails fast with
+//! [`StoreError::ShardFenced`] *before* touching any tree, ad-hoc
+//! calls and [`RusKey::shard`] panic naming the shard, and the
 //! half-changed tree is never read again (its siblings stay readable for
 //! the post-mortem). A client that panics inside a shard's lock while
 //! serving fences the shard the same way at
-//! [`ShardedRusKey::finish_serving`] — one death protocol.
-//! [`ShardedRusKey::run_mission`] converts these errors into a panic with
-//! the shard named; [`ShardedRusKey::try_run_mission`] returns them.
+//! [`RusKey::finish_serving`] — one death protocol.
+//! [`RusKey::run_mission`] converts these errors into a panic with
+//! the shard named; [`RusKey::try_run_mission`] returns them.
 //!
 //! ## Time domains: exact accounting under parallelism
 //!
@@ -88,8 +87,8 @@
 //!
 //! ## Full-store persistence: per-shard `FileDisk`, manifest and WAL
 //!
-//! A store opened with [`ShardedRusKey::try_with_tuner_persistent`] gives
-//! every shard its own directory ([`PersistenceConfig`]): an independent
+//! A store opened on [`Backend::Create`] gives every shard its own
+//! directory ([`PersistenceConfig`]): an independent
 //! [`FileDisk`](ruskey_storage::FileDisk) for its data pages (private
 //! file handles — the sharded real-file path carries no shared device
 //! lock, and each disk's clock is the shard's time domain), a
@@ -110,17 +109,18 @@
 //! work, what a sequential barrier would have paid). A shard that crashes
 //! mid-leg does not stop its siblings' fsyncs — their batches commit, and
 //! the crash harness pins exactly which shards' records became durable.
-//! Outside missions, [`ShardedRusKey::group_commit`] runs the same
+//! Outside missions, [`RusKey::group_commit`] runs the same
 //! overlapped barrier on demand.
 //!
 //! The ordering contract — data pages, then manifest commit, then WAL
 //! recycling, with obsolete pages freed only after the commit — means
-//! [`ShardedRusKey::recover_persistent`] always rebuilds a consistent
-//! store: each manifest's longest consistent prefix is folded back into
-//! levels, every recorded run is rebuilt from its pages (fences and Bloom
-//! filters re-derived identically), and the WAL tail replays on top
-//! (valid prefix only, order pinned by record sequence numbers), so the
-//! recovered store is get/scan-identical to the one that was dropped.
+//! reopening a dropped store on [`Backend::Recover`] always rebuilds a
+//! consistent store: each manifest's longest consistent prefix is folded
+//! back into levels, every recorded run is rebuilt from its pages
+//! (fences and Bloom filters re-derived identically), and the WAL tail
+//! replays on top (valid prefix only, order pinned by record sequence
+//! numbers), so the recovered store is get/scan-identical to the one that
+//! was dropped.
 //! `tests/persistence_restart.rs` pins restart equivalence at
 //! `N ∈ {1, 2, 4}`; `tests/crash_recovery.rs` pins the recovery contract
 //! at every [`ruskey_lsm::CrashPoint`] for `N ∈ {1, 2, 4}` and at every
@@ -139,25 +139,26 @@
 //! ([`FlsmTree::maintain_boundary`], a no-op with inline maintenance) —
 //! so a put-heavy ad-hoc caller sees the exact backpressure and
 //! `stall_ns` attribution a mission would. For *many concurrent
-//! callers*, [`ShardedRusKey::serve`] moves every tree into a
+//! callers*, [`RusKey::serve`] moves every tree into a
 //! [`ServingFrontend`], behind a per-shard lock, and each client runs its
 //! requests **on its own thread**: lock, the same three calls of `exec`,
 //! unlock, with a write's fsync shared across clients outside the lock.
 //! For the length of the session the store has no trees, and
-//! [`ShardedRusKey::finish_serving`] takes them back — see
+//! [`RusKey::finish_serving`] takes them back — see
 //! [`crate::frontend`] for the client path, the group commit, admission
 //! control and live metrics.
 //!
 //! ## Opening a store
 //!
-//! Every public constructor is a thin call into one private opener,
-//! `open(cfg, shards, backend, tuner, recover)`, over the two backends
-//! (volatile: views of one shared device, nothing survives a drop;
-//! persistent: a directory per shard). It
-//! validates once, wipes or checks the previous incarnation, builds each
-//! shard's tree with its logs attached or recovered, seats `tuner` on
-//! shard 0 and `tuner.for_shard(i)` on shard `i`, and — recovering —
-//! baselines the collector.
+//! [`RusKey::open`]`(cfg, shards, tuner, backend)` is the one opener, over
+//! three [`Backend`]s: `Volatile` (views of one shared device, nothing
+//! survives a drop), `Create` (a fresh directory per shard) and `Recover`
+//! (reopen what a dropped persistent store left). It validates once,
+//! wipes or checks the previous incarnation, builds each shard's tree
+//! with its logs attached or recovered, seats `tuner` on shard 0 and
+//! `tuner.for_shard(i)` on shard `i`, and — recovering — baselines the
+//! collector. Every failure, opening a store or running it, is one
+//! [`StoreError`].
 
 use std::collections::{BinaryHeap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -177,7 +178,7 @@ use crate::exec::{execute, run_batch, CommitLeg, OpResult};
 use crate::frontend::{MetricsSnapshot, ServingConfig, ServingFrontend};
 use crate::lerp::Lerp;
 use crate::stats::{MissionReport, StatsCollector};
-use crate::tuner::{NoOpTuner, TreeObservation, Tuner};
+use crate::tuner::{TreeObservation, Tuner};
 
 /// Full-store persistence settings: where each shard's on-disk state
 /// lives and how the two logs behave.
@@ -231,10 +232,13 @@ impl PersistenceConfig {
         }
     }
 
-    /// Builds one shard's storage stack: a [`FileDisk`] over `data`,
-    /// served through a [`BlockCache`] when `cache_pages > 0`.
-    fn open_disk(&self, data: &Path) -> std::io::Result<Arc<dyn Storage>> {
-        let disk = FileDisk::new(data, self.page_size, self.cost)?;
+    /// Builds one shard's storage stack: a [`FileDisk`] over its data
+    /// directory (created if absent), served through a [`BlockCache`]
+    /// when `cache_pages > 0`.
+    fn open_disk(&self, shard: usize) -> std::io::Result<Arc<dyn Storage>> {
+        let data = self.data_dir(shard);
+        std::fs::create_dir_all(&data)?;
+        let disk = FileDisk::new(&data, self.page_size, self.cost)?;
         Ok(if self.cache_pages > 0 {
             BlockCache::new(disk, self.cache_pages)
         } else {
@@ -285,9 +289,18 @@ impl PersistenceConfig {
     }
 }
 
-/// Why a store could not be opened or recovered.
+/// Why a store could not be opened, or could not run a mission, barrier
+/// or serving session.
+///
+/// A panic inside a shard is terminal: the store reports it cleanly
+/// (instead of hanging or limping on with a half-changed shard) and
+/// refuses all further work. On the dispatch that *discovers* it the
+/// sibling lanes still run to the end (and, on a persistent store,
+/// commit): a partially applied batch. Callers must treat the store as
+/// failed and, if persistent, reopen it with [`Backend::Recover`]; every
+/// later dispatch fails fast before touching any tree.
 #[derive(Debug)]
-pub enum OpenError {
+pub enum StoreError {
     /// The LSM configuration was rejected.
     Config(ConfigError),
     /// A store file (WAL, manifest, extent, directory) could not be
@@ -304,67 +317,27 @@ pub enum OpenError {
         /// The shard count recovery was asked for.
         shards: usize,
     },
-}
-
-impl std::fmt::Display for OpenError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OpenError::Config(e) => write!(f, "invalid configuration: {e}"),
-            OpenError::Io(e) => write!(f, "store I/O failed: {e}"),
-            OpenError::ShardCountMismatch { described, shards } => write!(
-                f,
-                "store root describes {described} shards but recovery was asked \
-                 for {shards}; the routing hash keys on the shard count, so a \
-                 mismatch would drop or misroute acknowledged writes"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for OpenError {}
-
-impl From<ConfigError> for OpenError {
-    fn from(e: ConfigError) -> Self {
-        OpenError::Config(e)
-    }
-}
-
-impl From<std::io::Error> for OpenError {
-    fn from(e: std::io::Error) -> Self {
-        OpenError::Io(e)
-    }
-}
-
-/// Why the store could not execute a mission or commit barrier.
-///
-/// A panic inside a shard is terminal: the engine reports it cleanly
-/// (instead of hanging or limping on with a half-changed shard) and
-/// refuses all further work. On the dispatch that *discovers* it the
-/// sibling lanes still run to the end (and, on a persistent store,
-/// commit): a partially applied batch. Callers must treat the store as
-/// failed and, if persistent, rebuild it with
-/// [`ShardedRusKey::recover_persistent`]; every later dispatch fails fast
-/// before touching any tree.
-#[derive(Debug)]
-pub enum MissionError {
     /// A shard's lane panicked while executing — or, while serving, a
     /// client panicked inside the shard's lock. The shard's tree was left
-    /// half-changed and is fenced off: the engine is permanently
+    /// half-changed and is fenced off: the store is permanently
     /// unavailable.
-    WorkerPanicked {
+    ShardPanicked {
         /// The shard that died.
         shard: usize,
     },
-    /// The engine was already dead (an earlier panic fenced `shard`) or
-    /// its trees are away in a serving session (reported as shard 0).
-    /// Nothing was executed and no tree was touched.
-    WorkerUnavailable {
+    /// An earlier panic fenced `shard`. Nothing was executed and no tree
+    /// was touched.
+    ShardFenced {
         /// The fenced shard.
         shard: usize,
     },
+    /// The trees are away in a serving session until
+    /// [`RusKey::finish_serving`]. Nothing was executed and no tree was
+    /// touched.
+    Serving,
     /// A shard's WAL failed with a real I/O error during its commit leg
     /// (the first failing shard, if several failed in one barrier). The
-    /// engine itself stays alive: the batch's lanes were applied, but the
+    /// store itself stays alive: the batch's lanes were applied, but the
     /// failing shard's records are not acknowledged.
     Wal {
         /// The shard whose log failed.
@@ -374,30 +347,50 @@ pub enum MissionError {
     },
 }
 
-impl std::fmt::Display for MissionError {
+impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MissionError::WorkerPanicked { shard } => {
-                write!(f, "shard {shard} panicked; the engine is dead")
-            }
-            MissionError::WorkerUnavailable { shard } => write!(
+            StoreError::Config(e) => write!(f, "invalid configuration: {e}"),
+            StoreError::Io(e) => write!(f, "store I/O failed: {e}"),
+            StoreError::ShardCountMismatch { described, shards } => write!(
                 f,
-                "shard {shard} is unavailable (an earlier panic, or the trees are \
-                 away serving); nothing was executed"
+                "store root describes {described} shards but recovery was asked \
+                 for {shards}; the routing hash keys on the shard count, so a \
+                 mismatch would drop or misroute acknowledged writes"
             ),
-            MissionError::Wal { shard, error } => {
+            StoreError::ShardPanicked { shard } => {
+                write!(f, "shard {shard} panicked; the store is dead")
+            }
+            StoreError::ShardFenced { shard } => write!(
+                f,
+                "shard {shard} is fenced by an earlier panic; nothing was executed"
+            ),
+            StoreError::Serving => write!(f, "{AWAY_SERVING}; nothing was executed"),
+            StoreError::Wal { shard, error } => {
                 write!(f, "shard {shard}'s WAL commit failed: {error}")
             }
         }
     }
 }
 
-impl std::error::Error for MissionError {
+impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            MissionError::Wal { error, .. } => Some(error),
+            StoreError::Io(error) | StoreError::Wal { error, .. } => Some(error),
             _ => None,
         }
+    }
+}
+
+impl From<ConfigError> for StoreError {
+    fn from(e: ConfigError) -> Self {
+        StoreError::Config(e)
+    }
+}
+
+impl From<std::io::Error> for StoreError {
+    fn from(e: std::io::Error) -> Self {
+        StoreError::Io(e)
     }
 }
 
@@ -426,8 +419,9 @@ const ADHOC_BOUNDARY_OPS: u64 = 32;
 const AWAY_SERVING: &str = "the trees are away serving until `finish_serving`";
 
 /// An RL-tuned key-value store over `N` hash-partitioned FLSM shards,
-/// whose missions run one lane per shard in parallel.
-pub struct ShardedRusKey {
+/// whose missions run one lane per shard in parallel; opened by
+/// [`RusKey::open`]. At `N = 1` it is the paper's single-tree system.
+pub struct RusKey {
     /// One tree per shard, borrowed by whoever runs an operation. Empty
     /// only while a serving session holds the trees.
     shards: Vec<FlsmTree>,
@@ -439,7 +433,7 @@ pub struct ShardedRusKey {
     /// The OS thread that ran each shard's lane in the last mission or
     /// barrier, in shard order; entry 0 is that dispatch's caller.
     last_workers: Vec<ThreadId>,
-    /// Ad-hoc [`ShardedRusKey::scan`] calls since the last mission report
+    /// Ad-hoc [`RusKey::scan`] calls since the last mission report
     /// (or baseline). Each one broadcast to every shard, so the next
     /// mission's physical scan delta includes them `N` times; tracking
     /// them keeps the broadcast invariant exact.
@@ -451,7 +445,7 @@ pub struct ShardedRusKey {
     /// The fenced shard: something panicked inside it (a lane, or a client
     /// of a serving session) and left its tree half-changed. Every later
     /// mission, barrier and `serve` fails fast with
-    /// [`MissionError::WorkerUnavailable`] *before* touching any tree, so
+    /// [`StoreError::ShardFenced`] *before* touching any tree, so
     /// a dead engine applies at most one partial batch (the dispatch that
     /// discovered the death) and never more.
     dead: Option<usize>,
@@ -459,12 +453,35 @@ pub struct ShardedRusKey {
     doomed: Option<usize>,
 }
 
-/// Where a store's shards keep their state.
-enum Backend<'a> {
-    /// Trees on private views of one shared device; nothing survives.
+/// Where a store's shards keep their state, and whether a persistent
+/// store starts fresh or continues.
+pub enum Backend<'a> {
+    /// Trees on private [`ShardStorage`] views of one shared device. The
+    /// device keeps the data; each view is its shard's private time
+    /// domain, so per-shard time and I/O attribution stays exact under
+    /// parallel missions. A view's clock starts at 0 while the device's
+    /// counts everything ever run on it, so on a reused device compare
+    /// deltas, as [`MissionReport`]s do. Nothing survives a drop.
     Volatile(Arc<dyn Storage>),
-    /// One directory per shard: file disk, manifest and WAL.
-    Persistent(&'a PersistenceConfig),
+    /// A fresh persistent store: every shard gets its own directory under
+    /// the root, with an independent [`FileDisk`] for its data pages, a
+    /// [`Manifest`] recording its run/level structure (committed
+    /// atomically on every flush, compaction and transition) and a WAL
+    /// for its write buffer (one fsync per shard per mission via the
+    /// group-commit barrier). Any previous incarnation under the root is
+    /// wiped first, shard directories beyond the new count included.
+    Create(&'a PersistenceConfig),
+    /// Reopens the persistent store a dropped one left under the root:
+    /// each shard reopens its [`FileDisk`] directory, folds its
+    /// manifest's longest consistent prefix back into the run/level
+    /// structure (rebuilding every run from its data pages, with fence
+    /// pointers and Bloom filters re-derived identically), and replays
+    /// its WAL tail on top — so the recovered store is get/scan-identical
+    /// to the store that was dropped. The same shard count that produced
+    /// the layout must be passed (the routing hash keys on it); any other
+    /// count is refused. So is a root holding a routes file: its keys do
+    /// not live on their hash shard.
+    Recover(&'a PersistenceConfig),
 }
 
 /// Removes a file or directory tree; one that is already absent is fine.
@@ -480,46 +497,56 @@ fn wipe(path: &Path) -> std::io::Result<()> {
     }
 }
 
-impl ShardedRusKey {
-    /// The one way a store is opened; every public constructor is a call
-    /// into it. Validates the configuration, then either **wipes** the
-    /// backend's previous incarnation (`recover == false`: a fresh store
-    /// restarts sequence numbers at 1, so leftover logs, shard
-    /// directories beyond the new count, and a [`ROUTES_FILE`] must all
-    /// go) or **checks** that it describes `shards` shards and holds no
-    /// [`ROUTES_FILE`]; builds each shard's tree with its WAL/manifest
-    /// attached or recovered; seats `tuner` on shard 0 and
-    /// `tuner.for_shard(i)` on shard `i`; and, recovering, baselines the
-    /// collector so the first mission report excludes recovery work.
+impl RusKey {
+    /// Opens a store of `shards` hash-partitioned shards on `backend`,
+    /// tuned by `tuner` — the one way a store is opened. The paper's
+    /// single-tree system is `shards = 1` with a [`Lerp`] tuner.
+    ///
+    /// Validates the configuration, then either **wipes** the backend's
+    /// previous incarnation ([`Backend::Create`]: a fresh store restarts
+    /// sequence numbers at 1, so leftover logs, shard directories beyond
+    /// the new count, and a `ROUTES` file must all go) or **checks**
+    /// that it describes `shards` shards and holds no `ROUTES` file
+    /// ([`Backend::Recover`]); builds each shard's tree with its
+    /// WAL/manifest attached or recovered; seats `tuner` on shard 0 and
+    /// `tuner.for_shard(i)` on shard `i` (Lerp: one agent per shard,
+    /// shard `i` seeded `seed + i·104729`); and, recovering, baselines
+    /// the collector so the first mission report excludes recovery work
+    /// (the lifetime recovery counters `manifest_edits`, `runs_recovered`
+    /// and `replayed_tail` still surface through [`TreeStatsSnapshot`]
+    /// and [`MissionReport`]).
     ///
     /// # Panics
     /// Panics if `shards` is zero — a shard count is a structural choice
     /// made in code, not runtime input.
-    fn open(
+    pub fn open(
         cfg: RusKeyConfig,
         shards: usize,
-        backend: Backend<'_>,
         tuner: Box<dyn Tuner>,
-        recover: bool,
-    ) -> Result<Self, OpenError> {
+        backend: Backend<'_>,
+    ) -> Result<Self, StoreError> {
         assert!(shards >= 1, "a store needs at least one shard");
         cfg.lsm.validate()?;
-        let described = match &backend {
-            Backend::Volatile(_) => 0,
-            Backend::Persistent(p) => p.shards_described()?,
-        };
-        if recover {
-            // The routing hash keys on the shard count, and a persistent
-            // root holds every shard's directory: fewer shards than
-            // described would drop acknowledged writes, more would
-            // misroute keys and hide durable data behind empty shards.
-            if described != 0 && described != shards {
-                return Err(OpenError::ShardCountMismatch { described, shards });
+        match &backend {
+            Backend::Volatile(_) => {}
+            Backend::Create(p) => {
+                for i in 0..shards.max(p.shards_described()?) {
+                    wipe(&p.shard_dir(i))?;
+                }
+                wipe(&p.root.join(ROUTES_FILE))?;
             }
-            if let Backend::Persistent(p) = &backend {
+            Backend::Recover(p) => {
+                // The routing hash keys on the shard count, and a persistent
+                // root holds every shard's directory: fewer shards than
+                // described would drop acknowledged writes, more would
+                // misroute keys and hide durable data behind empty shards.
+                let described = p.shards_described()?;
+                if described != 0 && described != shards {
+                    return Err(StoreError::ShardCountMismatch { described, shards });
+                }
                 let routes = p.root.join(ROUTES_FILE);
                 if routes.exists() {
-                    return Err(OpenError::Io(std::io::Error::new(
+                    return Err(StoreError::Io(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
                         format!(
                             "{} re-homes keys away from their hash shard; this build \
@@ -529,38 +556,26 @@ impl ShardedRusKey {
                     )));
                 }
             }
-        } else if let Backend::Persistent(p) = &backend {
-            for i in 0..shards.max(described) {
-                wipe(&p.shard_dir(i))?;
-            }
-            wipe(&p.root.join(ROUTES_FILE))?;
         }
         let mut trees = Vec::with_capacity(shards);
         for i in 0..shards {
             let lsm = cfg.lsm.clone();
             trees.push(match &backend {
                 Backend::Volatile(s) => FlsmTree::try_new(lsm, ShardStorage::new(Arc::clone(s)))?,
-                Backend::Persistent(p) => {
-                    let data = p.data_dir(i);
-                    std::fs::create_dir_all(&data)?;
-                    let storage = p.open_disk(&data)?;
-                    let (manifest, wal) = (p.manifest_path(i), p.wal_path(i));
-                    if recover {
-                        FlsmTree::recover_persistent(
-                            lsm,
-                            storage,
-                            manifest,
-                            wal,
-                            p.sync_every,
-                            p.checkpoint_every,
-                        )?
-                    } else {
-                        let mut tree = FlsmTree::try_new(lsm, storage)?;
-                        tree.attach_manifest(Manifest::create(manifest, p.checkpoint_every)?);
-                        tree.attach_wal(Wal::open_with_sync_every(wal, p.sync_every)?);
-                        tree
-                    }
+                Backend::Create(p) => {
+                    let mut tree = FlsmTree::try_new(lsm, p.open_disk(i)?)?;
+                    tree.attach_manifest(Manifest::create(p.manifest_path(i), p.checkpoint_every)?);
+                    tree.attach_wal(Wal::open_with_sync_every(p.wal_path(i), p.sync_every)?);
+                    tree
                 }
+                Backend::Recover(p) => FlsmTree::recover_persistent(
+                    lsm,
+                    p.open_disk(i)?,
+                    p.manifest_path(i),
+                    p.wal_path(i),
+                    p.sync_every,
+                    p.checkpoint_every,
+                )?,
             });
         }
         let siblings: Vec<_> = (1..shards).map(|i| tuner.for_shard(i)).collect();
@@ -575,113 +590,10 @@ impl ShardedRusKey {
             dead: None,
             doomed: None,
         };
-        if recover {
+        if matches!(backend, Backend::Recover(_)) {
             store.rebaseline();
         }
         Ok(store)
-    }
-
-    /// Creates a sharded store driven by an arbitrary tuner, rejecting
-    /// invalid configurations instead of panicking.
-    ///
-    /// All shards share `storage` for data and device-level accounting,
-    /// but each runs on its own [`ShardStorage`] view — a private time
-    /// domain — so per-shard time and I/O attribution stays exact under
-    /// parallel missions.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero.
-    pub fn try_with_tuner(
-        cfg: RusKeyConfig,
-        shards: usize,
-        storage: Arc<dyn Storage>,
-        tuner: Box<dyn Tuner>,
-    ) -> Result<Self, ConfigError> {
-        let backend = Backend::Volatile(storage);
-        Self::open(cfg, shards, backend, tuner, false).map_err(|e| match e {
-            OpenError::Config(e) => e,
-            other => unreachable!("a volatile store does no I/O: {other}"),
-        })
-    }
-
-    /// Creates a **fully persistent** sharded store: every shard gets its
-    /// own directory under `persistence.root` with an independent
-    /// [`FileDisk`] for its data pages, a [`Manifest`] recording its
-    /// run/level structure (committed atomically on every flush,
-    /// compaction, and transition), and a WAL for its write buffer (one
-    /// fsync per shard per mission via the group-commit barrier). Such a
-    /// store survives a full restart — flushed runs included — through
-    /// [`ShardedRusKey::recover_persistent`].
-    ///
-    /// Any previous incarnation under the same root is wiped first,
-    /// shard directories beyond the new count included;
-    /// `recover_persistent` is the explicit path for continuing.
-    pub fn try_with_tuner_persistent(
-        cfg: RusKeyConfig,
-        shards: usize,
-        tuner: Box<dyn Tuner>,
-        persistence: &PersistenceConfig,
-    ) -> Result<Self, OpenError> {
-        let backend = Backend::Persistent(persistence);
-        Self::open(cfg, shards, backend, tuner, false)
-    }
-
-    /// Recovers a fully persistent sharded store after a restart: each
-    /// shard reopens its [`FileDisk`] directory, folds its manifest's
-    /// longest consistent prefix back into the run/level structure
-    /// (rebuilding every run from its data pages, with fence pointers and
-    /// Bloom filters re-derived identically), and replays its WAL tail on
-    /// top — so the recovered store is get/scan-identical to the store
-    /// that was dropped. The statistics baseline is reset so the first
-    /// mission's report excludes recovery work; the lifetime recovery
-    /// counters (`manifest_edits`, `runs_recovered`, `replayed_tail`)
-    /// surface through [`TreeStatsSnapshot`] and [`MissionReport`].
-    ///
-    /// The same `shards` count that produced the layout must be passed
-    /// (the routing hash keys on it); any other count is refused. So is
-    /// a root holding a routes file: its keys do not live on their hash
-    /// shard.
-    pub fn recover_persistent(
-        cfg: RusKeyConfig,
-        shards: usize,
-        tuner: Box<dyn Tuner>,
-        persistence: &PersistenceConfig,
-    ) -> Result<Self, OpenError> {
-        let backend = Backend::Persistent(persistence);
-        Self::open(cfg, shards, backend, tuner, true)
-    }
-
-    /// Creates a sharded store driven by an arbitrary tuner.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid or `shards` is zero.
-    pub fn with_tuner(
-        cfg: RusKeyConfig,
-        shards: usize,
-        storage: Arc<dyn Storage>,
-        tuner: Box<dyn Tuner>,
-    ) -> Self {
-        Self::try_with_tuner(cfg, shards, storage, tuner)
-            .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"))
-    }
-
-    /// Creates a sharded store tuned by Lerp (the RusKey system of the
-    /// paper, scaled across shards): one agent per shard, shard 0 on
-    /// `cfg.lerp.seed` and shard `i` on `seed + i·104729`.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid or `shards` is zero.
-    pub fn with_lerp(cfg: RusKeyConfig, shards: usize, storage: Arc<dyn Storage>) -> Self {
-        let lerp = Lerp::new(cfg.lerp.clone());
-        Self::with_tuner(cfg, shards, storage, Box::new(lerp))
-    }
-
-    /// Creates an untuned sharded store.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid or `shards` is zero.
-    pub fn untuned(cfg: RusKeyConfig, shards: usize, storage: Arc<dyn Storage>) -> Self {
-        Self::with_tuner(cfg, shards, storage, Box::new(NoOpTuner))
     }
 
     /// Number of shards — in every state, a serving session and a dead
@@ -695,7 +607,7 @@ impl ShardedRusKey {
     /// (its siblings stay readable for the post-mortem).
     fn assert_readable(&self, idx: usize) {
         if self.dead == Some(idx) {
-            panic!("shard {idx}'s worker died; the engine is unavailable");
+            panic!("shard {idx} is fenced by an earlier panic; the store is unavailable");
         }
         assert!(!self.shards.is_empty(), "shard {idx}: {AWAY_SERVING}");
     }
@@ -705,14 +617,14 @@ impl ShardedRusKey {
     ///
     /// # Panics
     /// Panics if something panicked inside the shard and left its tree
-    /// half-changed (the engine is dead; see [`MissionError`]), or while
+    /// half-changed (the store is dead; see [`StoreError`]), or while
     /// the store is serving.
     pub fn shard(&self, idx: usize) -> &FlsmTree {
         self.assert_readable(idx);
         &self.shards[idx]
     }
 
-    /// Mutable counterpart of [`ShardedRusKey::shard`] (test harnesses
+    /// Mutable counterpart of [`RusKey::shard`] (test harnesses
     /// arm WAL crash points through this).
     pub fn shard_mut(&mut self, idx: usize) -> &mut FlsmTree {
         self.assert_readable(idx);
@@ -733,7 +645,7 @@ impl ShardedRusKey {
 
     /// Test hook (`tests/pool_stress.rs`): makes the given shard's next
     /// lane panic, simulating an engine bug inside a mission. The next
-    /// mission or barrier reports the death as a clean [`MissionError`]
+    /// mission or barrier reports the death as a clean [`StoreError`]
     /// instead of unwinding or hanging. A production store never calls
     /// this.
     #[doc(hidden)]
@@ -742,11 +654,12 @@ impl ShardedRusKey {
     }
 
     /// Fails fast — before anything touches a tree or any other state —
-    /// on an engine with a fenced shard, or one whose trees are away
-    /// serving (reported as shard 0).
-    fn check_alive(&self) -> Result<(), MissionError> {
-        match self.dead.or(self.shards.is_empty().then_some(0)) {
-            Some(shard) => Err(MissionError::WorkerUnavailable { shard }),
+    /// on a store with a fenced shard, or one whose trees are away
+    /// serving.
+    fn check_alive(&self) -> Result<(), StoreError> {
+        match self.dead {
+            Some(shard) => Err(StoreError::ShardFenced { shard }),
+            None if self.shards.is_empty() => Err(StoreError::Serving),
             None => Ok(()),
         }
     }
@@ -762,13 +675,13 @@ impl ShardedRusKey {
     /// where it ran — by the join, or on the caller for lane 0 — so the
     /// siblings of a lane that dies run to the end; the lowest such shard
     /// is fenced and reported as
-    /// [`MissionError::WorkerPanicked`]. A failed commit leg is
-    /// [`MissionError::Wal`] (lowest failing shard) on a live engine.
+    /// [`StoreError::ShardPanicked`]. A failed commit leg is
+    /// [`StoreError::Wal`] (lowest failing shard) on a live engine.
     fn run_lanes(
         &mut self,
         lanes: Vec<Vec<&Operation>>,
         boundary: bool,
-    ) -> Result<Vec<CommitLeg>, MissionError> {
+    ) -> Result<Vec<CommitLeg>, StoreError> {
         self.check_alive()?;
         let doomed = self.doomed.take();
         let mut work = self
@@ -800,13 +713,13 @@ impl ShardedRusKey {
                 continue;
             };
             if let Some(error) = leg.error.take() {
-                wal_failure.get_or_insert(MissionError::Wal { shard, error });
+                wal_failure.get_or_insert(StoreError::Wal { shard, error });
             }
             workers.push(worker);
             legs.push(leg);
         }
         if let Some(shard) = self.dead {
-            return Err(MissionError::WorkerPanicked { shard });
+            return Err(StoreError::ShardPanicked { shard });
         }
         self.last_workers = workers;
         wal_failure.map_or(Ok(legs), Err)
@@ -823,15 +736,15 @@ impl ShardedRusKey {
     /// shards' records survived).
     ///
     /// # Panics
-    /// Panics on [`MissionError`]; use [`ShardedRusKey::try_group_commit`]
+    /// Panics on [`StoreError`]; use [`RusKey::try_group_commit`]
     /// for fallible operation.
     pub fn group_commit(&mut self) -> CommitStats {
         self.try_group_commit()
             .unwrap_or_else(|e| panic!("group commit failed: {e}"))
     }
 
-    /// Fallible form of [`ShardedRusKey::group_commit`].
-    pub fn try_group_commit(&mut self) -> Result<CommitStats, MissionError> {
+    /// Fallible form of [`RusKey::group_commit`].
+    pub fn try_group_commit(&mut self) -> Result<CommitStats, StoreError> {
         let legs = self.run_lanes(vec![Vec::new(); self.shard_count()], false)?;
         Ok(commit_stats(&legs))
     }
@@ -936,7 +849,7 @@ impl ShardedRusKey {
     }
 
     /// Delete on the owning shard (same maintenance interleaving as
-    /// [`ShardedRusKey::put`]).
+    /// [`RusKey::put`]).
     pub fn delete(&mut self, key: impl Into<Bytes>) {
         let key = key.into();
         let shard = shard_for_key(&key, self.shard_count());
@@ -967,7 +880,7 @@ impl ShardedRusKey {
 
     /// Starts a serving session: every shard's tree moves into the
     /// returned [`ServingFrontend`], behind a per-shard lock, and stays
-    /// there until [`ShardedRusKey::finish_serving`]. The frontend is
+    /// there until [`RusKey::finish_serving`]. The frontend is
     /// `Send + Sync`: hand out
     /// [`ServingClient`](crate::frontend::ServingClient)s to as many
     /// threads as you like — each runs its requests on its own thread,
@@ -975,11 +888,12 @@ impl ShardedRusKey {
     /// commit, the token bucket gates admission, and the live metrics
     /// registry tracks it all (see [`crate::frontend`]).
     ///
-    /// While serving, the store itself has no trees: missions, ad-hoc
-    /// ops, and introspection must wait until `finish_serving` brings
-    /// them home. Dropping the frontend without finishing drops the trees
-    /// and leaves the engine permanently unavailable.
-    pub fn serve(&mut self, cfg: ServingConfig) -> Result<ServingFrontend, MissionError> {
+    /// While serving, the store itself has no trees: missions, barriers
+    /// and a second `serve` return [`StoreError::Serving`], and ad-hoc ops
+    /// and introspection panic, until `finish_serving` brings them home.
+    /// Dropping the frontend without finishing drops the trees and leaves
+    /// the store permanently unavailable.
+    pub fn serve(&mut self, cfg: ServingConfig) -> Result<ServingFrontend, StoreError> {
         self.check_alive()?;
         let trees = std::mem::take(&mut self.shards);
         Ok(ServingFrontend::new(&cfg, trees))
@@ -989,23 +903,23 @@ impl ShardedRusKey {
     /// (waiting out the operation inside each shard; a client that still
     /// holds a handle gets `ServingError::Stopped` from then on), folds
     /// the served work out of the next mission's statistics delta
-    /// (exactly like [`ShardedRusKey::bulk_load`] — the serving traffic
+    /// (exactly like [`RusKey::bulk_load`] — the serving traffic
     /// is not a mission), and returns the session's final metrics
     /// snapshot.
     ///
     /// A shard that died serving (mid-serve crash injection, WAL failure)
     /// just returns its tree — the snapshot and
-    /// [`ShardedRusKey::crashed`] tell the caller what happened. A shard
+    /// [`RusKey::crashed`] tell the caller what happened. A shard
     /// a *client panicked inside* comes home fenced (its tree was left
     /// half-changed), and the engine is dead:
-    /// [`MissionError::WorkerPanicked`], with every sibling's tree home.
+    /// [`StoreError::ShardPanicked`], with every sibling's tree home.
     pub fn finish_serving(
         &mut self,
         frontend: ServingFrontend,
-    ) -> Result<MetricsSnapshot, MissionError> {
+    ) -> Result<MetricsSnapshot, StoreError> {
         (self.shards, self.dead) = frontend.take_trees();
         if let Some(shard) = self.dead {
-            return Err(MissionError::WorkerPanicked { shard });
+            return Err(StoreError::ShardPanicked { shard });
         }
         let snapshot = frontend.metrics();
         self.rebaseline();
@@ -1063,7 +977,7 @@ impl ShardedRusKey {
     /// Store-wide per-level policies: the modal policy across the shards
     /// holding each level (ties toward the smaller K) — exact whenever
     /// shards agree. The per-shard truth is
-    /// [`ShardedRusKey::shard_policies`].
+    /// [`RusKey::shard_policies`].
     pub fn policies(&self) -> Vec<u32> {
         self.observe().policies
     }
@@ -1085,17 +999,17 @@ impl ShardedRusKey {
     /// its own shard.
     ///
     /// # Panics
-    /// Panics on [`MissionError`] (a dead engine or a WAL I/O failure);
-    /// use [`ShardedRusKey::try_run_mission`] for fallible operation.
+    /// Panics on [`StoreError`] (a dead engine or a WAL I/O failure);
+    /// use [`RusKey::try_run_mission`] for fallible operation.
     pub fn run_mission(&mut self, ops: &[Operation]) -> MissionReport {
         self.try_run_mission(ops)
             .unwrap_or_else(|e| panic!("mission failed: {e}"))
     }
 
-    /// Fallible form of [`ShardedRusKey::run_mission`]: lane panics and
-    /// WAL I/O failures surface as [`MissionError`] instead of a panic
+    /// Fallible form of [`RusKey::run_mission`]: lane panics and
+    /// WAL I/O failures surface as [`StoreError`] instead of a panic
     /// (and never as a hang).
-    pub fn try_run_mission(&mut self, ops: &[Operation]) -> Result<MissionReport, MissionError> {
+    pub fn try_run_mission(&mut self, ops: &[Operation]) -> Result<MissionReport, StoreError> {
         let t0 = Instant::now();
         let n = self.shard_count();
         // Logical scan count, taken at routing time: a range scan
@@ -1115,7 +1029,7 @@ impl ShardedRusKey {
                 // mission's work. (A panic needs no rebaseline — the
                 // engine is marked dead and no further report can be
                 // built.)
-                if matches!(e, MissionError::Wal { .. }) {
+                if matches!(e, StoreError::Wal { .. }) {
                     self.rebaseline();
                 }
                 return Err(e);
@@ -1188,6 +1102,50 @@ impl ShardedRusKey {
     }
 }
 
+/// Old name of [`RusKey`], still used by the perf ledger's adapter.
+#[deprecated(note = "use `RusKey`")]
+#[doc(hidden)]
+pub type ShardedRusKey = RusKey;
+
+/// Old openers the perf ledger's adapter still calls; each is one call
+/// into [`RusKey::open`] or [`RusKey::shard`].
+impl RusKey {
+    #[deprecated(note = "use `RusKey::open(cfg, 1, lerp, Backend::Volatile(storage))`")]
+    #[doc(hidden)]
+    pub fn with_lerp(cfg: RusKeyConfig, storage: Arc<dyn Storage>) -> Self {
+        let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
+        Self::open(cfg, 1, lerp, Backend::Volatile(storage)).expect("invalid RusKeyConfig")
+    }
+
+    #[deprecated(note = "use `RusKey::open` with `Backend::Create`")]
+    #[doc(hidden)]
+    pub fn try_with_tuner_persistent(
+        cfg: RusKeyConfig,
+        shards: usize,
+        tuner: Box<dyn Tuner>,
+        persistence: &PersistenceConfig,
+    ) -> Result<Self, StoreError> {
+        Self::open(cfg, shards, tuner, Backend::Create(persistence))
+    }
+
+    #[deprecated(note = "use `RusKey::open` with `Backend::Recover`")]
+    #[doc(hidden)]
+    pub fn recover_persistent(
+        cfg: RusKeyConfig,
+        shards: usize,
+        tuner: Box<dyn Tuner>,
+        persistence: &PersistenceConfig,
+    ) -> Result<Self, StoreError> {
+        Self::open(cfg, shards, tuner, Backend::Recover(persistence))
+    }
+
+    #[deprecated(note = "use `RusKey::shard(0)`")]
+    #[doc(hidden)]
+    pub fn tree(&self) -> &FlsmTree {
+        self.shard(0)
+    }
+}
+
 /// A file under the persistence root that this build refuses to
 /// recover: earlier builds could re-home hot keys away from their hash
 /// shard and listed them here, so recovering such a root by the key hash
@@ -1196,7 +1154,7 @@ impl ShardedRusKey {
 const ROUTES_FILE: &str = "ROUTES";
 
 /// Merges per-shard observations into the store-wide one (see
-/// [`ShardedRusKey::observe`]); one observation merges into itself.
+/// [`RusKey::observe`]); one observation merges into itself.
 fn merge_observations(shards: Vec<TreeObservation>) -> TreeObservation {
     let level_count = shards.iter().map(|o| o.level_count).max().unwrap_or(0);
     let mut policies = Vec::with_capacity(level_count);
@@ -1311,7 +1269,7 @@ pub(crate) fn merge_sorted_scans(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuner::FixedPolicy;
+    use crate::tuner::{FixedPolicy, NoOpTuner};
     use ruskey_storage::{CostModel, SimulatedDisk};
     use ruskey_workload::{bulk_load_pairs, OpGenerator, OpMix, WorkloadSpec};
 
@@ -1326,9 +1284,13 @@ mod tests {
         SimulatedDisk::new(512, CostModel::NVME)
     }
 
+    fn volatile(cfg: RusKeyConfig, shards: usize, disk: Arc<dyn Storage>) -> RusKey {
+        RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(disk)).expect("open")
+    }
+
     #[test]
     fn kv_roundtrip_across_shards() {
-        let mut db = ShardedRusKey::untuned(small_cfg(), 4, disk());
+        let mut db = volatile(small_cfg(), 4, disk());
         for i in 0..200u64 {
             db.put(ruskey_workload::encode_key(i, 16), vec![i as u8; 8]);
         }
@@ -1342,7 +1304,7 @@ mod tests {
 
     #[test]
     fn cross_shard_scan_is_globally_sorted_and_limited() {
-        let mut db = ShardedRusKey::untuned(small_cfg(), 4, disk());
+        let mut db = volatile(small_cfg(), 4, disk());
         for i in 0..300u64 {
             db.put(ruskey_workload::encode_key(i, 16), vec![1u8; 8]);
         }
@@ -1366,8 +1328,13 @@ mod tests {
 
     #[test]
     fn mission_reports_aggregate_all_shards() {
-        let mut db =
-            ShardedRusKey::with_tuner(small_cfg(), 4, disk(), Box::new(FixedPolicy::moderate()));
+        let mut db = RusKey::open(
+            small_cfg(),
+            4,
+            Box::new(FixedPolicy::moderate()),
+            Backend::Volatile(disk()),
+        )
+        .expect("open");
         db.bulk_load(bulk_load_pairs(1000, 16, 48, 1));
         let spec = WorkloadSpec {
             key_space: 1000,
@@ -1389,8 +1356,13 @@ mod tests {
     /// shard 0, its `for_shard` copies on the rest — sets its shard.
     #[test]
     fn every_seat_sets_its_own_shards_policy() {
-        let mut db =
-            ShardedRusKey::with_tuner(small_cfg(), 3, disk(), Box::new(FixedPolicy::new(4)));
+        let mut db = RusKey::open(
+            small_cfg(),
+            3,
+            Box::new(FixedPolicy::new(4)),
+            Backend::Volatile(disk()),
+        )
+        .expect("open");
         db.bulk_load(bulk_load_pairs(900, 16, 48, 3));
         let spec = WorkloadSpec {
             key_space: 900,
@@ -1415,8 +1387,13 @@ mod tests {
     /// saw operations takes its seat's policy.
     #[test]
     fn an_idle_shards_seat_is_skipped() {
-        let mut db =
-            ShardedRusKey::with_tuner(small_cfg(), 4, disk(), Box::new(FixedPolicy::new(4)));
+        let mut db = RusKey::open(
+            small_cfg(),
+            4,
+            Box::new(FixedPolicy::new(4)),
+            Backend::Volatile(disk()),
+        )
+        .expect("open");
         db.bulk_load(bulk_load_pairs(1200, 16, 48, 3));
         let start = db.shard_policies();
         let gets: Vec<Operation> = (0..1200u64)
@@ -1438,7 +1415,7 @@ mod tests {
     #[test]
     fn adhoc_scans_between_missions_stay_logically_counted() {
         for shards in [1usize, 3] {
-            let mut db = ShardedRusKey::untuned(small_cfg(), shards, disk());
+            let mut db = volatile(small_cfg(), shards, disk());
             db.bulk_load(bulk_load_pairs(600, 16, 48, 9));
             let spec = WorkloadSpec {
                 key_space: 600,
@@ -1477,22 +1454,27 @@ mod tests {
     fn try_with_tuner_rejects_bad_config() {
         let mut cfg = small_cfg();
         cfg.lsm.size_ratio = 1;
-        let err = ShardedRusKey::try_with_tuner(cfg, 2, disk(), Box::new(NoOpTuner));
+        let err = RusKey::open(cfg, 2, Box::new(NoOpTuner), Backend::Volatile(disk()));
         assert!(err.is_err());
     }
 
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_is_rejected() {
-        let _ = ShardedRusKey::untuned(small_cfg(), 0, disk());
+        let _ = RusKey::open(
+            small_cfg(),
+            0,
+            Box::new(NoOpTuner),
+            Backend::Volatile(disk()),
+        );
     }
 
-    /// An injected worker panic surfaces as a clean [`MissionError`] on
+    /// An injected worker panic surfaces as a clean [`StoreError`] on
     /// the next dispatch — and the engine stays dead (no limping on with
     /// a missing shard), while dropping the store does not hang.
     #[test]
     fn worker_panic_is_a_clean_error_and_kills_the_engine() {
-        let mut db = ShardedRusKey::untuned(small_cfg(), 3, disk());
+        let mut db = volatile(small_cfg(), 3, disk());
         db.bulk_load(bulk_load_pairs(300, 16, 48, 5));
         let spec = WorkloadSpec {
             key_space: 300,
@@ -1508,8 +1490,7 @@ mod tests {
         assert!(
             matches!(
                 err,
-                MissionError::WorkerPanicked { shard: 1 }
-                    | MissionError::WorkerUnavailable { shard: 1 }
+                StoreError::ShardPanicked { shard: 1 } | StoreError::ShardFenced { shard: 1 }
             ),
             "unexpected error: {err}"
         );
@@ -1529,7 +1510,7 @@ mod tests {
             let payload = catch_unwind(AssertUnwindSafe(read)).expect_err("must panic");
             payload.downcast_ref::<String>().expect("formatted").clone()
         };
-        let mut db = ShardedRusKey::untuned(small_cfg(), 2, disk());
+        let mut db = volatile(small_cfg(), 2, disk());
         let frontend = db.serve(ServingConfig::default()).expect("serve");
         assert_eq!(db.shard_count(), 2, "serving");
         let reads: [&dyn Fn(); 5] = [
@@ -1543,21 +1524,76 @@ mod tests {
             let said = panic_of(read);
             assert!(said.contains("away serving"), "{said}");
         }
-        assert!(matches!(
-            db.try_run_mission(&[]),
-            Err(MissionError::WorkerUnavailable { shard: 0 })
-        ));
+        assert!(matches!(db.try_run_mission(&[]), Err(StoreError::Serving)));
         db.finish_serving(frontend).expect("finish serving");
         assert!(!db.crashed(), "home again");
 
         db.inject_worker_panic(1);
         assert!(db.try_group_commit().is_err());
         assert_eq!(db.shard_count(), 2, "dead");
-        assert!(panic_of(&|| drop(db.stats())).contains("shard 1's worker died"));
+        assert!(panic_of(&|| drop(db.stats())).contains("shard 1 is fenced"));
         assert_eq!(db.shard(0).stats().lookups, 0, "the sibling stays readable");
         let key = ruskey_workload::encode_key(1, 16);
         let gets = vec![Operation::Get { key }; 64];
         assert!(db.try_run_mission(&gets).is_err());
+    }
+
+    /// A store whose trees are away serving says so, not "shard 0 is
+    /// fenced", on every dispatch, and touches no tree; once the session
+    /// is finished the same store runs missions again.
+    #[test]
+    fn a_serving_store_reports_serving_not_a_fenced_shard() {
+        let mut db = volatile(small_cfg(), 2, disk());
+        db.bulk_load(bulk_load_pairs(200, 16, 48, 1));
+        let before = db.stats();
+        let frontend = db.serve(ServingConfig::default()).expect("serve");
+        assert!(matches!(db.try_run_mission(&[]), Err(StoreError::Serving)));
+        assert!(matches!(db.try_group_commit(), Err(StoreError::Serving)));
+        let again = db.serve(ServingConfig::default());
+        assert!(matches!(again, Err(StoreError::Serving)));
+        assert!(db.last_worker_threads().is_empty(), "no lane ran");
+        db.finish_serving(frontend).expect("finish serving");
+        assert!(db.last_report().is_none(), "no report was cut");
+        assert_eq!(db.stats(), before, "no tree was touched");
+        let gets: Vec<Operation> = (0..20u64)
+            .map(|i| Operation::Get {
+                key: ruskey_workload::encode_key(i, 16),
+            })
+            .collect();
+        let r = db.try_run_mission(&gets).expect("home again");
+        assert_eq!(r.ops, 20);
+        assert_eq!(db.last_parallelism(), 2);
+    }
+
+    /// The deprecated openers the perf ledger's adapter calls are plain
+    /// calls into `open` and `shard(0)`.
+    #[test]
+    #[allow(deprecated)]
+    fn the_ledger_aliases_forward_to_open() {
+        let mut paper: ShardedRusKey = RusKey::with_lerp(small_cfg(), disk());
+        assert_eq!(paper.shard_count(), 1);
+        assert_eq!(paper.tuner_name(), "ruskey-lerp");
+        paper.put(&b"k"[..], &b"v"[..]);
+        assert!(std::ptr::eq(paper.tree(), paper.shard(0)));
+
+        let root = std::env::temp_dir().join(format!(
+            "ruskey-sharded-aliases-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let mut pcfg = PersistenceConfig::new(&root);
+        pcfg.page_size = 512;
+        pcfg.cost = CostModel::FREE;
+        let key = ruskey_workload::encode_key(3, 16);
+        let mut db = RusKey::try_with_tuner_persistent(small_cfg(), 2, Box::new(NoOpTuner), &pcfg)
+            .expect("create");
+        db.put(key.clone(), vec![3u8; 8]);
+        db.group_commit();
+        drop(db);
+        let mut rec = RusKey::recover_persistent(small_cfg(), 2, Box::new(NoOpTuner), &pcfg)
+            .expect("recover");
+        assert_eq!(rec.get(&key).as_deref(), Some(vec![3u8; 8].as_slice()));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// The full-store persistence path at the store level: flushed runs
@@ -1576,9 +1612,8 @@ mod tests {
         pcfg.cost = CostModel::FREE;
         let mut cfg = small_cfg();
         cfg.lsm.buffer_bytes = 2048; // force flushes: runs must hit disk
-        let mut db =
-            ShardedRusKey::try_with_tuner_persistent(cfg.clone(), 2, Box::new(NoOpTuner), &pcfg)
-                .expect("open persistent store");
+        let mut db = RusKey::open(cfg.clone(), 2, Box::new(NoOpTuner), Backend::Create(&pcfg))
+            .expect("open persistent store");
         for i in 0..300u64 {
             db.put(ruskey_workload::encode_key(i, 16), vec![i as u8; 24]);
         }
@@ -1588,7 +1623,7 @@ mod tests {
         assert!(flushes > 0, "scenario must flush runs to disk");
         drop(db);
 
-        let mut rec = ShardedRusKey::recover_persistent(cfg.clone(), 2, Box::new(NoOpTuner), &pcfg)
+        let mut rec = RusKey::open(cfg.clone(), 2, Box::new(NoOpTuner), Backend::Recover(&pcfg))
             .expect("recover persistent store");
         let s = rec.stats();
         assert!(s.runs_recovered > 0, "flushed runs must be rebuilt");
@@ -1619,12 +1654,12 @@ mod tests {
         // would drop acknowledged writes, more would misroute keys and
         // hide durable data behind empty shards.
         drop(rec);
-        let err = ShardedRusKey::recover_persistent(cfg.clone(), 1, Box::new(NoOpTuner), &pcfg)
+        let err = RusKey::open(cfg.clone(), 1, Box::new(NoOpTuner), Backend::Recover(&pcfg))
             .err()
             .expect("recovering fewer shards than described must fail");
         assert!(err.to_string().contains("2 shards"), "{err}");
         assert!(err.to_string().contains("store root describes"), "{err}");
-        let err = ShardedRusKey::recover_persistent(cfg, 4, Box::new(NoOpTuner), &pcfg)
+        let err = RusKey::open(cfg, 4, Box::new(NoOpTuner), Backend::Recover(&pcfg))
             .err()
             .expect("recovering more shards than described must fail");
         assert!(err.to_string().contains("2 shards"), "{err}");
@@ -1647,28 +1682,20 @@ mod tests {
         pcfg.page_size = 512;
         pcfg.cost = CostModel::FREE;
         {
-            let mut wide = ShardedRusKey::try_with_tuner_persistent(
-                small_cfg(),
-                4,
-                Box::new(NoOpTuner),
-                &pcfg,
-            )
-            .expect("open 4-shard store");
+            let mut wide =
+                RusKey::open(small_cfg(), 4, Box::new(NoOpTuner), Backend::Create(&pcfg))
+                    .expect("open 4-shard store");
             wide.put(ruskey_workload::encode_key(1, 16), vec![1u8; 8]);
             wide.group_commit();
         }
         {
-            let mut narrow = ShardedRusKey::try_with_tuner_persistent(
-                small_cfg(),
-                2,
-                Box::new(NoOpTuner),
-                &pcfg,
-            )
-            .expect("open 2-shard store over the old root");
+            let mut narrow =
+                RusKey::open(small_cfg(), 2, Box::new(NoOpTuner), Backend::Create(&pcfg))
+                    .expect("open 2-shard store over the old root");
             narrow.put(ruskey_workload::encode_key(2, 16), vec![2u8; 8]);
             narrow.group_commit();
         }
-        let mut rec = ShardedRusKey::recover_persistent(small_cfg(), 2, Box::new(NoOpTuner), &pcfg)
+        let mut rec = RusKey::open(small_cfg(), 2, Box::new(NoOpTuner), Backend::Recover(&pcfg))
             .expect("a stale wider incarnation must not block recovery");
         assert_eq!(
             rec.get(&ruskey_workload::encode_key(2, 16)).as_deref(),

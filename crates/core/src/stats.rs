@@ -209,7 +209,7 @@ impl MissionReport {
 /// Builds [`MissionReport`]s from tree-statistics snapshots.
 ///
 /// The collector keeps one baseline snapshot *per shard time domain*
-/// (a `RusKey` is the one-domain case). Each mission, every
+/// (a one-shard store is the one-domain case). Each mission, every
 /// shard's snapshot is deltaed against its own baseline and the deltas
 /// are merged — wall time as the max over domains, device-busy time as
 /// the sum — which is exact under parallel shard execution. Deltaing a

@@ -7,7 +7,7 @@
 //! cargo run --release --example dynamic_tuning
 //! ```
 
-use ruskey_repro::ruskey::db::{RusKey, RusKeyConfig};
+use ruskey_repro::ruskey::{Backend, Lerp, RusKey, RusKeyConfig};
 use ruskey_repro::storage::{CostModel, SimulatedDisk};
 use ruskey_repro::workload::{
     bulk_load_pairs, DynamicWorkload, OpGenerator, OpMix, Session, WorkloadSpec,
@@ -21,8 +21,10 @@ fn main() {
     let missions_per_session = 250;
     let mission_size = 1000;
 
+    let cfg = RusKeyConfig::scaled_default();
+    let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
     let disk = SimulatedDisk::new(4096, CostModel::NVME);
-    let mut db = RusKey::with_lerp(RusKeyConfig::scaled_default(), disk);
+    let mut db = RusKey::open(cfg, 1, lerp, Backend::Volatile(disk)).expect("valid config");
     db.bulk_load(bulk_load_pairs(n, 16, 112, 7));
 
     let sessions = vec![
@@ -69,7 +71,7 @@ fn main() {
         }
         m += 1;
     }
-    println!("\nfinal policies: {:?}", db.tree().policies());
+    println!("\nfinal policies: {:?}", db.shard(0).policies());
     println!(
         "(expect K(L1) high in the write-heavy session, mid when balanced, low when read-heavy)"
     );

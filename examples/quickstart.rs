@@ -5,14 +5,21 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ruskey_repro::ruskey::db::{RusKey, RusKeyConfig};
+use ruskey_repro::ruskey::{Backend, Lerp, RusKey, RusKeyConfig, StoreError};
 use ruskey_repro::storage::{CostModel, SimulatedDisk};
 use ruskey_repro::workload::{bulk_load_pairs, OpGenerator, OpMix, WorkloadSpec};
 
-fn main() {
-    // A simulated NVMe-like device: deterministic, exact I/O accounting.
+/// The paper's single-tree store: one shard, tuned by Lerp, on a simulated
+/// NVMe-like device (deterministic, exact I/O accounting).
+fn open_store() -> Result<RusKey, StoreError> {
+    let cfg = RusKeyConfig::scaled_default();
+    let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
     let disk = SimulatedDisk::new(4096, CostModel::NVME);
-    let mut db = RusKey::with_lerp(RusKeyConfig::scaled_default(), disk);
+    RusKey::open(cfg, 1, lerp, Backend::Volatile(disk))
+}
+
+fn main() -> Result<(), StoreError> {
+    let mut db = open_store()?;
 
     // --- Plain key-value usage -----------------------------------------
     db.put(&b"greeting"[..], &b"hello, LSM"[..]);
@@ -32,15 +39,12 @@ fn main() {
     // Load a working set, then stream missions; the Lerp tuner adjusts the
     // compaction policy between missions.
     let n = 20_000;
-    db = RusKey::with_lerp(
-        RusKeyConfig::scaled_default(),
-        SimulatedDisk::new(4096, CostModel::NVME),
-    );
+    db = open_store()?;
     db.bulk_load(bulk_load_pairs(n, 16, 112, 7));
     println!(
         "\nbulk-loaded {n} entries into {} levels, policies {:?}",
-        db.tree().level_count(),
-        db.tree().policies()
+        db.shard(0).level_count(),
+        db.shard(0).policies()
     );
 
     let spec = WorkloadSpec::scaled_default(n).with_mix(OpMix::write_heavy());
@@ -58,5 +62,6 @@ fn main() {
             );
         }
     }
-    println!("\nfinal policies: {:?}", db.tree().policies());
+    println!("\nfinal policies: {:?}", db.shard(0).policies());
+    Ok(())
 }

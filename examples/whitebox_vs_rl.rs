@@ -12,7 +12,7 @@
 use ruskey_repro::analysis::cost::{optimal_k_int, CostParams};
 use ruskey_repro::analysis::propagation::propagate_rounded;
 use ruskey_repro::lsm::bloom::fpr_for_bits;
-use ruskey_repro::ruskey::db::{RusKey, RusKeyConfig};
+use ruskey_repro::ruskey::{Backend, Lerp, RusKey, RusKeyConfig};
 use ruskey_repro::storage::{CostModel, SimulatedDisk};
 use ruskey_repro::workload::{bulk_load_pairs, OpGenerator, OpMix, WorkloadSpec};
 
@@ -33,8 +33,10 @@ fn whitebox_k(gamma: f64, fpr: f64) -> u32 {
 
 fn learned_k(gamma: f64) -> (u32, Vec<u32>) {
     let n = 50_000;
+    let cfg = RusKeyConfig::scaled_default();
+    let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
     let disk = SimulatedDisk::new(4096, CostModel::NVME);
-    let mut db = RusKey::with_lerp(RusKeyConfig::scaled_default(), disk);
+    let mut db = RusKey::open(cfg, 1, lerp, Backend::Volatile(disk)).expect("valid config");
     db.bulk_load(bulk_load_pairs(n, 16, 112, 7));
     let spec = WorkloadSpec::scaled_default(n).with_mix(OpMix::reads(gamma));
     let mut gen = OpGenerator::new(spec, 5);
@@ -46,8 +48,8 @@ fn learned_k(gamma: f64) -> (u32, Vec<u32>) {
         }
     }
     (
-        db.tree().policies().first().copied().unwrap_or(1),
-        db.tree().policies(),
+        db.shard(0).policies().first().copied().unwrap_or(1),
+        db.shard(0).policies(),
     )
 }
 

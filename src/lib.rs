@@ -8,7 +8,7 @@
 //! # The sharded engine core
 //!
 //! The store's engine is sharded for multi-core scaling:
-//! [`ruskey::sharded::ShardedRusKey`] hash-partitions keys onto `N`
+//! [`ruskey::RusKey`] hash-partitions keys onto `N`
 //! independent FLSM-trees ([`lsm`]) that share one storage device
 //! ([`storage`], whose accounting is atomic and `Sync`). A mission
 //! executes as one **lane** per shard, in parallel under
@@ -27,13 +27,16 @@
 //! boundary), an ad-hoc `get`/`put`/`delete`/`scan` (one operation on the
 //! caller's thread that keeps its result and leaves the commit to the
 //! next barrier) and a served request all make those calls; missions
-//! and barriers share one lane runner, and every constructor is a thin
-//! call into one private opener. Operations are **borrowed** on the way:
+//! and barriers share one lane runner, and every store is opened by one
+//! call, [`ruskey::RusKey::open`], over a [`ruskey::Backend`] (volatile,
+//! or persistent and either created fresh or recovered); every failure,
+//! opening or running, is one [`ruskey::StoreError`]. Operations are
+//! **borrowed** on the way:
 //! a lane is a `Vec` of references into the slice `run_mission` was
 //! given, a broadcast scan is one operation every lane points at, and
 //! nothing is cloned before the tree keeps a key or a value. A panic
 //! inside a lane — the caller's included — surfaces as a clean
-//! [`ruskey::sharded::MissionError`] (never an unwind, never a hang) and
+//! [`ruskey::StoreError`] (never an unwind, never a hang) and
 //! fences the shard, exactly as a client panicking inside a served shard
 //! does: one death protocol.
 //! Each shard accounts on its own **time domain** (a
@@ -47,10 +50,9 @@
 //! and seat `i` its [`ruskey::tuner::Tuner::for_shard`]`(i)`. Each seat
 //! runs the paper's loop on its own shard — that shard's exact signal in,
 //! that shard's policy changes out (see the tuning section below).
-//! [`ruskey::db::RusKey`], the single-tree store every paper
-//! experiment drives, is a facade over a **one-shard** store — not a
-//! second engine: its missions are one-lane missions, its plain calls are
-//! ad-hoc operations. `tests/sharded_equivalence.rs` pins that a one-shard
+//! The single-tree store every paper experiment drives is this store
+//! opened with **one shard** — not a second engine: its missions are
+//! one-lane missions, its plain calls are ad-hoc operations. `tests/sharded_equivalence.rs` pins that a one-shard
 //! store adds nothing to the accounting of the bare tree under it and
 //! that `N` shards are observationally equivalent to one,
 //! `tests/time_domains.rs` asserts per-shard accounting exactness at
@@ -112,11 +114,11 @@
 //! pages that were not durably written.
 //!
 //! On a **persistent backend**
-//! ([`ruskey::sharded::ShardedRusKey::try_with_tuner_persistent`] gives
+//! ([`ruskey::Backend::Create`] gives
 //! every shard its own [`storage::FileDisk`] directory — independent
 //! file handles, no cross-shard serialization — plus a manifest and a
-//! WAL), the store is fully restartable:
-//! [`ruskey::sharded::ShardedRusKey::recover_persistent`] (or
+//! WAL), the store is fully restartable: reopening it on
+//! [`ruskey::Backend::Recover`] (or
 //! [`lsm::FlsmTree::recover_persistent`] for one tree) folds each
 //! manifest's longest consistent prefix, rebuilds every recorded run
 //! from its data pages (fence pointers and Bloom filters re-derived
@@ -252,7 +254,7 @@
 //! # Serving: many concurrent clients, one engine
 //!
 //! [`ruskey::frontend::ServingFrontend`]
-//! ([`ShardedRusKey::serve`](ruskey::sharded::ShardedRusKey::serve))
+//! ([`RusKey::serve`](ruskey::RusKey::serve))
 //! turns the store into a `Send + Sync` service handle: any number of
 //! [`ruskey::frontend::ServingClient`]s run get/put/delete/scan
 //! concurrently, each **on its own thread under the owning shard's
@@ -304,14 +306,14 @@
 //! one store-wide policy is the wrong answer for somebody. A store
 //! therefore seats one tuner per shard: seat `i` is the opening tuner's
 //! [`ruskey::tuner::Tuner::for_shard`]`(i)` (a Lerp agent seeded
-//! `seed + i·104729`, a baseline's plain copy), so
-//! [`ShardedRusKey::with_lerp`](ruskey::sharded::ShardedRusKey::with_lerp)
-//! runs one Lerp agent per shard, and the signal path is exact rather
+//! `seed + i·104729`, a baseline's plain copy), so a store opened with a
+//! [`ruskey::Lerp`] tuner runs one Lerp agent per shard, and the signal
+//! path is exact rather
 //! than averaged: each agent is rewarded from its shard's **reward
 //! slice** — the shard's own time-domain delta with its own commit leg,
 //! split out by the stats collector instead of merged — observes its
 //! own [`ruskey::tuner::TreeObservation`], and lands policy changes
-//! only on the owning shard ([`ruskey::sharded::ShardedRusKey::shard_policies`]
+//! only on the owning shard ([`ruskey::RusKey::shard_policies`]
 //! and [`ruskey::stats::MissionReport::shard_policies_after`] expose the
 //! per-shard result). Idle shards are skipped — a zero-op slice carries
 //! no signal, and skipping keeps a cold shard's replay buffer clean
@@ -331,6 +333,11 @@
 //! and shifting workloads.
 
 #![forbid(unsafe_code)]
+
+/// Compiles the Rust blocks of the top-level `README.md` as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
 
 pub use ruskey;
 pub use ruskey_analysis as analysis;

@@ -16,8 +16,9 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use ruskey_repro::lsm::{FlsmTree, LsmConfig};
-use ruskey_repro::ruskey::db::{RusKey, RusKeyConfig};
-use ruskey_repro::ruskey::sharded::ShardedRusKey;
+use ruskey_repro::ruskey::db::RusKeyConfig;
+use ruskey_repro::ruskey::sharded::{Backend, RusKey};
+use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 
 /// Small buffers so a few hundred ops produce real flushes and merges.
@@ -32,6 +33,10 @@ fn cfg(background: bool) -> RusKeyConfig {
 
 fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(256, CostModel::FREE)
+}
+
+fn volatile(cfg: RusKeyConfig, shards: usize, disk: Arc<dyn Storage>) -> RusKey {
+    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(disk)).expect("open")
 }
 
 fn key(k: u16) -> Bytes {
@@ -66,7 +71,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// For arbitrary put/delete/get/scan interleavings and `N ∈ {1, 2,
-    /// 4}` shards, a background-maintenance `ShardedRusKey` — stepping
+    /// 4}` shards, a background-maintenance `RusKey` — stepping
     /// its deferred work at mission boundaries every 24 ops, so reads
     /// routinely land between a merge being built and applied — returns
     /// exactly what the quiescent inline-compacting store and a
@@ -77,8 +82,8 @@ proptest! {
         shards_idx in 0usize..3,
     ) {
         let shards = [1usize, 2, 4][shards_idx];
-        let mut bg = ShardedRusKey::untuned(cfg(true), shards, disk());
-        let mut quiet = RusKey::untuned(cfg(false), disk());
+        let mut bg = volatile(cfg(true), shards, disk());
+        let mut quiet = volatile(cfg(false), 1, disk());
         let mut model: BTreeMap<Bytes, Bytes> = BTreeMap::new();
 
         for (step, op) in ops.iter().enumerate() {
@@ -138,8 +143,8 @@ proptest! {
 #[test]
 fn in_flight_merges_are_read_equivalent_at_each_shard_count() {
     for &shards in &[1usize, 2, 4] {
-        let mut bg = ShardedRusKey::untuned(cfg(true), shards, disk());
-        let mut quiet = RusKey::untuned(cfg(false), disk());
+        let mut bg = volatile(cfg(true), shards, disk());
+        let mut quiet = volatile(cfg(false), 1, disk());
         // 1201 distinct keys so every shard's resident set outgrows its
         // L0 capacity even at N = 4 — smaller spaces fit entirely in L0
         // and legitimately never compact.
@@ -206,7 +211,7 @@ fn adhoc_write_burst_in_background_mode_is_backpressured() {
     // must be measurable for the recording assertion to mean anything.
     let disk = SimulatedDisk::new(256, CostModel::NVME);
     let shards = 2;
-    let mut db = ShardedRusKey::untuned(cfg.clone(), shards, disk);
+    let mut db = volatile(cfg.clone(), shards, disk);
     // Values big enough that a shard's memtable passes the 2x-buffer
     // backstop *between* worker maintenance boundaries — the burst must
     // actually hit the write-path backpressure, not just the boundaries.
@@ -235,18 +240,18 @@ fn adhoc_write_burst_in_background_mode_is_backpressured() {
         "backpressured ad-hoc writes must record their stall time"
     );
 
-    // A `RusKey` is a one-shard store: its plain puts are the same ad-hoc
-    // path, every 32nd one a boundary grant, under the same backpressure.
-    let mut single = RusKey::untuned(cfg, SimulatedDisk::new(256, CostModel::NVME));
+    // A one-shard store's plain puts are the same ad-hoc path, every 32nd
+    // one a boundary grant, under the same backpressure.
+    let mut single = volatile(cfg, 1, SimulatedDisk::new(256, CostModel::NVME));
     for i in 0u16..3000 {
         let k = i % 997;
         single.put(key(k), big_value(k, (i % 251) as u8));
     }
     assert!(
-        single.tree().level_run_count(0) <= 4,
+        single.shard(0).level_run_count(0) <= 4,
         "RusKey: an ad-hoc burst must not grow L0 past l0_stall_runs"
     );
-    let stats = single.tree().stats();
+    let stats = single.shard(0).stats();
     assert!(
         stats.bg_compactions > 0,
         "RusKey: boundary maintenance must run on the ad-hoc path"

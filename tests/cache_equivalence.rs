@@ -29,7 +29,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use ruskey_repro::ruskey::db::RusKeyConfig;
-use ruskey_repro::ruskey::sharded::{PersistenceConfig, ShardedRusKey};
+use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::storage::CostModel;
 use ruskey_repro::workload::{encode_key, OpGenerator, OpMix, Operation, WorkloadSpec};
@@ -61,14 +61,19 @@ fn small_cfg() -> RusKeyConfig {
     cfg
 }
 
-fn open(shards: usize, p: &PersistenceConfig) -> ShardedRusKey {
-    ShardedRusKey::try_with_tuner_persistent(small_cfg(), shards, Box::new(NoOpTuner), p)
+fn open(shards: usize, p: &PersistenceConfig) -> RusKey {
+    RusKey::open(small_cfg(), shards, Box::new(NoOpTuner), Backend::Create(p))
         .expect("open persistent store")
 }
 
-fn recover(shards: usize, p: &PersistenceConfig) -> ShardedRusKey {
-    ShardedRusKey::recover_persistent(small_cfg(), shards, Box::new(NoOpTuner), p)
-        .expect("recover persistent store")
+fn recover(shards: usize, p: &PersistenceConfig) -> RusKey {
+    RusKey::open(
+        small_cfg(),
+        shards,
+        Box::new(NoOpTuner),
+        Backend::Recover(p),
+    )
+    .expect("recover persistent store")
 }
 
 fn key(i: u64) -> Bytes {
@@ -79,7 +84,7 @@ const KEYS: u64 = 240;
 
 /// Every get over the key space plus a full and a bounded scan must be
 /// bit-identical between the cached and uncached stores.
-fn assert_equivalent(cached: &mut ShardedRusKey, uncached: &mut ShardedRusKey, when: &str) {
+fn assert_equivalent(cached: &mut RusKey, uncached: &mut RusKey, when: &str) {
     for i in 0..KEYS + 2 {
         assert_eq!(
             cached.get(&key(i)),

@@ -54,7 +54,7 @@ use proptest::prelude::*;
 
 use ruskey_repro::lsm::{CrashPoint, KvEntry, ManifestCrashPoint, Wal};
 use ruskey_repro::ruskey::db::RusKeyConfig;
-use ruskey_repro::ruskey::sharded::{PersistenceConfig, ShardedRusKey};
+use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey};
 use ruskey_repro::storage::{CostModel, PowerCutPoint, SimulatedDisk, Storage};
 use ruskey_repro::workload::routing::shard_for_key;
 use ruskey_repro::workload::{
@@ -89,22 +89,22 @@ fn wal_suite_cfg(dir: &std::path::Path) -> PersistenceConfig {
     p
 }
 
-fn persistent_store(shards: usize, p: &PersistenceConfig) -> ShardedRusKey {
-    ShardedRusKey::try_with_tuner_persistent(
+fn persistent_store(shards: usize, p: &PersistenceConfig) -> RusKey {
+    RusKey::open(
         big_buffer_cfg(),
         shards,
         Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
-        p,
+        Backend::Create(p),
     )
     .expect("open persistent store")
 }
 
-fn recovered_persistent(shards: usize, p: &PersistenceConfig) -> ShardedRusKey {
-    ShardedRusKey::recover_persistent(
+fn recovered_persistent(shards: usize, p: &PersistenceConfig) -> RusKey {
+    RusKey::open(
         big_buffer_cfg(),
         shards,
         Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
-        p,
+        Backend::Recover(p),
     )
     .expect("recover persistent store")
 }
@@ -272,11 +272,11 @@ fn group_commit_syncs_at_most_once_per_shard_per_mission() {
         let mut cfg = RusKeyConfig::scaled_default();
         cfg.lsm.buffer_bytes = 4096;
         cfg.lsm.size_ratio = 4;
-        let mut db = ShardedRusKey::try_with_tuner_persistent(
+        let mut db = RusKey::open(
             cfg,
             shards,
             Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
-            &dur,
+            Backend::Create(&dur),
         )
         .expect("open persistent store");
         db.bulk_load(bulk_load_pairs(1200, 16, 48, 11));
@@ -441,7 +441,7 @@ fn dur_op() -> impl Strategy<Value = DurOp> {
     ]
 }
 
-fn apply(db: &mut ShardedRusKey, op: &DurOp) {
+fn apply(db: &mut RusKey, op: &DurOp) {
     match *op {
         DurOp::Put(k, v) => db.put(key(k as u64), vec![v; 8]),
         DurOp::Delete(k) => db.delete(key(k as u64)),
@@ -496,7 +496,10 @@ proptest! {
 
         // Reference: a fresh (non-durable) store executing exactly the
         // durable prefix.
-        let mut reference = ShardedRusKey::untuned(big_buffer_cfg(), shards, disk());
+        let untuned = Box::new(ruskey_repro::ruskey::tuner::NoOpTuner);
+        let mut reference =
+            RusKey::open(big_buffer_cfg(), shards, untuned, Backend::Volatile(disk()))
+                .expect("open");
         for op in &ops[..durable_prefix] {
             apply(&mut reference, op);
         }
@@ -654,7 +657,7 @@ fn persist_cfg(root: &PathBuf, checkpoint_every: u64) -> PersistenceConfig {
 }
 
 /// Entries held by every run a shard's manifest currently records.
-fn manifest_entries(db: &ShardedRusKey, shard: usize) -> u64 {
+fn manifest_entries(db: &RusKey, shard: usize) -> u64 {
     db.shard(shard)
         .manifest()
         .expect("persistent shard has a manifest")
@@ -789,11 +792,11 @@ fn manifest_crash_points_with_a_background_merge_in_flight() {
     ] {
         let root = persist_root("bgmerge");
         let p = persist_cfg(&root, 0);
-        let mut db = ShardedRusKey::try_with_tuner_persistent(
+        let mut db = RusKey::open(
             bg_cfg(),
             1,
             Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
-            &p,
+            Backend::Create(&p),
         )
         .expect("open persistent background store");
 
@@ -847,11 +850,11 @@ fn manifest_crash_points_with_a_background_merge_in_flight() {
         assert!(db.crashed(), "point={point:?}: the armed crash never fired");
         drop(db);
 
-        let mut rec = ShardedRusKey::recover_persistent(
+        let mut rec = RusKey::open(
             bg_cfg(),
             1,
             Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
-            &p,
+            Backend::Recover(&p),
         )
         .expect("recover persistent background store");
         for i in 0..KEYS {
@@ -868,11 +871,11 @@ fn manifest_crash_points_with_a_background_merge_in_flight() {
         while rec.shard_mut(0).step_maintenance() {}
         assert_eq!(rec.get(&key(9999)).as_deref(), Some(val(9999).as_slice()));
         drop(rec);
-        let mut rec2 = ShardedRusKey::recover_persistent(
+        let mut rec2 = RusKey::open(
             bg_cfg(),
             1,
             Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
-            &p,
+            Backend::Recover(&p),
         )
         .expect("second recovery");
         assert_eq!(
@@ -1365,11 +1368,11 @@ fn missing_referenced_extent_is_a_typed_recovery_error_not_a_panic() {
     }
     assert!(removed > 0, "the flush must have persisted extent files");
 
-    let err = match ShardedRusKey::recover_persistent(
+    let err = match RusKey::open(
         big_buffer_cfg(),
         1,
         Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
-        &p,
+        Backend::Recover(&p),
     ) {
         Ok(_) => panic!("recovery over missing referenced extents must fail"),
         Err(e) => e,

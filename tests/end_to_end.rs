@@ -2,11 +2,13 @@
 //! store → tuner → transitions) against reference behaviour.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ruskey_repro::lsm::{FlsmTree, LsmConfig, TransitionStrategy};
-use ruskey_repro::ruskey::db::{RusKey, RusKeyConfig};
+use ruskey_repro::ruskey::lerp::Lerp;
 use ruskey_repro::ruskey::tuner::{FixedPolicy, GreedyHeuristic, LazyLeveling};
-use ruskey_repro::storage::{CostModel, SimulatedDisk};
+use ruskey_repro::ruskey::{Backend, RusKey, RusKeyConfig};
+use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_repro::workload::{
     bulk_load_pairs, encode_key, OpGenerator, OpMix, Operation, WorkloadSpec,
 };
@@ -18,6 +20,12 @@ fn small_lsm(transition: TransitionStrategy) -> LsmConfig {
         transition,
         ..LsmConfig::scaled_default()
     }
+}
+
+/// The paper's one-shard store, tuned by Lerp.
+fn lerp_store(cfg: RusKeyConfig, disk: Arc<dyn Storage>) -> RusKey {
+    let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
+    RusKey::open(cfg, 1, lerp, Backend::Volatile(disk)).expect("open")
 }
 
 /// The tree must agree with a BTreeMap reference model under a mixed
@@ -94,7 +102,7 @@ fn ruskey_preserves_data_while_tuning() {
     cfg.lsm.buffer_bytes = 4096;
     cfg.lsm.size_ratio = 4;
     let disk = SimulatedDisk::new(512, CostModel::NVME);
-    let mut db = RusKey::with_lerp(cfg, disk);
+    let mut db = lerp_store(cfg, disk);
 
     let n = 2000u64;
     db.bulk_load(bulk_load_pairs(n, 16, 48, 3));
@@ -134,7 +142,7 @@ fn baseline_tuners_respect_bounds() {
         cfg.lsm.size_ratio = 6;
         let disk = SimulatedDisk::new(512, CostModel::NVME);
         let name = tuner.name();
-        let mut db = RusKey::with_tuner(cfg, disk, tuner);
+        let mut db = RusKey::open(cfg, 1, tuner, Backend::Volatile(disk)).expect("open");
         db.bulk_load(bulk_load_pairs(1500, 16, 48, 5));
         let spec = WorkloadSpec {
             key_space: 1500,
@@ -161,7 +169,7 @@ fn monkey_scheme_end_to_end() {
     cfg.lsm.size_ratio = 4;
     let bloom = cfg.lsm.bloom;
     let disk = SimulatedDisk::new(512, CostModel::NVME);
-    let mut db = RusKey::with_lerp(cfg, disk);
+    let mut db = lerp_store(cfg, disk);
     db.bulk_load(bulk_load_pairs(3000, 16, 48, 7));
     let spec = WorkloadSpec {
         key_space: 3000,
@@ -179,7 +187,7 @@ fn monkey_scheme_end_to_end() {
     // Monkey property: bits per key non-increasing with depth.
     let t = 4;
     let mut prev = f64::INFINITY;
-    for lvl in 0..db.tree().level_count() {
+    for lvl in 0..db.shard(0).level_count() {
         let bits = bloom.bits_for_level(lvl, t);
         assert!(bits <= prev);
         prev = bits;

@@ -4,7 +4,7 @@
 //! recovery path (the layer above the WAL-only crash matrix of
 //! `tests/crash_recovery.rs`):
 //!
-//! 1. **Restart equivalence**: a persistent [`ShardedRusKey`] at
+//! 1. **Restart equivalence**: a persistent [`RusKey`] at
 //!    `N ∈ {1, 2, 4}` runs missions that flush and compact runs to disk,
 //!    is dropped (losing every in-memory structure), and is recovered;
 //!    every get over the whole key space and every scan must be
@@ -29,7 +29,7 @@ use proptest::prelude::*;
 
 use ruskey_repro::lsm::manifest::{Manifest, ManifestEdit, ManifestState, RunRecord};
 use ruskey_repro::ruskey::db::RusKeyConfig;
-use ruskey_repro::ruskey::sharded::{PersistenceConfig, ShardedRusKey};
+use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::storage::CostModel;
 use ruskey_repro::workload::{encode_key, OpGenerator, OpMix, WorkloadSpec};
@@ -62,14 +62,19 @@ fn small_cfg() -> RusKeyConfig {
     cfg
 }
 
-fn persistent_store(shards: usize, p: &PersistenceConfig) -> ShardedRusKey {
-    ShardedRusKey::try_with_tuner_persistent(small_cfg(), shards, Box::new(NoOpTuner), p)
+fn persistent_store(shards: usize, p: &PersistenceConfig) -> RusKey {
+    RusKey::open(small_cfg(), shards, Box::new(NoOpTuner), Backend::Create(p))
         .expect("open persistent store")
 }
 
-fn recovered_store(shards: usize, p: &PersistenceConfig) -> ShardedRusKey {
-    ShardedRusKey::recover_persistent(small_cfg(), shards, Box::new(NoOpTuner), p)
-        .expect("recover persistent store")
+fn recovered_store(shards: usize, p: &PersistenceConfig) -> RusKey {
+    RusKey::open(
+        small_cfg(),
+        shards,
+        Box::new(NoOpTuner),
+        Backend::Recover(p),
+    )
+    .expect("recover persistent store")
 }
 
 fn key(i: u64) -> Bytes {
@@ -187,7 +192,7 @@ fn persist_op() -> impl Strategy<Value = PersistOp> {
     ]
 }
 
-fn apply(db: &mut ShardedRusKey, op: &PersistOp, shards: usize) {
+fn apply(db: &mut RusKey, op: &PersistOp, shards: usize) {
     match *op {
         PersistOp::Put(k, v) => db.put(key(k as u64), vec![v; 16]),
         PersistOp::Delete(k) => db.delete(key(k as u64)),
@@ -218,11 +223,10 @@ proptest! {
         db.group_commit(); // everything acknowledged before the restart
         drop(db);
 
-        let mut reference = ShardedRusKey::untuned(
-            small_cfg(),
-            shards,
-            ruskey_repro::storage::SimulatedDisk::new(512, CostModel::FREE),
-        );
+        let disk = ruskey_repro::storage::SimulatedDisk::new(512, CostModel::FREE);
+        let mut reference =
+            RusKey::open(small_cfg(), shards, Box::new(NoOpTuner), Backend::Volatile(disk))
+                .expect("open");
         for op in &ops {
             apply(&mut reference, op, shards);
         }

@@ -14,7 +14,7 @@
 //!    single-threaded replay of each shard's lane (results *and* the
 //!    per-domain virtual-time accounting).
 //! 3. **Clean failure**: a panic inside a lane — a spawned one or the
-//!    caller's own — surfaces as a [`MissionError`] on the mission thread:
+//!    caller's own — surfaces as a [`StoreError`] on the mission thread:
 //!    never an unwind into the caller, never a hang, never a store that
 //!    limps on with a half-changed shard.
 //!
@@ -32,7 +32,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ruskey_repro::ruskey::db::RusKeyConfig;
-use ruskey_repro::ruskey::sharded::{MissionError, PersistenceConfig, ShardedRusKey};
+use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey, StoreError};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_repro::workload::routing::{partition_ops, shard_for_key};
@@ -59,6 +59,10 @@ fn small_cfg() -> RusKeyConfig {
 
 fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(512, CostModel::NVME)
+}
+
+fn volatile(cfg: RusKeyConfig, shards: usize, disk: Arc<dyn Storage>) -> RusKey {
+    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(disk)).expect("open")
 }
 
 /// A persistent store's settings under `dir`: 512-byte pages, NVMe costs.
@@ -92,14 +96,14 @@ fn lane_zero_is_the_caller_and_lanes_are_distinct_threads() {
     const MISSIONS: usize = 12;
     let me = std::thread::current().id();
     for &n in &[1usize, 2, 4, 8] {
-        let mut db = ShardedRusKey::untuned(small_cfg(), n, disk());
+        let mut db = volatile(small_cfg(), n, disk());
         db.bulk_load(bulk_load_pairs(2000, 16, 48, 31));
         let mut g = OpGenerator::new(mixed_spec(2000), 33);
         assert!(
             db.last_worker_threads().is_empty(),
             "no dispatch yet, no lane threads"
         );
-        let check = |db: &ShardedRusKey, what: &str| {
+        let check = |db: &RusKey, what: &str| {
             let lanes = db.last_worker_threads();
             assert_eq!(lanes.len(), n, "{n} shards, {what}: one lane per shard");
             assert_eq!(lanes[0], me, "{n} shards, {what}: lane 0 left its caller");
@@ -139,7 +143,7 @@ fn pooled_missions_equal_single_threaded_lane_replay() {
     const MISSIONS: usize = 10;
     for &n in &[1usize, 2, 4, 8] {
         let pairs = bulk_load_pairs(2000, 16, 48, 41);
-        let mut pooled = ShardedRusKey::untuned(small_cfg(), n, disk());
+        let mut pooled = volatile(small_cfg(), n, disk());
         pooled.bulk_load(pairs.clone());
 
         let mut g = OpGenerator::new(mixed_spec(2000), 43);
@@ -149,7 +153,7 @@ fn pooled_missions_equal_single_threaded_lane_replay() {
         }
 
         for shard in 0..n {
-            let mut solo = ShardedRusKey::untuned(small_cfg(), 1, disk());
+            let mut solo = volatile(small_cfg(), 1, disk());
             solo.bulk_load(
                 pairs
                     .iter()
@@ -174,7 +178,7 @@ fn pooled_missions_equal_single_threaded_lane_replay() {
 
         // Point lookups agree with a single-threaded replay of the whole
         // stream (shard-merged view).
-        let mut reference = ShardedRusKey::untuned(small_cfg(), 1, disk());
+        let mut reference = volatile(small_cfg(), 1, disk());
         reference.bulk_load(pairs);
         for ops in &missions {
             reference.run_mission(ops);
@@ -191,13 +195,13 @@ fn pooled_missions_equal_single_threaded_lane_replay() {
 }
 
 /// Acceptance: a shard worker panic mid-soak surfaces as a clean
-/// [`MissionError`] naming the shard — the mission returns (no hang),
+/// [`StoreError`] naming the shard — the mission returns (no hang),
 /// the engine refuses further work instead of running without the
 /// shard, and dropping the store joins cleanly.
 #[test]
 fn worker_panic_surfaces_as_clean_error_not_a_hang() {
     for &n in &[2usize, 4] {
-        let mut db = ShardedRusKey::untuned(small_cfg(), n, disk());
+        let mut db = volatile(small_cfg(), n, disk());
         db.bulk_load(bulk_load_pairs(800, 16, 48, 51));
         let mut g = OpGenerator::new(mixed_spec(800), 53);
         for _ in 0..3 {
@@ -209,10 +213,10 @@ fn worker_panic_surfaces_as_clean_error_not_a_hang() {
             .try_run_mission(&g.take_ops(100))
             .expect_err("a panicked worker must fail the mission");
         match err {
-            MissionError::WorkerPanicked { shard } | MissionError::WorkerUnavailable { shard } => {
+            StoreError::ShardPanicked { shard } | StoreError::ShardFenced { shard } => {
                 assert_eq!(shard, victim, "n={n}: wrong shard blamed");
             }
-            MissionError::Wal { .. } => panic!("n={n}: wrong error kind: {err}"),
+            _ => panic!("n={n}: wrong error kind: {err}"),
         }
         // The engine stays dead — later missions and barriers error too.
         assert!(db.try_run_mission(&g.take_ops(50)).is_err());
@@ -233,9 +237,8 @@ fn a_panic_on_the_callers_lane_is_a_clean_error_too() {
     for &n in &[1usize, 2] {
         let dir = wal_dir("caller-panic");
         let dur = persistence(&dir);
-        let mut db =
-            ShardedRusKey::try_with_tuner_persistent(small_cfg(), n, Box::new(NoOpTuner), &dur)
-                .expect("open persistent store");
+        let mut db = RusKey::open(small_cfg(), n, Box::new(NoOpTuner), Backend::Create(&dur))
+            .expect("open persistent store");
         let puts = |from: u64| -> Vec<Operation> {
             (from..from + 40)
                 .map(|i| Operation::Put {
@@ -252,7 +255,7 @@ fn a_panic_on_the_callers_lane_is_a_clean_error_too() {
             .try_run_mission(&puts(100))
             .expect_err("a panicked lane must fail the mission");
         assert!(
-            matches!(err, MissionError::WorkerPanicked { shard: 0 }),
+            matches!(err, StoreError::ShardPanicked { shard: 0 }),
             "n={n}: {err}"
         );
         if n == 2 {
@@ -272,7 +275,7 @@ fn a_panic_on_the_callers_lane_is_a_clean_error_too() {
         assert!(said.contains("shard 0"), "n={n}: {said}");
 
         let post_mortem = (n == 2).then(|| db.shard(1).stats());
-        let gone = |e: MissionError| matches!(e, MissionError::WorkerUnavailable { shard: 0 });
+        let gone = |e: StoreError| matches!(e, StoreError::ShardFenced { shard: 0 });
         assert!(gone(db.try_run_mission(&puts(200)).expect_err("dead")));
         assert!(gone(db.try_group_commit().expect_err("dead")));
         assert!(gone(db.serve(Default::default()).err().expect("dead")));
@@ -344,7 +347,7 @@ proptest! {
         let mut cfg = RusKeyConfig::scaled_default();
         cfg.lsm.buffer_bytes = 1 << 20;
         cfg.lsm.size_ratio = 4;
-        let mut db = ShardedRusKey::try_with_tuner_persistent(cfg, shards, Box::new(NoOpTuner), &dur)
+        let mut db = RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Create(&dur))
             .expect("open persistent store");
 
         let mission: Vec<Operation> = ops.iter().map(to_operation).collect();

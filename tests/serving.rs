@@ -31,7 +31,7 @@ use proptest::prelude::*;
 
 use ruskey_repro::lsm::CrashPoint;
 use ruskey_repro::ruskey::db::RusKeyConfig;
-use ruskey_repro::ruskey::sharded::{MissionError, PersistenceConfig, ShardedRusKey};
+use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey, StoreError};
 use ruskey_repro::ruskey::tuner::{FixedPolicy, NoOpTuner};
 use ruskey_repro::ruskey::{ServingConfig, ServingError};
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
@@ -48,6 +48,10 @@ fn small_cfg() -> RusKeyConfig {
 
 fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(512, CostModel::NVME)
+}
+
+fn volatile(cfg: RusKeyConfig, shards: usize, disk: Arc<dyn Storage>) -> RusKey {
+    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(disk)).expect("open")
 }
 
 fn mixed_spec(key_space: u64) -> WorkloadSpec {
@@ -94,9 +98,9 @@ fn k_clients_equal_single_threaded_replay() {
     const KEY_SPACE: u64 = 2000;
     for &clients in &[1usize, 2, 4] {
         let pairs = bulk_load_pairs(KEY_SPACE, 16, 48, 5);
-        let mut served = ShardedRusKey::untuned(small_cfg(), 4, disk());
+        let mut served = volatile(small_cfg(), 4, disk());
         served.bulk_load(pairs.clone());
-        let mut replay = ShardedRusKey::untuned(small_cfg(), 4, disk());
+        let mut replay = volatile(small_cfg(), 4, disk());
         replay.bulk_load(pairs);
 
         let scripts = client_scripts(&mixed_spec(KEY_SPACE), clients, 400, 13);
@@ -140,7 +144,7 @@ fn k_clients_equal_single_threaded_replay() {
     }
 }
 
-fn replay_op(db: &mut ShardedRusKey, op: &Operation) -> usize {
+fn replay_op(db: &mut RusKey, op: &Operation) -> usize {
     match op {
         Operation::Get { key } => {
             db.get(key);
@@ -161,7 +165,7 @@ fn replay_op(db: &mut ShardedRusKey, op: &Operation) -> usize {
 fn clients_read_their_own_writes_under_concurrency() {
     const CLIENTS: u64 = 4;
     const ROUNDS: u64 = 150;
-    let mut db = ShardedRusKey::untuned(small_cfg(), 4, disk());
+    let mut db = volatile(small_cfg(), 4, disk());
     let frontend = db.serve(ServingConfig::default()).expect("serve");
     thread::scope(|s| {
         for c in 0..CLIENTS {
@@ -213,11 +217,11 @@ fn acknowledged_writes_survive_a_mid_serve_crash() {
         let durability = persistence(&dir);
         let mut cfg = RusKeyConfig::scaled_default();
         cfg.lsm.buffer_bytes = buffer_bytes;
-        let mut db = ShardedRusKey::try_with_tuner_persistent(
+        let mut db = RusKey::open(
             cfg.clone(),
             SHARDS,
             Box::new(NoOpTuner),
-            &durability,
+            Backend::Create(&durability),
         )
         .expect("open persistent store");
         db.shard_mut(0)
@@ -265,9 +269,13 @@ fn acknowledged_writes_survive_a_mid_serve_crash() {
         );
         drop(db);
 
-        let mut rec =
-            ShardedRusKey::recover_persistent(cfg, SHARDS, Box::new(NoOpTuner), &durability)
-                .expect("recover after mid-serve crash");
+        let mut rec = RusKey::open(
+            cfg,
+            SHARDS,
+            Box::new(NoOpTuner),
+            Backend::Recover(&durability),
+        )
+        .expect("recover after mid-serve crash");
         for (key, value) in &acked {
             assert_eq!(
                 rec.get(key).as_deref(),
@@ -288,15 +296,15 @@ fn persistence(dir: &std::path::Path) -> PersistenceConfig {
 
 /// A fresh persistent store with the default (large) write buffer, so no
 /// flush recycles the WALs mid-test, and the settings it was opened with.
-fn durable_store(name: &str, shards: usize) -> (ShardedRusKey, PersistenceConfig) {
+fn durable_store(name: &str, shards: usize) -> (RusKey, PersistenceConfig) {
     let dir = std::env::temp_dir().join(format!("ruskey-serving-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let durability = persistence(&dir);
-    let db = ShardedRusKey::try_with_tuner_persistent(
+    let db = RusKey::open(
         RusKeyConfig::scaled_default(),
         shards,
         Box::new(NoOpTuner),
-        &durability,
+        Backend::Create(&durability),
     )
     .expect("open persistent store");
     (db, durability)
@@ -358,8 +366,13 @@ fn sixteen_writers_share_fsyncs_and_lose_nothing() {
     }
     drop(db);
     let cfg = RusKeyConfig::scaled_default();
-    let mut rec = ShardedRusKey::recover_persistent(cfg, SHARDS, Box::new(NoOpTuner), &durability)
-        .expect("recover");
+    let mut rec = RusKey::open(
+        cfg,
+        SHARDS,
+        Box::new(NoOpTuner),
+        Backend::Recover(&durability),
+    )
+    .expect("recover");
     for (key, value) in &acked {
         assert_eq!(
             rec.get(key).as_deref(),
@@ -374,7 +387,7 @@ fn sixteen_writers_share_fsyncs_and_lose_nothing() {
 /// not panicked, on every kind of request.
 #[test]
 fn a_client_kept_past_finish_serving_is_stopped() {
-    let mut db = ShardedRusKey::untuned(small_cfg(), 2, disk());
+    let mut db = volatile(small_cfg(), 2, disk());
     let frontend = db.serve(ServingConfig::default()).expect("serve");
     let client = frontend.client();
     let key = encode_key(7, 16);
@@ -442,13 +455,13 @@ fn a_client_panic_poisons_only_its_shard() {
         Err(ServingError::Stopped)
     ));
     match db.finish_serving(frontend) {
-        Err(MissionError::WorkerPanicked { shard: 0 }) => {}
+        Err(StoreError::ShardPanicked { shard: 0 }) => {}
         other => panic!("expected shard 0 reported dead, got {other:?}"),
     }
     // The engine is dead, not limping: a mission fails fast and typed.
     assert!(matches!(
         db.try_run_mission(&[]),
-        Err(MissionError::WorkerUnavailable { shard: 0 })
+        Err(StoreError::ShardFenced { shard: 0 })
     ));
     let _ = std::fs::remove_dir_all(&durability.root);
 }
@@ -484,17 +497,17 @@ fn sessions_and_missions_alternate_on_one_store() {
     let _ = std::fs::remove_dir_all(&dir);
     let durability = persistence(&dir);
     // A small buffer, so levels exist for the fixed tuner to set K = 4 on.
-    let mut db = ShardedRusKey::try_with_tuner_persistent(
+    let mut db = RusKey::open(
         small_cfg(),
         SHARDS,
         Box::new(FixedPolicy::new(4)),
-        &durability,
+        Backend::Create(&durability),
     )
     .expect("open persistent store");
     let pairs = bulk_load_pairs(KEY_SPACE, 16, 48, 21);
     let mut model: BTreeMap<Bytes, Bytes> = pairs.iter().cloned().collect();
     db.bulk_load(pairs);
-    let matches_model = |db: &mut ShardedRusKey, model: &BTreeMap<Bytes, Bytes>, at: &str| {
+    let matches_model = |db: &mut RusKey, model: &BTreeMap<Bytes, Bytes>, at: &str| {
         for i in 0..KEY_SPACE {
             let key = encode_key(i, 16);
             assert_eq!(db.get(&key).as_ref(), model.get(&key), "{at}: key {i}");
@@ -566,7 +579,7 @@ fn sessions_and_missions_alternate_on_one_store() {
 fn in_flight_gauge_never_exceeds_the_client_count() {
     const CLIENTS: u64 = 8;
     const OPS: u64 = 3000;
-    let mut db = ShardedRusKey::untuned(small_cfg(), 2, disk());
+    let mut db = volatile(small_cfg(), 2, disk());
     let frontend = db.serve(ServingConfig::default()).expect("serve");
     let done = AtomicBool::new(false);
     let start = Barrier::new(CLIENTS as usize + 1);
@@ -631,7 +644,7 @@ proptest! {
         burst in 1u64..16,
         writes in 40u64..160,
     ) {
-        let mut db = ShardedRusKey::untuned(small_cfg(), 2, disk());
+        let mut db = volatile(small_cfg(), 2, disk());
         let frontend = db
             .serve(ServingConfig {
                 rate_limit_per_sec: rate,

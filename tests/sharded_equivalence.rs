@@ -1,15 +1,13 @@
 //! Observational equivalence of the sharded engine core: an `N`-shard
-//! [`ShardedRusKey`] must behave exactly like the single-tree [`RusKey`]
-//! for the same operation sequence — identical get/scan results for any
-//! `N`, and identical mission-report counters at `N = 1` — plus routing
-//! determinism and real OS-thread parallelism.
+//! [`RusKey`] must behave exactly like the paper's one-shard store for the
+//! same operation sequence — identical get/scan results for any `N` — and
+//! the one-shard store must leave exactly the statistics of the bare tree
+//! under it; plus routing determinism and real OS-thread parallelism.
 //!
 //! `N = 1` is *not* an inline special case: it runs the same lane runner
-//! as every other shard count (one lane, on the caller's thread), and
-//! [`RusKey`] is itself a one-shard store — so the counter-equality test
-//! below compares the lane runner with itself, and the bare-tree test
-//! beside it is what pins that the runner adds nothing to the accounting
-//! of the tree under it.
+//! as every other shard count (one lane, on the caller's thread), so the
+//! bare-tree test is what pins that the runner adds nothing to the
+//! accounting of the tree under it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -18,9 +16,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ruskey_repro::lsm::FlsmTree;
-use ruskey_repro::ruskey::db::{RusKey, RusKeyConfig};
+use ruskey_repro::ruskey::db::RusKeyConfig;
 use ruskey_repro::ruskey::frontend::ServingConfig;
-use ruskey_repro::ruskey::sharded::{PersistenceConfig, ShardedRusKey};
+use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey};
 use ruskey_repro::ruskey::tuner::{FixedPolicy, NoOpTuner};
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_repro::workload::routing::shard_for_key;
@@ -39,6 +37,10 @@ fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(512, CostModel::NVME)
 }
 
+fn volatile(cfg: RusKeyConfig, shards: usize, disk: Arc<dyn Storage>) -> RusKey {
+    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(disk)).expect("open")
+}
+
 fn mixed_spec(key_space: u64) -> WorkloadSpec {
     WorkloadSpec {
         key_space,
@@ -54,66 +56,37 @@ fn mixed_spec(key_space: u64) -> WorkloadSpec {
     })
 }
 
-/// Acceptance: for identical op sequences, `ShardedRusKey` with `N = 1` —
-/// one lane through the lane runner, not an inline fast path — produces
-/// the same mission-report counters (ops, updates, gamma, and the full
-/// virtual-time accounting) as `RusKey`, and runs every mission's lane on
-/// one stable thread: the caller's.
+/// A one-shard store runs its missions as one lane through the lane
+/// runner, not an inline fast path, on one stable thread: the caller's.
+/// With one shard the barrier's max is its sum, and the mission's wall
+/// time is its device-busy time.
 #[test]
-fn single_shard_mission_counters_equal_ruskey() {
-    let mut single = RusKey::with_tuner(small_cfg(), disk(), Box::new(FixedPolicy::moderate()));
-    let mut sharded =
-        ShardedRusKey::with_tuner(small_cfg(), 1, disk(), Box::new(FixedPolicy::moderate()));
+fn one_shard_missions_run_on_the_caller() {
+    let mut store = RusKey::open(
+        small_cfg(),
+        1,
+        Box::new(FixedPolicy::moderate()),
+        Backend::Volatile(disk()),
+    )
+    .expect("open");
+    store.bulk_load(bulk_load_pairs(2000, 16, 48, 7));
 
-    let pairs = bulk_load_pairs(2000, 16, 48, 7);
-    single.bulk_load(pairs.clone());
-    sharded.bulk_load(pairs);
-
-    let mut g1 = OpGenerator::new(mixed_spec(2000), 9);
-    let mut g2 = OpGenerator::new(mixed_spec(2000), 9);
-    let mut worker = None;
+    let mut g = OpGenerator::new(mixed_spec(2000), 9);
     for mission in 0..6 {
-        let ops1 = g1.take_ops(300);
-        let ops2 = g2.take_ops(300);
-        assert_eq!(ops1, ops2, "generators must agree");
-        let r1 = single.run_mission(&ops1);
-        let r2 = sharded.run_mission(&ops2);
+        let r = store.run_mission(&g.take_ops(300));
         // The N = 1 lane: exactly one thread (the caller), the same one
         // every mission.
-        assert_eq!(sharded.last_parallelism(), 1, "mission {mission}");
-        let ids = sharded.last_worker_threads().to_vec();
-        assert_eq!(ids.len(), 1, "mission {mission}");
-        match worker {
-            None => worker = Some(ids[0]),
-            Some(w) => assert_eq!(w, ids[0], "mission {mission}: pool respawned"),
-        }
+        assert_eq!(store.last_parallelism(), 1, "mission {mission}");
+        let ids = store.last_worker_threads().to_vec();
+        assert_eq!(ids, [std::thread::current().id()], "mission {mission}");
         assert_eq!(
-            r1.commit_ns, r2.commit_ns,
-            "mission {mission}: commit barrier latency"
-        );
-        assert_eq!(
-            r2.commit_ns, r2.commit_busy_ns,
+            r.commit_ns, r.commit_busy_ns,
             "mission {mission}: one shard means max == sum for the barrier"
         );
-        assert_eq!(r1.ops, r2.ops, "mission {mission}");
-        assert_eq!(r1.lookups, r2.lookups, "mission {mission}");
-        assert_eq!(r1.updates, r2.updates, "mission {mission}");
-        assert_eq!(r1.scans, r2.scans, "mission {mission}");
-        assert_eq!(r1.gamma(), r2.gamma(), "mission {mission}");
         assert_eq!(
-            r1.end_to_end_ns, r2.end_to_end_ns,
-            "mission {mission}: virtual time"
-        );
-        assert_eq!(
-            r1.device_busy_ns, r2.device_busy_ns,
-            "mission {mission}: device-busy time"
-        );
-        assert_eq!(
-            r2.end_to_end_ns, r2.device_busy_ns,
+            r.end_to_end_ns, r.device_busy_ns,
             "mission {mission}: one shard means one domain, wall == busy"
         );
-        assert_eq!(r1.levels, r2.levels, "mission {mission}: per-level stats");
-        assert_eq!(r1.policies_after, r2.policies_after, "mission {mission}");
     }
 }
 
@@ -121,12 +94,11 @@ fn single_shard_mission_counters_equal_ruskey() {
 /// applied to a bare [`FlsmTree`] by hand — each operation through
 /// `put`/`get`/`delete`/`scan`, then the mission's commit leg — must leave
 /// tree statistics equal to the store's shard 0, field for field (time
-/// domain, per-level counters, WAL and cache counters included). Since
-/// `RusKey` is a one-shard store too, this is the oracle the test above no
-/// longer is.
+/// domain, per-level counters, WAL and cache counters included): the
+/// accounting oracle of the paper's one-shard store.
 #[test]
 fn one_shard_store_equals_a_bare_tree() {
-    let mut store = ShardedRusKey::untuned(small_cfg(), 1, disk());
+    let mut store = volatile(small_cfg(), 1, disk());
     let mut bare = FlsmTree::new(small_cfg().lsm, disk());
     let pairs = bulk_load_pairs(2000, 16, 48, 7);
     store.bulk_load(pairs.clone());
@@ -161,8 +133,8 @@ fn one_shard_store_equals_a_bare_tree() {
 fn n_shard_store_is_observationally_equivalent() {
     for &shards in &[2usize, 4] {
         for seed in [11u64, 23, 37] {
-            let mut reference = RusKey::untuned(small_cfg(), disk());
-            let mut sharded = ShardedRusKey::untuned(small_cfg(), shards, disk());
+            let mut reference = volatile(small_cfg(), 1, disk());
+            let mut sharded = volatile(small_cfg(), shards, disk());
             let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
 
             let mut gen = OpGenerator::new(mixed_spec(400), seed);
@@ -217,11 +189,11 @@ fn the_three_doors_agree() {
         let _ = std::fs::remove_dir_all(&dir);
         let mut persistence = PersistenceConfig::new(&dir);
         persistence.page_size = 512;
-        let db = ShardedRusKey::try_with_tuner_persistent(
+        let db = RusKey::open(
             small_cfg(),
             SHARDS,
             Box::new(NoOpTuner),
-            &persistence,
+            Backend::Create(&persistence),
         )
         .expect("open persistent store");
         (db, dir)
@@ -261,7 +233,7 @@ fn the_three_doors_agree() {
     served.finish_serving(frontend).expect("finish serving");
 
     // Counters first: the read-back below adds lookups of its own.
-    let counters = |db: &ShardedRusKey| -> Vec<(u64, u64, u64, u64)> {
+    let counters = |db: &RusKey| -> Vec<(u64, u64, u64, u64)> {
         db.shard_snapshots()
             .iter()
             .map(|s| (s.lookups, s.updates, s.scans, s.wal_appends))
@@ -311,7 +283,7 @@ fn the_three_doors_agree() {
 fn mission_composition_is_shard_count_invariant() {
     let mut reports = Vec::new();
     for &shards in &[1usize, 2, 4] {
-        let mut db = ShardedRusKey::untuned(small_cfg(), shards, disk());
+        let mut db = volatile(small_cfg(), shards, disk());
         db.bulk_load(bulk_load_pairs(1500, 16, 48, 5));
         let mut g = OpGenerator::new(mixed_spec(1500), 13);
         let r = db.run_mission(&g.take_ops(500));
@@ -359,7 +331,7 @@ fn shard_routing_is_deterministic() {
 /// threads (one lane per shard: the caller plus a scoped thread each).
 #[test]
 fn parallel_missions_run_on_multiple_os_threads() {
-    let mut db = ShardedRusKey::untuned(small_cfg(), 4, disk());
+    let mut db = volatile(small_cfg(), 4, disk());
     db.bulk_load(bulk_load_pairs(2000, 16, 48, 3));
     let mut g = OpGenerator::new(mixed_spec(2000), 21);
     for _ in 0..3 {

@@ -1,7 +1,7 @@
 //! Per-shard time domains: the exactness property the sharded engine's
 //! accounting now guarantees.
 //!
-//! Each shard of a [`ShardedRusKey`] runs on its own storage view with a
+//! Each shard of a [`RusKey`] runs on its own storage view with a
 //! private virtual clock, so per-level `lookup_ns`/`compact_ns` (and the
 //! per-shard I/O counters) must equal — *exactly*, not approximately —
 //! the values of an equivalent single-shard run over that shard's key
@@ -15,7 +15,8 @@ use proptest::prelude::*;
 
 use ruskey_repro::lsm::TreeStatsSnapshot;
 use ruskey_repro::ruskey::db::RusKeyConfig;
-use ruskey_repro::ruskey::sharded::ShardedRusKey;
+use ruskey_repro::ruskey::sharded::{Backend, RusKey};
+use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_repro::workload::routing::{partition_ops, shard_for_key};
 use ruskey_repro::workload::{bulk_load_pairs, OpGenerator, OpMix, Operation, WorkloadSpec};
@@ -29,6 +30,10 @@ fn small_cfg() -> RusKeyConfig {
 
 fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(512, CostModel::NVME)
+}
+
+fn volatile(cfg: RusKeyConfig, shards: usize, disk: Arc<dyn Storage>) -> RusKey {
+    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(disk)).expect("open")
 }
 
 fn mixed_spec(key_space: u64) -> WorkloadSpec {
@@ -55,7 +60,7 @@ fn mixed_spec(key_space: u64) -> WorkloadSpec {
 fn per_shard_times_equal_single_threaded_run() {
     for &n in &[2usize, 4] {
         let pairs = bulk_load_pairs(2000, 16, 48, 7);
-        let mut sharded = ShardedRusKey::untuned(small_cfg(), n, disk());
+        let mut sharded = volatile(small_cfg(), n, disk());
         sharded.bulk_load(pairs.clone());
 
         let mut g = OpGenerator::new(mixed_spec(2000), 9);
@@ -74,7 +79,7 @@ fn per_shard_times_equal_single_threaded_run() {
             // Equivalent single-threaded run: the shard's key partition,
             // then the shard's lane of every mission (scans broadcast, so
             // each lane contains them all).
-            let mut single = ShardedRusKey::untuned(small_cfg(), 1, disk());
+            let mut single = volatile(small_cfg(), 1, disk());
             single.bulk_load(
                 pairs
                     .iter()
@@ -123,7 +128,7 @@ fn per_shard_times_equal_single_threaded_run() {
 #[test]
 fn merged_snapshot_composes_exact_shard_parts() {
     let n = 4;
-    let mut sharded = ShardedRusKey::untuned(small_cfg(), n, disk());
+    let mut sharded = volatile(small_cfg(), n, disk());
     sharded.bulk_load(bulk_load_pairs(2000, 16, 48, 11));
     let mut g = OpGenerator::new(mixed_spec(2000), 17);
     for _ in 0..3 {
@@ -160,7 +165,7 @@ fn merged_snapshot_composes_exact_shard_parts() {
 fn adhoc_ops_attribute_time_to_their_own_domains() {
     for &n in &[2usize, 4] {
         let pairs = bulk_load_pairs(2000, 16, 48, 7);
-        let mut sharded = ShardedRusKey::untuned(small_cfg(), n, disk());
+        let mut sharded = volatile(small_cfg(), n, disk());
         sharded.bulk_load(pairs.clone());
 
         let mut g = OpGenerator::new(mixed_spec(2000), 23);
@@ -170,7 +175,7 @@ fn adhoc_ops_attribute_time_to_their_own_domains() {
         }
 
         for shard in 0..n {
-            let mut single = ShardedRusKey::untuned(small_cfg(), 1, disk());
+            let mut single = volatile(small_cfg(), 1, disk());
             single.bulk_load(
                 pairs
                     .iter()
@@ -191,7 +196,7 @@ fn adhoc_ops_attribute_time_to_their_own_domains() {
     }
 }
 
-fn apply_adhoc(db: &mut ShardedRusKey, op: &Operation) {
+fn apply_adhoc(db: &mut RusKey, op: &Operation) {
     match op {
         Operation::Get { key } => {
             db.get(key);

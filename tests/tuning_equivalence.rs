@@ -24,8 +24,9 @@ use bytes::Bytes;
 
 use ruskey_bench::{tuning_cfg, tuning_missions};
 use ruskey_repro::ruskey::db::RusKeyConfig;
+use ruskey_repro::ruskey::lerp::Lerp;
 use ruskey_repro::ruskey::runner::ExperimentScale;
-use ruskey_repro::ruskey::sharded::{OpenError, PersistenceConfig, ShardedRusKey};
+use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey, StoreError};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_repro::workload::routing::shard_for_key;
@@ -53,6 +54,12 @@ fn tuned_cfg() -> RusKeyConfig {
 
 fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(512, CostModel::NVME)
+}
+
+/// A Lerp-tuned store on the volatile backend.
+fn lerp_store(cfg: RusKeyConfig, shards: usize, disk: Arc<dyn Storage>) -> RusKey {
+    let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
+    RusKey::open(cfg, shards, lerp, Backend::Volatile(disk)).expect("open")
 }
 
 /// A persistent store's settings under `dir`: 512-byte pages, NVMe costs.
@@ -160,7 +167,7 @@ const SKEWED_SHARD_POLICIES: [[&[u32]; 4]; 20] = [
 /// mission, the recorded tuned policies and virtual time.
 #[test]
 fn one_shard_lerp_reproduces_its_golden() {
-    let mut db = ShardedRusKey::with_lerp(tuned_cfg(), 1, disk());
+    let mut db = lerp_store(tuned_cfg(), 1, disk());
     db.bulk_load(bulk_load_pairs(2000, 16, 48, 7));
     let mut g = OpGenerator::new(mixed_spec(2000), 9);
     let (mut wall, mut busy) = (0u64, 0u64);
@@ -179,7 +186,7 @@ fn one_shard_lerp_reproduces_its_golden() {
 #[test]
 fn per_shard_lerp_under_skew_reproduces_its_golden() {
     let scale = ExperimentScale::tiny();
-    let mut db = ShardedRusKey::with_lerp(tuning_cfg(&scale), 4, scale.disk());
+    let mut db = lerp_store(tuning_cfg(&scale), 4, scale.disk());
     db.bulk_load(bulk_load_pairs(
         scale.load_entries,
         scale.key_len,
@@ -216,11 +223,11 @@ fn recovery_refuses_a_root_with_rehomed_keys() {
     let value = Bytes::from_static(b"survives-the-crash");
 
     {
-        let mut db = ShardedRusKey::try_with_tuner_persistent(
+        let mut db = RusKey::open(
             big_buffer_cfg(),
             shards,
             Box::new(NoOpTuner),
-            &dur,
+            Backend::Create(&dur),
         )
         .unwrap();
         // One mission makes the write durable (acked after the barrier).
@@ -240,12 +247,16 @@ fn recovery_refuses_a_root_with_rehomed_keys() {
     let routes = dir.join("ROUTES");
     std::fs::write(&routes, line).unwrap();
 
-    let err =
-        ShardedRusKey::recover_persistent(big_buffer_cfg(), shards, Box::new(NoOpTuner), &dur)
-            .err()
-            .expect("a root with re-homed keys must be refused");
+    let err = RusKey::open(
+        big_buffer_cfg(),
+        shards,
+        Box::new(NoOpTuner),
+        Backend::Recover(&dur),
+    )
+    .err()
+    .expect("a root with re-homed keys must be refused");
     assert!(
-        matches!(&err, OpenError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData),
+        matches!(&err, StoreError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData),
         "{err:?}"
     );
     let said = err.to_string();
@@ -253,11 +264,11 @@ fn recovery_refuses_a_root_with_rehomed_keys() {
     assert!(said.contains(&routes.display().to_string()), "{said}");
     assert!(said.contains("re-homes keys"), "{said}");
 
-    let fresh = ShardedRusKey::try_with_tuner_persistent(
+    let fresh = RusKey::open(
         big_buffer_cfg(),
         shards,
         Box::new(NoOpTuner),
-        &dur,
+        Backend::Create(&dur),
     );
     assert!(fresh.is_ok(), "a fresh open must succeed over the root");
     assert!(!routes.exists(), "a fresh open must wipe the routes file");
