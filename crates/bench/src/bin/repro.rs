@@ -543,8 +543,8 @@ fn run_serve(c: &Ctx) {
         );
     }
     println!(
-        "  crash leg: acked={} ok={}   admission leg: rejections={} ok={}   serve_ok={}",
-        v.crash_acked, v.crash_ok, v.admission_rejections, v.admission_ok, v.ok
+        "  crash leg: acked={} ok={}   serve_ok={}",
+        v.crash_acked, v.crash_ok, v.ok
     );
     write_json(c, "serve", serve_json(c.label, &v));
 }

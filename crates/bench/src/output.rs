@@ -257,8 +257,8 @@ pub fn read_path_json(scale_label: &str, rows: &[ReadPathRow]) -> String {
 /// `pending_compaction_bytes`), and the model-equivalence accounting;
 /// the per-row verdicts conjoin into the top-level `compaction_ok` flag
 /// CI greps as a smoke check (background p99 no worse than inline p99,
-/// zero read divergence including during in-flight merges and through a
-/// pinned snapshot, background compactions actually observed).
+/// zero read divergence including during in-flight merges, background
+/// compactions actually observed).
 /// `p99_speedup_vs_inline` is the inline row's p99 over the background
 /// row's — the tail-latency win of moving structural work off the hot
 /// path.
@@ -359,10 +359,9 @@ pub fn persistence_json(scale_label: &str, rows: &[PersistenceRow]) -> String {
 /// p50/p99/p999 request latency, cross-client commit coalescing,
 /// backpressure stalls) and the equivalence accounting (mid-flight
 /// read-your-writes rereads, final-state shadow comparison); the
-/// per-row verdicts conjoin with the crash-durability and
-/// admission-control legs into the top-level `serve_ok` flag CI greps
-/// as a smoke check. `crash_ok` and `admission_ok` are also reported on
-/// their own.
+/// per-row verdicts conjoin with the crash-durability leg into the
+/// top-level `serve_ok` flag CI greps as a smoke check. `crash_ok` is
+/// also reported on its own.
 pub fn serve_json(scale_label: &str, v: &ServeVerdict) -> String {
     let row = |r: &crate::serve::ServeRow| {
         Object(vec![
@@ -388,8 +387,6 @@ pub fn serve_json(scale_label: &str, v: &ServeVerdict) -> String {
         ("serve_ok", Bool(v.ok)),
         ("crash_ok", Bool(v.crash_ok)),
         ("crash_acked", int(v.crash_acked)),
-        ("admission_ok", Bool(v.admission_ok)),
-        ("admission_rejections", int(v.admission_rejections)),
         ("rows", Array(v.rows.iter().map(row).collect())),
     ];
     experiment_json("serve", scale_label, doc)
@@ -727,16 +724,12 @@ mod tests {
             rows: vec![row(1, 1.0, true), row(16, 2.4, true)],
             crash_acked: 220,
             crash_ok: true,
-            admission_rejections: 57,
-            admission_ok: true,
             ok: true,
         };
         let json = serve_json("tiny", &v);
         assert!(json.contains("\"experiment\": \"serve\""));
         assert!(json.contains("\"serve_ok\": true"));
         assert!(json.contains("\"crash_ok\": true"));
-        assert!(json.contains("\"admission_ok\": true"));
-        assert!(json.contains("\"admission_rejections\": 57"));
         // The tail percentiles the issue pins are named in every row.
         assert_eq!(json.matches("\"p999_ns\":").count(), 2);
         assert_eq!(json.matches("\"mean_batch\":").count(), 2);
@@ -750,7 +743,6 @@ mod tests {
         let bad_json = serve_json("tiny", &bad);
         assert!(bad_json.contains("\"serve_ok\": false"));
         assert!(bad_json.contains("\"crash_ok\": false"));
-        assert!(bad_json.contains("\"admission_ok\": true"));
         // Balanced braces/brackets, no trailing comma before the close.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

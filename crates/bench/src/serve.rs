@@ -16,11 +16,7 @@
 //!   coalesced into shared fsyncs (at 1 client it cannot exceed 1);
 //! * **crash durability** — a [`CrashPoint`] armed on one shard fires
 //!   mid-serve; every write acknowledged before the crash must survive
-//!   reopening on [`Backend::Recover`];
-//! * **admission control** — a tight token bucket under hammering
-//!   clients must reject (backpressure observed) while every
-//!   *acknowledged* write stays durable and every *rejected* write
-//!   stays unexecuted — a rejection never drops an acknowledged op.
+//!   reopening on [`Backend::Recover`].
 
 use std::collections::HashMap;
 use std::thread;
@@ -28,7 +24,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use ruskey::db::RusKeyConfig;
-use ruskey::frontend::{ServingClient, ServingConfig, ServingError};
+use ruskey::frontend::{ServingClient, ServingConfig};
 use ruskey::runner::ExperimentScale;
 use ruskey::sharded::{Backend, PersistenceConfig, RusKey};
 use ruskey::tuner::NoOpTuner;
@@ -78,7 +74,7 @@ pub struct ServeRow {
 }
 
 /// The whole experiment: per-concurrency rows plus the crash-durability
-/// and admission-control legs.
+/// leg.
 #[derive(Debug, Clone)]
 pub struct ServeVerdict {
     /// One row per client count (same shard count throughout).
@@ -88,13 +84,8 @@ pub struct ServeVerdict {
     /// The crash leg held: the crash fired mid-serve and every
     /// acknowledged write survived recovery.
     pub crash_ok: bool,
-    /// Requests the token bucket rejected in the admission leg.
-    pub admission_rejections: u64,
-    /// The admission leg held: rejections observed, every acknowledged
-    /// write present, every rejected write absent.
-    pub admission_ok: bool,
     /// The headline verdict CI greps: every row ok, coalescing observed
-    /// at clients ≫ shards, crash and admission legs ok.
+    /// at clients ≫ shards, crash leg ok.
     pub ok: bool,
 }
 
@@ -338,71 +329,8 @@ fn crash_leg(scale: &ExperimentScale) -> (u64, bool) {
     (acked.len() as u64, ok)
 }
 
-/// The admission-control leg: a tight token bucket under hammering
-/// clients must reject requests, acknowledged writes must all land, and
-/// rejected writes must never have executed. Returns
-/// `(rejections, ok)`.
-fn admission_leg(scale: &ExperimentScale) -> (u64, bool) {
-    const SHARDS: usize = 2;
-    const CLIENTS: usize = 4;
-    const WRITES_PER_CLIENT: u64 = 200;
-    let mut db = RusKey::open(
-        RusKeyConfig::scaled_default(),
-        SHARDS,
-        Box::new(NoOpTuner),
-        Backend::Volatile(scale.disk()),
-    )
-    .expect("open");
-    let frontend = db
-        .serve(ServingConfig {
-            rate_limit_per_sec: 500,
-            burst: 8,
-        })
-        .expect("start serving");
-    let (acked, rejected): (Vec<Bytes>, Vec<Bytes>) = thread::scope(|s| {
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                let client = frontend.client();
-                s.spawn(move || {
-                    let mut acked = Vec::new();
-                    let mut rejected = Vec::new();
-                    for i in 0..WRITES_PER_CLIENT {
-                        let key = encode_key(c as u64 * 100_000 + i, 16);
-                        match client.put(key.clone(), Bytes::from_static(b"admitted")) {
-                            Ok(()) => acked.push(key),
-                            Err(ServingError::Rejected { .. }) => rejected.push(key),
-                            Err(_) => {}
-                        }
-                    }
-                    (acked, rejected)
-                })
-            })
-            .collect();
-        let mut all_acked = Vec::new();
-        let mut all_rejected = Vec::new();
-        for h in handles {
-            let (a, r) = h.join().expect("admission-leg client panicked");
-            all_acked.extend(a);
-            all_rejected.extend(r);
-        }
-        (all_acked, all_rejected)
-    });
-    let metrics = db.finish_serving(frontend).expect("finish serving");
-    let mut ok = !rejected.is_empty() && !acked.is_empty();
-    ok &= metrics.rejections == rejected.len() as u64;
-    // An acknowledged op is never dropped; a rejected op never executed.
-    for key in &acked {
-        ok &= db.get(key).is_some();
-    }
-    for key in &rejected {
-        ok &= db.get(key).is_none();
-    }
-    (rejected.len() as u64, ok)
-}
-
 /// Runs the whole serving experiment: K ∈ {1, 4, 16} clients over a
-/// 4-shard persistent store, plus the crash-durability and
-/// admission-control legs.
+/// 4-shard persistent store, plus the crash-durability leg.
 pub fn serve(scale: &ExperimentScale) -> ServeVerdict {
     const SHARDS: usize = 4;
     let rows: Vec<ServeRow> = [1usize, 4, 16]
@@ -410,7 +338,6 @@ pub fn serve(scale: &ExperimentScale) -> ServeVerdict {
         .map(|&clients| run_row(scale, clients, SHARDS))
         .collect();
     let (crash_acked, crash_ok) = crash_leg(scale);
-    let (admission_rejections, admission_ok) = admission_leg(scale);
     // Cross-client coalescing: at clients ≫ shards the mean fsync must
     // cover more than a single write — writers that arrive while an fsync
     // is in flight share the next one.
@@ -418,13 +345,11 @@ pub fn serve(scale: &ExperimentScale) -> ServeVerdict {
         .iter()
         .filter(|r| r.clients > r.shards)
         .all(|r| r.mean_batch > 1.0);
-    let ok = rows.iter().all(|r| r.ok) && coalesced && crash_ok && admission_ok;
+    let ok = rows.iter().all(|r| r.ok) && coalesced && crash_ok;
     ServeVerdict {
         rows,
         crash_acked,
         crash_ok,
-        admission_rejections,
-        admission_ok,
         ok,
     }
 }
@@ -447,8 +372,6 @@ mod tests {
         let _serial = crate::real_time_test_guard();
         let v = serve(&tiny());
         assert!(v.crash_ok, "acknowledged writes must survive the crash");
-        assert!(v.admission_ok, "admission leg must hold");
-        assert!(v.admission_rejections > 0, "bucket must reject");
         assert!(v.crash_acked > 0);
         for r in &v.rows {
             assert!(r.ok, "row at {} clients failed", r.clients);

@@ -53,11 +53,8 @@
 //!   structural: a client's write is in the memtable before its `put`
 //!   returns, and its next `get` takes the same lock.
 //! * **Visibility before acknowledgement.** A write is visible to other
-//!   clients' reads from its unlock, which is before its fsync — exactly
-//!   as, inside one batch of the queue-based frontend this replaces, a
-//!   read executed after a write saw it before the batch committed. What
-//!   is promised about an unacknowledged write is unchanged: nothing,
-//!   until `Ok`.
+//!   clients' reads from its unlock, which is before its fsync. Nothing is
+//!   promised about an unacknowledged write until `Ok`.
 //! * **Group commit.** Writers that reach step 5 while a syncer's fsync
 //!   is in flight are all covered by the next one, so at clients ≫ shards
 //!   the mean records per fsync exceeds one (the `repro serve` experiment
@@ -72,31 +69,23 @@
 //! lock, on the client's thread, as it runs on a lane's thread in a
 //! mission.
 //!
-//! ## Admission control and contention
+//! ## Contention
 //!
-//! * a **token bucket** ([`ServingConfig::rate_limit_per_sec`] /
-//!   [`ServingConfig::burst`]) rejects requests once the bucket drains —
-//!   [`ServingError::Rejected`] carries a `retry_after` hint, and a
-//!   rejected operation was **not** executed (the proptest in
-//!   `tests/serving.rs` pins that rejections never drop an acknowledged
-//!   op);
-//! * a closed-loop client has one request outstanding, so at most
-//!   *clients* requests exist at once and nothing queues without bound.
-//!   Time a client spends blocked on a taken shard lock is surfaced as
-//!   `stall_ns` (and a `stalls` count) in the metrics, and a write's lock
-//!   wait is attributed to the shard tree via
-//!   [`FlsmTree::note_queue_stall_ns`] so it reaches the mission report's
-//!   `queue_stall_ns`.
+//! A closed-loop client has one request outstanding, so the client count
+//! already bounds in-flight work: at most *clients* requests exist at once
+//! and nothing queues without bound. Time a client spends blocked on a taken
+//! shard lock is surfaced as `stall_ns` (and a `stalls` count) in the
+//! metrics, and a write's lock wait is attributed to the shard tree via
+//! [`FlsmTree::note_queue_stall_ns`] so it reaches the mission report's
+//! `queue_stall_ns`.
 //!
 //! ## Live metrics
 //!
 //! [`ServingMetrics`] is a registry of atomics — request counters by
-//! kind, rejections, stalls, per-shard in-flight gauges, power-of-two
-//! histograms for records-per-fsync and commit latency, three more that
-//! split every request's real time into **lock wait / execute / commit
-//! wait** ("why was that put slow" has an answer in the system's own
-//! output), and per-client counters (CAMAL's motivation: keep per-client
-//! workload composition live so a tuner can eventually see it).
+//! kind, stalls, per-shard in-flight gauges, power-of-two histograms for
+//! records-per-fsync and commit latency, and three more that split every
+//! request's real time into **lock wait / execute / commit wait** ("why
+//! was that put slow" has an answer in the system's own output).
 //! [`ServingFrontend::metrics`] snapshots it without stopping the world —
 //! readers never take a lock the serving path holds — and
 //! [`MetricsSnapshot::render_prometheus`] renders the classic text
@@ -111,7 +100,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, TryLockError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::Bytes;
 use ruskey_lsm::{FlsmTree, SyncTicket};
@@ -125,37 +114,17 @@ use crate::sharded::merge_sorted_scans;
 /// statistic, never a synchronization edge.
 const RLX: Ordering = Ordering::Relaxed;
 
-/// Tuning knobs of a serving session: the admission token bucket.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServingConfig {
-    /// Token-bucket refill rate in requests per second across all
-    /// clients; 0 disables admission control entirely.
-    pub rate_limit_per_sec: u64,
-    /// Token-bucket capacity: the burst admitted from a full bucket
-    /// before the refill rate gates. Ignored when
-    /// `rate_limit_per_sec == 0`.
-    pub burst: u64,
-}
-
-impl Default for ServingConfig {
-    fn default() -> Self {
-        Self {
-            rate_limit_per_sec: 0,
-            burst: 64,
-        }
-    }
-}
+/// The argument of [`RusKey::serve`](crate::sharded::RusKey::serve): a
+/// serving session has no setting. The type stays only because the
+/// benchmark's adapter calls `serve(ServingConfig::default())`; the change
+/// that moves the adapter deletes it together with the deprecated
+/// aliases.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ServingConfig {}
 
 /// Why a serving request failed.
 #[derive(Debug, Clone, Copy)]
 pub enum ServingError {
-    /// Admission control rejected the request before it ran:
-    /// the token bucket is empty. The operation did **not** execute;
-    /// retry no sooner than `retry_after`.
-    Rejected {
-        /// Estimated wait until the bucket holds a token again.
-        retry_after: Duration,
-    },
     /// The session has ended (`finish_serving` took the trees home) or
     /// the shard is dead — it crashed, its log failed, or a client
     /// panicked inside it; the request was not executed — or, for a
@@ -174,9 +143,6 @@ pub enum ServingError {
 impl std::fmt::Display for ServingError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServingError::Rejected { retry_after } => {
-                write!(f, "admission rejected; retry after {retry_after:?}")
-            }
             ServingError::Stopped => write!(f, "serving session stopped"),
             ServingError::Crashed => write!(f, "shard crashed mid-serve; write unacknowledged"),
             ServingError::Wal => write!(f, "WAL commit failed; write unacknowledged"),
@@ -185,56 +151,6 @@ impl std::fmt::Display for ServingError {
 }
 
 impl std::error::Error for ServingError {}
-
-/// A token bucket shared by every client of one serving session: `rate`
-/// tokens per second refill up to `capacity`, one token per request.
-#[derive(Debug)]
-pub struct TokenBucket {
-    rate_per_sec: f64,
-    capacity: f64,
-    state: Mutex<BucketState>,
-}
-
-#[derive(Debug)]
-struct BucketState {
-    tokens: f64,
-    last_refill: Instant,
-}
-
-impl TokenBucket {
-    /// A bucket refilling `rate_per_sec` tokens up to `capacity`;
-    /// `rate_per_sec == 0` admits everything.
-    pub fn new(rate_per_sec: u64, capacity: u64) -> Self {
-        Self {
-            rate_per_sec: rate_per_sec as f64,
-            capacity: (capacity.max(1)) as f64,
-            state: Mutex::new(BucketState {
-                tokens: (capacity.max(1)) as f64,
-                last_refill: Instant::now(),
-            }),
-        }
-    }
-
-    /// Takes one token, or reports how long until one is available.
-    pub fn try_take(&self) -> Result<(), Duration> {
-        if self.rate_per_sec <= 0.0 {
-            return Ok(());
-        }
-        let mut s = self.state.lock().expect("token bucket poisoned");
-        let now = Instant::now();
-        let refill = now.duration_since(s.last_refill).as_secs_f64() * self.rate_per_sec;
-        s.tokens = (s.tokens + refill).min(self.capacity);
-        s.last_refill = now;
-        if s.tokens >= 1.0 {
-            s.tokens -= 1.0;
-            Ok(())
-        } else {
-            Err(Duration::from_secs_f64(
-                (1.0 - s.tokens) / self.rate_per_sec,
-            ))
-        }
-    }
-}
 
 /// Power-of-two histogram: bucket `i` counts observations in
 /// `[2^(i-1), 2^i)` (bucket 0 counts zeros). Observation and snapshot
@@ -316,33 +232,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Live per-client workload counters (one set per [`ServingClient`]).
-#[derive(Debug, Default)]
-pub struct ClientCounters {
-    gets: AtomicU64,
-    puts: AtomicU64,
-    deletes: AtomicU64,
-    scans: AtomicU64,
-    rejections: AtomicU64,
-}
-
-/// A point-in-time copy of one client's counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClientSnapshot {
-    /// Client id, in creation order.
-    pub id: u64,
-    /// Point lookups issued.
-    pub gets: u64,
-    /// Puts issued.
-    pub puts: u64,
-    /// Deletes issued.
-    pub deletes: u64,
-    /// Range scans issued.
-    pub scans: u64,
-    /// Requests the token bucket rejected.
-    pub rejections: u64,
-}
-
 /// The live metrics registry of one serving session: plain atomics,
 /// updated by the clients, snapshotted by anyone without stopping the
 /// world.
@@ -352,7 +241,6 @@ pub struct ServingMetrics {
     puts: AtomicU64,
     deletes: AtomicU64,
     scans: AtomicU64,
-    rejections: AtomicU64,
     stalls: AtomicU64,
     stall_ns: AtomicU64,
     acked_writes: AtomicU64,
@@ -364,10 +252,6 @@ pub struct ServingMetrics {
     lock_wait_ns: Histogram,
     execute_ns: Histogram,
     commit_wait_ns: Histogram,
-    next_client: AtomicU64,
-    /// Locked only at client registration and snapshot time — never on
-    /// the per-request path.
-    clients: Mutex<Vec<(u64, Arc<ClientCounters>)>>,
 }
 
 impl ServingMetrics {
@@ -377,7 +261,6 @@ impl ServingMetrics {
             puts: AtomicU64::new(0),
             deletes: AtomicU64::new(0),
             scans: AtomicU64::new(0),
-            rejections: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
             stall_ns: AtomicU64::new(0),
             acked_writes: AtomicU64::new(0),
@@ -389,19 +272,7 @@ impl ServingMetrics {
             lock_wait_ns: Histogram::new(),
             execute_ns: Histogram::new(),
             commit_wait_ns: Histogram::new(),
-            next_client: AtomicU64::new(0),
-            clients: Mutex::new(Vec::new()),
         }
-    }
-
-    fn register_client(&self) -> (u64, Arc<ClientCounters>) {
-        let id = self.next_client.fetch_add(1, RLX);
-        let counters = Arc::new(ClientCounters::default());
-        self.clients
-            .lock()
-            .expect("client registry poisoned")
-            .push((id, Arc::clone(&counters)));
-        (id, counters)
     }
 
     /// Copies every counter at one instant (per counter; the registry is
@@ -412,7 +283,6 @@ impl ServingMetrics {
             puts: self.puts.load(RLX),
             deletes: self.deletes.load(RLX),
             scans: self.scans.load(RLX),
-            rejections: self.rejections.load(RLX),
             stalls: self.stalls.load(RLX),
             stall_ns: self.stall_ns.load(RLX),
             acked_writes: self.acked_writes.load(RLX),
@@ -424,20 +294,6 @@ impl ServingMetrics {
             lock_wait_ns: self.lock_wait_ns.snapshot(),
             execute_ns: self.execute_ns.snapshot(),
             commit_wait_ns: self.commit_wait_ns.snapshot(),
-            clients: self
-                .clients
-                .lock()
-                .expect("client registry poisoned")
-                .iter()
-                .map(|(id, c)| ClientSnapshot {
-                    id: *id,
-                    gets: c.gets.load(RLX),
-                    puts: c.puts.load(RLX),
-                    deletes: c.deletes.load(RLX),
-                    scans: c.scans.load(RLX),
-                    rejections: c.rejections.load(RLX),
-                })
-                .collect(),
         }
     }
 }
@@ -445,16 +301,14 @@ impl ServingMetrics {
 /// A point-in-time copy of the whole registry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Point lookups served (admitted; includes unacknowledged failures).
+    /// Point lookups served (includes unacknowledged failures).
     pub gets: u64,
-    /// Puts admitted.
+    /// Puts served.
     pub puts: u64,
-    /// Deletes admitted.
+    /// Deletes served.
     pub deletes: u64,
-    /// Range scans admitted.
+    /// Range scans served.
     pub scans: u64,
-    /// Requests the token bucket rejected (never executed).
-    pub rejections: u64,
     /// Times a client found its shard's lock taken (`try_lock` failed)
     /// and blocked for it.
     pub stalls: u64,
@@ -485,12 +339,10 @@ pub struct MetricsSnapshot {
     /// Real ns each write waited, lock released, for the fsync covering
     /// it (its own as syncer, or the one in flight).
     pub commit_wait_ns: HistogramSnapshot,
-    /// Per-client workload counters, in client-creation order.
-    pub clients: Vec<ClientSnapshot>,
 }
 
 impl MetricsSnapshot {
-    /// Total admitted requests.
+    /// Total requests served.
     pub fn requests(&self) -> u64 {
         self.gets + self.puts + self.deletes + self.scans
     }
@@ -522,7 +374,6 @@ impl MetricsSnapshot {
         counter("requests_total", "{kind=\"put\"}", self.puts);
         counter("requests_total", "{kind=\"delete\"}", self.deletes);
         counter("requests_total", "{kind=\"scan\"}", self.scans);
-        counter("rejections_total", "", self.rejections);
         counter("queue_stalls_total", "", self.stalls);
         counter("queue_stall_ns_total", "", self.stall_ns);
         counter("acked_writes_total", "", self.acked_writes);
@@ -581,7 +432,6 @@ struct CommitState {
 struct ServeShared {
     slots: Vec<ShardSlot>,
     metrics: ServingMetrics,
-    bucket: TokenBucket,
 }
 
 /// A `Send + Sync` handle over a store that is currently serving: holds
@@ -599,10 +449,9 @@ pub struct ServingFrontend {
 
 impl ServingFrontend {
     /// Starts a session over the store's trees, in shard order.
-    pub(crate) fn new(cfg: &ServingConfig, trees: Vec<FlsmTree>) -> Self {
+    pub(crate) fn new(trees: Vec<FlsmTree>) -> Self {
         let shared = ServeShared {
             metrics: ServingMetrics::new(trees.len()),
-            bucket: TokenBucket::new(cfg.rate_limit_per_sec, cfg.burst),
             slots: trees
                 .into_iter()
                 .map(|tree| ShardSlot {
@@ -635,14 +484,10 @@ impl ServingFrontend {
     }
 
     /// Creates a client handle for one connection/thread. Clients are
-    /// `Send` (move one into each thread) and register a live counter
-    /// set in the metrics registry.
+    /// `Send`: move one into each thread.
     pub fn client(&self) -> ServingClient {
-        let (id, counters) = self.shared.metrics.register_client();
         ServingClient {
             shared: Arc::clone(&self.shared),
-            counters,
-            id,
         }
     }
 
@@ -657,43 +502,28 @@ impl ServingFrontend {
     }
 }
 
-/// One client's handle on a serving session: pays the token bucket, then
-/// runs each request on its own thread under the owning shard's lock. It
-/// sleeps only when that lock is taken (surfaced as a stall) and, for a
-/// write, for the fsync that covers it.
+/// One client's handle on a serving session: runs each request on its own
+/// thread under the owning shard's lock. It sleeps only when that lock is
+/// taken (surfaced as a stall) and, for a write, for the fsync that covers
+/// it.
 pub struct ServingClient {
     shared: Arc<ServeShared>,
-    counters: Arc<ClientCounters>,
-    id: u64,
 }
 
 impl ServingClient {
-    /// This client's id in the metrics registry.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Pays the token bucket and counts the request, store-wide and for
-    /// this client. A rejected request is counted only as a rejection.
-    fn admit(&self, op: &Operation) -> Result<(), ServingError> {
-        let (m, c) = (&self.shared.metrics, &self.counters);
-        if let Err(retry_after) = self.shared.bucket.try_take() {
-            m.rejections.fetch_add(1, RLX);
-            c.rejections.fetch_add(1, RLX);
-            return Err(ServingError::Rejected { retry_after });
-        }
-        let (all, mine) = match op {
-            Operation::Get { .. } => (&m.gets, &c.gets),
-            Operation::Put { .. } => (&m.puts, &c.puts),
-            Operation::Delete { .. } => (&m.deletes, &c.deletes),
-            Operation::Scan { .. } => (&m.scans, &c.scans),
+    /// Counts the request by kind.
+    fn count(&self, op: &Operation) {
+        let m = &self.shared.metrics;
+        let counter = match op {
+            Operation::Get { .. } => &m.gets,
+            Operation::Put { .. } => &m.puts,
+            Operation::Delete { .. } => &m.deletes,
+            Operation::Scan { .. } => &m.scans,
         };
-        all.fetch_add(1, RLX);
-        mine.fetch_add(1, RLX);
-        Ok(())
+        counter.fetch_add(1, RLX);
     }
 
-    /// One admitted operation on one shard, counted in the shard's gauge
+    /// One operation on one shard, counted in the shard's gauge
     /// from before it asks for the lock until it has its answer — the
     /// same thread adds and subtracts, so the gauge never exceeds the
     /// number of clients.
@@ -844,10 +674,10 @@ impl ServingClient {
         shard_for_key(key, self.shared.slots.len())
     }
 
-    /// One point operation, start to finish: admit, then run on the
+    /// One point operation, start to finish: count, then run on the
     /// owning shard.
     fn point(&self, shard: usize, op: Operation) -> Result<OpResult, ServingError> {
-        self.admit(&op)?;
+        self.count(&op);
         self.run(shard, &op)
     }
 
@@ -891,7 +721,7 @@ impl ServingClient {
             end: Bytes::copy_from_slice(end),
             limit,
         };
-        self.admit(&op)?;
+        self.count(&op);
         let per_shard = (0..self.shared.slots.len())
             .map(|shard| self.run(shard, &op).map(OpResult::rows))
             .collect::<Result<Vec<_>, _>>()?;
@@ -909,31 +739,6 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send_sync::<ServingFrontend>();
         assert_send::<ServingClient>();
-    }
-
-    #[test]
-    fn token_bucket_rejects_then_refills() {
-        let b = TokenBucket::new(1_000_000, 2);
-        assert!(b.try_take().is_ok());
-        assert!(b.try_take().is_ok());
-        // The burst is spent; at 1M/s the next token is ~1µs away, so
-        // either an immediate reject with a positive hint or (if the OS
-        // slept us) a refilled success is acceptable.
-        match b.try_take() {
-            Ok(()) => {}
-            Err(retry_after) => assert!(retry_after > Duration::ZERO),
-        }
-        // After a full refill interval the bucket admits again.
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(b.try_take().is_ok());
-    }
-
-    #[test]
-    fn zero_rate_bucket_admits_everything() {
-        let b = TokenBucket::new(0, 1);
-        for _ in 0..10_000 {
-            assert!(b.try_take().is_ok());
-        }
     }
 
     #[test]
@@ -976,17 +781,12 @@ mod tests {
         m.execute_ns.observe(2000);
         m.execute_ns.observe(500);
         m.commit_wait_ns.observe(80_000);
-        let (id, c) = m.register_client();
-        c.puts.fetch_add(2, RLX);
         let s = m.snapshot();
         assert_eq!(s.requests(), 5);
         assert_eq!(s.queue_depth, vec![0, 7]);
         assert_eq!(s.shard_ops, vec![1, 5]);
         assert!((s.shard_imbalance() - 5.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.mean_batch_writes(), 4.0);
-        assert_eq!(s.clients.len(), 1);
-        assert_eq!(s.clients[0].id, id);
-        assert_eq!(s.clients[0].puts, 2);
         let text = s.render_prometheus();
         assert!(text.contains("ruskey_serving_requests_total{kind=\"get\"} 3"));
         assert!(text.contains("ruskey_serving_queue_depth{shard=\"1\"} 7"));
@@ -1004,12 +804,5 @@ mod tests {
     #[test]
     fn empty_snapshot_has_zero_imbalance() {
         assert_eq!(MetricsSnapshot::default().shard_imbalance(), 0.0);
-    }
-
-    #[test]
-    fn serving_config_defaults_are_sane() {
-        let cfg = ServingConfig::default();
-        assert_eq!(cfg.rate_limit_per_sec, 0, "admission off by default");
-        assert!(cfg.burst > 0);
     }
 }

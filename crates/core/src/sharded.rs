@@ -145,8 +145,8 @@
 //! unlock, with a write's fsync shared across clients outside the lock.
 //! For the length of the session the store has no trees, and
 //! [`RusKey::finish_serving`] takes them back — see
-//! [`crate::frontend`] for the client path, the group commit, admission
-//! control and live metrics.
+//! [`crate::frontend`] for the client path, the group commit and the live
+//! metrics.
 //!
 //! ## Opening a store
 //!
@@ -885,18 +885,18 @@ impl RusKey {
     /// [`ServingClient`](crate::frontend::ServingClient)s to as many
     /// threads as you like — each runs its requests on its own thread,
     /// writes share fsyncs across clients through a per-shard group
-    /// commit, the token bucket gates admission, and the live metrics
-    /// registry tracks it all (see [`crate::frontend`]).
+    /// commit, and the live metrics registry tracks it all (see
+    /// [`crate::frontend`]). [`ServingConfig`] carries no setting.
     ///
     /// While serving, the store itself has no trees: missions, barriers
     /// and a second `serve` return [`StoreError::Serving`], and ad-hoc ops
     /// and introspection panic, until `finish_serving` brings them home.
     /// Dropping the frontend without finishing drops the trees and leaves
     /// the store permanently unavailable.
-    pub fn serve(&mut self, cfg: ServingConfig) -> Result<ServingFrontend, StoreError> {
+    pub fn serve(&mut self, _: ServingConfig) -> Result<ServingFrontend, StoreError> {
         self.check_alive()?;
         let trees = std::mem::take(&mut self.shards);
-        Ok(ServingFrontend::new(&cfg, trees))
+        Ok(ServingFrontend::new(trees))
     }
 
     /// Ends a serving session: takes the trees back onto the store

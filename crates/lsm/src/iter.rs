@@ -9,9 +9,9 @@ use crate::types::{Key, Value};
 /// memtable, excluding tombstoned keys and stopping at the end bound. A
 /// returned row's key and value are slices of the page (or clones of the
 /// memtable's handles) the winning source holds: nothing is copied, and
-/// nothing is sliced for a row the scan does not return. Constructed by
-/// [`crate::FlsmTree::scan_iter`].
-pub struct RangeScan<'a> {
+/// nothing is sliced for a row the scan does not return. Collected by
+/// [`crate::FlsmTree::scan`].
+pub(crate) struct RangeScan<'a> {
     merge: Merge<'a>,
     end: &'a [u8],
     remaining: usize,
@@ -19,7 +19,7 @@ pub struct RangeScan<'a> {
 
 impl<'a> RangeScan<'a> {
     /// Builds a scan from pre-seeked sorted sources.
-    pub fn new(sources: Vec<Source<'a>>, end: &'a [u8], limit: usize) -> Self {
+    pub(crate) fn new(sources: Vec<Source<'a>>, end: &'a [u8], limit: usize) -> Self {
         Self {
             merge: Merge::new(sources, true),
             end,

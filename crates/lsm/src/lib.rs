@@ -42,12 +42,12 @@
 //!   persistent storage backend, then rebuild the write buffer from the
 //!   WAL's valid prefix on top — the manifest and the WAL recover as one
 //!   unit;
-//! * **background maintenance**: runs are immutable shared handles
-//!   (`Arc<Run>`), so reads pin structure instead of borrowing it — a
-//!   cheap [`tree::TreeSnapshot`] stays valid across concurrent merges —
-//!   and with [`config::LsmConfig::background_maintenance`] enabled a
-//!   score-based [`picker`] moves flushes and compactions off the write
-//!   path into explicit [`tree::FlsmTree::step_maintenance`] steps.
+//! * **background maintenance**: with
+//!   [`config::LsmConfig::background_maintenance`] enabled a score-based
+//!   [`picker`] moves flushes and compactions off the write path into
+//!   explicit [`tree::FlsmTree::step_maintenance`] steps; every read
+//!   borrows the tree, so a superseded run's extent is freed where the
+//!   manifest commit that removed it lands.
 //!
 //! All I/O goes through the [`ruskey_storage::Storage`] abstraction so the
 //! engine runs identically on the simulated device and on real files.
@@ -60,7 +60,7 @@ pub mod compaction;
 pub mod config;
 pub mod entry;
 pub mod fence;
-pub mod iter;
+mod iter;
 pub mod level;
 pub mod manifest;
 pub mod memtable;
@@ -78,7 +78,7 @@ pub use manifest::{Manifest, ManifestCrashPoint, ManifestEdit, ManifestState, Ru
 pub use picker::{CompactionPick, CompactionPicker, PickerConfig, SCORE_SCALE};
 pub use stats::{LevelStatsSnapshot, TreeStatsSnapshot};
 pub use transition::TransitionStrategy;
-pub use tree::{FlsmTree, TreeSnapshot};
+pub use tree::FlsmTree;
 pub use types::{Key, KvEntry, OpKind, SeqNo, Value};
 pub use wal::{CrashPoint, SyncTicket, Wal};
 

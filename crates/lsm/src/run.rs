@@ -79,9 +79,9 @@ pub struct Run {
     fences: FencePointers,
     entry_count: u64,
     data_bytes: u64,
-    /// Atomic so a *shared* run handle (`Arc<Run>`) can be retargeted by a
-    /// flexible policy transition while snapshots hold the same run: the
-    /// capacity is the only mutable field of an otherwise immutable run.
+    /// Atomic so a *shared* run handle (`Arc<Run>`) can be retargeted in
+    /// place by a flexible policy transition: the capacity is the only
+    /// mutable field of an otherwise immutable run.
     capacity_bytes: AtomicU64,
     min_key: Key,
     max_key: Key,

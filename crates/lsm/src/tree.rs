@@ -26,62 +26,12 @@ use crate::wal::{SyncTicket, Wal};
 struct PendingCompaction {
     /// Level whose sealed runs were merged.
     level: usize,
-    /// The sealed runs consumed by the merge, pinned so a concurrent
-    /// retire cannot free their extents. Apply revalidates that each is
-    /// still resident (a greedy transition may have consumed them).
+    /// The sealed runs consumed by the merge. Apply revalidates by id
+    /// that each is still resident (a greedy transition may have
+    /// consumed and freed them).
     inputs: Vec<Arc<Run>>,
     /// The merged output, ready to admit into `level + 1`.
     batch: EntryBuf,
-}
-
-/// A cheap, immutable view of the tree's on-disk run structure.
-///
-/// Creating one is O(resident runs); cloning is O(1) (a single `Arc`
-/// bump). The snapshot *pins* every run it references: background
-/// maintenance may retire those runs from the live structure, but their
-/// extents — and the block-cache pages mapping them — are freed only
-/// after the manifest commit **and** the last pin drops, so reads
-/// through a snapshot are immune to concurrent structural changes.
-///
-/// A snapshot covers only flushed data. The memtable is the mutable
-/// front of the tree and is not part of the structural view.
-#[derive(Clone)]
-pub struct TreeSnapshot {
-    inner: Arc<SnapshotInner>,
-}
-
-struct SnapshotInner {
-    levels: Vec<SnapshotLevel>,
-    bounds: Option<(Key, Key)>,
-}
-
-struct SnapshotLevel {
-    /// Runs in probe order (newest data first), as captured.
-    runs: Vec<Arc<Run>>,
-    bounds: Option<(Key, Key)>,
-}
-
-impl TreeSnapshot {
-    /// Point lookup against the pinned structure. Returns the latest
-    /// flushed value, or `None` if absent/deleted. The same probe loop as
-    /// [`FlsmTree::get`] below the memtable (`probe_levels`), so I/O is
-    /// charged to `storage` identically, but no tree statistics are
-    /// recorded (the snapshot is immutable).
-    pub fn get(&self, storage: &dyn Storage, key: &[u8]) -> Option<Value> {
-        let inner = &*self.inner;
-        let levels = inner.levels.iter().map(|l| (&l.bounds, l.runs.iter()));
-        probe_levels(storage, key, &inner.bounds, levels, None)
-    }
-
-    /// Number of levels captured.
-    pub fn level_count(&self) -> usize {
-        self.inner.levels.len()
-    }
-
-    /// Total runs pinned by the snapshot.
-    pub fn run_count(&self) -> usize {
-        self.inner.levels.iter().map(|l| l.runs.len()).sum()
-    }
 }
 
 /// Whether `key` falls inside aggregate `bounds` (false for none: an empty
@@ -92,35 +42,30 @@ fn in_bounds(bounds: &Option<(Key, Key)>, key: &[u8]) -> bool {
         .is_some_and(|(lo, hi)| lo.as_ref() <= key && key <= hi.as_ref())
 }
 
-/// The one probe loop below the memtable, under [`FlsmTree::get`] and
-/// [`TreeSnapshot::get`]: `levels` yields each level's aggregate bounds and
-/// its runs in probe order (newest data first).
+/// The one probe loop below the memtable, under [`FlsmTree::get`]:
+/// `levels` yields each level's aggregate bounds and its runs in probe
+/// order (newest data first).
 ///
 /// O(1) bound fast paths: a key outside the aggregate range of every
 /// resident run cannot exist on disk — return with zero probes, zero Bloom
 /// checks, and zero page I/O. The tree-wide check rejects in one comparison
 /// pair; a level whose own bounds exclude the key is skipped the same way.
-/// Each probed level's counters land in `sink` (indexed by level) when
-/// there is one; the charges to `storage` are the same either way.
+/// Each probed level's counters land in `stats` (indexed by level).
 fn probe_levels<'a>(
     storage: &dyn Storage,
     key: &[u8],
     tree_bounds: &Option<(Key, Key)>,
     levels: impl Iterator<Item = (&'a Option<(Key, Key)>, impl Iterator<Item = &'a Arc<Run>>)>,
-    mut sink: Option<&mut [LevelStatsSnapshot]>,
+    stats: &mut [LevelStatsSnapshot],
 ) -> Option<Value> {
     if !in_bounds(tree_bounds, key) {
         return None;
     }
-    let mut unrecorded = LevelStatsSnapshot::default();
     for (idx, (bounds, runs)) in levels.enumerate() {
         if !in_bounds(bounds, key) {
             continue;
         }
-        let st = match &mut sink {
-            Some(stats) => &mut stats[idx],
-            None => &mut unrecorded,
-        };
+        let st = &mut stats[idx];
         let t0 = storage.clock().now();
         let mut found: Option<Option<Value>> = None;
         for run in runs {
@@ -179,17 +124,11 @@ pub struct FlsmTree {
     /// committed atomically at each mutation boundary, so the full
     /// run/level structure survives a restart on a persistent backend.
     manifest: Option<Manifest>,
-    /// Runs superseded by the mutation in flight: with a manifest
-    /// attached, their pages are freed only *after* the edit removing
-    /// them is durable, so a truncated manifest tail never rolls back to
-    /// runs whose pages are already gone.
+    /// Runs superseded by the mutation in flight, freed where its
+    /// manifest batch commits: with a manifest attached only *after* the
+    /// edit removing them is durable, so a truncated manifest tail never
+    /// rolls back to runs whose pages are already gone.
     pending_retire: Vec<Arc<Run>>,
-    /// Runs whose removal is durable (or that never had a manifest) but
-    /// that are still pinned by a [`TreeSnapshot`] (a streaming scan
-    /// borrows the tree instead, so nothing is retired under it). Their
-    /// extents — and the cache pages mapping them — are freed by
-    /// [`FlsmTree::reclaim_retired`] once the last pin drops.
-    retired: Vec<Arc<Run>>,
     /// A background merge built but not yet applied (see
     /// [`FlsmTree::step_maintenance`]).
     pending_compaction: Option<PendingCompaction>,
@@ -261,7 +200,6 @@ impl FlsmTree {
             wal: None,
             manifest: None,
             pending_retire: Vec::new(),
-            retired: Vec::new(),
             pending_compaction: None,
             stall_ns: 0,
             queue_stall_ns: 0,
@@ -704,8 +642,7 @@ impl FlsmTree {
             }
         }
         let Some(m) = &mut self.manifest else {
-            debug_assert!(self.pending_retire.is_empty());
-            self.reclaim_retired();
+            self.free_retired();
             return;
         };
         let pending = m.pending_edits() as u64;
@@ -721,37 +658,29 @@ impl FlsmTree {
             self.storage
                 .charge_cpu(pending * cost.wal_append_ns + cost.wal_sync_ns);
         }
-        let newly_durable = std::mem::take(&mut self.pending_retire);
-        self.retired.extend(newly_durable);
-        self.reclaim_retired();
+        self.free_retired();
     }
 
-    /// Retires a superseded run: with a manifest attached the free is
-    /// further gated on the removal edit becoming durable; without one
-    /// only the snapshot gate applies.
+    /// Retires a superseded run: its extent is freed where the mutation's
+    /// manifest batch commits ([`FlsmTree::commit_manifest`]).
     fn retire_run(&mut self, run: Arc<Run>) {
-        if self.manifest.is_some() {
-            self.pending_retire.push(run);
-        } else {
-            self.retired.push(run);
-        }
+        self.pending_retire.push(run);
     }
 
-    /// Frees the extents of retired runs whose last external pin (a
-    /// snapshot) has dropped. Freeing through
-    /// `storage` also purges any block-cache pages mapping the extent, so
-    /// a pinned reader can never observe recycled pages — the extent id
-    /// re-enters circulation only here.
-    fn reclaim_retired(&mut self) {
-        let storage = Arc::clone(&self.storage);
-        self.retired.retain(|run| {
-            if Arc::strong_count(run) == 1 {
-                storage.free(run.extent());
-                false
-            } else {
-                true
-            }
-        });
+    /// Frees the extents of the runs the committed mutation superseded, in
+    /// the order they were retired. Freeing through `storage` also purges
+    /// any block-cache pages mapping the extent — the extent id re-enters
+    /// circulation only here.
+    ///
+    /// No reader can hold a freed run: every read borrows the tree. A
+    /// stale [`PendingCompaction`] may still hold `Arc`s to inputs freed
+    /// under it (a greedy transition merged them away), but its batch is
+    /// already in memory and [`FlsmTree::pending_still_valid`] compares
+    /// run ids only, so it never reads a freed page.
+    fn free_retired(&mut self) {
+        for run in self.pending_retire.drain(..) {
+            self.storage.free(run.extent());
+        }
     }
 
     // ------------------------------------------------------------------
@@ -765,27 +694,24 @@ impl FlsmTree {
             return buffered.cloned();
         }
         let levels = self.levels.iter().map(|l| (&l.bounds, l.probe_order()));
-        let sink = Some(&mut self.level_stats[..]);
-        probe_levels(self.storage.as_ref(), key, &self.bounds, levels, sink)
+        probe_levels(
+            self.storage.as_ref(),
+            key,
+            &self.bounds,
+            levels,
+            &mut self.level_stats,
+        )
     }
 
     /// Range scan over `[start, end)`, at most `limit` results, in key order.
     /// Deleted keys are excluded; each key appears once with its latest value.
+    /// An inverted range (`start > end`) is empty, like `[a, a)`, and still
+    /// counts as a scan.
     pub fn scan(&mut self, start: &[u8], end: &[u8], limit: usize) -> Vec<(Key, Value)> {
-        let mut rows = Vec::with_capacity(limit.min(128));
-        rows.extend(self.scan_iter(start, end, limit));
-        rows
-    }
-
-    /// Streaming variant of [`FlsmTree::scan`]. The scan borrows the tree:
-    /// the runs and the memtable it walks cannot change under it.
-    pub fn scan_iter<'a>(
-        &'a mut self,
-        start: &[u8],
-        end: &'a [u8],
-        limit: usize,
-    ) -> crate::iter::RangeScan<'a> {
         self.scans += 1;
+        if start > end {
+            return Vec::new();
+        }
         let storage: &dyn Storage = self.storage.as_ref();
         let mut sources = vec![Source::Mem(self.memtable.range(start, end))];
         for level in &self.levels {
@@ -795,7 +721,9 @@ impl FlsmTree {
                 }
             }
         }
-        crate::iter::RangeScan::new(sources, end, limit)
+        let mut rows = Vec::with_capacity(limit.min(128));
+        rows.extend(crate::iter::RangeScan::new(sources, end, limit));
+        rows
     }
 
     // ------------------------------------------------------------------
@@ -995,24 +923,6 @@ impl FlsmTree {
     // Background maintenance
     // ------------------------------------------------------------------
 
-    /// Takes a cheap, pinned snapshot of the on-disk run structure (see
-    /// [`TreeSnapshot`]). O(resident runs) to create; clones are O(1).
-    pub fn snapshot(&self) -> TreeSnapshot {
-        TreeSnapshot {
-            inner: Arc::new(SnapshotInner {
-                levels: self
-                    .levels
-                    .iter()
-                    .map(|l| SnapshotLevel {
-                        runs: l.probe_order().map(Arc::clone).collect(),
-                        bounds: l.bounds.clone(),
-                    })
-                    .collect(),
-                bounds: self.bounds.clone(),
-            }),
-        }
-    }
-
     /// Whether a background merge has been built but not yet applied.
     pub fn has_pending_compaction(&self) -> bool {
         self.pending_compaction.is_some()
@@ -1035,12 +945,10 @@ impl FlsmTree {
     ///
     /// Splitting *build* (step issuing the read + CPU work) from *apply*
     /// (step logging and committing the edit batch) keeps each step
-    /// bounded and leaves the input runs resident — readable by gets,
-    /// scans, and snapshots — for the whole merge. Callers interleave
-    /// steps between operation batches; [`FlsmTree::maintain`] loops.
-    ///
-    /// On a quiescent tree the step only sweeps retired runs whose last
-    /// snapshot pin dropped, and reports no work done.
+    /// bounded and leaves the input runs resident — readable by gets and
+    /// scans — for the whole merge. Callers interleave steps between
+    /// operation batches; [`FlsmTree::maintain`] loops. On a quiescent
+    /// tree the step does nothing and reports no work done.
     pub fn step_maintenance(&mut self) -> bool {
         if self.crashed() {
             return false;
@@ -1055,11 +963,10 @@ impl FlsmTree {
                 return true;
             }
             // Inputs vanished under the pending merge: drop the stale
-            // batch (its pins release here) and pick afresh below.
+            // batch and pick afresh below.
         }
         let picker = CompactionPicker::new(self.picker_config());
         let Some(pick) = picker.pick(&self.levels) else {
-            self.reclaim_retired();
             return false;
         };
         if pick.trivial {
@@ -1155,7 +1062,7 @@ impl FlsmTree {
     /// Applies a built merge: removes the inputs from their level,
     /// admits the output into the next level, and commits the whole edit
     /// batch atomically. The inputs' extents stay allocated until the
-    /// commit is durable *and* their last snapshot pin drops.
+    /// commit is durable.
     fn apply_pending(&mut self, p: PendingCompaction) {
         let PendingCompaction {
             level: idx,
@@ -1176,9 +1083,6 @@ impl FlsmTree {
             });
             self.retire_run(run);
         }
-        // Release the builder's own pins before the commit below tries
-        // to reclaim; outside pins (snapshots) still defer.
-        drop(inputs);
         self.level_stats[idx].merges_down += 1;
         self.refresh_bounds(idx);
         if self.levels[idx].run_count() == 0 {
@@ -2206,25 +2110,42 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The deferred-free contract: with a manifest attached, a
-    /// compaction's obsolete pages are freed only after the commit, so
-    /// the storage never holds a manifest that references freed pages.
+    /// The free rule: a superseded run's extent is freed where the
+    /// manifest batch removing it commits — after the commit when a
+    /// manifest is attached, so the storage never holds a manifest that
+    /// references freed pages. After every mutation, on every kind of tree,
+    /// nothing waits to be freed and the live pages on storage are exactly
+    /// the resident runs' pages.
     #[test]
     fn superseded_runs_are_freed_after_the_commit() {
-        let dir = persist_dir("frees");
+        fn assert_settled(t: &FlsmTree, what: &str) {
+            assert!(t.pending_retire.is_empty(), "{what}: frees drain at commit");
+            let resident: u64 = t
+                .levels
+                .iter()
+                .flat_map(Level::probe_order)
+                .map(|r| u64::from(r.page_count()))
+                .sum();
+            assert_eq!(t.storage().live_pages(), resident, "{what}");
+        }
         let cfg = LsmConfig {
             buffer_bytes: 1024,
             size_ratio: 4,
             ..LsmConfig::scaled_default()
         };
-        let mut t = persistent_tree(&dir, cfg);
+        let bg_cfg = LsmConfig {
+            background_maintenance: true,
+            l0_stall_runs: 16,
+            ..cfg.clone()
+        };
+
+        // A persistent tree: the live pages are also the manifest's.
+        let dir = persist_dir("frees");
+        let mut t = persistent_tree(&dir, cfg.clone());
         for i in 0..2000u64 {
             t.put(key(i), val(i));
+            assert_settled(&t, "persistent put");
         }
-        // Quiescent after the mutation: nothing pending, and the live
-        // pages on storage are exactly the recorded runs' pages.
-        assert!(t.pending_retire.is_empty(), "frees must drain at commit");
-        assert!(t.retired.is_empty(), "no pins exist — retirees must free");
         let recorded: u64 = t
             .manifest()
             .unwrap()
@@ -2236,6 +2157,55 @@ mod tests {
             .sum();
         assert_eq!(t.storage().live_pages(), recorded);
         let _ = std::fs::remove_dir_all(&dir);
+
+        // A volatile tree with no manifest frees at the same point.
+        let mut t = FlsmTree::new(cfg.clone(), SimulatedDisk::new(256, CostModel::FREE));
+        for i in 0..2000u64 {
+            t.put(key(i), val(i));
+            assert_settled(&t, "volatile put");
+        }
+        assert!(t.level_count() >= 2, "the load must merge runs away");
+
+        // A background tree, its debt drained one maintenance step at a
+        // time: every applied merge frees its inputs at its commit.
+        let mut t = FlsmTree::new(bg_cfg.clone(), SimulatedDisk::new(256, CostModel::FREE));
+        for i in 0..2000u64 {
+            t.put(key(i % 700), val(i));
+            assert_settled(&t, "background put");
+        }
+        while t.maintain(1) > 0 {
+            assert_settled(&t, "maintenance step");
+        }
+        assert!(t.bg_compactions() > 0, "the load must trigger compactions");
+
+        // A greedy transition merges away the inputs of a merge built but
+        // not yet applied: they are freed at the transition's commit while
+        // the stale merge still holds them, and it is dropped unread.
+        let mut t = FlsmTree::new(bg_cfg, SimulatedDisk::new(256, CostModel::FREE));
+        t.set_transition_strategy(TransitionStrategy::Greedy);
+        let mut i = 0u64;
+        while !t.has_pending_compaction() {
+            t.put(key(i), val(i));
+            t.maintain(1);
+            assert_settled(&t, "building a merge");
+            i += 1;
+            assert!(i < 100_000, "no merge was ever built");
+        }
+        let level = t.pending_compaction.as_ref().unwrap().level;
+        let k = if t.policy(level) == 1 { 2 } else { 1 };
+        t.set_policy(level, k);
+        assert_settled(&t, "greedy transition");
+        assert!(
+            !t.pending_still_valid(t.pending_compaction.as_ref().unwrap()),
+            "the transition must consume the pending merge's inputs"
+        );
+        while t.maintain(1) > 0 {
+            assert_settled(&t, "maintenance after the transition");
+        }
+        assert!(!t.has_pending_compaction());
+        for j in 0..i {
+            assert_eq!(t.get(&key(j)), Some(val(j)), "key {j}");
+        }
     }
 
     #[test]
@@ -2299,89 +2269,6 @@ mod tests {
             inline_t.scan(&key(0), &key(911), usize::MAX)
         );
         assert_bounds_invariant(&bg);
-    }
-
-    /// Regression for the extent-reuse window under shared runs: a
-    /// snapshot taken before a background merge keeps reading the
-    /// superseded runs — their extents (and cache pages) recycle only
-    /// after the last pin drops, never under the reader.
-    #[test]
-    fn snapshot_pins_retired_runs_until_dropped() {
-        use ruskey_storage::BlockCache;
-        let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let cache = BlockCache::new(Arc::clone(&disk), 128);
-        let cfg = LsmConfig {
-            buffer_bytes: 1024,
-            size_ratio: 4,
-            background_maintenance: true,
-            ..LsmConfig::scaled_default()
-        };
-        let mut t = FlsmTree::new(cfg, cache);
-        for i in 0..2000u64 {
-            t.put(key(i), val(i));
-        }
-        t.flush();
-        let snap = t.snapshot();
-        // Drain all structural debt while the snapshot pins its runs.
-        while t.maintain(8) > 0 {}
-        assert!(t.bg_compactions() > 0, "the load must trigger compactions");
-        assert!(
-            !t.retired.is_empty(),
-            "superseded runs must stay allocated under the pin"
-        );
-        // The pinned view still reads every key through the old runs —
-        // this is the get racing the compaction that would have freed
-        // its extent.
-        for i in (0..2000u64).step_by(37) {
-            assert_eq!(
-                snap.get(t.storage().as_ref(), &key(i)),
-                Some(val(i)),
-                "pinned read of key {i}"
-            );
-        }
-        let pinned_live = t.storage().live_pages();
-        drop(snap);
-        // The next maintenance step on the quiescent tree sweeps the
-        // now-unpinned retirees.
-        t.step_maintenance();
-        assert!(t.retired.is_empty(), "dropping the pin must release them");
-        assert!(t.storage().live_pages() < pinned_live);
-        for i in (0..2000u64).step_by(37) {
-            assert_eq!(t.get(&key(i)), Some(val(i)));
-        }
-
-        // On a quiescent tree the pinned view and the tree run the same
-        // probe loop: key by key (hits, Bloom-guarded misses inside the
-        // bounds, rejections outside them) the same value for the same
-        // virtual time and the same page reads.
-        let disk = SimulatedDisk::new(256, CostModel::NVME);
-        let cfg = LsmConfig {
-            buffer_bytes: 1024,
-            size_ratio: 4,
-            initial_policy: 2,
-            ..LsmConfig::scaled_default()
-        };
-        let mut q = FlsmTree::new(cfg, disk.clone());
-        for i in 0..2000u64 {
-            q.put(key(i * 2), val(i));
-        }
-        q.flush();
-        let snap = q.snapshot();
-        let charged = |read: &mut dyn FnMut() -> Option<Value>| {
-            let (ns, pages) = (disk.clock().now_ns(), disk.metrics().pages_read);
-            let value = read();
-            let pages = disk.metrics().pages_read - pages;
-            (value, disk.clock().now_ns() - ns, pages)
-        };
-        let (mut hits, mut paid) = (0, 0);
-        for i in (0..4100u64).step_by(37) {
-            let pinned = charged(&mut || snap.get(disk.as_ref(), &key(i)));
-            let live = charged(&mut || q.get(&key(i)));
-            assert_eq!(pinned, live, "key {i}: (value, virtual ns, page reads)");
-            hits += live.0.is_some() as u64;
-            paid += live.1;
-        }
-        assert!(hits > 20 && paid > 0, "the comparison must not be vacuous");
     }
 
     /// `stall_ns` attributes structural time to the writes that waited:

@@ -209,11 +209,6 @@
 //! a served batch, every 32nd ad-hoc write to a shard. The pieces
 //! compose as follows:
 //!
-//! * **Shared run handles** — every on-disk run is an immutable
-//!   `Arc<Run>`. [`lsm::FlsmTree::snapshot`] clones the current run-set
-//!   in O(levels) into a [`lsm::TreeSnapshot`], a read view that keeps
-//!   serving the pinned state (and scans pin their source runs the same
-//!   way) while merges replace the structure underneath.
 //! * **Score-based picker** — [`lsm::picker::CompactionPicker`] scores
 //!   every level (bytes over capacity, L0 additionally by run count,
 //!   scaled by [`lsm::picker::SCORE_SCALE`]) and picks the highest
@@ -228,12 +223,11 @@
 //!   batch. A crash between the steps loses nothing — the inputs are
 //!   still the manifest's truth.
 //! * **Deferred frees extend the two-log contract** — a superseded
-//!   run's extent and cache pages are freed only after (a) the manifest
-//!   commit that removed it is durable *and* (b) the last snapshot or
-//!   scan pinning it drops (`Arc` strong count). Until both hold, the
-//!   run sits in a retired list; [`storage::Storage::free`] then purges
-//!   its cache pages before the extent id can be reused, so neither a
-//!   concurrent reader nor recovery can ever observe a recycled page.
+//!   run's extent and cache pages are freed only once the manifest
+//!   commit that removed it is durable; [`storage::Storage::free`] then
+//!   purges its cache pages before the extent id can be reused. Every
+//!   read borrows the tree, so no reader holds a run across the free,
+//!   and recovery never observes a recycled page.
 //! * **Backpressure** — the write path stalls (running maintenance
 //!   steps inline) only when L0's run count exceeds
 //!   [`lsm::LsmConfig`]'s `l0_stall_runs`; the time spent is *measured*,
@@ -245,7 +239,7 @@
 //! The contract is pinned by `tests/background_maintenance.rs` (a
 //! proptest that the background store is bit-identical to a quiescent
 //! inline store at `N ∈ {1, 2, 4}`, including reads racing an in-flight
-//! merge, plus snapshot-pinning tests), the `manifest_crash_points_with_
+//! merge), the `manifest_crash_points_with_
 //! a_background_merge_in_flight` matrix in `tests/crash_recovery.rs`,
 //! and the `repro compaction --json` experiment, whose `compaction_ok`
 //! verdict CI greps: background p99 op latency must not exceed inline
@@ -268,10 +262,9 @@
 //! arrive meanwhile share the next fsync, so under concurrency the fsync
 //! amortizes over clients (mean records per fsync > 1 at clients ≫
 //! shards, pinned by `repro serve`).
-//! Overload is handled at admission: a token bucket
-//! ([`ruskey::frontend::ServingConfig`]) rejects with a `retry_after`
-//! hint (a rejected op is never executed), and time blocked on a taken
-//! shard lock is recorded as `stall_ns`.
+//! A closed-loop client has one request outstanding, so the client
+//! count bounds in-flight work; time blocked on a taken shard lock is
+//! recorded as `stall_ns`.
 //! Live counters, per-shard in-flight gauges, and power-of-two
 //! histograms — lock wait, execute and commit wait per request among
 //! them — are snapshotted wait-free and render in the Prometheus text
@@ -291,14 +284,13 @@
 //!
 //! The serving contract is pinned by `tests/serving.rs` — K-client
 //! equivalence to a single-threaded replay at `N ∈ {1, 2, 4}`,
-//! read-your-writes under concurrency, a mid-serve [`lsm::CrashPoint`]
-//! crash losing no acknowledged write, and a proptest that admission
-//! rejections never drop an acknowledged op — and by the closed-loop
-//! multi-client driver `repro serve --json` (YCSB-style mixed workload,
-//! p50/p99/p999 and throughput per row), whose `serve_ok` verdict CI
-//! greps: zero divergence from the shadow model, writes-per-commit
-//! coalescing above 1 at clients ≫ shards, crash durability, and
-//! admission accounting must all hold.
+//! read-your-writes under concurrency, and a mid-serve
+//! [`lsm::CrashPoint`] crash losing no acknowledged write — and by the
+//! closed-loop multi-client driver `repro serve --json` (YCSB-style
+//! mixed workload, p50/p99/p999 and throughput per row), whose
+//! `serve_ok` verdict CI greps: zero divergence from the shadow model,
+//! writes-per-commit coalescing above 1 at clients ≫ shards, and crash
+//! durability must all hold.
 //!
 //! # Per-shard learned tuning
 //!

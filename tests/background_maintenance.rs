@@ -1,9 +1,9 @@
 //! Observational equivalence of background maintenance: a store running
 //! flushes and compactions off the hot path (deferred to mission
-//! boundaries, merges built in bounded steps, superseded runs retired
-//! under snapshot pins) must remain bit-identical to a quiescent store
-//! that compacts inline — for gets and scans, at every shard count, and
-//! in particular *while* a merge is in flight.
+//! boundaries, merges built in bounded steps, superseded runs freed at
+//! the commit that removes them) must remain bit-identical to a quiescent
+//! store that compacts inline — for gets and scans, at every shard count,
+//! and in particular *while* a merge is in flight.
 //!
 //! The picker's unit tests (score ordering, trivial-move overlap bound)
 //! live next to it in `crates/lsm/src/picker.rs`; this file pins the
@@ -15,7 +15,6 @@ use std::sync::Arc;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use ruskey_repro::lsm::{FlsmTree, LsmConfig};
 use ruskey_repro::ruskey::db::RusKeyConfig;
 use ruskey_repro::ruskey::sharded::{Backend, RusKey};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
@@ -260,50 +259,4 @@ fn adhoc_write_burst_in_background_mode_is_backpressured() {
         stats.stall_ns > 0,
         "RusKey: backpressured ad-hoc writes must record their stall time"
     );
-}
-
-/// A snapshot taken from a background tree keeps serving the pinned
-/// state — including scans through the tree the snapshot came from —
-/// while merges retire the runs underneath it.
-#[test]
-fn tree_snapshot_survives_concurrent_structural_churn() {
-    let disk = SimulatedDisk::new(256, CostModel::FREE);
-    let lsm_cfg = LsmConfig {
-        buffer_bytes: 1024,
-        size_ratio: 4,
-        background_maintenance: true,
-        l0_stall_runs: 16,
-        ..LsmConfig::scaled_default()
-    };
-    let mut tree = FlsmTree::new(lsm_cfg, Arc::clone(&disk) as Arc<dyn Storage>);
-    let mut frozen: BTreeMap<Bytes, Bytes> = BTreeMap::new();
-    for i in 0u16..600 {
-        let k = i % 199;
-        tree.put(key(k), value(k, (i % 250) as u8));
-        frozen.insert(key(k), value(k, (i % 250) as u8));
-    }
-    tree.flush();
-    let snap = tree.snapshot();
-
-    // Overwrite everything and drain all structural work.
-    for i in 0u16..900 {
-        let k = i % 199;
-        tree.put(key(k), value(k, 251));
-    }
-    tree.flush();
-    while tree.maintain(4) > 0 {}
-    assert!(tree.bg_compactions() > 0, "churn must trigger merges");
-
-    for k in 0u16..199 {
-        assert_eq!(
-            snap.get(tree.storage().as_ref(), &key(k)).as_ref(),
-            frozen.get(&key(k)),
-            "snapshot must read the pinned state at {k}"
-        );
-        assert_eq!(
-            tree.get(&key(k)),
-            Some(value(k, 251)),
-            "live tree must read the new state at {k}"
-        );
-    }
 }

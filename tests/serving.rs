@@ -16,10 +16,7 @@
 //!   shard only;
 //! * **sessions bracket missions** — a store alternates missions and
 //!   sessions, each hand-over keeping state, statistics and policies;
-//! * **the in-flight gauge** never exceeds the number of clients;
-//! * **admission control** (proptest) — across arbitrary token-bucket
-//!   rates and bursts, a rejection never drops an acknowledged op:
-//!   every `Ok` put is readable, every `Rejected` put never executed.
+//! * **the in-flight gauge** never exceeds the number of clients.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,7 +24,6 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use bytes::Bytes;
-use proptest::prelude::*;
 
 use ruskey_repro::lsm::CrashPoint;
 use ruskey_repro::ruskey::db::RusKeyConfig;
@@ -628,53 +624,4 @@ fn in_flight_gauge_never_exceeds_the_client_count() {
     assert_eq!(metrics.requests(), CLIENTS * OPS);
     assert_eq!(metrics.lock_wait_ns.count, metrics.requests());
     assert_eq!(metrics.execute_ns.count, metrics.requests());
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// Across arbitrary admission-control settings, a rejection never
-    /// drops an acknowledged op: every put that returned `Ok` is
-    /// readable afterwards, every put the bucket rejected never
-    /// executed, and the metrics account for exactly the rejections the
-    /// client saw.
-    #[test]
-    fn admission_rejections_never_drop_acknowledged_ops(
-        rate in 100u64..3000,
-        burst in 1u64..16,
-        writes in 40u64..160,
-    ) {
-        let mut db = volatile(small_cfg(), 2, disk());
-        let frontend = db
-            .serve(ServingConfig {
-                rate_limit_per_sec: rate,
-                burst,
-            })
-            .expect("serve");
-        let client = frontend.client();
-        let mut acked = Vec::new();
-        let mut rejected = Vec::new();
-        for i in 0..writes {
-            let key = encode_key(i, 16);
-            match client.put(key.clone(), Bytes::from_static(b"admitted")) {
-                Ok(()) => acked.push(key),
-                Err(ServingError::Rejected { retry_after }) => {
-                    prop_assert!(retry_after.as_nanos() > 0);
-                    rejected.push(key);
-                }
-                Err(e) => panic!("unexpected serving error: {e}"),
-            }
-        }
-        let metrics = db.finish_serving(frontend).expect("finish serving");
-        prop_assert_eq!(metrics.rejections, rejected.len() as u64);
-        prop_assert_eq!(metrics.acked_writes, acked.len() as u64);
-        // The burst guarantees at least one acknowledgement.
-        prop_assert!(!acked.is_empty());
-        for key in &acked {
-            prop_assert!(db.get(key).is_some(), "acknowledged op dropped");
-        }
-        for key in &rejected {
-            prop_assert!(db.get(key).is_none(), "rejected op executed anyway");
-        }
-    }
 }

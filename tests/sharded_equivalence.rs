@@ -277,6 +277,52 @@ fn the_three_doors_agree() {
     }
 }
 
+/// An inverted range (`start > end`) is empty at every door, like
+/// `[a, a)`, and counts as a scan: with entries in every shard's memtable
+/// a served, a mission and an ad-hoc scan each return no rows, and the
+/// store keeps serving, running missions and answering ad-hoc calls.
+#[test]
+fn an_inverted_scan_range_is_empty_at_every_door() {
+    const SHARDS: usize = 2;
+    let mut db = volatile(small_cfg(), SHARDS, disk());
+    for i in 0..40 {
+        db.put(encode_key(i, 16), encode_key(i + 1000, 16));
+    }
+    let (hi, lo) = (encode_key(30, 16), encode_key(10, 16));
+    let inverted = Operation::Scan {
+        start: hi.clone(),
+        end: lo.clone(),
+        limit: 10,
+    };
+
+    let frontend = db.serve(ServingConfig::default()).expect("serve");
+    let client = frontend.client();
+    assert_eq!(client.scan(&hi, &lo, 10).expect("served scan"), vec![]);
+    assert_eq!(
+        client.get(&lo).expect("served get after the scan"),
+        Some(encode_key(1010, 16))
+    );
+    drop(client);
+    db.finish_serving(frontend).expect("finish serving");
+
+    db.try_run_mission(std::slice::from_ref(&inverted))
+        .expect("mission with an inverted scan");
+    db.try_run_mission(&[Operation::Get { key: lo.clone() }])
+        .expect("mission after the inverted scan");
+
+    assert_eq!(db.scan(&hi, &lo, 10), vec![]);
+    assert_eq!(db.get(&hi), Some(encode_key(1030, 16)));
+    assert_eq!(db.scan(&lo, &hi, 100).len(), 20, "forward scans unchanged");
+    assert_eq!(
+        db.shard_snapshots()
+            .iter()
+            .map(|s| s.scans)
+            .collect::<Vec<_>>(),
+        vec![4; SHARDS],
+        "each door's inverted scan counts once per shard, as does the forward one"
+    );
+}
+
 /// Mission execution agrees across shard counts on the logical operation
 /// composition (scans broadcast internally but count once).
 #[test]
