@@ -10,7 +10,7 @@
 //! * **background**: `background_maintenance` enabled — flushes and
 //!   compactions run as the tree's bounded boundary grant
 //!   ([`FlsmTree::maintain_boundary`]) at mission boundaries (every
-//!   [`BOUNDARY_OPS`] operations), off every operation's path, exactly
+//!   `BOUNDARY_OPS` operations), off every operation's path, exactly
 //!   as a sharded store's mission lanes interleave them.
 //!
 //! Every operation's latency is read off the tree's virtual clock, so

@@ -66,7 +66,7 @@
 //! ## Time domains: exact accounting under parallelism
 //!
 //! Each shard owns a private **time domain**: its tree runs on a
-//! [`ShardStorage`](ruskey_storage::ShardStorage) view whose
+//! [`ShardStorage`] view whose
 //! [`VirtualClock`](ruskey_storage::VirtualClock) and metrics receive only
 //! that shard's charges, while the shared device underneath aggregates
 //! everything (device-busy time). The domain belongs to the view, not to
@@ -89,7 +89,7 @@
 //!
 //! A store opened on [`Backend::Create`] gives every shard its own
 //! directory ([`PersistenceConfig`]): an independent
-//! [`FileDisk`](ruskey_storage::FileDisk) for its data pages (private
+//! [`FileDisk`] for its data pages (private
 //! file handles — the sharded real-file path carries no shared device
 //! lock, and each disk's clock is the shard's time domain), a
 //! [`Manifest`] that records the shard's run/level structure as atomic

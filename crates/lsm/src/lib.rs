@@ -66,6 +66,7 @@ pub mod manifest;
 pub mod memtable;
 pub mod monkey;
 pub mod picker;
+mod record_log;
 pub mod run;
 pub mod stats;
 pub mod transition;

@@ -15,10 +15,12 @@
 //!
 //! ## File format
 //!
-//! The manifest is an append-only sequence of CRC-framed records:
+//! The manifest is a `ManifestEdit` codec over the crate's record log
+//! (framing, the torn-tail rule and opening at the valid prefix are
+//! described there, in `record_log.rs`). It only appends; one record's
+//! body is
 //!
 //! ```text
-//! record  = [len: u32] [crc32: u32] [body]
 //! body    = [record_kind: u8] [payload]
 //! kind 0  = header  { magic: u32 = "RKMF", version: u32 }
 //! kind 1  = batch   { n_edits: u32, edit* }
@@ -72,23 +74,21 @@
 //!
 //! ## Crash injection
 //!
-//! Mirroring the WAL's [`crate::wal::CrashPoint`] hook, the manifest
-//! carries [`ManifestCrashPoint`]s for the recovery harness: a fired
+//! Like the WAL's [`crate::wal::CrashPoint`] hook, and through the same
+//! countdown, the manifest carries [`ManifestCrashPoint`]s for the
+//! recovery harness: a fired
 //! crash kills the handle (a dead process appends nothing further) at one
 //! of the interesting instants — before the batch is appended (the
 //! crash-between-data-write-and-manifest-edit case), mid-append (a torn
 //! manifest tail), after the append (before the WAL is recycled), or in the
 //! middle of a checkpoint rewrite.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::fs::File;
 use std::path::{Path, PathBuf};
 
-use bytes::Bytes;
-
+use crate::record_log::{self, sync_parent_dir, Countdown, Cursor, RecordLog};
 use crate::run::RunId;
 use crate::types::{Key, SeqNo};
-use crate::wal::{crc32, sync_parent_dir};
 
 /// Magic number identifying a manifest file ("RKMF").
 pub const MANIFEST_MAGIC: u32 = 0x524B_4D46;
@@ -467,57 +467,6 @@ fn encode_edit(buf: &mut Vec<u8>, e: &ManifestEdit) {
     }
 }
 
-/// A bounds-checked little-endian reader; every getter returns `None`
-/// past the end, so decoding arbitrary bytes can never panic.
-struct Cursor<'a> {
-    data: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Self { data, off: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.off.checked_add(n)?;
-        if end > self.data.len() {
-            return None;
-        }
-        let s = &self.data[self.off..end];
-        self.off = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|s| u16::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn key(&mut self) -> Option<Key> {
-        let len = self.u16()? as usize;
-        self.take(len).map(Bytes::copy_from_slice)
-    }
-
-    fn at_end(&self) -> bool {
-        self.off == self.data.len()
-    }
-}
-
 fn decode_run(c: &mut Cursor) -> Option<RunRecord> {
     Some(RunRecord {
         run_id: c.u64()?,
@@ -574,29 +523,32 @@ fn decode_edit(c: &mut Cursor) -> Option<ManifestEdit> {
     }
 }
 
-/// Frames a record body as `[len][crc][body]`.
-fn frame(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(body);
-    out
-}
-
-fn header_record() -> Vec<u8> {
-    let mut body = vec![0u8];
-    body.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
-    body.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-    frame(&body)
-}
-
-fn batch_record(edits: &[ManifestEdit]) -> Vec<u8> {
-    let mut body = vec![1u8];
-    body.extend_from_slice(&(edits.len() as u32).to_le_bytes());
-    for e in edits {
-        encode_edit(&mut body, e);
+/// Decodes a whole batch body after its kind byte, or nothing: batches
+/// are atomic, a half-decodable one is torn. The reserve is capped by the
+/// body length (an edit encodes to at least one byte) so a crafted count
+/// cannot demand a pathological allocation.
+fn decode_batch(payload: &[u8]) -> Option<Vec<ManifestEdit>> {
+    let mut c = Cursor::new(payload);
+    let n = c.u32()?;
+    let mut batch = Vec::with_capacity((n as usize).min(payload.len()));
+    for _ in 0..n {
+        batch.push(decode_edit(&mut c)?);
     }
-    frame(&body)
+    c.at_end().then_some(batch)
+}
+
+fn encode_header(buf: &mut Vec<u8>) {
+    buf.push(0);
+    buf.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
+}
+
+fn encode_batch(buf: &mut Vec<u8>, edits: &[ManifestEdit]) {
+    buf.push(1);
+    buf.extend_from_slice(&(edits.len() as u32).to_le_bytes());
+    for e in edits {
+        encode_edit(buf, e);
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -626,14 +578,6 @@ pub enum ManifestCrashPoint {
     PreDirSync,
 }
 
-/// An armed crash: fires when `point` is visited for the `after + 1`-th
-/// time.
-#[derive(Debug, Clone, Copy)]
-struct ArmedCrash {
-    point: ManifestCrashPoint,
-    after: u64,
-}
-
 // ----------------------------------------------------------------------
 // The manifest handle
 // ----------------------------------------------------------------------
@@ -641,7 +585,7 @@ struct ArmedCrash {
 /// An append-only, checkpointed manifest log attached to one tree.
 pub struct Manifest {
     path: PathBuf,
-    file: File,
+    log: RecordLog,
     /// The folded structure as of the last durable commit.
     state: ManifestState,
     /// Edits logged since the last commit (one mutation's batch).
@@ -657,42 +601,20 @@ pub struct Manifest {
     edits_since_checkpoint: u64,
     /// Auto-checkpoint once this many edits accumulate (0 = never).
     checkpoint_every: u64,
-    /// Armed fault-injection point, if any.
-    crash: Option<ArmedCrash>,
-    /// True once a simulated crash fired: the handle is dead and every
-    /// operation is a no-op.
-    crashed: bool,
+    crash: Countdown<ManifestCrashPoint>,
 }
 
 impl Manifest {
     /// Creates a fresh manifest at `path` (truncating any previous file)
     /// holding only the version header.
     pub fn create(path: impl AsRef<Path>, checkpoint_every: u64) -> std::io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)?;
-        file.write_all(&header_record())?;
-        file.sync_data()?;
-        // The creation itself must survive power loss: fsync the
-        // directory entry, not just the file contents.
-        sync_parent_dir(&path)?;
-        let _ = std::fs::remove_file(Self::tmp_path(&path));
-        Ok(Self {
-            path,
-            file,
-            state: ManifestState::default(),
-            pending: Vec::new(),
-            edits: 0,
-            commits: 0,
-            checkpoints: 0,
-            edits_since_checkpoint: 0,
+        Self::open(
+            path.as_ref(),
+            ManifestState::default(),
+            0,
+            0,
             checkpoint_every,
-            crash: None,
-            crashed: false,
-        })
+        )
     }
 
     /// Recovers a manifest: folds the longest consistent prefix of the
@@ -701,136 +623,83 @@ impl Manifest {
     /// the number of edits replayed. A missing file (or one without a
     /// valid header) recovers to the empty state and is re-initialized.
     pub fn recover(path: impl AsRef<Path>, checkpoint_every: u64) -> std::io::Result<(Self, u64)> {
-        let path = path.as_ref().to_path_buf();
-        // A stale checkpoint temp file is a crashed, never-renamed
-        // rewrite: the log itself is authoritative, drop the leftover.
-        let _ = std::fs::remove_file(Self::tmp_path(&path));
-        let (state, edits, valid_bytes) = Self::fold_file(&path)?;
-        match OpenOptions::new().write(true).open(&path) {
-            Ok(f) => {
-                if f.metadata()?.len() > valid_bytes {
-                    f.set_len(valid_bytes)?;
-                    f.sync_data()?;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+        let path = path.as_ref();
+        let (state, edits, valid) = Self::fold_file(path)?;
+        let m = Self::open(path, state, edits, valid, checkpoint_every)?;
+        Ok((m, edits))
+    }
+
+    /// Opens the log at `path` cut back to `valid` bytes, which fold to
+    /// `state`. With nothing valid left it starts a clean, versioned log,
+    /// so future recoveries accept the appends. A stale checkpoint temp
+    /// file is a crashed, never-renamed rewrite: the log itself is
+    /// authoritative, the leftover goes.
+    fn open(
+        path: &Path,
+        state: ManifestState,
+        edits: u64,
+        valid: u64,
+        checkpoint_every: u64,
+    ) -> std::io::Result<Self> {
+        let _ = std::fs::remove_file(Self::tmp_path(path));
+        let mut log = RecordLog::open(path, valid)?;
+        if valid == 0 {
+            log.append(encode_header);
+            log.sync()?;
         }
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if valid_bytes == 0 {
-            // Missing or headerless file: start a clean, versioned log so
-            // future recoveries accept the appends. Make the (possible)
-            // creation durable like `create` does.
-            file.write_all(&header_record())?;
-            file.sync_data()?;
-            sync_parent_dir(&path)?;
-        }
-        Ok((
-            Self {
-                path,
-                file,
-                state,
-                pending: Vec::new(),
-                edits,
-                commits: 0,
-                checkpoints: 0,
-                edits_since_checkpoint: 0,
-                checkpoint_every,
-                crash: None,
-                crashed: false,
-            },
+        Ok(Self {
+            path: path.to_path_buf(),
+            log,
+            state,
+            pending: Vec::new(),
             edits,
-        ))
+            commits: 0,
+            checkpoints: 0,
+            edits_since_checkpoint: 0,
+            checkpoint_every,
+            crash: Countdown::default(),
+        })
     }
 
     /// Parses a manifest file into (state, edits folded, valid byte
-    /// length). Never panics on arbitrary bytes.
+    /// length). The first record must be a header with this magic and
+    /// version, or nothing is valid; a batch that does not decode whole,
+    /// or does not apply to the state folded so far, ends the prefix.
+    /// Never panics on arbitrary bytes.
     fn fold_file(path: &Path) -> std::io::Result<(ManifestState, u64, u64)> {
-        let mut data = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut data)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok((ManifestState::default(), 0, 0))
-            }
-            Err(e) => return Err(e),
-        }
         let mut state = ManifestState::default();
         let mut edits = 0u64;
-        let mut off = 0usize;
         let mut saw_header = false;
-        while off + 8 <= data.len() {
-            let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
-            let start = off + 8;
-            let Some(end) = start.checked_add(len) else {
-                break;
+        let valid = record_log::replay(path, |body| {
+            let Some((&kind, payload)) = body.split_first() else {
+                return false;
             };
-            if end > data.len() {
-                break; // torn tail
-            }
-            let body = &data[start..end];
-            if crc32(body) != crc || body.is_empty() {
-                break; // corrupt record
-            }
-            let mut c = Cursor::new(&body[1..]);
-            match body[0] {
-                0 => {
-                    // Header: must be the first record, magic and version
-                    // must match exactly.
-                    let ok = !saw_header
-                        && off == 0
-                        && c.u32() == Some(MANIFEST_MAGIC)
+            match kind {
+                0 if !saw_header => {
+                    let mut c = Cursor::new(payload);
+                    saw_header = c.u32() == Some(MANIFEST_MAGIC)
                         && c.u32() == Some(MANIFEST_VERSION)
                         && c.at_end();
-                    if !ok {
-                        break;
-                    }
-                    saw_header = true;
+                    saw_header
                 }
-                1 => {
-                    if !saw_header {
-                        break; // batches before the header are unreadable
-                    }
-                    let Some(n) = c.u32() else { break };
-                    // Decode the whole batch before applying any of it:
-                    // batches are atomic, a half-decodable one is torn.
-                    // The reserve is capped by the body length (an edit
-                    // encodes to at least one byte) so a crafted count
-                    // cannot demand a pathological allocation.
-                    let mut batch = Vec::with_capacity((n as usize).min(body.len()));
-                    let mut ok = true;
-                    for _ in 0..n {
-                        match decode_edit(&mut c) {
-                            Some(e) => batch.push(e),
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !ok || !c.at_end() {
-                        break;
-                    }
+                1 if saw_header => {
+                    let Some(batch) = decode_batch(payload) else {
+                        return false;
+                    };
                     // Apply against a scratch copy: an inconsistent batch
                     // must not half-mutate the folded state.
                     let mut scratch = state.clone();
                     if batch.iter().try_for_each(|e| scratch.apply(e)).is_err() {
-                        break;
+                        return false;
                     }
                     state = scratch;
                     edits += batch.len() as u64;
+                    true
                 }
-                _ => break, // unknown record kind
+                _ => false,
             }
-            off = end;
-        }
-        // Without a valid header nothing is trustworthy.
-        if !saw_header {
-            return Ok((ManifestState::default(), 0, 0));
-        }
-        Ok((state, edits, off as u64))
+        })?;
+        Ok((state, edits, valid))
     }
 
     fn tmp_path(path: &Path) -> PathBuf {
@@ -847,7 +716,7 @@ impl Manifest {
     /// Buffers one edit into the current mutation's batch. No-op on a
     /// dead (crashed) handle.
     pub fn log(&mut self, edit: ManifestEdit) {
-        if self.crashed {
+        if self.crash.is_dead() {
             return;
         }
         self.pending.push(edit);
@@ -882,11 +751,11 @@ impl Manifest {
     /// Panics (debug) if the buffered edits do not apply to the state —
     /// that is an emission bug in the tree, never an I/O condition.
     pub fn commit(&mut self) -> std::io::Result<bool> {
-        if self.crashed || self.pending.is_empty() {
+        if self.crash.is_dead() || self.pending.is_empty() {
             self.pending.clear();
             return Ok(false);
         }
-        if self.hit(ManifestCrashPoint::PreCommit) {
+        if self.crash.fires(ManifestCrashPoint::PreCommit) {
             // Process death before the edit reaches the log: the batch
             // (and the mutation it described) is lost; the data pages it
             // referenced become unreferenced orphans.
@@ -894,15 +763,13 @@ impl Manifest {
             return Ok(false);
         }
         let batch = std::mem::take(&mut self.pending);
-        let record = batch_record(&batch);
-        if self.hit(ManifestCrashPoint::MidCommit) {
+        self.log.append(|buf| encode_batch(buf, &batch));
+        if self.crash.fires(ManifestCrashPoint::MidCommit) {
             // Torn append: half the record's bytes reach the file.
-            let half = record.len() / 2;
-            self.file.write_all(&record[..half])?;
+            self.log.write(true)?;
             return Ok(false);
         }
-        self.file.write_all(&record)?;
-        self.file.sync_data()?;
+        self.log.sync()?;
         for e in &batch {
             if let Err(err) = self.state.apply(e) {
                 // Unreachable from the tree's emission; a bug here would
@@ -913,7 +780,7 @@ impl Manifest {
         self.edits += batch.len() as u64;
         self.edits_since_checkpoint += batch.len() as u64;
         self.commits += 1;
-        if self.hit(ManifestCrashPoint::PostCommit) {
+        if self.crash.fires(ManifestCrashPoint::PostCommit) {
             // The batch is durable; the process dies before doing
             // anything else (frees, WAL recycling).
             return Ok(true);
@@ -924,11 +791,11 @@ impl Manifest {
         Ok(true)
     }
 
-    /// Encodes the current state as `header + one batch`, with runs in
-    /// ascending run-id order (which reconstructs every level's sealed
-    /// order and active run exactly — within a level, sealed runs are
-    /// sealed in id order and the active run carries the highest id).
-    fn encode_state(&self) -> Vec<u8> {
+    /// Appends the current state to `log` as `header + one batch`, with
+    /// runs in ascending run-id order (which reconstructs every level's
+    /// sealed order and active run exactly — within a level, sealed runs
+    /// are sealed in id order and the active run carries the highest id).
+    fn append_state(&self, log: &mut RecordLog) {
         let mut edits: Vec<ManifestEdit> = Vec::new();
         for (idx, l) in self.state.levels.iter().enumerate() {
             if l.policy != 0 || l.pending.is_some() {
@@ -961,11 +828,10 @@ impl Manifest {
                 seq: self.state.seq,
             });
         }
-        let mut out = header_record();
+        log.append(encode_header);
         if !edits.is_empty() {
-            out.extend_from_slice(&batch_record(&edits));
+            log.append(|buf| encode_batch(buf, &edits));
         }
-        out
     }
 
     /// Compacts the log: atomically rewrites the file as `header + one
@@ -973,43 +839,36 @@ impl Manifest {
     /// fsync, rename over the log). A crash anywhere during the rewrite
     /// leaves the previous log intact.
     pub fn checkpoint(&mut self) -> std::io::Result<()> {
-        if self.crashed {
+        if self.crash.is_dead() {
             return Ok(());
         }
-        let image = self.encode_state();
         let tmp = Self::tmp_path(&self.path);
-        if self.hit(ManifestCrashPoint::MidCheckpoint) {
+        let mut image = RecordLog::over(File::create(&tmp)?, 0);
+        self.append_state(&mut image);
+        if self.crash.fires(ManifestCrashPoint::MidCheckpoint) {
             // Torn rewrite, never renamed: the old log stays authoritative.
-            let mut f = File::create(&tmp)?;
-            f.write_all(&image[..image.len() / 2])?;
-            return Ok(());
+            return image.write(true);
         }
         // A power cut can roll back an un-fsynced rename: the armed
         // PreDirSync fault needs the old log bytes to restore.
-        let pre_rename = if matches!(self.crash, Some(a) if a.point == ManifestCrashPoint::PreDirSync)
-        {
+        let pre_rename = if self.crash.is_armed_at(ManifestCrashPoint::PreDirSync) {
             Some(std::fs::read(&self.path)?)
         } else {
             None
         };
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&image)?;
-            f.sync_data()?;
-        }
+        image.sync()?;
         std::fs::rename(&tmp, &self.path)?;
-        if self.hit(ManifestCrashPoint::PreDirSync) {
+        if let Some(old) = pre_rename.filter(|_| self.crash.fires(ManifestCrashPoint::PreDirSync)) {
             // The rename happened but its directory entry was never
             // fsynced: power loss makes the old bytes reappear.
-            std::fs::write(&self.path, pre_rename.expect("snapshot taken while armed"))?;
-            return Ok(());
+            return std::fs::write(&self.path, old);
         }
         // The rename is not durable until the directory entry is: a power
         // cut here would resurrect the old (longer) log. Both states are
         // consistent, but the barrier makes checkpointing monotone.
         sync_parent_dir(&self.path)?;
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.file.sync_data()?;
+        // The image's handle now names the log: later commits append to it.
+        self.log = image;
         // Note: the checkpoint's max_run_id is the max over *live* runs,
         // which may be lower than the pre-checkpoint watermark if the
         // newest runs were removed. That is safe: ids are only compared
@@ -1022,37 +881,23 @@ impl Manifest {
     /// Arms a simulated crash: the `after + 1`-th visit of `point` kills
     /// this handle. Test-harness hook; a production store never arms one.
     pub fn arm_crash(&mut self, point: ManifestCrashPoint, after: u64) {
-        self.crash = Some(ArmedCrash { point, after });
+        self.crash.arm(point, after);
     }
 
     /// True once an armed crash has fired: the handle is dead and every
     /// operation is a no-op.
     pub fn is_crashed(&self) -> bool {
-        self.crashed
+        self.crash.is_dead()
     }
 
     /// Kills the handle from outside: the tree calls this when the
-    /// storage device reports a power cut, so the manifest behaves
-    /// exactly like a process that died before committing.
+    /// storage device reports a power cut, or a commit fails, so the
+    /// manifest behaves exactly like a process that died before
+    /// committing.
     pub fn mark_crashed(&mut self) {
-        self.crashed = true;
+        self.crash.kill();
         self.pending.clear();
-    }
-
-    fn hit(&mut self, point: ManifestCrashPoint) -> bool {
-        match self.crash {
-            Some(ref mut armed) if armed.point == point => {
-                if armed.after > 0 {
-                    armed.after -= 1;
-                    false
-                } else {
-                    self.crash = None;
-                    self.crashed = true;
-                    true
-                }
-            }
-            _ => false,
-        }
+        self.log.discard();
     }
 }
 
@@ -1069,6 +914,8 @@ impl std::fmt::Debug for Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record_log::tests::crc32_bitwise;
+    use bytes::Bytes;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ruskey-manifest-{name}-{}", std::process::id()))
@@ -1091,6 +938,111 @@ mod tests {
             min_key: key("a"),
             max_key: key("z"),
         }
+    }
+
+    /// `body` framed as `[len][crc][body]`, with the checksum computed one
+    /// bit at a time.
+    fn frame(body: &[u8]) -> Vec<u8> {
+        let mut out = (body.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&crc32_bitwise(body).to_le_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// A batch record's body: kind 1, the edit count, the edits.
+    fn batch_body(edits: &[ManifestEdit]) -> Vec<u8> {
+        let mut body = vec![1u8];
+        body.extend_from_slice(&(edits.len() as u32).to_le_bytes());
+        edits.iter().for_each(|e| encode_edit(&mut body, e));
+        body
+    }
+
+    fn header_record() -> Vec<u8> {
+        frame(&[0, 0x46, 0x4D, 0x4B, 0x52, 2, 0, 0, 0])
+    }
+
+    fn batch_record(edits: &[ManifestEdit]) -> Vec<u8> {
+        frame(&batch_body(edits))
+    }
+
+    /// The file a create, one batch holding every edit kind and a
+    /// checkpoint leave behind, byte for byte — the header record as a
+    /// literal, so a framing and a codec changing together are caught.
+    #[test]
+    fn create_commit_and_checkpoint_write_the_same_bytes() {
+        let path = tmp("same-bytes");
+        let _ = std::fs::remove_file(&path);
+        let header = [
+            9, 0, 0, 0, 0xf2, 0x65, 0x62, 0xa1, 0, 0x46, 0x4D, 0x4B, 0x52, 2, 0, 0, 0,
+        ];
+        let batch = [
+            ManifestEdit::AddRun {
+                level: 0,
+                active: true,
+                run: run(1),
+            },
+            ManifestEdit::RetargetRun {
+                level: 0,
+                run_id: 1,
+                capacity_bytes: 8192,
+            },
+            ManifestEdit::SealRun {
+                level: 0,
+                run_id: 1,
+            },
+            ManifestEdit::AddRun {
+                level: 0,
+                active: false,
+                run: run(2),
+            },
+            ManifestEdit::MoveRun {
+                from_level: 0,
+                to_level: 1,
+                run_id: 2,
+            },
+            ManifestEdit::RemoveRun {
+                level: 0,
+                run_id: 1,
+            },
+            ManifestEdit::SetPolicy {
+                level: 1,
+                policy: 3,
+                pending: Some(2),
+            },
+            ManifestEdit::SeqWatermark { seq: 42 },
+        ];
+        let mut m = Manifest::create(&path, 0).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), header);
+        batch.iter().for_each(|e| m.log(e.clone()));
+        assert!(m.commit().unwrap());
+        let mut want = header.to_vec();
+        want.extend(frame(&batch_body(&batch)));
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+        assert_eq!(
+            want[17..31],
+            [236, 0, 0, 0, 0x97, 0xb5, 0x9a, 0xa0, 1, 8, 0, 0, 0, 1]
+        );
+        m.checkpoint().unwrap();
+        let mut want = header.to_vec();
+        want.extend(frame(&batch_body(&[
+            ManifestEdit::SetPolicy {
+                level: 1,
+                policy: 3,
+                pending: Some(2),
+            },
+            ManifestEdit::AddRun {
+                level: 1,
+                active: false,
+                run: run(2),
+            },
+            ManifestEdit::SeqWatermark { seq: 42 },
+        ])));
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+        drop(m);
+        let (m, replayed) = Manifest::recover(&path, 0).unwrap();
+        assert_eq!(replayed, 3);
+        assert_eq!(m.state().levels[1].sealed, [run(2)]);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -498,13 +498,18 @@ impl FlsmTree {
 
     /// Appends one entry to the attached WAL (no-op without one), charging
     /// the append — and any auto-sync the flush policy triggered — to this
-    /// tree's storage time domain.
+    /// tree's storage time domain. A log that cannot take the record is a
+    /// power failure, like a failed barrier: the write is never
+    /// acknowledged, and the tree is crashed.
     fn log_write(&mut self, e: &KvEntry) {
         let Some(wal) = &mut self.wal else {
             return;
         };
         let syncs_before = wal.sync_count();
-        wal.append(e).expect("WAL append failed");
+        if wal.append(e).is_err() {
+            self.power_fail();
+            return;
+        }
         if wal.is_crashed() {
             // Appends on a dead handle are no-ops; a dead process
             // charges nothing to its time domain.
@@ -626,10 +631,8 @@ impl FlsmTree {
 
     /// Commits the mutation's buffered manifest batch, charges its cost
     /// to this tree's storage time domain, and — only once the batch is
-    /// durable — frees the extents of the runs the mutation superseded.
-    ///
-    /// # Panics
-    /// Panics if the manifest I/O fails (mirroring the WAL's policy).
+    /// durable — frees the extents of the runs the mutation superseded. A
+    /// commit that fails is a power failure, like a failed barrier.
     fn commit_manifest(&mut self) {
         // Step 2 boundary of the power-failure contract: every extent
         // this mutation created is already fsynced; one directory fsync
@@ -646,7 +649,10 @@ impl FlsmTree {
             return;
         };
         let pending = m.pending_edits() as u64;
-        let wrote = m.commit().expect("manifest commit failed");
+        let Ok(wrote) = m.commit() else {
+            self.power_fail();
+            return;
+        };
         if m.is_crashed() {
             // Simulated process death: the deferred frees never happen
             // (recovery ignores the orphaned pages) and a dead process
@@ -1832,6 +1838,21 @@ mod tests {
         assert_eq!(replayed.len(), 1, "only the post-flush write is logged");
         assert_eq!(t.stats().wal_appends, 51, "lifetime appends keep counting");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A log write that fails is a power failure, not a panic: the tree is
+    /// crashed (a served put is refused as such) and still answers reads.
+    /// `/dev/full` opens fine and fails every write with ENOSPC, so the
+    /// first append's auto-sync fails.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_wal_write_crashes_the_tree_without_a_panic() {
+        let mut t = small_tree();
+        t.attach_wal(crate::wal::Wal::open_with_sync_every("/dev/full", 1).unwrap());
+        t.put(key(1), val(1));
+        assert!(t.crashed() && t.power_failed());
+        assert!(t.wal_crashed(), "the log is dead");
+        assert_eq!(t.get(&key(1)), Some(val(1)), "the memtable still reads");
     }
 
     /// WAL costs are charged to the tree's storage time domain: appends

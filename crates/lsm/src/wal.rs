@@ -3,10 +3,12 @@
 //! Every put/delete is appended here *before* it enters the memtable
 //! ([`crate::FlsmTree`] owns an optional `Wal` and logs automatically), so
 //! the write buffer — the only volatile state between memtable flushes —
-//! can be reconstructed after a crash. Record format:
+//! can be reconstructed after a crash. The log is a `KvEntry` codec over
+//! the crate's record log (framing, replay, recycling and sync tickets are
+//! described there, in `record_log.rs`); one record's body is
 //!
 //! ```text
-//! [len: u32] [crc32: u32] [seq: u64] [kind: u8] [klen: u16] [key] [value]
+//! [seq: u64] [kind: u8] [klen: u16] [key] [value]
 //! ```
 //!
 //! ## Durability contract
@@ -38,50 +40,26 @@
 //! A record is *acknowledged* only once a sync covering it succeeds;
 //! [`Wal::durable_records`] counts exactly those. After a successful
 //! memtable flush the log's contents are superseded by the flushed run and
-//! [`Wal::reset`] **recycles** the file (which also clears the
+//! [`Wal::reset`] **recycles** the file in place (which also clears the
 //! unsynced-window counter — a reset log has nothing left to lose).
 //!
-//! ## One file, recycled in place
-//!
-//! The log is one file that is never truncated while in use. Appends are
-//! positioned writes at the end of the current *generation* (the records
-//! since the last reset), and a reset zero-fills that generation and
-//! rewinds to offset 0 — no truncate, no fsync, no reopen. One invariant
-//! holds throughout: every byte past the current generation is zero or
-//! past EOF. [`Wal::reset`] keeps it by zero-filling; [`Wal::recover`] and
-//! [`Wal::open`] keep it by cutting an existing file back to its valid
-//! prefix, so a record is never written behind a gap.
-//!
-//! Why: once the file has reached its working size, every append and
-//! group commit overwrites blocks that are already allocated, so the
-//! `fdatasync` has only data to write. Extending a file (or truncating
-//! it) changes its size, and the fsync must then also wait for the file
-//! system's journal to commit that metadata.
-//!
-//! Why it is safe: replay stops at a zero header (its length is below a
-//! record's minimum), so a zero-filled log replays exactly like an empty
-//! one. A power cut may land after a reset but before the zero-fill
-//! reaches the disk; then records of *finished* generations can replay.
-//! Every one of them went into a run the manifest committed before the
-//! reset, so it carries a sequence number at or below the recovered
-//! tree's, and recovery drops it ([`crate::FlsmTree::recover_persistent`];
-//! on a volatile backend flushed runs are lost at a restart regardless).
-//! An acknowledged record of the live generation was covered by an
-//! `fdatasync` of the same file, and that fsync also wrote the zero-filled
-//! pages it lies on.
+//! A power cut may land after a reset but before its zero-fill reaches the
+//! disk; then records of *finished* generations replay. Every one of them
+//! went into a run the manifest committed before the reset, so it carries a
+//! sequence number at or below the recovered tree's, and recovery drops it
+//! ([`crate::FlsmTree::recover_persistent`]; on a volatile backend flushed
+//! runs are lost at a restart regardless).
 //!
 //! ## Recovery
 //!
-//! [`Wal::replay`] parses the longest valid prefix of a log file: it stops
-//! at the first record whose length field overruns the file (torn write),
-//! whose CRC mismatches (corruption) or whose header is zero (a recycled
-//! tail), and never panics on arbitrary bytes. [`Wal::recover`]
-//! additionally truncates the file back to that valid prefix — so later
-//! appends extend a clean log rather than trailing garbage — and returns a
-//! handle ready for appending. Replay order is pinned by the sequence
-//! numbers in the record headers; callers sort by `seq` before
-//! reinsertion so recovery is deterministic regardless of how the log was
-//! produced.
+//! [`Wal::replay`] parses the longest valid prefix of a log file and never
+//! panics on arbitrary bytes; a body too short for its header or its key,
+//! or with an unknown kind, ends the prefix too. [`Wal::recover`]
+//! additionally cuts the file back to that prefix — so later appends
+//! extend a clean log rather than trailing garbage — and returns a handle
+//! ready for appending. Replay order is pinned by the sequence numbers in
+//! the records; callers sort by `seq` before reinsertion so recovery is
+//! deterministic regardless of how the log was produced.
 //!
 //! Note the WAL protects the *write buffer* only — one half of the
 //! engine's two-log durability contract. The other half is the
@@ -105,54 +83,13 @@
 //! writes only half of the pending buffer first, producing the torn tail
 //! that replay must tolerate.
 
-use std::fs::{File, OpenOptions};
-use std::io::Read;
-use std::os::unix::fs::FileExt;
 use std::path::Path;
-use std::sync::Arc;
 
 use bytes::Bytes;
 
+pub use crate::record_log::SyncTicket;
+use crate::record_log::{self, Countdown, Cursor, RecordLog};
 use crate::types::{KvEntry, OpKind};
-
-/// Slice-by-8 lookup tables for the reflected IEEE polynomial: `[0]` is the
-/// classic byte-at-a-time table, `[k]` advances a byte `k` positions further.
-static CRC_TABLES: [[u32; 256]; 8] = {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 8 * 256 {
-        let (k, byte) = (i / 256, i % 256);
-        t[k][byte] = if k == 0 {
-            let (mut crc, mut bit) = (byte as u32, 0);
-            while bit < 8 {
-                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
-                bit += 1;
-            }
-            crc
-        } else {
-            let prev = t[k - 1][byte];
-            (prev >> 8) ^ t[0][(prev & 0xff) as usize]
-        };
-        i += 1;
-    }
-    t
-};
-
-/// CRC-32 (IEEE) over `data`, eight bytes per step. Shared with the
-/// manifest's record framing.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let x = u64::from_le_bytes(w.try_into().expect("8-byte chunk")) ^ crc as u64;
-        crc = (0..8).fold(0, |acc, k| acc ^ t[7 - k][(x >> (8 * k)) as u8 as usize]);
-    }
-    for &b in words.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
-    }
-    !crc
-}
 
 /// Where in the WAL write path a simulated crash fires (test harness).
 ///
@@ -173,82 +110,19 @@ pub enum CrashPoint {
     MidFlush,
 }
 
-/// An armed crash: fires when `point` is visited for the `after + 1`-th
-/// time.
-#[derive(Debug, Clone, Copy)]
-struct ArmedCrash {
-    point: CrashPoint,
-    after: u64,
-}
-
-/// One fsync of the log, split so that it can run without the log: taken
-/// by [`Wal::begin_sync`] once the buffer is in the file, it carries the
-/// file handle, the lifetime append count the fsync will cover, and the log
-/// generation it belongs to. The holder calls [`SyncTicket::sync_data`] —
-/// under no lock the log's owner holds — and hands the ticket back to
-/// [`Wal::finish_sync`].
-#[derive(Debug, Clone)]
-pub struct SyncTicket {
-    file: Arc<File>,
-    generation: u64,
-    appended: u64,
-}
-
-impl SyncTicket {
-    /// Lifetime appends ([`Wal::appended`]) in the file when the ticket was
-    /// taken: an fsync started later covers every one of them.
-    pub fn appended(&self) -> u64 {
-        self.appended
-    }
-
-    /// The fsync itself.
-    pub fn sync_data(&self) -> std::io::Result<()> {
-        self.file.sync_data()
-    }
-}
-
-/// What [`Wal::reset`] writes over a finished generation, a block at a time.
-static ZEROS: [u8; 1 << 16] = [0; 1 << 16];
-
-/// Fsyncs `path`'s parent directory (`.` for a bare file name): a file
-/// creation or rename is not durable across power loss until the
-/// directory entry itself is.
-pub(crate) fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
-}
-
 /// A write-ahead log: one file, appended to and recycled in place.
 pub struct Wal {
-    /// Shared with the [`SyncTicket`]s in flight.
-    file: Arc<File>,
-    /// User-space buffer: bytes appended but not yet written to the file.
-    /// Dies with the process — exactly the data a crash loses.
-    buf: Vec<u8>,
-    /// Bytes of the current generation in the file: the next write lands
-    /// here, and every byte past it is zero or past EOF.
-    written: u64,
+    log: RecordLog,
     /// Records in the current log generation (file + buffer); zeroed by
     /// [`Wal::reset`].
     records: u64,
     /// Auto-fsync every `n` appends; 0 = manual syncs only.
     sync_every: u64,
-    /// Records appended since the last successful fsync.
-    unsynced: u64,
-    /// Lifetime appends through this handle (never reset).
-    total_appends: u64,
     /// Lifetime successful fsyncs (never reset).
     syncs: u64,
     /// Lifetime records covered by a successful fsync (never reset).
     durable: u64,
-    /// Bumped by every [`Wal::reset`]: a ticket of an older generation
-    /// syncs records a flush has already superseded (and counted).
-    generation: u64,
-    /// Armed fault-injection point, if any.
-    crash: Option<ArmedCrash>,
-    /// True once a simulated crash fired: the handle is "dead" and every
-    /// operation is a no-op.
-    crashed: bool,
+    crash: Countdown<CrashPoint>,
 }
 
 impl Wal {
@@ -269,43 +143,18 @@ impl Wal {
             Ok(m) if m.is_file() => Self::replay_prefix(path)?.1,
             _ => 0,
         };
-        Self::open_at(path, sync_every, valid)
+        Ok(Self::over(RecordLog::open(path, valid)?, sync_every))
     }
 
-    /// Opens the log for writing at `valid`, the end of its valid prefix,
-    /// truncating whatever follows it.
-    fn open_at(path: &Path, sync_every: u64, valid: u64) -> std::io::Result<Self> {
-        let existed = path.exists();
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(false)
-            .open(path)?;
-        let meta = file.metadata()?;
-        if meta.is_file() && meta.len() > valid {
-            file.set_len(valid)?;
-            file.sync_data()?;
-        }
-        if !existed {
-            // A freshly created log is not durable until its directory
-            // entry is: power loss before the dir fsync would lose the
-            // file — and with it every acknowledged record.
-            sync_parent_dir(path)?;
-        }
-        Ok(Self {
-            file: Arc::new(file),
-            buf: Vec::new(),
-            written: valid,
+    fn over(log: RecordLog, sync_every: u64) -> Self {
+        Self {
+            log,
             records: 0,
             sync_every,
-            unsynced: 0,
-            total_appends: 0,
             syncs: 0,
             durable: 0,
-            generation: 0,
-            crash: None,
-            crashed: false,
-        })
+            crash: Countdown::default(),
+        }
     }
 
     /// Recovers a log: parses the longest valid prefix of the file at
@@ -319,7 +168,7 @@ impl Wal {
     ) -> std::io::Result<(Self, Vec<KvEntry>)> {
         let path = path.as_ref();
         let (records, valid_bytes) = Self::replay_prefix(path)?;
-        let mut wal = Self::open_at(path, sync_every, valid_bytes)?;
+        let mut wal = Self::over(RecordLog::open(path, valid_bytes)?, sync_every);
         wal.records = records.len() as u64;
         wal.durable = records.len() as u64;
         Ok((wal, records))
@@ -329,41 +178,30 @@ impl Wal {
     /// auto-sync configured the append fsyncs once the cadence is
     /// reached, otherwise it only buffers until [`Wal::flush`]/[`Wal::sync`].
     pub fn append(&mut self, e: &KvEntry) -> std::io::Result<()> {
-        if self.crashed {
+        if self.crash.is_dead() {
             return Ok(());
         }
-        if self.hit(CrashPoint::PreAppend) {
+        if self.crash.fires(CrashPoint::PreAppend) {
             // Process death before buffering: every unflushed byte dies.
-            self.buf.clear();
+            self.log.discard();
             return Ok(());
         }
-        // Encode in place: header placeholder, body, then the length and
-        // the checksum of the body just written.
-        const HEADER: usize = 8;
-        let at = self.buf.len();
-        self.buf.reserve(HEADER + 11 + e.key.len() + e.value.len());
-        self.buf.extend_from_slice(&[0u8; HEADER]);
-        self.buf.extend_from_slice(&e.seq.to_le_bytes());
-        self.buf.push(e.kind.to_byte());
-        self.buf
-            .extend_from_slice(&(e.key.len() as u16).to_le_bytes());
-        self.buf.extend_from_slice(&e.key);
-        self.buf.extend_from_slice(&e.value);
-        let body = at + HEADER;
-        let len = (self.buf.len() - body) as u32;
-        let crc = crc32(&self.buf[body..]);
-        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
-        self.buf[at + 4..body].copy_from_slice(&crc.to_le_bytes());
+        self.log.append(|buf| {
+            buf.reserve(11 + e.key.len() + e.value.len());
+            buf.extend_from_slice(&e.seq.to_le_bytes());
+            buf.push(e.kind.to_byte());
+            buf.extend_from_slice(&(e.key.len() as u16).to_le_bytes());
+            buf.extend_from_slice(&e.key);
+            buf.extend_from_slice(&e.value);
+        });
         self.records += 1;
-        self.unsynced += 1;
-        self.total_appends += 1;
-        if self.hit(CrashPoint::PostAppend) {
+        if self.crash.fires(CrashPoint::PostAppend) {
             // Process death after buffering: the buffer (this record
             // included) dies with the process.
-            self.buf.clear();
+            self.log.discard();
             return Ok(());
         }
-        if self.sync_every > 0 && self.unsynced >= self.sync_every {
+        if self.sync_every > 0 && self.log.unsynced() >= self.sync_every {
             self.sync()?;
         }
         Ok(())
@@ -375,7 +213,7 @@ impl Wal {
     /// auto-sync cadence, so the `sync_every` power-failure bound holds
     /// however often callers flush.
     pub fn flush(&mut self) -> std::io::Result<()> {
-        if self.crashed {
+        if self.crash.is_dead() {
             return Ok(());
         }
         self.flush_buf()
@@ -400,15 +238,11 @@ impl Wal {
     /// killed inside this very flush: no sync starts, so no record becomes
     /// acknowledged.
     pub fn begin_sync(&mut self) -> std::io::Result<Option<SyncTicket>> {
-        if self.crashed {
+        if self.crash.is_dead() {
             return Ok(None);
         }
         self.flush_buf()?;
-        Ok((!self.crashed).then(|| SyncTicket {
-            file: Arc::clone(&self.file),
-            generation: self.generation,
-            appended: self.total_appends,
-        }))
+        Ok((!self.crash.is_dead()).then(|| self.log.ticket()))
     }
 
     /// Second half of a sync, called once the ticket's fsync returned
@@ -424,33 +258,21 @@ impl Wal {
     /// here (the batch is counted durable, the process died before saying
     /// so).
     pub fn finish_sync(&mut self, ticket: &SyncTicket) -> Option<u64> {
-        if self.crashed || ticket.generation != self.generation {
+        if self.crash.is_dead() {
             return None;
         }
-        let covered = self.total_appends - self.unsynced;
-        let newly = ticket.appended.saturating_sub(covered);
+        let newly = self.log.finish_sync(ticket)?;
         self.syncs += 1;
         self.durable += newly;
-        self.unsynced -= newly;
-        (!self.hit(CrashPoint::PostSync)).then_some(newly)
+        (!self.crash.fires(CrashPoint::PostSync)).then_some(newly)
     }
 
     /// Writes the user-space buffer to the file, honoring an armed
     /// [`CrashPoint::MidFlush`]: the crash writes only the first half of
     /// the pending bytes (a torn write) before the process "dies".
     fn flush_buf(&mut self) -> std::io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let len = if self.hit(CrashPoint::MidFlush) {
-            self.buf.len() / 2
-        } else {
-            self.buf.len()
-        };
-        self.file.write_all_at(&self.buf[..len], self.written)?;
-        self.written += len as u64;
-        self.buf.clear();
-        Ok(())
+        let torn = self.log.has_buffered() && self.crash.fires(CrashPoint::MidFlush);
+        self.log.write(torn)
     }
 
     /// Number of records appended in the current log generation (since
@@ -461,13 +283,13 @@ impl Wal {
 
     /// Lifetime number of records appended through this handle.
     pub fn appended(&self) -> u64 {
-        self.total_appends
+        self.log.appended()
     }
 
     /// Records appended since the last fsync — the current power-failure
     /// loss window.
     pub fn unsynced(&self) -> u64 {
-        self.unsynced
+        self.log.unsynced()
     }
 
     /// Lifetime number of successful fsyncs through this handle — the
@@ -492,21 +314,14 @@ impl Wal {
     /// to zero — a reset log has nothing left to lose. Nothing is fsynced
     /// here: the next sync writes the zeroed pages with its records.
     pub fn reset(&mut self) -> std::io::Result<()> {
-        if self.crashed {
+        if self.crash.is_dead() {
             return Ok(());
         }
-        self.buf.clear();
         // Records still in the loss window are superseded by the flushed
         // run: they leave the window as acknowledged, not as lost.
-        self.durable += self.unsynced;
-        for at in (0..self.written).step_by(ZEROS.len()) {
-            let n = ZEROS.len().min((self.written - at) as usize);
-            self.file.write_all_at(&ZEROS[..n], at)?;
-        }
-        self.written = 0;
-        self.generation += 1;
+        self.durable += self.log.unsynced();
+        self.log.recycle()?;
         self.records = 0;
-        self.unsynced = 0;
         Ok(())
     }
 
@@ -514,14 +329,14 @@ impl Wal {
     /// this handle (discarding the user-space buffer, as process death
     /// would). Test-harness hook; a production store never arms one.
     pub fn arm_crash(&mut self, point: CrashPoint, after: u64) {
-        self.crash = Some(ArmedCrash { point, after });
+        self.crash.arm(point, after);
     }
 
     /// True once an armed crash has fired: the handle is dead and every
     /// operation is a no-op. Counters keep reporting the pre-crash state
     /// of the (simulated) process.
     pub fn is_crashed(&self) -> bool {
-        self.crashed
+        self.crash.is_dead()
     }
 
     /// Kills the handle from outside: the tree calls this when the
@@ -529,87 +344,46 @@ impl Wal {
     /// like a process that died — the user-space buffer is lost, the
     /// on-disk prefix stays authoritative for recovery.
     pub fn mark_crashed(&mut self) {
-        self.crashed = true;
-        self.buf.clear();
-    }
-
-    /// Visits a crash point: decrements an armed countdown and, when it
-    /// fires, kills the handle. Returns true if the crash fired *now*.
-    fn hit(&mut self, point: CrashPoint) -> bool {
-        match self.crash {
-            Some(ref mut armed) if armed.point == point => {
-                if armed.after > 0 {
-                    armed.after -= 1;
-                    false
-                } else {
-                    self.crash = None;
-                    self.crashed = true;
-                    // The caller discards the user-space buffer (MidFlush
-                    // half-writes it first, so the clear cannot live here).
-                    true
-                }
-            }
-            _ => false,
-        }
+        self.crash.kill();
+        self.log.discard();
     }
 
     /// Replays a log file, returning the longest valid prefix of records.
     /// Never panics on arbitrary bytes: parsing stops at the first
     /// truncated or checksum-failing record.
     pub fn replay(path: impl AsRef<Path>) -> std::io::Result<Vec<KvEntry>> {
-        Self::replay_prefix(path).map(|(records, _)| records)
+        Self::replay_prefix(path.as_ref()).map(|(records, _)| records)
     }
 
     /// [`Wal::replay`] plus the byte length of the valid prefix, so
     /// recovery can truncate a torn tail before appending again.
-    pub fn replay_prefix(path: impl AsRef<Path>) -> std::io::Result<(Vec<KvEntry>, u64)> {
-        let mut data = Vec::new();
-        match File::open(path.as_ref()) {
-            Ok(mut f) => {
-                f.read_to_end(&mut data)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-            Err(e) => return Err(e),
-        }
+    fn replay_prefix(path: &Path) -> std::io::Result<(Vec<KvEntry>, u64)> {
         let mut out = Vec::new();
-        let mut off = 0usize;
-        while off + 8 <= data.len() {
-            let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
-            let start = off + 8;
-            let end = start.saturating_add(len);
-            if end > data.len() {
-                break; // truncated tail
-            }
-            let body = &data[start..end];
-            if crc32(body) != crc || len < 11 {
-                break; // corrupt record: stop replay
-            }
-            let seq = u64::from_le_bytes(body[0..8].try_into().unwrap());
-            let Some(kind) = OpKind::from_byte(body[8]) else {
-                break;
-            };
-            let klen = u16::from_le_bytes(body[9..11].try_into().unwrap()) as usize;
-            if 11 + klen > body.len() {
-                break;
-            }
-            let key = Bytes::copy_from_slice(&body[11..11 + klen]);
-            let value = Bytes::copy_from_slice(&body[11 + klen..]);
-            out.push(KvEntry {
-                key,
-                value,
-                seq,
-                kind,
-            });
-            off = end;
-        }
-        Ok((out, off as u64))
+        let valid = record_log::replay(path, |body| decode(body).map(|e| out.push(e)).is_some())?;
+        Ok((out, valid))
     }
+}
+
+/// One record's body, or `None` when it is too short for its header or
+/// its key, or names an unknown kind.
+fn decode(body: &[u8]) -> Option<KvEntry> {
+    let mut c = Cursor::new(body);
+    let seq = c.u64()?;
+    let kind = OpKind::from_byte(c.u8()?)?;
+    let key = c.key()?;
+    let value = Bytes::copy_from_slice(c.rest());
+    Some(KvEntry {
+        key,
+        value,
+        seq,
+        kind,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record_log::tests::crc32_bitwise;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -826,27 +600,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[test]
-    fn crc_detects_changes() {
-        assert_ne!(crc32(b"hello"), crc32(b"hellp"));
-        assert_eq!(crc32(b""), 0);
-    }
-
-    /// The checksum the log was first written with: one bit at a time. The
-    /// table-driven [`crc32`] must agree with it on every input, or logs
-    /// and manifests written before it stop replaying.
-    fn crc32_bitwise(data: &[u8]) -> u32 {
-        let mut crc = 0xFFFF_FFFFu32;
-        for &b in data {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-        !crc
-    }
-
     /// One record as the log first framed it: body in a buffer of its own,
     /// then length, checksum and body appended.
     fn frame_with_body_buffer(out: &mut Vec<u8>, e: &KvEntry) {
@@ -859,28 +612,6 @@ mod tests {
         out.extend_from_slice(&(body.len() as u32).to_le_bytes());
         out.extend_from_slice(&crc32_bitwise(&body).to_le_bytes());
         out.extend_from_slice(&body);
-    }
-
-    #[test]
-    fn table_crc_equals_the_bitwise_crc() {
-        // The IEEE check value, then every length around the 8-byte step
-        // at every alignment, over bytes from a fixed generator.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let data: Vec<u8> = (0..600)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x as u8
-            })
-            .collect();
-        for start in 0..9 {
-            for len in (0..70).chain([255, 256, 257, 511, 590]) {
-                let slice = &data[start..start + len];
-                assert_eq!(crc32(slice), crc32_bitwise(slice), "{start}+{len}");
-            }
-        }
     }
 
     /// The file an append produces is, byte for byte, the file the first

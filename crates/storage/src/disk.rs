@@ -53,8 +53,9 @@ impl std::ops::AddAssign for IoCharge {
 /// in the OS page cache — at the two boundaries the power-failure contract
 /// fsyncs: the extent file's pages and its directory entry. A fired point
 /// halts the device (subsequent mutations become no-ops) exactly like a
-/// [`crate::Wal`]-level crash kills its handle, so a test can drop the
-/// store and recover it. Volatile backends ignore arming entirely.
+/// crash point of the engine's write-ahead log kills its handle, so a test
+/// can drop the store and recover it. Volatile backends ignore arming
+/// entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PowerCutPoint {
     /// Fires inside [`Storage::sync_extent`] *before* the fsync: the

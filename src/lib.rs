@@ -82,6 +82,17 @@
 //!   one atomic, CRC-framed batch per mutation, with the log itself
 //!   compacted by atomic checkpoints.
 //!
+//! The two logs differ only in what a record's body holds. Both are
+//! codecs over one crate-private record log in `ruskey-lsm`
+//! (`record_log.rs`), which frames `[len][crc32][body]` records in place,
+//! writes and fsyncs them, replays the longest valid prefix (stopping at
+//! a torn length, a CRC mismatch or the zero header of a recycled tail),
+//! cuts a reopened file back to that prefix, and counts down the armed
+//! crash points of the test harness. A log write or a manifest commit
+//! that fails with an I/O error is a power failure, like a failed
+//! barrier: the tree is crashed, and a served write is refused as
+//! crashed rather than panicking its client.
+//!
 //! Ordering makes the two logs compose, and on a real filesystem the
 //! ordering is enforced **to power-failure grade** by a three-step
 //! contract per structural mutation:
