@@ -5,22 +5,19 @@
 //!
 //! experiments:
 //!   table2  fig6  fig7  table3  fig8  fig9  fig10  fig11  fig12  fig13
-//!   bruteforce  shard_scaling  persistence  read_path  compaction
-//!   serve  tuning  all  ablations  lab
+//!   bruteforce  tuning  all  ablations
 //! ```
 //!
 //! Results print as aligned text tables; `--csv DIR` additionally writes
-//! the per-mission series as CSV files for plotting. The scaling and
-//! engine experiments (`shard_scaling` … `tuning`) also write their rows
-//! as JSON — to `--json PATH` when the experiment was named (under `all`
-//! the path goes to `shard_scaling`), else to `<experiment>.json` — so
-//! the engine's trajectory is machine-comparable across PRs. An unknown
-//! experiment, flag or scale, or a flag without its value, prints the
-//! valid choices and exits with status 2.
+//! the per-mission series as CSV files for plotting. `tuning` also writes
+//! its rows and its `tuning_ok` verdict as JSON, to `--json PATH` if given
+//! (under `all` too), else to `tuning.json`. An unknown experiment, flag
+//! or scale, or a flag without its value, prints the valid choices and
+//! exits with status 2; output that cannot be written exits with status 1.
+//! The engine's own performance is measured by the perf ledger
+//! (`ledger/`), not here.
 
 #![forbid(unsafe_code)]
-
-use std::io::Write;
 
 use ruskey::runner::ExperimentScale;
 use ruskey_bench::*;
@@ -31,7 +28,7 @@ struct Ctx {
     /// The scale's name in the JSON documents.
     label: &'static str,
     csv_dir: Option<String>,
-    /// Where this experiment's JSON goes, if the caller said.
+    /// Where `tuning`'s JSON goes, if the caller said.
     json_path: Option<String>,
 }
 
@@ -39,7 +36,7 @@ struct Ctx {
 type Experiment = (&'static str, bool, fn(&Ctx));
 
 /// Every experiment by name. `table3` is `fig7` under its other name;
-/// `ablations` and `lab` only run when asked for.
+/// `ablations` only runs when asked for.
 const EXPERIMENTS: &[Experiment] = &[
     ("table2", true, run_table2),
     ("fig6", true, |c| {
@@ -59,14 +56,8 @@ const EXPERIMENTS: &[Experiment] = &[
     ("fig12", true, run_fig12),
     ("fig13", true, run_fig13),
     ("bruteforce", true, run_bruteforce),
-    ("shard_scaling", true, run_shard_scaling),
-    ("persistence", true, run_persistence),
-    ("read_path", true, run_read_path),
-    ("compaction", true, run_compaction),
-    ("serve", true, run_serve),
     ("tuning", true, run_tuning),
     ("ablations", false, run_ablations),
-    ("lab", false, run_lab),
 ];
 
 /// Reports a command-line mistake with the valid choices and exits 2.
@@ -136,6 +127,13 @@ fn full_scale() -> ExperimentScale {
     }
 }
 
+/// Reports output that could not be written and exits 1, so a stale
+/// file from an earlier run never passes for this run's result.
+fn write_error(path: &str, e: std::io::Error) -> ! {
+    eprintln!("repro: could not write {path}: {e}");
+    std::process::exit(1);
+}
+
 /// Writes an experiment's JSON document to the caller's `--json` path,
 /// or to `<experiment>.json`.
 fn write_json(c: &Ctx, experiment: &str, json: String) {
@@ -143,19 +141,17 @@ fn write_json(c: &Ctx, experiment: &str, json: String) {
         .json_path
         .clone()
         .unwrap_or_else(|| format!("{experiment}.json"));
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  [json] {path}"),
-        Err(e) => eprintln!("  [json] could not write {path}: {e}"),
-    }
+    std::fs::write(&path, json).unwrap_or_else(|e| write_error(&path, e));
+    println!("  [json] {path}");
     println!();
 }
 
 fn write_csv(c: &Ctx, name: &str, content: &str) {
     if let Some(dir) = &c.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
         let path = format!("{dir}/{name}.csv");
-        let mut f = std::fs::File::create(&path).expect("create csv");
-        f.write_all(content.as_bytes()).expect("write csv");
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, content))
+            .unwrap_or_else(|e| write_error(&path, e));
         println!("  [csv] {path}");
     }
 }
@@ -337,218 +333,6 @@ fn run_ablations(c: &Ctx) {
     println!();
 }
 
-fn print_scaling_rows(rows: &[ShardScalingRow]) {
-    println!(
-        "{:<12}{:<8}{:>12}{:>14}{:>20}{:>20}{:>16}{:>14}{:>11}{:>10}",
-        "backend",
-        "shards",
-        "wall (s)",
-        "kops/s",
-        "v-wall ns/op (max)",
-        "v-busy ns/op (sum)",
-        "real µs/mission",
-        "get ns/op",
-        "hit ratio",
-        "threads"
-    );
-    for r in rows {
-        println!(
-            "{:<12}{:<8}{:>12.3}{:>14.1}{:>20.1}{:>20.1}{:>16.1}{:>14.1}{:>11.4}{:>10}",
-            r.backend,
-            r.shards,
-            r.wall_s,
-            r.kops_per_s,
-            r.virtual_wall_ns_per_op,
-            r.virtual_busy_ns_per_op,
-            r.real_us_per_mission,
-            r.real_get_ns_per_op,
-            r.cache_hit_ratio,
-            r.parallelism
-        );
-    }
-}
-
-fn run_shard_scaling(c: &Ctx) {
-    println!("== Shard scaling: throughput vs shard count (balanced workload) ==");
-    let mut rows = shard_scaling(&c.scale, &[1, 2, 4, 8]);
-    // The real-file variant: one FileDisk directory (independent file
-    // handles + manifest + WAL) per shard, so real wall time scales with
-    // the shard count instead of serializing on one device handle.
-    rows.extend(shard_scaling_filedisk(&c.scale, &[1, 2, 4]));
-    print_scaling_rows(&rows);
-    write_json(c, "shard_scaling", shard_scaling_json(c.label, &rows));
-}
-
-fn run_persistence(c: &Ctx) {
-    println!("== Persistence: manifest + on-disk run recovery over FileDisk ==");
-    let rows = persistence(&c.scale, &[1, 2, 4]);
-    println!(
-        "{:<8}{:>12}{:>10}{:>16}{:>16}{:>15}{:>14}{:>8}{:>10}{:>10}{:>9}{:>10}",
-        "shards",
-        "ops",
-        "flushes",
-        "manifest edits",
-        "runs recovered",
-        "replayed tail",
-        "checked keys",
-        "ok",
-        "ext sync",
-        "dir sync",
-        "orphans",
-        "power ok"
-    );
-    for r in &rows {
-        println!(
-            "{:<8}{:>12}{:>10}{:>16}{:>16}{:>15}{:>14}{:>8}{:>10}{:>10}{:>9}{:>10}",
-            r.shards,
-            r.ops_total,
-            r.flushes,
-            r.manifest_edits,
-            r.runs_recovered,
-            r.replayed_tail,
-            r.checked_keys,
-            r.ok,
-            r.extent_syncs,
-            r.dir_syncs,
-            r.orphans_collected,
-            r.power_ok
-        );
-    }
-    println!("-- WAL + cross-shard group commit, missions before the restart --");
-    println!(
-        "shards     acked ops    synced ops     appends      fsyncs       batch       commit ns (max)   commit ns (seq sum)      ok"
-    );
-    for r in &rows {
-        println!(
-            "{:<8}{:>12}{:>14}{:>12}{:>12}{:>12.1}{:>22.1}{:>22.1}{:>8}",
-            r.shards,
-            r.acknowledged_ops,
-            r.synced_ops,
-            r.wal_appends,
-            r.wal_syncs,
-            r.mean_batch,
-            r.commit_ns_per_mission,
-            r.commit_busy_ns_per_mission,
-            r.group_commit_ok
-        );
-    }
-    write_json(c, "persistence", persistence_json(c.label, &rows));
-}
-
-fn run_read_path(c: &Ctx) {
-    println!("== Read path: real ns/op through cache + FileDisk + bound fast paths ==");
-    let rows = read_path(&c.scale);
-    println!(
-        "{:<10}{:>10}{:>14}{:>14}{:>16}{:>12}{:>12}{:>11}{:>8}{:>8}{:>8}",
-        "variant",
-        "entries",
-        "hot ns/op",
-        "cold ns/op",
-        "missing ns/op",
-        "hits",
-        "misses",
-        "hit ratio",
-        "fds",
-        "grows",
-        "ok"
-    );
-    for r in &rows {
-        println!(
-            "{:<10}{:>10}{:>14.1}{:>14.1}{:>16.1}{:>12}{:>12}{:>11.4}{:>8}{:>8}{:>8}",
-            r.variant,
-            r.entries,
-            r.hot_ns_per_op,
-            r.cold_ns_per_op,
-            r.missing_ns_per_op,
-            r.cache_hits,
-            r.cache_misses,
-            r.cache_hit_ratio,
-            r.fds_opened,
-            r.buffer_grows,
-            r.ok
-        );
-    }
-    write_json(c, "read_path", read_path_json(c.label, &rows));
-}
-
-fn run_compaction(c: &Ctx) {
-    println!("== Compaction: per-op virtual latency, structural work inline vs background ==");
-    let rows = compaction(&c.scale);
-    println!(
-        "{:<12}{:>10}{:>12}{:>12}{:>14}{:>10}{:>10}{:>14}{:>14}{:>10}{:>8}",
-        "variant",
-        "ops",
-        "p50 ns",
-        "p99 ns",
-        "max ns",
-        "flushes",
-        "bg steps",
-        "stall ns",
-        "pending B",
-        "checks",
-        "ok"
-    );
-    for r in &rows {
-        println!(
-            "{:<12}{:>10}{:>12}{:>12}{:>14}{:>10}{:>10}{:>14}{:>14}{:>10}{:>8}",
-            r.variant,
-            r.ops,
-            r.p50_ns,
-            r.p99_ns,
-            r.max_ns,
-            r.flushes,
-            r.bg_compactions,
-            r.stall_ns,
-            r.pending_compaction_bytes,
-            r.equivalence_checks,
-            r.ok
-        );
-    }
-    write_json(c, "compaction", compaction_json(c.label, &rows));
-}
-
-fn run_serve(c: &Ctx) {
-    println!("== Serving: concurrent closed-loop clients over the shard workers ==");
-    let v = serve(&c.scale);
-    println!(
-        "{:<9}{:<8}{:>10}{:>10}{:>8}{:>12}{:>12}{:>12}{:>12}{:>8}{:>8}{:>8}",
-        "clients",
-        "shards",
-        "ops",
-        "acked",
-        "stalls",
-        "kops/s",
-        "p50 ns",
-        "p99 ns",
-        "p999 ns",
-        "batch",
-        "ryw",
-        "ok"
-    );
-    for r in &v.rows {
-        println!(
-            "{:<9}{:<8}{:>10}{:>10}{:>8}{:>12.1}{:>12}{:>12}{:>12}{:>8.2}{:>8}{:>8}",
-            r.clients,
-            r.shards,
-            r.ops_total,
-            r.acked_writes,
-            r.stalls,
-            r.throughput_kops,
-            r.p50_ns,
-            r.p99_ns,
-            r.p999_ns,
-            r.mean_batch,
-            r.ryw_checks,
-            r.ok
-        );
-    }
-    println!(
-        "  crash leg: acked={} ok={}   serve_ok={}",
-        v.crash_acked, v.crash_ok, v.ok
-    );
-    write_json(c, "serve", serve_json(c.label, &v));
-}
-
 fn run_tuning(c: &Ctx) {
     println!("== Tuning: per-shard Lerp ==");
     let v = tuning(&c.scale);
@@ -589,51 +373,15 @@ fn run_bruteforce(c: &Ctx) {
     println!();
 }
 
-/// Development aid: runs RusKey alone on one static workload, printing the
-/// policy trace and latency every 10 missions. Not part of the paper.
-fn run_lab(c: &Ctx) {
-    let scale = &c.scale;
-    use ruskey::lerp::{Lerp, LerpConfig, PropagationScheme};
-    use ruskey::runner::run_static;
-    use ruskey_workload::OpMix;
-    for (label, mix) in [
-        ("write-heavy", OpMix::write_heavy()),
-        ("read-heavy", OpMix::read_heavy()),
-        ("balanced", OpMix::balanced()),
-    ] {
-        let spec = scale.spec().with_mix(mix);
-        let mut cfg = LerpConfig::paper_default(PropagationScheme::Uniform);
-        cfg.seed = scale.seed.wrapping_mul(31).wrapping_add(7);
-        let records = run_static(
-            ruskey::db::RusKeyConfig::scaled_default(),
-            scale,
-            Box::new(Lerp::new(cfg)),
-            spec,
-        );
-        println!("lab {label}: mission, K(L1), latency(ms/op), converged");
-        for r in records.iter().step_by(10) {
-            println!(
-                "  {:>4}  K={:<3} {:>8.4}  {}",
-                r.mission, r.policy_l1, r.latency_ms_per_op, r.converged
-            );
-        }
-    }
-}
-
 fn main() {
-    let (experiment, mut ctx) = parse_args();
+    let (experiment, ctx) = parse_args();
     println!(
         "RusKey reproduction harness | load={} entries, mission={} ops, missions={}\n",
         ctx.scale.load_entries, ctx.scale.mission_size, ctx.scale.missions
     );
     let t0 = std::time::Instant::now();
-    let json_path = ctx.json_path.take();
     for &(name, in_all, run) in EXPERIMENTS {
         if experiment == name || (experiment == "all" && in_all) {
-            // Under `all` one path cannot serve six documents: it goes
-            // to `shard_scaling`, the rest use their default file names.
-            let named = experiment == name || name == "shard_scaling";
-            ctx.json_path = json_path.clone().filter(|_| named);
             run(&ctx);
         }
     }

@@ -1,27 +1,9 @@
-//! Guarded latency-summary helpers shared by the experiments.
+//! Guarded latency-summary helper shared by the experiments.
 //!
-//! The bench crate grew several hand-rolled percentile/tail snippets
-//! that index `latencies[..]` unguarded — an empty latency vector
-//! (zero ops, or a mix that never exercises the measured path) panics
-//! the whole experiment instead of yielding a row. These helpers are
+//! A hand-rolled tail window that indexes `values[..]` unguarded panics
+//! the whole experiment on an empty series (zero missions, or a mix that
+//! never exercises the measured path) instead of yielding a row. This is
 //! the one shared, empty-safe implementation.
-
-/// Nearest-rank percentile (truncating, matching the historical bench
-/// behavior) of an already **sorted** slice; `0` on empty input instead
-/// of a panic. `p` is a fraction in `[0, 1]` — `percentile_ns(&l, 0.99)`
-/// is p99, `1.0` the maximum.
-pub fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p.clamp(0.0, 1.0)) as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Maximum of an already sorted slice; `0` on empty input.
-pub fn max_ns(sorted: &[u64]) -> u64 {
-    sorted.last().copied().unwrap_or(0)
-}
 
 /// Mean of the last `fraction` of `values` (the converged tail of a
 /// mission series); falls back to the full mean when the tail window
@@ -40,27 +22,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentiles_match_nearest_rank_truncating() {
-        let l: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_ns(&l, 0.0), 1);
-        assert_eq!(percentile_ns(&l, 0.5), 50); // (99 * 0.5) as usize = 49
-        assert_eq!(percentile_ns(&l, 0.99), 99);
-        assert_eq!(percentile_ns(&l, 1.0), 100);
-        assert_eq!(max_ns(&l), 100);
-    }
-
-    #[test]
     fn empty_inputs_yield_zero_not_a_panic() {
-        assert_eq!(percentile_ns(&[], 0.99), 0);
-        assert_eq!(max_ns(&[]), 0);
         assert_eq!(tail_mean(&[], 0.3), 0.0);
     }
 
     #[test]
     fn single_element_is_every_percentile() {
-        assert_eq!(percentile_ns(&[42], 0.0), 42);
-        assert_eq!(percentile_ns(&[42], 0.999), 42);
         assert_eq!(tail_mean(&[7.0], 0.3), 7.0);
+        assert_eq!(tail_mean(&[7.0], 1.0), 7.0);
     }
 
     #[test]
@@ -70,12 +39,5 @@ mod tests {
         assert!((tail_mean(&v, 1.0 / 3.0) - 2.5).abs() < 1e-12);
         // A fraction that rounds to zero still averages something.
         assert!((tail_mean(&v, 0.01) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn out_of_range_fractions_are_clamped() {
-        let l = [1u64, 2, 3];
-        assert_eq!(percentile_ns(&l, -0.5), 1);
-        assert_eq!(percentile_ns(&l, 1.5), 3);
     }
 }

@@ -21,7 +21,7 @@ use ruskey::runner::ExperimentScale;
 use ruskey::sharded::{Backend, RusKey};
 use ruskey_workload::{bulk_load_pairs, encode_key, shard_for_key, OpGenerator, OpMix, Operation};
 
-/// Shards in every tuning row (matches the serving experiment).
+/// Shards in every tuning row.
 const SHARDS: usize = 4;
 /// Keys per hot pool: narrow enough to concentrate load on one shard,
 /// wide enough that the shard still behaves like an LSM-tree rather

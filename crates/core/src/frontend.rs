@@ -57,8 +57,8 @@
 //!   promised about an unacknowledged write until `Ok`.
 //! * **Group commit.** Writers that reach step 5 while a syncer's fsync
 //!   is in flight are all covered by the next one, so at clients ≫ shards
-//!   the mean records per fsync exceeds one (the `repro serve` experiment
-//!   and `tests/serving.rs` pin this) — the ≤ 1-fsync-per-shard-per-batch
+//!   the mean records per fsync exceeds one (`tests/serving.rs` pins
+//!   this) — the ≤ 1-fsync-per-shard-per-batch
 //!   bound that mission barriers give one caller, amortized over every
 //!   connected client.
 //!

@@ -81,8 +81,7 @@ pub struct MissionReport {
     /// at recovery plus committed since; summed over shards). Unlike the
     /// counters above this is **not** a per-mission delta: recovery
     /// counters describe the store, so the report carries the current
-    /// lifetime reading for the `repro persistence` experiment. 0 for a
-    /// non-persistent store.
+    /// lifetime reading. 0 for a non-persistent store.
     pub manifest_edits: u64,
     /// Runs rebuilt from manifest + data pages by the last recovery
     /// (lifetime, summed over shards).
@@ -171,16 +170,6 @@ impl MissionReport {
             return 0.0;
         }
         self.wal_appends as f64 / self.wal_syncs as f64
-    }
-
-    /// Block-cache hit ratio of the mission's reads (0.0 when the
-    /// serving path saw no cache traffic at all).
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.cache_hits as f64 / total as f64
     }
 
     /// Mean level latency per operation for level `idx` (virtual ns).

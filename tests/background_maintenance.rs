@@ -15,10 +15,12 @@ use std::sync::Arc;
 use bytes::Bytes;
 use proptest::prelude::*;
 
+use ruskey_repro::lsm::{FlsmTree, LsmConfig};
 use ruskey_repro::ruskey::db::RusKeyConfig;
 use ruskey_repro::ruskey::sharded::{Backend, RusKey};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
+use ruskey_repro::workload::encode_key;
 
 /// Small buffers so a few hundred ops produce real flushes and merges.
 fn cfg(background: bool) -> RusKeyConfig {
@@ -258,5 +260,56 @@ fn adhoc_write_burst_in_background_mode_is_backpressured() {
     assert!(
         stats.stall_ns > 0,
         "RusKey: backpressured ad-hoc writes must record their stall time"
+    );
+}
+
+/// Per-op virtual latencies, sorted, of a write-heavy script (70 % puts,
+/// 10 % deletes, 20 % gets, keys striding 1 500 slots) on one tree over
+/// the simulated NVMe device, and the background steps it applied. With
+/// `background` the structural work waits for a boundary grant every 32
+/// ops, outside every timed op, as a mission lane's end would give it.
+fn write_heavy_op_latencies(background: bool) -> (Vec<u64>, u64) {
+    let cfg = LsmConfig {
+        buffer_bytes: 8192,
+        size_ratio: 4,
+        initial_policy: 1,
+        background_maintenance: background,
+        l0_stall_runs: 16,
+        ..LsmConfig::scaled_default()
+    };
+    let mut tree = FlsmTree::new(cfg, SimulatedDisk::new(4096, CostModel::NVME));
+    let value = Bytes::from(vec![b'v'; 112]);
+    let mut latencies = Vec::with_capacity(4000);
+    for i in 0..4000u64 {
+        let k = encode_key(i.wrapping_mul(7919) % 1500, 16);
+        let t0 = tree.storage().clock().now_ns();
+        match i % 10 {
+            7 => tree.delete(k),
+            8 | 9 => drop(tree.get(&k)),
+            _ => tree.put(k, value.clone()),
+        }
+        latencies.push(tree.storage().clock().now_ns() - t0);
+        if background && (i + 1) % 32 == 0 {
+            tree.maintain_boundary();
+        }
+    }
+    latencies.sort_unstable();
+    (latencies, tree.stats().bg_compactions)
+}
+
+/// Moving flushes and merges off the op path must not worsen the op
+/// tail: the background tree's per-op virtual p99 is at most the inline
+/// tree's, whose puts pay every flush and cascade themselves.
+#[test]
+fn background_beats_inline_tail_latency() {
+    let p99 = |sorted: &[u64]| sorted[(sorted.len() - 1) * 99 / 100];
+    let (inline, _) = write_heavy_op_latencies(false);
+    let (background, bg_compactions) = write_heavy_op_latencies(true);
+    assert!(bg_compactions > 0, "background steps must run");
+    assert!(
+        p99(&background) <= p99(&inline),
+        "deferred structural work must not worsen the op tail: {} vs {}",
+        p99(&background),
+        p99(&inline)
     );
 }

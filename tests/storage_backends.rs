@@ -8,7 +8,7 @@ use std::sync::Arc;
 use ruskey_repro::lsm::wal::Wal;
 use ruskey_repro::lsm::{FlsmTree, KvEntry, LsmConfig};
 use ruskey_repro::storage::{BlockCache, CostModel, FileDisk, SimulatedDisk, Storage};
-use ruskey_repro::workload::{OpGenerator, OpMix, Operation, WorkloadSpec};
+use ruskey_repro::workload::{encode_key, OpGenerator, OpMix, Operation, WorkloadSpec};
 
 fn cfg() -> LsmConfig {
     LsmConfig {
@@ -93,6 +93,38 @@ fn block_cache_is_transparent_and_saves_reads() {
         raw.metrics().pages_read
     );
     assert!(cached.hits() > 0);
+
+    // A cache far smaller than the tree is still transparent, and once a
+    // warm pass has pulled a hot key range in, it holds that working set:
+    // re-reading it costs zero device page reads.
+    let small_base = SimulatedDisk::new(512, CostModel::FREE);
+    let small: Arc<BlockCache<SimulatedDisk>> = BlockCache::new(Arc::clone(&small_base), 16);
+    let mut t_small = FlsmTree::new(cfg(), small.clone());
+    assert_eq!(
+        drive(&mut t_small, 99, 2500),
+        a,
+        "an evicting cache changed results"
+    );
+    let key = |i| encode_key(i, spec().key_len);
+    // A sweep over the whole key space evicts the hot range.
+    for i in 0..spec().key_space {
+        t_small.get(&key(i));
+    }
+    let hot: Vec<_> = (0..8).map(key).collect();
+    let misses_before_warm = small.misses();
+    let warm: Vec<_> = hot.iter().map(|k| t_small.get(k)).collect();
+    assert!(
+        small.misses() > misses_before_warm,
+        "the warm pass must miss"
+    );
+    let reads_after_warm = small_base.metrics().pages_read;
+    let reread: Vec<_> = hot.iter().map(|k| t_small.get(k)).collect();
+    assert_eq!(warm, reread);
+    assert_eq!(
+        small_base.metrics().pages_read,
+        reads_after_warm,
+        "a warmed working set was read from the device again"
+    );
 }
 
 #[test]

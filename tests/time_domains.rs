@@ -60,14 +60,28 @@ fn mixed_spec(key_space: u64) -> WorkloadSpec {
 fn per_shard_times_equal_single_threaded_run() {
     for &n in &[2usize, 4] {
         let pairs = bulk_load_pairs(2000, 16, 48, 7);
-        let mut sharded = volatile(small_cfg(), n, disk());
+        let device = disk();
+        let mut sharded = volatile(small_cfg(), n, Arc::clone(&device));
         sharded.bulk_load(pairs.clone());
 
         let mut g = OpGenerator::new(mixed_spec(2000), 9);
         let missions: Vec<Vec<Operation>> = (0..4).map(|_| g.take_ops(300)).collect();
         let reports: Vec<_> = missions
             .iter()
-            .map(|ops| sharded.run_mission(ops))
+            .map(|ops| {
+                let before = device.clock().now_ns();
+                let report = sharded.run_mission(ops);
+                // The shared device receives every charge any shard domain
+                // makes, so the mission's device-busy time (the sum of the
+                // domains' deltas) is the device clock's own delta: no work
+                // double-charged, none dropped.
+                assert_eq!(
+                    report.device_busy_ns,
+                    device.clock().now_ns() - before,
+                    "shards={n}: device-busy diverged from the device clock"
+                );
+                report
+            })
             .collect();
         assert_eq!(
             sharded.last_parallelism(),
