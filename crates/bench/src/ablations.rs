@@ -155,7 +155,6 @@ mod tests {
 
     #[test]
     fn cache_ablation_runs_tiny() {
-        let _serial = crate::real_time_test_guard();
         let scale = ExperimentScale {
             load_entries: 1500,
             mission_size: 100,

@@ -331,11 +331,12 @@ fn per_level_latency(
         let ops = g.take_ops(scale.mission_size);
         let report = db.run_mission(&ops);
         ops_total += report.ops;
-        if level_ns.len() < report.levels.len() {
-            level_ns.resize(report.levels.len(), 0u64);
+        let levels = &report.window.levels;
+        if level_ns.len() < levels.len() {
+            level_ns.resize(levels.len(), 0u64);
         }
-        for (i, l) in report.levels.iter().enumerate() {
-            level_ns[i] += l.latency_ns;
+        for (i, l) in levels.iter().enumerate() {
+            level_ns[i] += l.total_ns();
         }
     }
     level_ns
@@ -371,19 +372,8 @@ pub fn fig10(scale: &ExperimentScale) -> Vec<Series> {
                 }
                 let ops = g.take_ops(scale.mission_size);
                 let report = db.run_mission(&ops);
-                let lookup_ns: u64 = report.levels.iter().map(|l| l.lookup_ns).sum();
-                records.push(MissionRecord {
-                    mission: m,
-                    session: usize::from(m >= half),
-                    latency_ms_per_op: report.ns_per_op() / 1e6,
-                    write_latency_s: report.end_to_end_ns.saturating_sub(lookup_ns) as f64 / 1e9,
-                    read_latency_s: lookup_ns as f64 / 1e9,
-                    policy_l1: report.policies_after.first().copied().unwrap_or(1),
-                    policies: report.policies_after.clone(),
-                    model_update_ns: 0,
-                    real_process_ns: report.real_process_ns,
-                    converged: true,
-                });
+                let session = usize::from(m >= half);
+                records.push(MissionRecord::from_report(&report, session, true));
             }
             Series {
                 method: strategy.name().into(),

@@ -16,19 +16,6 @@ pub mod output;
 pub mod percentile;
 pub mod tuning;
 
-/// Serializes the unit tests that measure *real* time: run concurrently
-/// in one test process they perturb each other's wall-clock readings.
-/// Poisoning is ignored — a panicked holder already failed its own test.
-#[cfg(test)]
-pub(crate) static REAL_TIME_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-#[cfg(test)]
-pub(crate) fn real_time_test_guard() -> std::sync::MutexGuard<'static, ()> {
-    REAL_TIME_TEST_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 pub use ablations::*;
 pub use experiments::*;
 pub use output::*;

@@ -151,7 +151,7 @@ mod tests {
         let r = db.run_mission(&g.take_ops(50));
         // 50 pure lookups: a tiny latency compared to loading 2000 entries.
         assert_eq!(r.ops, 50);
-        assert_eq!(r.updates, 0);
+        assert_eq!(r.window.updates, 0);
         assert!(
             r.end_to_end_ns < 50 * 1_000_000,
             "bulk load leaked into mission"
@@ -193,7 +193,11 @@ mod tests {
             })
             .collect();
         let r = db.try_run_mission(&gets).expect("healthy log");
-        assert_eq!((r.ops, r.updates), (5, 0), "failed mission leaked in");
+        assert_eq!(
+            (r.ops, r.window.updates),
+            (5, 0),
+            "failed mission leaked in"
+        );
         assert!(db.get(&ruskey_workload::encode_key(3, 16)).is_some());
         let _ = std::fs::remove_file(&path);
     }

@@ -90,8 +90,6 @@ pub(crate) fn execute(tree: &mut FlsmTree, op: &Operation) -> OpResult {
 /// Outcome of one shard's commit leg.
 #[derive(Debug, Default)]
 pub(crate) struct CommitLeg {
-    /// Whether an fsync was issued (idle shards skip theirs).
-    pub(crate) synced: bool,
     /// Virtual ns the leg added to the shard's time domain.
     pub(crate) ns: u64,
     /// A real I/O failure; the batch is not acknowledged.
@@ -101,11 +99,7 @@ pub(crate) struct CommitLeg {
 /// Runs one shard's commit leg, measured on the tree's own time domain.
 pub(crate) fn commit_leg(tree: &mut FlsmTree) -> CommitLeg {
     match tree.commit_wal_timed() {
-        Ok((synced, ns)) => CommitLeg {
-            synced,
-            ns,
-            error: None,
-        },
+        Ok((_, ns)) => CommitLeg { ns, error: None },
         Err(error) => CommitLeg {
             error: Some(error),
             ..CommitLeg::default()
@@ -196,10 +190,10 @@ mod tests {
             Operation::Delete { key: b("gone") },
         ];
         let lane = run_batch(&mut tree, &ops, true);
-        assert!(!lane.synced && lane.error.is_none() && lane.ns == 0);
+        assert!(lane.error.is_none() && lane.ns == 0);
         let get = Operation::Get { key: b("k") };
         assert_eq!(execute(&mut tree, &get).value(), Some(b("w")));
         let barrier = run_batch(&mut tree, [], false);
-        assert!(!barrier.synced && barrier.error.is_none());
+        assert!(barrier.error.is_none() && barrier.ns == 0);
     }
 }

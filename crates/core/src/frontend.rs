@@ -356,12 +356,7 @@ impl MetricsSnapshot {
     /// Hottest-shard load as a multiple of the mean shard load (1.0 is
     /// perfectly balanced; 0.0 before any request executed).
     pub fn shard_imbalance(&self) -> f64 {
-        let total: u64 = self.shard_ops.iter().sum();
-        if self.shard_ops.is_empty() || total == 0 {
-            return 0.0;
-        }
-        let max = *self.shard_ops.iter().max().unwrap() as f64;
-        max / (total as f64 / self.shard_ops.len() as f64)
+        crate::stats::imbalance(&self.shard_ops)
     }
 
     /// Renders the registry in the Prometheus text exposition format.

@@ -432,7 +432,7 @@ impl Tuner for Lerp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::LevelMissionStats;
+    use ruskey_lsm::{LevelStatsSnapshot, TreeStatsSnapshot};
 
     fn obs(policies: Vec<u32>) -> TreeObservation {
         let n = policies.len();
@@ -451,16 +451,19 @@ mod tests {
         let cost = 1000.0 + 300.0 * (k - k_opt as f64).abs();
         MissionReport {
             ops: 1000,
-            lookups: (1000.0 * gamma) as u64,
-            updates: (1000.0 * (1.0 - gamma)) as u64,
-            end_to_end_ns: (cost * 1000.0) as u64,
-            levels: vec![
-                LevelMissionStats {
-                    latency_ns: (cost * 500.0) as u64,
-                    ..Default::default()
-                };
-                policies.len()
-            ],
+            window: TreeStatsSnapshot {
+                lookups: (1000.0 * gamma) as u64,
+                updates: (1000.0 * (1.0 - gamma)) as u64,
+                clock_ns: (cost * 1000.0) as u64,
+                levels: vec![
+                    LevelStatsSnapshot {
+                        lookup_ns: (cost * 500.0) as u64,
+                        ..Default::default()
+                    };
+                    policies.len()
+                ],
+                ..Default::default()
+            },
             ..Default::default()
         }
     }

@@ -22,9 +22,9 @@
 //!
 //! 1. the operations are partitioned into lanes that *borrow* them, and
 //!    the lanes run;
-//! 2. the [`stats`] collector deltas every shard's
-//!    [`ruskey_lsm::TreeStatsSnapshot`] against its own baseline and
-//!    merges the deltas into the mission's [`MissionReport`];
+//! 2. the store closes the mission's window: every shard's
+//!    [`ruskey_lsm::TreeStatsSnapshot`] is deltaed against its own
+//!    baseline and the deltas merge into [`MissionReport::window`];
 //! 3. the tuners, sitting in one **seat list** with one seat per shard,
 //!    act — the only place a [`tuner::Tuner`] runs. Seat 0 is the tuner
 //!    the store was opened with and seat `i` its
@@ -38,9 +38,8 @@
 //! clock and metrics over the shared device), so per-level
 //! `lookup_ns`/`compact_ns` never absorb a concurrent sibling's charges.
 //! Domains compose at the store level as the mission's **wall time** (max
-//! over shards, [`stats::MissionReport::end_to_end_ns`]) and the
-//! **device-busy time** (sum over shards,
-//! [`stats::MissionReport::device_busy_ns`]).
+//! over shards, the window's `clock_ns`) and the **device-busy time** (sum
+//! over shards, the window's `busy_ns`).
 //!
 //! Every way into a shard's tree — a mission lane, the group-commit
 //! barrier, an ad-hoc `get`/`put`/`delete`/`scan`, a request served by
@@ -115,7 +114,7 @@ pub use lerp::{Lerp, LerpConfig};
 #[allow(deprecated)]
 pub use sharded::ShardedRusKey;
 pub use sharded::{Backend, RusKey, StoreError};
-pub use stats::{LevelMissionStats, MissionReport, StatsCollector};
+pub use stats::MissionReport;
 pub use tuner::{
     BruteForceLerp, FixedPolicy, GreedyHeuristic, LazyLeveling, NoOpTuner, PerLevelNoPropagation,
     TreeObservation, Tuner,

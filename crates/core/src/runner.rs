@@ -40,12 +40,13 @@ pub struct MissionRecord {
 }
 
 impl MissionRecord {
-    fn from_report(report: &MissionReport, session: usize, converged: bool) -> Self {
+    /// The record of one mission's report, in session `session`.
+    pub fn from_report(report: &MissionReport, session: usize, converged: bool) -> Self {
         // Split the mission's virtual time into read- and write-attributed
         // shares using per-level accounting (lookups vs compactions); the
         // memtable/cpu remainder goes to writes.
-        let lookup_ns: u64 = report.levels.iter().map(|l| l.lookup_ns).sum();
-        let write_ns = report.end_to_end_ns.saturating_sub(lookup_ns);
+        let lookup_ns: u64 = report.window.levels.iter().map(|l| l.lookup_ns).sum();
+        let write_ns = report.window.clock_ns.saturating_sub(lookup_ns);
         Self {
             mission: report.mission_idx as usize,
             session,

@@ -73,15 +73,17 @@
 //! a thread, so charges are exact no matter which thread currently
 //! borrows the tree. At the store level the domains compose two ways:
 //!
-//! * **mission wall time** ([`MissionReport::end_to_end_ns`]) — the max
-//!   over the participating shards' per-domain deltas (the mission is as
-//!   slow as its busiest shard);
-//! * **device-busy time** ([`MissionReport::device_busy_ns`]) — the sum
-//!   over the domains (total virtual work placed on the shared device).
+//! * **mission wall time** (`clock_ns` of [`MissionReport::window`]) —
+//!   the max over the participating shards' per-domain deltas (the
+//!   mission is as slow as its busiest shard);
+//! * **device-busy time** (the window's `busy_ns`) — the sum over the
+//!   domains (total virtual work placed on the shared device).
 //!
-//! The [`StatsCollector`] deltas every shard against its *own* baseline
-//! before composing, which is what makes both readings exact. Ad-hoc
-//! point/scan calls between missions fold into the next mission's delta
+//! A mission's report is a window over the trees' statistics: the store
+//! keeps one baseline snapshot per shard, deltas every shard against its
+//! *own* baseline and merges the deltas, which is what makes both
+//! readings exact (max-of-deltas is not delta-of-maxes). Ad-hoc
+//! point/scan calls between missions fold into the next mission's window
 //! (as they always have); broadcast scans among them are tracked so the
 //! report still counts every scan logically once.
 //!
@@ -157,12 +159,13 @@
 //! wipes or checks the previous incarnation, builds each shard's tree
 //! with its logs attached or recovered, seats `tuner` on shard 0 and
 //! `tuner.for_shard(i)` on shard `i`, and — recovering — baselines the
-//! collector. Every failure, opening a store or running it, is one
+//! statistics. Every failure, opening a store or running it, is one
 //! [`StoreError`].
 
 use std::collections::{BinaryHeap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::slice;
 use std::sync::Arc;
 use std::thread::{self, ThreadId};
 use std::time::Instant;
@@ -177,7 +180,7 @@ use crate::db::RusKeyConfig;
 use crate::exec::{execute, run_batch, CommitLeg, OpResult};
 use crate::frontend::{MetricsSnapshot, ServingConfig, ServingFrontend};
 use crate::lerp::Lerp;
-use crate::stats::{MissionReport, StatsCollector};
+use crate::stats::MissionReport;
 use crate::tuner::{TreeObservation, Tuner};
 
 /// Full-store persistence settings: where each shard's on-disk state
@@ -394,21 +397,6 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// Latency/work composition of one overlapped group-commit barrier.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommitStats {
-    /// Barrier latency (virtual ns): the max over the shards' commit
-    /// legs — the fsyncs run concurrently, so the batch waits only for
-    /// the slowest shard.
-    pub barrier_ns: u64,
-    /// Total sync work (virtual ns): the sum over the shards' commit
-    /// legs — what a sequential barrier would have cost.
-    pub busy_ns: u64,
-    /// Shards that actually issued an fsync (shards with nothing
-    /// unacknowledged skip theirs).
-    pub syncs: u64,
-}
-
 /// Ad-hoc writes per shard between boundary grants — the one place that
 /// decides *when* an ad-hoc write is a boundary (a mission lane and a
 /// served request end in one by construction). What a boundary grants is
@@ -428,7 +416,11 @@ pub struct RusKey {
     /// The tuner seats, one per shard in shard order, walked by one loop
     /// after every mission (`tune_seats`).
     seats: Vec<Box<dyn Tuner>>,
-    collector: StatsCollector,
+    /// Each shard's statistics where the next mission's window opens, in
+    /// shard order.
+    baselines: Vec<TreeStatsSnapshot>,
+    /// Missions reported so far: the next report's `mission_idx`.
+    missions: u64,
     last_report: Option<MissionReport>,
     /// The OS thread that ran each shard's lane in the last mission or
     /// barrier, in shard order; entry 0 is that dispatch's caller.
@@ -511,10 +503,9 @@ impl RusKey {
     /// WAL/manifest attached or recovered; seats `tuner` on shard 0 and
     /// `tuner.for_shard(i)` on shard `i` (Lerp: one agent per shard,
     /// shard `i` seeded `seed + i·104729`); and, recovering, baselines
-    /// the collector so the first mission report excludes recovery work
+    /// the statistics so the first mission report excludes recovery work
     /// (the lifetime recovery counters `manifest_edits`, `runs_recovered`
-    /// and `replayed_tail` still surface through [`TreeStatsSnapshot`]
-    /// and [`MissionReport`]).
+    /// and `replayed_tail` still surface through [`RusKey::stats`]).
     ///
     /// # Panics
     /// Panics if `shards` is zero — a shard count is a structural choice
@@ -582,7 +573,8 @@ impl RusKey {
         let mut store = Self {
             shards: trees,
             seats: std::iter::once(tuner).chain(siblings).collect(),
-            collector: StatsCollector::new(),
+            baselines: vec![TreeStatsSnapshot::default(); shards],
+            missions: 0,
             last_report: None,
             last_workers: Vec::new(),
             adhoc_scans: 0,
@@ -738,15 +730,15 @@ impl RusKey {
     /// # Panics
     /// Panics on [`StoreError`]; use [`RusKey::try_group_commit`]
     /// for fallible operation.
-    pub fn group_commit(&mut self) -> CommitStats {
+    pub fn group_commit(&mut self) {
         self.try_group_commit()
             .unwrap_or_else(|e| panic!("group commit failed: {e}"))
     }
 
     /// Fallible form of [`RusKey::group_commit`].
-    pub fn try_group_commit(&mut self) -> Result<CommitStats, StoreError> {
-        let legs = self.run_lanes(vec![Vec::new(); self.shard_count()], false)?;
-        Ok(commit_stats(&legs))
+    pub fn try_group_commit(&mut self) -> Result<(), StoreError> {
+        self.run_lanes(vec![Vec::new(); self.shard_count()], false)?;
+        Ok(())
     }
 
     /// The tuner's display name (seat 0's; every seat is the same kind).
@@ -934,7 +926,7 @@ impl RusKey {
     /// mission's report (a load, a recovery, a serving session, a mission
     /// that failed to commit — none of them is a mission).
     fn rebaseline(&mut self) {
-        self.collector.baseline_shards(self.shard_snapshots());
+        self.baselines = self.shard_snapshots();
         self.adhoc_scans = 0;
     }
 
@@ -1035,42 +1027,82 @@ impl RusKey {
                 return Err(e);
             }
         };
-        // The commit barrier ran inside the lanes, overlapped: the
-        // mission's durability latency is the slowest shard's leg, the
-        // total sync work the sum of all legs.
-        let commit = commit_stats(&legs);
         let process_ns = t0.elapsed().as_nanos() as u64;
-        let ends = self.shard_snapshots();
-        let (mut report, slices) = self.collector.report_mission_shards_split(ends, process_ns);
-        report.commit_ns = commit.barrier_ns;
-        report.commit_busy_ns = commit.busy_ns;
-        // Report the *logical* scan composition (one scan per mission
-        // operation, counted at routing time above, plus any ad-hoc
-        // `scan()` calls since the last report) so `gamma` is comparable
-        // across shard counts. The I/O and latency of the N sub-scans
-        // stay in the report — that work really happened. The broadcast
-        // invariant pins the physical count exactly; the old
-        // `report.scans / n` recovery drifted whenever the physical count
-        // was not a multiple of `n`.
-        let logical_scans = logical_scans + self.adhoc_scans;
-        self.adhoc_scans = 0;
-        debug_assert_eq!(
-            report.scans,
-            logical_scans * n as u64,
-            "scan broadcast invariant violated: {} physical scans across {n} shards \
-             for {logical_scans} logical scans",
-            report.scans,
-        );
-        if n > 1 {
-            report.ops = report.ops - report.scans + logical_scans;
-            report.scans = logical_scans;
-        }
-
-        report.model_update_ns = self.tune_seats(slices, &legs);
+        let (mut report, slices) = self.cut_report(&legs, logical_scans, process_ns);
+        report.model_update_ns = self.tune_seats(slices);
         report.policies_after = self.policies();
         report.shard_policies_after = self.shard_policies();
         self.last_report = Some(report.clone());
         Ok(report)
+    }
+
+    /// Closes the window of the mission that just ran and opens the next:
+    /// every shard's snapshot is deltaed against its own baseline, and the
+    /// deltas merge into the report's window (wall time the max, busy time
+    /// the sum). The commit barrier ran inside the lanes, overlapped, so
+    /// its latency is the slowest shard's leg and its work the sum of all
+    /// legs.
+    ///
+    /// The report counts scans *logically* — one per mission operation,
+    /// counted at routing time, plus the ad-hoc `scan()` calls since the
+    /// last baseline — so `gamma` is comparable across shard counts; the
+    /// window keeps the I/O and time of all `N` sub-scans, because that
+    /// work really happened. Also returns one slice per shard, the reward
+    /// signal of its tuner seat: that shard's own delta, its own physical
+    /// operation counts (a broadcast scan is work the shard ran) and its
+    /// own commit leg.
+    fn cut_report(
+        &mut self,
+        legs: &[CommitLeg],
+        logical_scans: u64,
+        real_process_ns: u64,
+    ) -> (MissionReport, Vec<MissionReport>) {
+        let ends = self.shard_snapshots();
+        let deltas: Vec<TreeStatsSnapshot> = ends
+            .iter()
+            .zip(&self.baselines)
+            .map(|(end, base)| end.delta(base))
+            .collect();
+        // One report over a set of shard deltas, their scans counted as
+        // `scans`, priced with their commit legs.
+        let cut = |deltas: &[TreeStatsSnapshot], scans: u64, legs: &[CommitLeg]| {
+            let window = TreeStatsSnapshot::merge_all(deltas);
+            MissionReport {
+                mission_idx: self.missions,
+                ops: window.lookups + window.updates + scans,
+                scans,
+                end_to_end_ns: window.clock_ns,
+                wal_synced: window.wal_synced,
+                window,
+                commit_ns: legs.iter().map(|leg| leg.ns).max().unwrap_or(0),
+                commit_busy_ns: legs.iter().map(|leg| leg.ns).sum(),
+                real_process_ns,
+                shard_ops: deltas
+                    .iter()
+                    .map(|d| d.lookups + d.updates + d.scans)
+                    .collect(),
+                ..MissionReport::default()
+            }
+        };
+        let slices = deltas
+            .iter()
+            .zip(legs)
+            .map(|(d, leg)| cut(slice::from_ref(d), d.scans, slice::from_ref(leg)))
+            .collect();
+        let logical_scans = logical_scans + self.adhoc_scans;
+        let report = cut(&deltas, logical_scans, legs);
+        debug_assert_eq!(
+            report.window.scans,
+            logical_scans * deltas.len() as u64,
+            "scan broadcast invariant violated: {} physical scans across {} shards \
+             for {logical_scans} logical scans",
+            report.window.scans,
+            deltas.len(),
+        );
+        self.missions += 1;
+        self.baselines = ends;
+        self.adhoc_scans = 0;
+        (report, slices)
     }
 
     /// Lets every tuner seat act on the finished mission — the one place a
@@ -1083,15 +1115,13 @@ impl RusKey {
     /// shard `i` only. An idle shard's seat is skipped: a zero-op slice
     /// carries no signal (the common case under skew) and would feed its
     /// agent's replay degenerate rewards.
-    fn tune_seats(&mut self, slices: Vec<MissionReport>, legs: &[CommitLeg]) -> u64 {
+    fn tune_seats(&mut self, slices: Vec<MissionReport>) -> u64 {
         let mut model_ns = 0;
         let seats = self.seats.iter_mut().zip(&mut self.shards);
-        for ((tuner, tree), (mut slice, leg)) in seats.zip(slices.into_iter().zip(legs)) {
+        for ((tuner, tree), slice) in seats.zip(slices) {
             if slice.ops == 0 {
                 continue;
             }
-            slice.commit_ns = leg.ns;
-            slice.commit_busy_ns = leg.ns;
             let model_before = tuner.model_update_ns();
             for (level, k) in tuner.tune(&slice, &TreeObservation::of(tree)) {
                 tree.set_policy(level, k);
@@ -1194,16 +1224,6 @@ fn modal_policy(held: &[u32]) -> u32 {
         i += run;
     }
     best.0
-}
-
-/// Folds per-shard commit legs into the barrier composition: latency is
-/// the max (the legs ran concurrently), work the sum.
-fn commit_stats(legs: &[CommitLeg]) -> CommitStats {
-    CommitStats {
-        barrier_ns: legs.iter().map(|leg| leg.ns).max().unwrap_or(0),
-        busy_ns: legs.iter().map(|leg| leg.ns).sum(),
-        syncs: legs.iter().filter(|leg| leg.synced).count() as u64,
-    }
 }
 
 /// One head of the k-way scan merge; ordered so the smallest key wins.
@@ -1640,16 +1660,6 @@ mod tests {
                 );
             }
         }
-        // Recovery counters surface through the next mission's report.
-        let spec = WorkloadSpec {
-            key_space: 300,
-            value_len: 24,
-            ..WorkloadSpec::scaled_default(300)
-        };
-        let mut g = OpGenerator::new(spec, 3);
-        let r = rec.run_mission(&g.take_ops(100));
-        assert_eq!(r.runs_recovered, s.runs_recovered);
-        assert!(r.manifest_edits >= s.manifest_edits);
         // Wrong shard counts are refused in *both* directions: fewer
         // would drop acknowledged writes, more would misroute keys and
         // hide durable data behind empty shards.

@@ -26,9 +26,13 @@ pub fn level_state(report: &MissionReport, obs: &TreeObservation, level: usize) 
     let gamma = report.gamma() as f32;
     let ops = report.ops.max(1) as f64;
     let (reads_per_op, writes_per_op) = report
+        .window
         .levels
         .get(level)
-        .map(|l| (l.pages_read as f64 / ops, l.pages_written as f64 / ops))
+        .map(|l| {
+            let read = l.lookup_pages + l.compact_pages_read;
+            (read as f64 / ops, l.compact_pages_written as f64 / ops)
+        })
         .unwrap_or((0.0, 0.0));
     vec![
         policy / t,
@@ -58,7 +62,7 @@ fn squash(x: f64) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::LevelMissionStats;
+    use ruskey_lsm::{LevelStatsSnapshot, TreeStatsSnapshot};
 
     fn obs() -> TreeObservation {
         TreeObservation {
@@ -73,20 +77,23 @@ mod tests {
     fn report() -> MissionReport {
         MissionReport {
             ops: 100,
-            lookups: 50,
-            updates: 50,
-            levels: vec![
-                LevelMissionStats {
-                    pages_read: 100,
-                    pages_written: 50,
-                    ..Default::default()
-                },
-                LevelMissionStats {
-                    pages_read: 300,
-                    pages_written: 10,
-                    ..Default::default()
-                },
-            ],
+            window: TreeStatsSnapshot {
+                lookups: 50,
+                updates: 50,
+                levels: vec![
+                    LevelStatsSnapshot {
+                        lookup_pages: 100,
+                        compact_pages_written: 50,
+                        ..Default::default()
+                    },
+                    LevelStatsSnapshot {
+                        lookup_pages: 300,
+                        compact_pages_written: 10,
+                        ..Default::default()
+                    },
+                ],
+                ..Default::default()
+            },
             ..Default::default()
         }
     }

@@ -195,7 +195,7 @@ impl GreedyHeuristic {
     /// Lookup share observed at a level during the mission: probes versus
     /// compaction key participations.
     fn level_lookup_share(report: &MissionReport, level: usize) -> Option<f64> {
-        let l = report.levels.get(level)?;
+        let l = report.window.levels.get(level)?;
         let total = l.probes + l.compact_keys;
         if total == 0 {
             return None;
@@ -472,7 +472,7 @@ impl RewardScale {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::LevelMissionStats;
+    use ruskey_lsm::{LevelStatsSnapshot, TreeStatsSnapshot};
 
     fn obs(policies: Vec<u32>) -> TreeObservation {
         let n = policies.len();
@@ -488,10 +488,13 @@ mod tests {
     fn report(gamma: f64) -> MissionReport {
         MissionReport {
             ops: 1000,
-            lookups: (1000.0 * gamma) as u64,
-            updates: (1000.0 * (1.0 - gamma)) as u64,
-            end_to_end_ns: 1_000_000,
-            levels: vec![LevelMissionStats::default(); 3],
+            window: TreeStatsSnapshot {
+                lookups: (1000.0 * gamma) as u64,
+                updates: (1000.0 * (1.0 - gamma)) as u64,
+                clock_ns: 1_000_000,
+                levels: vec![LevelStatsSnapshot::default(); 3],
+                ..Default::default()
+            },
             ..Default::default()
         }
     }
@@ -523,18 +526,18 @@ mod tests {
         let mut r = report(0.5);
         // Level 0: all probes (read-heavy) -> K down; level 1: all
         // compaction keys (write-heavy) -> K up; level 2: balanced -> hold.
-        r.levels = vec![
-            LevelMissionStats {
+        r.window.levels = vec![
+            LevelStatsSnapshot {
                 probes: 100,
                 compact_keys: 0,
                 ..Default::default()
             },
-            LevelMissionStats {
+            LevelStatsSnapshot {
                 probes: 0,
                 compact_keys: 100,
                 ..Default::default()
             },
-            LevelMissionStats {
+            LevelStatsSnapshot {
                 probes: 50,
                 compact_keys: 50,
                 ..Default::default()
@@ -548,12 +551,12 @@ mod tests {
     fn greedy_heuristic_respects_bounds() {
         let mut t = GreedyHeuristic::new(33.0, 67.0);
         let mut r = report(0.5);
-        r.levels = vec![
-            LevelMissionStats {
+        r.window.levels = vec![
+            LevelStatsSnapshot {
                 probes: 100,
                 ..Default::default()
             },
-            LevelMissionStats {
+            LevelStatsSnapshot {
                 compact_keys: 100,
                 ..Default::default()
             },

@@ -143,11 +143,10 @@
 //! appends/fsyncs/acknowledged records, both barrier compositions
 //! ([`ruskey::stats::MissionReport::commit_ns`], the overlapped max, vs
 //! [`ruskey::stats::MissionReport::commit_busy_ns`], the sequential
-//! sum), and the recovery counters
-//! ([`ruskey::stats::MissionReport::manifest_edits`],
-//! [`ruskey::stats::MissionReport::runs_recovered`],
-//! [`ruskey::stats::MissionReport::replayed_tail`]) flow through
-//! [`lsm::TreeStatsSnapshot`] into [`ruskey::stats::MissionReport`].
+//! sum), and the recovery counters (`manifest_edits`, `runs_recovered`,
+//! `replayed_tail`) are fields of [`lsm::TreeStatsSnapshot`]: the store's
+//! lifetime reading is [`ruskey::RusKey::stats`], a mission's share its
+//! report's [`ruskey::stats::MissionReport::window`].
 //!
 //! The contract is pinned three ways: `tests/crash_recovery.rs` runs a
 //! [`lsm::CrashPoint`] fault-injection matrix over the WAL write path
@@ -197,8 +196,8 @@
 //!
 //! Cache traffic is observable end to end: hit/miss/eviction counters
 //! flow from [`storage::StorageMetrics`] through
-//! [`lsm::TreeStatsSnapshot`] into
-//! [`ruskey::stats::MissionReport::cache_hits`]. The contract is pinned
+//! [`lsm::TreeStatsSnapshot`], whose per-mission delta is
+//! [`ruskey::stats::MissionReport::window`]. The contract is pinned
 //! by unit and integration tests: an out-of-range get costs zero probes
 //! and zero page reads (`crates/lsm/src/tree.rs`), `FileDisk` opens each
 //! extent once and reuses its page buffer (`crates/storage/src/file.rs`),
@@ -243,10 +242,10 @@
 //! * **Backpressure** — the write path stalls (running maintenance
 //!   steps inline) only when L0's run count exceeds
 //!   [`lsm::LsmConfig`]'s `l0_stall_runs`; the time spent is *measured*,
-//!   never charged, and reported as
-//!   [`ruskey::stats::MissionReport::stall_ns`], alongside
-//!   `bg_compactions` (steps applied) and `pending_compaction_bytes`
-//!   (structural debt still owed).
+//!   never charged, and reported as `stall_ns` of
+//!   [`lsm::TreeStatsSnapshot`] (a mission's share in its report's
+//!   `window`), alongside `bg_compactions` (steps applied) and
+//!   `pending_compaction_bytes` (structural debt still owed).
 //!
 //! The contract is pinned by `tests/background_maintenance.rs` (a
 //! proptest that the background store is bit-identical to a quiescent

@@ -290,20 +290,20 @@ fn group_commit_syncs_at_most_once_per_shard_per_mission() {
         for mission in 0..5 {
             let r = db.run_mission(&g.take_ops(300));
             assert!(
-                r.wal_syncs <= shards as u64,
+                r.window.wal_syncs <= shards as u64,
                 "shards={shards} mission={mission}: {} fsyncs for one batch \
                  (group commit must sync once per shard at most)",
-                r.wal_syncs
+                r.window.wal_syncs
             );
             assert_eq!(
-                r.wal_appends, r.updates,
+                r.window.wal_appends, r.window.updates,
                 "shards={shards} mission={mission}: every write logged exactly once"
             );
             assert_eq!(
-                r.wal_synced, r.wal_appends,
+                r.wal_synced, r.window.wal_appends,
                 "shards={shards} mission={mission}: the barrier acknowledges the batch"
             );
-            if r.updates > 0 {
+            if r.window.updates > 0 {
                 assert!(
                     r.wal_batch_size() > 1.0,
                     "shards={shards} mission={mission}: batch size {} — group \
@@ -342,10 +342,10 @@ fn overlapped_commit_crash_keeps_sibling_batches_durable() {
         let ops1: Vec<Operation> = (0..BATCH).map(put).collect();
         let r1 = db.run_mission(&ops1);
         assert!(
-            r1.wal_syncs <= shards as u64,
+            r1.window.wal_syncs <= shards as u64,
             "shards={shards}: mission 1 broke the ≤1-fsync-per-shard bound"
         );
-        assert_eq!(r1.wal_synced, r1.wal_appends);
+        assert_eq!(r1.wal_synced, r1.window.wal_appends);
         assert!(!db.crashed());
 
         // Mission 2: shard 0's commit leg tears mid-fsync. The legs run
@@ -369,7 +369,7 @@ fn overlapped_commit_crash_keeps_sibling_batches_durable() {
             "shards={shards}: the mid-flush crash never fired"
         );
         assert!(
-            r2.wal_syncs <= shards as u64,
+            r2.window.wal_syncs <= shards as u64,
             "shards={shards}: mission 2 broke the ≤1-fsync-per-shard bound"
         );
         assert!(

@@ -364,12 +364,12 @@ proptest! {
             .count() as u64;
 
         let r = db.run_mission(&mission);
-        prop_assert_eq!(r.wal_appends, writes, "every write logged exactly once");
+        prop_assert_eq!(r.window.wal_appends, writes, "every write logged exactly once");
         prop_assert_eq!(
-            r.wal_syncs, lanes_with_writes,
+            r.window.wal_syncs, lanes_with_writes,
             "one fsync per shard whose lane wrote, none for idle shards"
         );
-        prop_assert_eq!(r.wal_synced, r.wal_appends, "the barrier acknowledges the batch");
+        prop_assert_eq!(r.wal_synced, r.window.wal_appends, "the barrier acknowledges the batch");
         prop_assert!(
             r.commit_ns <= r.commit_busy_ns,
             "barrier latency (max, {}) exceeded the sequential sum ({})",

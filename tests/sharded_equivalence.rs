@@ -84,7 +84,7 @@ fn one_shard_missions_run_on_the_caller() {
             "mission {mission}: one shard means max == sum for the barrier"
         );
         assert_eq!(
-            r.end_to_end_ns, r.device_busy_ns,
+            r.end_to_end_ns, r.window.busy_ns,
             "mission {mission}: one shard means one domain, wall == busy"
         );
     }
@@ -94,7 +94,8 @@ fn one_shard_missions_run_on_the_caller() {
 /// applied to a bare [`FlsmTree`] by hand — each operation through
 /// `put`/`get`/`delete`/`scan`, then the mission's commit leg — must leave
 /// tree statistics equal to the store's shard 0, field for field (time
-/// domain, per-level counters, WAL and cache counters included): the
+/// domain, per-level counters, WAL and cache counters included), and each
+/// mission's report window equal to the bare tree's delta over it: the
 /// accounting oracle of the paper's one-shard store.
 #[test]
 fn one_shard_store_equals_a_bare_tree() {
@@ -107,7 +108,8 @@ fn one_shard_store_equals_a_bare_tree() {
     let mut g = OpGenerator::new(mixed_spec(2000), 9);
     for mission in 0..6 {
         let ops = g.take_ops(300);
-        store.run_mission(&ops);
+        let start = bare.stats();
+        let report = store.run_mission(&ops);
         for op in &ops {
             match op {
                 Operation::Get { key } => drop(bare.get(key)),
@@ -121,6 +123,11 @@ fn one_shard_store_equals_a_bare_tree() {
             bare.stats(),
             store.shard(0).stats(),
             "mission {mission}: the lane runner must add nothing to the tree's accounting"
+        );
+        assert_eq!(
+            report.window,
+            bare.stats().delta(&start),
+            "mission {mission}: the report's window is the bare tree's delta"
         );
     }
     assert!(bare.stats().flushes > 0 && bare.stats().clock_ns > 0);
@@ -338,8 +345,14 @@ fn mission_composition_is_shard_count_invariant() {
     let (_, base) = &reports[0];
     for (shards, r) in &reports[1..] {
         assert_eq!(r.ops, base.ops, "{shards} shards: ops");
-        assert_eq!(r.lookups, base.lookups, "{shards} shards: lookups");
-        assert_eq!(r.updates, base.updates, "{shards} shards: updates");
+        assert_eq!(
+            r.window.lookups, base.window.lookups,
+            "{shards} shards: lookups"
+        );
+        assert_eq!(
+            r.window.updates, base.window.updates,
+            "{shards} shards: updates"
+        );
         assert_eq!(r.scans, base.scans, "{shards} shards: scans");
         assert_eq!(r.gamma(), base.gamma(), "{shards} shards: gamma");
     }

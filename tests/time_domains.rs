@@ -15,8 +15,9 @@ use proptest::prelude::*;
 
 use ruskey_repro::lsm::TreeStatsSnapshot;
 use ruskey_repro::ruskey::db::RusKeyConfig;
-use ruskey_repro::ruskey::sharded::{Backend, RusKey};
+use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
+use ruskey_repro::ruskey::MissionReport;
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_repro::workload::routing::{partition_ops, shard_for_key};
 use ruskey_repro::workload::{bulk_load_pairs, OpGenerator, OpMix, Operation, WorkloadSpec};
@@ -76,7 +77,7 @@ fn per_shard_times_equal_single_threaded_run() {
                 // domains' deltas) is the device clock's own delta: no work
                 // double-charged, none dropped.
                 assert_eq!(
-                    report.device_busy_ns,
+                    report.window.busy_ns,
                     device.clock().now_ns() - before,
                     "shards={n}: device-busy diverged from the device clock"
                 );
@@ -131,7 +132,7 @@ fn per_shard_times_equal_single_threaded_run() {
         // exceeds device-busy, and both are populated.
         for r in &reports {
             assert!(r.end_to_end_ns > 0);
-            assert!(r.end_to_end_ns <= r.device_busy_ns);
+            assert!(r.end_to_end_ns <= r.window.busy_ns);
         }
     }
 }
@@ -208,6 +209,85 @@ fn adhoc_ops_attribute_time_to_their_own_domains() {
             );
         }
     }
+}
+
+/// Runs one mission and checks that its report is a window over the
+/// shards' statistics: the merge of every shard's own delta — wall time
+/// the max over the shards, busy time the sum — with each gauge at its
+/// end state and the two fields kept beside the window equal to it.
+fn mission_window(db: &mut RusKey, ops: &[Operation]) -> MissionReport {
+    let before = db.shard_snapshots();
+    let report = db.run_mission(ops);
+    let after = db.shard_snapshots();
+    let deltas: Vec<TreeStatsSnapshot> =
+        after.iter().zip(&before).map(|(a, b)| a.delta(b)).collect();
+    let n = deltas.len();
+    assert_eq!(
+        report.window,
+        TreeStatsSnapshot::merge_all(&deltas),
+        "shards={n}"
+    );
+    let wall = deltas.iter().map(|d| d.clock_ns).max().unwrap();
+    assert_eq!(report.window.clock_ns, wall, "shards={n}: wall is the max");
+    let busy: u64 = deltas.iter().map(|d| d.busy_ns).sum();
+    assert_eq!(report.window.busy_ns, busy, "shards={n}: busy is the sum");
+    let debt: u64 = after.iter().map(|s| s.pending_compaction_bytes).sum();
+    assert_eq!(
+        report.window.pending_compaction_bytes, debt,
+        "shards={n}: a gauge's end state"
+    );
+    assert_eq!(report.end_to_end_ns, report.window.clock_ns);
+    assert_eq!(report.wal_synced, report.window.wal_synced);
+    let physical: Vec<u64> = deltas
+        .iter()
+        .map(|d| d.lookups + d.updates + d.scans)
+        .collect();
+    assert_eq!(report.shard_ops, physical, "shards={n}");
+    report
+}
+
+/// A mission's report is the merge of per-shard deltas, never the delta
+/// of merged snapshots, at `N ∈ {1, 4}` on a persistent store with
+/// background maintenance, so the WAL, manifest, cache and maintenance
+/// counters, and the compaction-debt gauge, are live in the window.
+#[test]
+fn a_mission_report_is_the_merge_of_per_shard_deltas() {
+    let mut debt_seen = false;
+    for &n in &[1usize, 4] {
+        let root = std::env::temp_dir().join(format!("ruskey-window-{n}-{}", std::process::id()));
+        let mut p = PersistenceConfig::new(&root);
+        p.page_size = 512;
+        let mut cfg = small_cfg();
+        cfg.lsm.background_maintenance = true;
+        let mut db = RusKey::open(cfg, n, Box::new(NoOpTuner), Backend::Create(&p)).expect("open");
+        db.bulk_load(bulk_load_pairs(2000, 16, 48, 7));
+        let mut g = OpGenerator::new(mixed_spec(2000), 31);
+        let reports: Vec<MissionReport> = (0..3)
+            .map(|_| mission_window(&mut db, &g.take_ops(1500)))
+            .collect();
+        for (i, r) in reports.iter().enumerate() {
+            assert_eq!(
+                r.mission_idx, i as u64,
+                "shards={n}: one report per mission"
+            );
+            assert!(
+                r.window.wal_appends > 0 && r.window.manifest_edits > 0,
+                "shards={n}"
+            );
+            assert!(r.window.stall_ns > 0, "shards={n}");
+            debt_seen |= r.window.pending_compaction_bytes > 0;
+        }
+        if n > 1 {
+            let clocks: Vec<u64> = db.shard_snapshots().iter().map(|s| s.clock_ns).collect();
+            assert!(
+                clocks.windows(2).any(|w| w[0] != w[1]),
+                "shard clocks must differ: {clocks:?}"
+            );
+        }
+        drop(db);
+        std::fs::remove_dir_all(&root).ok();
+    }
+    assert!(debt_seen, "the gauge must be read at a non-zero end state");
 }
 
 fn apply_adhoc(db: &mut RusKey, op: &Operation) {

@@ -175,7 +175,7 @@ fn one_shard_lerp_reproduces_its_golden() {
         let r = db.run_mission(&g.take_ops(250));
         assert_eq!(r.policies_after, *want, "mission {mission}");
         wall += r.end_to_end_ns;
-        busy += r.device_busy_ns;
+        busy += r.window.busy_ns;
     }
     assert_eq!((wall, busy), (1_073_158_850, 1_073_158_850));
 }
@@ -200,7 +200,7 @@ fn per_shard_lerp_under_skew_reproduces_its_golden() {
         let r = db.run_mission(ops);
         assert_eq!(r.shard_policies_after, *want, "mission {mission}");
         wall += r.end_to_end_ns;
-        busy += r.device_busy_ns;
+        busy += r.window.busy_ns;
     }
     assert_eq!((wall, busy), (45_906_900, 49_202_550));
 }
