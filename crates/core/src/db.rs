@@ -137,27 +137,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn bulk_load_excluded_from_first_mission() {
-        let mut db = open(small_cfg(), Box::new(NoOpTuner)).expect("open");
-        db.bulk_load(bulk_load_pairs(2000, 16, 48, 1));
-        let spec = WorkloadSpec {
-            key_space: 2000,
-            value_len: 48,
-            ..WorkloadSpec::scaled_default(2000)
-        }
-        .with_mix(OpMix::reads(1.0));
-        let mut g = OpGenerator::new(spec, 2);
-        let r = db.run_mission(&g.take_ops(50));
-        // 50 pure lookups: a tiny latency compared to loading 2000 entries.
-        assert_eq!(r.ops, 50);
-        assert_eq!(r.window.updates, 0);
-        assert!(
-            r.end_to_end_ns < 50 * 1_000_000,
-            "bulk load leaked into mission"
-        );
-    }
-
     /// A WAL I/O error at the mission boundary is a typed error, not a
     /// panic, and the failed mission's work is folded out of the next
     /// report. `/dev/full` opens fine and fails every write with ENOSPC.

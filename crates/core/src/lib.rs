@@ -15,7 +15,8 @@
 //! its tree, lane 0 on the caller's thread and the rest on scoped threads,
 //! operations routed by the stable key hash of
 //! [`ruskey_workload::routing`]; cross-shard range scans are k-way merged.
-//! The trees never leave the store and the store owns no thread.
+//! Opening a store and bulk-loading it run on the same lanes, one shard
+//! each. The trees never leave the store and the store owns no thread.
 //!
 //! There is **one mission loop** (paper §3, Fig. 1), in
 //! [`RusKey::try_run_mission`]:

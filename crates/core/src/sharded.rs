@@ -25,18 +25,22 @@
 //! which is the paper's single-tree loop exactly
 //! (`tests/tuning_equivalence.rs` pins both shapes with goldens).
 //!
-//! ## Mission lanes: the tree never leaves the store
+//! ## Lanes: the tree never leaves the store
 //!
 //! Outside a serving session the store is the only home of a shard's
 //! [`FlsmTree`]: the trees sit in a plain `Vec`, and whoever needs one
-//! borrows it. The store owns **no thread** — opening and dropping it
-//! spawns and joins nothing.
+//! borrows it. The store owns **no thread**: whatever runs per shard runs
+//! as one **lane** per shard under one function, `run_on_lanes`, which
+//! spawns lanes `1..N` on [`std::thread::scope`] threads, runs lane 0 on
+//! the caller's thread beside them, and joins them before it returns,
+//! each lane's result in shard order — a one-shard store spawns nothing,
+//! and dropping a store joins nothing. Three things run on lanes: opening
+//! (each lane wipes and creates, or recovers, its shard's tree), bulk
+//! loading (each lane loads its shard's pairs) and missions.
 //!
 //! A mission is one lane per shard (an empty lane still takes its
-//! boundary grant and its commit leg), run by one function, `run_lanes`,
-//! under [`std::thread::scope`] over `shards.iter_mut()`: lanes `1..N` are
-//! spawned first, lane 0 runs on the caller's thread beside them, and the
-//! scope joins them — a one-shard store spawns nothing. A lane **borrows**
+//! boundary grant and its commit leg), handed to `run_on_lanes` by
+//! `run_lanes` over `shards.iter_mut()`. A lane **borrows**
 //! its operations too: one [`partition_ops`] call hands each lane a
 //! `Vec` of references into the caller's slice (a broadcast scan is one
 //! operation every lane points at), which the scope makes legal. Each lane
@@ -156,14 +160,15 @@
 //! three [`Backend`]s: `Volatile` (views of one shared device, nothing
 //! survives a drop), `Create` (a fresh directory per shard) and `Recover`
 //! (reopen what a dropped persistent store left). It validates once,
-//! wipes or checks the previous incarnation, builds each shard's tree
-//! with its logs attached or recovered, seats `tuner` on shard 0 and
+//! checks the previous incarnation, wipes and builds each shard's tree
+//! on its own lane with its logs attached or recovered (the first
+//! failure in shard order is the one returned), seats `tuner` on shard 0 and
 //! `tuner.for_shard(i)` on shard `i`, and — recovering — baselines the
 //! statistics. Every failure, opening a store or running it, is one
 //! [`StoreError`].
 
 use std::collections::{BinaryHeap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::slice;
 use std::sync::Arc;
@@ -489,6 +494,36 @@ fn wipe(path: &Path) -> std::io::Result<()> {
     }
 }
 
+/// Runs one lane per shard — `lanes` yields them in shard order — and
+/// returns each lane's outcome in that order: its value, or the payload
+/// of the panic that ended it. Lanes `1..N` are spawned on scoped
+/// threads first, lane 0 runs on the caller's thread beside them (one
+/// lane spawns nothing), and the scope joins them: the engine's one
+/// synchronization point. A panic is caught where it happened — by the
+/// join, or on the caller for lane 0 — so it never stops a sibling.
+fn run_on_lanes<T, F>(lanes: impl IntoIterator<Item = F>) -> Vec<thread::Result<T>>
+where
+    F: FnOnce() -> T + Send,
+    T: Send,
+{
+    let mut lanes = lanes.into_iter();
+    let Some(first) = lanes.next() else {
+        return Vec::new();
+    };
+    thread::scope(|s| {
+        let spawned: Vec<_> = lanes.map(|lane| s.spawn(lane)).collect();
+        let first = catch_unwind(AssertUnwindSafe(first));
+        let joined = spawned.into_iter().map(|lane| lane.join());
+        std::iter::once(first).chain(joined).collect()
+    })
+}
+
+/// A lane's value; a lane that panicked re-raises its own payload on the
+/// caller.
+fn rethrow<T>(lane: thread::Result<T>) -> T {
+    lane.unwrap_or_else(|payload| resume_unwind(payload))
+}
+
 impl RusKey {
     /// Opens a store of `shards` hash-partitioned shards on `backend`,
     /// tuned by `tuner` — the one way a store is opened. The paper's
@@ -500,16 +535,25 @@ impl RusKey {
     /// the new count, and a `ROUTES` file must all go) or **checks**
     /// that it describes `shards` shards and holds no `ROUTES` file
     /// ([`Backend::Recover`]); builds each shard's tree with its
-    /// WAL/manifest attached or recovered; seats `tuner` on shard 0 and
+    /// WAL/manifest attached or recovered, one lane per shard (lane 0 on
+    /// this thread, the others on scoped threads; a shard's own directory
+    /// is wiped on its lane); seats `tuner` on shard 0 and
     /// `tuner.for_shard(i)` on shard `i` (Lerp: one agent per shard,
     /// shard `i` seeded `seed + i·104729`); and, recovering, baselines
     /// the statistics so the first mission report excludes recovery work
     /// (the lifetime recovery counters `manifest_edits`, `runs_recovered`
     /// and `replayed_tail` still surface through [`RusKey::stats`]).
     ///
+    /// # Errors
+    /// The first failure in shard order, as a serial loop would return
+    /// it, although the other lanes ran to the end: what they wiped,
+    /// created or recovered the next open does again (recovery is
+    /// idempotent).
+    ///
     /// # Panics
     /// Panics if `shards` is zero — a shard count is a structural choice
-    /// made in code, not runtime input.
+    /// made in code, not runtime input. A lane that panics re-raises its
+    /// own payload here once every lane has ended.
     pub fn open(
         cfg: RusKeyConfig,
         shards: usize,
@@ -521,7 +565,9 @@ impl RusKey {
         match &backend {
             Backend::Volatile(_) => {}
             Backend::Create(p) => {
-                for i in 0..shards.max(p.shards_described()?) {
+                // Each lane wipes its own shard's directory; directories
+                // beyond the new count go here.
+                for i in shards..p.shards_described()? {
                     wipe(&p.shard_dir(i))?;
                 }
                 wipe(&p.root.join(ROUTES_FILE))?;
@@ -548,12 +594,12 @@ impl RusKey {
                 }
             }
         }
-        let mut trees = Vec::with_capacity(shards);
-        for i in 0..shards {
+        let build = |i: usize| -> Result<FlsmTree, StoreError> {
             let lsm = cfg.lsm.clone();
-            trees.push(match &backend {
+            Ok(match &backend {
                 Backend::Volatile(s) => FlsmTree::try_new(lsm, ShardStorage::new(Arc::clone(s)))?,
                 Backend::Create(p) => {
+                    wipe(&p.shard_dir(i))?;
                     let mut tree = FlsmTree::try_new(lsm, p.open_disk(i)?)?;
                     tree.attach_manifest(Manifest::create(p.manifest_path(i), p.checkpoint_every)?);
                     tree.attach_wal(Wal::open_with_sync_every(p.wal_path(i), p.sync_every)?);
@@ -567,8 +613,12 @@ impl RusKey {
                     p.sync_every,
                     p.checkpoint_every,
                 )?,
-            });
-        }
+            })
+        };
+        let trees = run_on_lanes((0..shards).map(|i| move || build(i)))
+            .into_iter()
+            .map(rethrow)
+            .collect::<Result<Vec<_>, _>>()?;
         let siblings: Vec<_> = (1..shards).map(|i| tuner.for_shard(i)).collect();
         let mut store = Self {
             shards: trees,
@@ -661,12 +711,9 @@ impl RusKey {
     /// tree, ending in a boundary grant iff `boundary` and always in the
     /// shard's commit leg — and returns the legs in shard order.
     ///
-    /// Lanes `1..N` are spawned on scoped threads, lane 0 runs on the
-    /// caller's thread beside them, and the scope joins them: the single
-    /// synchronization point of the engine. A lane's panic is caught
-    /// where it ran — by the join, or on the caller for lane 0 — so the
-    /// siblings of a lane that dies run to the end; the lowest such shard
-    /// is fenced and reported as
+    /// The lanes run on `run_on_lanes`, which catches a lane's panic
+    /// where it ran, so the siblings of a lane that dies run to the end;
+    /// the lowest such shard is fenced and reported as
     /// [`StoreError::ShardPanicked`]. A failed commit leg is
     /// [`StoreError::Wal`] (lowest failing shard) on a live engine.
     fn run_lanes(
@@ -676,7 +723,7 @@ impl RusKey {
     ) -> Result<Vec<CommitLeg>, StoreError> {
         self.check_alive()?;
         let doomed = self.doomed.take();
-        let mut work = self
+        let work = self
             .shards
             .iter_mut()
             .zip(lanes)
@@ -687,15 +734,9 @@ impl RusKey {
                     (thread::current().id(), run_batch(tree, ops, boundary))
                 }
             });
-        let first = work.next().expect("a store has at least one shard");
         // Per lane: the thread that ran it and its commit leg, or the
         // payload of the panic that ended it.
-        let results: Vec<_> = thread::scope(|s| {
-            let spawned: Vec<_> = work.map(|lane| s.spawn(lane)).collect();
-            let first = catch_unwind(AssertUnwindSafe(first));
-            let joined = spawned.into_iter().map(|lane| lane.join());
-            std::iter::once(first).chain(joined).collect()
-        });
+        let results = run_on_lanes(work);
         let mut workers = Vec::with_capacity(results.len());
         let mut legs = Vec::with_capacity(results.len());
         let mut wal_failure = None;
@@ -930,10 +971,18 @@ impl RusKey {
         self.adhoc_scans = 0;
     }
 
-    /// Bulk-loads the store (pairs partitioned onto their owning shards;
-    /// a one-shard store owns every key and hands the load to its tree
-    /// whole) and resets the statistics baseline so mission reports
-    /// exclude the load.
+    /// Bulk-loads the store — pairs partitioned onto their owning shards
+    /// (a one-shard store owns every key and hands the load to its tree
+    /// whole), each shard loading on its own lane: lane 0 on this
+    /// thread, the others on scoped threads that end before this returns
+    /// — and resets the statistics baseline so mission reports exclude
+    /// the load.
+    ///
+    /// # Panics
+    /// Panics if a shard that receives pairs is not empty
+    /// ([`FlsmTree::bulk_load`]), is fenced, or is away serving. A lane
+    /// that panics re-raises its own payload here once every lane has
+    /// ended (the lowest-numbered one, if several did).
     pub fn bulk_load(&mut self, pairs: Vec<(Bytes, Bytes)>) {
         let n = self.shard_count();
         let per_shard = if n == 1 {
@@ -945,11 +994,19 @@ impl RusKey {
             }
             per_shard
         };
-        for (i, shard_pairs) in per_shard.into_iter().enumerate() {
+        for (i, shard_pairs) in per_shard.iter().enumerate() {
             if !shard_pairs.is_empty() {
-                self.shard_mut(i).bulk_load(shard_pairs);
+                self.assert_readable(i);
             }
         }
+        let lanes = self.shards.iter_mut().zip(per_shard).map(|(tree, pairs)| {
+            move || {
+                if !pairs.is_empty() {
+                    tree.bulk_load(pairs);
+                }
+            }
+        });
+        run_on_lanes(lanes).into_iter().for_each(rethrow);
         self.rebaseline();
     }
 

@@ -394,6 +394,20 @@ impl RunBuilder {
         }
     }
 
+    /// A builder with room for `bytes` bytes of encoded pages, for a run
+    /// whose size is known ahead: it fills one buffer instead of growing
+    /// it.
+    pub(crate) fn with_capacity(
+        id: RunId,
+        page_size: usize,
+        bits_per_key: f64,
+        bytes: usize,
+    ) -> Self {
+        let mut builder = Self::new(id, page_size, bits_per_key);
+        builder.out.reserve(bytes);
+        builder
+    }
+
     /// Appends an entry, copying its bytes into the run's buffer. Panics if
     /// keys are not strictly ascending or the entry cannot fit in an empty
     /// page.

@@ -7,7 +7,7 @@ use ruskey_storage::{Extent, Storage};
 
 use crate::compaction::{Merge, Source};
 use crate::config::LsmConfig;
-use crate::entry::EntryBuf;
+use crate::entry::{EntryBuf, ENTRY_HEADER_BYTES};
 use crate::level::Level;
 use crate::manifest::{Manifest, ManifestEdit, RunRecord};
 use crate::memtable::Memtable;
@@ -15,7 +15,7 @@ use crate::picker::{CompactionPicker, PickerConfig, SCORE_SCALE};
 use crate::run::{ProbeOutcome, Run, RunBuilder, RunId};
 use crate::stats::{LevelStatsSnapshot, TreeStatsSnapshot};
 use crate::transition::TransitionStrategy;
-use crate::types::{Key, KvEntry, SeqNo, Value};
+use crate::types::{EntryRef, Key, KvEntry, OpKind, SeqNo, Value};
 use crate::wal::{SyncTicket, Wal};
 
 /// A deferred merge built by a background maintenance step and applied
@@ -1293,7 +1293,13 @@ impl FlsmTree {
     /// steady-state layout reached after sustained insertion: deeper levels
     /// hold (exponentially) more data, and every level holds a uniform
     /// sample of the key space so probe behaviour matches a naturally grown
-    /// tree.
+    /// tree. Of duplicate keys the first in input order wins.
+    ///
+    /// One pass over the sorted pairs picks each entry's level and sums
+    /// the levels' bytes; a second deals every pair straight into its
+    /// level's run builders, round robin, consuming the input. Beyond the
+    /// pairs themselves it holds one level byte per entry and the encoded
+    /// pages of every run until the runs are finished, in run-id order.
     ///
     /// # Panics
     /// Panics if the tree is not empty.
@@ -1307,14 +1313,9 @@ impl FlsmTree {
         }
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
         pairs.dedup_by(|a, b| a.0 == b.0);
-
-        let entries: Vec<KvEntry> = pairs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (k, v))| KvEntry::put(k, v, i as u64 + 1))
-            .collect();
-        self.seq = entries.len() as u64 + 1;
-        let total: u64 = entries.iter().map(|e| e.encoded_size() as u64).sum();
+        self.seq = pairs.len() as u64 + 1;
+        let size = |(k, v): &(Key, Value)| (ENTRY_HEADER_BYTES + k.len() + v.len()) as u64;
+        let total: u64 = pairs.iter().map(size).sum();
 
         // Choose the number of levels so the layout matches a naturally
         // grown tree: upper levels about half full, the bottom level holding
@@ -1346,50 +1347,64 @@ impl FlsmTree {
         }
         targets[depth - 1] = remaining;
 
-        // Deal entries to levels proportionally (largest-remainder credit
-        // scheme) so each level samples the key space uniformly.
-        let mut per_level: Vec<Vec<KvEntry>> = vec![Vec::new(); depth];
+        // Pass 1: deal entries to levels proportionally (largest-remainder
+        // credit scheme) so each level samples the key space uniformly.
+        let mut level_bytes = vec![0u64; depth];
         let mut credit = vec![0f64; depth];
         let fractions: Vec<f64> = targets.iter().map(|&t| t as f64 / total as f64).collect();
-        for e in entries {
-            for (c, f) in credit.iter_mut().zip(&fractions) {
-                *c += f;
-            }
-            let lvl = credit
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(i, _)| i)
-                .unwrap();
-            credit[lvl] -= 1.0;
-            per_level[lvl].push(e);
+        let level_of: Vec<u8> = pairs
+            .iter()
+            .map(|pair| {
+                for (c, f) in credit.iter_mut().zip(&fractions) {
+                    *c += f;
+                }
+                let lvl = (0..depth)
+                    .max_by(|&a, &b| credit[a].total_cmp(&credit[b]))
+                    .unwrap_or(0);
+                credit[lvl] -= 1.0;
+                level_bytes[lvl] += size(pair);
+                lvl as u8
+            })
+            .collect();
+
+        // Each level stripes across ceil(bytes / run_cap) runs so every run
+        // spans the key space (as tiering produces naturally); run ids go
+        // level by level, run by run. Each builder reserves its share of
+        // the level's bytes plus an eighth for page headers and tails, so
+        // it fills one buffer, touched once.
+        let page_size = self.storage.page_size();
+        let mut rows: Vec<Vec<RunBuilder>> = Vec::with_capacity(depth);
+        for (idx, &bytes) in level_bytes.iter().enumerate() {
+            let bits = self.cfg.bloom.bits_for_level(idx, self.cfg.size_ratio);
+            let runs = bytes.div_ceil(self.levels[idx].active_capacity());
+            let cap = (bytes.div_ceil(runs.max(1)) * 9 / 8) as usize + page_size;
+            let ids = self.next_run_id..self.next_run_id + runs;
+            self.next_run_id += runs;
+            let builder = |id| RunBuilder::with_capacity(id, page_size, bits, cap);
+            rows.push(ids.map(builder).collect());
         }
 
-        // Build each level's runs: stripe across ceil(bytes / run_cap) runs
-        // so every run spans the key space (as tiering produces naturally).
-        for (idx, level_entries) in per_level.into_iter().enumerate() {
-            if level_entries.is_empty() {
-                continue;
-            }
-            let bytes: u64 = level_entries.iter().map(|e| e.encoded_size() as u64).sum();
+        // Pass 2: each pair goes straight into its level's next run.
+        let mut next = vec![0usize; depth];
+        for (i, ((key, value), lvl)) in pairs.into_iter().zip(level_of).enumerate() {
+            let (row, run) = (&mut rows[lvl as usize], &mut next[lvl as usize]);
+            row[*run].push(EntryRef {
+                key: &key,
+                value: &value,
+                seq: i as u64 + 1,
+                kind: OpKind::Put,
+            });
+            *run = (*run + 1) % row.len();
+        }
+
+        for (idx, row) in rows.into_iter().enumerate() {
             let run_cap = self.levels[idx].active_capacity();
-            let n_runs = (bytes.div_ceil(run_cap)).max(1) as usize;
             let bits = self.cfg.bloom.bits_for_level(idx, self.cfg.size_ratio);
-            let mut buckets: Vec<Vec<KvEntry>> = vec![Vec::new(); n_runs];
-            for (j, e) in level_entries.into_iter().enumerate() {
-                buckets[j % n_runs].push(e);
-            }
-            for (b, bucket) in buckets.into_iter().enumerate() {
-                let run_id = self.next_run_id;
-                self.next_run_id += 1;
-                let mut builder = RunBuilder::new(run_id, self.storage.page_size(), bits);
-                for e in &bucket {
-                    builder.push(e.borrowed());
-                }
+            let n_runs = row.len();
+            for (b, builder) in row.into_iter().enumerate() {
                 if let Some(run) = builder.finish(self.storage.as_ref(), run_cap).map(Arc::new) {
                     self.sync_new_run(run.extent());
-                    let is_last = b == n_runs - 1;
-                    let active = is_last && run.data_bytes() < run.capacity_bytes();
+                    let active = b + 1 == n_runs && run.data_bytes() < run.capacity_bytes();
                     self.log_edit(ManifestEdit::AddRun {
                         level: idx as u32,
                         active,
@@ -1404,12 +1419,9 @@ impl FlsmTree {
                 }
             }
         }
-        for idx in 0..self.levels.len() {
-            self.levels[idx].refresh_bounds();
-        }
+        self.levels.iter_mut().for_each(Level::refresh_bounds);
         self.refresh_tree_bounds();
-        let seq = self.seq;
-        self.log_edit(ManifestEdit::SeqWatermark { seq });
+        self.log_edit(ManifestEdit::SeqWatermark { seq: self.seq });
         self.commit_manifest();
     }
 }
@@ -1726,6 +1738,221 @@ mod tests {
         t.put(key(1), val(1));
         t.flush();
         t.bulk_load(vec![(key(2), val(2))]);
+    }
+
+    /// The three-stage loader the one-pass `bulk_load` replaced, kept as
+    /// its oracle: owned entries, then one `Vec` per level, then one per
+    /// run, each copied into a builder that is finished before the next
+    /// one starts.
+    fn staged_bulk_load(t: &mut FlsmTree, mut pairs: Vec<(Key, Value)>) {
+        assert!(
+            t.levels.is_empty() && t.memtable.is_empty(),
+            "bulk_load requires an empty tree"
+        );
+        if pairs.is_empty() {
+            return;
+        }
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        pairs.dedup_by(|a, b| a.0 == b.0);
+
+        let entries: Vec<KvEntry> = pairs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (k, v))| KvEntry::put(k, v, i as u64 + 1))
+            .collect();
+        t.seq = entries.len() as u64 + 1;
+        let total: u64 = entries.iter().map(|e| e.encoded_size() as u64).sum();
+
+        // Choose the number of levels so the layout matches a naturally
+        // grown tree: upper levels about half full, the bottom level holding
+        // the bulk of the data (at most 90% full).
+        const UPPER_FILL: f64 = 0.5;
+        const BOTTOM_FILL: f64 = 0.9;
+        let mut depth = 1usize;
+        loop {
+            let uppers: f64 = (0..depth - 1)
+                .map(|i| t.cfg.level_capacity(i) as f64 * UPPER_FILL)
+                .sum();
+            let bottom_remaining = total as f64 - uppers;
+            if bottom_remaining <= t.cfg.level_capacity(depth - 1) as f64 * BOTTOM_FILL
+                || depth >= 24
+            {
+                break;
+            }
+            depth += 1;
+        }
+        t.ensure_level(depth - 1);
+
+        // Per-level byte targets: upper levels half full, bottom the rest.
+        let mut targets = vec![0u64; depth];
+        let mut remaining = total;
+        for (i, target) in targets.iter_mut().enumerate().take(depth - 1) {
+            let take = remaining.min((t.cfg.level_capacity(i) as f64 * UPPER_FILL) as u64);
+            *target = take;
+            remaining -= take;
+        }
+        targets[depth - 1] = remaining;
+
+        // Deal entries to levels proportionally (largest-remainder credit
+        // scheme) so each level samples the key space uniformly.
+        let mut per_level: Vec<Vec<KvEntry>> = vec![Vec::new(); depth];
+        let mut credit = vec![0f64; depth];
+        let fractions: Vec<f64> = targets.iter().map(|&t| t as f64 / total as f64).collect();
+        for e in entries {
+            for (c, f) in credit.iter_mut().zip(&fractions) {
+                *c += f;
+            }
+            let lvl = credit
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .map(|(i, _)| i)
+                .unwrap();
+            credit[lvl] -= 1.0;
+            per_level[lvl].push(e);
+        }
+
+        // Build each level's runs: stripe across ceil(bytes / run_cap) runs
+        // so every run spans the key space (as tiering produces naturally).
+        for (idx, level_entries) in per_level.into_iter().enumerate() {
+            if level_entries.is_empty() {
+                continue;
+            }
+            let bytes: u64 = level_entries.iter().map(|e| e.encoded_size() as u64).sum();
+            let run_cap = t.levels[idx].active_capacity();
+            let n_runs = (bytes.div_ceil(run_cap)).max(1) as usize;
+            let bits = t.cfg.bloom.bits_for_level(idx, t.cfg.size_ratio);
+            let mut buckets: Vec<Vec<KvEntry>> = vec![Vec::new(); n_runs];
+            for (j, e) in level_entries.into_iter().enumerate() {
+                buckets[j % n_runs].push(e);
+            }
+            for (b, bucket) in buckets.into_iter().enumerate() {
+                let run_id = t.next_run_id;
+                t.next_run_id += 1;
+                let mut builder = RunBuilder::new(run_id, t.storage.page_size(), bits);
+                for e in &bucket {
+                    builder.push(e.borrowed());
+                }
+                if let Some(run) = builder.finish(t.storage.as_ref(), run_cap).map(Arc::new) {
+                    t.sync_new_run(run.extent());
+                    let is_last = b == n_runs - 1;
+                    let active = is_last && run.data_bytes() < run.capacity_bytes();
+                    t.log_edit(ManifestEdit::AddRun {
+                        level: idx as u32,
+                        active,
+                        run: describe_run(&run, bits),
+                    });
+                    let level = &mut t.levels[idx];
+                    if active {
+                        level.active = Some(run);
+                    } else {
+                        level.sealed.push(run);
+                    }
+                }
+            }
+        }
+        for idx in 0..t.levels.len() {
+            t.levels[idx].refresh_bounds();
+        }
+        t.refresh_tree_bounds();
+        let seq = t.seq;
+        t.log_edit(ManifestEdit::SeqWatermark { seq });
+        t.commit_manifest();
+    }
+
+    /// What a bulk load leaves behind, compared between the loaders: per
+    /// level, per run (sealed runs in order, then the active one) whether
+    /// it is active, its `Debug` form (id, extent, entry count, Bloom bits,
+    /// fence keys, bounds, max seq) and its pages read back; then the
+    /// tree's seq, the next run id and the manifest log's bytes, which
+    /// encode the `ManifestEdit` sequence in order.
+    type Layout = (
+        Vec<Vec<(bool, String, Vec<Vec<u8>>)>>,
+        SeqNo,
+        RunId,
+        Vec<u8>,
+    );
+
+    fn load_layout(
+        loader: fn(&mut FlsmTree, Vec<(Key, Value)>),
+        cfg: &LsmConfig,
+        pairs: &[(Key, Value)],
+        manifest: &std::path::Path,
+    ) -> Layout {
+        let disk = SimulatedDisk::new(256, CostModel::FREE);
+        let mut t = FlsmTree::new(cfg.clone(), disk);
+        t.attach_manifest(Manifest::create(manifest, 0).unwrap());
+        loader(&mut t, pairs.to_vec());
+        let storage = t.storage.as_ref();
+        let levels = t
+            .levels
+            .iter()
+            .map(|level| {
+                let runs = level.sealed.iter().map(|r| (false, r));
+                let runs = runs.chain(level.active.iter().map(|r| (true, r)));
+                runs.map(|(active, run)| {
+                    let pages = (0..run.page_count())
+                        .map(|idx| {
+                            let mut page = Vec::new();
+                            storage.read_page(run.extent(), idx, &mut page);
+                            page
+                        })
+                        .collect();
+                    (active, format!("{run:?}"), pages)
+                })
+                .collect()
+            })
+            .collect();
+        let log = std::fs::read(manifest).unwrap();
+        (levels, t.seq, t.next_run_id, log)
+    }
+
+    /// The one-pass loader lays out exactly what the staged loader did, on
+    /// random loads with duplicate keys (the first in input order wins),
+    /// at depths 1 to 4 and initial K in {1, 2, 5, 10} — levels of many
+    /// runs each — and on a one-entry load.
+    #[test]
+    fn one_pass_bulk_load_equals_the_staged_loader() {
+        let dir = std::env::temp_dir().join(format!("ruskey-bulk-oracle-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let (mut depths, mut most_runs) = (std::collections::BTreeSet::new(), 0);
+        let mut cases = vec![(1, vec![(key(7), val(7))])];
+        for k in [1, 2, 5, 10] {
+            for n in [150u64, 1_500, 12_000, 40_000] {
+                // Keys from a domain half again the load's size: about a
+                // quarter of the pairs repeat a key with another value.
+                let pairs = (0..n)
+                    .map(|i| {
+                        let value = vec![b'a' + (i % 26) as u8; 1 + next(40) as usize];
+                        (key(next(n * 3 / 2)), Value::from(value))
+                    })
+                    .collect();
+                cases.push((k, pairs));
+            }
+        }
+        for (k, pairs) in &cases {
+            let cfg = LsmConfig {
+                buffer_bytes: 1024,
+                size_ratio: 10,
+                initial_policy: *k,
+                ..LsmConfig::scaled_default()
+            };
+            let want = load_layout(staged_bulk_load, &cfg, pairs, &dir.join("staged"));
+            let got = load_layout(FlsmTree::bulk_load, &cfg, pairs, &dir.join("one-pass"));
+            depths.insert(want.0.len());
+            most_runs = want.0.iter().map(Vec::len).fold(most_runs, usize::max);
+            assert_eq!(got, want, "K = {k}, {} pairs", pairs.len());
+        }
+        assert_eq!(depths.into_iter().collect::<Vec<_>>(), [1, 2, 3, 4]);
+        assert!(most_runs >= 5, "some level must hold several runs");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! [`workload::routing`]; cross-shard range scans are k-way merged.
 //! A shard's tree never leaves the store: the trees sit in a plain `Vec`
 //! and a lane is a `&mut` borrow of one, so the hot path carries no
-//! locks and no channels, a store that is not inside a mission owns no
-//! OS thread, and `N = 1` runs through the same path as any other shard
-//! count. There is **one way to run an operation**: execute each
+//! locks and no channels, a store that is not inside a mission, an open
+//! or a bulk load (which run on the same lanes) owns no OS thread, and
+//! `N = 1` runs through the same path as any other shard count. There is **one way to run an operation**: execute each
 //! [`workload::Operation`], grant the maintenance boundary
 //! ([`lsm::FlsmTree::maintain_boundary`]), run the shard's commit leg.
 //! A mission lane, the standalone group commit (empty lanes, no

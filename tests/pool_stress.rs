@@ -16,7 +16,10 @@
 //! 3. **Clean failure**: a panic inside a lane — a spawned one or the
 //!    caller's own — surfaces as a [`StoreError`] on the mission thread:
 //!    never an unwind into the caller, never a hang, never a store that
-//!    limps on with a half-changed shard.
+//!    limps on with a half-changed shard. Opening and bulk loading run on
+//!    the same lanes and fail as a serial loop would: a load lane's panic
+//!    re-raises its own message, and a failed recovery reports the
+//!    lowest-numbered failing shard.
 //!
 //! A proptest additionally pins the overlapped-barrier composition
 //! (`commit_ns` = max over concurrent legs ≤ `commit_busy_ns` = their
@@ -289,6 +292,98 @@ fn a_panic_on_the_callers_lane_is_a_clean_error_too() {
         drop(db); // nothing to join, nothing to double-panic
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Acceptance: a load lane that panics re-raises its own payload on the
+/// caller, not the scope's generic "a scoped thread panicked": at N = 2,
+/// a bulk load into a store whose shard 1 already holds a write panics
+/// with the tree's own message.
+#[test]
+#[should_panic(expected = "empty tree")]
+fn a_panic_on_a_spawned_load_lane_keeps_its_message() {
+    let mut db = volatile(small_cfg(), 2, disk());
+    let taken = (0u64..)
+        .map(|i| encode_key(i, 16))
+        .find(|k| shard_for_key(k, 2) == 1)
+        .expect("some key routes to shard 1");
+    db.put(taken, bytes::Bytes::from_static(b"taken"));
+    db.bulk_load(bulk_load_pairs(400, 16, 48, 3));
+}
+
+/// Acceptance: a failed recovery at N = 4 returns the error of the
+/// lowest-numbered failing shard, as a serial loop's would, however the
+/// lanes finish. The manifests of shards 1 and 3 are replaced by ones
+/// naming an extent no shard wrote (9001 and 9003), and the error names
+/// shard 1's. Recovery is idempotent: once the manifests are repaired, a
+/// recovery reads back every loaded pair and every acknowledged write,
+/// although shards 0 and 2 already recovered once.
+#[test]
+fn a_failed_recovery_reports_the_lowest_failing_shard() {
+    use ruskey_repro::lsm::{Manifest, ManifestEdit, RunRecord};
+    let n = 4;
+    let dir = wal_dir("recover-fails");
+    let dur = persistence(&dir);
+    let open = |backend| RusKey::open(small_cfg(), n, Box::new(NoOpTuner), backend);
+    let pairs = bulk_load_pairs(2000, 16, 48, 61);
+    let puts: Vec<Operation> = (1500..2500u64)
+        .map(|i| Operation::Put {
+            key: encode_key(i, 16),
+            value: bytes::Bytes::from(vec![i as u8; 24]),
+        })
+        .collect();
+    {
+        let mut db = open(Backend::Create(&dur)).expect("create");
+        db.bulk_load(pairs.clone());
+        db.try_run_mission(&puts)
+            .expect("acknowledged at the barrier");
+    }
+    let damaged = [1usize, 3];
+    let originals = damaged.map(|i| std::fs::read(dur.manifest_path(i)).expect("manifest"));
+    for i in damaged {
+        let mut m = Manifest::create(dur.manifest_path(i), 0).expect("manifest");
+        let key = encode_key(0, 16);
+        m.log(ManifestEdit::AddRun {
+            level: 0,
+            active: false,
+            run: RunRecord {
+                run_id: 1,
+                extent_id: 9000 + i as u64,
+                pages: 1,
+                capacity_bytes: 4096,
+                entry_count: 1,
+                data_bytes: 64,
+                max_seq: 1,
+                bloom_bits_per_key: 8.0,
+                min_key: key.clone(),
+                max_key: key,
+            },
+        });
+        m.commit().expect("commit");
+    }
+    let err = open(Backend::Recover(&dur))
+        .err()
+        .expect("a manifest names a missing extent");
+    let said = err.to_string();
+    assert!(
+        said.contains("extent file 9001"),
+        "not shard 1's error: {said}"
+    );
+
+    for (i, bytes) in damaged.into_iter().zip(originals) {
+        std::fs::write(dur.manifest_path(i), bytes).expect("repair");
+    }
+    let mut db = open(Backend::Recover(&dur)).expect("recover the repaired store");
+    let mut want: std::collections::BTreeMap<_, _> = pairs.into_iter().collect();
+    for op in puts {
+        if let Operation::Put { key, value } = op {
+            want.insert(key, value);
+        }
+    }
+    for (key, value) in &want {
+        assert_eq!(db.get(key).as_ref(), Some(value), "lost {key:?}");
+    }
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One step of the random durable workload (update-only so the WAL
