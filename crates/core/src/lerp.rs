@@ -16,14 +16,46 @@
 //! Once converged, Lerp watches the workload composition; a shift (§3.1)
 //! knocks it out of convergence and it retunes.
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use ruskey_analysis::propagation::{propagate_rounded, uniform_propagation};
-use ruskey_rl::{Ddpg, DdpgConfig, Transition};
+use ruskey_rl::{Ddpg, DdpgConfig};
 
 use crate::state::{level_state, LEVEL_STATE_DIM};
 use crate::stats::MissionReport;
-use crate::tuner::{action_to_delta, stride_seed, RewardScale, TreeObservation, Tuner};
+use crate::tuner::{
+    learn, level_cost, stepped_policy, stride_seed, Pending, RewardScale, TreeObservation, Tuner,
+};
+
+/// The reward weight α that [`LerpConfig::paper_default`] and the
+/// per-level baseline use; [`LerpConfig::alpha`] says why it is not 1/2.
+pub(crate) const DEFAULT_ALPHA: f64 = 0.85;
+
+/// DDPG gradient steps per mission: our choice; replay lets several steps learn from one sample.
+const TRAIN_STEPS_PER_MISSION: usize = 8;
+/// Lookup-ratio EMA drift that counts as a workload shift (§3.1): our choice; the paper gives none.
+const SHIFT_THRESHOLD: f64 = 0.12;
+/// EMA weight of a mission's lookup ratio: our choice, so a shift registers within a few missions.
+const GAMMA_EMA_ALPHA: f64 = 0.25;
+/// OU exploration σ at the start and after a restart: our choice; the paper gives no schedule.
+const INITIAL_NOISE: f32 = 0.4;
+/// Per-mission σ decay: our choice, σ reaches its floor after about 200 missions.
+const NOISE_DECAY: f32 = 0.985;
+/// σ floor: our choice, so a level keeps exploring for as long as it tunes.
+const MIN_NOISE: f32 = 0.02;
+/// Initial ε of ε-greedy (a uniform ΔK): our choice; noise alone cannot escape a saturated actor.
+const EPSILON_INITIAL: f32 = 0.4;
+/// Per-mission ε decay: our choice, ε reaches its floor after about 260 missions.
+const EPSILON_DECAY: f32 = 0.99;
+/// ε floor: our choice, so every neighbouring policy stays reachable while a level tunes.
+const EPSILON_MIN: f32 = 0.03;
+/// EMA weight of a mission's cost: our choice; one deep compaction can cost 10× a normal mission.
+const REWARD_SMOOTHING: f64 = 0.3;
+/// DDPG discount γ: our choice; near a contextual bandit, a modest γ keeps TD targets low-variance.
+const RL_GAMMA: f32 = 0.6;
 
 /// Which Bloom-filter scheme governs propagation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,11 +66,16 @@ pub enum PropagationScheme {
     Monkey,
 }
 
-/// Lerp hyperparameters.
+/// The Lerp settings that experiments vary. Every other value Lerp uses
+/// has one setting, a named constant in this module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LerpConfig {
-    /// Reward mix weight `α` between level latency and end-to-end latency
-    /// (paper §7 sets 1/2).
+    /// Weight `α` of the level latency `t_i` against the end-to-end
+    /// latency `t'` in the reward `-(α·t_i + (1−α)·t')` (§5.1.3). The paper
+    /// sets 1/2; [`LerpConfig::paper_default`] sets 0.85, because at our
+    /// scaled-down mission size `t'` is dominated by deep-compaction bursts
+    /// whose period spans many missions, and a higher weight on `t_i` keeps
+    /// the per-mission reward informative (`repro ablations` sweeps it).
     pub alpha: f64,
     /// Propagation scheme, matching the tree's Bloom configuration.
     pub scheme: PropagationScheme,
@@ -48,78 +85,32 @@ pub struct LerpConfig {
     /// Minimum missions a level must be tuned before it may converge
     /// (prevents locking in a policy before the agent has trained).
     pub min_tune_missions: usize,
-    /// DDPG gradient steps per mission (experience is replayed, so several
-    /// steps per environment sample accelerate convergence).
-    pub train_steps_per_mission: usize,
-    /// Workload-shift detection threshold on the lookup-ratio EMA.
-    pub shift_threshold: f64,
-    /// EMA coefficient for the lookup-ratio tracker.
-    pub gamma_ema_alpha: f64,
-    /// Initial exploration noise σ.
-    pub initial_noise: f32,
-    /// Per-mission multiplicative noise decay.
-    pub noise_decay: f32,
-    /// Noise floor.
-    pub min_noise: f32,
-    /// Initial ε for ε-greedy exploration (a uniformly random `ΔK` with
-    /// probability ε). Additive noise alone cannot escape a saturated
-    /// actor; ε-greedy guarantees coverage of the policy ladder.
-    pub epsilon_initial: f32,
-    /// Per-mission multiplicative ε decay.
-    pub epsilon_decay: f32,
-    /// ε floor.
-    pub epsilon_min: f32,
-    /// Drop replayed experience when the workload shifts.
-    pub clear_replay_on_shift: bool,
-    /// EMA coefficient for reward smoothing: per-mission costs are spiky
-    /// (a deep compaction can cost 10× a normal mission), so the reward is
-    /// computed on a short EMA of the mission cost.
-    pub reward_smoothing: f64,
-    /// DDPG discount factor; policy tuning is close to a contextual bandit,
-    /// so a modest discount keeps TD targets low-variance.
-    pub rl_gamma: f32,
     /// DDPG seed (agents derive per-level seeds from it).
     pub seed: u64,
 }
 
 impl LerpConfig {
-    /// Paper-style defaults (3×128 ReLU networks inside DDPG), except
-    /// α = 0.85 where the paper uses 1/2 — the comment on `alpha` in the
-    /// body says why.
+    /// The reproduction's settings for `scheme`: α = 0.85 where the paper
+    /// uses 1/2 (see [`alpha`](Self::alpha)), convergence after a
+    /// 15-mission stable window and at least 60 tuned missions, seed 42.
     pub fn paper_default(scheme: PropagationScheme) -> Self {
         Self {
-            // The paper uses α = 1/2. At our scaled-down mission size the
-            // end-to-end term is dominated by deep-compaction bursts whose
-            // period spans many missions, so the level-local term gets a
-            // higher weight to keep the per-mission reward informative
-            // (`repro ablations` sweeps it: `ablation_alpha`).
-            alpha: 0.85,
+            alpha: DEFAULT_ALPHA,
             scheme,
             stability_window: 15,
             min_tune_missions: 60,
-            train_steps_per_mission: 8,
-            shift_threshold: 0.12,
-            gamma_ema_alpha: 0.25,
-            initial_noise: 0.4,
-            noise_decay: 0.985,
-            min_noise: 0.02,
-            epsilon_initial: 0.4,
-            epsilon_decay: 0.99,
-            epsilon_min: 0.03,
-            clear_replay_on_shift: true,
-            reward_smoothing: 0.3,
-            rl_gamma: 0.6,
             seed: 42,
         }
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Phase {
     /// Tuning agent `agent_idx` (0 tunes Level 1, 1 tunes Level 2).
     Tune { agent_idx: usize },
-    /// All tuned levels stable; propagation applied and maintained.
-    Converged,
+    /// All tuned levels stable; propagation applied and maintained. A
+    /// lookup-ratio EMA that drifts from `gamma_ref` is a workload shift.
+    Converged { gamma_ref: f64 },
 }
 
 /// The Lerp tuning model.
@@ -128,23 +119,22 @@ pub struct Lerp {
     agents: Vec<Ddpg>,
     reward_scales: Vec<RewardScale>,
     phase: Phase,
-    /// `(state, action)` awaiting its reward, per agent.
-    pending: Option<(Vec<f32>, Vec<f32>)>,
+    /// The tuning agent's `(state, action)`, awaiting its reward.
+    pending: Pending,
     /// Missions spent tuning the current level.
     missions_in_phase: usize,
     /// Recent *greedy* policy targets (exploration-free preference of the
     /// actor), used for convergence detection.
-    greedy_targets: std::collections::VecDeque<u32>,
+    greedy_targets: VecDeque<u32>,
     /// EMA-smoothed mission cost per agent.
     cost_ema: Vec<Option<f64>>,
     /// Current ε for ε-greedy exploration.
     epsilon: f32,
     /// RNG for ε-greedy draws.
-    rng: rand::rngs::StdRng,
+    rng: StdRng,
     /// Learned policies of tuned levels (filled as levels converge).
     learned: Vec<u32>,
     gamma_ema: Option<f64>,
-    gamma_ref: Option<f64>,
     update_ns: u64,
     restarts: u64,
     missions_seen: u64,
@@ -159,30 +149,28 @@ impl Lerp {
         };
         let agents = (0..n_agents)
             .map(|i| {
-                let mut dc = DdpgConfig::paper_default(LEVEL_STATE_DIM, 1);
-                dc.seed = cfg.seed.wrapping_add(i as u64 * 7919);
-                dc.noise_sigma = cfg.initial_noise;
-                dc.warmup = 16;
-                dc.gamma = cfg.rl_gamma;
-                Ddpg::new(dc)
+                Ddpg::new(DdpgConfig {
+                    seed: cfg.seed.wrapping_add(i as u64 * 7919),
+                    noise_sigma: INITIAL_NOISE,
+                    warmup: 16,
+                    gamma: RL_GAMMA,
+                    ..DdpgConfig::paper_default(LEVEL_STATE_DIM, 1)
+                })
             })
             .collect();
-        let reward_scales = vec![RewardScale::default(); n_agents];
-        use rand::SeedableRng;
         Self {
             cost_ema: vec![None; n_agents],
-            epsilon: cfg.epsilon_initial,
-            rng: rand::rngs::StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9)),
+            epsilon: EPSILON_INITIAL,
+            rng: StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9)),
             cfg,
             agents,
-            reward_scales,
+            reward_scales: vec![RewardScale::default(); n_agents],
             phase: Phase::Tune { agent_idx: 0 },
             pending: None,
             missions_in_phase: 0,
-            greedy_targets: std::collections::VecDeque::new(),
+            greedy_targets: VecDeque::new(),
             learned: Vec::new(),
             gamma_ema: None,
-            gamma_ref: None,
             update_ns: 0,
             restarts: 0,
             missions_seen: 0,
@@ -208,7 +196,7 @@ impl Lerp {
     pub fn tuning_level(&self) -> Option<usize> {
         match self.phase {
             Phase::Tune { agent_idx } => Some(agent_idx),
-            Phase::Converged => None,
+            Phase::Converged { .. } => None,
         }
     }
 
@@ -218,41 +206,128 @@ impl Lerp {
         self.missions_in_phase = 0;
         self.greedy_targets.clear();
         self.learned.clear();
-        self.gamma_ref = None;
         self.cost_ema.iter_mut().for_each(|c| *c = None);
-        self.epsilon = self.cfg.epsilon_initial;
+        self.epsilon = EPSILON_INITIAL;
         self.restarts += 1;
         for agent in &mut self.agents {
-            agent.set_noise_sigma(self.cfg.initial_noise);
-            if self.cfg.clear_replay_on_shift {
-                agent.clear_replay();
-            }
+            agent.set_noise_sigma(INITIAL_NOISE);
+            agent.clear_replay();
         }
     }
 
-    /// Desired policy for every materialized level given the learned
-    /// shallow policies.
-    fn propagated_policies(&self, obs: &TreeObservation) -> Vec<u32> {
+    /// The `(level, K)` changes that bring every materialized level to the
+    /// policy propagated from the learned shallow ones.
+    fn propagation_changes(&self, obs: &TreeObservation) -> Vec<(usize, u32)> {
         let t = obs.size_ratio;
         let n = obs.level_count;
-        match self.cfg.scheme {
-            PropagationScheme::Uniform => {
-                let k1 = self.learned.first().copied().unwrap_or(1);
-                uniform_propagation(k1, t, n)
-            }
+        let k1 = self.learned.first().copied().unwrap_or(1);
+        let want = match self.cfg.scheme {
+            PropagationScheme::Uniform => uniform_propagation(k1, t, n),
             PropagationScheme::Monkey => {
-                let k1 = self.learned.first().copied().unwrap_or(1);
                 let k2 = self.learned.get(1).copied().unwrap_or(k1);
                 propagate_rounded(k1, k2, t, n.max(2))[..n].to_vec()
             }
-        }
+        };
+        want.into_iter()
+            .enumerate()
+            .filter(|&(l, k)| obs.policies.get(l) != Some(&k))
+            .collect()
     }
 
-    fn mission_cost(&self, report: &MissionReport, level: usize) -> f64 {
-        let t_i = report.level_ns_per_op(level);
-        let t_e2e = report.ns_per_op();
-        self.cfg.alpha * t_i + (1.0 - self.cfg.alpha) * t_e2e
+    /// One mission of tuning agent `agent_idx` (it tunes level
+    /// `agent_idx`); `gamma_ema` is the lookup-ratio EMA after the mission.
+    fn tune_level(
+        &mut self,
+        agent_idx: usize,
+        report: &MissionReport,
+        obs: &TreeObservation,
+        gamma_ema: f64,
+    ) -> Vec<(usize, u32)> {
+        let level = agent_idx;
+        if level >= obs.level_count {
+            return Vec::new();
+        }
+        let state = level_state(report, obs, level);
+        // Smooth out compaction bursts before shaping the reward.
+        let raw_cost = level_cost(report, level, self.cfg.alpha);
+        let cost = fold_ema(&mut self.cost_ema[agent_idx], REWARD_SMOOTHING, raw_cost);
+        let reward = self.reward_scales[agent_idx].reward(cost);
+
+        self.missions_in_phase += 1;
+        let agent = &mut self.agents[agent_idx];
+        let pending = self.pending.take();
+        learn(agent, pending, reward, &state, TRAIN_STEPS_PER_MISSION);
+        // One actor forward pass yields both the greedy action and, unless
+        // ε-greedy overrides it, the exploratory one.
+        let (greedy, action) = if self.rng.gen::<f32>() < self.epsilon {
+            // ε-greedy: a uniformly random ΔK, encoded as a representative
+            // continuous action for the replay.
+            let delta: i32 = self.rng.gen_range(-1..=1);
+            (agent.act(&state), vec![delta as f32 * 0.8])
+        } else {
+            agent.act_both(&state)
+        };
+        // Convergence is judged on the actor's *greedy* preference (its
+        // exploration-free policy target), so ε-greedy and OU noise do not
+        // mask a converged policy.
+        let current_k = obs.policies[level];
+        let greedy_target = stepped_policy(current_k, greedy[0], obs.size_ratio);
+        self.greedy_targets.push_back(greedy_target);
+        while self.greedy_targets.len() > self.cfg.stability_window {
+            self.greedy_targets.pop_front();
+        }
+
+        let sigma = (agent.noise_sigma() * NOISE_DECAY).max(MIN_NOISE);
+        agent.set_noise_sigma(sigma);
+        self.epsilon = (self.epsilon * EPSILON_DECAY).max(EPSILON_MIN);
+
+        let new_k = stepped_policy(current_k, action[0], obs.size_ratio);
+        self.pending = Some((state, action));
+
+        // Converged when the greedy targets have stayed within a two-policy
+        // band for a full window (the actor's preference stopped moving),
+        // after the minimum tuning period.
+        let band_stable = self.greedy_targets.len() >= self.cfg.stability_window && {
+            let min = *self.greedy_targets.iter().min().unwrap();
+            let max = *self.greedy_targets.iter().max().unwrap();
+            max - min <= 1
+        };
+        if !band_stable || self.missions_in_phase < self.cfg.min_tune_missions {
+            return if new_k != current_k {
+                vec![(level, new_k)]
+            } else {
+                Vec::new()
+            };
+        }
+        // This level converged: adopt the window's median target.
+        let mut sorted: Vec<u32> = self.greedy_targets.iter().copied().collect();
+        sorted.sort_unstable();
+        let learned_k = sorted[sorted.len() / 2];
+        self.learned.push(learned_k);
+        self.pending = None;
+        self.missions_in_phase = 0;
+        self.greedy_targets.clear();
+        if self.learned.len() < self.agents.len() {
+            self.phase = Phase::Tune {
+                agent_idx: agent_idx + 1,
+            };
+            vec![(level, learned_k)]
+        } else {
+            self.phase = Phase::Converged {
+                gamma_ref: gamma_ema,
+            };
+            // Transfer the learned policies everywhere.
+            self.propagation_changes(obs)
+        }
     }
+}
+
+/// Folds `x` into the EMA held in `slot` with weight `a` (the first `x`
+/// seeds it) and returns the new average.
+fn fold_ema(slot: &mut Option<f64>, a: f64, x: f64) -> f64 {
+    let e = slot.map_or(x, |prev| (1.0 - a) * prev + a * x);
+    *slot = Some(e);
+    e
 }
 
 impl Tuner for Lerp {
@@ -268,148 +343,19 @@ impl Tuner for Lerp {
         self.missions_seen += 1;
 
         // ---- Workload tracking and shift detection (§3.1).
-        let g = report.gamma();
-        let ema = match self.gamma_ema {
-            Some(prev) => {
-                let e = (1.0 - self.cfg.gamma_ema_alpha) * prev + self.cfg.gamma_ema_alpha * g;
-                self.gamma_ema = Some(e);
-                e
-            }
-            None => {
-                self.gamma_ema = Some(g);
-                g
-            }
-        };
-        if self.phase == Phase::Converged {
-            if let Some(reference) = self.gamma_ref {
-                if (ema - reference).abs() > self.cfg.shift_threshold {
-                    self.restart();
-                }
+        let ema = fold_ema(&mut self.gamma_ema, GAMMA_EMA_ALPHA, report.gamma());
+        if let Phase::Converged { gamma_ref } = self.phase {
+            if (ema - gamma_ref).abs() > SHIFT_THRESHOLD {
+                self.restart();
             }
         }
 
         let changes = match self.phase {
-            Phase::Tune { agent_idx } => {
-                let level = agent_idx; // agent i tunes level i
-                if level >= obs.level_count {
-                    self.update_ns += t0.elapsed().as_nanos() as u64;
-                    return Vec::new();
-                }
-                let state = level_state(report, obs, level);
-                let raw_cost = self.mission_cost(report, level);
-                // Smooth out compaction bursts before shaping the reward.
-                let a = self.cfg.reward_smoothing.clamp(0.01, 1.0);
-                let cost = match self.cost_ema[agent_idx] {
-                    Some(prev) => {
-                        let c = (1.0 - a) * prev + a * raw_cost;
-                        self.cost_ema[agent_idx] = Some(c);
-                        c
-                    }
-                    None => {
-                        self.cost_ema[agent_idx] = Some(raw_cost);
-                        raw_cost
-                    }
-                };
-                let reward = self.reward_scales[agent_idx].reward(cost);
-
-                self.missions_in_phase += 1;
-                let agent = &mut self.agents[agent_idx];
-                if let Some((s, a)) = self.pending.take() {
-                    agent.observe(Transition {
-                        state: s,
-                        action: a,
-                        reward,
-                        next_state: state.clone(),
-                        done: false,
-                    });
-                    for _ in 0..self.cfg.train_steps_per_mission.max(1) {
-                        agent.train_step();
-                    }
-                }
-                // One actor forward pass yields both the greedy action and,
-                // unless ε-greedy overrides it, the exploratory one.
-                let (greedy, action) = if rand::Rng::gen::<f32>(&mut self.rng) < self.epsilon {
-                    // ε-greedy: a uniformly random ΔK, encoded as a
-                    // representative continuous action for the replay.
-                    let delta: i32 = rand::Rng::gen_range(&mut self.rng, -1..=1);
-                    (agent.act(&state), vec![delta as f32 * 0.8])
-                } else {
-                    agent.act_both(&state)
-                };
-                // Convergence is judged on the actor's *greedy* preference
-                // (its exploration-free policy target), so ε-greedy and OU
-                // noise do not mask a converged policy.
-                let current_k = obs.policies[level];
-                let greedy_delta = action_to_delta(greedy[0]);
-                let greedy_target =
-                    (current_k as i64 + greedy_delta as i64).clamp(1, obs.size_ratio as i64) as u32;
-                self.greedy_targets.push_back(greedy_target);
-                while self.greedy_targets.len() > self.cfg.stability_window {
-                    self.greedy_targets.pop_front();
-                }
-
-                let sigma = (agent.noise_sigma() * self.cfg.noise_decay).max(self.cfg.min_noise);
-                agent.set_noise_sigma(sigma);
-                self.epsilon = (self.epsilon * self.cfg.epsilon_decay).max(self.cfg.epsilon_min);
-
-                let delta = action_to_delta(action[0]);
-                let new_k =
-                    (current_k as i64 + delta as i64).clamp(1, obs.size_ratio as i64) as u32;
-                self.pending = Some((state, action));
-
-                let mut out: Vec<(usize, u32)> = if new_k != current_k {
-                    vec![(level, new_k)]
-                } else {
-                    Vec::new()
-                };
-
-                // Converged when the greedy targets have stayed within a
-                // two-policy band for a full window (the actor's preference
-                // stopped moving), after the minimum tuning period.
-                let band_stable = self.greedy_targets.len() >= self.cfg.stability_window && {
-                    let min = *self.greedy_targets.iter().min().unwrap();
-                    let max = *self.greedy_targets.iter().max().unwrap();
-                    max - min <= 1
-                };
-                if band_stable && self.missions_in_phase >= self.cfg.min_tune_missions {
-                    // This level converged: adopt the window's median target.
-                    let mut sorted: Vec<u32> = self.greedy_targets.iter().copied().collect();
-                    sorted.sort_unstable();
-                    let learned_k = sorted[sorted.len() / 2];
-                    self.learned.push(learned_k);
-                    out = vec![(level, learned_k)];
-                    self.pending = None;
-                    self.missions_in_phase = 0;
-                    self.greedy_targets.clear();
-                    if self.learned.len() < self.agents.len() {
-                        self.phase = Phase::Tune {
-                            agent_idx: agent_idx + 1,
-                        };
-                    } else {
-                        self.phase = Phase::Converged;
-                        self.gamma_ref = Some(ema);
-                        // Transfer the learned policies everywhere.
-                        let want = self.propagated_policies(obs);
-                        out = want
-                            .into_iter()
-                            .enumerate()
-                            .filter(|&(l, k)| obs.policies.get(l) != Some(&k))
-                            .collect();
-                    }
-                }
-                out
-            }
-            Phase::Converged => {
-                // Maintain the propagated layout (covers levels created
-                // after convergence).
-                self.propagated_policies(obs)
-                    .into_iter()
-                    .enumerate()
-                    .filter(|&(l, k)| obs.policies.get(l) != Some(&k))
-                    .collect()
-            }
+            Phase::Tune { agent_idx } => self.tune_level(agent_idx, report, obs, ema),
+            // Maintain the propagated layout (covers levels created after
+            // convergence).
+            Phase::Converged { .. } => self.propagation_changes(obs),
         };
-
         self.update_ns += t0.elapsed().as_nanos() as u64;
         changes
     }
@@ -425,7 +371,7 @@ impl Tuner for Lerp {
     }
 
     fn converged(&self) -> bool {
-        self.phase == Phase::Converged
+        matches!(self.phase, Phase::Converged { .. })
     }
 }
 
@@ -518,24 +464,93 @@ mod tests {
         );
     }
 
+    /// A workload shift restarts tuning from scratch: every agent's replay
+    /// emptied, ε and σ back to their initial values, nothing learned.
     #[test]
     fn workload_shift_triggers_restart() {
-        let mut lerp = Lerp::new(LerpConfig::paper_default(PropagationScheme::Uniform));
-        let mut policies = vec![3u32, 3];
-        drive(&mut lerp, &mut policies, 0.9, 3, 400);
+        let mut lerp = Lerp::new(LerpConfig::paper_default(PropagationScheme::Monkey));
+        let mut policies = vec![5u32, 5, 5, 5];
+        drive(&mut lerp, &mut policies, 0.5, 5, 800);
         assert!(lerp.converged());
         assert_eq!(lerp.restarts(), 0);
-        // Shift read-heavy -> write-heavy; the EMA crosses the threshold
-        // within a few missions and Lerp restarts tuning.
+        assert!(lerp.epsilon < EPSILON_INITIAL);
+        for agent in &lerp.agents {
+            assert!(agent.replay_len() > 0);
+            assert!(agent.noise_sigma() < INITIAL_NOISE);
+        }
+        // Shift to write-only on an empty tree: the restarted tuner has no
+        // level to explore, so it is observed just as the restart left it.
+        let empty = obs(Vec::new());
         for _ in 0..20 {
-            let report = synthetic_report(0.1, &policies, 3);
-            let _ = lerp.tune(&report, &obs(policies.clone()));
+            let _ = lerp.tune(&synthetic_report(0.0, &policies, 5), &empty);
             if !lerp.converged() {
                 break;
             }
         }
         assert!(!lerp.converged(), "shift not detected");
         assert_eq!(lerp.restarts(), 1);
+        for agent in &lerp.agents {
+            assert_eq!(agent.replay_len(), 0, "stale experience kept");
+            assert_eq!(agent.noise_sigma(), INITIAL_NOISE);
+        }
+        assert_eq!(lerp.epsilon, EPSILON_INITIAL);
+        assert!(lerp.learned_policies().is_empty());
+    }
+
+    /// Folds `x` into an FNV-1a style hash.
+    fn fnv(hash: &mut u64, x: u64) {
+        *hash = (*hash ^ x).wrapping_mul(0x100_0000_01b3);
+    }
+
+    /// Golden: Levels 1 and 2 tuned long enough for σ and ε to reach
+    /// their floors, then propagated; a shift toward writes, the restart
+    /// it triggers and retuning. The policy changes, the missions
+    /// of each convergence and restart, and σ and ε after every mission
+    /// are pinned to the bit, with the agents' final actor outputs, as
+    /// recorded while the constants above were still `LerpConfig` fields.
+    #[test]
+    fn synthetic_trajectory_is_pinned() {
+        let cfg = LerpConfig {
+            min_tune_missions: 210,
+            ..LerpConfig::paper_default(PropagationScheme::Monkey)
+        };
+        let mut lerp = Lerp::new(cfg);
+        let mut policies = vec![5u32, 5, 5, 5];
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        let (mut converged_at, mut restarted_at) = (Vec::new(), Vec::new());
+        for mission in 0..720u64 {
+            // A step small enough that the lookup-ratio EMA needs several
+            // missions to cross the shift threshold.
+            let (gamma, k_opt) = if mission < 480 { (0.9, 3) } else { (0.75, 8) };
+            let (was_converged, restarts) = (lerp.converged(), lerp.restarts());
+            let mut report = synthetic_report(gamma, &policies, k_opt);
+            // Compaction that falls with each level's own K, so that `t_i`
+            // is not proportional to `t'` and α shapes the reward.
+            for (stats, &k) in report.window.levels.iter_mut().zip(&policies) {
+                stats.compact_ns = 400_000 / k as u64;
+            }
+            for (l, k) in lerp.tune(&report, &obs(policies.clone())) {
+                fnv(&mut hash, mission << 40 | (l as u64) << 32 | k as u64);
+                policies[l] = k;
+            }
+            for agent in &lerp.agents {
+                fnv(&mut hash, agent.noise_sigma().to_bits() as u64);
+            }
+            fnv(&mut hash, lerp.epsilon.to_bits() as u64);
+            if lerp.converged() && !was_converged {
+                converged_at.push(mission);
+            }
+            if lerp.restarts() > restarts {
+                restarted_at.push(mission);
+            }
+        }
+        for agent in &mut lerp.agents {
+            let greedy = agent.act(&[0.5; LEVEL_STATE_DIM])[0];
+            fnv(&mut hash, greedy.to_bits() as u64);
+        }
+        assert_eq!((converged_at, restarted_at), (vec![419], vec![485]));
+        assert_eq!(lerp.learned_policies(), [10]);
+        assert_eq!(hash, 8281952501936916410);
     }
 
     #[test]

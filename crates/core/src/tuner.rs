@@ -6,7 +6,8 @@ use std::time::Instant;
 use ruskey_lsm::FlsmTree;
 use ruskey_rl::{Ddpg, DdpgConfig, Transition};
 
-use crate::state::{full_state, LEVEL_STATE_DIM};
+use crate::lerp::DEFAULT_ALPHA;
+use crate::state::{full_state, level_state, LEVEL_STATE_DIM};
 use crate::stats::MissionReport;
 
 /// A read-only snapshot of the tree structure handed to tuners.
@@ -53,9 +54,14 @@ pub trait Tuner {
     fn tune(&mut self, report: &MissionReport, obs: &TreeObservation) -> Vec<(usize, u32)>;
 
     /// A fresh tuner of the same kind and configuration for shard
-    /// `shard`. Learned tuners derive their seed as
-    /// `seed + shard·104729`, so sibling agents explore independently;
-    /// the baselines are plain copies.
+    /// `shard`. Learned tuners give every agent of every seat its own
+    /// seed, so sibling agents explore independently: [`Lerp`] and
+    /// [`BruteForceLerp`] derive the seat's seed as `seed + shard·104729`;
+    /// [`PerLevelNoPropagation`], with `L` agents a seat, seeds shard
+    /// `shard`'s level `i` with `seed + (shard·L + i)·104729`. The
+    /// baselines are plain copies.
+    ///
+    /// [`Lerp`]: crate::lerp::Lerp
     fn for_shard(&self, shard: usize) -> Box<dyn Tuner>;
 
     /// Cumulative real time spent updating internal models (Fig. 13).
@@ -241,7 +247,7 @@ pub struct BruteForceLerp {
     agent: Ddpg,
     levels: usize,
     seed: u64,
-    prev: Option<(Vec<f32>, Vec<f32>)>,
+    prev: Pending,
     reward_scale: RewardScale,
     update_ns: u64,
 }
@@ -272,18 +278,8 @@ impl Tuner for BruteForceLerp {
     fn tune(&mut self, report: &MissionReport, obs: &TreeObservation) -> Vec<(usize, u32)> {
         let t0 = Instant::now();
         let state = full_state(report, obs, self.levels);
-        let cost = report.ns_per_op();
-        let reward = self.reward_scale.reward(cost);
-        if let Some((s, a)) = self.prev.take() {
-            self.agent.observe(Transition {
-                state: s,
-                action: a,
-                reward,
-                next_state: state.clone(),
-                done: false,
-            });
-            self.agent.train_step();
-        }
+        let reward = self.reward_scale.reward(report.ns_per_op());
+        learn(&mut self.agent, self.prev.take(), reward, &state, 1);
         let action = self.agent.act_explore(&state);
         let mut out = Vec::new();
         for (lvl, &a) in action
@@ -291,13 +287,9 @@ impl Tuner for BruteForceLerp {
             .enumerate()
             .take(self.levels.min(obs.level_count))
         {
-            let delta = action_to_delta(a);
-            if delta != 0 {
-                let k = (obs.policies[lvl] as i64 + delta as i64).clamp(1, obs.size_ratio as i64)
-                    as u32;
-                if k != obs.policies[lvl] {
-                    out.push((lvl, k));
-                }
+            let k = stepped_policy(obs.policies[lvl], a, obs.size_ratio);
+            if k != obs.policies[lvl] {
+                out.push((lvl, k));
             }
         }
         self.prev = Some((state, action));
@@ -327,29 +319,35 @@ impl Tuner for BruteForceLerp {
 pub struct PerLevelNoPropagation {
     agents: Vec<Ddpg>,
     seed: u64,
-    pending: Vec<Option<(Vec<f32>, Vec<f32>)>>,
+    pending: Vec<Pending>,
     reward_scales: Vec<RewardScale>,
-    alpha: f64,
     update_ns: u64,
 }
 
 impl PerLevelNoPropagation {
     /// Creates agents for up to `max_levels` levels.
     pub fn new(max_levels: usize, seed: u64) -> Self {
+        Self::seat(max_levels, seed, 0)
+    }
+
+    /// The tuner of shard `shard`: its level `i` is sibling
+    /// `shard·max_levels + i` of `seed`, so no two seats share an agent
+    /// seed.
+    fn seat(max_levels: usize, seed: u64, shard: usize) -> Self {
         let agents: Vec<Ddpg> = (0..max_levels)
             .map(|i| {
-                let mut cfg = DdpgConfig::paper_default(LEVEL_STATE_DIM, 1);
-                cfg.seed = stride_seed(seed, i);
-                cfg.warmup = 16;
-                Ddpg::new(cfg)
+                Ddpg::new(DdpgConfig {
+                    seed: stride_seed(seed, shard * max_levels + i),
+                    warmup: 16,
+                    ..DdpgConfig::paper_default(LEVEL_STATE_DIM, 1)
+                })
             })
             .collect();
         Self {
-            pending: vec![None; agents.len()],
-            reward_scales: vec![RewardScale::default(); agents.len()],
+            pending: vec![None; max_levels],
+            reward_scales: vec![RewardScale::default(); max_levels],
             agents,
             seed,
-            alpha: 0.85,
             update_ns: 0,
         }
     }
@@ -363,32 +361,16 @@ impl Tuner for PerLevelNoPropagation {
     fn tune(&mut self, report: &MissionReport, obs: &TreeObservation) -> Vec<(usize, u32)> {
         let t0 = Instant::now();
         let mut out = Vec::new();
-        let e2e = report.ns_per_op();
         for lvl in 0..self.agents.len().min(obs.level_count) {
-            let state = crate::state::level_state(report, obs, lvl);
-            let t_i = report.level_ns_per_op(lvl);
-            let cost = self.alpha * t_i + (1.0 - self.alpha) * e2e;
-            let reward = self.reward_scales[lvl].reward(cost);
+            let state = level_state(report, obs, lvl);
+            let reward = self.reward_scales[lvl].reward(level_cost(report, lvl, DEFAULT_ALPHA));
             let agent = &mut self.agents[lvl];
-            if let Some((s, a)) = self.pending[lvl].take() {
-                agent.observe(Transition {
-                    state: s,
-                    action: a,
-                    reward,
-                    next_state: state.clone(),
-                    done: false,
-                });
-                agent.train_step();
-            }
+            learn(agent, self.pending[lvl].take(), reward, &state, 1);
             let action = agent.act_explore(&state);
-            let delta = action_to_delta(action[0]);
+            let k = stepped_policy(obs.policies[lvl], action[0], obs.size_ratio);
             self.pending[lvl] = Some((state, action));
-            if delta != 0 {
-                let k = (obs.policies[lvl] as i64 + delta as i64).clamp(1, obs.size_ratio as i64)
-                    as u32;
-                if k != obs.policies[lvl] {
-                    out.push((lvl, k));
-                }
+            if k != obs.policies[lvl] {
+                out.push((lvl, k));
             }
         }
         self.update_ns += t0.elapsed().as_nanos() as u64;
@@ -396,7 +378,7 @@ impl Tuner for PerLevelNoPropagation {
     }
 
     fn for_shard(&self, shard: usize) -> Box<dyn Tuner> {
-        Box::new(Self::new(self.agents.len(), stride_seed(self.seed, shard)))
+        Box::new(Self::seat(self.agents.len(), self.seed, shard))
     }
 
     fn model_update_ns(&self) -> u64 {
@@ -427,27 +409,59 @@ pub fn action_to_delta(a: f32) -> i32 {
     }
 }
 
+/// The policy action `a` moves `k` to: `k + ΔK`, kept within `[1, T]`.
+pub(crate) fn stepped_policy(k: u32, a: f32, size_ratio: u32) -> u32 {
+    (k as i64 + action_to_delta(a) as i64).clamp(1, size_ratio as i64) as u32
+}
+
+/// A level's mission cost `α·t_i + (1−α)·t'` in ns/op (§5.1.3), which its
+/// agent's reward is shaped from.
+pub(crate) fn level_cost(report: &MissionReport, level: usize, alpha: f64) -> f64 {
+    alpha * report.level_ns_per_op(level) + (1.0 - alpha) * report.ns_per_op()
+}
+
+/// The `(state, action)` an agent took, awaiting the reward it earns.
+pub(crate) type Pending = Option<(Vec<f32>, Vec<f32>)>;
+
+/// Completes the `pending` step with its reward and the state it led to,
+/// stores the transition and trains the agent `steps` times; does nothing
+/// if no step is pending.
+pub(crate) fn learn(
+    agent: &mut Ddpg,
+    pending: Pending,
+    reward: f32,
+    next_state: &[f32],
+    steps: usize,
+) {
+    if let Some((state, action)) = pending {
+        agent.observe(Transition {
+            state,
+            action,
+            reward,
+            next_state: next_state.to_vec(),
+            done: false,
+        });
+        for _ in 0..steps {
+            agent.train_step();
+        }
+    }
+}
+
 /// Normalizes raw mission costs into rewards of magnitude ~O(1).
 ///
 /// The reward is `-(cost / scale)` where the scale is an exponential moving
 /// average of observed costs — this keeps the reward meaningful both on
 /// NVMe-fast and HDD-slow cost models without per-experiment tuning.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RewardScale {
     ema: f64,
-    alpha: f64,
-}
-
-impl Default for RewardScale {
-    fn default() -> Self {
-        Self {
-            ema: 0.0,
-            alpha: 0.05,
-        }
-    }
 }
 
 impl RewardScale {
+    /// EMA weight of a new cost: our choice, a slow scale (about 20
+    /// missions) that a single burst cannot move much.
+    const ALPHA: f64 = 0.05;
+
     /// Converts a cost (ns/op) into a negative reward, updating the scale.
     ///
     /// Degenerate observations are skipped entirely: a zero-op mission
@@ -463,7 +477,7 @@ impl RewardScale {
         if self.ema == 0.0 {
             self.ema = cost.max(1e-9);
         } else {
-            self.ema = (1.0 - self.alpha) * self.ema + self.alpha * cost;
+            self.ema = (1.0 - Self::ALPHA) * self.ema + Self::ALPHA * cost;
         }
         (-(cost / self.ema.max(1e-9))).clamp(-10.0, 0.0) as f32
     }
@@ -621,6 +635,23 @@ mod tests {
         assert!(!t.converged());
         assert!(t.model_update_ns() > 0);
         assert_eq!(t.name(), "per-level-rl-no-propagation");
+    }
+
+    #[test]
+    fn per_level_seats_give_every_agent_its_own_seed() {
+        // An agent's first greedy action is a function of its seed (its
+        // initial weights): two agents with one seed act alike to the bit.
+        let probe = [0.5; LEVEL_STATE_DIM];
+        let mut seen = std::collections::HashMap::new();
+        for shard in 0..4 {
+            let mut seat = PerLevelNoPropagation::seat(4, 9, shard);
+            for (level, agent) in seat.agents.iter_mut().enumerate() {
+                let bits = agent.act(&probe)[0].to_bits();
+                if let Some((s, l)) = seen.insert(bits, (shard, level)) {
+                    panic!("shard {shard} level {level} has the seed of shard {s} level {l}");
+                }
+            }
+        }
     }
 
     #[test]

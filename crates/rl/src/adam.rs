@@ -50,16 +50,6 @@ impl Adam {
         }
     }
 
-    /// Learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Sets the learning rate.
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Applies one Adam step using the gradients accumulated in `net`,
     /// scaled by `grad_scale` (e.g. `1 / batch_size`). Does not zero grads.
     pub fn step(&mut self, net: &mut Mlp, grad_scale: f32) {
@@ -189,14 +179,6 @@ mod tests {
         let (p, _) = net.params_and_grads();
         let (q, _) = reference.params_and_grads();
         assert_eq!(p, q, "the flush moved a parameter");
-    }
-
-    #[test]
-    fn lr_accessors() {
-        let mut a = Adam::new(10, 1e-3);
-        assert_eq!(a.lr(), 1e-3);
-        a.set_lr(5e-4);
-        assert_eq!(a.lr(), 5e-4);
     }
 
     #[test]

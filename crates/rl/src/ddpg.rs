@@ -14,6 +14,15 @@ use crate::nn::{Activation, Mlp};
 use crate::noise::OuNoise;
 use crate::replay::{ReplayBuffer, Transition};
 
+/// Actor learning rate: our choice (Lillicrap et al. use 1e-4; the paper gives none).
+const ACTOR_LR: f32 = 1e-3;
+/// Critic learning rate: our choice, Lillicrap et al.'s value (the paper gives none).
+const CRITIC_LR: f32 = 1e-3;
+/// Polyak coefficient τ: our choice, 10× Lillicrap et al.'s, so targets track a short tuning phase.
+const TAU: f32 = 0.01;
+/// Replay capacity: our choice, above the one-per-mission transitions of a tuning phase.
+const REPLAY_CAPACITY: usize = 4096;
+
 /// Hyperparameters of a DDPG agent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DdpgConfig {
@@ -23,18 +32,10 @@ pub struct DdpgConfig {
     pub action_dim: usize,
     /// Hidden layer sizes; the paper uses three layers of 128 ReLU units.
     pub hidden: Vec<usize>,
-    /// Actor learning rate.
-    pub actor_lr: f32,
-    /// Critic learning rate.
-    pub critic_lr: f32,
     /// Discount factor γ.
     pub gamma: f32,
-    /// Polyak soft-update coefficient τ.
-    pub tau: f32,
     /// Training batch size.
     pub batch_size: usize,
-    /// Replay-buffer capacity.
-    pub replay_capacity: usize,
     /// Minimum replay size before training starts.
     pub warmup: usize,
     /// RNG seed (sampling, init, exploration).
@@ -50,12 +51,8 @@ impl DdpgConfig {
             state_dim,
             action_dim,
             hidden: vec![128, 128, 128],
-            actor_lr: 1e-3,
-            critic_lr: 1e-3,
             gamma: 0.9,
-            tau: 0.01,
             batch_size: 32,
-            replay_capacity: 4096,
             warmup: 32,
             seed: 42,
             noise_sigma: 0.2,
@@ -132,9 +129,9 @@ impl Ddpg {
         target_actor.copy_from(&actor);
         target_critic.copy_from(&critic);
 
-        let adam_actor = Adam::new(actor.param_count(), cfg.actor_lr);
-        let adam_critic = Adam::new(critic.param_count(), cfg.critic_lr);
-        let replay = ReplayBuffer::new(cfg.replay_capacity);
+        let adam_actor = Adam::new(actor.param_count(), ACTOR_LR);
+        let adam_critic = Adam::new(critic.param_count(), CRITIC_LR);
+        let replay = ReplayBuffer::new(REPLAY_CAPACITY);
         let mut noise = OuNoise::standard(cfg.action_dim);
         noise.set_sigma(cfg.noise_sigma);
 
@@ -152,11 +149,6 @@ impl Ddpg {
             train_steps: 0,
             batch: BatchBuf::default(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &DdpgConfig {
-        &self.cfg
     }
 
     /// Number of gradient steps taken.
@@ -299,10 +291,8 @@ impl Ddpg {
         actor_loss /= n;
 
         // ---- Target tracking.
-        self.target_actor
-            .soft_update_from(&self.actor, self.cfg.tau);
-        self.target_critic
-            .soft_update_from(&self.critic, self.cfg.tau);
+        self.target_actor.soft_update_from(&self.actor, TAU);
+        self.target_critic.soft_update_from(&self.critic, TAU);
 
         self.train_steps += 1;
         Some(TrainMetrics {
@@ -362,10 +352,8 @@ mod tests {
             self.adam_actor.step_unflushed(&mut self.actor, 1.0 / n);
             actor_loss /= n;
 
-            self.target_actor
-                .soft_update_from(&self.actor, self.cfg.tau);
-            self.target_critic
-                .soft_update_from(&self.critic, self.cfg.tau);
+            self.target_actor.soft_update_from(&self.actor, TAU);
+            self.target_critic.soft_update_from(&self.critic, TAU);
             self.train_steps += 1;
             Some(TrainMetrics {
                 critic_loss,
@@ -650,6 +638,21 @@ mod tests {
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4));
+    }
+
+    #[test]
+    fn the_replay_holds_at_most_4096_transitions() {
+        let mut agent = Ddpg::new(small_cfg(1));
+        for i in 0..5000 {
+            agent.observe(Transition {
+                state: vec![i as f32],
+                action: vec![0.0],
+                reward: 0.0,
+                next_state: vec![0.0],
+                done: false,
+            });
+        }
+        assert_eq!(agent.replay_len(), 4096);
     }
 
     #[test]
