@@ -89,16 +89,6 @@ pub fn optimal_k_int(p: &CostParams, fpr: f64, t_max: u32) -> u32 {
     (k.round() as i64).clamp(1, t_max as i64) as u32
 }
 
-/// Total expected cost per operation across levels with the given FPRs and
-/// policies (one entry per level).
-pub fn tree_cost_ns(p: &CostParams, fprs: &[f64], policies: &[f64]) -> f64 {
-    assert_eq!(fprs.len(), policies.len());
-    fprs.iter()
-        .zip(policies)
-        .map(|(&f, &k)| level_cost_ns(p, f, k))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,13 +139,5 @@ mod tests {
         // optimal policy is more aggressive (smaller K).
         let p = CostParams::paper_case_study(0.5);
         assert!(optimal_k(&p, 0.1) < optimal_k(&p, 0.001));
-    }
-
-    #[test]
-    fn tree_cost_sums_levels() {
-        let p = CostParams::paper_case_study(0.5);
-        let a = tree_cost_ns(&p, &[0.01, 0.1], &[2.0, 1.0]);
-        let b = level_cost_ns(&p, 0.01, 2.0) + level_cost_ns(&p, 0.1, 1.0);
-        assert!((a - b).abs() < 1e-9);
     }
 }

@@ -51,16 +51,6 @@ impl TransitionScenario {
         }
     }
 
-    /// Immediate transition cost in page I/Os (Table 2 row 1).
-    /// Greedy pays the amortized level flush `C/2B`; lazy and flexible are 0.
-    pub fn immediate_cost_ios(&self, greedy: bool) -> f64 {
-        if greedy {
-            self.level_capacity / (2.0 * self.page_bytes)
-        } else {
-            0.0
-        }
-    }
-
     /// Delay in seconds before the new policy takes effect (Table 2 row 2).
     /// Only lazy waits (`C/(2·N_u·E)`); greedy and flexible act immediately.
     pub fn delay_secs(&self, lazy: bool) -> f64 {
@@ -128,8 +118,6 @@ mod tests {
     #[test]
     fn immediate_costs_and_delays() {
         let s = TransitionScenario::paper_case_study();
-        assert!((s.immediate_cost_ios(true) - 125.0).abs() < 1e-9); // C/2B
-        assert_eq!(s.immediate_cost_ios(false), 0.0);
         // C/(2·N_u·E) = 1_024_000 / (2·1000·1024) = 0.5 s.
         assert!((s.delay_secs(true) - 0.5).abs() < 1e-9);
         assert_eq!(s.delay_secs(false), 0.0);

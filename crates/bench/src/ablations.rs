@@ -14,13 +14,14 @@
 use std::sync::Arc;
 
 use ruskey::lerp::{Lerp, LerpConfig, PropagationScheme};
-use ruskey::runner::{converged_mean_latency, run_static, ExperimentScale};
 use ruskey::tuner::FixedPolicy;
-use ruskey::{Backend, RusKey, RusKeyConfig};
+use ruskey::RusKeyConfig;
 use ruskey_analysis::cost::{optimal_k_int, CostParams};
 use ruskey_lsm::bloom::fpr_for_bits;
 use ruskey_storage::{BlockCache, CostModel, SimulatedDisk, Storage};
-use ruskey_workload::{bulk_load_pairs, MissionStream, OpGenerator, OpMix};
+use ruskey_workload::OpMix;
+
+use crate::runner::{converged_mean_latency, prepared_store, run, ExperimentScale};
 
 /// Result row shared by the ablations.
 #[derive(Debug, Clone)]
@@ -47,27 +48,13 @@ pub fn ablation_cache(scale: &ExperimentScale) -> Vec<AblationRow> {
             } else {
                 base
             };
-            let mut db = RusKey::open(
-                RusKeyConfig::scaled_default(),
-                1,
-                Box::new(FixedPolicy::new(k)),
-                Backend::Volatile(storage),
-            )
-            .expect("open");
-            db.bulk_load(bulk_load_pairs(
-                scale.load_entries,
-                scale.key_len,
-                scale.value_len,
-                scale.seed,
-            ));
+            let cfg = RusKeyConfig::scaled_default();
+            let db = prepared_store(cfg, scale, Box::new(FixedPolicy::new(k)), storage);
             let spec = scale.spec().with_mix(OpMix::balanced());
-            let mut missions =
-                MissionStream::new(OpGenerator::new(spec, scale.seed + 1), scale.mission_size);
-            let mut latencies = Vec::new();
-            for _ in 0..scale.missions {
-                let report = db.run_mission(&missions.next_mission());
-                latencies.push(report.ns_per_op() / 1e6);
-            }
+            let latencies: Vec<f64> = run(db, scale.static_missions(spec))
+                .iter()
+                .map(|r| r.latency_ms_per_op)
+                .collect();
             rows.push(AblationRow {
                 label: format!("{label}/K={k}"),
                 tail_latency_ms: crate::tail_mean(&latencies, 1.0 / 3.0),
@@ -119,12 +106,9 @@ pub fn ablation_alpha(scale: &ExperimentScale) -> Vec<AblationRow> {
             cfg.alpha = alpha;
             cfg.seed = scale.seed;
             let spec = scale.spec().with_mix(OpMix::write_heavy());
-            let records = run_static(
-                RusKeyConfig::scaled_default(),
-                scale,
-                Box::new(Lerp::new(cfg)),
-                spec,
-            );
+            let lerp = Box::new(Lerp::new(cfg));
+            let db = prepared_store(RusKeyConfig::scaled_default(), scale, lerp, scale.disk());
+            let records = run(db, scale.static_missions(spec));
             AblationRow {
                 label: format!("alpha={alpha}"),
                 tail_latency_ms: converged_mean_latency(&records, 0.3),

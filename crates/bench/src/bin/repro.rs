@@ -19,7 +19,6 @@
 
 #![forbid(unsafe_code)]
 
-use ruskey::runner::ExperimentScale;
 use ruskey_bench::*;
 
 /// What every experiment runner gets.

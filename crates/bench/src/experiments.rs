@@ -2,10 +2,6 @@
 
 use ruskey::db::RusKeyConfig;
 use ruskey::lerp::{Lerp, LerpConfig, PropagationScheme};
-use ruskey::runner::{
-    converged_mean_latency, prepared_store, rank, run_dynamic, run_static, ExperimentScale,
-    MissionRecord,
-};
 use ruskey::tuner::{
     BruteForceLerp, FixedPolicy, GreedyHeuristic, LazyLeveling, NoOpTuner, PerLevelNoPropagation,
     Tuner,
@@ -13,12 +9,16 @@ use ruskey::tuner::{
 use ruskey_analysis::TransitionScenario;
 use ruskey_lsm::TransitionStrategy;
 use ruskey_workload::ycsb::Preset;
-use ruskey_workload::{DynamicWorkload, KeyDistribution, OpGenerator, OpMix};
+use ruskey_workload::{DynamicWorkload, KeyDistribution, OpGenerator, OpMix, Operation};
+
+use crate::runner::{
+    converged_mean_latency, prepared_store, rank, run, ExperimentScale, MissionRecord,
+};
 
 /// One method's mission time series.
 #[derive(Debug, Clone)]
 pub struct Series {
-    /// Method label (e.g. "RusKey", "K=1").
+    /// Method label (e.g. RusKey, Lazy(K=10)).
     pub method: String,
     /// Per-mission records.
     pub records: Vec<MissionRecord>,
@@ -52,9 +52,20 @@ fn base_cfg(monkey: bool) -> RusKeyConfig {
     }
 }
 
+/// The methods of one comparison, in print order: a label and the tuner
+/// its store is opened with.
+type Roster = Vec<(String, Box<dyn Tuner>)>;
+
+/// RusKey (Lerp under the scheme `monkey` picks) followed by `baselines`.
+fn roster(scale: &ExperimentScale, monkey: bool, baselines: Roster) -> Roster {
+    let mut methods = vec![("RusKey".to_string(), lerp_tuner(scale, monkey))];
+    methods.extend(baselines);
+    methods
+}
+
 /// The paper's three fixed baselines: Aggressive (K=1), Moderate (K=5),
 /// Lazy (K=10 = T).
-fn fixed_baselines() -> Vec<(String, Box<dyn Tuner>)> {
+fn fixed_baselines() -> Roster {
     vec![
         (
             "Aggressive(K=1)".into(),
@@ -65,101 +76,111 @@ fn fixed_baselines() -> Vec<(String, Box<dyn Tuner>)> {
     ]
 }
 
-// ---------------------------------------------------------------------
-// Figure 6 — static workloads, uniform Bloom scheme
-// ---------------------------------------------------------------------
-
-/// Fig. 6: RusKey self-navigates to the optimal design on static workloads
-/// (read-heavy / write-heavy / balanced), uniform scheme, vs the three
-/// fixed baselines.
-pub fn fig6(scale: &ExperimentScale) -> Vec<Comparison> {
-    static_comparison(scale, false, KeyDistribution::Uniform, false)
+/// RusKey against the fixed baselines, plus Dostoevsky's Lazy-Leveling if
+/// asked for: the roster of Figs. 6, 7, 8 and 11 and the YCSB sweep.
+fn fixed_roster(scale: &ExperimentScale, monkey: bool, with_lazy_leveling: bool) -> Roster {
+    let mut methods = roster(scale, monkey, fixed_baselines());
+    if with_lazy_leveling {
+        methods.push(lazy_leveling());
+    }
+    methods
 }
 
-/// Fig. 8: the same comparison under the Monkey scheme, plus Lazy-Leveling.
-pub fn fig8(scale: &ExperimentScale) -> Vec<Comparison> {
-    static_comparison(scale, true, KeyDistribution::Uniform, true)
+/// Dostoevsky's Lazy-Leveling, the Monkey-scheme baseline of Figs. 8 and 9.
+fn lazy_leveling() -> (String, Box<dyn Tuner>) {
+    ("Lazy-Leveling".into(), Box::new(LazyLeveling))
 }
 
-/// Fig. 11 (a–c): the same comparison on YCSB Zipfian workloads.
-pub fn fig11_abc(scale: &ExperimentScale) -> Vec<Comparison> {
-    static_comparison(scale, false, KeyDistribution::zipfian_default(), false)
-}
-
-fn static_comparison(
+/// Runs each method of `roster` over its own copy of the schedule
+/// `missions` makes, on a freshly loaded store.
+fn series<M>(
     scale: &ExperimentScale,
     monkey: bool,
-    dist: KeyDistribution,
-    with_lazy_leveling: bool,
-) -> Vec<Comparison> {
-    let workloads = [
-        ("read-heavy", OpMix::read_heavy()),
-        ("write-heavy", OpMix::write_heavy()),
-        ("balanced", OpMix::balanced()),
-    ];
-    workloads
-        .iter()
-        .map(|(label, mix)| {
-            let spec = scale.spec().with_mix(*mix).with_distribution(dist.clone());
-            let mut series = vec![Series {
-                method: "RusKey".into(),
-                records: run_static(
-                    base_cfg(monkey),
-                    scale,
-                    lerp_tuner(scale, monkey),
-                    spec.clone(),
-                ),
-            }];
-            for (name, tuner) in fixed_baselines() {
-                series.push(Series {
-                    method: name,
-                    records: run_static(base_cfg(monkey), scale, tuner, spec.clone()),
-                });
-            }
-            if with_lazy_leveling {
-                series.push(Series {
-                    method: "Lazy-Leveling".into(),
-                    records: run_static(
-                        base_cfg(monkey),
-                        scale,
-                        Box::new(LazyLeveling),
-                        spec.clone(),
-                    ),
-                });
-            }
-            Comparison {
-                workload: (*label).into(),
-                series,
+    roster: Roster,
+    missions: impl Fn() -> M,
+) -> Vec<Series>
+where
+    M: IntoIterator<Item = (usize, Vec<Operation>)>,
+{
+    roster
+        .into_iter()
+        .map(|(method, tuner)| {
+            let db = prepared_store(base_cfg(monkey), scale, tuner, scale.disk());
+            Series {
+                method,
+                records: run(db, missions()),
             }
         })
         .collect()
 }
 
+// ---------------------------------------------------------------------
+// Figure 6 — static workloads, uniform Bloom scheme
+// ---------------------------------------------------------------------
+
+/// The three static mixes of Figs. 6, 8 and 11 (a–c).
+fn static_mixes() -> [(&'static str, OpMix); 3] {
+    [
+        ("read-heavy", OpMix::read_heavy()),
+        ("write-heavy", OpMix::write_heavy()),
+        ("balanced", OpMix::balanced()),
+    ]
+}
+
+/// Fig. 6: RusKey self-navigates to the optimal design on static workloads
+/// (read-heavy / write-heavy / balanced), uniform scheme, vs the three
+/// fixed baselines.
+pub fn fig6(scale: &ExperimentScale) -> Vec<Comparison> {
+    static_comparison(
+        scale,
+        false,
+        KeyDistribution::Uniform,
+        &static_mixes(),
+        false,
+    )
+}
+
+/// Fig. 8: the same comparison under the Monkey scheme, plus Lazy-Leveling.
+pub fn fig8(scale: &ExperimentScale) -> Vec<Comparison> {
+    static_comparison(scale, true, KeyDistribution::Uniform, &static_mixes(), true)
+}
+
+/// Fig. 11 (a–c): the same comparison on YCSB Zipfian workloads.
+pub fn fig11_abc(scale: &ExperimentScale) -> Vec<Comparison> {
+    let zipf = KeyDistribution::zipfian_default();
+    static_comparison(scale, false, zipf, &static_mixes(), false)
+}
+
 /// Fig. 11 (d): 50% range lookups / 50% updates on YCSB Zipfian.
 pub fn fig11_range(scale: &ExperimentScale) -> Comparison {
-    let spec = scale
-        .spec()
-        .with_mix(OpMix::range_balanced())
-        .with_distribution(KeyDistribution::zipfian_default());
-    let mut series = vec![Series {
-        method: "RusKey".into(),
-        records: run_static(
-            base_cfg(false),
-            scale,
-            lerp_tuner(scale, false),
-            spec.clone(),
-        ),
-    }];
-    for (name, tuner) in fixed_baselines() {
-        series.push(Series {
-            method: name,
-            records: run_static(base_cfg(false), scale, tuner, spec.clone()),
-        });
-    }
-    Comparison {
-        workload: "range-balanced".into(),
-        series,
-    }
+    let zipf = KeyDistribution::zipfian_default();
+    let mixes = [("range-balanced", OpMix::range_balanced())];
+    let mut comparisons = static_comparison(scale, false, zipf, &mixes, false);
+    comparisons.remove(0)
+}
+
+/// One comparison per labelled mix: the fixed roster, each method on its
+/// own store over the static mix.
+fn static_comparison(
+    scale: &ExperimentScale,
+    monkey: bool,
+    dist: KeyDistribution,
+    mixes: &[(&str, OpMix)],
+    with_lazy_leveling: bool,
+) -> Vec<Comparison> {
+    mixes
+        .iter()
+        .map(|(label, mix)| {
+            let spec = scale.spec().with_mix(*mix).with_distribution(dist.clone());
+            let roster = fixed_roster(scale, monkey, with_lazy_leveling);
+            Comparison {
+                workload: (*label).into(),
+                series: series(scale, monkey, roster, || {
+                    scale.static_missions(spec.clone())
+                }),
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -177,32 +198,15 @@ pub const FIG7_SESSIONS: [&str; 5] = [
 
 /// Fig. 7: the five-session dynamic workload, RusKey vs fixed baselines.
 pub fn fig7(scale: &ExperimentScale) -> Vec<Series> {
-    let mut out = Vec::new();
-    let mk_workload = |seed: u64| {
-        let g = OpGenerator::new(scale.spec(), seed);
+    dynamic_comparison(scale, fixed_roster(scale, false, false))
+}
+
+/// Runs `roster` over the Fig. 7 schedule, each method on its own store.
+fn dynamic_comparison(scale: &ExperimentScale, roster: Roster) -> Vec<Series> {
+    series(scale, false, roster, || {
+        let g = OpGenerator::new(scale.spec(), scale.seed.wrapping_add(1));
         DynamicWorkload::paper_fig7(g, scale.missions, scale.mission_size)
-    };
-    out.push(Series {
-        method: "RusKey".into(),
-        records: run_dynamic(
-            base_cfg(false),
-            scale,
-            lerp_tuner(scale, false),
-            mk_workload(scale.seed.wrapping_add(1)),
-        ),
-    });
-    for (name, tuner) in fixed_baselines() {
-        out.push(Series {
-            method: name,
-            records: run_dynamic(
-                base_cfg(false),
-                scale,
-                tuner,
-                mk_workload(scale.seed.wrapping_add(1)),
-            ),
-        });
-    }
-    out
+    })
 }
 
 /// A Table 3 / Fig. 12-style ranking: per-session mean latency (converged
@@ -285,14 +289,10 @@ pub struct Fig9Result {
 /// beats Lazy-Leveling end-to-end and per level.
 pub fn fig9(scale: &ExperimentScale) -> Vec<Fig9Result> {
     let spec = scale.spec().with_mix(OpMix::balanced());
-    let methods: Vec<(String, Box<dyn Tuner>)> = vec![
-        ("RusKey".into(), lerp_tuner(scale, true)),
-        ("Lazy-Leveling".into(), Box::new(LazyLeveling)),
-    ];
-    methods
+    let roster = roster(scale, true, vec![lazy_leveling()]);
+    series(scale, true, roster, || scale.static_missions(spec.clone()))
         .into_iter()
-        .map(|(method, tuner)| {
-            let records = run_static(base_cfg(true), scale, tuner, spec.clone());
+        .map(|Series { method, records }| {
             let tail_start = records.len() - (records.len() / 3).max(1);
             let tail = &records[tail_start..];
             let end_to_end =
@@ -319,7 +319,7 @@ fn per_level_latency(
     spec: &ruskey_workload::WorkloadSpec,
     policies: &[u32],
 ) -> Vec<f64> {
-    let mut db = prepared_store(base_cfg(monkey), scale, Box::new(NoOpTuner));
+    let mut db = prepared_store(base_cfg(monkey), scale, Box::new(NoOpTuner), scale.disk());
     for (l, &k) in policies.iter().enumerate() {
         db.shard_mut(0).set_policy(l, k);
     }
@@ -356,7 +356,7 @@ pub fn fig10(scale: &ExperimentScale) -> Vec<Series> {
         .iter()
         .map(|&strategy| {
             let cfg = base_cfg(false).with_transition(strategy);
-            let mut db = prepared_store(cfg, scale, Box::new(NoOpTuner));
+            let mut db = prepared_store(cfg, scale, Box::new(NoOpTuner), scale.disk());
             db.shard_mut(0).set_policy_all(1);
             let spec = scale.spec().with_mix(OpMix::balanced());
             let mut g = OpGenerator::new(spec, scale.seed.wrapping_add(5));
@@ -390,32 +390,11 @@ pub fn fig10(scale: &ExperimentScale) -> Vec<Series> {
 /// Fig. 12: greedy threshold tuners vs RusKey on the Fig. 7 dynamic
 /// workload, with the average-rank table.
 pub fn fig12(scale: &ExperimentScale) -> Vec<Series> {
-    let mk_workload = |seed: u64| {
-        let g = OpGenerator::new(scale.spec(), seed);
-        DynamicWorkload::paper_fig7(g, scale.missions, scale.mission_size)
-    };
-    let mut out = vec![Series {
-        method: "RusKey".into(),
-        records: run_dynamic(
-            base_cfg(false),
-            scale,
-            lerp_tuner(scale, false),
-            mk_workload(scale.seed.wrapping_add(1)),
-        ),
-    }];
-    for h in GreedyHeuristic::paper_settings() {
-        let name = h.name();
-        out.push(Series {
-            method: name,
-            records: run_dynamic(
-                base_cfg(false),
-                scale,
-                Box::new(h),
-                mk_workload(scale.seed.wrapping_add(1)),
-            ),
-        });
-    }
-    out
+    let heuristics = GreedyHeuristic::paper_settings()
+        .into_iter()
+        .map(|h| (h.name(), Box::new(h) as Box<dyn Tuner>))
+        .collect();
+    dynamic_comparison(scale, roster(scale, false, heuristics))
 }
 
 // ---------------------------------------------------------------------
@@ -469,7 +448,13 @@ pub fn fig13(scale: &ExperimentScale) -> Vec<Fig13Row> {
         .iter()
         .map(|(label, mix, monkey)| {
             let spec = scale.spec().with_mix(*mix);
-            let records = run_static(base_cfg(*monkey), scale, lerp_tuner(scale, *monkey), spec);
+            let db = prepared_store(
+                base_cfg(*monkey),
+                scale,
+                lerp_tuner(scale, *monkey),
+                scale.disk(),
+            );
+            let records = run(db, scale.static_missions(spec));
             let n = records.len() as f64;
             let virt = records.iter().map(|r| r.latency_ms_per_op).sum::<f64>() / 1e3
                 * scale.mission_size as f64
@@ -528,7 +513,7 @@ pub fn table2(scale: &ExperimentScale) -> Vec<Table2Row> {
     // Baseline: a store born with the new policy processes the same window.
     let window_pages = |strategy: Option<TransitionStrategy>, k_old: u32, k_new: u32| {
         let cfg = base_cfg(false).with_transition(strategy.unwrap_or(TransitionStrategy::Flexible));
-        let mut db = prepared_store(cfg, scale, Box::new(NoOpTuner));
+        let mut db = prepared_store(cfg, scale, Box::new(NoOpTuner), scale.disk());
         db.shard_mut(0).set_policy_all(k_old);
         let spec = scale.spec().with_mix(OpMix::balanced());
         let mut g = OpGenerator::new(spec, scale.seed.wrapping_add(17));
@@ -597,7 +582,7 @@ pub struct BruteForceRow {
 /// wandering.
 pub fn bruteforce(scale: &ExperimentScale) -> Vec<BruteForceRow> {
     let spec = scale.spec().with_mix(OpMix::write_heavy());
-    let methods: Vec<(String, Box<dyn Tuner>)> = vec![
+    let methods: Roster = vec![
         (
             "RusKey (level-based + propagation)".into(),
             lerp_tuner(scale, false),
@@ -611,22 +596,23 @@ pub fn bruteforce(scale: &ExperimentScale) -> Vec<BruteForceRow> {
             Box::new(PerLevelNoPropagation::new(4, scale.seed)),
         ),
     ];
-    methods
-        .into_iter()
-        .map(|(method, tuner)| {
-            let records = run_static(base_cfg(false), scale, tuner, spec.clone());
-            let converged_at = records.iter().position(|r| r.converged);
-            let tail = converged_mean_latency(&records, 0.3);
-            let model_s = records.iter().map(|r| r.model_update_ns).sum::<u64>() as f64 / 1e9;
-            BruteForceRow {
-                method,
-                converged: converged_at.is_some(),
-                converged_at,
-                tail_latency_ms: tail,
-                model_update_s: model_s,
-            }
-        })
-        .collect()
+    series(scale, false, methods, || {
+        scale.static_missions(spec.clone())
+    })
+    .into_iter()
+    .map(|Series { method, records }| {
+        let converged_at = records.iter().position(|r| r.converged);
+        let tail = converged_mean_latency(&records, 0.3);
+        let model_s = records.iter().map(|r| r.model_update_ns).sum::<u64>() as f64 / 1e9;
+        BruteForceRow {
+            method,
+            converged: converged_at.is_some(),
+            converged_at,
+            tail_latency_ms: tail,
+            model_update_s: model_s,
+        }
+    })
+    .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -648,28 +634,45 @@ pub fn ycsb_sweep(
                 value_len: scale.value_len,
                 ..p.spec(scale.load_entries)
             };
-            let mut rows = vec![(
-                "RusKey".to_string(),
-                converged_mean_latency(
-                    &run_static(
-                        base_cfg(false),
-                        scale,
-                        lerp_tuner(scale, false),
-                        spec.clone(),
-                    ),
-                    0.3,
-                ),
-            )];
-            for (name, tuner) in fixed_baselines() {
-                rows.push((
-                    name,
-                    converged_mean_latency(
-                        &run_static(base_cfg(false), scale, tuner, spec.clone()),
-                        0.3,
-                    ),
-                ));
-            }
+            let roster = fixed_roster(scale, false, false);
+            let rows = series(scale, false, roster, || scale.static_missions(spec.clone()))
+                .into_iter()
+                .map(|s| (s.method, converged_mean_latency(&s.records, 0.3)))
+                .collect();
             (p.label().to_string(), rows)
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn series(method: &str, session: usize, latency: f64) -> Series {
+        let record = MissionRecord {
+            mission: 0,
+            session,
+            latency_ms_per_op: latency,
+            write_latency_s: 0.0,
+            read_latency_s: 0.0,
+            policy_l1: 1,
+            policies: vec![1],
+            model_update_ns: 0,
+            real_process_ns: 0,
+            converged: true,
+        };
+        Series {
+            method: method.into(),
+            records: vec![record],
+        }
+    }
+
+    #[test]
+    fn a_session_without_records_does_not_stop_the_ranking() {
+        // Two sessions, records only in the first: the second's latencies
+        // are NaN for every method.
+        let table = ranking_from_series(&[series("a", 0, 2.0), series("b", 0, 1.0)], 2);
+        assert!(table.latency.iter().all(|row| row[1].is_nan()));
+        assert_eq!((table.ranks[0][0], table.ranks[1][0]), (2, 1));
+    }
 }

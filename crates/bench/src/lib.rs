@@ -1,6 +1,9 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Each `figN`/`tableN` function runs the corresponding experiment at a
+//! The paper-experiment harness lives here, and only here: [`runner`]
+//! opens and bulk-loads one store per method ([`prepared_store`]) and
+//! runs it over a mission schedule ([`run`], the one harness loop). Each
+//! `figN`/`tableN` function runs the corresponding experiment at a
 //! configurable scale and returns structured results; the `repro` binary
 //! prints them as aligned tables/CSV. Beside the paper, `tuning` pins the
 //! per-shard Lerp seats as a JSON verdict and `ablations` sweeps the
@@ -14,10 +17,12 @@ pub mod ablations;
 pub mod experiments;
 pub mod output;
 pub mod percentile;
+pub mod runner;
 pub mod tuning;
 
 pub use ablations::*;
 pub use experiments::*;
 pub use output::*;
 pub use percentile::*;
+pub use runner::*;
 pub use tuning::*;

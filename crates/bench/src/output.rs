@@ -206,20 +206,10 @@ pub fn tuning_json(scale_label: &str, v: &TuningVerdict) -> String {
     experiment_json("tuning", scale_label, doc)
 }
 
-/// Simple aligned two-column table.
-pub fn kv_table(title: &str, rows: &[(String, String)]) -> String {
-    let w = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(8) + 2;
-    let mut out = format!("{title}\n");
-    for (k, v) in rows {
-        out.push_str(&format!("  {k:<w$}{v}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruskey::runner::MissionRecord;
+    use crate::runner::MissionRecord;
 
     fn record(mission: usize, latency: f64) -> MissionRecord {
         MissionRecord {
@@ -306,15 +296,5 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(!json.contains(",\n  ]"));
-    }
-
-    #[test]
-    fn kv_table_aligns() {
-        let out = kv_table(
-            "T",
-            &[("a".into(), "1".into()), ("long-key".into(), "2".into())],
-        );
-        assert!(out.contains("T\n"));
-        assert!(out.contains("long-key"));
     }
 }

@@ -1,18 +1,21 @@
-//! Experiment runner: the shared harness behind every figure and table.
+//! The experiment harness behind every paper figure and table.
 //!
-//! Runs a store (RusKey or a baseline) over a mission schedule, recording a
-//! per-mission time series of latency, policy, and model cost — exactly the
-//! series the paper plots.
+//! An experiment is a roster of tuners, each run over a mission schedule
+//! on its own freshly loaded store: [`prepared_store`] opens and loads the
+//! store, and [`run`] — the one harness loop — runs it over the schedule,
+//! recording per mission exactly the series the paper plots. A schedule
+//! is any iterator of `(session, ops)`: a static mix is
+//! [`ExperimentScale::static_missions`], a dynamic one a
+//! [`DynamicWorkload`](ruskey_workload::DynamicWorkload).
 
 use std::sync::Arc;
 
+use ruskey::db::RusKeyConfig;
+use ruskey::sharded::{Backend, RusKey};
+use ruskey::stats::MissionReport;
+use ruskey::tuner::Tuner;
 use ruskey_storage::{CostModel, SimulatedDisk, Storage};
-use ruskey_workload::{bulk_load_pairs, DynamicWorkload, MissionStream, OpGenerator, WorkloadSpec};
-
-use crate::db::RusKeyConfig;
-use crate::sharded::{Backend, RusKey};
-use crate::stats::MissionReport;
-use crate::tuner::Tuner;
+use ruskey_workload::{bulk_load_pairs, OpGenerator, Operation, WorkloadSpec};
 
 /// One point of an experiment time series.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,15 +125,31 @@ impl ExperimentScale {
     pub fn disk(&self) -> Arc<dyn Storage> {
         SimulatedDisk::new(self.page_size, self.cost)
     }
+
+    /// A static mix's schedule: `missions` missions of `mission_size`
+    /// operations drawn from `spec`, all in session 0.
+    pub fn static_missions(
+        &self,
+        spec: WorkloadSpec,
+    ) -> impl Iterator<Item = (usize, Vec<Operation>)> {
+        let mut generator = OpGenerator::new(spec, self.seed.wrapping_add(1));
+        let mission_size = self.mission_size;
+        (0..self.missions).map(move |_| (0, generator.take_ops(mission_size)))
+    }
 }
 
-/// Builds a bulk-loaded one-shard store with the given tuner on a fresh
-/// simulated disk.
+/// Builds a one-shard store with the given tuner on `storage`, bulk-loaded
+/// with the scale's entries.
 ///
 /// # Panics
 /// Panics if the configuration is invalid.
-pub fn prepared_store(cfg: RusKeyConfig, scale: &ExperimentScale, tuner: Box<dyn Tuner>) -> RusKey {
-    let mut db = RusKey::open(cfg, 1, tuner, Backend::Volatile(scale.disk()))
+pub fn prepared_store(
+    cfg: RusKeyConfig,
+    scale: &ExperimentScale,
+    tuner: Box<dyn Tuner>,
+    storage: Arc<dyn Storage>,
+) -> RusKey {
+    let mut db = RusKey::open(cfg, 1, tuner, Backend::Volatile(storage))
         .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"));
     db.bulk_load(bulk_load_pairs(
         scale.load_entries,
@@ -141,43 +160,19 @@ pub fn prepared_store(cfg: RusKeyConfig, scale: &ExperimentScale, tuner: Box<dyn
     db
 }
 
-/// Runs a static-mix experiment and returns the mission series.
-pub fn run_static(
-    cfg: RusKeyConfig,
-    scale: &ExperimentScale,
-    tuner: Box<dyn Tuner>,
-    spec: WorkloadSpec,
+/// Runs `db` over a mission schedule of `(session, ops)` and returns the
+/// mission series.
+pub fn run(
+    mut db: RusKey,
+    missions: impl IntoIterator<Item = (usize, Vec<Operation>)>,
 ) -> Vec<MissionRecord> {
-    let mut db = prepared_store(cfg, scale, tuner);
-    let generator = OpGenerator::new(spec, scale.seed.wrapping_add(1));
-    let mut missions = MissionStream::new(generator, scale.mission_size);
-    let mut out = Vec::with_capacity(scale.missions);
-    for _ in 0..scale.missions {
-        let ops = missions.next_mission();
-        let report = db.run_mission(&ops);
-        out.push(MissionRecord::from_report(&report, 0, db.tuner_converged()));
-    }
-    out
-}
-
-/// Runs a dynamic multi-session experiment (Fig. 7 style).
-pub fn run_dynamic(
-    cfg: RusKeyConfig,
-    scale: &ExperimentScale,
-    tuner: Box<dyn Tuner>,
-    mut workload: DynamicWorkload,
-) -> Vec<MissionRecord> {
-    let mut db = prepared_store(cfg, scale, tuner);
-    let mut out = Vec::with_capacity(workload.total_missions());
-    while let Some((session, ops)) = workload.next_mission() {
-        let report = db.run_mission(&ops);
-        out.push(MissionRecord::from_report(
-            &report,
-            session,
-            db.tuner_converged(),
-        ));
-    }
-    out
+    missions
+        .into_iter()
+        .map(|(session, ops)| {
+            let report = db.run_mission(&ops);
+            MissionRecord::from_report(&report, session, db.tuner_converged())
+        })
+        .collect()
 }
 
 /// Mean latency per op (ms) over the converged tail of a series — the
@@ -190,10 +185,11 @@ pub fn converged_mean_latency(records: &[MissionRecord], tail_fraction: f64) -> 
     slice.iter().map(|r| r.latency_ms_per_op).sum::<f64>() / slice.len() as f64
 }
 
-/// Ranks methods by a metric (1 = best/lowest). Ties share the better rank.
+/// Ranks methods by a metric (1 = best/lowest). Ties share the better rank;
+/// a NaN (a method with no data) ranks last.
 pub fn rank(values: &[f64]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).unwrap());
+    idx.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
     let mut ranks = vec![0usize; values.len()];
     for (pos, &i) in idx.iter().enumerate() {
         // Share rank with equal-valued predecessors.
@@ -209,7 +205,7 @@ pub fn rank(values: &[f64]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuner::{FixedPolicy, NoOpTuner};
+    use ruskey::tuner::{FixedPolicy, NoOpTuner};
     use ruskey_workload::OpMix;
 
     fn quick_cfg() -> RusKeyConfig {
@@ -219,11 +215,20 @@ mod tests {
         cfg
     }
 
+    fn run_mix(
+        scale: &ExperimentScale,
+        tuner: Box<dyn Tuner>,
+        spec: WorkloadSpec,
+    ) -> Vec<MissionRecord> {
+        let db = prepared_store(quick_cfg(), scale, tuner, scale.disk());
+        run(db, scale.static_missions(spec))
+    }
+
     #[test]
     fn static_run_produces_series() {
         let scale = ExperimentScale::tiny();
         let spec = scale.spec().with_mix(OpMix::balanced());
-        let records = run_static(quick_cfg(), &scale, Box::new(NoOpTuner), spec);
+        let records = run_mix(&scale, Box::new(NoOpTuner), spec);
         assert_eq!(records.len(), scale.missions);
         assert!(records.iter().all(|r| r.latency_ms_per_op > 0.0));
         assert!(records.iter().all(|r| r.session == 0));
@@ -243,35 +248,15 @@ mod tests {
             ..ExperimentScale::tiny()
         };
         let read_spec = scale.spec().with_mix(OpMix::reads(0.95));
-        let r_aggr = run_static(
-            quick_cfg(),
-            &scale,
-            Box::new(FixedPolicy::new(1)),
-            read_spec.clone(),
-        );
-        let r_lazy = run_static(
-            quick_cfg(),
-            &scale,
-            Box::new(FixedPolicy::new(5)),
-            read_spec,
-        );
+        let r_aggr = run_mix(&scale, Box::new(FixedPolicy::new(1)), read_spec.clone());
+        let r_lazy = run_mix(&scale, Box::new(FixedPolicy::new(5)), read_spec);
         let a = converged_mean_latency(&r_aggr, 0.5);
         let l = converged_mean_latency(&r_lazy, 0.5);
         assert!(a < l, "aggressive {a} should beat lazy {l} on reads");
 
         let write_spec = scale.spec().with_mix(OpMix::reads(0.05));
-        let w_aggr = run_static(
-            quick_cfg(),
-            &scale,
-            Box::new(FixedPolicy::new(1)),
-            write_spec.clone(),
-        );
-        let w_lazy = run_static(
-            quick_cfg(),
-            &scale,
-            Box::new(FixedPolicy::new(5)),
-            write_spec,
-        );
+        let w_aggr = run_mix(&scale, Box::new(FixedPolicy::new(1)), write_spec.clone());
+        let w_lazy = run_mix(&scale, Box::new(FixedPolicy::new(5)), write_spec);
         let a = converged_mean_latency(&w_aggr, 0.5);
         let l = converged_mean_latency(&w_lazy, 0.5);
         assert!(l < a, "lazy {l} should beat aggressive {a} on writes");
@@ -281,6 +266,11 @@ mod tests {
     fn rank_handles_ties() {
         assert_eq!(rank(&[3.0, 1.0, 2.0]), vec![3, 1, 2]);
         assert_eq!(rank(&[1.0, 1.0, 2.0]), vec![1, 1, 3]);
+    }
+
+    #[test]
+    fn a_method_without_data_ranks_last() {
+        assert_eq!(rank(&[1.0, f64::NAN, 0.5]), vec![2, 3, 1]);
     }
 
     #[test]

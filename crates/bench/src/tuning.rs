@@ -17,9 +17,10 @@ use std::collections::BTreeSet;
 use bytes::Bytes;
 use ruskey::db::RusKeyConfig;
 use ruskey::lerp::Lerp;
-use ruskey::runner::ExperimentScale;
 use ruskey::sharded::{Backend, RusKey};
 use ruskey_workload::{bulk_load_pairs, encode_key, shard_for_key, OpGenerator, OpMix, Operation};
+
+use crate::runner::ExperimentScale;
 
 /// Shards in every tuning row.
 const SHARDS: usize = 4;

@@ -62,7 +62,9 @@
 //! its plain calls are ad-hoc operations. What the integration suite pins
 //! is that a one-shard store leaves exactly the statistics of the bare
 //! [`ruskey_lsm::FlsmTree`] under it, and that an `N`-shard store returns
-//! the same get/scan results for the same operation sequence.
+//! the same get/scan results for the same operation sequence. The
+//! paper-experiment harness that loads such a store and runs it over a
+//! mission schedule is not part of this crate: it lives in `ruskey-bench`.
 //!
 //! Two tuning models matter:
 //!
@@ -103,7 +105,6 @@ pub mod db;
 mod exec;
 pub mod frontend;
 pub mod lerp;
-pub mod runner;
 pub mod sharded;
 pub mod state;
 pub mod stats;

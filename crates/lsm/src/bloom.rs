@@ -49,7 +49,6 @@ pub struct Bloom {
     bits: Vec<u64>,
     nbits: u64,
     k: u32,
-    keys: u64,
 }
 
 impl Bloom {
@@ -78,7 +77,6 @@ impl Bloom {
                 bits: Vec::new(),
                 nbits: 0,
                 k: 0,
-                keys: n_keys as u64,
             };
         }
         let nbits = ((n_keys as f64 * bits_per_key).ceil() as u64).max(64);
@@ -87,7 +85,6 @@ impl Bloom {
             bits: vec![0u64; nbits.div_ceil(64) as usize],
             nbits,
             k,
-            keys: n_keys as u64,
         }
     }
 
@@ -123,16 +120,6 @@ impl Bloom {
     /// Memory footprint of the bit array in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.bits.len() * 8
-    }
-
-    /// Number of keys the filter was built over.
-    pub fn key_count(&self) -> u64 {
-        self.keys
-    }
-
-    /// Number of hash functions.
-    pub fn hash_count(&self) -> u32 {
-        self.k
     }
 }
 
@@ -201,6 +188,5 @@ mod tests {
         let bloom = Bloom::build(keys.iter().map(|k| k.as_slice()), keys.len(), 8.0);
         // 1024 keys * 8 bits = 8192 bits = 1024 bytes (rounded to u64 words).
         assert!(bloom.memory_bytes() >= 1024 && bloom.memory_bytes() <= 1032);
-        assert_eq!(bloom.key_count(), 1024);
     }
 }

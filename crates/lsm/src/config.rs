@@ -84,16 +84,6 @@ impl BloomScheme {
             }
         }
     }
-
-    /// Expected false-positive rate for a (zero-based) level.
-    pub fn fpr_for_level(&self, level: usize, size_ratio: u32) -> f64 {
-        match *self {
-            BloomScheme::Uniform { bits_per_key } => crate::bloom::fpr_for_bits(bits_per_key),
-            BloomScheme::Monkey { level1_fpr } => {
-                crate::monkey::monkey_fpr(level1_fpr, size_ratio, level)
-            }
-        }
-    }
 }
 
 /// Configuration of an [`crate::FlsmTree`].

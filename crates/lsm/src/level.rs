@@ -66,12 +66,6 @@ impl Level {
             + self.active.as_ref().map_or(0, |r| r.data_bytes())
     }
 
-    /// Total entries stored in the level.
-    pub fn entry_count(&self) -> u64 {
-        self.sealed.iter().map(|r| r.entry_count()).sum::<u64>()
-            + self.active.as_ref().map_or(0, |r| r.entry_count())
-    }
-
     /// Number of runs currently in the level (sealed + active).
     pub fn run_count(&self) -> usize {
         self.sealed.len() + usize::from(self.active.is_some())

@@ -6,7 +6,7 @@
 //! cost for a fixed memory budget. The RusKey policy-propagation lemma
 //! (Lemma 5.1) is derived under exactly this allocation.
 
-use crate::bloom::{bits_for_fpr, fpr_for_bits};
+use crate::bloom::bits_for_fpr;
 
 /// Per-level false-positive rate under the Monkey scheme.
 ///
@@ -20,47 +20,6 @@ pub fn monkey_fpr(level1_fpr: f64, size_ratio: u32, level: usize) -> f64 {
 /// Per-level bits-per-key under the Monkey scheme.
 pub fn monkey_bits_per_key(level1_fpr: f64, size_ratio: u32, level: usize) -> f64 {
     bits_for_fpr(monkey_fpr(level1_fpr, size_ratio, level))
-}
-
-/// Per-level false-positive rate under the uniform scheme.
-pub fn uniform_fpr(bits_per_key: f64) -> f64 {
-    fpr_for_bits(bits_per_key)
-}
-
-/// Total filter memory (bits) for a tree where level `i` holds
-/// `entries_per_level[i]` keys, under Monkey with the given `level1_fpr`.
-pub fn monkey_total_bits(level1_fpr: f64, size_ratio: u32, entries_per_level: &[u64]) -> f64 {
-    entries_per_level
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| n as f64 * monkey_bits_per_key(level1_fpr, size_ratio, i))
-        .sum()
-}
-
-/// Finds the `level1_fpr` whose Monkey allocation uses (approximately) the
-/// same total memory as a uniform allocation with `uniform_bits` bits/key,
-/// enabling apples-to-apples scheme comparisons (the paper lowers RocksDB's
-/// default 8 bits/key to 4 under Monkey for this reason).
-pub fn equivalent_level1_fpr(uniform_bits: f64, size_ratio: u32, entries_per_level: &[u64]) -> f64 {
-    let budget: f64 = entries_per_level
-        .iter()
-        .map(|&n| n as f64 * uniform_bits)
-        .sum();
-    if budget <= 0.0 {
-        return 1.0;
-    }
-    // Monotone in f1: bisect.
-    let (mut lo, mut hi) = (1e-9f64, 1.0f64);
-    for _ in 0..80 {
-        let mid = (lo * hi).sqrt(); // geometric bisection: f1 spans decades
-        let used = monkey_total_bits(mid, size_ratio, entries_per_level);
-        if used > budget {
-            lo = mid; // too much memory → allow higher FPR
-        } else {
-            hi = mid;
-        }
-    }
-    (lo * hi).sqrt()
 }
 
 #[cfg(test)]
@@ -95,22 +54,5 @@ mod tests {
             assert!(b <= prev, "bits must be non-increasing with depth");
             prev = b;
         }
-    }
-
-    #[test]
-    fn equivalent_budget_matches() {
-        // Exponentially growing levels, T = 10.
-        let entries = [1_000u64, 10_000, 100_000, 1_000_000];
-        let uniform_bits = 8.0;
-        let f1 = equivalent_level1_fpr(uniform_bits, 10, &entries);
-        let used = monkey_total_bits(f1, 10, &entries);
-        let budget: f64 = entries.iter().map(|&n| n as f64 * uniform_bits).sum();
-        assert!(
-            (used - budget).abs() / budget < 0.05,
-            "memory within 5%: used={used} budget={budget} f1={f1}"
-        );
-        // Monkey should give level 1 a *lower* FPR than uniform for the
-        // same budget (that is the entire point of the scheme).
-        assert!(f1 < fpr_for_bits(uniform_bits));
     }
 }

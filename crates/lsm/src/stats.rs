@@ -156,18 +156,6 @@ pub struct TreeStatsSnapshot {
 }
 
 impl TreeStatsSnapshot {
-    /// End-to-end latency `t'` accumulated so far (virtual ns, wall
-    /// composition for merged snapshots).
-    pub fn end_to_end_ns(&self) -> u64 {
-        self.clock_ns
-    }
-
-    /// Total virtual work performed (ns, device-busy composition for
-    /// merged snapshots).
-    pub fn device_busy_ns(&self) -> u64 {
-        self.busy_ns
-    }
-
     /// Counter-wise delta versus an earlier snapshot. Levels missing from
     /// `earlier` (created in between) are taken as-is.
     pub fn delta(&self, earlier: &TreeStatsSnapshot) -> TreeStatsSnapshot {
@@ -336,8 +324,6 @@ mod tests {
         // Wall composition: max over domains. Busy composition: sum.
         assert_eq!(m.clock_ns, 1000);
         assert_eq!(m.busy_ns, 1900);
-        assert_eq!(m.end_to_end_ns(), 1000);
-        assert_eq!(m.device_busy_ns(), 1900);
         assert_eq!(m.levels.len(), 2);
         assert_eq!(m.levels[0].probes, 5);
         assert_eq!(m.levels[0].lookup_ns, 15);

@@ -1242,16 +1242,6 @@ impl FlsmTree {
         self.cfg.level_capacity(idx)
     }
 
-    /// Total logical bytes across all levels plus the memtable.
-    pub fn total_bytes(&self) -> u64 {
-        self.memtable.bytes() + self.levels.iter().map(Level::data_bytes).sum::<u64>()
-    }
-
-    /// Total entries resident in disk levels.
-    pub fn disk_entry_count(&self) -> u64 {
-        self.levels.iter().map(Level::entry_count).sum()
-    }
-
     /// Snapshot of all statistics. One tree is one time domain, so the
     /// wall (`clock_ns`) and busy (`busy_ns`) readings coincide here; they
     /// diverge only in shard-merged snapshots.

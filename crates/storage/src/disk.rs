@@ -248,11 +248,6 @@ impl SimulatedDisk {
         })
     }
 
-    /// Creates a disk with the default page size (4096) and NVMe cost model.
-    pub fn default_nvme() -> Arc<Self> {
-        Self::new(crate::DEFAULT_PAGE_SIZE, CostModel::NVME)
-    }
-
     /// Number of live extents (≈ live run files).
     pub fn live_extents(&self) -> usize {
         self.extents

@@ -127,11 +127,6 @@ impl StorageMetrics {
         }
     }
 
-    /// Total virtual I/O time (read + write).
-    pub fn io_ns(&self) -> u64 {
-        self.read_ns + self.write_ns
-    }
-
     /// Total page operations (reads + writes).
     pub fn page_ops(&self) -> u64 {
         self.pages_read + self.pages_written
@@ -175,7 +170,6 @@ mod tests {
         assert_eq!(d.pages_written, 3);
         assert_eq!(d.bytes_read, 3072);
         assert_eq!(d.bytes_written, 1536);
-        assert_eq!(d.io_ns(), 120);
         assert_eq!(d.page_ops(), 10);
         assert_eq!(d.cache_hits, 5);
         assert_eq!(d.cache_misses, 4);

@@ -88,14 +88,14 @@ impl DynamicWorkload {
     pub fn sessions(&self) -> &[Session] {
         &self.sessions
     }
+}
 
-    /// The session the *next* mission belongs to, or `None` when exhausted.
-    pub fn current_session(&self) -> Option<&Session> {
-        self.sessions.get(self.session_idx)
-    }
+/// Yields each mission as `(session index, operations)`, then `None` once
+/// the schedule is exhausted.
+impl Iterator for DynamicWorkload {
+    type Item = (usize, Vec<Operation>);
 
-    /// Produces the next mission, or `None` when the schedule is exhausted.
-    pub fn next_mission(&mut self) -> Option<(usize, Vec<Operation>)> {
+    fn next(&mut self) -> Option<Self::Item> {
         let session = *self.sessions.get(self.session_idx)?;
         let idx = self.session_idx;
         self.generator.set_mix(session.mix);
@@ -106,14 +106,6 @@ impl DynamicWorkload {
             self.mission_in_session = 0;
         }
         Some((idx, ops))
-    }
-}
-
-impl Iterator for DynamicWorkload {
-    type Item = (usize, Vec<Operation>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_mission()
     }
 }
 
@@ -137,10 +129,10 @@ mod tests {
 
     #[test]
     fn sessions_change_composition() {
-        let mut w = DynamicWorkload::paper_fig7(gen(), 5, 400);
+        let w = DynamicWorkload::paper_fig7(gen(), 5, 400);
         let mut session_reads = [0usize; 5];
         let mut session_ops = vec![0usize; 5];
-        while let Some((s, ops)) = w.next_mission() {
+        for (s, ops) in w {
             session_reads[s] += ops.iter().filter(|o| o.is_read()).count();
             session_ops[s] += ops.len();
         }
@@ -166,9 +158,8 @@ mod tests {
             }],
             10,
         );
-        assert!(w.next_mission().is_some());
-        assert!(w.next_mission().is_some());
-        assert!(w.next_mission().is_none());
-        assert!(w.current_session().is_none());
+        assert!(w.next().is_some());
+        assert!(w.next().is_some());
+        assert!(w.next().is_none());
     }
 }

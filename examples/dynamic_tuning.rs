@@ -54,7 +54,7 @@ fn main() {
     );
     let mut m = 0usize;
     let mut last_session = usize::MAX;
-    while let Some((session, ops)) = workload.next_mission() {
+    while let Some((session, ops)) = workload.next() {
         let report = db.run_mission(&ops);
         if session != last_session {
             println!("  ---- workload shift ----");

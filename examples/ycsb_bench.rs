@@ -5,8 +5,7 @@
 //! cargo run --release --example ycsb_bench
 //! ```
 
-use ruskey_bench::ycsb_sweep;
-use ruskey_repro::ruskey::runner::ExperimentScale;
+use ruskey_bench::{ycsb_sweep, ExperimentScale};
 use ruskey_repro::workload::ycsb::Preset;
 
 fn main() {

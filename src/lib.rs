@@ -3,7 +3,9 @@
 //! Re-exports every workspace crate so the runnable examples under
 //! `examples/` and the cross-crate integration tests under `tests/` can use
 //! one dependency. Library users should depend on the individual crates
-//! (most importantly [`ruskey`]) directly.
+//! (most importantly [`ruskey`]) directly. The paper-experiment harness
+//! (one store per method, run over a mission schedule) lives in
+//! `ruskey-bench`, which the tests and examples take as a dev-dependency.
 //!
 //! # The sharded engine core
 //!

@@ -22,10 +22,9 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use ruskey_bench::{tuning_cfg, tuning_missions};
+use ruskey_bench::{tuning_cfg, tuning_missions, ExperimentScale};
 use ruskey_repro::ruskey::db::RusKeyConfig;
 use ruskey_repro::ruskey::lerp::Lerp;
-use ruskey_repro::ruskey::runner::ExperimentScale;
 use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey, StoreError};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
