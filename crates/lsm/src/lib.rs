@@ -76,7 +76,7 @@ pub mod wal;
 
 pub use config::{BloomScheme, ConfigError, LsmConfig};
 pub use manifest::{Manifest, ManifestCrashPoint, ManifestEdit, ManifestState, RunRecord};
-pub use picker::{CompactionPick, CompactionPicker, PickerConfig, SCORE_SCALE};
+pub use picker::SCORE_SCALE;
 pub use stats::{LevelStatsSnapshot, TreeStatsSnapshot};
 pub use transition::TransitionStrategy;
 pub use tree::FlsmTree;

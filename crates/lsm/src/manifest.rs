@@ -94,8 +94,8 @@ use crate::types::{Key, SeqNo};
 pub const MANIFEST_MAGIC: u32 = 0x524B_4D46;
 
 /// Current manifest format version; recovery rejects anything else.
-/// Version 2 added the `MoveRun` edit (trivial moves by the background
-/// compaction picker).
+/// Version 2 added the `MoveRun` edit, which no build writes any more but
+/// recovery still reads (see [`ManifestEdit::MoveRun`]).
 pub const MANIFEST_VERSION: u32 = 2;
 
 /// Everything recovery needs to rebuild one sorted run from its data
@@ -182,8 +182,10 @@ pub enum ManifestEdit {
         seq: SeqNo,
     },
     /// A sealed run was re-parented to a deeper level without rewriting
-    /// its pages (a trivial move by the background picker). The run joins
-    /// the target level's sealed list, newest position.
+    /// its pages. The run joins the target level's sealed list, newest
+    /// position. Only older builds' background pickers wrote this edit
+    /// (a "trivial move"); recovery still decodes and applies it, so a
+    /// directory such a build left behind replays every later commit.
     MoveRun {
         /// Zero-based level the run leaves.
         from_level: u32,

@@ -635,7 +635,7 @@ fn stores_written_by_the_old_chain_recover_and_vice_versa() {
         0,
     )
     .unwrap();
-    assert!(t.runs_recovered() >= 3);
+    assert!(t.stats().runs_recovered >= 3);
     for k in 0..1_500u64 {
         assert_eq!(t.get(&key(k)), model.get(&k).cloned(), "key {k}");
     }

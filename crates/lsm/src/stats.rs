@@ -145,8 +145,7 @@ pub struct TreeStatsSnapshot {
     /// Kept apart from the virtual `stall_ns`: lock wait is scheduling
     /// delay, not device work.
     pub queue_stall_ns: u64,
-    /// Background maintenance steps that restructured the tree (deferred
-    /// merges applied and trivial moves committed).
+    /// Background merges applied.
     pub bg_compactions: u64,
     /// Bytes resident in levels whose compaction score is at or above the
     /// picker threshold — a gauge of structural debt, not a counter.

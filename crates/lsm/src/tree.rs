@@ -11,7 +11,7 @@ use crate::entry::{EntryBuf, ENTRY_HEADER_BYTES};
 use crate::level::Level;
 use crate::manifest::{Manifest, ManifestEdit, RunRecord};
 use crate::memtable::Memtable;
-use crate::picker::{CompactionPicker, PickerConfig, SCORE_SCALE};
+use crate::picker::{self, SCORE_SCALE};
 use crate::run::{ProbeOutcome, Run, RunBuilder, RunId};
 use crate::stats::{LevelStatsSnapshot, TreeStatsSnapshot};
 use crate::transition::TransitionStrategy;
@@ -140,8 +140,7 @@ pub struct FlsmTree {
     /// wall-clock reading, kept apart from the virtual `stall_ns` so the
     /// device model's accounting stays exact.
     queue_stall_ns: u64,
-    /// Structural steps completed by background maintenance (applied
-    /// merges and trivial moves).
+    /// Background merges applied.
     bg_compactions: u64,
     /// Runs rebuilt from manifest + data pages by the last recovery.
     runs_recovered: u64,
@@ -367,22 +366,6 @@ impl FlsmTree {
     /// cut, or a real fsync error on a file-backed device).
     pub fn power_failed(&self) -> bool {
         self.power_failed
-    }
-
-    /// Runs rebuilt from manifest + data pages by the last recovery.
-    pub fn runs_recovered(&self) -> u64 {
-        self.runs_recovered
-    }
-
-    /// WAL records replayed on top by the last recovery.
-    pub fn replayed_tail(&self) -> u64 {
-        self.replayed_tail
-    }
-
-    /// Extent files orphaned by a pre-commit power cut and removed by
-    /// the last recovery's garbage-collection sweep.
-    pub fn orphans_collected(&self) -> u64 {
-        self.orphans_collected
     }
 
     /// Syncs the attached WAL — the per-shard leg of a group-commit
@@ -934,20 +917,14 @@ impl FlsmTree {
         self.pending_compaction.is_some()
     }
 
-    /// Structural steps completed by background maintenance so far.
-    pub fn bg_compactions(&self) -> u64 {
-        self.bg_compactions
-    }
-
     /// Runs one bounded unit of background maintenance; returns whether
     /// any work was done. Priority order:
     ///
     /// 1. flush a memtable at or over the configured buffer size;
     /// 2. apply a previously built merge (revalidated against the live
     ///    structure — a greedy transition may have consumed its inputs);
-    /// 3. ask the [`CompactionPicker`] for the neediest level and either
-    ///    re-parent its sealed runs (trivial move — zero I/O) or build
-    ///    the merge for a later step to apply.
+    /// 3. ask the picker ([`picker::pick`]) for the neediest level and
+    ///    build the merge of its sealed runs for a later step to apply.
     ///
     /// Splitting *build* (step issuing the read + CPU work) from *apply*
     /// (step logging and committing the edit batch) keeps each step
@@ -971,15 +948,10 @@ impl FlsmTree {
             // Inputs vanished under the pending merge: drop the stale
             // batch and pick afresh below.
         }
-        let picker = CompactionPicker::new(self.picker_config());
-        let Some(pick) = picker.pick(&self.levels) else {
+        let Some(idx) = picker::pick(&self.levels) else {
             return false;
         };
-        if pick.trivial {
-            self.apply_trivial_move(pick.level);
-        } else {
-            self.build_pending(pick.level);
-        }
+        self.build_pending(idx);
         true
     }
 
@@ -1010,22 +982,12 @@ impl FlsmTree {
         }
     }
 
-    /// Picker thresholds derived from the tree's configuration. The
-    /// grandparent bound follows the classic 10× write-buffer ratio.
-    fn picker_config(&self) -> PickerConfig {
-        PickerConfig {
-            l0_run_limit: 4,
-            gp_limit_bytes: self.cfg.buffer_bytes.saturating_mul(10),
-        }
-    }
-
     /// Bytes resident in levels the picker currently scores at or above
     /// the work threshold — a gauge of outstanding structural debt.
     pub fn pending_compaction_bytes(&self) -> u64 {
-        let picker = CompactionPicker::new(self.picker_config());
         self.levels
             .iter()
-            .filter(|l| !l.sealed.is_empty() && picker.level_score(l) >= SCORE_SCALE)
+            .filter(|l| !l.sealed.is_empty() && picker::level_score(l) >= SCORE_SCALE)
             .map(Level::data_bytes)
             .sum()
     }
@@ -1095,30 +1057,6 @@ impl FlsmTree {
             self.adopt_pending_policy(idx);
         }
         self.admit_batch(idx + 1, Source::Buf(batch.cursor()));
-        self.bg_compactions += 1;
-        self.commit_manifest();
-    }
-
-    /// Re-parents all sealed runs of level `idx` to level `idx + 1`
-    /// without rewriting a byte — the picker guaranteed they overlap no
-    /// resident run there, so appending them to the target's sealed end
-    /// preserves probe (age) order.
-    fn apply_trivial_move(&mut self, idx: usize) {
-        self.ensure_level(idx + 1);
-        let moved = std::mem::take(&mut self.levels[idx].sealed);
-        for run in moved {
-            self.log_edit(ManifestEdit::MoveRun {
-                from_level: idx as u32,
-                to_level: (idx + 1) as u32,
-                run_id: run.id(),
-            });
-            self.levels[idx + 1].sealed.push(run);
-        }
-        if self.levels[idx].run_count() == 0 {
-            self.adopt_pending_policy(idx);
-        }
-        self.refresh_bounds(idx);
-        self.refresh_bounds(idx + 1);
         self.bg_compactions += 1;
         self.commit_manifest();
     }
@@ -2293,7 +2231,7 @@ mod tests {
             drop(t); // restart: in-memory structure is gone
         }
         let mut r = recover_persistent_tree(&dir, cfg.clone());
-        assert!(r.runs_recovered() > 0, "flushed runs must be rebuilt");
+        assert!(r.stats().runs_recovered > 0, "flushed runs must be rebuilt");
         for i in 0..600u64 {
             match i {
                 17 => assert_eq!(r.get(&key(17)), None, "tombstone lost"),
@@ -2414,7 +2352,10 @@ mod tests {
         while t.maintain(1) > 0 {
             assert_settled(&t, "maintenance step");
         }
-        assert!(t.bg_compactions() > 0, "the load must trigger compactions");
+        assert!(
+            t.stats().bg_compactions > 0,
+            "the load must trigger compactions"
+        );
 
         // A greedy transition merges away the inputs of a merge built but
         // not yet applied: they are freed at the transition's commit while
@@ -2498,7 +2439,10 @@ mod tests {
         }
         assert!(saw_pending, "the mix must exercise an in-flight merge");
         while bg.maintain(8) > 0 {}
-        assert!(bg.bg_compactions() > 0, "background steps must have run");
+        assert!(
+            bg.stats().bg_compactions > 0,
+            "background steps must have run"
+        );
         for k in 0..911u64 {
             assert_eq!(bg.get(&key(k)), inline_t.get(&key(k)), "key {k}");
         }

@@ -222,13 +222,11 @@
 //! a served batch, every 32nd ad-hoc write to a shard. The pieces
 //! compose as follows:
 //!
-//! * **Score-based picker** — [`lsm::picker::CompactionPicker`] scores
-//!   every level (bytes over capacity, L0 additionally by run count,
-//!   scaled by [`lsm::picker::SCORE_SCALE`]) and picks the highest
-//!   scorer's sealed runs. A level holding a *single* sealed run that
-//!   overlaps nothing at the next level moves down as a zero-I/O
-//!   **trivial move** (a `MoveRun` manifest edit), bounded by the
-//!   grandparent-overlap limit so moves cannot pile up unmergeable debt.
+//! * **Score-based picker** — [`lsm::picker::level_score`] scores
+//!   every level (bytes over capacity, L0 additionally by run count
+//!   against [`lsm::picker::L0_RUN_LIMIT`], scaled by
+//!   [`lsm::picker::SCORE_SCALE`]) and [`lsm::picker::pick`] names the
+//!   highest scorer, whose sealed runs are merged into the next level.
 //! * **Two-step merges** — one maintenance step *builds* the
 //!   replacement batch from the picked runs (the inputs stay live for
 //!   readers throughout); a later step revalidates and *applies* it:
@@ -246,7 +244,7 @@
 //!   [`lsm::LsmConfig`]'s `l0_stall_runs`; the time spent is *measured*,
 //!   never charged, and reported as `stall_ns` of
 //!   [`lsm::TreeStatsSnapshot`] (a mission's share in its report's
-//!   `window`), alongside `bg_compactions` (steps applied) and
+//!   `window`), alongside `bg_compactions` (background merges applied) and
 //!   `pending_compaction_bytes` (structural debt still owed).
 //!
 //! The contract is pinned by `tests/background_maintenance.rs` (a

@@ -5,8 +5,8 @@
 //! store that compacts inline — for gets and scans, at every shard count,
 //! and in particular *while* a merge is in flight.
 //!
-//! The picker's unit tests (score ordering, trivial-move overlap bound)
-//! live next to it in `crates/lsm/src/picker.rs`; this file pins the
+//! The picker's unit tests (score ordering, L0 run-count trigger) live
+//! next to it in `crates/lsm/src/picker.rs`; this file pins the
 //! end-to-end read contract across the engine layers.
 
 use std::collections::BTreeMap;

@@ -1047,7 +1047,7 @@ fn torn_power_matrix_recovers_exactly_the_acknowledged_prefix() {
             // ExtentUnsynced leaves the torn extent file on disk for the
             // sweep; DirUnsynced unlinked it at the cut, so there is
             // nothing left to collect.
-            let orphans = rec.shard(0).orphans_collected();
+            let orphans = rec.shard(0).stats().orphans_collected;
             match point {
                 PowerCutPoint::ExtentUnsynced => assert!(
                     orphans >= 1,
@@ -1256,7 +1256,7 @@ fn orphaned_extent_files_are_collected_and_their_ids_safely_reused() {
 
     let mut rec = recovered_persistent(1, &p);
     assert_eq!(
-        rec.shard(0).orphans_collected(),
+        rec.shard(0).stats().orphans_collected,
         1,
         "the planted orphan must be swept"
     );
@@ -1278,7 +1278,7 @@ fn orphaned_extent_files_are_collected_and_their_ids_safely_reused() {
     drop(rec);
     let mut rec2 = recovered_persistent(1, &p);
     assert_eq!(
-        rec2.shard(0).orphans_collected(),
+        rec2.shard(0).stats().orphans_collected,
         0,
         "nothing left to sweep"
     );

@@ -1,6 +1,6 @@
 //! Restart-equivalence harness for full-store persistence.
 //!
-//! Three suites pin the persistence contract of the manifest + `FileDisk`
+//! Four suites pin the persistence contract of the manifest + `FileDisk`
 //! recovery path (the layer above the WAL-only crash matrix of
 //! `tests/crash_recovery.rs`):
 //!
@@ -20,18 +20,23 @@
 //!    which must yield deterministically one of the committed-batch
 //!    prefix states (batches are atomic — no half-applied mutation can
 //!    ever fold).
+//! 4. **An edit no build writes any more**: a tree whose manifest holds
+//!    a `MoveRun` (an older build's trivial move) recovers with the run
+//!    at its target level, every key intact, and later commits replayed.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
 use ruskey_repro::lsm::manifest::{Manifest, ManifestEdit, ManifestState, RunRecord};
+use ruskey_repro::lsm::{FlsmTree, LsmConfig, Wal};
 use ruskey_repro::ruskey::db::RusKeyConfig;
 use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
-use ruskey_repro::storage::CostModel;
+use ruskey_repro::storage::{CostModel, FileDisk};
 use ruskey_repro::workload::{encode_key, OpGenerator, OpMix, WorkloadSpec};
 
 static DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -424,4 +429,102 @@ proptest! {
         prop_assert_eq!(&state1, m2.state(), "recovery must be deterministic");
         let _ = std::fs::remove_file(&path);
     }
+}
+
+// ----------------------------------------------------------------------
+// 4. An edit no build writes any more
+// ----------------------------------------------------------------------
+
+/// Level 1 keeps two runs, so its active run seals before any merge.
+fn move_run_cfg() -> LsmConfig {
+    LsmConfig {
+        buffer_bytes: 1024,
+        size_ratio: 4,
+        initial_policy: 2,
+        ..LsmConfig::scaled_default()
+    }
+}
+
+fn recover_tree(root: &Path) -> FlsmTree {
+    let disk = FileDisk::new(root.join("data"), 256, CostModel::FREE).expect("open data dir");
+    FlsmTree::recover_persistent(
+        move_run_cfg(),
+        disk,
+        root.join("MANIFEST"),
+        root.join("wal"),
+        0,
+        0,
+    )
+    .expect("recover tree")
+}
+
+/// Run ids the tree's manifest holds sealed at `level`.
+fn sealed_ids(t: &FlsmTree, level: usize) -> Vec<u64> {
+    let state = t.manifest().expect("manifest attached").state();
+    state
+        .levels
+        .get(level)
+        .map_or(Vec::new(), |l| l.sealed.iter().map(|r| r.run_id).collect())
+}
+
+fn assert_reads(t: &mut FlsmTree, model: &BTreeMap<u64, Bytes>) {
+    for (k, v) in model {
+        assert_eq!(t.get(&key(*k)).as_ref(), Some(v), "key {k}");
+    }
+    let expected: Vec<(Bytes, Bytes)> = model.iter().map(|(k, v)| (key(*k), v.clone())).collect();
+    assert_eq!(t.scan(&key(0), &key(u64::MAX), usize::MAX), expected);
+}
+
+/// Older builds' background pickers re-parented a lone sealed run with a
+/// `MoveRun` edit. No build writes it any more, but a directory holding
+/// one must still recover: the run at its target level, every key
+/// unchanged by get and by scan, and every commit after the move
+/// replayed.
+#[test]
+fn a_logged_move_run_recovers_at_its_target_level() {
+    let root = store_root("move-run");
+    std::fs::create_dir_all(&root).unwrap();
+    let val = |i: u64| Bytes::from(format!("value-{i:08}"));
+    let mut model = BTreeMap::new();
+    let disk = FileDisk::new(root.join("data"), 256, CostModel::FREE).unwrap();
+    let mut t = FlsmTree::new(move_run_cfg(), disk);
+    t.attach_manifest(Manifest::create(root.join("MANIFEST"), 0).unwrap());
+    t.attach_wal(Wal::open(root.join("wal")).unwrap());
+    let mut i = 0;
+    while sealed_ids(&t, 0).is_empty() {
+        t.put(key(i), val(i));
+        model.insert(i, val(i));
+        i += 1;
+    }
+    assert_eq!(t.level_count(), 1, "the first seal precedes any merge");
+    let moved = sealed_ids(&t, 0)[0];
+    // The edit as an older build's trivial move logged it.
+    let m = t.manifest_mut().unwrap();
+    m.log(ManifestEdit::MoveRun {
+        from_level: 0,
+        to_level: 1,
+        run_id: moved,
+    });
+    m.commit().unwrap();
+    t.commit_wal().unwrap();
+    drop(t);
+
+    let mut r = recover_tree(&root);
+    assert_eq!(sealed_ids(&r, 0), Vec::<u64>::new());
+    assert_eq!(sealed_ids(&r, 1), vec![moved]);
+    assert_eq!(r.level_run_count(1), 1, "the tree holds the run at level 1");
+    assert_reads(&mut r, &model);
+
+    // Commits after the move: newer versions of moved keys, flushed above.
+    for j in 0..40 {
+        r.put(key(j * 2), val(j + 10_000));
+        model.insert(j * 2, val(j + 10_000));
+    }
+    r.flush();
+    r.commit_wal().unwrap();
+    drop(r);
+    let mut r = recover_tree(&root);
+    assert_eq!(sealed_ids(&r, 1), vec![moved]);
+    assert_reads(&mut r, &model);
+    let _ = std::fs::remove_dir_all(&root);
 }
