@@ -18,7 +18,7 @@ use ruskey_lsm::bloom::Bloom;
 use ruskey_lsm::compaction::{Merge, Source};
 use ruskey_lsm::entry::EntryBuf;
 use ruskey_lsm::memtable::Memtable;
-use ruskey_lsm::run::{Run, RunBuilder};
+use ruskey_lsm::run::{LookupKey, Run, RunBuilder};
 use ruskey_lsm::types::KvEntry;
 use ruskey_lsm::{FlsmTree, LsmConfig, Wal};
 use ruskey_rl::{Activation, Ddpg, DdpgConfig, Mlp, Transition};
@@ -76,7 +76,7 @@ fn bench_run_probe() {
             |()| {
                 for _ in 0..PROBES {
                     i = (i + 1) % 10_000;
-                    black_box(run.probe(disk.as_ref(), &key(i * 2 + offset)));
+                    black_box(run.probe(disk.as_ref(), &LookupKey::new(&key(i * 2 + offset))));
                 }
             },
         );

@@ -28,19 +28,38 @@ pub fn bits_for_fpr(fpr: f64) -> f64 {
     -f.ln() / (std::f64::consts::LN_2 * std::f64::consts::LN_2)
 }
 
-/// 64-bit FNV-1a hash with a seed, used as the base hash pair.
-fn fnv1a64(data: &[u8], seed: u64) -> u64 {
-    let mut h = 0xcbf29ce484222325u64 ^ seed.wrapping_mul(0x9e3779b97f4a7c15);
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    // Final avalanche (splitmix64 finalizer) to decorrelate the seeds.
+/// A key's two filter hashes, `h1` and `h2` (odd): seeded 64-bit FNV-1a,
+/// each finished by the splitmix64 avalanche to decorrelate the seeds.
+/// Computed once per lookup by [`hash_pair`] and reused for every run's
+/// filter ([`Bloom::contains_hashed`]).
+#[derive(Debug, Clone, Copy)]
+pub struct HashPair {
+    h1: u64,
+    h2: u64,
+}
+
+/// The splitmix64 finalizer.
+fn avalanche(mut h: u64) -> u64 {
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58476d1ce4e5b9);
     h ^= h >> 27;
     h = h.wrapping_mul(0x94d049bb133111eb);
     h ^ (h >> 31)
+}
+
+/// Both of `key`'s filter hashes, in one pass over its bytes.
+pub fn hash_pair(key: &[u8]) -> HashPair {
+    const FNV_PRIME: u64 = 0x100000001b3;
+    let basis = |seed: u64| 0xcbf29ce484222325 ^ seed.wrapping_mul(0x9e3779b97f4a7c15);
+    let (mut a, mut b) = (basis(0x51_7c_c1_b7), basis(0x85_eb_ca_6b));
+    for &byte in key {
+        a = (a ^ byte as u64).wrapping_mul(FNV_PRIME);
+        b = (b ^ byte as u64).wrapping_mul(FNV_PRIME);
+    }
+    HashPair {
+        h1: avalanche(a),
+        h2: avalanche(b) | 1,
+    }
 }
 
 /// A Bloom filter over a fixed set of keys.
@@ -93,28 +112,29 @@ impl Bloom {
         if self.nbits == 0 {
             return;
         }
-        let h1 = fnv1a64(key, 0x51_7c_c1_b7);
-        let h2 = fnv1a64(key, 0x85_eb_ca_6b) | 1;
-        for i in 0..self.k as u64 {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.nbits;
+        for bit in self.probe_bits(hash_pair(key)) {
             self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
         }
     }
 
     /// Probes the filter. `true` means "maybe present"; `false` is definite.
     pub fn contains(&self, key: &[u8]) -> bool {
+        self.contains_hashed(hash_pair(key))
+    }
+
+    /// [`Bloom::contains`] for a key whose [`hash_pair`] the caller holds.
+    pub fn contains_hashed(&self, hashes: HashPair) -> bool {
         if self.nbits == 0 {
             return true; // zero-memory filter: always positive
         }
-        let h1 = fnv1a64(key, 0x51_7c_c1_b7);
-        let h2 = fnv1a64(key, 0x85_eb_ca_6b) | 1;
-        for i in 0..self.k as u64 {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.nbits;
-            if self.bits[(bit / 64) as usize] & (1 << (bit % 64)) == 0 {
-                return false;
-            }
-        }
-        true
+        self.probe_bits(hashes)
+            .all(|bit| self.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0)
+    }
+
+    /// The `k` bit positions `h1 + i·h2 (mod nbits)` a key sets.
+    fn probe_bits(&self, HashPair { h1, h2 }: HashPair) -> impl Iterator<Item = u64> {
+        let nbits = self.nbits;
+        (0..self.k as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % nbits)
     }
 
     /// Memory footprint of the bit array in bytes.
@@ -180,6 +200,46 @@ mod tests {
         }
         assert_eq!(bits_for_fpr(1.0), 0.0);
         assert_eq!(fpr_for_bits(0.0), 1.0);
+    }
+
+    /// Key `i` of the golden set: `i % 41` bytes (empty included, many
+    /// over sixteen) drawn from a splitmix64 stream seeded by `i`.
+    fn golden_key(i: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut s = i;
+        while out.len() < (i % 41) as usize {
+            s = avalanche(s.wrapping_add(0x9e3779b97f4a7c15));
+            out.extend_from_slice(&s.to_le_bytes());
+        }
+        out.truncate((i % 41) as usize);
+        out
+    }
+
+    /// The hash, the bit positions and the answers are pinned to the bit,
+    /// not only the false-positive rate: a changed hash would still pass
+    /// the rate bounds above but move every counted `bloom_fp_rate`. The
+    /// digests were recorded from the two-pass hash this one replaced.
+    #[test]
+    fn golden_bits_and_answers() {
+        let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100000001b3);
+        let keys: Vec<Vec<u8>> = (0..2_000).map(golden_key).collect();
+        let bloom = Bloom::build(keys.iter().map(|k| k.as_slice()), keys.len(), 10.0);
+        let bits = bloom
+            .bits
+            .iter()
+            .fold(0xcbf29ce484222325, |h, &w| fold(h, w));
+        let bits = fold(fold(bits, bloom.nbits), bloom.k as u64);
+        assert_eq!(bits, 0x8b505b77b4780c9a);
+
+        let (mut answers, mut positives) = (0xcbf29ce484222325u64, 0);
+        for i in 0..10_000u64 {
+            let key = golden_key(i * 3 + 1);
+            let hit = bloom.contains(&key);
+            assert_eq!(hit, bloom.contains_hashed(hash_pair(&key)));
+            positives += hit as u32;
+            answers = fold(answers, hit as u64 + i);
+        }
+        assert_eq!((answers, positives), (0x25ddbb5ce7296a10, 1001));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::cmp::Ordering;
 use crate::entry::EntryCursor;
 use crate::memtable::MemCursor;
 use crate::run::RunCursor;
-use crate::types::{EntryRef, Key, Value};
+use crate::types::{key_prefix, EntryRef, Key, Value};
 
 /// A sorted source of entries for merging: a cursor on its current entry.
 pub enum Source<'a> {
@@ -70,10 +70,10 @@ impl Source<'_> {
     }
 }
 
-/// A live source as the heap holds it: its index, and the first sixteen
-/// bytes of its current key as a big-endian number (zero-padded). Where
-/// two prefixes differ they order as the keys do, so most comparisons are
-/// decided here without touching a source; a tie falls back to the keys.
+/// A live source as the heap holds it: its index, and the [`key_prefix`]
+/// of its current key. Where two prefixes differ they order as the keys
+/// do, so most comparisons are decided here without touching a source; a
+/// tie falls back to the keys.
 #[derive(Debug, Clone, Copy)]
 struct Head {
     prefix: u128,
@@ -82,12 +82,8 @@ struct Head {
 
 impl Head {
     fn of(sources: &[Source<'_>], source: usize) -> Option<Self> {
-        let key = sources[source].entry()?.key;
-        let mut prefix = [0u8; 16];
-        let n = key.len().min(16);
-        prefix[..n].copy_from_slice(&key[..n]);
         Some(Head {
-            prefix: u128::from_be_bytes(prefix),
+            prefix: key_prefix(sources[source].entry()?.key),
             source,
         })
     }

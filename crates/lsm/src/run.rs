@@ -24,10 +24,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bytes::Bytes;
 use ruskey_storage::{Extent, Storage};
 
-use crate::bloom::Bloom;
+use crate::bloom::{hash_pair, Bloom, HashPair};
 use crate::entry::{encode_entry, CorruptPage, EntryCursor, PAGE_HEADER_BYTES};
 use crate::fence::FencePointers;
-use crate::types::{EntryRef, Key, SeqNo, Value};
+use crate::types::{key_prefix, EntryRef, Key, SeqNo, Value};
 
 /// Unique run identifier within one tree.
 pub type RunId = u64;
@@ -45,6 +45,26 @@ pub enum ProbeOutcome {
     /// for a tombstone. The copy is the only thing a hit allocates; it
     /// does not keep the page alive.
     Found(Option<Value>),
+}
+
+/// A point-lookup key, prepared once per lookup for every run it probes:
+/// its Bloom [`HashPair`] and its sixteen-byte fence prefix.
+#[derive(Debug)]
+pub struct LookupKey<'k> {
+    key: &'k [u8],
+    hashes: HashPair,
+    prefix: u128,
+}
+
+impl<'k> LookupKey<'k> {
+    /// Hashes `key` and takes its prefix.
+    pub fn new(key: &'k [u8]) -> Self {
+        Self {
+            key,
+            hashes: hash_pair(key),
+            prefix: key_prefix(key),
+        }
+    }
 }
 
 /// Statistics of one probe.
@@ -143,26 +163,28 @@ impl Run {
         self.max_seq
     }
 
-    /// In-memory metadata footprint (Bloom bits + fence keys), bytes.
+    /// In-memory metadata footprint (Bloom bits + fence keys and their
+    /// 16-byte prefixes), bytes.
     pub fn metadata_bytes(&self) -> usize {
         self.bloom.memory_bytes() + self.fences.memory_bytes()
     }
 
-    /// Probes the run for `key`, charging `c_r` CPU plus any page read to
-    /// the storage clock.
-    pub fn probe(&self, storage: &dyn Storage, key: &[u8]) -> ProbeResult {
+    /// Probes the run for `lookup`'s key, charging `c_r` CPU plus any page
+    /// read to the storage clock.
+    pub fn probe(&self, storage: &dyn Storage, lookup: &LookupKey<'_>) -> ProbeResult {
         storage.charge_cpu(storage.cost_model().cpu_probe_ns);
         let filtered_out = ProbeResult {
             outcome: ProbeOutcome::FilteredOut,
             pages_read: 0,
         };
+        let key = lookup.key;
         if key < self.min_key.as_ref() || key > self.max_key.as_ref() {
             return filtered_out;
         }
-        if !self.bloom.contains(key) {
+        if !self.bloom.contains_hashed(lookup.hashes) {
             return filtered_out;
         }
-        let Some(page_idx) = self.fences.locate(key) else {
+        let Some(page_idx) = self.fences.locate_prefixed(key, lookup.prefix) else {
             return filtered_out;
         };
         let page = read_shared(storage, self.extent, page_idx);
@@ -541,7 +563,7 @@ mod tests {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
         let run = build_run(disk.as_ref(), 100, 10.0);
         for i in 0..100 {
-            let r = run.probe(disk.as_ref(), &key(i * 2));
+            let r = run.probe(disk.as_ref(), &LookupKey::new(&key(i * 2)));
             match r.outcome {
                 ProbeOutcome::Found(v) => assert_eq!(v, Some(value(i))),
                 other => panic!("key {i} not found: {other:?}"),
@@ -554,7 +576,7 @@ mod tests {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
         let run = build_run(disk.as_ref(), 10, 10.0);
         let before = disk.metrics().pages_read;
-        let r = run.probe(disk.as_ref(), &key(1_000_000));
+        let r = run.probe(disk.as_ref(), &LookupKey::new(&key(1_000_000)));
         assert_eq!(r.outcome, ProbeOutcome::FilteredOut);
         assert_eq!(disk.metrics().pages_read, before);
     }
@@ -566,7 +588,7 @@ mod tests {
         // Odd keys are absent; with bits=10 most probes are filtered, any
         // bloom positive must come back as FalsePositive, never Found.
         for i in 0..100 {
-            let r = run.probe(disk.as_ref(), &key(i * 2 + 1));
+            let r = run.probe(disk.as_ref(), &LookupKey::new(&key(i * 2 + 1)));
             assert!(
                 matches!(
                     r.outcome,
@@ -665,8 +687,8 @@ mod tests {
         assert_eq!(rebuilt.entry_count(), run.entry_count());
         assert_eq!(rebuilt.metadata_bytes(), run.metadata_bytes());
         for i in 0..80u64 {
-            let a = run.probe(disk.as_ref(), &key(i * 2));
-            let b = rebuilt.probe(disk.as_ref(), &key(i * 2));
+            let a = run.probe(disk.as_ref(), &LookupKey::new(&key(i * 2)));
+            let b = rebuilt.probe(disk.as_ref(), &LookupKey::new(&key(i * 2)));
             assert_eq!(a, b, "probe {i} diverged after recovery");
         }
         assert_eq!(
@@ -685,10 +707,10 @@ mod tests {
     fn zero_bits_run_still_correct() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
         let run = build_run(disk.as_ref(), 30, 0.0);
-        let r = run.probe(disk.as_ref(), &key(4));
+        let r = run.probe(disk.as_ref(), &LookupKey::new(&key(4)));
         assert!(matches!(r.outcome, ProbeOutcome::Found(_)));
         // In-range misses always pay a page read without a filter.
-        let r = run.probe(disk.as_ref(), &key(5));
+        let r = run.probe(disk.as_ref(), &LookupKey::new(&key(5)));
         assert_eq!(r.outcome, ProbeOutcome::FalsePositive);
         assert_eq!(r.pages_read, 1);
     }

@@ -12,7 +12,7 @@ use crate::level::Level;
 use crate::manifest::{Manifest, ManifestEdit, RunRecord};
 use crate::memtable::Memtable;
 use crate::picker::{self, SCORE_SCALE};
-use crate::run::{ProbeOutcome, Run, RunBuilder, RunId};
+use crate::run::{LookupKey, ProbeOutcome, Run, RunBuilder, RunId};
 use crate::stats::{LevelStatsSnapshot, TreeStatsSnapshot};
 use crate::transition::TransitionStrategy;
 use crate::types::{EntryRef, Key, KvEntry, OpKind, SeqNo, Value};
@@ -50,7 +50,9 @@ fn in_bounds(bounds: &Option<(Key, Key)>, key: &[u8]) -> bool {
 /// resident run cannot exist on disk — return with zero probes, zero Bloom
 /// checks, and zero page I/O. The tree-wide check rejects in one comparison
 /// pair; a level whose own bounds exclude the key is skipped the same way.
-/// Each probed level's counters land in `stats` (indexed by level).
+/// A key that passes is hashed and prefixed once ([`LookupKey`]) for every
+/// run it probes. Each probed level's counters land in `stats` (indexed by
+/// level).
 fn probe_levels<'a>(
     storage: &dyn Storage,
     key: &[u8],
@@ -61,6 +63,7 @@ fn probe_levels<'a>(
     if !in_bounds(tree_bounds, key) {
         return None;
     }
+    let lookup = LookupKey::new(key);
     for (idx, (bounds, runs)) in levels.enumerate() {
         if !in_bounds(bounds, key) {
             continue;
@@ -69,7 +72,7 @@ fn probe_levels<'a>(
         let t0 = storage.clock().now();
         let mut found: Option<Option<Value>> = None;
         for run in runs {
-            let r = run.probe(storage, key);
+            let r = run.probe(storage, &lookup);
             st.probes += 1;
             st.lookup_pages += r.pages_read as u64;
             match r.outcome {

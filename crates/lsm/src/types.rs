@@ -10,6 +10,16 @@ pub type Key = Bytes;
 /// A user value (opaque bytes).
 pub type Value = Bytes;
 
+/// The first sixteen bytes of `key` as a big-endian number, zero-padded.
+/// Where two prefixes differ they order as the keys do; equal prefixes
+/// leave the order to the full keys (`"a"` and `"a\0"` pad alike).
+pub(crate) fn key_prefix(key: &[u8]) -> u128 {
+    let mut prefix = [0u8; 16];
+    let n = key.len().min(16);
+    prefix[..n].copy_from_slice(&key[..n]);
+    u128::from_be_bytes(prefix)
+}
+
 /// Monotonically increasing sequence number assigned to every write.
 /// Between two entries for the same key, the higher sequence number wins.
 pub type SeqNo = u64;

@@ -169,7 +169,7 @@
 //! # The read path: serving-grade raw speed
 //!
 //! Point lookups are engineered to cost as little *real* time as the
-//! layout allows, in three layers that compose:
+//! layout allows, in four layers that compose:
 //!
 //! * **O(1) out-of-range rejection** — every level maintains the
 //!   aggregate `[min, max]` key bounds of its runs (and the tree the
@@ -178,6 +178,11 @@
 //!   returns in constant time — zero Bloom probes, zero fence-pointer
 //!   searches, zero page reads — and a get outside one level's bounds
 //!   skips that whole level ([`lsm::FlsmTree::key_bounds`]).
+//! * **one prepared key per lookup** — a get that passes the bounds
+//!   hashes its key once for every run's Bloom filter and takes its
+//!   16-byte prefix once ([`lsm::run::LookupKey`]); each run's fence
+//!   pointers binary-search one contiguous array of their first keys'
+//!   prefixes and compare full keys only where a prefix ties.
 //! * **a sharded, serving-grade block cache** —
 //!   [`storage::BlockCache`] keys pages by `(extent, page)` across K
 //!   independently locked LRU segments (FNV-1a segment selection, true
@@ -201,11 +206,14 @@
 //! [`lsm::TreeStatsSnapshot`], whose per-mission delta is
 //! [`ruskey::stats::MissionReport::window`]. The contract is pinned
 //! by unit and integration tests: an out-of-range get costs zero probes
-//! and zero page reads (`crates/lsm/src/tree.rs`), `FileDisk` opens each
-//! extent once and reuses its page buffer (`crates/storage/src/file.rs`),
-//! and a warmed working set re-read through the cache costs zero device
-//! reads (`tests/storage_backends.rs`). Real ns per get is the perf
-//! ledger's to measure (`lsm.get_ns_*`, `storage.cache.*`). Each
+//! and zero page reads (`crates/lsm/src/tree.rs`), the prefix fence
+//! search finds the page the full-key search finds and the Bloom hash
+//! sets the recorded bits (`crates/lsm/src/{fence,bloom}.rs`), `FileDisk`
+//! opens each extent once and reuses its page buffer
+//! (`crates/storage/src/file.rs`), and a warmed working set re-read
+//! through the cache costs zero device reads
+//! (`tests/storage_backends.rs`). Real ns per get is the perf ledger's
+//! to measure (`lsm.get_ns_*`, `storage.cache.*`). Each
 //! persistent shard serves through its own cache, sized by
 //! [`ruskey::sharded::PersistenceConfig`]'s `cache_pages` (0 disables
 //! caching entirely).
