@@ -13,6 +13,9 @@
 //!    the merge of every shard's delta from where its load ended.
 //! 4. **Restart**: recovering either root gives identical
 //!    `shard_snapshots()` and reads, and every loaded pair reads back.
+//! 5. **Pinned bytes**: a fresh root hashes to a recorded digest, so a
+//!    change to how runs are built cannot move a byte on disk or an
+//!    extent id (the block cache picks a page's segment by its id).
 
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -219,5 +222,46 @@ fn every_shard_loads_on_its_own_lane_outside_the_first_window() {
         );
         let load_busy: u64 = loaded.iter().map(|s| s.busy_ns).sum();
         assert!(load_busy > w.busy_ns, "N = {n}: the load cost nothing");
+    }
+}
+
+/// FNV-1a over every file's relative path, length and bytes, in path
+/// order.
+fn digest(files: &BTreeMap<PathBuf, Vec<u8>>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for (path, bytes) in files {
+        eat(path.to_string_lossy().as_bytes());
+        eat(&(bytes.len() as u64).to_le_bytes());
+        eat(bytes);
+    }
+    h
+}
+
+/// Check 5: a freshly loaded root, every file name and byte of it, hashes
+/// to the digest recorded when each run was still written whole. With 8192
+/// pairs the two bottom runs of each shard span more than 256 pages at
+/// `N ∈ {1, 2}`, so a run's pages reach the device before an earlier
+/// run's do.
+#[test]
+fn a_loaded_root_holds_the_pinned_bytes() {
+    const WANT: [(usize, u64); 3] = [
+        (1, 12_487_409_496_951_340_102),
+        (2, 4_127_888_486_852_473_344),
+        (4, 1_488_887_742_612_947_964),
+    ];
+    let pairs = bulk_load_pairs(8192, 16, 48, 17);
+    for (n, want) in WANT {
+        let root = store_root("pinned");
+        open(n, Backend::Create(&persistence(&root))).bulk_load(pairs.clone());
+        let files = files(&root);
+        let got = digest(&files);
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(got, want, "N = {n}: the loaded root's bytes moved");
     }
 }
