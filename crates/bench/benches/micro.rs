@@ -61,11 +61,11 @@ fn bench_memtable() {
 
 fn bench_run_probe() {
     let disk = SimulatedDisk::new(4096, CostModel::FREE);
-    let mut builder = RunBuilder::new(1, 4096, 8.0);
+    let mut builder = RunBuilder::new(1, disk.as_ref(), 8.0);
     for i in 0..10_000u64 {
         builder.push(KvEntry::put(key(i * 2), vec![1u8; 112], i).borrowed());
     }
-    let run = builder.finish(disk.as_ref(), u64::MAX).unwrap();
+    let run = builder.finish(u64::MAX).unwrap();
     for (name, offset) in [("run_probe_hit", 0), ("run_probe_miss", 1)] {
         let mut i = 0u64;
         per_unit(
@@ -118,9 +118,9 @@ fn entries_of(n: u64, first: u64, step: u64) -> Vec<KvEntry> {
 }
 
 fn run_of(storage: &dyn Storage, id: u64, entries: &[KvEntry]) -> Run {
-    let mut b = RunBuilder::new(id, storage.page_size(), 8.0);
+    let mut b = RunBuilder::new(id, storage, 8.0);
     entries.iter().for_each(|e| b.push(e.borrowed()));
-    b.finish(storage, u64::MAX).unwrap()
+    b.finish(u64::MAX).unwrap()
 }
 
 /// The ledger's 16-byte key.
@@ -145,7 +145,7 @@ fn bench_merge() {
         "merge_ns_per_entry/flush_2way",
         "ns",
         4_500,
-        || RunBuilder::new(2, 4096, 8.0),
+        || RunBuilder::new(2, storage, 8.0),
         |mut builder| {
             let sources = vec![
                 Source::Run(active.cursor(storage)),

@@ -1311,13 +1311,17 @@ impl Ord for MergeHead {
 }
 
 /// K-way merges per-shard scan results (each sorted, keys disjoint across
-/// shards) into one sorted result of at most `limit` entries.
+/// shards) into one sorted result of at most `limit` entries. The result
+/// is allocated once at its final length: grown by doubling, it would
+/// hold up to twice the rows beside the per-shard legs still alive.
 /// `pub(crate)`: the serving frontend's broadcast scans merge through the
 /// same code path.
 pub(crate) fn merge_sorted_scans(
     per_shard: Vec<Vec<(Bytes, Bytes)>>,
     limit: usize,
 ) -> Vec<(Bytes, Bytes)> {
+    let rows: usize = per_shard.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(limit.min(rows));
     let mut iters: Vec<std::vec::IntoIter<(Bytes, Bytes)>> =
         per_shard.into_iter().map(Vec::into_iter).collect();
     let mut heap = BinaryHeap::with_capacity(iters.len());
@@ -1328,7 +1332,6 @@ pub(crate) fn merge_sorted_scans(
             values[i] = Some(v);
         }
     }
-    let mut out = Vec::new();
     while out.len() < limit {
         let Some(MergeHead { key, shard }) = heap.pop() else {
             break;
@@ -1793,6 +1796,14 @@ mod tests {
             .map(|(k, _)| u64::from_be_bytes(k.as_ref().try_into().unwrap()))
             .collect();
         assert_eq!(keys, vec![1, 2, 3, 5, 9]);
+        // Allocated once, at the rows there are or the limit if fewer.
+        assert_eq!(merged.capacity(), 5);
+        let legs = vec![
+            vec![(k(1), v.clone()), (k(4), v.clone())],
+            vec![(k(2), v.clone()), (k(3), v.clone())],
+        ];
+        let capped = merge_sorted_scans(legs, 3);
+        assert_eq!((capped.len(), capped.capacity()), (3, 3));
         assert!(merge_sorted_scans(vec![], 5).is_empty());
     }
 }

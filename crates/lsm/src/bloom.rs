@@ -109,10 +109,15 @@ impl Bloom {
 
     /// Adds one key (a no-op on the zero-memory filter).
     pub fn insert(&mut self, key: &[u8]) {
+        self.insert_hashed(hash_pair(key));
+    }
+
+    /// [`Bloom::insert`] for a key whose [`hash_pair`] the caller holds.
+    pub fn insert_hashed(&mut self, hashes: HashPair) {
         if self.nbits == 0 {
             return;
         }
-        for bit in self.probe_bits(hash_pair(key)) {
+        for bit in self.probe_bits(hashes) {
             self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
         }
     }

@@ -12,8 +12,9 @@
 //!   ([`ruskey_storage::Storage::try_read_shared`]) and walk its entries
 //!   in place ([`entry::EntryCursor`], [`run::RunCursor`]); every merge is
 //!   [`compaction::Merge`] over cursors, comparing keys where they lie;
-//!   every run is written by [`run::RunBuilder`], one buffer and one
-//!   [`ruskey_storage::Storage::write_pages`] per run. Bytes are copied
+//!   every run is written by [`run::RunBuilder`], in batches of 256
+//!   pages appended as they fill
+//!   ([`ruskey_storage::Storage::append_pages`]). Bytes are copied
 //!   when an entry enters a new run and when a caller is handed a value;
 //!   nothing the engine retains (fence keys, run and level bounds,
 //!   manifest records) shares an allocation with a page;

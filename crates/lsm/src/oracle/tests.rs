@@ -184,9 +184,9 @@ fn small_cache_stack(fast_paths: bool) -> (Arc<Recorder>, Arc<SimulatedDisk>) {
 }
 
 fn build_run(storage: &dyn Storage, id: u64, entries: &[KvEntry]) -> Run {
-    let mut b = RunBuilder::new(id, storage.page_size(), 8.0);
+    let mut b = RunBuilder::new(id, storage, 8.0);
     entries.iter().for_each(|e| b.push(e.borrowed()));
-    b.finish(storage, u64::MAX).unwrap()
+    b.finish(u64::MAX).unwrap()
 }
 
 /// Ten runs whose keys interleave and collide (every key divisible by 3
@@ -325,13 +325,13 @@ fn kernel_write_path(drop_tombstones: bool, fast_paths: bool) -> Vec<Trace> {
 
     let admit = |sources: Vec<Source<'_>>, run_id: u64| {
         let mut merge = Merge::new(sources, drop_tombstones);
-        let mut builder = RunBuilder::new(run_id, storage.page_size(), 8.0);
+        let mut builder = RunBuilder::new(run_id, storage, 8.0);
         let mut out = Vec::new();
         merge.drain_into(|e| {
             out.push(e.to_owned());
             builder.push(e);
         });
-        let ext = builder.finish(storage, u64::MAX).map(|run| run.extent());
+        let ext = builder.finish(u64::MAX).map(|run| run.extent());
         let counts = (merge.entries_in, merge.entries_out);
         Trace::close(&rec, &disk, counts, out, ext)
     };

@@ -77,7 +77,7 @@ mod tests {
 
     /// A run spanning `[lo, hi]` with one filler entry per step of 2.
     fn run_in(storage: &dyn Storage, id: u64, lo: u64, hi: u64) -> Arc<Run> {
-        let mut b = RunBuilder::new(id, storage.page_size(), 8.0);
+        let mut b = RunBuilder::new(id, storage, 8.0);
         let mut i = lo;
         let mut seq = 1;
         while i < hi {
@@ -86,7 +86,7 @@ mod tests {
             i += 2;
         }
         b.push(KvEntry::put(key(hi), Bytes::from_static(b"v"), seq).borrowed());
-        Arc::new(b.finish(storage, u64::MAX).unwrap())
+        Arc::new(b.finish(u64::MAX).unwrap())
     }
 
     fn level_with(index: usize, capacity: u64, sealed: Vec<Arc<Run>>) -> Level {

@@ -12,11 +12,16 @@
 //! point probe, a scan, a merge and recovery all touch the page the device
 //! or cache already holds, and nothing is copied until a caller is handed
 //! bytes to keep — a probe's value, a scan's rows. Writing is the
-//! [`RunBuilder`]: it copies each entry once into one contiguous buffer
-//! laid out page by page, puts the run down with a single
-//! [`Storage::write_pages`], and hashes the Bloom keys out of that buffer.
-//! Fence keys and the run's bounds are copies of exactly their bytes: they
-//! live as long as the run does and must not keep a 4 KiB page alive each.
+//! [`RunBuilder`]: it copies each entry once into the page filling and
+//! appends closed pages to the run's extent 256 at a time
+//! ([`Storage::append_pages`]), so whatever the run's length it holds at
+//! most 257 pages, the fence keys and one 16-byte Bloom hash pair per key,
+//! from which `finish` fills a filter sized from the entry count. Over a
+//! storage that cannot append it keeps the whole run and puts it down with
+//! one [`Storage::write_pages`] at the end: the same pages, extent ids and
+//! filter either way. Fence keys and the run's bounds are copies of
+//! exactly their bytes: they live as long as the run does and must not
+//! keep a 4 KiB page alive each.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -378,18 +383,29 @@ impl<'a> RunCursor<'a> {
     }
 }
 
+/// Closed pages a [`RunBuilder`] holds before it appends them to the run's
+/// extent: 1 MiB at the default page size, the most a file disk puts down
+/// in one positional write.
+const BATCH_PAGES: usize = 256;
+
 /// Builds a run from entries supplied in strictly ascending key order.
-pub struct RunBuilder {
+pub struct RunBuilder<'s> {
     id: RunId,
+    storage: &'s dyn Storage,
     page_size: usize,
     bits_per_key: f64,
-    /// Every page of the run back to back, each led by its entry count.
+    /// The run's extent once its first batch is down (or once claimed).
+    extent: Option<Extent>,
+    /// Pages not yet on storage back to back, each led by its entry count.
     out: Vec<u8>,
     /// Where each page starts in `out`; the last one is still filling.
     page_starts: Vec<usize>,
     /// Entries in the page still filling.
     page_entries: u16,
     first_keys: Vec<Key>,
+    /// Every key's Bloom hashes (none without a filter), for the filter
+    /// `finish` sizes from the entry count.
+    hashes: Vec<HashPair>,
     entries: u64,
     data_bytes: u64,
     /// Where the last pushed key sits in `out`.
@@ -397,18 +413,24 @@ pub struct RunBuilder {
     max_seq: SeqNo,
 }
 
-impl RunBuilder {
-    /// Starts a builder. `bits_per_key` controls the Bloom filter (0 = none).
-    pub fn new(id: RunId, page_size: usize, bits_per_key: f64) -> Self {
+impl<'s> RunBuilder<'s> {
+    /// Starts a builder writing to `storage`. `bits_per_key` controls the
+    /// Bloom filter (0 = none). The run's extent is allocated with its
+    /// first batch of pages, or at [`RunBuilder::finish`] if it has none.
+    pub fn new(id: RunId, storage: &'s dyn Storage, bits_per_key: f64) -> Self {
+        let page_size = storage.page_size();
         assert!(page_size > PAGE_HEADER_BYTES + crate::entry::ENTRY_HEADER_BYTES);
         Self {
             id,
+            storage,
             page_size,
             bits_per_key,
+            extent: None,
             out: Vec::new(),
             page_starts: Vec::new(),
             page_entries: 0,
             first_keys: Vec::new(),
+            hashes: Vec::new(),
             entries: 0,
             data_bytes: 0,
             last_key: 0..0,
@@ -416,21 +438,16 @@ impl RunBuilder {
         }
     }
 
-    /// A builder with room for `bytes` bytes of encoded pages, for a run
-    /// whose size is known ahead: it fills one buffer instead of growing
-    /// it.
-    pub(crate) fn with_capacity(
-        id: RunId,
-        page_size: usize,
-        bits_per_key: f64,
-        bytes: usize,
-    ) -> Self {
-        let mut builder = Self::new(id, page_size, bits_per_key);
-        builder.out.reserve(bytes);
-        builder
+    /// Allocates the run's extent now, so builders filled side by side
+    /// number their extents in the order they were made, as builders
+    /// finished one after another would. A storage that cannot append
+    /// allocates nothing here; `finish` then allocates the whole run.
+    pub(crate) fn claim_extent(mut self) -> Self {
+        self.extent = self.storage.append_pages(None, &[]).map(|(ext, _)| ext);
+        self
     }
 
-    /// Appends an entry, copying its bytes into the run's buffer. Panics if
+    /// Appends an entry, copying its bytes into the page filling. Panics if
     /// keys are not strictly ascending or the entry cannot fit in an empty
     /// page.
     pub fn push(&mut self, e: EntryRef<'_>) {
@@ -448,6 +465,9 @@ impl RunBuilder {
         });
         if page_full {
             self.close_page();
+            if self.page_starts.len() == BATCH_PAGES {
+                self.append_closed();
+            }
             self.page_starts.push(self.out.len());
             self.out.extend_from_slice(&0u16.to_le_bytes());
             self.first_keys.push(Key::copy_from_slice(e.key));
@@ -455,6 +475,9 @@ impl RunBuilder {
         let key_at = self.out.len() + crate::entry::ENTRY_HEADER_BYTES;
         encode_entry(&mut self.out, e);
         self.last_key = key_at..key_at + e.key.len();
+        if self.bits_per_key > 0.0 {
+            self.hashes.push(hash_pair(e.key));
+        }
         self.page_entries += 1;
         self.entries += 1;
         self.data_bytes += size as u64;
@@ -470,57 +493,66 @@ impl RunBuilder {
         self.page_entries = 0;
     }
 
-    /// Number of entries added so far.
-    pub fn len(&self) -> usize {
-        self.entries as usize
+    /// The pages in `out`, all closed.
+    fn held_pages(&self) -> Vec<&[u8]> {
+        let ends = self
+            .page_starts
+            .iter()
+            .skip(1)
+            .copied()
+            .chain([self.out.len()]);
+        (self.page_starts.iter().zip(ends))
+            .map(|(&start, end)| &self.out[start..end])
+            .collect()
     }
 
-    /// True if nothing was added.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
+    /// Appends the pages in `out` (all closed) to the run's extent and
+    /// drops them. A storage that cannot append keeps them in `out`, and
+    /// the builder holds the whole run from then on.
+    fn append_closed(&mut self) -> bool {
+        let Some((extent, _)) = self.storage.append_pages(self.extent, &self.held_pages()) else {
+            return false;
+        };
+        self.extent = Some(extent);
+        self.out.clear();
+        self.page_starts.clear();
+        true
     }
 
-    /// Logical bytes accumulated so far.
-    pub fn data_bytes(&self) -> u64 {
-        self.data_bytes
-    }
-
-    /// Writes the pages to `storage` in one call (charging write I/O),
-    /// builds the Bloom filter and fence pointers, and returns the
-    /// finished run.
+    /// Puts the pages still held down (charging write I/O), builds the
+    /// Bloom filter and fence pointers, and returns the finished run.
+    /// Over a storage that cannot append, the whole run goes down here in
+    /// one [`Storage::write_pages`] to an extent allocated for it.
     ///
     /// `capacity_bytes` is the FLSM per-run capacity recorded on the run.
-    /// Returns `None` if no entries were pushed.
-    pub fn finish(mut self, storage: &dyn Storage, capacity_bytes: u64) -> Option<Run> {
+    /// Returns `None` if no entries were pushed (and frees a claimed
+    /// extent).
+    pub fn finish(mut self, capacity_bytes: u64) -> Option<Run> {
         if self.entries == 0 {
+            if let Some(extent) = self.extent {
+                self.storage.free(extent);
+            }
             return None;
         }
         self.close_page();
-        self.page_starts.push(self.out.len());
-        let pages: Vec<&[u8]> = self
-            .page_starts
-            .windows(2)
-            .map(|bounds| &self.out[bounds[0]..bounds[1]])
-            .collect();
-        let extent = storage.allocate(pages.len() as u32);
-        storage.write_pages(extent, &pages);
-        let mut bloom = Bloom::sized_for(self.entries as usize, self.bits_per_key);
-        for page in &pages {
-            let mut cursor = EntryCursor::page(*page).expect("the builder encoded this page");
-            while let Some(e) = cursor.entry() {
-                bloom.insert(e.key);
-                cursor.advance().expect("the builder encoded this page");
-            }
+        let max_key = Key::copy_from_slice(&self.out[self.last_key.clone()]);
+        if !self.append_closed() {
+            let pages = self.held_pages();
+            let extent = self.storage.allocate(pages.len() as u32);
+            self.storage.write_pages(extent, &pages);
+            self.extent = Some(extent);
         }
+        let mut bloom = Bloom::sized_for(self.entries as usize, self.bits_per_key);
+        self.hashes.iter().for_each(|&h| bloom.insert_hashed(h));
         Some(Run {
             id: self.id,
-            extent,
+            extent: self.extent.expect("the run's pages are down"),
             bloom,
             entry_count: self.entries,
             data_bytes: self.data_bytes,
             capacity_bytes: AtomicU64::new(capacity_bytes),
             min_key: self.first_keys[0].clone(),
-            max_key: Key::copy_from_slice(&self.out[self.last_key]),
+            max_key,
             fences: FencePointers::new(self.first_keys),
             max_seq: self.max_seq,
         })
@@ -531,7 +563,8 @@ impl RunBuilder {
 mod tests {
     use super::*;
     use crate::types::KvEntry;
-    use ruskey_storage::{CostModel, SimulatedDisk};
+    use ruskey_storage::{CostModel, IoCharge, SimulatedDisk, StorageMetrics, VirtualClock};
+    use std::sync::{Arc, Mutex};
 
     fn key(i: u64) -> Key {
         Bytes::copy_from_slice(&i.to_be_bytes())
@@ -542,11 +575,11 @@ mod tests {
     }
 
     fn build_run(storage: &dyn Storage, n: u64, bits: f64) -> Run {
-        let mut b = RunBuilder::new(1, storage.page_size(), bits);
+        let mut b = RunBuilder::new(1, storage, bits);
         for i in 0..n {
             b.push(KvEntry::put(key(i * 2), value(i), i + 1).borrowed());
         }
-        b.finish(storage, u64::MAX).unwrap()
+        b.finish(u64::MAX).unwrap()
     }
 
     fn entries(mut cursor: RunCursor<'_>) -> Vec<KvEntry> {
@@ -651,14 +684,15 @@ mod tests {
     #[test]
     fn empty_builder_returns_none() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let b = RunBuilder::new(1, 256, 8.0);
-        assert!(b.finish(disk.as_ref(), 0).is_none());
+        let b = RunBuilder::new(1, disk.as_ref(), 8.0);
+        assert!(b.finish(0).is_none());
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn unsorted_push_panics() {
-        let mut b = RunBuilder::new(1, 256, 8.0);
+        let disk = SimulatedDisk::new(256, CostModel::FREE);
+        let mut b = RunBuilder::new(1, disk.as_ref(), 8.0);
         b.push(KvEntry::put(key(5), value(5), 1).borrowed());
         b.push(KvEntry::put(key(3), value(3), 2).borrowed());
     }
@@ -701,6 +735,143 @@ mod tests {
             ..rec
         };
         assert!(Run::recover(disk.as_ref(), &bad).is_err());
+    }
+
+    /// Forwards the required methods to a simulated disk and logs every
+    /// page written as `(extent, page)`. With `appends` it forwards
+    /// [`Storage::append_pages`] too; without, the method keeps its
+    /// "cannot append" default, as in a decorator written before it.
+    struct Logged {
+        disk: Arc<SimulatedDisk>,
+        appends: bool,
+        writes: Mutex<Vec<(u64, u32)>>,
+    }
+
+    impl Logged {
+        fn new(appends: bool) -> Self {
+            Self {
+                disk: SimulatedDisk::new(256, CostModel::NVME),
+                appends,
+                writes: Mutex::new(Vec::new()),
+            }
+        }
+
+        fn writes(&self) -> Vec<(u64, u32)> {
+            self.writes.lock().unwrap().clone()
+        }
+    }
+
+    impl Storage for Logged {
+        fn page_size(&self) -> usize {
+            self.disk.page_size()
+        }
+        fn allocate(&self, pages: u32) -> Extent {
+            self.disk.allocate(pages)
+        }
+        fn write_page(&self, ext: Extent, idx: u32, data: &[u8]) -> IoCharge {
+            self.writes.lock().unwrap().push((ext.id, idx));
+            self.disk.write_page(ext, idx, data)
+        }
+        fn append_pages(&self, ext: Option<Extent>, pages: &[&[u8]]) -> Option<(Extent, IoCharge)> {
+            if !self.appends {
+                return None;
+            }
+            let (grown, charge) = self.disk.append_pages(ext, pages)?;
+            let first = grown.pages - pages.len() as u32;
+            let mut writes = self.writes.lock().unwrap();
+            writes.extend((first..grown.pages).map(|idx| (grown.id, idx)));
+            Some((grown, charge))
+        }
+        fn try_read_page(
+            &self,
+            ext: Extent,
+            idx: u32,
+            buf: &mut Vec<u8>,
+        ) -> std::io::Result<IoCharge> {
+            self.disk.try_read_page(ext, idx, buf)
+        }
+        fn free(&self, ext: Extent) {
+            self.disk.free(ext)
+        }
+        fn metrics(&self) -> StorageMetrics {
+            self.disk.metrics()
+        }
+        fn clock(&self) -> &VirtualClock {
+            self.disk.clock()
+        }
+        fn cost_model(&self) -> CostModel {
+            self.disk.cost_model()
+        }
+        fn live_pages(&self) -> u64 {
+            self.disk.live_pages()
+        }
+    }
+
+    /// Pushes ascending entries until the run spans `pages` pages.
+    fn fill_pages(b: &mut RunBuilder<'_>, pages: usize) {
+        let mut i = 0;
+        while b.first_keys.len() < pages || b.page_entries < 3 {
+            b.push(KvEntry::put(key(i), value(i), i + 1).borrowed());
+            i += 1;
+        }
+    }
+
+    /// A run longer than one batch reaches storage while it is built: its
+    /// first 256 pages are written before its last entry is pushed.
+    #[test]
+    fn a_long_run_is_written_before_its_last_push() {
+        let log = Logged::new(true);
+        let mut b = RunBuilder::new(1, &log, 10.0);
+        fill_pages(&mut b, BATCH_PAGES + 40);
+        assert_eq!(log.writes().len(), BATCH_PAGES);
+        b.push(KvEntry::put(key(u64::MAX), value(0), 1).borrowed());
+        let run = b.finish(u64::MAX).unwrap();
+        let every_page: Vec<_> = (0..run.page_count())
+            .map(|p| (run.extent().id, p))
+            .collect();
+        assert_eq!(log.writes(), every_page);
+        assert_eq!(log.live_pages(), run.page_count() as u64);
+    }
+
+    /// While it builds a 2000-page run, the builder holds at most one
+    /// batch of closed pages and the page filling.
+    #[test]
+    fn a_builder_holds_at_most_257_pages() {
+        let disk = SimulatedDisk::new(256, CostModel::FREE);
+        let mut b = RunBuilder::new(1, disk.as_ref(), 10.0);
+        let mut most = 0;
+        for i in 0.. {
+            b.push(KvEntry::put(key(i), value(i), i + 1).borrowed());
+            most = most.max(b.out.len());
+            if b.first_keys.len() == 2000 && b.page_entries == 1 {
+                break;
+            }
+        }
+        assert!(most > BATCH_PAGES * 256 * 9 / 10, "a batch was not held");
+        assert!(most <= (BATCH_PAGES + 1) * 256, "held {most} bytes");
+        let run = b.finish(u64::MAX).unwrap();
+        assert_eq!((run.page_count(), disk.live_pages()), (2000, 2000));
+    }
+
+    /// Over a storage that cannot append, the builder keeps the whole run
+    /// and writes it at `finish`: the same extent, pages, charges and
+    /// Bloom bits as over a storage that takes it in batches.
+    #[test]
+    fn a_storage_that_cannot_append_gets_the_same_run() {
+        let build = |appends: bool| {
+            let log = Logged::new(appends);
+            let mut b = RunBuilder::new(7, &log, 10.0);
+            fill_pages(&mut b, 3 * BATCH_PAGES + 9);
+            let run = b.finish(u64::MAX).unwrap();
+            let pages: Vec<Bytes> = (0..run.page_count())
+                .map(|p| log.try_read_shared(run.extent(), p).unwrap().0)
+                .collect();
+            let state = (log.writes(), log.metrics(), log.clock().now_ns());
+            (format!("{run:?}"), pages, state)
+        };
+        let (streamed, whole) = (build(true), build(false));
+        assert!(streamed.1.len() > 3 * BATCH_PAGES);
+        assert!(streamed == whole, "the runs differ");
     }
 
     #[test]

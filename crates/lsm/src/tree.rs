@@ -793,15 +793,13 @@ impl FlsmTree {
         let mut merge = Merge::new(sources, is_bottom);
         let run_id = self.next_run_id;
         self.next_run_id += 1;
-        let mut builder = RunBuilder::new(run_id, self.storage.page_size(), bits);
+        let mut builder = RunBuilder::new(run_id, self.storage.as_ref(), bits);
         merge.drain_into(|e| builder.push(e));
         let keys_processed = merge.entries_in;
         self.storage
             .charge_cpu(self.storage.cost_model().cpu_merge_per_key_ns * keys_processed);
 
-        let new_run = builder
-            .finish(self.storage.as_ref(), active_cap)
-            .map(Arc::new);
+        let new_run = builder.finish(active_cap).map(Arc::new);
         if let Some(run) = &new_run {
             // The run's pages must be durable before the AddRun edit
             // below can commit (power-failure contract, step 1).
@@ -1300,18 +1298,16 @@ impl FlsmTree {
 
         // Each level stripes across ceil(bytes / run_cap) runs so every run
         // spans the key space (as tiering produces naturally); run ids go
-        // level by level, run by run. Each builder reserves its share of
-        // the level's bytes plus an eighth for page headers and tails, so
-        // it fills one buffer, touched once.
-        let page_size = self.storage.page_size();
+        // level by level, run by run. The builders fill side by side, so
+        // each claims its extent as it is made, in run-id order.
+        let storage = Arc::clone(&self.storage);
         let mut rows: Vec<Vec<RunBuilder>> = Vec::with_capacity(depth);
         for (idx, &bytes) in level_bytes.iter().enumerate() {
             let bits = self.cfg.bloom.bits_for_level(idx, self.cfg.size_ratio);
             let runs = bytes.div_ceil(self.levels[idx].active_capacity());
-            let cap = (bytes.div_ceil(runs.max(1)) * 9 / 8) as usize + page_size;
             let ids = self.next_run_id..self.next_run_id + runs;
             self.next_run_id += runs;
-            let builder = |id| RunBuilder::with_capacity(id, page_size, bits, cap);
+            let builder = |id| RunBuilder::new(id, storage.as_ref(), bits).claim_extent();
             rows.push(ids.map(builder).collect());
         }
 
@@ -1333,7 +1329,7 @@ impl FlsmTree {
             let bits = self.cfg.bloom.bits_for_level(idx, self.cfg.size_ratio);
             let n_runs = row.len();
             for (b, builder) in row.into_iter().enumerate() {
-                if let Some(run) = builder.finish(self.storage.as_ref(), run_cap).map(Arc::new) {
+                if let Some(run) = builder.finish(run_cap).map(Arc::new) {
                     self.sync_new_run(run.extent());
                     let active = b + 1 == n_runs && run.data_bytes() < run.capacity_bytes();
                     self.log_edit(ManifestEdit::AddRun {
@@ -1760,11 +1756,11 @@ mod tests {
             for (b, bucket) in buckets.into_iter().enumerate() {
                 let run_id = t.next_run_id;
                 t.next_run_id += 1;
-                let mut builder = RunBuilder::new(run_id, t.storage.page_size(), bits);
+                let mut builder = RunBuilder::new(run_id, t.storage.as_ref(), bits);
                 for e in &bucket {
                     builder.push(e.borrowed());
                 }
-                if let Some(run) = builder.finish(t.storage.as_ref(), run_cap).map(Arc::new) {
+                if let Some(run) = builder.finish(run_cap).map(Arc::new) {
                     t.sync_new_run(run.extent());
                     let is_last = b == n_runs - 1;
                     let active = is_last && run.data_bytes() < run.capacity_bytes();
@@ -2286,6 +2282,119 @@ mod tests {
             r.policy(1),
             r.levels[1].pending_policy
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A file disk that, once armed, panics on the second batch a run
+    /// builder appends to one extent: the process dies mid-build with a
+    /// partial extent on disk that no manifest names.
+    struct CutOff {
+        disk: Arc<ruskey_storage::FileDisk>,
+        armed: std::sync::atomic::AtomicBool,
+        cut: std::sync::Mutex<Option<u64>>,
+    }
+
+    impl Storage for CutOff {
+        fn page_size(&self) -> usize {
+            self.disk.page_size()
+        }
+        fn allocate(&self, pages: u32) -> Extent {
+            self.disk.allocate(pages)
+        }
+        fn write_page(&self, ext: Extent, idx: u32, data: &[u8]) -> ruskey_storage::IoCharge {
+            self.disk.write_page(ext, idx, data)
+        }
+        fn append_pages(
+            &self,
+            ext: Option<Extent>,
+            pages: &[&[u8]],
+        ) -> Option<(Extent, ruskey_storage::IoCharge)> {
+            let armed = self.armed.load(std::sync::atomic::Ordering::Relaxed);
+            if let Some(ext) = ext.filter(|_| armed && !pages.is_empty()) {
+                *self.cut.lock().unwrap() = Some(ext.id);
+                panic!("cut off at extent {}'s second batch", ext.id);
+            }
+            self.disk.append_pages(ext, pages)
+        }
+        fn try_read_page(
+            &self,
+            ext: Extent,
+            idx: u32,
+            buf: &mut Vec<u8>,
+        ) -> std::io::Result<ruskey_storage::IoCharge> {
+            self.disk.try_read_page(ext, idx, buf)
+        }
+        fn sync_extent(&self, ext: Extent) -> std::io::Result<ruskey_storage::IoCharge> {
+            self.disk.sync_extent(ext)
+        }
+        fn sync_dir(&self) -> std::io::Result<ruskey_storage::IoCharge> {
+            self.disk.sync_dir()
+        }
+        fn free(&self, ext: Extent) {
+            self.disk.free(ext)
+        }
+        fn metrics(&self) -> ruskey_storage::StorageMetrics {
+            self.disk.metrics()
+        }
+        fn clock(&self) -> &ruskey_storage::VirtualClock {
+            self.disk.clock()
+        }
+        fn cost_model(&self) -> CostModel {
+            self.disk.cost_model()
+        }
+        fn live_pages(&self) -> u64 {
+            self.disk.live_pages()
+        }
+    }
+
+    /// A merge cut off between two batches of its output run loses
+    /// nothing acknowledged: recovery reads back the bulk load and every
+    /// committed put, and its orphan sweep removes the partial extent.
+    #[test]
+    fn a_build_cut_off_between_batches_recovers() {
+        let dir = persist_dir("cutoff");
+        let cfg = LsmConfig {
+            buffer_bytes: 4096,
+            size_ratio: 4,
+            ..LsmConfig::scaled_default()
+        };
+        let disk = Arc::new(CutOff {
+            disk: ruskey_storage::FileDisk::new(dir.join("data"), 256, CostModel::FREE).unwrap(),
+            armed: Default::default(),
+            cut: Default::default(),
+        });
+        let mut t = FlsmTree::new(cfg.clone(), disk.clone());
+        t.attach_manifest(crate::manifest::Manifest::create(dir.join("MANIFEST"), 0).unwrap());
+        t.attach_wal(crate::wal::Wal::open(dir.join("wal")).unwrap());
+        let loaded: Vec<(Key, Value)> = (0..6_000u64).map(|i| (key(2 * i), val(i))).collect();
+        t.bulk_load(loaded.clone());
+        disk.armed.store(true, std::sync::atomic::Ordering::Relaxed);
+        let mut acked = 0;
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for i in 0..50_000u64 {
+                t.put(key(2 * i + 1), val(i));
+                if i % 50 == 49 {
+                    t.commit_wal().unwrap();
+                    acked = i + 1;
+                }
+            }
+        }));
+        assert!(died.is_err(), "no build reached a second batch");
+        assert!(acked > 0, "nothing was acknowledged before the cut");
+        drop(t);
+        let cut = disk.cut.lock().unwrap().expect("the cut names its extent");
+        drop(disk);
+
+        let mut r = recover_persistent_tree(&dir, cfg);
+        assert!(r.stats().orphans_collected >= 1);
+        let partial = dir.join("data").join(format!("extent-{cut:08}.run"));
+        assert!(!partial.exists(), "the partial extent survived recovery");
+        for (k, v) in &loaded {
+            assert_eq!(r.get(k).as_ref(), Some(v), "a loaded pair is lost");
+        }
+        for i in 0..acked {
+            assert_eq!(r.get(&key(2 * i + 1)), Some(val(i)), "acknowledged put {i}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

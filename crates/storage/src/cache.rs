@@ -320,6 +320,19 @@ impl<S: Storage> Storage for BlockCache<S> {
         charge
     }
 
+    /// Write-through for a batch of a run: the device grows the extent,
+    /// then the pages enter the cache in page order, as
+    /// [`Storage::write_pages`] puts them.
+    fn append_pages(&self, ext: Option<Extent>, pages: &[&[u8]]) -> Option<(Extent, IoCharge)> {
+        let (grown, mut charge) = self.inner.append_pages(ext, pages)?;
+        let first = grown.pages - pages.len() as u32;
+        charge.io.cache_evictions += (first..)
+            .zip(pages)
+            .map(|(idx, page)| self.insert((grown.id, idx), Bytes::copy_from_slice(page)))
+            .sum::<u64>();
+        Some((grown, charge))
+    }
+
     fn try_read_page(&self, ext: Extent, idx: u32, buf: &mut Vec<u8>) -> std::io::Result<IoCharge> {
         let (page, charge) = self.try_read_shared(ext, idx)?;
         buf.clear();
@@ -627,8 +640,9 @@ mod tests {
         assert_eq!((&missed[..], &hit[..]), (&b"zero"[..], &b"zero"[..]));
     }
 
-    /// A bulk write leaves the cache as the per-page loop does: same
-    /// residents in the same recency order, same eviction count.
+    /// A bulk write, and a run appended in batches, leave the cache as the
+    /// per-page loop does: same residents in the same recency order, same
+    /// eviction count.
     #[test]
     fn bulk_write_fills_the_cache_like_page_writes() {
         let pages: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 8]).collect();
@@ -641,9 +655,14 @@ mod tests {
         }
         assert_eq!(bulk.write_pages(ext_a, &refs), want);
         assert_eq!(want.io.cache_evictions, 2);
+        let (appended, _) = setup_lru(3);
+        let (ext_c, mut charge) = appended.append_pages(None, &refs[..2]).unwrap();
+        let (ext_c, rest) = appended.append_pages(Some(ext_c), &refs[2..]).unwrap();
+        charge += rest;
+        assert_eq!((ext_c, charge), (ext_b, want));
         // Touch the oldest resident, insert one more page: the victim must
-        // be the same on both sides.
-        for (cache, ext) in [(&bulk, ext_a), (&looped, ext_b)] {
+        // be the same on every side.
+        for (cache, ext) in [(&bulk, ext_a), (&looped, ext_b), (&appended, ext_c)] {
             let hit = |i| cache.try_read_shared(ext, i).unwrap().1.io.cache_hits;
             assert_eq!(hit(2), 1);
             cache.write_page(cache.allocate(1), 0, b"new");

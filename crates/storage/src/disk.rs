@@ -139,7 +139,9 @@ pub trait Storage: Send + Sync {
     }
 
     /// Writes `pages[i]` to page `i` of `ext` for every `i` — a whole run
-    /// at once — and returns the summed [`IoCharge`]. Equivalent to calling
+    /// at once, as the run builder puts one down over a storage that
+    /// cannot [append](Storage::append_pages) — and returns the summed
+    /// [`IoCharge`]. Equivalent to calling
     /// [`Storage::write_page`] for each page in order, which is what the
     /// default does; [`crate::FileDisk`] puts the pages down in large
     /// positional writes instead of one per page.
@@ -153,6 +155,30 @@ pub trait Storage: Send + Sync {
             total += self.write_page(ext, idx as u32, page);
         }
         total
+    }
+
+    /// Appends `pages` after the last page of `ext` — of a new, empty
+    /// extent when `ext` is `None` — and returns the grown extent with the
+    /// summed [`IoCharge`]. Page `i` lands at index `ext.pages + i` and is
+    /// charged as [`Storage::write_page`] would charge it, so a run written
+    /// in batches costs what one [`Storage::write_pages`] of it costs; an
+    /// empty `pages` only allocates. This is how a run builder puts a run
+    /// down in bounded memory before it knows the run's length.
+    ///
+    /// The default returns `None` and does nothing — no allocation, no
+    /// write: the backend cannot grow an extent. A caller then keeps the
+    /// whole run and writes it with [`Storage::allocate`] and
+    /// [`Storage::write_pages`] once it is complete, so a decorator that
+    /// implements only the required methods still stores the same pages
+    /// under the same extent ids. Every backend here overrides it; a
+    /// decorator overrides it by forwarding.
+    ///
+    /// # Panics
+    /// Panics if `ext` is unknown or freed, or a page exceeds the page
+    /// size.
+    fn append_pages(&self, ext: Option<Extent>, pages: &[&[u8]]) -> Option<(Extent, IoCharge)> {
+        let _ = (ext, pages);
+        None
     }
 
     /// Durably flushes an extent's written pages (`fsync(2)` of the extent
@@ -214,7 +240,7 @@ pub trait Storage: Send + Sync {
 
 /// Pages of one extent: each slot is `None` until written. A page is a
 /// shared handle so [`Storage::try_read_shared`] can hand it out as is.
-type ExtentSlots = Box<[Option<Bytes>]>;
+type ExtentSlots = Vec<Option<Bytes>>;
 
 /// In-memory page store with exact, deterministic I/O accounting.
 ///
@@ -304,6 +330,27 @@ impl Storage for SimulatedDisk {
         self.metrics.add(&charge.io);
         self.clock.advance(charge.ns);
         charge
+    }
+
+    fn append_pages(&self, ext: Option<Extent>, pages: &[&[u8]]) -> Option<(Extent, IoCharge)> {
+        let ext = ext.unwrap_or_else(|| self.allocate(0));
+        let grown = Extent {
+            id: ext.id,
+            pages: ext.pages + pages.len() as u32,
+        };
+        self.extents
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get_mut(&ext.id)
+            .unwrap_or_else(|| panic!("append to freed/unknown extent {}", ext.id))
+            .resize(grown.pages as usize, None);
+        self.live_pages
+            .fetch_add(pages.len() as u64, Ordering::Relaxed);
+        let mut charge = IoCharge::default();
+        for (idx, page) in (ext.pages..).zip(pages) {
+            charge += self.write_page(grown, idx, page);
+        }
+        Some((grown, charge))
     }
 
     fn try_read_page(&self, ext: Extent, idx: u32, buf: &mut Vec<u8>) -> std::io::Result<IoCharge> {
@@ -566,5 +613,19 @@ mod tests {
             plain.try_read_shared(freed, 0).unwrap_err().kind(),
             own.try_read_shared(freed, 0).unwrap_err().kind()
         );
+        // The default append allocates and writes nothing; the disk's own
+        // grows a fresh extent batch by batch, charged as one bulk write.
+        assert!(plain.append_pages(None, &pages).is_none());
+        assert_eq!(plain.live_pages(), 3);
+        let (whole, fresh) = (disk(), disk());
+        let want = whole.write_pages(whole.allocate(3), &pages);
+        let (ext, mut charge) = fresh.append_pages(None, &pages[..1]).unwrap();
+        let (ext, rest) = fresh.append_pages(Some(ext), &pages[1..]).unwrap();
+        charge += rest;
+        assert_eq!((ext, charge, fresh.live_pages()), (ext_a, want, 3));
+        assert_eq!(fresh.metrics(), whole.metrics());
+        for (i, page) in pages.iter().enumerate() {
+            assert_eq!(&fresh.try_read_shared(ext, i as u32).unwrap().0[..], *page);
+        }
     }
 }

@@ -99,6 +99,13 @@ impl Storage for ShardStorage {
         charge
     }
 
+    fn append_pages(&self, ext: Option<Extent>, pages: &[&[u8]]) -> Option<(Extent, IoCharge)> {
+        let (grown, charge) = self.inner.append_pages(ext, pages)?;
+        self.metrics.add(&charge.io);
+        self.clock.advance(charge.ns);
+        Some((grown, charge))
+    }
+
     fn sync_extent(&self, ext: Extent) -> std::io::Result<IoCharge> {
         let charge = self.inner.sync_extent(ext)?;
         self.metrics.add(&charge.io);

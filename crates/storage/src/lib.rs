@@ -42,13 +42,16 @@
 //! # Shared reads and bulk writes
 //!
 //! The engine itself reads through [`Storage::try_read_shared`], which
-//! returns the page as a reference-counted handle, and writes a run with
-//! one [`Storage::write_pages`]. Both are *provided* methods written in
-//! terms of the required ones, so a backend or decorator that implements
-//! only those behaves — and charges — identically; the backends here
+//! returns the page as a reference-counted handle, and writes a run in
+//! batches of pages with [`Storage::append_pages`] as it builds it. Both
+//! are *provided* methods, so a backend or decorator that implements only
+//! the required ones behaves — and charges — identically: the shared read
+//! defaults to a copy of [`Storage::try_read_page`], and the append
+//! defaults to "cannot append", on which the engine keeps the whole run
+//! and writes it with one [`Storage::write_pages`]. The backends here
 //! override them to skip work: the block cache hands out the handle it
 //! holds (a hit copies nothing), [`FileDisk`] copies a missed page once
-//! into the handle the cache then keeps and puts a run down in one
+//! into the handle the cache then keeps and puts a batch down in one
 //! positional write, the simulated disk stores its pages as handles. Durability barriers follow the same
 //! split: [`Storage::sync_extent`] (fsync a run's data before its manifest
 //! commit) and [`Storage::sync_dir`] (fsync the directory so extent creation

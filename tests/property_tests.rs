@@ -94,7 +94,7 @@ proptest! {
     fn run_roundtrip(keys in prop::collection::btree_set(any::<u32>(), 1..200),
                      vlen in 0usize..64) {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let mut builder = RunBuilder::new(1, 256, 8.0);
+        let mut builder = RunBuilder::new(1, disk.as_ref(), 8.0);
         let entries: Vec<KvEntry> = keys
             .iter()
             .enumerate()
@@ -107,7 +107,7 @@ proptest! {
         for e in &entries {
             builder.push(e.borrowed());
         }
-        let run = builder.finish(disk.as_ref(), u64::MAX).unwrap();
+        let run = builder.finish(u64::MAX).unwrap();
         let mut cursor = run.cursor(disk.as_ref());
         let mut got: Vec<KvEntry> = Vec::new();
         while let Some(e) = cursor.entry() {
