@@ -26,7 +26,12 @@
 //! `&mut` borrow of the shard's tree (lane 0 on the mission's caller, the
 //! others on scoped threads). An ad-hoc call makes the calls itself on the
 //! caller's thread, because it keeps its one result and leaves durability
-//! to the next barrier. A served request does the same under the shard's
+//! to the next barrier. The store-wide ad-hoc scan is the one exception
+//! to [`execute`]: it streams every shard at once through
+//! `FlsmTree::range_scan`, the lazy form of `FlsmTree::scan`, so that no
+//! shard's rows are materialized beside the merged result (it writes
+//! nothing, so it has no boundary and no commit leg either way). A served
+//! request makes the calls under the shard's
 //! lock ([`crate::frontend`]), taking the commit leg in its two halves:
 //! `begin_commit` before the unlock, the fsync — shared with every writer
 //! waiting on the shard — and `finish_commit` after it.

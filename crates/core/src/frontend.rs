@@ -702,9 +702,12 @@ impl ServingClient {
     }
 
     /// Range scan over `[start, end)` with a result limit: one leg per
-    /// shard, one after the other on this thread (each leg is atomic
-    /// within its shard; there is no cross-shard point-in-time, exactly
-    /// as on the mission path), k-way merged into one sorted result.
+    /// shard, one after the other on this thread, each materialized whole
+    /// under its shard's lock (so each leg is atomic within its shard;
+    /// there is no cross-shard point-in-time, exactly as on the mission
+    /// path), then k-way merged into one sorted result. Unlike
+    /// [`RusKey::scan`](crate::RusKey::scan), which streams its shards, it
+    /// holds every leg's rows until the merge returns.
     pub fn scan(
         &self,
         start: &[u8],

@@ -14,9 +14,15 @@
 //! Missions execute in parallel — one lane per shard on a `&mut` borrow of
 //! its tree, lane 0 on the caller's thread and the rest on scoped threads,
 //! operations routed by the stable key hash of
-//! [`ruskey_workload::routing`]; cross-shard range scans are k-way merged.
-//! Opening a store and bulk-loading it run on the same lanes, one shard
-//! each. The trees never leave the store and the store owns no thread.
+//! [`ruskey_workload::routing`]. A store-wide range scan
+//! ([`RusKey::scan`]) streams its shards: one lazy
+//! [`ruskey_lsm::FlsmTree::range_scan`] per shard, k-way merged straight
+//! into the result; a served scan materializes one leg per shard under
+//! that shard's lock, then merges. Opening a store and bulk-loading it run
+//! on the same lanes, one shard each; the load keeps shard 0's pairs in
+//! the input's own buffer and moves every other shard's into a `Vec` of
+//! its exact size. The trees
+//! never leave the store and the store owns no thread.
 //!
 //! There is **one mission loop** (paper §3, Fig. 1), in
 //! [`RusKey::try_run_mission`]:

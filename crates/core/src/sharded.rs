@@ -6,10 +6,12 @@
 //! mission executes as one **lane** per shard, in parallel — lane 0 on the
 //! caller's thread, the others on scoped threads that live exactly as long
 //! as the mission — with operations routed by the stable key hash of
-//! [`ruskey_workload::routing`]. Cross-shard range scans are k-way merged
-//! back into one sorted result. The paper's single-tree system is this
-//! store opened with one shard — one lane on the caller's thread, one
-//! tuner seat — so all paper experiments run the loop below.
+//! [`ruskey_workload::routing`]. A store-wide range scan streams every
+//! shard's lazy scan through one k-way merge into one sorted result, and a
+//! bulk load deals its pairs onto their shards, shard 0's staying in the
+//! input's buffer. The paper's single-tree system is this store opened
+//! with one shard — one lane on the caller's thread, one tuner seat — so
+//! all paper experiments run the loop below.
 //!
 //! The tuners sit in one **seat list**, one seat per shard, walked by one
 //! loop after every mission (`tune_seats`, the only caller of
@@ -136,7 +138,8 @@
 //!
 //! The plain KV interface (`get`/`put`/`delete`/`scan` between missions)
 //! runs on the caller's thread: each call is `exec::execute` on the owning
-//! shard's tree (a scan: on every shard in turn, k-way merged), with no
+//! shard's tree (a scan: a lazy `FlsmTree::range_scan` on every shard at
+//! once, k-way merged, each shard's then drained to its own limit), with no
 //! commit leg — durability waits for the next barrier — so its charges
 //! land in the shard's own time domain. Every 32nd ad-hoc *write* per
 //! shard (`ADHOC_BOUNDARY_OPS`) is a boundary — the one place that decides
@@ -889,22 +892,29 @@ impl RusKey {
         self.adhoc(shard, &Operation::Delete { key });
     }
 
-    /// Range scan over `[start, end)` with a result limit: every shard
-    /// scans its partition in turn — each leg charged to its shard's time
-    /// domain exactly as on the mission path — and the per-shard results
-    /// (sorted, disjoint) are k-way merged into one globally sorted
-    /// result.
+    /// Range scan over `[start, end)` with a result limit, streamed: one
+    /// lazy [`FlsmTree::range_scan`] per shard, k-way merged straight into
+    /// the result. Beyond the rows it returns, the scan holds one page per
+    /// overlapping run and shard and one merge head per shard. Once the
+    /// result is full, each shard's scan is driven on to its own `limit`
+    /// without keeping its rows, so every shard reads the pages, and
+    /// charges its own time domain with the cost, that a whole leg of its
+    /// own would. The shards' reads interleave, so shards sharing a block
+    /// cache may split their hits and misses differently than leg by leg.
     pub fn scan(&mut self, start: &[u8], end: &[u8], limit: usize) -> Vec<(Bytes, Bytes)> {
         self.adhoc_scans += 1;
-        let op = Operation::Scan {
-            start: Bytes::copy_from_slice(start),
-            end: Bytes::copy_from_slice(end),
-            limit,
-        };
-        let legs = (0..self.shard_count())
-            .map(|shard| self.adhoc(shard, &op).rows())
+        for shard in 0..self.shard_count() {
+            // A dead engine refuses every shard, not only the fenced one.
+            self.assert_readable(self.dead.unwrap_or(shard));
+        }
+        let mut legs: Vec<_> = self
+            .shards
+            .iter_mut()
+            .map(|tree| tree.range_scan(start, end, limit))
             .collect();
-        merge_sorted_scans(legs, limit)
+        let rows = merge_sorted_scans(legs.iter_mut(), limit);
+        legs.into_iter().for_each(|leg| leg.for_each(drop));
+        rows
     }
 
     // ------------------------------------------------------------------
@@ -971,12 +981,15 @@ impl RusKey {
         self.adhoc_scans = 0;
     }
 
-    /// Bulk-loads the store — pairs partitioned onto their owning shards
-    /// (a one-shard store owns every key and hands the load to its tree
-    /// whole), each shard loading on its own lane: lane 0 on this
-    /// thread, the others on scoped threads that end before this returns
-    /// — and resets the statistics baseline so mission reports exclude
-    /// the load.
+    /// Bulk-loads the store, each shard on its own lane: lane 0 on this
+    /// thread, the others on scoped threads that end before this returns.
+    /// The pairs are dealt onto their owning shards in input order
+    /// (`deal_by_shard`): shard 0's stay in `pairs`' own buffer and every
+    /// other shard's move into a `Vec` of its exact size, so beside the
+    /// input the deal holds the other shards' pairs and one shard index
+    /// per pair (a one-shard store hands `pairs` to its tree whole). Of
+    /// duplicate keys the first in input order wins. Resets the statistics
+    /// baseline so mission reports exclude the load.
     ///
     /// # Panics
     /// Panics if a shard that receives pairs is not empty
@@ -984,16 +997,7 @@ impl RusKey {
     /// that panics re-raises its own payload here once every lane has
     /// ended (the lowest-numbered one, if several did).
     pub fn bulk_load(&mut self, pairs: Vec<(Bytes, Bytes)>) {
-        let n = self.shard_count();
-        let per_shard = if n == 1 {
-            vec![pairs]
-        } else {
-            let mut per_shard: Vec<Vec<(Bytes, Bytes)>> = vec![Vec::new(); n];
-            for (k, v) in pairs {
-                per_shard[shard_for_key(&k, n)].push((k, v));
-            }
-            per_shard
-        };
+        let per_shard = deal_by_shard(pairs, self.shard_count());
         for (i, shard_pairs) in per_shard.iter().enumerate() {
             if !shard_pairs.is_empty() {
                 self.assert_readable(i);
@@ -1310,20 +1314,55 @@ impl Ord for MergeHead {
     }
 }
 
-/// K-way merges per-shard scan results (each sorted, keys disjoint across
-/// shards) into one sorted result of at most `limit` entries. The result
-/// is allocated once at its final length: grown by doubling, it would
-/// hold up to twice the rows beside the per-shard legs still alive.
-/// `pub(crate)`: the serving frontend's broadcast scans merge through the
-/// same code path.
-pub(crate) fn merge_sorted_scans(
-    per_shard: Vec<Vec<(Bytes, Bytes)>>,
+/// Deals `pairs` onto `shards` shards, each shard's in input order. Each
+/// key is hashed once. Shard 0's pairs stay in `pairs`' own buffer,
+/// compacted in place, which is then shrunk to them; every other shard's
+/// are moved out into a `Vec` allocated at its exact length. Growing every
+/// shard's `Vec` by doubling instead would hold up to twice its pairs. A
+/// stable permutation of the whole input in place would hold less still,
+/// but its 64-byte swaps land at random and it loads slower than these
+/// sequential moves.
+fn deal_by_shard(mut pairs: Vec<(Bytes, Bytes)>, shards: usize) -> Vec<Vec<(Bytes, Bytes)>> {
+    if shards == 1 {
+        return vec![pairs];
+    }
+    let ids: Vec<usize> = pairs
+        .iter()
+        .map(|(k, _)| shard_for_key(k, shards))
+        .collect();
+    let mut lens = vec![0; shards];
+    ids.iter().for_each(|&shard| lens[shard] += 1);
+    let mut per_shard = vec![Vec::new()];
+    per_shard.extend(lens[1..].iter().map(|&len| Vec::with_capacity(len)));
+    // `extract_if` asks about every pair once, in order, and yields the
+    // moved ones in order: one walk over the ids answers it, a second
+    // names each moved pair's shard.
+    let (mut asked, mut moved) = (ids.iter(), ids.iter().filter(|&&shard| shard != 0));
+    for pair in pairs.extract_if(.., |_| asked.next() != Some(&0)) {
+        per_shard[*moved.next().expect("one id per moved pair")].push(pair);
+    }
+    pairs.shrink_to_fit();
+    per_shard[0] = pairs;
+    per_shard
+}
+
+/// K-way merges per-shard scan legs (each sorted, keys disjoint across
+/// shards) into one sorted result of at most `limit` entries, taking rows
+/// from the legs only as the merge needs them. A leg is any row iterator:
+/// [`RusKey::scan`] passes lazy tree scans, the serving frontend's
+/// broadcast scans their materialized legs. The result is allocated once
+/// at the legs' known length (`size_hint`, capped by `limit`); legs that
+/// know none grow it as rows arrive.
+pub(crate) fn merge_sorted_scans<L>(
+    legs: impl IntoIterator<Item = L>,
     limit: usize,
-) -> Vec<(Bytes, Bytes)> {
-    let rows: usize = per_shard.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(limit.min(rows));
-    let mut iters: Vec<std::vec::IntoIter<(Bytes, Bytes)>> =
-        per_shard.into_iter().map(Vec::into_iter).collect();
+) -> Vec<(Bytes, Bytes)>
+where
+    L: IntoIterator<Item = (Bytes, Bytes)>,
+{
+    let mut iters: Vec<L::IntoIter> = legs.into_iter().map(IntoIterator::into_iter).collect();
+    let known: usize = iters.iter().map(|it| it.size_hint().0).sum();
+    let mut out = Vec::with_capacity(limit.min(known));
     let mut heap = BinaryHeap::with_capacity(iters.len());
     let mut values: Vec<Option<Bytes>> = vec![None; iters.len()];
     for (i, it) in iters.iter_mut().enumerate() {
@@ -1804,6 +1843,145 @@ mod tests {
         ];
         let capped = merge_sorted_scans(legs, 3);
         assert_eq!((capped.len(), capped.capacity()), (3, 3));
-        assert!(merge_sorted_scans(vec![], 5).is_empty());
+        assert!(merge_sorted_scans(Vec::<Vec<(Bytes, Bytes)>>::new(), 5).is_empty());
+    }
+
+    /// The store-wide scan as it was before it streamed: every shard's
+    /// whole leg materialized through the ad-hoc door, one after the
+    /// other, then merged. Kept as the oracle of the streamed scan.
+    fn scan_by_legs(
+        db: &mut RusKey,
+        start: &[u8],
+        end: &[u8],
+        limit: usize,
+    ) -> Vec<(Bytes, Bytes)> {
+        db.adhoc_scans += 1;
+        let op = Operation::Scan {
+            start: Bytes::copy_from_slice(start),
+            end: Bytes::copy_from_slice(end),
+            limit,
+        };
+        let legs: Vec<_> = (0..db.shard_count())
+            .map(|shard| db.adhoc(shard, &op).rows())
+            .collect();
+        merge_sorted_scans(legs, limit)
+    }
+
+    /// The streamed scan returns the rows the leg-by-leg oracle returns and
+    /// leaves every shard's statistics where the oracle leaves them (clock,
+    /// pages read, cache hits and misses): each shard's scan is drained to
+    /// its own limit after the merge is full. Two persistent stores are
+    /// built by the same operations, each behind a block cache smaller
+    /// than its data, with tombstones, overwritten keys and keys still in
+    /// the memtable; one is scanned by each path.
+    #[test]
+    fn a_streamed_scan_equals_the_leg_by_leg_scan() {
+        let key = |i: u64| ruskey_workload::encode_key(i, 16);
+        let build = |n: usize, side: &str| {
+            let root = std::env::temp_dir().join(format!(
+                "ruskey-streamed-scan-{}-{n}-{side}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&root);
+            let mut pcfg = PersistenceConfig::new(&root);
+            pcfg.page_size = 512;
+            pcfg.cache_pages = 16;
+            let mut db = RusKey::open(small_cfg(), n, Box::new(NoOpTuner), Backend::Create(&pcfg))
+                .expect("open persistent store");
+            db.bulk_load(bulk_load_pairs(1500, 16, 48, 11));
+            for i in (0..1500).step_by(3) {
+                db.put(key(i), vec![7u8; 40]);
+            }
+            for i in (1..1500).step_by(7) {
+                db.delete(key(i));
+            }
+            for i in 1500..1530 {
+                db.put(key(i), vec![9u8; 8]);
+            }
+            db.group_commit();
+            (db, root)
+        };
+        let ranges: Vec<(Bytes, Bytes, usize)> = [0, 1, 7, usize::MAX]
+            .into_iter()
+            .flat_map(|limit| {
+                [
+                    (key(0), key(2000), limit),
+                    (key(400), key(1520), limit),
+                    (key(900), key(300), limit),
+                    (key(500), key(500), limit),
+                ]
+            })
+            .collect();
+        for n in [1, 2, 4] {
+            let ((mut streamed, a), (mut legs, b)) = (build(n, "a"), build(n, "b"));
+            assert_eq!(
+                streamed.shard_snapshots(),
+                legs.shard_snapshots(),
+                "N={n}: same build"
+            );
+            assert!(streamed.stats().flushes > 0, "N={n}: runs must be on disk");
+            for (start, end, limit) in &ranges {
+                let want = scan_by_legs(&mut legs, start, end, *limit);
+                let got = streamed.scan(start, end, *limit);
+                let at = format!("N={n} [{start:?}, {end:?}) limit {limit}");
+                assert_eq!(got, want, "{at}: rows");
+                assert_eq!(
+                    streamed.shard_snapshots(),
+                    legs.shard_snapshots(),
+                    "{at}: statistics"
+                );
+                assert_eq!(streamed.adhoc_scans, legs.adhoc_scans, "{at}: scans");
+            }
+            let full = streamed.scan(&key(0), &key(2000), usize::MAX);
+            assert!(
+                full.iter().any(|(k, _)| *k == key(1510)),
+                "N={n}: memtable rows"
+            );
+            assert!(full.iter().all(|(k, _)| *k != key(8)), "N={n}: tombstones");
+            assert!(
+                streamed.stats().cache_misses > 0,
+                "N={n}: the cache must miss"
+            );
+            drop((streamed, legs));
+            let _ = (std::fs::remove_dir_all(a), std::fs::remove_dir_all(b));
+        }
+    }
+
+    /// A sharded load deals each shard its pairs in input order, so of a
+    /// key given several times the value first in input order wins, as in
+    /// a one-tree load; every shard holds what a one-shard store loaded
+    /// with that shard's pairs alone holds.
+    #[test]
+    fn a_sharded_load_keeps_the_first_of_duplicate_keys() {
+        let key = |i: u64| ruskey_workload::encode_key(i, 16);
+        let value = |i: u64, copy: u8| Bytes::from(vec![copy; 8 + i as usize % 5]);
+        let mut pairs: Vec<(Bytes, Bytes)> = Vec::new();
+        for copy in 0..3u8 {
+            for i in 0..600u64 {
+                if copy == 0 || i % (copy as u64 + 2) == 0 {
+                    pairs.push((key(i), value(i, copy)));
+                }
+            }
+        }
+        pairs.rotate_left(150);
+        let first = |k: &Bytes| pairs.iter().find(|(pk, _)| pk == k).map(|(_, v)| v.clone());
+        for n in [2, 4] {
+            let mut db = volatile(small_cfg(), n, disk());
+            db.bulk_load(pairs.clone());
+            for i in 0..600u64 {
+                assert_eq!(db.get(&key(i)), first(&key(i)), "N={n} key {i}");
+            }
+            for shard in 0..n {
+                let mut alone = volatile(small_cfg(), 1, disk());
+                let own = pairs.iter().filter(|(k, _)| shard_for_key(k, n) == shard);
+                alone.bulk_load(own.cloned().collect());
+                let (lo, hi) = (key(0), key(600));
+                assert_eq!(
+                    db.shards[shard].scan(&lo, &hi, usize::MAX),
+                    alone.shards[0].scan(&lo, &hi, usize::MAX),
+                    "N={n} shard {shard}"
+                );
+            }
+        }
     }
 }

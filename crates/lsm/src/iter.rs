@@ -9,9 +9,10 @@ use crate::types::{Key, Value};
 /// memtable, excluding tombstoned keys and stopping at the end bound. A
 /// returned row's key and value are slices of the page (or clones of the
 /// memtable's handles) the winning source holds: nothing is copied, and
-/// nothing is sliced for a row the scan does not return. Collected by
+/// nothing is sliced for a row the scan does not return. Made by
+/// [`crate::FlsmTree::range_scan`] and collected by
 /// [`crate::FlsmTree::scan`].
-pub(crate) struct RangeScan<'a> {
+pub struct RangeScan<'a> {
     merge: Merge<'a>,
     end: &'a [u8],
     remaining: usize,

@@ -76,6 +76,7 @@ pub mod types;
 pub mod wal;
 
 pub use config::{BloomScheme, ConfigError, LsmConfig};
+pub use iter::RangeScan;
 pub use manifest::{Manifest, ManifestCrashPoint, ManifestEdit, ManifestState, RunRecord};
 pub use picker::SCORE_SCALE;
 pub use stats::{LevelStatsSnapshot, TreeStatsSnapshot};

@@ -8,6 +8,7 @@ use ruskey_storage::{Extent, Storage};
 use crate::compaction::{Merge, Source};
 use crate::config::LsmConfig;
 use crate::entry::{EntryBuf, ENTRY_HEADER_BYTES};
+use crate::iter::RangeScan;
 use crate::level::Level;
 use crate::manifest::{Manifest, ManifestEdit, RunRecord};
 use crate::memtable::Memtable;
@@ -699,23 +700,43 @@ impl FlsmTree {
     /// Deleted keys are excluded; each key appears once with its latest value.
     /// An inverted range (`start > end`) is empty, like `[a, a)`, and still
     /// counts as a scan.
+    ///
+    /// [`FlsmTree::range_scan`] collected: the result holds every row it
+    /// returns, and each row's key and value are slices of the page they
+    /// were read from (or the memtable's own handles), not copies.
     pub fn scan(&mut self, start: &[u8], end: &[u8], limit: usize) -> Vec<(Key, Value)> {
+        let mut rows = Vec::with_capacity(limit.min(128));
+        rows.extend(self.range_scan(start, end, limit));
+        rows
+    }
+
+    /// The lazy form of [`FlsmTree::scan`]: the same rows, produced one
+    /// at a time. It holds one cursor per overlapping run (one page each)
+    /// and one on the memtable, and reads a page only when a row needs it,
+    /// so the pages read and the cache traffic are the collected scan's
+    /// once it has been driven to its end or its limit. The scan counts
+    /// when it is made.
+    pub fn range_scan<'a>(
+        &'a mut self,
+        start: &[u8],
+        end: &'a [u8],
+        limit: usize,
+    ) -> RangeScan<'a> {
         self.scans += 1;
+        let tree: &'a Self = self;
         if start > end {
-            return Vec::new();
+            return RangeScan::new(Vec::new(), end, 0);
         }
-        let storage: &dyn Storage = self.storage.as_ref();
-        let mut sources = vec![Source::Mem(self.memtable.range(start, end))];
-        for level in &self.levels {
+        let storage: &dyn Storage = tree.storage.as_ref();
+        let mut sources = vec![Source::Mem(tree.memtable.range(start, end))];
+        for level in &tree.levels {
             for run in level.probe_order() {
                 if start <= run.max_key().as_ref() && run.min_key().as_ref() < end {
                     sources.push(Source::Run(run.cursor_from(storage, start)));
                 }
             }
         }
-        let mut rows = Vec::with_capacity(limit.min(128));
-        rows.extend(crate::iter::RangeScan::new(sources, end, limit));
-        rows
+        RangeScan::new(sources, end, limit)
     }
 
     // ------------------------------------------------------------------
@@ -1227,8 +1248,9 @@ impl FlsmTree {
     /// One pass over the sorted pairs picks each entry's level and sums
     /// the levels' bytes; a second deals every pair straight into its
     /// level's run builders, round robin, consuming the input. Beyond the
-    /// pairs themselves it holds one level byte per entry and the encoded
-    /// pages of every run until the runs are finished, in run-id order.
+    /// pairs themselves it holds one level byte per entry and, per run, the
+    /// pages not yet appended to storage, until the runs are finished in
+    /// run-id order.
     ///
     /// # Panics
     /// Panics if the tree is not empty.

@@ -17,7 +17,12 @@
 //! `std::thread::scope`: lane 0 on the caller's thread, lanes `1..N` on
 //! scoped threads that live as long as the mission (a one-shard store
 //! spawns nothing), with operations routed by the stable FNV-1a hash in
-//! [`workload::routing`]; cross-shard range scans are k-way merged.
+//! [`workload::routing`]. A store-wide range scan streams its shards:
+//! one lazy tree scan per shard, k-way merged straight into the result
+//! (a served scan materializes one leg per shard under that shard's
+//! lock, then merges), and a bulk load deals its pairs onto their shards
+//! without copying the whole input: shard 0's stay in the input's buffer,
+//! the others move into `Vec`s of their exact size.
 //! A shard's tree never leaves the store: the trees sit in a plain `Vec`
 //! and a lane is a `&mut` borrow of one, so the hot path carries no
 //! locks and no channels, a store that is not inside a mission, an open
