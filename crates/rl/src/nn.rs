@@ -63,8 +63,8 @@ impl Activation {
     }
 
     /// Multiplies every gradient `g[i]` by the derivative at the output
-    /// `out[i]`: the products `derivative_from_output` gives,
-    /// with the `match` taken once per layer instead of once per element.
+    /// `out[i]`: the products `derivative_from_output` gives, with the
+    /// `match` taken once per layer instead of once per element.
     fn scale_by_derivative(self, g: &mut [f32], out: &[f32]) {
         let pairs = g.iter_mut().zip(out);
         match self {
