@@ -34,22 +34,6 @@ pub struct CostParams {
     pub gamma: f64,
 }
 
-impl CostParams {
-    /// The paper's case-study constants with an NVMe-like device.
-    pub fn paper_case_study(gamma: f64) -> Self {
-        Self {
-            size_ratio: 10.0,
-            entry_bytes: 1024.0,
-            page_bytes: 4096.0,
-            read_io_ns: 25_000.0,
-            write_io_ns: 20_000.0,
-            cpu_probe_ns: 500.0,
-            cpu_merge_ns: 200.0,
-            gamma,
-        }
-    }
-}
-
 /// Expected cost (ns) per operation contributed by one level with
 /// false-positive rate `fpr` and policy `k` (Eq. 5).
 pub fn level_cost_ns(p: &CostParams, fpr: f64, k: f64) -> f64 {
@@ -92,6 +76,22 @@ pub fn optimal_k_int(p: &CostParams, fpr: f64, t_max: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CostParams {
+        /// The paper's case-study constants with an NVMe-like device.
+        fn paper_case_study(gamma: f64) -> Self {
+            Self {
+                size_ratio: 10.0,
+                entry_bytes: 1024.0,
+                page_bytes: 4096.0,
+                read_io_ns: 25_000.0,
+                write_io_ns: 20_000.0,
+                cpu_probe_ns: 500.0,
+                cpu_merge_ns: 200.0,
+                gamma,
+            }
+        }
+    }
 
     #[test]
     fn read_only_prefers_k_equals_one() {

@@ -116,9 +116,9 @@ const RLX: Ordering = Ordering::Relaxed;
 
 /// The argument of [`RusKey::serve`](crate::sharded::RusKey::serve): a
 /// serving session has no setting. The type stays only because the
-/// benchmark's adapter calls `serve(ServingConfig::default())`; the change
-/// that moves the adapter deletes it together with the deprecated
-/// aliases.
+/// benchmark's adapter calls `serve(ServingConfig::default())`; it goes
+/// with the old openers in `sharded.rs` when the adapter moves to
+/// `RusKey::open`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServingConfig {}
 
@@ -172,7 +172,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn observe(&self, value: u64) {
+    pub(crate) fn observe(&self, value: u64) {
         let idx = (64 - value.leading_zeros()) as usize;
         self.buckets[idx].fetch_add(1, RLX);
         self.sum.fetch_add(value, RLX);
@@ -201,34 +201,11 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
         self.sum as f64 / self.count as f64
-    }
-
-    /// Upper bound of the bucket holding quantile `q` (0 when empty):
-    /// a ≤ 2× overestimate, which is what a bucketed histogram can
-    /// promise. Exact percentiles come from client-recorded latencies.
-    pub fn quantile_upper(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count as f64 * q).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                // Bucket i covers [2^(i-1), 2^i): its upper bound.
-                return match i {
-                    0 => 0,
-                    64.. => u64::MAX,
-                    _ => 1u64 << i,
-                };
-            }
-        }
-        0
     }
 }
 
@@ -277,7 +254,7 @@ impl ServingMetrics {
 
     /// Copies every counter at one instant (per counter; the registry is
     /// lock-free on the serving path, so this never blocks a request).
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             gets: self.gets.load(RLX),
             puts: self.puts.load(RLX),
@@ -484,11 +461,6 @@ impl ServingFrontend {
         ServingClient {
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Number of shards being served.
-    pub fn shard_count(&self) -> usize {
-        self.shared.slots.len()
     }
 
     /// Snapshots the live metrics registry without stopping the world.
@@ -730,6 +702,31 @@ impl ServingClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HistogramSnapshot {
+        /// Upper bound of the bucket holding quantile `q` (0 when empty):
+        /// a ≤ 2× overestimate, which is what a bucketed histogram can
+        /// promise. Exact percentiles come from client-recorded latencies.
+        fn quantile_upper(&self, q: f64) -> u64 {
+            if self.count == 0 {
+                return 0;
+            }
+            let rank = ((self.count as f64 * q).ceil() as u64).clamp(1, self.count);
+            let mut seen = 0u64;
+            for (i, &n) in self.buckets.iter().enumerate() {
+                seen += n;
+                if seen >= rank {
+                    // Bucket i covers [2^(i-1), 2^i): its upper bound.
+                    return match i {
+                        0 => 0,
+                        64.. => u64::MAX,
+                        _ => 1u64 << i,
+                    };
+                }
+            }
+            0
+        }
+    }
 
     #[test]
     fn frontend_and_client_are_thread_safe() {

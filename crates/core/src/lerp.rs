@@ -137,7 +137,6 @@ pub struct Lerp {
     gamma_ema: Option<f64>,
     update_ns: u64,
     restarts: u64,
-    missions_seen: u64,
 }
 
 impl Lerp {
@@ -173,31 +172,12 @@ impl Lerp {
             gamma_ema: None,
             update_ns: 0,
             restarts: 0,
-            missions_seen: 0,
         }
     }
 
     /// Number of times a workload shift forced retuning.
     pub fn restarts(&self) -> u64 {
         self.restarts
-    }
-
-    /// Number of missions observed.
-    pub fn missions_seen(&self) -> u64 {
-        self.missions_seen
-    }
-
-    /// The policies learned for the tuned shallow levels so far.
-    pub fn learned_policies(&self) -> &[u32] {
-        &self.learned
-    }
-
-    /// The level currently being tuned, or `None` once converged.
-    pub fn tuning_level(&self) -> Option<usize> {
-        match self.phase {
-            Phase::Tune { agent_idx } => Some(agent_idx),
-            Phase::Converged { .. } => None,
-        }
     }
 
     fn restart(&mut self) {
@@ -340,7 +320,6 @@ impl Tuner for Lerp {
 
     fn tune(&mut self, report: &MissionReport, obs: &TreeObservation) -> Vec<(usize, u32)> {
         let t0 = Instant::now();
-        self.missions_seen += 1;
 
         // ---- Workload tracking and shift detection (§3.1).
         let ema = fold_ema(&mut self.gamma_ema, GAMMA_EMA_ALPHA, report.gamma());
@@ -379,6 +358,21 @@ impl Tuner for Lerp {
 mod tests {
     use super::*;
     use ruskey_lsm::{LevelStatsSnapshot, TreeStatsSnapshot};
+
+    impl Lerp {
+        /// The policies learned for the tuned shallow levels so far.
+        fn learned_policies(&self) -> &[u32] {
+            &self.learned
+        }
+
+        /// The level currently being tuned, or `None` once converged.
+        fn tuning_level(&self) -> Option<usize> {
+            match self.phase {
+                Phase::Tune { agent_idx } => Some(agent_idx),
+                Phase::Converged { .. } => None,
+            }
+        }
+    }
 
     fn obs(policies: Vec<u32>) -> TreeObservation {
         let n = policies.len();

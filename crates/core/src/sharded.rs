@@ -279,7 +279,7 @@ impl PersistenceConfig {
 
     /// Number of shards the on-disk layout describes (highest `shard-<i>`
     /// directory index + 1), or 0 for a fresh root (or no root).
-    pub fn shards_described(&self) -> std::io::Result<usize> {
+    pub(crate) fn shards_described(&self) -> std::io::Result<usize> {
         let entries = match std::fs::read_dir(&self.root) {
             Ok(e) => e,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
@@ -429,7 +429,6 @@ pub struct RusKey {
     baselines: Vec<TreeStatsSnapshot>,
     /// Missions reported so far: the next report's `mission_idx`.
     missions: u64,
-    last_report: Option<MissionReport>,
     /// The OS thread that ran each shard's lane in the last mission or
     /// barrier, in shard order; entry 0 is that dispatch's caller.
     last_workers: Vec<ThreadId>,
@@ -628,7 +627,6 @@ impl RusKey {
             seats: std::iter::once(tuner).chain(siblings).collect(),
             baselines: vec![TreeStatsSnapshot::default(); shards],
             missions: 0,
-            last_report: None,
             last_workers: Vec::new(),
             adhoc_scans: 0,
             adhoc_writes: vec![0; shards],
@@ -785,25 +783,10 @@ impl RusKey {
         Ok(())
     }
 
-    /// The tuner's display name (seat 0's; every seat is the same kind).
-    pub fn tuner_name(&self) -> String {
-        self.seats[0].name()
-    }
-
     /// Whether the tuner reports convergence: *every* shard's seat has
     /// converged.
     pub fn tuner_converged(&self) -> bool {
         self.seats.iter().all(|t| t.converged())
-    }
-
-    /// Cumulative model-update time (Fig. 13), summed over the seats.
-    pub fn model_update_ns(&self) -> u64 {
-        self.seats.iter().map(|t| t.model_update_ns()).sum()
-    }
-
-    /// The report of the last processed mission.
-    pub fn last_report(&self) -> Option<&MissionReport> {
-        self.last_report.as_ref()
     }
 
     /// Distinct OS threads that ran the last mission's or barrier's lanes
@@ -1022,7 +1005,7 @@ impl RusKey {
     /// those shards (ties break toward the smaller K): exact whenever
     /// shards agree, representative once their seats diverge. For a
     /// one-shard store this is that shard's own observation.
-    pub fn observe(&self) -> TreeObservation {
+    pub(crate) fn observe(&self) -> TreeObservation {
         let n = self.shard_count();
         merge_observations((0..n).map(|i| TreeObservation::of(self.shard(i))).collect())
     }
@@ -1031,7 +1014,7 @@ impl RusKey {
     /// holding each level (ties toward the smaller K) — exact whenever
     /// shards agree. The per-shard truth is
     /// [`RusKey::shard_policies`].
-    pub fn policies(&self) -> Vec<u32> {
+    pub(crate) fn policies(&self) -> Vec<u32> {
         self.observe().policies
     }
 
@@ -1093,7 +1076,6 @@ impl RusKey {
         report.model_update_ns = self.tune_seats(slices);
         report.policies_after = self.policies();
         report.shard_policies_after = self.shard_policies();
-        self.last_report = Some(report.clone());
         Ok(report)
     }
 
@@ -1392,6 +1374,18 @@ mod tests {
     use ruskey_storage::{CostModel, SimulatedDisk};
     use ruskey_workload::{bulk_load_pairs, OpGenerator, OpMix, WorkloadSpec};
 
+    impl RusKey {
+        /// The tuner's display name (seat 0's; every seat is the same kind).
+        pub(crate) fn tuner_name(&self) -> String {
+            self.seats[0].name()
+        }
+
+        /// Cumulative model-update time (Fig. 13), summed over the seats.
+        pub(crate) fn model_update_ns(&self) -> u64 {
+            self.seats.iter().map(|t| t.model_update_ns()).sum()
+        }
+    }
+
     fn small_cfg() -> RusKeyConfig {
         let mut cfg = RusKeyConfig::scaled_default();
         cfg.lsm.buffer_bytes = 4096;
@@ -1672,7 +1666,6 @@ mod tests {
         assert!(matches!(again, Err(StoreError::Serving)));
         assert!(db.last_worker_threads().is_empty(), "no lane ran");
         db.finish_serving(frontend).expect("finish serving");
-        assert!(db.last_report().is_none(), "no report was cut");
         assert_eq!(db.stats(), before, "no tree was touched");
         let gets: Vec<Operation> = (0..20u64)
             .map(|i| Operation::Get {
@@ -1680,7 +1673,7 @@ mod tests {
             })
             .collect();
         let r = db.try_run_mission(&gets).expect("home again");
-        assert_eq!(r.ops, 20);
+        assert_eq!((r.ops, r.mission_idx), (20, 0), "no report was cut before");
         assert_eq!(db.last_parallelism(), 2);
     }
 

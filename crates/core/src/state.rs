@@ -18,7 +18,7 @@ pub const LEVEL_STATE_DIM: usize = 6;
 
 /// Builds the state vector for `level` from the last mission's report and
 /// the current tree observation.
-pub fn level_state(report: &MissionReport, obs: &TreeObservation, level: usize) -> Vec<f32> {
+pub(crate) fn level_state(report: &MissionReport, obs: &TreeObservation, level: usize) -> Vec<f32> {
     let t = obs.size_ratio as f32;
     let policy = obs.policies.get(level).copied().unwrap_or(1) as f32;
     let fill = obs.fills.get(level).copied().unwrap_or(0.0) as f32;
@@ -46,7 +46,7 @@ pub fn level_state(report: &MissionReport, obs: &TreeObservation, level: usize) 
 
 /// Builds the concatenated all-levels state used by the brute-force model
 /// (the §7 "without a level-based model" comparison).
-pub fn full_state(report: &MissionReport, obs: &TreeObservation, levels: usize) -> Vec<f32> {
+pub(crate) fn full_state(report: &MissionReport, obs: &TreeObservation, levels: usize) -> Vec<f32> {
     let mut s = Vec::with_capacity(levels * LEVEL_STATE_DIM);
     for lvl in 0..levels {
         s.extend(level_state(report, obs, lvl));

@@ -110,7 +110,7 @@ impl MissionReport {
     }
 
     /// Mean level latency `t_i` per operation for level `idx` (virtual ns).
-    pub fn level_ns_per_op(&self, idx: usize) -> f64 {
+    pub(crate) fn level_ns_per_op(&self, idx: usize) -> f64 {
         if self.ops == 0 {
             return 0.0;
         }

@@ -399,7 +399,7 @@ pub(crate) fn stride_seed(seed: u64, i: usize) -> u64 {
 
 /// Maps a continuous action in `[-1, 1]` to `ΔK ∈ {-1, 0, +1}` (§5.1.2:
 /// only continuous policy changes are allowed).
-pub fn action_to_delta(a: f32) -> i32 {
+pub(crate) fn action_to_delta(a: f32) -> i32 {
     if a < -1.0 / 3.0 {
         -1
     } else if a > 1.0 / 3.0 {
@@ -470,7 +470,7 @@ impl RewardScale {
     /// with it every later reward toward the `-10` clamp. Idle shards are
     /// the *common* case under skewed per-shard tuning, so such costs
     /// return a neutral reward and leave the scale untouched.
-    pub fn reward(&mut self, cost: f64) -> f32 {
+    pub(crate) fn reward(&mut self, cost: f64) -> f32 {
         if !cost.is_finite() || cost <= 0.0 {
             return 0.0;
         }

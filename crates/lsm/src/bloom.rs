@@ -20,7 +20,7 @@ pub fn fpr_for_bits(bits_per_key: f64) -> f64 {
 /// Bits-per-key needed for a target false-positive rate.
 ///
 /// Inverse of the optimum `f = 2^{−bits·ln2}`: `bits = −ln f / (ln 2)²`.
-pub fn bits_for_fpr(fpr: f64) -> f64 {
+pub(crate) fn bits_for_fpr(fpr: f64) -> f64 {
     if fpr >= 1.0 {
         return 0.0;
     }
@@ -30,8 +30,8 @@ pub fn bits_for_fpr(fpr: f64) -> f64 {
 
 /// A key's two filter hashes, `h1` and `h2` (odd): seeded 64-bit FNV-1a,
 /// each finished by the splitmix64 avalanche to decorrelate the seeds.
-/// Computed once per lookup by [`hash_pair`] and reused for every run's
-/// filter ([`Bloom::contains_hashed`]).
+/// Computed once per lookup by `hash_pair` and reused for every run's
+/// filter (`Bloom::contains_hashed`).
 #[derive(Debug, Clone, Copy)]
 pub struct HashPair {
     h1: u64,
@@ -48,7 +48,7 @@ fn avalanche(mut h: u64) -> u64 {
 }
 
 /// Both of `key`'s filter hashes, in one pass over its bytes.
-pub fn hash_pair(key: &[u8]) -> HashPair {
+pub(crate) fn hash_pair(key: &[u8]) -> HashPair {
     const FNV_PRIME: u64 = 0x100000001b3;
     let basis = |seed: u64| 0xcbf29ce484222325 ^ seed.wrapping_mul(0x9e3779b97f4a7c15);
     let (mut a, mut b) = (basis(0x51_7c_c1_b7), basis(0x85_eb_ca_6b));
@@ -90,7 +90,7 @@ impl Bloom {
     /// An empty filter sized for `n_keys` keys, to be filled by
     /// [`Bloom::insert`]: [`Bloom::build`] for a caller that meets its keys
     /// one at a time and cannot hold them all.
-    pub fn sized_for(n_keys: usize, bits_per_key: f64) -> Self {
+    pub(crate) fn sized_for(n_keys: usize, bits_per_key: f64) -> Self {
         if bits_per_key <= 0.0 || n_keys == 0 {
             return Self {
                 bits: Vec::new(),
@@ -108,12 +108,12 @@ impl Bloom {
     }
 
     /// Adds one key (a no-op on the zero-memory filter).
-    pub fn insert(&mut self, key: &[u8]) {
+    pub(crate) fn insert(&mut self, key: &[u8]) {
         self.insert_hashed(hash_pair(key));
     }
 
     /// [`Bloom::insert`] for a key whose [`hash_pair`] the caller holds.
-    pub fn insert_hashed(&mut self, hashes: HashPair) {
+    pub(crate) fn insert_hashed(&mut self, hashes: HashPair) {
         if self.nbits == 0 {
             return;
         }
@@ -128,7 +128,7 @@ impl Bloom {
     }
 
     /// [`Bloom::contains`] for a key whose [`hash_pair`] the caller holds.
-    pub fn contains_hashed(&self, hashes: HashPair) -> bool {
+    pub(crate) fn contains_hashed(&self, hashes: HashPair) -> bool {
         if self.nbits == 0 {
             return true; // zero-memory filter: always positive
         }
@@ -141,16 +141,18 @@ impl Bloom {
         let nbits = self.nbits;
         (0..self.k as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % nbits)
     }
-
-    /// Memory footprint of the bit array in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.bits.len() * 8
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Bloom {
+        /// Memory footprint of the bit array in bytes.
+        pub(crate) fn memory_bytes(&self) -> usize {
+            self.bits.len() * 8
+        }
+    }
 
     fn key(i: u64) -> [u8; 8] {
         i.to_be_bytes()

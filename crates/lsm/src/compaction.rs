@@ -40,7 +40,7 @@ pub enum Source<'a> {
 
 impl Source<'_> {
     /// The entry the source is on, or `None` once it is exhausted.
-    pub fn entry(&self) -> Option<EntryRef<'_>> {
+    pub(crate) fn entry(&self) -> Option<EntryRef<'_>> {
         match self {
             Source::Run(c) => c.entry(),
             Source::Buf(c) => c.entry(),
@@ -51,7 +51,7 @@ impl Source<'_> {
     /// Key and value of the current entry as owned handles, sharing the
     /// source's storage where it has any (a page handle, the memtable's
     /// own handles).
-    pub fn row(&self) -> Option<(Key, Value)> {
+    pub(crate) fn row(&self) -> Option<(Key, Value)> {
         match self {
             Source::Run(c) => c.row(),
             Source::Buf(c) => c
@@ -192,7 +192,7 @@ impl<'a> Merge<'a> {
     /// that holds it to `take` while the entry is still in place, then
     /// advances every source the step consumed. `None` once all sources
     /// are exhausted.
-    pub fn next_with<R>(&mut self, mut take: impl FnMut(&Source<'a>) -> R) -> Option<R> {
+    pub(crate) fn next_with<R>(&mut self, mut take: impl FnMut(&Source<'a>) -> R) -> Option<R> {
         loop {
             let &winner = self.heap.first()?;
             let survives = !(self.drop_tombstones && live(&self.sources, winner).is_tombstone());

@@ -115,7 +115,8 @@ pub struct LsmConfig {
 
 impl LsmConfig {
     /// Scaled-down defaults used across the experiments: the paper's
-    /// settings ([`LsmConfig::paper_default`]) with a 64 KiB buffer.
+    /// settings (T = 10, 8 bits per key) with a 64 KiB buffer in place of
+    /// its 2 MiB.
     pub fn scaled_default() -> Self {
         Self {
             buffer_bytes: 64 * 1024,
@@ -128,28 +129,15 @@ impl LsmConfig {
         }
     }
 
-    /// The paper's full-scale settings (2 MiB buffer, T=10, bits=8).
-    pub fn paper_default() -> Self {
-        Self {
-            buffer_bytes: 2 * 1024 * 1024,
-            size_ratio: 10,
-            initial_policy: 1,
-            bloom: BloomScheme::Uniform { bits_per_key: 8.0 },
-            transition: TransitionStrategy::Flexible,
-            background_maintenance: false,
-            l0_stall_runs: 8,
-        }
-    }
-
     /// Capacity in bytes of a (zero-based) level: `C_i = buffer · T^{i+1}`.
-    pub fn level_capacity(&self, level: usize) -> u64 {
+    pub(crate) fn level_capacity(&self, level: usize) -> u64 {
         let t = self.size_ratio as u64;
         self.buffer_bytes
             .saturating_mul(t.saturating_pow(level as u32 + 1))
     }
 
     /// Clamps a policy into the valid range `[1, T]`.
-    pub fn clamp_policy(&self, k: i64) -> u32 {
+    pub(crate) fn clamp_policy(&self, k: i64) -> u32 {
         k.clamp(1, self.size_ratio as i64) as u32
     }
 

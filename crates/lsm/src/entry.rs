@@ -33,7 +33,7 @@ pub const ENTRY_HEADER_BYTES: usize = 2 + 4 + 8 + 1;
 pub const PAGE_HEADER_BYTES: usize = 2;
 
 /// Appends the encoding of `e` to `out`.
-pub fn encode_entry(out: &mut Vec<u8>, e: EntryRef<'_>) {
+pub(crate) fn encode_entry(out: &mut Vec<u8>, e: EntryRef<'_>) {
     let mut header = [0u8; ENTRY_HEADER_BYTES];
     header[0..2].copy_from_slice(&(e.key.len() as u16).to_le_bytes());
     header[2..6].copy_from_slice(&(e.value.len() as u32).to_le_bytes());
@@ -61,7 +61,7 @@ impl std::fmt::Display for CorruptPage {
 }
 
 /// An in-place cursor over encoded entries held in `B`. It is either *on*
-/// an entry ([`EntryCursor::entry`] is `Some`) or exhausted.
+/// an entry (`EntryCursor::entry` is `Some`) or exhausted.
 #[derive(Debug, Clone)]
 pub struct EntryCursor<B> {
     buf: B,
@@ -80,7 +80,7 @@ pub struct EntryCursor<B> {
 impl<B: Deref<Target = [u8]>> EntryCursor<B> {
     /// A cursor on the first entry of an encoded page. A page too short to
     /// hold its count is an empty page (a never-written tail).
-    pub fn page(page: B) -> Result<Self, CorruptPage> {
+    pub(crate) fn page(page: B) -> Result<Self, CorruptPage> {
         let count = match page.get(..PAGE_HEADER_BYTES) {
             Some(n) => u16::from_le_bytes([n[0], n[1]]) as u32,
             None => 0,
@@ -89,7 +89,7 @@ impl<B: Deref<Target = [u8]>> EntryCursor<B> {
     }
 
     /// A cursor on the first of `count` entries encoded from byte `start`.
-    pub fn entries(buf: B, start: usize, count: u32) -> Result<Self, CorruptPage> {
+    pub(crate) fn entries(buf: B, start: usize, count: u32) -> Result<Self, CorruptPage> {
         let mut cursor = Self {
             buf,
             remaining: count,
@@ -106,7 +106,7 @@ impl<B: Deref<Target = [u8]>> EntryCursor<B> {
 
     /// Moves to the next entry, or exhausts the cursor after the last one.
     /// On an error the cursor is left exhausted.
-    pub fn advance(&mut self) -> Result<(), CorruptPage> {
+    pub(crate) fn advance(&mut self) -> Result<(), CorruptPage> {
         self.on_entry = false;
         if self.remaining == 0 {
             return Ok(());
@@ -136,7 +136,7 @@ impl<B: Deref<Target = [u8]>> EntryCursor<B> {
     }
 
     /// The entry the cursor is on, borrowed from the buffer.
-    pub fn entry(&self) -> Option<EntryRef<'_>> {
+    pub(crate) fn entry(&self) -> Option<EntryRef<'_>> {
         self.on_entry.then(|| {
             let (key, value) = self.buf[self.key_off..self.next].split_at(self.klen as usize);
             EntryRef {
@@ -153,7 +153,7 @@ impl EntryCursor<Bytes> {
     /// Key and value of the current entry as slices *of the page handle*:
     /// no bytes are copied, and the pair keeps the whole page alive — for
     /// rows handed to a caller, never for anything the engine retains.
-    pub fn row(&self) -> Option<(Key, Value)> {
+    pub(crate) fn row(&self) -> Option<(Key, Value)> {
         self.on_entry.then(|| {
             let value_off = self.key_off + self.klen as usize;
             (

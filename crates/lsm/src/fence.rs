@@ -30,11 +30,6 @@ impl FencePointers {
         }
     }
 
-    /// Number of pages indexed.
-    pub fn page_count(&self) -> usize {
-        self.first_keys.len()
-    }
-
     /// The unique page that may contain `key`, or `None` if `key` sorts
     /// before the first page.
     pub fn locate(&self, key: &[u8]) -> Option<u32> {
@@ -62,15 +57,8 @@ impl FencePointers {
     /// range scan): the page that could contain `key`, page 0 if `key`
     /// sorts before every page (or there are none), and the last page if
     /// every page starts at or before `key`.
-    pub fn seek_page(&self, key: &[u8]) -> u32 {
+    pub(crate) fn seek_page(&self, key: &[u8]) -> u32 {
         self.locate(key).unwrap_or(0)
-    }
-
-    /// In-memory footprint in bytes: the keys plus a 16-byte prefix per
-    /// page (ignoring Vec overhead).
-    pub fn memory_bytes(&self) -> usize {
-        self.first_keys.iter().map(|k| k.len()).sum::<usize>()
-            + self.prefixes.len() * std::mem::size_of::<u128>()
     }
 }
 
@@ -79,6 +67,20 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use proptest::prelude::*;
+
+    impl FencePointers {
+        /// Number of pages indexed.
+        fn page_count(&self) -> usize {
+            self.first_keys.len()
+        }
+
+        /// In-memory footprint in bytes: the keys plus a 16-byte prefix per
+        /// page (ignoring Vec overhead).
+        pub(crate) fn memory_bytes(&self) -> usize {
+            self.first_keys.iter().map(|k| k.len()).sum::<usize>()
+                + self.prefixes.len() * std::mem::size_of::<u128>()
+        }
+    }
 
     fn fences(keys: &[&str]) -> FencePointers {
         FencePointers::new(

@@ -34,15 +34,15 @@ pub struct Level {
     /// Aggregate `[min, max]` key range over every resident run, cached
     /// so a lookup can reject out-of-range keys in O(1) without touching
     /// a single run. `None` while the level is empty. Maintained by
-    /// [`Level::refresh_bounds`], which the tree calls at every
+    /// `Level::refresh_bounds`, which the tree calls at every
     /// structural mutation (admit, merge, bulk load, recovery); must
-    /// always equal [`Level::computed_bounds`].
+    /// always equal `Level::computed_bounds`.
     pub bounds: Option<(Key, Key)>,
 }
 
 impl Level {
     /// Creates an empty level.
-    pub fn new(index: usize, capacity: u64, policy: u32) -> Self {
+    pub(crate) fn new(index: usize, capacity: u64, policy: u32) -> Self {
         assert!(policy >= 1, "policy must be at least 1");
         Self {
             index,
@@ -56,34 +56,34 @@ impl Level {
     }
 
     /// Capacity of the active run under the current policy: `C / K`.
-    pub fn active_capacity(&self) -> u64 {
+    pub(crate) fn active_capacity(&self) -> u64 {
         (self.capacity / self.policy as u64).max(1)
     }
 
     /// Total logical bytes stored in the level.
-    pub fn data_bytes(&self) -> u64 {
+    pub(crate) fn data_bytes(&self) -> u64 {
         self.sealed.iter().map(|r| r.data_bytes()).sum::<u64>()
             + self.active.as_ref().map_or(0, |r| r.data_bytes())
     }
 
     /// Number of runs currently in the level (sealed + active).
-    pub fn run_count(&self) -> usize {
+    pub(crate) fn run_count(&self) -> usize {
         self.sealed.len() + usize::from(self.active.is_some())
     }
 
     /// Fill ratio `D/C ∈ [0, ~1]` (may transiently exceed 1 right before a
     /// full-level merge).
-    pub fn fill_ratio(&self) -> f64 {
+    pub(crate) fn fill_ratio(&self) -> f64 {
         self.data_bytes() as f64 / self.capacity as f64
     }
 
     /// Whether the level has reached capacity and must merge down.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.data_bytes() >= self.capacity
     }
 
     /// Seals the active run (no-op when there is none).
-    pub fn seal_active(&mut self) {
+    pub(crate) fn seal_active(&mut self) {
         if let Some(run) = self.active.take() {
             self.sealed.push(run);
         }
@@ -91,13 +91,13 @@ impl Level {
 
     /// Runs in probe order: active first (newest data), then sealed runs
     /// newest-to-oldest.
-    pub fn probe_order(&self) -> impl Iterator<Item = &Arc<Run>> {
+    pub(crate) fn probe_order(&self) -> impl Iterator<Item = &Arc<Run>> {
         self.active.iter().chain(self.sealed.iter().rev())
     }
 
     /// Removes and returns all runs (active first sealed last — age does not
     /// matter for a full merge, sequence numbers resolve versions).
-    pub fn take_all_runs(&mut self) -> Vec<Arc<Run>> {
+    pub(crate) fn take_all_runs(&mut self) -> Vec<Arc<Run>> {
         let mut runs: Vec<Arc<Run>> = self.active.take().into_iter().collect();
         runs.append(&mut self.sealed);
         self.bounds = None;
@@ -107,14 +107,14 @@ impl Level {
     /// Recomputes the cached aggregate bounds from the resident runs.
     /// Called by the tree after every mutation that changes the level's
     /// run membership.
-    pub fn refresh_bounds(&mut self) {
+    pub(crate) fn refresh_bounds(&mut self) {
         self.bounds = self.computed_bounds();
     }
 
     /// The aggregate `[min, max]` key range computed fresh from the
     /// resident runs — the value the cached [`Level::bounds`] must equal
     /// (the invariant the bounds tests pin).
-    pub fn computed_bounds(&self) -> Option<(Key, Key)> {
+    pub(crate) fn computed_bounds(&self) -> Option<(Key, Key)> {
         self.probe_order().fold(None, |acc, run| {
             Some(match acc {
                 None => (run.min_key().clone(), run.max_key().clone()),
@@ -137,7 +137,7 @@ impl Level {
     /// Applies the flexible transition for a new policy `k` (§4.2): change
     /// the policy, retarget the active run's capacity, and seal it
     /// immediately if it already exceeds the new capacity.
-    pub fn apply_flexible(&mut self, k: u32) {
+    pub(crate) fn apply_flexible(&mut self, k: u32) {
         self.policy = k;
         self.pending_policy = None;
         let cap = self.active_capacity();
@@ -151,7 +151,7 @@ impl Level {
 
     /// Records a lazy transition: the policy will be adopted when the level
     /// next empties via a full-level merge.
-    pub fn apply_lazy(&mut self, k: u32) {
+    pub(crate) fn apply_lazy(&mut self, k: u32) {
         if k == self.policy {
             self.pending_policy = None;
         } else {
@@ -161,7 +161,7 @@ impl Level {
 
     /// Adopts any pending (lazy) policy; called right after the level
     /// empties through a full-level compaction.
-    pub fn adopt_pending_policy(&mut self) {
+    pub(crate) fn adopt_pending_policy(&mut self) {
         if let Some(k) = self.pending_policy.take() {
             self.policy = k;
         }

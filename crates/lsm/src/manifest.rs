@@ -51,7 +51,7 @@
 //! ## Checkpoint (log compaction)
 //!
 //! The log would otherwise grow with every flush, so
-//! [`Manifest::checkpoint`] atomically rewrites it as `header + one batch
+//! `Manifest::checkpoint` atomically rewrites it as `header + one batch
 //! re-encoding the current state` (runs emitted in ascending run-id
 //! order, which reconstructs every level's probe order exactly): the new
 //! image is written to a temporary file, fsynced, renamed over the log,
@@ -248,7 +248,7 @@ pub struct LevelManifest {
 
 impl LevelManifest {
     /// Number of runs the level describes.
-    pub fn run_count(&self) -> usize {
+    pub(crate) fn run_count(&self) -> usize {
         self.sealed.len() + usize::from(self.active.is_some())
     }
 }
@@ -272,7 +272,7 @@ impl ManifestState {
     pub const MAX_LEVELS: usize = 64;
 
     /// Total runs across all levels.
-    pub fn run_count(&self) -> usize {
+    pub(crate) fn run_count(&self) -> usize {
         self.levels.iter().map(LevelManifest::run_count).sum()
     }
 
@@ -292,7 +292,7 @@ impl ManifestState {
     }
 
     /// Applies one edit, mirroring exactly what the live tree did.
-    pub fn apply(&mut self, edit: &ManifestEdit) -> Result<(), EditError> {
+    pub(crate) fn apply(&mut self, edit: &ManifestEdit) -> Result<(), EditError> {
         match edit {
             ManifestEdit::AddRun { level, active, run } => {
                 if run.run_id <= self.max_run_id {
@@ -725,13 +725,13 @@ impl Manifest {
     }
 
     /// Number of edits buffered for the next commit.
-    pub fn pending_edits(&self) -> usize {
+    pub(crate) fn pending_edits(&self) -> usize {
         self.pending.len()
     }
 
     /// Lifetime edits through this handle (replayed at recovery plus
     /// committed since).
-    pub fn edits(&self) -> u64 {
+    pub(crate) fn edits(&self) -> u64 {
         self.edits
     }
 
@@ -840,7 +840,7 @@ impl Manifest {
     /// batch` describing the current state (write to a temporary file,
     /// fsync, rename over the log). A crash anywhere during the rewrite
     /// leaves the previous log intact.
-    pub fn checkpoint(&mut self) -> std::io::Result<()> {
+    pub(crate) fn checkpoint(&mut self) -> std::io::Result<()> {
         if self.crash.is_dead() {
             return Ok(());
         }
@@ -888,7 +888,7 @@ impl Manifest {
 
     /// True once an armed crash has fired: the handle is dead and every
     /// operation is a no-op.
-    pub fn is_crashed(&self) -> bool {
+    pub(crate) fn is_crashed(&self) -> bool {
         self.crash.is_dead()
     }
 
@@ -896,7 +896,7 @@ impl Manifest {
     /// storage device reports a power cut, or a commit fails, so the
     /// manifest behaves exactly like a process that died before
     /// committing.
-    pub fn mark_crashed(&mut self) {
+    pub(crate) fn mark_crashed(&mut self) {
         self.crash.kill();
         self.pending.clear();
         self.log.discard();

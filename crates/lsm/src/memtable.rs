@@ -67,17 +67,12 @@ impl Memtable {
     }
 
     /// Logical size in bytes (sum of encoded entry sizes).
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
 
-    /// Number of distinct buffered keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
     /// True if no entries are buffered.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
@@ -89,7 +84,7 @@ impl Memtable {
 
     /// A cursor over the buffered entries with keys in `[start, end)`. It
     /// walks the map as it is advanced; nothing is copied up front.
-    pub fn range(&self, start: &[u8], end: &[u8]) -> MemCursor<'_> {
+    pub(crate) fn range(&self, start: &[u8], end: &[u8]) -> MemCursor<'_> {
         let bounds = (Bound::Included(start), Bound::Excluded(end));
         MemCursor::new(self.map.range::<[u8], _>(bounds))
     }
@@ -112,7 +107,7 @@ impl<'a> MemCursor<'a> {
     }
 
     /// The entry the cursor is on, or `None` once past the range.
-    pub fn entry(&self) -> Option<EntryRef<'a>> {
+    pub(crate) fn entry(&self) -> Option<EntryRef<'a>> {
         self.current.map(|(key, slot)| EntryRef {
             key,
             value: &slot.value,
@@ -122,13 +117,13 @@ impl<'a> MemCursor<'a> {
     }
 
     /// Key and value of the current entry as shared handles.
-    pub fn row(&self) -> Option<(Key, Value)> {
+    pub(crate) fn row(&self) -> Option<(Key, Value)> {
         self.current
             .map(|(key, slot)| (key.clone(), slot.value.clone()))
     }
 
     /// Moves to the next entry of the range.
-    pub fn advance(&mut self) {
+    pub(crate) fn advance(&mut self) {
         self.current = self.rest.next();
     }
 }
@@ -137,6 +132,13 @@ impl<'a> MemCursor<'a> {
 mod tests {
     use super::*;
     use bytes::Bytes;
+
+    impl Memtable {
+        /// Number of distinct buffered keys.
+        fn len(&self) -> usize {
+            self.map.len()
+        }
+    }
 
     fn put(k: &str, v: &str, seq: u64) -> KvEntry {
         KvEntry::put(

@@ -12,13 +12,13 @@ use crate::bloom::bits_for_fpr;
 ///
 /// `level` is zero-based (level 0 = the paper's Level 1). FPRs are capped at
 /// 1.0; a level with `f_i ≥ 1` receives no filter memory at all.
-pub fn monkey_fpr(level1_fpr: f64, size_ratio: u32, level: usize) -> f64 {
+pub(crate) fn monkey_fpr(level1_fpr: f64, size_ratio: u32, level: usize) -> f64 {
     let f = level1_fpr * (size_ratio as f64).powi(level as i32);
     f.min(1.0)
 }
 
 /// Per-level bits-per-key under the Monkey scheme.
-pub fn monkey_bits_per_key(level1_fpr: f64, size_ratio: u32, level: usize) -> f64 {
+pub(crate) fn monkey_bits_per_key(level1_fpr: f64, size_ratio: u32, level: usize) -> f64 {
     bits_for_fpr(monkey_fpr(level1_fpr, size_ratio, level))
 }
 

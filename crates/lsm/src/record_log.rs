@@ -262,11 +262,11 @@ impl<P: Copy + PartialEq> Countdown<P> {
 }
 
 /// One fsync of a log, split so that it can run without the log: taken by
-/// [`crate::Wal::begin_sync`] once the buffer is in the file, it carries the
+/// `crate::Wal::begin_sync` once the buffer is in the file, it carries the
 /// file handle, the lifetime append count the fsync will cover, and the log
 /// generation it belongs to. The holder calls [`SyncTicket::sync_data`] —
 /// under no lock the log's owner holds — and hands the ticket back to
-/// [`crate::Wal::finish_sync`].
+/// `crate::Wal::finish_sync`.
 #[derive(Debug, Clone)]
 pub struct SyncTicket {
     file: Arc<File>,
@@ -275,7 +275,7 @@ pub struct SyncTicket {
 }
 
 impl SyncTicket {
-    /// Lifetime appends ([`crate::Wal::appended`]) in the file when the
+    /// Lifetime appends (`crate::Wal::appended`) in the file when the
     /// ticket was taken: an fsync started later covers every one of them.
     pub fn appended(&self) -> u64 {
         self.appended

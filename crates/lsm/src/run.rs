@@ -115,17 +115,17 @@ pub struct Run {
 
 impl Run {
     /// Run identifier.
-    pub fn id(&self) -> RunId {
+    pub(crate) fn id(&self) -> RunId {
         self.id
     }
 
     /// Logical data size in bytes (sum of encoded entry sizes).
-    pub fn data_bytes(&self) -> u64 {
+    pub(crate) fn data_bytes(&self) -> u64 {
         self.data_bytes
     }
 
     /// The FLSM per-run capacity assigned at creation (bytes).
-    pub fn capacity_bytes(&self) -> u64 {
+    pub(crate) fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes.load(Ordering::Relaxed)
     }
 
@@ -133,12 +133,12 @@ impl Run {
     /// a flexible transition changes the policy, §4.2). Takes `&self`: runs
     /// are shared handles, and the capacity is their one interior-mutable
     /// field.
-    pub fn set_capacity_bytes(&self, capacity: u64) {
+    pub(crate) fn set_capacity_bytes(&self, capacity: u64) {
         self.capacity_bytes.store(capacity, Ordering::Relaxed);
     }
 
     /// Number of entries in the run.
-    pub fn entry_count(&self) -> u64 {
+    pub(crate) fn entry_count(&self) -> u64 {
         self.entry_count
     }
 
@@ -149,29 +149,23 @@ impl Run {
 
     /// The storage extent holding the run's pages (recorded in the
     /// manifest so the run survives a restart on a persistent backend).
-    pub fn extent(&self) -> Extent {
+    pub(crate) fn extent(&self) -> Extent {
         self.extent
     }
 
     /// Smallest key in the run.
-    pub fn min_key(&self) -> &Key {
+    pub(crate) fn min_key(&self) -> &Key {
         &self.min_key
     }
 
     /// Largest key in the run.
-    pub fn max_key(&self) -> &Key {
+    pub(crate) fn max_key(&self) -> &Key {
         &self.max_key
     }
 
     /// Largest sequence number in the run.
-    pub fn max_seq(&self) -> SeqNo {
+    pub(crate) fn max_seq(&self) -> SeqNo {
         self.max_seq
-    }
-
-    /// In-memory metadata footprint (Bloom bits + fence keys and their
-    /// 16-byte prefixes), bytes.
-    pub fn metadata_bytes(&self) -> usize {
-        self.bloom.memory_bytes() + self.fences.memory_bytes()
     }
 
     /// Probes the run for `lookup`'s key, charging `c_r` CPU plus any page
@@ -223,7 +217,7 @@ impl Run {
 
     /// A cursor on the first entry with key `>= start`: reads the page the
     /// fence pointers name, and the one after it if that page ends first.
-    pub fn cursor_from<'a>(&self, storage: &'a dyn Storage, start: &[u8]) -> RunCursor<'a> {
+    pub(crate) fn cursor_from<'a>(&self, storage: &'a dyn Storage, start: &[u8]) -> RunCursor<'a> {
         let mut cursor = RunCursor::open(self.extent, storage, self.fences.seek_page(start));
         while cursor.entry().is_some_and(|e| e.key < start) {
             cursor.advance();
@@ -257,7 +251,7 @@ impl Run {
     /// the fallible [`Storage::try_read_shared`] propagates the backend's
     /// typed error wrapped with the run's identity, so recovery reports
     /// *which* run failed instead of panicking mid-restart.
-    pub fn recover(
+    pub(crate) fn recover(
         storage: &dyn Storage,
         rec: &crate::manifest::RunRecord,
     ) -> std::io::Result<Run> {
@@ -364,7 +358,7 @@ impl<'a> RunCursor<'a> {
 
     /// Key and value of the current entry as slices of its page handle
     /// (see [`EntryCursor::row`]).
-    pub fn row(&self) -> Option<(Key, Value)> {
+    pub(crate) fn row(&self) -> Option<(Key, Value)> {
         self.page.row()
     }
 
@@ -565,6 +559,14 @@ mod tests {
     use crate::types::KvEntry;
     use ruskey_storage::{CostModel, IoCharge, SimulatedDisk, StorageMetrics, VirtualClock};
     use std::sync::{Arc, Mutex};
+
+    impl Run {
+        /// In-memory metadata footprint (Bloom bits + fence keys and their
+        /// 16-byte prefixes), bytes.
+        fn metadata_bytes(&self) -> usize {
+            self.bloom.memory_bytes() + self.fences.memory_bytes()
+        }
+    }
 
     fn key(i: u64) -> Key {
         Bytes::copy_from_slice(&i.to_be_bytes())

@@ -39,7 +39,7 @@ impl LevelStatsSnapshot {
 
     /// Counter-wise `self + other`: the combined view of one level across
     /// two shards of a sharded store.
-    pub fn merged(&self, other: &LevelStatsSnapshot) -> LevelStatsSnapshot {
+    pub(crate) fn merged(&self, other: &LevelStatsSnapshot) -> LevelStatsSnapshot {
         LevelStatsSnapshot {
             lookup_ns: self.lookup_ns + other.lookup_ns,
             lookup_pages: self.lookup_pages + other.lookup_pages,
@@ -55,7 +55,7 @@ impl LevelStatsSnapshot {
     }
 
     /// Counter-wise `self - earlier` (saturating).
-    pub fn delta(&self, earlier: &LevelStatsSnapshot) -> LevelStatsSnapshot {
+    pub(crate) fn delta(&self, earlier: &LevelStatsSnapshot) -> LevelStatsSnapshot {
         LevelStatsSnapshot {
             lookup_ns: self.lookup_ns.saturating_sub(earlier.lookup_ns),
             lookup_pages: self.lookup_pages.saturating_sub(earlier.lookup_pages),

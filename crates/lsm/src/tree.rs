@@ -223,7 +223,7 @@ impl FlsmTree {
     ///    run/level structure (policies, sealed/active runs in exact
     ///    probe order, sequence watermark, run-id allocation);
     /// 2. every recorded run is rebuilt from its data pages on `storage`
-    ///    ([`Run::recover`] re-derives identical fence pointers and Bloom
+    ///    (`Run::recover` re-derives identical fence pointers and Bloom
     ///    filters, cross-checking the record's integrity expectations);
     /// 3. extents orphaned by a pre-commit power cut — data files no
     ///    recovered run references — are garbage-collected, and their
@@ -325,7 +325,7 @@ impl FlsmTree {
 
     /// True if the attached WAL simulated a process crash (fault
     /// injection); a crashed tree's write path is dead.
-    pub fn wal_crashed(&self) -> bool {
+    pub(crate) fn wal_crashed(&self) -> bool {
         self.wal.as_ref().is_some_and(Wal::is_crashed)
     }
 
@@ -355,7 +355,7 @@ impl FlsmTree {
 
     /// True if the attached manifest simulated a process crash (fault
     /// injection); a crashed tree's structural write path is dead.
-    pub fn manifest_crashed(&self) -> bool {
+    pub(crate) fn manifest_crashed(&self) -> bool {
         self.manifest.as_ref().is_some_and(Manifest::is_crashed)
     }
 
@@ -392,7 +392,7 @@ impl FlsmTree {
 
     /// First half of a commit leg: if the WAL holds unacknowledged records,
     /// writes its buffer to the file and returns the ticket whose fsync
-    /// covers them ([`Wal::begin_sync`]). `None`: nothing to sync — no log,
+    /// covers them (`Wal::begin_sync`). `None`: nothing to sync — no log,
     /// an idle or dead one, or a memtable flush already superseded every
     /// record.
     pub fn begin_commit(&mut self) -> std::io::Result<Option<SyncTicket>> {
@@ -403,7 +403,7 @@ impl FlsmTree {
     }
 
     /// Second half of a commit leg, after the ticket's fsync returned:
-    /// the log's accounting ([`Wal::finish_sync`]) and, when it counted,
+    /// the log's accounting (`Wal::finish_sync`) and, when it counted,
     /// the fsync's virtual cost on this tree's time domain. Returns the
     /// records newly acknowledged; `None` when the call acknowledged
     /// nothing and charged nothing — a stale ticket, or a (simulated)
@@ -446,11 +446,6 @@ impl FlsmTree {
     /// The storage device the tree runs on.
     pub fn storage(&self) -> &Arc<dyn Storage> {
         &self.storage
-    }
-
-    /// Changes the transition strategy used by subsequent policy changes.
-    pub fn set_transition_strategy(&mut self, strategy: TransitionStrategy) {
-        self.cfg.transition = strategy;
     }
 
     // ------------------------------------------------------------------
@@ -1006,7 +1001,7 @@ impl FlsmTree {
 
     /// Bytes resident in levels the picker currently scores at or above
     /// the work threshold — a gauge of outstanding structural debt.
-    pub fn pending_compaction_bytes(&self) -> u64 {
+    pub(crate) fn pending_compaction_bytes(&self) -> u64 {
         self.levels
             .iter()
             .filter(|l| !l.sealed.is_empty() && picker::level_score(l) >= SCORE_SCALE)
@@ -1177,16 +1172,6 @@ impl FlsmTree {
     // Introspection & statistics
     // ------------------------------------------------------------------
 
-    /// Bytes buffered in the memtable.
-    pub fn memtable_bytes(&self) -> u64 {
-        self.memtable.bytes()
-    }
-
-    /// Logical bytes stored in a level (0 when the level doesn't exist).
-    pub fn level_bytes(&self, idx: usize) -> u64 {
-        self.levels.get(idx).map_or(0, Level::data_bytes)
-    }
-
     /// Fill ratio `D/C` of a level.
     pub fn level_fill(&self, idx: usize) -> f64 {
         self.levels.get(idx).map_or(0.0, Level::fill_ratio)
@@ -1195,11 +1180,6 @@ impl FlsmTree {
     /// Number of runs in a level.
     pub fn level_run_count(&self, idx: usize) -> usize {
         self.levels.get(idx).map_or(0, Level::run_count)
-    }
-
-    /// Capacity `C_i` of a level as configured.
-    pub fn level_capacity(&self, idx: usize) -> u64 {
-        self.cfg.level_capacity(idx)
     }
 
     /// Snapshot of all statistics. One tree is one time domain, so the
@@ -1406,6 +1386,23 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use ruskey_storage::{CostModel, SimulatedDisk};
+
+    impl FlsmTree {
+        /// Changes the transition strategy used by subsequent policy changes.
+        fn set_transition_strategy(&mut self, strategy: TransitionStrategy) {
+            self.cfg.transition = strategy;
+        }
+
+        /// Logical bytes stored in a level (0 when the level doesn't exist).
+        fn level_bytes(&self, idx: usize) -> u64 {
+            self.levels.get(idx).map_or(0, Level::data_bytes)
+        }
+
+        /// Capacity `C_i` of a level as configured.
+        fn level_capacity(&self, idx: usize) -> u64 {
+            self.cfg.level_capacity(idx)
+        }
+    }
 
     fn key(i: u64) -> Key {
         Bytes::copy_from_slice(&i.to_be_bytes())

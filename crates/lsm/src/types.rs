@@ -35,7 +35,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Single-byte wire encoding.
-    pub fn to_byte(self) -> u8 {
+    pub(crate) fn to_byte(self) -> u8 {
         match self {
             OpKind::Put => 0,
             OpKind::Delete => 1,
@@ -43,7 +43,7 @@ impl OpKind {
     }
 
     /// Decodes the wire byte; returns `None` for unknown values.
-    pub fn from_byte(b: u8) -> Option<Self> {
+    pub(crate) fn from_byte(b: u8) -> Option<Self> {
         match b {
             0 => Some(OpKind::Put),
             1 => Some(OpKind::Delete),
@@ -127,12 +127,12 @@ pub struct EntryRef<'a> {
 
 impl EntryRef<'_> {
     /// True if this entry is a tombstone.
-    pub fn is_tombstone(&self) -> bool {
+    pub(crate) fn is_tombstone(&self) -> bool {
         self.kind == OpKind::Delete
     }
 
     /// See [`KvEntry::encoded_size`].
-    pub fn encoded_size(&self) -> usize {
+    pub(crate) fn encoded_size(&self) -> usize {
         crate::entry::ENTRY_HEADER_BYTES + self.key.len() + self.value.len()
     }
 

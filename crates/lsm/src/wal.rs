@@ -30,15 +30,15 @@
 //!   of all shards, and a shard that crashes mid-leg does not stop its
 //!   siblings' fsyncs from completing.
 //!
-//! [`Wal::sync`] is two halves around the fsync: [`Wal::begin_sync`] moves
+//! [`Wal::sync`] is two halves around the fsync: `Wal::begin_sync` moves
 //! the buffer into the file and hands out a [`SyncTicket`],
-//! [`Wal::finish_sync`] does the accounting once the ticket's fsync has
+//! `Wal::finish_sync` does the accounting once the ticket's fsync has
 //! returned. A caller that shares the log behind a lock (the serving
 //! frontend) makes the two calls under the lock and the fsync outside it,
 //! so appends and reads go on while the device works.
 //!
 //! A record is *acknowledged* only once a sync covering it succeeds;
-//! [`Wal::durable_records`] counts exactly those. After a successful
+//! `Wal::durable_records` counts exactly those. After a successful
 //! memtable flush the log's contents are superseded by the flushed run and
 //! [`Wal::reset`] **recycles** the file in place (which also clears the
 //! unsynced-window counter — a reset log has nothing left to lose).
@@ -54,7 +54,7 @@
 //!
 //! [`Wal::replay`] parses the longest valid prefix of a log file and never
 //! panics on arbitrary bytes; a body too short for its header or its key,
-//! or with an unknown kind, ends the prefix too. [`Wal::recover`]
+//! or with an unknown kind, ends the prefix too. `Wal::recover`
 //! additionally cuts the file back to that prefix — so later appends
 //! extend a clean log rather than trailing garbage — and returns a handle
 //! ready for appending. Replay order is pinned by the sequence numbers in
@@ -162,7 +162,7 @@ impl Wal {
     /// tail so future appends extend a clean log), and returns the parsed
     /// records alongside a handle open for appending. The records are
     /// counted as durable — they were read back from the disk.
-    pub fn recover(
+    pub(crate) fn recover(
         path: impl AsRef<Path>,
         sync_every: u64,
     ) -> std::io::Result<(Self, Vec<KvEntry>)> {
@@ -221,8 +221,8 @@ impl Wal {
 
     /// Flushes buffered records and fsyncs the file — the group-commit
     /// primitive: one call makes every record appended so far durable
-    /// (acknowledged). It is [`Wal::begin_sync`], the ticket's fsync and
-    /// [`Wal::finish_sync`] back to back; a caller that must not hold the
+    /// (acknowledged). It is `Wal::begin_sync`, the ticket's fsync and
+    /// `Wal::finish_sync` back to back; a caller that must not hold the
     /// log across the fsync makes the three calls itself.
     pub fn sync(&mut self) -> std::io::Result<()> {
         if let Some(ticket) = self.begin_sync()? {
@@ -237,7 +237,7 @@ impl Wal {
     /// `None` on a dead handle — including one a [`CrashPoint::MidFlush`]
     /// killed inside this very flush: no sync starts, so no record becomes
     /// acknowledged.
-    pub fn begin_sync(&mut self) -> std::io::Result<Option<SyncTicket>> {
+    pub(crate) fn begin_sync(&mut self) -> std::io::Result<Option<SyncTicket>> {
         if self.crash.is_dead() {
             return Ok(None);
         }
@@ -257,7 +257,7 @@ impl Wal {
     /// its records; no counter moves), or [`CrashPoint::PostSync`] fired
     /// here (the batch is counted durable, the process died before saying
     /// so).
-    pub fn finish_sync(&mut self, ticket: &SyncTicket) -> Option<u64> {
+    pub(crate) fn finish_sync(&mut self, ticket: &SyncTicket) -> Option<u64> {
         if self.crash.is_dead() {
             return None;
         }
@@ -282,7 +282,7 @@ impl Wal {
     }
 
     /// Lifetime number of records appended through this handle.
-    pub fn appended(&self) -> u64 {
+    pub(crate) fn appended(&self) -> u64 {
         self.log.appended()
     }
 
@@ -303,7 +303,7 @@ impl Wal {
     /// acknowledged write count: covered by a successful fsync, or
     /// superseded by a memtable flush (the flushed run persists them, so
     /// [`Wal::reset`] resolves them too).
-    pub fn durable_records(&self) -> u64 {
+    pub(crate) fn durable_records(&self) -> u64 {
         self.durable
     }
 
@@ -335,7 +335,7 @@ impl Wal {
     /// True once an armed crash has fired: the handle is dead and every
     /// operation is a no-op. Counters keep reporting the pre-crash state
     /// of the (simulated) process.
-    pub fn is_crashed(&self) -> bool {
+    pub(crate) fn is_crashed(&self) -> bool {
         self.crash.is_dead()
     }
 
@@ -343,7 +343,7 @@ impl Wal {
     /// storage device reports a power cut, so the WAL behaves exactly
     /// like a process that died — the user-space buffer is lost, the
     /// on-disk prefix stays authoritative for recovery.
-    pub fn mark_crashed(&mut self) {
+    pub(crate) fn mark_crashed(&mut self) {
         self.crash.kill();
         self.log.discard();
     }

@@ -38,7 +38,7 @@ fn flush_subnormal(x: f32) -> f32 {
 
 impl Adam {
     /// Creates an optimizer for a network with `param_count` parameters.
-    pub fn new(param_count: usize, lr: f32) -> Self {
+    pub(crate) fn new(param_count: usize, lr: f32) -> Self {
         Self {
             lr,
             beta1: 0.9,
@@ -52,7 +52,7 @@ impl Adam {
 
     /// Applies one Adam step using the gradients accumulated in `net`,
     /// scaled by `grad_scale` (e.g. `1 / batch_size`). Does not zero grads.
-    pub fn step(&mut self, net: &mut Mlp, grad_scale: f32) {
+    pub(crate) fn step(&mut self, net: &mut Mlp, grad_scale: f32) {
         assert_eq!(
             net.param_count(),
             self.m.len(),
@@ -77,6 +77,11 @@ impl Adam {
 
 #[cfg(test)]
 impl Adam {
+    /// Steps taken.
+    pub(crate) fn steps(&self) -> u64 {
+        self.t
+    }
+
     /// The first and second moments.
     pub(crate) fn moments(&self) -> (&[f32], &[f32]) {
         (&self.m, &self.v)

@@ -81,7 +81,6 @@ pub struct Ddpg {
     replay: ReplayBuffer,
     noise: OuNoise,
     rng: StdRng,
-    train_steps: u64,
     batch: BatchBuf,
 }
 
@@ -146,14 +145,8 @@ impl Ddpg {
             replay,
             noise,
             rng,
-            train_steps: 0,
             batch: BatchBuf::default(),
         }
-    }
-
-    /// Number of gradient steps taken.
-    pub fn train_steps(&self) -> u64 {
-        self.train_steps
     }
 
     /// Number of stored experience samples.
@@ -294,7 +287,6 @@ impl Ddpg {
         self.target_actor.soft_update_from(&self.actor, TAU);
         self.target_critic.soft_update_from(&self.critic, TAU);
 
-        self.train_steps += 1;
         Some(TrainMetrics {
             critic_loss,
             actor_loss,
@@ -309,6 +301,11 @@ mod tests {
     use rand::Rng;
 
     impl Ddpg {
+        /// Gradient steps taken: the actor's optimiser steps once a step.
+        fn train_steps(&self) -> u64 {
+            self.adam_actor.steps()
+        }
+
         /// The training step the batched one replaced: one sample at a time
         /// through the per-sample oracle, on textbook Adam. Same batch, same
         /// RNG draws.
@@ -354,7 +351,6 @@ mod tests {
 
             self.target_actor.soft_update_from(&self.actor, TAU);
             self.target_critic.soft_update_from(&self.critic, TAU);
-            self.train_steps += 1;
             Some(TrainMetrics {
                 critic_loss,
                 actor_loss,

@@ -4,7 +4,7 @@
 //! **feature-major**: a `[dim][batch]` buffer holds feature `i` of every
 //! sample in the contiguous row `i`, and the buffers belong to the [`Mlp`],
 //! so a training step allocates nothing once they have grown to the batch
-//! size. [`Mlp::forward`] is the batch-of-one case of the same kernel.
+//! size. `Mlp::forward` is the batch-of-one case of the same kernel.
 //!
 //! # Accumulation order
 //!
@@ -315,12 +315,12 @@ impl Mlp {
     }
 
     /// Input dimension.
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.layers[0].in_dim
     }
 
     /// Output dimension.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.layers.last().unwrap().out_dim
     }
 
@@ -349,7 +349,7 @@ impl Mlp {
     }
 
     /// Forward pass of one sample.
-    pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
+    pub(crate) fn forward(&mut self, x: &[f32]) -> Vec<f32> {
         assert_eq!(
             x.len(),
             self.in_dim(),
@@ -426,12 +426,12 @@ impl Mlp {
     }
 
     /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.grads.fill(0.0);
     }
 
     /// Total number of trainable parameters.
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         self.params.len()
     }
 
@@ -441,13 +441,13 @@ impl Mlp {
     }
 
     /// Hard-copies parameters from another identically-shaped network.
-    pub fn copy_from(&mut self, other: &Mlp) {
+    pub(crate) fn copy_from(&mut self, other: &Mlp) {
         assert_eq!(self.param_count(), other.param_count(), "shape mismatch");
         self.params.copy_from_slice(&other.params);
     }
 
     /// Polyak soft update: `θ ← τ·θ_src + (1−τ)·θ` (DDPG target tracking).
-    pub fn soft_update_from(&mut self, other: &Mlp, tau: f32) {
+    pub(crate) fn soft_update_from(&mut self, other: &Mlp, tau: f32) {
         assert_eq!(self.param_count(), other.param_count(), "shape mismatch");
         for (d, s) in self.params.iter_mut().zip(&other.params) {
             *d = tau * s + (1.0 - tau) * *d;

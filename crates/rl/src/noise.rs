@@ -14,7 +14,7 @@ pub struct OuNoise {
 
 impl OuNoise {
     /// Creates an OU process over `dim` action dimensions.
-    pub fn new(dim: usize, theta: f32, sigma: f32, mu: f32) -> Self {
+    pub(crate) fn new(dim: usize, theta: f32, sigma: f32, mu: f32) -> Self {
         Self {
             theta,
             sigma,
@@ -24,12 +24,12 @@ impl OuNoise {
     }
 
     /// Standard DDPG settings: θ=0.15, σ=0.2, μ=0.
-    pub fn standard(dim: usize) -> Self {
+    pub(crate) fn standard(dim: usize) -> Self {
         Self::new(dim, 0.15, 0.2, 0.0)
     }
 
     /// Draws the next correlated noise vector.
-    pub fn next(&mut self, rng: &mut impl Rng) -> Vec<f32> {
+    pub(crate) fn next(&mut self, rng: &mut impl Rng) -> Vec<f32> {
         for x in &mut self.state {
             // Box–Muller standard normal.
             let u1: f32 = rng.gen::<f32>().max(1e-9);
@@ -41,17 +41,17 @@ impl OuNoise {
     }
 
     /// Resets the state to the mean (start of a new episode).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.state.iter_mut().for_each(|x| *x = self.mu);
     }
 
     /// Scales the volatility (used for exploration decay).
-    pub fn set_sigma(&mut self, sigma: f32) {
+    pub(crate) fn set_sigma(&mut self, sigma: f32) {
         self.sigma = sigma;
     }
 
     /// Current volatility.
-    pub fn sigma(&self) -> f32 {
+    pub(crate) fn sigma(&self) -> f32 {
         self.sigma
     }
 }

@@ -33,7 +33,7 @@ pub struct ReplayBuffer {
 
 impl ReplayBuffer {
     /// Creates a buffer holding up to `capacity` transitions.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         Self {
             capacity,
@@ -43,22 +43,12 @@ impl ReplayBuffer {
     }
 
     /// Number of stored transitions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// True when nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Inserts a transition, overwriting the oldest once full.
-    pub fn push(&mut self, t: Transition) {
+    pub(crate) fn push(&mut self, t: Transition) {
         if self.buf.len() < self.capacity {
             self.buf.push(t);
         } else {
@@ -69,7 +59,7 @@ impl ReplayBuffer {
 
     /// Uniformly samples `k` transitions (with replacement); each index is
     /// drawn from `rng` as the iterator advances.
-    pub fn sample<'a>(
+    pub(crate) fn sample<'a>(
         &'a self,
         rng: &'a mut impl Rng,
         k: usize,
@@ -80,7 +70,7 @@ impl ReplayBuffer {
 
     /// Drops all stored transitions (used when the workload shifts and old
     /// experience no longer reflects the environment).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.buf.clear();
         self.next = 0;
     }
@@ -91,6 +81,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl ReplayBuffer {
+        /// True when nothing is stored.
+        fn is_empty(&self) -> bool {
+            self.buf.is_empty()
+        }
+    }
 
     fn t(r: f32) -> Transition {
         Transition {

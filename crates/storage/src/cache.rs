@@ -16,7 +16,7 @@
 //!   per-call in the returned [`IoCharge`] (so stacked storage views
 //!   mirror them into their domains), aggregated in
 //!   [`Storage::metrics`], and directly via [`BlockCache::hits`] /
-//!   [`BlockCache::misses`] / [`BlockCache::evictions`].
+//!   [`BlockCache::misses`] / `BlockCache::evictions`.
 //! * **Invalidation on free** — [`Storage::free`] purges the extent's
 //!   pages from every segment *before* forwarding, so an extent id whose
 //!   pages were freed under the two-log contract (only after the manifest
@@ -176,10 +176,6 @@ impl Segment {
             self.free.push(i);
         }
     }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// A sharded LRU page cache wrapping an inner [`Storage`].
@@ -256,27 +252,8 @@ impl<S: Storage> BlockCache<S> {
     }
 
     /// Number of pages evicted to make room.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Hit ratio in `[0, 1]`; zero when no reads have occurred.
-    pub fn hit_ratio(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
-
-    /// Pages currently resident across all segments.
-    pub fn cached_pages(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
     }
 
     fn insert(&self, key: PageKey, data: Bytes) -> u64 {
@@ -440,6 +417,27 @@ impl<S: Storage> Storage for BlockCache<S> {
 mod tests {
     use super::*;
     use crate::disk::SimulatedDisk;
+
+    impl<S: Storage> BlockCache<S> {
+        /// Pages currently resident across all segments.
+        fn cached_pages(&self) -> usize {
+            self.segments
+                .iter()
+                .map(|s| s.lock().unwrap().map.len())
+                .sum()
+        }
+
+        /// Hit ratio in `[0, 1]`; zero when no reads have occurred.
+        fn hit_ratio(&self) -> f64 {
+            let h = self.hits() as f64;
+            let m = self.misses() as f64;
+            if h + m == 0.0 {
+                0.0
+            } else {
+                h / (h + m)
+            }
+        }
+    }
 
     fn setup(cap: usize) -> (Arc<BlockCache<SimulatedDisk>>, Arc<SimulatedDisk>) {
         let disk = SimulatedDisk::new(128, CostModel::NVME);

@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Identifier of a time domain. Each [`VirtualClock::new`] mints a fresh
+/// Identifier of a time domain. Each `VirtualClock::new` mints a fresh
 /// one; clones of a clock stay in its domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DomainId(u64);
@@ -32,18 +32,6 @@ static NEXT_DOMAIN: AtomicU64 = AtomicU64::new(0);
 pub struct Timestamp {
     ns: u64,
     domain: DomainId,
-}
-
-impl Timestamp {
-    /// The raw virtual time of the timestamp (nanoseconds).
-    pub fn ns(&self) -> u64 {
-        self.ns
-    }
-
-    /// The domain the timestamp was taken in.
-    pub fn domain(&self) -> DomainId {
-        self.domain
-    }
 }
 
 /// A monotonically increasing virtual-time counter (nanoseconds) owning one
@@ -66,16 +54,11 @@ impl Default for VirtualClock {
 
 impl VirtualClock {
     /// Creates a clock starting at time zero, in a fresh time domain.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             ns: Arc::new(AtomicU64::new(0)),
             domain: DomainId(NEXT_DOMAIN.fetch_add(1, Ordering::Relaxed)),
         }
-    }
-
-    /// The clock's time domain.
-    pub fn domain(&self) -> DomainId {
-        self.domain
     }
 
     /// Current virtual time in nanoseconds.
@@ -93,7 +76,7 @@ impl VirtualClock {
     }
 
     /// Advances the clock by `ns` nanoseconds and returns the new time.
-    pub fn advance(&self, ns: u64) -> u64 {
+    pub(crate) fn advance(&self, ns: u64) -> u64 {
         self.ns.fetch_add(ns, Ordering::Relaxed) + ns
     }
 
@@ -117,6 +100,20 @@ impl VirtualClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Timestamp {
+        /// The raw virtual time of the timestamp (nanoseconds).
+        fn ns(&self) -> u64 {
+            self.ns
+        }
+    }
+
+    impl VirtualClock {
+        /// The clock's time domain.
+        pub(crate) fn domain(&self) -> DomainId {
+            self.domain
+        }
+    }
 
     #[test]
     fn starts_at_zero() {

@@ -55,11 +55,6 @@ impl ShardStorage {
             metrics: AtomicMetrics::default(),
         })
     }
-
-    /// The shared device underneath this view.
-    pub fn device(&self) -> &Arc<dyn Storage> {
-        &self.inner
-    }
 }
 
 impl Storage for ShardStorage {
@@ -162,6 +157,13 @@ impl Storage for ShardStorage {
 mod tests {
     use super::*;
     use crate::disk::SimulatedDisk;
+
+    impl ShardStorage {
+        /// The shared device underneath this view.
+        fn device(&self) -> &Arc<dyn Storage> {
+            &self.inner
+        }
+    }
 
     fn device() -> Arc<SimulatedDisk> {
         SimulatedDisk::new(128, CostModel::NVME)

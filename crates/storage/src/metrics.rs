@@ -22,7 +22,7 @@ impl AtomicMetrics {
     /// Adds a per-call metrics delta (e.g. an [`crate::IoCharge`]'s I/O)
     /// into the counters — used by storage views mirroring a shared
     /// device's accounting into their own domain.
-    pub fn add(&self, d: &StorageMetrics) {
+    pub(crate) fn add(&self, d: &StorageMetrics) {
         // One call moves two or three counters (a cache hit: one), so the
         // zero deltas are skipped rather than added.
         let bump = |counter: &AtomicU64, by: u64| {
@@ -43,7 +43,7 @@ impl AtomicMetrics {
         bump(&self.dir_syncs, d.dir_syncs);
     }
 
-    pub fn snapshot(&self) -> StorageMetrics {
+    pub(crate) fn snapshot(&self) -> StorageMetrics {
         StorageMetrics {
             pages_read: self.pages_read.load(Ordering::Relaxed),
             pages_written: self.pages_written.load(Ordering::Relaxed),

@@ -107,7 +107,7 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 
 impl KeySampler {
     /// Creates a sampler over the key space `[0, n)`.
-    pub fn new(n: u64, dist: KeyDistribution) -> Self {
+    pub(crate) fn new(n: u64, dist: KeyDistribution) -> Self {
         assert!(n >= 1, "key space must be non-empty");
         let zipf = match &dist {
             KeyDistribution::Zipfian { theta } | KeyDistribution::Latest { theta } => {
@@ -132,13 +132,8 @@ impl KeySampler {
         }
     }
 
-    /// The key-space size.
-    pub fn key_space(&self) -> u64 {
-        self.n
-    }
-
     /// Draws one key id in `[0, n)`.
-    pub fn sample(&self, rng: &mut impl Rng) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> u64 {
         match &self.dist {
             KeyDistribution::Uniform => rng.gen_range(0..self.n),
             KeyDistribution::Zipfian { .. } => {

@@ -79,11 +79,6 @@ impl DynamicWorkload {
         Self::new(generator, sessions, mission_size)
     }
 
-    /// Total missions across all sessions.
-    pub fn total_missions(&self) -> usize {
-        self.sessions.iter().map(|s| s.missions).sum()
-    }
-
     /// The session schedule.
     pub fn sessions(&self) -> &[Session] {
         &self.sessions
@@ -113,6 +108,13 @@ impl Iterator for DynamicWorkload {
 mod tests {
     use super::*;
     use crate::generator::WorkloadSpec;
+
+    impl DynamicWorkload {
+        /// Total missions across all sessions.
+        fn total_missions(&self) -> usize {
+            self.sessions.iter().map(|s| s.missions).sum()
+        }
+    }
 
     fn gen() -> OpGenerator {
         OpGenerator::new(WorkloadSpec::scaled_default(500), 42)

@@ -18,7 +18,7 @@ pub fn encode_key(id: u64, key_len: usize) -> Bytes {
 }
 
 /// Decodes a key produced by [`encode_key`].
-pub fn decode_key(key: &[u8]) -> u64 {
+pub(crate) fn decode_key(key: &[u8]) -> u64 {
     let off = key.len() - 8;
     u64::from_be_bytes(key[off..].try_into().expect("key too short"))
 }
@@ -108,13 +108,8 @@ impl OpGenerator {
         }
     }
 
-    /// The spec this generator draws from.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
-
     /// Swaps the operation mix mid-stream (dynamic workloads).
-    pub fn set_mix(&mut self, mix: OpMix) {
+    pub(crate) fn set_mix(&mut self, mix: OpMix) {
         mix.validate().expect("invalid op mix");
         self.spec.mix = mix;
     }

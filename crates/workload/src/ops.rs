@@ -35,7 +35,7 @@ pub enum Operation {
 
 impl Operation {
     /// True for operations that read (Get/Scan).
-    pub fn is_read(&self) -> bool {
+    pub(crate) fn is_read(&self) -> bool {
         matches!(self, Operation::Get { .. } | Operation::Scan { .. })
     }
 
@@ -86,12 +86,12 @@ impl OpMix {
     }
 
     /// Paper read-inclined: 70% lookups, 30% updates.
-    pub fn read_inclined() -> Self {
+    pub(crate) fn read_inclined() -> Self {
         Self::reads(0.7)
     }
 
     /// Paper write-inclined: 30% lookups, 70% updates.
-    pub fn write_inclined() -> Self {
+    pub(crate) fn write_inclined() -> Self {
         Self::reads(0.3)
     }
 
@@ -105,13 +105,8 @@ impl OpMix {
         }
     }
 
-    /// The fraction of reads (`γ`), counting scans as reads.
-    pub fn gamma(&self) -> f64 {
-        self.lookup + self.scan
-    }
-
     /// Checks the fractions are non-negative and sum to ~1.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, v) in [
             ("lookup", self.lookup),
             ("update", self.update),
@@ -133,6 +128,13 @@ impl OpMix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl OpMix {
+        /// The fraction of reads (`γ`), counting scans as reads.
+        pub(crate) fn gamma(&self) -> f64 {
+            self.lookup + self.scan
+        }
+    }
 
     #[test]
     fn presets_are_valid() {

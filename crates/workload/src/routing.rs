@@ -16,7 +16,7 @@
 use crate::ops::Operation;
 
 /// FNV-1a 64-bit hash of `key` — the stable shard-routing hash.
-pub fn route_hash(key: &[u8]) -> u64 {
+pub(crate) fn route_hash(key: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in key {
         h ^= b as u64;

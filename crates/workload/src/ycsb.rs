@@ -31,7 +31,7 @@ pub enum Preset {
 
 impl Preset {
     /// The operation mix of the preset.
-    pub fn mix(self) -> OpMix {
+    pub(crate) fn mix(self) -> OpMix {
         match self {
             Preset::ReadHeavy => OpMix::read_heavy(),
             Preset::WriteHeavy => OpMix::write_heavy(),
@@ -43,7 +43,7 @@ impl Preset {
     }
 
     /// The key distribution of the preset.
-    pub fn distribution(self) -> KeyDistribution {
+    pub(crate) fn distribution(self) -> KeyDistribution {
         match self {
             Preset::ReadHeavy | Preset::WriteHeavy | Preset::Balanced | Preset::RangeBalanced => {
                 KeyDistribution::zipfian_default()
