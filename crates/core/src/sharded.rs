@@ -100,9 +100,9 @@
 //! [`FileDisk`] for its data pages (private
 //! file handles — the sharded real-file path carries no shared device
 //! lock, and each disk's clock is the shard's time domain), a
-//! [`Manifest`] that records the shard's run/level structure as atomic
-//! per-mutation edit batches (with checkpoint compaction of the log
-//! itself), and the shard's WAL ([`PersistenceConfig::wal_path`]).
+//! [`Manifest`] that commits a snapshot of the shard's run/level structure
+//! after every structural step into two alternating slot files, and the
+//! shard's WAL ([`PersistenceConfig::wal_path`]).
 //!
 //! A put/delete is appended to its shard's log *before* the memtable
 //! insert, without syncing per record. Every mission ends with a
@@ -123,12 +123,14 @@
 //! The ordering contract — data pages, then manifest commit, then WAL
 //! recycling, with obsolete pages freed only after the commit — means
 //! reopening a dropped store on [`Backend::Recover`] always rebuilds a
-//! consistent store: each manifest's longest consistent prefix is folded
-//! back into levels, every recorded run is rebuilt from its pages
+//! consistent store: each manifest's newest valid snapshot gives the
+//! levels back, every recorded run is rebuilt from its pages
 //! (fences and Bloom filters re-derived identically), and the WAL tail
 //! replays on top (valid prefix only, order pinned by record sequence
 //! numbers), so the recovered store is get/scan-identical to the one that
-//! was dropped.
+//! was dropped. A shard whose manifest cannot be read — another format
+//! version, or no valid snapshot beside extent files — fails the open
+//! with [`StoreError::Manifest`] and deletes nothing.
 //! `tests/persistence_restart.rs` pins restart equivalence at
 //! `N ∈ {1, 2, 4}`; `tests/crash_recovery.rs` pins the recovery contract
 //! at every [`ruskey_lsm::CrashPoint`] for `N ∈ {1, 2, 4}` and at every
@@ -179,7 +181,7 @@ use std::thread::{self, ThreadId};
 use std::time::Instant;
 
 use bytes::Bytes;
-use ruskey_lsm::{ConfigError, FlsmTree, Manifest, TreeStatsSnapshot, Wal};
+use ruskey_lsm::{ConfigError, FlsmTree, Manifest, ManifestError, TreeStatsSnapshot, Wal};
 use ruskey_storage::{BlockCache, CostModel, FileDisk, ShardStorage, Storage};
 use ruskey_workload::routing::{partition_ops, shard_for_key};
 use ruskey_workload::Operation;
@@ -197,13 +199,13 @@ use crate::tuner::{TreeObservation, Tuner};
 /// A persistent store gives every shard its **own directory** under
 /// `root`, holding an independent [`FileDisk`] (its own file handles —
 /// shards never serialize against each other on the real-file path), a
-/// [`Manifest`] recording the shard's run/level structure, and a WAL for
-/// its write buffer:
+/// [`Manifest`] recording the shard's run/level structure in two slot
+/// files, and a WAL for its write buffer:
 ///
 /// ```text
 /// root/
-///   shard-0/ data/extent-*.run  MANIFEST  wal
-///   shard-1/ data/extent-*.run  MANIFEST  wal
+///   shard-0/ data/extent-*.run  MANIFEST  MANIFEST.1  wal
+///   shard-1/ data/extent-*.run  MANIFEST  MANIFEST.1  wal
 ///   ...
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -218,8 +220,8 @@ pub struct PersistenceConfig {
     /// Per-shard WAL auto-fsync cadence (records); 0 relies solely on
     /// the cross-shard group-commit barrier.
     pub sync_every: u64,
-    /// Auto-compact each shard's manifest once this many structural
-    /// edits accumulate since the last checkpoint (0 = never).
+    /// Ignored: the manifest commits whole snapshots and needs no
+    /// compaction. The field stays only for callers that still set it.
     pub checkpoint_every: u64,
     /// Per-shard block-cache capacity in pages; each shard's
     /// [`FileDisk`] serves reads through its own sharded LRU
@@ -230,8 +232,7 @@ pub struct PersistenceConfig {
 
 impl PersistenceConfig {
     /// Defaults: 4 KiB pages, the NVMe cost model, group-commit-only WAL
-    /// syncs, a manifest checkpoint every 1024 edits, and a 4096-page
-    /// (16 MiB) block cache per shard.
+    /// syncs, and a 4096-page (16 MiB) block cache per shard.
     pub fn new(root: impl Into<PathBuf>) -> Self {
         Self {
             root: root.into(),
@@ -247,13 +248,10 @@ impl PersistenceConfig {
     /// directory (created if absent), served through a [`BlockCache`]
     /// when `cache_pages > 0`.
     fn open_disk(&self, shard: usize) -> std::io::Result<Arc<dyn Storage>> {
-        let data = self.data_dir(shard);
-        std::fs::create_dir_all(&data)?;
-        let disk = FileDisk::new(&data, self.page_size, self.cost)?;
-        Ok(if self.cache_pages > 0 {
-            BlockCache::new(disk, self.cache_pages)
-        } else {
-            disk
+        let disk = FileDisk::new(self.data_dir(shard), self.page_size, self.cost)?;
+        Ok(match self.cache_pages {
+            0 => disk,
+            pages => BlockCache::new(disk, pages),
         })
     }
 
@@ -267,7 +265,8 @@ impl PersistenceConfig {
         self.shard_dir(shard).join("data")
     }
 
-    /// One shard's manifest path.
+    /// One shard's manifest path (its first slot; the second is
+    /// [`Manifest::slot_paths`]' sibling).
     pub fn manifest_path(&self, shard: usize) -> PathBuf {
         self.shard_dir(shard).join("MANIFEST")
     }
@@ -285,16 +284,14 @@ impl PersistenceConfig {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
             Err(e) => return Err(e),
         };
-        let mut described = 0usize;
+        let mut described = 0;
         for entry in entries {
             let name = entry?.file_name();
             let idx = name
                 .to_string_lossy()
                 .strip_prefix("shard-")
-                .and_then(|s| s.parse::<usize>().ok());
-            if let Some(idx) = idx {
-                described = described.max(idx + 1);
-            }
+                .map(str::parse);
+            described = described.max(idx.and_then(Result::ok).map_or(0, |i: usize| i + 1));
         }
         Ok(described)
     }
@@ -346,6 +343,15 @@ pub enum StoreError {
     /// [`RusKey::finish_serving`]. Nothing was executed and no tree was
     /// touched.
     Serving,
+    /// A shard's manifest cannot be recovered: a slot was written by
+    /// another format version, or no slot holds a valid snapshot while the
+    /// shard's data directory holds extents. Nothing was deleted.
+    Manifest {
+        /// The shard whose manifest was refused.
+        shard: usize,
+        /// Why.
+        error: ManifestError,
+    },
     /// A shard's WAL failed with a real I/O error during its commit leg
     /// (the first failing shard, if several failed in one barrier). The
     /// store itself stays alive: the batch's lanes were applied, but the
@@ -377,6 +383,7 @@ impl std::fmt::Display for StoreError {
                 "shard {shard} is fenced by an earlier panic; nothing was executed"
             ),
             StoreError::Serving => write!(f, "{AWAY_SERVING}; nothing was executed"),
+            StoreError::Manifest { shard, error } => write!(f, "shard {shard}: {error}"),
             StoreError::Wal { shard, error } => {
                 write!(f, "shard {shard}'s WAL commit failed: {error}")
             }
@@ -464,22 +471,24 @@ pub enum Backend<'a> {
     Volatile(Arc<dyn Storage>),
     /// A fresh persistent store: every shard gets its own directory under
     /// the root, with an independent [`FileDisk`] for its data pages, a
-    /// [`Manifest`] recording its run/level structure (committed
-    /// atomically on every flush, compaction and transition) and a WAL
+    /// [`Manifest`] recording its run/level structure (a snapshot
+    /// committed on every flush, compaction and transition) and a WAL
     /// for its write buffer (one fsync per shard per mission via the
     /// group-commit barrier). Any previous incarnation under the root is
     /// wiped first, shard directories beyond the new count included.
     Create(&'a PersistenceConfig),
     /// Reopens the persistent store a dropped one left under the root:
-    /// each shard reopens its [`FileDisk`] directory, folds its
-    /// manifest's longest consistent prefix back into the run/level
-    /// structure (rebuilding every run from its data pages, with fence
+    /// each shard reopens its [`FileDisk`] directory, takes its
+    /// manifest's newest valid snapshot as the run/level structure
+    /// (rebuilding every run from its data pages, with fence
     /// pointers and Bloom filters re-derived identically), and replays
     /// its WAL tail on top — so the recovered store is get/scan-identical
     /// to the store that was dropped. The same shard count that produced
     /// the layout must be passed (the routing hash keys on it); any other
     /// count is refused. So is a root holding a routes file: its keys do
-    /// not live on their hash shard.
+    /// not live on their hash shard. So is a shard whose manifest has
+    /// another format version, or no valid snapshot beside extent files
+    /// ([`StoreError::Manifest`]).
     Recover(&'a PersistenceConfig),
 }
 
@@ -543,8 +552,8 @@ impl RusKey {
     /// `tuner.for_shard(i)` on shard `i` (Lerp: one agent per shard,
     /// shard `i` seeded `seed + i·104729`); and, recovering, baselines
     /// the statistics so the first mission report excludes recovery work
-    /// (the lifetime recovery counters `manifest_edits`, `runs_recovered`
-    /// and `replayed_tail` still surface through [`RusKey::stats`]).
+    /// (the recovery counters `runs_recovered` and `replayed_tail` still
+    /// surface through [`RusKey::stats`]).
     ///
     /// # Errors
     /// The first failure in shard order, as a serial loop would return
@@ -603,18 +612,18 @@ impl RusKey {
                 Backend::Create(p) => {
                     wipe(&p.shard_dir(i))?;
                     let mut tree = FlsmTree::try_new(lsm, p.open_disk(i)?)?;
-                    tree.attach_manifest(Manifest::create(p.manifest_path(i), p.checkpoint_every)?);
+                    tree.attach_manifest(Manifest::create(p.manifest_path(i), 0)?);
                     tree.attach_wal(Wal::open_with_sync_every(p.wal_path(i), p.sync_every)?);
                     tree
                 }
-                Backend::Recover(p) => FlsmTree::recover_persistent(
-                    lsm,
-                    p.open_disk(i)?,
-                    p.manifest_path(i),
-                    p.wal_path(i),
-                    p.sync_every,
-                    p.checkpoint_every,
-                )?,
+                Backend::Recover(p) => {
+                    let (manifest, wal) = (p.manifest_path(i), p.wal_path(i));
+                    FlsmTree::recover_persistent(lsm, p.open_disk(i)?, manifest, wal, p.sync_every)
+                        .map_err(|e| match ManifestError::of(&e) {
+                            Some(error) => StoreError::Manifest { shard: i, error },
+                            None => e.into(),
+                        })?
+                }
             })
         };
         let trees = run_on_lanes((0..shards).map(|i| move || build(i)))
@@ -1739,7 +1748,7 @@ mod tests {
             .expect("recover persistent store");
         let s = rec.stats();
         assert!(s.runs_recovered > 0, "flushed runs must be rebuilt");
-        assert!(s.manifest_edits > 0);
+        assert_eq!(s.manifest_edits, 0, "recovery writes no manifest record");
         for i in 0..300u64 {
             let got = rec.get(&ruskey_workload::encode_key(i, 16));
             if i == 5 {

@@ -35,9 +35,9 @@
 //!   owns: puts/deletes are logged before the memtable insert and the log
 //!   is recycled in place on flush (see the [`wal`] module docs for the
 //!   durability contract and crash-injection hooks);
-//! * a versioned, checksummed [`manifest`] that records every structural
-//!   edit (runs created/removed, policy transitions, flush watermarks) as
-//!   an append-only log with atomic checkpoint compaction, so
+//! * a versioned, checksummed [`manifest`] that commits a snapshot of the
+//!   tree's structure (policies, runs, the flushed watermark) after every
+//!   structural step into two alternating slot files, so
 //!   [`tree::FlsmTree::recover_persistent`] can rebuild the *full*
 //!   run/level structure from the manifest plus the data pages on a
 //!   persistent storage backend, then rebuild the write buffer from the
@@ -77,7 +77,7 @@ pub mod wal;
 
 pub use config::{BloomScheme, ConfigError, LsmConfig};
 pub use iter::RangeScan;
-pub use manifest::{Manifest, ManifestCrashPoint, ManifestEdit, ManifestState, RunRecord};
+pub use manifest::{Manifest, ManifestCrashPoint, ManifestError, ManifestState, RunRecord};
 pub use picker::SCORE_SCALE;
 pub use stats::{LevelStatsSnapshot, TreeStatsSnapshot};
 pub use transition::TransitionStrategy;

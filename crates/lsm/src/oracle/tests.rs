@@ -589,9 +589,17 @@ fn stores_written_by_the_old_chain_recover_and_vice_versa() {
     // and WAL as they are (their framing is pinned in their own tests),
     // every extent re-written from its entries by the oracle writer.
     let old_dir = tmp_dir("old");
-    std::fs::copy(new_dir.join("MANIFEST"), old_dir.join("MANIFEST")).unwrap();
+    let slots = Manifest::slot_paths(&new_dir.join("MANIFEST"));
+    for (from, to) in slots
+        .iter()
+        .zip(Manifest::slot_paths(&old_dir.join("MANIFEST")))
+    {
+        std::fs::copy(from, to).unwrap();
+    }
     std::fs::copy(new_dir.join("wal"), old_dir.join("wal")).unwrap();
-    let (manifest, _) = Manifest::recover(new_dir.join("MANIFEST"), 0).unwrap();
+    let manifest = Manifest::recover(new_dir.join("MANIFEST"))
+        .unwrap()
+        .unwrap();
     let new_disk = open(&new_dir).unwrap();
     let old_disk = open(&old_dir).unwrap();
     let mut records: Vec<_> = manifest
@@ -631,7 +639,6 @@ fn stores_written_by_the_old_chain_recover_and_vice_versa() {
         open(&old_dir).unwrap(),
         old_dir.join("MANIFEST"),
         old_dir.join("wal"),
-        0,
         0,
     )
     .unwrap();

@@ -1,8 +1,8 @@
 //! The record log under the write-ahead log and the manifest: one file of
 //! checksummed records, framed, written, synced, replayed and recycled in
 //! one place. [`crate::wal::Wal`] is a `KvEntry` codec over it and
-//! [`crate::manifest::Manifest`] a `ManifestEdit` codec; neither touches
-//! the framing.
+//! [`crate::manifest::Manifest`] a snapshot codec over two of them;
+//! neither touches the framing.
 //!
 //! ## Format
 //!
@@ -34,7 +34,9 @@
 //! fsync, no reopen. One invariant holds throughout: **every byte past the
 //! current generation is zero or past EOF.** The recycle keeps it by
 //! zero-filling, [`RecordLog::open`] by cutting the file back to its valid
-//! prefix.
+//! prefix. A manifest slot is the exception: it [`RecordLog::rewind`]s
+//! and overwrites its head with a whole image, and its reader trusts only
+//! the image's own records, never what lies past them.
 //!
 //! Why: once the file has reached its working size, every write overwrites
 //! blocks that are already allocated, so the `fdatasync` has only data to
@@ -116,7 +118,7 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
 /// Fsyncs `path`'s parent directory (`.` for a bare file name): a file
 /// creation or rename is not durable across power loss until the
 /// directory entry itself is.
-pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
     File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }
@@ -227,11 +229,6 @@ impl<P: Copy + PartialEq> Countdown<P> {
     /// armed point.
     pub(crate) fn arm(&mut self, point: P, after: u64) {
         self.armed = Some((point, after));
-    }
-
-    /// True while `point` is armed.
-    pub(crate) fn is_armed_at(&self, point: P) -> bool {
-        matches!(self.armed, Some((p, _)) if p == point)
     }
 
     /// Visits `point`: true if the crash fires now, which kills the handle.
@@ -370,6 +367,21 @@ impl RecordLog {
     /// Drops the buffer: what a process death loses.
     pub(crate) fn discard(&mut self) {
         self.buf.clear();
+    }
+
+    /// Rewinds to offset 0 without touching the file: the next write
+    /// overwrites the log's head in place. Only the records framed after
+    /// the rewind are the log's; a reader must stop at them, since what
+    /// lies past them is an older image (a manifest slot reads two).
+    pub(crate) fn rewind(&mut self) {
+        self.buf.clear();
+        self.written = 0;
+    }
+
+    /// Zero-pads the buffer to a multiple of `block` bytes: a zero header
+    /// ends replay, and a write of whole blocks rewrites no partial one.
+    pub(crate) fn pad(&mut self, block: usize) {
+        self.buf.resize(self.buf.len().next_multiple_of(block), 0);
     }
 
     /// Writes the buffer at the end of the generation with one positioned

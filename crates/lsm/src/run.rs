@@ -104,6 +104,9 @@ pub struct Run {
     fences: FencePointers,
     entry_count: u64,
     data_bytes: u64,
+    /// Bits-per-key the Bloom filter was built with (the manifest records
+    /// it, so recovery rebuilds the same filter).
+    bits_per_key: f64,
     /// Atomic so a *shared* run handle (`Arc<Run>`) can be retargeted in
     /// place by a flexible policy transition: the capacity is the only
     /// mutable field of an otherwise immutable run.
@@ -137,11 +140,6 @@ impl Run {
         self.capacity_bytes.store(capacity, Ordering::Relaxed);
     }
 
-    /// Number of entries in the run.
-    pub(crate) fn entry_count(&self) -> u64 {
-        self.entry_count
-    }
-
     /// Number of pages occupied on storage.
     pub fn page_count(&self) -> u32 {
         self.extent.pages
@@ -163,9 +161,20 @@ impl Run {
         &self.max_key
     }
 
-    /// Largest sequence number in the run.
-    pub(crate) fn max_seq(&self) -> SeqNo {
-        self.max_seq
+    /// The manifest record describing the run as it stands.
+    pub(crate) fn record(&self) -> crate::manifest::RunRecord {
+        crate::manifest::RunRecord {
+            run_id: self.id,
+            extent_id: self.extent.id,
+            pages: self.extent.pages,
+            capacity_bytes: self.capacity_bytes(),
+            entry_count: self.entry_count,
+            data_bytes: self.data_bytes,
+            max_seq: self.max_seq,
+            bloom_bits_per_key: self.bits_per_key,
+            min_key: self.min_key.clone(),
+            max_key: self.max_key.clone(),
+        }
     }
 
     /// Probes the run for `lookup`'s key, charging `c_r` CPU plus any page
@@ -303,6 +312,7 @@ impl Run {
             fences: FencePointers::new(first_keys),
             entry_count: rec.entry_count,
             data_bytes: rec.data_bytes,
+            bits_per_key: rec.bloom_bits_per_key,
             capacity_bytes: AtomicU64::new(rec.capacity_bytes),
             min_key: rec.min_key.clone(),
             max_key: rec.max_key.clone(),
@@ -544,6 +554,7 @@ impl<'s> RunBuilder<'s> {
             bloom,
             entry_count: self.entries,
             data_bytes: self.data_bytes,
+            bits_per_key: self.bits_per_key,
             capacity_bytes: AtomicU64::new(capacity_bytes),
             min_key: self.first_keys[0].clone(),
             max_key,
@@ -561,6 +572,14 @@ mod tests {
     use std::sync::{Arc, Mutex};
 
     impl Run {
+        fn entry_count(&self) -> u64 {
+            self.entry_count
+        }
+
+        fn max_seq(&self) -> SeqNo {
+            self.max_seq
+        }
+
         /// In-memory metadata footprint (Bloom bits + fence keys and their
         /// 16-byte prefixes), bytes.
         fn metadata_bytes(&self) -> usize {
@@ -707,18 +726,7 @@ mod tests {
     fn recover_rebuilds_an_identical_run() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
         let run = build_run(disk.as_ref(), 80, 8.0);
-        let rec = crate::manifest::RunRecord {
-            run_id: run.id(),
-            extent_id: run.extent().id,
-            pages: run.page_count(),
-            capacity_bytes: run.capacity_bytes(),
-            entry_count: run.entry_count(),
-            data_bytes: run.data_bytes(),
-            max_seq: run.max_seq(),
-            bloom_bits_per_key: 8.0,
-            min_key: run.min_key().clone(),
-            max_key: run.max_key().clone(),
-        };
+        let rec = run.record();
         let rebuilt = Run::recover(disk.as_ref(), &rec).unwrap();
         assert_eq!(rebuilt.entry_count(), run.entry_count());
         assert_eq!(rebuilt.metadata_bytes(), run.metadata_bytes());

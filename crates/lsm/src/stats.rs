@@ -111,8 +111,9 @@ pub struct TreeStatsSnapshot {
     /// fsync, or superseded by a memtable flush that persisted them into
     /// the tree.
     pub wal_synced: u64,
-    /// Lifetime structural edits through the tree's manifest: replayed at
-    /// recovery plus committed since (0 when the tree runs without one).
+    /// Snapshot records the tree's manifest wrote since it was created or
+    /// recovered: one per structural step that changed the tree (0 when
+    /// the tree runs without a manifest).
     pub manifest_edits: u64,
     /// Runs rebuilt from manifest + data pages by the last recovery.
     pub runs_recovered: u64,

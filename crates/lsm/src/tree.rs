@@ -10,7 +10,7 @@ use crate::config::LsmConfig;
 use crate::entry::{EntryBuf, ENTRY_HEADER_BYTES};
 use crate::iter::RangeScan;
 use crate::level::Level;
-use crate::manifest::{Manifest, ManifestEdit, RunRecord};
+use crate::manifest::{LevelManifest, Manifest, ManifestError, ManifestState};
 use crate::memtable::Memtable;
 use crate::picker::{self, SCORE_SCALE};
 use crate::run::{LookupKey, ProbeOutcome, Run, RunBuilder, RunId};
@@ -22,8 +22,8 @@ use crate::wal::{SyncTicket, Wal};
 /// A deferred merge built by a background maintenance step and applied
 /// by a later one: the merged batch waits in memory while the input runs
 /// stay resident (and readable) in their level. Crash-safe by
-/// construction — nothing structural happens until the apply step logs
-/// and commits the edit batch.
+/// construction — nothing structural happens until the apply step
+/// commits the manifest.
 struct PendingCompaction {
     /// Level whose sealed runs were merged.
     level: usize,
@@ -113,6 +113,11 @@ pub struct FlsmTree {
     levels: Vec<Level>,
     level_stats: Vec<LevelStatsSnapshot>,
     seq: SeqNo,
+    /// The flushed sequence watermark: `seq` as of the last flush or bulk
+    /// load, so every write at or below it lives in a run. The manifest
+    /// records this, never the live `seq`: a commit made while the
+    /// memtable holds acknowledged writes must leave them to the WAL.
+    flushed_seq: SeqNo,
     next_run_id: RunId,
     lookups: u64,
     updates: u64,
@@ -123,15 +128,14 @@ pub struct FlsmTree {
     /// each successful memtable flush. WAL I/O is charged to this tree's
     /// storage time domain.
     wal: Option<Wal>,
-    /// Optional manifest: when attached, every structural edit (runs
-    /// created/removed, transitions, flush watermarks) is recorded and
-    /// committed atomically at each mutation boundary, so the full
+    /// Optional manifest: when attached, each structural step commits the
+    /// tree's projection ([`ManifestState::of`]) at its end, so the full
     /// run/level structure survives a restart on a persistent backend.
     manifest: Option<Manifest>,
     /// Runs superseded by the mutation in flight, freed where its
-    /// manifest batch commits: with a manifest attached only *after* the
-    /// edit removing them is durable, so a truncated manifest tail never
-    /// rolls back to runs whose pages are already gone.
+    /// manifest commit lands: with a manifest attached only *after* the
+    /// state without them is durable, so recovery never falls back to runs
+    /// whose pages are already gone.
     pending_retire: Vec<Arc<Run>>,
     /// A background merge built but not yet applied (see
     /// [`FlsmTree::step_maintenance`]).
@@ -161,7 +165,7 @@ pub struct FlsmTree {
     power_failed: bool,
     /// Set when the in-flight mutation fsynced freshly created extents:
     /// their directory entries still need the one `sync_dir` barrier
-    /// before the manifest batch referencing them may commit.
+    /// before the manifest state referencing them may commit.
     dir_sync_due: bool,
     /// Tree-wide aggregate `[min, max]` key range over every resident
     /// run (all levels), cached so a lookup outside it returns in O(1)
@@ -195,6 +199,7 @@ impl FlsmTree {
             levels: Vec::new(),
             level_stats: Vec::new(),
             seq: 0,
+            flushed_seq: 0,
             next_run_id: 1,
             lookups: 0,
             updates: 0,
@@ -219,9 +224,9 @@ impl FlsmTree {
     /// Recovers a tree from its **two** logs on a persistent storage
     /// backend — the full-store restart path:
     ///
-    /// 1. the manifest's longest consistent prefix is folded into the
-    ///    run/level structure (policies, sealed/active runs in exact
-    ///    probe order, sequence watermark, run-id allocation);
+    /// 1. the manifest's newest valid snapshot gives the run/level
+    ///    structure (policies, sealed/active runs in exact probe order,
+    ///    flushed sequence watermark, run-id allocation);
     /// 2. every recorded run is rebuilt from its data pages on `storage`
     ///    (`Run::recover` re-derives identical fence pointers and Bloom
     ///    filters, cross-checking the record's integrity expectations);
@@ -234,60 +239,54 @@ impl FlsmTree {
     /// Both logs stay attached for subsequent operation. WAL records that
     /// a flush already superseded — the crash hit between the manifest
     /// commit and the WAL recycling, or a power cut lost a recycling's
-    /// zero-fill — carry a seq at or below the recovered structure's and
+    /// zero-fill — carry a seq at or below the recovered watermark and
     /// are skipped, so an older generation never shadows a newer run.
     ///
     /// The page reads recovery performs are charged to this tree's
     /// storage time domain like any other I/O.
+    ///
+    /// # Errors
+    /// Besides I/O and corrupt-page errors, an `InvalidData` error
+    /// carrying a [`ManifestError`] when a manifest slot has another
+    /// format version, or when no slot holds a valid snapshot while
+    /// `storage` holds pages. Nothing is deleted on any error.
     pub fn recover_persistent(
         cfg: LsmConfig,
         storage: Arc<dyn Storage>,
         manifest_path: impl AsRef<std::path::Path>,
         wal_path: impl AsRef<std::path::Path>,
         sync_every: u64,
-        checkpoint_every: u64,
     ) -> std::io::Result<Self> {
-        let (manifest, _edits) = Manifest::recover(manifest_path, checkpoint_every)?;
+        let manifest = match Manifest::recover(&manifest_path)? {
+            Some(m) => m,
+            None if storage.live_pages() > 0 => return Err(ManifestError::NoSnapshot.into()),
+            None => Manifest::create(&manifest_path, 0)?,
+        };
         let mut tree = Self::try_new(cfg, storage)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
-        let state = manifest.state().clone();
+        let state = manifest.state();
+        let mut live = Vec::new();
         for (idx, lvl) in state.levels.iter().enumerate() {
             tree.ensure_level(idx);
-            if lvl.policy != 0 {
-                tree.levels[idx].policy = lvl.policy;
-            }
-            tree.levels[idx].pending_policy = lvl.pending;
-            for rec in &lvl.sealed {
-                let run = Arc::new(Run::recover(tree.storage.as_ref(), rec)?);
-                tree.seq = tree.seq.max(run.max_seq());
-                tree.levels[idx].sealed.push(run);
-                tree.runs_recovered += 1;
-            }
-            if let Some(rec) = &lvl.active {
-                let run = Arc::new(Run::recover(tree.storage.as_ref(), rec)?);
-                tree.seq = tree.seq.max(run.max_seq());
-                tree.levels[idx].active = Some(run);
-                tree.runs_recovered += 1;
-            }
-        }
-        tree.seq = tree.seq.max(state.seq);
-        tree.next_run_id = state.max_run_id + 1;
-        for level in &mut tree.levels {
+            let level = &mut tree.levels[idx];
+            (level.policy, level.pending_policy) = (lvl.policy, lvl.pending);
+            let recover = |rec| Run::recover(tree.storage.as_ref(), rec).map(Arc::new);
+            level.sealed = lvl.sealed.iter().map(recover).collect::<Result<_, _>>()?;
+            level.active = lvl.active.as_ref().map(recover).transpose()?;
             level.refresh_bounds();
+            live.extend(lvl.sealed.iter().chain(&lvl.active).map(|r| r.extent_id));
         }
+        tree.runs_recovered = live.len() as u64;
         tree.refresh_tree_bounds();
+        // Every run's max_seq is at or below the flushed watermark.
+        (tree.seq, tree.flushed_seq) = (state.seq, state.seq);
+        tree.next_run_id = state.next_run_id;
         // Garbage-collect extents orphaned by a power cut between their
         // data-page writes and the manifest commit: anything on the
         // device the recovered structure does not reference. Must run
         // *before* the WAL replay — a replay-triggered flush allocates
         // fresh extents the sweep must not touch — and it resets extent-
         // id allocation so the collected ids are safely reusable.
-        let live: Vec<u64> = state
-            .levels
-            .iter()
-            .flat_map(|l| l.sealed.iter().chain(l.active.as_ref()))
-            .map(|r| r.extent_id)
-            .collect();
         tree.orphans_collected = tree.storage.collect_orphans(&live)?.len() as u64;
         // Replay the log's valid prefix in ascending sequence order, so the
         // latest version of a key wins in the memtable regardless of how
@@ -329,11 +328,10 @@ impl FlsmTree {
         self.wal.as_ref().is_some_and(Wal::is_crashed)
     }
 
-    /// Attaches a manifest: subsequent structural edits (flushes,
-    /// compactions, transitions, bulk loads) are recorded and committed
-    /// atomically at each mutation boundary. The manifest describes the
-    /// structure from its own beginning, so it must be attached while the
-    /// tree is still empty.
+    /// Attaches a manifest: each later structural step (a flush, a
+    /// compaction, a transition, a bulk load) commits the tree's
+    /// projection at its end. A fresh manifest holds the empty state, so
+    /// it must be attached while the tree is still empty.
     pub fn attach_manifest(&mut self, manifest: Manifest) {
         debug_assert!(
             self.levels.is_empty() && self.memtable.is_empty(),
@@ -348,7 +346,7 @@ impl FlsmTree {
     }
 
     /// Mutable access to the attached manifest (test harnesses arm crash
-    /// points and force checkpoints through this).
+    /// points through this).
     pub fn manifest_mut(&mut self) -> Option<&mut Manifest> {
         self.manifest.as_mut()
     }
@@ -542,9 +540,9 @@ impl FlsmTree {
     /// Ordering is the durability contract of the two-log design,
     /// extended to power-failure semantics: the flushed run's data pages
     /// are written *and fsynced* first (extent fsync, then one directory
-    /// fsync naming it), then the manifest commits the structural edits
-    /// (run added, superseded runs removed, sequence watermark) as one
-    /// atomic batch, and only then is the WAL recycled — so at every
+    /// fsync naming it), then the manifest commits the tree's new state
+    /// (run added, superseded runs removed, flushed watermark) as one
+    /// snapshot, and only then is the WAL recycled — so at every
     /// crash or power-cut point either the manifest or the WAL still
     /// covers the flushed records, and the manifest never references
     /// pages the device could lose. A recycling that fails is a power
@@ -557,8 +555,7 @@ impl FlsmTree {
         let flushed = std::mem::take(&mut self.memtable);
         self.flushes += 1;
         self.admit_batch(0, Source::Mem(flushed.cursor()));
-        let seq = self.seq;
-        self.log_edit(ManifestEdit::SeqWatermark { seq });
+        self.flushed_seq = self.seq;
         self.commit_manifest();
         if self.manifest_crashed() {
             // Simulated process death inside the manifest commit: the
@@ -573,14 +570,6 @@ impl FlsmTree {
     // ------------------------------------------------------------------
     // Manifest plumbing
     // ------------------------------------------------------------------
-
-    /// Buffers one structural edit into the attached manifest's current
-    /// batch (no-op without one).
-    fn log_edit(&mut self, edit: ManifestEdit) {
-        if let Some(m) = &mut self.manifest {
-            m.log(edit);
-        }
-    }
 
     /// Declares the device power-failed: both logs are killed so the
     /// in-flight mutation can never commit — exactly the state a real
@@ -597,7 +586,7 @@ impl FlsmTree {
     }
 
     /// Step 1 of the power-failure contract: a freshly built run's data
-    /// pages are fsynced *before* any manifest edit referencing them can
+    /// pages are fsynced *before* any manifest state referencing them can
     /// commit, and the pending directory barrier is noted for commit
     /// time. Volatile backends no-op at zero cost; a failed barrier
     /// means the device power-failed and the mutation is abandoned.
@@ -611,14 +600,15 @@ impl FlsmTree {
         }
     }
 
-    /// Commits the mutation's buffered manifest batch, charges its cost
-    /// to this tree's storage time domain, and — only once the batch is
-    /// durable — frees the extents of the runs the mutation superseded. A
-    /// commit that fails is a power failure, like a failed barrier.
+    /// Commits the tree's projection to the attached manifest, charges
+    /// one record append and one sync to this tree's storage time domain
+    /// when a record was written, and — only once it is durable — frees
+    /// the extents of the runs the mutation superseded. A commit that
+    /// fails is a power failure, like a failed barrier.
     fn commit_manifest(&mut self) {
         // Step 2 boundary of the power-failure contract: every extent
         // this mutation created is already fsynced; one directory fsync
-        // now makes their *names* durable before the manifest batch
+        // now makes their *names* durable before the manifest state
         // referencing them commits. Volatile backends no-op.
         if self.dir_sync_due && !self.power_failed {
             match self.storage.sync_dir() {
@@ -626,12 +616,12 @@ impl FlsmTree {
                 Err(_) => self.power_fail(),
             }
         }
-        let Some(m) = &mut self.manifest else {
+        let state = self.manifest.as_ref().map(|_| ManifestState::of(self));
+        let (Some(m), Some(state)) = (&mut self.manifest, state) else {
             self.free_retired();
             return;
         };
-        let pending = m.pending_edits() as u64;
-        let Ok(wrote) = m.commit() else {
+        let Ok(wrote) = m.commit(state) else {
             self.power_fail();
             return;
         };
@@ -644,13 +634,13 @@ impl FlsmTree {
         if wrote {
             let cost = self.storage.cost_model();
             self.storage
-                .charge_cpu(pending * cost.wal_append_ns + cost.wal_sync_ns);
+                .charge_cpu(cost.wal_append_ns + cost.wal_sync_ns);
         }
         self.free_retired();
     }
 
     /// Retires a superseded run: its extent is freed where the mutation's
-    /// manifest batch commits ([`FlsmTree::commit_manifest`]).
+    /// manifest commit lands ([`FlsmTree::commit_manifest`]).
     fn retire_run(&mut self, run: Arc<Run>) {
         self.pending_retire.push(run);
     }
@@ -817,24 +807,15 @@ impl FlsmTree {
 
         let new_run = builder.finish(active_cap).map(Arc::new);
         if let Some(run) = &new_run {
-            // The run's pages must be durable before the AddRun edit
-            // below can commit (power-failure contract, step 1).
+            // The run's pages must be durable before a state naming it
+            // can commit (power-failure contract, step 1).
             self.sync_new_run(run.extent());
         }
         if let Some(old) = old_active {
-            self.log_edit(ManifestEdit::RemoveRun {
-                level: idx as u32,
-                run_id: old.id(),
-            });
             self.retire_run(old);
         }
         if let Some(run) = new_run {
             let sealed = run.data_bytes() >= run.capacity_bytes();
-            self.log_edit(ManifestEdit::AddRun {
-                level: idx as u32,
-                active: !sealed,
-                run: describe_run(&run, bits),
-            });
             let level = &mut self.levels[idx];
             if sealed {
                 level.sealed.push(run);
@@ -864,20 +845,14 @@ impl FlsmTree {
         self.ensure_level(idx + 1);
         let runs = self.levels[idx].take_all_runs();
         if runs.is_empty() {
-            self.adopt_pending_policy(idx);
+            self.levels[idx].adopt_pending_policy();
             return;
         }
         let t0 = self.storage.clock().now();
         let m0 = self.storage.metrics();
 
         let (batch, keys) = self.merge_runs(&runs);
-        for r in runs {
-            self.log_edit(ManifestEdit::RemoveRun {
-                level: idx as u32,
-                run_id: r.id(),
-            });
-            self.retire_run(r);
-        }
+        runs.into_iter().for_each(|r| self.retire_run(r));
 
         let dm = self.storage.metrics().delta(&m0);
         let st = &mut self.level_stats[idx];
@@ -891,7 +866,7 @@ impl FlsmTree {
         // keep covering its former range (the admitted batch below may be
         // empty after tombstone drops, so this cannot ride on admit_batch).
         self.refresh_bounds(idx);
-        self.adopt_pending_policy(idx);
+        self.levels[idx].adopt_pending_policy();
         self.admit_batch(idx + 1, Source::Buf(batch.cursor()));
     }
 
@@ -910,19 +885,6 @@ impl FlsmTree {
         self.storage
             .charge_cpu(self.storage.cost_model().cpu_merge_per_key_ns * keys);
         (batch, keys)
-    }
-
-    /// Adopts a level's pending (lazy) policy, recording the adoption in
-    /// the manifest so the transition survives a restart.
-    fn adopt_pending_policy(&mut self, idx: usize) {
-        if let Some(k) = self.levels[idx].pending_policy {
-            self.levels[idx].adopt_pending_policy();
-            self.log_edit(ManifestEdit::SetPolicy {
-                level: idx as u32,
-                policy: k,
-                pending: None,
-            });
-        }
     }
 
     // ------------------------------------------------------------------
@@ -944,9 +906,9 @@ impl FlsmTree {
     ///    build the merge of its sealed runs for a later step to apply.
     ///
     /// Splitting *build* (step issuing the read + CPU work) from *apply*
-    /// (step logging and committing the edit batch) keeps each step
-    /// bounded and leaves the input runs resident — readable by gets and
-    /// scans — for the whole merge. Callers interleave steps between
+    /// (step changing the structure and committing the manifest) keeps
+    /// each step bounded and leaves the input runs resident — readable by
+    /// gets and scans — for the whole merge. Callers interleave steps between
     /// operation batches; [`FlsmTree::maintain`] loops. On a quiescent
     /// tree the step does nothing and reports no work done.
     pub fn step_maintenance(&mut self) -> bool {
@@ -1045,9 +1007,8 @@ impl FlsmTree {
     }
 
     /// Applies a built merge: removes the inputs from their level,
-    /// admits the output into the next level, and commits the whole edit
-    /// batch atomically. The inputs' extents stay allocated until the
-    /// commit is durable.
+    /// admits the output into the next level, and commits the manifest.
+    /// The inputs' extents stay allocated until the commit is durable.
     fn apply_pending(&mut self, p: PendingCompaction) {
         let PendingCompaction {
             level: idx,
@@ -1062,16 +1023,12 @@ impl FlsmTree {
                 .position(|s| s.id() == r.id())
                 .expect("pending inputs were revalidated");
             let run = self.levels[idx].sealed.remove(pos);
-            self.log_edit(ManifestEdit::RemoveRun {
-                level: idx as u32,
-                run_id: run.id(),
-            });
             self.retire_run(run);
         }
         self.level_stats[idx].merges_down += 1;
         self.refresh_bounds(idx);
         if self.levels[idx].run_count() == 0 {
-            self.adopt_pending_policy(idx);
+            self.levels[idx].adopt_pending_policy();
         }
         self.admit_batch(idx + 1, Source::Buf(batch.cursor()));
         self.bg_compactions += 1;
@@ -1110,49 +1067,13 @@ impl FlsmTree {
         }
         self.level_stats[idx].transitions += 1;
         match self.cfg.transition {
-            TransitionStrategy::Flexible => {
-                let prev_active = self.levels[idx].active.as_ref().map(|r| r.id());
-                self.levels[idx].apply_flexible(k);
-                self.log_edit(ManifestEdit::SetPolicy {
-                    level: idx as u32,
-                    policy: k,
-                    pending: None,
-                });
-                if let Some(run_id) = prev_active {
-                    // Mirror what apply_flexible did to the active run:
-                    // retarget its capacity and, if the new capacity
-                    // sealed it, record the seal.
-                    self.log_edit(ManifestEdit::RetargetRun {
-                        level: idx as u32,
-                        run_id,
-                        capacity_bytes: self.levels[idx].active_capacity(),
-                    });
-                    if self.levels[idx].active.is_none() {
-                        self.log_edit(ManifestEdit::SealRun {
-                            level: idx as u32,
-                            run_id,
-                        });
-                    }
-                }
-            }
-            TransitionStrategy::Lazy => {
-                self.levels[idx].apply_lazy(k);
-                self.log_edit(ManifestEdit::SetPolicy {
-                    level: idx as u32,
-                    policy: self.levels[idx].policy,
-                    pending: self.levels[idx].pending_policy,
-                });
-            }
+            TransitionStrategy::Flexible => self.levels[idx].apply_flexible(k),
+            TransitionStrategy::Lazy => self.levels[idx].apply_lazy(k),
             TransitionStrategy::Greedy => {
                 // §4.1: merge and flush all the level's data into the next
                 // level immediately, then rebuild under the new policy.
                 self.levels[idx].policy = k;
                 self.levels[idx].pending_policy = None;
-                self.log_edit(ManifestEdit::SetPolicy {
-                    level: idx as u32,
-                    policy: k,
-                    pending: None,
-                });
                 if self.levels[idx].run_count() > 0 {
                     self.merge_down(idx);
                 }
@@ -1198,7 +1119,7 @@ impl FlsmTree {
             wal_appends: self.wal.as_ref().map_or(0, Wal::appended),
             wal_syncs: self.wal.as_ref().map_or(0, Wal::sync_count),
             wal_synced: self.wal.as_ref().map_or(0, Wal::durable_records),
-            manifest_edits: self.manifest.as_ref().map_or(0, Manifest::edits),
+            manifest_edits: self.manifest.as_ref().map_or(0, Manifest::records),
             runs_recovered: self.runs_recovered,
             replayed_tail: self.replayed_tail,
             orphans_collected: self.orphans_collected,
@@ -1328,17 +1249,11 @@ impl FlsmTree {
 
         for (idx, row) in rows.into_iter().enumerate() {
             let run_cap = self.levels[idx].active_capacity();
-            let bits = self.cfg.bloom.bits_for_level(idx, self.cfg.size_ratio);
             let n_runs = row.len();
             for (b, builder) in row.into_iter().enumerate() {
                 if let Some(run) = builder.finish(run_cap).map(Arc::new) {
                     self.sync_new_run(run.extent());
                     let active = b + 1 == n_runs && run.data_bytes() < run.capacity_bytes();
-                    self.log_edit(ManifestEdit::AddRun {
-                        level: idx as u32,
-                        active,
-                        run: describe_run(&run, bits),
-                    });
                     let level = &mut self.levels[idx];
                     if active {
                         level.active = Some(run);
@@ -1350,24 +1265,27 @@ impl FlsmTree {
         }
         self.levels.iter_mut().for_each(Level::refresh_bounds);
         self.refresh_tree_bounds();
-        self.log_edit(ManifestEdit::SeqWatermark { seq: self.seq });
+        self.flushed_seq = self.seq;
         self.commit_manifest();
     }
 }
 
-/// Builds the manifest record describing a freshly created run.
-fn describe_run(run: &Run, bloom_bits_per_key: f64) -> RunRecord {
-    RunRecord {
-        run_id: run.id(),
-        extent_id: run.extent().id,
-        pages: run.page_count(),
-        capacity_bytes: run.capacity_bytes(),
-        entry_count: run.entry_count(),
-        data_bytes: run.data_bytes(),
-        max_seq: run.max_seq(),
-        bloom_bits_per_key,
-        min_key: run.min_key().clone(),
-        max_key: run.max_key().clone(),
+impl ManifestState {
+    /// The tree's structure as its manifest records it: every level's
+    /// policies and runs in probe order, the next run id and the flushed
+    /// sequence watermark.
+    pub fn of(tree: &FlsmTree) -> Self {
+        let levels = tree.levels.iter().map(|l| LevelManifest {
+            policy: l.policy,
+            pending: l.pending_policy,
+            sealed: l.sealed.iter().map(|r| r.record()).collect(),
+            active: l.active.as_ref().map(|r| r.record()),
+        });
+        Self {
+            levels: levels.collect(),
+            seq: tree.flushed_seq,
+            next_run_id: tree.next_run_id,
+        }
     }
 }
 
@@ -1783,11 +1701,6 @@ mod tests {
                     t.sync_new_run(run.extent());
                     let is_last = b == n_runs - 1;
                     let active = is_last && run.data_bytes() < run.capacity_bytes();
-                    t.log_edit(ManifestEdit::AddRun {
-                        level: idx as u32,
-                        active,
-                        run: describe_run(&run, bits),
-                    });
                     let level = &mut t.levels[idx];
                     if active {
                         level.active = Some(run);
@@ -1801,8 +1714,7 @@ mod tests {
             t.levels[idx].refresh_bounds();
         }
         t.refresh_tree_bounds();
-        let seq = t.seq;
-        t.log_edit(ManifestEdit::SeqWatermark { seq });
+        t.flushed_seq = t.seq;
         t.commit_manifest();
     }
 
@@ -1810,8 +1722,7 @@ mod tests {
     /// level, per run (sealed runs in order, then the active one) whether
     /// it is active, its `Debug` form (id, extent, entry count, Bloom bits,
     /// fence keys, bounds, max seq) and its pages read back; then the
-    /// tree's seq, the next run id and the manifest log's bytes, which
-    /// encode the `ManifestEdit` sequence in order.
+    /// tree's seq, the next run id and the manifest slots' bytes.
     type Layout = (
         Vec<Vec<(bool, String, Vec<Vec<u8>>)>>,
         SeqNo,
@@ -1849,8 +1760,8 @@ mod tests {
                 .collect()
             })
             .collect();
-        let log = std::fs::read(manifest).unwrap();
-        (levels, t.seq, t.next_run_id, log)
+        let slots = Manifest::slot_paths(manifest).map(|p| std::fs::read(p).unwrap());
+        (levels, t.seq, t.next_run_id, slots.concat())
     }
 
     /// The one-pass loader lays out exactly what the staged loader did, on
@@ -1958,7 +1869,7 @@ mod tests {
             drop(t); // process death: user-space WAL buffer is lost
         }
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let mut r = FlsmTree::recover_persistent(cfg, disk, &manifest, &path, 0, 0).unwrap();
+        let mut r = FlsmTree::recover_persistent(cfg, disk, &manifest, &path, 0).unwrap();
         for i in 0..50u64 {
             match i {
                 7 => assert_eq!(r.get(&key(7)), Some(val(777))),
@@ -1983,13 +1894,12 @@ mod tests {
             &manifest,
             &path,
             0,
-            0,
         )
         .unwrap();
         assert_eq!(r2.get(&key(100)), Some(val(100)));
         assert_eq!(r2.get(&key(3)), Some(val(3)));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&manifest);
+        let _ = Manifest::slot_paths(&manifest).map(std::fs::remove_file);
     }
 
     /// A memtable flush supersedes the log: the WAL truncates, so replay
@@ -2220,8 +2130,7 @@ mod tests {
 
     fn recover_persistent_tree(dir: &std::path::Path, cfg: LsmConfig) -> FlsmTree {
         let disk = ruskey_storage::FileDisk::new(dir.join("data"), 256, CostModel::FREE).unwrap();
-        FlsmTree::recover_persistent(cfg, disk, dir.join("MANIFEST"), dir.join("wal"), 0, 0)
-            .unwrap()
+        FlsmTree::recover_persistent(cfg, disk, dir.join("MANIFEST"), dir.join("wal"), 0).unwrap()
     }
 
     /// The full-store restart path: flushed runs are rebuilt from the
@@ -2418,7 +2327,7 @@ mod tests {
     }
 
     /// The free rule: a superseded run's extent is freed where the
-    /// manifest batch removing it commits — after the commit when a
+    /// manifest commit removing it lands — after the commit when a
     /// manifest is attached, so the storage never holds a manifest that
     /// references freed pages. After every mutation, on every kind of tree,
     /// nothing waits to be freed and the live pages on storage are exactly
@@ -2621,7 +2530,7 @@ mod tests {
     #[test]
     fn retained_keys_pin_no_page() {
         let path = std::env::temp_dir().join(format!("ruskey-pins-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let _ = Manifest::slot_paths(&path).map(std::fs::remove_file);
         let disk = SimulatedDisk::new(256, CostModel::FREE);
         let cfg = LsmConfig {
             buffer_bytes: 1024,
@@ -2676,7 +2585,7 @@ mod tests {
         assert!((1..=rows.len()).contains(&pinned), "only rows hold pages");
         drop(rows);
         assert!(pages.iter().all(Key::is_unique));
-        let _ = std::fs::remove_file(&path);
+        let _ = Manifest::slot_paths(&path).map(std::fs::remove_file);
     }
 
     /// Damaged page *contents* — an entry count, a key or value length, a
@@ -2730,7 +2639,6 @@ mod tests {
                     disk,
                     dir.join("MANIFEST"),
                     dir.join("wal"),
-                    0,
                     0,
                 )
                 .map(|_| ())

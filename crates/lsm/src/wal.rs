@@ -68,7 +68,7 @@
 //! ([`ruskey_storage::FileDisk`]) flushed runs survive a restart too:
 //! [`crate::FlsmTree::recover_persistent`] rebuilds the structure from
 //! manifest + data pages and replays this log's tail on top. A flush
-//! recycles the WAL only *after* the manifest batch covering the
+//! recycles the WAL only *after* the manifest snapshot covering the
 //! flushed run is durable, so every acknowledged write is always covered
 //! by at least one of the logs. On the deliberately volatile simulated
 //! backend the WAL is the whole recovery story.

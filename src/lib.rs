@@ -83,19 +83,18 @@
 //!   the slowest shard's fsync, not the sum, and a shard crashing mid-leg
 //!   cannot stop its siblings' batches from committing;
 //! * the **manifest** ([`lsm::Manifest`]) protects the *tree structure*:
-//!   every structural edit — a run created at some level with its page
-//!   extent and fence/Bloom metadata, a run deleted by compaction, a
-//!   policy transition, the flush sequence watermark — is committed as
-//!   one atomic, CRC-framed batch per mutation, with the log itself
-//!   compacted by atomic checkpoints.
+//!   every structural mutation commits one CRC-framed snapshot of the
+//!   whole structure — each level's policies, its runs with their page
+//!   extents and fence/Bloom metadata, the next run id, the flushed
+//!   sequence watermark — into the older of two slot files, so the other
+//!   slot still holds the previous state while a write is in flight.
 //!
 //! The two logs differ only in what a record's body holds. Both are
 //! codecs over one crate-private record log in `ruskey-lsm`
 //! (`record_log.rs`), which frames `[len][crc32][body]` records in place,
 //! writes and fsyncs them, replays the longest valid prefix (stopping at
 //! a torn length, a CRC mismatch or the zero header of a recycled tail),
-//! cuts a reopened file back to that prefix, and counts down the armed
-//! crash points of the test harness. A log write or a manifest commit
+//! and counts down the armed crash points of the test harness. A log write or a manifest commit
 //! that fails with an I/O error is a power failure, like a failed
 //! barrier: the tree is crashed, and a served write is refused as
 //! crashed rather than panicking its client.
@@ -109,9 +108,8 @@
 //!    ([`storage::Storage::sync_extent`]);
 //! 2. **names durable** — one directory-handle `fsync`
 //!    ([`storage::Storage::sync_dir`]) makes the extent files' directory
-//!    entries (and the manifest checkpoint's `rename`) survive power
-//!    loss;
-//! 3. **structure durable** — only then does the manifest batch commit,
+//!    entries survive power loss;
+//! 3. **structure durable** — only then does the manifest snapshot commit,
 //!    and only after *that* is the WAL recycled (obsolete pages are
 //!    freed only after the commit).
 //!
@@ -137,8 +135,8 @@
 //! file handles, no cross-shard serialization — plus a manifest and a
 //! WAL), the store is fully restartable: reopening it on
 //! [`ruskey::Backend::Recover`] (or
-//! [`lsm::FlsmTree::recover_persistent`] for one tree) folds each
-//! manifest's longest consistent prefix, rebuilds every recorded run
+//! [`lsm::FlsmTree::recover_persistent`] for one tree) takes each
+//! manifest's newest valid snapshot, rebuilds every recorded run
 //! from its data pages (fence pointers and Bloom filters re-derived
 //! identically), and replays the WAL tail on top (longest valid prefix,
 //! replay order pinned by record sequence numbers) — get/scan-identical
@@ -150,22 +148,23 @@
 //! appends/fsyncs/acknowledged records, both barrier compositions
 //! ([`ruskey::stats::MissionReport::commit_ns`], the overlapped max, vs
 //! [`ruskey::stats::MissionReport::commit_busy_ns`], the sequential
-//! sum), and the recovery counters (`manifest_edits`, `runs_recovered`,
-//! `replayed_tail`) are fields of [`lsm::TreeStatsSnapshot`]: the store's
+//! sum), the manifest records written (`manifest_edits`) and the recovery
+//! counters (`runs_recovered`, `replayed_tail`) are fields of
+//! [`lsm::TreeStatsSnapshot`]: the store's
 //! lifetime reading is [`ruskey::RusKey::stats`], a mission's share its
 //! report's [`ruskey::stats::MissionReport::window`].
 //!
 //! The contract is pinned three ways: `tests/crash_recovery.rs` runs a
 //! [`lsm::CrashPoint`] fault-injection matrix over the WAL write path
 //! (`N ∈ {1, 2, 4}`), a [`lsm::ManifestCrashPoint`] matrix over the
-//! manifest (crash before/inside/after a commit, mid-checkpoint, and the
-//! un-fsynced checkpoint rename), and a [`storage::PowerCutPoint`]
+//! manifest (crash before, inside and after a commit, and a slot torn
+//! from outside), and a [`storage::PowerCutPoint`]
 //! torn-power matrix over the fsync barriers themselves (torn extent
 //! file, unlinked directory entry — recovery must restore exactly the
 //! acknowledged prefix and sweep the orphans);
 //! `tests/persistence_restart.rs` asserts restart equivalence at
-//! `N ∈ {1, 2, 4}` with a random-schedule proptest and a manifest replay
-//! fuzz test; and `tests/pool_stress.rs` checks the group commit against
+//! `N ∈ {1, 2, 4}` with a random-schedule proptest and a fuzz test of
+//! arbitrary bytes in either manifest slot; and `tests/pool_stress.rs` checks the group commit against
 //! routing ground truth — at most one fsync per shard per mission, every
 //! write logged once and acknowledged at its barrier, the overlapped
 //! barrier ([`ruskey::stats::MissionReport::commit_ns`]) within the

@@ -244,16 +244,17 @@ fn digest(files: &BTreeMap<PathBuf, Vec<u8>>) -> u64 {
 }
 
 /// Check 5: a freshly loaded root, every file name and byte of it, hashes
-/// to the digest recorded when each run was still written whole. With 8192
-/// pairs the two bottom runs of each shard span more than 256 pages at
-/// `N ∈ {1, 2}`, so a run's pages reach the device before an earlier
-/// run's do.
+/// to the digest recorded when each run was still written whole (the
+/// extent and WAL files' bytes; the manifest's are those of its two
+/// snapshot slots). With 8192 pairs the two bottom runs of each shard
+/// span more than 256 pages at `N ∈ {1, 2}`, so a run's pages reach the
+/// device before an earlier run's do.
 #[test]
 fn a_loaded_root_holds_the_pinned_bytes() {
     const WANT: [(usize, u64); 3] = [
-        (1, 12_487_409_496_951_340_102),
-        (2, 4_127_888_486_852_473_344),
-        (4, 1_488_887_742_612_947_964),
+        (1, 4_841_534_967_191_344_699),
+        (2, 10_971_184_563_155_446_619),
+        (4, 1_760_004_928_745_678_764),
     ];
     let pairs = bulk_load_pairs(8192, 16, 48, 17);
     for (n, want) in WANT {

@@ -47,7 +47,6 @@ fn pcfg(root: &PathBuf, cache_pages: usize) -> PersistenceConfig {
     let mut p = PersistenceConfig::new(root);
     p.page_size = 512;
     p.cost = CostModel::FREE;
-    p.checkpoint_every = 8;
     p.cache_pages = cache_pages;
     p
 }

@@ -27,18 +27,17 @@
 //! set below `buffer_bytes` by choice, not by necessity: with no memtable
 //! flush, each scenario exercises the log and nothing else. Suite 4
 //! exercises the layer *below*: **manifest crash points** — the crash
-//! between a flush's data-page writes and its manifest edit, the torn
-//! manifest tail, the crash after the edit but before the WAL is
-//! recycled, and the crash in the middle of a manifest checkpoint —
-//! asserting recovery always folds the longest consistent prefix, never
-//! references missing pages, and loses nothing (whatever the manifest
-//! batch misses, the unrecycled WAL still covers).
+//! between a flush's data-page writes and its manifest commit, the torn
+//! write of the newer slot (by the crash point and from outside), and the
+//! crash after the commit but before the WAL is recycled — asserting
+//! recovery always takes the newest valid snapshot, never references
+//! missing pages, and loses nothing (whatever the manifest snapshot
+//! misses, the unrecycled WAL still covers).
 //!
 //! Suite 5 drops below even the manifest: **torn power cuts** on the
 //! storage barriers themselves ([`PowerCutPoint`]). A cut before the
 //! extent fsync leaves a torn data file; a cut before the directory
-//! fsync unlinks the extent's name wholesale; a checkpoint's un-fsynced
-//! rename rolls back to the old manifest bytes. In every case recovery
+//! fsync unlinks the extent's name wholesale. In every case recovery
 //! must yield exactly the acknowledged prefix, sweep the orphaned extent
 //! files a pre-commit cut left behind (safe id reuse included), and
 //! surface a *missing* referenced extent as a typed error — never a
@@ -52,7 +51,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use ruskey_repro::lsm::{CrashPoint, KvEntry, ManifestCrashPoint, Wal};
+use ruskey_repro::lsm::{CrashPoint, KvEntry, Manifest, ManifestCrashPoint, Wal};
 use ruskey_repro::ruskey::db::RusKeyConfig;
 use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey};
 use ruskey_repro::storage::{CostModel, PowerCutPoint, SimulatedDisk, Storage};
@@ -648,12 +647,23 @@ fn persist_root(tag: &str) -> PathBuf {
     ))
 }
 
-fn persist_cfg(root: &PathBuf, checkpoint_every: u64) -> PersistenceConfig {
+fn persist_cfg(root: &PathBuf) -> PersistenceConfig {
     let mut p = PersistenceConfig::new(root);
     p.page_size = 512;
     p.cost = CostModel::FREE;
-    p.checkpoint_every = checkpoint_every;
     p
+}
+
+/// Tears shard 0's manifest slot holding `generation` from outside: the
+/// file is cut in the middle of its snapshot record, as a write that died
+/// halfway would leave it. Generation `g` lives in slot `g mod 2`.
+fn tear_slot(p: &PersistenceConfig, generation: u64) {
+    let slot = &Manifest::slot_paths(&p.manifest_path(0))[(generation % 2) as usize];
+    let mut bytes = std::fs::read(slot).unwrap();
+    // The 17-byte header record, then the snapshot record's length.
+    let len = u32::from_le_bytes(bytes[17..21].try_into().unwrap()) as usize;
+    bytes.truncate(25 + len / 2);
+    std::fs::write(slot, bytes).unwrap();
 }
 
 /// Entries held by every run a shard's manifest currently records.
@@ -669,17 +679,16 @@ fn manifest_entries(db: &RusKey, shard: usize) -> u64 {
         .sum()
 }
 
-/// Acceptance (ISSUE 5): at every manifest crash point and `N ∈ {1, 2}`,
-/// recovery folds the longest consistent prefix of the manifest, never
-/// references missing pages, and loses no acknowledged write — a flush
-/// whose manifest edit died leaves its records covered by the (never
-/// truncated) WAL instead.
+/// At every manifest crash point and `N ∈ {1, 2}`, recovery takes the
+/// newest valid snapshot, never references missing pages, and loses no
+/// acknowledged write — a flush whose manifest commit died leaves its
+/// records covered by the (never recycled) WAL instead.
 ///
 /// The scenario isolates the manifest: phase 1 is flushed everywhere
 /// (runs recorded durably), phase 2 is group-committed (WAL-acknowledged)
 /// and then shard 0 *flushes* with a crash armed at the chosen point —
 /// so the flush's data pages are written, and the crash decides whether
-/// the structural edit survives.
+/// the new snapshot survives.
 #[test]
 fn manifest_crash_points_recover_the_longest_consistent_prefix() {
     const PHASE1: u64 = 40;
@@ -691,7 +700,7 @@ fn manifest_crash_points_recover_the_longest_consistent_prefix() {
             ManifestCrashPoint::PostCommit,
         ] {
             let root = persist_root("matrix");
-            let p = persist_cfg(&root, 0);
+            let p = persist_cfg(&root);
             let mut db = persistent_store(shards, &p);
 
             // Phase 1: flushed on every shard — runs + manifest durable.
@@ -726,9 +735,10 @@ fn manifest_crash_points_recover_the_longest_consistent_prefix() {
             drop(db); // process death: in-memory structures die
 
             let rec = recovered_persistent(shards, &p);
-            // The fold: append-time crashes roll shard 0's structure back
-            // to phase 1 (the flush's batch was lost or torn away as a
-            // unit); PostCommit keeps the merged phase-1+2 run. Recovery
+            // Write-time crashes roll shard 0's structure back to phase 1
+            // (the flush's snapshot was lost, or its slot torn, and the
+            // other slot holds phase 1); PostCommit keeps the merged
+            // phase-1+2 run. Recovery
             // succeeding at all proves no missing pages were referenced —
             // every recorded run was rebuilt by reading its pages back.
             let expect_entries = match point {
@@ -741,8 +751,8 @@ fn manifest_crash_points_recover_the_longest_consistent_prefix() {
                 "shards={shards} point={point:?}: wrong manifest prefix"
             );
             // No acknowledged write is lost at *any* point: the crashed
-            // flush skipped the WAL truncation, so whatever the manifest
-            // batch misses is still in the log (and a batch that did
+            // flush skipped the WAL recycling, so whatever the manifest
+            // snapshot misses is still in the log (and a snapshot that did
             // commit tolerates the redundant WAL replay — same seq, same
             // values).
             let mut rec = rec;
@@ -768,10 +778,10 @@ fn manifest_crash_points_recover_the_longest_consistent_prefix() {
 /// *background merge in flight*. The store runs with deferred
 /// maintenance, structural steps are taken one at a time until a merge
 /// is built but not yet applied, and the crash is armed so it fires on
-/// the next structural commit — the in-flight merge's apply edit (or
-/// the flush ahead of it). At every crash point, recovery must restore
-/// every acknowledged write: append-time crashes lose the edit batch as
-/// a unit (the merge's inputs stay live in the manifest and the
+/// the next structural commit — the in-flight merge's apply (or the
+/// flush ahead of it). At every crash point, recovery must restore
+/// every acknowledged write: write-time crashes lose the snapshot as a
+/// unit (the merge's inputs stay live in the manifest and the
 /// untruncated WAL covers the rest), and the recovered store must keep
 /// flushing, merging, and restarting.
 #[test]
@@ -791,7 +801,7 @@ fn manifest_crash_points_with_a_background_merge_in_flight() {
         ManifestCrashPoint::PostCommit,
     ] {
         let root = persist_root("bgmerge");
-        let p = persist_cfg(&root, 0);
+        let p = persist_cfg(&root);
         let mut db = RusKey::open(
             bg_cfg(),
             1,
@@ -887,61 +897,68 @@ fn manifest_crash_points_with_a_background_merge_in_flight() {
     }
 }
 
-/// A crash in the middle of a manifest *checkpoint* (the log-compaction
-/// rewrite) leaves the previous log authoritative: the torn temporary
-/// file is ignored and cleaned up, and nothing is lost — the batch that
-/// triggered the auto-checkpoint was already durable in the old log.
+/// A torn write of the newer manifest slot recovers the previous
+/// generation from the other slot and loses no acknowledged write: torn
+/// by the `MidCommit` crash point, and torn from outside after a
+/// `PostCommit` death (the snapshot was durable, the process died before
+/// recycling the WAL). Either way the flush never recycled the WAL, and
+/// the next commit overwrites the torn slot.
 #[test]
-fn manifest_checkpoint_crash_keeps_the_old_log_authoritative() {
-    let root = persist_root("ckpt");
-    // checkpoint_every = 1: every commit triggers a checkpoint rewrite.
-    let p = persist_cfg(&root, 1);
-    let mut db = persistent_store(1, &p);
+fn a_torn_newer_slot_recovers_the_previous_generation() {
+    for point in [
+        ManifestCrashPoint::MidCommit,
+        ManifestCrashPoint::PostCommit,
+    ] {
+        let root = persist_root("torn-slot");
+        let p = persist_cfg(&root);
+        let mut db = persistent_store(1, &p);
+        for i in 0..30u64 {
+            db.put(key(i), val(i));
+        }
+        db.group_commit();
+        db.shard_mut(0).flush();
+        let previous = db.shard(0).manifest().unwrap().generation();
+        for i in 30..60u64 {
+            db.put(key(i), val(i));
+        }
+        db.group_commit();
+        db.shard_mut(0).manifest_mut().unwrap().arm_crash(point, 0);
+        db.shard_mut(0).flush();
+        assert!(db.crashed(), "{point:?}: the armed crash never fired");
+        drop(db);
+        if point == ManifestCrashPoint::PostCommit {
+            tear_slot(&p, previous + 1);
+        }
 
-    for i in 0..30u64 {
-        db.put(key(i), val(i));
+        let mut rec = recovered_persistent(1, &p);
+        let manifest = rec.shard(0).manifest().unwrap();
+        assert_eq!(manifest.generation(), previous, "{point:?}");
+        assert_eq!(manifest_entries(&rec, 0), 30, "{point:?}");
+        for i in 0..60u64 {
+            assert_eq!(
+                rec.get(&key(i)).as_deref(),
+                Some(val(i).as_slice()),
+                "{point:?}: acknowledged key {i} lost across the torn slot"
+            );
+        }
+        rec.shard_mut(0).flush();
+        drop(rec);
+        let rec = recovered_persistent(1, &p);
+        let manifest = rec.shard(0).manifest().unwrap();
+        assert_eq!(manifest.generation(), previous + 1, "{point:?}");
+        assert_eq!(manifest_entries(&rec, 0), 60, "{point:?}");
+        let _ = std::fs::remove_dir_all(&root);
     }
-    db.group_commit();
-    db.shard_mut(0).flush(); // healthy commit + checkpoint
-    assert!(
-        db.shard(0).manifest().unwrap().checkpoints() >= 1,
-        "the cadence must have checkpointed"
-    );
-
-    for i in 30..60u64 {
-        db.put(key(i), val(i));
-    }
-    db.group_commit();
-    db.shard_mut(0)
-        .manifest_mut()
-        .unwrap()
-        .arm_crash(ManifestCrashPoint::MidCheckpoint, 0);
-    db.shard_mut(0).flush(); // batch commits, then the checkpoint tears
-    assert!(db.crashed(), "the mid-checkpoint crash never fired");
-    drop(db);
-
-    let mut rec = recovered_persistent(1, &p);
-    // The appended batch preceded the torn checkpoint, so the full
-    // structure (both flushes) survives in the old log.
-    assert_eq!(manifest_entries(&rec, 0), 60);
-    for i in 0..60u64 {
-        assert_eq!(
-            rec.get(&key(i)).as_deref(),
-            Some(val(i).as_slice()),
-            "key {i} lost across the checkpoint crash"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&root);
 }
 
-/// An externally torn manifest tail (bytes chopped off the file, not a
-/// crash-point simulation) still recovers: the half-written batch
-/// vanishes as a unit and the store rolls back to the previous flush,
-/// with the WAL tail covering everything after it.
+/// An externally torn manifest slot (cut off in the middle of its
+/// snapshot, not a crash-point simulation) still recovers: the newer
+/// snapshot vanishes as a unit and the store rolls back to the previous
+/// generation, with the WAL tail covering everything after the flush.
 #[test]
 fn externally_torn_manifest_tail_recovers_the_previous_flush() {
     let root = persist_root("torn");
-    let p = persist_cfg(&root, 0);
+    let p = persist_cfg(&root);
     {
         let mut db = persistent_store(1, &p);
         for i in 0..25u64 {
@@ -955,19 +972,17 @@ fn externally_torn_manifest_tail_recovers_the_previous_flush() {
         }
         db.group_commit();
     }
-    // Chop bytes off the manifest: the flush's batch is torn away.
-    let mpath = p.manifest_path(0);
-    let data = std::fs::read(&mpath).unwrap();
-    std::fs::write(&mpath, &data[..data.len() - 7]).unwrap();
+    // The flush committed generation 1; tear its slot.
+    tear_slot(&p, 1);
 
     let mut rec = recovered_persistent(1, &p);
     assert_eq!(
         manifest_entries(&rec, 0),
         0,
-        "the torn flush batch must vanish as a unit"
+        "the torn flush snapshot must vanish as a unit"
     );
-    // The flush truncated the WAL, so the flushed prefix is the torn
-    // batch's loss — but the post-flush tail survives in the log.
+    // The flush recycled the WAL, so the flushed prefix is the torn
+    // slot's loss — but the post-flush tail survives in the log.
     for i in 25..35u64 {
         assert_eq!(
             rec.get(&key(i)).as_deref(),
@@ -996,7 +1011,7 @@ fn torn_power_matrix_recovers_exactly_the_acknowledged_prefix() {
     for shards in [1usize, 2] {
         for point in [PowerCutPoint::ExtentUnsynced, PowerCutPoint::DirUnsynced] {
             let root = persist_root("power");
-            let p = persist_cfg(&root, 0);
+            let p = persist_cfg(&root);
             let mut db = persistent_store(shards, &p);
 
             // Phase 1: flushed on every shard — runs durable through the
@@ -1113,7 +1128,7 @@ fn power_cut_before_a_recycled_logs_zero_fill_loses_nothing() {
     for shards in [1usize, 2] {
         for unacked_on_top in [false, true] {
             let root = persist_root("recycled");
-            let p = persist_cfg(&root, 0);
+            let p = persist_cfg(&root);
             let mut db = persistent_store(shards, &p);
             for i in 0..KEYS {
                 db.put(key(i), v('a', i));
@@ -1186,7 +1201,7 @@ fn power_cut_before_a_recycled_logs_zero_fill_loses_nothing() {
 
         // Process crash: the torn first write of generation C.
         let root = persist_root("recycled-midflush");
-        let p = persist_cfg(&root, 0);
+        let p = persist_cfg(&root);
         let mut db = persistent_store(shards, &p);
         for i in 0..KEYS {
             db.put(key(i), v('a', i));
@@ -1240,7 +1255,7 @@ fn power_cut_before_a_recycled_logs_zero_fill_loses_nothing() {
 #[test]
 fn orphaned_extent_files_are_collected_and_their_ids_safely_reused() {
     let root = persist_root("orphan");
-    let p = persist_cfg(&root, 0);
+    let p = persist_cfg(&root);
     {
         let mut db = persistent_store(1, &p);
         for i in 0..30u64 {
@@ -1292,50 +1307,6 @@ fn orphaned_extent_files_are_collected_and_their_ids_safely_reused() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A power cut that fires after a checkpoint's `rename(2)` but before the
-/// directory fsync makes it durable: the old manifest bytes come back on
-/// restart. The batch that triggered the checkpoint was appended to the
-/// old log *before* the rewrite, so nothing is lost — the restored log
-/// carries the full structure.
-#[test]
-fn checkpoint_rename_without_dir_fsync_rolls_back_to_the_old_log() {
-    let root = persist_root("predirsync");
-    // checkpoint_every = 1: every commit triggers a checkpoint rewrite.
-    let p = persist_cfg(&root, 1);
-    let mut db = persistent_store(1, &p);
-
-    for i in 0..30u64 {
-        db.put(key(i), val(i));
-    }
-    db.group_commit();
-    db.shard_mut(0).flush(); // healthy commit + checkpoint
-
-    for i in 30..60u64 {
-        db.put(key(i), val(i));
-    }
-    db.group_commit();
-    db.shard_mut(0)
-        .manifest_mut()
-        .unwrap()
-        .arm_crash(ManifestCrashPoint::PreDirSync, 0);
-    db.shard_mut(0).flush(); // batch appends, rename tears back
-    assert!(db.crashed(), "the pre-dir-sync cut never fired");
-    drop(db);
-
-    let mut rec = recovered_persistent(1, &p);
-    // The rolled-back bytes are the old log *including* the appended
-    // batch, so the full structure survives.
-    assert_eq!(manifest_entries(&rec, 0), 60);
-    for i in 0..60u64 {
-        assert_eq!(
-            rec.get(&key(i)).as_deref(),
-            Some(val(i).as_slice()),
-            "key {i} lost across the torn checkpoint rename"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&root);
-}
-
 /// Acceptance (ISSUE 8): a *missing* extent that the manifest does
 /// reference — deleted out from under a healthy store — surfaces as a
 /// typed recovery error, never a panic. (An unreferenced missing file is
@@ -1344,7 +1315,7 @@ fn checkpoint_rename_without_dir_fsync_rolls_back_to_the_old_log() {
 #[test]
 fn missing_referenced_extent_is_a_typed_recovery_error_not_a_panic() {
     let root = persist_root("missing");
-    let p = persist_cfg(&root, 0);
+    let p = persist_cfg(&root);
     {
         let mut db = persistent_store(1, &p);
         for i in 0..30u64 {

@@ -1,6 +1,6 @@
 //! Restart-equivalence harness for full-store persistence.
 //!
-//! Four suites pin the persistence contract of the manifest + `FileDisk`
+//! Five suites pin the persistence contract of the manifest + `FileDisk`
 //! recovery path (the layer above the WAL-only crash matrix of
 //! `tests/crash_recovery.rs`):
 //!
@@ -15,26 +15,28 @@
 //!    mid-run flush and compaction boundaries on random shard counts;
 //!    the recovered store must be get/scan-identical to a fresh
 //!    (simulated-disk) store executing the same schedule.
-//! 3. **Manifest replay fuzz**: random valid edit histories corrupted by
-//!    bit flips, truncation, and appended garbage never panic recovery,
-//!    which must yield deterministically one of the committed-batch
-//!    prefix states (batches are atomic — no half-applied mutation can
-//!    ever fold).
-//! 4. **An edit no build writes any more**: a tree whose manifest holds
-//!    a `MoveRun` (an older build's trivial move) recovers with the run
-//!    at its target level, every key intact, and later commits replayed.
+//! 3. **Snapshot round trip**: after every structural step of a random
+//!    tree schedule the tree's projection equals the manifest state on
+//!    disk; a commit made beside unflushed, acknowledged writes keeps
+//!    them replayable (the manifest records the flushed watermark).
+//! 4. **Slot fuzz**: arbitrary bytes in either manifest slot never panic
+//!    recovery, which yields the other slot's state or fails typed.
+//! 5. **Refusals**: a version 2 manifest, a foreign version word and a
+//!    manifest with no valid snapshot beside extent files all fail the
+//!    open, typed, and delete nothing.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use ruskey_repro::lsm::manifest::{Manifest, ManifestEdit, ManifestState, RunRecord};
-use ruskey_repro::lsm::{FlsmTree, LsmConfig, Wal};
+use ruskey_repro::lsm::manifest::{
+    LevelManifest, Manifest, ManifestError, ManifestState, RunRecord, MANIFEST_VERSION,
+};
+use ruskey_repro::lsm::{FlsmTree, LsmConfig, TransitionStrategy, Wal};
 use ruskey_repro::ruskey::db::RusKeyConfig;
-use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey};
+use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey, StoreError};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::storage::{CostModel, FileDisk};
 use ruskey_repro::workload::{encode_key, OpGenerator, OpMix, WorkloadSpec};
@@ -51,10 +53,6 @@ fn pcfg(root: &PathBuf) -> PersistenceConfig {
     let mut p = PersistenceConfig::new(root);
     p.page_size = 512;
     p.cost = CostModel::FREE;
-    // An aggressive checkpoint cadence so the scenarios exercise live
-    // log compaction (and recovery from checkpointed, multi-level
-    // manifests), not just plain append-only histories.
-    p.checkpoint_every = 8;
     p
 }
 
@@ -258,104 +256,207 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// 3. Manifest replay fuzz
+// 3. Snapshot round trip and the flushed watermark
 // ----------------------------------------------------------------------
 
-/// Model used to *generate* valid edit histories: tracks enough state to
-/// only emit edits the fold accepts.
-#[derive(Default)]
-struct EditModel {
-    levels: Vec<(Vec<u64>, Option<u64>)>, // (sealed ids, active id)
-    next_id: u64,
-    seq: u64,
+/// A one-tree persistent setup: `FileDisk` data pages, manifest and WAL
+/// under `root`.
+fn tree_paths(root: &Path) -> (PathBuf, PathBuf, PathBuf) {
+    (root.join("data"), root.join("MANIFEST"), root.join("wal"))
 }
 
-impl EditModel {
-    /// Produces the next valid edit for an action code, or `None` when
-    /// the code has no valid target (e.g. a seal with no active run).
-    fn edit_for(&mut self, code: u8) -> Option<ManifestEdit> {
-        let run = |id: u64| RunRecord {
-            run_id: id,
-            extent_id: id,
-            pages: 1,
-            capacity_bytes: 1024,
-            entry_count: 1,
-            data_bytes: 30,
-            max_seq: id,
-            bloom_bits_per_key: 8.0,
-            min_key: Bytes::from_static(b"a"),
-            max_key: Bytes::from_static(b"z"),
-        };
-        match code % 6 {
-            0 | 1 => {
-                // Add a run to an existing level or the next fresh one.
-                let lvl = (code as usize / 6) % (self.levels.len() + 1);
-                if lvl == self.levels.len() {
-                    self.levels.push((Vec::new(), None));
-                }
-                self.next_id += 1;
-                let id = self.next_id;
-                let active = code.is_multiple_of(2) && self.levels[lvl].1.is_none();
-                if active {
-                    self.levels[lvl].1 = Some(id);
-                } else {
-                    self.levels[lvl].0.push(id);
-                }
-                Some(ManifestEdit::AddRun {
-                    level: lvl as u32,
-                    active,
-                    run: run(id),
-                })
-            }
-            2 => {
-                // Seal the first level with an active run.
-                let lvl = self.levels.iter().position(|l| l.1.is_some())?;
-                let id = self.levels[lvl].1.take().unwrap();
-                self.levels[lvl].0.push(id);
-                Some(ManifestEdit::SealRun {
-                    level: lvl as u32,
-                    run_id: id,
-                })
-            }
-            3 => {
-                // Remove some existing run.
-                let lvl = self
-                    .levels
-                    .iter()
-                    .position(|l| !l.0.is_empty() || l.1.is_some())?;
-                let (sealed, active) = &mut self.levels[lvl];
-                let id = if let Some(id) = active.take() {
-                    id
-                } else {
-                    sealed.remove(0)
-                };
-                Some(ManifestEdit::RemoveRun {
-                    level: lvl as u32,
-                    run_id: id,
-                })
-            }
-            4 => {
-                let lvl = (code as usize / 6) % (self.levels.len() + 1);
-                if lvl == self.levels.len() {
-                    self.levels.push((Vec::new(), None));
-                }
-                Some(ManifestEdit::SetPolicy {
-                    level: lvl as u32,
-                    policy: u32::from(code % 4) + 1,
-                    pending: code.is_multiple_of(3).then_some(2),
-                })
-            }
-            _ => {
-                self.seq += u64::from(code) + 1;
-                Some(ManifestEdit::SeqWatermark { seq: self.seq })
-            }
-        }
+fn persistent_tree(root: &Path, cfg: LsmConfig) -> FlsmTree {
+    let (data, manifest, wal) = tree_paths(root);
+    let disk = FileDisk::new(data, 256, CostModel::FREE).expect("open data dir");
+    let mut t = FlsmTree::new(cfg, disk);
+    t.attach_manifest(Manifest::create(manifest, 0).expect("create manifest"));
+    t.attach_wal(Wal::open(wal).expect("open wal"));
+    t
+}
+
+fn recover_tree(root: &Path, cfg: LsmConfig) -> FlsmTree {
+    let (data, manifest, wal) = tree_paths(root);
+    let disk = FileDisk::new(data, 256, CostModel::FREE).expect("open data dir");
+    FlsmTree::recover_persistent(cfg, disk, manifest, wal, 0).expect("recover tree")
+}
+
+fn tree_cfg(transition: TransitionStrategy, background: bool) -> LsmConfig {
+    LsmConfig {
+        buffer_bytes: 1024,
+        size_ratio: 4,
+        initial_policy: 2,
+        transition,
+        background_maintenance: background,
+        l0_stall_runs: 64,
+        ..LsmConfig::scaled_default()
     }
 }
 
-/// A corruption applied to a valid manifest image (mirrors the WAL fuzz).
+/// One structural step of a random tree schedule.
+#[derive(Debug, Clone)]
+enum TreeStep {
+    /// A burst of puts (may flush and merge inline).
+    Puts(u8),
+    Flush,
+    /// One background maintenance step: a flush, a merge's build or its
+    /// apply.
+    Maintain,
+    /// `set_policy(level, k)` on a materialized level.
+    Policy(u8, u8),
+}
+
+fn tree_step() -> impl Strategy<Value = TreeStep> {
+    prop_oneof![
+        4 => any::<u8>().prop_map(TreeStep::Puts),
+        1 => Just(TreeStep::Flush),
+        3 => Just(TreeStep::Maintain),
+        2 => (any::<u8>(), any::<u8>()).prop_map(|(l, k)| TreeStep::Policy(l, k)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// After every structural step of a random schedule — flushes, inline
+    /// and background merges, every transition strategy, on a fresh or a
+    /// bulk-loaded tree — the tree's projection equals the state recovered
+    /// from disk, and a tree recovered at the end projects the same.
+    #[test]
+    fn snapshot_equals_the_recovered_state_after_every_structural_step(
+        steps in prop::collection::vec(tree_step(), 1..40),
+        strategy in 0usize..3,
+        background in any::<bool>(),
+        bulk in any::<bool>(),
+    ) {
+        let transition = [
+            TransitionStrategy::Flexible,
+            TransitionStrategy::Lazy,
+            TransitionStrategy::Greedy,
+        ][strategy];
+        let cfg = tree_cfg(transition, background);
+        let root = store_root("snapshot");
+        std::fs::create_dir_all(&root).unwrap();
+        let manifest = tree_paths(&root).1;
+        let mut t = persistent_tree(&root, cfg.clone());
+        let on_disk = || Manifest::recover(&manifest).unwrap().unwrap().state().clone();
+        if bulk {
+            t.bulk_load((0..600u64).map(|i| (key(i * 2), Bytes::from(vec![i as u8; 20]))).collect());
+            prop_assert_eq!(ManifestState::of(&t), on_disk(), "after the bulk load");
+        }
+        let mut next = 0u64;
+        for (i, step) in steps.iter().enumerate() {
+            match *step {
+                TreeStep::Puts(n) => {
+                    for _ in 0..n / 4 + 1 {
+                        t.put(key(next * 7 % 1_500), Bytes::from(vec![next as u8; 24]));
+                        next += 1;
+                    }
+                }
+                TreeStep::Flush => t.flush(),
+                TreeStep::Maintain => {
+                    t.step_maintenance();
+                }
+                TreeStep::Policy(level, k) if t.level_count() > 0 => {
+                    t.set_policy(level as usize % t.level_count(), u32::from(k % 4) + 1);
+                }
+                TreeStep::Policy(..) => {}
+            }
+            prop_assert_eq!(ManifestState::of(&t), on_disk(), "after step {} ({:?})", i, step);
+        }
+        t.commit_wal().unwrap();
+        let want = ManifestState::of(&t);
+        drop(t);
+        let r = recover_tree(&root, cfg);
+        prop_assert_eq!(ManifestState::of(&r), want, "the recovered tree's projection");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// A commit made while acknowledged writes sit only in the memtable — a
+/// background merge's apply, or a policy transition — records the
+/// *flushed* watermark, not the live sequence number, so those writes
+/// still replay from the WAL after a restart.
+#[test]
+fn a_commit_beside_unflushed_writes_keeps_them_across_a_restart() {
+    for by_merge in [true, false] {
+        let cfg = tree_cfg(TransitionStrategy::Flexible, true);
+        let root = store_root("watermark");
+        std::fs::create_dir_all(&root).unwrap();
+        let mut t = persistent_tree(&root, cfg.clone());
+        let val = |i: u64| Bytes::from(format!("value-{i:08}"));
+        let mut i = 0;
+        while !t.has_pending_compaction() {
+            t.put(key(i), val(i));
+            t.step_maintenance();
+            i += 1;
+            assert!(i < 100_000, "no merge was ever built");
+        }
+        t.flush();
+        let flushed = i;
+        // Acknowledged, and only in the memtable (well under a buffer).
+        for j in flushed..flushed + 10 {
+            t.put(key(j), val(j));
+        }
+        t.commit_wal().unwrap();
+        let generation = t.manifest().unwrap().generation();
+        if by_merge {
+            assert!(t.has_pending_compaction(), "the flush left the merge built");
+            assert!(t.step_maintenance(), "the apply step runs");
+        } else {
+            t.set_policy(0, if t.policy(0) == 1 { 3 } else { 1 });
+        }
+        assert_eq!(
+            t.manifest().unwrap().generation(),
+            generation + 1,
+            "by_merge={by_merge}: the step must commit"
+        );
+        drop(t);
+        let mut r = recover_tree(&root, cfg);
+        assert_eq!(r.stats().replayed_tail, 10, "by_merge={by_merge}");
+        for j in 0..flushed + 10 {
+            assert_eq!(r.get(&key(j)), Some(val(j)), "by_merge={by_merge}: key {j}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+// ----------------------------------------------------------------------
+// 4. Arbitrary bytes in a manifest slot
+// ----------------------------------------------------------------------
+
+/// The state committed as generation `g` by the fuzz below.
+fn fuzz_state(g: u64) -> ManifestState {
+    let run = |id: u64| RunRecord {
+        run_id: id,
+        extent_id: id,
+        pages: 1,
+        capacity_bytes: 1024,
+        entry_count: 1,
+        data_bytes: 30,
+        max_seq: id,
+        bloom_bits_per_key: 8.0,
+        min_key: Bytes::from_static(b"a"),
+        max_key: Bytes::from_static(b"z"),
+    };
+    let levels = (0..g % 3 + 1)
+        .map(|l| LevelManifest {
+            policy: (g + l) as u32 % 4 + 1,
+            pending: g.is_multiple_of(2).then_some(2),
+            sealed: (0..l + g % 2).map(|i| run(g * 10 + l * 3 + i)).collect(),
+            active: (l == 0).then(|| run(g * 10 + 9)),
+        })
+        .collect();
+    ManifestState {
+        levels,
+        seq: g * 100,
+        next_run_id: g * 10 + 10,
+    }
+}
+
+/// A corruption applied to one slot file.
 #[derive(Debug, Clone)]
 enum Corruption {
+    Replace(Vec<u8>),
     BitFlip(usize),
     Truncate(usize),
     Garbage(Vec<u8>),
@@ -363,6 +464,7 @@ enum Corruption {
 
 fn corruption() -> impl Strategy<Value = Corruption> {
     prop_oneof![
+        2 => prop::collection::vec(any::<u8>(), 0..300).prop_map(Corruption::Replace),
         3 => any::<usize>().prop_map(Corruption::BitFlip),
         3 => any::<usize>().prop_map(Corruption::Truncate),
         2 => prop::collection::vec(any::<u8>(), 1..64).prop_map(Corruption::Garbage),
@@ -370,161 +472,222 @@ fn corruption() -> impl Strategy<Value = Corruption> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Corrupted manifests never panic recovery, and the recovered state
-    /// is deterministically one of the committed-batch prefix states —
-    /// bit flips, truncation, duplicate/out-of-order bytes can only ever
-    /// truncate history, never half-apply or reorder it.
+    /// Arbitrary bytes in either slot never panic recovery: it yields the
+    /// other slot's state (or the damaged slot's own, where the damage
+    /// missed its records), or fails typed — and does the same twice.
     #[test]
-    fn manifest_recovery_of_corrupted_log_yields_a_prefix_state(
-        actions in prop::collection::vec(any::<u8>(), 0..40),
-        batch_every in 1usize..4,
+    fn arbitrary_bytes_in_either_slot_recover_the_other_or_fail_typed(
+        commits in 2u64..6,
+        slot in 0usize..2,
         corruption in corruption(),
     ) {
         let path = store_root("fuzz").with_extension("manifest");
-        let _ = std::fs::remove_file(&path);
-        // Build a valid history and snapshot the state after each commit.
-        let mut snapshots: Vec<ManifestState> = vec![ManifestState::default()];
+        let slots = Manifest::slot_paths(&path);
         {
             let mut m = Manifest::create(&path, 0).unwrap();
-            let mut model = EditModel::default();
-            for (i, &code) in actions.iter().enumerate() {
-                if let Some(edit) = model.edit_for(code) {
-                    m.log(edit);
-                }
-                if (i + 1) % batch_every == 0 && m.commit().unwrap() {
-                    snapshots.push(m.state().clone());
-                }
-            }
-            if m.commit().unwrap() {
-                snapshots.push(m.state().clone());
+            for g in 1..=commits {
+                prop_assert!(m.commit(fuzz_state(g)).unwrap());
             }
         }
-        let mut data = std::fs::read(&path).unwrap();
+        // Generation g lives in slot g mod 2: the newest in one, the one
+        // before it in the other.
+        let state_in = |slot: usize| fuzz_state(if commits % 2 == slot as u64 { commits } else { commits - 1 });
+        let mut data = std::fs::read(&slots[slot]).unwrap();
         match &corruption {
-            Corruption::BitFlip(pos) if !data.is_empty() => {
+            Corruption::Replace(bytes) => data.clone_from(bytes),
+            Corruption::BitFlip(pos) => {
                 let pos = pos % data.len();
                 data[pos] ^= 1 << (pos % 8);
             }
-            Corruption::BitFlip(_) => {}
-            Corruption::Truncate(keep) => {
-                let keep = keep % (data.len() + 1);
-                data.truncate(keep);
-            }
+            Corruption::Truncate(keep) => data.truncate(keep % (data.len() + 1)),
             Corruption::Garbage(bytes) => data.extend_from_slice(bytes),
         }
-        std::fs::write(&path, &data).unwrap();
+        std::fs::write(&slots[slot], &data).unwrap();
 
-        let (m1, _) = Manifest::recover(&path, 0).unwrap(); // must not panic
-        let state1 = m1.state().clone();
-        drop(m1);
-        prop_assert!(
-            snapshots.contains(&state1),
-            "corruption {:?}: recovered state is not a committed prefix",
-            &corruption
-        );
-        // Determinism: recovering the truncated file again agrees.
-        let (m2, _) = Manifest::recover(&path, 0).unwrap();
-        prop_assert_eq!(&state1, m2.state(), "recovery must be deterministic");
-        let _ = std::fs::remove_file(&path);
+        let outcome = |r: std::io::Result<Option<Manifest>>| match r {
+            Ok(m) => Ok(m.map(|m| m.state().clone())),
+            Err(e) => Err((e.kind(), ManifestError::of(&e))),
+        };
+        let first = outcome(Manifest::recover(&path)); // must not panic
+        match &first {
+            Ok(Some(state)) => prop_assert!(
+                *state == state_in(1 - slot) || *state == state_in(slot),
+                "{:?}: recovered a state no slot committed",
+                &corruption
+            ),
+            Ok(None) => prop_assert!(false, "{:?}: the other slot was lost", &corruption),
+            Err((kind, refusal)) => {
+                prop_assert_eq!(*kind, std::io::ErrorKind::InvalidData);
+                prop_assert!(refusal.is_some(), "{:?}: an untyped failure", &corruption);
+            }
+        }
+        prop_assert_eq!(first, outcome(Manifest::recover(&path)), "recovery must be deterministic");
+        slots.iter().for_each(|p| {
+            let _ = std::fs::remove_file(p);
+        });
     }
 }
 
 // ----------------------------------------------------------------------
-// 4. An edit no build writes any more
+// 5. Manifests recovery refuses
 // ----------------------------------------------------------------------
 
-/// Level 1 keeps two runs, so its active run seals before any merge.
-fn move_run_cfg() -> LsmConfig {
-    LsmConfig {
-        buffer_bytes: 1024,
-        size_ratio: 4,
-        initial_policy: 2,
-        ..LsmConfig::scaled_default()
+/// The extent files under a one-shard store's data directory.
+fn extent_files(p: &PersistenceConfig) -> usize {
+    std::fs::read_dir(p.data_dir(0)).map_or(0, |d| d.count())
+}
+
+/// A one-shard store holding `n` flushed keys.
+fn flushed_store(tag: &str, n: u64) -> (PathBuf, PersistenceConfig) {
+    let root = store_root(tag);
+    let p = pcfg(&root);
+    let mut db = persistent_store(1, &p);
+    for i in 0..n {
+        db.put(key(i), vec![i as u8; 16]);
     }
+    db.group_commit();
+    db.shard_mut(0).flush();
+    drop(db);
+    assert!(extent_files(&p) > 0, "the store must hold extents");
+    (root, p)
 }
 
-fn recover_tree(root: &Path) -> FlsmTree {
-    let disk = FileDisk::new(root.join("data"), 256, CostModel::FREE).expect("open data dir");
-    FlsmTree::recover_persistent(
-        move_run_cfg(),
-        disk,
-        root.join("MANIFEST"),
-        root.join("wal"),
-        0,
-        0,
-    )
-    .expect("recover tree")
+/// The one-shard store's recovery error, which must be a manifest refusal.
+fn refused(p: &PersistenceConfig) -> (StoreError, String) {
+    let err = RusKey::open(small_cfg(), 1, Box::new(NoOpTuner), Backend::Recover(p))
+        .err()
+        .expect("recovery must refuse the manifest");
+    let said = err.to_string();
+    (err, said)
 }
 
-/// Run ids the tree's manifest holds sealed at `level`.
-fn sealed_ids(t: &FlsmTree, level: usize) -> Vec<u64> {
-    let state = t.manifest().expect("manifest attached").state();
-    state
-        .levels
-        .get(level)
-        .map_or(Vec::new(), |l| l.sealed.iter().map(|r| r.run_id).collect())
-}
-
-fn assert_reads(t: &mut FlsmTree, model: &BTreeMap<u64, Bytes>) {
-    for (k, v) in model {
-        assert_eq!(t.get(&key(*k)).as_ref(), Some(v), "key {k}");
-    }
-    let expected: Vec<(Bytes, Bytes)> = model.iter().map(|(k, v)| (key(*k), v.clone())).collect();
-    assert_eq!(t.scan(&key(0), &key(u64::MAX), usize::MAX), expected);
-}
-
-/// Older builds' background pickers re-parented a lone sealed run with a
-/// `MoveRun` edit. No build writes it any more, but a directory holding
-/// one must still recover: the run at its target level, every key
-/// unchanged by get and by scan, and every commit after the move
-/// replayed.
+/// A version 2 manifest — an edit log, the format before snapshots — is
+/// refused at open with an error naming the shard and the version, and
+/// nothing in the directory is deleted or rewritten.
 #[test]
-fn a_logged_move_run_recovers_at_its_target_level() {
-    let root = store_root("move-run");
-    std::fs::create_dir_all(&root).unwrap();
-    let val = |i: u64| Bytes::from(format!("value-{i:08}"));
-    let mut model = BTreeMap::new();
-    let disk = FileDisk::new(root.join("data"), 256, CostModel::FREE).unwrap();
-    let mut t = FlsmTree::new(move_run_cfg(), disk);
-    t.attach_manifest(Manifest::create(root.join("MANIFEST"), 0).unwrap());
-    t.attach_wal(Wal::open(root.join("wal")).unwrap());
-    let mut i = 0;
-    while sealed_ids(&t, 0).is_empty() {
-        t.put(key(i), val(i));
-        model.insert(i, val(i));
-        i += 1;
+fn a_v2_manifest_is_refused_with_its_version() {
+    let (root, p) = flushed_store("v2", 300);
+    let [first, second] = Manifest::slot_paths(&p.manifest_path(0));
+    // A v2 directory: one file, a `[0][RKMF][2]` header, then batches.
+    let mut v2 = Vec::new();
+    for body in [
+        &b"\0FMKR\x02\0\0\0"[..],
+        &[1, 1, 0, 0, 0, 6, 7, 0, 0, 0, 0, 0, 0, 0][..],
+    ] {
+        v2.extend((body.len() as u32).to_le_bytes());
+        v2.extend(crc32(body).to_le_bytes());
+        v2.extend_from_slice(body);
     }
-    assert_eq!(t.level_count(), 1, "the first seal precedes any merge");
-    let moved = sealed_ids(&t, 0)[0];
-    // The edit as an older build's trivial move logged it.
-    let m = t.manifest_mut().unwrap();
-    m.log(ManifestEdit::MoveRun {
-        from_level: 0,
-        to_level: 1,
-        run_id: moved,
-    });
-    m.commit().unwrap();
-    t.commit_wal().unwrap();
-    drop(t);
+    std::fs::write(&first, &v2).unwrap();
+    std::fs::remove_file(&second).unwrap();
+    let extents = extent_files(&p);
 
-    let mut r = recover_tree(&root);
-    assert_eq!(sealed_ids(&r, 0), Vec::<u64>::new());
-    assert_eq!(sealed_ids(&r, 1), vec![moved]);
-    assert_eq!(r.level_run_count(1), 1, "the tree holds the run at level 1");
-    assert_reads(&mut r, &model);
-
-    // Commits after the move: newer versions of moved keys, flushed above.
-    for j in 0..40 {
-        r.put(key(j * 2), val(j + 10_000));
-        model.insert(j * 2, val(j + 10_000));
-    }
-    r.flush();
-    r.commit_wal().unwrap();
-    drop(r);
-    let mut r = recover_tree(&root);
-    assert_eq!(sealed_ids(&r, 1), vec![moved]);
-    assert_reads(&mut r, &model);
+    let (err, said) = refused(&p);
+    assert!(
+        matches!(
+            err,
+            StoreError::Manifest {
+                shard: 0,
+                error: ManifestError::Version(2)
+            }
+        ),
+        "{said}"
+    );
+    assert!(
+        said.contains("shard 0") && said.contains("version 2"),
+        "{said}"
+    );
+    assert_eq!(extent_files(&p), extents, "an extent was deleted");
+    assert_eq!(
+        std::fs::read(&first).unwrap(),
+        v2,
+        "the v2 file was touched"
+    );
+    assert!(!second.exists(), "a slot was created");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A manifest with a foreign version word (CRC fixed up) or with no valid
+/// snapshot in either slot fails the open, typed, and deletes no extent —
+/// it used to recover an empty tree whose orphan sweep deleted them all.
+/// Once the slots are restored, every key is back.
+#[test]
+fn a_foreign_or_corrupt_manifest_fails_typed_and_deletes_nothing() {
+    let (root, p) = flushed_store("foreign", 2000);
+    let slots = Manifest::slot_paths(&p.manifest_path(0));
+    let originals = slots.clone().map(|s| std::fs::read(s).unwrap());
+    let extents = extent_files(&p);
+
+    // The header's version word bumped, its CRC fixed up.
+    let mut foreign = originals[0].clone();
+    foreign[13..17].copy_from_slice(&(MANIFEST_VERSION + 1).to_le_bytes());
+    let crc = crc32(&foreign[8..17]);
+    foreign[4..8].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&slots[0], &foreign).unwrap();
+    let (err, said) = refused(&p);
+    assert!(
+        matches!(
+            err,
+            StoreError::Manifest {
+                shard: 0,
+                error: ManifestError::Version(v)
+            } if v == MANIFEST_VERSION + 1
+        ),
+        "{said}"
+    );
+    assert_eq!(
+        extent_files(&p),
+        extents,
+        "a foreign version deleted extents"
+    );
+
+    // Both slots corrupt: no valid snapshot beside the extents.
+    for (slot, original) in slots.iter().zip(&originals) {
+        let mut bad = original.clone();
+        bad[30] ^= 0xff;
+        std::fs::write(slot, bad).unwrap();
+    }
+    let (err, said) = refused(&p);
+    assert!(
+        matches!(
+            err,
+            StoreError::Manifest {
+                shard: 0,
+                error: ManifestError::NoSnapshot
+            }
+        ),
+        "{said}"
+    );
+    assert_eq!(
+        extent_files(&p),
+        extents,
+        "a corrupt manifest deleted extents"
+    );
+
+    for (slot, original) in slots.iter().zip(&originals) {
+        std::fs::write(slot, original).unwrap();
+    }
+    let mut rec = recovered_store(1, &p);
+    for i in 0..2000u64 {
+        assert_eq!(
+            rec.get(&key(i)).as_deref(),
+            Some(&[i as u8; 16][..]),
+            "key {i}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// CRC-32 (IEEE), one bit at a time: the record log's checksum.
+fn crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
 }

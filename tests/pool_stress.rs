@@ -319,7 +319,8 @@ fn a_panic_on_a_spawned_load_lane_keeps_its_message() {
 /// although shards 0 and 2 already recovered once.
 #[test]
 fn a_failed_recovery_reports_the_lowest_failing_shard() {
-    use ruskey_repro::lsm::{Manifest, ManifestEdit, RunRecord};
+    use ruskey_repro::lsm::manifest::LevelManifest;
+    use ruskey_repro::lsm::{Manifest, ManifestState, RunRecord};
     let n = 4;
     let dir = wal_dir("recover-fails");
     let dur = persistence(&dir);
@@ -338,27 +339,36 @@ fn a_failed_recovery_reports_the_lowest_failing_shard() {
             .expect("acknowledged at the barrier");
     }
     let damaged = [1usize, 3];
-    let originals = damaged.map(|i| std::fs::read(dur.manifest_path(i)).expect("manifest"));
+    let slots = damaged.map(|i| Manifest::slot_paths(&dur.manifest_path(i)));
+    let originals = slots
+        .clone()
+        .map(|pair| pair.map(|slot| std::fs::read(slot).expect("manifest")));
     for i in damaged {
         let mut m = Manifest::create(dur.manifest_path(i), 0).expect("manifest");
         let key = encode_key(0, 16);
-        m.log(ManifestEdit::AddRun {
-            level: 0,
-            active: false,
-            run: RunRecord {
-                run_id: 1,
-                extent_id: 9000 + i as u64,
-                pages: 1,
-                capacity_bytes: 4096,
-                entry_count: 1,
-                data_bytes: 64,
-                max_seq: 1,
-                bloom_bits_per_key: 8.0,
-                min_key: key.clone(),
-                max_key: key,
-            },
-        });
-        m.commit().expect("commit");
+        let run = RunRecord {
+            run_id: 1,
+            extent_id: 9000 + i as u64,
+            pages: 1,
+            capacity_bytes: 4096,
+            entry_count: 1,
+            data_bytes: 64,
+            max_seq: 1,
+            bloom_bits_per_key: 8.0,
+            min_key: key.clone(),
+            max_key: key,
+        };
+        let level = LevelManifest {
+            policy: 1,
+            sealed: vec![run],
+            ..LevelManifest::default()
+        };
+        let state = ManifestState {
+            levels: vec![level],
+            seq: 1,
+            next_run_id: 2,
+        };
+        assert!(m.commit(state).expect("commit"));
     }
     let err = open(Backend::Recover(&dur))
         .err()
@@ -369,8 +379,10 @@ fn a_failed_recovery_reports_the_lowest_failing_shard() {
         "not shard 1's error: {said}"
     );
 
-    for (i, bytes) in damaged.into_iter().zip(originals) {
-        std::fs::write(dur.manifest_path(i), bytes).expect("repair");
+    for (pair, bytes) in slots.into_iter().zip(originals) {
+        for (slot, bytes) in pair.into_iter().zip(bytes) {
+            std::fs::write(slot, bytes).expect("repair");
+        }
     }
     let mut db = open(Backend::Recover(&dur)).expect("recover the repaired store");
     let mut want: std::collections::BTreeMap<_, _> = pairs.into_iter().collect();

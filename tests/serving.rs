@@ -625,3 +625,48 @@ fn in_flight_gauge_never_exceeds_the_client_count() {
     assert_eq!(metrics.lock_wait_ns.count, metrics.requests());
     assert_eq!(metrics.execute_ns.count, metrics.requests());
 }
+
+/// The Prometheus export from the public surface: after a session of a
+/// few gets, puts, a delete and a scan, the rendered text carries each
+/// request counter with the count served, and the per-shard op counters
+/// sum to the shard visits.
+#[test]
+fn the_prometheus_export_counts_the_requests_served() {
+    let mut db = volatile(small_cfg(), 2, disk());
+    let frontend = db.serve(ServingConfig::default()).expect("serve");
+    let client = frontend.client();
+    for i in 0..5u64 {
+        client
+            .put(encode_key(i, 16), Bytes::from_static(b"exported"))
+            .expect("put");
+    }
+    for i in 0..3u64 {
+        assert!(client.get(&encode_key(i, 16)).expect("get").is_some());
+    }
+    client.delete(encode_key(4, 16)).expect("delete");
+    client
+        .scan(&encode_key(0, 16), &encode_key(9, 16), 10)
+        .expect("scan");
+    let live = frontend.metrics().render_prometheus();
+    let text = db
+        .finish_serving(frontend)
+        .expect("finish")
+        .render_prometheus();
+    assert_eq!(live, text, "the session's last snapshot is the final one");
+    for (kind, n) in [("get", 3), ("put", 5), ("delete", 1), ("scan", 1)] {
+        let line = format!("ruskey_serving_requests_total{{kind=\"{kind}\"}} {n}\n");
+        assert!(text.contains(&line), "missing {line:?} in\n{text}");
+    }
+    let shard_ops: u64 = (0..2)
+        .map(|s| {
+            let name = format!("ruskey_serving_shard_ops_total{{shard=\"{s}\"}} ");
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(&name))
+                .expect("shard line");
+            line[name.len()..].parse::<u64>().expect("a count")
+        })
+        .sum();
+    // Nine point requests on their own shard, and the scan on both.
+    assert_eq!(shard_ops, 11, "one op per shard a request touched\n{text}");
+}
