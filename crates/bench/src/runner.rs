@@ -149,7 +149,7 @@ pub fn prepared_store(
     tuner: Box<dyn Tuner>,
     storage: Arc<dyn Storage>,
 ) -> RusKey {
-    let mut db = RusKey::open(cfg, 1, tuner, Backend::Volatile(storage))
+    let mut db = RusKey::open(cfg, 1, tuner, Backend::Volatile(vec![storage]))
         .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"));
     db.bulk_load(bulk_load_pairs(
         scale.load_entries,

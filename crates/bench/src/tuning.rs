@@ -134,7 +134,8 @@ fn run_tuning_row(scale: &ExperimentScale, workload: &'static str) -> TuningRow 
     let missions = tuning_missions(scale, workload);
     let cfg = tuning_cfg(scale);
     let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
-    let mut db = RusKey::open(cfg, SHARDS, lerp, Backend::Volatile(scale.disk())).expect("open");
+    let disks = (0..SHARDS).map(|_| scale.disk()).collect();
+    let mut db = RusKey::open(cfg, SHARDS, lerp, Backend::Volatile(disks)).expect("open");
     db.bulk_load(bulk_load_pairs(
         scale.load_entries,
         scale.key_len,
@@ -157,7 +158,6 @@ fn run_tuning_row(scale: &ExperimentScale, workload: &'static str) -> TuningRow 
     let tail = ns_per_op.len().div_ceil(3);
     let slice = &ns_per_op[ns_per_op.len() - tail..];
     let tail_ns_per_op = slice.iter().sum::<f64>() / slice.len() as f64;
-    let distinct_policies = final_shard_policies.iter().collect::<BTreeSet<_>>().len();
     TuningRow {
         workload,
         shards: SHARDS,
@@ -169,7 +169,7 @@ fn run_tuning_row(scale: &ExperimentScale, workload: &'static str) -> TuningRow 
             .iter()
             .map(|p| p.first().copied().unwrap_or(1))
             .collect(),
-        distinct_policies,
+        distinct_policies: final_shard_policies.iter().collect::<BTreeSet<_>>().len(),
     }
 }
 

@@ -65,7 +65,7 @@ mod tests {
     /// A one-shard store on a fresh simulated disk.
     fn open(cfg: RusKeyConfig, tuner: Box<dyn Tuner>) -> Result<RusKey, StoreError> {
         let disk = SimulatedDisk::new(512, CostModel::NVME);
-        RusKey::open(cfg, 1, tuner, Backend::Volatile(disk))
+        RusKey::open(cfg, 1, tuner, Backend::Volatile(vec![disk]))
     }
 
     fn lerp_store() -> RusKey {
@@ -207,11 +207,11 @@ mod tests {
     fn an_empty_mission_does_not_train_the_tuner() {
         let mut db = lerp_store();
         db.bulk_load(bulk_load_pairs(500, 16, 48, 1));
-        let start = db.observe().policies;
+        let start = db.policies();
         let r = db.run_mission(&[]);
         assert_eq!((r.ops, r.model_update_ns), (0, 0));
         assert_eq!(db.model_update_ns(), 0);
         assert_eq!(r.policies_after, start);
-        assert_eq!(db.observe().policies, start);
+        assert_eq!(db.policies(), start);
     }
 }

@@ -41,9 +41,9 @@
 //!    flexible transition (§4). With one shard this is the paper's loop.
 //!
 //! Accounting under parallelism is exact: every shard runs on its own
-//! **time domain** (a [`ruskey_storage::ShardStorage`] view with a private
-//! clock and metrics over the shared device), so per-level
-//! `lookup_ns`/`compact_ns` never absorb a concurrent sibling's charges.
+//! device, whose clock is the shard's **time domain** and whose metrics
+//! count the shard's I/O alone, so per-level `lookup_ns`/`compact_ns`
+//! never absorb a concurrent sibling's charges.
 //! Domains compose at the store level as the mission's **wall time** (max
 //! over shards, the window's `clock_ns`) and the **device-busy time** (sum
 //! over shards, the window's `busy_ns`).
@@ -83,22 +83,27 @@
 //!   (Fig. 12), and brute-force RL variants (§7) for comparison.
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use ruskey::{Backend, Lerp, RusKey, RusKeyConfig};
-//! use ruskey_storage::{CostModel, SimulatedDisk};
+//! use ruskey_storage::{CostModel, SimulatedDisk, Storage};
 //!
 //! // The paper's single-tree store…
 //! let cfg = RusKeyConfig::scaled_default();
 //! let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
 //! let disk = SimulatedDisk::new(4096, CostModel::NVME);
-//! let mut db = RusKey::open(cfg, 1, lerp, Backend::Volatile(disk))?;
+//! let mut db = RusKey::open(cfg, 1, lerp, Backend::Volatile(vec![disk]))?;
 //! db.put(&b"k"[..], &b"v"[..]);
 //! assert_eq!(db.get(b"k").as_deref(), Some(&b"v"[..]));
 //!
-//! // …and the same store hash-partitioned across four shards.
+//! // …and the same store hash-partitioned across four shards, each on its
+//! // own disk.
 //! let cfg = RusKeyConfig::scaled_default();
 //! let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
-//! let disk = SimulatedDisk::new(4096, CostModel::NVME);
-//! let mut db = RusKey::open(cfg, 4, lerp, Backend::Volatile(disk))?;
+//! let disks = (0..4)
+//!     .map(|_| SimulatedDisk::new(4096, CostModel::NVME) as Arc<dyn Storage>)
+//!     .collect();
+//! let mut db = RusKey::open(cfg, 4, lerp, Backend::Volatile(disks))?;
 //! db.put(&b"k"[..], &b"v"[..]);
 //! assert_eq!(db.get(b"k").as_deref(), Some(&b"v"[..]));
 //! # Ok::<(), ruskey::StoreError>(())

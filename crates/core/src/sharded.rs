@@ -2,7 +2,7 @@
 //!
 //! [`RusKey`] is the store — the only place a mission runs. Keys
 //! are hash-partitioned onto `N` independent [`FlsmTree`] shards (each with
-//! its own memtable and levels) that share one storage device, and a
+//! its own memtable, levels and storage device), and a
 //! mission executes as one **lane** per shard, in parallel — lane 0 on the
 //! caller's thread, the others on scoped threads that live exactly as long
 //! as the mission — with operations routed by the stable key hash of
@@ -71,19 +71,18 @@
 //!
 //! ## Time domains: exact accounting under parallelism
 //!
-//! Each shard owns a private **time domain**: its tree runs on a
-//! [`ShardStorage`] view whose
-//! [`VirtualClock`](ruskey_storage::VirtualClock) and metrics receive only
-//! that shard's charges, while the shared device underneath aggregates
-//! everything (device-busy time). The domain belongs to the view, not to
-//! a thread, so charges are exact no matter which thread currently
-//! borrows the tree. At the store level the domains compose two ways:
+//! Each shard owns a private **time domain**: its tree runs on its own
+//! device, whose [`VirtualClock`](ruskey_storage::VirtualClock) and
+//! metrics receive only that shard's charges. The domain belongs to the
+//! device, not to a thread, so charges are exact no matter which thread
+//! currently borrows the tree. At the store level the domains compose two
+//! ways:
 //!
 //! * **mission wall time** (`clock_ns` of [`MissionReport::window`]) —
 //!   the max over the participating shards' per-domain deltas (the
 //!   mission is as slow as its busiest shard);
 //! * **device-busy time** (the window's `busy_ns`) — the sum over the
-//!   domains (total virtual work placed on the shared device).
+//!   domains (total virtual work placed on the shards' devices).
 //!
 //! A mission's report is a window over the trees' statistics: the store
 //! keeps one baseline snapshot per shard, deltas every shard against its
@@ -98,8 +97,8 @@
 //! A store opened on [`Backend::Create`] gives every shard its own
 //! directory ([`PersistenceConfig`]): an independent
 //! [`FileDisk`] for its data pages (private
-//! file handles — the sharded real-file path carries no shared device
-//! lock, and each disk's clock is the shard's time domain), a
+//! file handles, so the sharded real-file path takes no lock across
+//! shards, and each disk's clock is the shard's time domain), a
 //! [`Manifest`] that commits a snapshot of the shard's run/level structure
 //! after every structural step into two alternating slot files, and the
 //! shard's WAL ([`PersistenceConfig::wal_path`]).
@@ -162,7 +161,7 @@
 //! ## Opening a store
 //!
 //! [`RusKey::open`]`(cfg, shards, tuner, backend)` is the one opener, over
-//! three [`Backend`]s: `Volatile` (views of one shared device, nothing
+//! three [`Backend`]s: `Volatile` (one given device per shard, nothing
 //! survives a drop), `Create` (a fresh directory per shard) and `Recover`
 //! (reopen what a dropped persistent store left). It validates once,
 //! checks the previous incarnation, wipes and builds each shard's tree
@@ -182,7 +181,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use ruskey_lsm::{ConfigError, FlsmTree, Manifest, ManifestError, TreeStatsSnapshot, Wal};
-use ruskey_storage::{BlockCache, CostModel, FileDisk, ShardStorage, Storage};
+use ruskey_storage::{BlockCache, CostModel, FileDisk, Storage};
 use ruskey_workload::routing::{partition_ops, shard_for_key};
 use ruskey_workload::Operation;
 
@@ -462,13 +461,13 @@ pub struct RusKey {
 /// Where a store's shards keep their state, and whether a persistent
 /// store starts fresh or continues.
 pub enum Backend<'a> {
-    /// Trees on private [`ShardStorage`] views of one shared device. The
-    /// device keeps the data; each view is its shard's private time
-    /// domain, so per-shard time and I/O attribution stays exact under
-    /// parallel missions. A view's clock starts at 0 while the device's
-    /// counts everything ever run on it, so on a reused device compare
+    /// One device per shard, in shard order: shard `i`'s tree runs on
+    /// `devices[i]`, whose clock is the shard's time domain, so per-shard
+    /// time and I/O attribution is exact under parallel missions. A
+    /// device's clock and metrics count everything ever run on it, so a
+    /// reused device shows earlier work in a shard's statistics: compare
     /// deltas, as [`MissionReport`]s do. Nothing survives a drop.
-    Volatile(Arc<dyn Storage>),
+    Volatile(Vec<Arc<dyn Storage>>),
     /// A fresh persistent store: every shard gets its own directory under
     /// the root, with an independent [`FileDisk`] for its data pages, a
     /// [`Manifest`] recording its run/level structure (a snapshot
@@ -562,9 +561,10 @@ impl RusKey {
     /// idempotent).
     ///
     /// # Panics
-    /// Panics if `shards` is zero — a shard count is a structural choice
-    /// made in code, not runtime input. A lane that panics re-raises its
-    /// own payload here once every lane has ended.
+    /// Panics if `shards` is zero, or if [`Backend::Volatile`] holds other
+    /// than `shards` devices — a shard count is a structural choice made
+    /// in code, not runtime input. A lane that panics re-raises its own
+    /// payload here once every lane has ended.
     pub fn open(
         cfg: RusKeyConfig,
         shards: usize,
@@ -574,7 +574,11 @@ impl RusKey {
         assert!(shards >= 1, "a store needs at least one shard");
         cfg.lsm.validate()?;
         match &backend {
-            Backend::Volatile(_) => {}
+            Backend::Volatile(devices) => assert_eq!(
+                devices.len(),
+                shards,
+                "a volatile store needs one device per shard"
+            ),
             Backend::Create(p) => {
                 // Each lane wipes its own shard's directory; directories
                 // beyond the new count go here.
@@ -608,7 +612,7 @@ impl RusKey {
         let build = |i: usize| -> Result<FlsmTree, StoreError> {
             let lsm = cfg.lsm.clone();
             Ok(match &backend {
-                Backend::Volatile(s) => FlsmTree::try_new(lsm, ShardStorage::new(Arc::clone(s)))?,
+                Backend::Volatile(devices) => FlsmTree::try_new(lsm, Arc::clone(&devices[i]))?,
                 Backend::Create(p) => {
                     wipe(&p.shard_dir(i))?;
                     let mut tree = FlsmTree::try_new(lsm, p.open_disk(i)?)?;
@@ -1006,25 +1010,19 @@ impl RusKey {
         self.rebaseline();
     }
 
-    /// Store-wide structure snapshot, a reporting view (each tuner seat
-    /// observes its own shard): per-level fill ratios and run counts
-    /// *average* over the shards that have materialized the level — a
-    /// lookup probes exactly one shard, so the mean is what one shard
-    /// looks like — and the per-level policy is the **modal** one across
-    /// those shards (ties break toward the smaller K): exact whenever
-    /// shards agree, representative once their seats diverge. For a
-    /// one-shard store this is that shard's own observation.
-    pub(crate) fn observe(&self) -> TreeObservation {
-        let n = self.shard_count();
-        merge_observations((0..n).map(|i| TreeObservation::of(self.shard(i))).collect())
-    }
-
     /// Store-wide per-level policies: the modal policy across the shards
     /// holding each level (ties toward the smaller K) — exact whenever
-    /// shards agree. The per-shard truth is
-    /// [`RusKey::shard_policies`].
+    /// shards agree, and a one-shard store's own policies. The per-shard
+    /// truth is [`RusKey::shard_policies`].
     pub(crate) fn policies(&self) -> Vec<u32> {
-        self.observe().policies
+        let shards = self.shard_policies();
+        let levels = shards.iter().map(Vec::len).max().unwrap_or(0);
+        (0..levels)
+            .map(|i| {
+                let held: Vec<u32> = shards.iter().filter_map(|p| p.get(i).copied()).collect();
+                modal_policy(&held)
+            })
+            .collect()
     }
 
     /// Every shard's true per-level policies, in shard order — exact
@@ -1192,11 +1190,11 @@ pub type ShardedRusKey = RusKey;
 /// Old openers the perf ledger's adapter still calls; each is one call
 /// into [`RusKey::open`] or [`RusKey::shard`].
 impl RusKey {
-    #[deprecated(note = "use `RusKey::open(cfg, 1, lerp, Backend::Volatile(storage))`")]
+    #[deprecated(note = "use `RusKey::open(cfg, 1, lerp, Backend::Volatile(vec![storage]))`")]
     #[doc(hidden)]
     pub fn with_lerp(cfg: RusKeyConfig, storage: Arc<dyn Storage>) -> Self {
         let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
-        Self::open(cfg, 1, lerp, Backend::Volatile(storage)).expect("invalid RusKeyConfig")
+        Self::open(cfg, 1, lerp, Backend::Volatile(vec![storage])).expect("invalid RusKeyConfig")
     }
 
     #[deprecated(note = "use `RusKey::open` with `Backend::Create`")]
@@ -1234,31 +1232,6 @@ impl RusKey {
 /// would read stale values. A fresh open wipes it. Must not match the
 /// `shard-` prefix the recovery scan parses.
 const ROUTES_FILE: &str = "ROUTES";
-
-/// Merges per-shard observations into the store-wide one (see
-/// [`RusKey::observe`]); one observation merges into itself.
-fn merge_observations(shards: Vec<TreeObservation>) -> TreeObservation {
-    let level_count = shards.iter().map(|o| o.level_count).max().unwrap_or(0);
-    let mut policies = Vec::with_capacity(level_count);
-    let mut fills = Vec::with_capacity(level_count);
-    let mut run_counts = Vec::with_capacity(level_count);
-    for i in 0..level_count {
-        let holders: Vec<&TreeObservation> = shards.iter().filter(|o| o.level_count > i).collect();
-        let held: Vec<u32> = holders.iter().map(|o| o.policies[i]).collect();
-        policies.push(modal_policy(&held));
-        fills.push(holders.iter().map(|o| o.fills[i]).sum::<f64>() / holders.len() as f64);
-        let mean_runs =
-            holders.iter().map(|o| o.run_counts[i]).sum::<usize>() as f64 / holders.len() as f64;
-        run_counts.push(mean_runs.round() as usize);
-    }
-    TreeObservation {
-        policies,
-        fills,
-        run_counts,
-        size_ratio: shards[0].size_ratio,
-        level_count,
-    }
-}
 
 /// The most common policy among the shards holding a level, ties broken
 /// toward the smaller (more leveled, read-safer) K. Deterministic, and
@@ -1406,13 +1379,24 @@ mod tests {
         SimulatedDisk::new(512, CostModel::NVME)
     }
 
-    fn volatile(cfg: RusKeyConfig, shards: usize, disk: Arc<dyn Storage>) -> RusKey {
-        RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(disk)).expect("open")
+    /// One fresh disk per shard.
+    fn disks(shards: usize) -> Vec<Arc<dyn Storage>> {
+        (0..shards).map(|_| disk() as Arc<dyn Storage>).collect()
+    }
+
+    fn volatile(cfg: RusKeyConfig, shards: usize) -> RusKey {
+        RusKey::open(
+            cfg,
+            shards,
+            Box::new(NoOpTuner),
+            Backend::Volatile(disks(shards)),
+        )
+        .expect("open")
     }
 
     #[test]
     fn kv_roundtrip_across_shards() {
-        let mut db = volatile(small_cfg(), 4, disk());
+        let mut db = volatile(small_cfg(), 4);
         for i in 0..200u64 {
             db.put(ruskey_workload::encode_key(i, 16), vec![i as u8; 8]);
         }
@@ -1426,7 +1410,7 @@ mod tests {
 
     #[test]
     fn cross_shard_scan_is_globally_sorted_and_limited() {
-        let mut db = volatile(small_cfg(), 4, disk());
+        let mut db = volatile(small_cfg(), 4);
         for i in 0..300u64 {
             db.put(ruskey_workload::encode_key(i, 16), vec![1u8; 8]);
         }
@@ -1454,7 +1438,7 @@ mod tests {
             small_cfg(),
             4,
             Box::new(FixedPolicy::moderate()),
-            Backend::Volatile(disk()),
+            Backend::Volatile(disks(4)),
         )
         .expect("open");
         db.bulk_load(bulk_load_pairs(1000, 16, 48, 1));
@@ -1482,7 +1466,7 @@ mod tests {
             small_cfg(),
             3,
             Box::new(FixedPolicy::new(4)),
-            Backend::Volatile(disk()),
+            Backend::Volatile(disks(3)),
         )
         .expect("open");
         db.bulk_load(bulk_load_pairs(900, 16, 48, 3));
@@ -1513,7 +1497,7 @@ mod tests {
             small_cfg(),
             4,
             Box::new(FixedPolicy::new(4)),
-            Backend::Volatile(disk()),
+            Backend::Volatile(disks(4)),
         )
         .expect("open");
         db.bulk_load(bulk_load_pairs(1200, 16, 48, 3));
@@ -1537,7 +1521,7 @@ mod tests {
     #[test]
     fn adhoc_scans_between_missions_stay_logically_counted() {
         for shards in [1usize, 3] {
-            let mut db = volatile(small_cfg(), shards, disk());
+            let mut db = volatile(small_cfg(), shards);
             db.bulk_load(bulk_load_pairs(600, 16, 48, 9));
             let spec = WorkloadSpec {
                 key_space: 600,
@@ -1576,8 +1560,19 @@ mod tests {
     fn try_with_tuner_rejects_bad_config() {
         let mut cfg = small_cfg();
         cfg.lsm.size_ratio = 1;
-        let err = RusKey::open(cfg, 2, Box::new(NoOpTuner), Backend::Volatile(disk()));
+        let err = RusKey::open(cfg, 2, Box::new(NoOpTuner), Backend::Volatile(disks(2)));
         assert!(err.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "one device per shard")]
+    fn a_volatile_store_needs_one_device_per_shard() {
+        let _ = RusKey::open(
+            small_cfg(),
+            2,
+            Box::new(NoOpTuner),
+            Backend::Volatile(disks(1)),
+        );
     }
 
     #[test]
@@ -1587,7 +1582,7 @@ mod tests {
             small_cfg(),
             0,
             Box::new(NoOpTuner),
-            Backend::Volatile(disk()),
+            Backend::Volatile(disks(0)),
         );
     }
 
@@ -1596,7 +1591,7 @@ mod tests {
     /// a missing shard), while dropping the store does not hang.
     #[test]
     fn worker_panic_is_a_clean_error_and_kills_the_engine() {
-        let mut db = volatile(small_cfg(), 3, disk());
+        let mut db = volatile(small_cfg(), 3);
         db.bulk_load(bulk_load_pairs(300, 16, 48, 5));
         let spec = WorkloadSpec {
             key_space: 300,
@@ -1632,13 +1627,12 @@ mod tests {
             let payload = catch_unwind(AssertUnwindSafe(read)).expect_err("must panic");
             payload.downcast_ref::<String>().expect("formatted").clone()
         };
-        let mut db = volatile(small_cfg(), 2, disk());
+        let mut db = volatile(small_cfg(), 2);
         let frontend = db.serve(ServingConfig::default()).expect("serve");
         assert_eq!(db.shard_count(), 2, "serving");
-        let reads: [&dyn Fn(); 5] = [
+        let reads: [&dyn Fn(); 4] = [
             &|| drop(db.shard(1).stats()),
             &|| drop(db.stats()),
-            &|| drop(db.observe()),
             &|| drop(db.policies()),
             &|| assert!(!db.crashed()),
         ];
@@ -1665,7 +1659,7 @@ mod tests {
     /// is finished the same store runs missions again.
     #[test]
     fn a_serving_store_reports_serving_not_a_fenced_shard() {
-        let mut db = volatile(small_cfg(), 2, disk());
+        let mut db = volatile(small_cfg(), 2);
         db.bulk_load(bulk_load_pairs(200, 16, 48, 1));
         let before = db.stats();
         let frontend = db.serve(ServingConfig::default()).expect("serve");
@@ -1968,13 +1962,13 @@ mod tests {
         pairs.rotate_left(150);
         let first = |k: &Bytes| pairs.iter().find(|(pk, _)| pk == k).map(|(_, v)| v.clone());
         for n in [2, 4] {
-            let mut db = volatile(small_cfg(), n, disk());
+            let mut db = volatile(small_cfg(), n);
             db.bulk_load(pairs.clone());
             for i in 0..600u64 {
                 assert_eq!(db.get(&key(i)), first(&key(i)), "N={n} key {i}");
             }
             for shard in 0..n {
-                let mut alone = volatile(small_cfg(), 1, disk());
+                let mut alone = volatile(small_cfg(), 1);
                 let own = pairs.iter().filter(|(k, _)| shard_for_key(k, n) == shard);
                 alone.bulk_load(own.cloned().collect());
                 let (lo, hi) = (key(0), key(600));

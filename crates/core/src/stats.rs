@@ -144,7 +144,7 @@ mod tests {
     use crate::sharded::{Backend, RusKey};
     use crate::tuner::{NoOpTuner, TreeObservation, Tuner};
     use ruskey_lsm::LevelStatsSnapshot;
-    use ruskey_storage::{CostModel, SimulatedDisk};
+    use ruskey_storage::{CostModel, SimulatedDisk, Storage};
     use ruskey_workload::{bulk_load_pairs, OpGenerator, OpMix, WorkloadSpec};
     use std::sync::{Arc, Mutex};
 
@@ -153,8 +153,10 @@ mod tests {
     fn loaded(shards: usize, tuner: Box<dyn Tuner>) -> (RusKey, OpGenerator) {
         let mut cfg = RusKeyConfig::scaled_default();
         cfg.lsm.buffer_bytes = 4096;
-        let disk = SimulatedDisk::new(512, CostModel::NVME);
-        let mut db = RusKey::open(cfg, shards, tuner, Backend::Volatile(disk)).expect("open");
+        let disks = (0..shards)
+            .map(|_| SimulatedDisk::new(512, CostModel::NVME) as Arc<dyn Storage>)
+            .collect();
+        let mut db = RusKey::open(cfg, shards, tuner, Backend::Volatile(disks)).expect("open");
         db.bulk_load(bulk_load_pairs(1000, 16, 48, 1));
         let spec = WorkloadSpec::scaled_default(1000).with_mix(OpMix {
             lookup: 0.4,

@@ -13,8 +13,7 @@
 //!   hit, insert, and evict are all constant-time (the seed cache's
 //!   min-scan over every resident page is gone).
 //! * **Exact counters** — hits, misses, and evictions surface three ways:
-//!   per-call in the returned [`IoCharge`] (so stacked storage views
-//!   mirror them into their domains), aggregated in
+//!   per-call in the returned [`IoCharge`], aggregated in
 //!   [`Storage::metrics`], and directly via [`BlockCache::hits`] /
 //!   [`BlockCache::misses`] / `BlockCache::evictions`.
 //! * **Invalidation on free** — [`Storage::free`] purges the extent's

@@ -7,10 +7,10 @@
 //!
 //! Every clock belongs to a **time domain**, identified by a [`DomainId`]
 //! minted at construction; clones share both the counter and the domain.
-//! A sharded store gives each shard its own domain (see
-//! `ShardStorage`), so a shard windowing its clock — [`VirtualClock::now`]
-//! then [`VirtualClock::elapsed_since`] — only ever observes its *own*
-//! charges, never a concurrent sibling's. Timestamps are domain-tagged:
+//! A sharded store gives each shard its own device, and so its own domain,
+//! so a shard windowing its clock — [`VirtualClock::now`] then
+//! [`VirtualClock::elapsed_since`] — only ever observes its *own* charges,
+//! never a concurrent sibling's. Timestamps are domain-tagged:
 //! asking a clock for the elapsed time since a timestamp taken from a
 //! *different* domain is a bug (the old shared-clock accounting silently
 //! returned 0 or absorbed foreign charges), and panics in debug builds.
@@ -172,8 +172,8 @@ mod tests {
         assert!(result.is_err(), "cross-domain window must panic in debug");
     }
 
-    /// Parallel shard workers may share one domain (e.g. the device-busy
-    /// aggregate); concurrent advances must never lose ticks.
+    /// Several threads may charge one domain (serving clients take turns
+    /// on a shard's device); concurrent advances must never lose ticks.
     #[test]
     fn concurrent_advances_are_lossless() {
         let c = VirtualClock::new();

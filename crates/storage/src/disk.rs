@@ -27,10 +27,8 @@ pub struct Extent {
 /// the caller's timeline plus the device I/O performed, as a metrics delta.
 ///
 /// Returning the charge from [`Storage::write_page`]/[`Storage::read_page`]
-/// lets wrapping views (a shard's `crate::ShardStorage`, a
-/// [`crate::BlockCache`]) mirror the accounting into their own time domain
-/// *exactly*, without windowing shared counters that concurrent siblings
-/// also advance. A cache hit, for example, reports its CPU cost in `ns`
+/// lets a wrapping backend (a [`crate::BlockCache`]) report exactly what
+/// each call cost. A cache hit, for example, reports its CPU cost in `ns`
 /// with a zero `io` delta — no device read happened.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IoCharge {
@@ -216,13 +214,12 @@ pub trait Storage: Send + Sync {
     /// Releases an extent. Reading freed pages panics.
     fn free(&self, ext: Extent);
 
-    /// Snapshot of the I/O counters *as seen through this handle*: the
-    /// device totals for a raw device, the owning domain's share for a
-    /// per-shard view.
+    /// Snapshot of the device's I/O counters (a block cache adds its hits,
+    /// misses and evictions).
     fn metrics(&self) -> StorageMetrics;
 
-    /// The virtual clock this handle charges time to: the device clock for
-    /// a raw device, the shard's own time domain for a per-shard view.
+    /// The device's virtual clock: one time domain, advanced by every
+    /// charge made through this handle.
     fn clock(&self) -> &VirtualClock;
 
     /// The cost model used for virtual-time charging.

@@ -14,9 +14,6 @@
 //!   belonging to one *time domain* ([`clock::DomainId`]); timestamps are
 //!   domain-tagged so cross-domain windows are caught instead of silently
 //!   mis-attributed.
-//! * [`ShardStorage`] — a per-shard view of a shared device that owns its
-//!   own time domain and exact metrics share, making per-shard accounting
-//!   exact under parallel missions.
 //! * [`CostModel`] — per-page I/O latencies plus the CPU cost constants
 //!   (`c_r`, `c_w`) used by the paper's white-box model (§5.2, Eq. 5).
 //! * [`SimulatedDisk`] — page store with exact I/O accounting.
@@ -68,7 +65,6 @@ pub mod cache;
 pub mod clock;
 pub mod cost;
 pub mod disk;
-pub mod domain;
 pub mod file;
 pub mod metrics;
 
@@ -76,7 +72,6 @@ pub use cache::BlockCache;
 pub use clock::{DomainId, Timestamp, VirtualClock};
 pub use cost::CostModel;
 pub use disk::{Extent, IoCharge, PowerCutPoint, SimulatedDisk, Storage};
-pub use domain::ShardStorage;
 pub use file::FileDisk;
 pub use metrics::StorageMetrics;
 

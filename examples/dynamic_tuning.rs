@@ -24,7 +24,7 @@ fn main() {
     let cfg = RusKeyConfig::scaled_default();
     let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
     let disk = SimulatedDisk::new(4096, CostModel::NVME);
-    let mut db = RusKey::open(cfg, 1, lerp, Backend::Volatile(disk)).expect("valid config");
+    let mut db = RusKey::open(cfg, 1, lerp, Backend::Volatile(vec![disk])).expect("valid config");
     db.bulk_load(bulk_load_pairs(n, 16, 112, 7));
 
     let sessions = vec![

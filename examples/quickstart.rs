@@ -15,7 +15,7 @@ fn open_store() -> Result<RusKey, StoreError> {
     let cfg = RusKeyConfig::scaled_default();
     let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
     let disk = SimulatedDisk::new(4096, CostModel::NVME);
-    RusKey::open(cfg, 1, lerp, Backend::Volatile(disk))
+    RusKey::open(cfg, 1, lerp, Backend::Volatile(vec![disk]))
 }
 
 fn main() -> Result<(), StoreError> {

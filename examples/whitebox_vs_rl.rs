@@ -36,7 +36,7 @@ fn learned_k(gamma: f64) -> (u32, Vec<u32>) {
     let cfg = RusKeyConfig::scaled_default();
     let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
     let disk = SimulatedDisk::new(4096, CostModel::NVME);
-    let mut db = RusKey::open(cfg, 1, lerp, Backend::Volatile(disk)).expect("valid config");
+    let mut db = RusKey::open(cfg, 1, lerp, Backend::Volatile(vec![disk])).expect("valid config");
     db.bulk_load(bulk_load_pairs(n, 16, 112, 7));
     let spec = WorkloadSpec::scaled_default(n).with_mix(OpMix::reads(gamma));
     let mut gen = OpGenerator::new(spec, 5);

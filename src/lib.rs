@@ -46,9 +46,9 @@
 //! [`ruskey::StoreError`] (never an unwind, never a hang) and
 //! fences the shard, exactly as a client panicking inside a served shard
 //! does: one death protocol.
-//! Each shard accounts on its own **time domain** (a
-//! [`storage::ShardStorage`] view with a private virtual clock), so
-//! per-shard and per-level time attribution is exact under parallelism;
+//! Each shard runs on its own device, whose virtual clock is the shard's
+//! **time domain**, so per-shard and per-level time attribution is exact
+//! under parallelism;
 //! domains compose store-wide into mission wall time (max) and
 //! device-busy time (sum). There is **one mission loop** — lanes,
 //! statistics collector, tuner seats, FLSM transition (paper §3, Fig. 1) —

@@ -36,8 +36,15 @@ fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(256, CostModel::FREE)
 }
 
-fn volatile(cfg: RusKeyConfig, shards: usize, disk: Arc<dyn Storage>) -> RusKey {
-    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(disk)).expect("open")
+/// One fresh disk per shard.
+fn disks(shards: usize) -> Vec<Arc<dyn Storage>> {
+    (0..shards).map(|_| disk()).collect()
+}
+
+/// An untuned store with one shard per device.
+fn volatile(cfg: RusKeyConfig, devices: Vec<Arc<dyn Storage>>) -> RusKey {
+    let shards = devices.len();
+    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(devices)).expect("open")
 }
 
 fn key(k: u16) -> Bytes {
@@ -83,8 +90,8 @@ proptest! {
         shards_idx in 0usize..3,
     ) {
         let shards = [1usize, 2, 4][shards_idx];
-        let mut bg = volatile(cfg(true), shards, disk());
-        let mut quiet = volatile(cfg(false), 1, disk());
+        let mut bg = volatile(cfg(true), disks(shards));
+        let mut quiet = volatile(cfg(false), disks(1));
         let mut model: BTreeMap<Bytes, Bytes> = BTreeMap::new();
 
         for (step, op) in ops.iter().enumerate() {
@@ -144,8 +151,8 @@ proptest! {
 #[test]
 fn in_flight_merges_are_read_equivalent_at_each_shard_count() {
     for &shards in &[1usize, 2, 4] {
-        let mut bg = volatile(cfg(true), shards, disk());
-        let mut quiet = volatile(cfg(false), 1, disk());
+        let mut bg = volatile(cfg(true), disks(shards));
+        let mut quiet = volatile(cfg(false), disks(1));
         // 1201 distinct keys so every shard's resident set outgrows its
         // L0 capacity even at N = 4 — smaller spaces fit entirely in L0
         // and legitimately never compact.
@@ -210,9 +217,9 @@ fn adhoc_write_burst_in_background_mode_is_backpressured() {
     cfg.lsm.l0_stall_runs = 4;
     // A real cost model, unlike the FREE one above: stalled virtual time
     // must be measurable for the recording assertion to mean anything.
-    let disk = SimulatedDisk::new(256, CostModel::NVME);
+    let disk = || SimulatedDisk::new(256, CostModel::NVME) as Arc<dyn Storage>;
     let shards = 2;
-    let mut db = volatile(cfg.clone(), shards, disk);
+    let mut db = volatile(cfg.clone(), (0..shards).map(|_| disk()).collect());
     // Values big enough that a shard's memtable passes the 2x-buffer
     // backstop *between* worker maintenance boundaries — the burst must
     // actually hit the write-path backpressure, not just the boundaries.
@@ -243,7 +250,7 @@ fn adhoc_write_burst_in_background_mode_is_backpressured() {
 
     // A one-shard store's plain puts are the same ad-hoc path, every 32nd
     // one a boundary grant, under the same backpressure.
-    let mut single = volatile(cfg, 1, SimulatedDisk::new(256, CostModel::NVME));
+    let mut single = volatile(cfg, vec![disk()]);
     for i in 0u16..3000 {
         let k = i % 997;
         single.put(key(k), big_value(k, (i % 251) as u8));

@@ -138,11 +138,12 @@ fn loads_are_byte_identical_and_survive_a_restart() {
     }
 }
 
-/// A simulated disk that notes which threads allocate extents: a load
-/// allocates one per run, on the lane that loads the run's shard.
+/// A simulated disk that notes which threads allocate extents, in a set
+/// every shard's disk shares: a load allocates one per run, on the lane
+/// that loads the run's shard.
 struct ThreadLog {
     disk: Arc<dyn Storage>,
-    threads: Mutex<HashSet<ThreadId>>,
+    threads: Arc<Mutex<HashSet<ThreadId>>>,
 }
 
 impl Storage for ThreadLog {
@@ -190,13 +191,18 @@ impl Storage for ThreadLog {
 #[test]
 fn every_shard_loads_on_its_own_lane_outside_the_first_window() {
     for n in SHARD_COUNTS {
-        let log = Arc::new(ThreadLog {
-            disk: SimulatedDisk::new(512, CostModel::NVME),
-            threads: Mutex::new(HashSet::new()),
-        });
-        let mut db = open(n, Backend::Volatile(log.clone()));
+        let threads = Arc::new(Mutex::new(HashSet::new()));
+        let logs = (0..n)
+            .map(|_| {
+                Arc::new(ThreadLog {
+                    disk: SimulatedDisk::new(512, CostModel::NVME),
+                    threads: Arc::clone(&threads),
+                }) as Arc<dyn Storage>
+            })
+            .collect();
+        let mut db = open(n, Backend::Volatile(logs));
         db.bulk_load(pairs());
-        let threads = log.threads.lock().unwrap().clone();
+        let threads = threads.lock().unwrap().clone();
         assert_eq!(threads.len(), n, "N = {n}: one thread per lane");
         assert!(
             threads.contains(&thread::current().id()),

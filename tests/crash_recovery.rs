@@ -496,8 +496,9 @@ proptest! {
         // Reference: a fresh (non-durable) store executing exactly the
         // durable prefix.
         let untuned = Box::new(ruskey_repro::ruskey::tuner::NoOpTuner);
+        let disks = (0..shards).map(|_| disk()).collect();
         let mut reference =
-            RusKey::open(big_buffer_cfg(), shards, untuned, Backend::Volatile(disk()))
+            RusKey::open(big_buffer_cfg(), shards, untuned, Backend::Volatile(disks))
                 .expect("open");
         for op in &ops[..durable_prefix] {
             apply(&mut reference, op);

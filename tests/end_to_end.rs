@@ -25,7 +25,7 @@ fn small_lsm(transition: TransitionStrategy) -> LsmConfig {
 /// The paper's one-shard store, tuned by Lerp.
 fn lerp_store(cfg: RusKeyConfig, disk: Arc<dyn Storage>) -> RusKey {
     let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
-    RusKey::open(cfg, 1, lerp, Backend::Volatile(disk)).expect("open")
+    RusKey::open(cfg, 1, lerp, Backend::Volatile(vec![disk])).expect("open")
 }
 
 /// The tree must agree with a BTreeMap reference model under a mixed
@@ -142,7 +142,7 @@ fn baseline_tuners_respect_bounds() {
         cfg.lsm.size_ratio = 6;
         let disk = SimulatedDisk::new(512, CostModel::NVME);
         let name = tuner.name();
-        let mut db = RusKey::open(cfg, 1, tuner, Backend::Volatile(disk)).expect("open");
+        let mut db = RusKey::open(cfg, 1, tuner, Backend::Volatile(vec![disk])).expect("open");
         db.bulk_load(bulk_load_pairs(1500, 16, 48, 5));
         let spec = WorkloadSpec {
             key_space: 1500,

@@ -226,9 +226,11 @@ proptest! {
         db.group_commit(); // everything acknowledged before the restart
         drop(db);
 
-        let disk = ruskey_repro::storage::SimulatedDisk::new(512, CostModel::FREE);
+        let disks = (0..shards)
+            .map(|_| ruskey_repro::storage::SimulatedDisk::new(512, CostModel::FREE) as _)
+            .collect();
         let mut reference =
-            RusKey::open(small_cfg(), shards, Box::new(NoOpTuner), Backend::Volatile(disk))
+            RusKey::open(small_cfg(), shards, Box::new(NoOpTuner), Backend::Volatile(disks))
                 .expect("open");
         for op in &ops {
             apply(&mut reference, op, shards);

@@ -64,8 +64,15 @@ fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(512, CostModel::NVME)
 }
 
-fn volatile(cfg: RusKeyConfig, shards: usize, disk: Arc<dyn Storage>) -> RusKey {
-    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(disk)).expect("open")
+/// One fresh disk per shard.
+fn disks(shards: usize) -> Vec<Arc<dyn Storage>> {
+    (0..shards).map(|_| disk()).collect()
+}
+
+/// An untuned store with one shard per device.
+fn volatile(cfg: RusKeyConfig, devices: Vec<Arc<dyn Storage>>) -> RusKey {
+    let shards = devices.len();
+    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(devices)).expect("open")
 }
 
 /// A persistent store's settings under `dir`: 512-byte pages, NVMe costs.
@@ -99,7 +106,7 @@ fn lane_zero_is_the_caller_and_lanes_are_distinct_threads() {
     const MISSIONS: usize = 12;
     let me = std::thread::current().id();
     for &n in &[1usize, 2, 4, 8] {
-        let mut db = volatile(small_cfg(), n, disk());
+        let mut db = volatile(small_cfg(), disks(n));
         db.bulk_load(bulk_load_pairs(2000, 16, 48, 31));
         let mut g = OpGenerator::new(mixed_spec(2000), 33);
         assert!(
@@ -146,7 +153,7 @@ fn pooled_missions_equal_single_threaded_lane_replay() {
     const MISSIONS: usize = 10;
     for &n in &[1usize, 2, 4, 8] {
         let pairs = bulk_load_pairs(2000, 16, 48, 41);
-        let mut pooled = volatile(small_cfg(), n, disk());
+        let mut pooled = volatile(small_cfg(), disks(n));
         pooled.bulk_load(pairs.clone());
 
         let mut g = OpGenerator::new(mixed_spec(2000), 43);
@@ -156,7 +163,7 @@ fn pooled_missions_equal_single_threaded_lane_replay() {
         }
 
         for shard in 0..n {
-            let mut solo = volatile(small_cfg(), 1, disk());
+            let mut solo = volatile(small_cfg(), disks(1));
             solo.bulk_load(
                 pairs
                     .iter()
@@ -181,7 +188,7 @@ fn pooled_missions_equal_single_threaded_lane_replay() {
 
         // Point lookups agree with a single-threaded replay of the whole
         // stream (shard-merged view).
-        let mut reference = volatile(small_cfg(), 1, disk());
+        let mut reference = volatile(small_cfg(), disks(1));
         reference.bulk_load(pairs);
         for ops in &missions {
             reference.run_mission(ops);
@@ -204,7 +211,7 @@ fn pooled_missions_equal_single_threaded_lane_replay() {
 #[test]
 fn worker_panic_surfaces_as_clean_error_not_a_hang() {
     for &n in &[2usize, 4] {
-        let mut db = volatile(small_cfg(), n, disk());
+        let mut db = volatile(small_cfg(), disks(n));
         db.bulk_load(bulk_load_pairs(800, 16, 48, 51));
         let mut g = OpGenerator::new(mixed_spec(800), 53);
         for _ in 0..3 {
@@ -301,7 +308,7 @@ fn a_panic_on_the_callers_lane_is_a_clean_error_too() {
 #[test]
 #[should_panic(expected = "empty tree")]
 fn a_panic_on_a_spawned_load_lane_keeps_its_message() {
-    let mut db = volatile(small_cfg(), 2, disk());
+    let mut db = volatile(small_cfg(), disks(2));
     let taken = (0u64..)
         .map(|i| encode_key(i, 16))
         .find(|k| shard_for_key(k, 2) == 1)

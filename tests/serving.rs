@@ -46,8 +46,15 @@ fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(512, CostModel::NVME)
 }
 
-fn volatile(cfg: RusKeyConfig, shards: usize, disk: Arc<dyn Storage>) -> RusKey {
-    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(disk)).expect("open")
+/// One fresh disk per shard.
+fn disks(shards: usize) -> Vec<Arc<dyn Storage>> {
+    (0..shards).map(|_| disk()).collect()
+}
+
+/// An untuned store with one shard per device.
+fn volatile(cfg: RusKeyConfig, devices: Vec<Arc<dyn Storage>>) -> RusKey {
+    let shards = devices.len();
+    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(devices)).expect("open")
 }
 
 fn mixed_spec(key_space: u64) -> WorkloadSpec {
@@ -94,9 +101,9 @@ fn k_clients_equal_single_threaded_replay() {
     const KEY_SPACE: u64 = 2000;
     for &clients in &[1usize, 2, 4] {
         let pairs = bulk_load_pairs(KEY_SPACE, 16, 48, 5);
-        let mut served = volatile(small_cfg(), 4, disk());
+        let mut served = volatile(small_cfg(), disks(4));
         served.bulk_load(pairs.clone());
-        let mut replay = volatile(small_cfg(), 4, disk());
+        let mut replay = volatile(small_cfg(), disks(4));
         replay.bulk_load(pairs);
 
         let scripts = client_scripts(&mixed_spec(KEY_SPACE), clients, 400, 13);
@@ -161,7 +168,7 @@ fn replay_op(db: &mut RusKey, op: &Operation) -> usize {
 fn clients_read_their_own_writes_under_concurrency() {
     const CLIENTS: u64 = 4;
     const ROUNDS: u64 = 150;
-    let mut db = volatile(small_cfg(), 4, disk());
+    let mut db = volatile(small_cfg(), disks(4));
     let frontend = db.serve(ServingConfig::default()).expect("serve");
     thread::scope(|s| {
         for c in 0..CLIENTS {
@@ -383,7 +390,7 @@ fn sixteen_writers_share_fsyncs_and_lose_nothing() {
 /// not panicked, on every kind of request.
 #[test]
 fn a_client_kept_past_finish_serving_is_stopped() {
-    let mut db = volatile(small_cfg(), 2, disk());
+    let mut db = volatile(small_cfg(), disks(2));
     let frontend = db.serve(ServingConfig::default()).expect("serve");
     let client = frontend.client();
     let key = encode_key(7, 16);
@@ -575,7 +582,7 @@ fn sessions_and_missions_alternate_on_one_store() {
 fn in_flight_gauge_never_exceeds_the_client_count() {
     const CLIENTS: u64 = 8;
     const OPS: u64 = 3000;
-    let mut db = volatile(small_cfg(), 2, disk());
+    let mut db = volatile(small_cfg(), disks(2));
     let frontend = db.serve(ServingConfig::default()).expect("serve");
     let done = AtomicBool::new(false);
     let start = Barrier::new(CLIENTS as usize + 1);
@@ -632,7 +639,7 @@ fn in_flight_gauge_never_exceeds_the_client_count() {
 /// sum to the shard visits.
 #[test]
 fn the_prometheus_export_counts_the_requests_served() {
-    let mut db = volatile(small_cfg(), 2, disk());
+    let mut db = volatile(small_cfg(), disks(2));
     let frontend = db.serve(ServingConfig::default()).expect("serve");
     let client = frontend.client();
     for i in 0..5u64 {

@@ -37,8 +37,15 @@ fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(512, CostModel::NVME)
 }
 
-fn volatile(cfg: RusKeyConfig, shards: usize, disk: Arc<dyn Storage>) -> RusKey {
-    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(disk)).expect("open")
+/// One fresh disk per shard.
+fn disks(shards: usize) -> Vec<Arc<dyn Storage>> {
+    (0..shards).map(|_| disk()).collect()
+}
+
+/// An untuned store with one shard per device.
+fn volatile(cfg: RusKeyConfig, devices: Vec<Arc<dyn Storage>>) -> RusKey {
+    let shards = devices.len();
+    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(devices)).expect("open")
 }
 
 fn mixed_spec(key_space: u64) -> WorkloadSpec {
@@ -66,7 +73,7 @@ fn one_shard_missions_run_on_the_caller() {
         small_cfg(),
         1,
         Box::new(FixedPolicy::moderate()),
-        Backend::Volatile(disk()),
+        Backend::Volatile(disks(1)),
     )
     .expect("open");
     store.bulk_load(bulk_load_pairs(2000, 16, 48, 7));
@@ -99,7 +106,7 @@ fn one_shard_missions_run_on_the_caller() {
 /// accounting oracle of the paper's one-shard store.
 #[test]
 fn one_shard_store_equals_a_bare_tree() {
-    let mut store = volatile(small_cfg(), 1, disk());
+    let mut store = volatile(small_cfg(), disks(1));
     let mut bare = FlsmTree::new(small_cfg().lsm, disk());
     let pairs = bulk_load_pairs(2000, 16, 48, 7);
     store.bulk_load(pairs.clone());
@@ -140,8 +147,8 @@ fn one_shard_store_equals_a_bare_tree() {
 fn n_shard_store_is_observationally_equivalent() {
     for &shards in &[2usize, 4] {
         for seed in [11u64, 23, 37] {
-            let mut reference = volatile(small_cfg(), 1, disk());
-            let mut sharded = volatile(small_cfg(), shards, disk());
+            let mut reference = volatile(small_cfg(), disks(1));
+            let mut sharded = volatile(small_cfg(), disks(shards));
             let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
 
             let mut gen = OpGenerator::new(mixed_spec(400), seed);
@@ -291,7 +298,7 @@ fn the_three_doors_agree() {
 #[test]
 fn an_inverted_scan_range_is_empty_at_every_door() {
     const SHARDS: usize = 2;
-    let mut db = volatile(small_cfg(), SHARDS, disk());
+    let mut db = volatile(small_cfg(), disks(SHARDS));
     for i in 0..40 {
         db.put(encode_key(i, 16), encode_key(i + 1000, 16));
     }
@@ -336,7 +343,7 @@ fn an_inverted_scan_range_is_empty_at_every_door() {
 fn mission_composition_is_shard_count_invariant() {
     let mut reports = Vec::new();
     for &shards in &[1usize, 2, 4] {
-        let mut db = volatile(small_cfg(), shards, disk());
+        let mut db = volatile(small_cfg(), disks(shards));
         db.bulk_load(bulk_load_pairs(1500, 16, 48, 5));
         let mut g = OpGenerator::new(mixed_spec(1500), 13);
         let r = db.run_mission(&g.take_ops(500));
@@ -390,7 +397,7 @@ fn shard_routing_is_deterministic() {
 /// threads (one lane per shard: the caller plus a scoped thread each).
 #[test]
 fn parallel_missions_run_on_multiple_os_threads() {
-    let mut db = volatile(small_cfg(), 4, disk());
+    let mut db = volatile(small_cfg(), disks(4));
     db.bulk_load(bulk_load_pairs(2000, 16, 48, 3));
     let mut g = OpGenerator::new(mixed_spec(2000), 21);
     for _ in 0..3 {

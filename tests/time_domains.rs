@@ -1,9 +1,9 @@
 //! Per-shard time domains: the exactness property the sharded engine's
 //! accounting now guarantees.
 //!
-//! Each shard of a [`RusKey`] runs on its own storage view with a
-//! private virtual clock, so per-level `lookup_ns`/`compact_ns` (and the
-//! per-shard I/O counters) must equal — *exactly*, not approximately —
+//! Each shard of a [`RusKey`] runs on its own device, whose virtual clock
+//! is the shard's private time domain, so per-level `lookup_ns`/
+//! `compact_ns` (and the per-shard I/O counters and live pages) must equal — *exactly*, not approximately —
 //! the values of an equivalent single-shard run over that shard's key
 //! partition, even while `N` shards execute concurrently. The store-level
 //! compositions (device-busy = sum over domains, mission wall = max over
@@ -33,8 +33,15 @@ fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(512, CostModel::NVME)
 }
 
-fn volatile(cfg: RusKeyConfig, shards: usize, disk: Arc<dyn Storage>) -> RusKey {
-    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(disk)).expect("open")
+/// One fresh disk per shard.
+fn disks(shards: usize) -> Vec<Arc<dyn Storage>> {
+    (0..shards).map(|_| disk()).collect()
+}
+
+/// An untuned store with one shard per device.
+fn volatile(cfg: RusKeyConfig, devices: Vec<Arc<dyn Storage>>) -> RusKey {
+    let shards = devices.len();
+    RusKey::open(cfg, shards, Box::new(NoOpTuner), Backend::Volatile(devices)).expect("open")
 }
 
 fn mixed_spec(key_space: u64) -> WorkloadSpec {
@@ -61,8 +68,8 @@ fn mixed_spec(key_space: u64) -> WorkloadSpec {
 fn per_shard_times_equal_single_threaded_run() {
     for &n in &[2usize, 4] {
         let pairs = bulk_load_pairs(2000, 16, 48, 7);
-        let device = disk();
-        let mut sharded = volatile(small_cfg(), n, Arc::clone(&device));
+        let devices = disks(n);
+        let mut sharded = volatile(small_cfg(), devices.clone());
         sharded.bulk_load(pairs.clone());
 
         let mut g = OpGenerator::new(mixed_spec(2000), 9);
@@ -70,16 +77,19 @@ fn per_shard_times_equal_single_threaded_run() {
         let reports: Vec<_> = missions
             .iter()
             .map(|ops| {
-                let before = device.clock().now_ns();
+                let before: Vec<u64> = devices.iter().map(|d| d.clock().now_ns()).collect();
                 let report = sharded.run_mission(ops);
-                // The shared device receives every charge any shard domain
-                // makes, so the mission's device-busy time (the sum of the
-                // domains' deltas) is the device clock's own delta: no work
-                // double-charged, none dropped.
+                // Every charge a shard makes lands on its own device, so the
+                // mission's device-busy time is the sum of the devices'
+                // clock deltas: no work double-charged, none dropped.
+                let busy: u64 = devices
+                    .iter()
+                    .zip(&before)
+                    .map(|(d, b)| d.clock().now_ns() - b)
+                    .sum();
                 assert_eq!(
-                    report.window.busy_ns,
-                    device.clock().now_ns() - before,
-                    "shards={n}: device-busy diverged from the device clock"
+                    report.window.busy_ns, busy,
+                    "shards={n}: device-busy diverged from the devices' clocks"
                 );
                 report
             })
@@ -94,7 +104,7 @@ fn per_shard_times_equal_single_threaded_run() {
             // Equivalent single-threaded run: the shard's key partition,
             // then the shard's lane of every mission (scans broadcast, so
             // each lane contains them all).
-            let mut single = volatile(small_cfg(), 1, disk());
+            let mut single = volatile(small_cfg(), disks(1));
             single.bulk_load(
                 pairs
                     .iter()
@@ -115,6 +125,11 @@ fn per_shard_times_equal_single_threaded_run() {
                 parallel_stats, solo_stats,
                 "shards={n} shard={shard}: parallel per-shard accounting \
                  diverged from the single-threaded run"
+            );
+            assert_eq!(
+                sharded.shard(shard).storage().live_pages(),
+                single.shard(0).storage().live_pages(),
+                "shards={n} shard={shard}: live pages diverged"
             );
             // Spell out the headline fields of the acceptance criterion.
             for (lvl, (p, s)) in parallel_stats
@@ -143,7 +158,7 @@ fn per_shard_times_equal_single_threaded_run() {
 #[test]
 fn merged_snapshot_composes_exact_shard_parts() {
     let n = 4;
-    let mut sharded = volatile(small_cfg(), n, disk());
+    let mut sharded = volatile(small_cfg(), disks(n));
     sharded.bulk_load(bulk_load_pairs(2000, 16, 48, 11));
     let mut g = OpGenerator::new(mixed_spec(2000), 17);
     for _ in 0..3 {
@@ -175,12 +190,12 @@ fn merged_snapshot_composes_exact_shard_parts() {
 /// shard's statistics — including `lookup_ns` per level — are
 /// bit-identical to a single-shard store replaying that shard's lane of
 /// the same stream ad hoc. Before the workers served ad-hoc traffic,
-/// scan fan-out charged the submitting thread's view and broke this.
+/// scan fan-out charged the submitting thread's domain and broke this.
 #[test]
 fn adhoc_ops_attribute_time_to_their_own_domains() {
     for &n in &[2usize, 4] {
         let pairs = bulk_load_pairs(2000, 16, 48, 7);
-        let mut sharded = volatile(small_cfg(), n, disk());
+        let mut sharded = volatile(small_cfg(), disks(n));
         sharded.bulk_load(pairs.clone());
 
         let mut g = OpGenerator::new(mixed_spec(2000), 23);
@@ -190,7 +205,7 @@ fn adhoc_ops_attribute_time_to_their_own_domains() {
         }
 
         for shard in 0..n {
-            let mut single = volatile(small_cfg(), 1, disk());
+            let mut single = volatile(small_cfg(), disks(1));
             single.bulk_load(
                 pairs
                     .iter()
@@ -206,6 +221,11 @@ fn adhoc_ops_attribute_time_to_their_own_domains() {
                 single.shard(0).stats(),
                 "shards={n} shard={shard}: ad-hoc per-shard accounting \
                  diverged from the single-threaded lane replay"
+            );
+            assert_eq!(
+                sharded.shard(shard).storage().live_pages(),
+                single.shard(0).storage().live_pages(),
+                "shards={n} shard={shard}: live pages diverged"
             );
         }
     }

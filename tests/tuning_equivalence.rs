@@ -55,10 +55,10 @@ fn disk() -> Arc<dyn Storage> {
     SimulatedDisk::new(512, CostModel::NVME)
 }
 
-/// A Lerp-tuned store on the volatile backend.
-fn lerp_store(cfg: RusKeyConfig, shards: usize, disk: Arc<dyn Storage>) -> RusKey {
+/// A Lerp-tuned store on the volatile backend, one shard per device.
+fn lerp_store(cfg: RusKeyConfig, devices: Vec<Arc<dyn Storage>>) -> RusKey {
     let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
-    RusKey::open(cfg, shards, lerp, Backend::Volatile(disk)).expect("open")
+    RusKey::open(cfg, devices.len(), lerp, Backend::Volatile(devices)).expect("open")
 }
 
 /// A persistent store's settings under `dir`: 512-byte pages, NVMe costs.
@@ -166,7 +166,7 @@ const SKEWED_SHARD_POLICIES: [[&[u32]; 4]; 20] = [
 /// mission, the recorded tuned policies and virtual time.
 #[test]
 fn one_shard_lerp_reproduces_its_golden() {
-    let mut db = lerp_store(tuned_cfg(), 1, disk());
+    let mut db = lerp_store(tuned_cfg(), vec![disk()]);
     db.bulk_load(bulk_load_pairs(2000, 16, 48, 7));
     let mut g = OpGenerator::new(mixed_spec(2000), 9);
     let (mut wall, mut busy) = (0u64, 0u64);
@@ -185,7 +185,8 @@ fn one_shard_lerp_reproduces_its_golden() {
 #[test]
 fn per_shard_lerp_under_skew_reproduces_its_golden() {
     let scale = ExperimentScale::tiny();
-    let mut db = lerp_store(tuning_cfg(&scale), 4, scale.disk());
+    let devices = (0..4).map(|_| scale.disk()).collect();
+    let mut db = lerp_store(tuning_cfg(&scale), devices);
     db.bulk_load(bulk_load_pairs(
         scale.load_entries,
         scale.key_len,
