@@ -205,7 +205,7 @@ impl TreeStatsSnapshot {
     /// add element-wise (the deeper shard's extra levels are taken as-is).
     /// Time composes per domain: `clock_ns` takes the **max** (mission
     /// wall time is bounded by the busiest shard), `busy_ns` the **sum**
-    /// (every domain's work occupies the shared device). Both compositions
+    /// (the total work on the shards' devices). Both compositions
     /// are commutative and associative, so any merge order agrees.
     pub fn merge(&self, other: &TreeStatsSnapshot) -> TreeStatsSnapshot {
         let n = self.levels.len().max(other.levels.len());
