@@ -98,7 +98,10 @@
 //! directory ([`PersistenceConfig`]): an independent
 //! [`FileDisk`] for its data pages (private
 //! file handles, so the sharded real-file path takes no lock across
-//! shards, and each disk's clock is the shard's time domain), a
+//! shards, and each disk's clock is the shard's time domain; the file of
+//! a freed run waits in a one-file reserve and the next run overwrites
+//! it, so a flush replacing the Level-1 active run creates, unlinks and
+//! names no file, and its directory sync is skipped), a
 //! [`Manifest`] that commits a snapshot of the shard's run/level structure
 //! after every structural step into two alternating slot files, and the
 //! shard's WAL ([`PersistenceConfig::wal_path`]).
@@ -120,7 +123,8 @@
 //! overlapped barrier on demand.
 //!
 //! The ordering contract — data pages, then manifest commit, then WAL
-//! recycling, with obsolete pages freed only after the commit — means
+//! recycling, with obsolete pages freed (and their files reserved for
+//! reuse) only after the commit is durable — means
 //! reopening a dropped store on [`Backend::Recover`] always rebuilds a
 //! consistent store: each manifest's newest valid snapshot gives the
 //! levels back, every recorded run is rebuilt from its pages

@@ -529,13 +529,10 @@ impl<'s> RunBuilder<'s> {
     /// one [`Storage::write_pages`] to an extent allocated for it.
     ///
     /// `capacity_bytes` is the FLSM per-run capacity recorded on the run.
-    /// Returns `None` if no entries were pushed (and frees a claimed
+    /// Returns `None` if no entries were pushed (the drop frees a claimed
     /// extent).
     pub fn finish(mut self, capacity_bytes: u64) -> Option<Run> {
         if self.entries == 0 {
-            if let Some(extent) = self.extent {
-                self.storage.free(extent);
-            }
             return None;
         }
         self.close_page();
@@ -548,19 +545,31 @@ impl<'s> RunBuilder<'s> {
         }
         let mut bloom = Bloom::sized_for(self.entries as usize, self.bits_per_key);
         self.hashes.iter().for_each(|&h| bloom.insert_hashed(h));
+        let first_keys = std::mem::take(&mut self.first_keys);
         Some(Run {
             id: self.id,
-            extent: self.extent.expect("the run's pages are down"),
+            extent: self.extent.take().expect("the run's pages are down"),
             bloom,
             entry_count: self.entries,
             data_bytes: self.data_bytes,
             bits_per_key: self.bits_per_key,
             capacity_bytes: AtomicU64::new(capacity_bytes),
-            min_key: self.first_keys[0].clone(),
+            min_key: first_keys[0].clone(),
             max_key,
-            fences: FencePointers::new(self.first_keys),
+            fences: FencePointers::new(first_keys),
             max_seq: self.max_seq,
         })
+    }
+}
+
+/// A builder dropped before [`RunBuilder::finish`] handed its extent to a
+/// run — cut off between batches by a panic, or finished with no entries
+/// — returns the extent's pages through [`Storage::free`].
+impl Drop for RunBuilder<'_> {
+    fn drop(&mut self) {
+        if let Some(extent) = self.extent.take() {
+            self.storage.free(extent);
+        }
     }
 }
 
@@ -861,6 +870,23 @@ mod tests {
         assert!(most <= (BATCH_PAGES + 1) * 256, "held {most} bytes");
         let run = b.finish(u64::MAX).unwrap();
         assert_eq!((run.page_count(), disk.live_pages()), (2000, 2000));
+    }
+
+    /// A builder cut off between batches, or claimed and left empty,
+    /// returns its extent's pages when it drops; a finished run keeps its.
+    #[test]
+    fn a_dropped_builder_frees_its_extent() {
+        let disk = SimulatedDisk::new(256, CostModel::FREE);
+        let mut cut = RunBuilder::new(1, disk.as_ref(), 10.0);
+        fill_pages(&mut cut, 2 * BATCH_PAGES + 5);
+        assert_eq!(disk.live_pages(), 2 * BATCH_PAGES as u64);
+        drop(cut);
+        let claimed = RunBuilder::new(2, disk.as_ref(), 10.0).claim_extent();
+        assert_eq!(disk.live_extents(), 1);
+        assert!(claimed.finish(0).is_none());
+        assert_eq!((disk.live_pages(), disk.live_extents()), (0, 0));
+        let run = build_run(disk.as_ref(), 20, 8.0);
+        assert_eq!(disk.live_pages(), run.page_count() as u64);
     }
 
     /// Over a storage that cannot append, the builder keeps the whole run

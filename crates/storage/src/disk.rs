@@ -14,7 +14,8 @@ use crate::metrics::{AtomicMetrics, StorageMetrics};
 ///
 /// Extents are handed out by [`Storage::allocate`] and identify the pages of
 /// one sorted run. They are plain identifiers — freeing is explicit via
-/// [`Storage::free`], mirroring how an LSM engine deletes obsolete run files.
+/// [`Storage::free`], mirroring how an LSM engine deletes (or recycles)
+/// obsolete run files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Extent {
     /// Unique identifier of the allocation.
@@ -65,7 +66,9 @@ pub enum PowerCutPoint {
     /// extent files created since the last directory sync lose their
     /// directory entries (they are unlinked) and the device halts —
     /// power was lost after `creat(2)` but before the parent-directory
-    /// fsync made the new entries durable.
+    /// fsync made the new entries durable. A sync with no file created
+    /// since the last one makes nothing durable and does not count as a
+    /// visit.
     DirUnsynced,
 }
 
@@ -90,7 +93,10 @@ pub trait Storage: Send + Sync {
     /// Size of one page in bytes (`B` in the paper, default 4096).
     fn page_size(&self) -> usize;
 
-    /// Allocates `pages` pages and returns their extent.
+    /// Allocates `pages` pages and returns their extent. Its id is unique
+    /// among live extents, but may be one [`Storage::free`] released
+    /// earlier: [`crate::FileDisk`] hands a freed extent's id back with its
+    /// file.
     fn allocate(&self, pages: u32) -> Extent;
 
     /// Writes `data` (at most one page) to page `idx` of `ext`, returning
@@ -191,7 +197,8 @@ pub trait Storage: Send + Sync {
     /// Durably flushes the backend's directory entries (fsync of the
     /// directory handle on a real-file backend): what makes extent files
     /// created since the last call survive power loss. Counts one
-    /// [`StorageMetrics::dir_syncs`] when real work happens.
+    /// [`StorageMetrics::dir_syncs`] when real work happens — when a file
+    /// was created since the last call; otherwise it is free.
     fn sync_dir(&self) -> std::io::Result<IoCharge> {
         Ok(IoCharge::default())
     }
@@ -211,7 +218,10 @@ pub trait Storage: Send + Sync {
     /// backends.
     fn arm_power_cut(&self, _point: PowerCutPoint, _after: u64) {}
 
-    /// Releases an extent. Reading freed pages panics.
+    /// Releases an extent. A freed id may come back from the next
+    /// [`Storage::allocate`], holding another run's pages, so a caller
+    /// frees an extent only once nothing durable or in flight names it (a
+    /// block cache purges the id's pages before it forwards the free).
     fn free(&self, ext: Extent);
 
     /// Snapshot of the device's I/O counters (a block cache adds its hits,

@@ -10,7 +10,7 @@
 //! The hot path is built for serving, not just correctness:
 //!
 //! * **fd cache** — each extent file is opened once and its handle kept in
-//!   a map until [`Storage::free`] drops it, so a page read costs one
+//!   a map until [`Storage::free`] takes it out, so a page read costs one
 //!   `pread`, not an `open` + `seek` + `read` + `close` round trip. The
 //!   map's lock is held only for the handle lookup; the I/O itself runs
 //!   on a cloned [`Arc<File>`] outside the lock, so reads on different
@@ -32,19 +32,42 @@
 //!   and [`FileDisk::buffer_grows`] expose counters so benchmarks can
 //!   assert both properties instead of trusting them.
 //!
+//! * **recycled extent files** — [`Storage::free`] keeps the file of the
+//!   extent it releases, open, in a one-file reserve instead of unlinking
+//!   it, and the next [`Storage::allocate`] (or first
+//!   [`Storage::append_pages`]) overwrites that file from slot 0 under
+//!   the same id before it creates a new one. A run replacing another
+//!   (the Level-1 active run at every flush) therefore alternates between
+//!   two files: no `creat`, no `unlink`, no new directory entry to fsync,
+//!   and an `fdatasync` over blocks the file already holds. The reserve
+//!   has no knob. It holds one file, and only while the pages on disk
+//!   stay at or below the high-water mark of [`Storage::live_pages`]
+//!   since open; any other freed file is unlinked. A recycled file longer
+//!   than its new run is trimmed at [`Storage::sync_extent`], and a clean
+//!   drop unlinks the reserved file, so a reopen counts live pages
+//!   exactly.
+//!
 //! Opening a directory that already holds extent files *continues* it:
 //! existing extents stay readable (the manifest records their ids) and new
 //! allocations resume past the highest id on disk — this is what makes the
-//! backend restartable. Extent files have unique ids, so creation, removal,
-//! and page I/O on different extents are independent, and each shard owning
-//! its own `FileDisk` means shards never serialize against each other on
-//! the real-file path.
+//! backend restartable. Extent files have unique ids among the live
+//! extents (a recycled file takes back the id it was freed under), so
+//! creation, removal, and page I/O on different extents are independent,
+//! and each shard owning its own `FileDisk` means shards never serialize
+//! against each other on the real-file path.
 //!
 //! **Power-failure semantics.** Writing pages only puts bytes in the OS
 //! page cache; the backend therefore exposes the two barriers a
 //! power-failure-grade commit protocol needs: [`Storage::sync_extent`]
 //! (`fsync(2)` of one extent file — the data) and [`Storage::sync_dir`]
-//! (fsync of the directory handle — the extent files' *names*). Reads are
+//! (fsync of the directory handle — the extent files' *names*). A
+//! directory sync with no extent file created since the last one has no
+//! name to make durable: it returns at once, with no syscall and no
+//! charge. A reserved file is one the engine freed only after the
+//! manifest commit that dropped it became durable, so no durable manifest
+//! generation can name a file while it is overwritten; a cut in the middle
+//! leaves an orphan that recovery's sweep deletes, as it deletes whatever
+//! the reserve held. Reads are
 //! fallible at the [`Storage::try_read_page`] layer: an extent file a
 //! power cut erased surfaces as [`std::io::ErrorKind::NotFound`], a torn
 //! page as [`std::io::ErrorKind::UnexpectedEof`], and a corrupt slot
@@ -109,12 +132,27 @@ pub struct FileDisk {
     dir_handle: File,
     /// Extent ids created since the last directory fsync — the files a
     /// power cut at the [`PowerCutPoint::DirUnsynced`] barrier would
-    /// erase from the directory.
+    /// erase from the directory, and the names that make the next
+    /// [`Storage::sync_dir`] real.
     pending_dir: Mutex<Vec<u64>>,
+    /// The file of a freed extent kept for the next allocation (see the
+    /// module docs): its handle leaves `handles` while it waits here.
+    reserve: Mutex<Option<Reserved>>,
+    /// Highest `live_pages` since open: the bound on pages on disk that
+    /// decides whether a freed file may wait in the reserve.
+    live_high: AtomicU64,
     /// Armed simulated power cut: the point plus a fire countdown.
     power_cut: Mutex<Option<(PowerCutPoint, u64)>>,
     /// Set once a power cut fired: the device is dead, mutations no-op.
     halted: AtomicBool,
+}
+
+/// An extent file waiting in [`FileDisk`]'s reserve.
+struct Reserved {
+    id: u64,
+    /// Slots the file holds on disk.
+    slots: u64,
+    file: Arc<File>,
 }
 
 impl FileDisk {
@@ -158,6 +196,8 @@ impl FileDisk {
             buffer_grows: AtomicU64::new(0),
             dir_handle,
             pending_dir: Mutex::new(Vec::new()),
+            reserve: Mutex::new(None),
+            live_high: AtomicU64::new(live_pages),
             power_cut: Mutex::new(None),
             halted: AtomicBool::new(false),
         }))
@@ -235,6 +275,12 @@ impl FileDisk {
     /// The halted-device error every post-cut barrier call returns.
     fn halted_err() -> std::io::Error {
         std::io::Error::other("simulated power cut: device halted")
+    }
+
+    /// Counts `pages` more live pages and raises the high-water mark.
+    fn add_live(&self, pages: u64) {
+        let live = self.live_pages.fetch_add(pages, Ordering::Relaxed) + pages;
+        self.live_high.fetch_max(live, Ordering::Relaxed);
     }
 
     /// Lifetime count of `open(2)` calls issued — one per extent per
@@ -366,33 +412,51 @@ impl Storage for FileDisk {
         self.page_size
     }
 
+    /// Overwrites the reserved file from slot 0 under its old id when the
+    /// reserve holds one; creates a new file otherwise.
     fn allocate(&self, pages: u32) -> Extent {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         if self.is_halted() {
-            // Power is gone: hand out the id so the (doomed) caller can
+            // Power is gone: hand out an id so the (doomed) caller can
             // finish its motions, but touch nothing on disk.
+            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
             return Extent { id, pages };
         }
-        let f = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(self.path(id))
-            .expect("create extent file");
-        f.set_len(pages as u64 * self.slot() as u64)
-            .expect("preallocate extent");
-        self.fds_opened.fetch_add(1, Ordering::Relaxed);
+        let reserved = self
+            .reserve
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let (id, f, slots) = match reserved {
+            Some(r) => (r.id, r.file, r.slots),
+            None => {
+                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+                let f = OpenOptions::new()
+                    .read(true)
+                    .write(true)
+                    .create(true)
+                    .truncate(true)
+                    .open(self.path(id))
+                    .expect("create extent file");
+                self.fds_opened.fetch_add(1, Ordering::Relaxed);
+                // The new directory entry is not durable until the next
+                // sync_dir.
+                self.pending_dir
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(id);
+                (id, Arc::new(f), 0)
+            }
+        };
+        // A longer recycled file keeps its tail until sync_extent trims it.
+        if slots < pages as u64 {
+            f.set_len(pages as u64 * self.slot() as u64)
+                .expect("preallocate extent");
+        }
         self.handles
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(id, Arc::new(f));
-        self.live_pages.fetch_add(pages as u64, Ordering::Relaxed);
-        // The new directory entry is not durable until the next sync_dir.
-        self.pending_dir
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(id);
+            .insert(id, f);
+        self.add_live(pages as u64);
         Extent { id, pages }
     }
 
@@ -413,8 +477,7 @@ impl Storage for FileDisk {
             pages: ext.pages + pages.len() as u32,
         };
         if !self.is_halted() {
-            self.live_pages
-                .fetch_add(pages.len() as u64, Ordering::Relaxed);
+            self.add_live(pages.len() as u64);
         }
         Some((grown, self.write_slots(grown, ext.pages, pages)))
     }
@@ -450,7 +513,14 @@ impl Storage for FileDisk {
                 "simulated power cut: extent writes lost before fsync",
             ));
         }
-        self.try_handle(ext.id)?.sync_data()?;
+        let f = self.try_handle(ext.id)?;
+        // A recycled file may still hold its former run's tail: trim it
+        // before the sync makes the length durable.
+        let len = ext.pages as u64 * self.slot() as u64;
+        if f.metadata()?.len() > len {
+            f.set_len(len)?;
+        }
+        f.sync_data()?;
         let charge = IoCharge {
             ns: self.cost.wal_sync_ns,
             io: StorageMetrics {
@@ -463,26 +533,37 @@ impl Storage for FileDisk {
         Ok(charge)
     }
 
+    /// Free when no extent file was created since the last directory
+    /// sync: there is no name to make durable, so no syscall, count or
+    /// charge — and no visit to the [`PowerCutPoint::DirUnsynced`] point.
     fn sync_dir(&self) -> std::io::Result<IoCharge> {
         if self.is_halted() {
             return Err(Self::halted_err());
         }
+        let mut pending = self
+            .pending_dir
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if pending.is_empty() {
+            return Ok(IoCharge::default());
+        }
         if self.power_cut_fires(PowerCutPoint::DirUnsynced) {
             // Power died before the directory entries became durable: the
             // files created since the last sync_dir vanish wholesale.
-            let pending: Vec<u64> = std::mem::take(
-                &mut *self
-                    .pending_dir
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner),
-            );
-            for id in pending {
+            for id in std::mem::take(&mut *pending) {
                 self.handles
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .remove(&id);
+                // A reserved file's pages are not live.
+                let reserved = self
+                    .reserve
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take_if(|r| r.id == id)
+                    .is_some();
                 if let Ok(meta) = std::fs::metadata(self.path(id)) {
-                    if std::fs::remove_file(self.path(id)).is_ok() {
+                    if std::fs::remove_file(self.path(id)).is_ok() && !reserved {
                         self.live_pages
                             .fetch_sub(meta.len() / self.slot() as u64, Ordering::Relaxed);
                     }
@@ -494,10 +575,7 @@ impl Storage for FileDisk {
             ));
         }
         self.dir_handle.sync_all()?;
-        self.pending_dir
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        pending.clear();
         let charge = IoCharge {
             ns: self.cost.wal_sync_ns,
             io: StorageMetrics {
@@ -554,19 +632,45 @@ impl Storage for FileDisk {
             .unwrap_or_else(PoisonError::into_inner) = Some((point, after));
     }
 
+    /// Keeps the extent's file, open, in the reserve when the reserve is
+    /// empty and the pages on disk stay within the high-water mark of live
+    /// pages; unlinks it otherwise.
     fn free(&self, ext: Extent) {
         if self.is_halted() {
             return;
         }
-        // Drop the cached handle first so the fd goes with the file.
+        // The file's length, not the extent's pages: a recycled file not
+        // yet trimmed still holds its former tail. A missing file (erased
+        // by a power cut) has nothing left to free.
+        let Ok(f) = self.try_handle(ext.id) else {
+            return;
+        };
         self.handles
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .remove(&ext.id);
-        if std::fs::remove_file(self.path(ext.id)).is_ok() {
-            self.live_pages
-                .fetch_sub(ext.pages as u64, Ordering::Relaxed);
+        let live = self
+            .live_pages
+            .fetch_sub(ext.pages as u64, Ordering::Relaxed)
+            - ext.pages as u64;
+        let slots = f.metadata().map(|m| m.len().div_ceil(self.slot() as u64));
+        let mut reserve = self.reserve.lock().unwrap_or_else(PoisonError::into_inner);
+        match slots {
+            Ok(slots)
+                if reserve.is_none() && live + slots <= self.live_high.load(Ordering::Relaxed) =>
+            {
+                *reserve = Some(Reserved {
+                    id: ext.id,
+                    slots,
+                    file: f,
+                });
+                return;
+            }
+            _ => drop(reserve),
         }
+        // The handle goes with the file.
+        drop(f);
+        let _ = std::fs::remove_file(self.path(ext.id));
     }
 
     fn metrics(&self) -> StorageMetrics {
@@ -583,6 +687,21 @@ impl Storage for FileDisk {
 
     fn live_pages(&self) -> u64 {
         self.live_pages.load(Ordering::Relaxed)
+    }
+}
+
+/// A clean close unlinks the reserved file, so a reopen counts exactly the
+/// live pages; after a crash, recovery's orphan sweep deletes it instead.
+impl Drop for FileDisk {
+    fn drop(&mut self) {
+        let reserved = self
+            .reserve
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(r) = reserved.filter(|_| !self.is_halted()) {
+            let _ = std::fs::remove_file(self.path(r.id));
+        }
     }
 }
 
@@ -697,6 +816,130 @@ mod tests {
         d.write_page(fresh, 0, b"new");
         d.read_page(ext_a, 0, &mut buf);
         assert_eq!(&buf, b"persisted", "old extent untouched by new writes");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Extent-file slots on disk, read from the directory.
+    fn slots_on_disk(d: &FileDisk) -> u64 {
+        std::fs::read_dir(&d.dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name().to_string_lossy().starts_with("extent-"))
+            .map(|e| e.metadata().unwrap().len().div_ceil(d.slot() as u64))
+            .sum()
+    }
+
+    /// The reserve's bound: under allocate/append/free churn — runs of
+    /// every length replacing older ones, some freed before their sync as
+    /// a builder cut off mid-run is — the extent files on disk never hold
+    /// more slots than the high-water mark of live pages, and a reopen
+    /// plus the orphan sweep brings the pages on disk back to the live
+    /// ones. Recycling happened: fewer files were created than runs built.
+    #[test]
+    fn recycled_files_stay_within_the_live_high_water_mark() {
+        let dir = tmpdir("reserve");
+        let d = FileDisk::new(&dir, 64, CostModel::FREE).unwrap();
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        // Two runs built side by side, as a bulk load's builders are: the
+        // first recycles a longer file, and freed before its sync, with
+        // its tail, it would leave more on disk than was ever live.
+        let page = [0u8; 40];
+        let a = d.append_pages(None, &[&page[..]; 30]).unwrap().0;
+        d.sync_extent(a).unwrap();
+        d.free(a);
+        let b = d.append_pages(None, &[&page[..]; 2]).unwrap().0;
+        let c = d.append_pages(None, &[&page[..]; 28]).unwrap().0;
+        assert_eq!((b.id, d.live_pages()), (a.id, 30));
+        d.free(b);
+        assert!(
+            slots_on_disk(&d) <= 30,
+            "the tail must not wait in the reserve"
+        );
+        d.sync_extent(c).unwrap();
+        let (mut live, mut high, mut runs) = (vec![c], 30u64, 2u64);
+        for step in 0..400 {
+            let mut ext = None;
+            let page = [step as u8; 40];
+            for _ in 0..=next(3) {
+                let batch = vec![&page[..]; 1 + next(30) as usize];
+                ext = d.append_pages(ext, &batch).map(|(e, _)| e);
+                high = high.max(d.live_pages());
+            }
+            let ext = ext.unwrap();
+            runs += 1;
+            if next(8) == 0 {
+                // Cut off before its sync: freed with whatever tail it has.
+                d.free(ext);
+            } else {
+                d.sync_extent(ext).unwrap();
+                live.push(ext);
+            }
+            assert!(slots_on_disk(&d) <= high, "step {step}: after a free");
+            while live.len() > 1 + next(6) as usize {
+                d.free(live.remove(next(live.len() as u64) as usize));
+                assert!(slots_on_disk(&d) <= high, "step {step}: after a free");
+            }
+        }
+        assert!(
+            d.fds_opened() < runs / 2,
+            "{} files for {runs} runs",
+            d.fds_opened()
+        );
+        let live_pages: u64 = live.iter().map(|e| e.pages as u64).sum();
+        assert_eq!(d.live_pages(), live_pages);
+        // A crash leaves the reserved file behind: reopen beside the live
+        // instance, before its drop unlinks the file.
+        let reopened = FileDisk::new(&dir, 64, CostModel::FREE).unwrap();
+        let ids: Vec<u64> = live.iter().map(|e| e.id).collect();
+        reopened.collect_orphans(&ids).unwrap();
+        assert_eq!(reopened.live_pages(), live_pages);
+        assert_eq!(slots_on_disk(&reopened), live_pages);
+        for ext in &live {
+            let (page, _) = reopened.try_read_shared(*ext, ext.pages - 1).unwrap();
+            assert_eq!(page.len(), 40);
+        }
+        drop((d, reopened));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory sync with no extent file created since the last one
+    /// makes nothing durable: no count, no charge, no visit to the
+    /// power-cut point. A recycled file's creation that is not yet durable
+    /// keeps the next sync real.
+    #[test]
+    fn sync_dir_without_new_names_is_free() {
+        let dir = tmpdir("syncdir");
+        let d = FileDisk::new(&dir, 64, CostModel::NVME).unwrap();
+        assert_eq!(d.sync_dir().unwrap(), IoCharge::default());
+        let a = d.allocate(2);
+        d.free(a);
+        let b = d.allocate(1);
+        assert_eq!(b.id, a.id, "the reserved file comes back");
+        assert_eq!(
+            d.sync_dir().unwrap().io.dir_syncs,
+            1,
+            "a's name is not durable yet"
+        );
+        d.free(b);
+        assert_eq!(d.allocate(3).id, a.id);
+        let (clock, metrics) = (d.clock().now_ns(), d.metrics());
+        // Armed at the next real sync: the free sync does not visit it.
+        d.arm_power_cut(PowerCutPoint::DirUnsynced, 0);
+        assert_eq!(d.sync_dir().unwrap(), IoCharge::default());
+        assert_eq!((d.clock().now_ns(), d.metrics()), (clock, metrics));
+        let c = d.allocate(1);
+        assert_ne!(c.id, a.id, "the reserve is empty: a new file");
+        assert!(
+            d.sync_dir().is_err(),
+            "the cut fires at the sync with a name"
+        );
+        assert!(!d.path(c.id).exists() && d.path(a.id).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

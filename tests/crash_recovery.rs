@@ -43,6 +43,9 @@
 //! surface a *missing* referenced extent as a typed error — never a
 //! panic. The WAL's own recycling is cut too: a finished generation whose
 //! zero-fill never reached the disk must not shadow the runs after it.
+//! So are recycled extent files: a cut while a freed file is overwritten
+//! recovers the acknowledged prefix, and a fallback onto a generation
+//! whose extent file now holds another run fails the open, typed.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1246,6 +1249,179 @@ fn power_cut_before_a_recycled_logs_zero_fill_loses_nothing() {
         }
         let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+/// Ids of the extent files in shard 0's data directory, with each file's
+/// length in bytes.
+fn extent_files(p: &PersistenceConfig) -> Vec<(u64, u64)> {
+    std::fs::read_dir(p.data_dir(0))
+        .unwrap()
+        .filter_map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().into_string().unwrap();
+            let id = name.strip_prefix("extent-")?.strip_suffix(".run")?;
+            Some((id.parse().unwrap(), e.metadata().unwrap().len()))
+        })
+        .collect()
+}
+
+/// A one-shard store whose 2 KiB buffer flushes about every fifty puts
+/// and whose inline merges cascade.
+fn churning_store(backend: Backend<'_>) -> RusKey {
+    let mut cfg = RusKeyConfig::scaled_default();
+    cfg.lsm.buffer_bytes = 2048;
+    cfg.lsm.size_ratio = 3;
+    RusKey::open(
+        cfg,
+        1,
+        Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
+        backend,
+    )
+    .expect("open churning store")
+}
+
+/// The torn-power matrix on recycled extent files: a power cut before the
+/// n-th extent fsync, for every n a churning store reaches, tears the file
+/// being written — at about half of those n a file the store freed and
+/// now overwrites from slot 0, inside a flush or a merge cascade. Recovery
+/// yields exactly the acknowledged prefix every time: every put a
+/// barrier acknowledged, and of the rest a prefix in put order. This pins
+/// the free rule recycling leans on: a file is reserved only after the
+/// commit that dropped it is durable, so the torn file is always an
+/// orphan, never a run the recovered manifest names.
+#[test]
+fn a_power_cut_overwriting_a_recycled_extent_recovers_the_acknowledged_prefix() {
+    const KEYS: u64 = 1200;
+    const BATCH: u64 = 20;
+    let (mut cuts, mut recycled_cuts) = (0, 0);
+    for n in 0.. {
+        let root = persist_root("recycled-cut");
+        let p = persist_cfg(&root);
+        let slot = p.page_size as u64 + 4;
+        let mut db = churning_store(Backend::Create(&p));
+        db.shard(0)
+            .storage()
+            .arm_power_cut(PowerCutPoint::ExtentUnsynced, n);
+        let (mut seen, mut acked, mut written) = (Vec::new(), 0, 0);
+        'load: for batch in 0..KEYS / BATCH {
+            for i in batch * BATCH..(batch + 1) * BATCH {
+                seen.extend(extent_files(&p).into_iter().map(|(id, _)| id));
+                db.put(key(i), val(i));
+                written = i + 1;
+                if db.crashed() {
+                    break 'load;
+                }
+            }
+            db.group_commit();
+            if db.crashed() {
+                break;
+            }
+            acked = written;
+        }
+        if !db.crashed() {
+            assert!(n > 10, "the matrix must reach past the first syncs");
+            let _ = std::fs::remove_dir_all(&root);
+            break;
+        }
+        drop(db);
+        cuts += 1;
+        let torn: Vec<u64> = extent_files(&p)
+            .into_iter()
+            .filter(|&(_, len)| len % slot != 0)
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(torn.len(), 1, "n={n}: one file is torn");
+        if seen.contains(&torn[0]) {
+            recycled_cuts += 1;
+        }
+
+        let mut rec = churning_store(Backend::Recover(&p));
+        assert!(rec.shard(0).stats().orphans_collected >= 1, "n={n}");
+        for i in 0..acked {
+            assert_eq!(
+                rec.get(&key(i)).as_deref(),
+                Some(val(i).as_slice()),
+                "n={n}: acknowledged key {i} lost"
+            );
+        }
+        let rows = rec.scan(&key(0), &key(KEYS), usize::MAX);
+        let prefix: Vec<(Bytes, Bytes)> = (0..rows.len() as u64)
+            .map(|i| (key(i), Bytes::from(val(i))))
+            .collect();
+        assert_eq!(rows, prefix, "n={n}: the recovered rows are not a prefix");
+        assert!(rows.len() as u64 <= written, "n={n}: rows never written");
+        drop(rec);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+    assert!(
+        recycled_cuts >= 3 && recycled_cuts < cuts,
+        "{recycled_cuts} of {cuts} cuts tore a recycled file"
+    );
+}
+
+/// A manifest slot torn from outside after a recycle: recovery falls back
+/// to a generation naming an extent whose file now holds another run. The
+/// open must fail typed and serve nothing — never the new occupant's rows
+/// in place of the run the record describes.
+///
+/// Generation 1 names run A in file E; generation 2 replaces A with B in a
+/// new file and reserves E; the next flush overwrites E with run C (every
+/// key of A, rewritten) and dies before its commit. Tearing generation 2's
+/// slot leaves generation 1, whose record of E disagrees with C's pages.
+#[test]
+fn a_fallback_onto_a_recycled_extent_fails_typed() {
+    let root = persist_root("recycled-fallback");
+    let p = persist_cfg(&root);
+    let mut db = persistent_store(1, &p);
+    let flush = |db: &mut RusKey, keys: std::ops::Range<u64>, tag: &str| {
+        for i in keys {
+            db.put(key(i), format!("{tag}-{i:06}").into_bytes());
+        }
+        db.group_commit();
+        db.shard_mut(0).flush();
+    };
+    flush(&mut db, 0..30, "a");
+    let first = db.shard(0).manifest().unwrap().generation();
+    let e = extent_files(&p);
+    assert_eq!(e.len(), 1);
+    flush(&mut db, 30..60, "b");
+    assert!(!db.crashed());
+    assert_eq!(
+        extent_files(&p).len(),
+        2,
+        "the superseded file waits in the reserve"
+    );
+    db.shard_mut(0)
+        .manifest_mut()
+        .unwrap()
+        .arm_crash(ManifestCrashPoint::PreCommit, 0);
+    flush(&mut db, 0..30, "c");
+    assert!(db.crashed(), "the armed crash never fired");
+    drop(db);
+    let overwritten = extent_files(&p);
+    assert!(
+        overwritten
+            .iter()
+            .any(|&(id, len)| id == e[0].0 && len > e[0].1),
+        "the next flush must overwrite the reserved file: {e:?} then {overwritten:?}"
+    );
+    tear_slot(&p, first + 1);
+
+    let err = match RusKey::open(
+        big_buffer_cfg(),
+        1,
+        Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
+        Backend::Recover(&p),
+    ) {
+        Ok(_) => panic!("a fallback onto an overwritten extent must not open"),
+        Err(e) => e,
+    };
+    assert!(
+        err.to_string()
+            .contains("pages disagree with the manifest record"),
+        "the error must name the disagreement, got: {err}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Acceptance (ISSUE 8): recovery sweeps extent files that no manifest
