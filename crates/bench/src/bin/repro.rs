@@ -5,13 +5,19 @@
 //!
 //! experiments:
 //!   table2  fig6  fig7  table3  fig8  fig9  fig10  fig11  fig12  fig13
-//!   bruteforce  tuning  all  ablations
+//!   bruteforce  tuning  all  ablations  claims
 //! ```
 //!
-//! Results print as aligned text tables; `--csv DIR` additionally writes
-//! the per-mission series as CSV files for plotting. `tuning` also writes
-//! its rows and its `tuning_ok` verdict as JSON, to `--json PATH` if given
-//! (under `all` too), else to `tuning.json`. An unknown experiment, flag
+//! Every experiment's result is a set of claim rows, printed as one
+//! Markdown table, `| id | paper | ours | spread | verdict |`; a verdict is
+//! `holds`, `fails` or `recorded` (a value with no claim). `--csv DIR`
+//! also writes the per-mission series as CSV files for plotting. `tuning`
+//! also writes its rows and its `tuning_ok` verdict as JSON, to `--json
+//! PATH` if given (under `all` too), else to `tuning.json`. `claims` runs
+//! every experiment `all` runs at seeds 42, 7 and 1234 and folds the rows
+//! by id: `ours` is the median over the seeds, `spread` max − min, and a
+//! row holds only if it holds at every seed; it writes the rows as JSON
+//! to `--json PATH`, else to `claims.json`. An unknown experiment, flag
 //! or scale, or a flag without its value, prints the valid choices and
 //! exits with status 2; output that cannot be written exits with status 1.
 //! The engine's own performance is measured by the perf ledger
@@ -27,36 +33,31 @@ struct Ctx {
     /// The scale's name in the JSON documents.
     label: &'static str,
     csv_dir: Option<String>,
-    /// Where `tuning`'s JSON goes, if the caller said.
+    /// Where the experiment's JSON goes (none for the runs `claims`
+    /// folds).
     json_path: Option<String>,
 }
 
 /// One experiment: its name, whether `all` includes it, and its runner.
-type Experiment = (&'static str, bool, fn(&Ctx));
+type Experiment = (&'static str, bool, fn(&Ctx) -> Outcome);
 
 /// Every experiment by name. `table3` is `fig7` under its other name;
-/// `ablations` only runs when asked for.
+/// `ablations` and `claims` only run when asked for.
 const EXPERIMENTS: &[Experiment] = &[
-    ("table2", true, run_table2),
-    ("fig6", true, |c| {
-        run_comparisons("fig6_static_uniform", &fig6(&c.scale), c)
-    }),
-    ("fig7", true, run_fig7_table3),
-    ("table3", false, run_fig7_table3),
-    ("fig8", true, |c| {
-        run_comparisons("fig8_static_monkey", &fig8(&c.scale), c)
-    }),
-    ("fig9", true, run_fig9),
-    ("fig10", true, run_fig10),
-    ("fig11", true, |c| {
-        run_comparisons("fig11_ycsb", &fig11_abc(&c.scale), c);
-        run_comparisons("fig11d_range", &[fig11_range(&c.scale)], c);
-    }),
-    ("fig12", true, run_fig12),
-    ("fig13", true, run_fig13),
-    ("bruteforce", true, run_bruteforce),
+    ("table2", true, |c| table2(&c.scale)),
+    ("fig6", true, |c| fig6(&c.scale)),
+    ("fig7", true, |c| fig7(&c.scale)),
+    ("table3", false, |c| fig7(&c.scale)),
+    ("fig8", true, |c| fig8(&c.scale)),
+    ("fig9", true, |c| fig9(&c.scale)),
+    ("fig10", true, |c| fig10(&c.scale)),
+    ("fig11", true, |c| fig11(&c.scale)),
+    ("fig12", true, |c| fig12(&c.scale)),
+    ("fig13", true, |c| fig13(&c.scale)),
+    ("bruteforce", true, |c| bruteforce(&c.scale)),
     ("tuning", true, run_tuning),
-    ("ablations", false, run_ablations),
+    ("ablations", false, |c| ablations(&c.scale)),
+    ("claims", false, run_claims),
 ];
 
 /// Reports a command-line mistake with the valid choices and exits 2.
@@ -97,11 +98,16 @@ fn parse_args() -> (String, Ctx) {
         "full" => ("full", full_scale()),
         other => usage_error(&format!("unknown scale '{other}' (tiny, small, full)")),
     };
+    let json_default = if experiment == "claims" {
+        "claims.json"
+    } else {
+        "tuning.json"
+    };
     let ctx = Ctx {
         scale,
         label,
         csv_dir,
-        json_path,
+        json_path: Some(json_path.unwrap_or_else(|| json_default.into())),
     };
     (experiment, ctx)
 }
@@ -133,16 +139,13 @@ fn write_error(path: &str, e: std::io::Error) -> ! {
     std::process::exit(1);
 }
 
-/// Writes an experiment's JSON document to the caller's `--json` path,
-/// or to `<experiment>.json`.
-fn write_json(c: &Ctx, experiment: &str, json: String) {
-    let path = c
-        .json_path
-        .clone()
-        .unwrap_or_else(|| format!("{experiment}.json"));
-    std::fs::write(&path, json).unwrap_or_else(|e| write_error(&path, e));
-    println!("  [json] {path}");
-    println!();
+/// Writes an experiment's JSON document to the context's JSON path, if
+/// it has one.
+fn write_json(c: &Ctx, json: String) {
+    if let Some(path) = &c.json_path {
+        std::fs::write(path, json).unwrap_or_else(|e| write_error(path, e));
+        println!("  [json] {path}");
+    }
 }
 
 fn write_csv(c: &Ctx, name: &str, content: &str) {
@@ -155,221 +158,54 @@ fn write_csv(c: &Ctx, name: &str, content: &str) {
     }
 }
 
-fn run_table2(c: &Ctx) {
-    println!("== Table 2: transition costs and delays ==");
-    println!("(analytic case study: T=10, B=4096, E=1024, C=1024000, f=0.01, K=5->4, x=gamma=1/2)");
-    println!(
-        "{:<12}{:>16}{:>26}{:>26}",
-        "strategy", "analytic I/Os", "measured immediate pages", "measured additional pages"
-    );
-    for row in table2(&c.scale) {
-        println!(
-            "{:<12}{:>16.2}{:>26}{:>26}",
-            row.strategy,
-            row.analytic_ios,
-            row.measured_immediate_pages,
-            row.measured_additional_pages
-        );
+fn run_tuning(c: &Ctx) -> Outcome {
+    let v = tuning(&c.scale);
+    write_json(c, tuning_json(c.label, &v));
+    let ok = ClaimRow::claim("tuning.ok", None, f64::from(u8::from(v.ok)), v.ok);
+    Outcome {
+        rows: vec![ok],
+        ..Outcome::default()
     }
-    println!();
 }
 
-fn run_comparisons(name: &str, comparisons: &[Comparison], ctx: &Ctx) {
-    println!("== {name} ==");
-    for c in comparisons {
-        print!("{}", comparison_summary(c, 0.4));
-        write_csv(
-            ctx,
-            &format!("{name}_{}", c.workload),
-            &series_csv(&c.series),
-        );
-        // Policy trace of RusKey (the paper's top subplots).
-        if let Some(rk) = c.series.iter().find(|s| s.method == "RusKey") {
-            let trace: Vec<u32> = rk
-                .records
-                .iter()
-                .step_by((rk.records.len() / 20).max(1))
-                .map(|r| r.policy_l1)
-                .collect();
-            println!("  RusKey K(L1) trace: {trace:?}");
+fn run_claims(c: &Ctx) -> Outcome {
+    let runs: Vec<Vec<ClaimRow>> = CLAIM_SEEDS
+        .iter()
+        .map(|&seed| {
+            let at_seed = Ctx {
+                scale: ExperimentScale {
+                    seed,
+                    ..c.scale.clone()
+                },
+                label: c.label,
+                csv_dir: None,
+                json_path: None,
+            };
+            run(&at_seed, "all")
+        })
+        .collect();
+    let rows = fold_seeds(&runs);
+    write_json(c, claims_json(c.label, &rows));
+    Outcome {
+        rows,
+        ..Outcome::default()
+    }
+}
+
+/// Runs `experiment` (every experiment `all` includes, for `all`),
+/// writes the CSVs of what it plots, and returns its rows.
+fn run(c: &Ctx, experiment: &str) -> Vec<ClaimRow> {
+    let mut rows = Vec::new();
+    for &(name, in_all, runner) in EXPERIMENTS {
+        if experiment == name || (experiment == "all" && in_all) {
+            let outcome = runner(c);
+            for plot in &outcome.plots {
+                write_csv(c, &plot.name, &series_csv(&plot.series));
+            }
+            rows.extend(outcome.rows);
         }
     }
-    println!();
-}
-
-fn run_fig7_table3(c: &Ctx) {
-    println!("== Fig 7: dynamic workload (5 sessions) + Table 3 ranking ==");
-    let series = fig7(&c.scale);
-    write_csv(c, "fig7", &series_csv(&series));
-    if let Some(rk) = series.iter().find(|s| s.method == "RusKey") {
-        let trace: Vec<(usize, u32)> = rk
-            .records
-            .iter()
-            .step_by((rk.records.len() / 25).max(1))
-            .map(|r| (r.session, r.policy_l1))
-            .collect();
-        println!("  RusKey (session, K(L1)) trace: {trace:?}");
-    }
-    let table = ranking_from_series(&series, FIG7_SESSIONS.len());
-    println!("{}", ranking_table(&table, &FIG7_SESSIONS));
-    println!();
-}
-
-fn run_fig9(c: &Ctx) {
-    println!("== Fig 9: per-level policies vs Lazy-Leveling (Monkey, balanced) ==");
-    for r in fig9(&c.scale) {
-        println!(
-            "  {:<16} end-to-end {:.4} ms/op  policies {:?}",
-            r.method, r.end_to_end_ms_per_op, r.policies
-        );
-        let lv: Vec<String> = r
-            .per_level_ms_per_op
-            .iter()
-            .enumerate()
-            .map(|(i, v)| format!("L{}={:.4}", i + 1, v))
-            .collect();
-        println!("    per-level ms/op: {}", lv.join("  "));
-    }
-    println!();
-}
-
-fn run_fig10(c: &Ctx) {
-    println!("== Fig 10: transition methods micro-benchmark (K=1 -> K=10 at midpoint) ==");
-    let series = fig10(&c.scale);
-    write_csv(c, "fig10", &series_csv(&series));
-    let half = c.scale.missions / 2;
-    println!(
-        "{:<12}{:>22}{:>22}{:>20}{:>16}",
-        "strategy",
-        "peak write lat (s)",
-        "mean write after (s)",
-        "mean read after (s)",
-        "total (s)"
-    );
-    for s in &series {
-        let after: Vec<_> = s.records.iter().filter(|r| r.mission >= half).collect();
-        let peak = after.iter().map(|r| r.write_latency_s).fold(0.0, f64::max);
-        let mw = after.iter().map(|r| r.write_latency_s).sum::<f64>() / after.len() as f64;
-        let mr = after.iter().map(|r| r.read_latency_s).sum::<f64>() / after.len() as f64;
-        let total: f64 = s
-            .records
-            .iter()
-            .map(|r| r.write_latency_s + r.read_latency_s)
-            .sum();
-        println!(
-            "{:<12}{:>22.4}{:>22.4}{:>20.4}{:>16.2}",
-            s.method, peak, mw, mr, total
-        );
-    }
-    println!("(paper: end-to-end 51s greedy / 44s lazy / 40s flexible; shapes should match)");
-    println!();
-}
-
-fn run_fig12(c: &Ctx) {
-    println!("== Fig 12: greedy threshold heuristics vs RusKey ==");
-    let series = fig12(&c.scale);
-    write_csv(c, "fig12", &series_csv(&series));
-    let table = ranking_from_series(&series, FIG7_SESSIONS.len());
-    println!("{}", ranking_table(&table, &FIG7_SESSIONS));
-    println!();
-}
-
-fn run_fig13(c: &Ctx) {
-    println!("== Fig 13: model update time vs LSM time per mission ==");
-    println!(
-        "{:<16}{:>18}{:>16}{:>18}{:>12}{:>20}",
-        "workload",
-        "LSM virtual (s)",
-        "LSM real (s)",
-        "model real (s)",
-        "model/LSM",
-        "@50k-op missions"
-    );
-    for r in fig13(&c.scale) {
-        println!(
-            "{:<16}{:>18.4}{:>16.4}{:>18.6}{:>11.2}%{:>19.3}%",
-            r.label,
-            r.lsm_virtual_s,
-            r.lsm_real_s,
-            r.model_real_s,
-            100.0 * r.ratio_measured(),
-            100.0 * r.ratio_at_paper_scale(),
-        );
-    }
-    println!(
-        "(the model update is a constant per mission; at the paper's 50 000-op missions its share"
-    );
-    println!(" drops to the last column — the paper reports <= 1%)");
-    println!();
-}
-
-fn run_ablations(c: &Ctx) {
-    let scale = &c.scale;
-    println!("== Ablation: block cache vs fixed policies (balanced workload) ==");
-    for r in ablation_cache(scale) {
-        println!("  {:<22} {:.4} ms/op", r.label, r.tail_latency_ms);
-    }
-    println!();
-    println!("== Ablation: white-box K* across device cost models ==");
-    println!(
-        "  {:<12}{:>14}{:>14}{:>14}",
-        "device", "K*(γ=0.9)", "K*(γ=0.5)", "K*(γ=0.1)"
-    );
-    for (label, kr, kb, kw) in ablation_cost_model() {
-        println!("  {label:<12}{kr:>14}{kb:>14}{kw:>14}");
-    }
-    println!();
-    println!("== Ablation: reward mix α (write-heavy workload) ==");
-    for r in ablation_alpha(scale) {
-        println!(
-            "  {:<14} tail {:.4} ms/op, converged at {:<8} final K(L1)={}",
-            r.label,
-            r.tail_latency_ms,
-            r.converged_at.map_or("never".into(), |m| m.to_string()),
-            r.final_k1
-        );
-    }
-    println!();
-}
-
-fn run_tuning(c: &Ctx) {
-    println!("== Tuning: per-shard Lerp ==");
-    let v = tuning(&c.scale);
-    println!(
-        "{:<10}{:<8}{:>10}{:>12}{:>18}{:>10}{:>18}{:>10}",
-        "workload", "shards", "missions", "ops", "tail ns/op", "tuned", "final K(L1)", "distinct"
-    );
-    for r in &v.rows {
-        let k1: Vec<String> = r.final_k1.iter().map(|k| k.to_string()).collect();
-        println!(
-            "{:<10}{:<8}{:>10}{:>12}{:>18.1}{:>10}{:>18}{:>10}",
-            r.workload,
-            r.shards,
-            r.missions,
-            r.ops_total,
-            r.tail_ns_per_op,
-            r.tuned_missions,
-            format!("[{}]", k1.join(",")),
-            r.distinct_policies
-        );
-    }
-    println!("  tuning_ok={}", v.ok);
-    write_json(c, "tuning", tuning_json(c.label, &v));
-}
-
-fn run_bruteforce(c: &Ctx) {
-    println!("== Brute-force learning comparison (write-heavy workload) ==");
-    for r in bruteforce(&c.scale) {
-        println!(
-            "  {:<36} converged: {:<5} at mission {:<8} tail latency {:.4} ms/op, model time {:.3}s",
-            r.method,
-            r.converged,
-            r.converged_at.map_or("never".into(), |m| m.to_string()),
-            r.tail_latency_ms,
-            r.model_update_s
-        );
-    }
-    println!();
+    rows
 }
 
 fn main() {
@@ -379,10 +215,7 @@ fn main() {
         ctx.scale.load_entries, ctx.scale.mission_size, ctx.scale.missions
     );
     let t0 = std::time::Instant::now();
-    for &(name, in_all, run) in EXPERIMENTS {
-        if experiment == name || (experiment == "all" && in_all) {
-            run(&ctx);
-        }
-    }
+    let rows = run(&ctx, &experiment);
+    println!("\n{}", claims_table(&rows));
     println!("done in {:.1}s", t0.elapsed().as_secs_f64());
 }

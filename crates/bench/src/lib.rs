@@ -4,8 +4,13 @@
 //! opens and bulk-loads one store per method ([`prepared_store`]) and
 //! runs it over a mission schedule ([`run`], the one harness loop). Each
 //! `figN`/`tableN` function runs the corresponding experiment at a
-//! configurable scale and returns structured results; the `repro` binary
-//! prints them as aligned tables/CSV. Beside the paper, `tuning` pins the
+//! configurable scale and returns an [`Outcome`]: its [`ClaimRow`]s (an
+//! id, the paper's value, ours, the spread over seeds and a verdict) and
+//! the series it plots. The `repro` binary prints the rows as one
+//! Markdown table ([`claims_table`]) and writes the series as CSV;
+//! `repro claims` folds every experiment's rows over three seeds
+//! ([`fold_seeds`]) into the table `EXPERIMENTS.md` holds, and writes
+//! them as JSON ([`claims_json`]). Beside the paper, `tuning` pins the
 //! per-shard Lerp seats as a JSON verdict and `ablations` sweeps the
 //! design choices. The engine's end-to-end and per-layer performance is
 //! measured by the perf ledger (`ledger/`), not here.
@@ -14,6 +19,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ablations;
+pub mod claims;
 pub mod experiments;
 pub mod output;
 pub mod percentile;
@@ -21,6 +27,7 @@ pub mod runner;
 pub mod tuning;
 
 pub use ablations::*;
+pub use claims::*;
 pub use experiments::*;
 pub use output::*;
 pub use percentile::*;

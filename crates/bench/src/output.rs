@@ -1,6 +1,7 @@
-//! Plain-text table, CSV, and JSON rendering for experiment results.
+//! Markdown, CSV and JSON rendering of experiment results.
 
-use crate::experiments::{Comparison, RankingTable, Series};
+use crate::claims::ClaimRow;
+use crate::experiments::Series;
 use crate::tuning::TuningVerdict;
 
 /// Renders a mission-series comparison as CSV: `mission,method,...`.
@@ -26,60 +27,46 @@ pub fn series_csv(series: &[Series]) -> String {
     out
 }
 
-/// Renders a comparison summary: per-method mean latency over the last
-/// `tail` fraction of missions, with the winner marked.
-pub fn comparison_summary(c: &Comparison, tail: f64) -> String {
-    let mut rows: Vec<(String, f64)> = c
-        .series
-        .iter()
-        .map(|s| {
-            let n = ((s.records.len() as f64 * tail).ceil() as usize).clamp(1, s.records.len());
-            let slice = &s.records[s.records.len() - n..];
-            let mean = slice.iter().map(|r| r.latency_ms_per_op).sum::<f64>() / slice.len() as f64;
-            (s.method.clone(), mean)
-        })
-        .collect();
-    let best = rows.iter().map(|(_, v)| *v).fold(f64::INFINITY, f64::min);
-    rows.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-    let mut out = format!("workload: {}\n", c.workload);
-    for (m, v) in rows {
-        let marker = if (v - best).abs() < 1e-12 {
-            "  <-- best"
-        } else {
-            ""
-        };
-        out.push_str(&format!("  {m:<22} {v:>10.4} ms/op{marker}\n"));
+/// Renders claim rows as the Markdown table `repro` prints and
+/// `EXPERIMENTS.md` holds: `| id | paper | ours | spread | verdict |`.
+pub fn claims_table(rows: &[ClaimRow]) -> String {
+    let mut out = String::from("| id | paper | ours | spread | verdict |\n|---|---|---|---|---|\n");
+    for r in rows {
+        out.push_str(&format!(
+            "| {} | {} | {} | {} | {} |\n",
+            r.id,
+            number(r.paper.unwrap_or(f64::NAN)),
+            number(r.ours),
+            number(r.spread),
+            r.verdict.name()
+        ));
     }
     out
 }
 
-/// Renders a [`RankingTable`] like the paper's Table 3.
-pub fn ranking_table(t: &RankingTable, session_labels: &[&str]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{:<28}", "Method"));
-    for l in session_labels {
-        out.push_str(&format!("{l:>16}"));
+/// A table cell: the value rounded to four significant digits (an
+/// integer part is never rounded), or `—` if it is not finite (none
+/// measured).
+fn number(v: f64) -> String {
+    let scale = 10f64.powi((3.0 - v.abs().log10().floor()).clamp(0.0, 17.0) as i32);
+    if v.is_finite() {
+        format!("{}", (v * scale).round() / scale)
+    } else {
+        "—".into()
     }
-    out.push_str(&format!("{:>12}\n", "Avg.Rank"));
-    for (m, method) in t.methods.iter().enumerate() {
-        out.push_str(&format!("{method:<28}"));
-        for s in 0..session_labels.len() {
-            out.push_str(&format!("{:>12.4}({})", t.latency[m][s], t.ranks[m][s]));
-        }
-        out.push_str(&format!("{:>12.2}\n", t.avg_rank[m]));
-    }
-    out
 }
 
 /// A JSON value, as far as the experiment documents need one
-/// (hand-rolled — the workspace carries no serde). [`tuning_json`]
-/// builds these and [`experiment_json`] writes them.
+/// (hand-rolled — the workspace carries no serde). [`tuning_json`] and
+/// [`claims_json`] build these and [`experiment_json`] writes them.
 enum Json {
     Str(String),
     Int(u64),
     Bool(bool),
     /// A float printed with a fixed number of decimals.
     Float(f64, usize),
+    /// A float printed in full, or `null` if it is not finite.
+    Num(f64),
     Array(Vec<Json>),
     Object(Vec<(&'static str, Json)>),
 }
@@ -133,6 +120,8 @@ impl Json {
             Json::Int(n) => out.push_str(&n.to_string()),
             Bool(b) => out.push_str(&b.to_string()),
             Float(v, decimals) => out.push_str(&format!("{v:.decimals$}")),
+            Json::Num(v) if v.is_finite() => out.push_str(&v.to_string()),
+            Json::Num(_) => out.push_str("null"),
             Array(items) => list(out, '[', ']', items.len(), |i, out| items[i].inline(out)),
             Object(members) => list(out, '{', '}', members.len(), |i, out| {
                 out.push_str(&format!("\"{}\": ", members[i].0));
@@ -206,6 +195,23 @@ pub fn tuning_json(scale_label: &str, v: &TuningVerdict) -> String {
     experiment_json("tuning", scale_label, doc)
 }
 
+/// Renders claim rows as JSON, one row per line:
+/// `{"id": …, "paper": …, "ours": …, "spread": …, "verdict": …}`, with
+/// `null` where the paper states no value or none was measured.
+pub fn claims_json(scale_label: &str, rows: &[ClaimRow]) -> String {
+    let row = |r: &ClaimRow| {
+        Object(vec![
+            ("id", string(&r.id)),
+            ("paper", Json::Num(r.paper.unwrap_or(f64::NAN))),
+            ("ours", Json::Num(r.ours)),
+            ("spread", Json::Num(r.spread)),
+            ("verdict", string(r.verdict.name())),
+        ])
+    };
+    let doc = vec![("rows", Array(rows.iter().map(row).collect()))];
+    experiment_json("claims", scale_label, doc)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +227,6 @@ mod tests {
             policy_l1: 3,
             policies: vec![3],
             model_update_ns: 5,
-            real_process_ns: 10,
             converged: true,
         }
     }
@@ -237,30 +242,6 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("mission,"));
         assert!(lines[1].contains(",X,"));
-    }
-
-    #[test]
-    fn summary_marks_best() {
-        let c = Comparison {
-            workload: "w".into(),
-            series: vec![
-                Series {
-                    method: "slow".into(),
-                    records: vec![record(0, 5.0)],
-                },
-                Series {
-                    method: "fast".into(),
-                    records: vec![record(0, 1.0)],
-                },
-            ],
-        };
-        let s = comparison_summary(&c, 1.0);
-        let fast_line = s.lines().find(|l| l.contains("fast")).unwrap();
-        assert!(fast_line.contains("best"));
-        // Sorted ascending: fast before slow.
-        let fast_pos = s.find("fast").unwrap();
-        let slow_pos = s.find("slow").unwrap();
-        assert!(fast_pos < slow_pos);
     }
 
     #[test]
@@ -296,5 +277,42 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(!json.contains(",\n  ]"));
+    }
+
+    #[test]
+    fn claims_json_gives_one_line_per_row() {
+        let rows = vec![
+            ClaimRow::claim("table2.flexible.total_pages", None, 0.0, true),
+            ClaimRow::claim("fig13.model_share_50k", Some(0.01), 0.00228, true),
+            ClaimRow::claim("fig6.regret.write-heavy", Some(1.0), 1.7634, false),
+            ClaimRow::recorded("bruteforce.converged_at", f64::NAN),
+        ];
+        let json = claims_json("small", &rows);
+        assert!(json.contains("\"experiment\": \"claims\""));
+        let lines: Vec<&str> = json.lines().filter(|l| l.contains("\"id\": ")).collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].contains("\"table2.flexible.total_pages\""));
+        assert!(lines[0].ends_with("\"verdict\": \"holds\"},"));
+        assert!(lines[1].contains("\"paper\": 0.01, \"ours\": 0.00228, \"spread\": 0"));
+        assert!(lines[2].contains("\"verdict\": \"fails\""));
+        assert!(lines[3].contains("\"paper\": null, \"ours\": null"));
+        assert!(lines[3].ends_with("\"verdict\": \"recorded\"}"));
+        // Balanced braces/brackets, no trailing comma before a close.
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(!json.contains(",\n  ]"));
+        // The Markdown table: a header, a rule, then the same rows.
+        let table = claims_table(&rows);
+        let cells: Vec<&str> = table.lines().collect();
+        assert_eq!(cells.len(), 2 + rows.len());
+        assert_eq!(cells[0], "| id | paper | ours | spread | verdict |");
+        assert_eq!(
+            cells[4],
+            "| fig6.regret.write-heavy | 1 | 1.763 | 0 | fails |"
+        );
+        assert_eq!(
+            cells[5],
+            "| bruteforce.converged_at | — | — | 0 | recorded |"
+        );
     }
 }

@@ -17,6 +17,8 @@ use ruskey::tuner::Tuner;
 use ruskey_storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_workload::{bulk_load_pairs, OpGenerator, Operation, WorkloadSpec};
 
+use crate::percentile::tail_mean;
+
 /// One point of an experiment time series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MissionRecord {
@@ -36,8 +38,6 @@ pub struct MissionRecord {
     pub policies: Vec<u32>,
     /// Model update time in real ns (Fig. 13).
     pub model_update_ns: u64,
-    /// Real processing time of the mission in ns (Fig. 13).
-    pub real_process_ns: u64,
     /// Whether the tuner reported convergence after this mission.
     pub converged: bool,
 }
@@ -59,7 +59,6 @@ impl MissionRecord {
             policy_l1: report.policies_after.first().copied().unwrap_or(1),
             policies: report.policies_after.clone(),
             model_update_ns: report.model_update_ns,
-            real_process_ns: report.real_process_ns,
             converged,
         }
     }
@@ -177,12 +176,11 @@ pub fn run(
 
 /// Mean latency per op (ms) over the converged tail of a series — the
 /// paper's ranking metric ("average time cost per operation after the RL
-/// model is converged in each session").
+/// model is converged in each session"): the [`tail_mean`] of its
+/// latencies.
 pub fn converged_mean_latency(records: &[MissionRecord], tail_fraction: f64) -> f64 {
-    assert!(!records.is_empty());
-    let tail = ((records.len() as f64 * tail_fraction).ceil() as usize).clamp(1, records.len());
-    let slice = &records[records.len() - tail..];
-    slice.iter().map(|r| r.latency_ms_per_op).sum::<f64>() / slice.len() as f64
+    let latencies: Vec<f64> = records.iter().map(|r| r.latency_ms_per_op).collect();
+    tail_mean(&latencies, tail_fraction)
 }
 
 /// Ranks methods by a metric (1 = best/lowest). Ties share the better rank;
@@ -284,7 +282,6 @@ mod tests {
             policy_l1: 1,
             policies: vec![],
             model_update_ns: 0,
-            real_process_ns: 0,
             converged: true,
         };
         let records = vec![mk(10.0), mk(2.0), mk(4.0)];

@@ -20,6 +20,7 @@ use ruskey::lerp::Lerp;
 use ruskey::sharded::{Backend, RusKey};
 use ruskey_workload::{bulk_load_pairs, encode_key, shard_for_key, OpGenerator, OpMix, Operation};
 
+use crate::percentile::tail_mean;
 use crate::runner::ExperimentScale;
 
 /// Shards in every tuning row.
@@ -155,15 +156,12 @@ fn run_tuning_row(scale: &ExperimentScale, workload: &'static str) -> TuningRow 
         }
         final_shard_policies = r.shard_policies_after.clone();
     }
-    let tail = ns_per_op.len().div_ceil(3);
-    let slice = &ns_per_op[ns_per_op.len() - tail..];
-    let tail_ns_per_op = slice.iter().sum::<f64>() / slice.len() as f64;
     TuningRow {
         workload,
         shards: SHARDS,
         missions: missions.len(),
         ops_total,
-        tail_ns_per_op,
+        tail_ns_per_op: tail_mean(&ns_per_op, 1.0 / 3.0),
         tuned_missions,
         final_k1: final_shard_policies
             .iter()

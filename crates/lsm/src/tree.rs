@@ -2654,4 +2654,48 @@ mod tests {
         recover_persistent_tree(&dir, cfg);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// The seal rule quantizes the K ladder. `admit_batch` merges the
+    /// whole batch into the active run and seals the run once it holds at
+    /// least `active_capacity()` = C/K bytes, so a Level-1 run holds
+    /// ⌈(C/K) / b⌉ flushes of `b` bytes each. A flush is the first memtable
+    /// fill at or over the buffer: 459 entries of 143 bytes, 65 637 bytes,
+    /// just over C/T = 65 536 at T = 10. So K = 6..9 all seal at two
+    /// flushes, while K = 5 (C/5 = 131 072 bytes) seals at two only if the
+    /// two share fewer than two keys: 202 bytes of slack.
+    #[test]
+    fn a_level_1_run_seals_after_a_quantized_number_of_flushes() {
+        let put = |t: &mut FlsmTree, i: u64| {
+            t.put(Bytes::from(format!("{i:016}")), Bytes::from(vec![7u8; 112]));
+        };
+        // Each flush after the first starts by writing the previous
+        // flush's last `repeats` keys again.
+        let flushes_to_seal = |k: u32, repeats: u64| {
+            let disk = SimulatedDisk::new(4096, CostModel::FREE);
+            let mut t = FlsmTree::new(LsmConfig::scaled_default(), disk);
+            t.set_policy(0, k);
+            let mut next = 0u64;
+            loop {
+                let flushes = t.flushes;
+                for i in next.saturating_sub(repeats)..next {
+                    put(&mut t, i);
+                }
+                while t.flushes == flushes {
+                    put(&mut t, next);
+                    next += 1;
+                }
+                // Sealed, or sealed and merged down with the full level.
+                if !t.levels[0].sealed.is_empty() || t.levels[0].active.is_none() {
+                    return t.flushes;
+                }
+            }
+        };
+        let ladder = |repeats| {
+            (1..=10)
+                .map(|k| flushes_to_seal(k, repeats))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ladder(0), [10, 5, 4, 3, 2, 2, 2, 2, 2, 1]);
+        assert_eq!(ladder(2), [11, 6, 4, 3, 3, 2, 2, 2, 2, 1]);
+    }
 }
