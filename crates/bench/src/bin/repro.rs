@@ -17,9 +17,10 @@
 //! every experiment `all` runs at seeds 42, 7 and 1234 and folds the rows
 //! by id: `ours` is the median over the seeds, `spread` max − min, and a
 //! row holds only if it holds at every seed; it writes the rows as JSON
-//! to `--json PATH`, else to `claims.json`. An unknown experiment, flag
-//! or scale, or a flag without its value, prints the valid choices and
-//! exits with status 2; output that cannot be written exits with status 1.
+//! to `--json PATH`, else to `claims.json`, and writes no CSV. An
+//! unknown experiment, flag or scale, or a flag without its value, prints
+//! the valid choices and exits with status 2; output that cannot be
+//! written exits with status 1.
 //! The engine's own performance is measured by the perf ledger
 //! (`ledger/`), not here.
 
