@@ -48,7 +48,7 @@ pub struct ClaimRow {
 
 impl ClaimRow {
     /// A row that records `ours` and makes no claim.
-    pub fn recorded(id: impl Into<String>, ours: f64) -> Self {
+    pub(crate) fn recorded(id: impl Into<String>, ours: f64) -> Self {
         Self {
             id: id.into(),
             paper: None,

@@ -12,7 +12,11 @@
 //! ([`fold_seeds`]) into the table `EXPERIMENTS.md` holds, and writes
 //! them as JSON ([`claims_json`]). Beside the paper, `tuning` pins the
 //! per-shard Lerp seats as a JSON verdict and `ablations` sweeps the
-//! design choices. The engine's end-to-end and per-layer performance is
+//! design choices. The tuners come from the engine crate (`ruskey`), with
+//! one exception: the two RL baselines of the §7 impracticality study,
+//! brute-force whole-tree DDPG and per-level DDPG without propagation, are
+//! schedules over Lerp's learner seam kept beside `bruteforce`, the one
+//! experiment that runs them. The engine's end-to-end and per-layer performance is
 //! measured by the perf ledger (`ledger/`), not here.
 
 #![warn(missing_docs)]

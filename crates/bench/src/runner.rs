@@ -44,7 +44,7 @@ pub struct MissionRecord {
 
 impl MissionRecord {
     /// The record of one mission's report, in session `session`.
-    pub fn from_report(report: &MissionReport, session: usize, converged: bool) -> Self {
+    pub(crate) fn from_report(report: &MissionReport, session: usize, converged: bool) -> Self {
         // Split the mission's virtual time into read- and write-attributed
         // shares using per-level accounting (lookups vs compactions); the
         // memtable/cpu remainder goes to writes.
@@ -184,18 +184,25 @@ pub fn converged_mean_latency(records: &[MissionRecord], tail_fraction: f64) -> 
 }
 
 /// Ranks methods by a metric (1 = best/lowest). Ties share the better rank;
-/// a NaN (a method with no data) ranks last.
-pub fn rank(values: &[f64]) -> Vec<usize> {
+/// a NaN (a method with no data) ranks after every number, tied with every
+/// other NaN.
+pub(crate) fn rank(values: &[f64]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
+    idx.sort_by(|&a, &b| {
+        let (x, y) = (values[a], values[b]);
+        x.is_nan().cmp(&y.is_nan()).then(x.total_cmp(&y))
+    });
     let mut ranks = vec![0usize; values.len()];
     for (pos, &i) in idx.iter().enumerate() {
-        // Share rank with equal-valued predecessors.
-        if pos > 0 && (values[i] - values[idx[pos - 1]]).abs() < 1e-12 {
-            ranks[i] = ranks[idx[pos - 1]];
-        } else {
-            ranks[i] = pos + 1;
-        }
+        // Share rank with an equal-valued predecessor; NaNs are all equal.
+        let tied_with = |j: usize| {
+            let (p, v) = (values[j], values[i]);
+            (v - p).abs() < 1e-12 || p.is_nan() && v.is_nan()
+        };
+        ranks[i] = match pos.checked_sub(1).map(|p| idx[p]) {
+            Some(j) if tied_with(j) => ranks[j],
+            _ => pos + 1,
+        };
     }
     ranks
 }
@@ -269,6 +276,9 @@ mod tests {
     #[test]
     fn a_method_without_data_ranks_last() {
         assert_eq!(rank(&[1.0, f64::NAN, 0.5]), vec![2, 3, 1]);
+        // Two methods without data tie, after every method with data.
+        assert_eq!(rank(&[f64::NAN, 1.0, -f64::NAN]), vec![2, 1, 2]);
+        assert_eq!(rank(&[f64::NAN, f64::NAN]), vec![1, 1]);
     }
 
     #[test]

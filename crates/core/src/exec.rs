@@ -7,7 +7,8 @@
 //! are ad-hoc ops):
 //!
 //! 1. [`execute`] each [`Operation`] (the only place that maps an
-//!    operation kind onto `FlsmTree::{get, put, delete, scan}`);
+//!    operation kind onto `FlsmTree::{get, put, delete, scan}`; a lane,
+//!    which keeps no result, drains its scans instead of collecting them);
 //! 2. the boundary grant, [`FlsmTree::maintain_boundary`] (the tree owns
 //!    how much deferred structural work a boundary pays down);
 //! 3. the commit leg, the shard's at-most-one-fsync group commit:
@@ -112,17 +113,23 @@ pub(crate) fn commit_leg(tree: &mut FlsmTree) -> CommitLeg {
     }
 }
 
-/// Runs a batch through the path: execute every operation (a lane's
-/// reads run for their cost, so results are dropped), grant the boundary
+/// Runs a batch through the path: run every operation, grant the boundary
 /// if this batch ends in one, run the commit leg. The barrier is the empty
-/// batch without a boundary.
+/// batch without a boundary. A lane's reads run for their cost and build
+/// no results: a get's value is dropped, and a scan is drained
+/// ([`ruskey_lsm::RangeScan::drain`]), reading the pages a collected scan
+/// reads without slicing a row out of them.
 pub(crate) fn run_batch<'a>(
     tree: &mut FlsmTree,
     ops: impl IntoIterator<Item = &'a Operation>,
     boundary: bool,
 ) -> CommitLeg {
     for op in ops {
-        execute(tree, op);
+        if let Operation::Scan { start, end, limit } = op {
+            tree.range_scan(start, end, *limit).drain();
+        } else {
+            execute(tree, op);
+        }
     }
     if boundary {
         tree.maintain_boundary();

@@ -22,17 +22,15 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ruskey_analysis::propagation::{propagate_rounded, uniform_propagation};
-use ruskey_rl::{Ddpg, DdpgConfig};
+use ruskey_rl::{Ddpg, DdpgConfig, Transition};
 
 use crate::state::{level_state, LEVEL_STATE_DIM};
 use crate::stats::MissionReport;
-use crate::tuner::{
-    learn, level_cost, stepped_policy, stride_seed, Pending, RewardScale, TreeObservation, Tuner,
-};
+use crate::tuner::{level_cost, stepped_policy, stride_seed, RewardScale, TreeObservation, Tuner};
 
-/// The reward weight α that [`LerpConfig::paper_default`] and the
-/// per-level baseline use; [`LerpConfig::alpha`] says why it is not 1/2.
-pub(crate) const DEFAULT_ALPHA: f64 = 0.85;
+/// The reward weight α that [`LerpConfig::paper_default`] sets;
+/// [`LerpConfig::alpha`] says why it is not 1/2.
+pub const DEFAULT_ALPHA: f64 = 0.85;
 
 /// DDPG gradient steps per mission: our choice; replay lets several steps learn from one sample.
 const TRAIN_STEPS_PER_MISSION: usize = 8;
@@ -56,6 +54,47 @@ const EPSILON_MIN: f32 = 0.03;
 const REWARD_SMOOTHING: f64 = 0.3;
 /// DDPG discount γ: our choice; near a contextual bandit, a modest γ keeps TD targets low-variance.
 const RL_GAMMA: f32 = 0.6;
+
+/// The learner behind one Lerp agent: all that Lerp's loop asks of it,
+/// so that another learner, or a scripted one in a test, can stand in.
+/// [`Ddpg`] is the one implementation.
+pub trait LevelLearner {
+    /// The greedy action for `state`.
+    fn act(&mut self, state: &[f32]) -> Vec<f32>;
+    /// The greedy action and an exploratory one, from one forward pass.
+    fn act_both(&mut self, state: &[f32]) -> (Vec<f32>, Vec<f32>);
+    /// Stores one transition.
+    fn observe(&mut self, t: Transition);
+    /// Trains `steps` times on what it has stored.
+    fn train(&mut self, steps: usize);
+    /// Multiplies the exploration volatility by `factor`, down to `floor`.
+    fn decay_noise(&mut self, factor: f32, floor: f32);
+    /// A restart: the exploration volatility back to `sigma`, and every
+    /// stored transition forgotten.
+    fn reset(&mut self, sigma: f32);
+}
+
+impl LevelLearner for Ddpg {
+    fn act(&mut self, state: &[f32]) -> Vec<f32> {
+        Ddpg::act(self, state)
+    }
+    fn act_both(&mut self, state: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        Ddpg::act_both(self, state)
+    }
+    fn observe(&mut self, t: Transition) {
+        Ddpg::observe(self, t);
+    }
+    fn train(&mut self, steps: usize) {
+        (0..steps).for_each(|_| _ = self.train_step());
+    }
+    fn decay_noise(&mut self, factor: f32, floor: f32) {
+        self.set_noise_sigma((self.noise_sigma() * factor).max(floor));
+    }
+    fn reset(&mut self, sigma: f32) {
+        self.set_noise_sigma(sigma);
+        self.clear_replay();
+    }
+}
 
 /// Which Bloom-filter scheme governs propagation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,13 +152,16 @@ enum Phase {
     Converged { gamma_ref: f64 },
 }
 
-/// The Lerp tuning model.
-pub struct Lerp {
+/// The Lerp tuning model, over learners of type `L`.
+pub struct Lerp<L = Ddpg> {
     cfg: LerpConfig,
-    agents: Vec<Ddpg>,
+    /// Makes an agent's learner from its seed; a seat's agents are made
+    /// by the same function.
+    learner: fn(u64) -> L,
+    agents: Vec<L>,
     reward_scales: Vec<RewardScale>,
     phase: Phase,
-    /// The tuning agent's `(state, action)`, awaiting its reward.
+    /// The tuning agent's step, awaiting its reward.
     pending: Pending,
     /// Missions spent tuning the current level.
     missions_in_phase: usize,
@@ -140,28 +182,36 @@ pub struct Lerp {
 }
 
 impl Lerp {
-    /// Creates a Lerp model.
+    /// Creates a Lerp model whose agents are DDPG learners.
     pub fn new(cfg: LerpConfig) -> Self {
+        Self::with_learner(cfg, |seed| {
+            Ddpg::new(DdpgConfig {
+                seed,
+                noise_sigma: INITIAL_NOISE,
+                warmup: 16,
+                gamma: RL_GAMMA,
+                ..DdpgConfig::paper_default(LEVEL_STATE_DIM, 1)
+            })
+        })
+    }
+}
+
+impl<L: LevelLearner> Lerp<L> {
+    /// A Lerp model whose agent `i` learns with `learner(seed + i·7919)`.
+    fn with_learner(cfg: LerpConfig, learner: fn(u64) -> L) -> Self {
         let n_agents = match cfg.scheme {
             PropagationScheme::Uniform => 1,
             PropagationScheme::Monkey => 2,
         };
         let agents = (0..n_agents)
-            .map(|i| {
-                Ddpg::new(DdpgConfig {
-                    seed: cfg.seed.wrapping_add(i as u64 * 7919),
-                    noise_sigma: INITIAL_NOISE,
-                    warmup: 16,
-                    gamma: RL_GAMMA,
-                    ..DdpgConfig::paper_default(LEVEL_STATE_DIM, 1)
-                })
-            })
+            .map(|i| learner(cfg.seed.wrapping_add(i as u64 * 7919)))
             .collect();
         Self {
             cost_ema: vec![None; n_agents],
             epsilon: EPSILON_INITIAL,
             rng: StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9)),
             cfg,
+            learner,
             agents,
             reward_scales: vec![RewardScale::default(); n_agents],
             phase: Phase::Tune { agent_idx: 0 },
@@ -175,11 +225,6 @@ impl Lerp {
         }
     }
 
-    /// Number of times a workload shift forced retuning.
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
     fn restart(&mut self) {
         self.phase = Phase::Tune { agent_idx: 0 };
         self.pending = None;
@@ -190,8 +235,7 @@ impl Lerp {
         self.epsilon = EPSILON_INITIAL;
         self.restarts += 1;
         for agent in &mut self.agents {
-            agent.set_noise_sigma(INITIAL_NOISE);
-            agent.clear_replay();
+            agent.reset(INITIAL_NOISE);
         }
     }
 
@@ -257,8 +301,7 @@ impl Lerp {
             self.greedy_targets.pop_front();
         }
 
-        let sigma = (agent.noise_sigma() * NOISE_DECAY).max(MIN_NOISE);
-        agent.set_noise_sigma(sigma);
+        agent.decay_noise(NOISE_DECAY, MIN_NOISE);
         self.epsilon = (self.epsilon * EPSILON_DECAY).max(EPSILON_MIN);
 
         let new_k = stepped_policy(current_k, action[0], obs.size_ratio);
@@ -302,6 +345,31 @@ impl Lerp {
     }
 }
 
+/// The `(state, action)` an agent took, awaiting the reward it earns.
+pub type Pending = Option<(Vec<f32>, Vec<f32>)>;
+
+/// Completes the `pending` step with its reward and the state it led to,
+/// stores the transition and trains `agent` `steps` times; does nothing
+/// if no step is pending.
+pub fn learn(
+    agent: &mut impl LevelLearner,
+    pending: Pending,
+    reward: f32,
+    next_state: &[f32],
+    steps: usize,
+) {
+    if let Some((state, action)) = pending {
+        agent.observe(Transition {
+            state,
+            action,
+            reward,
+            next_state: next_state.to_vec(),
+            done: false,
+        });
+        agent.train(steps);
+    }
+}
+
 /// Folds `x` into the EMA held in `slot` with weight `a` (the first `x`
 /// seeds it) and returns the new average.
 fn fold_ema(slot: &mut Option<f64>, a: f64, x: f64) -> f64 {
@@ -310,7 +378,7 @@ fn fold_ema(slot: &mut Option<f64>, a: f64, x: f64) -> f64 {
     e
 }
 
-impl Tuner for Lerp {
+impl<L: LevelLearner + 'static> Tuner for Lerp<L> {
     fn name(&self) -> String {
         match self.cfg.scheme {
             PropagationScheme::Uniform => "ruskey-lerp".into(),
@@ -342,7 +410,7 @@ impl Tuner for Lerp {
     fn for_shard(&self, shard: usize) -> Box<dyn Tuner> {
         let mut cfg = self.cfg.clone();
         cfg.seed = stride_seed(cfg.seed, shard);
-        Box::new(Lerp::new(cfg))
+        Box::new(Lerp::with_learner(cfg, self.learner))
     }
 
     fn model_update_ns(&self) -> u64 {
@@ -359,7 +427,12 @@ mod tests {
     use super::*;
     use ruskey_lsm::{LevelStatsSnapshot, TreeStatsSnapshot};
 
-    impl Lerp {
+    impl<L> Lerp<L> {
+        /// Number of times a workload shift forced retuning.
+        fn restarts(&self) -> u64 {
+            self.restarts
+        }
+
         /// The policies learned for the tuned shallow levels so far.
         fn learned_policies(&self) -> &[u32] {
             &self.learned
@@ -545,6 +618,82 @@ mod tests {
         assert_eq!((converged_at, restarted_at), (vec![419], vec![485]));
         assert_eq!(lerp.learned_policies(), [10]);
         assert_eq!(hash, 8281952501936916410);
+    }
+
+    /// The policy a scripted learner steers Level 1 to.
+    const SCRIPTED_K: u32 = 7;
+
+    /// A learner that steps K toward [`SCRIPTED_K`] (the state's first
+    /// feature is `K / T`, with `T = 10` here), greedy and explored alike,
+    /// and counts what Lerp asks of it.
+    #[derive(Default)]
+    struct Scripted {
+        observed: usize,
+        trained: usize,
+        resets: usize,
+    }
+
+    impl LevelLearner for Scripted {
+        fn act(&mut self, state: &[f32]) -> Vec<f32> {
+            let k = (state[0] * 10.0).round() as u32;
+            vec![match k.cmp(&SCRIPTED_K) {
+                std::cmp::Ordering::Less => 0.9,
+                std::cmp::Ordering::Equal => 0.0,
+                std::cmp::Ordering::Greater => -0.9,
+            }]
+        }
+        fn act_both(&mut self, state: &[f32]) -> (Vec<f32>, Vec<f32>) {
+            let a = self.act(state);
+            (a.clone(), a)
+        }
+        fn observe(&mut self, t: Transition) {
+            assert_eq!(t.state.len(), LEVEL_STATE_DIM);
+            self.observed += 1;
+        }
+        fn train(&mut self, steps: usize) {
+            self.trained += steps;
+        }
+        fn decay_noise(&mut self, _factor: f32, _floor: f32) {}
+        fn reset(&mut self, _sigma: f32) {
+            self.resets += 1;
+        }
+    }
+
+    /// The seam lets a test stand in for DDPG: Lerp moves Level 1 alone,
+    /// one step at a time, until the scripted learner's K is stable, then
+    /// propagates it to every level; a shift resets the learner.
+    #[test]
+    fn a_scripted_learner_drives_the_policy_changes() {
+        let cfg = LerpConfig::paper_default(PropagationScheme::Uniform);
+        let mut lerp = Lerp::with_learner(cfg, |_| Scripted::default());
+        let mut policies = vec![1u32, 1, 1];
+        let mut missions = 0;
+        while !lerp.converged() {
+            assert!(missions < 400, "did not converge");
+            let changes = lerp.tune(&synthetic_report(0.5, &policies, 1), &obs(policies.clone()));
+            missions += 1;
+            if lerp.converged() {
+                assert!(changes.contains(&(1, SCRIPTED_K)) && changes.contains(&(2, SCRIPTED_K)));
+            } else {
+                assert!(changes.len() <= 1, "{changes:?}");
+                for &(l, k) in &changes {
+                    assert_eq!(l, 0);
+                    assert_eq!(k.abs_diff(policies[0]), 1);
+                }
+            }
+            for (l, k) in changes {
+                policies[l] = k;
+            }
+        }
+        assert_eq!(policies, [SCRIPTED_K; 3]);
+        assert_eq!(lerp.learned_policies(), [SCRIPTED_K]);
+        let agent = &lerp.agents[0];
+        assert_eq!(agent.observed, missions - 1, "every mission but the first");
+        assert_eq!(agent.trained, TRAIN_STEPS_PER_MISSION * agent.observed);
+        while lerp.converged() {
+            let _ = lerp.tune(&synthetic_report(0.0, &policies, 1), &obs(policies.clone()));
+        }
+        assert_eq!(lerp.agents[0].resets, 1);
     }
 
     #[test]

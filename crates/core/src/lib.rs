@@ -79,8 +79,14 @@
 //!   scheme), then extends the learned policy to all deeper levels
 //!   analytically (Lemma 5.1);
 //! * the baseline [`tuner::Tuner`]s — fixed policies (Aggressive/Moderate/
-//!   Lazy), Dostoevsky's Lazy-Leveling, greedy threshold heuristics
-//!   (Fig. 12), and brute-force RL variants (§7) for comparison.
+//!   Lazy), Dostoevsky's Lazy-Leveling and greedy threshold heuristics
+//!   (Fig. 12).
+//!
+//! Lerp asks its learner only what the [`lerp::LevelLearner`] seam
+//! offers, and DDPG is the one learner behind it. The two brute-force RL
+//! baselines of the §7 impracticality study are schedules over that seam,
+//! and live with the experiments in `ruskey-bench`: this crate exports
+//! the tuners a store runs.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -123,12 +129,9 @@ pub mod tuner;
 
 pub use db::RusKeyConfig;
 pub use frontend::{MetricsSnapshot, ServingClient, ServingConfig, ServingError, ServingFrontend};
-pub use lerp::{Lerp, LerpConfig};
+pub use lerp::{Lerp, LerpConfig, LevelLearner};
 #[allow(deprecated)]
 pub use sharded::ShardedRusKey;
 pub use sharded::{Backend, RusKey, StoreError};
 pub use stats::MissionReport;
-pub use tuner::{
-    BruteForceLerp, FixedPolicy, GreedyHeuristic, LazyLeveling, NoOpTuner, PerLevelNoPropagation,
-    TreeObservation, Tuner,
-};
+pub use tuner::{FixedPolicy, GreedyHeuristic, LazyLeveling, NoOpTuner, TreeObservation, Tuner};

@@ -18,7 +18,7 @@ pub const LEVEL_STATE_DIM: usize = 6;
 
 /// Builds the state vector for `level` from the last mission's report and
 /// the current tree observation.
-pub(crate) fn level_state(report: &MissionReport, obs: &TreeObservation, level: usize) -> Vec<f32> {
+pub fn level_state(report: &MissionReport, obs: &TreeObservation, level: usize) -> Vec<f32> {
     let t = obs.size_ratio as f32;
     let policy = obs.policies.get(level).copied().unwrap_or(1) as f32;
     let fill = obs.fills.get(level).copied().unwrap_or(0.0) as f32;
@@ -42,16 +42,6 @@ pub(crate) fn level_state(report: &MissionReport, obs: &TreeObservation, level: 
         squash(reads_per_op),
         squash(writes_per_op),
     ]
-}
-
-/// Builds the concatenated all-levels state used by the brute-force model
-/// (the §7 "without a level-based model" comparison).
-pub(crate) fn full_state(report: &MissionReport, obs: &TreeObservation, levels: usize) -> Vec<f32> {
-    let mut s = Vec::with_capacity(levels * LEVEL_STATE_DIM);
-    for lvl in 0..levels {
-        s.extend(level_state(report, obs, lvl));
-    }
-    s
 }
 
 /// Smoothly maps `[0, ∞)` to `[0, 1)`: `x / (1 + x)`.
@@ -115,16 +105,6 @@ mod tests {
         assert_eq!(s[0], 0.1); // default policy 1 / T 10
         assert_eq!(s[4], 0.0);
         assert_eq!(s[5], 0.0);
-    }
-
-    #[test]
-    fn full_state_concatenates() {
-        let s = full_state(&report(), &obs(), 2);
-        assert_eq!(s.len(), 2 * LEVEL_STATE_DIM);
-        assert_eq!(
-            &s[..LEVEL_STATE_DIM],
-            level_state(&report(), &obs(), 0).as_slice()
-        );
     }
 
     #[test]

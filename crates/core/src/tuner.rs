@@ -1,13 +1,10 @@
-//! Compaction-policy tuners: the trait and every baseline the paper
-//! compares against (§7).
-
-use std::time::Instant;
+//! Compaction-policy tuners: the trait, the fixed and heuristic baselines
+//! the paper compares against (§7), and the pieces of Lerp's loop that the
+//! §7 RL baselines in `ruskey-bench` share: the action-to-policy step, a
+//! level's cost, the reward scale and the sibling seeds.
 
 use ruskey_lsm::FlsmTree;
-use ruskey_rl::{Ddpg, DdpgConfig, Transition};
 
-use crate::lerp::DEFAULT_ALPHA;
-use crate::state::{full_state, level_state, LEVEL_STATE_DIM};
 use crate::stats::MissionReport;
 
 /// A read-only snapshot of the tree structure handed to tuners.
@@ -55,11 +52,9 @@ pub trait Tuner {
 
     /// A fresh tuner of the same kind and configuration for shard
     /// `shard`. Learned tuners give every agent of every seat its own
-    /// seed, so sibling agents explore independently: [`Lerp`] and
-    /// [`BruteForceLerp`] derive the seat's seed as `seed + shard·104729`;
-    /// [`PerLevelNoPropagation`], with `L` agents a seat, seeds shard
-    /// `shard`'s level `i` with `seed + (shard·L + i)·104729`. The
-    /// baselines are plain copies.
+    /// seed, so sibling agents explore independently: [`Lerp`] derives
+    /// the seat's seed as `seed + shard·104729` ([`stride_seed`]). The
+    /// fixed and heuristic baselines are plain copies.
     ///
     /// [`Lerp`]: crate::lerp::Lerp
     fn for_shard(&self, shard: usize) -> Box<dyn Tuner>;
@@ -186,18 +181,6 @@ impl GreedyHeuristic {
         }
     }
 
-    /// All threshold settings evaluated in Fig. 12.
-    pub fn paper_settings() -> Vec<GreedyHeuristic> {
-        vec![
-            GreedyHeuristic::new(50.0, 50.0),
-            GreedyHeuristic::new(33.0, 67.0),
-            GreedyHeuristic::new(25.0, 75.0),
-            GreedyHeuristic::new(10.0, 90.0),
-            GreedyHeuristic::new(25.0, 50.0),
-            GreedyHeuristic::new(50.0, 75.0),
-        ]
-    }
-
     /// Lookup share observed at a level during the mission: probes versus
     /// compaction key participations.
     fn level_lookup_share(report: &MissionReport, level: usize) -> Option<f64> {
@@ -240,166 +223,16 @@ impl Tuner for GreedyHeuristic {
     }
 }
 
-/// The brute-force RL model of the §7 impracticality study: one DDPG agent
-/// whose action vector adjusts *every* level at once (no level-based
-/// decomposition, no propagation). Action space `O(T^L)` instead of `O(L)`.
-pub struct BruteForceLerp {
-    agent: Ddpg,
-    levels: usize,
-    seed: u64,
-    prev: Pending,
-    reward_scale: RewardScale,
-    update_ns: u64,
-}
-
-impl BruteForceLerp {
-    /// Creates a brute-force tuner over a fixed number of levels.
-    pub fn new(levels: usize, seed: u64) -> Self {
-        let cfg = DdpgConfig {
-            seed,
-            ..DdpgConfig::paper_default(levels * LEVEL_STATE_DIM, levels)
-        };
-        Self {
-            agent: Ddpg::new(cfg),
-            levels,
-            seed,
-            prev: None,
-            reward_scale: RewardScale::default(),
-            update_ns: 0,
-        }
-    }
-}
-
-impl Tuner for BruteForceLerp {
-    fn name(&self) -> String {
-        "brute-force-rl".into()
-    }
-
-    fn tune(&mut self, report: &MissionReport, obs: &TreeObservation) -> Vec<(usize, u32)> {
-        let t0 = Instant::now();
-        let state = full_state(report, obs, self.levels);
-        let reward = self.reward_scale.reward(report.ns_per_op());
-        learn(&mut self.agent, self.prev.take(), reward, &state, 1);
-        let action = self.agent.act_explore(&state);
-        let mut out = Vec::new();
-        for (lvl, &a) in action
-            .iter()
-            .enumerate()
-            .take(self.levels.min(obs.level_count))
-        {
-            let k = stepped_policy(obs.policies[lvl], a, obs.size_ratio);
-            if k != obs.policies[lvl] {
-                out.push((lvl, k));
-            }
-        }
-        self.prev = Some((state, action));
-        self.update_ns += t0.elapsed().as_nanos() as u64;
-        out
-    }
-
-    fn for_shard(&self, shard: usize) -> Box<dyn Tuner> {
-        Box::new(Self::new(self.levels, stride_seed(self.seed, shard)))
-    }
-
-    fn model_update_ns(&self) -> u64 {
-        self.update_ns
-    }
-
-    fn converged(&self) -> bool {
-        false // brute force never reliably converges — that is the point
-    }
-}
-
-/// The second §7 impracticality variant: per-level DDPG agents for *every*
-/// level, trained simultaneously from their own level rewards, with **no
-/// policy propagation**. Shallow levels receive plenty of feedback, but
-/// deep levels compact exponentially less often, so their agents starve for
-/// samples and fail to reach good policies (the paper observes failures
-/// from Level 3 down).
-pub struct PerLevelNoPropagation {
-    agents: Vec<Ddpg>,
-    seed: u64,
-    pending: Vec<Pending>,
-    reward_scales: Vec<RewardScale>,
-    update_ns: u64,
-}
-
-impl PerLevelNoPropagation {
-    /// Creates agents for up to `max_levels` levels.
-    pub fn new(max_levels: usize, seed: u64) -> Self {
-        Self::seat(max_levels, seed, 0)
-    }
-
-    /// The tuner of shard `shard`: its level `i` is sibling
-    /// `shard·max_levels + i` of `seed`, so no two seats share an agent
-    /// seed.
-    fn seat(max_levels: usize, seed: u64, shard: usize) -> Self {
-        let agents: Vec<Ddpg> = (0..max_levels)
-            .map(|i| {
-                Ddpg::new(DdpgConfig {
-                    seed: stride_seed(seed, shard * max_levels + i),
-                    warmup: 16,
-                    ..DdpgConfig::paper_default(LEVEL_STATE_DIM, 1)
-                })
-            })
-            .collect();
-        Self {
-            pending: vec![None; max_levels],
-            reward_scales: vec![RewardScale::default(); max_levels],
-            agents,
-            seed,
-            update_ns: 0,
-        }
-    }
-}
-
-impl Tuner for PerLevelNoPropagation {
-    fn name(&self) -> String {
-        "per-level-rl-no-propagation".into()
-    }
-
-    fn tune(&mut self, report: &MissionReport, obs: &TreeObservation) -> Vec<(usize, u32)> {
-        let t0 = Instant::now();
-        let mut out = Vec::new();
-        for lvl in 0..self.agents.len().min(obs.level_count) {
-            let state = level_state(report, obs, lvl);
-            let reward = self.reward_scales[lvl].reward(level_cost(report, lvl, DEFAULT_ALPHA));
-            let agent = &mut self.agents[lvl];
-            learn(agent, self.pending[lvl].take(), reward, &state, 1);
-            let action = agent.act_explore(&state);
-            let k = stepped_policy(obs.policies[lvl], action[0], obs.size_ratio);
-            self.pending[lvl] = Some((state, action));
-            if k != obs.policies[lvl] {
-                out.push((lvl, k));
-            }
-        }
-        self.update_ns += t0.elapsed().as_nanos() as u64;
-        out
-    }
-
-    fn for_shard(&self, shard: usize) -> Box<dyn Tuner> {
-        Box::new(Self::seat(self.agents.len(), self.seed, shard))
-    }
-
-    fn model_update_ns(&self) -> u64 {
-        self.update_ns
-    }
-
-    fn converged(&self) -> bool {
-        false
-    }
-}
-
 /// The seed of the `i`-th sibling agent (a level's, or a shard's):
 /// `seed + i·104729`, a prime stride that keeps siblings' exploration
 /// independent.
-pub(crate) fn stride_seed(seed: u64, i: usize) -> u64 {
+pub fn stride_seed(seed: u64, i: usize) -> u64 {
     seed.wrapping_add(i as u64 * 104_729)
 }
 
 /// Maps a continuous action in `[-1, 1]` to `ΔK ∈ {-1, 0, +1}` (§5.1.2:
 /// only continuous policy changes are allowed).
-pub(crate) fn action_to_delta(a: f32) -> i32 {
+fn action_to_delta(a: f32) -> i32 {
     if a < -1.0 / 3.0 {
         -1
     } else if a > 1.0 / 3.0 {
@@ -410,41 +243,14 @@ pub(crate) fn action_to_delta(a: f32) -> i32 {
 }
 
 /// The policy action `a` moves `k` to: `k + ΔK`, kept within `[1, T]`.
-pub(crate) fn stepped_policy(k: u32, a: f32, size_ratio: u32) -> u32 {
+pub fn stepped_policy(k: u32, a: f32, size_ratio: u32) -> u32 {
     (k as i64 + action_to_delta(a) as i64).clamp(1, size_ratio as i64) as u32
 }
 
 /// A level's mission cost `α·t_i + (1−α)·t'` in ns/op (§5.1.3), which its
 /// agent's reward is shaped from.
-pub(crate) fn level_cost(report: &MissionReport, level: usize, alpha: f64) -> f64 {
+pub fn level_cost(report: &MissionReport, level: usize, alpha: f64) -> f64 {
     alpha * report.level_ns_per_op(level) + (1.0 - alpha) * report.ns_per_op()
-}
-
-/// The `(state, action)` an agent took, awaiting the reward it earns.
-pub(crate) type Pending = Option<(Vec<f32>, Vec<f32>)>;
-
-/// Completes the `pending` step with its reward and the state it led to,
-/// stores the transition and trains the agent `steps` times; does nothing
-/// if no step is pending.
-pub(crate) fn learn(
-    agent: &mut Ddpg,
-    pending: Pending,
-    reward: f32,
-    next_state: &[f32],
-    steps: usize,
-) {
-    if let Some((state, action)) = pending {
-        agent.observe(Transition {
-            state,
-            action,
-            reward,
-            next_state: next_state.to_vec(),
-            done: false,
-        });
-        for _ in 0..steps {
-            agent.train_step();
-        }
-    }
 }
 
 /// Normalizes raw mission costs into rewards of magnitude ~O(1).
@@ -470,7 +276,7 @@ impl RewardScale {
     /// with it every later reward toward the `-10` clamp. Idle shards are
     /// the *common* case under skewed per-shard tuning, so such costs
     /// return a neutral reward and leave the scale untouched.
-    pub(crate) fn reward(&mut self, cost: f64) -> f32 {
+    pub fn reward(&mut self, cost: f64) -> f32 {
         if !cost.is_finite() || cost <= 0.0 {
             return 0.0;
         }
@@ -623,60 +429,12 @@ mod tests {
     }
 
     #[test]
-    fn per_level_no_propagation_bounded_and_never_converged() {
-        let mut t = PerLevelNoPropagation::new(3, 9);
-        for _ in 0..5 {
-            let changes = t.tune(&report(0.5), &obs(vec![5, 5, 5]));
-            for (lvl, k) in changes {
-                assert!(lvl < 3);
-                assert!((1..=10).contains(&k));
-            }
-        }
-        assert!(!t.converged());
-        assert!(t.model_update_ns() > 0);
-        assert_eq!(t.name(), "per-level-rl-no-propagation");
-    }
-
-    #[test]
-    fn per_level_seats_give_every_agent_its_own_seed() {
-        // An agent's first greedy action is a function of its seed (its
-        // initial weights): two agents with one seed act alike to the bit.
-        let probe = [0.5; LEVEL_STATE_DIM];
-        let mut seen = std::collections::HashMap::new();
-        for shard in 0..4 {
-            let mut seat = PerLevelNoPropagation::seat(4, 9, shard);
-            for (level, agent) in seat.agents.iter_mut().enumerate() {
-                let bits = agent.act(&probe)[0].to_bits();
-                if let Some((s, l)) = seen.insert(bits, (shard, level)) {
-                    panic!("shard {shard} level {level} has the seed of shard {s} level {l}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn brute_force_emits_bounded_changes() {
-        let mut t = BruteForceLerp::new(3, 1);
-        for i in 0..5 {
-            let changes = t.tune(&report(0.5), &obs(vec![5, 5, 5]));
-            for (lvl, k) in changes {
-                assert!(lvl < 3);
-                assert!((1..=10).contains(&k));
-            }
-            assert!(t.model_update_ns() > 0 || i == 0);
-        }
-        assert!(!t.converged());
-    }
-
-    #[test]
     fn for_shard_keeps_kind_and_configuration() {
         let tuners: Vec<Box<dyn Tuner>> = vec![
             Box::new(NoOpTuner),
             Box::new(FixedPolicy::moderate()),
             Box::new(LazyLeveling),
             Box::new(GreedyHeuristic::new(25.0, 75.0)),
-            Box::new(BruteForceLerp::new(3, 1)),
-            Box::new(PerLevelNoPropagation::new(3, 9)),
         ];
         for t in &tuners {
             let seat = t.for_shard(2);

@@ -10,8 +10,8 @@ use crate::types::{Key, Value};
 /// returned row's key and value are slices of the page (or clones of the
 /// memtable's handles) the winning source holds: nothing is copied, and
 /// nothing is sliced for a row the scan does not return. Made by
-/// [`crate::FlsmTree::range_scan`] and collected by
-/// [`crate::FlsmTree::scan`].
+/// [`crate::FlsmTree::range_scan`], collected by
+/// [`crate::FlsmTree::scan`] and counted by [`RangeScan::drain`].
 pub struct RangeScan<'a> {
     merge: Merge<'a>,
     end: &'a [u8],
@@ -26,6 +26,19 @@ impl<'a> RangeScan<'a> {
             end,
             remaining: limit,
         }
+    }
+
+    /// Runs the scan to its end or its limit and returns how many rows it
+    /// would have returned, building none: the same merge steps read the
+    /// same pages, in the same order, as collecting the scan would.
+    pub fn drain(mut self) -> usize {
+        let end = self.end;
+        let in_range = |src: &Source<'a>| src.entry().is_some_and(|e| e.key < end);
+        let mut rows = 0;
+        while rows < self.remaining && self.merge.next_with(in_range) == Some(true) {
+            rows += 1;
+        }
+        rows
     }
 }
 

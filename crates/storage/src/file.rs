@@ -24,8 +24,8 @@
 //!   extent's file with a single `pwrite` ([`Storage::write_pages`] takes
 //!   one per 256 pages likewise), where a per-page loop paid a system
 //!   call a page.
-//! * **zero-alloc steady state** — the staging buffer is thread-local and
-//!   reused across calls; after the first call on a thread no write
+//! * **zero-alloc steady state** — each disk has one staging buffer,
+//!   reused across calls and threads; after the first call no write
 //!   allocates, and a read allocates only the page handle it returns
 //!   ([`Storage::try_read_shared`]: one copy out of the staging buffer
 //!   into the handle a block cache above keeps). [`FileDisk::fds_opened`]
@@ -77,7 +77,6 @@
 //! logic bug, not a durability artifact. [`PowerCutPoint`] fault hooks
 //! tear either barrier on demand so tests can simulate the cut.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
@@ -92,13 +91,6 @@ use crate::cost::CostModel;
 use crate::disk::{Extent, IoCharge, PowerCutPoint, Storage};
 use crate::metrics::{AtomicMetrics, StorageMetrics};
 
-thread_local! {
-    /// Reusable staging buffer: one allocation per thread (per high-water
-    /// mark: a slot for reads, up to [`BULK_SLOTS`] slots for a run's
-    /// write), not one per read or write.
-    static PAGE_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
 /// Per-page on-disk prefix: the little-endian payload length. The slot a
 /// page occupies is `page_size + SLOT_HEADER` bytes, so the full logical
 /// `page_size` stays usable — identical to the simulated device's contract.
@@ -111,10 +103,11 @@ const BULK_SLOTS: usize = 256;
 
 /// A [`Storage`] backend keeping each extent in one file under a directory.
 ///
-/// Its three locks recover a poisoned guard (`PoisonError::into_inner`)
-/// instead of panicking: each guards a map, list or option that one
-/// insert, remove, push, take or assignment changes whole, so a thread
-/// that panicked while holding one left no half-made change behind.
+/// Its locks recover a poisoned guard (`PoisonError::into_inner`) instead
+/// of panicking: each guards a map, list or option that one insert,
+/// remove, push, take or assignment changes whole, so a thread that
+/// panicked while holding one left no half-made change behind, or the
+/// staging buffer, whose old bytes no call reads.
 pub struct FileDisk {
     dir: PathBuf,
     page_size: usize,
@@ -127,6 +120,12 @@ pub struct FileDisk {
     /// access after a reopen) and dropped in [`Storage::free`].
     handles: Mutex<HashMap<u64, Arc<File>>>,
     fds_opened: AtomicU64,
+    /// Reusable staging buffer: one allocation per disk (per high-water
+    /// mark: a slot for reads, up to [`BULK_SLOTS`] slots for a run's
+    /// write), not one per read or write. Only one thread uses a shard's
+    /// disk at a time (its lane, or whoever holds its serving lock), so
+    /// the lock is never contended there.
+    page_buf: Mutex<Vec<u8>>,
     buffer_grows: AtomicU64,
     /// Open handle on the directory itself, for [`Storage::sync_dir`].
     dir_handle: File,
@@ -193,6 +192,7 @@ impl FileDisk {
             metrics: AtomicMetrics::default(),
             handles: Mutex::new(HashMap::new()),
             fds_opened: AtomicU64::new(0),
+            page_buf: Mutex::new(Vec::new()),
             buffer_grows: AtomicU64::new(0),
             dir_handle,
             pending_dir: Mutex::new(Vec::new()),
@@ -289,29 +289,26 @@ impl FileDisk {
         self.fds_opened.load(Ordering::Relaxed)
     }
 
-    /// Lifetime count of scratch-buffer (re)allocations across all
-    /// threads — bounded by threads × page-size growth steps, never by
-    /// the number of reads or writes (the zero-alloc contract).
+    /// Lifetime count of staging-buffer (re)allocations — bounded by its
+    /// growth steps, never by the number of reads or writes, nor by the
+    /// threads that use the disk (the zero-alloc contract).
     pub fn buffer_grows(&self) -> u64 {
         self.buffer_grows.load(Ordering::Relaxed)
     }
 
-    /// Runs `f` over `slots` on-disk slots of the thread-local staging
-    /// buffer, counting any capacity growth. The bytes are whatever the
-    /// last call left: a reader overwrites all of them, a writer zeroes the
-    /// padding it leaves.
+    /// Runs `f` over `slots` on-disk slots of the staging buffer, counting
+    /// any capacity growth. The bytes are whatever the last call left: a
+    /// reader overwrites all of them, a writer zeroes the padding it leaves.
     fn with_slot_buf<R>(&self, slots: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        PAGE_BUF.with(|b| {
-            let mut buf = b.borrow_mut();
-            let len = slots * self.slot();
-            if buf.len() < len {
-                if buf.capacity() < len {
-                    self.buffer_grows.fetch_add(1, Ordering::Relaxed);
-                }
-                buf.resize(len, 0);
+        let mut buf = self.page_buf.lock().unwrap_or_else(PoisonError::into_inner);
+        let len = slots * self.slot();
+        if buf.len() < len {
+            if buf.capacity() < len {
+                self.buffer_grows.fetch_add(1, Ordering::Relaxed);
             }
-            f(&mut buf[..len])
-        })
+            buf.resize(len, 0);
+        }
+        f(&mut buf[..len])
     }
 
     /// Writes `pages` into consecutive slots of `ext` starting at slot
@@ -784,6 +781,29 @@ mod tests {
             grows_after_warmup,
             "steady-state reads and writes must not allocate"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One staging buffer per disk, not per thread: a second thread that
+    /// reads and writes the disk after the first reuses the buffer the
+    /// first grew (a mission's scoped lane thread is a new thread each
+    /// time).
+    #[test]
+    fn threads_share_the_disks_staging_buffer() {
+        let dir = tmpdir("sharedbuf");
+        let d = FileDisk::new(&dir, 256, CostModel::FREE).unwrap();
+        let ext = d.allocate(1);
+        for round in 0..2u8 {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut buf = Vec::new();
+                    d.write_page(ext, 0, &[round; 32]);
+                    d.read_page(ext, 0, &mut buf);
+                    assert_eq!(buf, [round; 32]);
+                });
+            });
+        }
+        assert_eq!(d.buffer_grows(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

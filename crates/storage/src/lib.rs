@@ -24,7 +24,7 @@
 //! * [`FileDisk`] — a real-file backend implementing the same [`Storage`]
 //!   trait, for running the engine against an actual filesystem: cached
 //!   fds (one `open` per extent, not per read), positional `pread`/
-//!   `pwrite` I/O, and a thread-local reusable page buffer.
+//!   `pwrite` I/O, and one reusable page buffer per disk.
 //!
 //! # Fallible reads and power-failure durability
 //!

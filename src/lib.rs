@@ -54,7 +54,11 @@
 //! statistics collector, tuner seats, FLSM transition (paper §3, Fig. 1) —
 //! and the tuners sit in one **seat list**, one seat per shard: seat 0 is
 //! the tuner the store was opened with ([`ruskey::lerp`] or a baseline)
-//! and seat `i` its [`ruskey::tuner::Tuner::for_shard`]`(i)`. Each seat
+//! and seat `i` its [`ruskey::tuner::Tuner::for_shard`]`(i)`. The engine
+//! exports the tuners a store runs: Lerp, whose agents learn through the
+//! [`ruskey::lerp::LevelLearner`] seam, and the fixed, Lazy-Leveling and
+//! greedy baselines; the two brute-force RL baselines of the paper's §7
+//! impracticality study are schedules over that seam in `ruskey-bench`. Each seat
 //! runs the paper's loop on its own shard — that shard's exact signal in,
 //! that shard's policy changes out (see the tuning section below).
 //! The single-tree store every paper experiment drives is this store
@@ -202,7 +206,7 @@
 //! * **zero-alloc positional file I/O** — [`storage::FileDisk`] caches
 //!   one file handle per extent (open once, `pread`/`pwrite` thereafter,
 //!   no seek state and no per-read `open`) and stages pages through a
-//!   reusable thread-local buffer; `fds_opened` / `buffer_grows`
+//!   reusable buffer, one per disk; `fds_opened` / `buffer_grows`
 //!   counters prove both properties at steady state.
 //!
 //! Cache traffic is observable end to end: hit/miss/eviction counters
