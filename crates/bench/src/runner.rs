@@ -178,7 +178,7 @@ pub fn run(
 /// paper's ranking metric ("average time cost per operation after the RL
 /// model is converged in each session"): the [`tail_mean`] of its
 /// latencies.
-pub fn converged_mean_latency(records: &[MissionRecord], tail_fraction: f64) -> f64 {
+pub(crate) fn converged_mean_latency(records: &[MissionRecord], tail_fraction: f64) -> f64 {
     let latencies: Vec<f64> = records.iter().map(|r| r.latency_ms_per_op).collect();
     tail_mean(&latencies, tail_fraction)
 }

@@ -533,7 +533,7 @@ impl ServingClient {
         // A write leaves the lock with its record in the file and a
         // ticket for the fsync; the fsync itself waits for the unlock.
         let begun = (result == OpResult::Written).then(|| tree.begin_commit());
-        let crashed = tree.crashed();
+        let crashed = tree.faults().is_dead();
         if crashed {
             slot.stopped.store(true, Ordering::SeqCst);
         }
@@ -613,7 +613,7 @@ impl ServingClient {
         let before = tree.storage().clock().now_ns();
         let newly = tree.finish_commit(target);
         let virtual_ns = tree.storage().clock().now_ns() - before;
-        let crashed = tree.crashed();
+        let crashed = tree.faults().is_dead();
         drop(guard);
         if crashed {
             return Err(ServingError::Crashed);

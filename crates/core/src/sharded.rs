@@ -136,8 +136,10 @@
 //! with [`StoreError::Manifest`] and deletes nothing.
 //! `tests/persistence_restart.rs` pins restart equivalence at
 //! `N ∈ {1, 2, 4}`; `tests/crash_recovery.rs` pins the recovery contract
-//! at every [`ruskey_lsm::CrashPoint`] for `N ∈ {1, 2, 4}` and at every
-//! [`ruskey_lsm::ManifestCrashPoint`].
+//! with each shard's [`ruskey_storage::FaultPlan`] ([`FlsmTree::faults`]):
+//! a fault armed at every WAL and manifest site for `N ∈ {1, 2, 4}`, a
+//! power cut at both storage barriers, and failed extent, recycle, trim
+//! and unlink calls.
 //!
 //! ## Ad-hoc operations and serving
 //!
@@ -684,23 +686,23 @@ impl RusKey {
         &self.shards[idx]
     }
 
-    /// Mutable counterpart of [`RusKey::shard`] (test harnesses
-    /// arm WAL crash points through this).
+    /// Mutable counterpart of [`RusKey::shard`].
     pub fn shard_mut(&mut self, idx: usize) -> &mut FlsmTree {
         self.assert_readable(idx);
         &mut self.shards[idx]
     }
 
-    /// True if any shard's WAL *or manifest* simulated a process crash
-    /// (fault injection): the store is dead and the harness should
-    /// recover from the logs. A fenced shard's tree is not asked.
+    /// True if any shard's process died — its fault plan is dead: an armed
+    /// fault fired, or a storage or log call failed mid-mutation — so the
+    /// store is dead and the harness should recover from the logs. A
+    /// fenced shard's tree is not asked.
     ///
     /// # Panics
     /// Panics while the store is serving.
     pub fn crashed(&self) -> bool {
         assert!(!self.shards.is_empty(), "{AWAY_SERVING}");
         let mut live = (0..self.shards.len()).filter(|&i| self.dead != Some(i));
-        live.any(|i| self.shards[i].crashed())
+        live.any(|i| self.shards[i].faults().is_dead())
     }
 
     /// Test hook (`tests/pool_stress.rs`): makes the given shard's next

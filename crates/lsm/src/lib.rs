@@ -77,13 +77,13 @@ pub mod wal;
 
 pub use config::{BloomScheme, ConfigError, LsmConfig};
 pub use iter::RangeScan;
-pub use manifest::{Manifest, ManifestCrashPoint, ManifestError, ManifestState, RunRecord};
+pub use manifest::{Manifest, ManifestError, ManifestState, RunRecord};
 pub use picker::SCORE_SCALE;
 pub use stats::{LevelStatsSnapshot, TreeStatsSnapshot};
 pub use transition::TransitionStrategy;
 pub use tree::FlsmTree;
 pub use types::{Key, KvEntry, OpKind, SeqNo, Value};
-pub use wal::{CrashPoint, SyncTicket, Wal};
+pub use wal::{SyncTicket, Wal};
 
 #[cfg(test)]
 mod oracle;

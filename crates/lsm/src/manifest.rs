@@ -57,16 +57,22 @@
 //!
 //! ## Crash injection
 //!
-//! Like the WAL's [`crate::wal::CrashPoint`] hook, and through the same
-//! countdown, the manifest carries [`ManifestCrashPoint`]s for the
-//! recovery harness: a fired crash kills the handle (a dead process writes
-//! nothing further) before the snapshot is written, halfway through
-//! writing it, or once it is durable.
+//! A commit visits two sites of its shard's [`ruskey_storage::FaultPlan`]
+//! (the tree shares the plan with the manifest it attaches):
+//! [`Site::ManifestWrite`] before the slot's positioned write and
+//! [`Site::ManifestSync`] before its `fdatasync`. A crash before the write
+//! loses the commit, a torn write leaves a torn slot (the other still holds
+//! the previous generation), and a crash between the write and the fsync
+//! leaves the image in the page cache, which survives a process death.
+//! Once the plan is dead, a commit writes nothing.
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use crate::record_log::{self, Countdown, Cursor, RecordLog};
+use ruskey_storage::{FaultPlan, Site};
+
+use crate::record_log::{self, Cursor, RecordLog};
 use crate::run::RunId;
 use crate::types::{Key, SeqNo};
 
@@ -301,11 +307,15 @@ fn decode_snapshot(c: &mut Cursor) -> Option<(u64, ManifestState)> {
     c.at_end().then_some((generation, state))
 }
 
-/// Frames a slot image at the head of `log`: the header, then the snapshot.
-fn stage(log: &mut RecordLog, generation: u64, state: &ManifestState) {
+/// Puts a slot image at the head of `log` — the header, then the
+/// snapshot, zero-padded to whole blocks — and fsyncs it: whether the
+/// fsync was issued.
+fn put(log: &mut RecordLog, generation: u64, state: &ManifestState) -> io::Result<bool> {
     log.rewind();
     log.append(encode_header);
     log.append(|buf| encode_snapshot(buf, generation, state));
+    log.write(Site::ManifestWrite, SLOT_BLOCK)?;
+    log.sync_file(Site::ManifestSync)
 }
 
 /// The generation and state of the slot file at `path`, if its first two
@@ -334,26 +344,6 @@ fn read_slot(path: &Path) -> io::Result<Option<(u64, ManifestState)>> {
 }
 
 // ----------------------------------------------------------------------
-// Crash injection
-// ----------------------------------------------------------------------
-
-/// Where in the manifest write path a simulated crash fires (test
-/// harness), mirroring the WAL's [`crate::wal::CrashPoint`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ManifestCrashPoint {
-    /// Before the snapshot is written: the data pages it references are
-    /// on disk, the commit is lost — the crash *between the data-page
-    /// write and the manifest commit*.
-    PreCommit,
-    /// In the middle of writing the snapshot: only the first half of its
-    /// records reaches the slot — a torn slot.
-    MidCommit,
-    /// After the snapshot is durable but before the process does anything
-    /// else (in particular before the WAL is recycled).
-    PostCommit,
-}
-
-// ----------------------------------------------------------------------
 // The manifest handle
 // ----------------------------------------------------------------------
 
@@ -369,7 +359,6 @@ pub struct Manifest {
     state: ManifestState,
     /// Snapshot records committed through this handle.
     records: u64,
-    crash: Countdown<ManifestCrashPoint>,
 }
 
 impl Manifest {
@@ -389,10 +378,9 @@ impl Manifest {
         let path = path.as_ref();
         let [first, second] = Self::slot_paths(path);
         let mut slots = [RecordLog::open(&first, 0)?, RecordLog::open(&second, 0)?];
+        slots[1].faults = Arc::clone(&slots[0].faults);
         let state = ManifestState::default();
-        stage(&mut slots[0], 0, &state);
-        slots[0].pad(SLOT_BLOCK);
-        slots[0].sync()?;
+        put(&mut slots[0], 0, &state)?;
         Ok(Self {
             path: path.to_path_buf(),
             slots,
@@ -400,7 +388,6 @@ impl Manifest {
             generation: 0,
             state,
             records: 0,
-            crash: Countdown::default(),
         })
     }
 
@@ -422,14 +409,15 @@ impl Manifest {
             return Ok(None);
         };
         let open = |p: &Path| RecordLog::open(p, std::fs::metadata(p).map_or(0, |m| m.len()));
+        let mut slots = [open(&paths[0])?, open(&paths[1])?];
+        slots[1].faults = Arc::clone(&slots[0].faults);
         Ok(Some(Self {
             path: path.to_path_buf(),
-            slots: [open(&paths[0])?, open(&paths[1])?],
+            slots,
             current,
             generation,
             state,
             records: 0,
-            crash: Countdown::default(),
         }))
     }
 
@@ -451,54 +439,30 @@ impl Manifest {
     /// Commits `state` as the next generation: frames it into the slot
     /// not holding the last committed state, zero-pads the image to a
     /// 4 KiB multiple, writes it with one positioned write and
-    /// `fdatasync`s. Returns whether a record was written: a state equal
-    /// to the last committed one, or a dead handle, writes nothing.
+    /// `fdatasync`s. Returns whether the fsync was issued: a state equal
+    /// to the last committed one writes nothing, and a process dead before
+    /// the fsync (before the write included) commits nothing — the state
+    /// and the mutation it described are lost, and the data pages it named
+    /// are orphans. One that dies after the fsync has committed.
     pub fn commit(&mut self, state: ManifestState) -> io::Result<bool> {
-        if self.crash.is_dead()
-            || state == self.state
-            || self.crash.fires(ManifestCrashPoint::PreCommit)
-        {
-            // PreCommit: process death before the write — the state (and
-            // the mutation it described) is lost; the data pages it
-            // referenced become unreferenced orphans.
+        if state == self.state {
             return Ok(false);
         }
         let (slot, generation) = (1 - self.current, self.generation + 1);
-        let log = &mut self.slots[slot];
-        stage(log, generation, &state);
-        if self.crash.fires(ManifestCrashPoint::MidCommit) {
-            // Torn write: half the records reach the slot.
-            return log.write(true).map(|()| false);
+        if !put(&mut self.slots[slot], generation, &state)? {
+            return Ok(false);
         }
-        log.pad(SLOT_BLOCK);
-        log.sync()?;
         (self.current, self.generation, self.state) = (slot, generation, state);
         self.records += 1;
-        // PostCommit: the state is durable; the process dies before doing
-        // anything else (frees, WAL recycling).
-        self.crash.fires(ManifestCrashPoint::PostCommit);
         Ok(true)
     }
 
-    /// Arms a simulated crash: the `after + 1`-th visit of `point` kills
-    /// this handle. Test-harness hook; a production store never arms one.
-    pub fn arm_crash(&mut self, point: ManifestCrashPoint, after: u64) {
-        self.crash.arm(point, after);
-    }
-
-    /// True once an armed crash has fired: the handle is dead and every
-    /// operation is a no-op.
-    pub(crate) fn is_crashed(&self) -> bool {
-        self.crash.is_dead()
-    }
-
-    /// Kills the handle from outside: the tree calls this when the
-    /// storage device reports a power cut, or a commit fails, so the
-    /// manifest behaves exactly like a process that died before
-    /// committing.
-    pub(crate) fn mark_crashed(&mut self) {
-        self.crash.kill();
-        self.slots.iter_mut().for_each(RecordLog::discard);
+    /// Makes both slots visit `faults` from now on: the tree shares its
+    /// shard's plan with the manifest it attaches.
+    pub(crate) fn share_faults(&mut self, faults: &Arc<FaultPlan>) {
+        self.slots
+            .iter_mut()
+            .for_each(|s| s.faults = Arc::clone(faults));
     }
 }
 
@@ -517,6 +481,7 @@ mod tests {
     use super::*;
     use crate::record_log::tests::crc32_bitwise;
     use bytes::Bytes;
+    use ruskey_storage::Fault;
 
     fn tmp(name: &str) -> PathBuf {
         let path =
@@ -781,9 +746,9 @@ mod tests {
         let mut m = Manifest::create(&path, 0).unwrap();
         let a = state(Vec::new(), 1);
         m.commit(a.clone()).unwrap();
-        m.arm_crash(ManifestCrashPoint::PreCommit, 0);
+        m.slots[0].faults.arm(Site::ManifestWrite, 0, Fault::Crash);
         assert!(!m.commit(state(Vec::new(), 2)).unwrap());
-        assert!(m.is_crashed());
+        assert!(m.slots[0].faults.is_dead());
         // Dead handle: everything no-ops.
         assert!(!m.commit(state(Vec::new(), 3)).unwrap());
         assert_eq!(m.records(), 1);
@@ -792,10 +757,12 @@ mod tests {
         assert_eq!(rec.state(), &a);
         // PostCommit: the commit is durable, the handle dead after it.
         let mut m = rec;
-        m.arm_crash(ManifestCrashPoint::PostCommit, 0);
+        m.slots[0]
+            .faults
+            .arm(Site::ManifestSync, 0, Fault::CrashAfter);
         let b = state(Vec::new(), 4);
         assert!(m.commit(b.clone()).unwrap());
-        assert!(m.is_crashed());
+        assert!(m.slots[1].faults.is_dead());
         drop(m);
         assert_eq!(Manifest::recover(&path).unwrap().unwrap().state(), &b);
         cleanup(&path);
@@ -810,9 +777,9 @@ mod tests {
         m.commit(a.clone()).unwrap();
         m.commit(b.clone()).unwrap();
         // Generation 3 tears over generation 1's slot.
-        m.arm_crash(ManifestCrashPoint::MidCommit, 0);
+        m.slots[0].faults.arm(Site::ManifestWrite, 0, Fault::Torn);
         assert!(!m.commit(state(vec![level(1, &[], Some(3))], 30)).unwrap());
-        assert!(m.is_crashed());
+        assert!(m.slots[0].faults.is_dead());
         drop(m);
         let rec = Manifest::recover(&path).unwrap().unwrap();
         assert_eq!(

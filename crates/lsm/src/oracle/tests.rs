@@ -10,8 +10,8 @@ use std::sync::{Arc, Mutex};
 use bytes::Bytes;
 use proptest::prelude::*;
 use ruskey_storage::{
-    BlockCache, CostModel, Extent, FileDisk, IoCharge, PowerCutPoint, SimulatedDisk, Storage,
-    StorageMetrics, VirtualClock,
+    BlockCache, CostModel, Extent, FileDisk, IoCharge, SimulatedDisk, Storage, StorageMetrics,
+    VirtualClock,
 };
 
 use super::{write_run, EntrySource, MergeIterator, RunIterator};
@@ -149,9 +149,6 @@ impl Storage for Recorder {
     }
     fn collect_orphans(&self, live: &[u64]) -> std::io::Result<Vec<u64>> {
         self.inner.collect_orphans(live)
-    }
-    fn arm_power_cut(&self, point: PowerCutPoint, after: u64) {
-        self.inner.arm_power_cut(point, after);
     }
     fn free(&self, ext: Extent) {
         self.inner.free(ext);

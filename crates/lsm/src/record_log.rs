@@ -63,11 +63,13 @@
 //!
 //! ## Crash injection
 //!
-//! Each handle over a log carries one [`Countdown`] of its own crash-point
-//! type: an armed point fires on its `after + 1`-th visit and kills the
-//! handle, and a dead process issues no more I/O. A crash in the middle of
-//! a write is [`RecordLog::write`] with `torn` set: only the first half of
-//! the buffer reaches the file.
+//! A log carries its shard's [`FaultPlan`] (a log of its own until the tree
+//! it is attached to shares the shard's). Its owner names the sites: the
+//! buffer's positioned write visits [`Site::WalWrite`] or
+//! [`Site::ManifestWrite`], a sync ticket's fsync [`Site::WalSync`], the
+//! manifest's fsync [`Site::ManifestSync`], and each zero-fill write of a
+//! recycle [`Site::WalRecycle`]. A torn write puts down the first half of
+//! the records, never padding; a dead plan issues nothing.
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -76,6 +78,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use ruskey_storage::{FaultPlan, Site};
 
 /// Slice-by-8 lookup tables for the reflected IEEE polynomial: `[0]` is the
 /// classic byte-at-a-time table, `[k]` advances a byte `k` positions further.
@@ -208,56 +211,6 @@ pub(crate) fn replay(path: &Path, visit: impl FnMut(&[u8]) -> bool) -> io::Resul
     }
 }
 
-/// A log's fault hook (test harness): an armed point of type `P` fires on
-/// its `after + 1`-th visit and kills the handle that owns the countdown.
-pub(crate) struct Countdown<P> {
-    armed: Option<(P, u64)>,
-    dead: bool,
-}
-
-impl<P> Default for Countdown<P> {
-    fn default() -> Self {
-        Self {
-            armed: None,
-            dead: false,
-        }
-    }
-}
-
-impl<P: Copy + PartialEq> Countdown<P> {
-    /// Arms `point` to fire on its `after + 1`-th visit, replacing any
-    /// armed point.
-    pub(crate) fn arm(&mut self, point: P, after: u64) {
-        self.armed = Some((point, after));
-    }
-
-    /// Visits `point`: true if the crash fires now, which kills the handle.
-    pub(crate) fn fires(&mut self, point: P) -> bool {
-        match &mut self.armed {
-            Some((p, after)) if *p == point => {
-                if *after > 0 {
-                    *after -= 1;
-                    return false;
-                }
-                self.armed = None;
-                self.dead = true;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Kills the handle from outside (a power cut the device reported).
-    pub(crate) fn kill(&mut self) {
-        self.dead = true;
-    }
-
-    /// True once the handle is dead: every operation on it is a no-op.
-    pub(crate) fn is_dead(&self) -> bool {
-        self.dead
-    }
-}
-
 /// One fsync of a log, split so that it can run without the log: taken by
 /// `crate::Wal::begin_sync` once the buffer is in the file, it carries the
 /// file handle, the lifetime append count the fsync will cover, and the log
@@ -267,6 +220,7 @@ impl<P: Copy + PartialEq> Countdown<P> {
 #[derive(Debug, Clone)]
 pub struct SyncTicket {
     file: Arc<File>,
+    faults: Arc<FaultPlan>,
     generation: u64,
     appended: u64,
 }
@@ -278,9 +232,12 @@ impl SyncTicket {
         self.appended
     }
 
-    /// The fsync itself.
+    /// The fsync itself, at [`Site::WalSync`]: a process that died before
+    /// it issues nothing and returns `Ok`.
     pub fn sync_data(&self) -> io::Result<()> {
-        self.file.sync_data()
+        self.faults
+            .run(Site::WalSync, |_| self.file.sync_data())
+            .map(drop)
     }
 }
 
@@ -293,6 +250,8 @@ static ZEROS: [u8; 1 << 16] = [0; 1 << 16];
 pub(crate) struct RecordLog {
     /// Shared with the [`SyncTicket`]s in flight.
     file: Arc<File>,
+    /// The plan every site of this log visits.
+    pub(crate) faults: Arc<FaultPlan>,
     /// Framed records not yet written to the file.
     buf: Vec<u8>,
     /// Bytes of the current generation in the file: the next write lands
@@ -336,6 +295,7 @@ impl RecordLog {
     pub(crate) fn over(file: File, written: u64) -> Self {
         Self {
             file: Arc::new(file),
+            faults: Arc::default(),
             buf: Vec::new(),
             written,
             generation: 0,
@@ -359,16 +319,6 @@ impl RecordLog {
         self.appended += 1;
     }
 
-    /// True while framed records wait in the buffer.
-    pub(crate) fn has_buffered(&self) -> bool {
-        !self.buf.is_empty()
-    }
-
-    /// Drops the buffer: what a process death loses.
-    pub(crate) fn discard(&mut self) {
-        self.buf.clear();
-    }
-
     /// Rewinds to offset 0 without touching the file: the next write
     /// overwrites the log's head in place. Only the records framed after
     /// the rewind are the log's; a reader must stop at them, since what
@@ -378,29 +328,30 @@ impl RecordLog {
         self.written = 0;
     }
 
-    /// Zero-pads the buffer to a multiple of `block` bytes: a zero header
-    /// ends replay, and a write of whole blocks rewrites no partial one.
-    pub(crate) fn pad(&mut self, block: usize) {
-        self.buf.resize(self.buf.len().next_multiple_of(block), 0);
-    }
-
     /// Writes the buffer at the end of the generation with one positioned
-    /// write; `torn` writes only its first half (a crash mid-write). A
-    /// failed write keeps the buffer, so a retry writes the same bytes at
-    /// the same offset.
-    pub(crate) fn write(&mut self, torn: bool) -> io::Result<()> {
+    /// write at `site`, zero-padded to a multiple of `block` bytes (a zero
+    /// header ends replay, and a write of whole blocks rewrites no partial
+    /// one). A failed write keeps the buffer, so a retry writes the same
+    /// bytes at the same offset.
+    pub(crate) fn write(&mut self, site: Site, block: usize) -> io::Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        let len = if torn {
-            self.buf.len() / 2
-        } else {
-            self.buf.len()
-        };
-        self.file.write_all_at(&self.buf[..len], self.written)?;
-        self.written += len as u64;
-        self.buf.clear();
+        let framed = self.buf.len();
+        self.buf.resize(framed.next_multiple_of(block), 0);
+        let (file, buf, at) = (&self.file, &self.buf, self.written);
+        let len = |torn| if torn { framed / 2 } else { buf.len() };
+        let put = |torn| file.write_all_at(&buf[..len(torn)], at).map(|()| len(torn));
+        if let Some(len) = self.faults.run(site, put)? {
+            self.written += len as u64;
+            self.buf.clear();
+        }
         Ok(())
+    }
+
+    /// Fsyncs the file at `site`: whether the fsync was issued.
+    pub(crate) fn sync_file(&self, site: Site) -> io::Result<bool> {
+        Ok(self.faults.run(site, |_| self.file.sync_data())?.is_some())
     }
 
     /// First half of a sync, once the buffer is written: the ticket whose
@@ -408,6 +359,7 @@ impl RecordLog {
     pub(crate) fn ticket(&self) -> SyncTicket {
         SyncTicket {
             file: Arc::clone(&self.file),
+            faults: Arc::clone(&self.faults),
             generation: self.generation,
             appended: self.appended,
         }
@@ -425,25 +377,22 @@ impl RecordLog {
         Some(newly)
     }
 
-    /// Writes the buffer, fsyncs and finishes, back to back.
-    pub(crate) fn sync(&mut self) -> io::Result<()> {
-        self.write(false)?;
-        let ticket = self.ticket();
-        ticket.sync_data()?;
-        self.finish_sync(&ticket);
-        Ok(())
-    }
-
     /// Recycles the log in place: drops the buffer, zero-fills the
     /// generation in the file, rewinds to offset 0 and starts the next
     /// generation. Every record appended so far leaves the loss window.
     /// Nothing is fsynced here: the next sync writes the zeroed pages with
-    /// its records.
+    /// its records. Each zero-fill write visits [`Site::WalRecycle`].
     pub(crate) fn recycle(&mut self) -> io::Result<()> {
         self.buf.clear();
         for at in (0..self.written).step_by(ZEROS.len()) {
-            let n = ZEROS.len().min((self.written - at) as usize);
-            self.file.write_all_at(&ZEROS[..n], at)?;
+            let zeros = &ZEROS[..ZEROS.len().min((self.written - at) as usize)];
+            let put = |torn| {
+                self.file
+                    .write_all_at(&zeros[..zeros.len() >> u8::from(torn)], at)
+            };
+            if self.faults.run(Site::WalRecycle, put)?.is_none() {
+                return Ok(());
+            }
         }
         self.written = 0;
         self.generation += 1;
@@ -530,10 +479,10 @@ pub(crate) mod tests {
         for _ in 0..3 {
             log.append(|b| b.extend_from_slice(&[0xAB; 40]));
         }
-        log.sync().unwrap();
+        log.write(Site::WalWrite, 1).unwrap();
         log.recycle().unwrap();
         log.append(|b| b.extend_from_slice(first));
-        log.sync().unwrap();
+        log.write(Site::WalWrite, 1).unwrap();
         let data = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         data

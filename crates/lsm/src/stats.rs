@@ -129,6 +129,9 @@ pub struct TreeStatsSnapshot {
     /// Lifetime directory-handle fsyncs issued (power-failure contract,
     /// step 2: extent creation durable before the manifest names it).
     pub dir_syncs: u64,
+    /// Lifetime freed extent files whose unlink failed (left for the next
+    /// open's orphan sweep).
+    pub unlink_failures: u64,
     /// Lifetime block-cache hits on the tree's storage (0 without a
     /// cache in the serving path).
     pub cache_hits: u64,
@@ -186,6 +189,7 @@ impl TreeStatsSnapshot {
                 .saturating_sub(earlier.orphans_collected),
             extent_syncs: self.extent_syncs.saturating_sub(earlier.extent_syncs),
             dir_syncs: self.dir_syncs.saturating_sub(earlier.dir_syncs),
+            unlink_failures: self.unlink_failures.saturating_sub(earlier.unlink_failures),
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
             cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
@@ -234,6 +238,7 @@ impl TreeStatsSnapshot {
             orphans_collected: self.orphans_collected + other.orphans_collected,
             extent_syncs: self.extent_syncs + other.extent_syncs,
             dir_syncs: self.dir_syncs + other.dir_syncs,
+            unlink_failures: self.unlink_failures + other.unlink_failures,
             cache_hits: self.cache_hits + other.cache_hits,
             cache_misses: self.cache_misses + other.cache_misses,
             cache_evictions: self.cache_evictions + other.cache_evictions,

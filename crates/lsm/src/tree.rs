@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use ruskey_storage::{Extent, Storage};
+use ruskey_storage::{Extent, FaultPlan, Storage};
 
 use crate::compaction::{Merge, Source};
 use crate::config::LsmConfig;
@@ -158,10 +158,13 @@ pub struct FlsmTree {
     /// Extent files orphaned by a pre-commit power cut and garbage-
     /// collected by the last recovery.
     orphans_collected: u64,
+    /// The shard's fault plan, shared with the storage device (when it has
+    /// one) and the attached logs: its dead flag says the process died.
+    faults: Arc<FaultPlan>,
     /// True once a storage durability barrier ([`Storage::sync_extent`] /
-    /// [`Storage::sync_dir`]) failed: the device power-failed mid-mutation.
-    /// Both logs are killed at that instant, so the in-flight mutation can
-    /// never commit and `crashed()` reports the store as dead.
+    /// [`Storage::sync_dir`]) or a log call failed: the device power-failed
+    /// mid-mutation. The plan is killed at that instant, so the in-flight
+    /// mutation can never commit and the store reads as dead.
     power_failed: bool,
     /// Set when the in-flight mutation fsynced freshly created extents:
     /// their directory entries still need the one `sync_dir` barrier
@@ -192,6 +195,7 @@ impl FlsmTree {
         storage: Arc<dyn Storage>,
     ) -> Result<Self, crate::config::ConfigError> {
         cfg.validate()?;
+        let faults = storage.faults().cloned().unwrap_or_default();
         Ok(Self {
             storage,
             cfg,
@@ -215,6 +219,7 @@ impl FlsmTree {
             runs_recovered: 0,
             replayed_tail: 0,
             orphans_collected: 0,
+            faults,
             power_failed: false,
             dir_sync_due: false,
             bounds: None,
@@ -257,7 +262,7 @@ impl FlsmTree {
         wal_path: impl AsRef<std::path::Path>,
         sync_every: u64,
     ) -> std::io::Result<Self> {
-        let manifest = match Manifest::recover(&manifest_path)? {
+        let mut manifest = match Manifest::recover(&manifest_path)? {
             Some(m) => m,
             None if storage.live_pages() > 0 => return Err(ManifestError::NoSnapshot.into()),
             None => Manifest::create(&manifest_path, 0)?,
@@ -299,15 +304,18 @@ impl FlsmTree {
             tree.seq = tree.seq.max(e.seq);
             tree.memtable.insert(e);
         }
-        tree.wal = Some(wal);
+        manifest.share_faults(&tree.faults);
         tree.manifest = Some(manifest);
+        tree.attach_wal(wal);
         Ok(tree)
     }
 
     /// Attaches a write-ahead log: subsequent puts/deletes append to it
     /// before entering the memtable, and each successful memtable flush
-    /// recycles it. Replaces any previously attached log.
-    pub fn attach_wal(&mut self, wal: Wal) {
+    /// recycles it. Replaces any previously attached log; the log visits
+    /// the tree's fault plan from now on.
+    pub fn attach_wal(&mut self, mut wal: Wal) {
+        wal.share_faults(&self.faults);
         self.wal = Some(wal);
     }
 
@@ -316,27 +324,22 @@ impl FlsmTree {
         self.wal.as_ref()
     }
 
-    /// Mutable access to the attached write-ahead log (test harnesses arm
-    /// crash points through this).
+    /// Mutable access to the attached write-ahead log.
     pub fn wal_mut(&mut self) -> Option<&mut Wal> {
         self.wal.as_mut()
-    }
-
-    /// True if the attached WAL simulated a process crash (fault
-    /// injection); a crashed tree's write path is dead.
-    pub(crate) fn wal_crashed(&self) -> bool {
-        self.wal.as_ref().is_some_and(Wal::is_crashed)
     }
 
     /// Attaches a manifest: each later structural step (a flush, a
     /// compaction, a transition, a bulk load) commits the tree's
     /// projection at its end. A fresh manifest holds the empty state, so
-    /// it must be attached while the tree is still empty.
-    pub fn attach_manifest(&mut self, manifest: Manifest) {
+    /// it must be attached while the tree is still empty. The manifest
+    /// visits the tree's fault plan from now on.
+    pub fn attach_manifest(&mut self, mut manifest: Manifest) {
         debug_assert!(
             self.levels.is_empty() && self.memtable.is_empty(),
             "attach_manifest requires an empty tree"
         );
+        manifest.share_faults(&self.faults);
         self.manifest = Some(manifest);
     }
 
@@ -345,23 +348,15 @@ impl FlsmTree {
         self.manifest.as_ref()
     }
 
-    /// Mutable access to the attached manifest (test harnesses arm crash
-    /// points through this).
-    pub fn manifest_mut(&mut self) -> Option<&mut Manifest> {
-        self.manifest.as_mut()
-    }
-
-    /// True if the attached manifest simulated a process crash (fault
-    /// injection); a crashed tree's structural write path is dead.
-    pub(crate) fn manifest_crashed(&self) -> bool {
-        self.manifest.as_ref().is_some_and(Manifest::is_crashed)
-    }
-
-    /// True if either log simulated a process crash, or the storage
-    /// device reported a power failure mid-mutation: the store is dead
-    /// and the harness should recover from the logs.
-    pub fn crashed(&self) -> bool {
-        self.power_failed || self.wal_crashed() || self.manifest_crashed()
+    /// The shard's fault plan: the storage device's, shared with the
+    /// attached logs (a tree over a device without one has its own). A
+    /// test arms a [`ruskey_storage::Fault`] at a [`ruskey_storage::Site`]
+    /// through it. Its [`FaultPlan::is_dead`] is the tree's one "the
+    /// process died" flag — an armed fault fired, or the storage device or
+    /// a log failed mid-mutation: the store is dead and the harness should
+    /// recover from the logs.
+    pub fn faults(&self) -> &FaultPlan {
+        &self.faults
     }
 
     /// True once a storage durability barrier failed (simulated power
@@ -490,7 +485,7 @@ impl FlsmTree {
             self.power_fail();
             return;
         }
-        if wal.is_crashed() {
+        if self.faults.is_dead() {
             // Appends on a dead handle are no-ops; a dead process
             // charges nothing to its time domain.
             return;
@@ -557,9 +552,9 @@ impl FlsmTree {
         self.admit_batch(0, Source::Mem(flushed.cursor()));
         self.flushed_seq = self.seq;
         self.commit_manifest();
-        if self.manifest_crashed() {
-            // Simulated process death inside the manifest commit: the
-            // WAL must keep its records (they may be the only copy).
+        if self.faults.is_dead() {
+            // Process death inside the manifest commit: the WAL must keep
+            // its records (they may be the only copy).
             return;
         }
         if self.wal.as_mut().is_some_and(|w| w.reset().is_err()) {
@@ -571,18 +566,14 @@ impl FlsmTree {
     // Manifest plumbing
     // ------------------------------------------------------------------
 
-    /// Declares the device power-failed: both logs are killed so the
-    /// in-flight mutation can never commit — exactly the state a real
-    /// power cut leaves. The WAL's durable on-disk prefix still covers
-    /// every acknowledged record, which is what recovery replays.
+    /// Declares the device power-failed: the plan is killed, so neither
+    /// log issues anything more and the in-flight mutation can never
+    /// commit — exactly the state a real power cut leaves. The WAL's
+    /// durable on-disk prefix still covers every acknowledged record,
+    /// which is what recovery replays.
     fn power_fail(&mut self) {
         self.power_failed = true;
-        if let Some(w) = &mut self.wal {
-            w.mark_crashed();
-        }
-        if let Some(m) = &mut self.manifest {
-            m.mark_crashed();
-        }
+        self.faults.kill();
     }
 
     /// Step 1 of the power-failure contract: a freshly built run's data
@@ -625,10 +616,10 @@ impl FlsmTree {
             self.power_fail();
             return;
         };
-        if m.is_crashed() {
-            // Simulated process death: the deferred frees never happen
-            // (recovery ignores the orphaned pages) and a dead process
-            // charges nothing to its time domain.
+        if self.faults.is_dead() {
+            // Process death: the deferred frees never happen (recovery
+            // sweeps the orphaned pages) and a dead process charges
+            // nothing to its time domain.
             return;
         }
         if wrote {
@@ -834,7 +825,8 @@ impl FlsmTree {
 
         // Background mode leaves a full level in place for the picker;
         // inline mode cascades immediately, on the caller's (write) path.
-        if !self.cfg.background_maintenance && self.levels[idx].is_full() {
+        if !self.cfg.background_maintenance && self.levels[idx].is_full() && !self.faults.is_dead()
+        {
             self.merge_down(idx);
         }
     }
@@ -912,7 +904,7 @@ impl FlsmTree {
     /// operation batches; [`FlsmTree::maintain`] loops. On a quiescent
     /// tree the step does nothing and reports no work done.
     pub fn step_maintenance(&mut self) -> bool {
-        if self.crashed() {
+        if self.faults.is_dead() {
             return false;
         }
         if self.memtable.bytes() >= self.cfg.buffer_bytes {
@@ -1125,6 +1117,7 @@ impl FlsmTree {
             orphans_collected: self.orphans_collected,
             extent_syncs: io.extent_syncs,
             dir_syncs: io.dir_syncs,
+            unlink_failures: io.unlink_failures,
             cache_hits: io.cache_hits,
             cache_misses: io.cache_misses,
             cache_evictions: io.cache_evictions,
@@ -1981,8 +1974,9 @@ mod tests {
         let mut t = small_tree();
         t.attach_wal(crate::wal::Wal::open_with_sync_every("/dev/full", 1).unwrap());
         t.put(key(1), val(1));
-        assert!(t.crashed() && t.power_failed());
-        assert!(t.wal_crashed(), "the log is dead");
+        assert!(t.faults().is_dead() && t.power_failed());
+        t.put(key(2), val(2));
+        assert_eq!(t.wal().unwrap().records(), 1, "the dead log frames nothing");
         assert_eq!(t.get(&key(1)), Some(val(1)), "the memtable still reads");
     }
 

@@ -75,40 +75,28 @@
 //!
 //! ## Crash injection
 //!
-//! For the crash-recovery test harness the log carries a built-in fault
-//! hook: [`Wal::arm_crash`] plants a [`CrashPoint`] that, once reached,
-//! simulates the process dying at that instant — the user-space buffer is
-//! discarded, and every later call on the handle becomes a no-op (a dead
-//! process issues no more I/O). [`CrashPoint::MidFlush`] additionally
-//! writes only half of the pending buffer first, producing the torn tail
-//! that replay must tolerate.
+//! The log visits four sites of its shard's [`ruskey_storage::FaultPlan`]
+//! (the tree shares the plan with the log it attaches): [`Site::WalAppend`]
+//! before a record is framed, [`Site::WalWrite`] before the buffer's
+//! positioned write, [`Site::WalSync`] before a sync ticket's fsync — on
+//! whichever thread holds the ticket — and [`Site::WalRecycle`] before each
+//! zero-fill write of [`Wal::reset`]. A crash before an append loses the
+//! record; one after it loses the buffer with the process; a torn write
+//! leaves the torn tail replay must tolerate; a crash after the fsync
+//! leaves the batch durable but unacknowledged. Once the plan is dead,
+//! every call on the handle is a no-op: a dead process issues no more I/O,
+//! and its counters stop where it died.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
-pub use crate::record_log::SyncTicket;
-use crate::record_log::{self, Countdown, Cursor, RecordLog};
-use crate::types::{KvEntry, OpKind};
+use ruskey_storage::{FaultPlan, Site};
 
-/// Where in the WAL write path a simulated crash fires (test harness).
-///
-/// Each point models the process dying at a distinct instant relative to
-/// the durability boundary of one record or batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Before the record is even buffered: the write is lost entirely.
-    PreAppend,
-    /// After the record is buffered but before any flush/sync: the
-    /// user-space buffer dies with the process.
-    PostAppend,
-    /// Immediately after a successful fsync: the batch is durable, the
-    /// process dies before acknowledging further work.
-    PostSync,
-    /// In the middle of flushing the buffer to the file: only a prefix of
-    /// the buffered bytes reaches the disk — the torn-write case.
-    MidFlush,
-}
+pub use crate::record_log::SyncTicket;
+use crate::record_log::{self, Cursor, RecordLog};
+use crate::types::{KvEntry, OpKind};
 
 /// A write-ahead log: one file, appended to and recycled in place.
 pub struct Wal {
@@ -122,7 +110,6 @@ pub struct Wal {
     syncs: u64,
     /// Lifetime records covered by a successful fsync (never reset).
     durable: u64,
-    crash: Countdown<CrashPoint>,
 }
 
 impl Wal {
@@ -153,7 +140,6 @@ impl Wal {
             sync_every,
             syncs: 0,
             durable: 0,
-            crash: Countdown::default(),
         }
     }
 
@@ -178,28 +164,17 @@ impl Wal {
     /// auto-sync configured the append fsyncs once the cadence is
     /// reached, otherwise it only buffers until [`Wal::flush`]/[`Wal::sync`].
     pub fn append(&mut self, e: &KvEntry) -> std::io::Result<()> {
-        if self.crash.is_dead() {
-            return Ok(());
-        }
-        if self.crash.fires(CrashPoint::PreAppend) {
-            // Process death before buffering: every unflushed byte dies.
-            self.log.discard();
-            return Ok(());
-        }
-        self.log.append(|buf| {
-            buf.reserve(11 + e.key.len() + e.value.len());
-            buf.extend_from_slice(&e.seq.to_le_bytes());
-            buf.push(e.kind.to_byte());
-            buf.extend_from_slice(&(e.key.len() as u16).to_le_bytes());
-            buf.extend_from_slice(&e.key);
-            buf.extend_from_slice(&e.value);
-        });
-        self.records += 1;
-        if self.crash.fires(CrashPoint::PostAppend) {
-            // Process death after buffering: the buffer (this record
-            // included) dies with the process.
-            self.log.discard();
-            return Ok(());
+        // The append is the call: a crash after it still frames the record.
+        if self.log.faults.run(Site::WalAppend, |_| Ok(()))?.is_some() {
+            self.log.append(|buf| {
+                buf.reserve(11 + e.key.len() + e.value.len());
+                buf.extend_from_slice(&e.seq.to_le_bytes());
+                buf.push(e.kind.to_byte());
+                buf.extend_from_slice(&(e.key.len() as u16).to_le_bytes());
+                buf.extend_from_slice(&e.key);
+                buf.extend_from_slice(&e.value);
+            });
+            self.records += 1;
         }
         if self.sync_every > 0 && self.log.unsynced() >= self.sync_every {
             self.sync()?;
@@ -213,10 +188,7 @@ impl Wal {
     /// auto-sync cadence, so the `sync_every` power-failure bound holds
     /// however often callers flush.
     pub fn flush(&mut self) -> std::io::Result<()> {
-        if self.crash.is_dead() {
-            return Ok(());
-        }
-        self.flush_buf()
+        self.log.write(Site::WalWrite, 1)
     }
 
     /// Flushes buffered records and fsyncs the file — the group-commit
@@ -234,15 +206,11 @@ impl Wal {
 
     /// First half of a sync: writes the buffer to the file and hands out
     /// the ticket whose fsync will cover every record appended so far.
-    /// `None` on a dead handle — including one a [`CrashPoint::MidFlush`]
-    /// killed inside this very flush: no sync starts, so no record becomes
-    /// acknowledged.
+    /// `None` on a dead handle — including one a crash killed inside this
+    /// very write: no sync starts, so no record becomes acknowledged.
     pub(crate) fn begin_sync(&mut self) -> std::io::Result<Option<SyncTicket>> {
-        if self.crash.is_dead() {
-            return Ok(None);
-        }
-        self.flush_buf()?;
-        Ok((!self.crash.is_dead()).then(|| self.log.ticket()))
+        self.flush()?;
+        Ok((!self.log.faults.is_dead()).then(|| self.log.ticket()))
     }
 
     /// Second half of a sync, called once the ticket's fsync returned
@@ -251,28 +219,20 @@ impl Wal {
     /// records it newly covered out of the loss window. Tickets may finish
     /// in any order; a record is counted by the first that covers it.
     ///
-    /// Returns how many records that was — or `None` when nothing may be
-    /// acknowledged on the strength of this call: the handle is dead, the
+    /// Returns how many records that was — or `None`, with no counter
+    /// moved, when nothing may be acknowledged on the strength of this
+    /// call: the handle is dead (a crash after the ticket's fsync included:
+    /// the batch is durable, the process died before saying so), or the
     /// ticket is from before a [`Wal::reset`] (whose flush already counted
-    /// its records; no counter moves), or [`CrashPoint::PostSync`] fired
-    /// here (the batch is counted durable, the process died before saying
-    /// so).
+    /// its records).
     pub(crate) fn finish_sync(&mut self, ticket: &SyncTicket) -> Option<u64> {
-        if self.crash.is_dead() {
+        if self.log.faults.is_dead() {
             return None;
         }
         let newly = self.log.finish_sync(ticket)?;
         self.syncs += 1;
         self.durable += newly;
-        (!self.crash.fires(CrashPoint::PostSync)).then_some(newly)
-    }
-
-    /// Writes the user-space buffer to the file, honoring an armed
-    /// [`CrashPoint::MidFlush`]: the crash writes only the first half of
-    /// the pending bytes (a torn write) before the process "dies".
-    fn flush_buf(&mut self) -> std::io::Result<()> {
-        let torn = self.log.has_buffered() && self.crash.fires(CrashPoint::MidFlush);
-        self.log.write(torn)
+        Some(newly)
     }
 
     /// Number of records appended in the current log generation (since
@@ -314,7 +274,7 @@ impl Wal {
     /// to zero — a reset log has nothing left to lose. Nothing is fsynced
     /// here: the next sync writes the zeroed pages with its records.
     pub fn reset(&mut self) -> std::io::Result<()> {
-        if self.crash.is_dead() {
+        if self.log.faults.is_dead() {
             return Ok(());
         }
         // Records still in the loss window are superseded by the flushed
@@ -325,27 +285,10 @@ impl Wal {
         Ok(())
     }
 
-    /// Arms a simulated crash: the `after + 1`-th visit of `point` kills
-    /// this handle (discarding the user-space buffer, as process death
-    /// would). Test-harness hook; a production store never arms one.
-    pub fn arm_crash(&mut self, point: CrashPoint, after: u64) {
-        self.crash.arm(point, after);
-    }
-
-    /// True once an armed crash has fired: the handle is dead and every
-    /// operation is a no-op. Counters keep reporting the pre-crash state
-    /// of the (simulated) process.
-    pub(crate) fn is_crashed(&self) -> bool {
-        self.crash.is_dead()
-    }
-
-    /// Kills the handle from outside: the tree calls this when the
-    /// storage device reports a power cut, so the WAL behaves exactly
-    /// like a process that died — the user-space buffer is lost, the
-    /// on-disk prefix stays authoritative for recovery.
-    pub(crate) fn mark_crashed(&mut self) {
-        self.crash.kill();
-        self.log.discard();
+    /// Makes the log visit `faults` from now on: the tree shares its
+    /// shard's plan with the log it attaches.
+    pub(crate) fn share_faults(&mut self, faults: &Arc<FaultPlan>) {
+        self.log.faults = Arc::clone(faults);
     }
 
     /// Replays a log file, returning the longest valid prefix of records.
@@ -384,6 +327,7 @@ fn decode(body: &[u8]) -> Option<KvEntry> {
 mod tests {
     use super::*;
     use crate::record_log::tests::crc32_bitwise;
+    use ruskey_storage::Fault;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -763,9 +707,9 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         wal.append(&e("a", "1", 1)).unwrap();
         wal.sync().unwrap();
-        wal.arm_crash(CrashPoint::PreAppend, 0);
+        wal.log.faults.arm(Site::WalAppend, 0, Fault::Crash);
         wal.append(&e("b", "2", 2)).unwrap(); // fires: record never buffered
-        assert!(wal.is_crashed());
+        assert!(wal.log.faults.is_dead());
         // Dead handle: everything is a no-op.
         wal.append(&e("c", "3", 3)).unwrap();
         wal.sync().unwrap();
@@ -781,10 +725,10 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         wal.append(&e("a", "1", 1)).unwrap();
         wal.sync().unwrap();
-        wal.arm_crash(CrashPoint::PostAppend, 1);
+        wal.log.faults.arm(Site::WalAppend, 1, Fault::CrashAfter);
         wal.append(&e("b", "2", 2)).unwrap(); // countdown: 1 -> 0
         wal.append(&e("c", "3", 3)).unwrap(); // fires: b and c die in the buffer
-        assert!(wal.is_crashed());
+        assert!(wal.log.faults.is_dead());
         assert_eq!(
             Wal::replay(&path).unwrap().len(),
             1,
@@ -800,10 +744,11 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         wal.append(&e("a", "1", 1)).unwrap();
         wal.append(&e("b", "2", 2)).unwrap();
-        wal.arm_crash(CrashPoint::PostSync, 0);
+        wal.log.faults.arm(Site::WalSync, 0, Fault::CrashAfter);
         wal.sync().unwrap(); // batch committed, then the process dies
-        assert!(wal.is_crashed());
-        assert_eq!(wal.durable_records(), 2, "the sync completed first");
+        assert!(wal.log.faults.is_dead());
+        // The fsync completed; the process died before counting it.
+        assert_eq!(wal.durable_records(), 0, "died before saying so");
         assert_eq!(Wal::replay(&path).unwrap().len(), 2);
         let _ = std::fs::remove_file(&path);
     }
@@ -819,9 +764,9 @@ mod tests {
             wal.append(&e(&format!("key-{i}"), "some-value", i))
                 .unwrap();
         }
-        wal.arm_crash(CrashPoint::MidFlush, 0);
+        wal.log.faults.arm(Site::WalWrite, 0, Fault::Torn);
         wal.sync().unwrap(); // torn: only half the batch bytes hit the file
-        assert!(wal.is_crashed());
+        assert!(wal.log.faults.is_dead());
         assert_eq!(
             wal.durable_records(),
             1,
@@ -929,9 +874,9 @@ mod tests {
     #[test]
     fn mid_flush_crash_inside_begin_hands_out_no_ticket() {
         let (path, mut wal) = log_with("split-midflush", 6);
-        wal.arm_crash(CrashPoint::MidFlush, 0);
+        wal.log.faults.arm(Site::WalWrite, 0, Fault::Torn);
         assert!(wal.begin_sync().unwrap().is_none(), "no sync may start");
-        assert!(wal.is_crashed());
+        assert!(wal.log.faults.is_dead());
         assert_eq!(wal.durable_records(), 0, "nothing acknowledged");
         assert_eq!(wal.sync_count(), 0);
         assert!(wal.begin_sync().unwrap().is_none(), "the handle stays dead");
@@ -943,17 +888,16 @@ mod tests {
     fn post_sync_crash_inside_finish_acknowledges_nothing() {
         let (path, mut wal) = log_with("split-postsync", 2);
         let ticket = wal.begin_sync().unwrap().unwrap();
-        ticket.sync_data().unwrap();
-        wal.arm_crash(CrashPoint::PostSync, 0);
+        wal.log.faults.arm(Site::WalSync, 0, Fault::CrashAfter);
+        ticket.sync_data().unwrap(); // the fsync completes, then the process dies
         assert_eq!(wal.finish_sync(&ticket), None, "died before saying so");
-        assert!(wal.is_crashed());
-        assert_eq!(wal.durable_records(), 2, "the fsync itself completed");
+        assert!(wal.log.faults.is_dead());
         assert_eq!(
             wal.finish_sync(&ticket),
             None,
             "a dead handle counts nothing"
         );
-        assert_eq!(counters(&wal), (0, 2, 1));
+        assert_eq!(counters(&wal), (2, 0, 0));
         assert_eq!(Wal::replay(&path).unwrap().len(), 2);
         let _ = std::fs::remove_file(&path);
     }

@@ -370,8 +370,8 @@ impl<S: Storage> Storage for BlockCache<S> {
         Ok(collected)
     }
 
-    fn arm_power_cut(&self, point: crate::PowerCutPoint, after: u64) {
-        self.inner.arm_power_cut(point, after);
+    fn faults(&self) -> Option<&Arc<crate::FaultPlan>> {
+        self.inner.faults()
     }
 
     fn free(&self, ext: Extent) {

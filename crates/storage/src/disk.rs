@@ -8,6 +8,7 @@ use bytes::Bytes;
 
 use crate::clock::VirtualClock;
 use crate::cost::CostModel;
+use crate::fault::FaultPlan;
 use crate::metrics::{AtomicMetrics, StorageMetrics};
 
 /// A contiguous allocation of pages on a storage device.
@@ -46,29 +47,16 @@ impl std::ops::AddAssign for IoCharge {
     }
 }
 
-/// A simulated power-cut fault point on a durable backend.
-///
-/// Both points model the same physical event — power lost while data sat
-/// in the OS page cache — at the two boundaries the power-failure contract
-/// fsyncs: the extent file's pages and its directory entry. A fired point
-/// halts the device (subsequent mutations become no-ops) exactly like a
-/// crash point of the engine's write-ahead log kills its handle, so a test
-/// can drop the store and recover it. Volatile backends ignore arming
-/// entirely.
+/// The storage barriers a power cut was once armed at through
+/// [`Storage::arm_power_cut`]. Nothing fires at them any more: a shard's
+/// [`crate::FaultPlan`] arms [`crate::Fault::PowerCut`] at
+/// [`crate::Site::ExtentSync`] or [`crate::Site::DirSync`] instead. The
+/// type stays only while the perf ledger's storage decorator names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PowerCutPoint {
-    /// Fires inside [`Storage::sync_extent`] *before* the fsync: the
-    /// extent's un-synced page writes are torn away (the file is
-    /// truncated) and the device halts — power was lost after `write(2)`
-    /// reached the page cache but before `fsync(2)` made it durable.
+    /// Before an extent's fsync.
     ExtentUnsynced,
-    /// Fires inside [`Storage::sync_dir`] *before* the directory fsync:
-    /// extent files created since the last directory sync lose their
-    /// directory entries (they are unlinked) and the device halts —
-    /// power was lost after `creat(2)` but before the parent-directory
-    /// fsync made the new entries durable. A sync with no file created
-    /// since the last one makes nothing durable and does not count as a
-    /// visit.
+    /// Before the directory fsync.
     DirUnsynced,
 }
 
@@ -213,10 +201,16 @@ pub trait Storage: Send + Sync {
         Ok(Vec::new())
     }
 
-    /// Arms a simulated power cut that fires after `after` more visits to
-    /// the point's barrier (see [`PowerCutPoint`]). Ignored by volatile
-    /// backends.
+    /// A no-op kept for the perf ledger's storage decorator, which still
+    /// forwards it (see [`PowerCutPoint`]).
     fn arm_power_cut(&self, _point: PowerCutPoint, _after: u64) {}
+
+    /// The fault plan this device shares with its shard's logs, if it has
+    /// one: [`crate::FileDisk`] does, and a decorator forwards its inner
+    /// device's. A tree over a device without one makes its own.
+    fn faults(&self) -> Option<&Arc<FaultPlan>> {
+        None
+    }
 
     /// Releases an extent. A freed id may come back from the next
     /// [`Storage::allocate`], holding another run's pages, so a caller

@@ -74,21 +74,34 @@
 //! header as [`std::io::ErrorKind::InvalidData`] — never a panic, so
 //! recovery decides. An extent id this incarnation never handed out and
 //! no previous incarnation could have written still panics: that is a
-//! logic bug, not a durability artifact. [`PowerCutPoint`] fault hooks
-//! tear either barrier on demand so tests can simulate the cut.
+//! logic bug, not a durability artifact.
+//!
+//! **Faults.** The disk owns its shard's [`FaultPlan`] ([`Storage::faults`]
+//! hands it to the tree, which shares it with the WAL and the manifest).
+//! Every durable-path call visits its [`Site`] first: an extent's create,
+//! size, write, trim, sync and unlink, and the directory sync. A failed
+//! create, size or write — `ENOSPC`, say, or an armed [`Fault::Error`] —
+//! is never a panic: it kills the plan, the device is dead as after a
+//! cut (no call touches the disk again), and the next barrier returns an
+//! error, on which the tree power-fails. A failed unlink is counted
+//! ([`StorageMetrics::unlink_failures`]) and left to the next open's
+//! orphan sweep. An armed [`Fault::PowerCut`] tears the extent being
+//! synced at [`Site::ExtentSync`], and at [`Site::DirSync`] erases the
+//! files created since the last directory sync.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use bytes::Bytes;
 
 use crate::clock::VirtualClock;
 use crate::cost::CostModel;
-use crate::disk::{Extent, IoCharge, PowerCutPoint, Storage};
+use crate::disk::{Extent, IoCharge, Storage};
+use crate::fault::{Fault, FaultPlan, Site};
 use crate::metrics::{AtomicMetrics, StorageMetrics};
 
 /// Per-page on-disk prefix: the little-endian payload length. The slot a
@@ -130,9 +143,8 @@ pub struct FileDisk {
     /// Open handle on the directory itself, for [`Storage::sync_dir`].
     dir_handle: File,
     /// Extent ids created since the last directory fsync — the files a
-    /// power cut at the [`PowerCutPoint::DirUnsynced`] barrier would
-    /// erase from the directory, and the names that make the next
-    /// [`Storage::sync_dir`] real.
+    /// power cut at [`Site::DirSync`] erases from the directory, and the
+    /// names that make the next [`Storage::sync_dir`] real.
     pending_dir: Mutex<Vec<u64>>,
     /// The file of a freed extent kept for the next allocation (see the
     /// module docs): its handle leaves `handles` while it waits here.
@@ -140,10 +152,18 @@ pub struct FileDisk {
     /// Highest `live_pages` since open: the bound on pages on disk that
     /// decides whether a freed file may wait in the reserve.
     live_high: AtomicU64,
-    /// Armed simulated power cut: the point plus a fire countdown.
-    power_cut: Mutex<Option<(PowerCutPoint, u64)>>,
-    /// Set once a power cut fired: the device is dead, mutations no-op.
-    halted: AtomicBool,
+    /// The shard's fault plan: once it is dead, mutations no-op.
+    faults: Arc<FaultPlan>,
+}
+
+/// The extent id of a directory entry named like an extent file.
+fn extent_id(entry: &std::fs::DirEntry) -> Option<u64> {
+    let name = entry.file_name();
+    let id = name
+        .to_str()?
+        .strip_prefix("extent-")?
+        .strip_suffix(".run")?;
+    id.parse().ok()
 }
 
 /// An extent file waiting in [`FileDisk`]'s reserve.
@@ -169,13 +189,7 @@ impl FileDisk {
         let mut live_pages = 0u64;
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
-            let name = entry.file_name();
-            let Some(id) = name
-                .to_string_lossy()
-                .strip_prefix("extent-")
-                .and_then(|s| s.strip_suffix(".run"))
-                .and_then(|s| s.parse::<u64>().ok())
-            else {
+            let Some(id) = extent_id(&entry) else {
                 continue;
             };
             max_id = max_id.max(id);
@@ -198,8 +212,7 @@ impl FileDisk {
             pending_dir: Mutex::new(Vec::new()),
             reserve: Mutex::new(None),
             live_high: AtomicU64::new(live_pages),
-            power_cut: Mutex::new(None),
-            halted: AtomicBool::new(false),
+            faults: Arc::default(),
         }))
     }
 
@@ -240,41 +253,50 @@ impl FileDisk {
         Ok(f)
     }
 
-    /// [`FileDisk::try_handle`] for the write path, where a missing file
-    /// is just as much a logic bug as an unknown id (writes only target
-    /// extents the caller just allocated and still owns).
-    fn handle(&self, id: u64) -> Arc<File> {
-        self.try_handle(id)
-            .unwrap_or_else(|e| panic!("open extent {id}: {e}"))
-    }
-
-    /// True once a simulated power cut fired: the device is dead.
-    fn is_halted(&self) -> bool {
-        self.halted.load(Ordering::Relaxed)
-    }
-
-    /// Decrements the armed countdown at a barrier; true = fire now.
-    fn power_cut_fires(&self, at: PowerCutPoint) -> bool {
-        let mut armed = self
-            .power_cut
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        match *armed {
-            Some((point, 0)) if point == at => {
-                *armed = None;
-                true
+    /// Issues `call` at `site` (see [`FaultPlan::run`]): `None` once the
+    /// process is dead, killed by this call's failure included — an
+    /// extent's create, size or write has no caller to report it to.
+    fn issue<T>(&self, site: Site, call: impl FnOnce(bool) -> std::io::Result<T>) -> Option<T> {
+        match self.faults.run(site, call) {
+            Ok(Some(done)) if !self.faults.is_dead() => Some(done),
+            _ => {
+                self.faults.kill();
+                None
             }
-            Some((point, ref mut n)) if point == at => {
-                *n -= 1;
-                false
-            }
-            _ => false,
         }
     }
 
-    /// The halted-device error every post-cut barrier call returns.
-    fn halted_err() -> std::io::Error {
-        std::io::Error::other("simulated power cut: device halted")
+    /// A barrier's fsync at `site`: under an armed power cut, `cut` drops
+    /// what the fsync would have made durable instead. A process dead at or
+    /// after the call gets an error.
+    fn barrier(
+        &self,
+        site: Site,
+        sync: impl FnOnce() -> std::io::Result<()>,
+        cut: impl FnOnce(),
+    ) -> std::io::Result<()> {
+        match self.faults.fire(site) {
+            Some(Fault::PowerCut) => cut(),
+            Some(Fault::Error(kind)) => return Err(kind.into()),
+            Some(Fault::Crash) => {}
+            _ => sync()?,
+        }
+        match self.faults.is_dead() {
+            true => Err(std::io::Error::other(
+                "device dead: the process died, or a call failed",
+            )),
+            false => Ok(()),
+        }
+    }
+
+    /// Unlinks extent `id`'s file, counting a failure instead of dropping it.
+    fn unlink(&self, id: u64) {
+        let unlinked = self
+            .faults
+            .run(Site::ExtentUnlink, |_| std::fs::remove_file(self.path(id)));
+        if unlinked.is_err() {
+            self.metrics.unlink_failures.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Counts `pages` more live pages and raises the high-water mark.
@@ -323,23 +345,25 @@ impl FileDisk {
             first as usize + pages.len() <= ext.pages as usize,
             "page index out of bounds"
         );
-        if self.is_halted() {
-            return IoCharge::default();
-        }
-        let f = self.handle(ext.id);
         let slot = self.slot();
         for (chunk_idx, chunk) in pages.chunks(BULK_SLOTS).enumerate() {
             // Slots are fixed-size on disk: pad with zeros, prefix with length.
-            self.with_slot_buf(chunk.len(), |buf| {
+            let written = self.with_slot_buf(chunk.len(), |buf| {
                 for (dst, page) in buf.chunks_exact_mut(slot).zip(chunk) {
                     let (header, payload) = dst.split_at_mut(SLOT_HEADER);
                     header.copy_from_slice(&(page.len() as u32).to_le_bytes());
                     payload[..page.len()].copy_from_slice(page);
                     payload[page.len()..].fill(0);
                 }
-                let at = first as u64 + (chunk_idx * BULK_SLOTS) as u64;
-                f.write_all_at(buf, at * slot as u64).expect("write pages");
+                let at = (first as u64 + (chunk_idx * BULK_SLOTS) as u64) * slot as u64;
+                let part = |torn| &buf[..buf.len() >> u8::from(torn)];
+                self.issue(Site::ExtentWrite, |torn| {
+                    self.try_handle(ext.id)?.write_all_at(part(torn), at)
+                })
             });
+            if written.is_none() {
+                return IoCharge::default();
+            }
         }
         let n = pages.len() as u64;
         let charge = IoCharge {
@@ -411,49 +435,45 @@ impl Storage for FileDisk {
 
     /// Overwrites the reserved file from slot 0 under its old id when the
     /// reserve holds one; creates a new file otherwise.
+    ///
+    /// On a dead device, or when the file cannot be created or sized, the
+    /// id is handed out all the same, so the doomed caller can finish its
+    /// motions, and nothing touches the disk.
     fn allocate(&self, pages: u32) -> Extent {
-        if self.is_halted() {
-            // Power is gone: hand out an id so the (doomed) caller can
-            // finish its motions, but touch nothing on disk.
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            return Extent { id, pages };
-        }
         let reserved = self
             .reserve
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        let (id, f, slots) = match reserved {
-            Some(r) => (r.id, r.file, r.slots),
-            None => {
-                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                let f = OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .create(true)
-                    .truncate(true)
-                    .open(self.path(id))
-                    .expect("create extent file");
-                self.fds_opened.fetch_add(1, Ordering::Relaxed);
-                // The new directory entry is not durable until the next
-                // sync_dir.
-                self.pending_dir
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(id);
-                (id, Arc::new(f), 0)
-            }
+            .take_if(|_| !self.faults.is_dead());
+        let id = reserved
+            .as_ref()
+            .map_or_else(|| self.next_id.fetch_add(1, Ordering::Relaxed), |r| r.id);
+        let create = |_| {
+            let mut open = OpenOptions::new();
+            let f = open.read(true).write(true).create(true).truncate(true);
+            let f = Arc::new(f.open(self.path(id))?);
+            self.fds_opened.fetch_add(1, Ordering::Relaxed);
+            // The new directory entry is not durable until the next sync_dir.
+            self.pending_dir
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(id);
+            Ok(f)
+        };
+        let (f, slots) = match reserved {
+            Some(r) => (Some(r.file), r.slots),
+            None => (self.issue(Site::ExtentCreate, create), 0),
         };
         // A longer recycled file keeps its tail until sync_extent trims it.
-        if slots < pages as u64 {
-            f.set_len(pages as u64 * self.slot() as u64)
-                .expect("preallocate extent");
+        let len = pages as u64 * self.slot() as u64;
+        let size = |f: &Arc<File>| self.issue(Site::ExtentSize, |_| f.set_len(len)).is_some();
+        if let Some(f) = f.filter(|f| slots >= pages as u64 || size(f)) {
+            self.handles
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(id, f);
+            self.add_live(pages as u64);
         }
-        self.handles
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(id, f);
-        self.add_live(pages as u64);
         Extent { id, pages }
     }
 
@@ -473,7 +493,7 @@ impl Storage for FileDisk {
             id: ext.id,
             pages: ext.pages + pages.len() as u32,
         };
-        if !self.is_halted() {
+        if !self.faults.is_dead() {
             self.add_live(pages.len() as u64);
         }
         Some((grown, self.write_slots(grown, ext.pages, pages)))
@@ -494,30 +514,18 @@ impl Storage for FileDisk {
     }
 
     fn sync_extent(&self, ext: Extent) -> std::io::Result<IoCharge> {
-        if self.is_halted() {
-            return Err(Self::halted_err());
-        }
-        if self.power_cut_fires(PowerCutPoint::ExtentUnsynced) {
-            // Power died with this extent's writes still in the page
-            // cache: tear the file (a torn tail, not clean truncation to
-            // zero, is what real filesystems leave) and halt the device.
-            if let Ok(f) = self.try_handle(ext.id) {
-                let torn = (ext.pages as u64 / 2) * self.slot() as u64 + SLOT_HEADER as u64 / 2;
-                let _ = f.set_len(torn);
-            }
-            self.halted.store(true, Ordering::Relaxed);
-            return Err(std::io::Error::other(
-                "simulated power cut: extent writes lost before fsync",
-            ));
-        }
         let f = self.try_handle(ext.id)?;
         // A recycled file may still hold its former run's tail: trim it
         // before the sync makes the length durable.
         let len = ext.pages as u64 * self.slot() as u64;
         if f.metadata()?.len() > len {
-            f.set_len(len)?;
+            self.faults.run(Site::ExtentTrim, |_| f.set_len(len))?;
         }
-        f.sync_data()?;
+        // A power cut loses the writes still in the page cache: the file is
+        // torn (a torn tail, not clean truncation to zero, is what real
+        // filesystems leave).
+        let torn = (ext.pages as u64 / 2) * self.slot() as u64 + SLOT_HEADER as u64 / 2;
+        self.barrier(Site::ExtentSync, || f.sync_data(), || drop(f.set_len(torn)))?;
         let charge = IoCharge {
             ns: self.cost.wal_sync_ns,
             io: StorageMetrics {
@@ -532,11 +540,8 @@ impl Storage for FileDisk {
 
     /// Free when no extent file was created since the last directory
     /// sync: there is no name to make durable, so no syscall, count or
-    /// charge — and no visit to the [`PowerCutPoint::DirUnsynced`] point.
+    /// charge — and no visit to [`Site::DirSync`].
     fn sync_dir(&self) -> std::io::Result<IoCharge> {
-        if self.is_halted() {
-            return Err(Self::halted_err());
-        }
         let mut pending = self
             .pending_dir
             .lock()
@@ -544,9 +549,9 @@ impl Storage for FileDisk {
         if pending.is_empty() {
             return Ok(IoCharge::default());
         }
-        if self.power_cut_fires(PowerCutPoint::DirUnsynced) {
-            // Power died before the directory entries became durable: the
-            // files created since the last sync_dir vanish wholesale.
+        // A power cut before the directory fsync: the files created since
+        // the last sync_dir vanish wholesale.
+        let cut = || {
             for id in std::mem::take(&mut *pending) {
                 self.handles
                     .lock()
@@ -566,12 +571,8 @@ impl Storage for FileDisk {
                     }
                 }
             }
-            self.halted.store(true, Ordering::Relaxed);
-            return Err(std::io::Error::other(
-                "simulated power cut: directory entries lost before fsync",
-            ));
-        }
-        self.dir_handle.sync_all()?;
+        };
+        self.barrier(Site::DirSync, || self.dir_handle.sync_all(), cut)?;
         pending.clear();
         let charge = IoCharge {
             ns: self.cost.wal_sync_ns,
@@ -590,13 +591,7 @@ impl Storage for FileDisk {
         let mut max_retained = 0u64;
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
-            let name = entry.file_name();
-            let Some(id) = name
-                .to_string_lossy()
-                .strip_prefix("extent-")
-                .and_then(|s| s.strip_suffix(".run"))
-                .and_then(|s| s.parse::<u64>().ok())
-            else {
+            let Some(id) = extent_id(&entry) else {
                 continue;
             };
             if live.contains(&id) {
@@ -622,18 +617,15 @@ impl Storage for FileDisk {
         Ok(collected)
     }
 
-    fn arm_power_cut(&self, point: PowerCutPoint, after: u64) {
-        *self
-            .power_cut
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some((point, after));
+    fn faults(&self) -> Option<&Arc<FaultPlan>> {
+        Some(&self.faults)
     }
 
     /// Keeps the extent's file, open, in the reserve when the reserve is
     /// empty and the pages on disk stay within the high-water mark of live
     /// pages; unlinks it otherwise.
     fn free(&self, ext: Extent) {
-        if self.is_halted() {
+        if self.faults.is_dead() {
             return;
         }
         // The file's length, not the extent's pages: a recycled file not
@@ -667,7 +659,7 @@ impl Storage for FileDisk {
         }
         // The handle goes with the file.
         drop(f);
-        let _ = std::fs::remove_file(self.path(ext.id));
+        self.unlink(ext.id);
     }
 
     fn metrics(&self) -> StorageMetrics {
@@ -696,8 +688,8 @@ impl Drop for FileDisk {
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
             .take();
-        if let Some(r) = reserved.filter(|_| !self.is_halted()) {
-            let _ = std::fs::remove_file(self.path(r.id));
+        if let Some(r) = reserved.filter(|_| !self.faults.is_dead()) {
+            self.unlink(r.id);
         }
     }
 }
@@ -929,8 +921,8 @@ mod tests {
     }
 
     /// A directory sync with no extent file created since the last one
-    /// makes nothing durable: no count, no charge, no visit to the
-    /// power-cut point. A recycled file's creation that is not yet durable
+    /// makes nothing durable: no count, no charge, no visit to its site.
+    /// A recycled file's creation that is not yet durable
     /// keeps the next sync real.
     #[test]
     fn sync_dir_without_new_names_is_free() {
@@ -950,7 +942,7 @@ mod tests {
         assert_eq!(d.allocate(3).id, a.id);
         let (clock, metrics) = (d.clock().now_ns(), d.metrics());
         // Armed at the next real sync: the free sync does not visit it.
-        d.arm_power_cut(PowerCutPoint::DirUnsynced, 0);
+        d.faults.arm(Site::DirSync, 0, Fault::PowerCut);
         assert_eq!(d.sync_dir().unwrap(), IoCharge::default());
         assert_eq!((d.clock().now_ns(), d.metrics()), (clock, metrics));
         let c = d.allocate(1);
@@ -961,6 +953,25 @@ mod tests {
         );
         assert!(!d.path(c.id).exists() && d.path(a.id).exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A create, size or write that fails is no panic: the device is dead
+    /// from then on (nothing more is written or charged), and the next
+    /// extent barrier returns an error.
+    #[test]
+    fn a_failed_extent_call_kills_the_device_and_fails_the_next_barrier() {
+        for site in [Site::ExtentCreate, Site::ExtentSize, Site::ExtentWrite] {
+            let dir = tmpdir("failed-call");
+            let d = FileDisk::new(&dir, 64, CostModel::NVME).unwrap();
+            let enospc = Fault::Error(std::io::ErrorKind::StorageFull);
+            d.faults.arm(site, 0, enospc);
+            let ext = d.allocate(2);
+            assert_eq!(d.write_page(ext, 0, b"lost"), IoCharge::default());
+            assert!(d.faults.is_dead(), "{site:?}");
+            assert!(d.sync_extent(ext).is_err(), "{site:?}");
+            assert_eq!(d.metrics(), StorageMetrics::default(), "{site:?}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// Independent `FileDisk` instances (one per shard) share no locks:

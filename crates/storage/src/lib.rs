@@ -54,9 +54,16 @@
 //! commit) and [`Storage::sync_dir`] (fsync the directory so extent creation
 //! and renames survive power loss) are real `fsync`s on [`FileDisk`] and
 //! free no-ops on volatile backends. [`Storage::collect_orphans`] removes
-//! extent files a pre-commit power cut left behind, and
-//! [`Storage::arm_power_cut`] arms a simulated cut ([`PowerCutPoint`]) for
-//! the torn-power crash matrix.
+//! extent files a pre-commit power cut left behind.
+//!
+//! # Fault injection
+//!
+//! A [`FaultPlan`] (`fault.rs`) is the one crash-injection hook of a
+//! shard: its [`FileDisk`] (reached through [`Storage::faults`]), its
+//! write-ahead log and its manifest share one, and every durable-path call
+//! visits a named [`Site`] first, where an armed [`Fault`] fires — a crash
+//! before or after the call, a torn write, a power cut, or an error the
+//! call returns. The plan's dead flag is the shard's "the process died".
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -65,6 +72,7 @@ pub mod cache;
 pub mod clock;
 pub mod cost;
 pub mod disk;
+pub mod fault;
 pub mod file;
 pub mod metrics;
 
@@ -72,6 +80,7 @@ pub use cache::BlockCache;
 pub use clock::{DomainId, Timestamp, VirtualClock};
 pub use cost::CostModel;
 pub use disk::{Extent, IoCharge, PowerCutPoint, SimulatedDisk, Storage};
+pub use fault::{Fault, FaultPlan, Site};
 pub use file::FileDisk;
 pub use metrics::StorageMetrics;
 

@@ -98,7 +98,7 @@
 //! (`record_log.rs`), which frames `[len][crc32][body]` records in place,
 //! writes and fsyncs them, replays the longest valid prefix (stopping at
 //! a torn length, a CRC mismatch or the zero header of a recycled tail),
-//! and counts down the armed crash points of the test harness. A log write or a manifest commit
+//! and visits its shard's fault plan before each write and fsync. A log write or a manifest commit
 //! that fails with an I/O error is a power failure, like a failed
 //! barrier: the tree is crashed, and a served write is refused as
 //! crashed rather than panicking its client.
@@ -158,14 +158,21 @@
 //! lifetime reading is [`ruskey::RusKey::stats`], a mission's share its
 //! report's [`ruskey::stats::MissionReport::window`].
 //!
-//! The contract is pinned three ways: `tests/crash_recovery.rs` runs a
-//! [`lsm::CrashPoint`] fault-injection matrix over the WAL write path
-//! (`N ∈ {1, 2, 4}`), a [`lsm::ManifestCrashPoint`] matrix over the
-//! manifest (crash before, inside and after a commit, and a slot torn
-//! from outside), and a [`storage::PowerCutPoint`]
-//! torn-power matrix over the fsync barriers themselves (torn extent
-//! file, unlinked directory entry — recovery must restore exactly the
-//! acknowledged prefix and sweep the orphans);
+//! Faults are injected through one [`storage::FaultPlan`] per shard,
+//! shared by its file disk, WAL and manifest ([`lsm::FlsmTree::faults`]):
+//! every durable-path call — an append, a `pwrite`, a trim, an fsync, an
+//! unlink — visits a named [`storage::Site`] first, where an armed
+//! [`storage::Fault`] fires (a crash before or after the call, a torn
+//! write, a power cut, or an error the call returns). The contract is
+//! pinned three ways: `tests/crash_recovery.rs` runs the plan over the WAL
+//! write path (crash before and after an append, a torn write, a crash
+//! after the fsync; `N ∈ {1, 2, 4}`), over the manifest (crash before the
+//! slot write, a torn slot, a crash between the write and its fsync and
+//! after the fsync, and a slot torn from outside), over the fsync
+//! barriers themselves (torn extent file, unlinked directory entry) and
+//! over failed calls (ENOSPC on an extent write or create, a failed WAL
+//! recycle, a failed trim, a failed unlink) — recovery must restore
+//! exactly the acknowledged prefix and sweep the orphans;
 //! `tests/persistence_restart.rs` asserts restart equivalence at
 //! `N ∈ {1, 2, 4}` with a random-schedule proptest and a fuzz test of
 //! arbitrary bytes in either manifest slot; and `tests/pool_stress.rs` checks the group commit against
@@ -311,7 +318,7 @@
 //! The serving contract is pinned by `tests/serving.rs` — K-client
 //! equivalence to a single-threaded replay at `N ∈ {1, 2, 4}`,
 //! read-your-writes under concurrency, shared fsyncs with nothing lost,
-//! and a mid-serve [`lsm::CrashPoint`] crash losing no acknowledged
+//! and a mid-serve crash after a WAL append losing no acknowledged
 //! write. Served throughput and request latency are the perf ledger's
 //! `serve-mixed` workload.
 //!

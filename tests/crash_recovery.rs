@@ -3,7 +3,7 @@
 //! Three suites pin the durability contract of the WAL + cross-shard
 //! group-commit engine:
 //!
-//! 1. **Crash-point matrix**: a [`CrashPoint`] fault hook kills the write
+//! 1. **Crash-point matrix**: the shard's fault plan kills the WAL write
 //!    path at every interesting instant (pre-append, post-append,
 //!    post-sync, mid-flush) at `N ∈ {1, 2, 4}` shards; recovery must
 //!    restore exactly the acknowledged prefix (and, for the torn
@@ -35,7 +35,7 @@
 //! misses, the unrecycled WAL still covers).
 //!
 //! Suite 5 drops below even the manifest: **torn power cuts** on the
-//! storage barriers themselves ([`PowerCutPoint`]). A cut before the
+//! storage barriers themselves ([`Fault::PowerCut`]). A cut before the
 //! extent fsync leaves a torn data file; a cut before the directory
 //! fsync unlinks the extent's name wholesale. In every case recovery
 //! must yield exactly the acknowledged prefix, sweep the orphaned extent
@@ -54,16 +54,25 @@ use std::sync::Arc;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use ruskey_repro::lsm::{CrashPoint, KvEntry, Manifest, ManifestCrashPoint, Wal};
+use ruskey_repro::lsm::{KvEntry, Manifest, Wal};
 use ruskey_repro::ruskey::db::RusKeyConfig;
 use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey};
-use ruskey_repro::storage::{CostModel, PowerCutPoint, SimulatedDisk, Storage};
+use ruskey_repro::storage::{CostModel, Fault, SimulatedDisk, Site, Storage};
 use ruskey_repro::workload::routing::shard_for_key;
 use ruskey_repro::workload::{
     bulk_load_pairs, encode_key, OpGenerator, OpMix, Operation, WorkloadSpec,
 };
 
 static DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
+
+/// The crash points the matrices run, as the fault each arms at its site.
+const PRE_APPEND: (Site, Fault) = (Site::WalAppend, Fault::Crash);
+const POST_APPEND: (Site, Fault) = (Site::WalAppend, Fault::CrashAfter);
+const POST_SYNC: (Site, Fault) = (Site::WalSync, Fault::CrashAfter);
+const MID_FLUSH: (Site, Fault) = (Site::WalWrite, Fault::Torn);
+const PRE_COMMIT: (Site, Fault) = (Site::ManifestWrite, Fault::Crash);
+const MID_COMMIT: (Site, Fault) = (Site::ManifestWrite, Fault::Torn);
+const POST_COMMIT: (Site, Fault) = (Site::ManifestSync, Fault::CrashAfter);
 
 /// A unique WAL directory per scenario (parallel tests must not share).
 fn wal_dir(tag: &str) -> PathBuf {
@@ -131,12 +140,7 @@ fn recovery_restores_exactly_the_synced_prefix_at_every_crash_point() {
     const PHASE1: u64 = 40;
     const PHASE2: u64 = 40;
     for shards in [1usize, 2, 4] {
-        for point in [
-            CrashPoint::PreAppend,
-            CrashPoint::PostAppend,
-            CrashPoint::PostSync,
-            CrashPoint::MidFlush,
-        ] {
+        for point in [PRE_APPEND, POST_APPEND, POST_SYNC, MID_FLUSH] {
             let dir = wal_dir("matrix");
             let dur = wal_suite_cfg(&dir);
             let mut db = persistent_store(shards, &dur);
@@ -154,13 +158,10 @@ fn recovery_restores_exactly_the_synced_prefix_at_every_crash_point() {
             // shard-0 append; sync-time points fire at the next barrier
             // (visited once per batch).
             let countdown = match point {
-                CrashPoint::PreAppend | CrashPoint::PostAppend => 2,
-                CrashPoint::PostSync | CrashPoint::MidFlush => 0,
+                PRE_APPEND | POST_APPEND => 2,
+                _ => 0, // POST_SYNC, MID_FLUSH
             };
-            db.shard_mut(0)
-                .wal_mut()
-                .expect("durable shard has a WAL")
-                .arm_crash(point, countdown);
+            db.shard(0).faults().arm(point.0, countdown, point.1);
             let mut shard0_phase2: Vec<u64> = Vec::new();
             for i in PHASE1..PHASE1 + PHASE2 {
                 db.put(key(i), val(i));
@@ -198,7 +199,7 @@ fn recovery_restores_exactly_the_synced_prefix_at_every_crash_point() {
             // Sync-time crashes fire *inside* the overlapped barrier,
             // whose per-shard legs run concurrently: the crashed shard
             // cannot stop its siblings, so their batches become durable.
-            let barrier_ran = matches!(point, CrashPoint::PostSync | CrashPoint::MidFlush);
+            let barrier_ran = matches!(point, POST_SYNC | MID_FLUSH);
             for i in PHASE1..PHASE1 + PHASE2 {
                 if shard_for_key(&key(i), shards) != 0 {
                     if barrier_ran {
@@ -225,14 +226,14 @@ fn recovery_restores_exactly_the_synced_prefix_at_every_crash_point() {
                 .map(|&i| rec.get(&key(i)).is_some())
                 .collect();
             match point {
-                CrashPoint::PreAppend | CrashPoint::PostAppend => {
+                PRE_APPEND | POST_APPEND => {
                     // The buffer died before any flush: nothing survives.
                     assert!(
                         recovered0.iter().all(|&p| !p),
                         "shards={shards} point={point:?}: buffered records survived"
                     );
                 }
-                CrashPoint::PostSync => {
+                POST_SYNC => {
                     // The barrier's fsync completed before the death: the
                     // whole batch is durable.
                     assert!(
@@ -240,8 +241,8 @@ fn recovery_restores_exactly_the_synced_prefix_at_every_crash_point() {
                         "shards={shards} point={point:?}: synced batch lost"
                     );
                 }
-                CrashPoint::MidFlush => {
-                    // Torn sync: a strict prefix of the batch (no holes —
+                _ => {
+                    // MID_FLUSH, a torn sync: a strict prefix of the batch (no holes —
                     // a recovered record after a missing one would mean
                     // replay skipped a corrupt region).
                     let first_missing = recovered0
@@ -353,10 +354,7 @@ fn overlapped_commit_crash_keeps_sibling_batches_durable() {
         // Mission 2: shard 0's commit leg tears mid-fsync. The legs run
         // concurrently on the shard workers, so the siblings' fsyncs
         // complete regardless.
-        db.shard_mut(0)
-            .wal_mut()
-            .expect("durable shard has a WAL")
-            .arm_crash(CrashPoint::MidFlush, 0);
+        db.shard(0).faults().arm(MID_FLUSH.0, 0, MID_FLUSH.1);
         let ops2: Vec<Operation> = (BATCH..2 * BATCH).map(put).collect();
         let shard0_batch2: Vec<u64> = (BATCH..2 * BATCH)
             .filter(|&i| shard_for_key(&key(i), shards) == 0)
@@ -468,11 +466,8 @@ proptest! {
         let dir = wal_dir("equiv");
         let dur = wal_suite_cfg(&dir);
         let mut db = persistent_store(shards, &dur);
-        let point = if pre_append { CrashPoint::PreAppend } else { CrashPoint::PostAppend };
-        db.shard_mut(0)
-            .wal_mut()
-            .expect("durable shard has a WAL")
-            .arm_crash(point, countdown);
+        let point = if pre_append { PRE_APPEND } else { POST_APPEND };
+        db.shard(0).faults().arm(point.0, countdown, point.1);
 
         // Drive the workload with a commit barrier every `commit_every`
         // ops; the durable prefix is everything up to the last barrier
@@ -698,11 +693,7 @@ fn manifest_crash_points_recover_the_longest_consistent_prefix() {
     const PHASE1: u64 = 40;
     const PHASE2: u64 = 40;
     for shards in [1usize, 2] {
-        for point in [
-            ManifestCrashPoint::PreCommit,
-            ManifestCrashPoint::MidCommit,
-            ManifestCrashPoint::PostCommit,
-        ] {
+        for point in [PRE_COMMIT, MID_COMMIT, POST_COMMIT] {
             let root = persist_root("matrix");
             let p = persist_cfg(&root);
             let mut db = persistent_store(shards, &p);
@@ -727,10 +718,7 @@ fn manifest_crash_points_recover_the_longest_consistent_prefix() {
             let phase2_shard0 = (PHASE1..PHASE1 + PHASE2)
                 .filter(|&i| shard_for_key(&key(i), shards) == 0)
                 .count() as u64;
-            db.shard_mut(0)
-                .manifest_mut()
-                .expect("persistent shard has a manifest")
-                .arm_crash(point, 0);
+            db.shard(0).faults().arm(point.0, 0, point.1);
             db.shard_mut(0).flush();
             assert!(
                 db.crashed(),
@@ -746,7 +734,7 @@ fn manifest_crash_points_recover_the_longest_consistent_prefix() {
             // succeeding at all proves no missing pages were referenced —
             // every recorded run was rebuilt by reading its pages back.
             let expect_entries = match point {
-                ManifestCrashPoint::PreCommit | ManifestCrashPoint::MidCommit => phase1_shard0,
+                PRE_COMMIT | MID_COMMIT => phase1_shard0,
                 _ => phase1_shard0 + phase2_shard0,
             };
             assert_eq!(
@@ -799,11 +787,7 @@ fn manifest_crash_points_with_a_background_merge_in_flight() {
         cfg.lsm.l0_stall_runs = 64;
         cfg
     };
-    for point in [
-        ManifestCrashPoint::PreCommit,
-        ManifestCrashPoint::MidCommit,
-        ManifestCrashPoint::PostCommit,
-    ] {
+    for point in [PRE_COMMIT, MID_COMMIT, POST_COMMIT] {
         let root = persist_root("bgmerge");
         let p = persist_cfg(&root);
         let mut db = RusKey::open(
@@ -848,10 +832,7 @@ fn manifest_crash_points_with_a_background_merge_in_flight() {
         );
 
         // The next structural commit dies at the chosen point.
-        db.shard_mut(0)
-            .manifest_mut()
-            .expect("persistent shard has a manifest")
-            .arm_crash(point, 0);
+        db.shard(0).faults().arm(point.0, 0, point.1);
         for _ in 0..200 {
             if db.crashed() {
                 break;
@@ -909,10 +890,7 @@ fn manifest_crash_points_with_a_background_merge_in_flight() {
 /// the next commit overwrites the torn slot.
 #[test]
 fn a_torn_newer_slot_recovers_the_previous_generation() {
-    for point in [
-        ManifestCrashPoint::MidCommit,
-        ManifestCrashPoint::PostCommit,
-    ] {
+    for point in [MID_COMMIT, POST_COMMIT] {
         let root = persist_root("torn-slot");
         let p = persist_cfg(&root);
         let mut db = persistent_store(1, &p);
@@ -926,11 +904,11 @@ fn a_torn_newer_slot_recovers_the_previous_generation() {
             db.put(key(i), val(i));
         }
         db.group_commit();
-        db.shard_mut(0).manifest_mut().unwrap().arm_crash(point, 0);
+        db.shard(0).faults().arm(point.0, 0, point.1);
         db.shard_mut(0).flush();
         assert!(db.crashed(), "{point:?}: the armed crash never fired");
         drop(db);
-        if point == ManifestCrashPoint::PostCommit {
+        if point == POST_COMMIT {
             tear_slot(&p, previous + 1);
         }
 
@@ -1013,7 +991,7 @@ fn torn_power_matrix_recovers_exactly_the_acknowledged_prefix() {
     const PHASE1: u64 = 40;
     const PHASE2: u64 = 40;
     for shards in [1usize, 2] {
-        for point in [PowerCutPoint::ExtentUnsynced, PowerCutPoint::DirUnsynced] {
+        for point in [Site::ExtentSync, Site::DirSync] {
             let root = persist_root("power");
             let p = persist_cfg(&root);
             let mut db = persistent_store(shards, &p);
@@ -1044,7 +1022,7 @@ fn torn_power_matrix_recovers_exactly_the_acknowledged_prefix() {
                 db.put(key(i), val(i));
             }
             db.group_commit();
-            db.shard(0).storage().arm_power_cut(point, 0);
+            db.shard(0).faults().arm(point, 0, Fault::PowerCut);
             db.shard_mut(0).flush();
             assert!(
                 db.shard(0).power_failed(),
@@ -1068,11 +1046,11 @@ fn torn_power_matrix_recovers_exactly_the_acknowledged_prefix() {
             // nothing left to collect.
             let orphans = rec.shard(0).stats().orphans_collected;
             match point {
-                PowerCutPoint::ExtentUnsynced => assert!(
+                Site::ExtentSync => assert!(
                     orphans >= 1,
                     "shards={shards}: the torn extent must be swept (got {orphans})"
                 ),
-                PowerCutPoint::DirUnsynced => assert_eq!(
+                _ => assert_eq!(
                     orphans, 0,
                     "shards={shards}: the unlinked extent cannot reappear"
                 ),
@@ -1214,10 +1192,7 @@ fn power_cut_before_a_recycled_logs_zero_fill_loses_nothing() {
         for s in 0..shards {
             db.shard_mut(s).flush();
         }
-        db.shard_mut(0)
-            .wal_mut()
-            .unwrap()
-            .arm_crash(CrashPoint::MidFlush, 0);
+        db.shard(0).faults().arm(MID_FLUSH.0, 0, MID_FLUSH.1);
         let mut shard0 = Vec::new();
         for i in 0..KEYS {
             db.put(key(i), v('c', i));
@@ -1268,12 +1243,17 @@ fn extent_files(p: &PersistenceConfig) -> Vec<(u64, u64)> {
 /// A one-shard store whose 2 KiB buffer flushes about every fifty puts
 /// and whose inline merges cascade.
 fn churning_store(backend: Backend<'_>) -> RusKey {
+    churning_shards(1, backend)
+}
+
+/// [`churning_store`] over `shards` shards.
+fn churning_shards(shards: usize, backend: Backend<'_>) -> RusKey {
     let mut cfg = RusKeyConfig::scaled_default();
     cfg.lsm.buffer_bytes = 2048;
     cfg.lsm.size_ratio = 3;
     RusKey::open(
         cfg,
-        1,
+        shards,
         Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
         backend,
     )
@@ -1300,8 +1280,8 @@ fn a_power_cut_overwriting_a_recycled_extent_recovers_the_acknowledged_prefix() 
         let slot = p.page_size as u64 + 4;
         let mut db = churning_store(Backend::Create(&p));
         db.shard(0)
-            .storage()
-            .arm_power_cut(PowerCutPoint::ExtentUnsynced, n);
+            .faults()
+            .arm(Site::ExtentSync, n, Fault::PowerCut);
         let (mut seen, mut acked, mut written) = (Vec::new(), 0, 0);
         'load: for batch in 0..KEYS / BATCH {
             for i in batch * BATCH..(batch + 1) * BATCH {
@@ -1391,10 +1371,7 @@ fn a_fallback_onto_a_recycled_extent_fails_typed() {
         2,
         "the superseded file waits in the reserve"
     );
-    db.shard_mut(0)
-        .manifest_mut()
-        .unwrap()
-        .arm_crash(ManifestCrashPoint::PreCommit, 0);
+    db.shard(0).faults().arm(PRE_COMMIT.0, 0, PRE_COMMIT.1);
     flush(&mut db, 0..30, "c");
     assert!(db.crashed(), "the armed crash never fired");
     drop(db);
@@ -1529,5 +1506,266 @@ fn missing_referenced_extent_is_a_typed_recovery_error_not_a_panic() {
         err.to_string().contains("missing"),
         "the error must name the missing extent, got: {err}"
     );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+// ----------------------------------------------------------------------
+// 6. Failed calls
+// ----------------------------------------------------------------------
+
+/// Puts keys `0..keys` in batches of twenty, each acknowledged by a
+/// barrier, until the store dies: the keys acknowledged and the keys
+/// written, both as counts from key 0.
+fn load_until_crash(db: &mut RusKey, keys: u64) -> (u64, u64) {
+    let (mut acked, mut written) = (0, 0);
+    'load: for batch in 0..keys / 20 {
+        for i in batch * 20..(batch + 1) * 20 {
+            db.put(key(i), val(i));
+            written = i + 1;
+            if db.crashed() {
+                break 'load;
+            }
+        }
+        db.group_commit();
+        if db.crashed() {
+            break;
+        }
+        acked = written;
+    }
+    (acked, written)
+}
+
+/// Recovery yields the acknowledged prefix: every acknowledged key, only
+/// rows that were written, and on one shard a prefix of the puts in order
+/// (across shards a sibling's flush may keep rows the dead shard lost).
+fn assert_acknowledged_prefix(
+    rec: &mut RusKey,
+    shards: usize,
+    (acked, written): (u64, u64),
+    what: &str,
+) {
+    for i in 0..acked {
+        assert_eq!(
+            rec.get(&key(i)).as_deref(),
+            Some(val(i).as_slice()),
+            "{what}: acknowledged key {i} lost"
+        );
+    }
+    let rows = rec.scan(&key(0), &key(written.max(1)), usize::MAX);
+    let count = rows.len() as u64;
+    let written_rows: std::collections::BTreeMap<Bytes, Bytes> = (0..written)
+        .map(|i| (key(i), Bytes::from(val(i))))
+        .collect();
+    assert!(
+        rows.iter().all(|(k, v)| written_rows.get(k) == Some(v)),
+        "{what}: a recovered row was never written"
+    );
+    if shards == 1 {
+        let prefix: Vec<(Bytes, Bytes)> =
+            (0..count).map(|i| (key(i), Bytes::from(val(i)))).collect();
+        assert_eq!(rows, prefix, "{what}: the recovered rows are not a prefix");
+    }
+}
+
+/// ENOSPC on an extent write or an extent creation is never a panic: the
+/// failed call kills the shard's fault plan, so the device is dead, the
+/// next extent barrier fails, the shard power-fails and the store reports
+/// `crashed()`. Recovery yields the acknowledged prefix, at `N ∈ {1, 2}`,
+/// when the first or the second such call fails.
+#[test]
+fn enospc_on_an_extent_write_or_create_recovers_the_acknowledged_prefix() {
+    const KEYS: u64 = 600;
+    let enospc = Fault::Error(std::io::ErrorKind::StorageFull);
+    for shards in [1usize, 2] {
+        for site in [Site::ExtentWrite, Site::ExtentCreate] {
+            for after in [0u64, 1] {
+                let what = format!("shards={shards} {site:?} after={after}");
+                let root = persist_root("enospc");
+                let p = persist_cfg(&root);
+                let mut db = churning_shards(shards, Backend::Create(&p));
+                db.shard(0).faults().arm(site, after, enospc);
+                let loaded = load_until_crash(&mut db, KEYS);
+                assert!(db.crashed(), "{what}: the armed error never fired");
+                assert!(db.shard(0).power_failed(), "{what}: the barrier must fail");
+                drop(db);
+                let mut rec = churning_shards(shards, Backend::Recover(&p));
+                assert_acknowledged_prefix(&mut rec, shards, loaded, &what);
+                let _ = std::fs::remove_dir_all(&root);
+            }
+        }
+    }
+}
+
+/// A WAL recycle that fails part-way — the generation spans two 64 KiB
+/// zero-fill writes and the second fails — power-fails the shard instead
+/// of leaving a half-zeroed log to append behind. The committed flush
+/// already holds every record, so recovery loses no acknowledged write.
+#[test]
+fn a_failed_wal_recycle_power_fails_and_loses_nothing() {
+    const ZERO_FILL_WRITE: usize = 1 << 16;
+    let root = persist_root("recycle-fail");
+    let p = persist_cfg(&root);
+    let mut db = persistent_store(1, &p);
+    let big = |i: u64| vec![i as u8; 200];
+    for i in 0..400u64 {
+        db.put(key(i), big(i));
+    }
+    db.group_commit();
+    let generation = std::fs::metadata(p.wal_path(0)).unwrap().len() as usize;
+    assert!(
+        generation > ZERO_FILL_WRITE,
+        "{generation} bytes: one zero-fill write"
+    );
+    let other = Fault::Error(std::io::ErrorKind::Other);
+    db.shard(0).faults().arm(Site::WalRecycle, 1, other);
+    db.shard_mut(0).flush();
+    assert!(
+        db.shard(0).power_failed(),
+        "a failed recycle must power-fail the shard"
+    );
+    assert!(db.crashed());
+    drop(db);
+    let log = std::fs::read(p.wal_path(0)).unwrap();
+    assert!(
+        log[..ZERO_FILL_WRITE].iter().all(|&b| b == 0)
+            && log[ZERO_FILL_WRITE..].iter().any(|&b| b != 0),
+        "only the first zero-fill write landed"
+    );
+
+    let mut rec = recovered_persistent(1, &p);
+    for i in 0..400u64 {
+        assert_eq!(
+            rec.get(&key(i)).as_deref(),
+            Some(big(i).as_slice()),
+            "acknowledged key {i} lost"
+        );
+    }
+    rec.put(key(9999), val(9999));
+    rec.group_commit();
+    rec.shard_mut(0).flush();
+    assert!(!rec.crashed(), "the recovered store must flush cleanly");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A crash between a manifest slot's write and its `fdatasync`: the page
+/// cache survives a process death, so the new generation recovers. The
+/// flush never recycled the WAL, so its records replay and are dropped by
+/// seq, and the run the flush retired, never freed, is swept as an orphan.
+#[test]
+fn a_crash_between_the_manifest_write_and_its_fsync_recovers_the_new_generation() {
+    let root = persist_root("manifest-write-sync");
+    let p = persist_cfg(&root);
+    let mut db = persistent_store(1, &p);
+    for i in 0..30u64 {
+        db.put(key(i), val(i));
+    }
+    db.group_commit();
+    db.shard_mut(0).flush();
+    let previous = db.shard(0).manifest().unwrap().generation();
+    for i in 30..60u64 {
+        db.put(key(i), val(i));
+    }
+    db.group_commit();
+    db.shard(0)
+        .faults()
+        .arm(Site::ManifestSync, 0, Fault::Crash);
+    db.shard_mut(0).flush();
+    assert!(db.crashed(), "the armed crash never fired");
+    drop(db);
+    assert_eq!(
+        Wal::replay(p.wal_path(0)).unwrap().len(),
+        30,
+        "the WAL was recycled"
+    );
+
+    let mut rec = recovered_persistent(1, &p);
+    assert_eq!(rec.shard(0).manifest().unwrap().generation(), previous + 1);
+    assert_eq!(manifest_entries(&rec, 0), 60);
+    let stats = rec.shard(0).stats();
+    assert_eq!(
+        stats.replayed_tail, 0,
+        "the flushed records must be dropped by seq"
+    );
+    assert_eq!(stats.orphans_collected, 1, "the retired run must be swept");
+    for i in 0..60u64 {
+        assert_eq!(
+            rec.get(&key(i)).as_deref(),
+            Some(val(i).as_slice()),
+            "key {i} lost"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A failed trim of a recycled extent file — its former tail, cut before
+/// the sync — fails the extent barrier typed: the shard power-fails, and
+/// recovery yields the acknowledged prefix.
+#[test]
+fn a_failed_trim_of_a_recycled_extent_recovers_the_acknowledged_prefix() {
+    let root = persist_root("trim-fail");
+    let p = persist_cfg(&root);
+    let mut db = churning_store(Backend::Create(&p));
+    let other = Fault::Error(std::io::ErrorKind::Other);
+    db.shard(0).faults().arm(Site::ExtentTrim, 0, other);
+    let loaded = load_until_crash(&mut db, 1200);
+    assert!(db.crashed(), "the armed trim error never fired");
+    assert!(db.shard(0).power_failed(), "the barrier must fail");
+    drop(db);
+    let mut rec = churning_store(Backend::Recover(&p));
+    assert_acknowledged_prefix(&mut rec, 1, loaded, "failed trim");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A freed extent file whose unlink fails is counted, not dropped: the
+/// store keeps going, the file stays on disk, and the next open's orphan
+/// sweep deletes it.
+#[test]
+fn a_failed_unlink_is_counted_and_swept_at_the_next_open() {
+    let root = persist_root("unlink-fail");
+    let p = persist_cfg(&root);
+    let mut db = churning_store(Backend::Create(&p));
+    let other = Fault::Error(std::io::ErrorKind::Other);
+    db.shard(0).faults().arm(Site::ExtentUnlink, 0, other);
+    let mut written = 0u64;
+    while db.shard(0).stats().unlink_failures == 0 {
+        assert!(written < 1200, "no freed file was unlinked");
+        db.put(key(written), val(written));
+        written += 1;
+    }
+    db.group_commit();
+    assert!(!db.crashed(), "a failed unlink must not kill the shard");
+    assert_eq!(db.shard(0).stats().unlink_failures, 1);
+    let live: Vec<u64> = db
+        .shard(0)
+        .manifest()
+        .unwrap()
+        .state()
+        .levels
+        .iter()
+        .flat_map(|l| l.sealed.iter().chain(l.active.iter()))
+        .map(|r| r.extent_id)
+        .collect();
+    drop(db); // a clean drop unlinks the reserved file
+    let stray: Vec<u64> = extent_files(&p)
+        .into_iter()
+        .map(|(id, _)| id)
+        .filter(|id| !live.contains(id))
+        .collect();
+    assert_eq!(
+        stray.len(),
+        1,
+        "the file whose unlink failed stays: {stray:?}"
+    );
+
+    let mut rec = churning_store(Backend::Recover(&p));
+    assert_eq!(rec.shard(0).stats().orphans_collected, 1);
+    assert!(extent_files(&p).iter().all(|&(id, _)| id != stray[0]));
+    for i in 0..written {
+        assert_eq!(
+            rec.get(&key(i)).as_deref(),
+            Some(val(i).as_slice()),
+            "key {i} lost"
+        );
+    }
     let _ = std::fs::remove_dir_all(&root);
 }

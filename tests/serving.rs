@@ -7,7 +7,7 @@
 //! * **read-your-writes** — a client immediately re-reading its own
 //!   acknowledged write sees it, no matter what the other clients are
 //!   doing (the per-shard lock's order makes this structural);
-//! * **crash durability** — a [`CrashPoint`] firing mid-serve never
+//! * **crash durability** — a crash after a WAL append firing mid-serve never
 //!   loses a write that was acknowledged before it;
 //! * **group commit** — many writers over few shards share fsyncs, and
 //!   every acknowledged write is on disk all the same;
@@ -25,12 +25,12 @@ use std::thread;
 
 use bytes::Bytes;
 
-use ruskey_repro::lsm::CrashPoint;
 use ruskey_repro::ruskey::db::RusKeyConfig;
 use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey, StoreError};
 use ruskey_repro::ruskey::tuner::{FixedPolicy, NoOpTuner};
 use ruskey_repro::ruskey::{ServingConfig, ServingError};
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
+use ruskey_repro::storage::{Fault, Site};
 use ruskey_repro::workload::{
     bulk_load_pairs, client_scripts, encode_key, OpGenerator, OpMix, Operation, WorkloadSpec,
 };
@@ -227,10 +227,9 @@ fn acknowledged_writes_survive_a_mid_serve_crash() {
             Backend::Create(&durability),
         )
         .expect("open persistent store");
-        db.shard_mut(0)
-            .wal_mut()
-            .expect("durable shard has a WAL")
-            .arm_crash(CrashPoint::PostAppend, crash_after);
+        db.shard(0)
+            .faults()
+            .arm(Site::WalAppend, crash_after, Fault::CrashAfter);
 
         let frontend = db.serve(ServingConfig::default()).expect("serve");
         let acked: Vec<(Bytes, Bytes)> = thread::scope(|s| {
