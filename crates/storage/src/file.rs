@@ -253,22 +253,20 @@ impl FileDisk {
         Ok(f)
     }
 
-    /// Issues `call` at `site` (see [`FaultPlan::run`]): `None` once the
-    /// process is dead, killed by this call's failure included — an
-    /// extent's create, size or write has no caller to report it to.
+    /// Issues `call` at `site` (see [`FaultPlan::run`]): `None` when it
+    /// was not issued or failed, which kills the plan — an extent's
+    /// create, size or write has no caller to report the error to.
     fn issue<T>(&self, site: Site, call: impl FnOnce(bool) -> std::io::Result<T>) -> Option<T> {
-        match self.faults.run(site, call) {
-            Ok(Some(done)) if !self.faults.is_dead() => Some(done),
-            _ => {
-                self.faults.kill();
-                None
-            }
+        let done = self.faults.run(site, call).ok().flatten();
+        if done.is_none() {
+            self.faults.kill();
         }
+        done
     }
 
-    /// A barrier's fsync at `site`: under an armed power cut, `cut` drops
-    /// what the fsync would have made durable instead. A process dead at or
-    /// after the call gets an error.
+    /// A barrier's fsync at `site`, an error unless the process survives
+    /// it: under an armed power cut, `cut` drops what the fsync would have
+    /// made durable instead.
     fn barrier(
         &self,
         site: Site,
@@ -276,17 +274,15 @@ impl FileDisk {
         cut: impl FnOnce(),
     ) -> std::io::Result<()> {
         match self.faults.fire(site) {
-            Some(Fault::PowerCut) => cut(),
+            None => return sync(),
             Some(Fault::Error(kind)) => return Err(kind.into()),
+            Some(Fault::PowerCut) => cut(),
+            Some(Fault::CrashAfter | Fault::Torn) => sync()?,
             Some(Fault::Crash) => {}
-            _ => sync()?,
         }
-        match self.faults.is_dead() {
-            true => Err(std::io::Error::other(
-                "device dead: the process died, or a call failed",
-            )),
-            false => Ok(()),
-        }
+        Err(std::io::Error::other(
+            "device dead: the process died, or a call failed",
+        ))
     }
 
     /// Unlinks extent `id`'s file, counting a failure instead of dropping it.
