@@ -82,7 +82,7 @@
 //! size, write, trim, sync and unlink, and the directory sync. A failed
 //! create, size or write — `ENOSPC`, say, or an armed [`Fault::Error`] —
 //! is never a panic: it kills the plan, the device is dead as after a
-//! cut (no call touches the disk again), and the next barrier returns an
+//! cut (no call writes to the disk again), and the next barrier returns an
 //! error, on which the tree power-fails. A failed unlink is counted
 //! ([`StorageMetrics::unlink_failures`]) and left to the next open's
 //! orphan sweep. An armed [`Fault::PowerCut`] tears the extent being
