@@ -117,8 +117,9 @@
 //! [`MissionReport::commit_ns`] is that max (the batch's durability
 //! latency), [`MissionReport::commit_busy_ns`] the sum (the total sync
 //! work, what a sequential barrier would have paid). A shard that crashes
-//! mid-leg does not stop its siblings' fsyncs — their batches commit, and
-//! the crash harness pins exactly which shards' records became durable.
+//! mid-leg fails the mission but does not stop its siblings' fsyncs —
+//! their batches commit, and the crash harness pins exactly which shards'
+//! records became durable.
 //! Outside missions, [`RusKey::group_commit`] runs the same
 //! overlapped barrier on demand.
 //!
@@ -357,10 +358,11 @@ pub enum StoreError {
         /// Why.
         error: ManifestError,
     },
-    /// A shard's WAL failed with a real I/O error during its commit leg
-    /// (the first failing shard, if several failed in one barrier). The
-    /// store itself stays alive: the batch's lanes were applied, but the
-    /// failing shard's records are not acknowledged.
+    /// A shard's commit leg failed (the first failing shard, if several
+    /// failed in one barrier): its WAL hit a real I/O error, or the
+    /// shard's process had died ([`RusKey::crashed`]). The store itself
+    /// stays alive: the batch's lanes were applied, but the failing
+    /// shard's records are not acknowledged.
     Wal {
         /// The shard whose log failed.
         shard: usize,
@@ -734,8 +736,9 @@ impl RusKey {
     /// The lanes run on `run_on_lanes`, which catches a lane's panic
     /// where it ran, so the siblings of a lane that dies run to the end;
     /// the lowest such shard is fenced and reported as
-    /// [`StoreError::ShardPanicked`]. A failed commit leg is
-    /// [`StoreError::Wal`] (lowest failing shard) on a live engine.
+    /// [`StoreError::ShardPanicked`]. A failed commit leg, a dead shard's
+    /// included, is [`StoreError::Wal`] (lowest failing shard) on a live
+    /// engine.
     fn run_lanes(
         &mut self,
         lanes: Vec<Vec<&Operation>>,
@@ -782,11 +785,12 @@ impl RusKey {
     /// syncs its WAL at most once, concurrently with its siblings,
     /// acknowledging every record logged since the previous barrier —
     /// one fsync per shard per batch instead of one per record. Shards
-    /// with nothing unacknowledged skip their fsync; a shard whose WAL
-    /// already crashed no-ops without stopping its siblings' legs (a dead
-    /// process commits nothing further, but the others' batches become
-    /// durable — which is what lets the crash harness pin exactly which
-    /// shards' records survived).
+    /// with nothing unacknowledged skip their fsync. A shard whose process
+    /// died — before the barrier or inside its leg — fails the barrier
+    /// ([`StoreError::Wal`]) without stopping its siblings' legs: it
+    /// acknowledges nothing further, but the others' batches become
+    /// durable, which is what lets the crash harness pin exactly which
+    /// shards' records survived.
     ///
     /// # Panics
     /// Panics on [`StoreError`]; use [`RusKey::try_group_commit`]

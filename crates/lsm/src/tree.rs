@@ -375,24 +375,42 @@ impl FlsmTree {
     /// [`FlsmTree::finish_commit`] back to back — the one sync path; the
     /// serving frontend makes the three calls itself so that it holds the
     /// tree only for the first and the last.
+    ///
+    /// A shard whose process died — before the leg or inside it — fails
+    /// it: a write issued after the death was never logged, so no barrier
+    /// may answer as if it were acknowledged.
     pub fn commit_wal(&mut self) -> std::io::Result<bool> {
         let Some(ticket) = self.begin_commit()? else {
             return Ok(false);
         };
         ticket.sync_data()?;
-        Ok(self.finish_commit(&ticket).is_some())
+        let synced = self.finish_commit(&ticket).is_some();
+        self.alive().map(|()| synced)
     }
 
     /// First half of a commit leg: if the WAL holds unacknowledged records,
     /// writes its buffer to the file and returns the ticket whose fsync
     /// covers them (`Wal::begin_sync`). `None`: nothing to sync — no log,
-    /// an idle or dead one, or a memtable flush already superseded every
-    /// record.
+    /// an idle one, or a memtable flush already superseded every record.
+    /// An error once the shard's process died, a death inside the write
+    /// included.
     pub fn begin_commit(&mut self) -> std::io::Result<Option<SyncTicket>> {
-        match &mut self.wal {
-            Some(wal) if wal.unsynced() > 0 => wal.begin_sync(),
-            _ => Ok(None),
+        let Some(wal) = &mut self.wal else {
+            return Ok(None);
+        };
+        let ticket = match wal.unsynced() {
+            0 => None,
+            _ => wal.begin_sync()?,
+        };
+        self.alive().map(|()| ticket)
+    }
+
+    /// `Err` once the shard's process died: what a commit leg then returns.
+    fn alive(&self) -> std::io::Result<()> {
+        if self.faults.is_dead() {
+            return Err(std::io::Error::other("the shard's process died"));
         }
+        Ok(())
     }
 
     /// Second half of a commit leg, after the ticket's fsync returned:

@@ -207,7 +207,9 @@ pub trait Storage: Send + Sync {
 
     /// The fault plan this device shares with its shard's logs, if it has
     /// one: [`crate::FileDisk`] does, and a decorator forwards its inner
-    /// device's. A tree over a device without one makes its own.
+    /// device's. A tree over a device without one makes its own — so a
+    /// decorator that does not forward it splits the shard's plan: the
+    /// tree and its logs then die on their own plan, the device on its.
     fn faults(&self) -> Option<&Arc<FaultPlan>> {
         None
     }
@@ -319,18 +321,14 @@ impl Storage for SimulatedDisk {
                 .unwrap_or_else(|| panic!("write to freed/unknown extent {}", ext.id));
             slots[idx as usize] = Some(Bytes::copy_from_slice(data));
         }
-        let charge = IoCharge {
-            ns: self.cost.write_page_ns,
-            io: StorageMetrics {
-                pages_written: 1,
-                bytes_written: data.len() as u64,
-                write_ns: self.cost.write_page_ns,
-                ..StorageMetrics::default()
-            },
+        let io = StorageMetrics {
+            pages_written: 1,
+            bytes_written: data.len() as u64,
+            write_ns: self.cost.write_page_ns,
+            ..StorageMetrics::default()
         };
-        self.metrics.add(&charge.io);
-        self.clock.advance(charge.ns);
-        charge
+        self.metrics
+            .charge(&self.clock, self.cost.write_page_ns, io)
     }
 
     fn append_pages(&self, ext: Option<Extent>, pages: &[&[u8]]) -> Option<(Extent, IoCharge)> {
@@ -377,18 +375,16 @@ impl Storage for SimulatedDisk {
                 )
             })?
         };
-        let charge = IoCharge {
-            ns: self.cost.read_page_ns,
-            io: StorageMetrics {
-                pages_read: 1,
-                bytes_read: page.len() as u64,
-                read_ns: self.cost.read_page_ns,
-                ..StorageMetrics::default()
-            },
+        let io = StorageMetrics {
+            pages_read: 1,
+            bytes_read: page.len() as u64,
+            read_ns: self.cost.read_page_ns,
+            ..StorageMetrics::default()
         };
-        self.metrics.add(&charge.io);
-        self.clock.advance(charge.ns);
-        Ok((page, charge))
+        Ok((
+            page,
+            self.metrics.charge(&self.clock, self.cost.read_page_ns, io),
+        ))
     }
 
     fn free(&self, ext: Extent) {

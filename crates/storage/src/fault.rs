@@ -106,7 +106,7 @@ impl FaultPlan {
 
     /// Visits `site`: `None` lets the call go ahead; otherwise the fault
     /// to apply, [`Fault::Crash`] on a dead plan.
-    pub(crate) fn fire(&self, site: Site) -> Option<Fault> {
+    fn fire(&self, site: Site) -> Option<Fault> {
         match self.state.load(Ordering::Relaxed) {
             0 => return None,
             state if state & DEAD != 0 => return Some(Fault::Crash),
@@ -135,11 +135,46 @@ impl FaultPlan {
         site: Site,
         call: impl FnOnce(bool) -> io::Result<T>,
     ) -> io::Result<Option<T>> {
-        match self.fire(site) {
+        Self::apply(self.fire(site), call, || ())
+    }
+
+    /// Visits a barrier's `site` and issues its `sync`: `Ok` only when the
+    /// process survives it. Under an armed [`Fault::PowerCut`], `cut`
+    /// drops what the sync would have made durable, in its place.
+    pub(crate) fn barrier(
+        &self,
+        site: Site,
+        sync: impl FnOnce() -> io::Result<()>,
+        cut: impl FnOnce(),
+    ) -> io::Result<()> {
+        let fault = self.fire(site);
+        match Self::apply(fault, |_| sync(), cut)? {
+            // Only an unarmed visit survives: an armed `Error` returned.
+            Some(()) if fault.is_none() => Ok(()),
+            _ => Err(dead()),
+        }
+    }
+
+    /// What every fault means to the call it fires in front of.
+    fn apply<T>(
+        fault: Option<Fault>,
+        call: impl FnOnce(bool) -> io::Result<T>,
+        cut: impl FnOnce(),
+    ) -> io::Result<Option<T>> {
+        match fault {
             None | Some(Fault::CrashAfter) => call(false).map(Some),
             Some(Fault::Torn) => call(true).map(Some),
             Some(Fault::Error(kind)) => Err(kind.into()),
-            Some(Fault::Crash | Fault::PowerCut) => Ok(None),
+            Some(Fault::PowerCut) => {
+                cut();
+                Ok(None)
+            }
+            Some(Fault::Crash) => Ok(None),
         }
     }
+}
+
+/// The error a durable call on a dead device or shard returns.
+pub(crate) fn dead() -> io::Error {
+    io::Error::other("device dead: the process died, or a call failed")
 }

@@ -80,14 +80,16 @@
 //! hands it to the tree, which shares it with the WAL and the manifest).
 //! Every durable-path call visits its [`Site`] first: an extent's create,
 //! size, write, trim, sync and unlink, and the directory sync. A failed
-//! create, size or write — `ENOSPC`, say, or an armed [`Fault::Error`] —
-//! is never a panic: it kills the plan, the device is dead as after a
-//! cut (no call writes to the disk again), and the next barrier returns an
-//! error, on which the tree power-fails. A failed unlink is counted
+//! create, size or write — `ENOSPC`, say, or an armed
+//! [`Fault::Error`](crate::Fault::Error) — is never a panic: it kills the
+//! plan, the device is dead as after a cut (no call writes to the disk
+//! again), and every barrier from then on returns an error, on which the
+//! tree power-fails. A failed unlink is counted
 //! ([`StorageMetrics::unlink_failures`]) and left to the next open's
-//! orphan sweep. An armed [`Fault::PowerCut`] tears the extent being
-//! synced at [`Site::ExtentSync`], and at [`Site::DirSync`] erases the
-//! files created since the last directory sync.
+//! orphan sweep. An armed [`Fault::PowerCut`](crate::Fault::PowerCut)
+//! tears the extent being synced at [`Site::ExtentSync`], and at
+//! [`Site::DirSync`] erases the files created since the last directory
+//! sync.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -101,7 +103,7 @@ use bytes::Bytes;
 use crate::clock::VirtualClock;
 use crate::cost::CostModel;
 use crate::disk::{Extent, IoCharge, Storage};
-use crate::fault::{Fault, FaultPlan, Site};
+use crate::fault::{self, FaultPlan, Site};
 use crate::metrics::{AtomicMetrics, StorageMetrics};
 
 /// Per-page on-disk prefix: the little-endian payload length. The slot a
@@ -264,27 +266,6 @@ impl FileDisk {
         done
     }
 
-    /// A barrier's fsync at `site`, an error unless the process survives
-    /// it: under an armed power cut, `cut` drops what the fsync would have
-    /// made durable instead.
-    fn barrier(
-        &self,
-        site: Site,
-        sync: impl FnOnce() -> std::io::Result<()>,
-        cut: impl FnOnce(),
-    ) -> std::io::Result<()> {
-        match self.faults.fire(site) {
-            None => return sync(),
-            Some(Fault::Error(kind)) => return Err(kind.into()),
-            Some(Fault::PowerCut) => cut(),
-            Some(Fault::CrashAfter | Fault::Torn) => sync()?,
-            Some(Fault::Crash) => {}
-        }
-        Err(std::io::Error::other(
-            "device dead: the process died, or a call failed",
-        ))
-    }
-
     /// Unlinks extent `id`'s file, counting a failure instead of dropping it.
     fn unlink(&self, id: u64) {
         let unlinked = self
@@ -362,18 +343,14 @@ impl FileDisk {
             }
         }
         let n = pages.len() as u64;
-        let charge = IoCharge {
-            ns: n * self.cost.write_page_ns,
-            io: StorageMetrics {
-                pages_written: n,
-                bytes_written: pages.iter().map(|p| p.len() as u64).sum(),
-                write_ns: n * self.cost.write_page_ns,
-                ..StorageMetrics::default()
-            },
+        let io = StorageMetrics {
+            pages_written: n,
+            bytes_written: pages.iter().map(|p| p.len() as u64).sum(),
+            write_ns: n * self.cost.write_page_ns,
+            ..StorageMetrics::default()
         };
-        self.metrics.add(&charge.io);
-        self.clock.advance(charge.ns);
-        charge
+        self.metrics
+            .charge(&self.clock, n * self.cost.write_page_ns, io)
     }
 
     /// Reads slot `idx` of `ext` into the staging buffer, validates its
@@ -409,18 +386,16 @@ impl FileDisk {
             })?;
             Ok::<_, std::io::Error>((take(page), len as u64))
         })?;
-        let charge = IoCharge {
-            ns: self.cost.read_page_ns,
-            io: StorageMetrics {
-                pages_read: 1,
-                bytes_read: len,
-                read_ns: self.cost.read_page_ns,
-                ..StorageMetrics::default()
-            },
+        let io = StorageMetrics {
+            pages_read: 1,
+            bytes_read: len,
+            read_ns: self.cost.read_page_ns,
+            ..StorageMetrics::default()
         };
-        self.metrics.add(&charge.io);
-        self.clock.advance(charge.ns);
-        Ok((taken, charge))
+        Ok((
+            taken,
+            self.metrics.charge(&self.clock, self.cost.read_page_ns, io),
+        ))
     }
 }
 
@@ -521,28 +496,28 @@ impl Storage for FileDisk {
         // torn (a torn tail, not clean truncation to zero, is what real
         // filesystems leave).
         let torn = (ext.pages as u64 / 2) * self.slot() as u64 + SLOT_HEADER as u64 / 2;
-        self.barrier(Site::ExtentSync, || f.sync_data(), || drop(f.set_len(torn)))?;
-        let charge = IoCharge {
-            ns: self.cost.wal_sync_ns,
-            io: StorageMetrics {
-                extent_syncs: 1,
-                ..StorageMetrics::default()
-            },
+        self.faults
+            .barrier(Site::ExtentSync, || f.sync_data(), || drop(f.set_len(torn)))?;
+        let io = StorageMetrics {
+            extent_syncs: 1,
+            ..StorageMetrics::default()
         };
-        self.metrics.add(&charge.io);
-        self.clock.advance(charge.ns);
-        Ok(charge)
+        Ok(self.metrics.charge(&self.clock, self.cost.wal_sync_ns, io))
     }
 
     /// Free when no extent file was created since the last directory
     /// sync: there is no name to make durable, so no syscall, count or
-    /// charge — and no visit to [`Site::DirSync`].
+    /// charge — and no visit to [`Site::DirSync`]. A dead device fails it
+    /// all the same, as it fails every barrier.
     fn sync_dir(&self) -> std::io::Result<IoCharge> {
         let mut pending = self
             .pending_dir
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if pending.is_empty() {
+            if self.faults.is_dead() {
+                return Err(fault::dead());
+            }
             return Ok(IoCharge::default());
         }
         // A power cut before the directory fsync: the files created since
@@ -568,18 +543,14 @@ impl Storage for FileDisk {
                 }
             }
         };
-        self.barrier(Site::DirSync, || self.dir_handle.sync_all(), cut)?;
+        self.faults
+            .barrier(Site::DirSync, || self.dir_handle.sync_all(), cut)?;
         pending.clear();
-        let charge = IoCharge {
-            ns: self.cost.wal_sync_ns,
-            io: StorageMetrics {
-                dir_syncs: 1,
-                ..StorageMetrics::default()
-            },
+        let io = StorageMetrics {
+            dir_syncs: 1,
+            ..StorageMetrics::default()
         };
-        self.metrics.add(&charge.io);
-        self.clock.advance(charge.ns);
-        Ok(charge)
+        Ok(self.metrics.charge(&self.clock, self.cost.wal_sync_ns, io))
     }
 
     fn collect_orphans(&self, live: &[u64]) -> std::io::Result<Vec<u64>> {
@@ -693,6 +664,7 @@ impl Drop for FileDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fault;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
@@ -952,8 +924,9 @@ mod tests {
     }
 
     /// A create, size or write that fails is no panic: the device is dead
-    /// from then on (nothing more is written or charged), and the next
-    /// extent barrier returns an error.
+    /// from then on (nothing more is written or charged), and both
+    /// barriers return an error — the directory sync too when no name
+    /// waits (a failed create leaves none).
     #[test]
     fn a_failed_extent_call_kills_the_device_and_fails_the_next_barrier() {
         for site in [Site::ExtentCreate, Site::ExtentSize, Site::ExtentWrite] {
@@ -965,6 +938,7 @@ mod tests {
             assert_eq!(d.write_page(ext, 0, b"lost"), IoCharge::default());
             assert!(d.faults.is_dead(), "{site:?}");
             assert!(d.sync_extent(ext).is_err(), "{site:?}");
+            assert!(d.sync_dir().is_err(), "{site:?}: with or without new names");
             assert_eq!(d.metrics(), StorageMetrics::default(), "{site:?}");
             let _ = std::fs::remove_dir_all(&dir);
         }

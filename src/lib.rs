@@ -163,7 +163,9 @@
 //! every durable-path call — an append, a `pwrite`, a trim, an fsync, an
 //! unlink — visits a named [`storage::Site`] first, where an armed
 //! [`storage::Fault`] fires (a crash before or after the call, a torn
-//! write, a power cut, or an error the call returns). The contract is
+//! write, a power cut, or an error the call returns). Once a shard's plan
+//! is dead, every barrier on it fails typed, so no write issued after the
+//! death is acknowledged. The contract is
 //! pinned three ways: `tests/crash_recovery.rs` runs the plan over the WAL
 //! write path (crash before and after an append, a torn write, a crash
 //! after the fsync; `N ∈ {1, 2, 4}`), over the manifest (crash before the

@@ -56,7 +56,7 @@ use proptest::prelude::*;
 
 use ruskey_repro::lsm::{KvEntry, Manifest, Wal};
 use ruskey_repro::ruskey::db::RusKeyConfig;
-use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey};
+use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey, StoreError};
 use ruskey_repro::storage::{CostModel, Fault, SimulatedDisk, Site, Storage};
 use ruskey_repro::workload::routing::shard_for_key;
 use ruskey_repro::workload::{
@@ -173,9 +173,9 @@ fn recovery_restores_exactly_the_synced_prefix_at_every_crash_point() {
                 }
             }
             // Append-time points fire during the puts; sync-time points
-            // fire inside the commit barrier.
+            // fire inside the commit barrier, which then fails.
             if !db.crashed() {
-                db.group_commit();
+                assert!(db.try_group_commit().is_err(), "point={point:?}");
             }
             assert!(
                 db.crashed(),
@@ -349,6 +349,11 @@ fn overlapped_commit_crash_keeps_sibling_batches_durable() {
             "shards={shards}: mission 1 broke the ≤1-fsync-per-shard bound"
         );
         assert_eq!(r1.wal_synced, r1.window.wal_appends);
+        assert!(
+            r1.commit_ns <= r1.commit_busy_ns,
+            "shards={shards}: overlapped barrier latency (max) exceeded the \
+             sequential sum"
+        );
         assert!(!db.crashed());
 
         // Mission 2: shard 0's commit leg tears mid-fsync. The legs run
@@ -363,19 +368,19 @@ fn overlapped_commit_crash_keeps_sibling_batches_durable() {
             !shard0_batch2.is_empty(),
             "shards={shards}: the crash scenario needs writes on shard 0"
         );
-        let r2 = db.run_mission(&ops2);
+        let before = db.stats();
+        let r2 = db.try_run_mission(&ops2);
         assert!(
             db.crashed(),
             "shards={shards}: the mid-flush crash never fired"
         );
         assert!(
-            r2.window.wal_syncs <= shards as u64,
-            "shards={shards}: mission 2 broke the ≤1-fsync-per-shard bound"
+            matches!(r2, Err(StoreError::Wal { shard: 0, .. })),
+            "shards={shards}: the crashed shard's leg must fail the mission"
         );
         assert!(
-            r2.commit_ns <= r2.commit_busy_ns,
-            "shards={shards}: overlapped barrier latency (max) exceeded the \
-             sequential sum"
+            db.stats().delta(&before).wal_syncs <= shards as u64,
+            "shards={shards}: mission 2 broke the ≤1-fsync-per-shard bound"
         );
         drop(db); // the crashed shard's unflushed tail dies here
 
@@ -1200,7 +1205,7 @@ fn power_cut_before_a_recycled_logs_zero_fill_loses_nothing() {
                 shard0.push(i);
             }
         }
-        db.group_commit();
+        assert!(db.try_group_commit().is_err());
         assert!(db.crashed(), "shards={shards}: the torn flush never fired");
         drop(db);
         let replayed = Wal::replay(p.wal_path(0)).unwrap();
@@ -1513,26 +1518,22 @@ fn missing_referenced_extent_is_a_typed_recovery_error_not_a_panic() {
 // 6. Failed calls
 // ----------------------------------------------------------------------
 
-/// Puts keys `0..keys` in batches of twenty, each acknowledged by a
-/// barrier, until the store dies: the keys acknowledged and the keys
-/// written, both as counts from key 0.
+/// Puts keys `0..keys` in batches of twenty until a barrier fails: the
+/// keys acknowledged (by a barrier that returned `Ok`) and the keys
+/// written, both as counts from key 0. It never asks the store whether it
+/// died — a put issued after the death must still fail its barrier.
 fn load_until_crash(db: &mut RusKey, keys: u64) -> (u64, u64) {
-    let (mut acked, mut written) = (0, 0);
-    'load: for batch in 0..keys / 20 {
-        for i in batch * 20..(batch + 1) * 20 {
+    let mut acked = 0;
+    while acked < keys {
+        for i in acked..acked + 20 {
             db.put(key(i), val(i));
-            written = i + 1;
-            if db.crashed() {
-                break 'load;
-            }
         }
-        db.group_commit();
-        if db.crashed() {
-            break;
+        if db.try_group_commit().is_err() {
+            return (acked, acked + 20);
         }
-        acked = written;
+        acked += 20;
     }
-    (acked, written)
+    (acked, acked)
 }
 
 /// Recovery yields the acknowledged prefix: every acknowledged key, only
@@ -1594,6 +1595,39 @@ fn enospc_on_an_extent_write_or_create_recovers_the_acknowledged_prefix() {
             }
         }
     }
+}
+
+/// A put issued after ENOSPC killed the shard is never acknowledged: the
+/// flush's extent write fails, the put after it is buffered by no live
+/// log, and the barrier that follows fails typed instead of answering
+/// `Ok` for a write recovery cannot return.
+#[test]
+fn a_barrier_after_a_failed_extent_write_fails_typed() {
+    let root = persist_root("enospc-barrier");
+    let p = persist_cfg(&root);
+    let mut db = churning_store(Backend::Create(&p));
+    let enospc = Fault::Error(std::io::ErrorKind::StorageFull);
+    db.shard(0).faults().arm(Site::ExtentWrite, 0, enospc);
+    let mut written = 0;
+    while !db.crashed() {
+        assert!(written < 200, "no flush wrote an extent");
+        db.put(key(written), val(written));
+        written += 1;
+    }
+    db.put(key(written), val(written));
+    let committed = db.try_group_commit();
+    assert!(
+        matches!(committed, Err(StoreError::Wal { shard: 0, .. })),
+        "a barrier after the death answered {committed:?}"
+    );
+    assert!(
+        db.try_group_commit().is_err(),
+        "every later barrier fails too"
+    );
+    drop(db);
+    let mut rec = churning_store(Backend::Recover(&p));
+    assert_eq!(rec.get(&key(written)), None, "the put after the death");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A WAL recycle that fails part-way — the generation spans two 64 KiB
