@@ -11,13 +11,13 @@
 //! Every experiment's result is a set of claim rows, printed as one
 //! Markdown table, `| id | paper | ours | spread | verdict |`; a verdict is
 //! `holds`, `fails` or `recorded` (a value with no claim). `--csv DIR`
-//! also writes the per-mission series as CSV files for plotting. `tuning`
-//! also writes its rows and its `tuning_ok` verdict as JSON, to `--json
-//! PATH` if given (under `all` too), else to `tuning.json`. `claims` runs
-//! every experiment `all` runs at seeds 42, 7 and 1234 and folds the rows
-//! by id: `ours` is the median over the seeds, `spread` max − min, and a
-//! row holds only if it holds at every seed; it writes the rows as JSON
-//! to `--json PATH`, else to `claims.json`, and writes no CSV. An
+//! also writes the per-mission series as CSV files for plotting. Every
+//! run also writes the rows it printed as JSON, one row per line, to
+//! `--json PATH`, else to `<experiment>.json` (`all.json` for `all`).
+//! `claims` runs every experiment `all` runs at seeds 42, 7 and 1234 and
+//! folds the rows by id: `ours` is the median over the seeds, `spread`
+//! max − min, and a row holds only if it holds at every seed; it writes
+//! no CSV. An
 //! unknown experiment, flag or scale, or a flag without its value, prints
 //! the valid choices and exits with status 2; output that cannot be
 //! written exits with status 1.
@@ -31,12 +31,7 @@ use ruskey_bench::*;
 /// What every experiment runner gets.
 struct Ctx {
     scale: ExperimentScale,
-    /// The scale's name in the JSON documents.
-    label: &'static str,
     csv_dir: Option<String>,
-    /// Where the experiment's JSON goes (none for the runs `claims`
-    /// folds).
-    json_path: Option<String>,
 }
 
 /// One experiment: its name, whether `all` includes it, and its runner.
@@ -56,7 +51,7 @@ const EXPERIMENTS: &[Experiment] = &[
     ("fig12", true, |c| fig12(&c.scale)),
     ("fig13", true, |c| fig13(&c.scale)),
     ("bruteforce", true, |c| bruteforce(&c.scale)),
-    ("tuning", true, run_tuning),
+    ("tuning", true, |c| tuning(&c.scale)),
     ("ablations", false, |c| ablations(&c.scale)),
     ("claims", false, run_claims),
 ];
@@ -70,8 +65,9 @@ fn usage_error(problem: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Parses the command line into the experiment name and its context.
-fn parse_args() -> (String, Ctx) {
+/// Parses the command line into the experiment name, the scale's name,
+/// the path its rows go to as JSON, and the runners' context.
+fn parse_args() -> (String, &'static str, String, Ctx) {
     let mut argv = std::env::args().skip(1);
     let mut experiment = String::from("all");
     let mut scale = "small".to_string();
@@ -99,18 +95,8 @@ fn parse_args() -> (String, Ctx) {
         "full" => ("full", full_scale()),
         other => usage_error(&format!("unknown scale '{other}' (tiny, small, full)")),
     };
-    let json_default = if experiment == "claims" {
-        "claims.json"
-    } else {
-        "tuning.json"
-    };
-    let ctx = Ctx {
-        scale,
-        label,
-        csv_dir,
-        json_path: Some(json_path.unwrap_or_else(|| json_default.into())),
-    };
-    (experiment, ctx)
+    let json_path = json_path.unwrap_or_else(|| format!("{experiment}.json"));
+    (experiment, label, json_path, Ctx { scale, csv_dir })
 }
 
 /// The default reproduction scale (a few minutes for `all`).
@@ -140,15 +126,6 @@ fn write_error(path: &str, e: std::io::Error) -> ! {
     std::process::exit(1);
 }
 
-/// Writes an experiment's JSON document to the context's JSON path, if
-/// it has one.
-fn write_json(c: &Ctx, json: String) {
-    if let Some(path) = &c.json_path {
-        std::fs::write(path, json).unwrap_or_else(|e| write_error(path, e));
-        println!("  [json] {path}");
-    }
-}
-
 fn write_csv(c: &Ctx, name: &str, content: &str) {
     if let Some(dir) = &c.csv_dir {
         let path = format!("{dir}/{name}.csv");
@@ -156,16 +133,6 @@ fn write_csv(c: &Ctx, name: &str, content: &str) {
             .and_then(|()| std::fs::write(&path, content))
             .unwrap_or_else(|e| write_error(&path, e));
         println!("  [csv] {path}");
-    }
-}
-
-fn run_tuning(c: &Ctx) -> Outcome {
-    let v = tuning(&c.scale);
-    write_json(c, tuning_json(c.label, &v));
-    let ok = ClaimRow::claim("tuning.ok", None, f64::from(u8::from(v.ok)), v.ok);
-    Outcome {
-        rows: vec![ok],
-        ..Outcome::default()
     }
 }
 
@@ -178,17 +145,13 @@ fn run_claims(c: &Ctx) -> Outcome {
                     seed,
                     ..c.scale.clone()
                 },
-                label: c.label,
                 csv_dir: None,
-                json_path: None,
             };
             run(&at_seed, "all")
         })
         .collect();
-    let rows = fold_seeds(&runs);
-    write_json(c, claims_json(c.label, &rows));
     Outcome {
-        rows,
+        rows: fold_seeds(&runs),
         ..Outcome::default()
     }
 }
@@ -210,7 +173,7 @@ fn run(c: &Ctx, experiment: &str) -> Vec<ClaimRow> {
 }
 
 fn main() {
-    let (experiment, ctx) = parse_args();
+    let (experiment, label, json_path, ctx) = parse_args();
     println!(
         "RusKey reproduction harness | load={} entries, mission={} ops, missions={}\n",
         ctx.scale.load_entries, ctx.scale.mission_size, ctx.scale.missions
@@ -218,5 +181,8 @@ fn main() {
     let t0 = std::time::Instant::now();
     let rows = run(&ctx, &experiment);
     println!("\n{}", claims_table(&rows));
+    std::fs::write(&json_path, rows_json(&experiment, label, &rows))
+        .unwrap_or_else(|e| write_error(&json_path, e));
+    println!("  [json] {json_path}");
     println!("done in {:.1}s", t0.elapsed().as_secs_f64());
 }

@@ -7,11 +7,11 @@
 //! configurable scale and returns an [`Outcome`]: its [`ClaimRow`]s (an
 //! id, the paper's value, ours, the spread over seeds and a verdict) and
 //! the series it plots. The `repro` binary prints the rows as one
-//! Markdown table ([`claims_table`]) and writes the series as CSV;
-//! `repro claims` folds every experiment's rows over three seeds
-//! ([`fold_seeds`]) into the table `EXPERIMENTS.md` holds, and writes
-//! them as JSON ([`claims_json`]). Beside the paper, `tuning` pins the
-//! per-shard Lerp seats as a JSON verdict and `ablations` sweeps the
+//! Markdown table ([`claims_table`]), writes them as JSON ([`rows_json`])
+//! and writes the series as CSV; `repro claims` folds every experiment's
+//! rows over three seeds ([`fold_seeds`]) into the table `EXPERIMENTS.md`
+//! holds. Beside the paper, `tuning` pins the per-shard Lerp seats as a
+//! `tuning.ok` claim beside their recorded rows and `ablations` sweeps the
 //! design choices. The tuners come from the engine crate (`ruskey`), with
 //! one exception: the two RL baselines of the §7 impracticality study,
 //! brute-force whole-tree DDPG and per-level DDPG without propagation, are

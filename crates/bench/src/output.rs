@@ -2,7 +2,6 @@
 
 use crate::claims::ClaimRow;
 use crate::experiments::Series;
-use crate::tuning::TuningVerdict;
 
 /// Renders a mission-series comparison as CSV: `mission,method,...`.
 pub fn series_csv(series: &[Series]) -> String {
@@ -56,160 +55,53 @@ fn number(v: f64) -> String {
     }
 }
 
-/// A JSON value, as far as the experiment documents need one
-/// (hand-rolled — the workspace carries no serde). [`tuning_json`] and
-/// [`claims_json`] build these and [`experiment_json`] writes them.
-enum Json {
-    Str(String),
-    Int(u64),
-    Bool(bool),
-    /// A float printed with a fixed number of decimals.
-    Float(f64, usize),
-    /// A float printed in full, or `null` if it is not finite.
-    Num(f64),
-    Array(Vec<Json>),
-    Object(Vec<(&'static str, Json)>),
-}
-
-use Json::{Array, Bool, Float, Object};
-
-/// Any unsigned count (`usize`, `u64`, `u32`) as a JSON integer.
-fn int<T: TryInto<u64>>(n: T) -> Json {
-    Json::Int(n.try_into().ok().expect("counts fit in u64"))
-}
-
-fn string(s: &str) -> Json {
-    Json::Str(s.to_string())
-}
-
-/// Writes `n` comma-separated items between `open` and `close`.
-fn list(
-    out: &mut String,
-    open: char,
-    close: char,
-    n: usize,
-    mut item: impl FnMut(usize, &mut String),
-) {
-    out.push(open);
-    for i in 0..n {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        item(i, out);
-    }
-    out.push(close);
-}
-
-impl Json {
-    /// Writes the value on one line: `"key": value` members and array
-    /// items separated by `, `.
-    fn inline(&self, out: &mut String) {
-        match self {
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Int(n) => out.push_str(&n.to_string()),
-            Bool(b) => out.push_str(&b.to_string()),
-            Float(v, decimals) => out.push_str(&format!("{v:.decimals$}")),
-            Json::Num(v) if v.is_finite() => out.push_str(&v.to_string()),
-            Json::Num(_) => out.push_str("null"),
-            Array(items) => list(out, '[', ']', items.len(), |i, out| items[i].inline(out)),
-            Object(members) => list(out, '{', '}', members.len(), |i, out| {
-                out.push_str(&format!("\"{}\": ", members[i].0));
-                members[i].1.inline(out);
-            }),
+/// A JSON string (hand-rolled — the workspace carries no serde).
+fn json_str(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
         }
     }
-}
-
-/// Writes an experiment document: the envelope every experiment shares
-/// (`experiment`, `scale`), then its own verdicts and row arrays — one
-/// top-level member per line, an array member one row per line,
-/// everything below inline.
-fn experiment_json(
-    experiment: &str,
-    scale_label: &str,
-    members: Vec<(&'static str, Json)>,
-) -> String {
-    let mut doc = vec![
-        ("experiment", string(experiment)),
-        ("scale", string(scale_label)),
-    ];
-    doc.extend(members);
-    let mut out = String::from("{\n");
-    for (m, (key, value)) in doc.iter().enumerate() {
-        out.push_str(&format!("  \"{key}\": "));
-        match value {
-            Array(rows) => {
-                out.push_str("[\n");
-                for (i, row) in rows.iter().enumerate() {
-                    out.push_str("    ");
-                    row.inline(&mut out);
-                    out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-                }
-                out.push_str("  ]");
-            }
-            scalar => scalar.inline(&mut out),
-        }
-        out.push_str(if m + 1 < doc.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
+    out.push('"');
     out
 }
 
-/// Renders the per-shard-tuning experiment as machine-readable JSON.
-/// Each tuning row carries the converged-tail metric
-/// (`tail_ns_per_op`), the non-vacuity counter (`tuned_missions`), and
-/// the visible specialization (`final_k1`, `distinct_policies`). The
-/// top-level `tuning_ok` flag — every row tuned — is what CI greps as a
-/// smoke check.
-pub fn tuning_json(scale_label: &str, v: &TuningVerdict) -> String {
-    let row = |r: &crate::tuning::TuningRow| {
-        Object(vec![
-            ("workload", string(r.workload)),
-            ("shards", int(r.shards)),
-            ("missions", int(r.missions)),
-            ("ops_total", int(r.ops_total)),
-            ("tail_ns_per_op", Float(r.tail_ns_per_op, 1)),
-            ("tuned_missions", int(r.tuned_missions)),
-            (
-                "final_k1",
-                Array(r.final_k1.iter().map(|&k| int(k)).collect()),
-            ),
-            ("distinct_policies", int(r.distinct_policies)),
-        ])
-    };
-    let doc = vec![
-        ("tuning_ok", Bool(v.ok)),
-        ("rows", Array(v.rows.iter().map(row).collect())),
-    ];
-    experiment_json("tuning", scale_label, doc)
+/// A JSON number printed in full, or `null` if it is not finite.
+fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        v.to_string()
+    } else {
+        "null".into()
+    }
 }
 
-/// Renders claim rows as JSON, one row per line:
-/// `{"id": …, "paper": …, "ours": …, "spread": …, "verdict": …}`, with
-/// `null` where the paper states no value or none was measured.
-pub fn claims_json(scale_label: &str, rows: &[ClaimRow]) -> String {
-    let row = |r: &ClaimRow| {
-        Object(vec![
-            ("id", string(&r.id)),
-            ("paper", Json::Num(r.paper.unwrap_or(f64::NAN))),
-            ("ours", Json::Num(r.ours)),
-            ("spread", Json::Num(r.spread)),
-            ("verdict", string(r.verdict.name())),
-        ])
-    };
-    let doc = vec![("rows", Array(rows.iter().map(row).collect()))];
-    experiment_json("claims", scale_label, doc)
+/// Renders an experiment's claim rows as JSON: the `experiment` and
+/// `scale` they came from, then one row per line, `{"id": …, "paper": …,
+/// "ours": …, "spread": …, "verdict": …}`, with `null` where the paper
+/// states no value or none was measured.
+pub fn rows_json(experiment: &str, scale_label: &str, rows: &[ClaimRow]) -> String {
+    let mut out = format!(
+        "{{\n  \"experiment\": {},\n  \"scale\": {},\n  \"rows\": [\n",
+        json_str(experiment),
+        json_str(scale_label)
+    );
+    for (i, r) in rows.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"id\": {}, \"paper\": {}, \"ours\": {}, \"spread\": {}, \"verdict\": {}}}{}\n",
+            json_str(&r.id),
+            json_num(r.paper.unwrap_or(f64::NAN)),
+            json_num(r.ours),
+            json_num(r.spread),
+            json_str(r.verdict.name()),
+            if i + 1 < rows.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ]\n}\n");
+    out
 }
 
 #[cfg(test)]
@@ -244,39 +136,28 @@ mod tests {
         assert!(lines[1].contains(",X,"));
     }
 
+    /// The tuning experiment's rows render through the one rows renderer,
+    /// its verdict on the line `repro all --json` writes and CI greps.
     #[test]
-    fn tuning_json_carries_all_verdict_legs() {
-        use crate::tuning::{TuningRow, TuningVerdict};
-        let row = |workload: &'static str, tail: f64| TuningRow {
-            workload,
-            shards: 4,
-            missions: 24,
-            ops_total: 4800,
-            tail_ns_per_op: tail,
-            tuned_missions: 12,
-            final_k1: vec![1, 1, 9, 1],
-            distinct_policies: 2,
-        };
-        let v = TuningVerdict {
-            rows: vec![
-                row("uniform", 1020.0),
-                row("skewed", 1400.0),
-                row("shifting", 1450.0),
-            ],
-            ok: true,
-        };
-        let json = tuning_json("tiny", &v);
-        assert!(json.contains("\"experiment\": \"tuning\""));
-        assert!(json.contains("\"tuning_ok\": true"));
-        assert!(json.contains("\"final_k1\": [1, 1, 9, 1]"));
-        assert_eq!(json.matches("\"tail_ns_per_op\":").count(), 3);
-        let bad = TuningVerdict { ok: false, ..v };
-        let bad_json = tuning_json("tiny", &bad);
-        assert!(bad_json.contains("\"tuning_ok\": false"));
-        // Balanced braces/brackets, no trailing comma before a close.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains(",\n  ]"));
+    fn tuning_rows_render_the_line_ci_greps() {
+        let rows = vec![
+            ClaimRow::recorded("tuning.skewed.k1.shard2", 9.0),
+            ClaimRow::claim("tuning.ok", None, 1.0, true),
+        ];
+        let json = rows_json("all", "tiny", &rows);
+        assert!(json.starts_with("{\n  \"experiment\": \"all\",\n  \"scale\": \"tiny\",\n"));
+        let lines: Vec<&str> = json.lines().collect();
+        assert_eq!(
+            lines[4],
+            "    {\"id\": \"tuning.skewed.k1.shard2\", \"paper\": null, \"ours\": 9, \
+             \"spread\": 0, \"verdict\": \"recorded\"},"
+        );
+        assert_eq!(
+            lines[5],
+            "    {\"id\": \"tuning.ok\", \"paper\": null, \"ours\": 1, \"spread\": 0, \
+             \"verdict\": \"holds\"}"
+        );
+        assert_eq!(lines[6..], ["  ]", "}"]);
     }
 
     #[test]
@@ -287,7 +168,7 @@ mod tests {
             ClaimRow::claim("fig6.regret.write-heavy", Some(1.0), 1.7634, false),
             ClaimRow::recorded("bruteforce.converged_at", f64::NAN),
         ];
-        let json = claims_json("small", &rows);
+        let json = rows_json("claims", "small", &rows);
         assert!(json.contains("\"experiment\": \"claims\""));
         let lines: Vec<&str> = json.lines().filter(|l| l.contains("\"id\": ")).collect();
         assert_eq!(lines.len(), 4);

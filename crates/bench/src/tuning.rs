@@ -5,12 +5,15 @@
 //! rewarded from its own shard's slice — over three workloads: `uniform`
 //! (balanced mix, every shard statistically identical), `skewed` (point
 //! reads concentrated on one shard's keys, point writes on another's),
-//! and `shifting` (the skew swaps shards at the midpoint). Each row
-//! reports the paper's ranking metric, mean virtual ns/op over the last
-//! third of missions, and the per-shard policies the agents settled on.
-//! The verdict CI greps as `tuning_ok` is non-vacuity: every row saw
-//! `tuned_missions > 0`, missions in which some shard ran a non-default
-//! policy, so the agents really moved.
+//! and `shifting` (the skew swaps shards at the midpoint). Each workload
+//! records, as `tuning.<workload>.*` rows, the paper's ranking metric
+//! (`tail_ns_per_op`: mean virtual ns/op over the last third of
+//! missions), the missions in which some shard ran a non-default policy
+//! (`tuned_missions`), how many distinct per-shard policy vectors the
+//! agents settled on (`distinct_policies`) and each shard's final K(L1)
+//! (`k1.shard<i>`). The one claim, `tuning.ok`, which CI greps, is
+//! non-vacuity: every workload saw `tuned_missions > 0`, so the agents
+//! really moved.
 
 use std::collections::BTreeSet;
 
@@ -20,6 +23,7 @@ use ruskey::lerp::Lerp;
 use ruskey::sharded::{Backend, RusKey};
 use ruskey_workload::{bulk_load_pairs, encode_key, shard_for_key, OpGenerator, OpMix, Operation};
 
+use crate::claims::{ClaimRow, Outcome};
 use crate::percentile::tail_mean;
 use crate::runner::ExperimentScale;
 
@@ -29,39 +33,6 @@ const SHARDS: usize = 4;
 /// wide enough that the shard still behaves like an LSM-tree rather
 /// than a handful of memtable slots.
 const POOL_KEYS: usize = 256;
-
-/// One workload's measurement.
-#[derive(Debug, Clone)]
-pub struct TuningRow {
-    /// Workload shape: `uniform`, `skewed`, or `shifting`.
-    pub workload: &'static str,
-    /// Shard count.
-    pub shards: usize,
-    /// Missions run.
-    pub missions: usize,
-    /// Logical operations executed.
-    pub ops_total: u64,
-    /// Mean virtual ns/op over the last third of missions — the
-    /// converged-tail ranking metric.
-    pub tail_ns_per_op: f64,
-    /// Missions in which at least one shard ran a non-default policy
-    /// (zero means the comparison was vacuous).
-    pub tuned_missions: usize,
-    /// Final K(L1) per shard — the visible specialization.
-    pub final_k1: Vec<u32>,
-    /// Distinct per-shard policy vectors at the end (1 = every shard
-    /// identical).
-    pub distinct_policies: usize,
-}
-
-/// The whole experiment: three tuning rows and the verdict CI greps.
-#[derive(Debug, Clone)]
-pub struct TuningVerdict {
-    /// One row per workload.
-    pub rows: Vec<TuningRow>,
-    /// Non-vacuity: every tuning row saw at least one tuned mission.
-    pub ok: bool,
-}
 
 /// Lerp cadence scaled to the mission budget, so agents begin tuning
 /// inside the first third of the run instead of waiting the paper's
@@ -130,8 +101,9 @@ pub fn tuning_missions(scale: &ExperimentScale, workload: &'static str) -> Vec<V
     missions
 }
 
-/// Runs the per-shard Lerp store over one workload's mission schedule.
-fn run_tuning_row(scale: &ExperimentScale, workload: &'static str) -> TuningRow {
+/// Runs the per-shard Lerp store over one workload's mission schedule:
+/// the workload's recorded rows, and whether some mission was tuned.
+fn run_tuning_row(scale: &ExperimentScale, workload: &'static str) -> (Vec<ClaimRow>, bool) {
     let missions = tuning_missions(scale, workload);
     let cfg = tuning_cfg(scale);
     let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
@@ -144,47 +116,56 @@ fn run_tuning_row(scale: &ExperimentScale, workload: &'static str) -> TuningRow 
         scale.seed,
     ));
     let mut ns_per_op = Vec::with_capacity(missions.len());
-    let mut ops_total = 0u64;
     let mut tuned_missions = 0usize;
     let mut final_shard_policies: Vec<Vec<u32>> = Vec::new();
     for ops in &missions {
         let r = db.run_mission(ops);
-        ops_total += r.ops;
         ns_per_op.push(r.ns_per_op());
         if r.shard_policies_after.iter().flatten().any(|&k| k != 1) {
             tuned_missions += 1;
         }
         final_shard_policies = r.shard_policies_after.clone();
     }
-    TuningRow {
-        workload,
-        shards: SHARDS,
-        missions: missions.len(),
-        ops_total,
-        tail_ns_per_op: tail_mean(&ns_per_op, 1.0 / 3.0),
-        tuned_missions,
-        final_k1: final_shard_policies
-            .iter()
-            .map(|p| p.first().copied().unwrap_or(1))
-            .collect(),
-        distinct_policies: final_shard_policies.iter().collect::<BTreeSet<_>>().len(),
+    let row = |what: &str, ours: f64| ClaimRow::recorded(format!("tuning.{workload}.{what}"), ours);
+    let distinct = final_shard_policies.iter().collect::<BTreeSet<_>>().len();
+    let mut rows = vec![
+        row("tail_ns_per_op", tail_mean(&ns_per_op, 1.0 / 3.0)),
+        row("tuned_missions", tuned_missions as f64),
+        row("distinct_policies", distinct as f64),
+    ];
+    for (shard, policies) in final_shard_policies.iter().enumerate() {
+        let k1 = policies.first().copied().unwrap_or(1);
+        rows.push(row(&format!("k1.shard{shard}"), f64::from(k1)));
     }
+    (rows, tuned_missions > 0)
 }
 
-/// Runs the whole tuning experiment: three workloads, folded into the
-/// `tuning_ok` verdict.
-pub fn tuning(scale: &ExperimentScale) -> TuningVerdict {
-    let rows: Vec<TuningRow> = ["uniform", "skewed", "shifting"]
-        .into_iter()
-        .map(|workload| run_tuning_row(scale, workload))
-        .collect();
-    let ok = rows.iter().all(|r| r.tuned_missions > 0);
-    TuningVerdict { rows, ok }
+/// Runs the whole tuning experiment: three workloads' recorded rows, and
+/// the `tuning.ok` claim that every one of them was tuned.
+pub fn tuning(scale: &ExperimentScale) -> Outcome {
+    let mut rows = Vec::new();
+    let mut ok = true;
+    for workload in ["uniform", "skewed", "shifting"] {
+        let (workload_rows, tuned) = run_tuning_row(scale, workload);
+        rows.extend(workload_rows);
+        ok &= tuned;
+    }
+    rows.push(ClaimRow::claim(
+        "tuning.ok",
+        None,
+        f64::from(u8::from(ok)),
+        ok,
+    ));
+    Outcome {
+        rows,
+        ..Outcome::default()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims::Verdict;
 
     fn tiny() -> ExperimentScale {
         ExperimentScale {
@@ -197,11 +178,18 @@ mod tests {
 
     #[test]
     fn tuning_verdict_holds_at_tiny_scale() {
-        let v = tuning(&tiny());
-        assert_eq!(v.rows.len(), 3);
-        for r in &v.rows {
-            assert_eq!(r.final_k1.len(), SHARDS);
+        let rows = tuning(&tiny()).rows;
+        for workload in ["uniform", "skewed", "shifting"] {
+            let of = |prefix: &str| rows.iter().filter(|r| r.id.starts_with(prefix)).count();
+            assert_eq!(of(&format!("tuning.{workload}.")), 3 + SHARDS);
+            assert_eq!(of(&format!("tuning.{workload}.k1.shard")), SHARDS);
         }
-        assert!(v.ok, "some row never tuned — vacuous comparison");
+        let ok = rows.last().expect("the verdict row");
+        assert_eq!(ok.id, "tuning.ok");
+        assert_eq!(
+            ok.verdict,
+            Verdict::Holds,
+            "some workload never tuned — vacuous comparison"
+        );
     }
 }

@@ -144,7 +144,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     fn wal_failure_is_a_typed_error_and_rebaselines() {
         let mut db = open(small_cfg(), Box::new(NoOpTuner)).expect("open");
-        let wal = ruskey_lsm::Wal::open_with_sync_every("/dev/full", 0).expect("open /dev/full");
+        let wal = ruskey_lsm::Wal::open("/dev/full").expect("open /dev/full");
         db.shard_mut(0).attach_wal(wal);
         let puts: Vec<Operation> = (0..20u64)
             .map(|i| Operation::Put {
@@ -163,7 +163,7 @@ mod tests {
         // only, although the failed mission's puts were applied.
         let path = std::env::temp_dir().join(format!("ruskey-db-wal-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let wal = ruskey_lsm::Wal::open_with_sync_every(&path, 0).expect("open temp WAL");
+        let wal = ruskey_lsm::Wal::open(&path).expect("open temp WAL");
         db.shard_mut(0).attach_wal(wal);
         let gets: Vec<Operation> = (0..5u64)
             .map(|i| Operation::Get {

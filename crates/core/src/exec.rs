@@ -17,11 +17,11 @@
 //!
 //! Which of the three a caller takes depends only on what it is:
 //!
-//! | door                 | operations | boundary grant                        | commit leg                                    |
-//! |----------------------|------------|---------------------------------------|-----------------------------------------------|
-//! | mission lane         | its lane   | yes                                   | yes ([`commit_leg`])                          |
-//! | `group_commit`       | none       | no                                    | yes ([`commit_leg`])                          |
-//! | ad-hoc op, served op | one        | ad-hoc: every 32nd write; served: yes | ad-hoc: no; served: iff a write, halves split |
+//! | door                 | operations | boundary grant                        | commit leg                                   |
+//! |----------------------|------------|---------------------------------------|----------------------------------------------|
+//! | mission lane         | its lane   | yes                                   | yes                                          |
+//! | `group_commit`       | none       | no                                    | yes                                          |
+//! | ad-hoc op, served op | one        | ad-hoc: every 32nd write; served: yes | ad-hoc: no; served: iff a write, by a syncer |
 //!
 //! The first two are [`run_batch`], run by the store's lane runner on a
 //! `&mut` borrow of the shard's tree (lane 0 on the mission's caller, the
@@ -33,9 +33,10 @@
 //! shard's rows are materialized beside the merged result (it writes
 //! nothing, so it has no boundary and no commit leg either way). A served
 //! request makes the calls under the shard's
-//! lock ([`crate::frontend`]), taking the commit leg in its two halves:
-//! `begin_commit` before the unlock, the fsync — shared with every writer
-//! waiting on the shard — and `finish_commit` after it.
+//! lock ([`crate::frontend`]), taking the commit leg in its two halves
+//! around the unlock: `begin_commit` writes its record to the file, and
+//! the shard's one syncer at a time runs the fsync — covering every
+//! writer queued behind it — and `finish_commit`.
 //!
 //! Operations are **borrowed** all the way down: a lane is a `Vec` of
 //! references into the slice `run_mission` was given (the scoped lane
@@ -93,29 +94,11 @@ pub(crate) fn execute(tree: &mut FlsmTree, op: &Operation) -> OpResult {
     }
 }
 
-/// Outcome of one shard's commit leg.
-#[derive(Debug, Default)]
-pub(crate) struct CommitLeg {
-    /// Virtual ns the leg added to the shard's time domain.
-    pub(crate) ns: u64,
-    /// A real I/O failure; the batch is not acknowledged.
-    pub(crate) error: Option<std::io::Error>,
-}
-
-/// Runs one shard's commit leg, measured on the tree's own time domain.
-pub(crate) fn commit_leg(tree: &mut FlsmTree) -> CommitLeg {
-    match tree.commit_wal_timed() {
-        Ok((_, ns)) => CommitLeg { ns, error: None },
-        Err(error) => CommitLeg {
-            error: Some(error),
-            ..CommitLeg::default()
-        },
-    }
-}
-
 /// Runs a batch through the path: run every operation, grant the boundary
-/// if this batch ends in one, run the commit leg. The barrier is the empty
-/// batch without a boundary. A lane's reads run for their cost and build
+/// if this batch ends in one, run the commit leg. Returns the virtual ns
+/// the leg added to the shard's time domain, or the error that left the
+/// batch unacknowledged. The barrier is the empty batch without a
+/// boundary. A lane's reads run for their cost and build
 /// no results: a get's value is dropped, and a scan is drained
 /// ([`ruskey_lsm::RangeScan::drain`]), reading the pages a collected scan
 /// reads without slicing a row out of them.
@@ -123,7 +106,7 @@ pub(crate) fn run_batch<'a>(
     tree: &mut FlsmTree,
     ops: impl IntoIterator<Item = &'a Operation>,
     boundary: bool,
-) -> CommitLeg {
+) -> std::io::Result<u64> {
     for op in ops {
         if let Operation::Scan { start, end, limit } = op {
             tree.range_scan(start, end, *limit).drain();
@@ -134,7 +117,7 @@ pub(crate) fn run_batch<'a>(
     if boundary {
         tree.maintain_boundary();
     }
-    commit_leg(tree)
+    tree.commit_wal_timed().map(|(_, ns)| ns)
 }
 
 #[cfg(test)]
@@ -201,11 +184,9 @@ mod tests {
             },
             Operation::Delete { key: b("gone") },
         ];
-        let lane = run_batch(&mut tree, &ops, true);
-        assert!(lane.error.is_none() && lane.ns == 0);
+        assert_eq!(run_batch(&mut tree, &ops, true).unwrap(), 0);
         let get = Operation::Get { key: b("k") };
         assert_eq!(execute(&mut tree, &get).value(), Some(b("w")));
-        let barrier = run_batch(&mut tree, [], false);
-        assert!(barrier.error.is_none() && barrier.ns == 0);
+        assert_eq!(run_batch(&mut tree, [], false).unwrap(), 0);
     }
 }

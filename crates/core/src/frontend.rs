@@ -21,21 +21,25 @@
 //! 4. **unlock**. A read returns here — it never waits on an fsync, its
 //!    own shard's or anyone's;
 //! 5. **group commit**, a write only, with the tree lock released. Each
-//!    shard keeps a commit state beside its tree — how far the log is
-//!    known durable, whether an fsync is in flight, a condition variable.
-//!    A writer whose record a finished fsync already covers returns;
-//!    otherwise, if no fsync is in flight, it becomes the **syncer** for
-//!    everything any writer has flushed so far — `sync_data` under no
-//!    lock, then the second half of the commit leg
-//!    ([`FlsmTree::finish_commit`]: the log's accounting and the fsync's
-//!    virtual cost) under the tree lock for the few hundred ns that takes
-//!    — and wakes the waiters; otherwise it waits for the syncer in
-//!    flight and looks again.
+//!    shard has one **syncer** lock, held across its fsync. The writer
+//!    takes it, then asks under the tree lock whether its record is
+//!    acknowledged already ([`FlsmTree::covers`], from the log's own
+//!    counters: an fsync that finished while it queued, or a memtable
+//!    flush, covered it) and returns if so. Otherwise it takes a fresh
+//!    ticket ([`FlsmTree::begin_commit`]), which covers every record in the
+//!    file, runs `sync_data` under no tree lock, and makes the second half
+//!    of the commit leg ([`FlsmTree::finish_commit`]: the log's accounting
+//!    and the fsync's virtual cost) under the tree lock for the few
+//!    hundred ns that takes. The writers queued behind it then find their
+//!    records covered, so one fsync serves them all.
 //!
 //! Steps 2, 3 and 5 are the three calls of `exec` (execute, boundary
 //! grant, commit leg) made by the served door, with the commit leg split
 //! around the unlock; [`FlsmTree::commit_wal`] is the same two halves
-//! back to back, so there is one sync path.
+//! back to back, so there is one sync path and one rule for a failed
+//! fsync. The syncer lock is only ever taken with no tree lock held; the
+//! tree lock may be taken inside it, never the other way round, so the
+//! two cannot deadlock.
 //!
 //! ## The contract
 //!
@@ -45,8 +49,9 @@
 //!   before the log is recycled; a syncer whose ticket predates the
 //!   recycling counts nothing twice). A log that dies (fault injection)
 //!   or fails with a real I/O error acknowledges nothing further, to the
-//!   syncer or to any writer waiting on it, and the shard refuses every
-//!   later request with [`ServingError::Stopped`].
+//!   syncer or to any writer queued behind it — a failed fsync
+//!   power-fails the shard — and the shard refuses every later request
+//!   with [`ServingError::Stopped`].
 //! * **Order.** Operations on one shard are serialized by its lock, in
 //!   the order the lock was won; a client's own requests are ordered
 //!   because it issues one at a time. So read-your-writes per client is
@@ -62,10 +67,8 @@
 //!   bound that mission barriers give one caller, amortized over every
 //!   connected client.
 //!
-//! The tree lock is never held across a WAL `sync_data` (with
-//! `sync_every > 0` the log's own auto-sync still runs inside an append;
-//! group-commit-only logs, the default, have none). Structural work a
-//! write absorbs — a memtable flush, backpressure — does run under the
+//! The tree lock is never held across a WAL `sync_data`. Structural work
+//! a write absorbs — a memtable flush, backpressure — does run under the
 //! lock, on the client's thread, as it runs on a lane's thread in a
 //! mission.
 //!
@@ -99,7 +102,7 @@
 //! mission's statistics delta.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, TryLockError};
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -130,13 +133,13 @@ pub enum ServingError {
     /// panicked inside it; the request was not executed — or, for a
     /// write, was executed but never acknowledged.
     Stopped,
-    /// The shard's log simulated a process crash mid-serve (fault
-    /// injection): the write was executed but is **not** acknowledged —
-    /// recovery decides what survives.
+    /// The shard's process died mid-serve — an injected crash, or a
+    /// failed WAL fsync, which power-fails the shard: the write was
+    /// executed but is **not** acknowledged — recovery decides what
+    /// survives.
     Crashed,
-    /// The shard's WAL failed with a real I/O error during the commit:
-    /// the write, and every write waiting on the same fsync, is not
-    /// acknowledged.
+    /// The shard's WAL could not write the record to its file (a real I/O
+    /// error): the write is not acknowledged.
     Wal,
 }
 
@@ -151,6 +154,16 @@ impl std::fmt::Display for ServingError {
 }
 
 impl std::error::Error for ServingError {}
+
+/// Why a commit leg failed: the shard's process died (an injected crash,
+/// or a failed fsync, which power-fails it), or its log could not write.
+fn leg_error(tree: &FlsmTree) -> ServingError {
+    if tree.faults().is_dead() {
+        ServingError::Crashed
+    } else {
+        ServingError::Wal
+    }
+}
 
 /// Power-of-two histogram: bucket `i` counts observations in
 /// `[2^(i-1), 2^i)` (bucket 0 counts zeros). Observation and snapshot
@@ -372,32 +385,16 @@ impl MetricsSnapshot {
 }
 
 /// One shard of a serving session: its tree behind the lock a client
-/// holds while it executes, and beside it the state of the shard's group
-/// commit, which runs with that lock released.
+/// holds while it executes, and the lock of the shard's one syncer, held
+/// across the group commit's fsync with the tree lock released.
 struct ShardSlot {
     /// `None` once `finish_serving` took the tree home.
     tree: Mutex<Option<FlsmTree>>,
     /// Set when the shard died serving (crash injection or a WAL I/O
     /// error): every later request is refused.
     stopped: AtomicBool,
-    commit: Mutex<CommitState>,
-    /// Signalled whenever a syncer finishes.
-    synced: Condvar,
-}
-
-/// Where a shard's log stands, in lifetime appends
-/// ([`SyncTicket::appended`]).
-#[derive(Default)]
-struct CommitState {
-    /// The newest ticket a writer brought out from under the tree lock:
-    /// every record up to it is in the file.
-    flushed: Option<SyncTicket>,
-    /// Every record up to here is covered by an fsync that returned.
-    durable: u64,
-    /// A syncer's fsync is in flight; there is one at a time.
-    syncing: bool,
-    /// Why the log acknowledges nothing further.
-    dead: Option<ServingError>,
+    /// Taken with no tree lock held; the tree lock is taken inside it.
+    syncer: Mutex<()>,
 }
 
 /// State shared by the frontend and every client of one serving session.
@@ -429,8 +426,7 @@ impl ServingFrontend {
                 .map(|tree| ShardSlot {
                     tree: Mutex::new(Some(tree)),
                     stopped: AtomicBool::new(false),
-                    commit: Mutex::default(),
-                    synced: Condvar::new(),
+                    syncer: Mutex::default(),
                 })
                 .collect(),
         };
@@ -551,7 +547,7 @@ impl ServingClient {
             // Nothing left to sync: the store keeps no log, or a memtable
             // flush superseded the record.
             Ok(None) => Ok(()),
-            Ok(Some(ticket)) => self.group_commit(shard, ticket),
+            Ok(Some(ticket)) => self.group_commit(shard, &ticket),
         };
         m.commit_wait_ns
             .observe(unlocked.elapsed().as_nanos() as u64);
@@ -563,64 +559,31 @@ impl ServingClient {
         Ok(result)
     }
 
-    /// Leader group commit, tree lock released: returns once an fsync
-    /// that **started after** `ticket`'s record reached the file has
-    /// returned. A writer whose record is already covered returns at
-    /// once; otherwise it becomes the syncer for everything flushed so
-    /// far, or waits for the syncer in flight and looks again.
-    fn group_commit(&self, shard: usize, ticket: SyncTicket) -> Result<(), ServingError> {
-        let slot = &self.shared.slots[shard];
-        let poisoned = |_| ServingError::Stopped;
-        let mine = ticket.appended();
-        let mut state = slot.commit.lock().map_err(poisoned)?;
-        if state.flushed.as_ref().is_none_or(|f| f.appended() < mine) {
-            state.flushed = Some(ticket);
-        }
-        loop {
-            if state.durable >= mine {
-                return Ok(());
-            }
-            if let Some(dead) = state.dead {
-                return Err(dead);
-            }
-            if !state.syncing {
-                break;
-            }
-            state = slot.synced.wait(state).map_err(poisoned)?;
-        }
-        state.syncing = true;
-        let target = state.flushed.clone().expect("registered above");
-        drop(state);
-        let synced = self.sync_leg(shard, &target);
-        let mut state = slot.commit.lock().map_err(poisoned)?;
-        state.syncing = false;
-        match synced {
-            Ok(()) => state.durable = state.durable.max(target.appended()),
-            Err(e) => state.dead = Some(e),
-        }
-        drop(state);
-        slot.synced.notify_all();
-        synced
-    }
-
-    /// The syncer's leg: the fsync under no lock at all, then its
-    /// accounting under the tree lock ([`FlsmTree::finish_commit`]).
-    fn sync_leg(&self, shard: usize, target: &SyncTicket) -> Result<(), ServingError> {
+    /// Step 5, tree lock released: returns once `mine`'s records are
+    /// acknowledged. As the shard's one syncer at a time, it returns at
+    /// once if what finished while it queued covers them; otherwise it
+    /// syncs everything in the file, for every writer queued behind it.
+    fn group_commit(&self, shard: usize, mine: &SyncTicket) -> Result<(), ServingError> {
         let (slot, m) = (&self.shared.slots[shard], &self.shared.metrics);
-        target.sync_data().map_err(|_| ServingError::Wal)?;
+        let _syncer = slot.syncer.lock().map_err(|_| ServingError::Stopped)?;
+        let mut guard = slot.tree.lock().map_err(|_| ServingError::Stopped)?;
+        let tree = guard.as_mut().ok_or(ServingError::Stopped)?;
+        if tree.covers(mine) {
+            return Ok(());
+        }
+        let Some(ticket) = tree.begin_commit().map_err(|_| leg_error(tree))? else {
+            return Ok(());
+        };
+        drop(guard);
+        let synced = ticket.sync_data();
         let mut guard = slot.tree.lock().map_err(|_| ServingError::Stopped)?;
         let tree = guard.as_mut().ok_or(ServingError::Stopped)?;
         let before = tree.storage().clock().now_ns();
-        let newly = tree.finish_commit(target);
+        let newly = tree.finish_commit(&ticket, synced);
         let virtual_ns = tree.storage().clock().now_ns() - before;
-        let crashed = tree.faults().is_dead();
-        drop(guard);
-        if crashed {
-            return Err(ServingError::Crashed);
-        }
         // `None`: a memtable flush superseded the log while the fsync was
         // in flight and has already counted its records.
-        if let Some(newly) = newly {
+        if let Some(newly) = newly.map_err(|_| leg_error(tree))? {
             m.batches.fetch_add(1, RLX);
             m.batch_writes.observe(newly);
             m.commit_ns.observe(virtual_ns);

@@ -117,7 +117,8 @@
 //! [`MissionReport::commit_ns`] is that max (the batch's durability
 //! latency), [`MissionReport::commit_busy_ns`] the sum (the total sync
 //! work, what a sequential barrier would have paid). A shard that crashes
-//! mid-leg fails the mission but does not stop its siblings' fsyncs —
+//! mid-leg, or whose fsync fails (which power-fails it), fails the
+//! mission but does not stop its siblings' fsyncs —
 //! their batches commit, and the crash harness pins exactly which shards'
 //! records became durable.
 //! Outside missions, [`RusKey::group_commit`] runs the same
@@ -193,7 +194,7 @@ use ruskey_workload::routing::{partition_ops, shard_for_key};
 use ruskey_workload::Operation;
 
 use crate::db::RusKeyConfig;
-use crate::exec::{execute, run_batch, CommitLeg, OpResult};
+use crate::exec::{execute, run_batch, OpResult};
 use crate::frontend::{MetricsSnapshot, ServingConfig, ServingFrontend};
 use crate::lerp::Lerp;
 use crate::stats::MissionReport;
@@ -223,8 +224,9 @@ pub struct PersistenceConfig {
     /// Cost model charged for the (real) page I/O, keeping virtual-time
     /// accounting comparable with the simulated backend.
     pub cost: CostModel,
-    /// Per-shard WAL auto-fsync cadence (records); 0 relies solely on
-    /// the cross-shard group-commit barrier.
+    /// Must be 0: a write becomes durable only through its shard's group
+    /// commit, and [`RusKey::open`] refuses any other value. The field
+    /// stays only for callers that still set it.
     pub sync_every: u64,
     /// Ignored: the manifest commits whole snapshots and needs no
     /// compaction. The field stays only for callers that still set it.
@@ -360,9 +362,10 @@ pub enum StoreError {
     },
     /// A shard's commit leg failed (the first failing shard, if several
     /// failed in one barrier): its WAL hit a real I/O error, or the
-    /// shard's process had died ([`RusKey::crashed`]). The store itself
-    /// stays alive: the batch's lanes were applied, but the failing
-    /// shard's records are not acknowledged.
+    /// shard's process had died ([`RusKey::crashed`]). A failed fsync
+    /// leaves the shard dead, so every later barrier fails on it too. The
+    /// store itself stays alive: the batch's lanes were applied, but the
+    /// failing shard's records are not acknowledged.
     Wal {
         /// The shard whose log failed.
         shard: usize,
@@ -563,10 +566,11 @@ impl RusKey {
     /// surface through [`RusKey::stats`]).
     ///
     /// # Errors
-    /// The first failure in shard order, as a serial loop would return
-    /// it, although the other lanes ran to the end: what they wiped,
-    /// created or recovered the next open does again (recovery is
-    /// idempotent).
+    /// `StoreError::Io` (`InvalidInput`) before touching anything if
+    /// [`PersistenceConfig::sync_every`] is not 0. Otherwise the first
+    /// failure in shard order, as a serial loop would return it, although
+    /// the other lanes ran to the end: what they wiped, created or
+    /// recovered the next open does again (recovery is idempotent).
     ///
     /// # Panics
     /// Panics if `shards` is zero, or if [`Backend::Volatile`] holds other
@@ -582,6 +586,11 @@ impl RusKey {
         assert!(shards >= 1, "a store needs at least one shard");
         cfg.lsm.validate()?;
         match &backend {
+            Backend::Create(p) | Backend::Recover(p) if p.sync_every != 0 => {
+                let refusal =
+                    "PersistenceConfig::sync_every must be 0: writes sync in group commits";
+                return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, refusal).into());
+            }
             Backend::Volatile(devices) => assert_eq!(
                 devices.len(),
                 shards,
@@ -625,16 +634,16 @@ impl RusKey {
                     wipe(&p.shard_dir(i))?;
                     let mut tree = FlsmTree::try_new(lsm, p.open_disk(i)?)?;
                     tree.attach_manifest(Manifest::create(p.manifest_path(i), 0)?);
-                    tree.attach_wal(Wal::open_with_sync_every(p.wal_path(i), p.sync_every)?);
+                    tree.attach_wal(Wal::open(p.wal_path(i))?);
                     tree
                 }
                 Backend::Recover(p) => {
                     let (manifest, wal) = (p.manifest_path(i), p.wal_path(i));
-                    FlsmTree::recover_persistent(lsm, p.open_disk(i)?, manifest, wal, p.sync_every)
-                        .map_err(|e| match ManifestError::of(&e) {
-                            Some(error) => StoreError::Manifest { shard: i, error },
-                            None => e.into(),
-                        })?
+                    let tree = FlsmTree::recover_persistent(lsm, p.open_disk(i)?, manifest, wal);
+                    tree.map_err(|e| match ManifestError::of(&e) {
+                        Some(error) => StoreError::Manifest { shard: i, error },
+                        None => e.into(),
+                    })?
                 }
             })
         };
@@ -743,7 +752,7 @@ impl RusKey {
         &mut self,
         lanes: Vec<Vec<&Operation>>,
         boundary: bool,
-    ) -> Result<Vec<CommitLeg>, StoreError> {
+    ) -> Result<Vec<u64>, StoreError> {
         self.check_alive()?;
         let doomed = self.doomed.take();
         let work = self
@@ -764,15 +773,15 @@ impl RusKey {
         let mut legs = Vec::with_capacity(results.len());
         let mut wal_failure = None;
         for (shard, result) in results.into_iter().enumerate() {
-            let Ok((worker, mut leg)) = result else {
+            let Ok((worker, leg)) = result else {
                 self.dead.get_or_insert(shard);
                 continue;
             };
-            if let Some(error) = leg.error.take() {
-                wal_failure.get_or_insert(StoreError::Wal { shard, error });
+            match leg {
+                Ok(ns) => legs.push(ns),
+                Err(error) => _ = wal_failure.get_or_insert(StoreError::Wal { shard, error }),
             }
             workers.push(worker);
-            legs.push(leg);
         }
         if let Some(shard) = self.dead {
             return Err(StoreError::ShardPanicked { shard });
@@ -1113,7 +1122,7 @@ impl RusKey {
     /// own commit leg.
     fn cut_report(
         &mut self,
-        legs: &[CommitLeg],
+        legs: &[u64],
         logical_scans: u64,
         real_process_ns: u64,
     ) -> (MissionReport, Vec<MissionReport>) {
@@ -1125,7 +1134,7 @@ impl RusKey {
             .collect();
         // One report over a set of shard deltas, their scans counted as
         // `scans`, priced with their commit legs.
-        let cut = |deltas: &[TreeStatsSnapshot], scans: u64, legs: &[CommitLeg]| {
+        let cut = |deltas: &[TreeStatsSnapshot], scans: u64, legs: &[u64]| {
             let window = TreeStatsSnapshot::merge_all(deltas);
             MissionReport {
                 mission_idx: self.missions,
@@ -1134,8 +1143,8 @@ impl RusKey {
                 end_to_end_ns: window.clock_ns,
                 wal_synced: window.wal_synced,
                 window,
-                commit_ns: legs.iter().map(|leg| leg.ns).max().unwrap_or(0),
-                commit_busy_ns: legs.iter().map(|leg| leg.ns).sum(),
+                commit_ns: legs.iter().copied().max().unwrap_or(0),
+                commit_busy_ns: legs.iter().sum(),
                 real_process_ns,
                 shard_ops: deltas
                     .iter()
@@ -1719,6 +1728,31 @@ mod tests {
             .expect("recover");
         assert_eq!(rec.get(&key).as_deref(), Some(vec![3u8; 8].as_slice()));
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A write is acknowledged only through its shard's group commit, so a
+    /// WAL sync cadence is refused, typed, by the log's old opener and by
+    /// the store's, before either touches a file.
+    #[test]
+    fn a_wal_sync_cadence_is_refused_typed() {
+        let root = std::env::temp_dir().join(format!(
+            "ruskey-sharded-cadence-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let refused = ruskey_lsm::Wal::open_with_sync_every(root.join("wal"), 4).err();
+        let invalid = Some(std::io::ErrorKind::InvalidInput);
+        assert_eq!(refused.map(|e| e.kind()), invalid);
+        let mut pcfg = PersistenceConfig::new(&root);
+        pcfg.sync_every = 4;
+        for backend in [Backend::Create(&pcfg), Backend::Recover(&pcfg)] {
+            let err = RusKey::open(small_cfg(), 2, Box::new(NoOpTuner), backend).err();
+            assert!(
+                matches!(&err, Some(StoreError::Io(e)) if Some(e.kind()) == invalid),
+                "{err:?}"
+            );
+        }
+        assert!(!root.exists(), "nothing was created");
     }
 
     /// The full-store persistence path at the store level: flushed runs

@@ -14,6 +14,15 @@ use std::sync::Arc;
 use crate::run::Run;
 use crate::types::Key;
 
+/// The `[min, max]` span of a set of key ranges (`None` for none): the
+/// one fold behind a level's bounds and the tree's.
+pub(crate) fn span<'a>(ranges: impl IntoIterator<Item = (&'a Key, &'a Key)>) -> Option<(Key, Key)> {
+    ranges
+        .into_iter()
+        .reduce(|(lo, hi), (l, h)| (lo.min(l), hi.max(h)))
+        .map(|(lo, hi)| (lo.clone(), hi.clone()))
+}
+
 /// One level of the FLSM-tree.
 #[derive(Debug)]
 pub struct Level {
@@ -115,23 +124,7 @@ impl Level {
     /// resident runs — the value the cached [`Level::bounds`] must equal
     /// (the invariant the bounds tests pin).
     pub(crate) fn computed_bounds(&self) -> Option<(Key, Key)> {
-        self.probe_order().fold(None, |acc, run| {
-            Some(match acc {
-                None => (run.min_key().clone(), run.max_key().clone()),
-                Some((lo, hi)) => (
-                    if *run.min_key() < lo {
-                        run.min_key().clone()
-                    } else {
-                        lo
-                    },
-                    if *run.max_key() > hi {
-                        run.max_key().clone()
-                    } else {
-                        hi
-                    },
-                ),
-            })
-        })
+        span(self.probe_order().map(|run| (run.min_key(), run.max_key())))
     }
 
     /// Applies the flexible transition for a new policy `k` (§4.2): change

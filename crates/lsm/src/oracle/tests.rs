@@ -636,7 +636,6 @@ fn stores_written_by_the_old_chain_recover_and_vice_versa() {
         open(&old_dir).unwrap(),
         old_dir.join("MANIFEST"),
         old_dir.join("wal"),
-        0,
     )
     .unwrap();
     assert!(t.stats().runs_recovered >= 3);

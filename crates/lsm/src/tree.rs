@@ -9,7 +9,7 @@ use crate::compaction::{Merge, Source};
 use crate::config::LsmConfig;
 use crate::entry::{EntryBuf, ENTRY_HEADER_BYTES};
 use crate::iter::RangeScan;
-use crate::level::Level;
+use crate::level::{self, Level};
 use crate::manifest::{LevelManifest, Manifest, ManifestError, ManifestState};
 use crate::memtable::Memtable;
 use crate::picker::{self, SCORE_SCALE};
@@ -260,7 +260,6 @@ impl FlsmTree {
         storage: Arc<dyn Storage>,
         manifest_path: impl AsRef<std::path::Path>,
         wal_path: impl AsRef<std::path::Path>,
-        sync_every: u64,
     ) -> std::io::Result<Self> {
         let mut manifest = match Manifest::recover(&manifest_path)? {
             Some(m) => m,
@@ -296,7 +295,7 @@ impl FlsmTree {
         // Replay the log's valid prefix in ascending sequence order, so the
         // latest version of a key wins in the memtable regardless of how
         // the log bytes were produced.
-        let (wal, mut records) = Wal::recover(wal_path, sync_every)?;
+        let (wal, mut records) = Wal::recover(wal_path)?;
         records.retain(|e| e.seq > tree.seq);
         records.sort_by_key(|e| e.seq);
         tree.replayed_tail = records.len() as u64;
@@ -383,9 +382,8 @@ impl FlsmTree {
         let Some(ticket) = self.begin_commit()? else {
             return Ok(false);
         };
-        ticket.sync_data()?;
-        let synced = self.finish_commit(&ticket).is_some();
-        self.alive().map(|()| synced)
+        let synced = ticket.sync_data();
+        Ok(self.finish_commit(&ticket, synced)?.is_some())
     }
 
     /// First half of a commit leg: if the WAL holds unacknowledged records,
@@ -413,17 +411,40 @@ impl FlsmTree {
         Ok(())
     }
 
-    /// Second half of a commit leg, after the ticket's fsync returned:
-    /// the log's accounting (`Wal::finish_sync`) and, when it counted,
-    /// the fsync's virtual cost on this tree's time domain. Returns the
-    /// records newly acknowledged; `None` when the call acknowledged
-    /// nothing and charged nothing — a stale ticket, or a (simulated)
-    /// process that died: no cost accrues to a dead domain.
-    pub fn finish_commit(&mut self, ticket: &SyncTicket) -> Option<u64> {
-        let newly = self.wal.as_mut()?.finish_sync(ticket)?;
-        self.storage
-            .charge_cpu(self.storage.cost_model().wal_sync_ns);
-        Some(newly)
+    /// Second half of a commit leg, given what the ticket's fsync
+    /// returned: the log's accounting (`Wal::finish_sync`) and, when it
+    /// counted, the fsync's virtual cost on this tree's time domain.
+    /// Returns the records newly acknowledged; `None` for a stale ticket,
+    /// which acknowledges and charges nothing.
+    ///
+    /// A failed fsync power-fails the shard, as a failed extent, directory
+    /// or manifest barrier does: the kernel may have dropped the dirty
+    /// pages it could not write, so no later fsync may acknowledge the
+    /// records they held. That error, and any once the shard's process
+    /// died (no cost accrues to a dead domain), is returned.
+    pub fn finish_commit(
+        &mut self,
+        ticket: &SyncTicket,
+        synced: std::io::Result<()>,
+    ) -> std::io::Result<Option<u64>> {
+        if let Err(e) = synced {
+            self.power_fail();
+            return Err(e);
+        }
+        let newly = self.wal.as_mut().and_then(|wal| wal.finish_sync(ticket));
+        self.alive()?;
+        if newly.is_some() {
+            self.storage
+                .charge_cpu(self.storage.cost_model().wal_sync_ns);
+        }
+        Ok(newly)
+    }
+
+    /// Whether every record `ticket` covers is acknowledged: covered by a
+    /// finished fsync, or superseded by a memtable flush. True without a
+    /// log.
+    pub fn covers(&self, ticket: &SyncTicket) -> bool {
+        self.wal.as_ref().is_none_or(|wal| wal.covers(ticket))
     }
 
     /// [`FlsmTree::commit_wal`] with its cost measured on this tree's own
@@ -490,15 +511,14 @@ impl FlsmTree {
     }
 
     /// Appends one entry to the attached WAL (no-op without one), charging
-    /// the append — and any auto-sync the flush policy triggered — to this
-    /// tree's storage time domain. A log that cannot take the record is a
+    /// the append to this tree's storage time domain. A log that cannot
+    /// take the record is a
     /// power failure, like a failed barrier: the write is never
     /// acknowledged, and the tree is crashed.
     fn log_write(&mut self, e: &KvEntry) {
         let Some(wal) = &mut self.wal else {
             return;
         };
-        let syncs_before = wal.sync_count();
         if wal.append(e).is_err() {
             self.power_fail();
             return;
@@ -508,8 +528,7 @@ impl FlsmTree {
             // charges nothing to its time domain.
             return;
         }
-        let cost = self.storage.cost_model();
-        let ns = cost.wal_append_ns + (wal.sync_count() - syncs_before) * cost.wal_sync_ns;
+        let ns = self.storage.cost_model().wal_append_ns;
         if ns > 0 {
             self.storage.charge_cpu(ns);
         }
@@ -759,18 +778,8 @@ impl FlsmTree {
     /// Recomputes the tree-wide aggregate bounds from the cached
     /// per-level bounds (O(levels), no run access).
     fn refresh_tree_bounds(&mut self) {
-        self.bounds = self.levels.iter().fold(None, |acc, l| {
-            let Some((lo, hi)) = &l.bounds else {
-                return acc;
-            };
-            Some(match acc {
-                None => (lo.clone(), hi.clone()),
-                Some((alo, ahi)) => (
-                    if *lo < alo { lo.clone() } else { alo },
-                    if *hi > ahi { hi.clone() } else { ahi },
-                ),
-            })
-        });
+        let levels = self.levels.iter().filter_map(|l| l.bounds.as_ref());
+        self.bounds = level::span(levels.map(|(lo, hi)| (lo, hi)));
     }
 
     /// The tree-wide aggregate `[min, max]` key range over all resident
@@ -1314,7 +1323,7 @@ impl std::fmt::Debug for FlsmTree {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use ruskey_storage::{CostModel, SimulatedDisk};
+    use ruskey_storage::{CostModel, Fault, SimulatedDisk, Site};
 
     impl FlsmTree {
         /// Changes the transition strategy used by subsequent policy changes.
@@ -1928,7 +1937,7 @@ mod tests {
             drop(t); // process death: user-space WAL buffer is lost
         }
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let mut r = FlsmTree::recover_persistent(cfg, disk, &manifest, &path, 0).unwrap();
+        let mut r = FlsmTree::recover_persistent(cfg, disk, &manifest, &path).unwrap();
         for i in 0..50u64 {
             match i {
                 7 => assert_eq!(r.get(&key(7)), Some(val(777))),
@@ -1952,7 +1961,6 @@ mod tests {
             disk,
             &manifest,
             &path,
-            0,
         )
         .unwrap();
         assert_eq!(r2.get(&key(100)), Some(val(100)));
@@ -1984,18 +1992,44 @@ mod tests {
 
     /// A log write that fails is a power failure, not a panic: the tree is
     /// crashed (a served put is refused as such) and still answers reads.
-    /// `/dev/full` opens fine and fails every write with ENOSPC, so the
-    /// first append's auto-sync fails.
-    #[cfg(target_os = "linux")]
     #[test]
     fn a_failed_wal_write_crashes_the_tree_without_a_panic() {
+        let path = wal_path("failed-append");
+        let _ = std::fs::remove_file(&path);
         let mut t = small_tree();
-        t.attach_wal(crate::wal::Wal::open_with_sync_every("/dev/full", 1).unwrap());
+        t.attach_wal(crate::wal::Wal::open(&path).unwrap());
+        let full = Fault::Error(std::io::ErrorKind::StorageFull);
+        t.faults().arm(Site::WalAppend, 0, full);
         t.put(key(1), val(1));
         assert!(t.faults().is_dead() && t.power_failed());
         t.put(key(2), val(2));
-        assert_eq!(t.wal().unwrap().records(), 1, "the dead log frames nothing");
+        assert_eq!(t.wal().unwrap().records(), 0, "neither put was framed");
         assert_eq!(t.get(&key(1)), Some(val(1)), "the memtable still reads");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// `covers` reads the log's own counters: a record is covered once an
+    /// fsync that started after it finished, or once a flush superseded it.
+    #[test]
+    fn covers_follows_the_fsync_and_the_flush() {
+        let path = wal_path("covers");
+        let _ = std::fs::remove_file(&path);
+        let mut t = small_tree();
+        t.attach_wal(crate::wal::Wal::open(&path).unwrap());
+        t.put(key(1), val(1));
+        let first = t.begin_commit().unwrap().expect("an unsynced record");
+        assert!(!t.covers(&first), "unsynced");
+        t.put(key(2), val(2));
+        let second = t.begin_commit().unwrap().unwrap();
+        let synced = first.sync_data();
+        assert_eq!(t.finish_commit(&first, synced).unwrap(), Some(1));
+        assert!(t.covers(&first), "covered by its finished fsync");
+        assert!(!t.covers(&second), "the later record is not");
+        t.flush();
+        assert!(t.covers(&second), "the flush superseded the record");
+        let synced = second.sync_data();
+        assert_eq!(t.finish_commit(&second, synced).unwrap(), None, "stale");
+        let _ = std::fs::remove_file(&path);
     }
 
     /// WAL costs are charged to the tree's storage time domain: appends
@@ -2190,7 +2224,7 @@ mod tests {
 
     fn recover_persistent_tree(dir: &std::path::Path, cfg: LsmConfig) -> FlsmTree {
         let disk = ruskey_storage::FileDisk::new(dir.join("data"), 256, CostModel::FREE).unwrap();
-        FlsmTree::recover_persistent(cfg, disk, dir.join("MANIFEST"), dir.join("wal"), 0).unwrap()
+        FlsmTree::recover_persistent(cfg, disk, dir.join("MANIFEST"), dir.join("wal")).unwrap()
     }
 
     /// The full-store restart path: flushed runs are rebuilt from the
@@ -2699,7 +2733,6 @@ mod tests {
                     disk,
                     dir.join("MANIFEST"),
                     dir.join("wal"),
-                    0,
                 )
                 .map(|_| ())
             });

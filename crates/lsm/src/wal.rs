@@ -15,27 +15,23 @@
 //!
 //! Appends buffer in user space; the buffer reaches the file only at
 //! [`Wal::flush`] (process-crash safety) and becomes stable at
-//! [`Wal::sync`] (fsync — power-failure safety). Three policies layer on
-//! top:
-//!
-//! * **manual** ([`Wal::open`]): nothing is durable until the caller
-//!   syncs — the raw substrate for group commit;
-//! * **auto-sync** ([`Wal::open_with_sync_every`]): an fsync every `n`
-//!   appends bounds the loss window to `n - 1` records;
-//! * **group commit** (the sharded store): one [`Wal::sync`] per shard per
-//!   batch at a mission-level commit barrier, so the fsync cost is
-//!   amortized over the whole batch instead of paid per record. The
-//!   per-shard sync legs run *concurrently*, each inside its shard's
-//!   mission lane — the barrier waits for the slowest shard, not the sum
-//!   of all shards, and a shard that crashes mid-leg does not stop its
-//!   siblings' fsyncs from completing.
+//! [`Wal::sync`] (fsync — power-failure safety). Nothing syncs on its own:
+//! a record becomes durable only through its shard's **group commit**, one
+//! [`Wal::sync`] per shard per batch, so the fsync cost is amortized over
+//! the whole batch instead of paid per record. A mission-level barrier
+//! runs the per-shard sync legs *concurrently*, each inside its shard's
+//! mission lane — the barrier waits for the slowest shard, not the sum of
+//! all shards, and a shard that crashes mid-leg does not stop its
+//! siblings' fsyncs from completing. The serving frontend runs the same
+//! leg for every writer queued on the shard.
 //!
 //! [`Wal::sync`] is two halves around the fsync: `Wal::begin_sync` moves
 //! the buffer into the file and hands out a [`SyncTicket`],
 //! `Wal::finish_sync` does the accounting once the ticket's fsync has
 //! returned. A caller that shares the log behind a lock (the serving
 //! frontend) makes the two calls under the lock and the fsync outside it,
-//! so appends and reads go on while the device works.
+//! so appends and reads go on while the device works; `Wal::covers` tells
+//! it whether a ticket's records are acknowledged already.
 //!
 //! A record is *acknowledged* only once a sync covering it succeeds;
 //! `Wal::durable_records` counts exactly those. After a successful
@@ -104,8 +100,6 @@ pub struct Wal {
     /// Records in the current log generation (file + buffer); zeroed by
     /// [`Wal::reset`].
     records: u64,
-    /// Auto-fsync every `n` appends; 0 = manual syncs only.
-    sync_every: u64,
     /// Lifetime successful fsyncs (never reset).
     syncs: u64,
     /// Lifetime records covered by a successful fsync (never reset).
@@ -113,31 +107,37 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Opens (creating or continuing) the log at `path`, with manual
-    /// durability: appends buffer in user space until [`Wal::flush`] or
-    /// [`Wal::sync`] is called.
+    /// Opens (creating or continuing) the log at `path`: appends buffer
+    /// in user space until [`Wal::flush`] or [`Wal::sync`] is called. An
+    /// existing regular file is cut back to its valid prefix and continued
+    /// after it; a device starts at 0.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Self::open_with_sync_every(path, 0)
-    }
-
-    /// Opens the log with an automatic fsync every `sync_every` appends
-    /// (0 disables auto-sync), bounding crash loss to the last
-    /// `sync_every - 1` records. An existing regular file is cut back to
-    /// its valid prefix and continued after it; a device starts at 0.
-    pub fn open_with_sync_every(path: impl AsRef<Path>, sync_every: u64) -> std::io::Result<Self> {
         let path = path.as_ref();
         let valid = match std::fs::metadata(path) {
             Ok(m) if m.is_file() => Self::replay_prefix(path)?.1,
             _ => 0,
         };
-        Ok(Self::over(RecordLog::open(path, valid)?, sync_every))
+        Ok(Self::over(RecordLog::open(path, valid)?))
     }
 
-    fn over(log: RecordLog, sync_every: u64) -> Self {
+    /// [`Wal::open`] under its old name, kept for the perf ledger's
+    /// adapter. A log no longer syncs on its own, so any cadence but 0 is
+    /// refused with `InvalidInput`.
+    #[doc(hidden)]
+    pub fn open_with_sync_every(path: impl AsRef<Path>, sync_every: u64) -> std::io::Result<Self> {
+        if sync_every != 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a WAL syncs only through its shard's group commit; sync_every must be 0",
+            ));
+        }
+        Self::open(path)
+    }
+
+    fn over(log: RecordLog) -> Self {
         Self {
             log,
             records: 0,
-            sync_every,
             syncs: 0,
             durable: 0,
         }
@@ -148,21 +148,17 @@ impl Wal {
     /// tail so future appends extend a clean log), and returns the parsed
     /// records alongside a handle open for appending. The records are
     /// counted as durable — they were read back from the disk.
-    pub(crate) fn recover(
-        path: impl AsRef<Path>,
-        sync_every: u64,
-    ) -> std::io::Result<(Self, Vec<KvEntry>)> {
+    pub(crate) fn recover(path: impl AsRef<Path>) -> std::io::Result<(Self, Vec<KvEntry>)> {
         let path = path.as_ref();
         let (records, valid_bytes) = Self::replay_prefix(path)?;
-        let mut wal = Self::over(RecordLog::open(path, valid_bytes)?, sync_every);
+        let mut wal = Self::over(RecordLog::open(path, valid_bytes)?);
         wal.records = records.len() as u64;
         wal.durable = records.len() as u64;
         Ok((wal, records))
     }
 
-    /// Appends one entry. Durability follows the flush policy: with
-    /// auto-sync configured the append fsyncs once the cadence is
-    /// reached, otherwise it only buffers until [`Wal::flush`]/[`Wal::sync`].
+    /// Appends one entry to the user-space buffer; it reaches the file at
+    /// the next [`Wal::flush`] and becomes durable at the next [`Wal::sync`].
     pub fn append(&mut self, e: &KvEntry) -> std::io::Result<()> {
         // The append is the call: a crash after it still frames the record.
         if self.log.faults.run(Site::WalAppend, |_| Ok(()))?.is_some() {
@@ -176,17 +172,12 @@ impl Wal {
             });
             self.records += 1;
         }
-        if self.sync_every > 0 && self.log.unsynced() >= self.sync_every {
-            self.sync()?;
-        }
         Ok(())
     }
 
     /// Flushes buffered records to the file without forcing them to stable
-    /// storage — the cheap mission-boundary policy: survives a process
-    /// crash, not a power failure. Deliberately does *not* reset the
-    /// auto-sync cadence, so the `sync_every` power-failure bound holds
-    /// however often callers flush.
+    /// storage: survives a process crash, not a power failure, so the
+    /// records stay in the loss window.
     pub fn flush(&mut self) -> std::io::Result<()> {
         self.log.write(Site::WalWrite, 1)
     }
@@ -215,7 +206,7 @@ impl Wal {
 
     /// Second half of a sync, called once the ticket's fsync returned
     /// `Ok` (a failed fsync is never finished, which leaves `unsynced()`
-    /// and the auto-sync cadence honest): counts the fsync and moves the
+    /// honest): counts the fsync and moves the
     /// records it newly covered out of the loss window. Tickets may finish
     /// in any order; a record is counted by the first that covers it.
     ///
@@ -233,6 +224,12 @@ impl Wal {
         self.syncs += 1;
         self.durable += newly;
         Some(newly)
+    }
+
+    /// Whether every record `ticket` covers has left the loss window:
+    /// covered by a finished sync, or superseded by a [`Wal::reset`].
+    pub(crate) fn covers(&self, ticket: &SyncTicket) -> bool {
+        ticket.appended() <= self.log.appended() - self.log.unsynced()
     }
 
     /// Number of records appended in the current log generation (since
@@ -434,7 +431,7 @@ mod tests {
     fn reset_clears_unsynced_window() {
         let path = tmp("reset-unsynced");
         let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open_with_sync_every(&path, 8).unwrap();
+        let mut wal = Wal::open(&path).unwrap();
         for i in 1..=5u64 {
             wal.append(&e(&format!("k{i}"), "v", i)).unwrap();
         }
@@ -443,16 +440,6 @@ mod tests {
         assert_eq!(wal.unsynced(), 0, "reset must clear the loss window");
         assert_eq!(wal.records(), 0);
         assert_eq!(wal.appended(), 5, "lifetime appends survive reset");
-        // The auto-sync cadence restarts from a clean window: the next
-        // sync happens 8 appends after the reset, not 3.
-        for i in 6..=12u64 {
-            wal.append(&e(&format!("k{i}"), "v", i)).unwrap();
-        }
-        assert_eq!(wal.unsynced(), 7, "no premature auto-sync after reset");
-        assert_eq!(wal.sync_count(), 0);
-        wal.append(&e("k13", "v", 13)).unwrap();
-        assert_eq!(wal.unsynced(), 0, "cadence of 8 reached");
-        assert_eq!(wal.sync_count(), 1);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -594,33 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_sync_bounds_crash_loss() {
-        let path = tmp("autosync");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut wal = Wal::open_with_sync_every(&path, 4).unwrap();
-            for i in 1..=10u64 {
-                wal.append(&e(&format!("k{i}"), "v", i)).unwrap();
-            }
-            // Appends 1..=8 were covered by the two automatic syncs; 9 and
-            // 10 sit in the loss window.
-            assert_eq!(wal.appended(), 10);
-            assert_eq!(wal.unsynced(), 2);
-            assert_eq!(wal.sync_count(), 2);
-            assert_eq!(wal.durable_records(), 8);
-            crash(wal);
-        }
-        let replayed = Wal::replay(&path).unwrap();
-        assert_eq!(
-            replayed.len(),
-            8,
-            "auto-sync every 4 must preserve the first 8 of 10 records"
-        );
-        assert_eq!(replayed.last().unwrap().seq, 8);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn manual_policy_without_flush_loses_buffered_records() {
         let path = tmp("manual-crash");
         let _ = std::fs::remove_file(&path);
@@ -645,9 +605,9 @@ mod tests {
             let mut wal = Wal::open(&path).unwrap();
             wal.append(&e("a", "1", 1)).unwrap();
             wal.append(&e("b", "2", 2)).unwrap();
-            wal.flush().unwrap(); // mission boundary
-                                  // flush() bounds *process-crash* loss; the power-failure
-                                  // window (fsync cadence) is untouched.
+            // flush() bounds *process-crash* loss; the power-failure
+            // window is untouched.
+            wal.flush().unwrap();
             assert_eq!(wal.unsynced(), 2);
             wal.append(&e("c", "3", 3)).unwrap();
             crash(wal);
@@ -658,31 +618,14 @@ mod tests {
     }
 
     #[test]
-    fn flush_does_not_defer_auto_sync() {
-        let path = tmp("flush-vs-autosync");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut wal = Wal::open_with_sync_every(&path, 2).unwrap();
-            wal.append(&e("a", "1", 1)).unwrap();
-            wal.flush().unwrap(); // must not reset the fsync cadence
-            wal.append(&e("b", "2", 2)).unwrap(); // second append: auto-sync
-            assert_eq!(wal.unsynced(), 0, "cadence of 2 reached despite flush");
-            wal.append(&e("c", "3", 3)).unwrap();
-            crash(wal);
-        }
-        let replayed = Wal::replay(&path).unwrap();
-        assert_eq!(replayed.len(), 2, "the auto-synced prefix survives");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn replay_stops_at_mid_record_truncation_after_auto_sync() {
         let path = tmp("autosync-midrec");
         let _ = std::fs::remove_file(&path);
         {
-            let mut wal = Wal::open_with_sync_every(&path, 1).unwrap();
+            let mut wal = Wal::open(&path).unwrap();
             for i in 1..=3u64 {
                 wal.append(&e(&format!("key-{i}"), "value", i)).unwrap();
+                wal.sync().unwrap();
             }
             crash(wal);
         }
@@ -936,7 +879,7 @@ mod tests {
         // Tear the third record.
         let data = std::fs::read(&path).unwrap();
         std::fs::write(&path, &data[..data.len() - 4]).unwrap();
-        let (mut wal, records) = Wal::recover(&path, 0).unwrap();
+        let (mut wal, records) = Wal::recover(&path).unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(wal.records(), 2);
         assert_eq!(wal.durable_records(), 2);
@@ -954,7 +897,7 @@ mod tests {
     fn recover_missing_file_starts_empty() {
         let path = tmp("recover-missing");
         let _ = std::fs::remove_file(&path);
-        let (wal, records) = Wal::recover(&path, 0).unwrap();
+        let (wal, records) = Wal::recover(&path).unwrap();
         assert!(records.is_empty());
         assert_eq!(wal.records(), 0);
         let _ = std::fs::remove_file(&path);

@@ -85,7 +85,8 @@
 //!   shard's log at most once, with the per-shard legs running
 //!   *concurrently* inside the shards' lanes — the barrier costs
 //!   the slowest shard's fsync, not the sum, and a shard crashing mid-leg
-//!   cannot stop its siblings' batches from committing;
+//!   cannot stop its siblings' batches from committing. The log never
+//!   syncs on its own, and a failed fsync power-fails its shard;
 //! * the **manifest** ([`lsm::Manifest`]) protects the *tree structure*:
 //!   every structural mutation commits one CRC-framed snapshot of the
 //!   whole structure — each level's policies, its runs with their page
@@ -292,9 +293,10 @@
 //! lane. A read returns at the unlock (the lock's order makes
 //! read-your-writes structural) and never waits on an fsync; a write
 //! leaves the lock with its record in the log file and is acknowledged
-//! only after a **per-shard leader group commit** outside the lock: one
-//! writer at a time fsyncs everything flushed so far, the writers that
-//! arrive meanwhile share the next fsync, so under concurrency the fsync
+//! only after its shard's **group commit** outside the lock: one writer
+//! at a time, holding the shard's syncer lock, fsyncs everything in the
+//! file, and the writers queued behind it find their records covered
+//! (the WAL's own counters say so), so under concurrency the fsync
 //! amortizes over clients (16 writers over 2 shards share fsyncs,
 //! pinned by `tests/serving.rs`).
 //! A closed-loop client has one request outstanding, so the client
@@ -352,9 +354,9 @@
 //!
 //! The contract is pinned by `tests/tuning_equivalence.rs` (goldens of
 //! the seats' decisions at `N = 1` and under skew at `N = 4`) and the
-//! `repro tuning --json` experiment, whose `tuning_ok` verdict CI greps:
-//! the per-shard agents must really move policies on the uniform, skewed
-//! and shifting workloads.
+//! `repro tuning` experiment, whose `tuning.ok` claim row CI greps from
+//! `repro all`'s JSON: the per-shard agents must really move policies on
+//! the uniform, skewed and shifting workloads.
 
 #![forbid(unsafe_code)]
 

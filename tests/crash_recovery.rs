@@ -1630,6 +1630,54 @@ fn a_barrier_after_a_failed_extent_write_fails_typed() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A WAL fsync that fails power-fails its shard: the kernel may have
+/// dropped the dirty pages it could not write, so no later fsync may
+/// acknowledge the records they held. The barrier fails typed, so does the
+/// one after a later put, the store reads as crashed, and recovery returns
+/// every write acknowledged before the failure — on `N = 2` the sibling's
+/// batch too, which the failed barrier still committed.
+#[test]
+fn a_failed_wal_fsync_fails_every_later_barrier() {
+    for shards in [1, 2] {
+        let root = persist_root(&format!("fsync-fail-{shards}"));
+        let p = persist_cfg(&root);
+        let mut db = persistent_store(shards, &p);
+        (0..20).for_each(|i| db.put(key(i), val(i)));
+        db.group_commit();
+        (20..40).for_each(|i| db.put(key(i), val(i)));
+        let failure = Fault::Error(std::io::ErrorKind::Other);
+        db.shard(0).faults().arm(Site::WalSync, 0, failure);
+        let failed = db.try_group_commit();
+        assert!(
+            matches!(failed, Err(StoreError::Wal { shard: 0, .. })),
+            "N={shards}: the failed fsync's barrier answered {failed:?}"
+        );
+        let late = (40..)
+            .find(|&i| shard_for_key(&key(i), shards) == 0)
+            .unwrap();
+        db.put(key(late), val(late));
+        let later = db.try_group_commit();
+        assert!(
+            matches!(later, Err(StoreError::Wal { shard: 0, .. })),
+            "N={shards}: a barrier after the failed fsync answered {later:?}"
+        );
+        assert!(db.crashed(), "N={shards}: the failed fsync power-fails");
+        drop(db);
+        let mut rec = recovered_persistent(shards, &p);
+        for i in 0..40 {
+            if i < 20 || shard_for_key(&key(i), shards) != 0 {
+                assert_eq!(
+                    rec.get(&key(i)).as_deref(),
+                    Some(val(i).as_slice()),
+                    "N={shards}: acknowledged key {i} lost"
+                );
+            }
+        }
+        drop(rec);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
 /// A WAL recycle that fails part-way — the generation spans two 64 KiB
 /// zero-fill writes and the second fails — power-fails the shard instead
 /// of leaving a half-zeroed log to append behind. The committed flush

@@ -279,7 +279,7 @@ fn persistent_tree(root: &Path, cfg: LsmConfig) -> FlsmTree {
 fn recover_tree(root: &Path, cfg: LsmConfig) -> FlsmTree {
     let (data, manifest, wal) = tree_paths(root);
     let disk = FileDisk::new(data, 256, CostModel::FREE).expect("open data dir");
-    FlsmTree::recover_persistent(cfg, disk, manifest, wal, 0).expect("recover tree")
+    FlsmTree::recover_persistent(cfg, disk, manifest, wal).expect("recover tree")
 }
 
 fn tree_cfg(transition: TransitionStrategy, background: bool) -> LsmConfig {
