@@ -512,9 +512,8 @@ impl FlsmTree {
 
     /// Appends one entry to the attached WAL (no-op without one), charging
     /// the append to this tree's storage time domain. A log that cannot
-    /// take the record is a
-    /// power failure, like a failed barrier: the write is never
-    /// acknowledged, and the tree is crashed.
+    /// take the record is a power failure, like a failed barrier: the
+    /// write is never acknowledged, and the tree is crashed.
     fn log_write(&mut self, e: &KvEntry) {
         let Some(wal) = &mut self.wal else {
             return;
