@@ -228,7 +228,7 @@ pub struct SyncTicket {
 impl SyncTicket {
     /// Lifetime appends (`crate::Wal::appended`) in the file when the
     /// ticket was taken: an fsync started later covers every one of them.
-    pub fn appended(&self) -> u64 {
+    pub(crate) fn appended(&self) -> u64 {
         self.appended
     }
 
