@@ -138,11 +138,13 @@ mod tests {
     }
 
     /// A WAL I/O error at the mission boundary is a typed error, not a
-    /// panic, and the failed mission's work is folded out of the next
-    /// report. `/dev/full` opens fine and fails every write with ENOSPC.
+    /// panic, and it power-fails the shard: a fresh log attached afterwards
+    /// shares the shard's dead fault plan, so the next mission fails too and
+    /// runs nothing. `/dev/full` opens fine and fails every write with
+    /// ENOSPC.
     #[test]
     #[cfg(target_os = "linux")]
-    fn wal_failure_is_a_typed_error_and_rebaselines() {
+    fn wal_failure_is_a_typed_error_and_kills_the_shard() {
         let mut db = open(small_cfg(), Box::new(NoOpTuner)).expect("open");
         let wal = ruskey_lsm::Wal::open("/dev/full").expect("open /dev/full");
         db.shard_mut(0).attach_wal(wal);
@@ -159,8 +161,8 @@ mod tests {
             matches!(err, StoreError::Wal { shard: 0, .. }),
             "unexpected error: {err}"
         );
-        // Swap in a log that works: the next report covers its own mission
-        // only, although the failed mission's puts were applied.
+        assert!(db.crashed(), "a failed WAL write power-fails the shard");
+        // A log that works does not revive the shard.
         let path = std::env::temp_dir().join(format!("ruskey-db-wal-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let wal = ruskey_lsm::Wal::open(&path).expect("open temp WAL");
@@ -170,14 +172,16 @@ mod tests {
                 key: ruskey_workload::encode_key(i, 16),
             })
             .collect();
-        let r = db.try_run_mission(&gets).expect("healthy log");
-        assert_eq!(
-            (r.ops, r.window.updates),
-            (5, 0),
-            "failed mission leaked in"
+        let lookups = db.shard(0).stats().lookups;
+        let err = db
+            .try_run_mission(&gets)
+            .expect_err("a dead shard fails every later mission");
+        assert!(
+            matches!(err, StoreError::Wal { shard: 0, .. }),
+            "unexpected error: {err}"
         );
-        assert_eq!(r.mission_idx, 0, "no report is cut for a failure");
-        assert!(db.get(&ruskey_workload::encode_key(3, 16)).is_some());
+        assert_eq!(db.shard(0).stats().lookups, lookups, "a dead lane ran");
+        assert!(db.crashed());
         let _ = std::fs::remove_file(&path);
     }
 

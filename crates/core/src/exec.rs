@@ -102,11 +102,16 @@ pub(crate) fn execute(tree: &mut FlsmTree, op: &Operation) -> OpResult {
 /// no results: a get's value is dropped, and a scan is drained
 /// ([`ruskey_lsm::RangeScan::drain`]), reading the pages a collected scan
 /// reads without slicing a row out of them.
+///
+/// A shard whose fault plan is dead runs nothing: the batch fails at once
+/// ([`FlsmTree::alive`]), as a served request on it is refused, so no
+/// lane reads a tree its process died inside.
 pub(crate) fn run_batch<'a>(
     tree: &mut FlsmTree,
     ops: impl IntoIterator<Item = &'a Operation>,
     boundary: bool,
 ) -> std::io::Result<u64> {
+    tree.alive()?;
     for op in ops {
         if let Operation::Scan { start, end, limit } = op {
             tree.range_scan(start, end, *limit).drain();

@@ -37,9 +37,9 @@
 //! grant, commit leg) made by the served door, with the commit leg split
 //! around the unlock; [`FlsmTree::commit_wal`] is the same two halves
 //! back to back, so there is one sync path and one rule for a failed
-//! fsync. The syncer lock is only ever taken with no tree lock held; the
-//! tree lock may be taken inside it, never the other way round, so the
-//! two cannot deadlock.
+//! write or fsync. The syncer lock is only ever taken with no tree lock
+//! held; the tree lock may be taken inside it, never the other way round,
+//! so the two cannot deadlock.
 //!
 //! ## The contract
 //!
@@ -49,8 +49,10 @@
 //!   before the log is recycled; a syncer whose ticket predates the
 //!   recycling counts nothing twice). A log that dies (fault injection)
 //!   or fails with a real I/O error acknowledges nothing further, to the
-//!   syncer or to any writer queued behind it — a failed fsync
-//!   power-fails the shard — and the shard refuses every later request
+//!   syncer or to any writer queued behind it: a failed write or fsync
+//!   power-fails the shard, so its write answers
+//!   [`ServingError::Crashed`]. The shard's fault plan is its one dead
+//!   flag, and a shard whose plan is dead refuses every later request
 //!   with [`ServingError::Stopped`].
 //! * **Order.** Operations on one shard are serialized by its lock, in
 //!   the order the lock was won; a client's own requests are ordered
@@ -78,9 +80,7 @@
 //! already bounds in-flight work: at most *clients* requests exist at once
 //! and nothing queues without bound. Time a client spends blocked on a taken
 //! shard lock is surfaced as `stall_ns` (and a `stalls` count) in the
-//! metrics, and a write's lock wait is attributed to the shard tree via
-//! [`FlsmTree::note_queue_stall_ns`] so it reaches the mission report's
-//! `queue_stall_ns`.
+//! metrics, beside each request's `lock_wait_ns`.
 //!
 //! ## Live metrics
 //!
@@ -101,7 +101,7 @@
 //! to stop, restore the trees, and fold the serving work out of the next
 //! mission's statistics delta.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 use std::time::Instant;
 
@@ -128,42 +128,29 @@ pub struct ServingConfig {}
 /// Why a serving request failed.
 #[derive(Debug, Clone, Copy)]
 pub enum ServingError {
-    /// The session has ended (`finish_serving` took the trees home) or
-    /// the shard is dead — it crashed, its log failed, or a client
-    /// panicked inside it; the request was not executed — or, for a
-    /// write, was executed but never acknowledged.
+    /// The session has ended (`finish_serving` took the trees home), the
+    /// shard's fault plan is dead (it crashed, or a storage or log call
+    /// power-failed it), or a client panicked inside it: the request was
+    /// not executed — or, for a write, was executed but never
+    /// acknowledged.
     Stopped,
     /// The shard's process died mid-serve — an injected crash, or a
-    /// failed WAL fsync, which power-fails the shard: the write was
-    /// executed but is **not** acknowledged — recovery decides what
+    /// failed WAL write or fsync, which power-fails the shard: the write
+    /// was executed but is **not** acknowledged — recovery decides what
     /// survives.
     Crashed,
-    /// The shard's WAL could not write the record to its file (a real I/O
-    /// error): the write is not acknowledged.
-    Wal,
 }
 
 impl std::fmt::Display for ServingError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServingError::Stopped => write!(f, "serving session stopped"),
+            ServingError::Stopped => write!(f, "serving session ended or shard dead"),
             ServingError::Crashed => write!(f, "shard crashed mid-serve; write unacknowledged"),
-            ServingError::Wal => write!(f, "WAL commit failed; write unacknowledged"),
         }
     }
 }
 
 impl std::error::Error for ServingError {}
-
-/// Why a commit leg failed: the shard's process died (an injected crash,
-/// or a failed fsync, which power-fails it), or its log could not write.
-fn leg_error(tree: &FlsmTree) -> ServingError {
-    if tree.faults().is_dead() {
-        ServingError::Crashed
-    } else {
-        ServingError::Wal
-    }
-}
 
 /// Power-of-two histogram: bucket `i` counts observations in
 /// `[2^(i-1), 2^i)` (bucket 0 counts zeros). Observation and snapshot
@@ -390,9 +377,6 @@ impl MetricsSnapshot {
 struct ShardSlot {
     /// `None` once `finish_serving` took the tree home.
     tree: Mutex<Option<FlsmTree>>,
-    /// Set when the shard died serving (crash injection or a WAL I/O
-    /// error): every later request is refused.
-    stopped: AtomicBool,
     /// Taken with no tree lock held; the tree lock is taken inside it.
     syncer: Mutex<()>,
 }
@@ -425,7 +409,6 @@ impl ServingFrontend {
                 .into_iter()
                 .map(|tree| ShardSlot {
                     tree: Mutex::new(Some(tree)),
-                    stopped: AtomicBool::new(false),
                     syncer: Mutex::default(),
                 })
                 .collect(),
@@ -514,25 +497,17 @@ impl ServingClient {
             Err(TryLockError::Poisoned(_)) => return Err(ServingError::Stopped),
         };
         let locked = Instant::now();
-        let waited = (locked - asked).as_nanos() as u64;
-        m.lock_wait_ns.observe(waited);
+        m.lock_wait_ns.observe((locked - asked).as_nanos() as u64);
         let tree = match guard.as_mut() {
-            Some(tree) if !slot.stopped.load(Ordering::SeqCst) => tree,
+            Some(tree) if !tree.faults().is_dead() => tree,
             _ => return Err(ServingError::Stopped),
         };
         m.shard_ops[shard].fetch_add(1, RLX);
-        if op.is_write() {
-            tree.note_queue_stall_ns(waited);
-        }
         let result = execute(tree, op);
         tree.maintain_boundary();
         // A write leaves the lock with its record in the file and a
         // ticket for the fsync; the fsync itself waits for the unlock.
         let begun = (result == OpResult::Written).then(|| tree.begin_commit());
-        let crashed = tree.faults().is_dead();
-        if crashed {
-            slot.stopped.store(true, Ordering::SeqCst);
-        }
         drop(guard);
         let unlocked = Instant::now();
         m.execute_ns.observe((unlocked - locked).as_nanos() as u64);
@@ -540,10 +515,9 @@ impl ServingClient {
             return Ok(result);
         };
         let acked = match begun {
-            // A log that died (fault injection) or failed with a real I/O
-            // error acknowledges nothing; recovery decides what survives.
-            _ if crashed => Err(ServingError::Crashed),
-            Err(_) => Err(ServingError::Wal),
+            // The shard died: a crash, or a log write that failed and
+            // power-failed it. Recovery decides what survives.
+            Err(_) => Err(ServingError::Crashed),
             // Nothing left to sync: the store keeps no log, or a memtable
             // flush superseded the record.
             Ok(None) => Ok(()),
@@ -551,10 +525,7 @@ impl ServingClient {
         };
         m.commit_wait_ns
             .observe(unlocked.elapsed().as_nanos() as u64);
-        if let Err(e) = acked {
-            slot.stopped.store(true, Ordering::SeqCst);
-            return Err(e);
-        }
+        acked?;
         m.acked_writes.fetch_add(1, RLX);
         Ok(result)
     }
@@ -571,7 +542,7 @@ impl ServingClient {
         if tree.covers(mine) {
             return Ok(());
         }
-        let Some(ticket) = tree.begin_commit().map_err(|_| leg_error(tree))? else {
+        let Some(ticket) = tree.begin_commit().map_err(|_| ServingError::Crashed)? else {
             return Ok(());
         };
         drop(guard);
@@ -583,7 +554,7 @@ impl ServingClient {
         let virtual_ns = tree.storage().clock().now_ns() - before;
         // `None`: a memtable flush superseded the log while the fsync was
         // in flight and has already counted its records.
-        if let Some(newly) = newly.map_err(|_| leg_error(tree))? {
+        if let Some(newly) = newly.map_err(|_| ServingError::Crashed)? {
             m.batches.fetch_add(1, RLX);
             m.batch_writes.observe(newly);
             m.commit_ns.observe(virtual_ns);

@@ -360,12 +360,13 @@ pub enum StoreError {
         /// Why.
         error: ManifestError,
     },
-    /// A shard's commit leg failed (the first failing shard, if several
-    /// failed in one barrier): its WAL hit a real I/O error, or the
-    /// shard's process had died ([`RusKey::crashed`]). A failed fsync
-    /// leaves the shard dead, so every later barrier fails on it too. The
-    /// store itself stays alive: the batch's lanes were applied, but the
-    /// failing shard's records are not acknowledged.
+    /// A shard's lane failed (the first failing shard, if several failed
+    /// in one barrier): its process had died ([`RusKey::crashed`]) before
+    /// the lane, which then ran nothing, or inside it — a crash, or a WAL
+    /// write or fsync that failed and power-failed the shard. The shard
+    /// stays dead, so every later mission and barrier fails on it too;
+    /// its records since the last barrier are not acknowledged. The
+    /// siblings' lanes ran and committed.
     Wal {
         /// The shard whose log failed.
         shard: usize,
@@ -745,9 +746,9 @@ impl RusKey {
     /// The lanes run on `run_on_lanes`, which catches a lane's panic
     /// where it ran, so the siblings of a lane that dies run to the end;
     /// the lowest such shard is fenced and reported as
-    /// [`StoreError::ShardPanicked`]. A failed commit leg, a dead shard's
-    /// included, is [`StoreError::Wal`] (lowest failing shard) on a live
-    /// engine.
+    /// [`StoreError::ShardPanicked`]. A lane on a dead shard (it runs
+    /// nothing) or a failed commit leg is [`StoreError::Wal`] (lowest
+    /// failing shard).
     fn run_lanes(
         &mut self,
         lanes: Vec<Vec<&Operation>>,
@@ -989,8 +990,8 @@ impl RusKey {
     // ------------------------------------------------------------------
 
     /// Folds everything the shards have done so far out of the next
-    /// mission's report (a load, a recovery, a serving session, a mission
-    /// that failed to commit — none of them is a mission).
+    /// mission's report (a load, a recovery, a serving session — none of
+    /// them is a mission).
     fn rebaseline(&mut self) {
         self.baselines = self.shard_snapshots();
         self.adhoc_scans = 0;
@@ -1082,21 +1083,9 @@ impl RusKey {
             .filter(|op| matches!(op, Operation::Scan { .. }))
             .count() as u64;
         let lanes = partition_ops(ops, n);
-        let legs = match self.run_lanes(lanes, true) {
-            Ok(legs) => legs,
-            Err(e) => {
-                // A WAL commit failure leaves the engine alive with every
-                // lane already applied but no report cut for it: rebaseline
-                // so a later mission's report does not double-count this
-                // mission's work. (A panic needs no rebaseline — the
-                // engine is marked dead and no further report can be
-                // built.)
-                if matches!(e, StoreError::Wal { .. }) {
-                    self.rebaseline();
-                }
-                return Err(e);
-            }
-        };
+        // A failed leg needs no rebaseline: its shard is dead, so every
+        // later mission fails on it too and no report is cut again.
+        let legs = self.run_lanes(lanes, true)?;
         let process_ns = t0.elapsed().as_nanos() as u64;
         let (mut report, slices) = self.cut_report(&legs, logical_scans, process_ns);
         report.model_update_ns = self.tune_seats(slices);

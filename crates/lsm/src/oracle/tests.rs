@@ -48,9 +48,10 @@ enum Io {
     },
 }
 
-/// Forwards every call and logs reads and writes. With `fast_paths` off it
-/// forwards only what the required methods need, so the provided defaults
-/// of [`Storage::try_read_shared`] and [`Storage::write_pages`] run — the
+/// Forwards every call and logs reads and writes. It never forwards
+/// [`Storage::append_pages`], so the run builder's whole-run fallback runs;
+/// with `fast_paths` off it forwards only what the required methods need,
+/// so the provided default of [`Storage::try_read_shared`] runs too — the
 /// `Storage` a decorator written before those methods existed presents.
 struct Recorder {
     inner: Arc<dyn Storage>,
@@ -112,18 +113,6 @@ impl Storage for Recorder {
     fn write_page(&self, ext: Extent, idx: u32, data: &[u8]) -> IoCharge {
         let charge = self.inner.write_page(ext, idx, data);
         self.log_write(ext, idx, 1, charge);
-        charge
-    }
-    fn write_pages(&self, ext: Extent, pages: &[&[u8]]) -> IoCharge {
-        if !self.fast_paths {
-            let mut total = IoCharge::default();
-            for (idx, page) in pages.iter().enumerate() {
-                total += self.write_page(ext, idx as u32, page);
-            }
-            return total;
-        }
-        let charge = self.inner.write_pages(ext, pages);
-        self.log_write(ext, 0, pages.len() as u32, charge);
         charge
     }
     fn try_read_page(&self, ext: Extent, idx: u32, buf: &mut Vec<u8>) -> std::io::Result<IoCharge> {

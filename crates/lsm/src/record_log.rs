@@ -69,7 +69,10 @@
 //! [`Site::ManifestWrite`], a sync ticket's fsync [`Site::WalSync`], the
 //! manifest's fsync [`Site::ManifestSync`], and each zero-fill write of a
 //! recycle [`Site::WalRecycle`]. A torn write puts down the first half of
-//! the records, never padding; a dead plan issues nothing.
+//! the records, never padding; a dead plan issues nothing. A call that
+//! fails returns its error with the plan alive and the buffer kept; the
+//! tree that owns the log then kills the plan, for a failed write as for a
+//! failed fsync, so a shard's log never writes behind a failure.
 
 use std::fs::{File, OpenOptions};
 use std::io;

@@ -17,9 +17,9 @@
 //! ([`Storage::append_pages`]), so whatever the run's length it holds at
 //! most 257 pages, the fence keys and one 16-byte Bloom hash pair per key,
 //! from which `finish` fills a filter sized from the entry count. Over a
-//! storage that cannot append it keeps the whole run and puts it down with
-//! one [`Storage::write_pages`] at the end: the same pages, extent ids and
-//! filter either way. Fence keys and the run's bounds are copies of
+//! storage that cannot append it keeps the whole run and puts it down page
+//! by page ([`Storage::write_page`]) at the end: the same pages, extent ids
+//! and filter either way. Fence keys and the run's bounds are copies of
 //! exactly their bytes: they live as long as the run does and must not
 //! keep a 4 KiB page alive each.
 
@@ -525,8 +525,8 @@ impl<'s> RunBuilder<'s> {
 
     /// Puts the pages still held down (charging write I/O), builds the
     /// Bloom filter and fence pointers, and returns the finished run.
-    /// Over a storage that cannot append, the whole run goes down here in
-    /// one [`Storage::write_pages`] to an extent allocated for it.
+    /// Over a storage that cannot append, the whole run goes down here,
+    /// page by page, to an extent allocated for it.
     ///
     /// `capacity_bytes` is the FLSM per-run capacity recorded on the run.
     /// Returns `None` if no entries were pushed (the drop frees a claimed
@@ -540,7 +540,9 @@ impl<'s> RunBuilder<'s> {
         if !self.append_closed() {
             let pages = self.held_pages();
             let extent = self.storage.allocate(pages.len() as u32);
-            self.storage.write_pages(extent, &pages);
+            for (idx, page) in (0u32..).zip(pages) {
+                self.storage.write_page(extent, idx, page);
+            }
             self.extent = Some(extent);
         }
         let mut bloom = Bloom::sized_for(self.entries as usize, self.bits_per_key);

@@ -144,11 +144,6 @@ pub struct TreeStatsSnapshot {
     /// backstop plus L0 backpressure stalls in background mode. Measured
     /// elapsed time on the tree's clock, never an extra charge.
     pub stall_ns: u64,
-    /// Real wall-clock ns writes spent waiting for a serving frontend's
-    /// per-shard lock before the tree executed them (0 outside serving).
-    /// Kept apart from the virtual `stall_ns`: lock wait is scheduling
-    /// delay, not device work.
-    pub queue_stall_ns: u64,
     /// Background merges applied.
     pub bg_compactions: u64,
     /// Bytes resident in levels whose compaction score is at or above the
@@ -194,7 +189,6 @@ impl TreeStatsSnapshot {
             cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
             cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
             stall_ns: self.stall_ns.saturating_sub(earlier.stall_ns),
-            queue_stall_ns: self.queue_stall_ns.saturating_sub(earlier.queue_stall_ns),
             bg_compactions: self.bg_compactions.saturating_sub(earlier.bg_compactions),
             // A gauge: the delta window ends at `self`, so its end-state
             // debt is the meaningful reading.
@@ -243,7 +237,6 @@ impl TreeStatsSnapshot {
             cache_misses: self.cache_misses + other.cache_misses,
             cache_evictions: self.cache_evictions + other.cache_evictions,
             stall_ns: self.stall_ns + other.stall_ns,
-            queue_stall_ns: self.queue_stall_ns + other.queue_stall_ns,
             bg_compactions: self.bg_compactions + other.bg_compactions,
             pending_compaction_bytes: self.pending_compaction_bytes
                 + other.pending_compaction_bytes,

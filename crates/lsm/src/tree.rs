@@ -143,11 +143,6 @@ pub struct FlsmTree {
     /// Virtual ns the write path spent blocked on structural work
     /// (flushes triggered by `put`/`delete`, backpressure stalls).
     stall_ns: u64,
-    /// Real ns writes spent waiting before this tree executed them (the
-    /// serving frontend's per-shard lock; 0 outside serving). A
-    /// wall-clock reading, kept apart from the virtual `stall_ns` so the
-    /// device model's accounting stays exact.
-    queue_stall_ns: u64,
     /// Background merges applied.
     bg_compactions: u64,
     /// Runs rebuilt from manifest + data pages by the last recovery.
@@ -159,13 +154,10 @@ pub struct FlsmTree {
     /// collected by the last recovery.
     orphans_collected: u64,
     /// The shard's fault plan, shared with the storage device (when it has
-    /// one) and the attached logs: its dead flag says the process died.
+    /// one) and the attached logs: its dead flag is the tree's one "the
+    /// process died" — an armed crash fired, or a storage barrier or log
+    /// call failed and power-failed the tree.
     faults: Arc<FaultPlan>,
-    /// True once a storage durability barrier ([`Storage::sync_extent`] /
-    /// [`Storage::sync_dir`]) or a log call failed: the device power-failed
-    /// mid-mutation. The plan is killed at that instant, so the in-flight
-    /// mutation can never commit and the store reads as dead.
-    power_failed: bool,
     /// Set when the in-flight mutation fsynced freshly created extents:
     /// their directory entries still need the one `sync_dir` barrier
     /// before the manifest state referencing them may commit.
@@ -214,13 +206,11 @@ impl FlsmTree {
             pending_retire: Vec::new(),
             pending_compaction: None,
             stall_ns: 0,
-            queue_stall_ns: 0,
             bg_compactions: 0,
             runs_recovered: 0,
             replayed_tail: 0,
             orphans_collected: 0,
             faults,
-            power_failed: false,
             dir_sync_due: false,
             bounds: None,
         })
@@ -358,10 +348,14 @@ impl FlsmTree {
         &self.faults
     }
 
-    /// True once a storage durability barrier failed (simulated power
-    /// cut, or a real fsync error on a file-backed device).
-    pub fn power_failed(&self) -> bool {
-        self.power_failed
+    /// `Err` once the shard's process died: what a commit leg returns, and
+    /// what a mission lane returns before it executes anything on a dead
+    /// shard.
+    pub fn alive(&self) -> std::io::Result<()> {
+        if self.faults.is_dead() {
+            return Err(std::io::Error::other("the shard's process died"));
+        }
+        Ok(())
     }
 
     /// Syncs the attached WAL — the per-shard leg of a group-commit
@@ -390,25 +384,18 @@ impl FlsmTree {
     /// writes its buffer to the file and returns the ticket whose fsync
     /// covers them (`Wal::begin_sync`). `None`: nothing to sync — no log,
     /// an idle one, or a memtable flush already superseded every record.
-    /// An error once the shard's process died, a death inside the write
-    /// included.
+    ///
+    /// A write that fails power-fails the shard, as a failed append, fsync
+    /// or recycle does: the records it held may be half on the disk, so no
+    /// later write may go down behind them. That error, and any once the
+    /// shard's process died, is returned.
     pub fn begin_commit(&mut self) -> std::io::Result<Option<SyncTicket>> {
-        let Some(wal) = &mut self.wal else {
-            return Ok(None);
+        let begun = match &mut self.wal {
+            Some(wal) if wal.unsynced() > 0 => wal.begin_sync(),
+            _ => Ok(None),
         };
-        let ticket = match wal.unsynced() {
-            0 => None,
-            _ => wal.begin_sync()?,
-        };
+        let ticket = begun.inspect_err(|_| self.power_fail())?;
         self.alive().map(|()| ticket)
-    }
-
-    /// `Err` once the shard's process died: what a commit leg then returns.
-    fn alive(&self) -> std::io::Result<()> {
-        if self.faults.is_dead() {
-            return Err(std::io::Error::other("the shard's process died"));
-        }
-        Ok(())
     }
 
     /// Second half of a commit leg, given what the ticket's fsync
@@ -458,16 +445,6 @@ impl FlsmTree {
         let before = self.storage.clock().now_ns();
         let synced = self.commit_wal()?;
         Ok((synced, self.storage.clock().now_ns() - before))
-    }
-
-    /// Attributes real wall-clock ns that writes spent waiting before
-    /// this tree executed them (the serving frontend's per-shard lock).
-    /// The reading flows into
-    /// [`TreeStatsSnapshot::queue_stall_ns`] and the mission report but
-    /// never into the virtual clock — lock wait is scheduling delay, not
-    /// device work.
-    pub fn note_queue_stall_ns(&mut self, ns: u64) {
-        self.queue_stall_ns += ns;
     }
 
     /// The tree's configuration.
@@ -608,7 +585,6 @@ impl FlsmTree {
     /// durable on-disk prefix still covers every acknowledged record,
     /// which is what recovery replays.
     fn power_fail(&mut self) {
-        self.power_failed = true;
         self.faults.kill();
     }
 
@@ -618,7 +594,7 @@ impl FlsmTree {
     /// time. Volatile backends no-op at zero cost; a failed barrier
     /// means the device power-failed and the mutation is abandoned.
     fn sync_new_run(&mut self, ext: Extent) {
-        if self.power_failed {
+        if self.faults.is_dead() {
             return;
         }
         match self.storage.sync_extent(ext) {
@@ -637,7 +613,7 @@ impl FlsmTree {
         // this mutation created is already fsynced; one directory fsync
         // now makes their *names* durable before the manifest state
         // referencing them commits. Volatile backends no-op.
-        if self.dir_sync_due && !self.power_failed {
+        if self.dir_sync_due && !self.faults.is_dead() {
             match self.storage.sync_dir() {
                 Ok(_) => self.dir_sync_due = false,
                 Err(_) => self.power_fail(),
@@ -1148,7 +1124,6 @@ impl FlsmTree {
             cache_misses: io.cache_misses,
             cache_evictions: io.cache_evictions,
             stall_ns: self.stall_ns,
-            queue_stall_ns: self.queue_stall_ns,
             bg_compactions: self.bg_compactions,
             pending_compaction_bytes: self.pending_compaction_bytes(),
             levels: self.level_stats.clone(),
@@ -2000,7 +1975,7 @@ mod tests {
         let full = Fault::Error(std::io::ErrorKind::StorageFull);
         t.faults().arm(Site::WalAppend, 0, full);
         t.put(key(1), val(1));
-        assert!(t.faults().is_dead() && t.power_failed());
+        assert!(t.faults().is_dead());
         t.put(key(2), val(2));
         assert_eq!(t.wal().unwrap().records(), 0, "neither put was framed");
         assert_eq!(t.get(&key(1)), Some(val(1)), "the memtable still reads");

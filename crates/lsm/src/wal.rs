@@ -39,6 +39,13 @@
 //! [`Wal::reset`] **recycles** the file in place (which also clears the
 //! unsynced-window counter — a reset log has nothing left to lose).
 //!
+//! A log call that fails — an append, the buffer's write, a fsync or a
+//! recycle — returns its error, and the tree that owns the log
+//! power-fails the shard on it: part of a failed write may be on the disk,
+//! and a failed fsync may have dropped the pages it could not write, so no
+//! later write or fsync may go down behind them. Every later barrier on
+//! the shard fails; recovery replays the log's durable prefix.
+//!
 //! A power cut may land after a reset but before its zero-fill reaches the
 //! disk; then records of *finished* generations replay. Every one of them
 //! went into a run the manifest committed before the reset, so it carries a

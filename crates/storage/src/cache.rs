@@ -283,22 +283,9 @@ impl<S: Storage> Storage for BlockCache<S> {
         charge
     }
 
-    /// Write-through for a whole run: the pages enter the cache in page
-    /// order (the recency order the per-page loop leaves), each copied
-    /// once, and the device sees one bulk write.
-    fn write_pages(&self, ext: Extent, pages: &[&[u8]]) -> IoCharge {
-        let evicted: u64 = (0u32..)
-            .zip(pages)
-            .map(|(idx, page)| self.insert((ext.id, idx), Bytes::copy_from_slice(page)))
-            .sum();
-        let mut charge = self.inner.write_pages(ext, pages);
-        charge.io.cache_evictions += evicted;
-        charge
-    }
-
     /// Write-through for a batch of a run: the device grows the extent,
-    /// then the pages enter the cache in page order, as
-    /// [`Storage::write_pages`] puts them.
+    /// then the pages enter the cache in page order, each copied once (the
+    /// recency order a per-page loop leaves).
     fn append_pages(&self, ext: Option<Extent>, pages: &[&[u8]]) -> Option<(Extent, IoCharge)> {
         let (grown, mut charge) = self.inner.append_pages(ext, pages)?;
         let first = grown.pages - pages.len() as u32;
@@ -637,20 +624,18 @@ mod tests {
         assert_eq!((&missed[..], &hit[..]), (&b"zero"[..], &b"zero"[..]));
     }
 
-    /// A bulk write, and a run appended in batches, leave the cache as the
-    /// per-page loop does: same residents in the same recency order, same
-    /// eviction count.
+    /// A run appended in batches leaves the cache as the per-page loop
+    /// does: same residents in the same recency order, same eviction count.
     #[test]
     fn bulk_write_fills_the_cache_like_page_writes() {
         let pages: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 8]).collect();
         let refs: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
-        let ((bulk, _), (looped, _)) = (setup_lru(3), setup_lru(3));
-        let (ext_a, ext_b) = (bulk.allocate(5), looped.allocate(5));
+        let (looped, _) = setup_lru(3);
+        let ext_b = looped.allocate(5);
         let mut want = IoCharge::default();
         for (i, page) in refs.iter().enumerate() {
             want += looped.write_page(ext_b, i as u32, page);
         }
-        assert_eq!(bulk.write_pages(ext_a, &refs), want);
         assert_eq!(want.io.cache_evictions, 2);
         let (appended, _) = setup_lru(3);
         let (ext_c, mut charge) = appended.append_pages(None, &refs[..2]).unwrap();
@@ -659,7 +644,7 @@ mod tests {
         assert_eq!((ext_c, charge), (ext_b, want));
         // Touch the oldest resident, insert one more page: the victim must
         // be the same on every side.
-        for (cache, ext) in [(&bulk, ext_a), (&looped, ext_b), (&appended, ext_c)] {
+        for (cache, ext) in [(&looped, ext_b), (&appended, ext_c)] {
             let hit = |i| cache.try_read_shared(ext, i).unwrap().1.io.cache_hits;
             assert_eq!(hit(2), 1);
             cache.write_page(cache.allocate(1), 0, b"new");

@@ -130,37 +130,18 @@ pub trait Storage: Send + Sync {
         Ok((Bytes::from(buf), charge))
     }
 
-    /// Writes `pages[i]` to page `i` of `ext` for every `i` — a whole run
-    /// at once, as the run builder puts one down over a storage that
-    /// cannot [append](Storage::append_pages) — and returns the summed
-    /// [`IoCharge`]. Equivalent to calling
-    /// [`Storage::write_page`] for each page in order, which is what the
-    /// default does; [`crate::FileDisk`] puts the pages down in large
-    /// positional writes instead of one per page.
-    ///
-    /// # Panics
-    /// Panics if `pages` outnumbers the extent or a page exceeds the page
-    /// size.
-    fn write_pages(&self, ext: Extent, pages: &[&[u8]]) -> IoCharge {
-        let mut total = IoCharge::default();
-        for (idx, page) in pages.iter().enumerate() {
-            total += self.write_page(ext, idx as u32, page);
-        }
-        total
-    }
-
     /// Appends `pages` after the last page of `ext` — of a new, empty
     /// extent when `ext` is `None` — and returns the grown extent with the
     /// summed [`IoCharge`]. Page `i` lands at index `ext.pages + i` and is
     /// charged as [`Storage::write_page`] would charge it, so a run written
-    /// in batches costs what one [`Storage::write_pages`] of it costs; an
-    /// empty `pages` only allocates. This is how a run builder puts a run
+    /// in batches costs what writing it page by page costs; an empty
+    /// `pages` only allocates. This is how a run builder puts a run
     /// down in bounded memory before it knows the run's length.
     ///
     /// The default returns `None` and does nothing — no allocation, no
     /// write: the backend cannot grow an extent. A caller then keeps the
-    /// whole run and writes it with [`Storage::allocate`] and
-    /// [`Storage::write_pages`] once it is complete, so a decorator that
+    /// whole run and writes it with [`Storage::allocate`] and one
+    /// [`Storage::write_page`] per page once it is complete, so a decorator that
     /// implements only the required methods still stores the same pages
     /// under the same extent ids. Every backend here overrides it; a
     /// decorator overrides it by forwarding.
@@ -550,7 +531,7 @@ mod tests {
         assert_eq!(d.live_extents(), THREADS as usize);
     }
 
-    /// A backend written before the shared read and the bulk write existed
+    /// A backend written before the shared read and the append existed
     /// implements only the required methods; the provided defaults then
     /// return the same bytes for the same charges as a backend's own.
     #[test]
@@ -593,10 +574,12 @@ mod tests {
         let (own, plain) = (disk(), RequiredOnly(disk()));
         let pages: [&[u8]; 3] = [b"alpha", b"", b"gamma-gamma"];
         let (ext_a, ext_b) = (own.allocate(3), plain.allocate(3));
-        assert_eq!(
-            own.write_pages(ext_a, &pages),
-            plain.write_pages(ext_b, &pages)
-        );
+        for (i, page) in (0u32..).zip(pages) {
+            assert_eq!(
+                own.write_page(ext_a, i, page),
+                plain.write_page(ext_b, i, page)
+            );
+        }
         for (i, page) in pages.iter().enumerate() {
             let a = own.try_read_shared(ext_a, i as u32).unwrap();
             let b = plain.try_read_shared(ext_b, i as u32).unwrap();
@@ -611,11 +594,14 @@ mod tests {
             own.try_read_shared(freed, 0).unwrap_err().kind()
         );
         // The default append allocates and writes nothing; the disk's own
-        // grows a fresh extent batch by batch, charged as one bulk write.
+        // grows a fresh extent batch by batch, charged as the page loop.
         assert!(plain.append_pages(None, &pages).is_none());
         assert_eq!(plain.live_pages(), 3);
         let (whole, fresh) = (disk(), disk());
-        let want = whole.write_pages(whole.allocate(3), &pages);
+        let (ext, mut want) = (whole.allocate(3), IoCharge::default());
+        for (i, page) in (0u32..).zip(pages) {
+            want += whole.write_page(ext, i, page);
+        }
         let (ext, mut charge) = fresh.append_pages(None, &pages[..1]).unwrap();
         let (ext, rest) = fresh.append_pages(Some(ext), &pages[1..]).unwrap();
         charge += rest;

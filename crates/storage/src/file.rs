@@ -21,9 +21,8 @@
 //! * **one write per batch** — the engine hands a run over 256 pages at
 //!   a time as it builds it ([`Storage::append_pages`]), and each batch's
 //!   slots are staged in one buffer and put down past the end of the
-//!   extent's file with a single `pwrite` ([`Storage::write_pages`] takes
-//!   one per 256 pages likewise), where a per-page loop paid a system
-//!   call a page.
+//!   extent's file with a single `pwrite`, where a per-page loop paid a
+//!   system call a page.
 //! * **zero-alloc steady state** — each disk has one staging buffer,
 //!   reused across calls and threads; after the first call no write
 //!   allocates, and a read allocates only the page handle it returns
@@ -452,12 +451,8 @@ impl Storage for FileDisk {
         self.write_slots(ext, idx, &[data])
     }
 
-    fn write_pages(&self, ext: Extent, pages: &[&[u8]]) -> IoCharge {
-        self.write_slots(ext, 0, pages)
-    }
-
     /// Grows the extent's file by writing past its end, 256 pages per
-    /// positional write, as [`Storage::write_pages`] does.
+    /// positional write.
     fn append_pages(&self, ext: Option<Extent>, pages: &[&[u8]]) -> Option<(Extent, IoCharge)> {
         let ext = ext.unwrap_or_else(|| self.allocate(0));
         let grown = Extent {
@@ -1021,27 +1016,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A bulk write, and a run appended in batches to a file that starts
-    /// empty, are the per-page loop in fewer system calls: the same file
-    /// bytes (zero padding included), the same charge, the same counters —
-    /// across the chunk boundary and for short pages.
+    /// A run appended in batches to a file that starts empty is the
+    /// per-page loop in fewer system calls: the same file bytes (zero
+    /// padding included, behind a dirty staging buffer too), the same
+    /// charge, the same counters — across the chunk boundary and for short
+    /// pages.
     #[test]
     fn bulk_write_equals_page_writes() {
         let pages: Vec<Vec<u8>> = (0..2 * BULK_SLOTS + 7)
             .map(|i| vec![i as u8; 1 + (i * 13) % 64])
             .collect();
         let refs: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
-        let (dir_a, dir_b) = (tmpdir("bulk-a"), tmpdir("bulk-b"));
-        let a = FileDisk::new(&dir_a, 64, CostModel::NVME).unwrap();
-        let b = FileDisk::new(&dir_b, 64, CostModel::NVME).unwrap();
-        let (ext_a, ext_b) = (a.allocate(refs.len() as u32), b.allocate(refs.len() as u32));
-        // Dirty the staging buffer so stale bytes would show as padding.
-        a.write_page(a.allocate(1), 0, &[0xAB; 64]);
+        let append = |d: &FileDisk| {
+            let (mut ext, mut charge) = (None, IoCharge::default());
+            for batch in refs.chunks(BULK_SLOTS + 3) {
+                let (grown, c) = d.append_pages(ext, batch).unwrap();
+                ext = Some(grown);
+                charge += c;
+            }
+            (ext.unwrap(), charge)
+        };
+        let dirs = [tmpdir("bulk-a"), tmpdir("bulk-b"), tmpdir("bulk-c")];
+        let [a, b, c] = dirs
+            .each_ref()
+            .map(|dir| FileDisk::new(dir, 64, CostModel::NVME).unwrap());
+        let ext_b = b.allocate(refs.len() as u32);
         let mut looped = IoCharge::default();
         for (i, page) in refs.iter().enumerate() {
             looped += b.write_page(ext_b, i as u32, page);
         }
-        assert_eq!(a.write_pages(ext_a, &refs), looped);
+        // Dirty the staging buffer so stale bytes would show as padding.
+        a.write_page(a.allocate(1), 0, &[0xAB; 64]);
+        let (ext_a, charge) = append(&a);
+        assert_eq!(charge, looped);
         assert_eq!(a.metrics().bytes_written, b.metrics().bytes_written + 64);
         assert_eq!(
             std::fs::read(a.path(ext_a.id)).unwrap(),
@@ -1052,21 +1059,13 @@ mod tests {
             assert_eq!(&got[..], *page);
         }
 
-        let dir_c = tmpdir("bulk-c");
-        let c = FileDisk::new(&dir_c, 64, CostModel::NVME).unwrap();
-        let (mut ext_c, mut appended) = (None, IoCharge::default());
-        for batch in refs.chunks(BULK_SLOTS + 3) {
-            let (grown, charge) = c.append_pages(ext_c, batch).unwrap();
-            ext_c = Some(grown);
-            appended += charge;
-        }
-        assert_eq!((ext_c, appended), (Some(ext_b), looped));
+        assert_eq!(append(&c), (ext_b, looped));
         assert_eq!((c.metrics(), c.live_pages()), (b.metrics(), b.live_pages()));
         assert_eq!(
             std::fs::read(c.path(ext_b.id)).unwrap(),
             std::fs::read(b.path(ext_b.id)).unwrap()
         );
-        for dir in [dir_a, dir_b, dir_c] {
+        for dir in dirs {
             let _ = std::fs::remove_dir_all(dir);
         }
     }

@@ -45,7 +45,7 @@
 //! the required ones behaves — and charges — identically: the shared read
 //! defaults to a copy of [`Storage::try_read_page`], and the append
 //! defaults to "cannot append", on which the engine keeps the whole run
-//! and writes it with one [`Storage::write_pages`]. The backends here
+//! and writes it page by page with [`Storage::write_page`]. The backends here
 //! override them to skip work: the block cache hands out the handle it
 //! holds (a hit copies nothing), [`FileDisk`] copies a missed page once
 //! into the handle the cache then keeps and puts a batch down in one

@@ -86,7 +86,9 @@
 //!   *concurrently* inside the shards' lanes — the barrier costs
 //!   the slowest shard's fsync, not the sum, and a shard crashing mid-leg
 //!   cannot stop its siblings' batches from committing. The log never
-//!   syncs on its own, and a failed fsync power-fails its shard;
+//!   syncs on its own, and a failed write or fsync power-fails its shard:
+//!   its fault plan, the shard's one dead flag, fails every later mission
+//!   lane, barrier and served request on it;
 //! * the **manifest** ([`lsm::Manifest`]) protects the *tree structure*:
 //!   every structural mutation commits one CRC-framed snapshot of the
 //!   whole structure — each level's policies, its runs with their page
@@ -99,9 +101,10 @@
 //! (`record_log.rs`), which frames `[len][crc32][body]` records in place,
 //! writes and fsyncs them, replays the longest valid prefix (stopping at
 //! a torn length, a CRC mismatch or the zero header of a recycled tail),
-//! and visits its shard's fault plan before each write and fsync. A log write or a manifest commit
-//! that fails with an I/O error is a power failure, like a failed
-//! barrier: the tree is crashed, and a served write is refused as
+//! and visits its shard's fault plan before each write and fsync. Any log
+//! call or manifest commit that fails with an I/O error is a power
+//! failure, like a failed barrier: the shard's plan is killed, a mission
+//! on it fails typed without running its lane, and a served write answers
 //! crashed rather than panicking its client.
 //!
 //! Ordering makes the two logs compose, and on a real filesystem the

@@ -1030,7 +1030,7 @@ fn torn_power_matrix_recovers_exactly_the_acknowledged_prefix() {
             db.shard(0).faults().arm(point, 0, Fault::PowerCut);
             db.shard_mut(0).flush();
             assert!(
-                db.shard(0).power_failed(),
+                db.shard(0).faults().is_dead(),
                 "shards={shards} point={point:?}: the armed cut never fired"
             );
             assert!(db.crashed(), "a power-failed shard must crash the store");
@@ -1587,7 +1587,10 @@ fn enospc_on_an_extent_write_or_create_recovers_the_acknowledged_prefix() {
                 db.shard(0).faults().arm(site, after, enospc);
                 let loaded = load_until_crash(&mut db, KEYS);
                 assert!(db.crashed(), "{what}: the armed error never fired");
-                assert!(db.shard(0).power_failed(), "{what}: the barrier must fail");
+                assert!(
+                    db.shard(0).faults().is_dead(),
+                    "{what}: the barrier must fail"
+                );
                 drop(db);
                 let mut rec = churning_shards(shards, Backend::Recover(&p));
                 assert_acknowledged_prefix(&mut rec, shards, loaded, &what);
@@ -1632,25 +1635,39 @@ fn a_barrier_after_a_failed_extent_write_fails_typed() {
 
 /// A WAL fsync that fails power-fails its shard: the kernel may have
 /// dropped the dirty pages it could not write, so no later fsync may
-/// acknowledge the records they held. The barrier fails typed, so does the
-/// one after a later put, the store reads as crashed, and recovery returns
-/// every write acknowledged before the failure — on `N = 2` the sibling's
-/// batch too, which the failed barrier still committed.
+/// acknowledge the records they held. See [`a_failed_wal_call_fails_every_later_barrier`].
 #[test]
 fn a_failed_wal_fsync_fails_every_later_barrier() {
+    a_failed_wal_call_fails_every_later_barrier(Site::WalSync, "fsync");
+}
+
+/// A WAL write that fails power-fails its shard, as a failed fsync does:
+/// part of the buffer may be on the disk, so no later write may go down
+/// behind it. See [`a_failed_wal_call_fails_every_later_barrier`].
+#[test]
+fn a_failed_wal_write_fails_every_later_barrier() {
+    a_failed_wal_call_fails_every_later_barrier(Site::WalWrite, "write");
+}
+
+/// With an error armed at `site`, a WAL call of the barrier's commit leg
+/// fails: the barrier fails typed, so does the one after a later put, the
+/// store reads as crashed, and recovery returns every write acknowledged
+/// before the failure — on `N = 2` the sibling's batch too, which the
+/// failed barrier still committed.
+fn a_failed_wal_call_fails_every_later_barrier(site: Site, what: &str) {
     for shards in [1, 2] {
-        let root = persist_root(&format!("fsync-fail-{shards}"));
+        let root = persist_root(&format!("{what}-fail-{shards}"));
         let p = persist_cfg(&root);
         let mut db = persistent_store(shards, &p);
         (0..20).for_each(|i| db.put(key(i), val(i)));
         db.group_commit();
         (20..40).for_each(|i| db.put(key(i), val(i)));
         let failure = Fault::Error(std::io::ErrorKind::Other);
-        db.shard(0).faults().arm(Site::WalSync, 0, failure);
+        db.shard(0).faults().arm(site, 0, failure);
         let failed = db.try_group_commit();
         assert!(
             matches!(failed, Err(StoreError::Wal { shard: 0, .. })),
-            "N={shards}: the failed fsync's barrier answered {failed:?}"
+            "N={shards}: the failed {what}'s barrier answered {failed:?}"
         );
         let late = (40..)
             .find(|&i| shard_for_key(&key(i), shards) == 0)
@@ -1659,9 +1676,9 @@ fn a_failed_wal_fsync_fails_every_later_barrier() {
         let later = db.try_group_commit();
         assert!(
             matches!(later, Err(StoreError::Wal { shard: 0, .. })),
-            "N={shards}: a barrier after the failed fsync answered {later:?}"
+            "N={shards}: a barrier after the failed {what} answered {later:?}"
         );
-        assert!(db.crashed(), "N={shards}: the failed fsync power-fails");
+        assert!(db.crashed(), "N={shards}: the failed {what} power-fails");
         drop(db);
         let mut rec = recovered_persistent(shards, &p);
         for i in 0..40 {
@@ -1674,6 +1691,55 @@ fn a_failed_wal_fsync_fails_every_later_barrier() {
             }
         }
         drop(rec);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// A mission on a shard that died inside a flush fails typed instead of
+/// running its lane: with no block cache, the gets would read the run the
+/// dying flush installed, whose extent file was never created. The
+/// sibling's lane still runs and commits, and on `N = 2` recovery returns
+/// its puts.
+#[test]
+fn a_mission_after_a_crash_inside_a_flush_fails_typed() {
+    for shards in [1usize, 2] {
+        let root = persist_root(&format!("flush-crash-mission-{shards}"));
+        let mut p = persist_cfg(&root);
+        p.cache_pages = 0;
+        let mut db = churning_shards(shards, Backend::Create(&p));
+        db.shard(0)
+            .faults()
+            .arm(Site::ExtentCreate, 0, Fault::Crash);
+        let mut written = 0;
+        while !db.crashed() {
+            assert!(written < 400, "N={shards}: no flush created an extent");
+            db.put(key(written), val(written));
+            written += 1;
+        }
+        let gets = (0..written).map(|i| Operation::Get { key: key(i) });
+        let sibling: Vec<u64> = (written..written + 200)
+            .filter(|&i| shard_for_key(&key(i), shards) != 0)
+            .collect();
+        let puts = sibling.iter().map(|&i| Operation::Put {
+            key: key(i),
+            value: Bytes::from(val(i)),
+        });
+        let mission: Vec<Operation> = gets.chain(puts).collect();
+        let failed = db.try_run_mission(&mission);
+        assert!(
+            matches!(failed, Err(StoreError::Wal { shard: 0, .. })),
+            "N={shards}: a mission on the dead shard answered {:?}",
+            failed.map(|r| r.ops)
+        );
+        drop(db);
+        let mut rec = churning_shards(shards, Backend::Recover(&p));
+        for &i in &sibling {
+            assert_eq!(
+                rec.get(&key(i)).as_deref(),
+                Some(val(i).as_slice()),
+                "N={shards}: the sibling's committed put {i} lost"
+            );
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 }
@@ -1702,7 +1768,7 @@ fn a_failed_wal_recycle_power_fails_and_loses_nothing() {
     db.shard(0).faults().arm(Site::WalRecycle, 1, other);
     db.shard_mut(0).flush();
     assert!(
-        db.shard(0).power_failed(),
+        db.shard(0).faults().is_dead(),
         "a failed recycle must power-fail the shard"
     );
     assert!(db.crashed());
@@ -1791,7 +1857,7 @@ fn a_failed_trim_of_a_recycled_extent_recovers_the_acknowledged_prefix() {
     db.shard(0).faults().arm(Site::ExtentTrim, 0, other);
     let loaded = load_until_crash(&mut db, 1200);
     assert!(db.crashed(), "the armed trim error never fired");
-    assert!(db.shard(0).power_failed(), "the barrier must fail");
+    assert!(db.shard(0).faults().is_dead(), "the barrier must fail");
     drop(db);
     let mut rec = churning_store(Backend::Recover(&p));
     assert_acknowledged_prefix(&mut rec, 1, loaded, "failed trim");

@@ -12,8 +12,8 @@
 //! * **group commit** — many writers over few shards share fsyncs, and
 //!   every acknowledged write is on disk all the same;
 //! * **failure is typed and local** — a handle that outlives its session
-//!   gets `Stopped`; a client that panics inside a shard kills that
-//!   shard only;
+//!   gets `Stopped`; a client that panics inside a shard, or a WAL write
+//!   that fails in it, kills that shard only;
 //! * **sessions bracket missions** — a store alternates missions and
 //!   sessions, each hand-over keeping state, statistics and policies;
 //! * **the in-flight gauge** never exceeds the number of clients.
@@ -244,10 +244,9 @@ fn acknowledged_writes_survive_a_mid_serve_crash() {
                             match client.put(key.clone(), value.clone()) {
                                 Ok(()) => acked.push((key, value)),
                                 // The crashed shard's clients see Crashed,
-                                // then Stopped once the shard is marked
+                                // then Stopped once its fault plan is
                                 // dead; neither is an acknowledgement.
                                 Err(ServingError::Crashed | ServingError::Stopped) => {}
-                                Err(e) => panic!("unexpected serving error: {e}"),
                             }
                         }
                         acked
@@ -465,6 +464,65 @@ fn a_client_panic_poisons_only_its_shard() {
         db.try_run_mission(&[]),
         Err(StoreError::ShardFenced { shard: 0 })
     ));
+    let _ = std::fs::remove_dir_all(&durability.root);
+}
+
+/// A WAL write that fails mid-serve power-fails its shard, as a failed
+/// fsync does: that write answers `Crashed`, every later request on the
+/// shard answers `Stopped` (its fault plan is the one dead flag), the
+/// sibling shard keeps serving, and recovery returns every write
+/// acknowledged before the failure.
+#[test]
+fn a_failed_wal_write_stops_only_its_shard() {
+    let (mut db, durability) = durable_store("wal-write-fail", 2);
+    let faults = Arc::clone(db.shard(0).storage().faults().expect("a file-backed shard"));
+    let frontend = db.serve(ServingConfig::default()).expect("serve");
+    let on_shard = |shard: usize| {
+        (0..)
+            .map(|i| encode_key(i, 16))
+            .filter(move |k| ruskey_repro::workload::routing::shard_for_key(k, 2) == shard)
+    };
+    let (mut dead_keys, mut live_keys) = (on_shard(0), on_shard(1));
+    let client = frontend.client();
+    let acked: Vec<Bytes> = dead_keys.by_ref().take(5).collect();
+    for key in &acked {
+        client
+            .put(key.clone(), key.clone())
+            .expect("put before the failure");
+    }
+    faults.arm(Site::WalWrite, 0, Fault::Error(std::io::ErrorKind::Other));
+    let dead_key = dead_keys.next().unwrap();
+    let failed = client.put(dead_key.clone(), Bytes::from_static(b"failed"));
+    assert!(
+        matches!(failed, Err(ServingError::Crashed)),
+        "the failed write answered {failed:?}"
+    );
+    assert!(matches!(client.get(&dead_key), Err(ServingError::Stopped)));
+    assert!(matches!(
+        client.put(dead_key.clone(), Bytes::from_static(b"late")),
+        Err(ServingError::Stopped)
+    ));
+    let live_key = live_keys.next().unwrap();
+    client
+        .put(live_key.clone(), Bytes::from_static(b"alive"))
+        .expect("sibling shard serves");
+    assert_eq!(
+        client.get(&live_key).expect("get").as_deref(),
+        Some(&b"alive"[..])
+    );
+    db.finish_serving(frontend).expect("no shard panicked");
+    assert!(db.crashed(), "the failed write power-fails shard 0");
+    drop(db);
+    let mut rec = RusKey::open(
+        RusKeyConfig::scaled_default(),
+        2,
+        Box::new(NoOpTuner),
+        Backend::Recover(&durability),
+    )
+    .expect("recover");
+    for key in acked.iter().chain([&live_key]) {
+        assert!(rec.get(key).is_some(), "acknowledged write lost");
+    }
     let _ = std::fs::remove_dir_all(&durability.root);
 }
 
