@@ -158,7 +158,7 @@ mod tests {
             .try_run_mission(&puts)
             .expect_err("the commit leg cannot write to /dev/full");
         assert!(
-            matches!(err, StoreError::Wal { shard: 0, .. }),
+            matches!(err, StoreError::Dead { shard: 0, .. }),
             "unexpected error: {err}"
         );
         assert!(db.crashed(), "a failed WAL write power-fails the shard");
@@ -177,7 +177,7 @@ mod tests {
             .try_run_mission(&gets)
             .expect_err("a dead shard fails every later mission");
         assert!(
-            matches!(err, StoreError::Wal { shard: 0, .. }),
+            matches!(err, StoreError::Dead { shard: 0, .. }),
             "unexpected error: {err}"
         );
         assert_eq!(db.shard(0).stats().lookups, lookups, "a dead lane ran");

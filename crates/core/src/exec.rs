@@ -15,13 +15,15 @@
 //!    [`FlsmTree::commit_wal`], which is `begin_commit`, the fsync and
 //!    `finish_commit` back to back.
 //!
-//! Which of the three a caller takes depends only on what it is:
+//! Which of the three a caller takes depends only on what it is, and a
+//! dead shard — its fault plan killed by a crash, a failed call or a
+//! panic — runs nothing at any door:
 //!
-//! | door                 | operations | boundary grant                        | commit leg                                   |
-//! |----------------------|------------|---------------------------------------|----------------------------------------------|
-//! | mission lane         | its lane   | yes                                   | yes                                          |
-//! | `group_commit`       | none       | no                                    | yes                                          |
-//! | ad-hoc op, served op | one        | ad-hoc: every 32nd write; served: yes | ad-hoc: no; served: iff a write, by a syncer |
+//! | door                 | operations | boundary grant                        | commit leg                                   | on a dead shard                                |
+//! |----------------------|------------|---------------------------------------|----------------------------------------------|------------------------------------------------|
+//! | mission lane         | its lane   | yes                                   | yes                                          | fails                                          |
+//! | `group_commit`       | none       | no                                    | yes                                          | fails                                          |
+//! | ad-hoc op, served op | one        | ad-hoc: every 32nd write; served: yes | ad-hoc: no; served: iff a write, by a syncer | ad-hoc: write dropped, read panics; `Stopped`  |
 //!
 //! The first two are [`run_batch`], run by the store's lane runner on a
 //! `&mut` borrow of the shard's tree (lane 0 on the mission's caller, the

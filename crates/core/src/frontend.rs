@@ -53,7 +53,11 @@
 //!   power-fails the shard, so its write answers
 //!   [`ServingError::Crashed`]. The shard's fault plan is its one dead
 //!   flag, and a shard whose plan is dead refuses every later request
-//!   with [`ServingError::Stopped`].
+//!   with [`ServingError::Stopped`]. A client that panics inside a
+//!   shard's lock poisons it, so that shard's later requests answer
+//!   `Stopped` too; at the session's end the shard dies on its fault
+//!   plan, as a shard whose mission lane panicked does, and its siblings
+//!   serve on meanwhile.
 //! * **Order.** Operations on one shard are serialized by its lock, in
 //!   the order the lock was won; a client's own requests are ordered
 //!   because it issues one at a time. So read-your-writes per client is
@@ -420,14 +424,19 @@ impl ServingFrontend {
 
     /// Ends the session: waits out the operation inside each shard and
     /// takes its tree, in shard order. A client that still holds a handle
-    /// finds the slot empty and gets [`ServingError::Stopped`]. Also names
-    /// the first shard whose lock is poisoned — a client panicked inside
-    /// it, and the tree it left half-changed goes home only to be fenced.
+    /// finds the slot empty and gets [`ServingError::Stopped`]. A shard
+    /// whose lock is poisoned — a client panicked inside it — dies on its
+    /// fault plan, as a shard whose lane panicked does, and the first such
+    /// shard is named.
     pub(crate) fn take_trees(&self) -> (Vec<FlsmTree>, Option<usize>) {
         let slots = &self.shared.slots;
         let take = |slot: &ShardSlot| {
-            let mut tree = slot.tree.lock().unwrap_or_else(PoisonError::into_inner);
-            tree.take().expect("a session ends once")
+            let mut guard = slot.tree.lock().unwrap_or_else(PoisonError::into_inner);
+            let tree = guard.take().expect("a session ends once");
+            if slot.tree.is_poisoned() {
+                tree.faults().kill();
+            }
+            tree
         };
         let trees = slots.iter().map(take).collect();
         // Asked last: with its slot empty no client can die inside a shard.

@@ -55,17 +55,19 @@
 //! **Panics**: a panic inside a lane (an engine bug — or the
 //! `inject_worker_panic` test hook) is caught on the thread that ran it,
 //! the caller's included, so the sibling lanes run to the end (and, on a
-//! persistent store, commit — a partially applied batch, which is why a
-//! failed store must be reopened with [`Backend::Recover`] rather than
-//! retried in place). The dispatch then **fences** the shard: it returns
-//! [`StoreError::ShardPanicked`], every later mission, barrier and
-//! [`RusKey::serve`] fails fast with
-//! [`StoreError::ShardFenced`] *before* touching any tree, ad-hoc
-//! calls and [`RusKey::shard`] panic naming the shard, and the
-//! half-changed tree is never read again (its siblings stay readable for
-//! the post-mortem). A client that panics inside a shard's lock while
-//! serving fences the shard the same way at
-//! [`RusKey::finish_serving`] — one death protocol.
+//! persistent store, commit). The dispatch then kills the shard's
+//! [`FaultPlan`](ruskey_storage::FaultPlan), exactly as a failed log or
+//! storage call does, and returns [`StoreError::Dead`]: a panic is a
+//! death like any other. A client that panics inside a shard's lock while
+//! serving kills the shard the same way at [`RusKey::finish_serving`].
+//! Only that shard is dead — a lane borrows only its own tree and device,
+//! and a client holds only its own shard's lock, so nothing outside the
+//! shard is half-changed — and its siblings keep running and committing.
+//! Every door refuses the dead one: its lanes and served requests run
+//! nothing, every barrier fails naming it, an ad-hoc write to it is
+//! dropped, and an ad-hoc read of it panics naming it, before any tree is
+//! touched. Its counters stay readable ([`RusKey::shard`]) for the
+//! post-mortem, and [`Backend::Recover`] reopens the store from the logs.
 //! [`RusKey::run_mission`] converts these errors into a panic with
 //! the shard named; [`RusKey::try_run_mission`] returns them.
 //!
@@ -308,13 +310,11 @@ impl PersistenceConfig {
 /// Why a store could not be opened, or could not run a mission, barrier
 /// or serving session.
 ///
-/// A panic inside a shard is terminal: the store reports it cleanly
-/// (instead of hanging or limping on with a half-changed shard) and
-/// refuses all further work. On the dispatch that *discovers* it the
-/// sibling lanes still run to the end (and, on a persistent store,
-/// commit): a partially applied batch. Callers must treat the store as
-/// failed and, if persistent, reopen it with [`Backend::Recover`]; every
-/// later dispatch fails fast before touching any tree.
+/// A shard dies one way, whatever killed it — a crash, a failed log or
+/// storage call, or a panic inside it — and only that shard dies: its
+/// siblings' lanes run and commit, and every later mission and barrier
+/// fails on it with [`StoreError::Dead`]. A persistent store is reopened
+/// with [`Backend::Recover`] to bring the shard back.
 #[derive(Debug)]
 pub enum StoreError {
     /// The LSM configuration was rejected.
@@ -333,20 +333,6 @@ pub enum StoreError {
         /// The shard count recovery was asked for.
         shards: usize,
     },
-    /// A shard's lane panicked while executing — or, while serving, a
-    /// client panicked inside the shard's lock. The shard's tree was left
-    /// half-changed and is fenced off: the store is permanently
-    /// unavailable.
-    ShardPanicked {
-        /// The shard that died.
-        shard: usize,
-    },
-    /// An earlier panic fenced `shard`. Nothing was executed and no tree
-    /// was touched.
-    ShardFenced {
-        /// The fenced shard.
-        shard: usize,
-    },
     /// The trees are away in a serving session until
     /// [`RusKey::finish_serving`]. Nothing was executed and no tree was
     /// touched.
@@ -360,17 +346,19 @@ pub enum StoreError {
         /// Why.
         error: ManifestError,
     },
-    /// A shard's lane failed (the first failing shard, if several failed
-    /// in one barrier): its process had died ([`RusKey::crashed`]) before
-    /// the lane, which then ran nothing, or inside it — a crash, or a WAL
-    /// write or fsync that failed and power-failed the shard. The shard
+    /// A shard is dead (the first dead shard, if several failed in one
+    /// dispatch): its fault plan had died ([`RusKey::crashed`]) before
+    /// the lane, which then ran nothing, or it died inside the lane — a
+    /// crash, a failed log or storage call, or a panic — or, at
+    /// [`RusKey::finish_serving`], a client panicked inside it. The shard
     /// stays dead, so every later mission and barrier fails on it too;
     /// its records since the last barrier are not acknowledged. The
     /// siblings' lanes ran and committed.
-    Wal {
-        /// The shard whose log failed.
+    Dead {
+        /// The shard that died.
         shard: usize,
-        /// The underlying I/O error.
+        /// How it died: the failed call's error, the fault, "its lane
+        /// panicked" or "a client panicked inside it".
         error: std::io::Error,
     },
 }
@@ -386,18 +374,9 @@ impl std::fmt::Display for StoreError {
                  for {shards}; the routing hash keys on the shard count, so a \
                  mismatch would drop or misroute acknowledged writes"
             ),
-            StoreError::ShardPanicked { shard } => {
-                write!(f, "shard {shard} panicked; the store is dead")
-            }
-            StoreError::ShardFenced { shard } => write!(
-                f,
-                "shard {shard} is fenced by an earlier panic; nothing was executed"
-            ),
             StoreError::Serving => write!(f, "{AWAY_SERVING}; nothing was executed"),
             StoreError::Manifest { shard, error } => write!(f, "shard {shard}: {error}"),
-            StoreError::Wal { shard, error } => {
-                write!(f, "shard {shard}'s WAL commit failed: {error}")
-            }
+            StoreError::Dead { shard, error } => write!(f, "shard {shard} is dead: {error}"),
         }
     }
 }
@@ -405,7 +384,7 @@ impl std::fmt::Display for StoreError {
 impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            StoreError::Io(error) | StoreError::Wal { error, .. } => Some(error),
+            StoreError::Io(error) | StoreError::Dead { error, .. } => Some(error),
             _ => None,
         }
     }
@@ -431,6 +410,9 @@ const ADHOC_BOUNDARY_OPS: u64 = 32;
 
 /// Said by every read of a tree that is not there to be read.
 const AWAY_SERVING: &str = "the trees are away serving until `finish_serving`";
+
+/// Said, after the shard's name, by every plain read of a dead shard.
+const DEAD: &str = "is dead; no door reads it until the store is reopened";
 
 /// An RL-tuned key-value store over `N` hash-partitioned FLSM shards,
 /// whose missions run one lane per shard in parallel; opened by
@@ -459,13 +441,6 @@ pub struct RusKey {
     /// one is a maintenance boundary. One entry per shard in every state,
     /// so this is also the shard count while the trees are away.
     adhoc_writes: Vec<u64>,
-    /// The fenced shard: something panicked inside it (a lane, or a client
-    /// of a serving session) and left its tree half-changed. Every later
-    /// mission, barrier and `serve` fails fast with
-    /// [`StoreError::ShardFenced`] *before* touching any tree, so
-    /// a dead engine applies at most one partial batch (the dispatch that
-    /// discovered the death) and never more.
-    dead: Option<usize>,
     /// Test hook: the shard whose next lane panics.
     doomed: Option<usize>,
 }
@@ -661,7 +636,6 @@ impl RusKey {
             last_workers: Vec::new(),
             adhoc_scans: 0,
             adhoc_writes: vec![0; shards],
-            dead: None,
             doomed: None,
         };
         if matches!(backend, Backend::Recover(_)) {
@@ -670,29 +644,31 @@ impl RusKey {
         Ok(store)
     }
 
-    /// Number of shards — in every state, a serving session and a dead
-    /// engine included.
+    /// Number of shards — in every state, a serving session and dead
+    /// shards included.
     pub fn shard_count(&self) -> usize {
         self.adhoc_writes.len()
     }
 
-    /// Panics unless shard `idx`'s tree may be read: not while a serving
-    /// session holds the trees, and never again once the shard is fenced
-    /// (its siblings stay readable for the post-mortem).
+    /// Panics while a serving session holds the trees.
     fn assert_readable(&self, idx: usize) {
-        if self.dead == Some(idx) {
-            panic!("shard {idx} is fenced by an earlier panic; the store is unavailable");
-        }
         assert!(!self.shards.is_empty(), "shard {idx}: {AWAY_SERVING}");
     }
 
+    /// Panics unless the plain interface may read shard `idx`'s tree: home,
+    /// and alive — a dead shard's tree may hold a run its dying flush never
+    /// wrote, and a plain read has no error channel.
+    fn assert_live(&self, idx: usize) {
+        self.assert_readable(idx);
+        assert!(!self.shards[idx].faults().is_dead(), "shard {idx} {DEAD}");
+    }
+
     /// Read access to one shard's tree, which lives on the store outside
-    /// a serving session (experiments and introspection).
+    /// a serving session (experiments and introspection). A dead shard's
+    /// counters stay readable for the post-mortem.
     ///
     /// # Panics
-    /// Panics if something panicked inside the shard and left its tree
-    /// half-changed (the store is dead; see [`StoreError`]), or while
-    /// the store is serving.
+    /// Panics while the store is serving.
     pub fn shard(&self, idx: usize) -> &FlsmTree {
         self.assert_readable(idx);
         &self.shards[idx]
@@ -705,16 +681,15 @@ impl RusKey {
     }
 
     /// True if any shard's process died — its fault plan is dead: an armed
-    /// fault fired, or a storage or log call failed mid-mutation — so the
-    /// store is dead and the harness should recover from the logs. A
-    /// fenced shard's tree is not asked.
+    /// fault fired, a storage or log call failed mid-mutation, or a panic
+    /// inside the shard killed it — so the harness should recover from
+    /// the logs.
     ///
     /// # Panics
     /// Panics while the store is serving.
     pub fn crashed(&self) -> bool {
         assert!(!self.shards.is_empty(), "{AWAY_SERVING}");
-        let mut live = (0..self.shards.len()).filter(|&i| self.dead != Some(i));
-        live.any(|i| self.shards[i].faults().is_dead())
+        self.shards.iter().any(|tree| tree.faults().is_dead())
     }
 
     /// Test hook (`tests/pool_stress.rs`): makes the given shard's next
@@ -728,14 +703,12 @@ impl RusKey {
     }
 
     /// Fails fast — before anything touches a tree or any other state —
-    /// on a store with a fenced shard, or one whose trees are away
-    /// serving.
-    fn check_alive(&self) -> Result<(), StoreError> {
-        match self.dead {
-            Some(shard) => Err(StoreError::ShardFenced { shard }),
-            None if self.shards.is_empty() => Err(StoreError::Serving),
-            None => Ok(()),
+    /// on a store whose trees are away serving.
+    fn check_home(&self) -> Result<(), StoreError> {
+        if self.shards.is_empty() {
+            return Err(StoreError::Serving);
         }
+        Ok(())
     }
 
     /// The one way a mission or barrier reaches the trees: runs one lane
@@ -744,17 +717,17 @@ impl RusKey {
     /// shard's commit leg — and returns the legs in shard order.
     ///
     /// The lanes run on `run_on_lanes`, which catches a lane's panic
-    /// where it ran, so the siblings of a lane that dies run to the end;
-    /// the lowest such shard is fenced and reported as
-    /// [`StoreError::ShardPanicked`]. A lane on a dead shard (it runs
-    /// nothing) or a failed commit leg is [`StoreError::Wal`] (lowest
-    /// failing shard).
+    /// where it ran, so the siblings of a lane that dies run to the end.
+    /// A lane that panicked kills its shard's fault plan, as a failed log
+    /// or storage call does. That lane, a lane on a dead shard (it runs
+    /// nothing) and a failed commit leg are each [`StoreError::Dead`]
+    /// (the lowest failing shard is returned).
     fn run_lanes(
         &mut self,
         lanes: Vec<Vec<&Operation>>,
         boundary: bool,
     ) -> Result<Vec<u64>, StoreError> {
-        self.check_alive()?;
+        self.check_home()?;
         let doomed = self.doomed.take();
         let work = self
             .shards
@@ -772,23 +745,28 @@ impl RusKey {
         let results = run_on_lanes(work);
         let mut workers = Vec::with_capacity(results.len());
         let mut legs = Vec::with_capacity(results.len());
-        let mut wal_failure = None;
+        let mut failure = None;
         for (shard, result) in results.into_iter().enumerate() {
-            let Ok((worker, leg)) = result else {
-                self.dead.get_or_insert(shard);
-                continue;
+            let leg = match result {
+                Ok((worker, leg)) => {
+                    workers.push(worker);
+                    leg
+                }
+                Err(_) => {
+                    self.shards[shard].faults().kill();
+                    Err(std::io::Error::other("its lane panicked"))
+                }
             };
             match leg {
                 Ok(ns) => legs.push(ns),
-                Err(error) => _ = wal_failure.get_or_insert(StoreError::Wal { shard, error }),
+                Err(error) => _ = failure.get_or_insert(StoreError::Dead { shard, error }),
             }
-            workers.push(worker);
         }
-        if let Some(shard) = self.dead {
-            return Err(StoreError::ShardPanicked { shard });
+        // A lane that panicked left no thread to name.
+        if workers.len() == self.shards.len() {
+            self.last_workers = workers;
         }
-        self.last_workers = workers;
-        wal_failure.map_or(Ok(legs), Err)
+        failure.map_or(Ok(legs), Err)
     }
 
     /// The overlapped cross-shard group-commit barrier: every shard
@@ -797,7 +775,7 @@ impl RusKey {
     /// one fsync per shard per batch instead of one per record. Shards
     /// with nothing unacknowledged skip their fsync. A shard whose process
     /// died — before the barrier or inside its leg — fails the barrier
-    /// ([`StoreError::Wal`]) without stopping its siblings' legs: it
+    /// ([`StoreError::Dead`]) without stopping its siblings' legs: it
     /// acknowledges nothing further, but the others' batches become
     /// durable, which is what lets the crash harness pin exactly which
     /// shards' records survived.
@@ -864,13 +842,18 @@ impl RusKey {
     /// backpressure and `stall_ns` attribution — exactly as a mission's
     /// writes would.
     ///
+    /// A dead shard runs nothing: a write to it is dropped, since no
+    /// barrier would acknowledge it anyway.
+    ///
     /// # Panics
-    /// A dead engine keeps the semantics the plain interface always had:
-    /// a panic with the fenced shard named. So does a store that is
-    /// serving.
+    /// A read of a dead shard panics naming it, before the tree is
+    /// touched; so does any call while the store is serving.
     fn adhoc(&mut self, shard: usize, op: &Operation) -> OpResult {
-        // A dead engine refuses every shard, not only the fenced one.
-        self.assert_readable(self.dead.unwrap_or(shard));
+        self.assert_readable(shard);
+        if self.shards[shard].faults().is_dead() {
+            assert!(op.is_write(), "shard {shard} {DEAD}");
+            return OpResult::Written;
+        }
         let boundary = op.is_write() && {
             self.adhoc_writes[shard] += 1;
             self.adhoc_writes[shard].is_multiple_of(ADHOC_BOUNDARY_OPS)
@@ -917,12 +900,13 @@ impl RusKey {
     /// charges its own time domain with the cost, that a whole leg of its
     /// own would. The shards' reads interleave, so shards sharing a block
     /// cache may split their hits and misses differently than leg by leg.
+    ///
+    /// # Panics
+    /// Panics naming the first dead shard, before any tree is touched, or
+    /// while the store is serving.
     pub fn scan(&mut self, start: &[u8], end: &[u8], limit: usize) -> Vec<(Bytes, Bytes)> {
+        (0..self.shard_count()).for_each(|shard| self.assert_live(shard));
         self.adhoc_scans += 1;
-        for shard in 0..self.shard_count() {
-            // A dead engine refuses every shard, not only the fenced one.
-            self.assert_readable(self.dead.unwrap_or(shard));
-        }
         let mut legs: Vec<_> = self
             .shards
             .iter_mut()
@@ -953,7 +937,7 @@ impl RusKey {
     /// Dropping the frontend without finishing drops the trees and leaves
     /// the store permanently unavailable.
     pub fn serve(&mut self, _: ServingConfig) -> Result<ServingFrontend, StoreError> {
-        self.check_alive()?;
+        self.check_home()?;
         let trees = std::mem::take(&mut self.shards);
         Ok(ServingFrontend::new(trees))
     }
@@ -968,21 +952,24 @@ impl RusKey {
     ///
     /// A shard that died serving (mid-serve crash injection, WAL failure)
     /// just returns its tree — the snapshot and
-    /// [`RusKey::crashed`] tell the caller what happened. A shard
-    /// a *client panicked inside* comes home fenced (its tree was left
-    /// half-changed), and the engine is dead:
-    /// [`StoreError::ShardPanicked`], with every sibling's tree home.
+    /// [`RusKey::crashed`] tell the caller what happened. A shard a
+    /// *client panicked inside* comes home dead, killed like a shard
+    /// whose lane panicked, and is named: [`StoreError::Dead`], with
+    /// every tree home and the siblings usable.
     pub fn finish_serving(
         &mut self,
         frontend: ServingFrontend,
     ) -> Result<MetricsSnapshot, StoreError> {
-        (self.shards, self.dead) = frontend.take_trees();
-        if let Some(shard) = self.dead {
-            return Err(StoreError::ShardPanicked { shard });
-        }
-        let snapshot = frontend.metrics();
+        let (trees, panicked) = frontend.take_trees();
+        self.shards = trees;
         self.rebaseline();
-        Ok(snapshot)
+        match panicked {
+            Some(shard) => Err(StoreError::Dead {
+                shard,
+                error: std::io::Error::other("a client panicked inside it"),
+            }),
+            None => Ok(frontend.metrics()),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1009,14 +996,14 @@ impl RusKey {
     ///
     /// # Panics
     /// Panics if a shard that receives pairs is not empty
-    /// ([`FlsmTree::bulk_load`]), is fenced, or is away serving. A lane
+    /// ([`FlsmTree::bulk_load`]), is dead, or is away serving. A lane
     /// that panics re-raises its own payload here once every lane has
     /// ended (the lowest-numbered one, if several did).
     pub fn bulk_load(&mut self, pairs: Vec<(Bytes, Bytes)>) {
         let per_shard = deal_by_shard(pairs, self.shard_count());
         for (i, shard_pairs) in per_shard.iter().enumerate() {
             if !shard_pairs.is_empty() {
-                self.assert_readable(i);
+                self.assert_live(i);
             }
         }
         let lanes = self.shards.iter_mut().zip(per_shard).map(|(tree, pairs)| {
@@ -1062,16 +1049,17 @@ impl RusKey {
     /// its own shard.
     ///
     /// # Panics
-    /// Panics on [`StoreError`] (a dead engine or a WAL I/O failure);
+    /// Panics on [`StoreError`] (a dead shard, or a store away serving);
     /// use [`RusKey::try_run_mission`] for fallible operation.
     pub fn run_mission(&mut self, ops: &[Operation]) -> MissionReport {
         self.try_run_mission(ops)
             .unwrap_or_else(|e| panic!("mission failed: {e}"))
     }
 
-    /// Fallible form of [`RusKey::run_mission`]: lane panics and
-    /// WAL I/O failures surface as [`StoreError`] instead of a panic
-    /// (and never as a hang).
+    /// Fallible form of [`RusKey::run_mission`]: a shard that dies —
+    /// by a lane panic, a failed call or a crash — or was dead already
+    /// surfaces as [`StoreError::Dead`] instead of a panic (and never as
+    /// a hang).
     pub fn try_run_mission(&mut self, ops: &[Operation]) -> Result<MissionReport, StoreError> {
         let t0 = Instant::now();
         let n = self.shard_count();
@@ -1595,10 +1583,10 @@ mod tests {
     }
 
     /// An injected worker panic surfaces as a clean [`StoreError`] on
-    /// the next dispatch — and the engine stays dead (no limping on with
-    /// a missing shard), while dropping the store does not hang.
+    /// the next dispatch, naming the shard, which stays dead: every later
+    /// mission fails on it. Dropping the store does not hang.
     #[test]
-    fn worker_panic_is_a_clean_error_and_kills_the_engine() {
+    fn worker_panic_is_a_clean_error_and_kills_its_shard() {
         let mut db = volatile(small_cfg(), 3);
         db.bulk_load(bulk_load_pairs(300, 16, 48, 5));
         let spec = WorkloadSpec {
@@ -1613,28 +1601,30 @@ mod tests {
             .try_run_mission(&g.take_ops(100))
             .expect_err("a dead worker must fail the mission");
         assert!(
-            matches!(
-                err,
-                StoreError::ShardPanicked { shard: 1 } | StoreError::ShardFenced { shard: 1 }
-            ),
+            matches!(err, StoreError::Dead { shard: 1, .. }),
             "unexpected error: {err}"
         );
-        // Every later dispatch reports the dead worker too.
+        assert!(err.to_string().contains("its lane panicked"), "{err}");
+        // Every later dispatch reports the dead shard too.
         let err2 = db
             .try_run_mission(&g.take_ops(50))
-            .expect_err("the engine must stay dead");
-        assert!(err2.to_string().contains("shard 1"), "{err2}");
+            .expect_err("the shard must stay dead");
+        assert!(matches!(err2, StoreError::Dead { shard: 1, .. }), "{err2}");
     }
 
     /// The store says which of its three states it is in: home, serving
-    /// (reads name the session, not a death), or dead (a refused call
-    /// changes nothing). The shard count is the same in all three.
+    /// (reads name the session, not a death), or with a dead shard (its
+    /// counters stay readable, a plain read of it panics naming it, its
+    /// sibling reads on, and a refused call changes nothing in it). The
+    /// shard count is the same in all three.
     #[test]
     fn a_store_says_where_its_trees_are() {
-        let panic_of = |read: &dyn Fn()| -> String {
-            let payload = catch_unwind(AssertUnwindSafe(read)).expect_err("must panic");
+        fn panic_of<R>(read: impl FnOnce() -> R) -> String {
+            let payload = catch_unwind(AssertUnwindSafe(read))
+                .err()
+                .expect("must panic");
             payload.downcast_ref::<String>().expect("formatted").clone()
-        };
+        }
         let mut db = volatile(small_cfg(), 2);
         let frontend = db.serve(ServingConfig::default()).expect("serve");
         assert_eq!(db.shard_count(), 2, "serving");
@@ -1653,20 +1643,34 @@ mod tests {
         assert!(!db.crashed(), "home again");
 
         db.inject_worker_panic(1);
-        assert!(db.try_group_commit().is_err());
+        let err = db.try_group_commit().expect_err("the lane panicked");
+        assert!(matches!(err, StoreError::Dead { shard: 1, .. }), "{err}");
         assert_eq!(db.shard_count(), 2, "dead");
-        assert!(panic_of(&|| drop(db.stats())).contains("shard 1 is fenced"));
-        assert_eq!(db.shard(0).stats().lookups, 0, "the sibling stays readable");
-        let key = ruskey_workload::encode_key(1, 16);
-        let gets = vec![Operation::Get { key }; 64];
+        assert!(db.crashed(), "a panic is a death");
+        let on_shard = |shard| {
+            let mut keys = (0..).map(|i| ruskey_workload::encode_key(i, 16));
+            keys.find(|k| shard_for_key(k, 2) == shard).expect("a key")
+        };
+        let (live, dead) = (on_shard(0), on_shard(1));
+        let post_mortem = db.shard(1).stats();
+        assert!(panic_of(|| db.get(&dead)).contains("shard 1 is dead"));
+        assert!(panic_of(|| db.scan(&[], &[0xff; 17], 8)).contains("shard 1 is dead"));
+        assert_eq!(db.get(&live), None, "the sibling reads on");
+        db.put(dead.clone(), &b"dropped"[..]);
+        let gets = vec![Operation::Get { key: dead }; 64];
         assert!(db.try_run_mission(&gets).is_err());
+        assert_eq!(
+            db.shard(1).stats(),
+            post_mortem,
+            "a refused call changes nothing"
+        );
     }
 
-    /// A store whose trees are away serving says so, not "shard 0 is
-    /// fenced", on every dispatch, and touches no tree; once the session
-    /// is finished the same store runs missions again.
+    /// A store whose trees are away serving says so, not that a shard is
+    /// dead, on every dispatch, and touches no tree; once the session is
+    /// finished the same store runs missions again.
     #[test]
-    fn a_serving_store_reports_serving_not_a_fenced_shard() {
+    fn a_serving_store_reports_serving_not_a_dead_shard() {
         let mut db = volatile(small_cfg(), 2);
         db.bulk_load(bulk_load_pairs(200, 16, 48, 1));
         let before = db.stats();

@@ -341,9 +341,10 @@ impl FlsmTree {
     /// attached logs (a tree over a device without one has its own). A
     /// test arms a [`ruskey_storage::Fault`] at a [`ruskey_storage::Site`]
     /// through it. Its [`FaultPlan::is_dead`] is the tree's one "the
-    /// process died" flag — an armed fault fired, or the storage device or
-    /// a log failed mid-mutation: the store is dead and the harness should
-    /// recover from the logs.
+    /// process died" flag — an armed fault fired, the storage device or a
+    /// log failed mid-mutation, or the engine killed it after a panic
+    /// inside the shard: the shard is dead and the harness should recover
+    /// from the logs.
     pub fn faults(&self) -> &FaultPlan {
         &self.faults
     }
@@ -394,7 +395,7 @@ impl FlsmTree {
             Some(wal) if wal.unsynced() > 0 => wal.begin_sync(),
             _ => Ok(None),
         };
-        let ticket = begun.inspect_err(|_| self.power_fail())?;
+        let ticket = begun.inspect_err(|_| self.faults.kill())?;
         self.alive().map(|()| ticket)
     }
 
@@ -415,7 +416,7 @@ impl FlsmTree {
         synced: std::io::Result<()>,
     ) -> std::io::Result<Option<u64>> {
         if let Err(e) = synced {
-            self.power_fail();
+            self.faults.kill();
             return Err(e);
         }
         let newly = self.wal.as_mut().and_then(|wal| wal.finish_sync(ticket));
@@ -496,7 +497,7 @@ impl FlsmTree {
             return;
         };
         if wal.append(e).is_err() {
-            self.power_fail();
+            self.faults.kill();
             return;
         }
         if self.faults.is_dead() {
@@ -571,22 +572,13 @@ impl FlsmTree {
             return;
         }
         if self.wal.as_mut().is_some_and(|w| w.reset().is_err()) {
-            self.power_fail();
+            self.faults.kill();
         }
     }
 
     // ------------------------------------------------------------------
     // Manifest plumbing
     // ------------------------------------------------------------------
-
-    /// Declares the device power-failed: the plan is killed, so neither
-    /// log issues anything more and the in-flight mutation can never
-    /// commit — exactly the state a real power cut leaves. The WAL's
-    /// durable on-disk prefix still covers every acknowledged record,
-    /// which is what recovery replays.
-    fn power_fail(&mut self) {
-        self.faults.kill();
-    }
 
     /// Step 1 of the power-failure contract: a freshly built run's data
     /// pages are fsynced *before* any manifest state referencing them can
@@ -599,7 +591,7 @@ impl FlsmTree {
         }
         match self.storage.sync_extent(ext) {
             Ok(_) => self.dir_sync_due = true,
-            Err(_) => self.power_fail(),
+            Err(_) => self.faults.kill(),
         }
     }
 
@@ -616,7 +608,7 @@ impl FlsmTree {
         if self.dir_sync_due && !self.faults.is_dead() {
             match self.storage.sync_dir() {
                 Ok(_) => self.dir_sync_due = false,
-                Err(_) => self.power_fail(),
+                Err(_) => self.faults.kill(),
             }
         }
         let state = self.manifest.as_ref().map(|_| ManifestState::of(self));
@@ -625,7 +617,7 @@ impl FlsmTree {
             return;
         };
         let Ok(wrote) = m.commit(state) else {
-            self.power_fail();
+            self.faults.kill();
             return;
         };
         if self.faults.is_dead() {

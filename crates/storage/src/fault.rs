@@ -99,7 +99,11 @@ impl FaultPlan {
         self.state.load(Ordering::Relaxed) & DEAD != 0
     }
 
-    /// Kills the plan: every later visit answers [`Fault::Crash`].
+    /// Kills the plan: every later visit answers [`Fault::Crash`], so
+    /// neither log issues anything more and an in-flight mutation can
+    /// never commit — exactly the state a real power cut leaves. The WAL's
+    /// durable prefix still covers every acknowledged record, which is
+    /// what recovery replays.
     pub fn kill(&self) {
         self.state.fetch_or(DEAD, Ordering::Relaxed);
     }

@@ -43,9 +43,10 @@
 //! given, a broadcast scan is one operation every lane points at, and
 //! nothing is cloned before the tree keeps a key or a value. A panic
 //! inside a lane — the caller's included — surfaces as a clean
-//! [`ruskey::StoreError`] (never an unwind, never a hang) and
-//! fences the shard, exactly as a client panicking inside a served shard
-//! does: one death protocol.
+//! [`ruskey::StoreError`] (never an unwind, never a hang) and kills
+//! that shard's fault plan, as a crash, a failed call or a client
+//! panicking inside a served shard does: one death protocol. Only that
+//! shard dies, its siblings run on, and every door refuses it.
 //! Each shard runs on its own device, whose virtual clock is the shard's
 //! **time domain**, so per-shard and per-level time attribution is exact
 //! under parallelism;

@@ -47,6 +47,7 @@
 //! recovers the acknowledged prefix, and a fallback onto a generation
 //! whose extent file now holds another run fails the open, typed.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -375,7 +376,7 @@ fn overlapped_commit_crash_keeps_sibling_batches_durable() {
             "shards={shards}: the mid-flush crash never fired"
         );
         assert!(
-            matches!(r2, Err(StoreError::Wal { shard: 0, .. })),
+            matches!(r2, Err(StoreError::Dead { shard: 0, .. })),
             "shards={shards}: the crashed shard's leg must fail the mission"
         );
         assert!(
@@ -1620,7 +1621,7 @@ fn a_barrier_after_a_failed_extent_write_fails_typed() {
     db.put(key(written), val(written));
     let committed = db.try_group_commit();
     assert!(
-        matches!(committed, Err(StoreError::Wal { shard: 0, .. })),
+        matches!(committed, Err(StoreError::Dead { shard: 0, .. })),
         "a barrier after the death answered {committed:?}"
     );
     assert!(
@@ -1666,7 +1667,7 @@ fn a_failed_wal_call_fails_every_later_barrier(site: Site, what: &str) {
         db.shard(0).faults().arm(site, 0, failure);
         let failed = db.try_group_commit();
         assert!(
-            matches!(failed, Err(StoreError::Wal { shard: 0, .. })),
+            matches!(failed, Err(StoreError::Dead { shard: 0, .. })),
             "N={shards}: the failed {what}'s barrier answered {failed:?}"
         );
         let late = (40..)
@@ -1675,7 +1676,7 @@ fn a_failed_wal_call_fails_every_later_barrier(site: Site, what: &str) {
         db.put(key(late), val(late));
         let later = db.try_group_commit();
         assert!(
-            matches!(later, Err(StoreError::Wal { shard: 0, .. })),
+            matches!(later, Err(StoreError::Dead { shard: 0, .. })),
             "N={shards}: a barrier after the failed {what} answered {later:?}"
         );
         assert!(db.crashed(), "N={shards}: the failed {what} power-fails");
@@ -1698,6 +1699,8 @@ fn a_failed_wal_call_fails_every_later_barrier(site: Site, what: &str) {
 /// A mission on a shard that died inside a flush fails typed instead of
 /// running its lane: with no block cache, the gets would read the run the
 /// dying flush installed, whose extent file was never created. The
+/// ad-hoc door refuses that tree too: a get or a scan panics naming the
+/// shard before reading it, and a put is dropped unapplied. The
 /// sibling's lane still runs and commits, and on `N = 2` recovery returns
 /// its puts.
 #[test]
@@ -1716,6 +1719,30 @@ fn a_mission_after_a_crash_inside_a_flush_fails_typed() {
             db.put(key(written), val(written));
             written += 1;
         }
+        let dead_key = (0..written)
+            .map(key)
+            .find(|k| shard_for_key(k, shards) == 0)
+            .expect("shard 0 took writes");
+        let get = catch_unwind(AssertUnwindSafe(|| db.get(&dead_key))).err();
+        let scan = catch_unwind(AssertUnwindSafe(|| db.scan(&key(0), &key(written), 10))).err();
+        for (door, refused) in [("get", get), ("scan", scan)] {
+            let payload = refused.unwrap_or_else(|| panic!("N={shards}: the {door} read it"));
+            let said = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                said.contains("shard 0 is dead"),
+                "N={shards}: the ad-hoc {door} panicked with {said:?}"
+            );
+        }
+        let updates = db.shard(0).stats().updates;
+        db.put(dead_key, val(0));
+        assert_eq!(
+            db.shard(0).stats().updates,
+            updates,
+            "N={shards}: an ad-hoc put reached the dead tree"
+        );
         let gets = (0..written).map(|i| Operation::Get { key: key(i) });
         let sibling: Vec<u64> = (written..written + 200)
             .filter(|&i| shard_for_key(&key(i), shards) != 0)
@@ -1727,7 +1754,7 @@ fn a_mission_after_a_crash_inside_a_flush_fails_typed() {
         let mission: Vec<Operation> = gets.chain(puts).collect();
         let failed = db.try_run_mission(&mission);
         assert!(
-            matches!(failed, Err(StoreError::Wal { shard: 0, .. })),
+            matches!(failed, Err(StoreError::Dead { shard: 0, .. })),
             "N={shards}: a mission on the dead shard answered {:?}",
             failed.map(|r| r.ops)
         );

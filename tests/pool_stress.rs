@@ -15,8 +15,9 @@
 //!    per-domain virtual-time accounting).
 //! 3. **Clean failure**: a panic inside a lane — a spawned one or the
 //!    caller's own — surfaces as a [`StoreError`] on the mission thread:
-//!    never an unwind into the caller, never a hang, never a store that
-//!    limps on with a half-changed shard. Opening and bulk loading run on
+//!    never an unwind into the caller, never a hang. It kills only its
+//!    shard, which every later door refuses, while the siblings keep
+//!    running and committing. Opening and bulk loading run on
 //!    the same lanes and fail as a serial loop would: a load lane's panic
 //!    re-raises its own message, and a failed recovery reports the
 //!    lowest-numbered failing shard.
@@ -35,6 +36,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ruskey_repro::ruskey::db::RusKeyConfig;
+use ruskey_repro::ruskey::frontend::ServingError;
 use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey, StoreError};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
@@ -205,9 +207,9 @@ fn pooled_missions_equal_single_threaded_lane_replay() {
 }
 
 /// Acceptance: a shard worker panic mid-soak surfaces as a clean
-/// [`StoreError`] naming the shard — the mission returns (no hang),
-/// the engine refuses further work instead of running without the
-/// shard, and dropping the store joins cleanly.
+/// [`StoreError`] naming the shard — the mission returns (no hang), the
+/// shard stays dead (every later mission and barrier fails naming it),
+/// and dropping the store joins cleanly.
 #[test]
 fn worker_panic_surfaces_as_clean_error_not_a_hang() {
     for &n in &[2usize, 4] {
@@ -223,14 +225,20 @@ fn worker_panic_surfaces_as_clean_error_not_a_hang() {
             .try_run_mission(&g.take_ops(100))
             .expect_err("a panicked worker must fail the mission");
         match err {
-            StoreError::ShardPanicked { shard } | StoreError::ShardFenced { shard } => {
+            StoreError::Dead { shard, .. } => {
                 assert_eq!(shard, victim, "n={n}: wrong shard blamed");
             }
             _ => panic!("n={n}: wrong error kind: {err}"),
         }
-        // The engine stays dead — later missions and barriers error too.
-        assert!(db.try_run_mission(&g.take_ops(50)).is_err());
-        assert!(db.try_group_commit().is_err());
+        // The shard stays dead — later missions and barriers name it too.
+        let later = [
+            db.try_run_mission(&g.take_ops(50)).map(drop),
+            db.try_group_commit(),
+        ];
+        for result in later {
+            let dead = matches!(result, Err(StoreError::Dead { shard, .. }) if shard == victim);
+            assert!(dead, "n={n}: a later dispatch answered {result:?}");
+        }
         drop(db); // must join without hanging or double-panicking
     }
 }
@@ -238,9 +246,10 @@ fn worker_panic_surfaces_as_clean_error_not_a_hang() {
 /// Acceptance: lane 0 runs on the mission's caller, and a panic there is
 /// as clean as one on a spawned lane. The caller gets a typed error, not
 /// an unwind; the sibling lane ran to the end and its WAL records are
-/// acknowledged; the fenced shard is never read again while its sibling
-/// stays readable for the post-mortem; and every later door — mission,
-/// barrier, serving session — fails fast naming the shard.
+/// acknowledged; the dead shard's counters stay readable for the
+/// post-mortem; and every later door refuses it without touching its
+/// tree — a mission and a barrier fail naming it, an ad-hoc read panics
+/// naming it, and a served request answers `Stopped`.
 #[test]
 fn a_panic_on_the_callers_lane_is_a_clean_error_too() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -265,7 +274,7 @@ fn a_panic_on_the_callers_lane_is_a_clean_error_too() {
             .try_run_mission(&puts(100))
             .expect_err("a panicked lane must fail the mission");
         assert!(
-            matches!(err, StoreError::ShardPanicked { shard: 0 }),
+            matches!(err, StoreError::Dead { shard: 0, .. }),
             "n={n}: {err}"
         );
         if n == 2 {
@@ -279,26 +288,86 @@ fn a_panic_on_the_callers_lane_is_a_clean_error_too() {
                 "every record the sibling logged is acknowledged"
             );
         }
-        let read_dead = catch_unwind(AssertUnwindSafe(|| db.shard(0).stats()));
-        let payload = read_dead.expect_err("a fenced shard's tree is never read again");
+        let post_mortem = db.shard(0).stats();
+        let dead_key = (0..)
+            .map(|i| encode_key(i, 16))
+            .find(|k| shard_for_key(k, n) == 0)
+            .expect("a key on shard 0");
+        let read_dead = catch_unwind(AssertUnwindSafe(|| db.get(&dead_key)));
+        let payload = read_dead.expect_err("an ad-hoc read refuses the dead shard");
         let said = payload.downcast_ref::<String>().expect("a formatted panic");
-        assert!(said.contains("shard 0"), "n={n}: {said}");
+        assert!(said.contains("shard 0 is dead"), "n={n}: {said}");
 
-        let post_mortem = (n == 2).then(|| db.shard(1).stats());
-        let gone = |e: StoreError| matches!(e, StoreError::ShardFenced { shard: 0 });
+        let gone = |e: StoreError| matches!(e, StoreError::Dead { shard: 0, .. });
         assert!(gone(db.try_run_mission(&puts(200)).expect_err("dead")));
         assert!(gone(db.try_group_commit().expect_err("dead")));
-        assert!(gone(db.serve(Default::default()).err().expect("dead")));
-        if let Some(before) = post_mortem {
-            assert_eq!(
-                db.shard(1).stats(),
-                before,
-                "a refused call touches no tree"
-            );
-        }
+        let frontend = db.serve(Default::default()).expect("serve");
+        let served = frontend.client().get(&dead_key);
+        assert!(matches!(served, Err(ServingError::Stopped)), "n={n}");
+        db.finish_serving(frontend).expect("no client panicked");
+        assert_eq!(
+            db.shard(0).stats(),
+            post_mortem,
+            "a refused call touches no dead tree"
+        );
         drop(db); // nothing to join, nothing to double-panic
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A panic is a death like any other, and only its own shard's: at
+/// N = 2, once shard 0's lane panics, that mission and the next both
+/// fail naming shard 0 while shard 1's lane runs and commits in each.
+/// The store reads as crashed, a shard-1 key reads back ad hoc, and
+/// recovery returns every shard-1 write.
+#[test]
+fn a_panic_stops_only_its_shard() {
+    let dir = wal_dir("panic-stops-its-shard");
+    let dur = persistence(&dir);
+    let mut db = RusKey::open(small_cfg(), 2, Box::new(NoOpTuner), Backend::Create(&dur))
+        .expect("open persistent store");
+    let value = |i: u64| bytes::Bytes::from(vec![i as u8; 8]);
+    let puts = |from: u64| -> Vec<Operation> {
+        (from..from + 40)
+            .map(|i| Operation::Put {
+                key: encode_key(i, 16),
+                value: value(i),
+            })
+            .collect()
+    };
+    db.try_run_mission(&puts(0)).expect("healthy store");
+    db.inject_worker_panic(0);
+    for from in [100, 200] {
+        let err = db.try_run_mission(&puts(from)).expect_err("shard 0 died");
+        assert!(
+            matches!(err, StoreError::Dead { shard: 0, .. }),
+            "mission at {from}: {err}"
+        );
+    }
+    let on_sibling: Vec<u64> = [0..40, 100..140, 200..240]
+        .into_iter()
+        .flatten()
+        .filter(|&i| shard_for_key(&encode_key(i, 16), 2) == 1)
+        .collect();
+    let sibling = db.shard(1).stats();
+    let written = on_sibling.len() as u64;
+    assert_eq!(
+        (sibling.wal_appends, sibling.wal_synced),
+        (written, written),
+        "shard 1 logged and acknowledged every write of all three missions"
+    );
+    assert!(db.crashed(), "a panic is a death");
+    let last = *on_sibling.last().expect("shard 1 took writes");
+    assert_eq!(db.get(&encode_key(last, 16)), Some(value(last)));
+    drop(db);
+    let mut rec =
+        RusKey::open(small_cfg(), 2, Box::new(NoOpTuner), Backend::Recover(&dur)).expect("recover");
+    for &i in &on_sibling {
+        let got = rec.get(&encode_key(i, 16));
+        assert_eq!(got, Some(value(i)), "shard 1's write {i} was lost");
+    }
+    drop(rec);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Acceptance: a load lane that panics re-raises its own payload on the

@@ -418,7 +418,8 @@ fn a_client_kept_past_finish_serving_is_stopped() {
 
 /// A client panicking inside one shard's lock kills that shard only: its
 /// other clients get `Stopped`, the sibling shard keeps serving (and
-/// keeps acknowledging), and the session's end names the dead shard.
+/// keeps acknowledging), and the session's end names the dead shard, with
+/// every tree home and the sibling still readable.
 #[test]
 fn a_client_panic_poisons_only_its_shard() {
     let (mut db, durability) = durable_store("client-panic", 2);
@@ -456,14 +457,16 @@ fn a_client_panic_poisons_only_its_shard() {
         Err(ServingError::Stopped)
     ));
     match db.finish_serving(frontend) {
-        Err(StoreError::ShardPanicked { shard: 0 }) => {}
+        Err(StoreError::Dead { shard: 0, .. }) => {}
         other => panic!("expected shard 0 reported dead, got {other:?}"),
     }
-    // The engine is dead, not limping: a mission fails fast and typed.
+    // Shard 0 stays dead, and only shard 0: a mission fails naming it,
+    // and the sibling reads back what it acknowledged.
     assert!(matches!(
         db.try_run_mission(&[]),
-        Err(StoreError::ShardFenced { shard: 0 })
+        Err(StoreError::Dead { shard: 0, .. })
     ));
+    assert_eq!(db.get(&live_key).as_deref(), Some(&b"alive"[..]));
     let _ = std::fs::remove_dir_all(&durability.root);
 }
 
