@@ -107,10 +107,6 @@ pub struct LsmConfig {
     /// memtable backstop). Defaults to `false`, which preserves the
     /// classic inline-cascade behavior.
     pub background_maintenance: bool,
-    /// Backpressure threshold for background mode: a `put`/`delete` stalls
-    /// (runs maintenance steps inline) while Level 1's run count exceeds
-    /// this. Values below 1 are treated as 1. Ignored in inline mode.
-    pub l0_stall_runs: u64,
 }
 
 impl LsmConfig {
@@ -125,7 +121,6 @@ impl LsmConfig {
             bloom: BloomScheme::Uniform { bits_per_key: 8.0 },
             transition: TransitionStrategy::Flexible,
             background_maintenance: false,
-            l0_stall_runs: 8,
         }
     }
 

@@ -34,9 +34,8 @@ pub struct Level {
     pub policy: u32,
     /// Policy recorded but not yet applied (lazy transition, §4.1).
     pub pending_policy: Option<u32>,
-    /// Sealed runs, oldest first. Never modified by transitions. Runs are
-    /// shared handles: snapshots and in-flight background merges may pin
-    /// the same run while it stays resident here.
+    /// Sealed runs, oldest first. Never modified by transitions. A merge
+    /// moves them to the tree's retire list, freed at its manifest commit.
     pub sealed: Vec<Arc<Run>>,
     /// The run currently admitting merged batches from above, if any.
     pub active: Option<Arc<Run>>,

@@ -46,9 +46,10 @@
 //! * **background maintenance**: with
 //!   [`config::LsmConfig::background_maintenance`] enabled a score-based
 //!   [`picker`] moves flushes and compactions off the write path into
-//!   explicit [`tree::FlsmTree::step_maintenance`] steps; every read
-//!   borrows the tree, so a superseded run's extent is freed where the
-//!   manifest commit that removed it lands.
+//!   explicit [`tree::FlsmTree::step_maintenance`] steps, each a flush or
+//!   one level merge ending on its manifest commit; every read borrows
+//!   the tree, so a superseded run's extent is freed where that commit
+//!   lands.
 //!
 //! All I/O goes through the [`ruskey_storage::Storage`] abstraction so the
 //! engine runs identically on the simulated device and on real files.

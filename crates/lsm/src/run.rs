@@ -117,11 +117,6 @@ pub struct Run {
 }
 
 impl Run {
-    /// Run identifier.
-    pub(crate) fn id(&self) -> RunId {
-        self.id
-    }
-
     /// Logical data size in bytes (sum of encoded entry sizes).
     pub(crate) fn data_bytes(&self) -> u64 {
         self.data_bytes

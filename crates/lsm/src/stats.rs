@@ -144,7 +144,7 @@ pub struct TreeStatsSnapshot {
     /// backstop plus L0 backpressure stalls in background mode. Measured
     /// elapsed time on the tree's clock, never an extra charge.
     pub stall_ns: u64,
-    /// Background merges applied.
+    /// Background merges (maintenance steps that merged a level).
     pub bg_compactions: u64,
     /// Bytes resident in levels whose compaction score is at or above the
     /// picker threshold — a gauge of structural debt, not a counter.

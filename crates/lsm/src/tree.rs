@@ -19,22 +19,6 @@ use crate::transition::TransitionStrategy;
 use crate::types::{EntryRef, Key, KvEntry, OpKind, SeqNo, Value};
 use crate::wal::{SyncTicket, Wal};
 
-/// A deferred merge built by a background maintenance step and applied
-/// by a later one: the merged batch waits in memory while the input runs
-/// stay resident (and readable) in their level. Crash-safe by
-/// construction — nothing structural happens until the apply step
-/// commits the manifest.
-struct PendingCompaction {
-    /// Level whose sealed runs were merged.
-    level: usize,
-    /// The sealed runs consumed by the merge. Apply revalidates by id
-    /// that each is still resident (a greedy transition may have
-    /// consumed and freed them).
-    inputs: Vec<Arc<Run>>,
-    /// The merged output, ready to admit into `level + 1`.
-    batch: EntryBuf,
-}
-
 /// Whether `key` falls inside aggregate `bounds` (false for none: an empty
 /// level or tree).
 fn in_bounds(bounds: &Option<(Key, Key)>, key: &[u8]) -> bool {
@@ -137,13 +121,10 @@ pub struct FlsmTree {
     /// state without them is durable, so recovery never falls back to runs
     /// whose pages are already gone.
     pending_retire: Vec<Arc<Run>>,
-    /// A background merge built but not yet applied (see
-    /// [`FlsmTree::step_maintenance`]).
-    pending_compaction: Option<PendingCompaction>,
     /// Virtual ns the write path spent blocked on structural work
     /// (flushes triggered by `put`/`delete`, backpressure stalls).
     stall_ns: u64,
-    /// Background merges applied.
+    /// Background merges (maintenance steps that merged a level).
     bg_compactions: u64,
     /// Runs rebuilt from manifest + data pages by the last recovery.
     runs_recovered: u64,
@@ -204,7 +185,6 @@ impl FlsmTree {
             wal: None,
             manifest: None,
             pending_retire: Vec::new(),
-            pending_compaction: None,
             stall_ns: 0,
             bg_compactions: 0,
             runs_recovered: 0,
@@ -520,7 +500,7 @@ impl FlsmTree {
     /// cascade). Background mode defers the flush to maintenance steps,
     /// keeping only a 2× buffer backstop so an unserviced tree cannot
     /// grow its memtable without bound, and stalls the write while
-    /// Level 1 has piled up more than [`LsmConfig::l0_stall_runs`] runs —
+    /// Level 1 has piled up more than [`FlsmTree::L0_STALL_RUNS`] runs —
     /// the stall *runs* maintenance steps, so it is backpressure that
     /// drains the debt it is blocked on.
     fn after_write(&mut self) {
@@ -534,8 +514,7 @@ impl FlsmTree {
             self.flush();
         }
         if self.cfg.background_maintenance {
-            let stall_at = self.cfg.l0_stall_runs.max(1);
-            while self.level_run_count(0) as u64 > stall_at {
+            while self.level_run_count(0) > Self::L0_STALL_RUNS {
                 if !self.step_maintenance() {
                     break;
                 }
@@ -645,11 +624,8 @@ impl FlsmTree {
     /// any block-cache pages mapping the extent — the extent id re-enters
     /// circulation only here.
     ///
-    /// No reader can hold a freed run: every read borrows the tree. A
-    /// stale [`PendingCompaction`] may still hold `Arc`s to inputs freed
-    /// under it (a greedy transition merged them away), but its batch is
-    /// already in memory and [`FlsmTree::pending_still_valid`] compares
-    /// run ids only, so it never reads a freed page.
+    /// No reader can hold a freed run: every read borrows the tree, and a
+    /// merge reads its inputs before it retires them.
     fn free_retired(&mut self) {
         for run in self.pending_retire.drain(..) {
             self.storage.free(run.extent());
@@ -825,41 +801,22 @@ impl FlsmTree {
         }
     }
 
-    /// Merges all runs of level `idx` into one sorted batch and admits it
-    /// into level `idx + 1`. Adopts any pending (lazy) policy afterwards.
+    /// Merges all runs of level `idx` into level `idx + 1`: the inline
+    /// cascade of a full level and a greedy transition.
     fn merge_down(&mut self, idx: usize) {
-        self.ensure_level(idx + 1);
         let runs = self.levels[idx].take_all_runs();
-        if runs.is_empty() {
-            self.levels[idx].adopt_pending_policy();
-            return;
-        }
+        self.merge_level(idx, runs);
+    }
+
+    /// The one level merge, under [`FlsmTree::merge_down`] and a background
+    /// step: k-way merges `runs`, just removed from level `idx`, retires
+    /// them, and admits the output into level `idx + 1`. The level adopts
+    /// its pending (lazy) policy once it is empty.
+    fn merge_level(&mut self, idx: usize, runs: Vec<Arc<Run>>) {
+        self.ensure_level(idx + 1);
         let t0 = self.storage.clock().now();
         let m0 = self.storage.metrics();
 
-        let (batch, keys) = self.merge_runs(&runs);
-        runs.into_iter().for_each(|r| self.retire_run(r));
-
-        let dm = self.storage.metrics().delta(&m0);
-        let st = &mut self.level_stats[idx];
-        st.compact_ns += self.storage.clock().elapsed_since(t0);
-        st.compact_pages_read += dm.pages_read;
-        st.compact_pages_written += dm.pages_written;
-        st.compact_keys += keys;
-        st.merges_down += 1;
-
-        // `take_all_runs` emptied the level; the tree aggregate must not
-        // keep covering its former range (the admitted batch below may be
-        // empty after tombstone drops, so this cannot ride on admit_batch).
-        self.refresh_bounds(idx);
-        self.levels[idx].adopt_pending_policy();
-        self.admit_batch(idx + 1, Source::Buf(batch.cursor()));
-    }
-
-    /// K-way merges `runs` into one sorted batch held in memory, charging
-    /// the page reads and the merge CPU now; returns the batch and the
-    /// number of input entries.
-    fn merge_runs(&self, runs: &[Arc<Run>]) -> (EntryBuf, u64) {
         let sources = runs
             .iter()
             .map(|r| Source::Run(r.cursor(self.storage.as_ref())))
@@ -870,33 +827,40 @@ impl FlsmTree {
         let keys = merge.entries_in;
         self.storage
             .charge_cpu(self.storage.cost_model().cpu_merge_per_key_ns * keys);
-        (batch, keys)
+        runs.into_iter().for_each(|r| self.retire_run(r));
+
+        let dm = self.storage.metrics().delta(&m0);
+        let st = &mut self.level_stats[idx];
+        st.compact_ns += self.storage.clock().elapsed_since(t0);
+        st.compact_pages_read += dm.pages_read;
+        st.compact_pages_written += dm.pages_written;
+        st.compact_keys += keys;
+        st.merges_down += 1;
+
+        // The level lost its runs; the tree aggregate must not keep
+        // covering their range (the admitted batch below may be empty
+        // after tombstone drops, so this cannot ride on admit_batch).
+        self.refresh_bounds(idx);
+        if self.levels[idx].run_count() == 0 {
+            self.levels[idx].adopt_pending_policy();
+        }
+        self.admit_batch(idx + 1, Source::Buf(batch.cursor()));
     }
 
     // ------------------------------------------------------------------
     // Background maintenance
     // ------------------------------------------------------------------
 
-    /// Whether a background merge has been built but not yet applied.
-    pub fn has_pending_compaction(&self) -> bool {
-        self.pending_compaction.is_some()
-    }
-
     /// Runs one bounded unit of background maintenance; returns whether
     /// any work was done. Priority order:
     ///
     /// 1. flush a memtable at or over the configured buffer size;
-    /// 2. apply a previously built merge (revalidated against the live
-    ///    structure — a greedy transition may have consumed its inputs);
-    /// 3. ask the picker ([`picker::pick`]) for the neediest level and
-    ///    build the merge of its sealed runs for a later step to apply.
+    /// 2. ask the picker ([`picker::pick`]) for the neediest level, merge
+    ///    its sealed runs into the next level and commit the manifest.
     ///
-    /// Splitting *build* (step issuing the read + CPU work) from *apply*
-    /// (step changing the structure and committing the manifest) keeps
-    /// each step bounded and leaves the input runs resident — readable by
-    /// gets and scans — for the whole merge. Callers interleave steps between
-    /// operation batches; [`FlsmTree::maintain`] loops. On a quiescent
-    /// tree the step does nothing and reports no work done.
+    /// Either way the step ends on a manifest commit. Callers interleave
+    /// steps between operation batches; [`FlsmTree::maintain`] loops. On a
+    /// quiescent tree the step does nothing and reports no work done.
     pub fn step_maintenance(&mut self) -> bool {
         if self.faults.is_dead() {
             return false;
@@ -905,18 +869,13 @@ impl FlsmTree {
             self.flush();
             return true;
         }
-        if let Some(p) = self.pending_compaction.take() {
-            if self.pending_still_valid(&p) {
-                self.apply_pending(p);
-                return true;
-            }
-            // Inputs vanished under the pending merge: drop the stale
-            // batch and pick afresh below.
-        }
         let Some(idx) = picker::pick(&self.levels) else {
             return false;
         };
-        self.build_pending(idx);
+        let runs = std::mem::take(&mut self.levels[idx].sealed);
+        self.merge_level(idx, runs);
+        self.bg_compactions += 1;
+        self.commit_manifest();
         true
     }
 
@@ -933,9 +892,15 @@ impl FlsmTree {
     /// Maintenance steps one boundary grant may run.
     pub const BOUNDARY_MAINTAIN_STEPS: u64 = 4;
 
+    /// Backpressure threshold of background mode: a `put`/`delete` stalls
+    /// (runs maintenance steps inline) while Level 1 holds more runs.
+    pub const L0_STALL_RUNS: usize = 8;
+
     /// The boundary grant: the bounded share of deferred structural work
     /// a caller owes the tree whenever a batch of operations ends (a
-    /// mission lane, a served batch, every n-th ad-hoc write). With
+    /// mission lane, a served batch, every n-th ad-hoc write): up to
+    /// [`FlsmTree::BOUNDARY_MAINTAIN_STEPS`] steps, each a flush or a whole
+    /// level merge with its manifest commit. With
     /// `background_maintenance` off the write path already did the work
     /// inline and the grant is a no-op. Callers decide *when* a boundary
     /// falls; how much it grants is decided here, once.
@@ -955,70 +920,6 @@ impl FlsmTree {
             .filter(|l| !l.sealed.is_empty() && picker::level_score(l) >= SCORE_SCALE)
             .map(Level::data_bytes)
             .sum()
-    }
-
-    /// A pending merge is applicable only while every input is still
-    /// resident among its level's sealed runs.
-    fn pending_still_valid(&self, p: &PendingCompaction) -> bool {
-        let Some(level) = self.levels.get(p.level) else {
-            return false;
-        };
-        p.inputs
-            .iter()
-            .all(|r| level.sealed.iter().any(|s| s.id() == r.id()))
-    }
-
-    /// Builds (but does not apply) the merge of all sealed runs of level
-    /// `idx`: the k-way merge reads every input and materializes the
-    /// output batch in memory, charging the read and CPU cost now, while
-    /// the inputs stay resident and readable.
-    fn build_pending(&mut self, idx: usize) {
-        let inputs: Vec<Arc<Run>> = self.levels[idx].sealed.clone();
-        if inputs.is_empty() {
-            return;
-        }
-        let t0 = self.storage.clock().now();
-        let m0 = self.storage.metrics();
-        let (batch, keys) = self.merge_runs(&inputs);
-        let dm = self.storage.metrics().delta(&m0);
-        let st = &mut self.level_stats[idx];
-        st.compact_ns += self.storage.clock().elapsed_since(t0);
-        st.compact_pages_read += dm.pages_read;
-        st.compact_keys += keys;
-        self.pending_compaction = Some(PendingCompaction {
-            level: idx,
-            inputs,
-            batch,
-        });
-    }
-
-    /// Applies a built merge: removes the inputs from their level,
-    /// admits the output into the next level, and commits the manifest.
-    /// The inputs' extents stay allocated until the commit is durable.
-    fn apply_pending(&mut self, p: PendingCompaction) {
-        let PendingCompaction {
-            level: idx,
-            inputs,
-            batch,
-        } = p;
-        self.ensure_level(idx + 1);
-        for r in &inputs {
-            let pos = self.levels[idx]
-                .sealed
-                .iter()
-                .position(|s| s.id() == r.id())
-                .expect("pending inputs were revalidated");
-            let run = self.levels[idx].sealed.remove(pos);
-            self.retire_run(run);
-        }
-        self.level_stats[idx].merges_down += 1;
-        self.refresh_bounds(idx);
-        if self.levels[idx].run_count() == 0 {
-            self.levels[idx].adopt_pending_policy();
-        }
-        self.admit_batch(idx + 1, Source::Buf(batch.cursor()));
-        self.bg_compactions += 1;
-        self.commit_manifest();
     }
 
     // ------------------------------------------------------------------
@@ -2411,7 +2312,6 @@ mod tests {
         };
         let bg_cfg = LsmConfig {
             background_maintenance: true,
-            l0_stall_runs: 16,
             ..cfg.clone()
         };
 
@@ -2443,8 +2343,8 @@ mod tests {
         assert!(t.level_count() >= 2, "the load must merge runs away");
 
         // A background tree, its debt drained one maintenance step at a
-        // time: every applied merge frees its inputs at its commit.
-        let mut t = FlsmTree::new(bg_cfg.clone(), SimulatedDisk::new(256, CostModel::FREE));
+        // time: every merge frees its inputs at its commit.
+        let mut t = FlsmTree::new(bg_cfg, SimulatedDisk::new(256, CostModel::FREE));
         for i in 0..2000u64 {
             t.put(key(i % 700), val(i));
             assert_settled(&t, "background put");
@@ -2457,34 +2357,14 @@ mod tests {
             "the load must trigger compactions"
         );
 
-        // A greedy transition merges away the inputs of a merge built but
-        // not yet applied: they are freed at the transition's commit while
-        // the stale merge still holds them, and it is dropped unread.
-        let mut t = FlsmTree::new(bg_cfg, SimulatedDisk::new(256, CostModel::FREE));
+        // A greedy transition merges a level away at its own commit.
         t.set_transition_strategy(TransitionStrategy::Greedy);
-        let mut i = 0u64;
-        while !t.has_pending_compaction() {
-            t.put(key(i), val(i));
-            t.maintain(1);
-            assert_settled(&t, "building a merge");
-            i += 1;
-            assert!(i < 100_000, "no merge was ever built");
-        }
-        let level = t.pending_compaction.as_ref().unwrap().level;
-        let k = if t.policy(level) == 1 { 2 } else { 1 };
-        t.set_policy(level, k);
+        let level = (0..t.level_count())
+            .find(|&l| t.level_run_count(l) > 0)
+            .unwrap();
+        t.set_policy(level, if t.policy(level) == 1 { 2 } else { 1 });
+        assert_eq!(t.level_run_count(level), 0, "the transition merged");
         assert_settled(&t, "greedy transition");
-        assert!(
-            !t.pending_still_valid(t.pending_compaction.as_ref().unwrap()),
-            "the transition must consume the pending merge's inputs"
-        );
-        while t.maintain(1) > 0 {
-            assert_settled(&t, "maintenance after the transition");
-        }
-        assert!(!t.has_pending_compaction());
-        for j in 0..i {
-            assert_eq!(t.get(&key(j)), Some(val(j)), "key {j}");
-        }
     }
 
     #[test]
@@ -2502,7 +2382,8 @@ mod tests {
 
     /// Background maintenance must be purely a *scheduling* change: the
     /// same operations against an inline tree and a background tree —
-    /// with merges left in flight mid-stream — read back identically.
+    /// with structural debt left outstanding mid-stream — read back
+    /// identically.
     #[test]
     fn background_maintenance_matches_inline_and_defers_the_cascade() {
         let base = LsmConfig {
@@ -2517,7 +2398,7 @@ mod tests {
             ..base
         };
         let mut bg = FlsmTree::new(bg_cfg, SimulatedDisk::new(256, CostModel::FREE));
-        let mut saw_pending = false;
+        let mut saw_debt = false;
         for i in 0..3000u64 {
             let k = i % 911;
             inline_t.put(key(k), val(i));
@@ -2527,17 +2408,17 @@ mod tests {
                 bg.delete(key((i + 7) % 911));
             }
             if i % 97 == 0 {
-                // One step at a time so a built-but-unapplied merge is
-                // observable between steps.
+                // One step at a time so a merge left due is observable
+                // between steps.
                 for _ in 0..3 {
                     bg.maintain(1);
-                    saw_pending |= bg.has_pending_compaction();
-                    // A read during the in-flight merge must already match.
+                    saw_debt |= bg.pending_compaction_bytes() > 0;
+                    // A read while the debt is outstanding must already match.
                     assert_eq!(bg.get(&key(k)), inline_t.get(&key(k)));
                 }
             }
         }
-        assert!(saw_pending, "the mix must exercise an in-flight merge");
+        assert!(saw_debt, "the mix must leave a merge due between steps");
         while bg.maintain(8) > 0 {}
         assert!(
             bg.stats().bg_compactions > 0,
@@ -2616,7 +2497,7 @@ mod tests {
             .map(|(ext, p)| disk.try_read_shared(ext, p).unwrap().0)
             .collect();
         assert!(pages.iter().all(|p| !p.is_unique()), "the disk holds them");
-        let old_ids: Vec<RunId> = runs.iter().map(|r| r.id()).collect();
+        let old_ids: Vec<u64> = runs.iter().map(|r| r.extent().id).collect();
         drop(runs);
 
         // A scan's rows are the one thing allowed to hold a page; a get's
@@ -2631,7 +2512,7 @@ mod tests {
             .levels
             .iter()
             .flat_map(Level::probe_order)
-            .any(|r| old_ids.contains(&r.id()))
+            .any(|r| old_ids.contains(&r.extent().id))
         {
             t.put(key(i * 3 + 1), val(i));
             i += 1;

@@ -257,12 +257,11 @@
 //!   against [`lsm::picker::L0_RUN_LIMIT`], scaled by
 //!   [`lsm::picker::SCORE_SCALE`]) and [`lsm::picker::pick`] names the
 //!   highest scorer, whose sealed runs are merged into the next level.
-//! * **Two-step merges** — one maintenance step *builds* the
-//!   replacement batch from the picked runs (the inputs stay live for
-//!   readers throughout); a later step revalidates and *applies* it:
-//!   remove inputs, admit the merged run below, commit the manifest
-//!   batch. A crash between the steps loses nothing — the inputs are
-//!   still the manifest's truth.
+//! * **One-step merges** — one maintenance step merges the picked
+//!   level's sealed runs into the next level and commits the manifest;
+//!   the inline cascade and greedy transitions run the same level merge.
+//!   A crash inside the step loses nothing — until its commit lands, the
+//!   inputs are still the manifest's truth.
 //! * **Deferred frees extend the two-log contract** — a superseded
 //!   run's extent and cache pages are freed only once the manifest
 //!   commit that removed it is durable; [`storage::Storage::free`] then
@@ -271,18 +270,18 @@
 //!   and recovery never observes a recycled page.
 //! * **Backpressure** — the write path stalls (running maintenance
 //!   steps inline) only when L0's run count exceeds
-//!   [`lsm::LsmConfig`]'s `l0_stall_runs`; the time spent is *measured*,
+//!   [`lsm::FlsmTree::L0_STALL_RUNS`]; the time spent is *measured*,
 //!   never charged, and reported as `stall_ns` of
 //!   [`lsm::TreeStatsSnapshot`] (a mission's share in its report's
-//!   `window`), alongside `bg_compactions` (background merges applied) and
+//!   `window`), alongside `bg_compactions` (background merges) and
 //!   `pending_compaction_bytes` (structural debt still owed).
 //!
 //! The contract is pinned by `tests/background_maintenance.rs` (a
 //! proptest that the background store is bit-identical to a quiescent
-//! inline store at `N ∈ {1, 2, 4}`, including reads racing an in-flight
-//! merge, and a write-heavy script on one tree whose background per-op
+//! inline store at `N ∈ {1, 2, 4}`, including reads while merges are
+//! due, and a write-heavy script on one tree whose background per-op
 //! virtual p99 must not exceed the inline tree's) and the
-//! `manifest_crash_points_with_a_background_merge_in_flight` matrix in
+//! `manifest_crash_points_inside_a_background_merge` matrix in
 //! `tests/crash_recovery.rs`.
 //!
 //! # Serving: many concurrent clients, one engine
@@ -317,7 +316,7 @@
 //! they share the mission path's time-domain attribution and — the
 //! backpressure contract — every 32nd write to a shard is a maintenance
 //! boundary; an ad-hoc write burst in background mode keeps L0 bounded
-//! by `l0_stall_runs` and records its waits as `stall_ns`
+//! by [`lsm::FlsmTree::L0_STALL_RUNS`] and records its waits as `stall_ns`
 //! (`tests/background_maintenance.rs`), and ad-hoc scans visit the
 //! shards in turn with exact per-shard accounting
 //! (`tests/time_domains.rs`). `tests/sharded_equivalence.rs` pins that

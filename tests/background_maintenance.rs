@@ -1,9 +1,10 @@
 //! Observational equivalence of background maintenance: a store running
 //! flushes and compactions off the hot path (deferred to mission
-//! boundaries, merges built in bounded steps, superseded runs freed at
-//! the commit that removes them) must remain bit-identical to a quiescent
-//! store that compacts inline — for gets and scans, at every shard count,
-//! and in particular *while* a merge is in flight.
+//! boundaries, one flush or one level merge per step, superseded runs
+//! freed at the commit that removes them) must remain bit-identical to a
+//! quiescent store that compacts inline — for gets and scans, at every
+//! shard count, and in particular *while* structural debt is outstanding:
+//! full levels wait for their merge, and a grant can end before it.
 //!
 //! The picker's unit tests (score ordering, L0 run-count trigger) live
 //! next to it in `crates/lsm/src/picker.rs`; this file pins the
@@ -28,7 +29,6 @@ fn cfg(background: bool) -> RusKeyConfig {
     cfg.lsm.buffer_bytes = 1024;
     cfg.lsm.size_ratio = 4;
     cfg.lsm.background_maintenance = background;
-    cfg.lsm.l0_stall_runs = 16;
     cfg
 }
 
@@ -81,7 +81,7 @@ proptest! {
     /// For arbitrary put/delete/get/scan interleavings and `N ∈ {1, 2,
     /// 4}` shards, a background-maintenance `RusKey` — stepping
     /// its deferred work at mission boundaries every 24 ops, so reads
-    /// routinely land between a merge being built and applied — returns
+    /// routinely land on levels still waiting for their merge — returns
     /// exactly what the quiescent inline-compacting store and a
     /// `BTreeMap` model return.
     #[test]
@@ -125,8 +125,8 @@ proptest! {
             }
             if (step + 1) % 24 == 0 {
                 // The mission boundary: each shard worker runs its
-                // bounded maintenance steps, possibly leaving a built
-                // merge in flight for the next reads to race.
+                // bounded maintenance steps, possibly leaving merges due
+                // for the next reads to land on.
                 bg.run_mission(&[]);
             }
         }
@@ -144,9 +144,9 @@ proptest! {
 }
 
 /// Deterministic companion: a heavy overwrite stream at every shard
-/// count, with single maintenance steps interleaved so in-flight merge
-/// windows provably occur (asserted via the `bg_compactions` counter),
-/// and gets/scans compared against the quiescent store at every
+/// count, with bounded maintenance grants interleaved so background
+/// merges provably run between reads (asserted via the `bg_compactions`
+/// counter), and gets/scans compared against the quiescent store at every
 /// boundary.
 #[test]
 fn in_flight_merges_are_read_equivalent_at_each_shard_count() {
@@ -204,7 +204,7 @@ fn in_flight_merges_are_read_equivalent_at_each_shard_count() {
 /// Regression for the ad-hoc backpressure bypass: an *ad-hoc* write
 /// burst in background mode — no missions, no explicit maintenance —
 /// is subject to the same backpressure as the mission path. L0 stays
-/// bounded by `l0_stall_runs`, boundary maintenance actually runs (on
+/// bounded by [`FlsmTree::L0_STALL_RUNS`], boundary maintenance actually runs (on
 /// the caller's thread, every 32nd write per shard), and the time writes
 /// spent stalled (backstop flushes and
 /// stall-loop drains) is recorded as `stall_ns`, never lost.
@@ -214,7 +214,6 @@ fn adhoc_write_burst_in_background_mode_is_backpressured() {
     cfg.lsm.buffer_bytes = 1024;
     cfg.lsm.size_ratio = 4;
     cfg.lsm.background_maintenance = true;
-    cfg.lsm.l0_stall_runs = 4;
     // A real cost model, unlike the FREE one above: stalled virtual time
     // must be measurable for the recording assertion to mean anything.
     let disk = || SimulatedDisk::new(256, CostModel::NVME) as Arc<dyn Storage>;
@@ -234,8 +233,8 @@ fn adhoc_write_burst_in_background_mode_is_backpressured() {
     }
     for shard in 0..shards {
         assert!(
-            db.shard(shard).level_run_count(0) <= 4,
-            "shard {shard}: an ad-hoc burst must not grow L0 past l0_stall_runs"
+            db.shard(shard).level_run_count(0) <= FlsmTree::L0_STALL_RUNS,
+            "shard {shard}: an ad-hoc burst must not grow L0 past the stall threshold"
         );
     }
     let stats = db.stats();
@@ -256,8 +255,8 @@ fn adhoc_write_burst_in_background_mode_is_backpressured() {
         single.put(key(k), big_value(k, (i % 251) as u8));
     }
     assert!(
-        single.shard(0).level_run_count(0) <= 4,
-        "RusKey: an ad-hoc burst must not grow L0 past l0_stall_runs"
+        single.shard(0).level_run_count(0) <= FlsmTree::L0_STALL_RUNS,
+        "RusKey: an ad-hoc burst must not grow L0 past the stall threshold"
     );
     let stats = single.shard(0).stats();
     assert!(
@@ -281,7 +280,6 @@ fn write_heavy_op_latencies(background: bool) -> (Vec<u64>, u64) {
         size_ratio: 4,
         initial_policy: 1,
         background_maintenance: background,
-        l0_stall_runs: 16,
         ..LsmConfig::scaled_default()
     };
     let mut tree = FlsmTree::new(cfg, SimulatedDisk::new(4096, CostModel::NVME));

@@ -772,25 +772,22 @@ fn manifest_crash_points_recover_the_longest_consistent_prefix() {
     }
 }
 
-/// Acceptance (ISSUE 7): the manifest crash matrix holds with a
-/// *background merge in flight*. The store runs with deferred
-/// maintenance, structural steps are taken one at a time until a merge
-/// is built but not yet applied, and the crash is armed so it fires on
-/// the next structural commit — the in-flight merge's apply (or the
-/// flush ahead of it). At every crash point, recovery must restore
-/// every acknowledged write: write-time crashes lose the snapshot as a
-/// unit (the merge's inputs stay live in the manifest and the
+/// The manifest crash matrix holds inside a background merge. The store
+/// runs with deferred maintenance, structural steps are taken one at a
+/// time until a merge is due, and the crash is armed so it fires in that
+/// merge step's manifest commit. At every crash point, recovery must
+/// restore every acknowledged write: write-time crashes lose the snapshot
+/// as a unit (the merge's inputs stay live in the manifest and the
 /// untruncated WAL covers the rest), and the recovered store must keep
 /// flushing, merging, and restarting.
 #[test]
-fn manifest_crash_points_with_a_background_merge_in_flight() {
+fn manifest_crash_points_inside_a_background_merge() {
     const KEYS: u64 = 400;
     let bg_cfg = || {
         let mut cfg = RusKeyConfig::scaled_default();
         cfg.lsm.buffer_bytes = 2048;
         cfg.lsm.size_ratio = 4;
         cfg.lsm.background_maintenance = true;
-        cfg.lsm.l0_stall_runs = 64;
         cfg
     };
     for point in [PRE_COMMIT, MID_COMMIT, POST_COMMIT] {
@@ -812,7 +809,7 @@ fn manifest_crash_points_with_a_background_merge_in_flight() {
         // Ad-hoc writes now interleave boundary maintenance on the shard
         // workers, draining debt as the load runs — so seal fresh L0
         // runs directly on the tree (same keys, same values) to leave a
-        // merge for the stepping loop to catch mid-flight.
+        // merge due for the armed step.
         for chunk in 0..4u64 {
             let per = KEYS / 4;
             for i in chunk * per..(chunk + 1) * per {
@@ -821,33 +818,31 @@ fn manifest_crash_points_with_a_background_merge_in_flight() {
             db.shard_mut(0).flush();
         }
 
-        // Step the deferred work until a merge is built and in flight.
-        let mut saw_pending = false;
+        // Step the deferred work until a merge is due. The flushes above
+        // left the memtable empty and a step adds nothing to it, so the
+        // next step is that merge.
+        let mut due = false;
         for _ in 0..200 {
-            if db.shard(0).has_pending_compaction() {
-                saw_pending = true;
+            if db.shard(0).stats().pending_compaction_bytes > 0 {
+                due = true;
                 break;
             }
             if !db.shard_mut(0).step_maintenance() {
                 break;
             }
         }
-        assert!(
-            saw_pending,
-            "point={point:?}: the load must leave a merge in flight"
-        );
+        assert!(due, "point={point:?}: the load must leave a merge due");
 
-        // The next structural commit dies at the chosen point.
+        // The merge step's manifest commit dies at the chosen point.
+        let before = db.shard(0).stats();
         db.shard(0).faults().arm(point.0, 0, point.1);
-        for _ in 0..200 {
-            if db.crashed() {
-                break;
-            }
-            db.shard_mut(0).step_maintenance();
-        }
-        if !db.crashed() {
-            db.shard_mut(0).flush();
-        }
+        assert!(db.shard_mut(0).step_maintenance(), "point={point:?}");
+        let after = db.shard(0).stats();
+        assert_eq!(
+            (after.flushes, after.bg_compactions),
+            (before.flushes, before.bg_compactions + 1),
+            "point={point:?}: the step must be the merge"
+        );
         assert!(db.crashed(), "point={point:?}: the armed crash never fired");
         drop(db);
 
@@ -862,7 +857,7 @@ fn manifest_crash_points_with_a_background_merge_in_flight() {
             assert_eq!(
                 rec.get(&key(i)).as_deref(),
                 Some(val(i).as_slice()),
-                "point={point:?}: acknowledged key {i} lost with a merge in flight"
+                "point={point:?}: acknowledged key {i} lost inside a merge"
             );
         }
         // The recovered store keeps operating: writes, deferred

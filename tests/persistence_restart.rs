@@ -289,7 +289,6 @@ fn tree_cfg(transition: TransitionStrategy, background: bool) -> LsmConfig {
         initial_policy: 2,
         transition,
         background_maintenance: background,
-        l0_stall_runs: 64,
         ..LsmConfig::scaled_default()
     }
 }
@@ -300,8 +299,8 @@ enum TreeStep {
     /// A burst of puts (may flush and merge inline).
     Puts(u8),
     Flush,
-    /// One background maintenance step: a flush, a merge's build or its
-    /// apply.
+    /// One background maintenance step: a flush, or a level merge with
+    /// its manifest commit.
     Maintain,
     /// `set_policy(level, k)` on a materialized level.
     Policy(u8, u8),
@@ -356,7 +355,14 @@ proptest! {
                 }
                 TreeStep::Flush => t.flush(),
                 TreeStep::Maintain => {
-                    t.step_maintenance();
+                    let generation = t.manifest().unwrap().generation();
+                    let worked = t.step_maintenance();
+                    prop_assert_eq!(
+                        t.manifest().unwrap().generation(),
+                        generation + u64::from(worked),
+                        "step {} commits once if it works, else not at all",
+                        i
+                    );
                 }
                 TreeStep::Policy(level, k) if t.level_count() > 0 => {
                     t.set_policy(level as usize % t.level_count(), u32::from(k % 4) + 1);
@@ -375,7 +381,7 @@ proptest! {
 }
 
 /// A commit made while acknowledged writes sit only in the memtable — a
-/// background merge's apply, or a policy transition — records the
+/// background merge, or a policy transition — records the
 /// *flushed* watermark, not the live sequence number, so those writes
 /// still replay from the WAL after a restart.
 #[test]
@@ -387,11 +393,11 @@ fn a_commit_beside_unflushed_writes_keeps_them_across_a_restart() {
         let mut t = persistent_tree(&root, cfg.clone());
         let val = |i: u64| Bytes::from(format!("value-{i:08}"));
         let mut i = 0;
-        while !t.has_pending_compaction() {
+        while t.stats().pending_compaction_bytes == 0 {
             t.put(key(i), val(i));
             t.step_maintenance();
             i += 1;
-            assert!(i < 100_000, "no merge was ever built");
+            assert!(i < 100_000, "no merge ever fell due");
         }
         t.flush();
         let flushed = i;
@@ -402,8 +408,8 @@ fn a_commit_beside_unflushed_writes_keeps_them_across_a_restart() {
         t.commit_wal().unwrap();
         let generation = t.manifest().unwrap().generation();
         if by_merge {
-            assert!(t.has_pending_compaction(), "the flush left the merge built");
-            assert!(t.step_maintenance(), "the apply step runs");
+            assert!(t.stats().pending_compaction_bytes > 0, "a merge is due");
+            assert!(t.step_maintenance(), "the merge step runs");
         } else {
             t.set_policy(0, if t.policy(0) == 1 { 3 } else { 1 });
         }

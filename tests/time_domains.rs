@@ -278,10 +278,12 @@ fn a_mission_report_is_the_merge_of_per_shard_deltas() {
         let mut p = PersistenceConfig::new(&root);
         p.page_size = 512;
         let mut cfg = small_cfg();
+        cfg.lsm.buffer_bytes = 1024;
+        cfg.lsm.size_ratio = 2;
         cfg.lsm.background_maintenance = true;
         let mut db = RusKey::open(cfg, n, Box::new(NoOpTuner), Backend::Create(&p)).expect("open");
-        db.bulk_load(bulk_load_pairs(2000, 16, 48, 7));
-        let mut g = OpGenerator::new(mixed_spec(2000), 31);
+        db.bulk_load(bulk_load_pairs(20_000, 16, 48, 7));
+        let mut g = OpGenerator::new(mixed_spec(20_000), 31);
         let reports: Vec<MissionReport> = (0..3)
             .map(|_| mission_window(&mut db, &g.take_ops(1500)))
             .collect();
