@@ -157,8 +157,13 @@ pub trait Storage: Send + Sync {
     /// Durably flushes an extent's written pages (`fsync(2)` of the extent
     /// file on a real-file backend; a free no-op on volatile backends).
     /// Counts one [`StorageMetrics::extent_syncs`] when real work happens.
-    /// An error means the extent's data could not be made durable — on a
-    /// power-cut fault injection the un-synced writes are already gone.
+    /// It returns `Ok` only once an fsync that started after the extent's
+    /// last write has returned `Ok`: [`crate::FileDisk`] waits for the one
+    /// its [`Storage::append_pages`] queued on its I/O worker, and issues
+    /// its own when none covers the writes. An error means the extent's
+    /// data could not be made durable — on a power-cut fault injection the
+    /// un-synced writes are already gone, and a failed eager fsync is never
+    /// retried.
     fn sync_extent(&self, _ext: Extent) -> std::io::Result<IoCharge> {
         Ok(IoCharge::default())
     }
@@ -199,6 +204,10 @@ pub trait Storage: Send + Sync {
     /// [`Storage::allocate`], holding another run's pages, so a caller
     /// frees an extent only once nothing durable or in flight names it (a
     /// block cache purges the id's pages before it forwards the free).
+    /// The pages stop counting as live at once; [`crate::FileDisk`] hands
+    /// the unlink of a file it does not keep to its I/O worker, so the file
+    /// may stay on disk until the worker, a drop of the disk or the next
+    /// open's orphan sweep removes it.
     fn free(&self, ext: Extent);
 
     /// Snapshot of the device's I/O counters (a block cache adds its hits,

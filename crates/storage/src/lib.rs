@@ -24,7 +24,9 @@
 //! * [`FileDisk`] — a real-file backend implementing the same [`Storage`]
 //!   trait, for running the engine against an actual filesystem: cached
 //!   fds (one `open` per extent, not per read), positional `pread`/
-//!   `pwrite` I/O, and one reusable page buffer per disk.
+//!   `pwrite` I/O, one reusable page buffer per disk, and one I/O worker
+//!   thread per process that runs the disks' eager extent syncs and
+//!   unlinks off the caller's thread.
 //!
 //! # Fallible reads and power-failure durability
 //!

@@ -114,7 +114,11 @@
 //!
 //! 1. **data durable** — the pages of every run the mutation created are
 //!    written and the extent file is `fsync`ed
-//!    ([`storage::Storage::sync_extent`]);
+//!    ([`storage::Storage::sync_extent`]). On a [`storage::FileDisk`] the
+//!    fsync is queued on the process's one I/O worker as each batch of
+//!    pages is written, so it overlaps the rest of the run's build; the
+//!    barrier returns only once an fsync that started after the extent's
+//!    last write has returned `Ok`, and issues its own when none did;
 //! 2. **names durable** — one directory-handle `fsync`
 //!    ([`storage::Storage::sync_dir`]) makes the extent files' directory
 //!    entries survive power loss;
@@ -267,7 +271,9 @@
 //!   commit that removed it is durable; [`storage::Storage::free`] then
 //!   purges its cache pages before the extent id can be reused. Every
 //!   read borrows the tree, so no reader holds a run across the free,
-//!   and recovery never observes a recycled page.
+//!   and recovery never observes a recycled page. The unlink of a freed
+//!   file runs on the I/O worker, later still; a crash before it leaves
+//!   an orphan for recovery's sweep.
 //! * **Backpressure** — the write path stalls (running maintenance
 //!   steps inline) only when L0's run count exceeds
 //!   [`lsm::FlsmTree::L0_STALL_RUNS`]; the time spent is *measured*,

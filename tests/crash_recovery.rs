@@ -1236,7 +1236,8 @@ fn extent_files(p: &PersistenceConfig) -> Vec<(u64, u64)> {
             let e = e.unwrap();
             let name = e.file_name().into_string().unwrap();
             let id = name.strip_prefix("extent-")?.strip_suffix(".run")?;
-            Some((id.parse().unwrap(), e.metadata().unwrap().len()))
+            // A file the I/O worker unlinks after the listing is skipped.
+            Some((id.parse().unwrap(), e.metadata().ok()?.len()))
         })
         .collect()
 }
@@ -1884,6 +1885,40 @@ fn a_failed_trim_of_a_recycled_extent_recovers_the_acknowledged_prefix() {
     let mut rec = churning_store(Backend::Recover(&p));
     assert_acknowledged_prefix(&mut rec, 1, loaded, "failed trim");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A death while unlinks wait on the I/O worker: a crash at the
+/// `n + 1`-th unlink leaves the `n` unlinks before it the only ones
+/// issued, so the one it fired in and every one queued behind it delete
+/// nothing. Extent ids are handed out in order and a freed file is always
+/// older than the live run that replaced it, so the gaps among the ids on
+/// disk are exactly the unlinked files. Recovery's orphan sweep deletes
+/// what the dead unlinks left, and the acknowledged prefix survives.
+#[test]
+fn unlinks_queued_at_a_death_issue_nothing_and_are_swept_at_recovery() {
+    for n in 0..3 {
+        let root = persist_root("unlink-death");
+        let p = persist_cfg(&root);
+        let mut db = churning_store(Backend::Create(&p));
+        db.shard(0)
+            .faults()
+            .arm(Site::ExtentUnlink, n, Fault::Crash);
+        let loaded = load_until_crash(&mut db, 4000);
+        assert!(db.crashed(), "n={n}: the unlink crash never fired");
+        drop(db);
+        let ids: Vec<u64> = extent_files(&p).into_iter().map(|(id, _)| id).collect();
+        let max = ids.iter().copied().max().unwrap();
+        let unlinked = (1..=max).filter(|id| !ids.contains(id)).count() as u64;
+        assert_eq!(unlinked, n, "n={n}: only the unlinks before the death ran");
+
+        let mut rec = churning_store(Backend::Recover(&p));
+        let left: Vec<u64> = extent_files(&p).into_iter().map(|(id, _)| id).collect();
+        let swept = ids.iter().filter(|id| !left.contains(id)).count() as u64;
+        assert!(swept >= 1, "n={n}: the crashed unlink's file stays");
+        assert_eq!(rec.shard(0).stats().orphans_collected, swept, "n={n}");
+        assert_acknowledged_prefix(&mut rec, 1, loaded, &format!("n={n}"));
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 /// A freed extent file whose unlink fails is counted, not dropped: the
