@@ -571,14 +571,6 @@ impl ServingClient {
         Ok(())
     }
 
-    /// Test hook (`tests/serving.rs`): panics while holding `shard`'s
-    /// lock, as an engine bug inside an operation would.
-    #[doc(hidden)]
-    pub fn panic_inside_shard(&self, shard: usize) -> ! {
-        let _guard = self.shared.slots[shard].tree.lock();
-        panic!("injected client panic (test hook)");
-    }
-
     /// The shard owning `key`: the key hash, as on every other path.
     fn owner(&self, key: &[u8]) -> usize {
         shard_for_key(key, self.shared.slots.len())

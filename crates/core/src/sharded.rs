@@ -52,8 +52,9 @@
 //! and no boundary. Disjoint `&mut` borrows are the whole protocol:
 //! nothing is shipped, nothing is locked.
 //!
-//! **Panics**: a panic inside a lane (an engine bug — or the
-//! `inject_worker_panic` test hook) is caught on the thread that ran it,
+//! **Panics**: a panic inside a lane (an engine bug — or, in tests, a
+//! [`Fault::Panic`](ruskey_storage::Fault::Panic) armed on the shard's
+//! fault plan) is caught on the thread that ran it,
 //! the caller's included, so the sibling lanes run to the end (and, on a
 //! persistent store, commit). The dispatch then kills the shard's
 //! [`FaultPlan`](ruskey_storage::FaultPlan), exactly as a failed log or
@@ -441,8 +442,6 @@ pub struct RusKey {
     /// one is a maintenance boundary. One entry per shard in every state,
     /// so this is also the shard count while the trees are away.
     adhoc_writes: Vec<u64>,
-    /// Test hook: the shard whose next lane panics.
-    doomed: Option<usize>,
 }
 
 /// Where a store's shards keep their state, and whether a persistent
@@ -636,7 +635,6 @@ impl RusKey {
             last_workers: Vec::new(),
             adhoc_scans: 0,
             adhoc_writes: vec![0; shards],
-            doomed: None,
         };
         if matches!(backend, Backend::Recover(_)) {
             store.rebaseline();
@@ -692,16 +690,6 @@ impl RusKey {
         self.shards.iter().any(|tree| tree.faults().is_dead())
     }
 
-    /// Test hook (`tests/pool_stress.rs`): makes the given shard's next
-    /// lane panic, simulating an engine bug inside a mission. The next
-    /// mission or barrier reports the death as a clean [`StoreError`]
-    /// instead of unwinding or hanging. A production store never calls
-    /// this.
-    #[doc(hidden)]
-    pub fn inject_worker_panic(&mut self, shard: usize) {
-        self.doomed = Some(shard);
-    }
-
     /// Fails fast — before anything touches a tree or any other state —
     /// on a store whose trees are away serving.
     fn check_home(&self) -> Result<(), StoreError> {
@@ -728,17 +716,9 @@ impl RusKey {
         boundary: bool,
     ) -> Result<Vec<u64>, StoreError> {
         self.check_home()?;
-        let doomed = self.doomed.take();
-        let work = self
-            .shards
-            .iter_mut()
-            .zip(lanes)
-            .enumerate()
-            .map(|(shard, (tree, ops))| {
-                move || {
-                    assert!(doomed != Some(shard), "injected lane panic (test hook)");
-                    (thread::current().id(), run_batch(tree, ops, boundary))
-                }
+        let work =
+            self.shards.iter_mut().zip(lanes).map(|(tree, ops)| {
+                move || (thread::current().id(), run_batch(tree, ops, boundary))
             });
         // Per lane: the thread that ran it and its commit leg, or the
         // payload of the panic that ended it.
@@ -1349,7 +1329,7 @@ where
 mod tests {
     use super::*;
     use crate::tuner::{FixedPolicy, NoOpTuner};
-    use ruskey_storage::{CostModel, SimulatedDisk};
+    use ruskey_storage::{CostModel, Fault, SimulatedDisk, Site};
     use ruskey_workload::{bulk_load_pairs, OpGenerator, OpMix, WorkloadSpec};
 
     impl RusKey {
@@ -1582,12 +1562,26 @@ mod tests {
         );
     }
 
-    /// An injected worker panic surfaces as a clean [`StoreError`] on
-    /// the next dispatch, naming the shard, which stays dead: every later
-    /// mission fails on it. Dropping the store does not hang.
+    /// A fresh persistent store, its fault plans armable: its root is
+    /// named for `line`, and removed by the caller.
+    fn persistent(shards: usize, line: u32) -> (RusKey, PathBuf) {
+        let root =
+            std::env::temp_dir().join(format!("ruskey-sharded-{}-{line}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut pcfg = PersistenceConfig::new(&root);
+        pcfg.page_size = 512;
+        let backend = Backend::Create(&pcfg);
+        let db = RusKey::open(small_cfg(), shards, Box::new(NoOpTuner), backend);
+        (db.expect("open persistent store"), root)
+    }
+
+    /// A panic inside a worker's lane (armed at its next WAL append)
+    /// surfaces as a clean [`StoreError`] on that dispatch, naming the
+    /// shard, which stays dead: every later mission fails on it. Dropping
+    /// the store does not hang.
     #[test]
     fn worker_panic_is_a_clean_error_and_kills_its_shard() {
-        let mut db = volatile(small_cfg(), 3);
+        let (mut db, root) = persistent(3, line!());
         db.bulk_load(bulk_load_pairs(300, 16, 48, 5));
         let spec = WorkloadSpec {
             key_space: 300,
@@ -1596,7 +1590,7 @@ mod tests {
         };
         let mut g = OpGenerator::new(spec, 6);
         assert!(db.try_run_mission(&g.take_ops(100)).is_ok());
-        db.inject_worker_panic(1);
+        db.shard(1).faults().arm(Site::WalAppend, 0, Fault::Panic);
         let err = db
             .try_run_mission(&g.take_ops(100))
             .expect_err("a dead worker must fail the mission");
@@ -1610,6 +1604,8 @@ mod tests {
             .try_run_mission(&g.take_ops(50))
             .expect_err("the shard must stay dead");
         assert!(matches!(err2, StoreError::Dead { shard: 1, .. }), "{err2}");
+        drop(db);
+        let _ = std::fs::remove_dir_all(root);
     }
 
     /// The store says which of its three states it is in: home, serving
@@ -1625,7 +1621,7 @@ mod tests {
                 .expect("must panic");
             payload.downcast_ref::<String>().expect("formatted").clone()
         }
-        let mut db = volatile(small_cfg(), 2);
+        let (mut db, root) = persistent(2, line!());
         let frontend = db.serve(ServingConfig::default()).expect("serve");
         assert_eq!(db.shard_count(), 2, "serving");
         let reads: [&dyn Fn(); 4] = [
@@ -1642,16 +1638,18 @@ mod tests {
         db.finish_serving(frontend).expect("finish serving");
         assert!(!db.crashed(), "home again");
 
-        db.inject_worker_panic(1);
-        let err = db.try_group_commit().expect_err("the lane panicked");
-        assert!(matches!(err, StoreError::Dead { shard: 1, .. }), "{err}");
-        assert_eq!(db.shard_count(), 2, "dead");
-        assert!(db.crashed(), "a panic is a death");
         let on_shard = |shard| {
             let mut keys = (0..).map(|i| ruskey_workload::encode_key(i, 16));
             keys.find(|k| shard_for_key(k, 2) == shard).expect("a key")
         };
         let (live, dead) = (on_shard(0), on_shard(1));
+        // One logged write, so that the barrier's commit leg writes the log.
+        db.put(dead.clone(), &b"logged"[..]);
+        db.shard(1).faults().arm(Site::WalWrite, 0, Fault::Panic);
+        let err = db.try_group_commit().expect_err("the lane panicked");
+        assert!(matches!(err, StoreError::Dead { shard: 1, .. }), "{err}");
+        assert_eq!(db.shard_count(), 2, "dead");
+        assert!(db.crashed(), "a panic is a death");
         let post_mortem = db.shard(1).stats();
         assert!(panic_of(|| db.get(&dead)).contains("shard 1 is dead"));
         assert!(panic_of(|| db.scan(&[], &[0xff; 17], 8)).contains("shard 1 is dead"));
@@ -1664,6 +1662,8 @@ mod tests {
             post_mortem,
             "a refused call changes nothing"
         );
+        drop(db);
+        let _ = std::fs::remove_dir_all(root);
     }
 
     /// A store whose trees are away serving says so, not that a shard is

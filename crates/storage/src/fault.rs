@@ -6,8 +6,9 @@
 //! `pwrite`, a trim, an `fsync`, an `unlink`, the WAL append that frames a
 //! record — first visits its [`Site`]. A test arms one [`Fault`] at one
 //! site with [`FaultPlan::arm`]; it fires on the site's `after + 1`-th
-//! visit. Every fault but [`Fault::Error`] kills the plan, and a dead plan
-//! is the shard's one "the process died" flag ([`FaultPlan::is_dead`]):
+//! visit. Every fault but [`Fault::Error`] and [`Fault::Panic`] kills the
+//! plan, and a dead plan is the shard's one "the process died" flag
+//! ([`FaultPlan::is_dead`]):
 //! from then on every site answers [`Fault::Crash`], so a dead process
 //! issues nothing more. A call that really fails kills the plan too where
 //! its caller cannot report the error (an extent write or creation).
@@ -67,6 +68,11 @@ pub enum Fault {
     PowerCut,
     /// The call returns this error and issues nothing; the plan lives on.
     Error(io::ErrorKind),
+    /// The call panics before it is issued, as an engine bug would. The
+    /// plan lives on: whoever catches the panic decides what dies (a
+    /// mission lane's catch, or a serving session's end, kills the
+    /// shard's plan).
+    Panic,
 }
 
 const ARMED: u8 = 1;
@@ -123,7 +129,7 @@ impl FaultPlan {
             return None;
         }
         self.state.fetch_and(!ARMED, Ordering::Relaxed);
-        if !matches!(fault, Fault::Error(_)) {
+        if !matches!(fault, Fault::Error(_) | Fault::Panic) {
             self.kill();
         }
         Some(fault)
@@ -139,7 +145,7 @@ impl FaultPlan {
         site: Site,
         call: impl FnOnce(bool) -> io::Result<T>,
     ) -> io::Result<Option<T>> {
-        Self::apply(self.fire(site), call, || ())
+        Self::apply(site, self.fire(site), call, || ())
     }
 
     /// Visits a barrier's `site` and issues its `sync`: `Ok` only when the
@@ -152,7 +158,7 @@ impl FaultPlan {
         cut: impl FnOnce(),
     ) -> io::Result<()> {
         let fault = self.fire(site);
-        match Self::apply(fault, |_| sync(), cut)? {
+        match Self::apply(site, fault, |_| sync(), cut)? {
             // Only an unarmed visit survives: an armed `Error` returned.
             Some(()) if fault.is_none() => Ok(()),
             _ => Err(dead()),
@@ -161,6 +167,7 @@ impl FaultPlan {
 
     /// What every fault means to the call it fires in front of.
     fn apply<T>(
+        site: Site,
         fault: Option<Fault>,
         call: impl FnOnce(bool) -> io::Result<T>,
         cut: impl FnOnce(),
@@ -174,6 +181,7 @@ impl FaultPlan {
                 Ok(None)
             }
             Some(Fault::Crash) => Ok(None),
+            Some(Fault::Panic) => panic!("injected panic at {site:?}"),
         }
     }
 }
@@ -181,4 +189,29 @@ impl FaultPlan {
 /// The error a durable call on a dead device or shard returns.
 pub(crate) fn dead() -> io::Error {
     io::Error::other("device dead: the process died, or a call failed")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// An injected panic fires before the call is issued and leaves the
+    /// plan alive and disarmed: whoever catches it decides what dies.
+    #[test]
+    fn a_panic_fires_before_the_call_and_leaves_the_plan_alive() {
+        let plan = FaultPlan::default();
+        plan.arm(Site::ExtentWrite, 0, Fault::Panic);
+        let issued = std::cell::Cell::new(false);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            plan.run(Site::ExtentWrite, |_| {
+                issued.set(true);
+                Ok(())
+            })
+        }));
+        assert!(caught.is_err() && !issued.get());
+        assert!(!plan.is_dead());
+        let next = plan.run(Site::ExtentWrite, |_| Ok(7));
+        assert_eq!(next.unwrap(), Some(7), "the site is disarmed");
+    }
 }

@@ -9,12 +9,16 @@
 //!
 //! The hot path is built for serving, not just correctness:
 //!
-//! * **fd cache** — each extent file is opened once and its handle kept in
-//!   a map until [`Storage::free`] takes it out, so a page read costs one
-//!   `pread`, not an `open` + `seek` + `read` + `close` round trip. The
-//!   map's lock is held only for the handle lookup; the I/O itself runs
-//!   on a cloned [`Arc<File>`] outside the lock, so reads on different
-//!   extents (and even the same extent) proceed concurrently.
+//! * **one record per extent file (the fd cache)** — the disk keeps one
+//!   table of its extent files: per file its open handle, its length in
+//!   slots and the state of its syncs. A file is opened once, when it is
+//!   created (or on first access after a reopen, the one time its length
+//!   is read from the kernel), so a page read costs one `pread`, not an
+//!   `open` + `seek` + `read` + `close` round trip, and no barrier or free
+//!   asks the kernel for a length the table holds. The table's lock is
+//!   held only for the lookup; the I/O itself runs on a cloned
+//!   [`Arc<File>`] outside the lock, so reads on different extents (and
+//!   even the same extent) proceed concurrently.
 //! * **positional I/O** — reads and writes go through
 //!   [`FileExt::read_exact_at`] / [`FileExt::write_all_at`]: no seek
 //!   state, no `&mut File`, no serialization point per extent.
@@ -31,9 +35,9 @@
 //!   and [`FileDisk::buffer_grows`] expose counters so benchmarks can
 //!   assert both properties instead of trusting them.
 //!
-//! * **recycled extent files** — [`Storage::free`] keeps the file of the
-//!   extent it releases, open, in a one-file reserve instead of unlinking
-//!   it, and the next [`Storage::allocate`] (or first
+//! * **recycled extent files** — [`Storage::free`] moves the record of the
+//!   extent it releases, file still open, into a one-file reserve instead
+//!   of unlinking the file, and the next [`Storage::allocate`] (or first
 //!   [`Storage::append_pages`]) overwrites that file from slot 0 under
 //!   the same id before it creates a new one. A run replacing another
 //!   (the Level-1 active run at every flush) therefore alternates between
@@ -55,12 +59,15 @@
 //!   extent's last write, and issues its own only when none did: after a
 //!   [`Storage::write_page`] or a trim, or while the eager sync still
 //!   waits in the queue (the barrier takes it over rather than wait
-//!   behind other disks' jobs). [`Storage::free`] queues the unlink of a
-//!   file it does not reserve. Syncs run before unlinks, an extent has at
-//!   most one sync queued and not started, and a disk's drop waits for its
-//!   queued jobs, so a reopen never races a stale unlink. One thread, not
-//!   one per disk: threads started and ended per disk each got a fresh
-//!   malloc arena and raised the process's peak RSS.
+//!   behind other disks' jobs). The worker shares the disk's table: it
+//!   takes the file to sync from the extent's record, and records the
+//!   sync's result there. [`Storage::free`] queues the unlink of a file it
+//!   does not reserve, and its record leaves the table. Syncs run before
+//!   unlinks, an extent has at most one sync queued and not started, and
+//!   a disk's drop waits for its queued jobs, so a reopen never races a
+//!   stale unlink. One thread, not one per disk: threads started and
+//!   ended per disk each got a fresh malloc arena and raised the
+//!   process's peak RSS.
 //!
 //! Opening a directory that already holds extent files *continues* it:
 //! existing extents stay readable (the manifest records their ids) and new
@@ -139,10 +146,10 @@ const BULK_SLOTS: usize = 256;
 /// A [`Storage`] backend keeping each extent in one file under a directory.
 ///
 /// Its locks recover a poisoned guard (`PoisonError::into_inner`) instead
-/// of panicking: each guards a map, list or option that one insert,
-/// remove, push, take or assignment changes whole, so a thread that
-/// panicked while holding one left no half-made change behind, or the
-/// staging buffer, whose old bytes no call reads.
+/// of panicking: no call panics between the steps of a change to the
+/// table or the worker's queues, so a thread that panicked while holding
+/// one left no half-made change behind, and the staging buffer's old
+/// bytes are read by no call.
 pub struct FileDisk {
     dir: PathBuf,
     page_size: usize,
@@ -151,9 +158,6 @@ pub struct FileDisk {
     next_id: AtomicU64,
     live_pages: AtomicU64,
     metrics: Arc<AtomicMetrics>,
-    /// Open handle per live extent; populated at allocation (or first
-    /// access after a reopen) and dropped in [`Storage::free`].
-    handles: Mutex<HashMap<u64, Arc<File>>>,
     fds_opened: AtomicU64,
     /// Reusable staging buffer: one allocation per disk (per high-water
     /// mark: a slot for reads, up to [`BULK_SLOTS`] slots for a run's
@@ -164,20 +168,13 @@ pub struct FileDisk {
     buffer_grows: AtomicU64,
     /// Open handle on the directory itself, for [`Storage::sync_dir`].
     dir_handle: File,
-    /// Extent ids created since the last directory fsync — the files a
-    /// power cut at [`Site::DirSync`] erases from the directory, and the
-    /// names that make the next [`Storage::sync_dir`] real.
-    pending_dir: Mutex<Vec<u64>>,
-    /// The file of a freed extent kept for the next allocation (see the
-    /// module docs): its handle leaves `handles` while it waits here.
-    reserve: Mutex<Option<Reserved>>,
     /// Highest `live_pages` since open: the bound on pages on disk that
     /// decides whether a freed file may wait in the reserve.
     live_high: AtomicU64,
     /// The shard's fault plan: once it is dead, mutations no-op.
     faults: Arc<FaultPlan>,
-    /// The disk's side of the I/O worker: its queued jobs and the state
-    /// of its extents' eager syncs.
+    /// The disk's table of extent files, which the I/O worker shares, and
+    /// its jobs there.
     jobs: Arc<Jobs>,
 }
 
@@ -189,14 +186,6 @@ fn extent_id(entry: &std::fs::DirEntry) -> Option<u64> {
         .strip_prefix("extent-")?
         .strip_suffix(".run")?;
     id.parse().ok()
-}
-
-/// An extent file waiting in [`FileDisk`]'s reserve.
-struct Reserved {
-    id: u64,
-    /// Slots the file holds on disk.
-    slots: u64,
-    file: Arc<File>,
 }
 
 /// The process's one I/O worker (see the module docs).
@@ -222,8 +211,8 @@ struct Worker {
 struct Queue {
     /// Whether the thread runs: it is spawned once and never joined.
     spawned: bool,
-    /// Eager extent syncs, all run before any unlink.
-    syncs: VecDeque<(Arc<Jobs>, u64, Arc<File>)>,
+    /// Eager extent syncs, by extent id, all run before any unlink.
+    syncs: VecDeque<(Arc<Jobs>, u64)>,
     unlinks: VecDeque<(Arc<Jobs>, PathBuf)>,
     #[cfg(test)]
     spawns: u32,
@@ -265,9 +254,9 @@ impl Worker {
         drop(std::hint::black_box(Box::new(0u8)));
         let mut queue = self.lock();
         loop {
-            if let Some((disk, id, file)) = queue.syncs.pop_front() {
+            if let Some((disk, id)) = queue.syncs.pop_front() {
                 drop(queue);
-                if let Some(start) = disk.claim(id) {
+                if let Some((start, file)) = disk.claim(id) {
                     // A failure is recorded for the barrier, never retried.
                     let _ = disk.sync(id, start, &file);
                 }
@@ -290,7 +279,7 @@ fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
-/// What one disk's jobs on the worker reach, shared with the disk.
+/// A disk's table of extent files, shared with its jobs on the worker.
 struct Jobs {
     faults: Arc<FaultPlan>,
     metrics: Arc<AtomicMetrics>,
@@ -301,8 +290,14 @@ struct Jobs {
     /// the writes.
     #[cfg(test)]
     lane_fsyncs: AtomicU64,
+    /// Extent file lengths read from the kernel for a record.
+    #[cfg(test)]
+    length_reads: AtomicU64,
 }
 
+/// The table (see the module docs). No call into the kernel runs under
+/// its lock but opening an inherited extent's file and a simulated power
+/// cut at [`Site::DirSync`].
 #[derive(Default)]
 struct JobState {
     /// The disk's jobs queued or running.
@@ -311,20 +306,60 @@ struct JobState {
     /// extent, so a sync started at `seq` covers every write numbered up
     /// to it.
     seq: u64,
-    /// Eager-sync state per extent file, from its first write until an
-    /// unlink is queued for it (a reserved file keeps its state: it is
-    /// the same file under the same id).
-    extents: HashMap<u64, Synced>,
+    /// The record of every live extent's file.
+    open: HashMap<u64, ExtentFile>,
+    /// A freed extent's record, kept for the next allocation.
+    reserve: Option<(u64, ExtentFile)>,
+    /// Extent ids created since the last directory fsync — the files a
+    /// power cut at [`Site::DirSync`] erases from the directory, and the
+    /// names that make the next [`Storage::sync_dir`] real.
+    unnamed: Vec<u64>,
+}
+
+/// One extent file: made when the file is created (or first opened after
+/// a reopen), moved whole into the reserve and back, and dropped when its
+/// unlink is queued.
+struct ExtentFile {
+    file: Arc<File>,
+    /// The file's length in slots.
+    slots: u64,
+    synced: Synced,
 }
 
 impl JobState {
+    /// The record of extent `id`: a live extent's, else the reserve's —
+    /// a queued eager sync may outlive the extent's free.
+    fn find(&mut self, id: u64) -> Option<&mut ExtentFile> {
+        let reserved = self.reserve.as_mut().filter(|(held, _)| *held == id);
+        self.open.get_mut(&id).or(reserved.map(|(_, ext)| ext))
+    }
+
+    /// Files a new record for extent `id`. Its file's syncs are unknown,
+    /// so the record numbers a write: the first barrier issues its own
+    /// `fdatasync`.
+    fn make(&mut self, id: u64, file: Arc<File>, slots: u64) {
+        self.seq += 1;
+        let synced = Synced {
+            written: self.seq,
+            ..Synced::default()
+        };
+        self.open.insert(
+            id,
+            ExtentFile {
+                file,
+                slots,
+                synced,
+            },
+        );
+    }
+
     /// Starts a sync of extent `id` now, in place of any queued one: the
     /// sequence number it covers.
     fn start_sync(&mut self, id: u64) -> u64 {
         let seq = self.seq;
-        if let Some(synced) = self.extents.get_mut(&id) {
-            synced.queued = false;
-            synced.started = seq;
+        if let Some(ext) = self.find(id) {
+            ext.synced.queued = false;
+            ext.synced.started = seq;
         }
         seq
     }
@@ -351,29 +386,35 @@ impl Jobs {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Numbers a write to extent `id` and, given its file, queues an eager
-    /// sync of it unless one is queued already.
-    fn wrote(self: &Arc<Self>, id: u64, eager: Option<Arc<File>>) {
+    /// Numbers a write to extent `id`, after which its file is
+    /// `slots(old slots)` long, and, when `eager`, queues an eager sync of
+    /// it unless one is queued already.
+    fn wrote(self: &Arc<Self>, id: u64, eager: bool, slots: impl FnOnce(u64) -> u64) {
         let mut state = self.lock();
         state.seq += 1;
         let seq = state.seq;
-        let synced = state.extents.entry(id).or_default();
-        synced.written = seq;
-        let Some(file) = eager.filter(|_| !synced.queued) else {
+        let Some(ext) = state.find(id) else {
             return;
         };
-        synced.queued = true;
+        ext.synced.written = seq;
+        ext.slots = slots(ext.slots);
+        if !eager || std::mem::replace(&mut ext.synced.queued, true) {
+            return;
+        }
         state.pending += 1;
         drop(state);
-        WORKER.push(|q| q.syncs.push_back((Arc::clone(self), id, file)));
+        WORKER.push(|q| q.syncs.push_back((Arc::clone(self), id)));
     }
 
     /// Starts the sync of extent `id` queued for the worker, unless the
-    /// barrier took it over: the sequence number it covers.
-    fn claim(&self, id: u64) -> Option<u64> {
+    /// barrier took it over: the sequence number it covers, and the file.
+    fn claim(&self, id: u64) -> Option<(u64, Arc<File>)> {
         let mut state = self.lock();
-        let queued = state.extents.get(&id).is_some_and(|s| s.queued);
-        queued.then(|| state.start_sync(id))
+        let file = state
+            .find(id)
+            .filter(|ext| ext.synced.queued)
+            .map(|ext| Arc::clone(&ext.file))?;
+        Some((state.start_sync(id), file))
     }
 
     /// Issues a sync of extent `id` started at `start` and records its
@@ -384,10 +425,10 @@ impl Jobs {
         } else {
             file.sync_data()
         };
-        if let Some(synced) = self.lock().extents.get_mut(&id) {
+        if let Some(ext) = self.lock().find(id) {
             match &result {
-                Ok(()) => synced.covered = synced.covered.max(start),
-                Err(e) => synced.failed = Some(e.kind()),
+                Ok(()) => ext.synced.covered = ext.synced.covered.max(start),
+                Err(e) => ext.synced.failed = Some(e.kind()),
             }
         }
         self.done.notify_all();
@@ -407,7 +448,7 @@ impl Jobs {
     fn await_sync(&self, id: u64, file: &File) -> std::io::Result<()> {
         let mut state = self.lock();
         let start = loop {
-            let Some(synced) = state.extents.get(&id) else {
+            let Some(synced) = state.find(id).map(|ext| &ext.synced) else {
                 break state.seq;
             };
             if let Some(kind) = synced.failed {
@@ -425,15 +466,6 @@ impl Jobs {
         #[cfg(test)]
         self.lane_fsyncs.fetch_add(1, Ordering::Relaxed);
         self.sync(id, start, file)
-    }
-
-    /// Queues the unlink of a freed file; its sync state goes with it.
-    fn queue_unlink(self: &Arc<Self>, id: u64, path: PathBuf) {
-        let mut state = self.lock();
-        state.extents.remove(&id);
-        state.pending += 1;
-        drop(state);
-        WORKER.push(|q| q.unlinks.push_back((Arc::clone(self), path)));
     }
 
     /// Unlinks an extent file, counting a failure instead of dropping it.
@@ -488,6 +520,8 @@ impl FileDisk {
             done: Condvar::new(),
             #[cfg(test)]
             lane_fsyncs: AtomicU64::new(0),
+            #[cfg(test)]
+            length_reads: AtomicU64::new(0),
         });
         Ok(Arc::new(Self {
             dir,
@@ -497,13 +531,10 @@ impl FileDisk {
             next_id: AtomicU64::new(max_id + 1),
             live_pages: AtomicU64::new(live_pages),
             metrics,
-            handles: Mutex::new(HashMap::new()),
             fds_opened: AtomicU64::new(0),
             page_buf: Mutex::new(Vec::new()),
             buffer_grows: AtomicU64::new(0),
             dir_handle,
-            pending_dir: Mutex::new(Vec::new()),
-            reserve: Mutex::new(None),
             live_high: AtomicU64::new(live_pages),
             faults,
             jobs,
@@ -519,8 +550,9 @@ impl FileDisk {
         self.page_size + SLOT_HEADER
     }
 
-    /// The cached handle for an extent, opening (and caching) it on first
-    /// access — e.g. for extents inherited from a previous incarnation.
+    /// What `read` takes from an extent's record, making the record on
+    /// first access to an extent inherited from a previous incarnation:
+    /// its file is opened and its length read once, here.
     ///
     /// A missing file surfaces as a typed [`std::io::ErrorKind::NotFound`]
     /// error for recovery to decide, never a panic: after a power cut the
@@ -528,23 +560,30 @@ impl FileDisk {
     /// never allocated from one whose un-fsynced directory entry the cut
     /// erased — both present as "no such file", and only the caller (who
     /// holds the manifest) knows which ids it acknowledged.
-    fn try_handle(&self, id: u64) -> std::io::Result<Arc<File>> {
-        let mut handles = self.handles.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(f) = handles.get(&id) {
-            return Ok(Arc::clone(f));
+    fn record<R>(&self, id: u64, read: impl FnOnce(&ExtentFile) -> R) -> std::io::Result<R> {
+        let mut state = self.jobs.lock();
+        if let Some(ext) = state.find(id) {
+            return Ok(read(ext));
         }
-        let f = Arc::new(
-            OpenOptions::new()
-                .read(true)
-                .write(true)
-                .open(self.path(id))
-                .map_err(|e| {
-                    std::io::Error::new(e.kind(), format!("extent file {id} missing: {e}"))
-                })?,
-        );
+        let missing = |e: std::io::Error| {
+            std::io::Error::new(e.kind(), format!("extent file {id} missing: {e}"))
+        };
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(self.path(id))
+            .map_err(missing)?;
         self.fds_opened.fetch_add(1, Ordering::Relaxed);
-        handles.insert(id, Arc::clone(&f));
-        Ok(f)
+        let slots = file.metadata()?.len().div_ceil(self.slot() as u64);
+        #[cfg(test)]
+        self.jobs.length_reads.fetch_add(1, Ordering::Relaxed);
+        state.make(id, Arc::new(file), slots);
+        Ok(read(&state.open[&id]))
+    }
+
+    /// The extent's open file (see [`FileDisk::record`]).
+    fn try_handle(&self, id: u64) -> std::io::Result<Arc<File>> {
+        self.record(id, |ext| Arc::clone(&ext.file))
     }
 
     /// Issues `call` at `site` (see [`FaultPlan::run`]): `None` when it
@@ -594,16 +633,15 @@ impl FileDisk {
 
     /// Writes `pages` into consecutive slots of `ext` starting at slot
     /// `first`, [`BULK_SLOTS`] per positional write, and charges one page
-    /// write each.
-    fn write_slots(&self, ext: Extent, first: u32, pages: &[&[u8]]) -> IoCharge {
+    /// write each. The extent's record numbers the write, and `eager`
+    /// queues a sync of it on the I/O worker.
+    fn write_slots(&self, ext: Extent, first: u32, pages: &[&[u8]], eager: bool) -> IoCharge {
         assert!(
             pages.iter().all(|p| p.len() <= self.page_size),
             "page overflow"
         );
-        assert!(
-            first as usize + pages.len() <= ext.pages as usize,
-            "page index out of bounds"
-        );
+        let end = first as usize + pages.len();
+        assert!(end <= ext.pages as usize, "page index out of bounds");
         let slot = self.slot();
         for (chunk_idx, chunk) in pages.chunks(BULK_SLOTS).enumerate() {
             // Slots are fixed-size on disk: pad with zeros, prefix with length.
@@ -623,6 +661,10 @@ impl FileDisk {
             if written.is_none() {
                 return IoCharge::default();
             }
+        }
+        if !pages.is_empty() && !self.faults.is_dead() {
+            self.jobs
+                .wrote(ext.id, eager, |slots| slots.max(end as u64));
         }
         let n = pages.len() as u64;
         let io = StorageMetrics {
@@ -693,39 +735,37 @@ impl Storage for FileDisk {
     /// id is handed out all the same, so the doomed caller can finish its
     /// motions, and nothing touches the disk.
     fn allocate(&self, pages: u32) -> Extent {
-        let reserved = self
-            .reserve
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take_if(|_| !self.faults.is_dead());
-        let id = reserved
-            .as_ref()
-            .map_or_else(|| self.next_id.fetch_add(1, Ordering::Relaxed), |r| r.id);
+        let slots = u64::from(pages);
+        let reserved = self.jobs.lock().reserve.take_if(|_| !self.faults.is_dead());
+        let len = slots * self.slot() as u64;
+        let size = |file: &File| {
+            self.issue(Site::ExtentSize, |_| file.set_len(len))
+                .is_some()
+        };
+        if let Some((id, mut ext)) = reserved {
+            // A longer recycled file keeps its tail until sync_extent trims it.
+            if ext.slots >= slots || size(&ext.file) {
+                ext.slots = ext.slots.max(slots);
+                self.jobs.lock().open.insert(id, ext);
+                self.add_live(slots);
+            }
+            return Extent { id, pages };
+        }
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let create = |_| {
             let mut open = OpenOptions::new();
             let f = open.read(true).write(true).create(true).truncate(true);
-            let f = Arc::new(f.open(self.path(id))?);
+            let f = f.open(self.path(id))?;
             self.fds_opened.fetch_add(1, Ordering::Relaxed);
-            // The new directory entry is not durable until the next sync_dir.
-            self.pending_dir
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(id);
             Ok(f)
         };
-        let (f, slots) = match reserved {
-            Some(r) => (Some(r.file), r.slots),
-            None => (self.issue(Site::ExtentCreate, create), 0),
-        };
-        // A longer recycled file keeps its tail until sync_extent trims it.
-        let len = pages as u64 * self.slot() as u64;
-        let size = |f: &Arc<File>| self.issue(Site::ExtentSize, |_| f.set_len(len)).is_some();
-        if let Some(f) = f.filter(|f| slots >= pages as u64 || size(f)) {
-            self.handles
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(id, f);
-            self.add_live(pages as u64);
+        if let Some(f) = self.issue(Site::ExtentCreate, create).filter(|f| size(f)) {
+            let mut state = self.jobs.lock();
+            // The new directory entry is not durable until the next sync_dir.
+            state.unnamed.push(id);
+            state.make(id, Arc::new(f), slots);
+            drop(state);
+            self.add_live(slots);
         }
         Extent { id, pages }
     }
@@ -733,9 +773,7 @@ impl Storage for FileDisk {
     /// Queues no sync: the extent's next [`Storage::sync_extent`] issues
     /// its own.
     fn write_page(&self, ext: Extent, idx: u32, data: &[u8]) -> IoCharge {
-        let charge = self.write_slots(ext, idx, &[data]);
-        self.jobs.wrote(ext.id, None);
-        charge
+        self.write_slots(ext, idx, &[data], false)
     }
 
     /// Grows the extent's file by writing past its end, 256 pages per
@@ -750,13 +788,7 @@ impl Storage for FileDisk {
         if !self.faults.is_dead() {
             self.add_live(pages.len() as u64);
         }
-        let charge = self.write_slots(grown, ext.pages, pages);
-        if !pages.is_empty() && !self.faults.is_dead() {
-            if let Ok(f) = self.try_handle(ext.id) {
-                self.jobs.wrote(ext.id, Some(f));
-            }
-        }
-        Some((grown, charge))
+        Some((grown, self.write_slots(grown, ext.pages, pages, true)))
     }
 
     fn try_read_page(&self, ext: Extent, idx: u32, buf: &mut Vec<u8>) -> std::io::Result<IoCharge> {
@@ -774,13 +806,13 @@ impl Storage for FileDisk {
     }
 
     fn sync_extent(&self, ext: Extent) -> std::io::Result<IoCharge> {
-        let f = self.try_handle(ext.id)?;
+        let (f, slots) = self.record(ext.id, |rec| (Arc::clone(&rec.file), rec.slots))?;
         // A recycled file may still hold its former run's tail: trim it
         // before the sync makes the length durable.
-        let len = ext.pages as u64 * self.slot() as u64;
-        if f.metadata()?.len() > len {
+        if slots > u64::from(ext.pages) {
+            let len = ext.pages as u64 * self.slot() as u64;
             self.faults.run(Site::ExtentTrim, |_| f.set_len(len))?;
-            self.jobs.wrote(ext.id, None);
+            self.jobs.wrote(ext.id, false, |_| ext.pages.into());
         }
         // A power cut loses the writes still in the page cache: the file is
         // torn (a torn tail, not clean truncation to zero, is what real
@@ -803,11 +835,8 @@ impl Storage for FileDisk {
     /// charge — and no visit to [`Site::DirSync`]. A dead device fails it
     /// all the same, as it fails every barrier.
     fn sync_dir(&self) -> std::io::Result<IoCharge> {
-        let mut pending = self
-            .pending_dir
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if pending.is_empty() {
+        let unnamed = self.jobs.lock().unnamed.len();
+        if unnamed == 0 {
             if self.faults.is_dead() {
                 return Err(fault::dead());
             }
@@ -816,30 +845,21 @@ impl Storage for FileDisk {
         // A power cut before the directory fsync: the files created since
         // the last sync_dir vanish wholesale.
         let cut = || {
-            for id in std::mem::take(&mut *pending) {
-                // Only a live extent keeps a handle: a reserved file, or a
-                // freed one whose unlink is still queued, has no live pages.
-                let live = self
-                    .handles
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .remove(&id)
-                    .is_some();
-                self.reserve
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take_if(|r| r.id == id);
-                if let Ok(meta) = std::fs::metadata(self.path(id)) {
-                    if std::fs::remove_file(self.path(id)).is_ok() && live {
-                        self.live_pages
-                            .fetch_sub(meta.len() / self.slot() as u64, Ordering::Relaxed);
-                    }
+            let mut state = self.jobs.lock();
+            for id in std::mem::take(&mut state.unnamed) {
+                // Only a live extent counts pages: a reserved file, or a
+                // freed one whose unlink is still queued, has none.
+                let live = state.open.remove(&id).map_or(0, |ext| ext.slots);
+                state.reserve.take_if(|(held, _)| *held == id);
+                if std::fs::remove_file(self.path(id)).is_ok() {
+                    self.live_pages.fetch_sub(live, Ordering::Relaxed);
                 }
             }
         };
         self.faults
             .barrier(Site::DirSync, || self.dir_handle.sync_all(), cut)?;
-        pending.clear();
+        // A name created during the fsync waits for the next one.
+        self.jobs.lock().unnamed.drain(..unnamed);
         let io = StorageMetrics {
             dir_syncs: 1,
             ..StorageMetrics::default()
@@ -863,10 +883,8 @@ impl Storage for FileDisk {
                 continue;
             }
             let pages = entry.metadata()?.len() / self.slot() as u64;
-            self.handles
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&id);
+            let closed = self.jobs.lock().open.remove(&id);
+            drop(closed);
             std::fs::remove_file(entry.path())?;
             self.live_pages.fetch_sub(pages, Ordering::Relaxed);
             collected.push(id);
@@ -885,45 +903,35 @@ impl Storage for FileDisk {
         Some(&self.faults)
     }
 
-    /// Keeps the extent's file, open, in the reserve when the reserve is
-    /// empty and the pages on disk stay within the high-water mark of live
-    /// pages; queues its unlink on the I/O worker otherwise.
+    /// Moves the extent's record, file open, into the reserve when the
+    /// reserve is empty and the pages on disk stay within the high-water
+    /// mark of live pages; queues the file's unlink on the I/O worker, and
+    /// drops the record, otherwise.
     fn free(&self, ext: Extent) {
-        if self.faults.is_dead() {
+        // A missing file (erased by a power cut) has nothing left to free.
+        if self.faults.is_dead() || self.try_handle(ext.id).is_err() {
             return;
         }
-        // The file's length, not the extent's pages: a recycled file not
-        // yet trimmed still holds its former tail. A missing file (erased
-        // by a power cut) has nothing left to free.
-        let Ok(f) = self.try_handle(ext.id) else {
-            return;
-        };
-        self.handles
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&ext.id);
         let live = self
             .live_pages
             .fetch_sub(ext.pages as u64, Ordering::Relaxed)
             - ext.pages as u64;
-        let slots = f.metadata().map(|m| m.len().div_ceil(self.slot() as u64));
-        let mut reserve = self.reserve.lock().unwrap_or_else(PoisonError::into_inner);
-        match slots {
-            Ok(slots)
-                if reserve.is_none() && live + slots <= self.live_high.load(Ordering::Relaxed) =>
-            {
-                *reserve = Some(Reserved {
-                    id: ext.id,
-                    slots,
-                    file: f,
-                });
-                return;
-            }
-            _ => drop(reserve),
+        let mut state = self.jobs.lock();
+        let Some(freed) = state.open.remove(&ext.id) else {
+            return;
+        };
+        // The file's slots, not the extent's pages: a recycled file not yet
+        // trimmed still holds its former tail.
+        if state.reserve.is_none() && live + freed.slots <= self.live_high.load(Ordering::Relaxed) {
+            state.reserve = Some((ext.id, freed));
+            return;
         }
+        state.pending += 1;
+        drop(state);
         // The handle goes with the file.
-        drop(f);
-        self.jobs.queue_unlink(ext.id, self.path(ext.id));
+        drop(freed);
+        let path = self.path(ext.id);
+        WORKER.push(|q| q.unlinks.push_back((Arc::clone(&self.jobs), path)));
     }
 
     fn metrics(&self) -> StorageMetrics {
@@ -950,13 +958,9 @@ impl Storage for FileDisk {
 impl Drop for FileDisk {
     fn drop(&mut self) {
         self.jobs.wait_idle();
-        let reserved = self
-            .reserve
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(r) = reserved.filter(|_| !self.faults.is_dead()) {
-            self.jobs.unlink(&self.path(r.id));
+        let reserved = self.jobs.lock().reserve.take();
+        if let Some((id, _)) = reserved.filter(|_| !self.faults.is_dead()) {
+            self.jobs.unlink(&self.path(id));
         }
     }
 }
@@ -1011,13 +1015,7 @@ mod tests {
         }
         assert_eq!(d.fds_opened(), 1, "per-read opens must be gone");
         d.free(ext);
-        assert!(
-            d.handles
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .is_empty(),
-            "free must drop the handle"
-        );
+        assert!(d.jobs.lock().open.is_empty(), "free must drop the handle");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1209,6 +1207,47 @@ mod tests {
         assert_eq!(lane_fsyncs(), 1, "the write needs the barrier's own sync");
         d.sync_extent(ext).unwrap();
         assert_eq!((lane_fsyncs(), d.metrics().extent_syncs), (1, 3));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The table's contract: the disk reads an extent file's length from
+    /// the kernel only on first access to an extent inherited from a
+    /// reopen, never at a barrier, a free or a reuse, and the length it
+    /// keeps still decides the trim of a recycled file.
+    #[test]
+    fn the_table_reads_a_length_only_for_an_inherited_extent() {
+        let dir = tmpdir("table");
+        let d = FileDisk::new(&dir, 64, CostModel::FREE).unwrap();
+        let length_reads = |d: &FileDisk| d.jobs.length_reads.load(Ordering::Relaxed);
+        let page = [5u8; 40];
+        let long = d.append_pages(None, &[&page[..]; 30]).unwrap().0;
+        d.sync_extent(long).unwrap();
+        d.free(long);
+        let short = d.append_pages(None, &[&page[..]; 2]).unwrap().0;
+        assert_eq!(short.id, long.id, "the reserved file comes back");
+        d.sync_extent(short).unwrap();
+        let on_disk = std::fs::metadata(d.path(short.id)).unwrap().len();
+        assert_eq!(on_disk, 2 * d.slot() as u64, "the barrier trims the tail");
+        let mut live = vec![short];
+        for round in 0..60usize {
+            let mut ext = None;
+            for batch in 0..=round % 3 {
+                let pages = vec![&page[..]; 1 + (round * 7 + batch) % 20];
+                ext = d.append_pages(ext, &pages).map(|(e, _)| e);
+            }
+            d.sync_extent(ext.unwrap()).unwrap();
+            live.push(ext.unwrap());
+            if live.len() > 3 {
+                d.free(live.remove(round % 3));
+            }
+        }
+        assert!(d.fds_opened() < 30, "{} files for 61 runs", d.fds_opened());
+        assert_eq!(length_reads(&d), 0, "fresh extents read no length");
+        drop(d);
+        let reopened = FileDisk::new(&dir, 64, CostModel::FREE).unwrap();
+        reopened.free(live[0]);
+        assert_eq!(length_reads(&reopened), 1, "one inherited extent");
+        drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,8 +22,9 @@
 //!   setup, so virtual accounting stays bit-identical); the persistent
 //!   store serves each shard's file disk through one.
 //! * [`FileDisk`] — a real-file backend implementing the same [`Storage`]
-//!   trait, for running the engine against an actual filesystem: cached
-//!   fds (one `open` per extent, not per read), positional `pread`/
+//!   trait, for running the engine against an actual filesystem: one
+//!   record per extent file (its handle, opened once per extent and not
+//!   per read, its length and its sync state), positional `pread`/
 //!   `pwrite` I/O, one reusable page buffer per disk, and one I/O worker
 //!   thread per process that runs the disks' eager extent syncs and
 //!   unlinks off the caller's thread.
@@ -64,8 +65,8 @@
 //! shard: its [`FileDisk`] (reached through [`Storage::faults`]), its
 //! write-ahead log and its manifest share one, and every durable-path call
 //! visits a named [`Site`] first, where an armed [`Fault`] fires — a crash
-//! before or after the call, a torn write, a power cut, or an error the
-//! call returns. The plan's dead flag is the shard's "the process died".
+//! before or after the call, a torn write, a power cut, an error the call
+//! returns, or a panic before the call. The plan's dead flag is the shard's "the process died".
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

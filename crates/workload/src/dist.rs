@@ -14,20 +14,6 @@ pub enum KeyDistribution {
         /// Zipf exponent in `(0, 1)`; YCSB's default is 0.99.
         theta: f64,
     },
-    /// Recency-skewed: key `n−1−r` where rank `r` is Zipf-distributed, so
-    /// the most recently inserted keys are hottest (YCSB "latest").
-    Latest {
-        /// Zipf exponent for the recency ranks.
-        theta: f64,
-    },
-    /// A hot set of `hot_fraction` of the keys receives `hot_probability`
-    /// of the accesses; the rest are uniform over the cold set.
-    HotSpot {
-        /// Fraction of the key space that is hot, in `(0, 1)`.
-        hot_fraction: f64,
-        /// Probability an access goes to the hot set, in `(0, 1)`.
-        hot_probability: f64,
-    },
 }
 
 impl KeyDistribution {
@@ -41,7 +27,7 @@ impl KeyDistribution {
 #[derive(Debug, Clone)]
 pub struct KeySampler {
     n: u64,
-    dist: KeyDistribution,
+    /// The Zipf law of a Zipfian sampler; `None` samples uniformly.
     zipf: Option<ZipfState>,
     scramble_mult: u64,
 }
@@ -109,11 +95,9 @@ impl KeySampler {
     /// Creates a sampler over the key space `[0, n)`.
     pub(crate) fn new(n: u64, dist: KeyDistribution) -> Self {
         assert!(n >= 1, "key space must be non-empty");
-        let zipf = match &dist {
-            KeyDistribution::Zipfian { theta } | KeyDistribution::Latest { theta } => {
-                Some(ZipfState::new(n, *theta))
-            }
-            _ => None,
+        let zipf = match dist {
+            KeyDistribution::Uniform => None,
+            KeyDistribution::Zipfian { theta } => Some(ZipfState::new(n, theta)),
         };
         // A multiplier coprime to n makes `rank * mult % n` a bijection,
         // scattering hot ranks across the key space deterministically.
@@ -126,7 +110,6 @@ impl KeySampler {
         }
         Self {
             n,
-            dist,
             zipf,
             scramble_mult,
         }
@@ -134,28 +117,11 @@ impl KeySampler {
 
     /// Draws one key id in `[0, n)`.
     pub(crate) fn sample(&self, rng: &mut impl Rng) -> u64 {
-        match &self.dist {
-            KeyDistribution::Uniform => rng.gen_range(0..self.n),
-            KeyDistribution::Zipfian { .. } => {
-                let rank = self.zipf.as_ref().unwrap().sample(self.n, rng);
+        match &self.zipf {
+            None => rng.gen_range(0..self.n),
+            Some(zipf) => {
+                let rank = zipf.sample(self.n, rng);
                 (rank as u128 * self.scramble_mult as u128 % self.n as u128) as u64
-            }
-            KeyDistribution::Latest { .. } => {
-                let rank = self.zipf.as_ref().unwrap().sample(self.n, rng);
-                self.n - 1 - rank
-            }
-            KeyDistribution::HotSpot {
-                hot_fraction,
-                hot_probability,
-            } => {
-                let hot_n = ((self.n as f64 * hot_fraction).ceil() as u64).clamp(1, self.n);
-                if rng.gen::<f64>() < *hot_probability {
-                    rng.gen_range(0..hot_n)
-                } else if hot_n < self.n {
-                    rng.gen_range(hot_n..self.n)
-                } else {
-                    rng.gen_range(0..self.n)
-                }
             }
         }
     }
@@ -217,42 +183,9 @@ mod tests {
     }
 
     #[test]
-    fn latest_prefers_high_ids() {
-        let n = 1000u64;
-        let s = KeySampler::new(n, KeyDistribution::Latest { theta: 0.99 });
-        let h = histogram(&s, 100_000, n as usize);
-        let hottest = h.iter().enumerate().max_by_key(|(_, c)| **c).unwrap().0 as u64;
-        assert_eq!(hottest, n - 1);
-    }
-
-    #[test]
-    fn hotspot_concentrates() {
-        let s = KeySampler::new(
-            1000,
-            KeyDistribution::HotSpot {
-                hot_fraction: 0.1,
-                hot_probability: 0.9,
-            },
-        );
-        let h = histogram(&s, 100_000, 1000);
-        let hot: u64 = h[..100].iter().sum();
-        let total: u64 = h.iter().sum();
-        let share = hot as f64 / total as f64;
-        assert!((share - 0.9).abs() < 0.02, "hot share {share}");
-    }
-
-    #[test]
     fn samples_stay_in_range() {
         let mut rng = StdRng::seed_from_u64(7);
-        for dist in [
-            KeyDistribution::Uniform,
-            KeyDistribution::zipfian_default(),
-            KeyDistribution::Latest { theta: 0.5 },
-            KeyDistribution::HotSpot {
-                hot_fraction: 0.2,
-                hot_probability: 0.8,
-            },
-        ] {
+        for dist in [KeyDistribution::Uniform, KeyDistribution::zipfian_default()] {
             let s = KeySampler::new(17, dist);
             for _ in 0..10_000 {
                 assert!(s.sample(&mut rng) < 17);
@@ -292,7 +225,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "theta must be in [0, 1)")]
     fn zipf_negative_theta_is_rejected() {
-        let _ = KeySampler::new(100, KeyDistribution::Latest { theta: -0.1 });
+        let _ = KeySampler::new(100, KeyDistribution::Zipfian { theta: -0.1 });
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! shifts over time, chopped into fixed-size *missions* between which the
 //! tuner acts. This crate reproduces that driver:
 //!
-//! * [`dist`] — key popularity distributions: uniform, YCSB-style scrambled
-//!   Zipfian, latest, and hotspot;
+//! * [`dist`] — key popularity distributions: uniform and YCSB-style
+//!   scrambled Zipfian;
 //! * [`ops`] — the operation vocabulary and per-workload operation mixes;
 //! * [`generator`] — deterministic seeded operation streams and bulk-load
 //!   key sets; a mission (paper default: 50 000 ops, scaled down in the

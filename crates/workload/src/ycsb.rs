@@ -25,8 +25,6 @@ pub enum Preset {
     YcsbB,
     /// YCSB C: 100% reads, Zipfian.
     YcsbC,
-    /// YCSB D-like: 95% reads with latest distribution, 5% inserts.
-    YcsbD,
 }
 
 impl Preset {
@@ -37,27 +35,17 @@ impl Preset {
             Preset::WriteHeavy => OpMix::write_heavy(),
             Preset::Balanced | Preset::YcsbA => OpMix::balanced(),
             Preset::RangeBalanced => OpMix::range_balanced(),
-            Preset::YcsbB | Preset::YcsbD => OpMix::reads(0.95),
+            Preset::YcsbB => OpMix::reads(0.95),
             Preset::YcsbC => OpMix::reads(1.0),
         }
     }
 
-    /// The key distribution of the preset.
-    pub(crate) fn distribution(self) -> KeyDistribution {
-        match self {
-            Preset::ReadHeavy | Preset::WriteHeavy | Preset::Balanced | Preset::RangeBalanced => {
-                KeyDistribution::zipfian_default()
-            }
-            Preset::YcsbA | Preset::YcsbB | Preset::YcsbC => KeyDistribution::zipfian_default(),
-            Preset::YcsbD => KeyDistribution::Latest { theta: 0.99 },
-        }
-    }
-
-    /// A full [`WorkloadSpec`] for the preset over `key_space` keys.
+    /// A full [`WorkloadSpec`] for the preset over `key_space` keys: its
+    /// mix over YCSB's default Zipfian.
     pub fn spec(self, key_space: u64) -> WorkloadSpec {
         WorkloadSpec::scaled_default(key_space)
             .with_mix(self.mix())
-            .with_distribution(self.distribution())
+            .with_distribution(KeyDistribution::zipfian_default())
     }
 
     /// Label used in experiment output.
@@ -70,12 +58,11 @@ impl Preset {
             Preset::YcsbA => "ycsb-a",
             Preset::YcsbB => "ycsb-b",
             Preset::YcsbC => "ycsb-c",
-            Preset::YcsbD => "ycsb-d",
         }
     }
 
     /// All presets.
-    pub const ALL: [Preset; 8] = [
+    pub const ALL: [Preset; 7] = [
         Preset::ReadHeavy,
         Preset::WriteHeavy,
         Preset::Balanced,
@@ -83,7 +70,6 @@ impl Preset {
         Preset::YcsbA,
         Preset::YcsbB,
         Preset::YcsbC,
-        Preset::YcsbD,
     ];
 }
 
@@ -104,14 +90,6 @@ mod tests {
     fn labels_unique() {
         let set: std::collections::HashSet<_> = Preset::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(set.len(), Preset::ALL.len());
-    }
-
-    #[test]
-    fn ycsb_d_uses_latest() {
-        assert_eq!(
-            Preset::YcsbD.distribution(),
-            KeyDistribution::Latest { theta: 0.99 }
-        );
     }
 
     #[test]

@@ -172,7 +172,8 @@
 //! every durable-path call — an append, a `pwrite`, a trim, an fsync, an
 //! unlink — visits a named [`storage::Site`] first, where an armed
 //! [`storage::Fault`] fires (a crash before or after the call, a torn
-//! write, a power cut, or an error the call returns). Once a shard's plan
+//! write, a power cut, an error the call returns, or a panic before the
+//! call, as an engine bug would panic). Once a shard's plan
 //! is dead, every barrier on it fails typed, so no write issued after the
 //! death is acknowledged. The contract is
 //! pinned three ways: `tests/crash_recovery.rs` runs the plan over the WAL
@@ -221,11 +222,12 @@
 //!   compaction can never serve a stale page
 //!   (`tests/cache_equivalence.rs` pins cached ≡ uncached at
 //!   `N ∈ {1, 2, 4}` through flushes, compaction, and restart).
-//! * **zero-alloc positional file I/O** — [`storage::FileDisk`] caches
-//!   one file handle per extent (open once, `pread`/`pwrite` thereafter,
-//!   no seek state and no per-read `open`) and stages pages through a
-//!   reusable buffer, one per disk; `fds_opened` / `buffer_grows`
-//!   counters prove both properties at steady state.
+//! * **zero-alloc positional file I/O** — [`storage::FileDisk`] keeps
+//!   one record per extent file: its handle (open once, `pread`/`pwrite`
+//!   thereafter, no seek state and no per-read `open`), its length and
+//!   its sync state, so no barrier asks the kernel for a length. It
+//!   stages pages through a reusable buffer, one per disk; `fds_opened` /
+//!   `buffer_grows` counters prove both properties at steady state.
 //!
 //! Cache traffic is observable end to end: hit/miss/eviction counters
 //! flow from [`storage::StorageMetrics`] through

@@ -39,7 +39,7 @@ use ruskey_repro::ruskey::db::RusKeyConfig;
 use ruskey_repro::ruskey::frontend::ServingError;
 use ruskey_repro::ruskey::sharded::{Backend, PersistenceConfig, RusKey, StoreError};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
-use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
+use ruskey_repro::storage::{CostModel, Fault, SimulatedDisk, Site, Storage};
 use ruskey_repro::workload::routing::{partition_ops, shard_for_key};
 use ruskey_repro::workload::{
     bulk_load_pairs, encode_key, OpGenerator, OpMix, Operation, WorkloadSpec,
@@ -206,21 +206,26 @@ fn pooled_missions_equal_single_threaded_lane_replay() {
     }
 }
 
-/// Acceptance: a shard worker panic mid-soak surfaces as a clean
-/// [`StoreError`] naming the shard — the mission returns (no hang), the
-/// shard stays dead (every later mission and barrier fails naming it),
-/// and dropping the store joins cleanly.
+/// Acceptance: a shard worker panic mid-soak (armed at the shard's next
+/// WAL append) surfaces as a clean [`StoreError`] naming the shard — the
+/// mission returns (no hang), the shard stays dead (every later mission
+/// and barrier fails naming it), and dropping the store joins cleanly.
 #[test]
 fn worker_panic_surfaces_as_clean_error_not_a_hang() {
     for &n in &[2usize, 4] {
-        let mut db = volatile(small_cfg(), disks(n));
+        let dir = wal_dir("worker-panic");
+        let dur = persistence(&dir);
+        let mut db = RusKey::open(small_cfg(), n, Box::new(NoOpTuner), Backend::Create(&dur))
+            .expect("open persistent store");
         db.bulk_load(bulk_load_pairs(800, 16, 48, 51));
         let mut g = OpGenerator::new(mixed_spec(800), 53);
         for _ in 0..3 {
             db.try_run_mission(&g.take_ops(100)).expect("healthy pool");
         }
         let victim = n - 1;
-        db.inject_worker_panic(victim);
+        db.shard(victim)
+            .faults()
+            .arm(Site::WalAppend, 0, Fault::Panic);
         let err = db
             .try_run_mission(&g.take_ops(100))
             .expect_err("a panicked worker must fail the mission");
@@ -240,6 +245,7 @@ fn worker_panic_surfaces_as_clean_error_not_a_hang() {
             assert!(dead, "n={n}: a later dispatch answered {result:?}");
         }
         drop(db); // must join without hanging or double-panicking
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -269,7 +275,7 @@ fn a_panic_on_the_callers_lane_is_a_clean_error_too() {
         db.try_run_mission(&puts(0)).expect("healthy store");
         let acked_before: Vec<u64> = (0..n).map(|i| db.shard(i).stats().wal_synced).collect();
 
-        db.inject_worker_panic(0);
+        db.shard(0).faults().arm(Site::WalAppend, 0, Fault::Panic);
         let err = db
             .try_run_mission(&puts(100))
             .expect_err("a panicked lane must fail the mission");
@@ -336,7 +342,7 @@ fn a_panic_stops_only_its_shard() {
             .collect()
     };
     db.try_run_mission(&puts(0)).expect("healthy store");
-    db.inject_worker_panic(0);
+    db.shard(0).faults().arm(Site::WalAppend, 0, Fault::Panic);
     for from in [100, 200] {
         let err = db.try_run_mission(&puts(from)).expect_err("shard 0 died");
         assert!(

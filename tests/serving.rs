@@ -423,6 +423,8 @@ fn a_client_kept_past_finish_serving_is_stopped() {
 #[test]
 fn a_client_panic_poisons_only_its_shard() {
     let (mut db, durability) = durable_store("client-panic", 2);
+    // Shard 0's second logged write panics, as an engine bug would.
+    db.shard(0).faults().arm(Site::WalAppend, 1, Fault::Panic);
     let frontend = db.serve(ServingConfig::default()).expect("serve");
     // One key per shard, found by asking the store's own routing.
     let on_shard = |shard: usize| {
@@ -436,9 +438,10 @@ fn a_client_panic_poisons_only_its_shard() {
     client
         .put(dead_key.clone(), Bytes::from_static(b"before"))
         .expect("put");
-    let doomed = frontend.client();
-    let panicked = thread::scope(|s| s.spawn(move || doomed.panic_inside_shard(0)).join());
-    assert!(panicked.is_err(), "the hook must panic");
+    let (doomed, dead_key_put) = (frontend.client(), dead_key.clone());
+    let doomed_put = move || doomed.put(dead_key_put, Bytes::from_static(b"doomed"));
+    let panicked = thread::scope(|s| s.spawn(doomed_put).join());
+    assert!(panicked.is_err(), "the armed put must panic");
     assert!(matches!(client.get(&dead_key), Err(ServingError::Stopped)));
     assert!(matches!(
         client.put(dead_key.clone(), Bytes::from_static(b"after")),
